@@ -136,8 +136,10 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: :class:`~repro.experiments.scenario.ScenarioConfig` grew the
 #: ``topology`` family field (world keys shifted) and tiered worlds carry
 #: a :class:`~repro.net.routing.TierLayout` plus hierarchical routing
-#: plans and IX routers in the pickled graph.
-SNAPSHOT_SCHEMA = 5
+#: plans and IX routers in the pickled graph.  v6: the pickled graph
+#: carries the forwarding fast-path state — :class:`~repro.net.fib.Fib`
+#: tables their lookup memo slot, nodes their local-address value set.
+SNAPSHOT_SCHEMA = 6
 
 
 def _without_gc(func, *args, **kwargs):

@@ -24,7 +24,7 @@ def next_nonce():
     return next(_nonces)
 
 
-@dataclass
+@dataclass(slots=True)
 class LispHeader:
     """The 8-byte LISP data-plane shim header."""
 
@@ -32,15 +32,13 @@ class LispHeader:
     instance_id: int = 0
     locator_status_bits: int = 0
 
-    @property
-    def size_bytes(self):
-        return LISP_HEADER_BYTES
+    size_bytes = LISP_HEADER_BYTES
 
     def __str__(self):
         return f"LISP(nonce={self.nonce})"
 
 
-@dataclass
+@dataclass(slots=True)
 class MapRequest:
     """A Map-Request for *eid*, answered toward *itr_rloc*."""
 
@@ -64,7 +62,7 @@ class MapRequest:
         return f"MapRequest(eid={self.eid} nonce={self.nonce})"
 
 
-@dataclass
+@dataclass(slots=True)
 class MapReply:
     """A Map-Reply carrying one mapping record."""
 

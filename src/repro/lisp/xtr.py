@@ -79,8 +79,9 @@ class TunnelRouter:
         if mapping is not None:
             self.encapsulate_and_send(packet, mapping)
             return
-        self.sim.trace.record(self.sim.now, self.node.name, "itr.cache-miss",
-                              eid=str(eid), uid=packet.uid)
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.node.name, "itr.cache-miss",
+                                  eid=str(eid), uid=packet.uid)
         self.miss_policy.on_miss(self, packet, eid)
         self._maybe_resolve(eid)
 
@@ -94,9 +95,10 @@ class TunnelRouter:
         outer = encapsulate(packet, source, rloc_entry.address)
         self.encapsulated += 1
         mark_fate(packet, "encapsulated")
-        self.sim.trace.record(self.sim.now, self.node.name, "itr.encap",
-                              eid=str(packet.ip.dst), rloc=str(rloc_entry.address),
-                              src_rloc=str(source), uid=packet.uid)
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.node.name, "itr.encap",
+                                  eid=str(packet.ip.dst), rloc=str(rloc_entry.address),
+                                  src_rloc=str(source), uid=packet.uid)
         self.node.send(outer)
 
     def _resolution_key(self, eid):
@@ -130,8 +132,10 @@ class TunnelRouter:
                 self.resolutions_failed += 1
                 return
             self.map_cache.install(mapping, origin="resolved")
-            self.sim.trace.record(self.sim.now, self.node.name, "itr.mapping-resolved",
-                                  eid=str(eid), prefix=str(mapping.eid_prefix))
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self.node.name,
+                                      "itr.mapping-resolved", eid=str(eid),
+                                      prefix=str(mapping.eid_prefix))
             self.miss_policy.on_resolved(self, eid, mapping)
 
         self.sim.process(run(), name=f"{self.node.name}-resolve-{eid}")
@@ -139,8 +143,10 @@ class TunnelRouter:
     def install_mapping(self, mapping, origin="pushed", ttl=None):
         """Install a mapping delivered by push (PCE Step 7b, NERD database)."""
         self.map_cache.install(mapping, origin=origin, ttl=ttl)
-        self.sim.trace.record(self.sim.now, self.node.name, "itr.mapping-installed",
-                              prefix=str(mapping.eid_prefix), origin=origin)
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.node.name,
+                                  "itr.mapping-installed",
+                                  prefix=str(mapping.eid_prefix), origin=origin)
         self.miss_policy.on_resolved(self, None, mapping)
 
     # ------------------------------------------------------------------ #
@@ -156,8 +162,10 @@ class TunnelRouter:
         destination = inner.ip.dst
         if not self.site.eid_prefix.contains(destination):
             self.misdelivered += 1
-            self.sim.trace.record(self.sim.now, self.node.name, "etr.misdelivered",
-                                  dst=str(destination), uid=packet.uid)
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self.node.name,
+                                      "etr.misdelivered", dst=str(destination),
+                                      uid=packet.uid)
             return
         inner_source = inner.ip.src
         first_packet = False
@@ -170,11 +178,13 @@ class TunnelRouter:
                 and self.map_cache.peek(inner_source) is None:
             gleaned = _gleaned_mapping(inner_source, outer_ip.src)
             self.map_cache.install(gleaned, origin="gleaned", ttl=GLEANING_TTL)
-            self.sim.trace.record(self.sim.now, self.node.name, "etr.gleaned",
-                                  eid=str(inner_source), rloc=str(outer_ip.src))
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self.node.name, "etr.gleaned",
+                                      eid=str(inner_source), rloc=str(outer_ip.src))
         mark_fate(inner, "decapsulated")
-        self.sim.trace.record(self.sim.now, self.node.name, "etr.decap",
-                              dst=str(destination), uid=packet.uid)
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.node.name, "etr.decap",
+                                  dst=str(destination), uid=packet.uid)
         for listener in self.decap_listeners:
             listener(self, inner, outer_ip, first_packet)
         self.node.send(inner)

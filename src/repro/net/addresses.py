@@ -59,8 +59,13 @@ class IPv4Address:
     def __eq__(self, other):
         if isinstance(other, IPv4Address):
             return self._value == other._value
-        if isinstance(other, (int, str)):
-            return self._value == IPv4Address(other)._value
+        if isinstance(other, int):
+            return self._value == other
+        if isinstance(other, str):
+            try:
+                return self._value == _parse_dotted_quad(other)
+            except AddressError:
+                return False
         return NotImplemented
 
     def __lt__(self, other):
@@ -69,7 +74,9 @@ class IPv4Address:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("IPv4Address", self._value))
+        # The integer's own hash: no tuple per call, and consistent with
+        # ``address == int``.
+        return hash(self._value)
 
     def __add__(self, offset):
         return IPv4Address(self._value + int(offset))
@@ -171,7 +178,10 @@ class IPv4Prefix:
         if isinstance(other, IPv4Prefix):
             return (self._network, self._length) == (other._network, other._length)
         if isinstance(other, str):
-            return self == IPv4Prefix(other)
+            try:
+                return self == IPv4Prefix(other)
+            except AddressError:
+                return False
         return NotImplemented
 
     def __lt__(self, other):
@@ -186,8 +196,9 @@ class IPv4Prefix:
         """True if *address* (or the whole prefix *address*) lies within self."""
         if isinstance(address, IPv4Prefix):
             return address._length >= self._length and self.contains(address.network)
-        value = IPv4Address(address).value
-        return value & self.mask == self._network
+        value = (address if type(address) is IPv4Address
+                 else IPv4Address(address))._value
+        return value & self._mask_for(self._length) == self._network
 
     def overlaps(self, other):
         """True if the two prefixes share any address."""

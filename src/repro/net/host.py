@@ -5,6 +5,8 @@ Hosts expose a tiny socket-like API: :meth:`Host.open_udp` returns a
 send-and-await-reply pattern used by DNS lookups, with timeout and retry.
 """
 
+from collections import deque
+
 from repro.net.addresses import IPv4Address
 from repro.net.node import Node
 from repro.net.packet import udp_packet
@@ -20,13 +22,13 @@ class UdpSocket:
     def __init__(self, host, port):
         self.host = host
         self.port = port
-        self._waiters = []
+        self._waiters = deque()
         self.on_datagram = None
         host.bind_udp(port, self._deliver)
 
     def _deliver(self, packet, _node):
         if self._waiters:
-            waiter = self._waiters.pop(0)
+            waiter = self._waiters.popleft()
             if not waiter.triggered:
                 waiter.succeed(packet)
                 return

@@ -114,23 +114,9 @@ class LinkStats:
         return min(1.0, self.busy_time / elapsed)
 
     # ------------------------------------------------------------------ #
-    # Byte accounting
+    # Byte accounting (the offered/delivered/dropped ledgers are updated
+    # inline by Link's packet and fluid paths)
     # ------------------------------------------------------------------ #
-
-    def account_offered(self, size, flow_id):
-        self.bytes_offered += size
-        if flow_id is not None:
-            self.flows[flow_id].offered += size
-
-    def account_delivered(self, size, flow_id):
-        self.bytes_delivered += size
-        if flow_id is not None:
-            self.flows[flow_id].delivered += size
-
-    def account_dropped(self, size, flow_id):
-        self.bytes_dropped += size
-        if flow_id is not None:
-            self.flows[flow_id].dropped += size
 
     def account_transmission(self, start, tx_time, size):
         """Bucket one transmission into the utilization windows.
@@ -279,11 +265,6 @@ class LinkStats:
                                     for index, (busy, volume) in windows.items()})
 
 
-def _flow_id_of(packet):
-    """The flow id a packet carries, looking through encapsulation."""
-    return packet.innermost().meta.get("flow_id")
-
-
 class Link:
     """A simplex link from ``src_interface`` to ``dst_interface``.
 
@@ -324,62 +305,74 @@ class Link:
         return self.name
 
     def send(self, packet):
-        """Accept *packet* for transmission; returns False on tail drop."""
+        """Accept *packet* for transmission; returns False on tail drop.
+
+        The packet's size, flow id and fluid probe are read here, once per
+        hop, and travel with it through the queue and the two scheduled
+        callbacks (serialisation done, propagation done).
+        """
         size = packet.size_bytes
-        flow_id = _flow_id_of(packet)
-        self.stats.account_offered(size, flow_id)
+        # Flow id and probe live on the innermost packet, so LISP
+        # encapsulation is transparent to the per-flow ledgers.
+        meta = packet.innermost().meta
+        flow_id = meta.get("flow_id")
+        probe = meta.get("fluid_probe")
+        stats = self.stats
+        stats.bytes_offered += size
+        if flow_id is not None:
+            stats.flows[flow_id].offered += size
         if not self.up:
-            self.stats.drops += 1
-            self.stats.account_dropped(size, flow_id)
+            self._drop(size, flow_id)
             self.sim.trace.record(self.sim.now, self.name, "link.drop", reason="down",
                                   uid=packet.uid)
             return False
-        if self._busy and len(self._queue) >= self.queue_capacity:
-            self.stats.drops += 1
-            self.stats.account_dropped(size, flow_id)
+        if not self._busy:
+            self._transmit(packet, size, flow_id, probe)
+            return True
+        queue = self._queue
+        if len(queue) >= self.queue_capacity:
+            self._drop(size, flow_id)
             self.sim.trace.record(self.sim.now, self.name, "link.drop", reason="queue-full",
                                   uid=packet.uid)
             return False
-        if self._busy:
-            self._queue.append(packet)
-            self.stats.max_queue = max(self.stats.max_queue, len(self._queue))
-            return True
-        self._transmit(packet)
+        queue.append((packet, size, flow_id, probe))
+        if len(queue) > stats.max_queue:
+            stats.max_queue = len(queue)
         return True
 
-    def _serialisation_time(self, packet):
-        if self.rate_bps is None:
-            return 0.0
-        return packet.size_bytes * 8.0 / self.rate_bps
+    def _drop(self, size, flow_id):
+        stats = self.stats
+        stats.drops += 1
+        stats.bytes_dropped += size
+        if flow_id is not None:
+            stats.flows[flow_id].dropped += size
 
-    def _transmit(self, packet):
+    def _transmit(self, packet, size, flow_id, probe):
         self._busy = True
-        size = packet.size_bytes
-        tx_time = self._serialisation_time(packet)
-        self.stats.busy_time += tx_time
-        self.stats.tx_packets += 1
-        self.stats.tx_bytes += size
-        self.stats.account_transmission(self.sim.now, tx_time, size)
-        self.sim.call_in(tx_time, self._transmission_done, packet)
+        tx_time = 0.0 if self.rate_bps is None else size * 8.0 / self.rate_bps
+        stats = self.stats
+        stats.busy_time += tx_time
+        stats.tx_packets += 1
+        stats.tx_bytes += size
+        stats.account_transmission(self.sim.now, tx_time, size)
+        self.sim.call_in(tx_time, self._transmission_done, packet, size, flow_id, probe)
 
-    def _transmission_done(self, packet):
+    def _transmission_done(self, packet, size, flow_id, probe):
         # Propagation starts once the last bit is on the wire.
-        self.sim.call_in(self.delay, self._deliver, packet)
+        self.sim.call_in(self.delay, self._deliver, packet, size, flow_id, probe)
         if self._queue:
-            self._transmit(self._queue.popleft())
+            self._transmit(*self._queue.popleft())
         else:
             self._busy = False
 
-    def _deliver(self, packet):
-        size = packet.size_bytes
-        meta = packet.innermost().meta
-        flow_id = meta.get("flow_id")
+    def _deliver(self, packet, size, flow_id, probe):
         if not self.up:
-            self.stats.drops += 1
-            self.stats.account_dropped(size, flow_id)
+            self._drop(size, flow_id)
             return
-        self.stats.account_delivered(size, flow_id)
-        probe = meta.get("fluid_probe")
+        stats = self.stats
+        stats.bytes_delivered += size
+        if flow_id is not None:
+            stats.flows[flow_id].delivered += size
         if probe is not None:
             # A fluid flow's path-discovery packet: record the traversal so
             # the sender can post subsequent chunks to the same links.

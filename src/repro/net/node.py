@@ -10,7 +10,7 @@ the paper's co-located DNS + PCE.
 from repro.net.addresses import IPv4Address
 from repro.net.errors import NoRouteError, PortInUseError
 from repro.net.fib import Fib
-from repro.net.packet import PROTO_UDP, Packet, UDPHeader
+from repro.net.packet import PROTO_UDP, udp_packet
 from repro.sim.state import restore_attrs, snapshot_attrs
 
 
@@ -46,6 +46,10 @@ class Node:
         self.interfaces = {}
         self.fib = Fib()
         self.extra_addresses = set()
+        #: Integer values of :meth:`addresses` — what :meth:`is_local`
+        #: tests, once per received packet.  Kept in step by
+        #: add_interface/add_address and rebuilt by restore_state.
+        self._local_values = set()
         self.services = {}
         self._proto_handlers = {}
         self._udp_ports = {}
@@ -70,11 +74,15 @@ class Node:
             raise ValueError(f"{self.name} already has interface {name}")
         interface = Interface(self, name, address)
         self.interfaces[name] = interface
+        if interface.address is not None:
+            self._local_values.add(interface.address._value)
         return interface
 
     def add_address(self, address):
         """Register an additional local address (e.g. a loopback/service IP)."""
-        self.extra_addresses.add(IPv4Address(address))
+        address = IPv4Address(address)
+        self.extra_addresses.add(address)
+        self._local_values.add(address._value)
 
     def addresses(self):
         """All addresses considered local to this node."""
@@ -92,7 +100,9 @@ class Node:
         return min(local)
 
     def is_local(self, address):
-        return IPv4Address(address) in self.addresses()
+        if type(address) is not IPv4Address:
+            address = IPv4Address(address)
+        return address._value in self._local_values
 
     # ------------------------------------------------------------------ #
     # Handler registration (services plug in here)
@@ -158,14 +168,16 @@ class Node:
             handler(packet, self)
             return
         self.dropped_packets += 1
-        self.sim.trace.record(self.sim.now, self.name, "node.unclaimed",
-                              proto=ip.proto, dst=str(ip.dst), uid=packet.uid)
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.name, "node.unclaimed",
+                                  proto=ip.proto, dst=str(ip.dst), uid=packet.uid)
 
     def forward(self, packet, interface=None):
         """Base nodes do not forward; see :class:`~repro.net.router.Router`."""
         self.dropped_packets += 1
-        self.sim.trace.record(self.sim.now, self.name, "node.no-forward",
-                              dst=str(packet.ip.dst), uid=packet.uid)
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.name, "node.no-forward",
+                                  dst=str(packet.ip.dst), uid=packet.uid)
 
     # ------------------------------------------------------------------ #
     # Send path
@@ -187,8 +199,9 @@ class Node:
             entry = self.fib.lookup(ip.dst)
         except NoRouteError:
             self.dropped_packets += 1
-            self.sim.trace.record(self.sim.now, self.name, "node.no-route",
-                                  dst=str(ip.dst), uid=packet.uid)
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self.name, "node.no-route",
+                                      dst=str(ip.dst), uid=packet.uid)
             return False
         interface = entry.interface
         if interface is None or interface.link is None:
@@ -207,8 +220,10 @@ class Node:
                     "_udp_ports", "forward_taps")
 
     #: Construction-time identity and wiring: interfaces are created during
-    #: topology build and never change during a run.
-    _SNAPSHOT_EXEMPT = ("sim", "name", "interfaces")
+    #: topology build and never change during a run.  ``_local_values`` is
+    #: derived from the interfaces and ``extra_addresses``; restore_state
+    #: recomputes it.
+    _SNAPSHOT_EXEMPT = ("sim", "name", "interfaces", "_local_values")
 
     def snapshot_state(self):
         state = snapshot_attrs(self, self._state_attrs)
@@ -219,17 +234,11 @@ class Node:
         self.fib.restore_state(state["fib"])
         restore_attrs(self, {name: value for name, value in state.items()
                              if name != "fib"})
+        self._local_values = {address._value for address in self.addresses()}
 
     def send_udp(self, src, dst, sport, dport, payload=None, payload_bytes=0, meta=None):
         """Build and send a UDP datagram from this node."""
-        from repro.net.packet import IPv4Header  # local import to avoid cycle noise
-
-        packet = Packet(
-            headers=[IPv4Header(src=src, dst=dst, proto=PROTO_UDP),
-                     UDPHeader(sport, dport)],
-            payload=payload,
-            payload_bytes=payload_bytes,
-            meta=meta or {},
-        )
+        packet = udp_packet(src, dst, sport, dport, payload=payload,
+                            payload_bytes=payload_bytes, meta=meta)
         self.send(packet)
         return packet

@@ -5,6 +5,13 @@ be raw ``bytes``, an application-level message object (e.g. a DNS message),
 or another :class:`Packet` — the latter is how IP-in-IP / LISP encapsulation
 is modelled.  Sizes are tracked in bytes so links can compute serialisation
 delay and queues can account occupancy.
+
+Immutability contract: a packet's header *list* and its payload are fixed at
+construction — encapsulation wraps a packet in a new one, decapsulation
+hands back the inner one, and only header *fields* (TTL) change in flight.
+That is what lets :attr:`Packet.size_bytes` be computed once per packet and
+reused on every hop; see "Packet immutability & forwarding fast path" in
+``docs/contracts.md``.
 """
 
 from dataclasses import dataclass, field, replace
@@ -34,13 +41,13 @@ class IPv4Header:
     ttl: int = 64
     tos: int = 0
 
-    def __post_init__(self):
-        self.src = IPv4Address(self.src)
-        self.dst = IPv4Address(self.dst)
+    size_bytes = IPV4_HEADER_BYTES
 
-    @property
-    def size_bytes(self):
-        return IPV4_HEADER_BYTES
+    def __post_init__(self):
+        if type(self.src) is not IPv4Address:
+            self.src = IPv4Address(self.src)
+        if type(self.dst) is not IPv4Address:
+            self.dst = IPv4Address(self.dst)
 
     def __str__(self):
         return f"IP({self.src}->{self.dst} proto={self.proto} ttl={self.ttl})"
@@ -53,9 +60,7 @@ class UDPHeader:
     sport: int
     dport: int
 
-    @property
-    def size_bytes(self):
-        return UDP_HEADER_BYTES
+    size_bytes = UDP_HEADER_BYTES
 
     def __str__(self):
         return f"UDP({self.sport}->{self.dport})"
@@ -78,9 +83,7 @@ class TCPHeader:
     seq: int = 0
     ack: int = 0
 
-    @property
-    def size_bytes(self):
-        return TCP_HEADER_BYTES
+    size_bytes = TCP_HEADER_BYTES
 
     @property
     def is_syn(self):
@@ -119,6 +122,10 @@ class Packet:
     meta:
         Free-form annotations (flow id, creation time, hop count...).  Meta
         survives :meth:`copy` so experiments can follow a packet end-to-end.
+
+    ``headers`` (the list), ``payload`` and ``payload_bytes`` must not be
+    reassigned or mutated once the packet exists: the on-wire size is
+    computed on first use and kept.
     """
 
     headers: list
@@ -126,21 +133,27 @@ class Packet:
     payload_bytes: int = 0
     meta: dict = field(default_factory=dict)
     uid: int = field(default_factory=lambda: next(_packet_ids))
+    _size: int = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size_bytes(self):
         """Total on-wire size: all header bytes plus the payload size."""
-        total = sum(header.size_bytes for header in self.headers)
-        return total + self._payload_size()
+        size = self._size
+        if size is None:
+            size = self._payload_size()
+            for header in self.headers:
+                size += header.size_bytes
+            self._size = size
+        return size
 
     def _payload_size(self):
-        if self.payload is None:
+        payload = self.payload
+        if payload is None:
             return self.payload_bytes
-        if isinstance(self.payload, Packet):
-            return self.payload.size_bytes
-        if isinstance(self.payload, (bytes, bytearray)):
-            return len(self.payload)
-        size = getattr(self.payload, "size_bytes", None)
+        if isinstance(payload, (bytes, bytearray)):
+            return len(payload)
+        # An inner Packet answers from its own cached size.
+        size = getattr(payload, "size_bytes", None)
         if size is not None:
             return size
         return self.payload_bytes
@@ -148,6 +161,9 @@ class Packet:
     @property
     def ip(self):
         """The outermost IPv4 header (or None)."""
+        headers = self.headers
+        if headers and type(headers[0]) is IPv4Header:
+            return headers[0]
         return self.find(IPv4Header)
 
     @property
@@ -175,8 +191,10 @@ class Packet:
     def innermost(self):
         """Follow encapsulation down to the innermost packet."""
         packet = self
-        while packet.inner is not None:
-            packet = packet.inner
+        payload = packet.payload
+        while isinstance(payload, Packet):
+            packet = payload
+            payload = packet.payload
         return packet
 
     def copy(self):
@@ -186,12 +204,14 @@ class Packet:
         mutation on one copy never affects another.
         """
         cloned_payload = self.payload.copy() if isinstance(self.payload, Packet) else self.payload
-        return Packet(
+        clone = Packet(
             headers=[replace(header) for header in self.headers],
             payload=cloned_payload,
             payload_bytes=self.payload_bytes,
             meta=dict(self.meta),
         )
+        clone._size = self._size
+        return clone
 
     def __str__(self):
         stack = " / ".join(str(header) for header in self.headers)

@@ -16,8 +16,9 @@ class Router(Node):
         ip = packet.ip
         if ip.ttl <= 1:
             self.dropped_packets += 1
-            self.sim.trace.record(self.sim.now, self.name, "router.ttl-expired",
-                                  dst=str(ip.dst), uid=packet.uid)
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self.name, "router.ttl-expired",
+                                      dst=str(ip.dst), uid=packet.uid)
             return
         ip.ttl -= 1
         for tap in self.forward_taps:
@@ -27,8 +28,9 @@ class Router(Node):
             entry = self.fib.lookup(ip.dst)
         except NoRouteError:
             self.dropped_packets += 1
-            self.sim.trace.record(self.sim.now, self.name, "router.no-route",
-                                  dst=str(ip.dst), uid=packet.uid)
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self.name, "router.no-route",
+                                      dst=str(ip.dst), uid=packet.uid)
             return
         if entry.interface is None or entry.interface.link is None:
             self.dropped_packets += 1

@@ -3,7 +3,7 @@
 import heapq
 
 from repro.sim.errors import EmptySchedule
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, ScheduledCall, Timeout
 from repro.sim.periodic import PeriodicFire, PeriodicTask
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
@@ -13,6 +13,8 @@ from repro.sim.trace import Tracer
 PRIORITY_NORMAL = 1
 #: Priority used for bookkeeping that must run before normal events at a time.
 PRIORITY_URGENT = 0
+
+_FOREVER = float("inf")
 
 #: Version of the engine's blob-serializable state contract.  A settled
 #: simulator (no pending foreground events) is plain picklable data: clock,
@@ -49,12 +51,13 @@ class _Bucket:
             self.urgent = []
         self.urgent.append(entry)
 
-    def next_live(self):
-        """The next unconsumed live entry, or None when exhausted.
+    def skip_stale(self):
+        """Consume stale entries at the read position; True if one is left.
 
         Stale :class:`PeriodicFire` entries (invalidated by a re-arm or
-        stop) are consumed silently along the way, mirroring how the old
-        tuple heap discarded them at pop time.
+        stop) are consumed silently, mirroring how the old tuple heap
+        discarded them at pop time.  The dispatch loop does the same
+        inline; this is :meth:`Simulator.peek`'s non-consuming view.
         """
         urgent = self.urgent
         if urgent is not None:
@@ -63,22 +66,15 @@ class _Bucket:
                 if type(entry) is PeriodicFire and not entry.live:
                     self.ui += 1
                     continue
-                return entry
+                return True
         normal = self.normal
         while self.ni < len(normal):
             entry = normal[self.ni]
             if type(entry) is PeriodicFire and not entry.live:
                 self.ni += 1
                 continue
-            return entry
-        return None
-
-    def consume(self):
-        """Consume the entry :meth:`next_live` just returned."""
-        if self.urgent is not None and self.ui < len(self.urgent):
-            self.ui += 1
-        else:
-            self.ni += 1
+            return True
+        return False
 
 
 class Simulator:
@@ -159,9 +155,7 @@ class Simulator:
 
     def call_in(self, delay, callback, *args):
         """Run ``callback(*args)`` after *delay* time units."""
-        event = self.timeout(delay)
-        event.callbacks.append(lambda _event: callback(*args))
-        return event
+        return ScheduledCall(self, delay, callback, args)
 
     def call_at(self, when, callback, *args):
         """Run ``callback(*args)`` at absolute time *when* (>= now)."""
@@ -209,34 +203,74 @@ class Simulator:
         """Number of scheduled foreground events (diagnostic)."""
         return self._foreground
 
-    def _next(self, consume):
-        """The (time, entry) of the next live entry, or ``(None, None)``.
-
-        Exhausted buckets are retired and stale background entries
-        discarded as a side effect, whether or not the entry is consumed.
-        """
-        times, buckets = self._times, self._buckets
-        while times:
-            when = times[0]
-            bucket = buckets[when]
-            entry = bucket.next_live()
-            if entry is None:
-                heapq.heappop(times)
-                del buckets[when]
-                continue
-            if consume:
-                bucket.consume()
-            return when, entry
-        return None, None
-
     def peek(self):
         """Time of the next scheduled event, or ``float('inf')`` if none.
 
         Stale background entries (ticks invalidated by a re-arm or stop)
         are discarded from the head of the queue as a side effect.
         """
-        when, entry = self._next(False)
-        return float("inf") if entry is None else when
+        times, buckets = self._times, self._buckets
+        while times:
+            when = times[0]
+            if buckets[when].skip_stale():
+                return when
+            heapq.heappop(times)
+            del buckets[when]
+        return _FOREVER
+
+    def _dispatch(self, until, floor, single):
+        """The one dispatch loop behind :meth:`run` and :meth:`step`.
+
+        Processes entries in (time, priority, insertion) order while their
+        time is ``<= until``; returns after one entry when *single*, or as
+        soon as the pending-foreground count equals *floor* (0 drains
+        foreground work; -1 never matches, i.e. keep going to *until*).
+        Returns True when it stopped for one of those two reasons, False
+        when the schedule ran out or passed *until* first.
+
+        Buckets are drained through their read indices in place, so
+        same-time entries scheduled by a callback — including urgent ones,
+        re-checked before every normal entry — join the bucket being
+        drained.  Stale periodic entries are consumed without touching the
+        clock or the event count.
+        """
+        times, buckets = self._times, self._buckets
+        while times:
+            when = times[0]
+            if when > until:
+                break
+            bucket = buckets[when]
+            normal = bucket.normal
+            while True:
+                urgent = bucket.urgent
+                if urgent is not None and bucket.ui < len(urgent):
+                    entry = urgent[bucket.ui]
+                    bucket.ui += 1
+                elif bucket.ni < len(normal):
+                    entry = normal[bucket.ni]
+                    bucket.ni += 1
+                else:
+                    # Exhausted.  A callback that re-entered run() has
+                    # already retired this bucket; otherwise *when* is
+                    # still the heap minimum (nothing schedules earlier).
+                    if buckets.get(when) is bucket:
+                        heapq.heappop(times)
+                        del buckets[when]
+                    break
+                if type(entry) is PeriodicFire:
+                    if not entry.live:
+                        continue
+                    self.now = when
+                    self._processed_events += 1
+                    entry.task._fire()
+                else:
+                    self.now = when
+                    self._processed_events += 1
+                    self._foreground -= 1
+                    entry._run_callbacks()
+                if single or self._foreground == floor:
+                    return True
+        return False
 
     def step(self):
         """Process exactly one event or periodic tick, whichever is next.
@@ -244,16 +278,8 @@ class Simulator:
         Stale background entries are skipped without advancing the clock;
         raises :class:`EmptySchedule` when nothing (live) is scheduled.
         """
-        when, entry = self._next(True)
-        if entry is None:
+        if not self._dispatch(_FOREVER, -1, True):
             raise EmptySchedule("no events scheduled")
-        self.now = when
-        self._processed_events += 1
-        if type(entry) is PeriodicFire:
-            entry.task._fire()
-        else:
-            self._foreground -= 1
-            entry._run_callbacks()
 
     def run(self, until=None):
         """Run until foreground work drains, or simulated time exceeds *until*.
@@ -266,23 +292,12 @@ class Simulator:
         and the clock is left exactly at *until*.
         """
         if until is None:
-            while self._foreground:
-                self.step()
+            if self._foreground:
+                self._dispatch(_FOREVER, 0, False)
             return self.now
         if until < self.now:
             raise ValueError(f"run(until={until}) is in the past (now={self.now})")
-        while True:
-            when, entry = self._next(False)
-            if entry is None or when > until:
-                break
-            self._buckets[when].consume()
-            self.now = when
-            self._processed_events += 1
-            if type(entry) is PeriodicFire:
-                entry.task._fire()
-            else:
-                self._foreground -= 1
-                entry._run_callbacks()
+        self._dispatch(until, -1, False)
         self.now = until
         return self.now
 

@@ -37,8 +37,11 @@ class Event:
 
     def __repr__(self):
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
-        label = self.name or self.__class__.__name__
+        label = self.name or self._default_label()
         return f"<{label} {state} at t={self.sim.now:.6f}>"
+
+    def _default_label(self):
+        return self.__class__.__name__
 
     @property
     def triggered(self):
@@ -95,18 +98,48 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay, carrying an optional value."""
+    """An event that fires after a fixed delay, carrying an optional value.
+
+    Timeouts are the most-constructed objects in a packet-level run, so an
+    unnamed one only formats its ``Timeout(d)`` label when ``repr`` asks.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim, delay, value=None, name=None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=name or f"Timeout({delay})")
+        Event.__init__(self, sim, name)
         self.delay = delay
         self._triggered = True
         self._value = value
         sim._schedule(self, delay)
+
+    def _default_label(self):
+        return f"Timeout({self.delay})"
+
+
+class ScheduledCall(Timeout):
+    """The timeout behind :meth:`Simulator.call_in`: fires ``callback(*args)``.
+
+    The call rides in two slots instead of a closure on ``callbacks``; it
+    runs first, then any callbacks registered afterwards (a process
+    yielding the event, an :class:`AnyOf` watching it), exactly as when
+    the call was the first entry of the callback list.
+    """
+
+    __slots__ = ("_callback", "_args")
+
+    def __init__(self, sim, delay, callback, args):
+        Timeout.__init__(self, sim, delay)
+        self._callback = callback
+        self._args = args
+
+    def _run_callbacks(self):
+        self._processed = True
+        self._callback(*self._args)
+        if self.callbacks:
+            Event._run_callbacks(self)
 
 
 class _Condition(Event):

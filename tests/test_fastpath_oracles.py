@@ -1,0 +1,556 @@
+"""Differential oracles for the forwarding fast path.
+
+Each test drives a fast path (the ``Fib`` lookup memo, the inlined engine
+dispatch loop, the cached ``Packet.size_bytes``, the ``Node`` local-address
+set) and a deliberately naive model side by side over seeded random
+input, and asserts they never disagree.  Stdlib only.
+"""
+
+import heapq
+import random
+from dataclasses import asdict
+
+import pytest
+
+from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.workload import WorkloadConfig, run_workload
+from repro.experiments.worldbuild import build_world, restore_world
+from repro.lisp.headers import decapsulate, encapsulate
+from repro.net.addresses import IPv4Address, IPv4Prefix
+from repro.net.errors import NoRouteError
+from repro.net.fib import Fib, FibEntry
+from repro.net.host import Host
+from repro.net.packet import IPv4Header, Packet, UDPHeader, udp_packet
+from repro.sim.engine import PRIORITY_URGENT, Simulator
+from repro.sim.errors import EmptySchedule
+from repro.sim.events import Event
+
+# --------------------------------------------------------------------- #
+# Fib lookup memo vs brute-force longest-prefix match
+# --------------------------------------------------------------------- #
+
+
+def _mask(length):
+    return ((1 << 32) - 1) << (32 - length) & ((1 << 32) - 1)
+
+
+def _brute_force_lpm(table, value):
+    """The entry of the longest prefix in *table* covering *value*."""
+    best = None
+    for (network, length), entry in table.items():
+        if value & _mask(length) == network and (best is None or length > best[0]):
+            best = (length, entry)
+    return None if best is None else best[1]
+
+
+def _random_prefix(rng):
+    # A narrow pool (second octet 0-3) so inserts, removes and lookups
+    # keep hitting each other's prefixes.
+    length = rng.choice((0, 8, 12, 16, 16, 24, 24, 32))
+    value = (10 << 24) | (rng.randrange(4) << 16) | (rng.randrange(4) << 8) \
+        | rng.randrange(4)
+    return IPv4Prefix(value & _mask(length), length)
+
+
+def _random_address(rng):
+    return IPv4Address((10 << 24) | (rng.randrange(5) << 16)
+                       | (rng.randrange(4) << 8) | rng.randrange(4))
+
+
+def _check_lookup(fib, table, address, rng):
+    expected = _brute_force_lpm(table, address.value)
+    # Alternate the argument form: the memo must key on the value, not on
+    # the object or its type.
+    argument = rng.choice((address, str(address), int(address)))
+    assert fib.lookup(argument, default=None) is expected
+    if expected is None:
+        with pytest.raises(NoRouteError):
+            fib.lookup(argument)
+        marker = object()
+        assert fib.lookup(argument, default=marker) is marker
+    else:
+        assert fib.lookup(argument) is expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fib_memo_matches_brute_force_under_churn(seed):
+    rng = random.Random(seed)
+    fib = Fib()
+    table = {}
+    # One checkpoint at a time, as worldbuild keeps them: restore_state's
+    # "version unchanged, nothing to do" shortcut assumes a single target.
+    checkpoint = None
+    for _step in range(1500):
+        action = rng.random()
+        if action < 0.25:
+            prefix = _random_prefix(rng)
+            entry = FibEntry(prefix, f"if{rng.randrange(1000)}")
+            fib.insert(entry)
+            table[(prefix.network.value, prefix.length)] = entry
+        elif action < 0.40:
+            prefix = _random_prefix(rng)
+            removed = fib.remove(prefix)
+            assert removed is table.pop((prefix.network.value, prefix.length), None)
+        elif action < 0.42:
+            fib.clear()
+            table.clear()
+        elif action < 0.45:
+            checkpoint = (fib.snapshot_state(), dict(table))
+        elif action < 0.48 and checkpoint is not None:
+            state, saved = checkpoint
+            fib.restore_state(state)
+            # Restore re-inserts the checkpointed entry objects.
+            table = dict(saved)
+        else:
+            _check_lookup(fib, table, _random_address(rng), rng)
+        assert len(fib) == len(table)
+    # Every address of the pool, once more, against the final table.
+    for second in range(5):
+        for third in range(4):
+            for fourth in range(4):
+                address = IPv4Address((10 << 24) | (second << 16)
+                                      | (third << 8) | fourth)
+                _check_lookup(fib, table, address, rng)
+
+
+def test_fib_memoized_miss_is_covered_by_a_later_insert():
+    fib = Fib()
+    fib.add("10.1.0.0/16", "if1")
+    address = IPv4Address("10.2.3.4")
+    assert fib.lookup(address, default=None) is None      # cached as a miss
+    assert fib.lookup(address, default=None) is None      # ... answered from it
+    with pytest.raises(NoRouteError):
+        fib.lookup(address)
+    fib.add("10.2.0.0/16", "if2")
+    assert fib.lookup(address).interface == "if2"
+    fib.add("10.2.3.0/24", "if3")                          # more specific wins
+    assert fib.lookup(address).interface == "if3"
+    fib.remove("10.2.3.0/24")
+    assert fib.lookup(address).interface == "if2"
+    state = fib.snapshot_state()
+    fib.clear()
+    assert fib.lookup(address, default=None) is None
+    fib.restore_state(state)
+    assert fib.lookup(address).interface == "if2"
+
+
+def test_fib_memo_is_lazy_and_dropped_on_mutation():
+    fib = Fib()
+    fib.add("10.0.0.0/8", "if0")
+    assert fib._memo is None                 # idle tables carry no dict
+    fib.lookup("10.0.0.1")
+    assert fib._memo == {IPv4Address("10.0.0.1").value: fib.lookup("10.0.0.1")}
+    fib.add("11.0.0.0/8", "if1")
+    assert fib._memo is None
+    fib.lookup("10.0.0.1")
+    fib.restore_state(fib.snapshot_state())  # same version: table kept, memo dropped
+    assert fib._memo is None
+
+
+# --------------------------------------------------------------------- #
+# Engine dispatch loop vs a plain (time, priority, sequence) heap
+# --------------------------------------------------------------------- #
+
+
+class _HeapOracle:
+    """The textbook event queue the bucketed engine must be equal to.
+
+    One ``(time, priority, sequence, ...)`` tuple heap; periodic tasks
+    re-arm before their callback runs and stale ticks are discarded at pop
+    time without advancing the clock or the count.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.heap = []
+        self.sequence = 0
+        self.foreground = 0
+        self.processed = 0
+        self.epochs = {}          # task label -> (armed, epoch, period)
+        self.log = []
+
+    def schedule(self, label, delay, urgent=False):
+        self.sequence += 1
+        self.foreground += 1
+        heapq.heappush(self.heap, (self.now + delay, 0 if urgent else 1,
+                                   self.sequence, "event", label, None))
+
+    def arm(self, label, period, when):
+        _armed, epoch, _period = self.epochs.get(label, (False, 0, period))
+        self.epochs[label] = (True, epoch + 1, period)
+        self.sequence += 1
+        heapq.heappush(self.heap, (when, 1, self.sequence, "tick", label,
+                                   epoch + 1))
+
+    def stop(self, label):
+        _armed, epoch, period = self.epochs[label]
+        self.epochs[label] = (False, epoch + 1, period)
+
+    def _pop_live(self, until):
+        while self.heap:
+            when, _priority, _sequence, kind, label, epoch = self.heap[0]
+            if when > until:
+                return None
+            heapq.heappop(self.heap)
+            if kind == "tick":
+                armed, current, _period = self.epochs[label]
+                if not armed or current != epoch:
+                    continue
+            return when, kind, label
+        return None
+
+    def peek(self):
+        """Time of the next live entry, without consuming anything."""
+        saved = list(self.heap)
+        entry = self._pop_live(float("inf"))
+        self.heap = saved
+        return float("inf") if entry is None else entry[0]
+
+    def step(self, script, until=float("inf")):
+        entry = self._pop_live(until)
+        if entry is None:
+            return False
+        when, kind, label = entry
+        self.now = when
+        self.processed += 1
+        self.log.append((when, label))
+        if kind == "tick":
+            _armed, _epoch, period = self.epochs[label]
+            self.arm(label, period, when + period)
+        else:
+            self.foreground -= 1
+        for action in script.get(label, ()):
+            self.apply(action)
+        return True
+
+    def apply(self, action):
+        kind = action[0]
+        if kind == "schedule":
+            self.schedule(action[1], action[2], urgent=action[3])
+        elif kind == "stop":
+            if action[1] in self.epochs:
+                self.stop(action[1])
+        elif kind == "restart":
+            label, period = action[1], action[2]
+            if label in self.epochs and not self.epochs[label][0]:
+                self.arm(label, period, self.now + period)
+
+
+class _EngineUnderTest:
+    """The same vocabulary of actions, applied to a real Simulator."""
+
+    def __init__(self, script):
+        self.sim = Simulator(seed=0, tracing=False)
+        self.script = script
+        self.tasks = {}
+        self.log = []
+
+    def fired(self, label):
+        self.log.append((self.sim.now, label))
+        for action in self.script.get(label, ()):
+            self.apply(action)
+
+    def schedule(self, label, delay, urgent=False):
+        if urgent:
+            event = Event(self.sim, name=label)
+            event.callbacks.append(lambda _event: self.fired(label))
+            event._triggered = True
+            self.sim._schedule(event, delay, PRIORITY_URGENT)
+        elif int(label[1:]) % 2:
+            self.sim.call_in(delay, self.fired, label)
+        else:
+            self.sim.timeout(delay).callbacks.append(
+                lambda _event: self.fired(label))
+
+    def arm(self, label, period):
+        task = self.sim.periodic(lambda: self.fired(label), period, name=label)
+        self.tasks[label] = task
+        task.start()
+
+    def apply(self, action):
+        kind = action[0]
+        if kind == "schedule":
+            self.schedule(action[1], action[2], urgent=action[3])
+        elif kind == "stop":
+            if action[1] in self.tasks:
+                self.tasks[action[1]].stop()
+        elif kind == "restart":
+            task = self.tasks.get(action[1])
+            if task is not None and not task.armed:
+                task.start()
+
+
+def _random_schedule(rng):
+    """(initial actions, script) — the script maps a fired label to actions.
+
+    Delays come from a small grid so that many entries share a timestamp,
+    zero-delay children land in the bucket being drained, and periodic
+    ticks collide with ordinary events.
+    """
+    delays = (0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.5)
+    periods = {f"tick{index}": rng.choice((0.5, 0.75, 1.0)) for index in range(3)}
+    labels = [f"e{index}" for index in range(60)]
+    initial = [("arm", label, period) for label, period in periods.items()]
+    script = {}
+    spawned = set()
+    for label in labels[:25]:
+        initial.append(("schedule", label, rng.choice(delays) + rng.choice(delays),
+                        rng.random() < 0.15))
+        spawned.add(label)
+    # Only events spawn events (a tick that did would never let run() end).
+    parents = labels[:25]
+    for label in labels[25:]:
+        parent = rng.choice(parents)
+        script.setdefault(parent, []).append(
+            ("schedule", label, rng.choice(delays), rng.random() < 0.25))
+        parents.append(label)
+    for _ in range(6):
+        parent = rng.choice(parents)
+        tick = rng.choice(list(periods))
+        script.setdefault(parent, []).append(
+            rng.choice((("stop", tick), ("restart", tick, periods[tick]))))
+    return initial, script
+
+
+def _build_pair(seed):
+    rng = random.Random(seed)
+    initial, script = _random_schedule(rng)
+    oracle = _HeapOracle()
+    engine = _EngineUnderTest(script)
+    for action in initial:
+        if action[0] == "arm":
+            oracle.arm(action[1], action[2], oracle.now + action[2])
+            engine.arm(action[1], action[2])
+        else:
+            oracle.apply(action)
+            engine.apply(action)
+    return oracle, engine, script
+
+
+def _assert_in_step(oracle, engine):
+    assert engine.log == oracle.log
+    assert engine.sim.processed_events == oracle.processed
+    assert engine.sim.pending_foreground == oracle.foreground
+    assert engine.sim.now == oracle.now
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_run_matches_heap_oracle(seed):
+    oracle, engine, script = _build_pair(seed)
+    while oracle.foreground:
+        assert oracle.step(script)
+    assert engine.sim.run() == oracle.now
+    _assert_in_step(oracle, engine)
+    assert len(oracle.log) >= 60          # every event fired, plus ticks
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_run_until_matches_heap_oracle(seed):
+    oracle, engine, script = _build_pair(seed)
+    for until in (0.0, 0.25, 0.9, 1.0, 2.5, 2.5, 7.0):
+        while oracle.step(script, until=until):
+            pass
+        oracle.now = until
+        assert engine.sim.run(until=until) == until
+        _assert_in_step(oracle, engine)
+    with pytest.raises(ValueError):
+        engine.sim.run(until=1.0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_repeated_step_matches_heap_oracle(seed):
+    oracle, engine, script = _build_pair(seed)
+    for _ in range(400):
+        assert engine.sim.peek() == oracle.peek()
+        if not oracle.step(script):   # every task stopped, every event fired
+            with pytest.raises(EmptySchedule):
+                engine.sim.step()
+            break
+        engine.sim.step()
+        _assert_in_step(oracle, engine)
+
+
+def test_step_on_only_stale_ticks_raises_without_moving_the_clock():
+    sim = Simulator(seed=0, tracing=False)
+    task = sim.periodic(lambda: None, 1.0).start()
+    task.stop()
+    with pytest.raises(EmptySchedule):
+        sim.step()
+    assert sim.now == 0.0
+    assert sim.processed_events == 0
+    assert sim.peek() == float("inf")
+
+
+def test_run_reentered_from_a_callback_drains_once():
+    sim = Simulator(seed=0, tracing=False)
+    order = []
+
+    def outer():
+        order.append("outer")
+        sim.call_in(0.0, order.append, "same-time")
+        sim.call_in(1.0, order.append, "later")
+        sim.run()                      # drains everything, including this bucket
+        order.append("outer-done")
+
+    sim.call_in(0.5, outer)
+    sim.call_in(0.5, order.append, "sibling")
+    sim.run()
+    assert order == ["outer", "sibling", "same-time", "later", "outer-done"]
+    assert sim.now == 1.5
+    assert sim.processed_events == 4
+    assert sim.pending_foreground == 0
+
+
+# --------------------------------------------------------------------- #
+# Cached Packet.size_bytes vs recursive recomputation
+# --------------------------------------------------------------------- #
+
+
+def _recomputed_size(packet):
+    """On-wire size from first principles, ignoring any cached value."""
+    total = sum(header.size_bytes for header in packet.headers)
+    payload = packet.payload
+    if payload is None:
+        return total + packet.payload_bytes
+    if isinstance(payload, Packet):
+        return total + _recomputed_size(payload)
+    if isinstance(payload, (bytes, bytearray)):
+        return total + len(payload)
+    size = getattr(payload, "size_bytes", None)
+    return total + (packet.payload_bytes if size is None else size)
+
+
+class _Message:
+    def __init__(self, size_bytes):
+        self.size_bytes = size_bytes
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cached_size_matches_recomputation_through_encap_copy_decap(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        shape = rng.randrange(4)
+        if shape == 0:
+            packet = udp_packet("10.0.0.1", "10.1.0.1", 4000, 9000,
+                                payload_bytes=rng.randrange(1500))
+        elif shape == 1:
+            packet = udp_packet("10.0.0.1", "10.1.0.1", 4000, 9000,
+                                payload=bytes(rng.randrange(64)))
+        elif shape == 2:
+            packet = udp_packet("10.0.0.1", "10.1.0.1", 4000, 9000,
+                                payload=_Message(rng.randrange(512)))
+        else:
+            packet = udp_packet("10.0.0.1", "10.1.0.1", 4000, 9000,
+                                payload=object(), payload_bytes=rng.randrange(99))
+        depth = rng.randrange(4)
+        stack = [packet]
+        for level in range(depth):
+            # Read the size of some layers before wrapping and of others
+            # only afterwards: caching must not depend on the order.
+            if rng.random() < 0.5:
+                assert stack[-1].size_bytes == _recomputed_size(stack[-1])
+            stack.append(encapsulate(stack[-1], f"1.0.0.{level + 1}",
+                                     f"2.0.0.{level + 1}", nonce=level))
+        outer = stack[-1]
+        assert outer.size_bytes == _recomputed_size(outer)
+        clone = outer.copy()
+        assert clone.size_bytes == outer.size_bytes == _recomputed_size(clone)
+        if clone.ip is not None:
+            clone.ip.ttl -= 1             # header fields may change in flight
+        assert clone.size_bytes == _recomputed_size(clone)
+        unwrapped = clone
+        for level in range(depth, 0, -1):
+            unwrapped, outer_ip, _lisp = decapsulate(unwrapped)
+            assert str(outer_ip.dst) == f"2.0.0.{level}"
+            assert unwrapped.size_bytes == _recomputed_size(unwrapped)
+        assert unwrapped.size_bytes == packet.size_bytes
+        assert unwrapped.innermost() is unwrapped
+        assert outer.innermost() is packet
+
+
+def test_packet_ip_fast_path_agrees_with_find():
+    plain = udp_packet("10.0.0.1", "10.0.0.2", 1, 2)
+    assert plain.ip is plain.headers[0] is plain.find(IPv4Header)
+    shimmed = Packet(headers=[UDPHeader(1, 2),
+                              IPv4Header("10.0.0.1", "10.0.0.2", 17)])
+    assert shimmed.ip is shimmed.headers[1]
+    assert Packet(headers=[UDPHeader(1, 2)]).ip is None
+    assert Packet(headers=[]).ip is None
+
+
+# --------------------------------------------------------------------- #
+# Node.is_local vs addresses()
+# --------------------------------------------------------------------- #
+
+
+def _assert_local_set_matches(node, probes):
+    local = node.addresses()
+    for address in probes:
+        expected = IPv4Address(address) in local
+        assert node.is_local(address) is expected
+        assert node.is_local(str(IPv4Address(address))) is expected
+    for address in local:
+        assert node.is_local(address)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_is_local_matches_addresses_through_mutation_and_restore(seed):
+    rng = random.Random(seed)
+    sim = Simulator(seed=0, tracing=False)
+    node = Host(sim, "h", address="10.0.0.1")
+    probes = [IPv4Address((10 << 24) | rng.randrange(64)) for _ in range(80)]
+    _assert_local_set_matches(node, probes)
+    snapshots = []
+    for step in range(40):
+        action = rng.random()
+        address = rng.choice(probes)
+        if action < 0.35:
+            node.add_address(address)
+        elif action < 0.60:
+            node.add_interface(f"eth{step}",
+                               address if rng.random() < 0.7 else None)
+        elif action < 0.75:
+            snapshots.append(node.snapshot_state())
+        elif snapshots:
+            node.restore_state(rng.choice(snapshots))
+        _assert_local_set_matches(node, probes)
+
+
+def test_restored_world_nodes_answer_is_local_like_fresh_ones():
+    config = ScenarioConfig(control_plane="pce", num_sites=3, seed=4,
+                            tracing=False)
+    world = build_world(config)
+    nodes = [host for site in world.topology.sites for host in site.hosts]
+    nodes += list(world.topology.providers)
+    probes = sorted({address for node in nodes for address in node.addresses()})
+    before = [[node.is_local(address) for address in probes] for node in nodes]
+    run_workload(world, WorkloadConfig(num_flows=4, packets_per_flow=2))
+    restore_world(world)
+    for node, row in zip(nodes, before, strict=True):
+        assert [node.is_local(address) for address in probes] == row
+        _assert_local_set_matches(node, probes)
+
+
+# --------------------------------------------------------------------- #
+# Guarded trace.record sites: tracing must not change behaviour
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("control_plane", ["pce", "alt"])
+def test_tracing_on_and_off_runs_are_identical(control_plane):
+    outcomes = []
+    for tracing in (True, False):
+        config = ScenarioConfig(control_plane=control_plane, num_sites=4,
+                                seed=11, tracing=tracing)
+        world = build_world(config)
+        records = run_workload(world, WorkloadConfig(num_flows=10,
+                                                     packets_per_flow=3,
+                                                     arrival_rate=20.0))
+        outcomes.append(([asdict(record) for record in records],
+                         world.sim.processed_events, world.sim.now,
+                         len(world.sim.trace)))
+    traced, untraced = outcomes
+    assert traced[0] == untraced[0]
+    assert traced[1:3] == untraced[1:3]
+    assert traced[3] > 0 and untraced[3] == 0
+    assert all(record["packets_sent"] == 3 for record in traced[0])

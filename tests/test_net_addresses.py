@@ -37,10 +37,33 @@ def test_address_equality_and_ordering():
     assert IPv4Address("9.255.255.255") < IPv4Address("10.0.0.0")
 
 
+def test_address_compares_unequal_to_unparsable_operands():
+    """Regression: ``==`` used to raise AddressError out of ``__eq__``."""
+    address = IPv4Address("10.0.0.1")
+    assert not address == "not-an-address"
+    assert address != "not-an-address"
+    assert address != "10.0.0"
+    assert address != "10.0.0.256"
+    assert address != ""
+    assert address != -1
+    assert address != 1 << 32
+    assert address == 0x0A000001
+    assert address != 0x0A000002
+    assert address != None  # noqa: E711 - exercising __eq__'s NotImplemented path
+    assert "not-an-address" not in {address}
+    assert address not in ["10.0.0", "junk"]
+    assert IPv4Prefix("10.0.0.0/8") != "10.0.0.0"
+    assert IPv4Prefix("10.0.0.0/8") != "10.0.0.1/8"
+    assert IPv4Prefix("10.0.0.0/8") == "10.0.0.0/8"
+
+
 def test_address_hashable_and_copyable():
     a = IPv4Address("1.2.3.4")
     assert len({a, IPv4Address("1.2.3.4")}) == 1
     assert IPv4Address(a) == a
+    # Equal to its integer value, so it must hash like it.
+    assert hash(a) == hash(int(a))
+    assert {int(a): "route"}[a] == "route"
 
 
 def test_address_arithmetic():

@@ -118,6 +118,38 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+def test_timeout_label_is_built_on_demand():
+    sim = Simulator()
+    timeout = sim.timeout(0.5)
+    assert timeout.name is None
+    assert repr(timeout) == "<Timeout(0.5) triggered at t=0.000000>"
+    assert repr(sim.timeout(0.5, name="deadline")).startswith("<deadline ")
+    call = sim.call_in(0.5, lambda: None)
+    assert repr(call) == "<Timeout(0.5) triggered at t=0.000000>"
+    sim.run()
+    assert repr(call) == "<Timeout(0.5) processed at t=0.500000>"
+
+
+def test_call_in_event_takes_callbacks_and_can_be_yielded():
+    sim = Simulator()
+    order = []
+    call = sim.call_in(2.0, order.append, "call")
+    call.callbacks.append(lambda event: order.append(("callback", event is call)))
+
+    def waiter():
+        value = yield call
+        order.append(("resumed", value, sim.now))
+
+    sim.process(waiter())
+    sim.run()
+    # The scheduled call runs first, then callbacks in registration order.
+    assert order == ["call", ("callback", True), ("resumed", None, 2.0)]
+    assert call.processed and call.ok
+
+    with pytest.raises(ValueError):
+        sim.call_in(-1.0, order.append, "never")
+
+
 def test_peek_reports_next_event_time():
     sim = Simulator()
     assert sim.peek() == float("inf")

@@ -18,6 +18,8 @@ import gc
 import os
 import time
 
+from conftest import best_of
+
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.worldbuild import SnapshotStore, build_world
 
@@ -39,16 +41,6 @@ def _config(sites):
                           num_providers=8, tracing=False)
 
 
-def _best_of(func, rounds=3):
-    best = None
-    for _ in range(rounds):
-        started = time.perf_counter()
-        func()
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
 def test_bench_live_store_restore_speedup(benchmark):
     """Live-tier restore (in-place reset) must beat a fresh 60-site build.
 
@@ -60,8 +52,8 @@ def test_bench_live_store_restore_speedup(benchmark):
     store = SnapshotStore()
     assert store.ensure(config, live=True) == "build"
 
-    build_elapsed = _best_of(lambda: build_world(config))
-    restore_elapsed = _best_of(lambda: store.restore(config))
+    build_elapsed = best_of(lambda: build_world(config))
+    restore_elapsed = best_of(lambda: store.restore(config))
     gc.collect()  # don't bill dropped benchmark worlds to the timed rounds
     benchmark.pedantic(store.restore, args=(config,), rounds=3, iterations=1)
 
@@ -108,7 +100,7 @@ def test_bench_file_store_restore_speedup(benchmark, tmp_path):
         store = SnapshotStore(directory)  # fresh store: no memory cache
         assert store.restore(config) is not None
 
-    restore_elapsed = _best_of(warm_restore)
+    restore_elapsed = best_of(warm_restore)
     gc.collect()
     benchmark.pedantic(warm_restore, rounds=3, iterations=1)
 
@@ -131,7 +123,7 @@ def test_bench_snapshot_500_site_amortization(benchmark):
     build_elapsed = time.perf_counter() - started
 
     workers = 4
-    restore_elapsed = _best_of(lambda: store.restore(config), rounds=workers)
+    restore_elapsed = best_of(lambda: store.restore(config), rounds=workers)
     benchmark.pedantic(store.restore, args=(config,), rounds=1, iterations=1)
 
     amortized = (build_elapsed + workers * restore_elapsed) / workers

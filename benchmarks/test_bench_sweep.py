@@ -1,7 +1,7 @@
 """Micro-benchmarks for the sweep hot path: FIB churn and cell fan-out.
 
 ``BENCH_*.json`` tracking starts here for the structures this PR optimizes:
-the FIB's install->expire churn (pruned trie must be O(live), and fast),
+the FIB's install->expire churn (tables must stay O(live), and fast),
 the TtlCache's never-re-touched-key churn, and the sweep engine's per-cell
 cost with tracing disabled.
 """
@@ -14,7 +14,8 @@ from repro.sim import Simulator
 
 
 def test_bench_fib_install_expire_churn(benchmark):
-    """N disjoint /24 install->remove cycles; node count must stay flat."""
+    """N disjoint /24 install->remove cycles; nothing may be left behind
+    (``node_count`` is the trie-equivalent size of the live prefix set)."""
     prefixes = [IPv4Prefix.containing((100 << 24) + (i << 8), 24)
                 for i in range(512)]
 
@@ -31,7 +32,7 @@ def test_bench_fib_install_expire_churn(benchmark):
 
 
 def test_bench_fib_churn_with_live_working_set(benchmark):
-    """Churn against a resident working set: O(live entries) nodes."""
+    """Churn against a resident working set: size tracks the live set."""
     live = [IPv4Prefix.containing((100 << 24) + (i << 8), 24) for i in range(128)]
     churned = [IPv4Prefix.containing((101 << 24) + (i << 8), 24)
                for i in range(512)]

@@ -18,6 +18,13 @@ The mechanism is checkpoint/restore rather than rebuild:
   stream states, FIB dynamic entries, map-caches, DNS caches, counters,
   link stats — so a restored world is byte-for-byte the world the build
   produced.  Determinism tests diff fresh-build vs reused-world summaries.
+  State a run never touched is skipped by version stamp (``Fib.version``,
+  the ``Node`` wiring version, ``LinkStats.bytes_offered``); the "World
+  lifecycle cost" contract in ``docs/contracts.md`` has the rule for new
+  mutators.
+
+Builds and (de)serialization run with the cyclic collector paused
+(:func:`_gc_paused`): each is one burst of reachable allocations.
 
 Periodic background processes (RLOC probing, a started IRC measurement
 loop) are no obstacle to any of this: they run as engine-owned
@@ -67,6 +74,7 @@ import pickle
 import tempfile
 import zlib
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import astuple
 
 from repro.experiments.scenario import build_scenario
@@ -92,10 +100,15 @@ def build_world(config):
     a quiescent world; the workload then starts from the same instant on
     fresh builds and reuses alike.  The checkpoint is attached as
     ``scenario.world_checkpoint``.
+
+    Runs with the cyclic collector paused (see :func:`_gc_paused`): a
+    build only ever adds reachable objects, so every collection it would
+    trigger re-walks the growing world and frees nothing.
     """
-    scenario = build_scenario(config)
-    scenario.sim.run()  # settle: drain finite deployment-time events
-    scenario.world_checkpoint = capture_world(scenario)
+    with _gc_paused():
+        scenario = build_scenario(config)
+        scenario.sim.run()  # settle: drain finite deployment-time events
+        scenario.world_checkpoint = capture_world(scenario)
     return scenario
 
 
@@ -139,23 +152,26 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: plans and IX routers in the pickled graph.  v6: the pickled graph
 #: carries the forwarding fast-path state — :class:`~repro.net.fib.Fib`
 #: tables their lookup memo slot, nodes their local-address value set.
-SNAPSHOT_SCHEMA = 6
+#: v7: pickled :class:`~repro.net.fib.Fib` tables are per-length hash
+#: tables (no trie), ALT RIBs are ``Fib`` tables, node checkpoints split
+#: counters from version-stamped wiring.
+SNAPSHOT_SCHEMA = 7
 
 
-def _without_gc(func, *args, **kwargs):
-    """Run *func* with the cyclic GC paused.
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic GC for the block, leaving it as it was found.
 
-    (De)serializing a world allocates hundreds of thousands of objects in
-    one burst; every GC generation-0 sweep in the middle scans the whole
+    Building or (de)serializing a world allocates hundreds of thousands of
+    objects in one burst; every collection in the middle scans the whole
     growing graph for garbage that cannot exist yet.  Pausing collection
-    for the duration is a ~3x wall-time win on blob restores and keeps the
-    store's restore path comfortably cheaper than its build path.
+    for the duration is a ~3x wall-time win on blob restores and takes the
+    generation-2 passes out of builds.
     """
     enabled = gc.isenabled()
-    if enabled:
-        gc.disable()
+    gc.disable()
     try:
-        return func(*args, **kwargs)
+        yield
     finally:
         if enabled:
             gc.enable()
@@ -165,9 +181,15 @@ class SnapshotError(ValueError):
     """A blob failed validation (corrupt, stale schema, or wrong world)."""
 
     def __init__(self, reason, detail=""):
-        super().__init__(f"invalid world snapshot ({reason})"
-                         + (f": {detail}" if detail else ""))
+        # args stay (reason, detail) so the error survives the pickle
+        # round trip out of a build-pool worker with its message intact.
+        super().__init__(reason, detail)
         self.reason = reason
+        self.detail = detail
+
+    def __str__(self):
+        return (f"invalid world snapshot ({self.reason})"
+                + (f": {self.detail}" if self.detail else ""))
 
 
 def snapshot_fingerprint(config):
@@ -197,8 +219,16 @@ def serialize_world(scenario):
     if not scenario.sim.serializable:
         raise ValueError("cannot serialize a world with pending foreground "
                          "events (settle it first)")
-    payload = _without_gc(pickle.dumps, scenario,
-                          protocol=pickle.HIGHEST_PROTOCOL)
+    try:
+        with _gc_paused():
+            payload = pickle.dumps(scenario, protocol=pickle.HIGHEST_PROTOCOL)
+    except RecursionError as error:
+        # pickle recurses link -> interface -> node -> link along the
+        # topology; big tiered graphs outrun the interpreter's stack.
+        spec = scenario.config.topology_spec()
+        raise SnapshotError(
+            "world graph too deep to pickle",
+            f"{spec.family} world of {spec.num_sites} sites") from error
     envelope = {
         "schema": SNAPSHOT_SCHEMA,
         "engine": STATE_VERSION,
@@ -253,7 +283,8 @@ def deserialize_world(blob, config):
     """
     envelope = validate_blob(blob, config)
     try:
-        scenario = _without_gc(pickle.loads, envelope["payload"])
+        with _gc_paused():
+            scenario = pickle.loads(envelope["payload"])
     except Exception as error:
         raise SnapshotError("corrupt payload", repr(error)) from error
     restore_world(scenario)
@@ -388,11 +419,10 @@ class SnapshotStore:
 
         The world is built at most once.  With ``live=True`` (the fork
         fan-out tier) a live in-store world is guaranteed too — hydrated
-        from a valid stored blob when one exists, built otherwise (with
-        the cyclic GC paused: a build is one allocation burst, like a
-        restore) — *and* a blob is still written when the store has a
-        ``directory``, so persistence and the live tier compose.  Returns
-        ``"hit"`` or ``"build"``.
+        from a valid stored blob when one exists, built otherwise — *and* a
+        blob is still written when the store has a ``directory``, so
+        persistence and the live tier compose.  Returns ``"hit"`` or
+        ``"build"``.
         """
         fingerprint = snapshot_fingerprint(config)
         scenario = self._live.get(fingerprint)
@@ -407,7 +437,7 @@ class SnapshotStore:
             return "hit"
         outcome = "hit"
         if scenario is None:
-            scenario = _without_gc(build_world, config)
+            scenario = build_world(config)
             self.stats.builds += 1
             outcome = "build"
             if live:
@@ -458,7 +488,8 @@ class SnapshotStore:
         failure.  Skips re-validation: envelopes in the cache already
         passed every check."""
         try:
-            scenario = _without_gc(pickle.loads, envelope["payload"])
+            with _gc_paused():
+                scenario = pickle.loads(envelope["payload"])
         except Exception:
             self._discard(fingerprint)
             self.stats.invalidated += 1

@@ -19,6 +19,7 @@ from collections import deque
 from repro.lisp.control.base import MappingSystem
 from repro.lisp.headers import LISP_CONTROL_PORT, MapReply, MapRequest, next_nonce
 from repro.net.addresses import IPv4Address
+from repro.net.fib import Fib, FibEntry
 
 
 class _AltDataEnvelope:
@@ -53,7 +54,7 @@ class AltMappingSystem(MappingSystem):
         self._pending = {}
         self._alt_nodes = {}      # site index -> alt node (xtr0's Node)
         self._alt_address = {}    # site index -> control address of alt node
-        self._rib = {}            # node name -> {prefix: next-hop address}
+        self._rib = {}            # node name -> Fib of prefix -> next-hop address
         self._site_of_node = {}   # node name -> site
         self._xtr_of_node = {}    # node name -> TunnelRouter
         self.overlay_edges = []
@@ -98,17 +99,15 @@ class AltMappingSystem(MappingSystem):
              for b in neighbours})
 
         # Hop-count shortest paths from every node toward every origin site.
+        ribs = {site.index: self._rib.setdefault(
+            self._alt_nodes[site.index].name, Fib()) for site in order}
         for origin in order:
             parents = self._bfs_parents(adjacency, origin.index)
             prefix = origin.eid_prefix
-            for site in order:
-                node_name = self._alt_nodes[site.index].name
-                rib = self._rib.setdefault(node_name, {})
-                if site.index == origin.index:
-                    continue
-                next_index = parents.get(site.index)
+            for index, rib in ribs.items():
+                next_index = parents.get(index)
                 if next_index is not None:
-                    rib[prefix] = self._alt_address[next_index]
+                    rib.insert(FibEntry(prefix, self._alt_address[next_index]))
 
     @staticmethod
     def _bfs_parents(adjacency, origin):
@@ -204,14 +203,11 @@ class AltMappingSystem(MappingSystem):
         hops = packet.meta.get("alt_hops", 0)
         if hops >= self.max_overlay_hops:
             return
-        rib = self._rib.get(node.name, {})
-        next_address = None
-        best_length = -1
-        for prefix, address in rib.items():
-            if prefix.contains(eid) and prefix.length > best_length:
-                next_address, best_length = address, prefix.length
-        if next_address is None:
+        rib = self._rib.get(node.name)
+        entry = rib.lookup(eid, default=None) if rib is not None else None
+        if entry is None:
             return
+        next_address = entry.interface
         self.stats.count(message_type, payload.size_bytes)
 
         def forward():

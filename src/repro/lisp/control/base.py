@@ -45,9 +45,10 @@ class ControlStats:
 class MappingRegistry:
     """The authoritative EID-to-RLOC database, keyed by EID prefix.
 
-    Longest-prefix lookup is served by a radix trie, so a per-cache-miss
-    query stays O(prefix length) even with hundreds of registered sites
-    (the sweep engine's large-scale presets).
+    Longest-prefix lookup is served by a :class:`~repro.net.fib.Fib`, so a
+    per-cache-miss query costs one dict probe per distinct prefix length
+    even with hundreds of registered sites (the sweep engine's large-scale
+    presets).
     """
 
     def __init__(self):

@@ -88,7 +88,8 @@ class MapCache:
         return len(self.entries())
 
     def node_count(self):
-        """Allocated trie nodes backing the cache (memory diagnostic)."""
+        """Binary-trie-equivalent size of the cached prefix set
+        (:meth:`Fib.node_count <repro.net.fib.Fib.node_count>`)."""
         return self._fib.node_count()
 
     @property

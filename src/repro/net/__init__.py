@@ -2,7 +2,7 @@
 
 This package models the IP layer the paper's architecture runs over.  It is a
 packet-level model: every packet traverses links with configurable delay,
-bandwidth and finite FIFO queues, and every node forwards via a radix-trie
+bandwidth and finite FIFO queues, and every node forwards via a hash-table
 FIB with longest-prefix-match semantics.
 
 The LISP split between identifiers and locators is expressed here purely in

@@ -1,7 +1,7 @@
 """IPv4 addresses and prefixes, implemented from scratch.
 
 The simulator uses its own integer-backed address types rather than the
-stdlib ``ipaddress`` module so the FIB trie and the LISP mapping records can
+stdlib ``ipaddress`` module so the FIB tables and the LISP mapping records can
 operate directly on (value, mask-length) integers, and so address arithmetic
 stays explicit and cheap.
 """

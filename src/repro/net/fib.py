@@ -1,4 +1,4 @@
-"""Forwarding Information Base: a binary radix trie with longest-prefix match."""
+"""Forwarding Information Base: per-prefix-length hash tables with longest-prefix match."""
 
 from dataclasses import dataclass
 
@@ -6,7 +6,7 @@ from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.errors import NoRouteError
 
 
-@dataclass
+@dataclass(slots=True)
 class FibEntry:
     """A routing entry: where packets matching *prefix* should go.
 
@@ -30,15 +30,19 @@ class FibEntry:
 _NO_DEFAULT = object()
 
 
-#: A trie node is the three-slot list ``[zero child, one child, entry]``: a
-#: child is reached by indexing with the address bit.  Worlds build ~10^5
-#: of these, and a list literal is half the cost (and two thirds the size)
-#: of an object holding a child list.
-_ENTRY = 2
+def _prefix_order(entry):
+    prefix = entry.prefix
+    return (prefix._network, prefix._length)
 
 
 class Fib:
     """Longest-prefix-match table.
+
+    One ``{network value: entry}`` dict per populated prefix length; a
+    lookup masks the address to each populated length, longest first, and
+    stops at the first hit.  Real tables hold a handful of distinct lengths
+    (four in a flat world's 5,234 routes), so a miss costs a few dict probes
+    and a table costs one dict per length — nothing per bit of prefix.
 
     >>> fib = Fib()
     >>> fib.insert(FibEntry(IPv4Prefix('10.0.0.0/8'), 'if0'))
@@ -50,8 +54,12 @@ class Fib:
     """
 
     def __init__(self):
-        self._root = [None, None, None]
-        self._size = 0
+        #: prefix length -> {network value: entry}; no empty tables.
+        self._tables = {}
+        #: ``(mask, table)`` of every populated length, longest first: the
+        #: order :meth:`lookup` probes in.  Rebuilt when a length appears
+        #: or its last route goes.
+        self._probes = ()
         #: Bumped on every mutation; lets checkpoint restores skip tables
         #: that were never touched (provider FIBs during a workload run).
         self.version = 0
@@ -63,22 +71,21 @@ class Fib:
         self._memo = None
 
     def __len__(self):
-        return self._size
+        return sum(map(len, self._tables.values()))
+
+    def _reorder(self):
+        self._probes = tuple(
+            (IPv4Prefix._mask_for(length), table)
+            for length, table in sorted(self._tables.items(), reverse=True))
 
     def insert(self, entry):
         """Insert *entry*, replacing any existing entry for the same prefix."""
         prefix = entry.prefix
-        value = prefix._network
-        node = self._root
-        for shift in range(31, 31 - prefix._length, -1):
-            parent = node
-            bit = (value >> shift) & 1
-            node = parent[bit]
-            if node is None:
-                node = parent[bit] = [None, None, None]
-        if node[_ENTRY] is None:
-            self._size += 1
-        node[_ENTRY] = entry
+        table = self._tables.get(prefix._length)
+        if table is None:
+            table = self._tables[prefix._length] = {}
+            self._reorder()
+        table[prefix._network] = entry
         self.version += 1
         self._memo = None
 
@@ -89,32 +96,19 @@ class Fib:
     def remove(self, prefix):
         """Remove the entry for exactly *prefix*; returns it (or None).
 
-        Branches left empty by the removal are pruned on the way back up, so
-        repeated install/expire churn (map-cache TTL aging) keeps the trie at
-        O(live entries) nodes instead of accumulating dead chains forever.
+        A length whose last route goes leaves the probe order, so
+        install/expire churn (map-cache TTL aging) never leaves lookups
+        probing dead lengths.
         """
         prefix = IPv4Prefix(prefix)
-        value = prefix._network
-        node = self._root
-        path = []
-        for shift in range(31, 31 - prefix._length, -1):
-            bit = (value >> shift) & 1
-            child = node[bit]
-            if child is None:
-                return None
-            path.append((node, bit))
-            node = child
-        entry, node[_ENTRY] = node[_ENTRY], None
+        table = self._tables.get(prefix._length)
+        entry = table.pop(prefix._network, None) if table is not None else None
         if entry is not None:
-            self._size -= 1
+            if not table:
+                del self._tables[prefix._length]
+                self._reorder()
             self.version += 1
             self._memo = None
-            for parent, bit in reversed(path):
-                child = parent[bit]
-                if child[0] is not None or child[1] is not None \
-                        or child[_ENTRY] is not None:
-                    break
-                parent[bit] = None
         return entry
 
     def lookup(self, address, default=_NO_DEFAULT):
@@ -131,67 +125,52 @@ class Fib:
         try:
             best = memo[value]
         except KeyError:
-            best = memo[value] = self._longest_match(value)
+            best = None
+            for mask, table in self._probes:
+                best = table.get(value & mask)
+                if best is not None:
+                    break
+            memo[value] = best
         if best is not None:
             return best
         if default is not _NO_DEFAULT:
             return default
         raise NoRouteError(f"no route to {IPv4Address(address)}")
 
-    def _longest_match(self, value):
-        """Trie walk: the most-specific entry covering *value*, or None."""
-        node = self._root
-        best = node[_ENTRY]
-        for shift in range(31, -1, -1):
-            node = node[(value >> shift) & 1]
-            if node is None:
-                break
-            if node[_ENTRY] is not None:
-                best = node[_ENTRY]
-        return best
-
     def lookup_exact(self, prefix):
         """Entry stored for exactly *prefix*, or None."""
         prefix = IPv4Prefix(prefix)
-        value = prefix._network
-        node = self._root
-        for shift in range(31, 31 - prefix._length, -1):
-            node = node[(value >> shift) & 1]
-            if node is None:
-                return None
-        return node[_ENTRY]
+        table = self._tables.get(prefix._length)
+        return table.get(prefix._network) if table is not None else None
 
     def entries(self):
-        """All entries, in prefix order."""
-        collected = []
-        stack = [self._root]
-        while stack:
-            zero, one, entry = stack.pop()
-            if entry is not None:
-                collected.append(entry)
-            if zero is not None:
-                stack.append(zero)
-            if one is not None:
-                stack.append(one)
-        collected.sort(key=lambda entry: (entry.prefix.network.value, entry.prefix.length))
-        return collected
+        """All entries, in ``(network, length)`` order."""
+        return sorted((entry for table in self._tables.values()
+                       for entry in table.values()), key=_prefix_order)
 
     def node_count(self):
-        """Number of allocated trie nodes (memory diagnostic; root included)."""
-        count = 0
-        stack = [self._root]
-        while stack:
-            zero, one, _entry = stack.pop()
-            count += 1
-            if zero is not None:
-                stack.append(zero)
-            if one is not None:
-                stack.append(one)
+        """Nodes a binary trie over the stored prefixes would hold (root included).
+
+        A structure-independent size of the prefix set, kept because the
+        sweep's ``map_cache_trie_nodes`` column reports it.  ``(network,
+        length)`` order is the bit strings' lexicographic order, in which
+        each prefix shares its longest common prefix with its predecessor —
+        so it adds one node per bit beyond that.
+        """
+        count = 1
+        previous_network = previous_length = 0
+        for network, length in sorted(
+                (network, length) for length, table in self._tables.items()
+                for network in table):
+            shared = min(previous_length, length,
+                         32 - (previous_network ^ network).bit_length())
+            count += length - shared
+            previous_network, previous_length = network, length
         return count
 
     def clear(self):
-        self._root = [None, None, None]
-        self._size = 0
+        self._tables = {}
+        self._probes = ()
         self.version += 1
         self._memo = None
 
@@ -205,8 +184,8 @@ class Fib:
         self._memo = None
         if self.version == version:
             return
-        self._root = [None, None, None]
-        self._size = 0
+        self._tables = {}
+        self._probes = ()
         for entry in entries:
             self.insert(entry)
         self.version = version

@@ -90,7 +90,7 @@ class Host(Node):
         self._address = IPv4Address(value)
         self.add_address(self._address)
 
-    _state_attrs = (*Node._state_attrs, "_next_ephemeral")
+    _counter_attrs = (*Node._counter_attrs, "_next_ephemeral")
 
     def ephemeral_port(self):
         """Allocate the next ephemeral port (wraps within the IANA range)."""

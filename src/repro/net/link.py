@@ -252,6 +252,15 @@ class LinkStats:
                 {index: (busy, volume)
                  for index, (busy, volume) in self.windows.items()})
 
+    def untouched_since(self, state):
+        """True when no ledger moved since *state* was captured.
+
+        ``bytes_offered`` (seventh in the checkpoint tuple) is the stamp:
+        every packet and fluid chunk increments it before any other ledger,
+        so a new ledger write must come after one too.
+        """
+        return self.bytes_offered == state[6]
+
     def restore_state(self, state):
         (self.tx_packets, self.tx_bytes, self.fluid_bytes, self.drops,
          self.max_queue, self.busy_time, self.bytes_offered,
@@ -427,8 +436,9 @@ class Link:
 
     def restore_state(self, state):
         self.up, self._busy, stats_state = state
-        self.stats.restore_state(stats_state)
         self._queue.clear()
+        if not self.stats.untouched_since(stats_state):
+            self.stats.restore_state(stats_state)
 
 
 def connect(sim, iface_a, iface_b, delay=0.001, rate_bps=None, queue_capacity=1000,

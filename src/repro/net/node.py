@@ -54,6 +54,10 @@ class Node:
         self._proto_handlers = {}
         self._udp_ports = {}
         self.forward_taps = []
+        #: Bumped by every registration method below; lets checkpoint
+        #: restores reset only the counters of a node whose addresses,
+        #: services, handlers and taps a run never touched.
+        self._wiring_version = 0
         self.rx_packets = 0
         self.tx_packets = 0
         self.dropped_packets = 0
@@ -83,6 +87,7 @@ class Node:
         address = IPv4Address(address)
         self.extra_addresses.add(address)
         self._local_values.add(address._value)
+        self._wiring_version += 1
 
     def addresses(self):
         """All addresses considered local to this node."""
@@ -111,11 +116,13 @@ class Node:
     def register_service(self, name, service):
         """Attach a named service object for later lookup."""
         self.services[name] = service
+        self._wiring_version += 1
         return service
 
     def register_protocol(self, proto, handler):
         """Handle locally-delivered packets of IP protocol *proto*."""
         self._proto_handlers[proto] = handler
+        self._wiring_version += 1
 
     def bind_udp(self, port, handler):
         """Handle locally-delivered UDP datagrams to *port*.
@@ -125,9 +132,11 @@ class Node:
         if port in self._udp_ports:
             raise PortInUseError(f"{self.name} UDP port {port} already bound")
         self._udp_ports[port] = handler
+        self._wiring_version += 1
 
     def unbind_udp(self, port):
         self._udp_ports.pop(port, None)
+        self._wiring_version += 1
 
     def add_forward_tap(self, tap):
         """Register *tap(packet, node) -> bool* run on forwarded packets.
@@ -137,6 +146,7 @@ class Node:
         without being the packet's IP destination (Steps 2-6 of Fig. 1).
         """
         self.forward_taps.append(tap)
+        self._wiring_version += 1
 
     # ------------------------------------------------------------------ #
     # Receive path
@@ -214,10 +224,14 @@ class Node:
     # World-reuse checkpointing
     # ------------------------------------------------------------------ #
 
-    #: Mutable attributes captured by snapshot_state (subclasses extend).
-    _state_attrs = ("rx_packets", "tx_packets", "dropped_packets",
-                    "extra_addresses", "services", "_proto_handlers",
-                    "_udp_ports", "forward_taps")
+    #: Plain numbers any run moves; always restored (subclasses extend).
+    _counter_attrs = ("rx_packets", "tx_packets", "dropped_packets")
+
+    #: What the registration methods mutate, stamped by ``_wiring_version``:
+    #: restored only when the stamp moved since the checkpoint.  A new
+    #: mutator of any of these must bump the stamp.
+    _wiring_attrs = ("extra_addresses", "services", "_proto_handlers",
+                     "_udp_ports", "forward_taps")
 
     #: Construction-time identity and wiring: interfaces are created during
     #: topology build and never change during a run.  ``_local_values`` is
@@ -226,15 +240,21 @@ class Node:
     _SNAPSHOT_EXEMPT = ("sim", "name", "interfaces", "_local_values")
 
     def snapshot_state(self):
-        state = snapshot_attrs(self, self._state_attrs)
-        state["fib"] = self.fib.snapshot_state()
-        return state
+        return {"fib": self.fib.snapshot_state(),
+                "counters": tuple(getattr(self, name)
+                                  for name in self._counter_attrs),
+                "wiring_version": self._wiring_version,
+                "wiring": snapshot_attrs(self, self._wiring_attrs)}
 
     def restore_state(self, state):
         self.fib.restore_state(state["fib"])
-        restore_attrs(self, {name: value for name, value in state.items()
-                             if name != "fib"})
-        self._local_values = {address._value for address in self.addresses()}
+        for name, value in zip(self._counter_attrs, state["counters"],
+                               strict=True):
+            setattr(self, name, value)
+        if self._wiring_version != state["wiring_version"]:
+            restore_attrs(self, state["wiring"])
+            self._local_values = {address._value for address in self.addresses()}
+            self._wiring_version = state["wiring_version"]
 
     def send_udp(self, src, dst, sport, dport, payload=None, payload_bytes=0, meta=None):
         """Build and send a UDP datagram from this node."""

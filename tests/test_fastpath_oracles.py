@@ -1,12 +1,14 @@
 """Differential oracles for the forwarding fast path.
 
-Each test drives a fast path (the ``Fib`` lookup memo, the inlined engine
-dispatch loop, the cached ``Packet.size_bytes``, the ``Node`` local-address
-set) and a deliberately naive model side by side over seeded random
-input, and asserts they never disagree.  Stdlib only.
+Each test drives a fast path (the ``Fib`` hash tables and lookup memo, the
+inlined engine dispatch loop, the cached ``Packet.size_bytes``, the ``Node``
+local-address set) and a deliberately naive model side by side over seeded
+random input, and asserts they never disagree.  Stdlib only.
 """
 
+import copy
 import heapq
+import pickle
 import random
 from dataclasses import asdict
 
@@ -14,7 +16,11 @@ import pytest
 
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.experiments.worldbuild import build_world, restore_world
+from repro.experiments import worldbuild
+from repro.experiments.worldbuild import (SnapshotError, SnapshotStore,
+                                          build_world, deserialize_world,
+                                          restore_world, serialize_world,
+                                          snapshot_fingerprint)
 from repro.lisp.headers import decapsulate, encapsulate
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.errors import NoRouteError
@@ -145,6 +151,208 @@ def test_fib_memo_is_lazy_and_dropped_on_mutation():
     fib.lookup("10.0.0.1")
     fib.restore_state(fib.snapshot_state())  # same version: table kept, memo dropped
     assert fib._memo is None
+
+
+# --------------------------------------------------------------------- #
+# Fib hash tables vs a naive binary trie: node_count, probe order, copies
+# --------------------------------------------------------------------- #
+
+
+class _NaiveTrie:
+    """A binary trie as plainly as it can be written: one dict per node,
+    nothing pruned — ``node_count`` walks from the root and counts only the
+    nodes that still lead to an entry, which is what ``Fib.node_count``
+    derives from its prefix set."""
+
+    def __init__(self):
+        self.root = {"children": {}, "entry": None}
+
+    def _walk(self, network, length, create):
+        node = self.root
+        for shift in range(31, 31 - length, -1):
+            bit = (network >> shift) & 1
+            if bit not in node["children"]:
+                if not create:
+                    return None
+                node["children"][bit] = {"children": {}, "entry": None}
+            node = node["children"][bit]
+        return node
+
+    def insert(self, network, length, entry):
+        self._walk(network, length, create=True)["entry"] = entry
+
+    def remove(self, network, length):
+        node = self._walk(network, length, create=False)
+        if node is not None:
+            node["entry"] = None
+
+    def node_count(self):
+        def live(node):
+            below = sum(live(child) for child in node["children"].values())
+            return below + 1 if below or node["entry"] is not None else 0
+        return max(1, live(self.root))  # the root always exists
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fib_node_count_matches_a_naive_trie_under_churn(seed):
+    rng = random.Random(100 + seed)
+    fib = Fib()
+    trie = _NaiveTrie()
+    assert fib.node_count() == 1
+    checkpoint = None
+    for _step in range(600):
+        action = rng.random()
+        if action < 0.50:                      # insert, or replace in place
+            prefix = _random_prefix(rng)
+            entry = FibEntry(prefix, f"if{rng.randrange(1000)}")
+            fib.insert(entry)
+            trie.insert(prefix.network.value, prefix.length, entry)
+        elif action < 0.85:
+            prefix = _random_prefix(rng)
+            fib.remove(prefix)
+            trie.remove(prefix.network.value, prefix.length)
+        elif action < 0.88:
+            fib.clear()
+            trie = _NaiveTrie()
+        elif action < 0.94:
+            checkpoint = fib.snapshot_state()
+        elif checkpoint is not None:
+            fib.restore_state(checkpoint)
+            trie = _NaiveTrie()
+            for entry in checkpoint[1]:
+                trie.insert(entry.prefix.network.value, entry.prefix.length, entry)
+        assert fib.node_count() == trie.node_count()
+
+
+def test_fib_node_count_of_known_shapes():
+    fib = Fib()
+    fib.add("0.0.0.0/0", "default")
+    assert fib.node_count() == 1               # the default route sits on the root
+    fib.add("10.0.0.0/8", "a")
+    assert fib.node_count() == 1 + 8
+    fib.add("10.0.0.0/8", "b")                 # replace: same prefix set
+    assert fib.node_count() == 1 + 8
+    fib.add("10.128.0.0/9", "c")               # one bit past the /8
+    assert fib.node_count() == 1 + 8 + 1
+    fib.add("10.0.0.1/32", "d")                # shares the /8's eight bits
+    assert fib.node_count() == 1 + 8 + 1 + 24
+    fib.remove("10.0.0.0/8")                   # interior entry: nodes stay
+    assert fib.node_count() == 1 + 8 + 1 + 24
+    fib.remove("10.0.0.1/32")
+    assert fib.node_count() == 1 + 9
+
+
+def test_fib_length_leaves_the_probe_order_with_its_last_route():
+    fib = Fib()
+    table = {}
+
+    def add(text, tag):
+        prefix = IPv4Prefix(text)
+        entry = FibEntry(prefix, tag)
+        fib.insert(entry)
+        table[(prefix.network.value, prefix.length)] = entry
+
+    def remove(text):
+        prefix = IPv4Prefix(text)
+        assert fib.remove(prefix) is table.pop((prefix.network.value, prefix.length))
+
+    def probed_lengths():
+        return [bin(mask).count("1") for mask, _table in fib._probes]
+
+    def check():
+        for text in ("10.1.2.3", "10.1.9.9", "10.2.0.1", "11.0.0.1"):
+            value = IPv4Address(text).value
+            assert fib.lookup(text, default=None) is _brute_force_lpm(table, value)
+
+    add("10.0.0.0/8", "if8")
+    add("10.1.0.0/16", "if16")
+    add("10.1.2.0/24", "if24a")
+    add("10.1.3.0/24", "if24b")
+    assert probed_lengths() == [24, 16, 8]
+    check()
+    remove("10.1.2.0/24")                      # one /24 is left: still probed
+    assert probed_lengths() == [24, 16, 8]
+    check()
+    remove("10.1.3.0/24")                      # the last one: /24 is gone
+    assert probed_lengths() == [16, 8]
+    assert fib.lookup("10.1.2.3").interface == "if16"
+    check()
+    assert fib.remove("10.1.3.0/24") is None   # removing nothing changes nothing
+    assert probed_lengths() == [16, 8]
+    add("10.1.2.0/24", "if24c")                # the length reappears, in order
+    add("10.1.2.3/32", "if32")
+    assert probed_lengths() == [32, 24, 16, 8]
+    assert fib.lookup("10.1.2.3").interface == "if32"
+    assert fib.lookup("10.1.2.4").interface == "if24c"
+    check()
+    state = fib.snapshot_state()
+    fib.clear()
+    assert probed_lengths() == [] and fib.lookup("10.1.2.3", default=None) is None
+    fib.restore_state(state)
+    assert probed_lengths() == [32, 24, 16, 8]
+    check()
+
+
+def test_fib_entries_are_ordered_by_network_then_length():
+    rng = random.Random(7)
+    fib = Fib()
+    for _ in range(200):
+        fib.insert(FibEntry(_random_prefix(rng), "if"))
+    fib.add("0.0.0.0/0", "default")
+    keys = [(entry.prefix.network.value, entry.prefix.length)
+            for entry in fib.entries()]
+    assert keys == sorted(keys) and len(keys) == len(set(keys)) == len(fib)
+    assert keys[0] == (0, 0)
+    # A covering prefix sorts before the prefixes it covers at the same network.
+    assert keys.index((10 << 24, 8)) < keys.index((10 << 24, 16))
+
+
+@pytest.mark.parametrize("clone", (
+    lambda fib: pickle.loads(pickle.dumps(fib, pickle.HIGHEST_PROTOCOL)),
+    copy.deepcopy), ids=("pickle", "deepcopy"))
+def test_fib_copies_preserve_lookups_len_and_version(clone):
+    rng = random.Random(11)
+    fib = Fib()
+    for _ in range(300):
+        if rng.random() < 0.7:
+            fib.insert(FibEntry(_random_prefix(rng), f"if{rng.randrange(1000)}"))
+        else:
+            fib.remove(_random_prefix(rng))
+    fib.lookup("10.1.2.3", default=None)       # a populated memo travels too
+    twin = clone(fib)
+    assert len(twin) == len(fib) and twin.version == fib.version
+    assert twin.node_count() == fib.node_count()
+    assert [str(entry) for entry in twin.entries()] == \
+        [str(entry) for entry in fib.entries()]
+    for _ in range(300):
+        address = _random_address(rng)
+        ours = fib.lookup(address, default=None)
+        theirs = twin.lookup(address, default=None)
+        assert (ours is None) == (theirs is None)
+        assert ours is None or str(ours) == str(theirs)
+    twin.add("10.9.9.0/24", "only-the-twin")   # ... and the copy is independent
+    assert fib.lookup_exact("10.9.9.0/24") is None
+    assert twin.version == fib.version + 1
+
+
+def test_v6_stamped_blob_is_rejected_and_rebuilt(tmp_path, monkeypatch):
+    """Pickled ``Fib``s changed shape in schema 7: a blob stamped 6 must be
+    a ``schema mismatch``, never unpickled into the new classes."""
+    config = ScenarioConfig(control_plane="pce", num_sites=3, seed=5,
+                            tracing=False)
+    assert worldbuild.SNAPSHOT_SCHEMA >= 7
+    with monkeypatch.context() as patch:
+        patch.setattr(worldbuild, "SNAPSHOT_SCHEMA", 6)
+        stale = serialize_world(build_world(config))
+    with pytest.raises(SnapshotError, match="schema mismatch"):
+        deserialize_world(stale, config)
+    # Even filed under today's name, the store discards it and builds.
+    path = tmp_path / f"{snapshot_fingerprint(config)}.world"
+    path.write_bytes(stale)
+    store = SnapshotStore(str(tmp_path))
+    assert store.ensure(config) == "build"
+    assert store.stats.invalidated == 1 and store.stats.builds == 1
+    assert deserialize_world(path.read_bytes(), config) is not None
 
 
 # --------------------------------------------------------------------- #

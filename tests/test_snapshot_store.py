@@ -8,8 +8,11 @@ blob-restored worlds produce byte-identical sweep digests.
 """
 
 import json
+import pickle
 
 import pytest
+
+from repro.cli import main
 
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.sweep import (SweepGrid, distinct_world_configs,
@@ -327,3 +330,56 @@ def test_blob_is_pure_bytes_and_worlds_are_independent():
     for xtrs in second.xtrs_by_site.values():
         for xtr in xtrs:
             assert xtr.map_cache.hits == 0 and xtr.map_cache.misses == 0
+
+
+# --------------------------------------------------------------------- #
+# Worlds too deep to pickle fail with a message, not a traceback
+# --------------------------------------------------------------------- #
+
+#: Smallest default tiered world whose pickle outruns the interpreter's
+#: recursion limit (262 sites still serializes under a bare interpreter).  Flattening link pickling
+#: so such worlds *do* serialize is a later change; this pins the error.
+DEEP_SITES = 263
+
+DEEP_GRID = SweepGrid(name="deep", control_planes=("pce", "alt"),
+                      topologies=("tiered",), site_counts=(DEEP_SITES,),
+                      seeds=(1,), zipf_values=(1.0,), num_flows=2)
+
+
+def test_deep_world_serialization_raises_snapshot_error():
+    config = ScenarioConfig(control_plane="pce", topology="tiered",
+                            num_sites=DEEP_SITES, seed=1, tracing=False)
+    world = build_world(config)
+    with pytest.raises(SnapshotError, match="too deep to pickle") as caught:
+        serialize_world(world)
+    assert caught.value.reason == "world graph too deep to pickle"
+    assert f"tiered world of {DEEP_SITES} sites" in str(caught.value)
+    assert isinstance(caught.value.__cause__, RecursionError)
+
+
+def test_snapshot_error_survives_pickling():
+    """Build-pool workers hand errors back pickled: message and reason hold."""
+    error = SnapshotError("world graph too deep to pickle", "tiered world")
+    clone = pickle.loads(pickle.dumps(error))
+    assert str(clone) == str(error)
+    assert clone.reason == error.reason
+
+
+def test_prebuild_pool_surfaces_deep_world_message(tmp_path):
+    store = SnapshotStore(str(tmp_path))
+    with pytest.raises(SnapshotError, match=r"^invalid world snapshot "
+                       r"\(world graph too deep to pickle\): tiered world"):
+        prebuild_worlds(store, expand_grid(DEEP_GRID), workers=2, live=False)
+
+
+def test_cli_sweep_reports_deep_world_without_traceback(tmp_path, capsys):
+    code = main(["sweep", "--preset", "smoke", "--control-planes", "pce",
+                 "--topologies", "tiered", "--sites", str(DEEP_SITES),
+                 "--seeds", "1", "--flows", "2",
+                 "--jsonl", str(tmp_path / "cells.jsonl"),
+                 "--snapshot-dir", str(tmp_path / "worlds")])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "sweep error: invalid world snapshot (world graph too deep " \
+           "to pickle)" in out
+    assert "Traceback" not in out

@@ -1,15 +1,20 @@
 """Tests for the worldbuild layer: routing plans, world reuse, sweep axes."""
 
+import gc
 import json
 
 import pytest
 
-from repro.experiments.scenario import ScenarioConfig
-from repro.experiments.sweep import (SweepGrid, expand_grid, payload_digest,
-                                     read_jsonl, run_cell, run_sweep)
+from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
+from repro.experiments.sweep import (SweepGrid, _apply_failures, expand_grid,
+                                     payload_digest, read_jsonl, run_cell,
+                                     run_sweep)
 from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.experiments.worldbuild import (WorldBuilder, build_world,
-                                          restore_world, world_key)
+from repro.experiments.worldbuild import (SnapshotError, WorldBuilder,
+                                          build_world, deserialize_world,
+                                          restore_world, serialize_world,
+                                          world_key)
+from repro.net.packet import udp_packet
 from repro.net.routing import (HierarchicalRoutingPlan, TierLayout,
                                build_adjacency, install_mesh_routes,
                                mesh_fingerprint, path_delay)
@@ -207,7 +212,6 @@ def test_prober_and_irc_state_round_trip_through_restore():
     baseline = (prober_states(), irc_states(), task_states())
 
     # Dirty this world: run a failing workload so probers mark RLOCs down.
-    from repro.experiments.sweep import _apply_failures
     _apply_failures(scenario, _failover_cell().failure)
     run_workload(scenario, WorkloadConfig(num_flows=12, arrival_rate=10.0,
                                           packets_per_flow=5))
@@ -499,3 +503,180 @@ def test_topology_axis_sweep_digest_matches_across_workers():
                         "pce-tiered-sites4-zipf1-seed7"]
     by_topology = {cell["topology"]: cell for cell in serial["cells"]}
     assert set(by_topology) == {"flat", "tiered"}
+
+
+# --------------------------------------------------------------------- #
+# Restore completeness: the safety net under the version-stamp skips
+# --------------------------------------------------------------------- #
+#
+# restore_world skips state whose stamp did not move (Fib.version, the
+# Node wiring version, LinkStats.bytes_offered).  A mutator that forgets
+# its stamp would leave one run's state in the next; this oracle compares
+# every component against its checkpoint after a run and a restore.
+
+def _dirty_components(scenario):
+    return [component for component, state in scenario.world_checkpoint
+            if component.snapshot_state() != state]
+
+
+def _lifecycle_cell(control_plane, topology, pacing, **grid_kwargs):
+    grid = SweepGrid(control_planes=(control_plane,), topologies=(topology,),
+                     site_counts=(6,), seeds=(17,), size_dists=("pareto",),
+                     pacings=(pacing,), num_flows=10, arrival_rate=10.0,
+                     packets_per_flow=5,
+                     scenario_overrides={"access_rate_bps": 10_000_000.0},
+                     workload_overrides={"pace_rate_bps": 2_000_000.0,
+                                         "fluid_threshold": 1,
+                                         "fluid_chunk_interval": 0.125},
+                     **grid_kwargs)
+    return expand_grid(grid)[0]
+
+
+def _run_cell_on(scenario, cell):
+    assert _dirty_components(scenario) == []
+    _apply_failures(scenario, cell.failure)
+    run_workload(scenario, cell.workload)
+
+
+@pytest.mark.parametrize("pacing", ("constant", "shaped", "fluid"))
+@pytest.mark.parametrize("topology", ("flat", "tiered"))
+@pytest.mark.parametrize("control_plane", CONTROL_PLANES)
+def test_restore_returns_every_component_to_its_checkpoint(
+        control_plane, topology, pacing):
+    cell = _lifecycle_cell(control_plane, topology, pacing)
+    scenario = build_world(cell.scenario)
+    _run_cell_on(scenario, cell)
+    dirtied = _dirty_components(scenario)
+    # The run really moved stamped state of every kind ...
+    kinds = {type(component).__name__ for component in dirtied}
+    assert {"Link", "Router", "Host"} <= kinds, kinds
+    assert len(dirtied) > len(scenario.world_checkpoint) // 4
+    # ... and the restore leaves nothing of it.
+    restore_world(scenario)
+    assert _dirty_components(scenario) == []
+
+
+def test_restore_is_complete_after_links_fail_and_come_back():
+    cell = _lifecycle_cell("pce", "flat", "shaped", fail_fractions=(1.0,),
+                           fail_at=0.3, repair_at=0.8)
+    scenario = build_world(cell.scenario)
+    _run_cell_on(scenario, cell)
+    assert sum(link.stats.drops for link in scenario.iter_links()) > 0
+    assert all(link.up for link in scenario.iter_links())   # repaired
+    assert _dirty_components(scenario)
+    restore_world(scenario)
+    assert _dirty_components(scenario) == []
+
+
+def _ignore(_packet, _node):
+    return False
+
+
+def _bound_port(node):
+    return next(iter(node._udp_ports))
+
+
+def _packet_for(link):
+    return udp_packet(link.src_interface.address or "192.0.2.1",
+                      link.dst_interface.address or "192.0.2.2",
+                      4000, 4001, payload_bytes=100, meta={"flow_id": 7})
+
+
+def _send_while_down(link):
+    link.up = False
+    link.send(_packet_for(link))
+
+
+def _fluid_while_down(link):
+    link.up = False
+    link.post_fluid(5000, 7, 0.1)
+
+
+#: Every mutator of version-stamped state, alone.  Real runs mask a
+#: forgotten stamp (sockets bind *and* unbind, packets cross a link both
+#: up and down), so each entry point is also driven by itself.
+_NODE_MUTATORS = {
+    "add_address": lambda node: node.add_address("203.0.113.9"),
+    "register_service": lambda node: node.register_service("extra", object()),
+    "register_protocol": lambda node: node.register_protocol(253, _ignore),
+    "bind_udp": lambda node: node.bind_udp(4242, _ignore),
+    "unbind_udp": lambda node: node.unbind_udp(_bound_port(node)),
+    "add_forward_tap": lambda node: node.add_forward_tap(_ignore),
+}
+_LINK_MUTATORS = {
+    "send": lambda link: link.send(_packet_for(link)),
+    "send_while_down": _send_while_down,
+    "post_fluid": lambda link: link.post_fluid(5000, 7, 0.1),
+    "post_fluid_while_down": _fluid_while_down,
+}
+
+
+@pytest.mark.parametrize("name", [*_NODE_MUTATORS, *_LINK_MUTATORS])
+def test_each_stamped_mutator_alone_is_undone_by_restore(name):
+    scenario = build_world(ScenarioConfig(control_plane="pce", num_sites=3,
+                                          seed=5, tracing=False))
+    if name in _NODE_MUTATORS:
+        target = next(component for component, _ in scenario.world_checkpoint
+                      if getattr(component, "_udp_ports", None))
+        _NODE_MUTATORS[name](target)
+    else:
+        target = next(scenario.iter_links())
+        _LINK_MUTATORS[name](target)
+    # Mid-send the engine holds foreground events and cannot be compared;
+    # the mutated component itself can.
+    assert target.snapshot_state() != next(
+        state for component, state in scenario.world_checkpoint
+        if component is target)
+    restore_world(scenario)
+    assert _dirty_components(scenario) == []
+
+
+# --------------------------------------------------------------------- #
+# Collector state and footprint
+# --------------------------------------------------------------------- #
+
+@pytest.fixture(params=(True, False), ids=("gc-on", "gc-off"))
+def collector(request):
+    """Run the test with the cyclic collector enabled, then disabled."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_lifecycle_calls_leave_the_collector_as_found(collector):
+    config = ScenarioConfig(control_plane="pce", num_sites=3, seed=5,
+                            tracing=False)
+    world = build_world(config)
+    assert gc.isenabled() is collector
+    restore_world(world)
+    assert gc.isenabled() is collector
+    blob = serialize_world(world)
+    assert gc.isenabled() is collector
+    deserialize_world(blob, config)
+    assert gc.isenabled() is collector
+    with pytest.raises(SnapshotError):
+        deserialize_world(blob[:-20], config)
+    assert gc.isenabled() is collector
+
+
+def test_failed_build_leaves_the_collector_as_found(collector):
+    with pytest.raises(ValueError):
+        build_world(ScenarioConfig(control_plane="no-such-plane"))
+    assert gc.isenabled() is collector
+
+
+def test_flat_120_site_pce_world_stays_within_its_object_budget():
+    """GC-tracked objects are what every later collection re-walks; the
+    hash-table FIB keeps a 120-site world near 60k of them."""
+    config = ScenarioConfig(control_plane="pce", num_sites=120,
+                            num_providers=8, tracing=False)
+    gc.collect()
+    before = len(gc.get_objects())
+    world = build_world(config)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert world.world_checkpoint is not None
+    assert added <= 70_000, f"{added} GC-tracked objects"

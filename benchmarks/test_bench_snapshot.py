@@ -53,9 +53,9 @@ def test_bench_live_store_restore_speedup(benchmark):
     assert store.ensure(config, live=True) == "build"
 
     build_elapsed = best_of(lambda: build_world(config))
-    restore_elapsed = best_of(lambda: store.restore(config))
+    restore_elapsed = best_of(lambda: store.world_for(config))
     gc.collect()  # don't bill dropped benchmark worlds to the timed rounds
-    benchmark.pedantic(store.restore, args=(config,), rounds=3, iterations=1)
+    benchmark.pedantic(store.world_for, args=(config,), rounds=3, iterations=1)
 
     speedup = build_elapsed / restore_elapsed
     print(f"\n  60 sites: fresh build {build_elapsed:.4f}s, live restore "
@@ -98,7 +98,7 @@ def test_bench_file_store_restore_speedup(benchmark, tmp_path):
 
     def warm_restore():
         store = SnapshotStore(directory)  # fresh store: no memory cache
-        assert store.restore(config) is not None
+        assert store.world_for(config)[1] == "restore"
 
     restore_elapsed = best_of(warm_restore)
     gc.collect()
@@ -123,8 +123,8 @@ def test_bench_snapshot_500_site_amortization(benchmark):
     build_elapsed = time.perf_counter() - started
 
     workers = 4
-    restore_elapsed = best_of(lambda: store.restore(config), rounds=workers)
-    benchmark.pedantic(store.restore, args=(config,), rounds=1, iterations=1)
+    restore_elapsed = best_of(lambda: store.world_for(config), rounds=workers)
+    benchmark.pedantic(store.world_for, args=(config,), rounds=1, iterations=1)
 
     amortized = (build_elapsed + workers * restore_elapsed) / workers
     speedup = build_elapsed / restore_elapsed

@@ -17,7 +17,7 @@ from conftest import best_of
 
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.experiments.worldbuild import WorldBuilder
+from repro.experiments.worldbuild import SnapshotStore
 
 #: Shaped-vs-constant wall-time ceiling the overhead benchmark asserts.
 #: Locally the contract is 1.5x (observed well under, both sides timed
@@ -42,11 +42,11 @@ def _workload(pacing):
                           pace_rate_bps=2_000_000.0)
 
 
-_BUILDER = WorldBuilder(max_worlds=1)
+_STORE = SnapshotStore()
 
 
 def _run(pacing):
-    scenario = _BUILDER.scenario_for(CONFIG)  # build once, restore after
+    scenario, _ = _STORE.world_for(CONFIG)  # build once, reset after
     return run_workload(scenario, _workload(pacing))
 
 
@@ -95,7 +95,7 @@ def _bulk_workload(pacing):
 
 
 def _run_bulk(pacing):
-    scenario = _BUILDER.scenario_for(CONFIG)
+    scenario, _ = _STORE.world_for(CONFIG)
     return run_workload(scenario, _bulk_workload(pacing))
 
 

@@ -15,9 +15,9 @@ import pytest
 from conftest import best_of
 
 from repro.experiments.scenario import ScenarioConfig
-from repro.experiments.worldbuild import WorldBuilder, build_world
+from repro.experiments.worldbuild import SnapshotStore, build_world
 from repro.net.routing import install_mesh_routes
-from repro.net.topology import build_topology
+from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 SITE_COUNTS = (60, 120, 500)
@@ -28,15 +28,15 @@ SITE_COUNTS = (60, 120, 500)
 SPEEDUP_FLOOR = float(os.environ.get("REPRO_SPEEDUP_FLOOR", "5.0"))
 
 
-def _build_topology(sites):
+def _flat_topology(sites):
     sim = Simulator(seed=11, tracing=False)
-    return build_topology(sim, num_sites=sites, num_providers=8)
+    return build(sim, TopologySpec(num_sites=sites, num_providers=8))
 
 
 @pytest.mark.parametrize("sites", SITE_COUNTS)
 def test_bench_topology_build(benchmark, sites):
     """Full topology build (nodes, links, plan-based route install)."""
-    topology = benchmark.pedantic(_build_topology, args=(sites,),
+    topology = benchmark.pedantic(_flat_topology, args=(sites,),
                                   rounds=1, iterations=1)
     assert len(topology.sites) == sites
     total = sum(len(p.fib) for p in topology.providers)
@@ -48,7 +48,7 @@ def test_bench_topology_build(benchmark, sites):
 @pytest.mark.parametrize("sites", SITE_COUNTS)
 def test_bench_route_install(benchmark, sites):
     """Plan-based attachment install vs the from-scratch reference."""
-    topology = _build_topology(sites)
+    topology = _flat_topology(sites)
     providers = topology.providers
     attachments = topology.attachments
 
@@ -79,13 +79,13 @@ def test_bench_world_reuse_speedup(benchmark):
                             num_providers=8, tracing=False)
     fresh_elapsed = best_of(lambda: build_world(config))
 
-    builder = WorldBuilder()
-    builder.scenario_for(config)  # warm the cache (miss + checkpoint)
+    store = SnapshotStore()
+    store.world_for(config)  # warm the cache (miss + checkpoint)
 
-    reuse_elapsed = best_of(lambda: builder.scenario_for(config))
-    assert builder.stats.hits == 3
+    reuse_elapsed = best_of(lambda: store.world_for(config))
+    assert store.last_outcome == "hit" and store.stats.builds == 1
 
-    benchmark.pedantic(builder.scenario_for, args=(config,),
+    benchmark.pedantic(store.world_for, args=(config,),
                        rounds=1, iterations=1)
     speedup = fresh_elapsed / reuse_elapsed
     print(f"\n  fresh build {fresh_elapsed:.3f}s, reuse {reuse_elapsed:.4f}s "
@@ -95,11 +95,11 @@ def test_bench_world_reuse_speedup(benchmark):
 
 
 def test_bench_failover_world_reuse_speedup(benchmark):
-    """Probing worlds (the failover preset's) now cache: restore >=5x build.
+    """Probing worlds (the failover preset's) cache too: restore >=5x build.
 
-    Before periodic tasks became engine-owned, ``enable_probing`` worlds
-    bypassed the cache entirely and were rebuilt per cell; this enforces
-    the floor for the newly cacheable configuration.
+    Their periodic tasks are engine-owned and re-armed on restore, so an
+    ``enable_probing`` world is reset like any other; this enforces the
+    floor for that configuration.
     """
     config = ScenarioConfig(control_plane="pce", num_sites=60,
                             num_providers=8, enable_probing=True,
@@ -107,15 +107,15 @@ def test_bench_failover_world_reuse_speedup(benchmark):
                             start_irc=True, tracing=False)
     fresh_elapsed = best_of(lambda: build_world(config))
 
-    builder = WorldBuilder()
-    scenario = builder.scenario_for(config)  # warm the cache (miss + checkpoint)
-    assert scenario.world_checkpoint is not None   # no bypass remains
+    store = SnapshotStore()
+    scenario, _ = store.world_for(config)  # warm the cache (miss + checkpoint)
+    assert scenario.world_checkpoint is not None
     assert any(task.armed for task in scenario.sim.periodic_tasks)
 
-    reuse_elapsed = best_of(lambda: builder.scenario_for(config))
-    assert builder.stats.hits == 3 and builder.stats.bypasses == 0
+    reuse_elapsed = best_of(lambda: store.world_for(config))
+    assert store.last_outcome == "hit" and store.stats.builds == 1
 
-    benchmark.pedantic(builder.scenario_for, args=(config,),
+    benchmark.pedantic(store.world_for, args=(config,),
                        rounds=1, iterations=1)
     speedup = fresh_elapsed / reuse_elapsed
     print(f"\n  probing world: fresh build {fresh_elapsed:.3f}s, reuse "

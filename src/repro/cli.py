@@ -17,12 +17,14 @@ Parameter sweeps (``repro sweep``)
 ``sweep`` expands a declarative grid (control plane x topology family x
 site count x seed x
 Zipf skew x flow-size distribution x pacing mode x RLOC-failure fraction)
-into scenario/workload cells, pre-builds each distinct world exactly once
-into a shared snapshot store (workers restore serialized world blobs
-instead of rebuilding; ``--snapshot-dir`` persists them across
-invocations), fans the cells out across a persistent worker pool, streams
-per-cell results to a JSONL artifact, and writes aggregated JSON/CSV
-artifacts::
+into scenario/workload cells and runs them against one world cache, the
+run's snapshot store: each distinct world is built exactly once and reset
+in place for every further cell (``--workers N`` pre-builds the worlds,
+then fans the cells out across a persistent worker pool that inherits or
+deserializes them; ``--snapshot-dir`` persists the serialized worlds, so a
+rerun builds nothing).  Per-cell results stream to a JSONL artifact, and
+aggregated JSON/CSV artifacts are written at the end — every output path
+is checked before the first world is built::
 
     python -m repro sweep                       # "smoke" preset, 1 worker
     python -m repro sweep --preset scale --workers 4 \\
@@ -50,7 +52,8 @@ Presets live in :data:`repro.experiments.sweep.PRESETS`; the axis flags
 --pacings/--fail-fractions/--flows/--mode``) override the chosen preset's
 axes.  Aggregates are
 deterministic: the same grid and seeds produce byte-identical JSON for any
-``--workers`` value (world-cache counters are reported separately).  For
+``--workers`` value (the ``world cache:`` and ``snapshot store`` lines
+report hits/restores/builds separately).  For
 giant grids, ``--no-json`` keeps the run memory-flat: aggregation and CSV
 writing fold over the JSONL stream and the per-cell list is never held in
 memory.
@@ -183,10 +186,6 @@ def build_parser():
     sweep.add_argument("--jsonl", default=None,
                        help="stream per-cell results here (default: derived "
                             "from --json, else sweep-<preset>.cells.jsonl)")
-    sweep.add_argument("--max-worlds", type=int, default=None,
-                       help="per-worker world-cache capacity (the shared "
-                            "snapshot store additionally holds one world "
-                            "per distinct world key for the run's duration)")
     sweep.add_argument("--snapshot-dir", default=None,
                        help="persistent world-snapshot store: built worlds "
                             "are serialized here (content-addressed by world "
@@ -202,8 +201,10 @@ def build_parser():
     sweep.add_argument("--size-dists", nargs="+", default=None,
                        help="flow-size distributions (constant/pareto/lognormal)")
     sweep.add_argument("--pacings", nargs="+", default=None,
-                       help="pacing modes (constant/shaped: mice burst, "
-                            "elephants pace at the workload's target rate)")
+                       help="pacing modes (constant/shaped/fluid: shaped "
+                            "bursts mice and paces elephants at the "
+                            "workload's target rate, fluid also moves bulk "
+                            "flows as rate chunks)")
     sweep.add_argument("--fail-fractions", nargs="+", type=float, default=None,
                        help="fractions of sites whose primary RLOC fails")
     sweep.add_argument("--flows", type=int, default=None)
@@ -214,16 +215,13 @@ def build_parser():
 def _run_sweep_command(args):
     from dataclasses import replace
 
-    from repro.experiments.sweep import DEFAULT_MAX_WORLDS, PRESETS, run_sweep
+    from repro.experiments.sweep import PRESETS, run_sweep
 
     if args.preset not in PRESETS:
         print(f"unknown preset {args.preset!r}; available: "
               f"{', '.join(sorted(PRESETS))}")
         return 1
     grid = PRESETS[args.preset]
-    if args.max_worlds is not None and args.max_worlds < 1:
-        print(f"sweep error: --max-worlds must be >= 1, got {args.max_worlds}")
-        return 1
     if args.no_json and args.json is not None:
         print("sweep error: --no-json cannot be combined with --json")
         return 1
@@ -263,8 +261,6 @@ def _run_sweep_command(args):
         payload = run_sweep(
             grid, workers=max(1, args.workers), json_path=args.json,
             csv_path=args.csv, jsonl_path=jsonl_path,
-            max_worlds=(args.max_worlds if args.max_worlds is not None
-                        else DEFAULT_MAX_WORLDS),
             include_cells=not args.no_json,
             snapshot_dir=(None if args.snapshot_dir is None
                           else os.path.expanduser(args.snapshot_dir)))
@@ -290,14 +286,13 @@ def _run_sweep_command(args):
     cache = payload["world_cache"]
     print(f"world cache: {cache['hits']} hits / {cache['restores']} restores "
           f"/ {cache['builds']} builds "
-          f"({cache['misses']} misses, {cache['bypasses']} bypasses)")
-    store = cache.get("store")
-    if store is not None:
-        kind = "persistent" if store["persistent"] else "shared"
-        print(f"snapshot store ({kind}): {store['builds']} built / "
-              f"{store['blob_hits']} blob hits / "
-              f"{store['invalidated']} invalidated, "
-              f"{store['worlds']} worlds held")
+          f"({cache['misses']} misses)")
+    store = cache["store"]
+    kind = "persistent" if store["persistent"] else "transient"
+    print(f"snapshot store ({kind}): {store['builds']} built / "
+          f"{store['blob_hits']} blob hits / "
+          f"{store['invalidated']} invalidated, "
+          f"{store['worlds']} worlds held")
     for path, label in ((args.json, "json"), (args.csv, "csv"),
                         (jsonl_path, "jsonl")):
         if path is not None:

@@ -66,7 +66,7 @@ def run_e9(seed=29, probe_period=0.4):
 
 
 def _run_variant(label, overrides, seed):
-    config = ScenarioConfig(control_plane="pce", fig1=True, seed=seed,
+    config = ScenarioConfig(control_plane="pce", topology="fig1", seed=seed,
                             irc_policy="primary", **overrides)
     scenario = build_scenario(config)
     sim = scenario.sim

@@ -22,7 +22,7 @@ STEP_KINDS = [
 
 def run_fig1_walkthrough(seed=7):
     """Run the walkthrough; returns {steps, checks, records}."""
-    config = ScenarioConfig(control_plane="pce", fig1=True, seed=seed)
+    config = ScenarioConfig(control_plane="pce", topology="fig1", seed=seed)
     scenario = build_scenario(config)
     sim = scenario.sim
     topology = scenario.topology

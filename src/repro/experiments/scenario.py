@@ -42,7 +42,6 @@ class ScenarioConfig:
     providers_per_site: int = 2
     hosts_per_site: int = 2
     seed: int = 1
-    fig1: bool = False
     #: Disable for large sweeps: the tracer records nothing (big memory and
     #: time win on the per-packet hot path; experiments that read the trace
     #: must keep it on).
@@ -98,15 +97,8 @@ class ScenarioConfig:
             self.wan_delay_range = spec.wan_delay_range
             self.access_delay_range = spec.access_delay_range
             self.access_rate_bps = spec.access_rate_bps
-            self.fig1 = spec.family == "fig1"
         elif self.topology not in FAMILIES:
             raise ValueError(f"unknown topology family {self.topology!r}")
-        elif self.topology == "fig1":
-            self.fig1 = True
-        elif self.fig1 and self.topology == "flat":
-            # Old-style callers set the fig1 flag with the default family;
-            # fold both spellings onto one canonical config/world key.
-            self.topology = "fig1"
 
     @property
     def topology_family(self):
@@ -116,10 +108,9 @@ class ScenarioConfig:
     def topology_spec(self, eids_globally_routable=False):
         """The :class:`~repro.net.topogen.TopologySpec` this config builds.
 
-        Family-name configs map their loose sizing fields onto the spec
-        (the historical ``build_topology`` kwargs); spec-carrying configs
-        pass the spec through.  ``num_sites``/``num_providers`` are left to
-        the ``fig1`` family's fixed Fig. 1 cast, as before.
+        Family-name configs map their loose sizing fields onto the spec;
+        spec-carrying configs pass the spec through.  ``num_sites`` is left
+        to the ``fig1`` family's fixed Fig. 1 cast.
         """
         base = (self.topology if isinstance(self.topology, TopologySpec)
                 else TopologySpec(family=self.topology))

@@ -10,23 +10,24 @@ x pacing mode x RLOC-failure fraction), :func:`expand_grid` turns it into concre
 :class:`~repro.experiments.workload.WorkloadConfig` pair per cell — and
 :func:`run_sweep` fans the cells out across worker processes.
 
-Worlds are built through :mod:`repro.experiments.worldbuild`.  Fan-out
-runs pre-build every distinct world *exactly once* into a shared
-:class:`~repro.experiments.worldbuild.SnapshotStore`, then dispatch
-cells to workers individually — no world-key affinity grouping, any
-worker serves any cell — because a worker whose in-process LRU misses
-simply restores from the shared store instead of rebuilding: live
-fork-inherited worlds reset in place on ``fork`` platforms, serialized
-blobs (file-backed via ``snapshot_dir``) everywhere else.  On the fork
-path the build stage runs serially in the parent with the cyclic GC
-paused — measured cheaper per world than the build-pool + serialize +
-deserialize round trip, though a grid with many distinct worlds pays it
-unparallelized; the short-lived build pool is the spawn-platform path.
-A persistent ``snapshot_dir`` carries blobs across invocations, so a
-repeated sweep performs zero builds.  Cache and store counters surface
-in the sweep outcome under ``world_cache`` (``bypasses`` is an
-assertion-only zero: periodic background processes are checkpointable,
-so every world is cacheable).
+Worlds come from one cache, a
+:class:`~repro.experiments.worldbuild.SnapshotStore` that every run owns
+(memory-only unless ``snapshot_dir`` names a directory), through one call:
+``store.world_for(config)`` inside :func:`run_cell` resets a live world
+in place (``hit``), deserializes a stored blob (``restore``) or builds
+(``miss``).  Cells are visited world by world, so a serial run builds
+each world when its first cell comes up and holds one at a time.  Fan-out
+runs first pre-build every distinct world *exactly once* into the store
+(:func:`prebuild_worlds`), then dispatch cells to workers individually —
+any worker serves any cell: on ``fork`` platforms the parent builds
+serially with the cyclic GC paused (measured cheaper per world than the
+build-pool + serialize + deserialize round trip, though a grid with many
+distinct worlds pays it unparallelized) and every worker inherits the
+pinned live worlds; elsewhere a short-lived build pool serializes blobs
+into a directory and workers deserialize them.  A persistent
+``snapshot_dir`` carries blobs across invocations, so a repeated sweep
+performs zero builds.  The per-cell outcome tally and the store's
+counters surface in the sweep outcome under ``world_cache``.
 
 Cell results stream to a JSONL artifact as they complete (one JSON object
 per line, in completion order, each tagged with its world-cache outcome)
@@ -74,29 +75,19 @@ from repro.experiments.e9_failover import schedule_access_failure
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.workload import (WorkloadConfig, classify_first_packet,
                                         peak_concurrent_flows, run_workload)
-from repro.experiments.worldbuild import (SnapshotStore, WorldBuilder,
-                                          WorldCacheStats, build_world,
+from repro.experiments.worldbuild import (SnapshotStore, build_world,
                                           serialize_world, world_key)
 from repro.metrics.stats import summarize
 from repro.net.topogen import FAMILIES
 from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
 
-#: Schema tag written into every JSON artifact.  v6: the ``topology``
-#: family axis (``fig1``/``flat``/``tiered``/``caida``, see
-#: :mod:`repro.net.topogen`) joins the grid, the group key, the per-cell
-#: rows and the CSV.  v5: the ``fluid`` pacing
-#: mode joins the axis and per-cell metrics carry ``fluid_bytes`` (bytes
-#: that crossed links as fluid chunks) and ``peak_concurrent_flows``.
-#: v4: the ``pacing`` axis joined the group key, and per-cell metrics
-#: carry link byte accounting
-#: (``bytes_offered``/``bytes_delivered``/``bytes_dropped``/
-#: ``bytes_in_flight``, the ``bytes_conserved`` verdict, flow byte budgets
-#: and the peak access-link utilization).  v3 added ``sim_events``
-#: periodic ticks, fsum means, and the optional ``cells`` key.
+#: Schema tag written into every JSON artifact: the shape of the payload
+#: — grid description, aggregate group key (``_GROUP_FIELDS``) and folds,
+#: per-cell rows and their ``metrics`` keys — and of the CSV columns.
+#: Bump it when a consumer of the artifacts would have to change; what is
+#: pickled into world blobs is versioned separately (``SNAPSHOT_SCHEMA``,
+#: see the "Versions" paragraph of ``docs/contracts.md``).
 SCHEMA = "repro.sweep/v6"
-
-#: Default per-worker world-cache capacity.
-DEFAULT_MAX_WORLDS = 4
 
 
 @dataclass(frozen=True)
@@ -274,19 +265,20 @@ def _apply_failures(scenario, failure):
                                 sim.now + failure.repair_at)
 
 
-def run_cell(cell, builder=None):
-    """Build (or reuse) the cell's world, run its workload, and measure it.
+def run_cell(cell, store=None):
+    """Get the cell's world from *store*, run its workload, and measure it.
 
-    With a :class:`~repro.experiments.worldbuild.WorldBuilder`, the world
-    is served from the builder's keyed cache; without one, it is built
-    fresh through the same worldbuild path.  Returns a JSON-ready dict;
-    everything in it is derived from the simulation alone (no wall-clock
-    values, no cache outcomes), keeping sweep artifacts reproducible.
+    The world is whatever
+    :meth:`~repro.experiments.worldbuild.SnapshotStore.world_for` serves —
+    reset in place, deserialized or built (``store.last_outcome`` says
+    which); without a *store* a throwaway one builds it.  Returns a
+    JSON-ready dict; everything in it is derived from the simulation alone
+    (no wall-clock values, no cache outcomes), keeping sweep artifacts
+    reproducible.
     """
-    if builder is None:
-        scenario = build_world(cell.scenario)
-    else:
-        scenario = builder.scenario_for(cell.scenario)
+    if store is None:
+        store = SnapshotStore()
+    scenario, _outcome = store.world_for(cell.scenario)
     _apply_failures(scenario, cell.failure)
     records = run_workload(scenario, cell.workload)
 
@@ -398,7 +390,7 @@ def _round_summary(summary):
 
 
 # --------------------------------------------------------------------- #
-# Fan-out: shared snapshot store + per-worker world caches
+# Fan-out: one store in the parent, inherited or reopened by each worker
 # --------------------------------------------------------------------- #
 
 def distinct_world_configs(cells):
@@ -414,11 +406,11 @@ def distinct_world_configs(cells):
 
 
 def order_cells_by_world(cells):
-    """Cells reordered so same-world cells are adjacent (serial runs).
+    """Cells reordered so same-world cells are adjacent.
 
-    The inline builder's LRU then reuses each world across all of its
-    cells regardless of ``max_worlds``; worlds appear in first-appearance
-    order, matching the historical grouped dispatch.
+    A store keeps only the most recent on-demand world live, so visiting
+    cells world by world is what makes every cell after a world's first a
+    hit; worlds appear in first-appearance order.
     """
     grouped = {}
     for cell in cells:
@@ -432,18 +424,19 @@ def _build_blob(config):
 
 
 def prebuild_worlds(store, cells, workers=1, live=False):
-    """Guarantee *store* holds a snapshot of every distinct world.
+    """Guarantee *store* holds every distinct world before cells fan out.
 
-    This is the sweep's only build stage — each world is built exactly
-    once, and run workers afterwards restore from the store instead of
-    building.  With ``live=True`` (fork platforms and serial runs)
-    worlds land in the store's live tier — workers inherit the built
-    graphs and reset them in place — while a store ``directory`` still
-    gets its persistent blobs (warm directories hydrate the live tier
-    instead of rebuilding).  Without the live tier (spawn fan-out),
-    missing worlds are built in parallel across a short-lived build pool
-    when *workers* allows and serialized into blobs; worlds already
-    stored are validated and trusted without a rebuild.
+    The build stage of a fan-out run — each world is built exactly once,
+    and run workers afterwards get it from the store instead of building
+    (serial runs skip this stage: ``world_for`` builds on demand).  With
+    ``live=True`` (fork platforms) worlds are pinned live in the store —
+    workers inherit the built graphs and reset them in place — while a
+    store ``directory`` still gets its persistent blobs (warm directories
+    hydrate the live worlds instead of rebuilding).  Without it (spawn
+    fan-out, where workers cannot inherit parent memory), missing worlds
+    are built in parallel across a short-lived build pool when *workers*
+    allows and serialized into blobs; worlds already stored are validated
+    and trusted without a rebuild.
     """
     if live:
         for config in distinct_world_configs(cells):
@@ -451,8 +444,6 @@ def prebuild_worlds(store, cells, workers=1, live=False):
         return
     missing = [config for config in distinct_world_configs(cells)
                if not store.has_snapshot(config)]
-    if not missing:
-        return
     if workers > 1 and len(missing) > 1:
         context = multiprocessing.get_context()
         processes = min(workers, len(missing))
@@ -468,19 +459,17 @@ def prebuild_worlds(store, cells, workers=1, live=False):
             store.ensure(config)
 
 
-#: Per-process world cache, created by the pool initializer.
-_WORKER_BUILDER = None
-#: Parent-side store, set around pool creation so ``fork`` workers inherit
-#: its blobs as read-only memory (spawn workers re-import and see None).
-_SHARED_STORE = None
+#: The store this process's pool cells draw worlds from.  The parent sets
+#: it around pool creation, so ``fork`` workers inherit the store itself —
+#: pinned live worlds and all; spawn workers re-import this module, find
+#: None, and open the store's directory instead.
+_WORKER_STORE = None
 
 
-def _init_worker(max_worlds, snapshot_dir):
-    global _WORKER_BUILDER
-    store = _SHARED_STORE
-    if store is None and snapshot_dir is not None:
-        store = SnapshotStore(snapshot_dir)
-    _WORKER_BUILDER = WorldBuilder(max_worlds=max_worlds, store=store)
+def _init_worker(snapshot_dir):
+    global _WORKER_STORE
+    if _WORKER_STORE is None:
+        _WORKER_STORE = SnapshotStore(snapshot_dir)
 
 
 def _run_single_cell(cell):
@@ -488,38 +477,35 @@ def _run_single_cell(cell):
 
     Returns ``(result, world_cache_outcome)``.
     """
-    builder = _WORKER_BUILDER
-    if builder is None:  # direct invocation outside a pool
-        builder = WorldBuilder(max_worlds=1)
-    return run_cell(cell, builder=builder), builder.last_outcome
+    return run_cell(cell, _WORKER_STORE), _WORKER_STORE.last_outcome
 
 
-def _iter_completed(cells, workers, max_worlds, store=None, snapshot_dir=None):
+def _iter_completed(cells, workers, store):
     """Yield ``(result, outcome)`` per cell as cells complete.
 
-    ``workers<=1`` runs everything inline with one builder (same-world
-    cells adjacent); otherwise cells are dispatched individually to a
-    persistent pool — the scheduler no longer groups by world key, since
-    any worker can restore any world from the shared *store*.  Completion
-    order is arbitrary under fan-out — consumers must not rely on it (the
-    aggregation path reorders by cell index).
+    Cells are taken world by world.  ``workers<=1`` runs them inline
+    against *store*; otherwise they are dispatched individually to a
+    persistent pool — any worker can serve any world from its copy of
+    (fork) or a fresh store over (spawn) the parent's *store*.
+    Completion order is arbitrary under fan-out — consumers must not rely
+    on it (the aggregation path reorders by cell index).
     """
+    cells = order_cells_by_world(cells)
     if workers <= 1 or len(cells) <= 1:
-        builder = WorldBuilder(max_worlds=max_worlds, store=store)
-        for cell in order_cells_by_world(cells):
-            yield run_cell(cell, builder=builder), builder.last_outcome
+        for cell in cells:
+            yield run_cell(cell, store), store.last_outcome
         return
-    global _SHARED_STORE
+    global _WORKER_STORE
     context = multiprocessing.get_context()
-    processes = min(workers, len(cells))
-    _SHARED_STORE = store
+    _WORKER_STORE = store
     try:
-        with context.Pool(processes=processes, initializer=_init_worker,
-                          initargs=(max_worlds, snapshot_dir)) as pool:
+        with context.Pool(processes=min(workers, len(cells)),
+                          initializer=_init_worker,
+                          initargs=(store.directory,)) as pool:
             yield from pool.imap_unordered(_run_single_cell, cells,
                                            chunksize=1)
     finally:
-        _SHARED_STORE = None
+        _WORKER_STORE = None
 
 
 # --------------------------------------------------------------------- #
@@ -608,7 +594,8 @@ class AggregateFold:
 
 
 def aggregate_cells(results):
-    """Seed-averaged aggregates per (cp, sites, zipf, size_dist, fail).
+    """Seed-averaged aggregates per (cp, topology, sites, zipf, size_dist,
+    pacing, fail) group — ``_GROUP_FIELDS``, everything but the seed.
 
     A convenience wrapper folding any iterable — including a one-shot
     generator over the JSONL artifact — through :class:`AggregateFold`;
@@ -651,30 +638,45 @@ def iter_jsonl(path):
             yield entry
 
 
-def read_jsonl(path):
-    """Parse a per-cell JSONL artifact back into a list of result dicts."""
-    return list(iter_jsonl(path))
+def _check_outputs(artifact_paths, snapshot_dir):
+    """Reject unwritable outputs before any world is built.
+
+    Raises ``ValueError`` for an artifact path whose directory does not
+    exist and for a *snapshot_dir* that exists but is not a directory —
+    the failures that would otherwise surface as an ``OSError`` only after
+    the whole sweep has run.
+    """
+    for label, path in artifact_paths.items():
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ValueError(f"cannot write {label} artifact {path!r}: "
+                             f"no such directory {directory!r}")
+    if (snapshot_dir is not None and os.path.exists(snapshot_dir)
+            and not os.path.isdir(snapshot_dir)):
+        raise ValueError(f"snapshot directory {snapshot_dir!r} exists and "
+                         "is not a directory")
 
 
 def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
-              max_worlds=DEFAULT_MAX_WORLDS, include_cells=True,
-              snapshot_dir=None):
+              include_cells=True, snapshot_dir=None):
     """Expand *grid*, run every cell, aggregate, and write artifacts.
 
-    Fan-out runs (``workers>1``) pre-build every distinct world exactly
-    once into a shared :class:`~repro.experiments.worldbuild.SnapshotStore`
-    (serially in the parent on ``fork`` platforms, via a short-lived
-    build pool elsewhere — see :func:`prebuild_worlds`), then dispatch
-    cells individually — workers restore worlds from the shared store
-    (fork-inherited in memory, or file-backed) instead of each building
-    their own.  The store holds one world (or blob) per distinct world
-    key for the duration of the run phase, so parent memory scales with
-    the number of distinct worlds, not with cells; it is released before
-    aggregation.  *snapshot_dir* persists the blobs: a second sweep
+    Every run owns one :class:`~repro.experiments.worldbuild.SnapshotStore`
+    and every cell gets its world from it.  Serial runs build on demand,
+    one resident world at a time.  Fan-out runs (``workers>1``) first
+    pre-build every distinct world exactly once into the store (serially
+    in the parent on ``fork`` platforms, via a short-lived build pool
+    elsewhere — see :func:`prebuild_worlds`), then dispatch cells
+    individually; the store then holds one world (or blob) per distinct
+    world key for the duration of the run phase, so parent memory scales
+    with the number of distinct worlds, not with cells; it is released
+    before aggregation.  *snapshot_dir* persists the blobs: a second sweep
     pointed at the same directory performs zero builds.  On platforms
     whose multiprocessing start method is not ``fork``, a temporary
-    directory stands in when *snapshot_dir* is not given (workers cannot
-    inherit parent memory there).
+    directory stands in for fan-out when *snapshot_dir* is not given
+    (workers cannot inherit parent memory there).
 
     Cell results stream to *jsonl_path* as they complete (a temporary file
     is used — and removed — when no path is given) while aggregation and
@@ -691,34 +693,36 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
     payload then carries only the grid, aggregates and the
     non-deterministic ``world_cache`` summary (excluded from
     :func:`payload_digest`).
+
+    Raises ``ValueError`` — before anything is built — for an artifact
+    path in a missing directory or a *snapshot_dir* that is a file.
     """
     if json_path is not None and not include_cells:
         raise ValueError("json_path requires include_cells=True "
                          "(the JSON payload embeds the per-cell results)")
+    _check_outputs({"json": json_path, "csv": csv_path, "jsonl": jsonl_path},
+                   snapshot_dir)
     cells = expand_grid(grid)
-    cache_stats = WorldCacheStats()
-    store = None
+    outcomes = {"hit": 0, "restore": 0, "miss": 0}
     store_dir = snapshot_dir
     temp_store_dir = None
     stream_path = None
     fold = AggregateFold()
     csv_writer = None
     try:
-        if workers > 1 or snapshot_dir is not None:
-            fork = multiprocessing.get_start_method() == "fork"
-            if store_dir is None and workers > 1 and not fork:
-                temp_store_dir = tempfile.mkdtemp(prefix="repro-worlds-")
-                store_dir = temp_store_dir
-            store = SnapshotStore(store_dir)
-            # Whenever this process's worlds are reachable by the run
-            # workers (fork inheritance, or the workers ARE this process),
-            # prebuild *live*: restores become in-place checkpoint resets
-            # — the cheapest restore there is — while a snapshot_dir still
-            # gets its persistent blobs.  Only spawn fan-out is blob-only
-            # (workers cannot inherit parent memory and must deserialize
-            # from disk).
-            prebuild_worlds(store, cells, workers=workers,
-                            live=(workers <= 1 or fork))
+        fork = multiprocessing.get_start_method() == "fork"
+        if store_dir is None and workers > 1 and not fork:
+            store_dir = temp_store_dir = tempfile.mkdtemp(
+                prefix="repro-worlds-")
+        store = SnapshotStore(store_dir)
+        if workers > 1:
+            # Fork workers inherit this process's memory, so pre-build
+            # *live*: every worker resets the parent's worlds in place —
+            # the cheapest restore there is — while a snapshot_dir still
+            # gets its persistent blobs.  Spawn fan-out is blob-only
+            # (workers must deserialize from disk).
+            prebuild_worlds(store, cells, workers=workers, live=fork)
+        prebuilt = store.stats.builds
         if jsonl_path is None:
             handle = tempfile.NamedTemporaryFile(
                 mode="w", suffix=".cells.jsonl", prefix="repro-sweep-",
@@ -735,46 +739,43 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
         with handle:
             if csv_path is not None:
                 csv_writer = CsvStreamWriter(csv_path)
-            streamed = 0
-            for result, outcome in _iter_completed(cells, workers, max_worlds,
-                                                   store=store,
-                                                   snapshot_dir=store_dir):
+            for result, outcome in _iter_completed(cells, workers, store):
                 line = dict(result)
                 line["world"] = outcome
                 handle.write(json.dumps(line, sort_keys=True))
                 handle.write("\n")
                 handle.flush()
-                cache_stats.count(outcome)
-                streamed += 1
+                outcomes[outcome] += 1
                 fold.add(result)
                 if csv_writer is not None:
                     csv_writer.add(result)
-        # ``builds`` totals every world built anywhere: the store's
-        # pre-build stage plus any worker-side fallback builds (an invalid
-        # blob, or no store at all).  The nested ``store`` dict carries the
-        # per-store totals, making "one build, N restores" observable.
-        world_cache = cache_stats.as_dict()
-        if store is not None:
-            # Restores are tallied from per-cell outcomes (workers mutate
-            # copy-on-write store copies, invisible here); the store dict
-            # carries the parent-observable per-store totals.
-            world_cache["builds"] += store.stats.builds
-            world_cache["store"] = {
+        # Tallied from per-cell outcomes (workers mutate their own copies
+        # of the store, invisible here): a ``miss`` is a world built where
+        # the cell ran, so ``builds`` — every world built anywhere — adds
+        # the pre-build stage's.  The nested ``store`` dict carries the
+        # parent-observable store totals.
+        world_cache = {
+            "builds": prebuilt + outcomes["miss"],
+            "hits": outcomes["hit"],
+            "misses": outcomes["restore"] + outcomes["miss"],
+            "restores": outcomes["restore"],
+            "store": {
                 "builds": store.stats.builds,
                 "blob_hits": store.stats.hits,
                 "invalidated": store.stats.invalidated,
                 "worlds": len(store),
                 "persistent": snapshot_dir is not None,
-            }
-            # The run phase is over: nothing restores from this store
-            # again, so drop its worlds before aggregation materialises
-            # the payload (parent memory then scales with aggregate
-            # groups, not with distinct worlds).
-            store.release_worlds()
+            },
+        }
+        # The run phase is over: nothing asks this store for a world
+        # again, so drop its worlds before aggregation materialises the
+        # payload (parent memory then scales with aggregate groups, not
+        # with distinct worlds).
+        store.release_worlds()
         payload = {
             "schema": SCHEMA,
             "grid": grid.describe(),
-            "num_cells": streamed,
+            "num_cells": sum(outcomes.values()),
             "aggregates": fold.finish(),
             "world_cache": world_cache,
         }
@@ -907,11 +908,6 @@ def write_csv_stream(results, path):
     with CsvStreamWriter(path) as writer:
         for cell in results:
             writer.add(cell)
-
-
-def write_csv(payload, path):
-    """Write the per-cell CSV from an assembled payload (compat wrapper)."""
-    write_csv_stream(iter(payload["cells"]), path)
 
 
 # --------------------------------------------------------------------- #

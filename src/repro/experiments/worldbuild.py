@@ -34,37 +34,42 @@ work only — an armed periodic tick is not pending work — and the
 simulator's checkpoint captures each task's armed flag, next-fire time and
 tick counter, **re-arming the timers on restore** so a restored probing
 world starts ticking at exactly the instants the fresh build would have.
-Every config is therefore cacheable; there is no bypass path.
+Every config is therefore cacheable.
 
-:class:`WorldBuilder` is the per-process cache the sweep workers hold: a
-small LRU keyed on the full scenario config, with hit/miss counters that
-the sweep surfaces in its output (the historical ``bypasses`` counter is
-retained in the reported dict as an assertion-only zero).
+The one world cache
+-------------------
 
-Shared snapshot store
----------------------
+:class:`SnapshotStore` is the only cache of worlds, and
+:meth:`SnapshotStore.world_for` the only way a cell gets one.  It answers
+from the cheapest source that can:
 
-A built world is also *serializable*: once settled, the whole object graph
-(engine, topology, control plane, checkpoint) is plain picklable data —
-see :data:`repro.sim.engine.STATE_VERSION` for the engine's side of that
-contract.  :func:`serialize_world` wraps the pickle in a versioned
-envelope (magic + schema + engine state version + world key + CRC) and
-:class:`SnapshotStore` keeps the resulting immutable blobs keyed by world
-key — in memory, and content-addressed on disk under ``directory`` when
-one is given.  The sweep pre-builds each distinct world exactly once into
-the store; every worker then *restores* (deserializes) from the shared
-blob instead of building: fork-inherited read-only memory on ``fork``
-platforms, file-backed everywhere else — and with a persistent
-``--snapshot-dir``, across invocations too.
+- ``"hit"`` — the store holds the world live; it is reset in place
+  (:func:`restore_world`, milliseconds);
+- ``"restore"`` — the store holds (or finds on disk) a valid serialized
+  blob; it is deserialized and kept live;
+- ``"miss"`` — neither; the world is built, kept live, and persisted as a
+  blob when the store has a ``directory``.
+
+A settled world is *serializable*: the whole object graph (engine,
+topology, control plane, checkpoint) is plain picklable data.
+:func:`serialize_world` wraps the pickle in a versioned envelope (magic +
+:data:`SNAPSHOT_SCHEMA` + world key + CRC); the store keeps blobs in
+memory and, under ``directory``, as content-addressed files that outlive
+the process and are the only thing spawn-platform workers can share.
+
+Residency: worlds ``world_for`` materialises on demand are bounded by
+:data:`ON_DEMAND_WORLDS` — only the most recent is kept, which is all a
+run that visits its cells world by world can use.  Worlds pre-built with
+``ensure(config, live=True)`` (the sweep's fork fan-out: one build in the
+parent, inherited by every worker) stay pinned until
+:meth:`SnapshotStore.release_worlds`.
 
 Invalidation is rebuild-only, never stale-restore: a blob whose magic,
-schema version, engine state version, world key or CRC does not match
-expectations is discarded (and unlinked on disk) and the world is rebuilt
-from the config.  :func:`deserialize_world` additionally funnels the
-unpickled world through :func:`restore_world`, so a store-restored world
-reaches the workload through the exact restore machinery a same-process
-cache hit uses — fresh, cache-hit and blob-restored worlds are
-byte-identical by construction.
+schema version, world key or CRC does not match expectations is discarded
+(and unlinked on disk) and the world is rebuilt from the config.  A
+deserialized world is funnelled through :func:`restore_world`, so it
+reaches the workload through the exact reset a live hit takes — fresh,
+reset and blob-restored worlds are byte-identical by construction.
 """
 
 import gc
@@ -73,12 +78,10 @@ import os
 import pickle
 import tempfile
 import zlib
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import astuple
 
 from repro.experiments.scenario import build_scenario
-from repro.sim.engine import STATE_VERSION
 
 
 def world_key(config):
@@ -134,28 +137,16 @@ def restore_world(scenario):
 #: Leading bytes of every snapshot blob; anything else is not a snapshot.
 SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 
-#: Version of the snapshot envelope layout.  Bumping it (or the engine's
-#: :data:`~repro.sim.engine.STATE_VERSION`) invalidates every existing
-#: blob: mismatched snapshots are rebuilt, never restored.  v2: link
-#: checkpoints carry per-flow byte accounting and utilization windows, and
-#: :class:`~repro.experiments.scenario.ScenarioConfig` grew
-#: ``access_rate_bps`` (world keys shifted).  v3:
-#: :class:`~repro.lisp.probing.RlocProber` checkpoints grew the
-#: ``on_down``/``on_up`` transition-listener lists.  v4: the fluid data
-#: plane — :class:`~repro.net.link.LinkStats` checkpoints carry
-#: ``fluid_bytes``, :class:`~repro.traffic.flows.UdpSink` carries fluid
-#: byte counters, and worlds gained the per-world
-#: :class:`~repro.traffic.flows.FlowIdAllocator` component.  v5:
-#: :class:`~repro.experiments.scenario.ScenarioConfig` grew the
-#: ``topology`` family field (world keys shifted) and tiered worlds carry
-#: a :class:`~repro.net.routing.TierLayout` plus hierarchical routing
-#: plans and IX routers in the pickled graph.  v6: the pickled graph
-#: carries the forwarding fast-path state — :class:`~repro.net.fib.Fib`
-#: tables their lookup memo slot, nodes their local-address value set.
-#: v7: pickled :class:`~repro.net.fib.Fib` tables are per-length hash
-#: tables (no trie), ALT RIBs are ``Fib`` tables, node checkpoints split
-#: counters from version-stamped wiring.
-SNAPSHOT_SCHEMA = 7
+#: The one version of everything a blob pickles: the envelope layout, the
+#: world key (:class:`~repro.experiments.scenario.ScenarioConfig`'s field
+#: tuple), the settled engine (clock, sequence counters, RNG stream
+#: states, tracer, the timestamp heap and its per-timestamp buckets with
+#: armed periodic-task timers riding them) and every component's
+#: ``snapshot_state()`` tuple.  Bump it whenever any of those changes
+#: shape; a mismatched blob is rebuilt, never restored.  The "Versions"
+#: paragraph of ``docs/contracts.md`` says when to bump this and when the
+#: sweep artifact ``SCHEMA``.
+SNAPSHOT_SCHEMA = 8
 
 
 @contextmanager
@@ -193,25 +184,25 @@ class SnapshotError(ValueError):
 
 
 def snapshot_fingerprint(config):
-    """Content address of *config*'s snapshot: world key + schema versions.
+    """Content address of *config*'s snapshot: world key + schema version.
 
-    The schema and engine state versions participate, so a version bump
-    changes every filename and old blobs simply stop being found — and a
-    blob found under the right name still carries its full world key in
-    the envelope, which :func:`validate_blob` checks against the config
-    (defending against fingerprint collisions and renamed files).
+    The schema version participates, so a bump changes every filename and
+    old blobs simply stop being found — and a blob found under the right
+    name still carries its full world key in the envelope, which
+    :func:`validate_blob` checks against the config (defending against
+    fingerprint collisions and renamed files).
     """
-    identity = (SNAPSHOT_SCHEMA, STATE_VERSION, world_key(config))
+    identity = (SNAPSHOT_SCHEMA, world_key(config))
     return hashlib.sha256(repr(identity).encode()).hexdigest()
 
 
 def serialize_world(scenario):
     """Pickle a settled, checkpointed *scenario* into an immutable blob.
 
-    The blob is a versioned envelope: magic, schema + engine state
-    versions, the full world key, a CRC of the payload, and the payload
-    pickle of the whole scenario graph (checkpoint included, so a
-    deserialized world restores through the normal machinery).
+    The blob is a versioned envelope: magic, schema version, the full
+    world key, a CRC of the payload, and the payload pickle of the whole
+    scenario graph (checkpoint included, so a deserialized world restores
+    through the normal machinery).
     """
     if scenario.world_checkpoint is None:
         raise ValueError("scenario has no world checkpoint; serialize only "
@@ -231,7 +222,6 @@ def serialize_world(scenario):
             f"{spec.family} world of {spec.num_sites} sites") from error
     envelope = {
         "schema": SNAPSHOT_SCHEMA,
-        "engine": STATE_VERSION,
         "key": world_key(scenario.config),
         "crc": zlib.crc32(payload),
         "payload": payload,
@@ -253,7 +243,6 @@ def validate_blob(blob, config):
     try:
         envelope = pickle.loads(blob[len(SNAPSHOT_MAGIC):])
         schema = envelope["schema"]
-        engine = envelope["engine"]
         key = envelope["key"]
         crc = envelope["crc"]
         payload = envelope["payload"]
@@ -262,9 +251,6 @@ def validate_blob(blob, config):
     if schema != SNAPSHOT_SCHEMA:
         raise SnapshotError("schema mismatch",
                             f"blob v{schema}, expected v{SNAPSHOT_SCHEMA}")
-    if engine != STATE_VERSION:
-        raise SnapshotError("engine state-version mismatch",
-                            f"blob v{engine}, expected v{STATE_VERSION}")
     if key != world_key(config):
         raise SnapshotError("world-key mismatch",
                             "blob was built from a different config")
@@ -273,15 +259,8 @@ def validate_blob(blob, config):
     return envelope
 
 
-def deserialize_world(blob, config):
-    """Rebuild a live scenario from *blob*, validated against *config*.
-
-    The unpickled world is reset through :func:`restore_world`, so it
-    reaches the caller through the same restore path a same-process cache
-    hit takes.  Raises :class:`SnapshotError` on any validation or
-    unpickling failure — callers rebuild, they never restore stale state.
-    """
-    envelope = validate_blob(blob, config)
+def _world_from(envelope):
+    """Unpickle a validated *envelope*'s payload into a pristine world."""
     try:
         with _gc_paused():
             scenario = pickle.loads(envelope["payload"])
@@ -291,15 +270,35 @@ def deserialize_world(blob, config):
     return scenario
 
 
+def deserialize_world(blob, config):
+    """Rebuild a live scenario from *blob*, validated against *config*.
+
+    The unpickled world is reset through :func:`restore_world`, so it
+    reaches the caller through the same reset a live store hit takes.
+    Raises :class:`SnapshotError` on any validation or unpickling failure
+    — callers rebuild, they never restore stale state.
+    """
+    return _world_from(validate_blob(blob, config))
+
+
+#: How many worlds materialised on demand by :meth:`SnapshotStore.world_for`
+#: stay live.  One: a run that visits its cells world by world (the sweep
+#: orders them so) never asks for an older world again, and measured with
+#: more slots the builds, hits and digests are identical while peak RSS
+#: only rises.
+ON_DEMAND_WORLDS = 1
+
+
 class SnapshotStoreStats:
     """Counters for one :class:`SnapshotStore`.
 
-    ``builds`` counts worlds built *into* the store (the acceptance
-    criterion: exactly one per distinct world key per cold sweep, zero on
-    a warm ``--snapshot-dir`` rerun), ``restores`` counts blobs
-    deserialized back into live worlds, ``hits`` counts valid blobs found
-    already stored, and ``invalidated`` counts blobs rejected and
-    discarded by validation.
+    ``builds`` counts worlds this store built (pre-build stage and
+    ``world_for`` misses alike; zero on a warm ``--snapshot-dir`` rerun),
+    ``restores`` counts blobs deserialized back into live worlds, ``hits``
+    counts valid blobs found already stored, and ``invalidated`` counts
+    blobs rejected and discarded by validation.  In-place resets of live
+    worlds are not counted here: they are the per-cell ``"hit"`` outcomes
+    the sweep tallies.
     """
 
     __slots__ = ("builds", "restores", "hits", "invalidated")
@@ -316,53 +315,61 @@ class SnapshotStoreStats:
 
 
 class SnapshotStore:
-    """World snapshots keyed by world key, in two tiers.
+    """The world cache: live worlds and serialized blobs, by world key.
 
-    *Live worlds* (``ensure(config, live=True)``) are built scenario
-    graphs held by the parent process; on ``fork`` platforms every worker
-    inherits them as read-only memory and a restore is an in-place
-    checkpoint reset (:func:`restore_world`, milliseconds) — no
-    serialization on the hot path at all.  This is the fan-out tier: one
-    build in the parent amortizes across all workers.  It composes with
-    a *directory*: the same ``ensure`` call also persists a blob, and on
-    warm runs hydrates the live world from the stored blob instead of
-    rebuilding.
+    *Live worlds* are built scenario graphs this process holds; serving
+    one is an in-place checkpoint reset (:func:`restore_world`,
+    milliseconds).  They come in two residencies.  ``ensure(config,
+    live=True)`` *pins* a world until :meth:`release_worlds` — the fork
+    fan-out tier: one build in the parent, inherited by every worker as
+    copy-on-write memory.  :meth:`world_for` keeps the worlds it had to
+    materialise itself, the :data:`ON_DEMAND_WORLDS` most recent of them.
 
-    *Blobs* (:meth:`ensure`) are the serialized tier: immutable pickled
-    envelopes kept in memory and, when *directory* is given, as
-    content-addressed files ``<fingerprint>.world`` that outlive the
-    process — repeated sweeps pointed at the same ``--snapshot-dir`` skip
-    building entirely, and spawn-platform workers (which cannot inherit
-    parent memory) read them from disk.  Disk blobs are validated on
-    first touch and cached in memory; invalid ones are unlinked and
-    rebuilt.
+    *Blobs* are the serialized tier: immutable pickled envelopes kept in
+    memory and, when *directory* is given, as content-addressed files
+    ``<fingerprint>.world`` that outlive the process — repeated sweeps
+    pointed at the same ``--snapshot-dir`` skip building entirely, and
+    spawn-platform workers (which cannot inherit parent memory) read them
+    from disk.  Disk blobs are validated on first touch; invalid ones are
+    unlinked and rebuilt.
     """
 
     def __init__(self, directory=None):
         self.directory = directory
         self.stats = SnapshotStoreStats()
+        #: Outcome of the most recent :meth:`world_for` call
+        #: ("hit" | "restore" | "miss"), for per-cell reporting.
+        self.last_outcome = None
         #: fingerprint -> *validated* envelope dict.  Envelopes are cached
         #: instead of raw blobs so a restore never re-validates or
         #: re-unpickles the envelope (and never holds two copies of the
         #: multi-MB payload bytes).
         self._envelopes = {}
-        #: fingerprint -> live built scenario (the fork tier).
-        self._live = {}
+        #: fingerprint -> live world pinned by ``ensure(live=True)``.
+        self._pinned = {}
+        #: fingerprint -> live world ``world_for`` materialised, oldest
+        #: first, at most ON_DEMAND_WORLDS of them.
+        self._recent = {}
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
 
     def __len__(self):
-        return len(self._envelopes.keys() | self._live.keys())
+        return len(self._envelopes.keys() | self._pinned.keys()
+                   | self._recent.keys())
 
     def _path(self, fingerprint):
         return os.path.join(self.directory, f"{fingerprint}.world")
 
+    def _live_world(self, fingerprint):
+        scenario = self._pinned.get(fingerprint)
+        return self._recent.get(fingerprint) if scenario is None else scenario
+
     def _envelope_for(self, config):
         """The validated envelope for *config*, or None.
 
-        Validation (magic, schema, engine version, key, CRC) runs at most
-        once per process per world: a cache hit returns the envelope
-        as-is.  Invalid blobs are discarded (and unlinked on disk).
+        Validation (magic, schema, key, CRC) runs once per read from
+        disk: a cached envelope is returned as-is.  Invalid blobs are
+        discarded (and unlinked on disk).
         """
         fingerprint = snapshot_fingerprint(config)
         envelope = self._envelopes.get(fingerprint)
@@ -380,7 +387,6 @@ class SnapshotStore:
             envelope = validate_blob(blob, config)
         except SnapshotError:
             self._discard(fingerprint)
-            self.stats.invalidated += 1
             return None
         self._envelopes[fingerprint] = envelope
         self.stats.hits += 1
@@ -414,210 +420,111 @@ class SnapshotStore:
         self.stats.builds += 1
         self._store_blob(snapshot_fingerprint(config), blob)
 
-    def ensure(self, config, live=False):
-        """Guarantee this store can restore *config*'s world.
+    def _materialise(self, fingerprint, config, envelope):
+        """A pristine world that is not live here yet, and how it was made.
 
-        The world is built at most once.  With ``live=True`` (the fork
-        fan-out tier) a live in-store world is guaranteed too — hydrated
-        from a valid stored blob when one exists, built otherwise — *and* a
-        blob is still written when the store has a ``directory``, so
-        persistence and the live tier compose.  Returns ``"hit"`` or
-        ``"build"``.
+        ``"restore"`` when *envelope* (a validated one, or None)
+        deserializes; otherwise the world is built — ``"miss"`` — and a
+        payload that failed unpickling is discarded like any other invalid
+        blob.
+        """
+        if envelope is not None:
+            try:
+                scenario = _world_from(envelope)
+            except SnapshotError:
+                self._discard(fingerprint)
+            else:
+                self.stats.restores += 1
+                return scenario, "restore"
+        self.stats.builds += 1
+        return build_world(config), "miss"
+
+    def world_for(self, config):
+        """The pristine world for *config* and where it came from.
+
+        The store's one read path.  Returns ``(scenario, outcome)``:
+        ``"hit"`` resets a live world in place; ``"restore"`` deserializes
+        a valid blob; ``"miss"`` builds, and persists a blob when the
+        store has a directory.  A restored or built world stays live as
+        the most recent on-demand world (see :data:`ON_DEMAND_WORLDS`);
+        the previous one is let go *before* its successor is made, so one
+        on-demand world is resident at a time.
         """
         fingerprint = snapshot_fingerprint(config)
-        scenario = self._live.get(fingerprint)
-        envelope = self._envelope_for(config)
-        if live and scenario is None and envelope is not None:
-            scenario = self._deserialize(fingerprint, envelope, config)
-            if scenario is not None:
-                self._live[fingerprint] = scenario
-            envelope = self._envelopes.get(fingerprint)  # None if corrupt
-        if envelope is not None and (scenario is not None or not live):
+        scenario = self._live_world(fingerprint)
+        if scenario is not None:
+            restore_world(scenario)
+            outcome = "hit"
+        else:
+            while len(self._recent) >= ON_DEMAND_WORLDS:
+                del self._recent[next(iter(self._recent))]
+            scenario, outcome = self._materialise(
+                fingerprint, config, self._envelope_for(config))
+            if outcome == "miss" and self.directory is not None:
+                self._store_blob(fingerprint, serialize_world(scenario))
+            self._recent[fingerprint] = scenario
             self._trim_envelope(fingerprint)
-            return "hit"
+        self.last_outcome = outcome
+        return scenario, outcome
+
+    def ensure(self, config, live=False):
+        """Guarantee this store can serve *config*'s world without a build.
+
+        The pre-build stage of a fan-out run.  The world is built at most
+        once.  With ``live=True`` (fork fan-out) a live world is pinned —
+        hydrated from a valid stored blob when one exists, built otherwise
+        — *and* a blob is still written when the store has a
+        ``directory``, so persistence and the live tier compose.  Without
+        it a blob is guaranteed.  Returns ``"hit"`` or ``"build"``.
+        """
+        fingerprint = snapshot_fingerprint(config)
+        scenario = self._live_world(fingerprint)
+        envelope = self._envelope_for(config)
         outcome = "hit"
-        if scenario is None:
-            scenario = build_world(config)
-            self.stats.builds += 1
-            outcome = "build"
-            if live:
-                self._live[fingerprint] = scenario
+        if scenario is None and (live or envelope is None):
+            scenario, source = self._materialise(fingerprint, config, envelope)
+            if source == "miss":
+                outcome, envelope = "build", None
+        if live:
+            self._pinned[fingerprint] = scenario
         if envelope is None and (self.directory is not None or not live):
             self._store_blob(fingerprint, serialize_world(scenario))
-            self._trim_envelope(fingerprint)
+        self._trim_envelope(fingerprint)
         return outcome
 
     def _trim_envelope(self, fingerprint):
         """Drop a cached envelope that is redundant with a live world.
 
         With both a live world and an on-disk blob for *fingerprint*,
-        restores use the live tier and warm processes re-read the disk —
-        keeping the multi-MB payload bytes cached too would roughly
-        double parent memory per world for nothing.
+        this process resets the live world and later ones re-read the
+        disk — keeping the multi-MB payload bytes cached too would
+        roughly double memory per world for nothing.
         """
-        if fingerprint in self._live and self.directory is not None:
+        if (self.directory is not None
+                and self._live_world(fingerprint) is not None):
             self._envelopes.pop(fingerprint, None)
-
-    def restore(self, config):
-        """A pristine world for *config* from the store, or None.
-
-        A live world is reset in place (cheap, and the object is shared
-        with the store — callers in forked workers each hold their own
-        copy-on-write image of it); otherwise the stored, pre-validated
-        envelope payload is deserialized into an independent world.  A
-        payload that fails unpickling is discarded like any other invalid
-        blob — the caller falls back to a build.
-        """
-        fingerprint = snapshot_fingerprint(config)
-        live = self._live.get(fingerprint)
-        if live is not None:
-            restore_world(live)
-            self.stats.restores += 1
-            return live
-        envelope = self._envelope_for(config)
-        if envelope is None:
-            return None
-        scenario = self._deserialize(fingerprint, envelope, config)
-        if scenario is None:
-            return None
-        self.stats.restores += 1
-        return scenario
-
-    def _deserialize(self, fingerprint, envelope, config):
-        """Unpickle a validated envelope's payload; None (and discard) on
-        failure.  Skips re-validation: envelopes in the cache already
-        passed every check."""
-        try:
-            with _gc_paused():
-                scenario = pickle.loads(envelope["payload"])
-        except Exception:
-            self._discard(fingerprint)
-            self.stats.invalidated += 1
-            return None
-        restore_world(scenario)
-        return scenario
 
     def release_worlds(self):
         """Drop every held live world and cached envelope.
 
         Stats and on-disk blobs survive; memory does not.  The sweep
-        calls this once its run phase ends — the store retains one world
-        (or multi-MB envelope) per distinct world key with no eviction
-        while restores may still arrive, so releasing promptly is the
-        memory bound.
+        calls this once its run phase ends — pinned worlds (and multi-MB
+        envelopes) are held one per distinct world key with no eviction
+        while workers may still ask for them, so releasing promptly is
+        the memory bound.
         """
-        self._live.clear()
+        self._pinned.clear()
+        self._recent.clear()
         self._envelopes.clear()
 
     def _discard(self, fingerprint):
+        """Forget an invalid blob everywhere (memory, live tiers, disk)."""
+        self.stats.invalidated += 1
         self._envelopes.pop(fingerprint, None)
-        self._live.pop(fingerprint, None)
+        self._pinned.pop(fingerprint, None)
+        self._recent.pop(fingerprint, None)
         if self.directory is not None:
             try:
                 os.unlink(self._path(fingerprint))
             except OSError:
                 pass
-
-
-class WorldCacheStats:
-    """Counters for one :class:`WorldBuilder` (surfaced by the sweep).
-
-    ``misses`` counts cells the in-process LRU could not serve; each miss
-    is resolved either by deserializing a shared snapshot (``restores``)
-    or by a full build (``builds``) — so "one build, N restores" is
-    directly observable.  ``bypasses`` is assertion-only: every world is
-    checkpointable since periodic processes became engine-owned tasks, so
-    nothing increments it — it stays in the reported dict so downstream
-    consumers can assert it is zero.
-    """
-
-    __slots__ = ("builds", "hits", "misses", "restores", "bypasses")
-
-    def __init__(self):
-        self.builds = 0
-        self.hits = 0
-        self.misses = 0
-        self.restores = 0
-        self.bypasses = 0
-
-    def as_dict(self):
-        return {"builds": self.builds, "hits": self.hits,
-                "misses": self.misses, "restores": self.restores,
-                "bypasses": self.bypasses}
-
-    def count(self, outcome):
-        """Tally one ``scenario_for`` outcome ("hit" | "restore" | "miss")."""
-        if outcome == "hit":
-            self.hits += 1
-        elif outcome == "restore":
-            self.restores += 1
-            self.misses += 1
-        elif outcome == "miss":
-            self.builds += 1
-            self.misses += 1
-        else:
-            raise ValueError(f"unexpected world-cache outcome {outcome!r}")
-
-
-class WorldBuilder:
-    """A keyed LRU cache of built worlds with checkpoint-based reset.
-
-    One lives in every persistent sweep worker; cells arriving with a
-    config seen before get the cached world restored to pristine state
-    instead of a rebuild.  ``max_worlds`` bounds resident memory (large
-    worlds are the whole point of reuse, and also the reason not to keep
-    too many of them alive).
-
-    With a :class:`SnapshotStore`, an LRU miss first tries to restore
-    from the shared store (outcome ``"restore"``) and only falls back to
-    a full build (outcome ``"miss"``) when the store has no valid
-    snapshot — so N workers sharing one store build each distinct world
-    at most once between them instead of once each.  Note that
-    ``max_worlds`` then bounds only worlds this builder built or
-    blob-deserialized itself: a store-held *live* world is shared with
-    (and retained by) the store, so evicting it here frees only this
-    process's copy-on-write pages.
-    """
-
-    def __init__(self, max_worlds=4, store=None):
-        if max_worlds < 1:
-            raise ValueError("max_worlds must be >= 1")
-        self.max_worlds = max_worlds
-        self.store = store
-        self.stats = WorldCacheStats()
-        #: Cache outcome of the most recent scenario_for call
-        #: ("hit" | "restore" | "miss"), for per-cell reporting.
-        self.last_outcome = None
-        self._cache = OrderedDict()
-
-    def __len__(self):
-        return len(self._cache)
-
-    def scenario_for(self, config):
-        """The world for *config*: cached-and-reset when possible."""
-        key = world_key(config)
-        scenario = self._cache.get(key)
-        if scenario is not None:
-            self._cache.move_to_end(key)
-            restore_world(scenario)
-            self._record("hit")
-            return scenario
-        outcome = "miss"
-        if self.store is not None:
-            scenario = self.store.restore(config)
-            if scenario is not None:
-                outcome = "restore"
-        if scenario is None:
-            scenario = build_world(config)
-        self._record(outcome)
-        self._cache[key] = scenario
-        while len(self._cache) > self.max_worlds:
-            self._cache.popitem(last=False)
-        return scenario
-
-    def _record(self, outcome):
-        self.stats.count(outcome)
-        self.last_outcome = outcome
-
-    def clear(self):
-        self._cache.clear()

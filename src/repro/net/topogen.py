@@ -60,7 +60,6 @@ IX_PREFIX = IPv4Prefix("9.0.0.0/8")
 class TopologySpec:
     """Everything that defines a topology, declaratively.
 
-    Replaces ``build_topology``'s grown-past-its-limit kwarg signature.
     Specs are frozen, hashable and ``astuple``-friendly, so they can ride
     inside ``ScenarioConfig`` world keys.  Fields irrelevant to a family
     are ignored (e.g. ``tier0`` for ``"flat"``, ``num_providers`` for

@@ -268,40 +268,3 @@ def rloc_for(provider_id, site_index, xtr_index):
     return IPv4Address(
         f"{10 + provider_id}.{1 + (site_index >> 8)}.{site_index & 255}.{xtr_index + 1}"
     )
-
-
-def build_topology(sim, num_sites=2, num_providers=4, providers_per_site=2,
-                   hosts_per_site=2, wan_delay_range=(0.010, 0.040),
-                   access_delay_range=(0.001, 0.005), access_rate_bps=None,
-                   eids_globally_routable=False,
-                   provider_assignment=None, rng_stream="topology"):
-    """Build the flat (full provider mesh) topology family.
-
-    Thin compat wrapper: the kwargs map 1:1 onto a flat-family
-    :class:`~repro.net.topogen.TopologySpec`, and construction happens in
-    :func:`repro.net.topogen.build` — the single entry point every family
-    shares.  New callers should build a spec directly.
-    """
-    from repro.net.topogen import TopologySpec, build
-    spec = TopologySpec(
-        family="flat", num_sites=num_sites, num_providers=num_providers,
-        providers_per_site=providers_per_site, hosts_per_site=hosts_per_site,
-        wan_delay_range=wan_delay_range, access_delay_range=access_delay_range,
-        access_rate_bps=access_rate_bps,
-        eids_globally_routable=eids_globally_routable,
-        provider_assignment=provider_assignment, rng_stream=rng_stream)
-    return build(sim, spec)
-
-
-def build_fig1_topology(sim, **overrides):
-    """The exact Fig. 1 scenario: two sites, two providers each.
-
-    Site 0 ("AS_S") homes to providers A(10/8) and B(11/8); site 1 ("AS_D")
-    homes to providers X(12/8) and Y(13/8).  Compat wrapper over the
-    ``"fig1"`` :class:`~repro.net.topogen.TopologySpec` family.
-    """
-    from repro.net.topogen import TopologySpec, build
-    params = dict(num_sites=2, num_providers=4, providers_per_site=2,
-                  hosts_per_site=2, provider_assignment=((0, 1), (2, 3)))
-    params.update(overrides)
-    return build(sim, TopologySpec(family="fig1", **params))

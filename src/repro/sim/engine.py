@@ -16,18 +16,6 @@ PRIORITY_URGENT = 0
 
 _FOREVER = float("inf")
 
-#: Version of the engine's blob-serializable state contract.  A settled
-#: simulator (no pending foreground events) is plain picklable data: clock,
-#: sequence counters, RNG stream states, tracer, and armed periodic-task
-#: timers riding the queue as :class:`PeriodicFire` entries.  World-snapshot
-#: blobs embed this version; bump it whenever that serialized shape changes
-#: (queue layout, checkpoint tuple format, periodic-task state) so stale
-#: blobs written by an older engine are rebuilt instead of restored.
-#:
-#: v2: the (time, priority, sequence, entry) tuple heap became a heap of
-#: distinct timestamps plus per-timestamp :class:`_Bucket` entry lists.
-STATE_VERSION = 2
-
 
 class _Bucket:
     """Every entry scheduled for one timestamp, in (priority, insertion) order.
@@ -318,11 +306,15 @@ class Simulator:
     def serializable(self):
         """True when the engine meets the blob-serialization contract.
 
-        Pending foreground events hold live callbacks and generator frames
-        — objects outside the :data:`STATE_VERSION` contract — so only a
-        settled simulator (foreground drained; armed periodic tasks are
-        fine, their timers are plain data) may be serialized into a
-        world-snapshot blob.
+        A settled simulator (no pending foreground events) is plain
+        picklable data: clock, sequence counters, RNG stream states,
+        tracer, and armed periodic-task timers riding the queue as
+        :class:`PeriodicFire` entries.  Pending foreground events hold
+        live callbacks and generator frames, which are not — so only a
+        settled simulator may be serialized into a world-snapshot blob.
+        Changing that serialized shape (queue layout, checkpoint tuple,
+        periodic-task state) means bumping
+        :data:`repro.experiments.worldbuild.SNAPSHOT_SCHEMA`.
         """
         return self._foreground == 0
 

@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, TCP_ACK, TCP_SYN, tcp_packet, udp_packet
-from repro.traffic.popularity import FlowPlan
 
 #: Classic initial TCP retransmission timeout (RFC 1122 era: 1 second was
 #: common in 2008-vintage stacks; RFC 6298 later said 1 s as well).
@@ -359,12 +358,3 @@ def _send_fluid(sim, host, destination, port, record, plan):
         record.finished_at = sim.now
 
     return sim.process(_send(), name=f"{host.name}-fluid-{record.flow_id}")
-
-
-def send_udp_burst(sim, host, destination, port, record, count_packets=5,
-                   payload_bytes=1000, spacing=0.001):
-    """Process: emit a constant-spacing burst (compat wrapper over
-    :func:`send_flow`)."""
-    plan = FlowPlan(packets=count_packets, payload_bytes=payload_bytes,
-                    spacing=spacing, kind="constant")
-    return send_flow(sim, host, destination, port, record, plan)

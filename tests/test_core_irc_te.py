@@ -5,14 +5,14 @@ import pytest
 from repro.core.irc import IrcEngine
 from repro.core.te import FlowMove, LinkLoadMonitor, plan_rebalance
 from repro.net.addresses import IPv4Prefix
-from repro.net.topology import build_topology
+from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
 @pytest.fixture
 def world():
     sim = Simulator(seed=15)
-    topology = build_topology(sim, num_sites=2, num_providers=4, providers_per_site=3)
+    topology = build(sim, TopologySpec(num_sites=2, num_providers=4, providers_per_site=3))
     return sim, topology
 
 

@@ -7,16 +7,13 @@ from repro.dns.hierarchy import install_dns
 from repro.dns.resolver import StubResolver
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
-from repro.net.topology import build_fig1_topology, build_topology
+from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
-def make_world(seed=41, irc_policy="balance", fig1=True, num_sites=2, **cp_kwargs):
+def make_world(seed=41, irc_policy="balance", family="fig1", num_sites=2, **cp_kwargs):
     sim = Simulator(seed=seed)
-    if fig1:
-        topology = build_fig1_topology(sim)
-    else:
-        topology = build_topology(sim, num_sites=num_sites, num_providers=4)
+    topology = build(sim, TopologySpec(family=family, num_sites=num_sites))
     dns = install_dns(topology)
     cp_kwargs.setdefault("start_irc", False)
     cp = deploy_pce_control_plane(sim, topology, dns, irc_policy=irc_policy, **cp_kwargs)
@@ -199,7 +196,7 @@ def test_push_to_one_mode_pushes_single_itr():
 
 
 def test_te_rebalance_moves_flows_and_keeps_traffic_flowing():
-    sim, topology, dns, cp = make_world(num_sites=4, fig1=False)
+    sim, topology, dns, cp = make_world(num_sites=4, family="flat")
     # Start flows to three destinations; all egress routes initially set.
     sinks = []
     for dst in (1, 2, 3):

@@ -7,7 +7,7 @@ from repro.dns.records import RCODE_NOERROR, TYPE_A, TYPE_CNAME
 from repro.dns.resolver import StubResolver
 from repro.dns.zone import Zone
 from repro.net.addresses import IPv4Address
-from repro.net.topology import build_topology
+from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
@@ -51,7 +51,7 @@ def test_zone_cname_loop_terminates():
 @pytest.fixture
 def dns_world():
     sim = Simulator(seed=47)
-    topology = build_topology(sim, num_sites=3, num_providers=4)
+    topology = build(sim, TopologySpec(num_sites=3, num_providers=4))
     dns = install_dns(topology)
     return sim, topology, dns
 

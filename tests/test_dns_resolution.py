@@ -2,13 +2,13 @@
 
 from repro.dns.hierarchy import install_dns
 from repro.dns.resolver import StubResolver
-from repro.net.topology import build_topology
+from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
 def make_world(num_sites=2, extra_levels=0, use_cache=True, seed=11, **topo_kwargs):
     sim = Simulator(seed=seed)
-    topology = build_topology(sim, num_sites=num_sites, num_providers=4, **topo_kwargs)
+    topology = build(sim, TopologySpec(num_sites=num_sites, num_providers=4, **topo_kwargs))
     dns = install_dns(topology, extra_levels=extra_levels, use_cache=use_cache)
     return sim, topology, dns
 

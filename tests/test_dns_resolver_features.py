@@ -2,13 +2,13 @@
 
 from repro.dns.hierarchy import install_dns
 from repro.dns.resolver import StubResolver
-from repro.net.topology import build_topology
+from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
 def make_world(seed=91, use_cache=True, **dns_kwargs):
     sim = Simulator(seed=seed)
-    topology = build_topology(sim, num_sites=3, num_providers=4)
+    topology = build(sim, TopologySpec(num_sites=3, num_providers=4))
     dns = install_dns(topology, use_cache=use_cache, **dns_kwargs)
     return sim, topology, dns
 

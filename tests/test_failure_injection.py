@@ -10,7 +10,7 @@ from repro.net.packet import udp_packet
 
 
 def fig1_world(**overrides):
-    config = ScenarioConfig(control_plane="pce", fig1=True, seed=61, **overrides)
+    config = ScenarioConfig(control_plane="pce", topology="fig1", seed=61, **overrides)
     return build_scenario(config)
 
 

@@ -11,14 +11,14 @@ from repro.lisp.mappings import MappingRecord, RlocEntry
 from repro.lisp.policies import CpDataPolicy, DropPolicy, QueuePolicy
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
-from repro.net.topology import build_topology
+from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
 def make_world(system_name, num_sites=4, miss_policy_cls=QueuePolicy, seed=31,
                **system_kwargs):
     sim = Simulator(seed=seed)
-    topology = build_topology(sim, num_sites=num_sites, num_providers=4)
+    topology = build(sim, TopologySpec(num_sites=num_sites, num_providers=4))
     if system_name == "alt":
         system = AltMappingSystem(sim, **system_kwargs)
     elif system_name == "cons":

@@ -10,7 +10,7 @@ from repro.net.packet import udp_packet
 
 def make_world(enable_probing=True, probe_period=0.2, seed=19,
                probe_timeout=0.15):
-    config = ScenarioConfig(control_plane="pce", fig1=True, seed=seed,
+    config = ScenarioConfig(control_plane="pce", topology="fig1", seed=seed,
                             irc_policy="primary", enable_probing=enable_probing,
                             probe_period=probe_period,
                             probe_timeout=probe_timeout)

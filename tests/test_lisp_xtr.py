@@ -5,7 +5,7 @@ from repro.lisp.deploy import deploy_lisp
 from repro.lisp.policies import CpDataPolicy, DropPolicy, QueuePolicy
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
-from repro.net.topology import build_topology
+from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
@@ -32,7 +32,7 @@ class InstantMappingSystem(MappingSystem):
 def make_lisp_world(miss_policy_cls=DropPolicy, resolve_delay=0.02, seed=21,
                     num_sites=2, gleaning=True, **policy_kwargs):
     sim = Simulator(seed=seed)
-    topology = build_topology(sim, num_sites=num_sites, num_providers=4)
+    topology = build(sim, TopologySpec(num_sites=num_sites, num_providers=4))
     system = InstantMappingSystem(sim, delay=resolve_delay)
     policy = miss_policy_cls(sim, **policy_kwargs)
     xtrs = deploy_lisp(sim, topology, system, policy, gleaning=gleaning)

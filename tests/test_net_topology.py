@@ -4,9 +4,8 @@ import pytest
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
+from repro.net.topogen import TopologySpec, build
 from repro.net.topology import (
-    build_fig1_topology,
-    build_topology,
     eid_prefix_for,
     infra_prefix_for,
     provider_prefix_for,
@@ -18,7 +17,8 @@ from repro.sim import Simulator
 @pytest.fixture
 def world():
     sim = Simulator(seed=1)
-    topology = build_topology(sim, num_sites=3, num_providers=4, providers_per_site=2)
+    topology = build(sim, TopologySpec(num_sites=3, num_providers=4,
+                                       providers_per_site=2))
     return sim, topology
 
 
@@ -63,8 +63,8 @@ def test_eid_prefixes_not_in_provider_fibs(world):
 
 def test_eids_globally_routable_flag():
     sim = Simulator(seed=1)
-    topology = build_topology(sim, num_sites=2, num_providers=3,
-                              eids_globally_routable=True)
+    topology = build(sim, TopologySpec(num_sites=2, num_providers=3,
+                                       eids_globally_routable=True))
     provider = topology.providers[0]
     covered = any(entry.prefix == topology.sites[1].eid_prefix
                   for entry in provider.fib.entries())
@@ -131,7 +131,7 @@ def test_host_reaches_local_dns(world):
 
 def test_infra_host_attachment_reachable():
     sim = Simulator(seed=2)
-    topology = build_topology(sim, num_sites=2, num_providers=3)
+    topology = build(sim, TopologySpec(num_sites=2, num_providers=3))
     root = topology.attach_infra_host(0, "root-dns", "198.41.0.4")
     topology.install_global_routes()
     site = topology.sites[1]
@@ -142,7 +142,7 @@ def test_infra_host_attachment_reachable():
 
 def test_fig1_topology_layout():
     sim = Simulator(seed=3)
-    topology = build_fig1_topology(sim)
+    topology = build(sim, TopologySpec(family="fig1"))
     assert topology.site_s.provider_ids == [0, 1]
     assert topology.site_d.provider_ids == [2, 3]
     assert topology.site_of_eid(topology.site_s.hosts[0].address) is topology.site_s
@@ -160,17 +160,17 @@ def test_provider_rotation_terminates_for_non_coprime_strides(num_providers, per
     """Regression: stride sharing a factor with the provider count used to
     cycle over a subgroup and never finish collecting providers."""
     sim = Simulator(seed=4)
-    topology = build_topology(sim, num_sites=2 * num_providers + 4,
-                              num_providers=num_providers,
-                              providers_per_site=per_site, hosts_per_site=1)
+    topology = build(sim, TopologySpec(
+        num_sites=2 * num_providers + 4, num_providers=num_providers,
+        providers_per_site=per_site, hosts_per_site=1))
     for site in topology.sites:
         assert len(set(site.provider_ids)) == per_site
 
 
 def test_deterministic_topology_for_seed():
-    def build():
+    def access_delays():
         sim = Simulator(seed=77)
-        topology = build_topology(sim, num_sites=4, num_providers=5)
+        topology = build(sim, TopologySpec(num_sites=4, num_providers=5))
         return [site.access_delays for site in topology.sites]
 
-    assert build() == build()
+    assert access_delays() == access_delays()

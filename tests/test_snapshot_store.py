@@ -1,14 +1,17 @@
-"""Tests for the shared world-snapshot store: serialization, invalidation.
+"""Tests for the world cache (SnapshotStore): serialization, invalidation.
 
 The store's contract is *rebuild, never stale-restore*: any blob that
-fails validation (corruption, schema or engine state-version bump, world
-key mismatch) is discarded and the world built from the config.  And a
-restore must be invisible in the results: fresh-built, LRU-reused and
+fails validation (corruption, schema bump, world key mismatch) is
+discarded and the world built from the config.  And where a world came
+from must be invisible in the results: fresh-built, reset-in-place and
 blob-restored worlds produce byte-identical sweep digests.
 """
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +23,7 @@ from repro.experiments.sweep import (SweepGrid, distinct_world_configs,
                                      prebuild_worlds, run_cell, run_sweep)
 from repro.experiments import worldbuild
 from repro.experiments.worldbuild import (SNAPSHOT_MAGIC, SnapshotError,
-                                          SnapshotStore, WorldBuilder,
+                                          SnapshotStore,
                                           build_world, deserialize_world,
                                           serialize_world,
                                           snapshot_fingerprint, world_key)
@@ -58,9 +61,8 @@ def test_restored_world_runs_cells_byte_identically():
 
     store = SnapshotStore()
     assert store.ensure(cell.scenario) == "build"
-    builder = WorldBuilder(store=store)
-    restored = run_cell(cell, builder=builder)
-    assert builder.last_outcome == "restore"
+    restored = run_cell(cell, store)
+    assert store.last_outcome == "restore"
     assert json.dumps(fresh, sort_keys=True) \
         == json.dumps(restored, sort_keys=True)
 
@@ -95,7 +97,7 @@ def test_corrupted_blob_forces_rebuild(tmp_path):
     assert fresh_store.stats.invalidated == 1
     assert not path.exists()  # discarded, not retried forever
     assert fresh_store.ensure(CONFIG) == "build"
-    assert fresh_store.restore(CONFIG) is not None
+    assert fresh_store.world_for(CONFIG)[1] == "restore"
 
 
 def test_truncated_blob_forces_rebuild(tmp_path):
@@ -134,14 +136,6 @@ def test_schema_version_bump_invalidates_blobs(tmp_path, monkeypatch):
         deserialize_world(blob, CONFIG)
 
 
-def test_engine_state_version_bump_invalidates_blobs(monkeypatch):
-    blob = serialize_world(build_world(CONFIG))
-    monkeypatch.setattr(worldbuild, "STATE_VERSION",
-                        worldbuild.STATE_VERSION + 1)
-    with pytest.raises(SnapshotError, match="state-version mismatch"):
-        deserialize_world(blob, CONFIG)
-
-
 def test_world_key_collision_forces_rebuild(tmp_path):
     """A blob filed under another config's fingerprint must not restore:
     the envelope carries the full world key and the mismatch is caught."""
@@ -154,14 +148,14 @@ def test_world_key_collision_forces_rebuild(tmp_path):
     assert store.stats.invalidated == 1
     assert not _blob_path(tmp_path, other).exists()
     assert store.ensure(other) == "build"
-    restored = store.restore(other)
-    assert restored.config == other
+    restored, outcome = store.world_for(other)
+    assert restored.config == other and outcome == "restore"
     with pytest.raises(SnapshotError, match="world-key mismatch"):
         deserialize_world(blob, other)
 
 
 def test_restore_falls_back_to_build_in_builder(tmp_path):
-    """A builder whose store blob is invalid builds instead (outcome miss)."""
+    """A store whose blob is invalid builds instead (outcome miss)."""
     store = SnapshotStore(str(tmp_path))
     store.ensure(CONFIG)
     path = _blob_path(tmp_path, CONFIG)
@@ -169,10 +163,10 @@ def test_restore_falls_back_to_build_in_builder(tmp_path):
     data[-10] ^= 0xFF
     path.write_bytes(bytes(data))
 
-    builder = WorldBuilder(store=SnapshotStore(str(tmp_path)))
-    scenario = builder.scenario_for(CONFIG)
-    assert builder.last_outcome == "miss"
-    assert builder.stats.builds == 1 and builder.stats.restores == 0
+    fresh_store = SnapshotStore(str(tmp_path))
+    scenario, outcome = fresh_store.world_for(CONFIG)
+    assert outcome == "miss"
+    assert fresh_store.stats.builds == 1 and fresh_store.stats.restores == 0
     assert scenario.world_checkpoint is not None
 
 
@@ -193,24 +187,63 @@ def test_memory_store_one_build_many_restores():
     store = SnapshotStore()
     assert store.ensure(CONFIG) == "build"
     assert store.ensure(CONFIG) == "hit"
-    first = store.restore(CONFIG)
-    second = store.restore(CONFIG)
+    first, outcome = store.world_for(CONFIG)
+    assert outcome == "restore"
+    store.world_for(CONFIG.variant(seed=6))  # lets the first world go...
+    second, outcome = store.world_for(CONFIG)
+    assert outcome == "restore"  # ...so its blob is deserialized again
     assert first is not second  # every restore is an independent world
-    assert store.stats.builds == 1
+    assert store.stats.builds == 2
     assert store.stats.restores == 2
-    assert len(store) == 1
+    assert len(store) == 1  # the on-demand seed-6 world is gone, blobless
 
 
-def test_world_cache_stats_counts_restores():
-    from repro.experiments.worldbuild import WorldCacheStats
+def test_world_for_outcome_table(tmp_path, monkeypatch):
+    """Live -> hit (same object); blob only -> restore; nothing -> miss;
+    corrupt blob -> miss, counted and unlinked."""
+    directory = tmp_path / "worlds"
+    store = SnapshotStore(str(directory))
+    built, outcome = store.world_for(CONFIG)
+    assert outcome == "miss" and store.last_outcome == "miss"
+    assert _blob_path(directory, CONFIG).exists()  # a miss persists its blob
+    assert store.world_for(CONFIG) == (built, "hit")
+    assert store.world_for(CONFIG)[0] is built
 
-    stats = WorldCacheStats()
-    for outcome in ("miss", "restore", "restore", "hit"):
-        stats.count(outcome)
-    assert stats.as_dict() == {"builds": 1, "hits": 1, "misses": 3,
-                               "restores": 2, "bypasses": 0}
-    with pytest.raises(ValueError):
-        stats.count("bypass")
+    blob_only = SnapshotStore(str(directory))
+    restored, outcome = blob_only.world_for(CONFIG)
+    assert outcome == "restore" and restored is not built
+    assert blob_only.stats.as_dict() == {"builds": 0, "restores": 1,
+                                         "hits": 1, "invalidated": 0}
+
+    path = _blob_path(directory, CONFIG)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+    corrupt = SnapshotStore(str(directory))
+    blob_seen_by_build = []
+
+    def recording_build(config):
+        blob_seen_by_build.append(path.exists())
+        return build_world(config)
+    monkeypatch.setattr(worldbuild, "build_world", recording_build)
+    assert corrupt.world_for(CONFIG)[1] == "miss"
+    assert corrupt.stats.invalidated == 1
+    assert blob_seen_by_build == [False]  # unlinked before the rebuild
+    assert SnapshotStore(str(directory)).has_snapshot(CONFIG)  # and rewritten
+
+
+def test_world_cache_stats_counts_restores(tmp_path):
+    """run_sweep's per-cell outcome tally: a restore is a miss that did not
+    build; hits are everything after a world's first cell."""
+    snapshot_dir = str(tmp_path / "worlds")
+    cold = run_sweep(GRID, workers=1, snapshot_dir=snapshot_dir)["world_cache"]
+    warm = run_sweep(GRID, workers=1, snapshot_dir=snapshot_dir)["world_cache"]
+    assert set(cold) == {"builds", "hits", "misses", "restores", "store"}
+    counts = [{key: cache[key] for key in ("builds", "hits", "misses",
+                                           "restores")}
+              for cache in (cold, warm)]
+    assert counts == [{"builds": 2, "hits": 2, "misses": 2, "restores": 0},
+                      {"builds": 0, "hits": 2, "misses": 2, "restores": 2}]
 
 
 def test_prebuild_worlds_builds_each_distinct_world_once():
@@ -233,9 +266,8 @@ def test_prebuild_worlds_blob_pool_path(tmp_path):
     prebuild_worlds(store, cells, workers=2, live=False)
     assert store.stats.builds == 2
     assert len(list((tmp_path / "worlds").glob("*.world"))) == 2
-    first = store.restore(cells[0].scenario)
-    second = store.restore(cells[0].scenario)
-    assert first is not None and first is not second  # blob tier: copies
+    world, outcome = store.world_for(cells[0].scenario)
+    assert outcome == "restore" and world.config == cells[0].scenario
 
 
 def test_ensure_live_composes_with_directory(tmp_path):
@@ -246,15 +278,16 @@ def test_ensure_live_composes_with_directory(tmp_path):
     assert store.ensure(CONFIG, live=True) == "build"
     assert store.stats.builds == 1
     assert _blob_path(tmp_path / "worlds", CONFIG).exists()
-    first = store.restore(CONFIG)
-    assert first is store.restore(CONFIG)  # live tier: shared object
+    first, outcome = store.world_for(CONFIG)
+    assert outcome == "hit"
+    assert first is store.world_for(CONFIG)[0]  # live tier: shared object
 
     # A warm store hydrates its live tier from the blob: zero builds.
     warm = SnapshotStore(directory)
     assert warm.ensure(CONFIG, live=True) == "hit"
     assert warm.stats.builds == 0
-    hydrated = warm.restore(CONFIG)
-    assert hydrated is warm.restore(CONFIG)  # restored live, in place
+    hydrated = warm.world_for(CONFIG)[0]
+    assert hydrated is warm.world_for(CONFIG)[0]  # reset live, in place
 
 
 # --------------------------------------------------------------------- #
@@ -269,7 +302,33 @@ def test_fanned_sweep_builds_each_world_once_and_matches_serial():
     assert cache["store"]["builds"] == 2   # exactly one per distinct key
     assert cache["builds"] == 2            # and no worker-side builds
     assert cache["restores"] == cache["misses"]
-    assert cache["bypasses"] == 0
+
+
+_SPAWN_SWEEP = """
+import json, multiprocessing
+from repro.experiments.sweep import SweepGrid, payload_digest, run_sweep
+multiprocessing.set_start_method("spawn")
+GRID = {grid!r}
+serial = run_sweep(GRID, workers=1)
+fanned = run_sweep(GRID, workers=2)
+print(json.dumps({{"same": payload_digest(serial) == payload_digest(fanned),
+                  "cache": fanned["world_cache"]}}))
+"""
+
+
+def test_spawn_fan_out_matches_serial_and_builds_each_world_once():
+    """The blob-only path (no fork inheritance): build pool, temporary
+    directory, workers deserializing — same digest, one build per world."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SPAWN_SWEEP.format(grid=GRID)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    report = json.loads(done.stdout)
+    assert report["same"] is True
+    cache = report["cache"]
+    assert cache["builds"] == len(distinct_world_configs(expand_grid(GRID)))
+    assert cache["restores"] == cache["misses"] >= 2  # no worker-side builds
+    assert cache["hits"] + cache["restores"] == 4
 
 
 def test_snapshot_dir_rerun_performs_zero_builds(tmp_path):
@@ -318,14 +377,15 @@ def test_blob_is_pure_bytes_and_worlds_are_independent():
     """Restored worlds share nothing: mutating one leaves the blob intact."""
     store = SnapshotStore()
     store.ensure(CONFIG)
-    first = store.restore(CONFIG)
+    first = store.world_for(CONFIG)[0]
     checkpoint_now = first.sim.now
     # Dirty the first world thoroughly.
     from repro.experiments.workload import WorkloadConfig, run_workload
     run_workload(first, WorkloadConfig(num_flows=6, arrival_rate=10.0))
     assert first.sim.now > checkpoint_now
-    second = store.restore(CONFIG)
-    assert second is not first
+    store.world_for(CONFIG.variant(seed=6))  # the store lets `first` go
+    second, outcome = store.world_for(CONFIG)
+    assert outcome == "restore" and second is not first
     assert second.sim.now == checkpoint_now
     for xtrs in second.xtrs_by_site.values():
         for xtr in xtrs:

@@ -11,7 +11,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.sweep import (PRESETS, SweepGrid, aggregate_cells,
                                      expand_grid, payload_digest, run_cell,
-                                     run_sweep, write_csv, write_csv_stream)
+                                     run_sweep, write_csv_stream)
 
 TINY = SweepGrid(name="tiny", control_planes=("pce", "alt"), site_counts=(3,),
                  seeds=(1, 2), zipf_values=(1.0,), num_flows=8,
@@ -167,7 +167,7 @@ def test_write_csv_stream_reorders_by_index(tmp_path):
     payload = run_sweep(TINY, workers=1)
     sorted_path = tmp_path / "sorted.csv"
     shuffled_path = tmp_path / "shuffled.csv"
-    write_csv(payload, str(sorted_path))
+    write_csv_stream(iter(payload["cells"]), str(sorted_path))
     shuffled = list(payload["cells"])
     random.Random(9).shuffle(shuffled)
     write_csv_stream(iter(shuffled), str(shuffled_path))
@@ -203,7 +203,6 @@ def test_probing_sweep_hits_world_cache():
                                          "probe_timeout": 0.15})
     payload = run_sweep(grid, workers=1)
     cache = payload["world_cache"]
-    assert cache["bypasses"] == 0
     assert cache["hits"] == 1 and cache["builds"] == 1
     assert payload_digest(payload) == payload_digest(run_sweep(grid, workers=2))
 
@@ -237,6 +236,36 @@ def test_cli_sweep_snapshot_dir(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0 built" in out
     assert "2 blob hits" in out
+
+
+@pytest.mark.parametrize("flag", ("--json", "--csv", "--jsonl"))
+def test_cli_sweep_rejects_artifact_in_missing_directory(flag, tmp_path,
+                                                         capsys, monkeypatch):
+    """An unwritable artifact path fails before any world is built."""
+    from repro.experiments import worldbuild
+
+    def no_builds(_config):
+        raise AssertionError("a world was built before the paths were checked")
+    monkeypatch.setattr(worldbuild, "build_world", no_builds)
+    monkeypatch.chdir(tmp_path)  # the default jsonl path lands in the CWD
+    missing = tmp_path / "nonexistent" / "artifact.out"
+    assert main(["sweep", "--preset", "smoke", flag, str(missing)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("sweep error: ") and "nonexistent" in out
+    assert "Traceback" not in out
+    assert list(tmp_path.iterdir()) == []  # nothing half-written either
+
+
+def test_cli_sweep_rejects_snapshot_dir_that_is_a_file(tmp_path, capsys):
+    not_a_directory = tmp_path / "worlds"
+    not_a_directory.write_text("in the way")
+    code = main(["sweep", "--preset", "smoke",
+                 "--jsonl", str(tmp_path / "cells.jsonl"),
+                 "--snapshot-dir", str(not_a_directory)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("sweep error: ") and "not a directory" in out
+    assert not (tmp_path / "cells.jsonl").exists()
 
 
 def test_pacing_axis_expands_and_validates():

@@ -5,7 +5,6 @@ import pytest
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.routing import HierarchicalRoutingPlan, RoutingPlan
 from repro.net.topogen import IX_PREFIX, MAX_PROVIDERS, TopologySpec, build
-from repro.net.topology import build_fig1_topology, build_topology
 from repro.sim import Simulator
 
 
@@ -27,7 +26,7 @@ def _tiered(seed=11, **spec_kwargs):
 
 
 # --------------------------------------------------------------------- #
-# TopologySpec and compat wrappers
+# TopologySpec
 # --------------------------------------------------------------------- #
 
 def test_spec_rejects_unknown_family():
@@ -48,26 +47,6 @@ def test_spec_family_defaults_for_attach_bias():
     assert TopologySpec(family="caida").effective_bias() == 1.2
     assert TopologySpec(family="caida",
                         stub_attach_bias=0.5).effective_bias() == 0.5
-
-
-def test_build_topology_wrapper_matches_spec_build():
-    """The legacy kwarg entry point is a pure veneer over build(spec)."""
-    legacy = build_topology(Simulator(seed=7, tracing=False),
-                            num_sites=4, num_providers=5)
-    spec = TopologySpec(family="flat", num_sites=4, num_providers=5)
-    fresh = build(Simulator(seed=7, tracing=False), spec)
-    assert _world_snapshot(legacy) == _world_snapshot(fresh)
-
-
-def test_fig1_wrapper_matches_spec_build():
-    legacy = build_fig1_topology(Simulator(seed=7, tracing=False))
-    fresh = build(Simulator(seed=7, tracing=False),
-                  TopologySpec(family="fig1"))
-    assert _world_snapshot(legacy) == _world_snapshot(fresh)
-    assert fresh.site_s is fresh.sites[0]
-    assert fresh.site_d is fresh.sites[1]
-    assert fresh.site_s.provider_ids == [0, 1]
-    assert fresh.site_d.provider_ids == [2, 3]
 
 
 def test_flat_family_has_no_tier_structure():

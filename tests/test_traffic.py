@@ -13,7 +13,7 @@ from repro.net.link import connect
 from repro.net.packet import udp_packet
 from repro.sim import Simulator
 from repro.traffic.flows import (DEFAULT_RTO, FlowRecord, TcpStack, UdpSink,
-                                 send_flow, send_udp_burst)
+                                 send_flow)
 from repro.traffic.popularity import (FlowPlan, FlowShaper, FlowSizeSampler,
                                       ZipfSampler)
 
@@ -138,7 +138,9 @@ def test_udp_burst_paces_packets():
     a, b = linked_hosts(sim, delay=0.0)
     sink = UdpSink(sim, b, 9000)
     record = FlowRecord(flow_id=42, source=a.address)
-    send_udp_burst(sim, a, b.address, 9000, record, count_packets=4, spacing=0.01)
+    send_flow(sim, a, b.address, 9000, record,
+              FlowPlan(packets=4, payload_bytes=1000, spacing=0.01,
+                       kind="constant"))
     sim.run()
     assert record.packets_sent == 4
     assert sink.by_flow[42] == 4

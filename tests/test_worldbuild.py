@@ -2,15 +2,16 @@
 
 import gc
 import json
+import weakref
 
 import pytest
 
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.sweep import (SweepGrid, _apply_failures, expand_grid,
-                                     payload_digest, read_jsonl, run_cell,
+                                     iter_jsonl, payload_digest, run_cell,
                                      run_sweep)
 from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.experiments.worldbuild import (SnapshotError, WorldBuilder,
+from repro.experiments.worldbuild import (SnapshotError, SnapshotStore,
                                           build_world, deserialize_world,
                                           restore_world, serialize_world,
                                           world_key)
@@ -18,7 +19,8 @@ from repro.net.packet import udp_packet
 from repro.net.routing import (HierarchicalRoutingPlan, TierLayout,
                                build_adjacency, install_mesh_routes,
                                mesh_fingerprint, path_delay)
-from repro.net.topology import build_topology, provider_prefix_for
+from repro.net.topogen import TopologySpec, build
+from repro.net.topology import provider_prefix_for
 from repro.sim import Simulator
 
 
@@ -35,7 +37,7 @@ def _fib_snapshot(router):
 def test_incremental_install_matches_from_scratch():
     """Incrementally-installed routes == one-shot full computation."""
     sim = Simulator(seed=5, tracing=False)
-    topology = build_topology(sim, num_sites=6, num_providers=5)
+    topology = build(sim, TopologySpec(num_sites=6, num_providers=5))
     # The build itself is incremental (site attachments, then DNS would
     # add more); attach another host and install only the delta.
     topology.attach_infra_host(2, "extra", "203.0.200.9")
@@ -51,7 +53,7 @@ def test_incremental_install_matches_from_scratch():
 
 def test_routing_plan_is_memoized():
     sim = Simulator(seed=5, tracing=False)
-    topology = build_topology(sim, num_sites=3, num_providers=4)
+    topology = build(sim, TopologySpec(num_sites=3, num_providers=4))
     plan = topology.routing_plan()
     topology.attach_infra_host(0, "late-host", "203.0.200.10")
     topology.install_global_routes()
@@ -61,7 +63,7 @@ def test_routing_plan_is_memoized():
 
 def test_mesh_change_invalidates_plan():
     sim = Simulator(seed=5, tracing=False)
-    topology = build_topology(sim, num_sites=2, num_providers=4)
+    topology = build(sim, TopologySpec(num_sites=2, num_providers=4))
     plan = topology.routing_plan()
     a, b = topology.providers[0], topology.providers[1]
     a.interfaces["to-prov1"].link.delay *= 2  # mesh edge changed
@@ -71,7 +73,7 @@ def test_mesh_change_invalidates_plan():
 
 def test_plan_delay_matches_dijkstra():
     sim = Simulator(seed=9, tracing=False)
-    topology = build_topology(sim, num_sites=2, num_providers=6)
+    topology = build(sim, TopologySpec(num_sites=2, num_providers=6))
     plan = topology.routing_plan()
     adjacency = build_adjacency(topology.providers)
     for source in topology.providers:
@@ -82,7 +84,7 @@ def test_plan_delay_matches_dijkstra():
 
 def test_plan_install_is_idempotent():
     sim = Simulator(seed=3, tracing=False)
-    topology = build_topology(sim, num_sites=3, num_providers=4)
+    topology = build(sim, TopologySpec(num_sites=3, num_providers=4))
     before = [_fib_snapshot(p) for p in topology.providers]
     topology.routing_plan().install(topology.attachments)
     assert [_fib_snapshot(p) for p in topology.providers] == before
@@ -103,12 +105,12 @@ def _cell_for(control_plane, **workload_kwargs):
 def test_reused_world_summary_byte_identical(control_plane):
     """A cell on a cache-reused world == the same cell on a fresh world."""
     cell = _cell_for(control_plane)
-    fresh = run_cell(cell)  # fresh build, no cache
-    builder = WorldBuilder()
-    first = run_cell(cell, builder=builder)
-    assert builder.last_outcome == "miss"
-    reused = run_cell(cell, builder=builder)
-    assert builder.last_outcome == "hit"
+    fresh = run_cell(cell)  # fresh build, throwaway store
+    store = SnapshotStore()
+    first = run_cell(cell, store)
+    assert store.last_outcome == "miss"
+    reused = run_cell(cell, store)
+    assert store.last_outcome == "hit"
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
     assert json.dumps(fresh, sort_keys=True) == json.dumps(reused, sort_keys=True)
 
@@ -117,14 +119,15 @@ def test_reuse_across_different_workloads():
     """One world serves cells that differ only in workload."""
     config = ScenarioConfig(control_plane="pce", num_sites=4, seed=3,
                             tracing=False)
-    builder = WorldBuilder()
+    store = SnapshotStore()
     heavy = WorkloadConfig(num_flows=12, arrival_rate=10.0, zipf_s=1.4,
                            size_dist="pareto")
     light = WorkloadConfig(num_flows=6, arrival_rate=5.0, zipf_s=0.0)
     baseline = run_workload(build_world(config), light)
-    run_workload(builder.scenario_for(config), heavy)
-    records = run_workload(builder.scenario_for(config), light)
-    assert builder.stats.hits == 1
+    run_workload(store.world_for(config)[0], heavy)
+    world, outcome = store.world_for(config)
+    assert outcome == "hit"
+    records = run_workload(world, light)
     assert [r.packets_sent for r in records] == \
         [r.packets_sent for r in baseline]
     assert [r.dns_elapsed for r in records] == \
@@ -147,16 +150,15 @@ def test_restore_world_resets_clock_and_caches():
 
 
 def test_probing_worlds_hit_the_cache():
-    """Probing/IRC worlds are checkpointable: no bypass path remains."""
+    """Probing/IRC worlds are checkpointable like any other."""
     config = ScenarioConfig(control_plane="pce", num_sites=3, seed=2,
                             enable_probing=True, start_irc=True, tracing=False)
-    builder = WorldBuilder()
-    first = builder.scenario_for(config)
-    second = builder.scenario_for(config)
+    store = SnapshotStore()
+    first, first_outcome = store.world_for(config)
+    second, second_outcome = store.world_for(config)
     assert first is second
     assert first.world_checkpoint is not None
-    assert builder.stats.hits == 1 and builder.stats.misses == 1
-    assert builder.stats.bypasses == 0
+    assert (first_outcome, second_outcome) == ("miss", "hit")
 
 
 def _failover_cell(**grid_kwargs):
@@ -179,11 +181,11 @@ def test_failover_cell_fresh_vs_restored_byte_identical():
     """
     cell = _failover_cell()
     fresh = run_cell(cell)
-    builder = WorldBuilder()
-    first = run_cell(cell, builder=builder)
-    assert builder.last_outcome == "miss"
-    reused = run_cell(cell, builder=builder)
-    assert builder.last_outcome == "hit"
+    store = SnapshotStore()
+    first = run_cell(cell, store)
+    assert store.last_outcome == "miss"
+    reused = run_cell(cell, store)
+    assert store.last_outcome == "hit"
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
     assert json.dumps(fresh, sort_keys=True) == json.dumps(reused, sort_keys=True)
 
@@ -243,11 +245,11 @@ def test_shaped_cell_fresh_vs_restored_byte_identical():
     """
     cell = _shaped_cell()
     fresh = run_cell(cell)
-    builder = WorldBuilder()
-    first = run_cell(cell, builder=builder)
-    assert builder.last_outcome == "miss"
-    reused = run_cell(cell, builder=builder)
-    assert builder.last_outcome == "hit"
+    store = SnapshotStore()
+    first = run_cell(cell, store)
+    assert store.last_outcome == "miss"
+    reused = run_cell(cell, store)
+    assert store.last_outcome == "hit"
     assert fresh["metrics"]["bytes_conserved"] is True
     assert fresh["metrics"]["access_util_peak"] > 0.0
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
@@ -275,15 +277,27 @@ def test_world_key_distinguishes_configs():
     assert world_key(base) != world_key(base.variant(mapping_ttl=30.0))
 
 
-def test_world_builder_lru_eviction():
-    builder = WorldBuilder(max_worlds=1)
+def test_on_demand_worlds_keep_only_the_most_recent():
+    """Residency: world_for lets the previous world go, ensure(live) pins."""
     a = ScenarioConfig(control_plane="plain", num_sites=2, seed=1, tracing=False)
     b = a.variant(seed=2)
-    builder.scenario_for(a)
-    builder.scenario_for(b)  # evicts a
-    builder.scenario_for(a)  # rebuild
-    assert builder.stats.misses == 3 and builder.stats.hits == 0
-    assert len(builder) == 1
+    store = SnapshotStore()
+    on_demand = weakref.ref(store.world_for(a)[0])
+    assert store.world_for(b)[1] == "miss"
+    gc.collect()
+    assert on_demand() is None and len(store) == 1
+    assert store.world_for(a)[1] == "miss"  # it really was let go: rebuilt
+
+    store = SnapshotStore()
+    store.ensure(a, live=True)
+    pinned = weakref.ref(store.world_for(a)[0])
+    store.world_for(b)
+    gc.collect()
+    assert pinned() is not None
+    assert store.world_for(a) == (pinned(), "hit")
+    store.release_worlds()
+    gc.collect()
+    assert pinned() is None
 
 
 # --------------------------------------------------------------------- #
@@ -301,16 +315,15 @@ def test_sweep_reuses_worlds_and_streams_jsonl(tmp_path):
     serial = run_sweep(SHARED, workers=1, jsonl_path=str(jsonl_path))
     fanned = run_sweep(SHARED, workers=2)
     assert payload_digest(serial) == payload_digest(fanned)
-    # Serial: 2 worlds (one per control plane), 4 cells each -> 6 LRU hits.
+    # Serial: 2 worlds (one per control plane), 4 cells each -> 6 hits.
     assert serial["world_cache"]["hits"] == 6
     assert serial["world_cache"]["builds"] == 2
     # Fanned: the pre-build stage builds each world exactly once into the
-    # shared store; workers never build, they restore from blobs (each
-    # worker's first touch of a world) or hit their in-process LRU.
+    # store; workers never build, they reset the inherited live worlds
+    # (fork) or deserialize blobs on first touch and reset after (spawn).
     fanned_cache = fanned["world_cache"]
     assert fanned_cache["builds"] == 2
     assert fanned_cache["store"]["builds"] == 2
-    assert fanned_cache["restores"] >= 2
     assert fanned_cache["restores"] == fanned_cache["misses"]
     assert fanned_cache["hits"] + fanned_cache["restores"] == 8
     # The stream carries every cell plus its world-cache outcome...
@@ -318,7 +331,7 @@ def test_sweep_reuses_worlds_and_streams_jsonl(tmp_path):
              jsonl_path.read_text().strip().splitlines()]
     assert {line["world"] for line in lines} == {"hit", "miss"}
     # ...and reading it back (outcome stripped) is exactly the payload.
-    assert sorted(read_jsonl(str(jsonl_path)), key=lambda r: r["index"]) \
+    assert sorted(iter_jsonl(str(jsonl_path)), key=lambda r: r["index"]) \
         == serial["cells"]
 
 
@@ -341,8 +354,9 @@ def test_ungrouped_dispatch_keeps_workers_busy():
 
 
 def test_serial_ordering_groups_same_world_cells():
-    """Serial runs keep same-world cells adjacent so the LRU never thrashes,
-    even when the seeds axis interleaves more worlds than max_worlds."""
+    """Serial runs keep same-world cells adjacent, so the one resident
+    on-demand world serves all of its cells even though the seeds axis
+    interleaves the worlds."""
     from repro.experiments.sweep import order_cells_by_world
 
     grid = SweepGrid(control_planes=("alt",), site_counts=(3,),
@@ -358,8 +372,9 @@ def test_serial_ordering_groups_same_world_cells():
             seen.append(key)
         else:
             assert key == seen[-1], "same-world cells must be contiguous"
-    payload = run_sweep(grid, workers=1, max_worlds=1)
-    assert payload["world_cache"]["builds"] == 3  # one per seed, max_worlds=1
+    cache = run_sweep(grid, workers=1)["world_cache"]
+    assert cache["builds"] == 3  # one per seed
+    assert cache["hits"] == len(cells) - 3
 
 
 def test_expand_grid_new_axes_and_cell_ids():
@@ -416,10 +431,10 @@ def test_failure_cells_reuse_cleanly():
                      num_flows=10, arrival_rate=10.0)
     intact_cell, failed_cell = expand_grid(grid)
     baseline = run_cell(intact_cell)
-    builder = WorldBuilder()
-    run_cell(failed_cell, builder=builder)
-    after_failure = run_cell(intact_cell, builder=builder)
-    assert builder.stats.hits == 1
+    store = SnapshotStore()
+    run_cell(failed_cell, store)
+    after_failure = run_cell(intact_cell, store)
+    assert store.last_outcome == "hit"
     assert json.dumps(after_failure, sort_keys=True) \
         == json.dumps(baseline, sort_keys=True)
 
@@ -433,7 +448,7 @@ def test_single_tier_hierarchical_plan_equals_flat_plan():
     the flat all-pairs plan — identical FIBs (iface, next hop, metric)
     and identical delay() answers."""
     sim = Simulator(seed=17, tracing=False)
-    topology = build_topology(sim, num_sites=5, num_providers=6)
+    topology = build(sim, TopologySpec(num_sites=5, num_providers=6))
     topology.attach_infra_host(1, "root-dns", "203.0.113.5")
     topology.install_global_routes()  # flat RoutingPlan did this install
     flat_plan = topology.routing_plan()
@@ -469,11 +484,11 @@ def test_tiered_cell_fresh_vs_restored_byte_identical():
     on the restored world matches the fresh run byte-for-byte."""
     cell = _tiered_cell()
     fresh = run_cell(cell)
-    builder = WorldBuilder()
-    first = run_cell(cell, builder=builder)
-    assert builder.last_outcome == "miss"
-    reused = run_cell(cell, builder=builder)
-    assert builder.last_outcome == "hit"
+    store = SnapshotStore()
+    first = run_cell(cell, store)
+    assert store.last_outcome == "miss"
+    reused = run_cell(cell, store)
+    assert store.last_outcome == "hit"
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
     assert json.dumps(fresh, sort_keys=True) == json.dumps(reused, sort_keys=True)
 

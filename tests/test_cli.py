@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+
+
+REPORT_SHA256 = "e8e303cfa4f0a4f2d70e108d215a40471079c58aa6619bb4b28497b12dd35f6b"
 
 
 def test_list_shows_all_experiments(capsys):
@@ -45,6 +50,9 @@ def test_report_writes_file(tmp_path):
     assert "# Reproduction report" in text
     assert "## F1" in text and "## E9" in text
     assert "FAILURES" not in text
+    # The default report (each experiment's own seed) is pinned whole: the
+    # Fig. 1 walkthrough and every E1-E10 table, byte for byte.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256
 
 
 def test_unknown_experiment_rejected():

@@ -2,9 +2,12 @@
 
 import csv
 import gc
+import hashlib
 import json
+import os
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -337,3 +340,33 @@ def test_grid_overrides_may_shadow_axis_fields():
     assert cell.scenario.num_sites == 5
     assert cell.scenario.miss_policy == "queue"
     assert cell.workload.num_flows == 3
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "sweep_digests.json")
+
+
+def shrunk_preset(name):
+    """Preset *name* cut down to a sub-second grid that keeps every axis."""
+    grid = PRESETS[name]
+    if name == "scale":
+        grid = replace(grid, site_counts=(4, 8))
+    return replace(grid, num_flows=200 if name == "megaflow"
+                   else min(grid.num_flows, 12))
+
+
+def preset_digests(name, workdir):
+    """sha256 of the digested payload and of the CSV bytes of one preset."""
+    csv_path = os.path.join(workdir, f"{name}.csv")
+    payload = run_sweep(shrunk_preset(name), csv_path=csv_path)
+    with open(csv_path, "rb") as handle:
+        csv_bytes = handle.read()
+    return {"payload": hashlib.sha256(payload_digest(payload).encode()).hexdigest(),
+            "csv": hashlib.sha256(csv_bytes).hexdigest()}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_artifacts_match_golden_digests(name, tmp_path):
+    """Every preset's payload and CSV stay byte-identical across refactors."""
+    with open(GOLDEN) as handle:
+        golden = json.load(handle)
+    assert preset_digests(name, str(tmp_path)) == golden[name]

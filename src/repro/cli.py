@@ -14,9 +14,8 @@ Each experiment prints the regenerated table plus its shape-check verdict
 Parameter sweeps (``repro sweep``)
 ----------------------------------
 
-``sweep`` expands a declarative grid (control plane x topology family x
-site count x seed x
-Zipf skew x flow-size distribution x pacing mode x RLOC-failure fraction)
+``sweep`` expands a declarative grid (one axis per row of
+:data:`repro.experiments.sweep.AXES`)
 into scenario/workload cells and runs them against one world cache, the
 run's snapshot store: each distinct world is built exactly once and reset
 in place for every further cell (``--workers N`` pre-builds the worlds,
@@ -47,10 +46,9 @@ finding — the CI gate behind docs/contracts.md::
     python -m repro analyze src/repro --rules SNAP01,DET01
     python -m repro analyze --list-rules
 
-Presets live in :data:`repro.experiments.sweep.PRESETS`; the axis flags
-(``--control-planes/--topologies/--sites/--seeds/--zipf/--size-dists/
---pacings/--fail-fractions/--flows/--mode``) override the chosen preset's
-axes.  Aggregates are
+Presets live in :data:`repro.experiments.sweep.PRESETS`; one flag per
+``AXES`` row (plus ``GRID_FLAGS``) overrides the chosen preset's axes.
+Aggregates are
 deterministic: the same grid and seeds produce byte-identical JSON for any
 ``--workers`` value (the ``world cache:`` and ``snapshot store`` lines
 report hits/restores/builds separately).  For
@@ -62,93 +60,32 @@ memory.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
+from repro.experiments.report import (EXPERIMENTS, generate_report,
+                                      run_experiment)
+from repro.experiments.sweep import (AXES, GRID_FLAGS, GROUP_AXES, PRESETS,
+                                     run_sweep)
 from repro.metrics import format_table
 
 
-def _run_fig1(args):
-    from repro.experiments.fig1 import run_fig1_walkthrough
-
-    outcome = run_fig1_walkthrough(seed=args.seed)
-    rows = [(label, "-" if when is None else f"{when * 1000:.3f} ms", description)
-            for label, when, description in outcome["steps"]]
-    print(format_table(("step", "time", "what happens"), rows,
-                       title="Fig. 1 walkthrough"))
+def _run_experiment(experiment, args):
+    """Run one experiment, print its table and verdict; True when it holds."""
+    kwargs = experiment.cli_kwargs(args) if experiment.cli_kwargs else {}
+    table, checks = run_experiment(experiment, seed=args.seed, **kwargs)
+    print(table)
     print()
-    for name, ok in outcome["checks"].items():
-        print(f"  [{'ok' if ok else 'FAILED'}] {name}")
-    return all(outcome["checks"].values())
-
-
-def _table_runner(module_name, run_kwargs_builder):
-    def runner(args):
-        import importlib
-
-        module = importlib.import_module(f"repro.experiments.{module_name}")
-        rows = module.__dict__[_RUN_NAMES[module_name]](**run_kwargs_builder(args))
-        print(format_table(module.HEADERS, [row.as_tuple() for row in rows]))
-        failures = module.check_shape(rows)
-        print()
-        if failures:
-            print("shape-check FAILURES:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return False
-        print("shape check: ok")
-        return True
-
-    return runner
-
-
-_RUN_NAMES = {
-    "e1_packet_loss": "run_e1",
-    "e2_overlap": "run_e2",
-    "e3_setup_latency": "run_e3",
-    "e4_te_flexibility": "run_e4",
-    "e5_overhead": "run_e5",
-    "e6_pce_overhead": "run_e6",
-    "e7_cache_aging": "run_e7",
-    "e8_reverse_mapping": "run_e8",
-    "e9_failover": "run_e9",
-    "e10_topology_shape": "run_e10",
-}
-
-EXPERIMENTS = {
-    "fig1": ("Fig. 1 step walkthrough", _run_fig1),
-    "e1": ("first-packet fate during resolution",
-           _table_runner("e1_packet_loss",
-                         lambda a: dict(num_sites=a.num_sites, num_flows=a.flows,
-                                        seed=a.seed))),
-    "e2": ("mapping/DNS resolution overlap",
-           _table_runner("e2_overlap",
-                         lambda a: dict(num_sites=min(a.num_sites, 6),
-                                        num_flows=a.flows, seed=a.seed))),
-    "e3": ("TCP connection-setup latency",
-           _table_runner("e3_setup_latency",
-                         lambda a: dict(num_sites=min(a.num_sites, 6),
-                                        num_flows=a.flows, seed=a.seed))),
-    "e4": ("inbound/outbound TE flexibility",
-           _table_runner("e4_te_flexibility",
-                         lambda a: dict(num_sites=min(a.num_sites, 6),
-                                        num_flows=a.flows, seed=a.seed))),
-    "e5": ("control-plane overhead vs scale",
-           _table_runner("e5_overhead", lambda a: dict(seed=a.seed))),
-    "e6": ("PCE interception overhead",
-           _table_runner("e6_pce_overhead",
-                         lambda a: dict(num_flows=a.flows, seed=a.seed))),
-    "e7": ("map-cache aging",
-           _table_runner("e7_cache_aging",
-                         lambda a: dict(num_sites=a.num_sites, num_flows=a.flows,
-                                        seed=a.seed))),
-    "e8": ("reverse-mapping completion",
-           _table_runner("e8_reverse_mapping", lambda a: dict(seed=a.seed))),
-    "e9": ("locator failure / probing failover",
-           _table_runner("e9_failover", lambda a: dict(seed=a.seed))),
-    "e10": ("mapping systems vs topology shape",
-            _table_runner("e10_topology_shape",
-                          lambda a: dict(num_sites=a.num_sites,
-                                         num_flows=a.flows, seed=a.seed))),
-}
+    if experiment.id == "fig1":
+        for name, ok in checks.items():
+            print(f"  [{'ok' if ok else 'FAILED'}] {name}")
+        return all(checks.values())
+    if checks:
+        print("shape-check FAILURES:")
+        for failure in checks:
+            print(f"  - {failure}")
+        return False
+    print("shape check: ok")
+    return True
 
 
 def build_parser():
@@ -166,7 +103,9 @@ def build_parser():
     report = sub.add_parser("report", help="regenerate the full report")
     report.add_argument("-o", "--output", default=None,
                         help="write markdown to this file (default: stdout)")
-    report.add_argument("--seed", type=int, default=11)
+    report.add_argument("--seed", type=int, default=None,
+                        help="seed every experiment with this (default: "
+                             "each experiment's own seed)")
     analyze = sub.add_parser(
         "analyze", help="run the determinism & snapshot contract checkers")
     from repro.analysis.cli import add_arguments as add_analyze_arguments
@@ -191,32 +130,27 @@ def build_parser():
                             "are serialized here (content-addressed by world "
                             "key + schema version) and repeated sweeps "
                             "restore instead of rebuilding")
-    sweep.add_argument("--control-planes", nargs="+", default=None)
-    sweep.add_argument("--topologies", nargs="+", default=None,
-                       help="topology families (fig1/flat/tiered/caida; "
-                            "see repro.net.topogen)")
-    sweep.add_argument("--sites", nargs="+", type=int, default=None)
-    sweep.add_argument("--seeds", nargs="+", type=int, default=None)
-    sweep.add_argument("--zipf", nargs="+", type=float, default=None)
-    sweep.add_argument("--size-dists", nargs="+", default=None,
-                       help="flow-size distributions (constant/pareto/lognormal)")
-    sweep.add_argument("--pacings", nargs="+", default=None,
-                       help="pacing modes (constant/shaped/fluid: shaped "
-                            "bursts mice and paces elephants at the "
-                            "workload's target rate, fluid also moves bulk "
-                            "flows as rate chunks)")
-    sweep.add_argument("--fail-fractions", nargs="+", type=float, default=None,
-                       help="fractions of sites whose primary RLOC fails")
-    sweep.add_argument("--flows", type=int, default=None)
-    sweep.add_argument("--mode", choices=("udp", "tcp"), default=None)
+    for axis in AXES:
+        sweep.add_argument(axis.flag, nargs="+", type=axis.type, default=None,
+                           help=axis.help)
+    for flag, _field, kwargs in GRID_FLAGS:
+        sweep.add_argument(flag, default=None, **kwargs)
     return parser
 
 
+def _grid_overrides(args):
+    """The SweepGrid fields the given sweep flags replace in the preset."""
+    def given(flag):  # by argparse's own flag -> attribute rule
+        return getattr(args, flag.lstrip("-").replace("-", "_"))
+
+    overrides = {axis.field: tuple(given(axis.flag))
+                 for axis in AXES if given(axis.flag) is not None}
+    overrides.update((field, given(flag)) for flag, field, _kwargs in GRID_FLAGS
+                     if given(flag) is not None)
+    return overrides
+
+
 def _run_sweep_command(args):
-    from dataclasses import replace
-
-    from repro.experiments.sweep import PRESETS, run_sweep
-
     if args.preset not in PRESETS:
         print(f"unknown preset {args.preset!r}; available: "
               f"{', '.join(sorted(PRESETS))}")
@@ -225,29 +159,7 @@ def _run_sweep_command(args):
     if args.no_json and args.json is not None:
         print("sweep error: --no-json cannot be combined with --json")
         return 1
-    overrides = {}
-    if args.control_planes is not None:
-        overrides["control_planes"] = tuple(args.control_planes)
-    if args.topologies is not None:
-        overrides["topologies"] = tuple(args.topologies)
-    if args.sites is not None:
-        overrides["site_counts"] = tuple(args.sites)
-    if args.seeds is not None:
-        overrides["seeds"] = tuple(args.seeds)
-    if args.zipf is not None:
-        overrides["zipf_values"] = tuple(args.zipf)
-    if args.size_dists is not None:
-        overrides["size_dists"] = tuple(args.size_dists)
-    if args.pacings is not None:
-        overrides["pacings"] = tuple(args.pacings)
-    if args.fail_fractions is not None:
-        overrides["fail_fractions"] = tuple(args.fail_fractions)
-    if args.flows is not None:
-        overrides["num_flows"] = args.flows
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if overrides:
-        grid = replace(grid, **overrides)
+    grid = replace(grid, **_grid_overrides(args))
 
     jsonl_path = args.jsonl
     if jsonl_path is None:
@@ -267,10 +179,9 @@ def _run_sweep_command(args):
     except ValueError as error:
         print(f"sweep error: {error}")
         return 1
-    rows = [(a["control_plane"], a["topology"], a["num_sites"], a["zipf_s"],
-             a["size_dist"],
-             a["pacing"], f"{a['fail_fraction']:g}", a["cells"],
-             a["flows"], a["first_packet_drops"], a["packets_lost"],
+    rows = [(*(a[axis.key] if axis.show is None
+               else axis.show.format(a[axis.key]) for axis in GROUP_AXES),
+             a["cells"], a["flows"], a["first_packet_drops"], a["packets_lost"],
              "-" if a["cache_hit_ratio_mean"] is None
              else f"{a['cache_hit_ratio_mean']:.3f}",
              "-" if a["setup_p95_mean"] is None
@@ -278,10 +189,9 @@ def _run_sweep_command(args):
              "ok" if a["bytes_conserved"] else "VIOLATED",
              f"{a['access_util_peak']:.2f}")
             for a in payload["aggregates"]]
-    print(format_table(("system", "topo", "sites", "zipf", "sizes", "pacing",
-                        "fail",
-                        "cells", "flows", "first_pkt_drops", "pkts_lost",
-                        "hit_ratio", "setup_p95", "bytes", "util"), rows,
+    print(format_table((*(axis.label for axis in GROUP_AXES), "cells", "flows",
+                        "first_pkt_drops", "pkts_lost", "hit_ratio",
+                        "setup_p95", "bytes", "util"), rows,
                        title=f"sweep '{grid.name}': {payload['num_cells']} cells"))
     cache = payload["world_cache"]
     print(f"world cache: {cache['hits']} hits / {cache['restores']} restores "
@@ -305,8 +215,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "list" or args.command is None:
         print(format_table(("experiment", "regenerates"),
-                           [(name, description)
-                            for name, (description, _runner) in sorted(EXPERIMENTS.items())]))
+                           [(name, experiment.description)
+                            for name, experiment in sorted(EXPERIMENTS.items())]))
         return 0
     if args.command == "analyze":
         from repro.analysis.cli import run as run_analyze
@@ -315,8 +225,6 @@ def main(argv=None):
     if args.command == "sweep":
         return _run_sweep_command(args)
     if args.command == "report":
-        from repro.experiments.report import generate_report
-
         text, ok = generate_report(seed=args.seed, out=args.output)
         if args.output is None:
             print(text)
@@ -326,13 +234,13 @@ def main(argv=None):
         return 0 if ok else 1
     if args.experiment == "all":
         ok = True
-        for name, (description, runner) in sorted(EXPERIMENTS.items()):
-            print(f"\n=== {name}: {description} ===")
-            ok = runner(args) and ok
+        for name, experiment in sorted(EXPERIMENTS.items()):
+            print(f"\n=== {name}: {experiment.description} ===")
+            ok = _run_experiment(experiment, args) and ok
         return 0 if ok else 1
-    description, runner = EXPERIMENTS[args.experiment]
-    print(f"=== {args.experiment}: {description} ===")
-    return 0 if runner(args) else 1
+    experiment = EXPERIMENTS[args.experiment]
+    print(f"=== {experiment.id}: {experiment.description} ===")
+    return 0 if _run_experiment(experiment, args) else 1
 
 
 if __name__ == "__main__":

@@ -80,16 +80,8 @@ def run_e10(num_sites=12, num_flows=30, seed=71, families=DEFAULT_FAMILIES,
                                       packets_per_flow=3, zipf_s=1.0)
             records = run_workload(scenario, workload)
 
-            hits = misses = 0
-            for xtr_list in scenario.xtrs_by_site.values():
-                for xtr in xtr_list:
-                    hits += xtr.map_cache.hits
-                    misses += xtr.map_cache.misses
-            lookups = hits + misses
-            if scenario.mapping_system is not None:
-                messages = scenario.mapping_system.stats.messages
-            else:
-                messages = scenario.control_plane.total_control_messages()
+            hits, lookups = scenario.map_cache_lookups()
+            messages, _bytes = scenario.control_overhead()
             topology = scenario.topology
             rows.append(E10Row(
                 system=system, topology=family, num_sites=num_sites,

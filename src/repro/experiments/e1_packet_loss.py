@@ -67,12 +67,7 @@ def run_e1(num_sites=8, num_flows=40, cache_ttls=(2.0, 60.0), seed=11,
 
 
 def _make_row(label, cache_ttl, scenario, records, outcomes):
-    hits = misses = 0
-    for xtr_list in scenario.xtrs_by_site.values():
-        for xtr in xtr_list:
-            hits += xtr.map_cache.hits
-            misses += xtr.map_cache.misses
-    total = hits + misses
+    hits, total = scenario.map_cache_lookups()
     policy_stats = scenario.miss_policy.stats if scenario.miss_policy else None
     queue_delays = policy_stats.queue_delays if policy_stats else []
     return E1Row(

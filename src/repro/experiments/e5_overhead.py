@@ -71,16 +71,10 @@ def _state_snapshot(scenario):
 
 
 def _measure(system, num_sites, scenario, records):
+    messages, control_bytes = scenario.control_overhead()
     if scenario.control_plane is not None:
-        cp = scenario.control_plane
-        messages = cp.total_control_messages()
-        control_bytes = cp.total_push_bytes()
-        for pce in cp.pces.values():
+        for pce in scenario.control_plane.pces.values():
             control_bytes += pce.stats.replies_encapsulated * 64  # envelope overhead
-    else:
-        stats = scenario.mapping_system.stats
-        messages = stats.messages
-        control_bytes = stats.bytes
     state = _state_snapshot(scenario)
     counts = list(state.values()) or [0]
     flows = len(records)

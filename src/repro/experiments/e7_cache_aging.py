@@ -51,12 +51,7 @@ def run_e7(num_sites=8, num_flows=50, ttls=(1.0, 10.0, 120.0), zipf_values=(0.0,
 
 
 def _measure(system, ttl, zipf_s, scenario, records):
-    hits = misses = 0
-    for xtr_list in scenario.xtrs_by_site.values():
-        for xtr in xtr_list:
-            hits += xtr.map_cache.hits
-            misses += xtr.map_cache.misses
-    total = hits + misses
+    hits, total = scenario.map_cache_lookups()
     drops = scenario.miss_policy.stats.dropped if scenario.miss_policy else 0
     return E7Row(system=system, cache_ttl=ttl, zipf_s=zipf_s, flows=len(records),
                  hit_ratio=hits / total if total else 1.0,

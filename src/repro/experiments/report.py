@@ -1,69 +1,118 @@
-"""Generate a full reproduction report: every experiment, one document.
+"""The experiment table, and the full reproduction report built from it.
 
-Used by ``python -m repro report [-o FILE]``; the benchmark harness asserts
-shapes per-experiment, this module collects everything a reader needs into
-a single markdown artefact (the source of EXPERIMENTS.md's reference run).
+:data:`EXPERIMENTS` is the one list of what can be regenerated: ``repro
+list`` prints it, ``repro run`` runs one row of it, and
+:func:`generate_report` (``python -m repro report [-o FILE]``) runs every
+row into a single markdown artefact (the source of EXPERIMENTS.md's
+reference run).  The benchmark harness asserts shapes per-experiment.
 """
 
 import importlib
 import io
+from dataclasses import dataclass
 
 from repro.metrics import format_table
 
-#: (experiment id, module, runner kwargs, paper artefact description)
-EXPERIMENT_SPECS = (
-    ("e1", "e1_packet_loss", "run_e1", {},
-     "claim C1 — first-packet fate during mapping resolution"),
-    ("e2", "e2_overlap", "run_e2", {},
-     "claim C2 — (T_DNS + T_map) ≈ T_DNS"),
-    ("e3", "e3_setup_latency", "run_e3", {},
-     "§1 formulas — TCP connection-setup latency"),
-    ("e4", "e4_te_flexibility", "run_e4", {},
-     "claim C3 — independent ingress/egress TE"),
-    ("e5", "e5_overhead", "run_e5", {},
-     "control-plane overhead and state vs scale"),
-    ("e6", "e6_pce_overhead", "run_e6", {},
-     "Step 6 — PCE interception overhead / line-rate claim"),
-    ("e7", "e7_cache_aging", "run_e7", {},
-     "§1 — map-cache aging"),
-    ("e8", "e8_reverse_mapping", "run_e8", {},
-     "closing paragraph — reverse-mapping completion"),
-    ("e9", "e9_failover", "run_e9", {},
-     "extension — locator failure and probing failover"),
-    ("e10", "e10_topology_shape", "run_e10", {},
-     "extension — mapping systems on internet-shaped (tiered/CAIDA) fabrics"),
-)
+
+@dataclass(frozen=True)
+class Experiment:
+    """One regenerable paper artefact."""
+
+    id: str
+    #: Module under ``repro.experiments`` and the runner function in it.
+    module: str
+    runner: str
+    description: str
+    #: ``repro run`` arguments -> runner keywords besides the seed, which
+    #: every runner takes (None: the runner takes nothing else).
+    cli_kwargs: object = None
 
 
-def generate_report(seed=11, out=None):
-    """Run every experiment; returns (markdown_text, all_shapes_ok)."""
+def _sized(site_cap=None):
+    """Runner keywords for the experiments ``--num-sites``/``--flows`` size."""
+    def kwargs(args):
+        sites = args.num_sites if site_cap is None else min(args.num_sites,
+                                                            site_cap)
+        return dict(num_sites=sites, num_flows=args.flows)
+    return kwargs
+
+
+EXPERIMENTS = {experiment.id: experiment for experiment in (
+    Experiment("fig1", "fig1", "run_fig1_walkthrough",
+               "Fig. 1 step walkthrough"),
+    Experiment("e1", "e1_packet_loss", "run_e1",
+               "claim C1 — first-packet fate during mapping resolution",
+               _sized()),
+    Experiment("e2", "e2_overlap", "run_e2",
+               "claim C2 — (T_DNS + T_map) ≈ T_DNS", _sized(site_cap=6)),
+    Experiment("e3", "e3_setup_latency", "run_e3",
+               "§1 formulas — TCP connection-setup latency",
+               _sized(site_cap=6)),
+    Experiment("e4", "e4_te_flexibility", "run_e4",
+               "claim C3 — independent ingress/egress TE",
+               _sized(site_cap=6)),
+    Experiment("e5", "e5_overhead", "run_e5",
+               "control-plane overhead and state vs scale"),
+    Experiment("e6", "e6_pce_overhead", "run_e6",
+               "Step 6 — PCE interception overhead / line-rate claim",
+               lambda args: dict(num_flows=args.flows)),
+    Experiment("e7", "e7_cache_aging", "run_e7", "§1 — map-cache aging",
+               _sized()),
+    Experiment("e8", "e8_reverse_mapping", "run_e8",
+               "closing paragraph — reverse-mapping completion"),
+    Experiment("e9", "e9_failover", "run_e9",
+               "extension — locator failure and probing failover"),
+    Experiment("e10", "e10_topology_shape", "run_e10",
+               "extension — mapping systems on internet-shaped "
+               "(tiered/CAIDA) fabrics", _sized()),
+)}
+
+
+def run_experiment(experiment, seed=None, **kwargs):
+    """Run one :data:`EXPERIMENTS` row; returns ``(table text, checks)``.
+
+    *checks* is the Fig. 1 walkthrough's ``{check name: passed}`` dict, or
+    an E-experiment's list of shape-check failures (empty: the shape
+    holds).  ``seed=None`` keeps the runner's own default seed.
+    """
+    module = importlib.import_module(f"repro.experiments.{experiment.module}")
+    if seed is not None:
+        kwargs["seed"] = seed
+    outcome = getattr(module, experiment.runner)(**kwargs)
+    if experiment.id == "fig1":
+        rows = [(label, "-" if when is None else f"{when * 1000:.3f} ms", what)
+                for label, when, what in outcome["steps"]]
+        return (format_table(("step", "time", "what happens"), rows),
+                outcome["checks"])
+    return (format_table(module.HEADERS, [row.as_tuple() for row in outcome]),
+            module.check_shape(outcome))
+
+
+def generate_report(seed=None, out=None):
+    """Run every experiment; returns (markdown_text, all_shapes_ok).
+
+    An explicit *seed* reaches every runner; without one each experiment
+    keeps its own default seed (and the Fig. 1 walkthrough runs with 11).
+    """
     buffer = io.StringIO()
     all_ok = True
     buffer.write("# Reproduction report\n\n")
     buffer.write("Regenerated by `python -m repro report`.  One section per "
                  "paper artefact; see DESIGN.md §4 for the index and "
                  "EXPERIMENTS.md for interpretation.\n")
-
-    from repro.experiments.fig1 import run_fig1_walkthrough
-
-    outcome = run_fig1_walkthrough(seed=seed)
-    buffer.write("\n## F1 — Fig. 1 step walkthrough\n\n```\n")
-    rows = [(label, "-" if when is None else f"{when * 1000:.3f} ms", description)
-            for label, when, description in outcome["steps"]]
-    buffer.write(format_table(("step", "time", "what happens"), rows))
-    buffer.write("\n```\n\nChecks: ")
-    buffer.write(", ".join(f"{name}={'ok' if ok else 'FAILED'}"
-                           for name, ok in outcome["checks"].items()))
-    buffer.write("\n")
-    all_ok = all_ok and all(outcome["checks"].values())
-
-    for exp_id, module_name, run_name, kwargs, description in EXPERIMENT_SPECS:
-        module = importlib.import_module(f"repro.experiments.{module_name}")
-        rows = getattr(module, run_name)(**kwargs)
-        failures = module.check_shape(rows)
-        buffer.write(f"\n## {exp_id.upper()} — {description}\n\n```\n")
-        buffer.write(format_table(module.HEADERS, [row.as_tuple() for row in rows]))
-        buffer.write("\n```\n\n")
+    for experiment in EXPERIMENTS.values():
+        if experiment.id == "fig1":
+            table, checks = run_experiment(
+                experiment, 11 if seed is None else seed)
+            buffer.write(f"\n## F1 — {experiment.description}\n\n```\n{table}"
+                         "\n```\n\nChecks: ")
+            buffer.write(", ".join(f"{name}={'ok' if ok else 'FAILED'}"
+                                   for name, ok in checks.items()) + "\n")
+            all_ok = all_ok and all(checks.values())
+            continue
+        table, failures = run_experiment(experiment, seed)
+        buffer.write(f"\n## {experiment.id.upper()} — {experiment.description}"
+                     f"\n\n```\n{table}\n```\n\n")
         if failures:
             all_ok = False
             buffer.write("Shape-check FAILURES:\n")

@@ -174,6 +174,31 @@ class Scenario:
             return 0
         return self.miss_policy.stats.dropped
 
+    def iter_xtrs(self):
+        """Every xTR in the world, site by site."""
+        for xtr_list in self.xtrs_by_site.values():
+            yield from xtr_list
+
+    def map_cache_lookups(self):
+        """World-wide map-cache ``(hits, lookups)`` over every xTR."""
+        caches = [xtr.map_cache for xtr in self.iter_xtrs()]
+        hits = sum(cache.hits for cache in caches)
+        return hits, hits + sum(cache.misses for cache in caches)
+
+    def control_overhead(self):
+        """Control-plane ``(messages, bytes)`` spent so far.
+
+        The baseline mapping system's counters, the PCE control plane's
+        push and interception totals, or zeros in a ``plain`` world.
+        """
+        if self.mapping_system is not None:
+            stats = self.mapping_system.stats
+            return stats.messages, stats.bytes
+        if self.control_plane is not None:
+            return (self.control_plane.total_control_messages(),
+                    self.control_plane.total_push_bytes())
+        return 0, 0
+
     def access_byte_shares(self, site, direction="in"):
         """Per-provider byte share of *site*'s access links (E4).
 
@@ -279,9 +304,7 @@ class Scenario:
             yield stack
         for sink in self.udp_sinks.values():
             yield sink
-        for xtr_list in self.xtrs_by_site.values():
-            for xtr in xtr_list:
-                yield xtr
+        yield from self.iter_xtrs()
         dns = self.dns
         yield dns.root_server
         yield dns.tld_server

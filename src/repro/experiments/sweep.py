@@ -1,14 +1,16 @@
 """Parameter sweeps: declarative scenario grids fanned out over processes.
 
 The experiment modules (E1-E9) each run a handful of hand-picked worlds.
-This module is the scaling counterpart: a :class:`SweepGrid` declares axes
-(control plane x topology family x site count x seed x workload skew x
-flow-size distribution
-x pacing mode x RLOC-failure fraction), :func:`expand_grid` turns it into concrete
+This module is the scaling counterpart: a :class:`SweepGrid` lists the
+values of every sweep axis, :func:`expand_grid` turns it into concrete
 :class:`SweepCell` objects — one
 :class:`~repro.experiments.scenario.ScenarioConfig` /
 :class:`~repro.experiments.workload.WorkloadConfig` pair per cell — and
 :func:`run_sweep` fans the cells out across worker processes.
+
+Which axes and metrics exist is defined once, in the :data:`AXES` and
+:data:`METRICS` tables; everything else that names one is derived from
+them (see "Sweep artifacts" in ``docs/contracts.md``).
 
 Worlds come from one cache, a
 :class:`~repro.experiments.worldbuild.SnapshotStore` that every run owns
@@ -63,12 +65,15 @@ or from the command line: ``python -m repro sweep --preset scale --workers 4``.
 
 import csv
 import heapq
+import itertools
 import json
 import math
 import multiprocessing
+import operator
 import os
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 from repro.experiments.e9_failover import schedule_access_failure
@@ -82,37 +87,27 @@ from repro.net.topogen import FAMILIES
 from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
 
 #: Schema tag written into every JSON artifact: the shape of the payload
-#: — grid description, aggregate group key (``_GROUP_FIELDS``) and folds,
-#: per-cell rows and their ``metrics`` keys — and of the CSV columns.
-#: Bump it when a consumer of the artifacts would have to change; what is
-#: pickled into world blobs is versioned separately (``SNAPSHOT_SCHEMA``,
-#: see the "Versions" paragraph of ``docs/contracts.md``).
+#: — grid description, aggregate group key and folds, per-cell rows and
+#: their ``metrics`` keys — and of the CSV columns.  Bump it when a
+#: consumer of the artifacts would have to change (see "Sweep artifacts"
+#: in ``docs/contracts.md``); what is pickled into world blobs is
+#: versioned separately (``SNAPSHOT_SCHEMA``, see "Versions" there).
 SCHEMA = "repro.sweep/v6"
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Declarative axes of a sweep plus shared scenario/workload knobs.
+    """The values of every sweep axis plus shared scenario/workload knobs.
 
-    The cross product ``control_planes x topologies x site_counts x
-    zipf_values x size_dists x pacings x fail_fractions x seeds`` defines
-    the cells, in that nesting order.  ``topologies`` names topology
-    families (see :mod:`repro.net.topogen`); non-flat families derive
-    their own provider population from the site count, so
-    ``num_providers`` only shapes ``flat``/``fig1`` cells.  ``scenario_overrides`` and ``workload_overrides``
-    apply to every cell (any :class:`ScenarioConfig` /
-    :class:`WorkloadConfig` field).
-
-    ``size_dists`` selects per-cell flow-size distributions (heavy-tailed
-    bounded Pareto / lognormal around ``packets_per_flow``; see
-    :class:`~repro.traffic.popularity.FlowSizeSampler`).  ``pacings``
-    selects how those sizes hit the links per cell: ``constant`` keeps the
-    historical fixed inter-packet spacing, ``shaped`` bursts mice
-    back-to-back and paces elephants at the workload's target rate (see
-    :class:`~repro.traffic.popularity.FlowShaper`).  ``fail_fractions``
-    injects the E9 RLOC-failure machinery as an axis: a fraction of sites
-    lose their primary access link at ``fail_at`` and regain it at
-    ``repair_at`` (simulated seconds after the workload starts).
+    One tuple field per :data:`AXES` row; their cross product defines the
+    cells, nested in table order with the seed innermost.  Non-flat
+    topology families derive their own provider population from the site
+    count, so ``num_providers`` only shapes ``flat``/``fig1`` cells.
+    Failed sites lose their primary access link at ``fail_at`` and regain
+    it at ``repair_at`` (simulated seconds after the workload starts).
+    ``scenario_overrides`` and ``workload_overrides`` apply to every cell
+    (any :class:`ScenarioConfig` / :class:`WorkloadConfig` field) and win
+    over axis values.
     """
 
     name: str = "sweep"
@@ -162,83 +157,281 @@ class SweepCell:
     cell_id: str
     scenario: ScenarioConfig
     workload: WorkloadConfig
-    failure: FailureConfig = None
+    failure: FailureConfig
+
+
+# --------------------------------------------------------------------- #
+# The axis table
+# --------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class Axis:
+    """One sweep axis: all that the grid, cells, artifacts and CLI know of it."""
+
+    key: str               # in cell results, CSV columns, aggregate groups
+    field: str             # SweepGrid field listing the values
+    flag: str              # ``repro sweep`` flag overriding that field ...
+    type: type             # ... and its element type
+    config: str            # SweepCell config the value lands in ...
+    kwarg: str = None      # ... as this keyword (default: key)
+    #: Config attribute results report back (default: kwarg); read from
+    #: the config because overrides may shadow the axis value.
+    attr: str = None
+    fragment: str = "{}"   # cell-id fragment ...
+    unmarked: object = None    # ... left out of the id at this value
+    valid: object = None   # validity predicate ...
+    error: str = None      # ... and the ValueError text where it fails
+    label: str = None      # column header in the printed aggregate table
+    show: str = None       # its cell format (default: the table's own)
+    help: str = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "kwarg", self.kwarg or self.key)
+        object.__setattr__(self, "attr", self.attr or self.kwarg)
+
+
+#: The replication axis: aggregates fold over it instead of grouping by
+#: it, and it varies fastest in the grid.
+_SEED = Axis("seed", "seeds", "--seeds", int, "scenario", fragment="seed{}")
+
+#: Every sweep axis, in result/CSV column order.
+AXES = (
+    Axis("control_plane", "control_planes", "--control-planes", str,
+         "scenario", valid=CONTROL_PLANES.__contains__,
+         error="unknown control plane {!r}", label="system"),
+    Axis("topology", "topologies", "--topologies", str, "scenario",
+         attr="topology_family", unmarked="flat",
+         valid=FAMILIES.__contains__, error="unknown topology family {!r}",
+         label="topo",
+         help="topology families (fig1/flat/tiered/caida; "
+              "see repro.net.topogen)"),
+    Axis("num_sites", "site_counts", "--sites", int, "scenario",
+         fragment="sites{}", label="sites"),
+    _SEED,
+    Axis("zipf_s", "zipf_values", "--zipf", float, "workload",
+         fragment="zipf{:g}", label="zipf"),
+    # Heavy-tailed bounded Pareto / lognormal around packets_per_flow
+    # (see repro.traffic.popularity.FlowSizeSampler).
+    Axis("size_dist", "size_dists", "--size-dists", str, "workload",
+         fragment="size{}", unmarked="constant",
+         valid=SIZE_DISTRIBUTIONS.__contains__,
+         error="unknown size distribution {!r}", label="sizes",
+         help="flow-size distributions (constant/pareto/lognormal)"),
+    # How those sizes hit the links (see repro.traffic.popularity.FlowShaper).
+    Axis("pacing", "pacings", "--pacings", str, "workload",
+         unmarked="constant", valid=PACING_MODES.__contains__,
+         error="unknown pacing mode {!r}", label="pacing",
+         help="pacing modes (constant/shaped/fluid: shaped bursts mice and "
+              "paces elephants at the workload's target rate, fluid also "
+              "moves bulk flows as rate chunks)"),
+    # The E9 RLOC-failure machinery as an axis.
+    Axis("fail_fraction", "fail_fractions", "--fail-fractions", float,
+         "failure", kwarg="fraction", fragment="fail{:g}", unmarked=0.0,
+         valid=lambda fraction: 0.0 <= fraction <= 1.0,
+         error="fail fraction {!r} outside [0, 1]", label="fail",
+         show="{:g}", help="fractions of sites whose primary RLOC fails"),
+)
+
+#: The axes that identify one aggregate group: every axis but the seed.
+GROUP_AXES = tuple(axis for axis in AXES if axis is not _SEED)
+
+#: Scalar grid fields ``repro sweep`` can override, as
+#: ``(flag, SweepGrid field, argparse keywords)``.
+GRID_FLAGS = (("--flows", "num_flows", {"type": int}),
+              ("--mode", "mode", {"choices": ("udp", "tcp")}))
 
 
 def expand_grid(grid):
-    """The grid's cells, in deterministic axis-nesting order."""
-    for control_plane in grid.control_planes:
-        if control_plane not in CONTROL_PLANES:
-            raise ValueError(f"unknown control plane {control_plane!r}")
-    for topology in grid.topologies:
-        if topology not in FAMILIES:
-            raise ValueError(f"unknown topology family {topology!r}")
-    for size_dist in grid.size_dists:
-        if size_dist not in SIZE_DISTRIBUTIONS:
-            raise ValueError(f"unknown size distribution {size_dist!r}")
-    for pacing in grid.pacings:
-        if pacing not in PACING_MODES:
-            raise ValueError(f"unknown pacing mode {pacing!r}")
-    for fraction in grid.fail_fractions:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fail fraction {fraction!r} outside [0, 1]")
-    cells = []
-    for control_plane in grid.control_planes:
-        for topology in grid.topologies:
-            for num_sites in grid.site_counts:
-                for zipf_s in grid.zipf_values:
-                    for size_dist in grid.size_dists:
-                        for pacing in grid.pacings:
-                            for fraction in grid.fail_fractions:
-                                for seed in grid.seeds:
-                                    cells.append(_make_cell(
-                                        grid, len(cells), control_plane,
-                                        topology, num_sites, zipf_s,
-                                        size_dist, pacing, fraction, seed))
-    return cells
+    """The grid's cells, in deterministic axis-nesting order.
+
+    Raises ``ValueError`` naming the grid field for an axis that is empty
+    or repeats a value, and for a value its axis does not accept.
+    """
+    for axis in AXES:
+        values = getattr(grid, axis.field)
+        if not values:
+            raise ValueError(f"grid field {axis.field!r} is empty")
+        if len(set(values)) != len(values):
+            raise ValueError(f"grid field {axis.field!r} repeats a value: "
+                             f"{values!r}")
+        for value in values:
+            if axis.valid is not None and not axis.valid(value):
+                raise ValueError(axis.error.format(value))
+    nesting = (*GROUP_AXES, _SEED)
+    return [_make_cell(grid, index, tuple(zip(nesting, values, strict=True)))
+            for index, values in enumerate(itertools.product(
+                *(getattr(grid, axis.field) for axis in nesting)))]
 
 
-def _make_cell(grid, index, control_plane, topology, num_sites, zipf_s,
-               size_dist, pacing, fraction, seed):
+def _make_cell(grid, index, values):
+    """The cell at *values*, ``(axis, value)`` pairs in nesting order."""
+    kwargs = {
+        "scenario": dict(num_providers=grid.num_providers,
+                         hosts_per_site=grid.hosts_per_site,
+                         mapping_ttl=grid.mapping_ttl, tracing=False),
+        "workload": dict(num_flows=grid.num_flows,
+                         arrival_rate=grid.arrival_rate, mode=grid.mode,
+                         packets_per_flow=grid.packets_per_flow),
+        "failure": dict(fail_at=grid.fail_at, repair_at=grid.repair_at),
+    }
+    for axis, value in values:
+        kwargs[axis.config][axis.kwarg] = value
     # Overrides win over axis-derived values (so a grid can e.g. force
     # miss_policy or hosts_per_site per cell).
-    scenario_kwargs = dict(
-        control_plane=control_plane,
-        topology=topology,
-        num_sites=num_sites,
-        num_providers=grid.num_providers,
-        hosts_per_site=grid.hosts_per_site,
-        seed=seed,
-        mapping_ttl=grid.mapping_ttl,
-        tracing=False)
-    scenario_kwargs.update(grid.scenario_overrides)
-    scenario = ScenarioConfig(**scenario_kwargs)
-    workload_kwargs = dict(
-        num_flows=grid.num_flows,
-        arrival_rate=grid.arrival_rate,
-        zipf_s=zipf_s,
-        mode=grid.mode,
-        size_dist=size_dist,
-        pacing=pacing,
-        packets_per_flow=grid.packets_per_flow)
-    workload_kwargs.update(grid.workload_overrides)
-    workload = WorkloadConfig(**workload_kwargs)
-    failure = None
-    if fraction > 0.0:
-        failure = FailureConfig(fraction=fraction, fail_at=grid.fail_at,
-                                repair_at=grid.repair_at)
-    cell_id = f"{control_plane}-sites{num_sites}-zipf{zipf_s:g}"
-    if topology != "flat":
-        cell_id = f"{control_plane}-{topology}-sites{num_sites}-zipf{zipf_s:g}"
-    if size_dist != "constant":
-        cell_id += f"-size{size_dist}"
-    if pacing != "constant":
-        cell_id += f"-{pacing}"
-    if fraction > 0.0:
-        cell_id += f"-fail{fraction:g}"
-    cell_id += f"-seed{seed}"
-    return SweepCell(index=index, cell_id=cell_id, scenario=scenario,
-                     workload=workload, failure=failure)
+    kwargs["scenario"].update(grid.scenario_overrides)
+    kwargs["workload"].update(grid.workload_overrides)
+    cell_id = "-".join(axis.fragment.format(value)
+                       for axis, value in values if value != axis.unmarked)
+    return SweepCell(index=index, cell_id=cell_id,
+                     scenario=ScenarioConfig(**kwargs["scenario"]),
+                     workload=WorkloadConfig(**kwargs["workload"]),
+                     failure=FailureConfig(**kwargs["failure"]))
+
+
+# --------------------------------------------------------------------- #
+# The metric table
+# --------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class FinishedCell:
+    """What the metric collectors see: a world after its workload ran.
+
+    The passes more than one metric shares are taken once, here.
+    """
+
+    world: object
+    records: list
+    completed: list        # the records of flows that did not fail
+    xtrs: list
+    control: tuple         # the world's control_overhead(): (messages, bytes)
+    #: World-wide link byte accounting: conservation is checked per link
+    #: and per flow (in-flight bytes at the workload deadline are legal; a
+    #: negative residue anywhere is not).
+    accounting: dict
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One per-cell metric: how it is collected, written and folded."""
+
+    key: str               # in a cell result's ``metrics`` dict
+    collect: object        # collector over a FinishedCell
+    #: CSV columns (default: one, named ``key``; ``()`` keeps the metric
+    #: out of the CSV).  Two columns mark a latency summary, which fans
+    #: out to its median and p95.
+    columns: tuple = None
+    fold: str = None       # a _FOLDS name: how a group's cells combine ...
+    aggregate: str = None  # ... under this aggregate key (default: key)
+    digits: int = None     # rounds a ``mean``
+
+    def __post_init__(self):
+        if self.columns is None:
+            object.__setattr__(self, "columns", (self.key,))
+        object.__setattr__(self, "aggregate", self.aggregate or self.key)
+
+    def parts(self, value):
+        """The scalars of *value*: itself, or a summary's median and p95.
+
+        The CSV takes one per column and the fold takes the last; both
+        are None where nothing was measured.
+        """
+        if len(self.columns) < 2:
+            return (value,)
+        if value is None:
+            return (None, None)
+        return (value["median"], value["p95"])
+
+
+def _per(items, attr):
+    """Collector summing (dotted) *attr* over the cell's *items*."""
+    read = operator.attrgetter(attr)
+    return lambda cell: sum(read(item) for item in getattr(cell, items))
+
+
+def _accounted(key):
+    return lambda cell: cell.accounting[key]
+
+
+def _cache_hit_ratio(cell):
+    hits, lookups = cell.world.map_cache_lookups()
+    return round(hits / lookups, 6) if lookups else None
+
+
+def _latency(records, attr):
+    """Rounded summary of the latencies measured, None when there are none."""
+    samples = [getattr(record, attr) for record in records
+               if getattr(record, attr) is not None]
+    if not samples:
+        return None
+    return {key: (round(value, 9) if isinstance(value, float) else value)
+            for key, value in summarize(samples).items()}
+
+
+def _access_util_peak(cell):
+    """Peak busy-window fraction over every site's access links."""
+    world = cell.world
+    return round(max(
+        (utilization
+         for site in world.topology.sites
+         for direction in ("in", "out")
+         for utilization in world.access_link_utilization(site, direction)),
+        default=0.0), 6)
+
+
+#: Every per-cell metric, in CSV column order.
+METRICS = (
+    Metric("flows", lambda cell: len(cell.records), fold="sum"),
+    Metric("flows_failed",
+           lambda cell: len(cell.records) - len(cell.completed)),
+    Metric("packets_sent", _per("records", "packets_sent")),
+    Metric("packets_delivered", _per("records", "packets_delivered")),
+    Metric("packets_lost", _per("completed", "packets_lost"), fold="sum"),
+    Metric("first_packet_fates",
+           lambda cell: dict(sorted(Counter(
+               map(classify_first_packet, cell.records)).items())),
+           columns=()),
+    Metric("first_packet_drops",
+           lambda cell: cell.world.total_first_packet_drops(), fold="sum"),
+    Metric("cache_hit_ratio", _cache_hit_ratio, fold="mean",
+           aggregate="cache_hit_ratio_mean", digits=6),
+    Metric("cache_expirations", _per("xtrs", "map_cache.expirations")),
+    Metric("resolutions_started", _per("xtrs", "resolutions_started")),
+    Metric("resolutions_failed", _per("xtrs", "resolutions_failed")),
+    Metric("no_rloc_drops", _per("xtrs", "no_rloc_drops"), columns=()),
+    Metric("encapsulated", _per("xtrs", "encapsulated"), columns=()),
+    Metric("decapsulated", _per("xtrs", "decapsulated"), columns=()),
+    Metric("map_cache_trie_nodes",
+           lambda cell: sum(xtr.map_cache.node_count() for xtr in cell.xtrs)),
+    Metric("map_cache_entries",
+           lambda cell: sum(len(xtr.map_cache) for xtr in cell.xtrs)),
+    Metric("dns_latency", lambda cell: _latency(cell.records, "dns_elapsed"),
+           columns=("dns_p50", "dns_p95"), fold="max",
+           aggregate="dns_p95_max"),
+    Metric("setup_latency",
+           lambda cell: _latency(cell.completed, "setup_elapsed"),
+           columns=("setup_p50", "setup_p95"), fold="mean",
+           aggregate="setup_p95_mean", digits=9),
+    Metric("control_messages", lambda cell: cell.control[0], fold="sum"),
+    Metric("control_bytes", lambda cell: cell.control[1]),
+    Metric("bytes_offered", _accounted("bytes_offered"), fold="sum"),
+    Metric("bytes_delivered", _accounted("bytes_delivered"), fold="sum"),
+    Metric("bytes_dropped", _accounted("bytes_dropped"), fold="sum"),
+    Metric("bytes_in_flight", _accounted("bytes_in_flight")),
+    Metric("bytes_conserved", _accounted("conserved"), fold="all"),
+    Metric("flow_bytes_budget", _per("records", "bytes_budget")),
+    Metric("flow_bytes_sent", _per("records", "bytes_sent")),
+    Metric("fluid_bytes",
+           lambda cell: sum(link.stats.fluid_bytes
+                            for link in cell.world.iter_links()),
+           fold="sum"),
+    Metric("peak_concurrent_flows",
+           lambda cell: peak_concurrent_flows(cell.records), fold="max"),
+    Metric("access_util_peak", _access_util_peak, fold="max"),
+    Metric("sim_events", lambda cell: cell.world.sim.processed_events,
+           fold="sum"),
+    Metric("sim_end_time", lambda cell: round(cell.world.sim.now, 9),
+           columns=()),
+)
 
 
 # --------------------------------------------------------------------- #
@@ -253,7 +446,7 @@ def _apply_failures(scenario, failure):
     stream and of world reuse (restores drop the stream, and it re-derives
     identically).
     """
-    if failure is None or failure.fraction <= 0.0:
+    if failure.fraction <= 0.0:
         return
     sim = scenario.sim
     sites = scenario.topology.sites
@@ -272,121 +465,30 @@ def run_cell(cell, store=None):
     :meth:`~repro.experiments.worldbuild.SnapshotStore.world_for` serves —
     reset in place, deserialized or built (``store.last_outcome`` says
     which); without a *store* a throwaway one builds it.  Returns a
-    JSON-ready dict; everything in it is derived from the simulation alone
-    (no wall-clock values, no cache outcomes), keeping sweep artifacts
-    reproducible.
+    JSON-ready dict — the value of every :data:`AXES` row the cell ran
+    with and every :data:`METRICS` row's collection; everything in it is
+    derived from the simulation alone (no wall-clock values, no cache
+    outcomes), keeping sweep artifacts reproducible.
     """
     if store is None:
         store = SnapshotStore()
-    scenario, _outcome = store.world_for(cell.scenario)
-    _apply_failures(scenario, cell.failure)
-    records = run_workload(scenario, cell.workload)
-
-    cache_hits = cache_misses = cache_expirations = 0
-    resolutions_started = resolutions_failed = 0
-    no_rloc_drops = encapsulated = decapsulated = 0
-    fib_nodes = fib_entries = 0
-    for xtr_list in scenario.xtrs_by_site.values():
-        for xtr in xtr_list:
-            cache_hits += xtr.map_cache.hits
-            cache_misses += xtr.map_cache.misses
-            cache_expirations += xtr.map_cache.expirations
-            resolutions_started += xtr.resolutions_started
-            resolutions_failed += xtr.resolutions_failed
-            no_rloc_drops += xtr.no_rloc_drops
-            encapsulated += xtr.encapsulated
-            decapsulated += xtr.decapsulated
-            fib_nodes += xtr.map_cache.node_count()
-            fib_entries += len(xtr.map_cache)
-    lookups = cache_hits + cache_misses
-
-    fates = {}
-    for record in records:
-        fate = classify_first_packet(record)
-        fates[fate] = fates.get(fate, 0) + 1
-
-    completed = [r for r in records if not r.failed]
-    dns_latencies = [r.dns_elapsed for r in records if r.dns_elapsed is not None]
-    setup_latencies = [r.setup_elapsed for r in completed
-                       if r.setup_elapsed is not None]
-
-    if scenario.mapping_system is not None:
-        control_messages = scenario.mapping_system.stats.messages
-        control_bytes = scenario.mapping_system.stats.bytes
-    elif scenario.control_plane is not None:
-        control_messages = scenario.control_plane.total_control_messages()
-        control_bytes = scenario.control_plane.total_push_bytes()
-    else:
-        control_messages = control_bytes = 0
-
-    # World-wide link byte accounting: conservation is checked per link and
-    # per flow (in-flight bytes at the workload deadline are legal; a
-    # negative residue anywhere is not), and access-link utilization is the
-    # peak busy-window fraction over every site's access links.
-    accounting = scenario.byte_accounting()
-    access_util_peak = max(
-        (utilization
-         for site in scenario.topology.sites
-         for direction in ("in", "out")
-         for utilization in scenario.access_link_utilization(site, direction)),
-        default=0.0)
-
-    metrics = {
-        "flows": len(records),
-        "flows_failed": sum(1 for r in records if r.failed),
-        "packets_sent": sum(r.packets_sent for r in records),
-        "packets_delivered": sum(r.packets_delivered for r in records),
-        "packets_lost": sum(r.packets_lost for r in completed),
-        "first_packet_fates": dict(sorted(fates.items())),
-        "first_packet_drops": scenario.total_first_packet_drops(),
-        "cache_hit_ratio": round(cache_hits / lookups, 6) if lookups else None,
-        "cache_expirations": cache_expirations,
-        "resolutions_started": resolutions_started,
-        "resolutions_failed": resolutions_failed,
-        "no_rloc_drops": no_rloc_drops,
-        "encapsulated": encapsulated,
-        "decapsulated": decapsulated,
-        "map_cache_trie_nodes": fib_nodes,
-        "map_cache_entries": fib_entries,
-        "dns_latency": _round_summary(summarize(dns_latencies))
-        if dns_latencies else None,
-        "setup_latency": _round_summary(summarize(setup_latencies))
-        if setup_latencies else None,
-        "control_messages": control_messages,
-        "control_bytes": control_bytes,
-        "bytes_offered": accounting["bytes_offered"],
-        "bytes_delivered": accounting["bytes_delivered"],
-        "bytes_dropped": accounting["bytes_dropped"],
-        "bytes_in_flight": accounting["bytes_in_flight"],
-        "bytes_conserved": accounting["conserved"],
-        "flow_bytes_budget": sum(r.bytes_budget for r in records),
-        "flow_bytes_sent": sum(r.bytes_sent for r in records),
-        "fluid_bytes": sum(link.stats.fluid_bytes
-                           for link in scenario.iter_links()),
-        "peak_concurrent_flows": peak_concurrent_flows(records),
-        "access_util_peak": round(access_util_peak, 6),
-        "sim_events": scenario.sim.processed_events,
-        "sim_end_time": round(scenario.sim.now, 9),
-    }
+    world, _outcome = store.world_for(cell.scenario)
+    _apply_failures(world, cell.failure)
+    records = run_workload(world, cell.workload)
+    finished = FinishedCell(
+        world=world, records=records,
+        completed=[record for record in records if not record.failed],
+        xtrs=list(world.iter_xtrs()), control=world.control_overhead(),
+        accounting=world.byte_accounting())
     return {
         "index": cell.index,
         "cell_id": cell.cell_id,
-        "control_plane": cell.scenario.control_plane,
-        "topology": cell.scenario.topology_family,
-        "num_sites": cell.scenario.num_sites,
-        "seed": cell.scenario.seed,
-        "zipf_s": cell.workload.zipf_s,
-        "size_dist": cell.workload.size_dist,
-        "pacing": cell.workload.pacing,
-        "fail_fraction": cell.failure.fraction if cell.failure else 0.0,
+        **{axis.key: getattr(getattr(cell, axis.config), axis.attr)
+           for axis in AXES},
         "mode": cell.workload.mode,
-        "metrics": metrics,
+        "metrics": {metric.key: metric.collect(finished)
+                    for metric in METRICS},
     }
-
-
-def _round_summary(summary):
-    return {key: (round(value, 9) if isinstance(value, float) else value)
-            for key, value in summary.items()}
 
 
 # --------------------------------------------------------------------- #
@@ -512,19 +614,29 @@ def _iter_completed(cells, workers, store):
 # Aggregation
 # --------------------------------------------------------------------- #
 
-#: Result fields that identify one aggregate group (everything but the seed).
-_GROUP_FIELDS = ("control_plane", "topology", "num_sites", "zipf_s",
-                 "size_dist", "pacing", "fail_fraction")
+def _keep(samples, value):
+    samples.append(value)  # an exactly-rounded mean needs every sample
+    return samples
 
-#: Integer counters summed straight off each cell's metrics dict.
-_SUM_FIELDS = ("flows", "packets_lost", "first_packet_drops",
-               "control_messages", "sim_events", "bytes_offered",
-               "bytes_delivered", "bytes_dropped", "fluid_bytes")
+
+#: The order-independent folds, as ``name: (initial state, step)``; None
+#: samples (a ratio or latency nothing measured) never reach a step.
+_FOLDS = {
+    "sum": (int, operator.add),
+    "all": (lambda: True, operator.and_),
+    "max": (lambda: None, lambda peak, value:
+            value if peak is None else max(peak, value)),
+    "mean": (list, _keep),
+}
+
+_FOLDED = tuple(metric for metric in METRICS if metric.fold)
 
 
 class AggregateFold:
     """Incremental seed-averaging fold, one :meth:`add` per cell result.
 
+    Cells group by every axis but the seed (:data:`GROUP_AXES`); each
+    :data:`METRICS` row with a ``fold`` contributes one aggregate.
     Per-group state is a handful of integer sums, the seed list, and the
     per-seed float samples the exact means need — so peak memory scales
     with the number of aggregate groups times the seeds axis, never with
@@ -542,76 +654,39 @@ class AggregateFold:
         self._groups = {}
 
     def add(self, result):
-        key = tuple(result[field] for field in _GROUP_FIELDS)
+        key = tuple(result[axis.key] for axis in GROUP_AXES)
         state = self._groups.get(key)
         if state is None:
             state = self._groups[key] = {
-                "cells": 0, "seeds": [], "hit_ratios": [], "setup_p95s": [],
-                "dns_p95_max": None, "bytes_conserved": True,
-                "access_util_peak": 0.0, "peak_concurrent_flows": 0,
-                **{name: 0 for name in _SUM_FIELDS},
-            }
+                _SEED.field: [],
+                **{metric.aggregate: _FOLDS[metric.fold][0]()
+                   for metric in _FOLDED}}
+        state[_SEED.field].append(result[_SEED.key])
         metrics = result["metrics"]
-        state["cells"] += 1
-        state["seeds"].append(result["seed"])
-        for name in _SUM_FIELDS:
-            state[name] += metrics[name]
-        state["bytes_conserved"] = (state["bytes_conserved"]
-                                    and metrics["bytes_conserved"])
-        state["access_util_peak"] = max(state["access_util_peak"],
-                                        metrics["access_util_peak"])
-        state["peak_concurrent_flows"] = max(state["peak_concurrent_flows"],
-                                             metrics["peak_concurrent_flows"])
-        if metrics["cache_hit_ratio"] is not None:
-            state["hit_ratios"].append(metrics["cache_hit_ratio"])
-        if metrics["setup_latency"] is not None:
-            state["setup_p95s"].append(metrics["setup_latency"]["p95"])
-        if metrics["dns_latency"] is not None:
-            p95 = metrics["dns_latency"]["p95"]
-            if state["dns_p95_max"] is None or p95 > state["dns_p95_max"]:
-                state["dns_p95_max"] = p95
+        for metric in _FOLDED:
+            sample = metric.parts(metrics[metric.key])[-1]
+            if sample is not None:
+                state[metric.aggregate] = _FOLDS[metric.fold][1](
+                    state[metric.aggregate], sample)
 
     def finish(self):
         """The aggregates, sorted by group key."""
         aggregates = []
         for key in sorted(self._groups):
             state = self._groups[key]
-            aggregate = dict(zip(_GROUP_FIELDS, key, strict=True))
-            aggregate["cells"] = state["cells"]
-            aggregate["seeds"] = sorted(state["seeds"])
-            for name in _SUM_FIELDS:
-                aggregate[name] = state[name]
-            aggregate["bytes_conserved"] = state["bytes_conserved"]
-            aggregate["access_util_peak"] = round(state["access_util_peak"], 6)
-            aggregate["peak_concurrent_flows"] = state["peak_concurrent_flows"]
-            aggregate["cache_hit_ratio_mean"] = _exact_mean(
-                state["hit_ratios"], 6)
-            aggregate["setup_p95_mean"] = _exact_mean(state["setup_p95s"], 9)
-            aggregate["dns_p95_max"] = (None if state["dns_p95_max"] is None
-                                        else round(state["dns_p95_max"], 9))
+            aggregate = dict(zip((axis.key for axis in GROUP_AXES), key,
+                                 strict=True))
+            aggregate["cells"] = len(state[_SEED.field])
+            aggregate[_SEED.field] = sorted(state[_SEED.field])
+            for metric in _FOLDED:
+                folded = state[metric.aggregate]
+                if metric.fold == "mean":
+                    # fsum is exact, so shuffling the cells can't move it.
+                    folded = (round(math.fsum(folded) / len(folded),
+                                    metric.digits) if folded else None)
+                aggregate[metric.aggregate] = folded
             aggregates.append(aggregate)
         return aggregates
-
-
-def aggregate_cells(results):
-    """Seed-averaged aggregates per (cp, topology, sites, zipf, size_dist,
-    pacing, fail) group — ``_GROUP_FIELDS``, everything but the seed.
-
-    A convenience wrapper folding any iterable — including a one-shot
-    generator over the JSONL artifact — through :class:`AggregateFold`;
-    the full cell list is never materialised.
-    """
-    fold = AggregateFold()
-    for result in results:
-        fold.add(result)
-    return fold.finish()
-
-
-def _exact_mean(values, digits):
-    """Order-independent mean: fsum is exact, so shuffling can't move it."""
-    if not values:
-        return None
-    return round(math.fsum(values) / len(values), digits)
 
 
 # --------------------------------------------------------------------- #
@@ -624,9 +699,9 @@ def iter_jsonl(path):
     The per-line ``world`` tag (cache outcome, scheduling-dependent) is
     stripped so the yielded results are exactly what the deterministic
     payload carries.  This is the memory-flat access path for re-reading
-    an artifact after the fact: :func:`aggregate_cells` and
-    :func:`write_csv_stream` fold over this generator without ever
-    materialising the full cell list.
+    an artifact after the fact: :class:`AggregateFold` and
+    :class:`CsvStreamWriter` take its results one at a time, so the full
+    cell list is never materialised.
     """
     with open(path) as handle:
         for line in handle:
@@ -820,46 +895,21 @@ def write_json(payload, path):
         handle.write("\n")
 
 
-#: Flat per-cell CSV columns (scalars only; nested summaries get p50/p95).
-CSV_COLUMNS = ("index", "cell_id", "control_plane", "topology", "num_sites",
-               "seed", "zipf_s", "size_dist", "pacing", "fail_fraction", "mode",
-               "flows", "flows_failed", "packets_sent", "packets_delivered",
-               "packets_lost", "first_packet_drops", "cache_hit_ratio",
-               "cache_expirations", "resolutions_started",
-               "resolutions_failed", "map_cache_trie_nodes",
-               "map_cache_entries", "dns_p50", "dns_p95", "setup_p50",
-               "setup_p95", "control_messages", "control_bytes",
-               "bytes_offered", "bytes_delivered", "bytes_dropped",
-               "bytes_in_flight", "bytes_conserved", "flow_bytes_budget",
-               "flow_bytes_sent", "fluid_bytes", "peak_concurrent_flows",
-               "access_util_peak", "sim_events")
+#: Result keys written ahead of the metrics, one CSV column each.
+_CELL_COLUMNS = ("index", "cell_id", *(axis.key for axis in AXES), "mode")
+
+#: Flat per-cell CSV columns (scalars only; latency summaries get p50/p95).
+CSV_COLUMNS = (*_CELL_COLUMNS, *(column for metric in METRICS
+                                 for column in metric.columns))
 
 
 def _csv_row(cell):
     """One cell result flattened to a CSV row (CSV_COLUMNS order)."""
     metrics = cell["metrics"]
-    dns = metrics["dns_latency"] or {}
-    setup = metrics["setup_latency"] or {}
-    row = {
-        **{key: cell[key] for key in
-           ("index", "cell_id", "control_plane", "topology", "num_sites",
-            "seed", "zipf_s", "size_dist", "pacing", "fail_fraction", "mode")},
-        **{key: metrics[key] for key in
-           ("flows", "flows_failed", "packets_sent",
-            "packets_delivered", "packets_lost", "first_packet_drops",
-            "cache_hit_ratio", "cache_expirations",
-            "resolutions_started", "resolutions_failed",
-            "map_cache_trie_nodes", "map_cache_entries",
-            "control_messages", "control_bytes", "bytes_offered",
-            "bytes_delivered", "bytes_dropped", "bytes_in_flight",
-            "bytes_conserved", "flow_bytes_budget", "flow_bytes_sent",
-            "fluid_bytes", "peak_concurrent_flows",
-            "access_util_peak", "sim_events")},
-        "dns_p50": dns.get("median", ""), "dns_p95": dns.get("p95", ""),
-        "setup_p50": setup.get("median", ""),
-        "setup_p95": setup.get("p95", ""),
-    }
-    return [row[column] for column in CSV_COLUMNS]
+    row = [cell[key] for key in _CELL_COLUMNS]
+    for metric in METRICS:
+        row += metric.parts(metrics[metric.key])[:len(metric.columns)]
+    return row
 
 
 class CsvStreamWriter:
@@ -901,13 +951,6 @@ class CsvStreamWriter:
 
     def __exit__(self, *exc_info):
         self.close()
-
-
-def write_csv_stream(results, path):
-    """Write the per-cell CSV from *results* (any order), rows index-sorted."""
-    with CsvStreamWriter(path) as writer:
-        for cell in results:
-            writer.add(cell)
 
 
 # --------------------------------------------------------------------- #

@@ -55,6 +55,25 @@ def test_report_writes_file(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256
 
 
+def test_report_seed_reaches_every_runner(tmp_path, monkeypatch):
+    """``report --seed N`` seeds the E-runners too, not just Fig. 1."""
+    from repro.experiments import e8_reverse_mapping, report
+
+    seeds = []
+    run_e8 = e8_reverse_mapping.run_e8
+
+    def spy(**kwargs):
+        seeds.append(kwargs.get("seed"))
+        return run_e8(**kwargs)
+    monkeypatch.setattr(e8_reverse_mapping, "run_e8", spy)
+    monkeypatch.setattr(report, "EXPERIMENTS",
+                        {name: EXPERIMENTS[name] for name in ("fig1", "e8")})
+    main(["report", "-o", str(tmp_path / "seeded.md"), "--seed", "5"])
+    main(["report", "-o", str(tmp_path / "default.md")])
+    assert seeds == [5, None]  # None: run_e8 keeps its own default seed
+    assert "## E8" in (tmp_path / "seeded.md").read_text()
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "nonsense"])

@@ -12,9 +12,9 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
-from repro.experiments.sweep import (PRESETS, SweepGrid, aggregate_cells,
-                                     expand_grid, payload_digest, run_cell,
-                                     run_sweep, write_csv_stream)
+from repro.experiments.sweep import (PRESETS, AggregateFold, CsvStreamWriter,
+                                     SweepGrid, expand_grid, payload_digest,
+                                     run_cell, run_sweep)
 
 TINY = SweepGrid(name="tiny", control_planes=("pce", "alt"), site_counts=(3,),
                  seeds=(1, 2), zipf_values=(1.0,), num_flows=8,
@@ -35,8 +35,14 @@ def test_expand_grid_cross_product_and_order():
 
 
 def test_expand_grid_rejects_unknown_control_plane():
-    with pytest.raises(ValueError):
-        expand_grid(SweepGrid(control_planes=("bogus",)))
+    # ... and an empty axis (a silent 0-cell sweep) and a repeated value
+    # (one cell_id run twice, folded as two seeds), naming the grid field.
+    for axes, named in ((dict(control_planes=("bogus",)), "'bogus'"),
+                        (dict(seeds=()), "'seeds' is empty"),
+                        (dict(site_counts=(3, 4, 3)), "'site_counts' repeats"),
+                        (dict(seeds=(1, 1)), "'seeds' repeats")):
+        with pytest.raises(ValueError, match=named):
+            expand_grid(SweepGrid(**axes))
 
 
 def test_expand_grid_cells_trace_disabled():
@@ -129,10 +135,24 @@ def test_cli_sweep_unknown_preset(capsys):
     assert "unknown preset" in capsys.readouterr().out
 
 
+def test_cli_sweep_rejects_repeated_axis_value(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--seeds", "1", "1"]) == 1
+    assert capsys.readouterr().out.startswith("sweep error: grid field 'seeds'")
+    assert list(tmp_path.iterdir()) == []  # rejected before anything ran
+
+
+def _fold(results):
+    fold = AggregateFold()
+    for result in results:
+        fold.add(result)
+    return fold.finish()
+
+
 def test_aggregate_cells_sorted_and_stable():
     payload = run_sweep(TINY, workers=1)
     reordered = list(reversed(payload["cells"]))
-    assert aggregate_cells(reordered) == payload["aggregates"]
+    assert _fold(reordered) == payload["aggregates"]
 
 
 class _TrackedResult(dict):
@@ -140,7 +160,7 @@ class _TrackedResult(dict):
 
 
 def test_aggregation_never_holds_the_full_cell_list():
-    """aggregate_cells folds a one-shot stream; no cell outlives its turn."""
+    """AggregateFold folds a one-shot stream; no cell outlives its turn."""
     payload = run_sweep(TINY, workers=1)
     refs = []
 
@@ -150,7 +170,7 @@ def test_aggregation_never_holds_the_full_cell_list():
             refs.append(weakref.ref(tracked))
             yield tracked
 
-    aggregates = aggregate_cells(stream())
+    aggregates = _fold(stream())
     assert aggregates == payload["aggregates"]
     gc.collect()
     alive = [ref for ref in refs if ref() is not None]
@@ -162,7 +182,7 @@ def test_aggregation_is_completion_order_independent():
     payload = run_sweep(TINY, workers=1)
     shuffled = list(payload["cells"])
     random.Random(5).shuffle(shuffled)
-    assert json.dumps(aggregate_cells(iter(shuffled)), sort_keys=True) \
+    assert json.dumps(_fold(iter(shuffled)), sort_keys=True) \
         == json.dumps(payload["aggregates"], sort_keys=True)
 
 
@@ -170,10 +190,13 @@ def test_write_csv_stream_reorders_by_index(tmp_path):
     payload = run_sweep(TINY, workers=1)
     sorted_path = tmp_path / "sorted.csv"
     shuffled_path = tmp_path / "shuffled.csv"
-    write_csv_stream(iter(payload["cells"]), str(sorted_path))
     shuffled = list(payload["cells"])
     random.Random(9).shuffle(shuffled)
-    write_csv_stream(iter(shuffled), str(shuffled_path))
+    for cells, path in ((payload["cells"], sorted_path),
+                        (shuffled, shuffled_path)):
+        with CsvStreamWriter(str(path)) as writer:
+            for cell in cells:
+                writer.add(cell)
     assert shuffled_path.read_bytes() == sorted_path.read_bytes()
     with open(sorted_path) as handle:
         indexes = [int(row["index"]) for row in csv.DictReader(handle)]

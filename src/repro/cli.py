@@ -9,7 +9,7 @@ Usage::
     python -m repro run all            # every experiment, small sizes
 
 Each experiment prints the regenerated table plus its shape-check verdict
-(the same checks the benchmark harness enforces).
+(the same checks ``repro report`` runs, whose default output is pinned).
 
 Parameter sweeps (``repro sweep``)
 ----------------------------------

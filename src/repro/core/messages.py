@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 
+from repro.dns.message import DnsMessage
 from repro.net.addresses import IPv4Address
 
 #: The paper's "special transport port P" listened on by PCE_S (Step 6).
@@ -16,12 +17,12 @@ PORT_REVERSE = 4345
 class EncapsulatedDnsReply:
     """Step 6: the DNS reply wrapped in a new UDP message.
 
-    Carries the original reply verbatim (wire bytes plus the addressing
+    Carries the original reply verbatim (the message plus the addressing
     needed to re-emit it unchanged at the source side) and, in the outer
     payload, the EID-to-RLOC mapping selected by PCE_D's IRC engine.
     """
 
-    dns_wire: bytes
+    dns_reply: DnsMessage
     mapping: object
     pce_address: IPv4Address
     original_src: IPv4Address
@@ -37,7 +38,7 @@ class EncapsulatedDnsReply:
     @property
     def size_bytes(self):
         # Inner reply + mapping record + 12B of envelope bookkeeping.
-        return len(self.dns_wire) + self.mapping.size_bytes + 12
+        return self.dns_reply.size_bytes + self.mapping.size_bytes + 12
 
 
 @dataclass

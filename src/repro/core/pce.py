@@ -27,10 +27,8 @@ from repro.core.messages import (
     EncapsulatedDnsReply,
     MappingPush,
 )
-from repro.dns.message import DnsMessage, DnsWireError
+from repro.dns.message import DNS_PORT, DnsMessage
 from repro.lisp import EID_SPACE
-
-DNS_PORT = 53
 
 
 class PceStats:
@@ -137,9 +135,8 @@ class Pce:
         return False
 
     def _observe_dns(self, packet):
-        try:
-            message = DnsMessage.decode(bytes(packet.payload))
-        except (DnsWireError, TypeError):
+        message = packet.payload
+        if not isinstance(message, DnsMessage):
             return False
         if message.is_query:
             self.stats.queries_observed += 1
@@ -180,7 +177,7 @@ class Pce:
         if mapping is None:
             return False  # cannot select a locator: let the reply through untouched
         envelope = EncapsulatedDnsReply(
-            dns_wire=bytes(packet.payload),
+            dns_reply=message,
             mapping=mapping,
             pce_address=self.address,
             original_src=packet.ip.src,
@@ -225,22 +222,17 @@ class Pce:
                               dst=str(envelope.original_dst))
         self.node.send_udp(src=envelope.original_src, dst=envelope.original_dst,
                            sport=envelope.original_sport, dport=envelope.original_dport,
-                           payload=envelope.dns_wire)
+                           payload=envelope.dns_reply)
         # 7b: learn the peer PCE, complete the tuple, push to all ITRs.
         mapping = envelope.mapping
         self.peer_pces[mapping.eid_prefix] = envelope.pce_address
         self.mapping_db[mapping.eid_prefix] = mapping
-        source_eid, ingress_index = self._match_step1_decision(envelope)
+        source_eid, ingress_index = self._match_step1_decision(envelope.dns_reply.qname)
         annotated = mapping.with_source_rloc(self.site.rloc_of(ingress_index))
         self.push_mapping_to_itrs(annotated, source_eid)
 
-    def _match_step1_decision(self, envelope):
-        """Pair the reply with the Step-1 IPC record (by query name)."""
-        try:
-            message = DnsMessage.decode(envelope.dns_wire)
-            qname = message.qname
-        except (DnsWireError, TypeError):
-            qname = None
+    def _match_step1_decision(self, qname):
+        """Pair a reply for *qname* with the Step-1 IPC record."""
         if qname is not None and qname in self.pending_ingress:
             client, ingress_index, _time = self.pending_ingress.pop(qname)
             return client, ingress_index
@@ -298,7 +290,7 @@ class Pce:
             installed = self.control_plane.itr_has_live_mapping(self.site, address)
             if installed:
                 continue
-            client, ingress_index = self._match_step1_decision_for_refresh(message)
+            client, ingress_index = self._match_step1_decision(message.qname)
             annotated = self.mapping_db[prefix].with_source_rloc(
                 self.site.rloc_of(ingress_index))
             self.push_mapping_to_itrs(annotated, client, refresh=True)
@@ -308,13 +300,6 @@ class Pce:
             if prefix.contains(address):
                 return prefix
         return None
-
-    def _match_step1_decision_for_refresh(self, message):
-        qname = message.qname
-        if qname is not None and qname in self.pending_ingress:
-            client, ingress_index, _time = self.pending_ingress.pop(qname)
-            return client, ingress_index
-        return None, self.irc.select_ingress()
 
     # ------------------------------------------------------------------ #
     # Reverse mappings (two-way resolution completion)

@@ -9,8 +9,8 @@ relevant ITRs after the TE optimization."
 the per-destination flows currently homed on each ITR, it greedily moves
 flows from the most- to the least-loaded ITR until the imbalance falls
 under a tolerance.  :meth:`PceControlPlane.apply_rebalance` then rewrites
-hub routes — safe under push-to-all, lossy under push-to-one (the ablation
-benchmark measures exactly that difference).
+hub routes — safe under push-to-all, lossy under push-to-one (the re-homing
+tests in ``tests/test_core_pce.py`` pin exactly that difference).
 """
 
 from dataclasses import dataclass

@@ -10,7 +10,15 @@ T_DNS measures.
 """
 
 from repro.dns.cache import TtlCache
-from repro.dns.message import FLAG_AA, FLAG_QR, FLAG_RA, FLAG_RD, DnsMessage, Question
+from repro.dns.message import (
+    DNS_PORT,
+    FLAG_AA,
+    FLAG_QR,
+    FLAG_RA,
+    FLAG_RD,
+    DnsMessage,
+    Question,
+)
 from repro.dns.records import RCODE_NOERROR, RCODE_NXDOMAIN, TYPE_A, TYPE_NS, ResourceRecord
 from repro.dns.resolver import RecursiveResolver, StubResolver
 from repro.dns.server import AuthoritativeServer
@@ -18,6 +26,7 @@ from repro.dns.zone import Zone
 
 __all__ = [
     "AuthoritativeServer",
+    "DNS_PORT",
     "DnsMessage",
     "FLAG_AA",
     "FLAG_QR",
@@ -34,5 +43,3 @@ __all__ = [
     "TYPE_NS",
     "Zone",
 ]
-
-DNS_PORT = 53

@@ -23,6 +23,8 @@ _RR_FIXED = struct.Struct("!HHIH")
 
 CLASS_IN = 1
 
+DNS_PORT = 53
+
 
 class DnsWireError(ValueError):
     """Malformed DNS wire data."""
@@ -141,7 +143,7 @@ class DnsMessage:
         else:
             rdata = str(record.data).encode("ascii")
         out = bytearray(encode_name(record.name))
-        out += _RR_FIXED.pack(record.rtype, CLASS_IN, max(0, int(record.ttl)), len(rdata))
+        out += _RR_FIXED.pack(record.rtype, CLASS_IN, int(record.ttl), len(rdata))
         out += rdata
         return bytes(out)
 

@@ -33,6 +33,12 @@ def name_labels(name):
     return [label for label in normalise_name(name).split(".") if label]
 
 
+def check_ttl(field, ttl):
+    """Reject a TTL the wire's unsigned 32-bit seconds field cannot carry."""
+    if not (0 <= ttl < 2**32 and ttl == int(ttl)):
+        raise ValueError(f"{field} must be whole seconds in [0, 2**32), got {ttl!r}")
+
+
 def is_subdomain(name, zone_origin):
     """True if *name* is at or below *zone_origin*."""
     name = normalise_name(name)
@@ -56,6 +62,7 @@ class ResourceRecord:
     data: object
 
     def __post_init__(self):
+        check_ttl("ResourceRecord.ttl", self.ttl)
         object.__setattr__(self, "name", normalise_name(self.name))
         if self.rtype == TYPE_A:
             object.__setattr__(self, "data", IPv4Address(self.data))

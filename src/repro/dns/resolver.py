@@ -12,11 +12,10 @@ paper's "PCE_S obtains E_S by IPC with the DNS" (Step 1).
 """
 
 from repro.dns.cache import TtlCache
-from repro.dns.message import DnsMessage, DnsWireError, FLAG_RD, make_query, make_reply
+from repro.dns.message import DNS_PORT, DnsMessage, FLAG_RD, make_query, make_reply
 from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
 from repro.net.host import RequestTimeout
 
-DNS_PORT = 53
 MAX_REFERRALS = 16
 MAX_CNAME_CHASES = 4
 
@@ -57,9 +56,8 @@ class RecursiveResolver:
     # ------------------------------------------------------------------ #
 
     def _on_datagram(self, packet, _node):
-        try:
-            message = DnsMessage.decode(bytes(packet.payload))
-        except (DnsWireError, TypeError):
+        message = packet.payload
+        if not isinstance(message, DnsMessage):
             return
         if not message.is_query or message.question is None:
             return
@@ -103,7 +101,7 @@ class RecursiveResolver:
 
     def _send_reply(self, packet, reply):
         self.node.send_udp(src=packet.ip.dst, dst=packet.ip.src, sport=DNS_PORT,
-                           dport=packet.udp.sport, payload=reply.encode())
+                           dport=packet.udp.sport, payload=reply)
 
     #: Construction-time config; root hints and the zone are immutable data,
     #: the node and sim checkpoint themselves.
@@ -192,15 +190,14 @@ class RecursiveResolver:
                 socket = self.node.open_udp()
                 self.upstream_queries += 1
                 try:
-                    packet = yield socket.request(server, DNS_PORT, payload=query.encode())
+                    packet = yield socket.request(server, DNS_PORT, payload=query)
                 except RequestTimeout:
                     servers = servers[1:]
                     continue
                 finally:
                     socket.close()
-                try:
-                    reply = DnsMessage.decode(bytes(packet.payload))
-                except (DnsWireError, TypeError):
+                reply = packet.payload
+                if not isinstance(reply, DnsMessage):
                     servers = servers[1:]
                     continue
                 if reply.rcode == RCODE_NXDOMAIN:
@@ -215,7 +212,8 @@ class RecursiveResolver:
                         # splice the chain into the final answer.
                         target = cnames[-1].data
                         chased = yield self.resolve(target, qtype, _depth + 1)
-                        reply.answers = list(reply.answers) + list(chased.answers)
+                        reply = reply.copy()  # a sent message is immutable
+                        reply.answers.extend(chased.answers)
                         if not chased.answers:
                             return reply.with_rcode(chased.rcode)
                     if self.use_cache:
@@ -270,15 +268,14 @@ class StubResolver:
             socket = self.host.open_udp()
             try:
                 packet = yield socket.request(self.resolver_address, DNS_PORT,
-                                              payload=query.encode(),
+                                              payload=query,
                                               timeout=timeout, retries=retries)
             except RequestTimeout:
                 return None, self.sim.now - started
             finally:
                 socket.close()
-            try:
-                reply = DnsMessage.decode(bytes(packet.payload))
-            except (DnsWireError, TypeError):
+            reply = packet.payload
+            if not isinstance(reply, DnsMessage):
                 return None, self.sim.now - started
             addresses = reply.answer_addresses()
             result = addresses[0] if addresses else None

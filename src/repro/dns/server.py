@@ -5,10 +5,8 @@ subclassing it, so the same node could also host a PCE or other roles
 (mirroring the paper's co-located elements).
 """
 
-from repro.dns.message import DnsMessage, DnsWireError, make_reply
+from repro.dns.message import DNS_PORT, DnsMessage, make_reply
 from repro.dns.records import RCODE_NXDOMAIN
-
-DNS_PORT = 53
 
 
 class AuthoritativeServer:
@@ -24,9 +22,8 @@ class AuthoritativeServer:
         node.register_service("dns-auth", self)
 
     def _on_datagram(self, packet, _node):
-        try:
-            query = DnsMessage.decode(bytes(packet.payload))
-        except (DnsWireError, TypeError):
+        query = packet.payload
+        if not isinstance(query, DnsMessage):
             return
         if not query.is_query or query.question is None:
             return
@@ -37,7 +34,7 @@ class AuthoritativeServer:
 
         def respond():
             self.node.send_udp(src=packet.ip.dst, dst=client, sport=DNS_PORT,
-                               dport=client_port, payload=reply.encode())
+                               dport=client_port, payload=reply)
 
         if self.processing_delay > 0:
             self.sim.call_in(self.processing_delay, respond)

@@ -1,8 +1,8 @@
 """Experiment drivers: one module per paper artefact (see DESIGN.md §4).
 
 Each driver exposes a ``run(...)`` function returning plain dict/list
-results, consumed both by the benchmark harness under ``benchmarks/`` and
-by the runnable examples under ``examples/``.
+results, consumed both by ``repro run`` / ``repro report`` and by the
+runnable examples under ``examples/``.
 """
 
 from repro.experiments.scenario import Scenario, ScenarioConfig, build_scenario

@@ -91,6 +91,9 @@ def check_shape(rows):
     for row in rows:
         by_system.setdefault(row.system, []).append(row)
     for row in by_system.get("pce", []):
+        if row.sent_immediately != row.flows:
+            failures.append(f"pce sent only {row.sent_immediately}/{row.flows} first "
+                            f"packets immediately (ttl={row.cache_ttl})")
         if row.dropped != 0:
             failures.append(f"pce dropped {row.dropped} first packets (ttl={row.cache_ttl})")
         if row.queued_then_sent != 0:

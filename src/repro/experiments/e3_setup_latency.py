@@ -83,6 +83,10 @@ def check_shape(rows):
         if pce.setup_mean > plain.setup_mean * 1.2 + 0.002:
             failures.append(
                 f"pce setup {pce.setup_mean:.4f} not ~ plain {plain.setup_mean:.4f}")
+        # The headline: what the user waits (DNS + setup) is plain IP's.
+        if abs(pce.total_mean - plain.total_mean) >= 0.02:
+            failures.append(
+                f"pce total {pce.total_mean:.4f} not ~ plain {plain.total_mean:.4f}")
     if pce and alt_drop and not alt_drop.setup_mean > pce.setup_mean * 2:
         failures.append("alt+drop setup not substantially worse than pce")
     if alt_drop and alt_drop.syn_retx_rate <= 0:

@@ -124,4 +124,7 @@ def check_shape(rows):
         failures.append("probing did not reduce packet loss")
     if not probing.blackhole_seconds < static.blackhole_seconds / 2:
         failures.append("probing blackhole not substantially shorter")
+    # Detection takes a small number of probe periods, not seconds.
+    if not probing.blackhole_seconds < 2.0:
+        failures.append(f"probing blackhole lasted {probing.blackhole_seconds:.2f}s")
     return failures

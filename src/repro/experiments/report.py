@@ -4,7 +4,7 @@
 list`` prints it, ``repro run`` runs one row of it, and
 :func:`generate_report` (``python -m repro report [-o FILE]``) runs every
 row into a single markdown artefact (the source of EXPERIMENTS.md's
-reference run).  The benchmark harness asserts shapes per-experiment.
+reference run).  Each experiment's ``check_shape`` verdict is part of it.
 """
 
 import importlib

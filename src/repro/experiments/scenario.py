@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.core.control_plane import deploy_pce_control_plane
 from repro.dns.hierarchy import install_dns
+from repro.dns.records import check_ttl
 from repro.dns.resolver import StubResolver
 from repro.lisp.control import AltMappingSystem, ConsMappingSystem, NerdMappingSystem
 from repro.lisp.deploy import deploy_lisp
@@ -99,6 +100,7 @@ class ScenarioConfig:
             self.access_rate_bps = spec.access_rate_bps
         elif self.topology not in FAMILIES:
             raise ValueError(f"unknown topology family {self.topology!r}")
+        check_ttl("dns_host_ttl", self.dns_host_ttl)
 
     @property
     def topology_family(self):

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.messages import EncapsulatedDnsReply
+from repro.dns.hierarchy import ROOT_ADDRESS
 from repro.dns.message import (
+    DNS_PORT,
     FLAG_AA,
     FLAG_RD,
     DnsMessage,
@@ -18,13 +21,16 @@ from repro.dns.records import (
     RCODE_NOERROR,
     RCODE_NXDOMAIN,
     TYPE_A,
+    TYPE_CNAME,
     TYPE_NS,
     ResourceRecord,
     is_subdomain,
     normalise_name,
 )
 from repro.dns.zone import Zone
+from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig, build_scenario
 from repro.net.addresses import IPv4Address
+from repro.net.node import Node
 
 
 def test_normalise_name():
@@ -43,6 +49,10 @@ def test_is_subdomain():
 def test_a_record_coerces_address():
     record = ResourceRecord("h.example.", TYPE_A, 60, "10.0.0.1")
     assert record.data == IPv4Address("10.0.0.1")
+    # ... and rejects a TTL the wire's unsigned whole seconds cannot carry.
+    for ttl in (0.5, -1, 2**32):
+        with pytest.raises(ValueError, match=f"ResourceRecord.ttl .* got {ttl!r}"):
+            ResourceRecord("h.example.", TYPE_A, ttl, "10.0.0.1")
 
 
 def test_name_encoding_roundtrip():
@@ -162,3 +172,84 @@ def test_root_zone_covers_everything():
     zone.delegate("example.", "a.gtld.", "192.5.6.30")
     result = zone.lookup("host.site.example.")
     assert result.is_referral
+
+
+# --------------------------------------------------------------------- #
+# Messages ride as objects: the codec is the oracle, not a hop
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("control_plane", CONTROL_PLANES)
+def test_every_sent_message_equals_its_wire_form(control_plane, monkeypatch):
+    """Carrying a message is carrying its bytes: every DNS message a control
+    plane sends round-trips through the codec, is sized by it, and is not
+    edited after it left."""
+    sent = []
+    real_send = Node.send
+
+    def capture(node, packet):
+        message = packet.payload
+        if isinstance(message, EncapsulatedDnsReply):
+            message = message.dns_reply
+        if isinstance(message, DnsMessage):
+            sent.append((message, message.encode()))
+        return real_send(node, packet)
+
+    monkeypatch.setattr(Node, "send", capture)
+    scenario = build_scenario(ScenarioConfig(control_plane=control_plane, num_sites=3,
+                                             seed=17, dns_extra_levels=2))
+    sites = scenario.topology.sites
+    dns = scenario.dns
+    # A cross-zone alias (the resolver splices the chased answer into the
+    # reply it received) and a name nobody owns.
+    alias = f"mirror.{dns.site_domain(sites[1])}"
+    dns.resolvers[1].zone.add_cname(alias, dns.host_name(sites[2], 0))
+    names = [dns.host_name(sites[1], 0), alias, dns.host_name(sites[2], 1),
+             f"missing.{dns.site_domain(sites[1])}"]
+    stub = scenario.stub_for(sites[0].hosts[0], sites[0])
+
+    def lookups():
+        found = []
+        for name in names:
+            address, _elapsed = yield stub.lookup(name)
+            found.append(address)
+        return found
+
+    process = scenario.sim.process(lookups())
+    scenario.sim.run(until=20.0)
+    assert process.value == [sites[1].hosts[0].address, sites[2].hosts[0].address,
+                             sites[2].hosts[1].address, None]
+
+    messages = [message for message, _wire in sent]
+    assert any(m.is_query for m in messages)
+    assert any(m.rcode == RCODE_NXDOMAIN for m in messages)
+    assert any(r.rtype == TYPE_CNAME for m in messages for r in m.answers)
+    assert any(m.referral_servers() for m in messages)
+    for message, wire in sent:
+        assert message.encode() == wire, f"edited after it was sent: {message}"
+        assert DnsMessage.decode(wire) == message
+        assert message.size_bytes == len(wire)
+
+
+@pytest.mark.parametrize("junk", [make_query(1, "host0.site1.example.").encode(),
+                                  None, object()],
+                         ids=["bytes", "none", "foreign-object"])
+def test_non_message_datagrams_on_the_dns_port_are_ignored(junk):
+    scenario = build_scenario(ScenarioConfig(control_plane="pce", num_sites=2, seed=17))
+    near, far = scenario.topology.sites
+    host = near.hosts[0]
+    # To the local resolver, a remote one (crossing both PCE taps) and an
+    # authoritative server, shaped as a query and as a reply (sport 53).
+    for dst in (near.dns_address, far.dns_address, ROOT_ADDRESS):
+        for sport in (5353, DNS_PORT):
+            host.send_udp(host.address, dst, sport, DNS_PORT, payload=junk)
+    scenario.sim.run(until=5.0)
+
+    root = scenario.dns.root_server
+    assert root.node.rx_packets == 2 and root.node.tx_packets == 0
+    assert root.queries_served == 0
+    for site in (near, far):
+        resolver = scenario.dns.resolver_for(site)
+        assert site.dns_node.rx_packets == 2 and site.dns_node.tx_packets == 0
+        assert (resolver.recursive_queries, resolver.upstream_queries) == (0, 0)
+        stats = scenario.control_plane.pces[site.index].stats
+        assert (stats.queries_observed, stats.replies_observed) == (0, 0)

@@ -49,6 +49,7 @@ def test_workload_loss_profile(control_plane, expect_loss):
     records = run_workload(scenario, WorkloadConfig(num_flows=15, arrival_rate=10.0))
     assert len(records) == 15
     assert all(not r.failed for r in records)
+    assert {r.flow_kind for r in records} == {"constant"}  # the default pacing
     lost = sum(r.packets_lost for r in records)
     if expect_loss:
         assert lost > 0

@@ -274,6 +274,7 @@ def test_fluid_matches_packet_sender_within_tolerance():
     # Same seed, same RNG discipline: the flows themselves are identical.
     assert [r.bytes_budget for r in shaped_records] \
         == [r.bytes_budget for r in fluid_records]
+    assert {r.flow_kind for r in shaped_records} == {"mouse", "elephant"}
     assert {r.flow_kind for r in fluid_records} >= {"fluid"}
     assert all(not r.failed for r in fluid_records)
     assert all(r.bytes_sent == r.bytes_budget for r in fluid_records)

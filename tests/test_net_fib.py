@@ -167,14 +167,20 @@ def test_remove_prunes_only_up_to_branching_point():
 
 
 def test_install_expire_churn_is_constant_memory():
-    """N install->remove cycles of disjoint prefixes: O(live), not O(N)."""
-    fib = Fib()
-    for i in range(1024):
-        prefix = IPv4Prefix.containing((i << 8) + (100 << 24), 24)
-        fib.add(prefix, "tag")
-        assert fib.remove(prefix) is not None
-    assert len(fib) == 0
-    assert fib.node_count() == 1
+    """N install->remove cycles of disjoint prefixes: O(live), not O(N) --
+    from empty, and against a resident working set."""
+    for resident in (0, 128):
+        fib = Fib()
+        for i in range(resident):
+            fib.add(IPv4Prefix.containing((i << 8) + (101 << 24), 24), "keep")
+        settled = fib.node_count()
+        assert settled <= 1 + resident * 24
+        for i in range(1024):
+            prefix = IPv4Prefix.containing((i << 8) + (100 << 24), 24)
+            fib.add(prefix, "tag")
+            assert fib.remove(prefix) is not None
+        assert len(fib) == resident
+        assert fib.node_count() == settled
 
 
 @given(st.lists(st.tuples(addresses, st.integers(min_value=0, max_value=32)),

@@ -35,12 +35,15 @@ def test_expand_grid_cross_product_and_order():
 
 
 def test_expand_grid_rejects_unknown_control_plane():
-    # ... and an empty axis (a silent 0-cell sweep) and a repeated value
-    # (one cell_id run twice, folded as two seeds), naming the grid field.
+    # ... and an empty axis (a silent 0-cell sweep), a repeated value
+    # (one cell_id run twice, folded as two seeds) and a DNS TTL the wire
+    # cannot carry, naming the field.
     for axes, named in ((dict(control_planes=("bogus",)), "'bogus'"),
                         (dict(seeds=()), "'seeds' is empty"),
                         (dict(site_counts=(3, 4, 3)), "'site_counts' repeats"),
-                        (dict(seeds=(1, 1)), "'seeds' repeats")):
+                        (dict(seeds=(1, 1)), "'seeds' repeats"),
+                        (dict(scenario_overrides={"dns_host_ttl": 0.5}),
+                         "dns_host_ttl .* got 0.5")):
         with pytest.raises(ValueError, match=named):
             expand_grid(SweepGrid(**axes))
 

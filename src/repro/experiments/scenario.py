@@ -22,7 +22,7 @@ from repro.lisp.deploy import deploy_lisp
 from repro.lisp.policies import CpDataPolicy, DropPolicy, QueuePolicy
 from repro.net.topogen import FAMILIES, TopologySpec, build as build_from_spec
 from repro.sim import Simulator
-from repro.traffic.flows import FlowIdAllocator, TcpStack, UdpSink
+from repro.traffic.flows import FlowIdAllocator, FluidPump, TcpStack, UdpSink
 
 #: Port every host's TCP responder listens on.
 FLOW_TCP_PORT = 80
@@ -151,9 +151,15 @@ class Scenario:
     #: Per-world flow-id sequence; checkpointed so fresh and restored
     #: worlds label flows identically.
     flow_ids: FlowIdAllocator = field(default_factory=FlowIdAllocator)
+    #: The world's one fluid pump (every fluid flow of a workload joins
+    #: it); checkpointed idle, emptied on restore.
+    fluid_pump: FluidPump = field(init=False)
     #: Post-build component checkpoint (set by repro.experiments.worldbuild;
     #: None when the world cannot be reused).
     world_checkpoint: object = None
+
+    def __post_init__(self):
+        self.fluid_pump = FluidPump(self.sim)
 
     @property
     def name(self):
@@ -294,6 +300,7 @@ class Scenario:
         yield sim.rng
         yield sim.trace
         yield self.flow_ids
+        yield self.fluid_pump
         seen_links = set()
         for node in self.topology.all_nodes():
             yield node

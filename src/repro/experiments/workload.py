@@ -146,10 +146,10 @@ def run_workload(scenario, workload):
             record.syn_retransmissions = retries
             if workload.tcp_data_burst:
                 yield send_flow(sim, src_host, address, FLOW_UDP_PORT,
-                                record, shaper.plan())
+                                record, shaper.plan(), scenario.fluid_pump)
         else:
             yield send_flow(sim, src_host, address, FLOW_UDP_PORT, record,
-                            shaper.plan())
+                            shaper.plan(), scenario.fluid_pump)
 
     arrival_time = 0.0
     last_arrival = 0.0

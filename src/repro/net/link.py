@@ -256,8 +256,9 @@ class LinkStats:
         """True when no ledger moved since *state* was captured.
 
         ``bytes_offered`` (seventh in the checkpoint tuple) is the stamp:
-        every packet and fluid chunk increments it before any other ledger,
-        so a new ledger write must come after one too.
+        every packet and fluid chunk increments it before any other ledger
+        (the fluid pump's per-flow account writes follow its own
+        ``post_fluid`` call), so a new ledger write must come after one too.
         """
         return self.bytes_offered == state[6]
 
@@ -383,9 +384,10 @@ class Link:
         if flow_id is not None:
             stats.flows[flow_id].delivered += size
         if probe is not None:
-            # A fluid flow's path-discovery packet: record the traversal so
-            # the sender can post subsequent chunks to the same links.
-            probe["links"].append(self)
+            # A fluid flow's path-discovery packet: record the traversal and
+            # this hop's wire size (tunnel headers included), so the pump
+            # can post subsequent chunks to the same links at that size.
+            probe["links"].append((self, size))
         self.dst_interface.node.receive(packet, self.dst_interface)
 
     def post_fluid(self, size, flow_id, duration):
@@ -398,6 +400,10 @@ class Link:
         windows (see :meth:`LinkStats.book_fluid`); whatever the covered
         windows cannot grant, and everything offered while the link is
         down, is recorded as dropped.  Returns the bytes delivered.
+
+        The world's :class:`~repro.traffic.flows.FluidPump` books a whole
+        path group's bytes in one call with ``flow_id=None`` and splits
+        the result over the group's per-flow accounts itself.
         """
         stats = self.stats
         stats.bytes_offered += size

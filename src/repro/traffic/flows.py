@@ -5,8 +5,14 @@ three-way handshake (SYN, SYN+ACK, ACK), with retransmission of lost SYNs
 after a retransmission timeout.  A SYN lost at an ITR during mapping
 resolution therefore costs a full RTO — the mechanism behind the paper's
 connection-setup comparison (§1).
+
+Bulk flows ride the fluid tier: after one real path-discovery packet a
+flow joins its world's :class:`FluidPump`, which advances every active
+flow in one engine event per chunk interval (see the fluid-chunk contract
+in ``docs/contracts.md``).
 """
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -230,7 +236,7 @@ class UdpSink:
         self.arrival_times = list(arrivals)
 
 
-def send_flow(sim, host, destination, port, record, plan):
+def send_flow(sim, host, destination, port, record, plan, pump=None):
     """Process: emit one flow's datagrams on its :class:`FlowPlan` schedule.
 
     The plan's byte budget and pacing kind are written onto *record*
@@ -247,13 +253,17 @@ def send_flow(sim, host, destination, port, record, plan):
 
     A ``fluid`` plan dispatches to the chunked sender instead: the first
     packet(s) double as path discovery, then the bulk advances as
-    rate x interval chunks posted straight to the discovered links (see
-    :meth:`repro.net.link.Link.post_fluid`).
+    rate x interval chunks that *pump* — the world's
+    :class:`FluidPump`, ``scenario.fluid_pump`` — posts straight to the
+    discovered links.  Without one (a bare simulator and two hosts) the
+    flow gets a pump of its own: same ticks, nobody to share a booking
+    with.
     """
     record.bytes_budget = plan.byte_budget
     record.flow_kind = plan.kind
     if plan.kind == "fluid":
-        return _send_fluid(sim, host, destination, port, record, plan)
+        return _send_fluid(sim, host, destination, port, record, plan,
+                           pump if pump is not None else FluidPump(sim))
 
     def _send():
         for index in range(plan.packets):
@@ -272,35 +282,33 @@ def send_flow(sim, host, destination, port, record, plan):
     return sim.process(_send(), name=f"{host.name}-burst-{record.flow_id}")
 
 
-def _send_fluid(sim, host, destination, port, record, plan):
-    """Process: advance a fluid flow as path-probe packets plus byte chunks.
+def _send_fluid(sim, host, destination, port, record, plan, pump):
+    """Process: discover a fluid flow's path, then ride the pump.
 
     The first packet is a normal datagram that carries a ``fluid_probe``
-    marker: every link that delivers it appends itself, and the
-    destination :class:`UdpSink` stamps itself in on arrival — so one
-    event-exact traversal discovers the packet path (E1's first-packet
-    fate classification rides it unchanged).  The remaining budget then
-    advances without per-packet events: every ``chunk_interval`` the
-    sender pushes a chunk of wire bytes through the discovered links —
-    each link's :meth:`~repro.net.link.Link.post_fluid` returns what
-    survived, which feeds the next hop — and credits the remainder to the
-    sink.  A chunk that dies completely triggers re-discovery (the path
-    may have failed over); when probing exhausts its retries with budget
-    still unsent the flow is marked failed.
+    marker: every link that delivers it appends itself and the wire size
+    it saw, and the destination :class:`UdpSink` stamps itself in on
+    arrival — so one event-exact traversal discovers the packet path and
+    each hop's encapsulation (E1's first-packet fate classification rides
+    it unchanged).  The remaining budget then advances without per-packet
+    or per-flow events: the flow joins *pump* and this process sleeps on
+    the returned event until the pump has spent the budget, or a whole
+    chunk of the flow died mid-path.  The latter triggers re-discovery
+    (the path may have failed over) and a fresh join; when probing
+    exhausts its retries with budget still unsent the flow is marked
+    failed.
 
     Every probe spends one packet of the flow's own budget, so
     ``bytes_sent`` can never exceed ``bytes_budget``; a completed flow has
     spent its budget exactly.
     """
     payload = plan.payload_bytes
-    interval = plan.chunk_interval
-    wire_per_packet = payload + plan.overhead_bytes
 
     def _remaining():
         return (record.bytes_budget - record.bytes_sent) // payload
 
     def _probe(attempts):
-        """Sub-process: discover the path; returns (links, sink) or None."""
+        """Sub-process: discover the path; returns (hops, sink) or None."""
         while attempts > 0 and _remaining() > 0:
             attempts -= 1
             probe = {"links": [], "sink": None}
@@ -313,48 +321,210 @@ def _send_fluid(sim, host, destination, port, record, plan):
             record.packets_sent += 1
             record.bytes_sent += payload
             host.send(packet)
-            yield sim.timeout(interval)
+            yield sim.timeout(plan.chunk_interval)
             if probe["sink"] is not None:
-                return probe["links"], probe["sink"]
+                return tuple(probe["links"]), probe["sink"]
         return None
 
-    def _give_up():
+    def _send():
+        path = yield from _probe(1 + FLUID_PROBE_RETRIES)
+        while path is not None and _remaining() > 0:
+            spent = yield pump.join(record, plan, _remaining(), *path)
+            if spent:
+                break
+            # The flow's whole chunk died mid-path: re-learn the route
+            # (probes spend budget too, hence the re-read above).
+            path = yield from _probe(FLUID_PROBE_RETRIES)
         if record.bytes_sent < record.bytes_budget:
             record.failed = True
         record.finished_at = sim.now
 
-    def _send():
-        path = yield from _probe(1 + FLUID_PROBE_RETRIES)
-        if path is None:
-            _give_up()
-            return
-        links, sink = path
-        remaining = _remaining()
-        while remaining > 0:
-            chunk = plan.chunk_packets if plan.chunk_packets < remaining else remaining
-            delivered = chunk * wire_per_packet
-            for link in links:
-                if delivered <= 0:
-                    break
-                delivered = link.post_fluid(delivered, record.flow_id, interval)
-            record.bytes_sent += chunk * payload
-            record.chunks_sent += 1
-            remaining = _remaining()
-            if delivered > 0:
-                sink.credit_fluid(record.flow_id, delivered)
-            elif links and remaining > 0:
-                # The whole chunk died mid-path: re-learn the route (the
-                # probe loop waits an interval per attempt, so no extra
-                # sleep here).
-                path = yield from _probe(FLUID_PROBE_RETRIES)
-                if path is None:
-                    _give_up()
-                    return
-                links, sink = path
-                remaining = _remaining()  # probes spend budget too
-                continue
-            if remaining > 0:
-                yield sim.timeout(interval)
-        record.finished_at = sim.now
-
     return sim.process(_send(), name=f"{host.name}-fluid-{record.flow_id}")
+
+
+def _split_pro_rata(offers, granted, total):
+    """Integral shares of *granted* bytes, proportional to *offers*.
+
+    Largest-remainder apportionment: every flow gets the floor of its
+    exact share ``offer * granted / total`` and the bytes left over go,
+    one each, to the largest fractional parts (earlier flows first on a
+    tie).  Shares sum to *granted* exactly, none exceeds its offer, and
+    equal offers differ by at most one byte.
+    """
+    shares = [offer * granted // total for offer in offers]
+    left = granted - sum(shares)
+    if left:
+        by_remainder = sorted(
+            range(len(offers)),
+            key=lambda index: (-(offers[index] * granted % total), index))
+        for index in by_remainder[:left]:
+            shares[index] += 1
+    return shares
+
+
+class _PumpedFlow:
+    """One flow's place in the pump: what is left and whom to wake."""
+
+    __slots__ = ("record", "payload", "chunk", "remaining", "done")
+
+    def __init__(self, record, plan, remaining, done):
+        self.record = record
+        self.payload = plan.payload_bytes
+        self.chunk = plan.chunk_packets
+        self.remaining = remaining
+        self.done = done
+
+
+class _PathGroup:
+    """Every pumped flow that shares one hop list, wire size and sink."""
+
+    __slots__ = ("wire", "hops", "sink", "flows")
+
+    def __init__(self, wire, hops, sink):
+        self.wire = wire
+        self.hops = hops
+        self.sink = sink
+        self.flows = []
+
+    def advance(self, interval):
+        """Post one chunk per flow: one booking per hop for the whole group.
+
+        Each flow offers ``packets x wire size`` of the hop (tunnel
+        headers included where the probe saw them); what a hop grants is
+        split pro rata and the survivors carry to the next hop in
+        proportion.  The per-flow accounts are written after the hop's
+        one ``post_fluid`` moved ``bytes_offered``, never before.
+        """
+        flows = self.flows
+        counts = [flow.chunk if flow.chunk < flow.remaining
+                  else flow.remaining for flow in flows]
+        ids = [flow.record.flow_id for flow in flows]
+        carried = [count * self.wire for count in counts]
+        carried_size = self.wire
+        for link, size in self.hops:
+            if size == carried_size:
+                offers = carried
+            else:
+                offers = [bytes_ * size // carried_size for bytes_ in carried]
+            total = sum(offers)
+            if not total:
+                carried = offers
+                break   # nothing survives to here: never post a zero chunk
+            granted = link.post_fluid(total, None, interval)
+            ledger = link.stats.flows
+            if granted == total:
+                carried = offers
+                for flow_id, offer in zip(ids, offers, strict=True):
+                    account = ledger[flow_id]
+                    account.offered += offer
+                    account.delivered += offer
+            else:
+                carried = _split_pro_rata(offers, granted, total)
+                for flow_id, offer, share in zip(ids, offers, carried,
+                                                  strict=True):
+                    account = ledger[flow_id]
+                    account.offered += offer
+                    account.delivered += share
+                    account.dropped += offer - share
+            carried_size = size
+
+        sink = self.sink
+        someone_left = False
+        for flow, count, arrived in zip(flows, counts, carried,
+                                        strict=True):
+            record = flow.record
+            record.bytes_sent += count * flow.payload
+            record.chunks_sent += 1
+            flow.remaining -= count
+            if arrived:
+                sink.credit_fluid(record.flow_id, arrived)
+            if not flow.remaining:
+                flow.done.succeed(True)
+                someone_left = True
+            elif not arrived:
+                flow.done.succeed(False)
+                someone_left = True
+        if someone_left:
+            self.flows = [flow for flow in flows if not flow.done.triggered]
+
+
+class FluidPump:
+    """Advances every fluid flow of one world, one tick per chunk interval.
+
+    A fluid flow that knows its path calls :meth:`join` and sleeps.
+    While any flow is active the pump keeps one foreground tick armed per
+    chunk interval — the first at the first multiple of the interval at
+    or after the join that armed it, then one every interval; each tick
+    posts one chunk for every active flow, booking each link once per
+    *path group* (flows sharing hop list, wire size and sink) with the
+    group's summed bytes — see :meth:`_PathGroup.advance`.  Ledgers, flow
+    records and sink credits are exact after every tick; nothing is
+    settled lazily.
+
+    Because the tick is a foreground event, ``sim.run()`` with no
+    ``until`` drains active fluid flows like any other pending work, and
+    an idle pump (no flows, nothing armed) leaves a world settled.  That
+    is also its whole checkpoint: only an idle pump can be captured, and
+    a restore empties it — the armed tick dies with the engine queue the
+    simulator's own restore clears.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+        #: chunk interval -> {(wire, hops, sink): _PathGroup}; an interval
+        #: is present exactly while its next tick is pending.
+        self._lanes = {}
+
+    def join(self, record, plan, remaining, hops, sink):
+        """Pump *remaining* packets of *record*'s budget along *hops*.
+
+        *hops* is the probe's ``(link, wire size)`` tuple and *sink* the
+        :class:`UdpSink` it reached.  The first chunk goes out at the next
+        tick of ``plan.chunk_interval``'s grid (now, if now is one), then
+        one per tick.  Returns the event that wakes the flow: ``True``
+        once the budget is spent, ``False`` when a whole chunk of this
+        flow died and the path must be re-learned.
+        """
+        interval = plan.chunk_interval
+        lane = self._lanes.get(interval)
+        if lane is None:
+            lane = self._lanes[interval] = {}
+            now = self.sim.now
+            first_tick = math.ceil(now / interval) * interval
+            self.sim.call_in(max(first_tick - now, 0.0), self._tick, interval)
+        key = (plan.payload_bytes + plan.overhead_bytes, hops, sink)
+        group = lane.get(key)
+        if group is None:
+            group = lane[key] = _PathGroup(*key)
+        done = self.sim.event()
+        group.flows.append(_PumpedFlow(record, plan, remaining, done))
+        return done
+
+    def _tick(self, interval):
+        lane = self._lanes[interval]
+        for key, group in list(lane.items()):
+            group.advance(interval)
+            if not group.flows:
+                del lane[key]
+        if lane:
+            # Re-arm from behind the wake-ups this tick scheduled: a flow
+            # that left to re-probe sends its probe first, so its wait —
+            # one interval, like the tick's — ends ahead of the next tick
+            # and an answered probe costs the flow no extra interval.
+            self.sim.call_in(0.0, self.sim.call_in,
+                             interval, self._tick, interval)
+        else:
+            del self._lanes[interval]
+
+    #: The owning sim checkpoints itself (and with it the armed ticks).
+    _SNAPSHOT_EXEMPT = ("sim",)
+
+    def snapshot_state(self):
+        if self._lanes:
+            raise RuntimeError(
+                f"cannot checkpoint a fluid pump with active flows "
+                f"(intervals {sorted(self._lanes)})")
+        return ()
+
+    def restore_state(self, _state):
+        self._lanes.clear()

@@ -146,10 +146,12 @@ class FlowPlan:
     ``elephant`` (paced at the shaper's target rate) or ``fluid`` (bulk
     bytes advance as chunks, only the path-discovery packet is real).
 
-    A fluid plan's sender posts ``chunk_packets`` packets' worth of wire
-    bytes (payload plus ``overhead_bytes`` of headers) every
-    ``chunk_interval`` seconds — the chunking of the shaper's pace rate.
-    Both fields are 0 on packet-level plans.
+    A fluid plan advances ``chunk_packets`` packets' worth of wire bytes
+    every ``chunk_interval`` seconds — the chunking of the shaper's pace
+    rate, posted by the world's :class:`~repro.traffic.flows.FluidPump` on
+    multiples of the interval.  A packet weighs ``payload_bytes +
+    overhead_bytes`` un-encapsulated; tunnelled hops add what the flow's
+    probe measured there.  All three fields are 0 on packet-level plans.
     """
 
     packets: int

@@ -21,7 +21,10 @@ from repro.sim import Simulator
 #: A cached world must restore at least this much faster than it builds
 #: (reads 14-18x; the sweep engine's reason to cache worlds at all).
 RESTORE_SPEEDUP_FLOOR = 2.0
-#: Fluid chunks over packet elephants on a bulk mix (reads ~13x).
+#: Fluid chunks over packet elephants on a bulk mix (reads 13.4-13.7x, and
+#: 13.9-14.0x before the pump: at 4 chunks a flow this mix is per-flow
+#: set-up, which batched booking does not touch; ``fluid_bulk`` is where
+#: the pump shows).
 FLUID_SPEEDUP_FLOOR = 3.0
 #: Tiered build time for 4x the sites; quadratic is 16x (reads ~4.5x).
 TIERED_SCALING_CEILING = 14.0

@@ -3,6 +3,7 @@
 import gc
 import json
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -581,6 +582,41 @@ def test_restore_is_complete_after_links_fail_and_come_back():
     assert _dirty_components(scenario)
     restore_world(scenario)
     assert _dirty_components(scenario) == []
+
+
+def test_flows_cut_off_inside_the_pump_leave_nothing_behind():
+    """A deadline that strands fluid flows mid-pump, then the next run.
+
+    The pump still holds the stranded flows and its armed tick when the
+    workload returns; a restore must empty and disarm it, and the same
+    workload must then replay record for record — on the restored world
+    and on one deserialized from the blob of the pristine build.
+    """
+    cell = _lifecycle_cell("pce", "flat", "fluid")
+    workload = replace(cell.workload, packets_per_flow=400, grace_period=0.5)
+    scenario = build_world(cell.scenario)
+    blob = serialize_world(scenario)
+    expected = run_workload(scenario, workload)
+    stranded = [record for record in expected
+                if record.flow_kind == "fluid" and record.chunks_sent
+                and record.finished_at is None]
+    assert len(stranded) >= 3
+    assert sum(len(group.flows)
+               for lane in scenario.fluid_pump._lanes.values()
+               for group in lane.values()) == len(stranded)
+    assert scenario.sim.pending_foreground > 0    # the next tick, armed
+
+    restore_world(scenario)
+    assert scenario.fluid_pump._lanes == {}
+    assert scenario.sim.pending_foreground == 0
+    assert _dirty_components(scenario) == []
+    assert run_workload(scenario, workload) == expected
+
+    deserialized = deserialize_world(blob, cell.scenario)
+    assert _dirty_components(deserialized) == []
+    assert run_workload(deserialized, workload) == expected
+    assert scenario.byte_accounting()["conserved"]
+    assert deserialized.byte_accounting()["conserved"]
 
 
 def _ignore(_packet, _node):

@@ -380,19 +380,39 @@ def shrunk_preset(name):
                    else min(grid.num_flows, 12))
 
 
+def without_sim_events(value):
+    """*value* with every ``sim_events`` key dropped (cells and aggregates)."""
+    if isinstance(value, dict):
+        return {key: without_sim_events(item) for key, item in value.items()
+                if key != "sim_events"}
+    if isinstance(value, list):
+        return [without_sim_events(item) for item in value]
+    return value
+
+
 def preset_digests(name, workdir):
-    """sha256 of the digested payload and of the CSV bytes of one preset."""
+    """sha256 of one preset's digested payload, of the same payload without
+    its ``sim_events`` counts, and of the CSV bytes.
+
+    ``sim_events`` counts engine queue pops — a cost, not a simulated
+    quantity — so an engine change may move ``payload`` and ``csv`` through
+    it alone; ``behaviour`` is the proof that nothing else moved.
+    """
     csv_path = os.path.join(workdir, f"{name}.csv")
     payload = run_sweep(shrunk_preset(name), csv_path=csv_path)
     with open(csv_path, "rb") as handle:
         csv_bytes = handle.read()
-    return {"payload": hashlib.sha256(payload_digest(payload).encode()).hexdigest(),
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+    return {"payload": sha(payload_digest(payload)),
+            "behaviour": sha(payload_digest(without_sim_events(payload))),
             "csv": hashlib.sha256(csv_bytes).hexdigest()}
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_artifacts_match_golden_digests(name, tmp_path):
-    """Every preset's payload and CSV stay byte-identical across refactors."""
+    """Every preset's payload, behaviour and CSV stay byte-identical across refactors."""
     with open(GOLDEN) as handle:
         golden = json.load(handle)
     assert preset_digests(name, str(tmp_path)) == golden[name]

@@ -44,6 +44,24 @@ def encode_name(name):
     return bytes(encoded)
 
 
+def name_size(name):
+    """``len(encode_name(name))`` without building the bytes.
+
+    One length byte per label plus the terminating zero; a name the codec
+    rejects is handed to the codec, so it raises here exactly as there.
+    """
+    name = normalise_name(name)
+    if not name.isascii():
+        return len(encode_name(name))
+    size = 1
+    for label in name.split("."):
+        if label:
+            if len(label) > 63:
+                raise DnsWireError(f"label too long: {label!r}")
+            size += 1 + len(label)
+    return size
+
+
 def decode_name(data, offset):
     labels = []
     while True:
@@ -192,8 +210,28 @@ class DnsMessage:
 
     @property
     def size_bytes(self):
-        """On-wire size; lets DNS messages ride directly as packet payloads."""
-        return len(self.encode())
+        """On-wire size; lets DNS messages ride directly as packet payloads.
+
+        ``len(self.encode())`` by arithmetic — the header, the question's
+        name and 4 fixed bytes, and per RR its name, 10 fixed bytes and the
+        rdata — since every packet carrying the message asks once.  The
+        codec stays the definition: tests hold the two equal.
+        """
+        size = _HEADER.size
+        if self.question:
+            size += name_size(self.question.qname) + 4
+        for section in (self.answers, self.authorities, self.additionals):
+            for record in section:
+                size += name_size(record.name) + _RR_FIXED.size
+                if record.rtype == TYPE_A:
+                    size += 4
+                elif record.rtype in (TYPE_NS, TYPE_CNAME):
+                    size += name_size(record.data)
+                elif isinstance(record.data, (bytes, bytearray)):
+                    size += len(record.data)
+                else:
+                    size += len(str(record.data).encode("ascii"))
+        return size
 
     def copy(self):
         return DnsMessage(ident=self.ident, flags=self.flags, question=self.question,

@@ -458,6 +458,10 @@ class SnapshotStore:
         else:
             while len(self._recent) >= ON_DEMAND_WORLDS:
                 del self._recent[next(iter(self._recent))]
+                # A world is one reference cycle, so dropping the last
+                # reference frees nothing, and its successor is made with
+                # the collector paused: collect now or hold two worlds.
+                gc.collect()
             scenario, outcome = self._materialise(
                 fingerprint, config, self._envelope_for(config))
             if outcome == "miss" and self.directory is not None:
@@ -513,9 +517,12 @@ class SnapshotStore:
         while workers may still ask for them, so releasing promptly is
         the memory bound.
         """
+        held = bool(self._pinned or self._recent)
         self._pinned.clear()
         self._recent.clear()
         self._envelopes.clear()
+        if held:
+            gc.collect()  # worlds are cycles; see world_for
 
     def _discard(self, fingerprint):
         """Forget an invalid blob everywhere (memory, live tiers, disk)."""

@@ -20,6 +20,7 @@ from repro.lisp.control.base import MappingSystem
 from repro.lisp.headers import LISP_CONTROL_PORT, MapReply, MapRequest, next_nonce
 from repro.net.addresses import IPv4Address
 from repro.net.fib import Fib, FibEntry
+from repro.sim import EXPIRED
 
 
 class _AltDataEnvelope:
@@ -144,10 +145,8 @@ class AltMappingSystem(MappingSystem):
                 xtr.node.send_udp(src=xtr.rloc, dst=entry_address,
                                   sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
                                   payload=request, meta={"alt_hops": 0})
-                deadline = self.sim.timeout(self.request_timeout)
-                outcome = yield self.sim.any_of([waiter, deadline])
-                if waiter in outcome:
-                    mapping = outcome[waiter]
+                mapping = yield waiter.expire_in(self.request_timeout)
+                if mapping is not EXPIRED:
                     self.stats.record_resolution(self.sim.now - started, ok=True)
                     return mapping
                 self._pending.pop(nonce, None)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from repro.lisp.control.base import MappingSystem
 from repro.lisp.headers import LISP_CONTROL_PORT, MapReply, MapRequest, next_nonce
 from repro.net.addresses import IPv4Address
+from repro.sim import EXPIRED
 
 
 @dataclass
@@ -147,11 +148,10 @@ class ConsMappingSystem(MappingSystem):
                 xtr.node.send_udp(src=xtr.rloc, dst=car.address,
                                   sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
                                   payload=envelope)
-                deadline = self.sim.timeout(self.request_timeout)
-                outcome = yield self.sim.any_of([waiter, deadline])
-                if waiter in outcome:
+                mapping = yield waiter.expire_in(self.request_timeout)
+                if mapping is not EXPIRED:
                     self.stats.record_resolution(self.sim.now - started, ok=True)
-                    return outcome[waiter]
+                    return mapping
                 self._pending.pop(nonce, None)
             self.stats.record_resolution(self.sim.now - started, ok=False)
             return None

@@ -17,6 +17,7 @@ with and without it.
 from dataclasses import dataclass
 
 from repro.net.addresses import IPv4Address
+from repro.sim import EXPIRED
 
 #: Dedicated UDP port for RLOC echo probes (4342 belongs to Map-Request).
 PROBE_PORT = 4347
@@ -102,9 +103,8 @@ class RlocProber:
         self.probes_sent += 1
         self.xtr.node.send_udp(src=self.xtr.rloc, dst=address,
                                sport=PROBE_PORT, dport=PROBE_PORT, payload=probe)
-        deadline = self.sim.timeout(self.timeout)
-        outcome = yield self.sim.any_of([waiter, deadline])
-        if waiter in outcome:
+        outcome = yield waiter.expire_in(self.timeout)
+        if outcome is not EXPIRED:
             self._mark_alive(address)
         else:
             self._pending.pop(nonce, None)

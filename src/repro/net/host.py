@@ -43,28 +43,33 @@ class UdpSocket:
         return packet
 
     def request(self, dst, dport, payload=None, payload_bytes=0, timeout=2.0, retries=2):
-        """Process: send and wait for the next datagram on this socket.
+        """Send and return an event for the next datagram on this socket.
 
-        Retries up to *retries* extra times on timeout, then raises
-        :class:`RequestTimeout` inside the calling process.
+        The event succeeds with the reply packet.  Every *timeout* without
+        one the same payload object is sent again, up to *retries* extra
+        times; then the event fails with :class:`RequestTimeout`, raised
+        inside the process that yielded it.  A late reply to an earlier
+        attempt satisfies the request like any other.
         """
         sim = self.host.sim
+        done = sim.event(name=f"udp:{self.host.name}:{self.port}")
+        self._waiters.append(done)
+        sends_left = retries + 1
 
-        def _request():
-            attempts = retries + 1
-            for _attempt in range(attempts):
-                self.send(dst, dport, payload=payload, payload_bytes=payload_bytes)
-                waiter = sim.event(name=f"udp:{self.host.name}:{self.port}")
-                self._waiters.append(waiter)
-                deadline = sim.timeout(timeout)
-                outcome = yield sim.any_of([waiter, deadline])
-                if waiter in outcome:
-                    return outcome[waiter]
-                if waiter in self._waiters:
-                    self._waiters.remove(waiter)
-            raise RequestTimeout(f"{self.host.name}:{self.port} -> {dst}:{dport}")
+        def attempt():
+            nonlocal sends_left
+            if done.triggered:
+                return
+            if sends_left <= 0:
+                self._waiters.remove(done)
+                done.fail(RequestTimeout(f"{self.host.name}:{self.port} -> {dst}:{dport}"))
+                return
+            sends_left -= 1
+            self.send(dst, dport, payload=payload, payload_bytes=payload_bytes)
+            sim.call_in(timeout, attempt)
 
-        return sim.process(_request())
+        attempt()
+        return done
 
     def close(self):
         self.host.unbind_udp(self.port)

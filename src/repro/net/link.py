@@ -1,10 +1,14 @@
 """Point-to-point links with delay, bandwidth and finite FIFO queues.
 
 A :class:`Link` is simplex; :func:`connect` wires two interfaces with a pair
-of opposite simplex links (full duplex).  Transmission of a packet occupies
-the link for ``size * 8 / rate`` seconds; packets arriving while the
-transmitter is busy queue up to ``queue_capacity`` packets, beyond which they
-are tail-dropped.  Propagation delay is added after serialisation.
+of opposite simplex links (full duplex).  On a rated link, transmission of a
+packet occupies the link for ``size * 8 / rate`` seconds; packets arriving
+while the transmitter is busy queue up to ``queue_capacity`` packets, beyond
+which they are tail-dropped, and propagation delay is added after
+serialisation — two engine events per hop.  A rate-less link
+(``rate_bps=None``) never serialises, so it has no transmitter to be busy,
+no queue and no tail drop: :meth:`Link.send` books the packet and schedules
+its delivery one propagation delay later — one engine event per hop.
 
 Byte accounting
 ---------------
@@ -289,7 +293,8 @@ class Link:
         serialisation delay), which most control-plane experiments use so
         that latency is dominated by propagation as in the paper's formulas.
     queue_capacity:
-        Maximum packets waiting behind the one being serialised.
+        Maximum packets waiting behind the one being serialised (rated
+        links only; a rate-less link never queues).
     util_window:
         Width (simulated seconds) of the utilization windows busy time and
         offered bytes are bucketed into.
@@ -315,11 +320,12 @@ class Link:
         return self.name
 
     def send(self, packet):
-        """Accept *packet* for transmission; returns False on tail drop.
+        """Accept *packet* for transmission; returns False on a drop.
 
         The packet's size, flow id and fluid probe are read here, once per
-        hop, and travel with it through the queue and the two scheduled
-        callbacks (serialisation done, propagation done).
+        hop, and travel with it to the scheduled delivery — directly on a
+        rate-less link, through the queue and the serialisation-done
+        callback on a rated one.
         """
         size = packet.size_bytes
         # Flow id and probe live on the innermost packet, so LISP
@@ -336,6 +342,15 @@ class Link:
             self.sim.trace.record(self.sim.now, self.name, "link.drop", reason="down",
                                   uid=packet.uid)
             return False
+        if self.rate_bps is None:
+            # Zero serialisation time: nothing to wait behind, so book the
+            # transmission (volume only, no busy seconds) and let
+            # propagation start now.
+            stats.tx_packets += 1
+            stats.tx_bytes += size
+            stats.windows[int(self.sim.now / stats.window_width)][1] += size
+            self.sim.call_in(self.delay, self._deliver, packet, size, flow_id, probe)
+            return True
         if not self._busy:
             self._transmit(packet, size, flow_id, probe)
             return True
@@ -358,8 +373,9 @@ class Link:
             stats.flows[flow_id].dropped += size
 
     def _transmit(self, packet, size, flow_id, probe):
+        # Rated links only: send() delivers straight from a rate-less one.
         self._busy = True
-        tx_time = 0.0 if self.rate_bps is None else size * 8.0 / self.rate_bps
+        tx_time = size * 8.0 / self.rate_bps
         stats = self.stats
         stats.busy_time += tx_time
         stats.tx_packets += 1

@@ -14,13 +14,14 @@ seed produce byte-identical traces.
 
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError, StopProcess
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import EXPIRED, AllOf, AnyOf, Event, Timeout
 from repro.sim.periodic import PeriodicTask
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
+    "EXPIRED",
     "AllOf",
     "AnyOf",
     "Event",

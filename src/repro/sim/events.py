@@ -13,6 +13,21 @@ process when the event fires, sending the event's value into the generator
 from repro.sim.errors import EventAlreadyTriggered
 
 
+class _Expired:
+    """Type of :data:`EXPIRED` (one instance, compared by identity)."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "EXPIRED"
+
+
+#: Value of an event whose :meth:`Event.expire_in` deadline passed before
+#: anything triggered it.  A sentinel rather than ``None`` because a reply
+#: may legitimately carry ``None`` (a Map-Reply for an unknown EID).
+EXPIRED = _Expired()
+
+
 class Event:
     """A one-shot occurrence at a point in simulated time.
 
@@ -90,6 +105,23 @@ class Event:
         self.sim._schedule(self, delay)
         return self
 
+    def expire_in(self, delay):
+        """Succeed with :data:`EXPIRED` after *delay* unless triggered first.
+
+        The one-shot request/reply wait: ``outcome = yield
+        waiter.expire_in(timeout)`` resumes with the reply the moment it is
+        triggered, or with ``EXPIRED`` at exactly ``now + delay``.  The
+        deadline is one pending foreground call; when the reply won it
+        still fires, into nothing.  A reply and the deadline on one
+        timestamp resolve in queue insertion order.  Returns the event.
+        """
+        self.sim.call_in(delay, self._expire)
+        return self
+
+    def _expire(self):
+        if not self._triggered:
+            self.succeed(EXPIRED)
+
     def _run_callbacks(self):
         self._processed = True
         callbacks, self.callbacks = self.callbacks, []
@@ -126,14 +158,29 @@ class ScheduledCall(Timeout):
     runs first, then any callbacks registered afterwards (a process
     yielding the event, an :class:`AnyOf` watching it), exactly as when
     the call was the first entry of the callback list.
+
+    One is built per link hop and per deadline — the only object
+    allocated per event on the packet path — so the constructor sets every
+    inherited slot itself instead of chaining through :class:`Timeout` and
+    :class:`Event`.
     """
 
     __slots__ = ("_callback", "_args")
 
     def __init__(self, sim, delay, callback, args):
-        Timeout.__init__(self, sim, delay)
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        self.sim = sim
+        self.name = None
+        self.callbacks = []
+        self._value = None
+        self._exception = None
+        self._triggered = True
+        self._processed = False
+        self.delay = delay
         self._callback = callback
         self._args = args
+        sim._schedule(self, delay)
 
     def _run_callbacks(self):
         self._processed = True

@@ -19,6 +19,7 @@ from typing import Optional
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, TCP_ACK, TCP_SYN, tcp_packet, udp_packet
+from repro.sim import EXPIRED
 
 #: Classic initial TCP retransmission timeout (RFC 1122 era: 1 second was
 #: common in 2008-vintage stacks; RFC 6298 later said 1 s as well).
@@ -153,9 +154,8 @@ class TcpStack:
                 waiter = sim.event(name=f"tcp-connect-{sport}")
                 self._pending[sport] = waiter
                 self.host.send(syn)
-                deadline = sim.timeout(rto * (2 ** attempt))
-                outcome = yield sim.any_of([waiter, deadline])
-                if waiter in outcome:
+                outcome = yield waiter.expire_in(rto * (2 ** attempt))
+                if outcome is not EXPIRED:
                     self._pending.pop(sport, None)
                     ack = tcp_packet(self.host.address, destination, sport, dport,
                                      flags=TCP_ACK, seq=attempt + 1, ack=1)

@@ -110,8 +110,37 @@ def test_truncated_data_raises():
 
 
 def test_size_bytes_matches_encoding():
+    """``size_bytes`` is arithmetic; the codec is its oracle, errors included."""
     query = make_query(1, "host.example.")
     assert query.size_bytes == len(query.encode())
+    referral = make_reply(
+        make_query(2, "."),  # the root name is one zero byte
+        answers=[ResourceRecord("www.example.", TYPE_CNAME, 60, "host.example."),
+                 ResourceRecord("host.example.", TYPE_A, 60, "192.0.2.1")],
+        authorities=[ResourceRecord(".", TYPE_NS, 60, "a.root-servers.net.")],
+        additionals=[ResourceRecord("txt.example.", 16, 60, b"opaque"),
+                     ResourceRecord("txt.example.", 16, 60, "text")])
+    for message in (DnsMessage(), referral,
+                    make_query(3, "a..b.example"),  # empty labels are skipped
+                    make_query(4, "x" * 63 + ".example.")):
+        assert message.size_bytes == len(message.encode())
+    assert DnsMessage().size_bytes == 12 and make_query(2, ".").size_bytes == 17
+    for name, error in (("x" * 64 + ".example.", DnsWireError),
+                        ("h\u00f4te.example.", UnicodeEncodeError),
+                        ("x" * 64 + ".h\u00f4te.", DnsWireError),
+                        ("h\u00f4te." + "x" * 64 + ".", UnicodeEncodeError)):
+        for message in (make_query(5, name),
+                        make_reply(query, answers=[ResourceRecord(name, TYPE_A, 1, 1)]),
+                        make_reply(query, answers=[ResourceRecord("a.", TYPE_NS, 1, name)])):
+            with pytest.raises(error):
+                message.encode()
+            with pytest.raises(error):
+                _ = message.size_bytes
+    text = make_reply(query, answers=[ResourceRecord("a.", 16, 1, "\u00f4")])
+    with pytest.raises(UnicodeEncodeError):
+        text.encode()
+    with pytest.raises(UnicodeEncodeError):
+        _ = text.size_bytes
 
 
 names = st.lists(

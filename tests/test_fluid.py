@@ -244,13 +244,13 @@ def test_fluid_sender_far_fewer_events_than_packet_sender():
     fluid = events_for(_fluid_plan(packets=200))
     packet = events_for(FlowPlan(packets=200, payload_bytes=1000,
                                  spacing=0.004, kind="elephant"))
-    # Process start and end, the probe's two link events (serialised,
-    # propagated) and its wait, four pump ticks (60+60+60+19 packets) with
-    # a re-arm after all but the last, and the wake-up: 2 + 2 + 1 + 4 + 3
-    # + 1.  The packet sender pays start and end, 200 x 2 link events and
-    # 199 spacing timeouts.
-    assert fluid == 13
-    assert packet == 601
+    # The hosts' link is rate-less, so a hop is one engine event (the
+    # delivery).  Process start and end, the probe's hop and its wait, four
+    # pump ticks (60+60+60+19 packets) with a re-arm after all but the
+    # last, and the wake-up: 2 + 1 + 1 + 4 + 3 + 1.  The packet sender pays
+    # start and end, 200 hops and 199 spacing timeouts.
+    assert fluid == 12
+    assert packet == 401
 
 
 def test_fluid_sender_gives_up_when_path_never_answers():

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.net.errors import PortInUseError
-from repro.net.host import Host
+from repro.net.host import Host, RequestTimeout
 from repro.net.link import Link, connect
 from repro.net.packet import udp_packet
 from repro.net.router import Router
-from repro.sim import Simulator
+from repro.sim import Process, Simulator
 
 
 def two_hosts(sim, delay=0.01, rate_bps=None, queue_capacity=1000):
@@ -68,6 +68,53 @@ def test_tail_drop_when_queue_full():
     assert len(arrivals) == 2
     link = a.interfaces["eth0"].link
     assert link.stats.drops == 3
+
+
+def test_rateless_link_never_queues_or_tail_drops():
+    """Infinite rate means no transmitter to wait behind: one instant's burst
+    beyond ``queue_capacity`` is delivered whole, one engine event per packet
+    (a burst of 1 500 used to deliver 1 001 and tail-drop 499)."""
+    sim = Simulator()
+    a, b = two_hosts(sim, delay=0.01)  # rate_bps=None, queue_capacity=1000
+    arrivals = []
+    b.bind_udp(7, lambda packet, node: arrivals.append(sim.now))
+    link = a.interfaces["eth0"].link
+    accepted = [link.send(udp_packet(a.address, b.address, 1, 7, payload_bytes=72))
+                for _ in range(1500)]
+    assert all(accepted)
+    assert link.queue_length == 0 and not link._busy
+    assert link.stats.bytes_in_flight == 1500 * 100
+    sim.run()
+    assert arrivals == [0.01] * 1500
+    stats = link.stats
+    assert (stats.drops, stats.max_queue, stats.bytes_in_flight) == (0, 0, 0)
+    assert (stats.tx_packets, stats.tx_bytes) == (1500, 1500 * 100)
+    assert stats.utilization_series() == [(0.0, 0.0, 1500 * 100)]
+    assert sim.processed_events == 1500  # the deliveries, nothing else
+
+
+def test_rated_link_queues_and_tail_drops_a_burst():
+    """The same burst on a rated link: serialisation, FIFO queue, tail drop,
+    and two engine events (serialised, propagated) per accepted packet."""
+    sim = Simulator()
+    a, b = two_hosts(sim, delay=0.01, rate_bps=8_000_000, queue_capacity=1000)
+    arrivals = []
+    b.bind_udp(7, lambda packet, node: arrivals.append(sim.now))
+    link = a.interfaces["eth0"].link
+    accepted = [link.send(udp_packet(a.address, b.address, 1, 7, payload_bytes=72))
+                for _ in range(1500)]
+    # One in serialisation + 1000 queued; the rest tail-dropped.
+    assert accepted == [True] * 1001 + [False] * 499
+    assert link.queue_length == 1000 and link._busy
+    sim.run()
+    # 100 bytes at 8 Mbit/s serialise in 100 us, back to back.
+    assert arrivals == pytest.approx([0.01 + 0.0001 * n for n in range(1, 1002)])
+    stats = link.stats
+    assert (stats.drops, stats.max_queue, stats.bytes_in_flight) == (499, 1000, 0)
+    assert (stats.tx_packets, stats.bytes_dropped) == (1001, 499 * 100)
+    assert stats.busy_time == pytest.approx(1001 * 0.0001)
+    assert not link._busy
+    assert sim.processed_events == 2 * 1001
 
 
 def test_link_down_drops():
@@ -258,6 +305,105 @@ def test_udp_port_rebind_rejected():
         host.bind_udp(53, lambda packet, node: None)
     host.unbind_udp(53)
     host.bind_udp(53, lambda packet, node: None)
+
+
+# --------------------------------------------------------------------- #
+# UdpSocket.request: one event per exchange, no process
+# --------------------------------------------------------------------- #
+
+def _responder(sim, b, answer_after=0, delay=0.0):
+    """Bind port 7 on *b*: log payloads, answer all but the first *answer_after*."""
+    seen = []
+
+    def reply(packet, serial):
+        b.send(udp_packet(b.address, packet.ip.src, 7, packet.udp.sport,
+                          payload=("re", serial)))
+
+    def on_request(packet, _node):
+        seen.append(packet.payload)
+        if len(seen) > answer_after:
+            sim.call_in(delay, reply, packet, len(seen))
+
+    b.bind_udp(7, on_request)
+    return seen
+
+
+def test_udp_request_is_one_event_answered_by_the_reply():
+    sim = Simulator()
+    a, b = two_hosts(sim, delay=0.25)
+    seen = _responder(sim, b)
+    socket = a.open_udp()
+    done = socket.request(b.address, 7, payload="ping", timeout=2.0)
+    assert not isinstance(done, Process) and not done.triggered
+    assert sim.processed_events == 0 and sim.pending_foreground == 2
+    answered = []
+    done.callbacks.append(lambda event: answered.append((sim.now, event.value.payload)))
+    sim.run()
+    assert seen == ["ping"]
+    assert answered == [(0.5, ("re", 1))]
+    assert sim.now == 2.0  # the deadline still fires, into nothing
+    # Request hop, the responder's zero-delay call, reply hop, the
+    # completion event, the deadline: no process start/end, no AnyOf.
+    assert sim.processed_events == 5
+
+
+def test_udp_request_resends_the_same_payload_object_on_timeout():
+    sim = Simulator()
+    a, b = two_hosts(sim, delay=0.25)
+    seen = _responder(sim, b, answer_after=2)
+    payload = object()
+    results = []
+
+    def client():
+        packet = yield a.open_udp().request(b.address, 7, payload=payload,
+                                            timeout=1.0, retries=2)
+        results.append((sim.now, packet.payload))
+
+    sim.process(client())
+    sim.run()
+    assert len(seen) == 3 and all(sent is payload for sent in seen)
+    assert results == [(2.5, ("re", 3))]
+
+
+def test_udp_request_timeout_is_raised_in_the_yielding_process():
+    sim = Simulator()
+    a, b = two_hosts(sim, delay=0.25)
+    seen = _responder(sim, b, answer_after=99)
+    socket = a.open_udp()
+    results = []
+
+    def client():
+        try:
+            yield socket.request(b.address, 7, payload="ping", timeout=1.0, retries=2)
+        except RequestTimeout as exc:
+            results.append((sim.now, str(exc)))
+        finally:
+            socket.close()
+
+    sim.process(client())
+    sim.run()
+    assert seen == ["ping"] * 3  # retries + 1 sends
+    assert results == [(3.0, f"a:{socket.port} -> 10.0.0.2:7")]
+    assert not socket._waiters
+    assert sim.pending_foreground == 0
+
+
+def test_udp_request_late_reply_satisfies_the_current_attempt():
+    sim = Simulator()
+    a, b = two_hosts(sim, delay=0.25)
+    seen = _responder(sim, b, delay=1.25)  # slower than the timeout
+    results = []
+
+    def client():
+        packet = yield a.open_udp().request(b.address, 7, payload="ping",
+                                            timeout=1.0, retries=2)
+        results.append((sim.now, packet.payload))
+
+    sim.process(client())
+    sim.run()
+    # The answer to attempt 1 lands during attempt 2 and completes it.
+    assert results == [(1.75, ("re", 1))]
+    assert seen == ["ping", "ping"]
 
 
 def test_unclaimed_packet_traced():

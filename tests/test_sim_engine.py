@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import EXPIRED, Simulator
 from repro.sim.errors import EmptySchedule, EventAlreadyTriggered
 
 
@@ -176,6 +176,75 @@ def test_any_of_fires_on_first():
     when, values = results[0]
     assert when == 1.0
     assert values == {fast: "fast"}
+
+
+def test_expiring_event_yields_the_sentinel_at_exactly_the_deadline():
+    sim = Simulator()
+    resumed = []
+
+    def waiter():
+        outcome = yield sim.event().expire_in(2.5)
+        resumed.append((sim.now, outcome))
+
+    sim.process(waiter())
+    sim.run()
+    assert resumed == [(2.5, EXPIRED)]
+    assert repr(EXPIRED) == "EXPIRED"
+    with pytest.raises(ValueError):
+        sim.event().expire_in(-1.0)
+
+
+def test_expiring_event_reply_first_wins_and_the_expiry_is_a_noop():
+    sim = Simulator()
+    event = sim.event().expire_in(2.0)
+    resumed = []
+
+    def waiter():
+        outcome = yield event
+        resumed.append((sim.now, outcome))
+
+    sim.process(waiter())
+    # ``None`` is a legitimate reply (a Map-Reply for an unknown EID).
+    sim.call_in(0.5, event.succeed, None)
+    sim.run(until=1.0)
+    assert resumed == [(0.5, None)]
+    before = sim.processed_events
+    sim.run()
+    assert sim.now == 2.0 and sim.processed_events == before + 1
+    assert resumed == [(0.5, None)] and event.value is None
+
+
+def test_expiring_event_same_timestamp_resolves_in_insertion_order():
+    def race(expiry_first):
+        sim = Simulator()
+        event = sim.event()
+
+        def reply():
+            if not event.triggered:  # what every reply handler checks
+                event.succeed("reply")
+
+        if expiry_first:
+            event.expire_in(1.0)
+            sim.call_in(1.0, reply)
+        else:
+            sim.call_in(1.0, reply)
+            event.expire_in(1.0)
+        sim.run()
+        return event.value
+
+    assert race(expiry_first=True) is EXPIRED
+    assert race(expiry_first=False) == "reply"
+
+
+def test_pending_expiry_is_foreground_work():
+    sim = Simulator()
+    event = sim.event().expire_in(3.0)
+    assert sim.pending_foreground == 1 and not sim.serializable
+    with pytest.raises(RuntimeError):
+        sim.snapshot_state()
+    assert sim.run() == 3.0  # no ``until``: the expiry is drained, not skipped
+    assert event.value is EXPIRED and event.processed
+    assert sim.serializable
 
 
 def test_all_of_waits_for_all():

@@ -279,25 +279,32 @@ def test_world_key_distinguishes_configs():
 
 
 def test_on_demand_worlds_keep_only_the_most_recent():
-    """Residency: world_for lets the previous world go, ensure(live) pins."""
+    """Residency: world_for lets the previous world go, ensure(live) pins.
+
+    The weakrefs watch the world's simulator, which every component points
+    at; the ``Scenario`` object on top sits outside the world's reference
+    cycles and dies by refcount alone, whatever happens to the rest.
+    """
     a = ScenarioConfig(control_plane="plain", num_sites=2, seed=1, tracing=False)
     b = a.variant(seed=2)
     store = SnapshotStore()
-    on_demand = weakref.ref(store.world_for(a)[0])
+    on_demand = weakref.ref(store.world_for(a)[0].sim)
     assert store.world_for(b)[1] == "miss"
-    gc.collect()
+    # No collection here: a world is a reference cycle, and the store must
+    # have freed it by the time its successor exists.
     assert on_demand() is None and len(store) == 1
     assert store.world_for(a)[1] == "miss"  # it really was let go: rebuilt
 
     store = SnapshotStore()
     store.ensure(a, live=True)
-    pinned = weakref.ref(store.world_for(a)[0])
+    pinned = weakref.ref(store.world_for(a)[0].sim)
     store.world_for(b)
     gc.collect()
     assert pinned() is not None
-    assert store.world_for(a) == (pinned(), "hit")
+    world, outcome = store.world_for(a)
+    assert (world.sim, outcome) == (pinned(), "hit")
+    del world
     store.release_worlds()
-    gc.collect()
     assert pinned() is None
 
 

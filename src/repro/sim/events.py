@@ -23,8 +23,9 @@ class _Expired:
 
 
 #: Value of an event whose :meth:`Event.expire_in` deadline passed before
-#: anything triggered it.  A sentinel rather than ``None`` because a reply
-#: may legitimately carry ``None`` (a Map-Reply for an unknown EID).
+#: anything triggered it.  A sentinel rather than ``None`` because ``None``
+#: is what a bare ``succeed()`` delivers and what a reply's ``object``-typed
+#: payload (a Map-Reply's mapping) is free to be.
 EXPIRED = _Expired()
 
 

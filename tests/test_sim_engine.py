@@ -204,7 +204,7 @@ def test_expiring_event_reply_first_wins_and_the_expiry_is_a_noop():
         resumed.append((sim.now, outcome))
 
     sim.process(waiter())
-    # ``None`` is a legitimate reply (a Map-Reply for an unknown EID).
+    # ``None`` is a legitimate reply, which is why expiry has a sentinel.
     sim.call_in(0.5, event.succeed, None)
     sim.run(until=1.0)
     assert resumed == [(0.5, None)]

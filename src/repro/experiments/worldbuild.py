@@ -447,8 +447,9 @@ class SnapshotStore:
         a valid blob; ``"miss"`` builds, and persists a blob when the
         store has a directory.  A restored or built world stays live as
         the most recent on-demand world (see :data:`ON_DEMAND_WORLDS`);
-        the previous one is let go *before* its successor is made, so one
-        on-demand world is resident at a time.
+        the previous one is let go — collected, not just dereferenced —
+        *before* its successor is made, so one on-demand world is resident
+        at a time.
         """
         fingerprint = snapshot_fingerprint(config)
         scenario = self._live_world(fingerprint)

@@ -5,8 +5,6 @@ Hosts expose a tiny socket-like API: :meth:`Host.open_udp` returns a
 send-and-await-reply pattern used by DNS lookups, with timeout and retry.
 """
 
-from collections import deque
-
 from repro.net.addresses import IPv4Address
 from repro.net.node import Node
 from repro.net.packet import udp_packet
@@ -22,17 +20,19 @@ class UdpSocket:
     def __init__(self, host, port):
         self.host = host
         self.port = port
-        self._waiters = deque()
+        #: Outstanding requests, oldest first: completion event -> what a
+        #: re-send needs.  The reply takes the entry, so a pending deadline
+        #: keeps neither the payload nor anything else of an answered one.
+        self._waiters = {}
         self.on_datagram = None
         host.bind_udp(port, self._deliver)
 
     def _deliver(self, packet, _node):
         if self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed(packet)
-                return
-        if self.on_datagram is not None:
+            done = next(iter(self._waiters))
+            del self._waiters[done]
+            done.succeed(packet)
+        elif self.on_datagram is not None:
             self.on_datagram(packet)
 
     def send(self, dst, dport, payload=None, payload_bytes=0, meta=None):
@@ -51,25 +51,22 @@ class UdpSocket:
         inside the process that yielded it.  A late reply to an earlier
         attempt satisfies the request like any other.
         """
-        sim = self.host.sim
-        done = sim.event(name=f"udp:{self.host.name}:{self.port}")
-        self._waiters.append(done)
-        sends_left = retries + 1
-
-        def attempt():
-            nonlocal sends_left
-            if done.triggered:
-                return
-            if sends_left <= 0:
-                self._waiters.remove(done)
-                done.fail(RequestTimeout(f"{self.host.name}:{self.port} -> {dst}:{dport}"))
-                return
-            sends_left -= 1
-            self.send(dst, dport, payload=payload, payload_bytes=payload_bytes)
-            sim.call_in(timeout, attempt)
-
-        attempt()
+        done = self.host.sim.event(name=f"udp:{self.host.name}:{self.port}")
+        self._waiters[done] = (dst, dport, payload, payload_bytes, timeout)
+        self._attempt(done, retries + 1)
         return done
+
+    def _attempt(self, done, sends_left):
+        request = self._waiters.get(done)
+        if request is None:
+            return  # answered: this deadline fires into nothing
+        dst, dport, payload, payload_bytes, timeout = request
+        if sends_left <= 0:
+            del self._waiters[done]
+            done.fail(RequestTimeout(f"{self.host.name}:{self.port} -> {dst}:{dport}"))
+            return
+        self.send(dst, dport, payload=payload, payload_bytes=payload_bytes)
+        self.host.sim.call_in(timeout, self._attempt, done, sends_left - 1)
 
     def close(self):
         self.host.unbind_udp(self.port)

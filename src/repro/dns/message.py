@@ -9,7 +9,8 @@ and leaving it out keeps encode/decode obviously correct.
 import struct
 from dataclasses import dataclass, field
 
-from repro.dns.records import TYPE_A, TYPE_CNAME, TYPE_NS, ResourceRecord, normalise_name
+from repro.dns.records import (TYPE_A, TYPE_CNAME, TYPE_NS, ResourceRecord, name_labels,
+                               normalise_name)
 from repro.net.addresses import IPv4Address
 
 FLAG_QR = 0x8000  # reply (vs query)
@@ -47,19 +48,24 @@ def encode_name(name):
 def name_size(name):
     """``len(encode_name(name))`` without building the bytes.
 
-    One length byte per label plus the terminating zero; a name the codec
-    rejects is handed to the codec, so it raises here exactly as there.
+    One length byte per label plus the terminating zero; a non-ASCII name
+    is handed to the codec, so it raises here exactly as there.
     """
-    name = normalise_name(name)
     if not name.isascii():
         return len(encode_name(name))
     size = 1
-    for label in name.split("."):
-        if label:
-            if len(label) > 63:
-                raise DnsWireError(f"label too long: {label!r}")
-            size += 1 + len(label)
+    for label in name_labels(name):
+        if len(label) > 63:
+            raise DnsWireError(f"label too long: {label!r}")
+        size += 1 + len(label)
     return size
+
+
+def _opaque_rdata(data):
+    """Rdata of a record type the codec does not interpret."""
+    if isinstance(data, (bytes, bytearray)):
+        return bytes(data)
+    return str(data).encode("ascii")
 
 
 def decode_name(data, offset):
@@ -156,10 +162,8 @@ class DnsMessage:
             rdata = IPv4Address(record.data).to_bytes()
         elif record.rtype in (TYPE_NS, TYPE_CNAME):
             rdata = encode_name(record.data)
-        elif isinstance(record.data, (bytes, bytearray)):
-            rdata = bytes(record.data)
         else:
-            rdata = str(record.data).encode("ascii")
+            rdata = _opaque_rdata(record.data)
         out = bytearray(encode_name(record.name))
         out += _RR_FIXED.pack(record.rtype, CLASS_IN, int(record.ttl), len(rdata))
         out += rdata
@@ -227,10 +231,8 @@ class DnsMessage:
                     size += 4
                 elif record.rtype in (TYPE_NS, TYPE_CNAME):
                     size += name_size(record.data)
-                elif isinstance(record.data, (bytes, bytearray)):
-                    size += len(record.data)
                 else:
-                    size += len(str(record.data).encode("ascii"))
+                    size += len(_opaque_rdata(record.data))
         return size
 
     def copy(self):

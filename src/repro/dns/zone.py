@@ -61,14 +61,24 @@ class Zone:
         return is_subdomain(name, self.origin)
 
     def _find_delegation(self, name):
-        """The most specific delegation at or above *name* (below origin)."""
+        """The most specific delegation at or above *name*, or None.
+
+        Every delegation *name* is at or below is a suffix of it cut at a
+        label boundary, so the suffixes are looked up longest first (the
+        name itself, then after each dot, the root last) and the first hit
+        is the most specific: O(labels), however many delegations the zone
+        holds.  A delegation of the zone's own origin is found like any
+        other; :meth:`lookup` ignores it.
+        """
         name = normalise_name(name)
-        best = None
-        for child in self._delegations:
-            if is_subdomain(name, child):
-                if best is None or len(child) > len(best):
-                    best = child
-        return best
+        delegations = self._delegations
+        cut = 0
+        while cut < len(name):
+            suffix = name[cut:]
+            if suffix in delegations:
+                return suffix
+            cut = name.index(".", cut) + 1
+        return "." if "." in delegations else None
 
     def lookup(self, qname, qtype=TYPE_A):
         """Authoritative resolution of (*qname*, *qtype*) within this zone."""

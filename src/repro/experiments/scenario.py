@@ -11,6 +11,7 @@
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from repro.core.control_plane import deploy_pce_control_plane
@@ -161,6 +162,14 @@ class Scenario:
     def __post_init__(self):
         self.fluid_pump = FluidPump(self.sim)
 
+    def __getstate__(self):
+        # The link table is derived wiring (like ``Node._local_values``):
+        # a deserialized world walks its own topology on first use, and
+        # blobs keep the shape SNAPSHOT_SCHEMA 9 names.
+        state = self.__dict__.copy()
+        state.pop("links", None)
+        return state
+
     @property
     def name(self):
         return self.config.control_plane
@@ -248,39 +257,60 @@ class Scenario:
         return [links[key].stats.peak_utilization()
                 for links in site.access_links]
 
-    def iter_links(self):
-        """Every link in the world, each exactly once."""
-        seen = set()
+    @cached_property
+    def links(self):
+        """The world's link table: every link, each exactly once.
+
+        Links are construction-time wiring (interfaces are attached while
+        the topology is built and never afterwards), so the topology is
+        walked once per world, on first use; :meth:`iter_links`,
+        :meth:`stateful_components` and :meth:`byte_accounting` share the
+        result.  Node by node, interface by interface, first-seen order.
+        """
+        table = {}
         for node in self.topology.all_nodes():
             for iface in node.interfaces.values():
-                link = iface.link
-                if link is not None and id(link) not in seen:
-                    seen.add(id(link))
-                    yield link
+                if iface.link is not None:
+                    table[iface.link] = None
+        return tuple(table)
+
+    def iter_links(self):
+        """A fresh iterator over :attr:`links`: every link, exactly once."""
+        return iter(self.links)
 
     def byte_accounting(self, drained=False):
         """World-wide link byte totals plus the conservation verdict.
 
-        Sums offered/delivered/dropped/in-flight bytes over every link and
-        collects per-link conservation violations (see
+        Sums offered/delivered/dropped/in-flight and fluid bytes over the
+        links and collects per-link conservation violations (see
         :meth:`~repro.net.link.LinkStats.conservation_violations`); with
         ``drained=True`` bytes still in flight count as violations too.
+
+        A link whose ``stats.bytes_offered`` is zero is skipped: that is
+        the stamp every ledger write follows (see "Version stamps" in
+        ``docs/contracts.md``), so none of its ledgers, per-flow accounts
+        or ``fluid_bytes`` has moved — it adds nothing and cannot breach
+        conservation, drained or not.  The cost follows the links a run
+        touched, not the world.
         """
-        offered = delivered = dropped = in_flight = 0
+        offered = delivered = dropped = fluid = 0
         violations = []
-        for link in self.iter_links():
+        for link in self.links:
             stats = link.stats
+            if not stats.bytes_offered:
+                continue        # the stamp: no ledger of this link moved
             offered += stats.bytes_offered
             delivered += stats.bytes_delivered
             dropped += stats.bytes_dropped
-            in_flight += stats.bytes_in_flight
+            fluid += stats.fluid_bytes
             for violation in stats.conservation_violations(drained=drained):
                 violations.append((link.name, *violation))
         return {
             "bytes_offered": offered,
             "bytes_delivered": delivered,
             "bytes_dropped": dropped,
-            "bytes_in_flight": in_flight,
+            "bytes_in_flight": offered - delivered - dropped,
+            "fluid_bytes": fluid,
             "conserved": not violations,
             "violations": violations,
         }
@@ -301,14 +331,8 @@ class Scenario:
         yield sim.trace
         yield self.flow_ids
         yield self.fluid_pump
-        seen_links = set()
-        for node in self.topology.all_nodes():
-            yield node
-            for iface in node.interfaces.values():
-                link = iface.link
-                if link is not None and id(link) not in seen_links:
-                    seen_links.add(id(link))
-                    yield link
+        yield from self.topology.all_nodes()
+        yield from self.links
         for stack in self.tcp_stacks.values():
             yield stack
         for sink in self.udp_sinks.values():

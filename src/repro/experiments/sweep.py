@@ -64,6 +64,7 @@ or from the command line: ``python -m repro sweep --preset scale --workers 4``.
 """
 
 import csv
+import gc
 import heapq
 import itertools
 import json
@@ -306,7 +307,8 @@ class FinishedCell:
     control: tuple         # the world's control_overhead(): (messages, bytes)
     #: World-wide link byte accounting: conservation is checked per link
     #: and per flow (in-flight bytes at the workload deadline are legal; a
-    #: negative residue anywhere is not).
+    #: negative residue anywhere is not).  The one walk over the world's
+    #: links a cell pays: a collector reads this, it does not walk again.
     accounting: dict
 
 
@@ -420,10 +422,7 @@ METRICS = (
     Metric("bytes_conserved", _accounted("conserved"), fold="all"),
     Metric("flow_bytes_budget", _per("records", "bytes_budget")),
     Metric("flow_bytes_sent", _per("records", "bytes_sent")),
-    Metric("fluid_bytes",
-           lambda cell: sum(link.stats.fluid_bytes
-                            for link in cell.world.iter_links()),
-           fold="sum"),
+    Metric("fluid_bytes", _accounted("fluid_bytes"), fold="sum"),
     Metric("peak_concurrent_flows",
            lambda cell: peak_concurrent_flows(cell.records), fold="max"),
     Metric("access_util_peak", _access_util_peak, fold="max"),
@@ -521,8 +520,15 @@ def order_cells_by_world(cells):
 
 
 def _build_blob(config):
-    """Build-stage worker entry point: one world built and serialized."""
-    return serialize_world(build_world(config))
+    """Build-stage worker entry point: one world built and serialized.
+
+    The world is dropped here, so it is collected here (a world is one
+    reference cycle): a pool worker would otherwise hold every world it
+    has built until an automatic full pass happened by.
+    """
+    blob = serialize_world(build_world(config))
+    gc.collect()
+    return blob
 
 
 def prebuild_worlds(store, cells, workers=1, live=False):

@@ -24,7 +24,8 @@ The mechanism is checkpoint/restore rather than rebuild:
   mutators.
 
 Builds and (de)serialization run with the cyclic collector paused
-(:func:`_gc_paused`): each is one burst of reachable allocations.
+(:func:`_gc_paused`): each is one burst of reachable allocations, handed
+to the collector's oldest generation when the call returns.
 
 Periodic background processes (RLOC probing, a started IRC measurement
 loop) are no obstacle to any of this: they run as engine-owned
@@ -62,7 +63,9 @@ Residency: worlds ``world_for`` materialises on demand are bounded by
 run that visits its cells world by world can use.  Worlds pre-built with
 ``ensure(config, live=True)`` (the sweep's fork fan-out: one build in the
 parent, inherited by every worker) stay pinned until
-:meth:`SnapshotStore.release_worlds`.
+:meth:`SnapshotStore.release_worlds`.  Whoever drops a world collects it:
+a world is one reference cycle sitting in the collector's oldest
+generation, so each path here that lets one go calls ``gc.collect()``.
 
 Invalidation is rebuild-only, never stale-restore: a blob whose magic,
 schema version, world key or CRC does not match expectations is discarded
@@ -106,7 +109,11 @@ def build_world(config):
 
     Runs with the cyclic collector paused (see :func:`_gc_paused`): a
     build only ever adds reachable objects, so every collection it would
-    trigger re-walks the growing world and frees nothing.
+    trigger re-walks the growing world and frees nothing.  The finished
+    world is promoted to the collector's oldest generation, out of sight
+    of the young passes the cells that run on it trigger.  A world is one
+    reference cycle: a caller that builds one bare and drops it owns the
+    ``gc.collect()`` that frees it (the store's paths call their own).
     """
     with _gc_paused():
         scenario = build_scenario(config)
@@ -158,11 +165,29 @@ def _gc_paused():
     growing graph for garbage that cannot exist yet.  Pausing collection
     for the duration is a ~3x wall-time win on blob restores and takes the
     generation-2 passes out of builds.
+
+    A block that ends normally leaves a settled world behind: long-lived by
+    construction, yet young to the collector, whose next passes would walk
+    it twice more just to promote it.  ``gc.freeze(); gc.unfreeze()`` splices
+    it into the oldest generation instead — two O(1) list merges that leave
+    nothing frozen, so a promoted world is ordinary generation-2 data that a
+    later ``gc.collect()`` reclaims (whoever drops a world calls one; see
+    "World lifecycle cost" in ``docs/contracts.md``).  The splice is skipped
+    when the block raised (a half-built world is young garbage), when the
+    collector was disabled on entry, and when anything was frozen on entry
+    (unfreezing a heap the caller froze is not ours to do; CPython 3.12's
+    collector parks immortal objects there by itself, so on 3.12 the count
+    is never zero and worlds stay young, as before).  Thresholds are never
+    touched.
     """
     enabled = gc.isenabled()
+    promote = enabled and not gc.get_freeze_count()
     gc.disable()
     try:
         yield
+        if promote:
+            gc.freeze()
+            gc.unfreeze()
     finally:
         if enabled:
             gc.enable()
@@ -480,7 +505,8 @@ class SnapshotStore:
         hydrated from a valid stored blob when one exists, built otherwise
         — *and* a blob is still written when the store has a
         ``directory``, so persistence and the live tier compose.  Without
-        it a blob is guaranteed.  Returns ``"hit"`` or ``"build"``.
+        it a blob is guaranteed, and a world built only to be serialized
+        is collected before returning.  Returns ``"hit"`` or ``"build"``.
         """
         fingerprint = snapshot_fingerprint(config)
         scenario = self._live_world(fingerprint)
@@ -495,6 +521,9 @@ class SnapshotStore:
         if envelope is None and (self.directory is not None or not live):
             self._store_blob(fingerprint, serialize_world(scenario))
         self._trim_envelope(fingerprint)
+        if outcome == "build" and not live:
+            del scenario
+            gc.collect()  # worlds are cycles; see world_for
         return outcome
 
     def _trim_envelope(self, fingerprint):

@@ -263,6 +263,8 @@ class LinkStats:
         every packet and fluid chunk increments it before any other ledger
         (the fluid pump's per-flow account writes follow its own
         ``post_fluid`` call), so a new ledger write must come after one too.
+        ``Scenario.byte_accounting`` reads the same stamp against zero and
+        skips the link's ledgers altogether.
         """
         return self.bytes_offered == state[6]
 

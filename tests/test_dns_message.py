@@ -1,5 +1,7 @@
 """Tests for DNS records, wire format, and zones."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +46,90 @@ def test_is_subdomain():
     assert not is_subdomain("site2.example.", "site1.example.")
     assert not is_subdomain("evilsite1.example.", "site1.example.")
     assert is_subdomain("anything.at.all.", ".")
+
+
+def _scan_for_delegation(zone, name):
+    """The linear scan ``Zone._find_delegation`` used to be: the oracle."""
+    name = normalise_name(name)
+    best = None
+    for child in zone._delegations:
+        if is_subdomain(name, child):
+            if best is None or len(child) > len(best):
+                best = child
+    return best
+
+
+def _delegating_zone(origin, children):
+    zone = Zone(origin)
+    for index, child in enumerate(children):
+        zone.delegate(child, f"ns{index}.nic.", f"10.9.{index // 200}.{index % 200 + 1}")
+    return zone
+
+
+@pytest.mark.parametrize("origin, children, name, expected", [
+    # nested delegations: the most specific one wins
+    ("example.", ("b.example.", "a.b.example."), "x.a.b.example.", "a.b.example."),
+    ("example.", ("a.b.example.", "b.example."), "y.b.example.", "b.example."),
+    # the name is itself a delegation point
+    ("example.", ("b.example.", "a.b.example."), "b.example.", "b.example."),
+    # above (or beside) every delegation
+    ("example.", ("b.example.", "a.b.example."), "example.", None),
+    ("example.", ("b.example.",), "c.example.", None),
+    ("example.", (), "host.example.", None),
+    # labels match whole or not at all
+    ("example.", ("site1.example.",), "evilsite1.example.", None),
+    ("example.", ("site1.example.",), "host.evilsite1.example.", None),
+    ("example.", ("site1.example.",), "host.site1.example.", "site1.example."),
+    # case and the trailing dot are normalised on both sides
+    ("example.", ("Site1.Example",), "Host0.SITE1.example", "site1.example."),
+    # a delegation of the origin itself is found (lookup ignores it)
+    ("example.", ("example.",), "host.example.", "example."),
+    # a root-origin zone, and the root as a delegation
+    (".", ("example.", "com."), "host.site.example.", "example."),
+    (".", ("example.", "com."), "org.", None),
+    (".", ("example.",), ".", None),
+    (".", (".",), "anything.at.all.", "."),
+    (".", (".", "all."), "anything.at.all.", "all."),
+    (".", (".",), ".", "."),
+])
+def test_find_delegation_hand_cases(origin, children, name, expected):
+    zone = _delegating_zone(origin, children)
+    assert _scan_for_delegation(zone, name) == expected
+    assert zone._find_delegation(name) == expected
+
+
+def test_lookup_ignores_a_delegation_of_the_origin():
+    zone = _delegating_zone("example.", ("example.", "b.example."))
+    assert zone.lookup("host.example.").rcode == RCODE_NXDOMAIN
+    assert not zone.lookup("host.example.").is_referral
+    assert zone.lookup("host.b.example.").is_referral
+
+
+@pytest.mark.parametrize("seed", (3, 17, 101))
+def test_find_delegation_matches_the_linear_scan_on_random_zones(seed):
+    """200 delegations x 500 names over a few short labels, so names share
+    suffixes, nest, and differ by label prefixes (``ab`` vs ``b``)."""
+    rng = random.Random(seed)
+    labels = ("a", "b", "ab", "ba", "c", "bc", "site1", "evilsite1")
+
+    def random_name(min_depth, max_depth):
+        return ".".join([*(rng.choice(labels)
+                           for _ in range(rng.randint(min_depth, max_depth))),
+                         "example."])
+
+    zone = _delegating_zone("example.",
+                            [random_name(2, 4) for _ in range(200)])
+    found = set()
+    for _ in range(500):
+        name = random_name(0, 6)
+        if rng.random() < 0.3:
+            name = name.upper()
+        if rng.random() < 0.3:
+            name = name[:-1]
+        expected = _scan_for_delegation(zone, name)
+        assert zone._find_delegation(name) == expected, name
+        found.add(expected)
+    assert None in found and len(found) > 20   # hits and misses both
 
 
 def test_a_record_coerces_address():

@@ -12,6 +12,10 @@ import pytest
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
 from repro.experiments.sweep import PRESETS, _apply_failures, expand_grid
 from repro.experiments.worldbuild import build_world
+from repro.net.host import Host
+from repro.net.link import LinkStats, connect
+from repro.net.packet import udp_packet
+from repro.sim import Simulator
 
 
 def run_world(control_plane, seed, num_sites=4, num_flows=12, miss_policy="queue"):
@@ -168,6 +172,136 @@ def test_byte_conservation_across_presets(preset):
             assert record.bytes_sent <= record.bytes_budget
             if not record.failed and record.flow_kind is not None:
                 assert record.bytes_sent == record.bytes_budget
+
+
+def _every_link(scenario):
+    """Every link, idle ones included, straight from the topology — the
+    reference walk, independent of the world's own link table."""
+    links = {}
+    for node in scenario.topology.all_nodes():
+        for iface in node.interfaces.values():
+            if iface.link is not None:
+                links[id(iface.link)] = iface.link
+    return list(links.values())
+
+
+def _brute_force_accounting(scenario, drained):
+    """``byte_accounting`` as it was: every ledger of every link summed."""
+    stats = [(link.name, link.stats) for link in _every_link(scenario)]
+    violations = [(name, *violation) for name, ledger in stats
+                  for violation in ledger.conservation_violations(drained=drained)]
+    return {
+        "bytes_offered": sum(ledger.bytes_offered for _, ledger in stats),
+        "bytes_delivered": sum(ledger.bytes_delivered for _, ledger in stats),
+        "bytes_dropped": sum(ledger.bytes_dropped for _, ledger in stats),
+        "bytes_in_flight": sum(ledger.bytes_in_flight for _, ledger in stats),
+        "fluid_bytes": sum(ledger.fluid_bytes for _, ledger in stats),
+        "conserved": not violations,
+        "violations": violations,
+    }
+
+
+def _finished_cell(kind):
+    """A world after a shaped, a fluid or a failover cell ran on it."""
+    if kind == "failover":
+        cell = next(cell for cell in _preset_cells("failover")
+                    if cell.failure.fraction > 0)
+    else:
+        cell = next(cell for cell in _preset_cells("shaped")
+                    if cell.workload.pacing == kind)
+    scenario = build_world(cell.scenario)
+    _apply_failures(scenario, cell.failure)
+    run_workload(scenario, cell.workload)
+    return scenario
+
+
+@pytest.mark.parametrize("kind", ("shaped", "fluid", "failover"))
+def test_byte_accounting_equals_a_brute_force_sum_over_every_link(kind):
+    """Skipping links whose ``bytes_offered`` is zero loses nothing."""
+    scenario = _finished_cell(kind)
+    links = _every_link(scenario)
+    assert list(scenario.iter_links()) == links
+    idle = [link for link in links if link.stats.bytes_offered == 0]
+    assert 0 < len(idle) < len(links)       # the skip has something to skip
+    for drained in (False, True):
+        assert (scenario.byte_accounting(drained=drained)
+                == _brute_force_accounting(scenario, drained))
+    fluid_bytes = sum(link.stats.fluid_bytes for link in links)
+    assert scenario.byte_accounting()["fluid_bytes"] == fluid_bytes
+    assert (fluid_bytes > 0) == (kind == "fluid")
+    # A breach planted on a busy link's per-flow account is still reported,
+    # under that link's name.
+    busy = next(link for link in links if link.stats.flows)
+    flow_id, account = next(iter(busy.stats.flows.items()))
+    account.delivered = account.offered + 1
+    accounting = scenario.byte_accounting()
+    assert not accounting["conserved"]
+    assert (busy.name, flow_id, *account.as_tuple()) in accounting["violations"]
+    assert accounting == _brute_force_accounting(scenario, drained=False)
+
+
+def _idle_link(rate_bps=None, queue_capacity=1000):
+    sim = Simulator()
+    a = Host(sim, "a", address="10.0.0.1")
+    b = Host(sim, "b", address="10.0.0.2")
+    forward, _backward = connect(sim, a.add_interface("eth0"),
+                                 b.add_interface("eth0"), rate_bps=rate_bps,
+                                 queue_capacity=queue_capacity)
+    return forward
+
+
+def _flow_packet():
+    return udp_packet("10.0.0.1", "10.0.0.2", 4000, 4001, payload_bytes=100,
+                      meta={"flow_id": 7})
+
+
+def _send_accepted():
+    link = _idle_link()
+    assert link.send(_flow_packet())
+    return [link]
+
+
+def _send_while_down():
+    link = _idle_link()
+    link.up = False
+    assert not link.send(_flow_packet())
+    return [link]
+
+
+def _send_queue_full():
+    link = _idle_link(rate_bps=8_000, queue_capacity=0)
+    assert link.send(_flow_packet()) and not link.send(_flow_packet())
+    assert link.stats.drops == 1
+    return [link]
+
+
+def _post_fluid():
+    up, down = _idle_link(), _idle_link(rate_bps=8_000)
+    down.up = False
+    assert up.post_fluid(5000, 7, 0.1) == 5000
+    assert down.post_fluid(5000, 7, 0.1) == 0
+    return [up, down]
+
+
+def _pumped_flows():
+    """The pump's per-flow account writes, on every link of a fluid cell."""
+    links = _every_link(_finished_cell("fluid"))
+    assert any(link.stats.fluid_bytes and link.stats.flows for link in links)
+    return links
+
+
+@pytest.mark.parametrize("ledger_writer", (
+    _send_accepted, _send_while_down, _send_queue_full, _post_fluid,
+    _pumped_flows), ids=lambda writer: writer.__name__.strip("_"))
+def test_a_link_any_ledger_moved_on_has_bytes_offered(ledger_writer):
+    """``bytes_offered`` stamps every other ledger (restore_world skips on
+    it, and so does byte_accounting): whichever entry point wrote, a link
+    whose ``LinkStats`` differs from a fresh one has a nonzero stamp."""
+    moved = [link.stats for link in ledger_writer()
+             if link.stats.snapshot_state()
+             != LinkStats(link.stats.window_width).snapshot_state()]
+    assert moved
+    assert all(stats.bytes_offered != 0 for stats in moved)
 
 
 def test_byte_accounting_attributes_all_data_bytes_to_flows():

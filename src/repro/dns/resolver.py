@@ -11,10 +11,13 @@ query arrives from a host.  The co-located PCE registers here, which is the
 paper's "PCE_S obtains E_S by IPC with the DNS" (Step 1).
 """
 
+from functools import partial
+
 from repro.dns.cache import TtlCache
 from repro.dns.message import DNS_PORT, DnsMessage, FLAG_RD, make_query, make_reply
 from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
 from repro.net.host import RequestTimeout
+from repro.sim.events import Event
 
 MAX_REFERRALS = 16
 MAX_CNAME_CHASES = 4
@@ -85,13 +88,14 @@ class RecursiveResolver:
         for listener in self.query_listeners:
             listener(client=packet.ip.src, qname=query.question.qname, time=self.sim.now)
 
-        def handle():
-            resolution = yield self.resolve(query.question.qname, query.question.qtype)
-            reply = make_reply(query, answers=resolution.answers,
-                               rcode=resolution.rcode, recursion_available=True)
-            self._send_reply(packet, reply)
+        resolution = self.resolve(query.question.qname, query.question.qtype)
+        resolution.callbacks.append(partial(self._answer_recursive, query, packet))
 
-        self.sim.process(handle(), name=f"{self.node.name}-recurse")
+    def _answer_recursive(self, query, packet, resolution):
+        outcome = resolution.value
+        reply = make_reply(query, answers=outcome.answers,
+                           rcode=outcome.rcode, recursion_available=True)
+        self._send_reply(packet, reply)
 
     def _reply_to(self, packet, reply):
         if self.processing_delay > 0:
@@ -153,13 +157,15 @@ class RecursiveResolver:
         return min(record.ttl, self.max_record_ttl)
 
     def resolve(self, qname, qtype=TYPE_A, _depth=0):
-        """Process: iteratively resolve and return the final DnsMessage.
+        """Iteratively resolve; returns an event carrying the final DnsMessage.
 
-        Follows CNAME chains across zones (bounded by MAX_CNAME_CHASES).
-        Identical concurrent resolutions are coalesced onto one in-flight
-        walk; NXDOMAIN outcomes are negatively cached for ``negative_ttl``.
-        The returned message's ``answers``/``rcode`` reflect the outcome;
-        SERVFAIL is used for loops and timeouts.
+        A live answer-cache entry is the whole resolution: the event comes
+        back already succeeded (one engine event, no process).  Anything
+        else is a process.  Follows CNAME chains across zones (bounded by
+        MAX_CNAME_CHASES).  Identical concurrent resolutions are coalesced
+        onto one in-flight walk; NXDOMAIN outcomes are negatively cached
+        for ``negative_ttl``.  The message's ``answers``/``rcode`` reflect
+        the outcome; SERVFAIL is used for loops and timeouts.
         """
 
         def _coalesced():
@@ -171,10 +177,6 @@ class RecursiveResolver:
 
         def _resolve():
             if self.use_cache:
-                cached = self.answer_cache.get((qname, qtype))
-                if cached is not None:
-                    synthetic = DnsMessage(ident=0, flags=0, answers=list(cached))
-                    return synthetic
                 negative = self.negative_cache.get((qname, qtype))
                 if negative is not None:
                     return DnsMessage(ident=0, flags=0).with_rcode(negative)
@@ -240,6 +242,12 @@ class RecursiveResolver:
         if self.coalesce and _depth == 0 and key in self._in_flight:
             return self.sim.process(_coalesced(),
                                     name=f"{self.node.name}-coalesce-{qname}")
+        if self.use_cache:
+            # The query's one answer-cache read (the counters see one).
+            cached = self.answer_cache.get(key)
+            if cached is not None:
+                synthetic = DnsMessage(ident=0, flags=0, answers=list(cached))
+                return self.sim.event().succeed(synthetic)
         process = self.sim.process(_resolve(),
                                    name=f"{self.node.name}-resolve-{qname}")
         if self.coalesce and _depth == 0:
@@ -258,27 +266,39 @@ class StubResolver:
         self.lookups = 0
 
     def lookup(self, qname, timeout=5.0, retries=1):
-        """Process: resolve *qname*; returns (address_or_None, elapsed)."""
+        """Resolve *qname*; returns an event for (address_or_None, elapsed).
 
-        def _lookup():
-            self.lookups += 1
-            started = self.sim.now
-            query = make_query(ident=self.lookups % 65536, qname=qname,
-                               recursion_desired=True)
-            socket = self.host.open_udp()
-            try:
-                packet = yield socket.request(self.resolver_address, DNS_PORT,
-                                              payload=query,
-                                              timeout=timeout, retries=retries)
-            except RequestTimeout:
-                return None, self.sim.now - started
-            finally:
-                socket.close()
-            reply = packet.payload
-            if not isinstance(reply, DnsMessage):
-                return None, self.sim.now - started
-            addresses = reply.answer_addresses()
-            result = addresses[0] if addresses else None
-            return result, self.sim.now - started
+        The query leaves inside this call and the event is completed from
+        a callback on the socket's request: no process.
+        """
+        self.lookups += 1
+        query = make_query(ident=self.lookups % 65536, qname=qname,
+                           recursion_desired=True)
+        lookup = _Lookup(self.sim, self.host.open_udp())
+        request = lookup.socket.request(self.resolver_address, DNS_PORT,
+                                        payload=query, timeout=timeout,
+                                        retries=retries)
+        request.callbacks.append(lookup._answered)
+        return lookup
 
-        return self.sim.process(_lookup(), name=f"{self.host.name}-lookup-{qname}")
+
+class _Lookup(Event):
+    """A stub lookup in flight; succeeds with ``(address_or_None, elapsed)``."""
+
+    __slots__ = ("socket", "started")
+
+    def __init__(self, sim, socket):
+        Event.__init__(self, sim)
+        self.socket = socket
+        self.started = sim.now
+
+    def _answered(self, request):
+        self.socket.close()
+        address = None
+        if request.ok:  # else RequestTimeout: nobody answered
+            reply = request.value.payload
+            if isinstance(reply, DnsMessage):
+                addresses = reply.answer_addresses()
+                if addresses:
+                    address = addresses[0]
+        self.succeed((address, self.sim.now - self.started))

@@ -86,78 +86,22 @@ def build_shaper(workload, rng=None):
 
 
 def run_workload(scenario, workload):
-    """Run *workload* to completion; returns the list of FlowRecords."""
+    """Run *workload* to completion; returns the list of FlowRecords.
+
+    Draw order on the workload's stream is what it always was: the
+    ``num_flows`` inter-arrival draws first (the deadline needs the last
+    arrival), then, in event order, each flow's sites and hosts when it
+    arrives and its size when its data phase starts.  The arrival times
+    themselves are replayed from a clone of the stream taken before the
+    first draw, one flow at a time, so nothing per flow exists before the
+    flow is due.
+    """
+    arrivals = _Arrivals(scenario, workload)
+    records, last_arrival = arrivals.records, arrivals.last_arrival
+    arrivals.schedule_next()
+    del arrivals    # from here on its pending event is its only owner
+
     sim = scenario.sim
-    topology = scenario.topology
-    rng = sim.rng.stream(workload.rng_name)
-    num_sites = len(topology.sites)
-    if num_sites < 2:
-        raise ValueError("workload needs at least two sites")
-    zipf = ZipfSampler(num_sites - 1, s=workload.zipf_s, rng=rng)
-    shaper = build_shaper(workload, rng=rng)
-    records = []
-
-    def pick_sites():
-        if workload.dest_site is not None:
-            dst = workload.dest_site
-            src = rng.randrange(num_sites - 1)
-            if src >= dst:
-                src += 1
-            return src, dst
-        if workload.source_site is not None:
-            src = workload.source_site
-        else:
-            src = rng.randrange(num_sites)
-        offset = zipf.sample() + 1
-        dst = (src + offset) % num_sites
-        if dst == src:  # only possible via modular wrap corner cases
-            dst = (src + 1) % num_sites
-        return src, dst
-
-    def flow(start_delay):
-        yield sim.timeout(start_delay)
-        src_index, dst_index = pick_sites()
-        src_site = topology.sites[src_index]
-        dst_site = topology.sites[dst_index]
-        src_host = src_site.hosts[rng.randrange(len(src_site.hosts))]
-        dst_host_index = rng.randrange(len(dst_site.hosts))
-        record = FlowRecord(flow_id=scenario.flow_ids.allocate(),
-                            source=src_host.address,
-                            qname=scenario.host_name(dst_site, dst_host_index),
-                            started_at=sim.now)
-        records.append(record)
-        stub = scenario.stub_for(src_host, src_site)
-        address, elapsed = yield stub.lookup(record.qname)
-        record.dns_done_at = sim.now
-        record.dns_elapsed = elapsed
-        record.destination = address
-        if address is None:
-            record.failed = True
-            return
-        if workload.mode == "tcp":
-            outcome = yield scenario.tcp_stacks[src_host.name].connect(
-                address, FLOW_TCP_PORT)
-            if outcome is None:
-                record.failed = True
-                return
-            setup, retries = outcome
-            record.established_at = sim.now
-            record.setup_elapsed = setup
-            record.syn_retransmissions = retries
-            if workload.tcp_data_burst:
-                yield send_flow(sim, src_host, address, FLOW_UDP_PORT,
-                                record, shaper.plan(), scenario.fluid_pump)
-        else:
-            yield send_flow(sim, src_host, address, FLOW_UDP_PORT, record,
-                            shaper.plan(), scenario.fluid_pump)
-
-    arrival_time = 0.0
-    last_arrival = 0.0
-    for _ in range(workload.num_flows):
-        arrival_time += rng.expovariate(workload.arrival_rate)
-        last_arrival = arrival_time
-        sim.process(flow(arrival_time), name=f"flow@{arrival_time:.3f}")
-
     sim.run(until=sim.now + last_arrival + workload.grace_period)
 
     # Attribute deliveries back to flows via the sinks.
@@ -174,6 +118,134 @@ def run_workload(scenario, workload):
         if record.dns_done_at is None:
             record.failed = True
     return records
+
+
+class _Arrivals:
+    """The workload's one arrival source: flows exist from when they are due.
+
+    Owned by its pending engine event and by nothing else — an object
+    rather than two closures calling each other, which would be a
+    reference cycle through the scenario and keep a dropped world alive
+    until a full collection.
+    """
+
+    __slots__ = ("scenario", "workload", "rng", "zipf", "shaper", "replay",
+                 "last_arrival", "records", "origin", "offset", "left")
+
+    def __init__(self, scenario, workload):
+        num_sites = len(scenario.topology.sites)
+        if num_sites < 2:
+            raise ValueError("workload needs at least two sites")
+        streams = scenario.sim.rng
+        rng = streams.stream(workload.rng_name)
+        self.scenario = scenario
+        self.workload = workload
+        self.rng = rng
+        self.zipf = ZipfSampler(num_sites - 1, s=workload.zipf_s, rng=rng)
+        self.shaper = build_shaper(workload, rng=rng)
+        #: Second reader of the stream, positioned before the arrival draws
+        #: that are burnt on the stream itself right here.
+        self.replay = streams.clone(workload.rng_name)
+        self.last_arrival = 0.0
+        for _ in range(workload.num_flows):
+            self.last_arrival += rng.expovariate(workload.arrival_rate)
+        self.records = []
+        self.origin = scenario.sim.now
+        self.offset = 0.0
+        self.left = workload.num_flows
+
+    def schedule_next(self):
+        if self.left:
+            self.left -= 1
+            self.offset += self.replay.expovariate(self.workload.arrival_rate)
+            self.scenario.sim.call_at(self.origin + self.offset, self._arrive)
+
+    def _pick_sites(self):
+        workload, rng = self.workload, self.rng
+        num_sites = len(self.scenario.topology.sites)
+        if workload.dest_site is not None:
+            dst = workload.dest_site
+            src = rng.randrange(num_sites - 1)
+            if src >= dst:
+                src += 1
+            return src, dst
+        if workload.source_site is not None:
+            src = workload.source_site
+        else:
+            src = rng.randrange(num_sites)
+        offset = self.zipf.sample() + 1
+        dst = (src + offset) % num_sites
+        if dst == src:  # only possible via modular wrap corner cases
+            dst = (src + 1) % num_sites
+        return src, dst
+
+    def _arrive(self):
+        scenario, rng = self.scenario, self.rng
+        sites = scenario.topology.sites
+        src_index, dst_index = self._pick_sites()
+        src_site = sites[src_index]
+        dst_site = sites[dst_index]
+        src_host = src_site.hosts[rng.randrange(len(src_site.hosts))]
+        dst_host_index = rng.randrange(len(dst_site.hosts))
+        record = FlowRecord(flow_id=scenario.flow_ids.allocate(),
+                            source=src_host.address,
+                            qname=scenario.host_name(dst_site, dst_host_index),
+                            started_at=scenario.sim.now)
+        self.records.append(record)
+        lookup = scenario.stub_for(src_host, src_site).lookup(record.qname)
+        lookup.callbacks.append(_Flow(self, record, src_host).resolved)
+        self.schedule_next()
+
+
+class _Flow:
+    """One flow between its arrival and its data phase.
+
+    Its waits are callbacks on the events it waits for anyway — the stub's
+    lookup, the TCP handshake (a retry loop, and a process) — and once the
+    sender has the flow nothing here is referenced any more.
+    """
+
+    __slots__ = ("arrivals", "record", "host")
+
+    def __init__(self, arrivals, record, host):
+        self.arrivals = arrivals
+        self.record = record
+        self.host = host
+
+    def resolved(self, lookup):
+        address, elapsed = lookup.value
+        record = self.record
+        scenario = self.arrivals.scenario
+        record.dns_done_at = scenario.sim.now
+        record.dns_elapsed = elapsed
+        record.destination = address
+        if address is None:
+            record.failed = True
+        elif self.arrivals.workload.mode == "tcp":
+            connect = scenario.tcp_stacks[self.host.name].connect(
+                address, FLOW_TCP_PORT)
+            connect.callbacks.append(self.connected)
+        else:
+            self.send()
+
+    def connected(self, connect):
+        outcome = connect.value
+        record = self.record
+        if outcome is None:
+            record.failed = True
+            return
+        setup, retries = outcome
+        record.established_at = self.arrivals.scenario.sim.now
+        record.setup_elapsed = setup
+        record.syn_retransmissions = retries
+        if self.arrivals.workload.tcp_data_burst:
+            self.send()
+
+    def send(self):
+        scenario = self.arrivals.scenario
+        send_flow(scenario.sim, self.host, self.record.destination,
+                  FLOW_UDP_PORT, self.record, self.arrivals.shaper.plan(),
+                  scenario.fluid_pump)
 
 
 def peak_concurrent_flows(records):

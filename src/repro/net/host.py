@@ -51,7 +51,7 @@ class UdpSocket:
         inside the process that yielded it.  A late reply to an earlier
         attempt satisfies the request like any other.
         """
-        done = self.host.sim.event(name=f"udp:{self.host.name}:{self.port}")
+        done = self.host.sim.event()
         self._waiters[done] = (dst, dport, payload, payload_bytes, timeout)
         self._attempt(done, retries + 1)
         return done

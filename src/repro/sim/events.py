@@ -163,12 +163,13 @@ class ScheduledCall(Timeout):
     One is built per link hop and per deadline — the only object
     allocated per event on the packet path — so the constructor sets every
     inherited slot itself instead of chaining through :class:`Timeout` and
-    :class:`Event`.
+    :class:`Event`.  With *when* (:meth:`Simulator.call_at`) the call is
+    queued at that absolute time and *delay* is only its label.
     """
 
     __slots__ = ("_callback", "_args")
 
-    def __init__(self, sim, delay, callback, args):
+    def __init__(self, sim, delay, callback, args, when=None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.sim = sim
@@ -181,7 +182,10 @@ class ScheduledCall(Timeout):
         self.delay = delay
         self._callback = callback
         self._args = args
-        sim._schedule(self, delay)
+        if when is None:
+            sim._schedule(self, delay)
+        else:
+            sim._schedule_at(self, when)
 
     def _run_callbacks(self):
         self._processed = True

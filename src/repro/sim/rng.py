@@ -30,6 +30,18 @@ class RandomStreams:
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
 
+    def clone(self, name):
+        """A second reader positioned at stream *name*'s current state.
+
+        The clone draws what the stream would draw next and is not the
+        stream: reading it advances nothing, and it is neither registered
+        nor checkpointed.  This is how the workload driver replays the
+        arrival draws it has already burnt on the stream itself.
+        """
+        twin = random.Random(0)
+        twin.setstate(self.stream(name).getstate())
+        return twin
+
     def fork(self, name):
         """Return a new :class:`RandomStreams` whose master seed derives from *name*.
 

@@ -59,7 +59,7 @@ class FlowIdAllocator:
         self._next = state
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """Everything measured about one application flow.
 
@@ -151,7 +151,7 @@ class TcpStack:
             for attempt in range(max_retries + 1):
                 syn = tcp_packet(self.host.address, destination, sport, dport,
                                  flags=TCP_SYN, seq=attempt)
-                waiter = sim.event(name=f"tcp-connect-{sport}")
+                waiter = sim.event()
                 self._pending[sport] = waiter
                 self.host.send(syn)
                 outcome = yield waiter.expire_in(rto * (2 ** attempt))
@@ -237,14 +237,19 @@ class UdpSink:
 
 
 def send_flow(sim, host, destination, port, record, plan, pump=None):
-    """Process: emit one flow's datagrams on its :class:`FlowPlan` schedule.
+    """Emit one flow's datagrams on its :class:`FlowPlan` schedule.
+
+    Returns the event that fires when the sender is done.  The first
+    packet leaves inside this call; the rest ride ``call_in`` callbacks,
+    so a sender is a small object owned by its next pending event, not a
+    process.
 
     The plan's byte budget and pacing kind are written onto *record*
     (``bytes_budget``, ``flow_kind``) and every handed-off datagram
     advances ``bytes_sent``, so flow-level byte accounting lines up with
     the per-link accounting in :mod:`repro.net.link`.  A zero-spacing plan
     (a shaped mouse) sends its whole burst back-to-back within one event;
-    positive spacing yields between packets exactly like the historical
+    positive spacing waits between packets exactly like the historical
     constant-spacing sender.
 
     The first packet's fate list ends up in ``record.first_packet_fates``
@@ -262,84 +267,132 @@ def send_flow(sim, host, destination, port, record, plan, pump=None):
     record.bytes_budget = plan.byte_budget
     record.flow_kind = plan.kind
     if plan.kind == "fluid":
-        return _send_fluid(sim, host, destination, port, record, plan,
-                           pump if pump is not None else FluidPump(sim))
+        sender = _FluidSender(sim, host, destination, port, record, plan,
+                              pump if pump is not None else FluidPump(sim))
+    else:
+        sender = _PacketSender(sim, host, destination, port, record, plan)
+    sender.send()
+    return sender.done
 
-    def _send():
-        for index in range(plan.packets):
-            meta = {"flow_id": record.flow_id, "index": index}
-            packet = udp_packet(host.address, destination, 5000, port,
-                                payload_bytes=plan.payload_bytes, meta=meta)
-            if index == 0:
-                packet.meta["fates"] = record.first_packet_fates
-            record.packets_sent += 1
-            record.bytes_sent += plan.payload_bytes
-            host.send(packet)
+
+class _PacketSender:
+    """A packet-level flow in its data phase: one ``call_in`` per gap."""
+
+    __slots__ = ("sim", "host", "destination", "port", "record", "plan",
+                 "done", "index")
+
+    def __init__(self, sim, host, destination, port, record, plan):
+        self.sim = sim
+        self.host = host
+        self.destination = destination
+        self.port = port
+        self.record = record
+        self.plan = plan
+        self.done = sim.event()
+        self.index = 0
+
+    def _emit(self, meta):
+        """Hand the flow's next datagram, described by *meta*, to the host."""
+        record = self.record
+        payload = self.plan.payload_bytes
+        if record.packets_sent == 0:
+            meta["fates"] = record.first_packet_fates
+        packet = udp_packet(self.host.address, self.destination, 5000,
+                            self.port, payload_bytes=payload, meta=meta)
+        record.packets_sent += 1
+        record.bytes_sent += payload
+        self.host.send(packet)
+
+    def send(self):
+        """Send until a spacing gap is due; the last packet ends the flow."""
+        plan = self.plan
+        flow_id = self.record.flow_id
+        for index in range(self.index, plan.packets):
+            self._emit({"flow_id": flow_id, "index": index})
             if index < plan.packets - 1 and plan.spacing > 0.0:
-                yield sim.timeout(plan.spacing)
-        record.finished_at = sim.now
+                self.index = index + 1
+                self.sim.call_in(plan.spacing, self.send)
+                return
+        self._finish()
 
-    return sim.process(_send(), name=f"{host.name}-burst-{record.flow_id}")
+    def _finish(self):
+        self.record.finished_at = self.sim.now
+        self.done.succeed()
 
 
-def _send_fluid(sim, host, destination, port, record, plan, pump):
-    """Process: discover a fluid flow's path, then ride the pump.
+class _FluidSender(_PacketSender):
+    """A fluid flow in its data phase: discover the path, then ride the pump.
 
     The first packet is a normal datagram that carries a ``fluid_probe``
     marker: every link that delivers it appends itself and the wire size
     it saw, and the destination :class:`UdpSink` stamps itself in on
     arrival — so one event-exact traversal discovers the packet path and
     each hop's encapsulation (E1's first-packet fate classification rides
-    it unchanged).  The remaining budget then advances without per-packet
-    or per-flow events: the flow joins *pump* and this process sleeps on
-    the returned event until the pump has spent the budget, or a whole
-    chunk of the flow died mid-path.  The latter triggers re-discovery
-    (the path may have failed over) and a fresh join; when probing
-    exhausts its retries with budget still unsent the flow is marked
-    failed.
+    it unchanged).  One chunk interval later the sender looks at the
+    marker.  Answered, the remaining budget advances without per-packet
+    or per-flow events: the flow joins *pump* and the sender hangs on the
+    returned event until the pump has spent the budget, or a whole chunk
+    of the flow died mid-path.  The latter triggers re-discovery (the path
+    may have failed over) and a fresh join; when probing exhausts its
+    retries with budget still unsent the flow is marked failed.
 
     Every probe spends one packet of the flow's own budget, so
     ``bytes_sent`` can never exceed ``bytes_budget``; a completed flow has
     spent its budget exactly.
     """
-    payload = plan.payload_bytes
 
-    def _remaining():
-        return (record.bytes_budget - record.bytes_sent) // payload
+    __slots__ = ("pump", "probes_left", "probe")
 
-    def _probe(attempts):
-        """Sub-process: discover the path; returns (hops, sink) or None."""
-        while attempts > 0 and _remaining() > 0:
-            attempts -= 1
-            probe = {"links": [], "sink": None}
-            meta = {"flow_id": record.flow_id, "index": record.packets_sent,
-                    "fluid_probe": probe}
-            packet = udp_packet(host.address, destination, 5000, port,
-                                payload_bytes=payload, meta=meta)
-            if record.packets_sent == 0:
-                packet.meta["fates"] = record.first_packet_fates
-            record.packets_sent += 1
-            record.bytes_sent += payload
-            host.send(packet)
-            yield sim.timeout(plan.chunk_interval)
-            if probe["sink"] is not None:
-                return tuple(probe["links"]), probe["sink"]
-        return None
+    def __init__(self, sim, host, destination, port, record, plan, pump):
+        _PacketSender.__init__(self, sim, host, destination, port, record, plan)
+        self.pump = pump
+        self.probes_left = 1 + FLUID_PROBE_RETRIES
+        self.probe = None
 
-    def _send():
-        path = yield from _probe(1 + FLUID_PROBE_RETRIES)
-        while path is not None and _remaining() > 0:
-            spent = yield pump.join(record, plan, _remaining(), *path)
-            if spent:
-                break
-            # The flow's whole chunk died mid-path: re-learn the route
-            # (probes spend budget too, hence the re-read above).
-            path = yield from _probe(FLUID_PROBE_RETRIES)
+    def _remaining(self):
+        record = self.record
+        return (record.bytes_budget - record.bytes_sent) // self.plan.payload_bytes
+
+    def send(self):
+        """Send one discovery packet and look at it an interval later."""
+        if self.probes_left <= 0 or self._remaining() <= 0:
+            self._finish()
+            return
+        self.probes_left -= 1
+        record = self.record
+        probe = self.probe = {"links": [], "sink": None}
+        self._emit({"flow_id": record.flow_id, "index": record.packets_sent,
+                    "fluid_probe": probe})
+        self.sim.call_in(self.plan.chunk_interval, self._probed)
+
+    def _probed(self):
+        probe, self.probe = self.probe, None    # the pump keeps what it needs
+        sink = probe["sink"]
+        if sink is None:
+            self.send()
+            return
+        remaining = self._remaining()
+        if remaining <= 0:
+            self._finish()
+            return
+        joined = self.pump.join(self.record, self.plan, remaining,
+                                tuple(probe["links"]), sink)
+        joined.callbacks.append(self._pumped)
+
+    def _pumped(self, joined):
+        if joined.value:
+            self._finish()
+            return
+        # The flow's whole chunk died mid-path: re-learn the route (probes
+        # spend budget too, hence the re-read of what remains).
+        self.probes_left = FLUID_PROBE_RETRIES
+        self.send()
+
+    def _finish(self):
+        record = self.record
         if record.bytes_sent < record.bytes_budget:
             record.failed = True
-        record.finished_at = sim.now
-
-    return sim.process(_send(), name=f"{host.name}-fluid-{record.flow_id}")
+        _PacketSender._finish(self)
 
 
 def _split_pro_rata(offers, granted, total):

@@ -245,12 +245,14 @@ def test_fluid_sender_far_fewer_events_than_packet_sender():
     packet = events_for(FlowPlan(packets=200, payload_bytes=1000,
                                  spacing=0.004, kind="elephant"))
     # The hosts' link is rate-less, so a hop is one engine event (the
-    # delivery).  Process start and end, the probe's hop and its wait, four
-    # pump ticks (60+60+60+19 packets) with a re-arm after all but the
-    # last, and the wake-up: 2 + 1 + 1 + 4 + 3 + 1.  The packet sender pays
-    # start and end, 200 hops and 199 spacing timeouts.
-    assert fluid == 12
-    assert packet == 401
+    # delivery).  A sender is no process: its first packet leaves inside
+    # ``send_flow`` and only its completion event is its own.  The probe's
+    # hop and its wait, four pump ticks (60+60+60+19 packets) with a
+    # re-arm after all but the last, the pump's wake-up and the
+    # completion: 1 + 1 + 4 + 3 + 1 + 1.  The packet sender pays 200 hops,
+    # 199 spacing gaps and the completion.
+    assert fluid == 11
+    assert packet == 400
 
 
 def test_fluid_sender_gives_up_when_path_never_answers():

@@ -1,5 +1,7 @@
 """Tests for the simulation engine: event ordering, clock, run/step semantics."""
 
+import random
+
 import pytest
 
 from repro.sim import EXPIRED, Simulator
@@ -76,6 +78,27 @@ def test_call_at_absolute_time():
     sim.call_in(2.0, lambda: sim.call_at(7.0, lambda: hits.append(sim.now)))
     sim.run()
     assert hits == [7.0]
+
+
+def test_call_at_lands_on_when_exactly():
+    """``now + (when - now)`` is an ulp off ``when`` for ~2% of these pairs."""
+    rng = random.Random(2108)
+    sim = Simulator()
+    off_by_an_ulp = 0
+    seen = []
+
+    def schedule(when):
+        sim.call_at(when, lambda: seen.append((sim.now, when)))
+
+    for _ in range(20_000):
+        when = rng.uniform(0.0, 50.0)
+        now = rng.uniform(0.0, when)
+        off_by_an_ulp += now + (when - now) != when
+        sim.call_at(now, schedule, when)
+    sim.run()
+    assert len(seen) == 20_000
+    assert all(now == when for now, when in seen)
+    assert off_by_an_ulp > 100  # the scan does hold pairs the old sum missed
 
 
 def test_call_at_past_raises():

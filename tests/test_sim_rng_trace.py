@@ -27,6 +27,19 @@ def test_stream_is_cached():
     assert streams.stream("s") is streams.stream("s")
 
 
+def test_clone_reads_ahead_without_advancing_the_stream():
+    streams = RandomStreams(77)
+    stream = streams.stream("workload")
+    for _ in range(13):
+        stream.random()     # a clone starts wherever the stream is now
+    before = stream.getstate()
+    clone = streams.clone("workload")
+    ahead = [clone.expovariate(3.0) for _ in range(1000)]
+    assert stream.getstate() == before
+    assert clone is not stream and streams.names() == ["workload"]
+    assert [stream.expovariate(3.0) for _ in range(1000)] == ahead
+
+
 def test_fork_produces_independent_universe():
     base = RandomStreams(9)
     fork_a = base.fork("rep1")

@@ -1,5 +1,6 @@
 """Tests for traffic models: Zipf popularity, TCP handshake, UDP sinks."""
 
+import pickle
 import random
 
 import pytest
@@ -223,3 +224,27 @@ def test_send_flow_elephant_paces_at_plan_spacing():
                                       sink.arrival_times[1:], strict=False)]
     assert gaps == [pytest.approx(0.02)] * 2
     assert record.flow_kind == "elephant"
+
+
+def test_flow_record_is_slotted_and_otherwise_unchanged():
+    record = FlowRecord(flow_id=7, source="100.0.0.1", qname="h.example.",
+                        started_at=0.5)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.scratch = 1      # nothing hangs ad-hoc attributes on a record
+    assert repr(record) == (
+        "FlowRecord(flow_id=7, source='100.0.0.1', destination=None, "
+        "qname='h.example.', started_at=0.5, dns_done_at=None, "
+        "dns_elapsed=None, established_at=None, setup_elapsed=None, "
+        "syn_retransmissions=0, packets_sent=0, packets_delivered=0, "
+        "bytes_budget=0, bytes_sent=0, chunks_sent=0, finished_at=None, "
+        "flow_kind=None, first_packet_fates=[], failed=False)")
+    twin = FlowRecord(flow_id=7, source="100.0.0.1", qname="h.example.",
+                      started_at=0.5)
+    assert record == twin and record.first_packet_fates is not twin.first_packet_fates
+    record.first_packet_fates.append("encapsulated")
+    record.packets_sent = 3
+    assert record != twin and record.packets_lost == 3
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(record, protocol))
+        assert copy == record and repr(copy) == repr(record)

@@ -3,6 +3,7 @@
 import csv
 import gc
 import hashlib
+import io
 import json
 import os
 import random
@@ -380,19 +381,51 @@ def shrunk_preset(name):
                    else min(grid.num_flows, 12))
 
 
+def without_keys(value, dropped=("sim_events",)):
+    """*value* with every *dropped* key removed, at any depth."""
+    if isinstance(value, dict):
+        return {key: without_keys(item, dropped)
+                for key, item in value.items() if key not in dropped}
+    if isinstance(value, list):
+        return [without_keys(item, dropped) for item in value]
+    return value
+
+
 def without_sim_events(value):
     """*value* with every ``sim_events`` key dropped (cells and aggregates)."""
-    if isinstance(value, dict):
-        return {key: without_sim_events(item) for key, item in value.items()
-                if key != "sim_events"}
-    if isinstance(value, list):
-        return [without_sim_events(item) for item in value]
-    return value
+    return without_keys(value)
+
+
+#: What ``repro.sweep/v7`` takes out of the artifacts.
+V7_DROPPED = ("sim_events", "map_cache_trie_nodes")
+
+
+def v7_pair(payload, csv_bytes):
+    """What a v7 run of the same simulation must produce, from v6 artifacts.
+
+    Scaffolding for the one re-pin: the payload with every
+    :data:`V7_DROPPED` key removed and the schema tag rewritten, the CSV
+    with those two columns removed.
+    """
+    payload = without_keys(payload, V7_DROPPED)
+    payload["schema"] = "repro.sweep/v7"
+    rows = list(csv.reader(io.StringIO(csv_bytes.decode(), newline="")))
+    keep = [index for index, column in enumerate(rows[0])
+            if column not in V7_DROPPED]
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([row[index] for index in keep] for row in rows)
+    return {"payload": _sha(payload_digest(payload)),
+            "csv": _sha(out.getvalue())}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def preset_digests(name, workdir):
     """sha256 of one preset's digested payload, of the same payload without
-    its ``sim_events`` counts, and of the CSV bytes.
+    its ``sim_events`` counts, and of the CSV bytes — plus the ``v7`` pair
+    the schema bump has to land on.
 
     ``sim_events`` counts engine queue pops — a cost, not a simulated
     quantity — so an engine change may move ``payload`` and ``csv`` through
@@ -402,12 +435,10 @@ def preset_digests(name, workdir):
     payload = run_sweep(shrunk_preset(name), csv_path=csv_path)
     with open(csv_path, "rb") as handle:
         csv_bytes = handle.read()
-
-    def sha(text):
-        return hashlib.sha256(text.encode()).hexdigest()
-    return {"payload": sha(payload_digest(payload)),
-            "behaviour": sha(payload_digest(without_sim_events(payload))),
-            "csv": hashlib.sha256(csv_bytes).hexdigest()}
+    return {"payload": _sha(payload_digest(payload)),
+            "behaviour": _sha(payload_digest(without_sim_events(payload))),
+            "csv": hashlib.sha256(csv_bytes).hexdigest(),
+            "v7": v7_pair(payload, csv_bytes)}
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -131,9 +131,6 @@ class IrcEngine:
         self.estimates[index].pledged_out += self.flow_bytes_estimate
         return index
 
-    def select_ingress_rloc(self):
-        return self.site.rloc_of(self.select_ingress())
-
     def _load(self, estimate, direction):
         if direction == "in":
             return estimate.bytes_in + estimate.pledged_in

@@ -23,24 +23,12 @@ class LinkLoadMonitor:
         self.sim = sim
         self.links = list(links)
         self._window_start_bytes = [link.stats.tx_bytes for link in self.links]
-        self._window_start_time = sim.now
-
-    def reset_window(self):
-        self._window_start_bytes = [link.stats.tx_bytes for link in self.links]
-        self._window_start_time = self.sim.now
 
     def window_bytes(self):
         """Bytes transmitted per link since the window started."""
         return [link.stats.tx_bytes - start
                 for link, start in zip(self.links, self._window_start_bytes,
                                        strict=True)]
-
-    def window_rates(self):
-        """Bytes/second per link over the current window."""
-        elapsed = self.sim.now - self._window_start_time
-        if elapsed <= 0:
-            return [0.0] * len(self.links)
-        return [count / elapsed for count in self.window_bytes()]
 
     def imbalance(self):
         """max/mean of the window byte counts (1.0 = perfectly balanced)."""

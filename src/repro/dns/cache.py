@@ -103,19 +103,11 @@ class TtlCache:
         self.expirations += len(dead)
         return len(dead)
 
-    def invalidate(self, key):
-        self._entries.pop(key, None)
-
     def clear(self):
         self._entries.clear()
 
     def __len__(self):
         self.compact()
-        return len(self._entries)
-
-    @property
-    def stored_entries(self):
-        """Raw stored entry count, dead included (memory diagnostic)."""
         return len(self._entries)
 
     @property

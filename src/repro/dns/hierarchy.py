@@ -13,7 +13,6 @@ used by experiment E2's DNS-depth sweep.
 
 from dataclasses import dataclass, field
 
-from repro.dns.records import normalise_name
 from repro.dns.resolver import RecursiveResolver
 from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import Zone
@@ -48,24 +47,6 @@ class DnsSystem:
     def host_name(self, site, host_index):
         return f"host{host_index}.{self.site_domain(site)}"
 
-    def add_alias(self, site, alias_label, host_index, ttl=None):
-        """Add ``<alias_label>.<site-domain>`` as a CNAME for a site host.
-
-        Returns the fully-qualified alias name.
-        """
-        zone = self.resolvers[site.index].zone
-        alias = f"{alias_label}.{self.site_domain(site)}"
-        zone.add_cname(alias, self.host_name(site, host_index),
-                       ttl=self.host_ttl if ttl is None else ttl)
-        return alias
-
-    def site_for_name(self, qname):
-        """The site whose zone contains *qname* (None if out of scope)."""
-        qname = normalise_name(qname)
-        for site in self.topology.sites:
-            if qname == self.site_domain(site) or qname.endswith("." + self.site_domain(site)):
-                return site
-        return None
 
 
 def install_dns(topology, host_ttl=60.0, extra_levels=0, processing_delay=0.0002,

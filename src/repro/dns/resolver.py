@@ -23,10 +23,6 @@ MAX_REFERRALS = 16
 MAX_CNAME_CHASES = 4
 
 
-class ResolutionError(Exception):
-    """Iterative resolution failed (loop, timeout, or NXDOMAIN)."""
-
-
 class RecursiveResolver:
     """Iterative resolver with referral and answer caches."""
 

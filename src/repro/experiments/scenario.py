@@ -21,7 +21,8 @@ from repro.dns.resolver import StubResolver
 from repro.lisp.control import AltMappingSystem, ConsMappingSystem, NerdMappingSystem
 from repro.lisp.deploy import deploy_lisp
 from repro.lisp.policies import CpDataPolicy, DropPolicy, QueuePolicy
-from repro.net.topogen import FAMILIES, TopologySpec, build as build_from_spec
+from repro.net.topogen import (FAMILIES, TopologySpec,
+                               build as build_from_spec, check_sizing)
 from repro.sim import Simulator
 from repro.traffic.flows import FlowIdAllocator, FluidPump, TcpStack, UdpSink
 
@@ -101,6 +102,7 @@ class ScenarioConfig:
             self.access_rate_bps = spec.access_rate_bps
         elif self.topology not in FAMILIES:
             raise ValueError(f"unknown topology family {self.topology!r}")
+        check_sizing(self.topology_spec())
         check_ttl("dns_host_ttl", self.dns_host_ttl)
 
     @property
@@ -165,7 +167,7 @@ class Scenario:
     def __getstate__(self):
         # The link table is derived wiring (like ``Node._local_values``):
         # a deserialized world walks its own topology on first use, and
-        # blobs keep the shape SNAPSHOT_SCHEMA 9 names.
+        # blobs do not carry it.
         state = self.__dict__.copy()
         state.pop("links", None)
         return state
@@ -215,20 +217,6 @@ class Scenario:
             return (self.control_plane.total_control_messages(),
                     self.control_plane.total_push_bytes())
         return 0, 0
-
-    def access_byte_shares(self, site, direction="in"):
-        """Per-provider byte share of *site*'s access links (E4).
-
-        Counts every transmitted byte — data plane *and* control plane
-        (mapping pushes, probes, DNS transit).  For the data-plane-only
-        view the TE experiments report, see :meth:`access_flow_byte_shares`.
-        """
-        key = "downlink" if direction == "in" else "uplink"
-        counts = [links[key].stats.tx_bytes for links in site.access_links]
-        total = sum(counts)
-        if total == 0:
-            return [0.0] * len(counts)
-        return [count / total for count in counts]
 
     def access_flow_byte_shares(self, site, direction="in"):
         """Per-provider share of flow-accounted *delivered* bytes (E4).

@@ -47,7 +47,10 @@ post-build checkpoint, so a cell's metrics depend only on its configs —
 never on which cells ran before it in the same worker.  Nothing
 wall-clock-dependent or scheduling-dependent is written into the JSON/CSV
 artifacts (the per-cell world-cache outcome lives only in the JSONL lines
-and the non-digested ``world_cache`` summary).
+and the non-digested ``world_cache`` summary).  :func:`payload_digest`
+pins behaviour only: each cell's ``sim_events`` — engine queue pops, a
+cost — rides in its ``metrics`` but is in no CSV column, no aggregate and
+no digest, so an engine change moves no golden file.
 
 Sweep cells run with tracing disabled (``ScenarioConfig.tracing=False``):
 metrics come from counters and flow records, and skipping per-packet trace
@@ -93,7 +96,7 @@ from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
 #: consumer of the artifacts would have to change (see "Sweep artifacts"
 #: in ``docs/contracts.md``); what is pickled into world blobs is
 #: versioned separately (``SNAPSHOT_SCHEMA``, see "Versions" there).
-SCHEMA = "repro.sweep/v6"
+SCHEMA = "repro.sweep/v7"
 
 
 @dataclass(frozen=True)
@@ -402,8 +405,6 @@ METRICS = (
     Metric("no_rloc_drops", _per("xtrs", "no_rloc_drops"), columns=()),
     Metric("encapsulated", _per("xtrs", "encapsulated"), columns=()),
     Metric("decapsulated", _per("xtrs", "decapsulated"), columns=()),
-    Metric("map_cache_trie_nodes",
-           lambda cell: sum(xtr.map_cache.node_count() for xtr in cell.xtrs)),
     Metric("map_cache_entries",
            lambda cell: sum(len(xtr.map_cache) for xtr in cell.xtrs)),
     Metric("dns_latency", lambda cell: _latency(cell.records, "dns_elapsed"),
@@ -426,8 +427,11 @@ METRICS = (
     Metric("peak_concurrent_flows",
            lambda cell: peak_concurrent_flows(cell.records), fold="max"),
     Metric("access_util_peak", _access_util_peak, fold="max"),
+    # Engine queue pops: what the run cost, not something it simulated.
+    # Carried per cell for the perf ledger; never a column, an aggregate
+    # or digested (see NON_DIGESTED_KEYS).
     Metric("sim_events", lambda cell: cell.world.sim.processed_events,
-           fold="sum"),
+           columns=()),
     Metric("sim_end_time", lambda cell: round(cell.world.sim.now, 9),
            columns=()),
 )
@@ -708,9 +712,15 @@ def iter_jsonl(path):
     an artifact after the fact: :class:`AggregateFold` and
     :class:`CsvStreamWriter` take its results one at a time, so the full
     cell list is never materialised.
+
+    A final line without its newline is what a killed run leaves behind
+    (each result is written, terminated and flushed as one step): it is
+    skipped.  A terminated line that does not parse still raises.
     """
     with open(path) as handle:
         for line in handle:
+            if not line.endswith("\n"):
+                break
             line = line.strip()
             if not line:
                 continue
@@ -772,7 +782,7 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
     is what lands in ``json_path``.  ``include_cells=False`` (the CLI's
     ``--no-json``) keeps the whole run memory-flat for giant grids: the
     payload then carries only the grid, aggregates and the
-    non-deterministic ``world_cache`` summary (excluded from
+    scheduling-dependent ``world_cache`` summary (excluded from
     :func:`payload_digest`).
 
     Raises ``ValueError`` — before anything is built — for an artifact
@@ -878,27 +888,51 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
     return payload
 
 
-#: Payload keys that may vary between runs (scheduling-dependent) and are
-#: therefore excluded from determinism digests and JSON artifacts' digests.
-NON_DETERMINISTIC_KEYS = ("world_cache",)
+#: Payload keys the digest leaves out, wherever they sit: what a run
+#: cost rather than what it simulated.  ``world_cache`` depends on
+#: scheduling; ``sim_events`` counts engine queue pops, which an engine
+#: change moves without moving the simulation.
+NON_DIGESTED_KEYS = ("world_cache", "sim_events")
+
+
+def _digested(value):
+    if isinstance(value, dict):
+        return {key: _digested(item) for key, item in value.items()
+                if key not in NON_DIGESTED_KEYS}
+    if isinstance(value, list):
+        return [_digested(item) for item in value]
+    return value
 
 
 def payload_digest(payload):
-    """Canonical JSON string of *payload* (determinism checks diff this).
+    """Canonical JSON string of *payload*'s behaviour (determinism checks
+    and the golden digests diff this).
 
-    Scheduling-dependent bookkeeping (``world_cache``) is excluded: the
-    digest covers exactly the simulation-derived content, which is
-    byte-identical for any worker count.
+    Every :data:`NON_DIGESTED_KEYS` key is dropped at any depth: the
+    digest covers exactly the simulated content, which is byte-identical
+    for any worker count and any engine scheduling.
     """
-    digestable = {key: value for key, value in payload.items()
-                  if key not in NON_DETERMINISTIC_KEYS}
-    return json.dumps(digestable, sort_keys=True, separators=(",", ":"))
+    return json.dumps(_digested(payload), sort_keys=True,
+                      separators=(",", ":"))
 
 
 def write_json(payload, path):
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write *payload* to *path* through a temp file beside it.
+
+    ``os.replace`` is atomic, so a killed run leaves the previous artifact
+    or none — never half of one.  The temp file is opened like the
+    artifact would be, so the artifact keeps the mode the umask gives it.
+    """
+    temp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(temp, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
 
 
 #: Result keys written ahead of the metrics, one CSV column each.

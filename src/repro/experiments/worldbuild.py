@@ -153,7 +153,7 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: shape; a mismatched blob is rebuilt, never restored.  The "Versions"
 #: paragraph of ``docs/contracts.md`` says when to bump this and when the
 #: sweep artifact ``SCHEMA``.
-SNAPSHOT_SCHEMA = 9
+SNAPSHOT_SCHEMA = 10
 
 
 @contextmanager

@@ -20,11 +20,10 @@ AUTHORITY_ADDRESS = IPv4Address("203.0.113.10")
 
 @dataclass
 class _DatabasePush:
-    """A full or incremental database transfer."""
+    """A full database transfer."""
 
     version: int
     mappings: tuple
-    full: bool
 
     @property
     def size_bytes(self):
@@ -54,19 +53,10 @@ class NerdMappingSystem(MappingSystem):
     def finalize(self):
         """Initial full-database push to every attached xTR."""
         self.version += 1
-        self._push_to_all(self.registry.all_mappings(), full=True)
-
-    def update_mapping(self, mapping):
-        """Authority-side update: register and push the delta everywhere."""
-        self.registry.register(mapping)
-        self.version += 1
-        self._push_to_all([mapping], full=False)
-
-    def _push_to_all(self, mappings, full):
-        message = _DatabasePush(version=self.version, mappings=tuple(mappings), full=full)
+        message = _DatabasePush(version=self.version,
+                                mappings=tuple(self.registry.all_mappings()))
         for xtr in self.xtrs:
-            self.stats.count("db-push-full" if full else "db-push-delta",
-                             message.size_bytes)
+            self.stats.count("db-push-full", message.size_bytes)
             self.pushes_sent += 1
             self.authority.send_udp(src=AUTHORITY_ADDRESS,
                                     dst=xtr.site.xtr_control_address(

@@ -75,9 +75,6 @@ class MapCache:
             return None
         return slot
 
-    def invalidate(self, prefix):
-        self._fib.remove(prefix)
-
     def entries(self):
         """Live (prefix, mapping) pairs."""
         now = self.sim.now
@@ -86,11 +83,6 @@ class MapCache:
 
     def __len__(self):
         return len(self.entries())
-
-    def node_count(self):
-        """Binary-trie-equivalent size of the cached prefix set
-        (:meth:`Fib.node_count <repro.net.fib.Fib.node_count>`)."""
-        return self._fib.node_count()
 
     @property
     def hit_ratio(self):

@@ -1,7 +1,6 @@
 """Statistics and reporting helpers used by tests, benchmarks and examples."""
 
 from repro.metrics.stats import confidence_interval, percentile, summarize
-from repro.metrics.tables import format_series, format_table
+from repro.metrics.tables import format_table
 
-__all__ = ["confidence_interval", "format_series", "format_table", "percentile",
-           "summarize"]
+__all__ = ["confidence_interval", "format_table", "percentile", "summarize"]

@@ -32,7 +32,3 @@ def format_table(headers, rows, title=None):
                                for index, cell in enumerate(row)))
     return "\n".join(lines)
 
-
-def format_series(name, pairs, x_label="x", y_label="y"):
-    """Render an (x, y) series as a two-column table."""
-    return format_table([x_label, y_label], pairs, title=name)

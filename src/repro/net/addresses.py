@@ -86,10 +86,6 @@ class IPv4Address:
         """The 32-bit integer value."""
         return self._value
 
-    def in_prefix(self, prefix):
-        """True if this address lies within *prefix*."""
-        return prefix.contains(self)
-
     def to_bytes(self):
         """Big-endian 4-byte encoding (used by the wire formats)."""
         return self._value.to_bytes(4, "big")
@@ -209,14 +205,6 @@ class IPv4Prefix:
         if not 0 <= offset < self.num_addresses:
             raise AddressError(f"offset {offset} outside {self}")
         return IPv4Address(self._network + offset)
-
-    def subnets(self, new_length):
-        """Iterate the sub-prefixes of mask length *new_length*."""
-        if new_length < self._length or new_length > 32:
-            raise AddressError(f"cannot split {self} into /{new_length}")
-        step = 1 << (32 - new_length)
-        for base in range(self._network, self._network + self.num_addresses, step):
-            yield IPv4Prefix(base, new_length)
 
     def hosts(self, count=None):
         """Iterate usable host addresses (network address skipped for /<31)."""

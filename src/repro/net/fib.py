@@ -137,36 +137,10 @@ class Fib:
             return default
         raise NoRouteError(f"no route to {IPv4Address(address)}")
 
-    def lookup_exact(self, prefix):
-        """Entry stored for exactly *prefix*, or None."""
-        prefix = IPv4Prefix(prefix)
-        table = self._tables.get(prefix._length)
-        return table.get(prefix._network) if table is not None else None
-
     def entries(self):
         """All entries, in ``(network, length)`` order."""
         return sorted((entry for table in self._tables.values()
                        for entry in table.values()), key=_prefix_order)
-
-    def node_count(self):
-        """Nodes a binary trie over the stored prefixes would hold (root included).
-
-        A structure-independent size of the prefix set, kept because the
-        sweep's ``map_cache_trie_nodes`` column reports it.  ``(network,
-        length)`` order is the bit strings' lexicographic order, in which
-        each prefix shares its longest common prefix with its predecessor —
-        so it adds one node per bit beyond that.
-        """
-        count = 1
-        previous_network = previous_length = 0
-        for network, length in sorted(
-                (network, length) for length, table in self._tables.items()
-                for network in table):
-            shared = min(previous_length, length,
-                         32 - (previous_network ^ network).bit_length())
-            count += length - shared
-            previous_network, previous_length = network, length
-        return count
 
     def clear(self):
         self._tables = {}

@@ -446,11 +446,6 @@ class Link:
             account.dropped += size - delivered
         return delivered
 
-    @property
-    def queue_length(self):
-        """Packets currently waiting (excluding the one in serialisation)."""
-        return len(self._queue)
-
     #: Construction-time topology and configuration, immutable after wiring.
     _SNAPSHOT_EXEMPT = ("sim", "src_interface", "dst_interface", "delay",
                         "rate_bps", "queue_capacity", "name")

@@ -93,10 +93,6 @@ class TCPHeader:
     def is_synack(self):
         return bool(self.flags & TCP_SYN) and bool(self.flags & TCP_ACK)
 
-    @property
-    def is_ack(self):
-        return bool(self.flags & TCP_ACK) and not self.flags & TCP_SYN
-
     def __str__(self):
         names = []
         for bit, name in ((TCP_SYN, "SYN"), (TCP_ACK, "ACK"), (TCP_FIN, "FIN"), (TCP_RST, "RST")):

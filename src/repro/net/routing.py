@@ -452,16 +452,3 @@ def install_mesh_routes(providers, owned_prefixes):
     """
     RoutingPlan(providers).install(owned_prefixes)
 
-
-def path_delay(adjacency, source, destination):
-    """Total shortest-path delay between two routers (None if unreachable).
-
-    Note: runs a full Dijkstra from *source* per call.  Repeated pairwise
-    queries should go through :meth:`RoutingPlan.delay`, which answers from
-    the precomputed tables (see ``Topology.provider_mesh_delay``).
-    """
-    if source is destination:
-        return 0.0
-    hops = shortest_path_next_hops(adjacency, source)
-    entry = hops.get(destination)
-    return entry[1] if entry is not None else None

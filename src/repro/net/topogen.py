@@ -118,8 +118,37 @@ class TopologySpec:
         return 1.2 if self.family == "caida" else 0.0
 
 
+def check_sizing(spec):
+    """Raise ``ValueError`` naming the field *spec* oversizes.
+
+    The one statement of what the address plan and the multihoming degree
+    allow: :func:`build` calls it, and so does ``ScenarioConfig`` at
+    construction, so a sweep grid fails at expansion with the field named
+    instead of inside a worker.
+    """
+    if spec.family in ("fig1", "flat"):
+        if spec.num_providers > MAX_PROVIDERS:
+            raise ValueError(f"num_providers {spec.num_providers} exceeds "
+                             f"{MAX_PROVIDERS}")
+        if spec.providers_per_site > spec.num_providers:
+            raise ValueError(
+                f"providers_per_site {spec.providers_per_site} exceeds "
+                f"num_providers {spec.num_providers}")
+        return
+    t0, t1, t2 = _tier_sizes(spec)
+    if t0 + t1 + t2 > MAX_PROVIDERS:
+        raise ValueError(
+            f"tier sizes {t0}+{t1}+{t2} exceed the {MAX_PROVIDERS}-provider "
+            "address plan (provider /8s start at 10.0.0.0/8)")
+    if spec.providers_per_site > t1 + t2:
+        raise ValueError(
+            f"providers_per_site {spec.providers_per_site} exceeds the "
+            f"transit population {t1 + t2}")
+
+
 def build(sim, spec):
     """Build the world described by *spec* (the single topology entry point)."""
+    check_sizing(spec)
     if spec.family == "fig1":
         fig1 = replace(spec, num_sites=2,
                        provider_assignment=(spec.provider_assignment
@@ -138,10 +167,6 @@ def build(sim, spec):
 # --------------------------------------------------------------------------- #
 
 def _build_flat(sim, spec):
-    if spec.providers_per_site > spec.num_providers:
-        raise ValueError("providers_per_site exceeds num_providers")
-    if spec.num_providers > MAX_PROVIDERS:
-        raise ValueError(f"num_providers exceeds {MAX_PROVIDERS}")
     rng = sim.rng.stream(spec.rng_stream)
 
     providers = []
@@ -186,16 +211,13 @@ def _tier_sizes(spec):
 
     The derivation keeps the transit population within the /8 address-plan
     cap while growing each tier sublinearly in the site count (CAIDA-style:
-    a small dense core, a modest tier-1, a broad tier-2 edge).
+    a small dense core, a modest tier-1, a broad tier-2 edge); explicit
+    sizes are held to the cap by :func:`check_sizing`.
     """
     n = max(1, spec.num_sites)
     t0 = spec.tier0 or min(8, max(2, round(n ** 0.25)))
     t1 = spec.tier1 or min(24, max(3, round(n ** 0.5 / 2) + 1))
     t2 = spec.tier2 or min(160, max(4, spec.providers_per_site, round(n / 25)))
-    if t0 + t1 + t2 > MAX_PROVIDERS:
-        raise ValueError(
-            f"tier sizes {t0}+{t1}+{t2} exceed the {MAX_PROVIDERS}-provider "
-            "address plan (provider /8s start at 10.0.0.0/8)")
     return t0, t1, t2
 
 
@@ -228,8 +250,6 @@ def _weighted_sample(rng, population, weights, k):
 
 def _build_tiered(sim, spec):
     t0, t1, t2 = _tier_sizes(spec)
-    if spec.providers_per_site > t1 + t2:
-        raise ValueError("providers_per_site exceeds the transit population")
     rng = sim.rng.stream(spec.rng_stream)
     bias = spec.effective_bias()
     num_providers = t0 + t1 + t2

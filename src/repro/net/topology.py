@@ -87,18 +87,6 @@ class Site:
     def rloc_of(self, b):
         return self.xtrs[b].services["rloc"]
 
-    def xtr_for_rloc(self, rloc):
-        """The xTR owning *rloc* (None if not this site's)."""
-        rloc = IPv4Address(rloc)
-        for xtr in self.xtrs:
-            if xtr.services["rloc"] == rloc:
-                return xtr
-        return None
-
-    def host_domain_name(self, host_index):
-        """The DNS name of host *host_index* (see repro.dns zone builder)."""
-        return f"host{host_index}.{self.name}.example."
-
     def __str__(self):
         return self.name
 

@@ -13,8 +13,8 @@ seed produce byte-identical traces.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.errors import SimulationError, StopProcess
-from repro.sim.events import EXPIRED, AllOf, AnyOf, Event, Timeout
+from repro.sim.errors import SimulationError
+from repro.sim.events import EXPIRED, Event, Timeout
 from repro.sim.periodic import PeriodicTask
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
@@ -22,15 +22,12 @@ from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "EXPIRED",
-    "AllOf",
-    "AnyOf",
     "Event",
     "PeriodicTask",
     "Process",
     "RandomStreams",
     "SimulationError",
     "Simulator",
-    "StopProcess",
     "Timeout",
     "TraceRecord",
     "Tracer",

@@ -3,7 +3,7 @@
 import heapq
 
 from repro.sim.errors import EmptySchedule
-from repro.sim.events import AllOf, AnyOf, Event, ScheduledCall, Timeout
+from repro.sim.events import Event, ScheduledCall, Timeout
 from repro.sim.periodic import PeriodicFire, PeriodicTask
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
@@ -132,14 +132,6 @@ class Simulator:
         schedule its first tick (one full period from then).
         """
         return PeriodicTask(self, callback, period, name=name)
-
-    def any_of(self, events):
-        """Event firing when any of *events* fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events):
-        """Event firing when all of *events* have fired."""
-        return AllOf(self, events)
 
     def call_in(self, delay, callback, *args):
         """Run ``callback(*args)`` after *delay* time units."""

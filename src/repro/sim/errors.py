@@ -5,18 +5,6 @@ class SimulationError(Exception):
     """Base class for all kernel-level errors."""
 
 
-class StopProcess(Exception):
-    """Raised inside a process generator to terminate it early.
-
-    The value passed becomes the process' result, mirroring a plain
-    ``return`` from the generator.
-    """
-
-    def __init__(self, value=None):
-        super().__init__(value)
-        self.value = value
-
-
 class EventAlreadyTriggered(SimulationError):
     """An event was succeeded or failed twice."""
 

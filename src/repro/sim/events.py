@@ -157,8 +157,8 @@ class ScheduledCall(Timeout):
 
     The call rides in two slots instead of a closure on ``callbacks``; it
     runs first, then any callbacks registered afterwards (a process
-    yielding the event, an :class:`AnyOf` watching it), exactly as when
-    the call was the first entry of the callback list.
+    yielding the event), exactly as when the call was the first entry of
+    the callback list.
 
     One is built per link hop and per deadline — the only object
     allocated per event on the packet path — so the constructor sets every
@@ -192,66 +192,3 @@ class ScheduledCall(Timeout):
         self._callback(*self._args)
         if self.callbacks:
             Event._run_callbacks(self)
-
-
-class _Condition(Event):
-    """Base for composite events over a set of child events."""
-
-    __slots__ = ("events", "_pending")
-
-    def __init__(self, sim, events, name=None):
-        super().__init__(sim, name=name)
-        self.events = list(events)
-        self._pending = len(self.events)
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.processed:
-                self._child_fired(event)
-            else:
-                event.callbacks.append(self._child_fired)
-
-    def _collect(self):
-        return {event: event.value for event in self.events if event.processed and event.ok}
-
-    def _child_fired(self, event):
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any child event fires.
-
-    The value is a dict mapping the already-processed successful children to
-    their values.  A failing child fails the condition.
-    """
-
-    __slots__ = ()
-
-    def _child_fired(self, event):
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.exception)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Fires once every child event has fired.
-
-    The value is a dict mapping each child to its value.  The first failing
-    child fails the condition immediately.
-    """
-
-    __slots__ = ()
-
-    def _child_fired(self, event):
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.exception)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(self._collect())

@@ -15,53 +15,27 @@ can wait on each other::
         assert result == "done"
 """
 
-from repro.sim.errors import SimulationError, StopProcess
+from repro.sim.errors import SimulationError
 from repro.sim.events import Event
-
-
-class Interrupt(SimulationError):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Process(Event):
     """An event representing the lifetime of a running generator."""
 
-    __slots__ = ("generator", "_target", "_label")
+    __slots__ = ("generator", "_label")
 
     def __init__(self, sim, generator, name=None):
         if not hasattr(generator, "send"):
             raise TypeError(f"Process requires a generator, got {generator!r}")
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
-        self._target = None
         self._label = self.name
         # Bootstrap: resume once at the current time.
         bootstrap = Event(sim, name=f"{self._label}:start")
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
 
-    @property
-    def is_alive(self):
-        """True while the generator has not finished."""
-        return not self._triggered
-
-    def interrupt(self, cause=None):
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            raise SimulationError(f"cannot interrupt finished process {self._label}")
-        if self._target is not None and self._resume in self._target.callbacks:
-            self._target.callbacks.remove(self._resume)
-            self._target = None
-        poke = Event(self.sim, name=f"{self._label}:interrupt")
-        poke.callbacks.append(lambda _event: self._step(throw=Interrupt(cause)))
-        poke.succeed()
-
     def _resume(self, event):
-        self._target = None
         if not event.ok:
             self._step(throw=event.exception)
         else:
@@ -77,15 +51,6 @@ class Process(Event):
                 target = self.generator.send(value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except StopProcess as stop:
-            self.generator.close()
-            self.succeed(stop.value)
-            return
-        except Interrupt as interrupt:
-            # Uncaught interrupt terminates the process with its cause.
-            self.generator.close()
-            self.succeed(interrupt.cause)
             return
         except Exception as exc:
             # Any other uncaught exception fails the process; waiters get the
@@ -103,7 +68,6 @@ class Process(Event):
             self.generator.close()
             self.fail(SimulationError(f"process {self._label} yielded foreign event {target!r}"))
             return
-        self._target = target
         if target.processed:
             # Already fired: resume immediately via a zero-delay event to
             # preserve run-to-completion semantics.

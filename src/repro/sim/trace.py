@@ -36,7 +36,6 @@ class Tracer:
         self.enabled = enabled
         self.records = []
         self._enabled_prefixes = None
-        self._subscribers = []
 
     def enable_only(self, *prefixes):
         """Record only kinds starting with one of *prefixes* (None = all)."""
@@ -49,10 +48,6 @@ class Tracer:
     def enable(self):
         self.enabled = True
 
-    def subscribe(self, callback):
-        """Invoke *callback(record)* for every record as it is emitted."""
-        self._subscribers.append(callback)
-
     def record(self, time, source, kind, **detail):
         """Record an occurrence; returns the record (or None if filtered)."""
         if not self.enabled:
@@ -61,18 +56,12 @@ class Tracer:
             return None
         entry = TraceRecord(time=time, source=str(source), kind=kind, detail=detail)
         self.records.append(entry)
-        for callback in self._subscribers:
-            callback(entry)
         return entry
 
     def of_kind(self, *kinds):
         """All records whose kind matches any of *kinds* exactly."""
         wanted = set(kinds)
         return [record for record in self.records if record.kind in wanted]
-
-    def with_prefix(self, prefix):
-        """All records whose kind starts with *prefix*."""
-        return [record for record in self.records if record.kind.startswith(prefix)]
 
     def between(self, start, end):
         """All records with start <= time <= end."""
@@ -82,13 +71,11 @@ class Tracer:
         self.records.clear()
 
     def snapshot_state(self):
-        return (len(self.records), self.enabled, self._enabled_prefixes,
-                list(self._subscribers))
+        return (len(self.records), self.enabled, self._enabled_prefixes)
 
     def restore_state(self, state):
-        length, self.enabled, self._enabled_prefixes, subscribers = state
+        length, self.enabled, self._enabled_prefixes = state
         del self.records[length:]
-        self._subscribers = list(subscribers)
 
     def __len__(self):
         return len(self.records)

@@ -42,9 +42,6 @@ class ZipfSampler:
             raise ValueError("no RNG supplied")
         return bisect.bisect_left(self._cumulative, generator.random())
 
-    def sample_many(self, count, rng=None):
-        return [self.sample(rng) for _ in range(count)]
-
 
 #: Supported flow-size distributions.
 SIZE_DISTRIBUTIONS = ("constant", "pareto", "lognormal")
@@ -99,15 +96,6 @@ class FlowSizeSampler:
         norm = alpha / (1.0 - high ** (-alpha))
         return norm * (1.0 - high ** (1.0 - alpha)) / (alpha - 1.0)
 
-    @property
-    def max_packets(self):
-        """Largest size the sampler can return."""
-        if self.dist == "constant":
-            return max(1, round(self.mean))
-        if self.dist == "pareto":
-            return max(1, round(self.max_factor * self.mean / self._pareto_mean))
-        return max(1, round(self.mean * self.max_factor))
-
     def sample(self, rng=None):
         """Draw one flow size in packets (>= 1)."""
         if self.dist == "constant":
@@ -123,9 +111,6 @@ class FlowSizeSampler:
             scaled = generator.lognormvariate(self._mu, self.sigma)
             scaled = min(scaled, self.mean * self.max_factor)
         return max(1, round(scaled))
-
-    def sample_many(self, count, rng=None):
-        return [self.sample(rng) for _ in range(count)]
 
 
 #: Supported pacing modes: ``constant`` keeps the historical fixed

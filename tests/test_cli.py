@@ -84,3 +84,19 @@ def test_parser_defaults():
     assert args.seed == 11
     assert args.num_sites == 8
     assert args.flows == 30
+
+
+def test_sweep_rejects_an_oversized_topology_before_building(tmp_path, capsys,
+                                                             monkeypatch):
+    from repro.experiments import sweep, worldbuild
+
+    def no_builds(_config):
+        raise AssertionError("a world was built before the sizes were checked")
+    monkeypatch.setattr(worldbuild, "build_world", no_builds)
+    monkeypatch.setitem(sweep.PRESETS, "oversized",
+                        sweep.SweepGrid(num_providers=300))
+    monkeypatch.chdir(tmp_path)  # the default jsonl path lands in the CWD
+    assert main(["sweep", "--preset", "oversized", "--workers", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out == "sweep error: num_providers 300 exceeds 245\n"
+    assert list(tmp_path.iterdir()) == []

@@ -164,7 +164,8 @@ def test_reverse_tunnel_lands_on_step1_chosen_rloc():
     dst_host.send(udp_packet(dst_host.address, src_host.address, 7000, 7001))
     sim.run(until=sim.now + 2.0)
     site_s = topology.sites[0]
-    chosen_xtr = site_s.xtr_for_rloc(chosen_ingress)
+    (chosen_xtr,) = (xtr for xtr in site_s.xtrs
+                     if xtr.services["rloc"] == chosen_ingress)
     xtr_service = chosen_xtr.services["xtr-service"]
     assert xtr_service.decapsulated == 1
 

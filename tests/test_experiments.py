@@ -175,7 +175,7 @@ def test_access_byte_shares_sum_to_one_under_traffic():
     config = ScenarioConfig(control_plane="pce", num_sites=3, seed=5)
     scenario = build_scenario(config)
     run_workload(scenario, WorkloadConfig(num_flows=10, dest_site=0))
-    shares = scenario.access_byte_shares(scenario.topology.sites[0], "in")
+    shares = scenario.access_flow_byte_shares(scenario.topology.sites[0], "in")
     assert sum(shares) == pytest.approx(1.0)
 
 

@@ -154,51 +154,16 @@ def test_fib_memo_is_lazy_and_dropped_on_mutation():
 
 
 # --------------------------------------------------------------------- #
-# Fib hash tables vs a naive binary trie: node_count, probe order, copies
+# Fib hash tables vs a reference dict: entries, probe order, copies
 # --------------------------------------------------------------------- #
 
 
-class _NaiveTrie:
-    """A binary trie as plainly as it can be written: one dict per node,
-    nothing pruned — ``node_count`` walks from the root and counts only the
-    nodes that still lead to an entry, which is what ``Fib.node_count``
-    derives from its prefix set."""
-
-    def __init__(self):
-        self.root = {"children": {}, "entry": None}
-
-    def _walk(self, network, length, create):
-        node = self.root
-        for shift in range(31, 31 - length, -1):
-            bit = (network >> shift) & 1
-            if bit not in node["children"]:
-                if not create:
-                    return None
-                node["children"][bit] = {"children": {}, "entry": None}
-            node = node["children"][bit]
-        return node
-
-    def insert(self, network, length, entry):
-        self._walk(network, length, create=True)["entry"] = entry
-
-    def remove(self, network, length):
-        node = self._walk(network, length, create=False)
-        if node is not None:
-            node["entry"] = None
-
-    def node_count(self):
-        def live(node):
-            below = sum(live(child) for child in node["children"].values())
-            return below + 1 if below or node["entry"] is not None else 0
-        return max(1, live(self.root))  # the root always exists
-
-
 @pytest.mark.parametrize("seed", range(6))
-def test_fib_node_count_matches_a_naive_trie_under_churn(seed):
+def test_fib_entries_match_a_reference_dict_under_churn(seed):
     rng = random.Random(100 + seed)
     fib = Fib()
-    trie = _NaiveTrie()
-    assert fib.node_count() == 1
+    table = {}
+    assert fib.entries() == []
     checkpoint = None
     for _step in range(600):
         action = rng.random()
@@ -206,40 +171,25 @@ def test_fib_node_count_matches_a_naive_trie_under_churn(seed):
             prefix = _random_prefix(rng)
             entry = FibEntry(prefix, f"if{rng.randrange(1000)}")
             fib.insert(entry)
-            trie.insert(prefix.network.value, prefix.length, entry)
+            table[(prefix.network.value, prefix.length)] = entry
         elif action < 0.85:
             prefix = _random_prefix(rng)
             fib.remove(prefix)
-            trie.remove(prefix.network.value, prefix.length)
+            table.pop((prefix.network.value, prefix.length), None)
         elif action < 0.88:
             fib.clear()
-            trie = _NaiveTrie()
+            table = {}
         elif action < 0.94:
             checkpoint = fib.snapshot_state()
         elif checkpoint is not None:
             fib.restore_state(checkpoint)
-            trie = _NaiveTrie()
-            for entry in checkpoint[1]:
-                trie.insert(entry.prefix.network.value, entry.prefix.length, entry)
-        assert fib.node_count() == trie.node_count()
-
-
-def test_fib_node_count_of_known_shapes():
-    fib = Fib()
-    fib.add("0.0.0.0/0", "default")
-    assert fib.node_count() == 1               # the default route sits on the root
-    fib.add("10.0.0.0/8", "a")
-    assert fib.node_count() == 1 + 8
-    fib.add("10.0.0.0/8", "b")                 # replace: same prefix set
-    assert fib.node_count() == 1 + 8
-    fib.add("10.128.0.0/9", "c")               # one bit past the /8
-    assert fib.node_count() == 1 + 8 + 1
-    fib.add("10.0.0.1/32", "d")                # shares the /8's eight bits
-    assert fib.node_count() == 1 + 8 + 1 + 24
-    fib.remove("10.0.0.0/8")                   # interior entry: nodes stay
-    assert fib.node_count() == 1 + 8 + 1 + 24
-    fib.remove("10.0.0.1/32")
-    assert fib.node_count() == 1 + 9
+            table = {(entry.prefix.network.value, entry.prefix.length): entry
+                     for entry in checkpoint[1]}
+        # The same entry objects, in (network, length) order.
+        stored = fib.entries()
+        assert len(stored) == len(table) == len(fib)
+        assert all(entry is table[key]
+                   for entry, key in zip(stored, sorted(table), strict=True))
 
 
 def test_fib_length_leaves_the_probe_order_with_its_last_route():
@@ -321,7 +271,6 @@ def test_fib_copies_preserve_lookups_len_and_version(clone):
     fib.lookup("10.1.2.3", default=None)       # a populated memo travels too
     twin = clone(fib)
     assert len(twin) == len(fib) and twin.version == fib.version
-    assert twin.node_count() == fib.node_count()
     assert [str(entry) for entry in twin.entries()] == \
         [str(entry) for entry in fib.entries()]
     for _ in range(300):
@@ -331,7 +280,7 @@ def test_fib_copies_preserve_lookups_len_and_version(clone):
         assert (ours is None) == (theirs is None)
         assert ours is None or str(ours) == str(theirs)
     twin.add("10.9.9.0/24", "only-the-twin")   # ... and the copy is independent
-    assert fib.lookup_exact("10.9.9.0/24") is None
+    assert len(twin) == len(fib) + 1
     assert twin.version == fib.version + 1
 
 

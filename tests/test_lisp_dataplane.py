@@ -146,10 +146,12 @@ def test_map_cache_peek_does_not_count():
 def test_map_cache_entries_and_len():
     sim = Simulator()
     cache = MapCache(sim)
-    cache.install(mapping("100.0.1.0/24"))
+    cache.install(mapping("100.0.1.0/24", ttl=1.0))
     cache.install(mapping("100.0.2.0/24"))
     assert len(cache) == 2
-    cache.invalidate("100.0.1.0/24")
+    sim.run(until=2.0)  # the first entry's TTL has passed: it is not live
+    assert [str(prefix) for prefix, _mapping in cache.entries()] \
+        == ["100.0.2.0/24"]
     assert len(cache) == 1
 
 

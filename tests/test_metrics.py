@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import confidence_interval, format_series, format_table, percentile, summarize
+from repro.metrics import confidence_interval, format_table, percentile, summarize
 from repro.metrics.stats import mean, stdev
 
 
@@ -91,8 +91,3 @@ def test_format_table_float_rendering():
     assert "1,234,567" in table
     assert "2.500" in table
 
-
-def test_format_series():
-    text = format_series("ttl sweep", [(1, 0.5), (10, 0.9)], x_label="ttl",
-                         y_label="hit")
-    assert "ttl sweep" in text and "ttl" in text and "hit" in text

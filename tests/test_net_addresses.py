@@ -120,13 +120,6 @@ def test_prefix_address_at_bounds():
         p.address_at(256)
 
 
-def test_prefix_subnets():
-    subs = list(IPv4Prefix("10.0.0.0/30").subnets(31))
-    assert subs == [IPv4Prefix("10.0.0.0/31"), IPv4Prefix("10.0.0.2/31")]
-    with pytest.raises(AddressError):
-        list(IPv4Prefix("10.0.0.0/30").subnets(29))
-
-
 def test_prefix_hosts_skips_network_address():
     hosts = list(IPv4Prefix("10.0.0.0/24").hosts(count=3))
     assert hosts == [IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3")]

@@ -63,12 +63,6 @@ def test_remove():
     assert len(fib) == 1
 
 
-def test_lookup_exact():
-    fib = make_fib(("10.0.0.0/8", "a"), ("10.1.0.0/16", "b"))
-    assert fib.lookup_exact("10.1.0.0/16").interface == "b"
-    assert fib.lookup_exact("10.2.0.0/16") is None
-
-
 def test_entries_sorted():
     fib = make_fib(("11.0.0.0/8", "b"), ("10.0.0.0/8", "a"), ("10.1.0.0/16", "a16"))
     prefixes = [str(entry.prefix) for entry in fib.entries()]
@@ -141,19 +135,20 @@ def test_lookup_explicit_none_default_returns_none():
 
 def test_remove_prunes_empty_branches():
     fib = Fib()
-    assert fib.node_count() == 1  # the root
+    assert len(fib) == 0 and fib.entries() == []
     fib.add("10.1.2.0/24", "a")
-    grown = fib.node_count()
-    assert grown == 25  # root + one node per prefix bit
+    assert len(fib) == 1 and fib._probes
     fib.remove("10.1.2.0/24")
-    assert fib.node_count() == 1
+    # Nothing of the route is left: no entry, no length to probe.
+    assert len(fib) == 0 and fib.entries() == [] and fib._probes == ()
+    assert fib.lookup("10.1.2.3", default=None) is None
 
 
 def test_remove_keeps_shared_branch_alive():
     fib = make_fib(("10.0.0.0/8", "coarse"), ("10.1.0.0/16", "fine"))
     fib.remove("10.1.0.0/16")
-    # The /8's chain survives; only the /16's private tail is pruned.
-    assert fib.node_count() == 9
+    # The covering /8 survives; only the /16 is gone.
+    assert [str(entry.prefix) for entry in fib.entries()] == ["10.0.0.0/8"]
     assert fib.lookup("10.1.2.3").interface == "coarse"
     fib.add("10.1.0.0/16", "again")
     assert fib.lookup("10.1.2.3").interface == "again"
@@ -163,7 +158,7 @@ def test_remove_prunes_only_up_to_branching_point():
     fib = make_fib(("10.1.0.0/16", "left"), ("10.1.128.0/17", "deep"))
     fib.remove("10.1.128.0/17")
     assert fib.lookup("10.1.128.1").interface == "left"
-    assert fib.node_count() == 17  # root + the /16 chain only
+    assert [str(entry.prefix) for entry in fib.entries()] == ["10.1.0.0/16"]
 
 
 def test_install_expire_churn_is_constant_memory():
@@ -173,14 +168,16 @@ def test_install_expire_churn_is_constant_memory():
         fib = Fib()
         for i in range(resident):
             fib.add(IPv4Prefix.containing((i << 8) + (101 << 24), 24), "keep")
-        settled = fib.node_count()
-        assert settled <= 1 + resident * 24
+        settled = fib.entries()
         for i in range(1024):
             prefix = IPv4Prefix.containing((i << 8) + (100 << 24), 24)
             fib.add(prefix, "tag")
             assert fib.remove(prefix) is not None
         assert len(fib) == resident
-        assert fib.node_count() == settled
+        assert fib.entries() == settled
+        # ... and the churned prefixes left no table or probe behind.
+        assert sum(map(len, fib._tables.values())) == resident
+        assert len(fib._probes) == len(fib._tables) == (1 if resident else 0)
 
 
 @given(st.lists(st.tuples(addresses, st.integers(min_value=0, max_value=32)),
@@ -194,5 +191,7 @@ def test_remove_all_returns_to_root_only(route_specs):
         fib.add(prefix, "tag")
     for prefix in prefixes:
         assert fib.remove(prefix) is not None
-    assert len(fib) == 0
-    assert fib.node_count() == 1
+    assert len(fib) == 0 and fib.entries() == []
+    assert fib._tables == {} and fib._probes == ()
+    for prefix in prefixes:
+        assert fib.lookup(prefix.network, default=None) is None

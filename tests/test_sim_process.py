@@ -3,8 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.errors import SimulationError, StopProcess
-from repro.sim.process import Interrupt
+from repro.sim.errors import SimulationError
 
 
 def test_process_runs_and_returns_value():
@@ -110,76 +109,6 @@ def test_yielding_foreign_event_fails_process():
     sim.run()
     assert not proc.ok
     assert isinstance(proc.exception, SimulationError)
-
-
-def test_stop_process_sets_result():
-    sim = Simulator()
-
-    def worker():
-        yield sim.timeout(1.0)
-        raise StopProcess("stopped")
-
-    proc = sim.process(worker())
-    sim.run()
-    assert proc.ok
-    assert proc.value == "stopped"
-
-
-def test_interrupt_is_catchable():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append(("interrupted", sim.now, interrupt.cause))
-        yield sim.timeout(1.0)
-        log.append(("recovered", sim.now))
-        return "recovered"
-
-    proc = sim.process(sleeper())
-    sim.call_in(2.0, proc.interrupt, "wake up")
-    sim.run()
-    assert log == [("interrupted", 2.0, "wake up"), ("recovered", 3.0)]
-    assert proc.value == "recovered"
-
-
-def test_uncaught_interrupt_finishes_process_with_cause():
-    sim = Simulator()
-
-    def sleeper():
-        yield sim.timeout(100.0)
-
-    proc = sim.process(sleeper())
-    sim.call_in(1.0, proc.interrupt, "cause-value")
-    sim.run()
-    assert proc.ok
-    assert proc.value == "cause-value"
-
-
-def test_interrupt_finished_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(0.5)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_is_alive_transitions():
-    sim = Simulator()
-
-    def worker():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(worker())
-    assert proc.is_alive
-    sim.run()
-    assert not proc.is_alive
 
 
 def test_many_processes_make_progress():

@@ -14,6 +14,7 @@ import subprocess
 import sys
 
 import pytest
+from test_sweep import cell_sim_events
 
 from repro.cli import main
 
@@ -298,6 +299,7 @@ def test_fanned_sweep_builds_each_world_once_and_matches_serial():
     serial = run_sweep(GRID, workers=1)
     fanned = run_sweep(GRID, workers=4)
     assert payload_digest(serial) == payload_digest(fanned)
+    assert cell_sim_events(serial) == cell_sim_events(fanned)
     cache = fanned["world_cache"]
     assert cache["store"]["builds"] == 2   # exactly one per distinct key
     assert cache["builds"] == 2            # and no worker-side builds
@@ -311,8 +313,10 @@ multiprocessing.set_start_method("spawn")
 GRID = {grid!r}
 serial = run_sweep(GRID, workers=1)
 fanned = run_sweep(GRID, workers=2)
+events = [[cell["metrics"]["sim_events"] for cell in payload["cells"]]
+          for payload in (serial, fanned)]
 print(json.dumps({{"same": payload_digest(serial) == payload_digest(fanned),
-                  "cache": fanned["world_cache"]}}))
+                  "events": events, "cache": fanned["world_cache"]}}))
 """
 
 
@@ -325,6 +329,9 @@ def test_spawn_fan_out_matches_serial_and_builds_each_world_once():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     report = json.loads(done.stdout)
     assert report["same"] is True
+    # Deserialized worlds pop exactly the events a built one does.
+    assert report["events"][0] == report["events"][1]
+    assert all(count > 0 for count in report["events"][0])
     cache = report["cache"]
     assert cache["builds"] == len(distinct_world_configs(expand_grid(GRID)))
     assert cache["restores"] == cache["misses"] >= 2  # no worker-side builds
@@ -340,6 +347,7 @@ def test_snapshot_dir_rerun_performs_zero_builds(tmp_path):
     assert warm["world_cache"]["store"]["builds"] == 0
     assert warm["world_cache"]["store"]["blob_hits"] == 2
     assert payload_digest(cold) == payload_digest(warm)
+    assert cell_sim_events(cold) == cell_sim_events(warm)
     # The store outlives the sweep: blobs are content-addressed files.
     stored = list((tmp_path / "worlds").glob("*.world"))
     assert len(stored) == 2
@@ -370,6 +378,8 @@ def test_probing_failover_worlds_snapshot_cleanly(tmp_path):
     rerun = run_sweep(grid, workers=2, snapshot_dir=snapshot_dir)
     assert payload_digest(serial) == payload_digest(stored)
     assert payload_digest(serial) == payload_digest(rerun)
+    assert cell_sim_events(serial) == cell_sim_events(stored) \
+        == cell_sim_events(rerun)
     assert rerun["world_cache"]["builds"] == 0
 
 

@@ -2,8 +2,8 @@
 
 import csv
 import gc
+import copy
 import hashlib
-import io
 import json
 import os
 import random
@@ -13,9 +13,12 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
-from repro.experiments.sweep import (PRESETS, AggregateFold, CsvStreamWriter,
-                                     SweepGrid, expand_grid, payload_digest,
-                                     run_cell, run_sweep)
+from repro.experiments.sweep import (CSV_COLUMNS, PRESETS, SCHEMA,
+                                     AggregateFold, CsvStreamWriter,
+                                     SweepGrid, expand_grid, iter_jsonl,
+                                     payload_digest, run_cell, run_sweep,
+                                     write_json)
+from repro.net.topogen import TopologySpec
 
 TINY = SweepGrid(name="tiny", control_planes=("pce", "alt"), site_counts=(3,),
                  seeds=(1, 2), zipf_values=(1.0,), num_flows=8,
@@ -49,6 +52,33 @@ def test_expand_grid_rejects_unknown_control_plane():
             expand_grid(SweepGrid(**axes))
 
 
+@pytest.mark.parametrize("fields, named", (
+    (dict(num_providers=300), "num_providers 300 exceeds 245"),
+    (dict(scenario_overrides={"providers_per_site": 9}),
+     "providers_per_site 9 exceeds num_providers 4"),
+    (dict(topologies=("tiered",), scenario_overrides={
+        "topology": TopologySpec(family="tiered", tier0=90, tier1=90,
+                                 tier2=90)}),
+     r"tier sizes 90\+90\+90 exceed the 245-provider"),
+    (dict(topologies=("caida",),
+          scenario_overrides={"providers_per_site": 200}),
+     "providers_per_site 200 exceeds the transit population"),
+), ids=("num_providers", "providers_per_site", "tier_sizes",
+        "transit_population"))
+def test_expand_grid_rejects_oversized_topology(fields, named, monkeypatch):
+    """Sizes the address plan cannot hold fail at the grid, field named —
+    not as a ``ValueError`` out of ``build_world`` inside a worker."""
+    from repro.experiments import worldbuild
+
+    def no_builds(_config):
+        raise AssertionError("a world was built before the sizes were checked")
+    monkeypatch.setattr(worldbuild, "build_world", no_builds)
+    with pytest.raises(ValueError, match=named):
+        expand_grid(SweepGrid(**fields))
+    with pytest.raises(ValueError, match=named):
+        run_sweep(SweepGrid(**fields), workers=2)
+
+
 def test_expand_grid_cells_trace_disabled():
     for cell in expand_grid(TINY):
         assert cell.scenario.tracing is False
@@ -64,12 +94,41 @@ def test_run_cell_produces_metrics():
     assert result["metrics"]["sim_events"] > 0
 
 
+def cell_sim_events(payload):
+    """Every cell's engine event count, in index order.
+
+    No digest carries it, so the determinism tests compare it outright: a
+    restore that leaves a pending event behind, or loses one, moves it.
+    """
+    return [cell["metrics"]["sim_events"] for cell in payload["cells"]]
+
+
 def test_sweep_deterministic_across_runs_and_workers():
     first = run_sweep(TINY, workers=1)
     again = run_sweep(TINY, workers=1)
     fanned = run_sweep(TINY, workers=2)
     assert payload_digest(first) == payload_digest(again)
     assert payload_digest(first) == payload_digest(fanned)
+    assert cell_sim_events(first) == cell_sim_events(again) \
+        == cell_sim_events(fanned)
+    assert all(count > 0 for count in cell_sim_events(first))
+
+
+def test_payload_digest_pins_behaviour_not_event_counts():
+    """Two runs apart only in ``sim_events`` digest the same; the count is
+    in every cell's metrics and in no CSV column or aggregate."""
+    payload = run_sweep(TINY, workers=1)
+    patched = copy.deepcopy(payload)
+    for cell in patched["cells"]:
+        cell["metrics"]["sim_events"] += 7
+    assert cell_sim_events(patched) != cell_sim_events(payload)
+    assert payload_digest(patched) == payload_digest(payload)
+    patched["cells"][0]["metrics"]["packets_sent"] += 1
+    assert payload_digest(patched) != payload_digest(payload)
+    assert "sim_events" not in payload_digest(payload)
+    assert "sim_events" not in CSV_COLUMNS
+    assert not any("sim_events" in aggregate
+                   for aggregate in payload["aggregates"])
 
 
 def test_sweep_artifacts(tmp_path):
@@ -78,7 +137,7 @@ def test_sweep_artifacts(tmp_path):
     payload = run_sweep(TINY, workers=1, json_path=str(json_path),
                         csv_path=str(csv_path))
     on_disk = json.loads(json_path.read_text())
-    assert on_disk["schema"] == "repro.sweep/v6"
+    assert on_disk["schema"] == SCHEMA == "repro.sweep/v7"
     assert on_disk["num_cells"] == len(payload["cells"]) == 4
     assert payload_digest(on_disk) == payload_digest(payload)
     with open(csv_path) as handle:
@@ -86,6 +145,28 @@ def test_sweep_artifacts(tmp_path):
     assert len(rows) == 4
     assert {row["cell_id"] for row in rows} \
         == {cell["cell_id"] for cell in payload["cells"]}
+    # Written through a temp file and renamed: nothing else is left behind.
+    assert sorted(path.name for path in tmp_path.iterdir()) \
+        == ["sweep.csv", "sweep.json"]
+
+
+def test_write_json_leaves_the_old_artifact_when_the_dump_fails(tmp_path):
+    path = tmp_path / "sweep.json"
+    write_json({"schema": SCHEMA}, str(path))
+    with pytest.raises(TypeError):
+        write_json({"schema": SCHEMA, "cells": object()}, str(path))
+    assert json.loads(path.read_text()) == {"schema": SCHEMA}
+    assert [entry.name for entry in tmp_path.iterdir()] == ["sweep.json"]
+
+
+def test_iter_jsonl_skips_the_line_a_killed_run_cut_short(tmp_path):
+    path = tmp_path / "cells.jsonl"
+    path.write_text('{"index":0,"world":"miss"}\n{"index":1,"wor')
+    assert list(iter_jsonl(str(path))) == [{"index": 0}]
+    # A terminated line that does not parse is corruption, not a cut.
+    path.write_text('{"index":0}\n{"index":1,"wor\n{"index":2}\n')
+    with pytest.raises(json.JSONDecodeError):
+        list(iter_jsonl(str(path)))
 
 
 def test_aggregates_group_seeds():
@@ -234,7 +315,9 @@ def test_probing_sweep_hits_world_cache():
     payload = run_sweep(grid, workers=1)
     cache = payload["world_cache"]
     assert cache["hits"] == 1 and cache["builds"] == 1
-    assert payload_digest(payload) == payload_digest(run_sweep(grid, workers=2))
+    fanned = run_sweep(grid, workers=2)
+    assert payload_digest(payload) == payload_digest(fanned)
+    assert cell_sim_events(payload) == cell_sim_events(fanned)
 
 
 def test_cli_sweep_no_json(tmp_path, capsys):
@@ -322,6 +405,7 @@ def test_pacing_axis_digest_invariant_across_workers():
     serial = run_sweep(grid, workers=1)
     fanned = run_sweep(grid, workers=4)
     assert payload_digest(serial) == payload_digest(fanned)
+    assert cell_sim_events(serial) == cell_sim_events(fanned)
     pacings = {cell["pacing"] for cell in serial["cells"]}
     assert pacings == {"constant", "shaped"}
     # Shaping moves bytes in time, not in volume: with no drops the two
@@ -381,69 +465,25 @@ def shrunk_preset(name):
                    else min(grid.num_flows, 12))
 
 
-def without_keys(value, dropped=("sim_events",)):
-    """*value* with every *dropped* key removed, at any depth."""
-    if isinstance(value, dict):
-        return {key: without_keys(item, dropped)
-                for key, item in value.items() if key not in dropped}
-    if isinstance(value, list):
-        return [without_keys(item, dropped) for item in value]
-    return value
-
-
-def without_sim_events(value):
-    """*value* with every ``sim_events`` key dropped (cells and aggregates)."""
-    return without_keys(value)
-
-
-#: What ``repro.sweep/v7`` takes out of the artifacts.
-V7_DROPPED = ("sim_events", "map_cache_trie_nodes")
-
-
-def v7_pair(payload, csv_bytes):
-    """What a v7 run of the same simulation must produce, from v6 artifacts.
-
-    Scaffolding for the one re-pin: the payload with every
-    :data:`V7_DROPPED` key removed and the schema tag rewritten, the CSV
-    with those two columns removed.
-    """
-    payload = without_keys(payload, V7_DROPPED)
-    payload["schema"] = "repro.sweep/v7"
-    rows = list(csv.reader(io.StringIO(csv_bytes.decode(), newline="")))
-    keep = [index for index, column in enumerate(rows[0])
-            if column not in V7_DROPPED]
-    out = io.StringIO(newline="")
-    csv.writer(out).writerows([row[index] for index in keep] for row in rows)
-    return {"payload": _sha(payload_digest(payload)),
-            "csv": _sha(out.getvalue())}
-
-
-def _sha(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def preset_digests(name, workdir):
-    """sha256 of one preset's digested payload, of the same payload without
-    its ``sim_events`` counts, and of the CSV bytes — plus the ``v7`` pair
-    the schema bump has to land on.
+    """sha256 of one preset's :func:`payload_digest` and of its CSV bytes.
 
-    ``sim_events`` counts engine queue pops — a cost, not a simulated
-    quantity — so an engine change may move ``payload`` and ``csv`` through
-    it alone; ``behaviour`` is the proof that nothing else moved.
+    Both pin behaviour only — ``sim_events``, what the engine spent, is in
+    neither — so an engine change leaves the golden file alone (its event
+    counts are pinned by ``tests/golden/perf_quick_counts.json``).
     """
     csv_path = os.path.join(workdir, f"{name}.csv")
     payload = run_sweep(shrunk_preset(name), csv_path=csv_path)
     with open(csv_path, "rb") as handle:
         csv_bytes = handle.read()
-    return {"payload": _sha(payload_digest(payload)),
-            "behaviour": _sha(payload_digest(without_sim_events(payload))),
-            "csv": hashlib.sha256(csv_bytes).hexdigest(),
-            "v7": v7_pair(payload, csv_bytes)}
+    return {"payload": hashlib.sha256(
+                payload_digest(payload).encode()).hexdigest(),
+            "csv": hashlib.sha256(csv_bytes).hexdigest()}
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_artifacts_match_golden_digests(name, tmp_path):
-    """Every preset's payload, behaviour and CSV stay byte-identical across refactors."""
+    """Every preset's payload and CSV stay byte-identical across refactors."""
     with open(GOLDEN) as handle:
         golden = json.load(handle)
     assert preset_digests(name, str(tmp_path)) == golden[name]

@@ -40,9 +40,10 @@ def test_zipf_zero_skew_is_uniform():
 def test_zipf_samples_match_skew():
     rng = random.Random(1)
     sampler = ZipfSampler(20, s=1.5, rng=rng)
-    draws = sampler.sample_many(4000)
+    draws = [sampler.sample() for _ in range(4000)]
     top = sum(1 for d in draws if d == 0) / len(draws)
     assert top > 0.3  # rank 1 dominates at s=1.5
+    assert top == pytest.approx(sampler.probability(0), abs=0.03)
 
 
 def test_zipf_validation():

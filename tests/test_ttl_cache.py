@@ -28,7 +28,7 @@ def test_put_rejection_drops_stale_entry():
     assert cache.put("k", "new", 0) is False
     assert cache.peek("k") is None
     assert cache.get("k") is None
-    assert cache.stored_entries == 0
+    assert len(cache._entries) == 0
 
 
 def test_len_is_exact_and_frees_dead_entries():
@@ -36,9 +36,9 @@ def test_len_is_exact_and_frees_dead_entries():
     for i in range(10):
         cache.put(i, i, ttl=1.0)
     sim.now = 2.0
-    assert cache.stored_entries == 10  # dead but not yet swept
+    assert len(cache._entries) == 10  # dead but not yet swept
     assert len(cache) == 0             # len compacts...
-    assert cache.stored_entries == 0   # ...and frees
+    assert len(cache._entries) == 0   # ...and frees
     assert cache.expirations == 10
 
 
@@ -48,7 +48,7 @@ def test_compaction_bounds_memory_under_churn():
     for i in range(20_000):
         cache.put(i, i, ttl=0.5)
         sim.now += 0.1  # each entry dies 5 puts later, and is never read
-    assert cache.stored_entries < 2 * TtlCache.COMPACT_THRESHOLD
+    assert len(cache._entries) < 2 * TtlCache.COMPACT_THRESHOLD
 
 
 def test_max_entries_evicts_earliest_expiry():

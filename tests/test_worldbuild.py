@@ -19,7 +19,7 @@ from repro.experiments.worldbuild import (SnapshotError, SnapshotStore,
 from repro.net.packet import udp_packet
 from repro.net.routing import (HierarchicalRoutingPlan, TierLayout,
                                build_adjacency, install_mesh_routes,
-                               mesh_fingerprint, path_delay)
+                               mesh_fingerprint, shortest_path_next_hops)
 from repro.net.topogen import TopologySpec, build
 from repro.net.topology import provider_prefix_for
 from repro.sim import Simulator
@@ -70,6 +70,15 @@ def test_mesh_change_invalidates_plan():
     a.interfaces["to-prov1"].link.delay *= 2  # mesh edge changed
     assert mesh_fingerprint(topology.providers) != plan.fingerprint
     assert topology.routing_plan() is not plan
+
+
+def path_delay(adjacency, source, destination):
+    """Shortest-path delay by one full Dijkstra from *source* per call: the
+    oracle for the plan's precomputed tables."""
+    if source is destination:
+        return 0.0
+    entry = shortest_path_next_hops(adjacency, source).get(destination)
+    return entry[1] if entry is not None else None
 
 
 def test_plan_delay_matches_dijkstra():

@@ -184,7 +184,7 @@ class PceControlPlane:
     # ------------------------------------------------------------------ #
 
     def uplink_monitor(self, site):
-        return LinkLoadMonitor(self.sim, [links["uplink"] for links in site.access_links])
+        return LinkLoadMonitor([links["uplink"] for links in site.access_links])
 
     def rebalance_site_egress(self, site, loads=None, flow_bytes_estimate=50_000,
                               tolerance=1.2):

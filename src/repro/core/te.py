@@ -19,8 +19,7 @@ from dataclasses import dataclass
 class LinkLoadMonitor:
     """Windowed byte counters over a set of links."""
 
-    def __init__(self, sim, links):
-        self.sim = sim
+    def __init__(self, links):
         self.links = list(links)
         self._window_start_bytes = [link.stats.tx_bytes for link in self.links]
 

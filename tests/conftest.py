@@ -27,3 +27,14 @@ def collector_left_as_found():
     before = _collector_state()
     yield
     assert _collector_state() == before
+
+
+@pytest.fixture
+def no_world_builds(monkeypatch):
+    """Fail the test if anything builds a world: what a rejected sweep must
+    not have done by the time it is rejected."""
+    from repro.experiments import worldbuild
+
+    def no_builds(_config):
+        raise AssertionError("a world was built before the input was rejected")
+    monkeypatch.setattr(worldbuild, "build_world", no_builds)

@@ -86,13 +86,10 @@ def test_parser_defaults():
     assert args.flows == 30
 
 
-def test_sweep_rejects_an_oversized_topology_before_building(tmp_path, capsys,
-                                                             monkeypatch):
-    from repro.experiments import sweep, worldbuild
+def test_sweep_rejects_an_oversized_topology_before_building(
+        tmp_path, capsys, monkeypatch, no_world_builds):
+    from repro.experiments import sweep
 
-    def no_builds(_config):
-        raise AssertionError("a world was built before the sizes were checked")
-    monkeypatch.setattr(worldbuild, "build_world", no_builds)
     monkeypatch.setitem(sweep.PRESETS, "oversized",
                         sweep.SweepGrid(num_providers=300))
     monkeypatch.chdir(tmp_path)  # the default jsonl path lands in the CWD

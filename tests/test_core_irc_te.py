@@ -187,14 +187,14 @@ def test_plan_rebalance_terminates_on_unmovable_flow():
 
 
 def test_link_load_monitor_window(world):
-    sim, topology = world
+    _sim, topology = world
     site = topology.sites[0]
-    monitor = LinkLoadMonitor(sim, [links["uplink"] for links in site.access_links])
+    uplinks = [links["uplink"] for links in site.access_links]
+    monitor = LinkLoadMonitor(uplinks)
     assert monitor.window_bytes() == [0, 0, 0]
     assert monitor.imbalance() == 1.0
-    site.access_links[0]["uplink"].stats.tx_bytes += 3000
+    uplinks[0].stats.tx_bytes += 3000
     assert monitor.window_bytes() == [3000, 0, 0]
     assert monitor.imbalance() == pytest.approx(3.0)
     # A monitor's window opens when it is made.
-    links = [links["uplink"] for links in site.access_links]
-    assert LinkLoadMonitor(sim, links).window_bytes() == [0, 0, 0]
+    assert LinkLoadMonitor(uplinks).window_bytes() == [0, 0, 0]

@@ -65,14 +65,10 @@ def test_expand_grid_rejects_unknown_control_plane():
      "providers_per_site 200 exceeds the transit population"),
 ), ids=("num_providers", "providers_per_site", "tier_sizes",
         "transit_population"))
-def test_expand_grid_rejects_oversized_topology(fields, named, monkeypatch):
+def test_expand_grid_rejects_oversized_topology(fields, named,
+                                                no_world_builds):
     """Sizes the address plan cannot hold fail at the grid, field named —
     not as a ``ValueError`` out of ``build_world`` inside a worker."""
-    from repro.experiments import worldbuild
-
-    def no_builds(_config):
-        raise AssertionError("a world was built before the sizes were checked")
-    monkeypatch.setattr(worldbuild, "build_world", no_builds)
     with pytest.raises(ValueError, match=named):
         expand_grid(SweepGrid(**fields))
     with pytest.raises(ValueError, match=named):
@@ -352,14 +348,9 @@ def test_cli_sweep_snapshot_dir(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ("--json", "--csv", "--jsonl"))
-def test_cli_sweep_rejects_artifact_in_missing_directory(flag, tmp_path,
-                                                         capsys, monkeypatch):
+def test_cli_sweep_rejects_artifact_in_missing_directory(
+        flag, tmp_path, capsys, monkeypatch, no_world_builds):
     """An unwritable artifact path fails before any world is built."""
-    from repro.experiments import worldbuild
-
-    def no_builds(_config):
-        raise AssertionError("a world was built before the paths were checked")
-    monkeypatch.setattr(worldbuild, "build_world", no_builds)
     monkeypatch.chdir(tmp_path)  # the default jsonl path lands in the CWD
     missing = tmp_path / "nonexistent" / "artifact.out"
     assert main(["sweep", "--preset", "smoke", flag, str(missing)]) == 1

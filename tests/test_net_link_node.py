@@ -343,7 +343,7 @@ def test_udp_request_is_one_event_answered_by_the_reply():
     assert answered == [(0.5, ("re", 1))]
     assert sim.now == 2.0  # the deadline still fires, into nothing
     # Request hop, the responder's zero-delay call, reply hop, the
-    # completion event, the deadline: no process start/end, no AnyOf.
+    # completion event, the deadline: no process start or end.
     assert sim.processed_events == 5
 
 

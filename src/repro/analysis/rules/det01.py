@@ -18,7 +18,12 @@ Banned:
 - OS entropy: ``os.urandom``, ``secrets.*``, ``uuid.uuid1``/``uuid4``;
 - ``id()`` as a sort key (``sorted(x, key=id)`` or a lambda returning
   ``id(...)``): CPython ids are allocation addresses, so the order varies
-  run to run.
+  run to run;
+- a ``sim.rng.stream(name)`` result stored on ``self`` (directly, or
+  through a local): ``RandomStreams`` journals a stream when it is handed
+  out, so a stream kept on an object that outlives a world restore is
+  drawn from behind the journal's back and the next run continues where
+  the last one stopped.  Fetch the stream where it is drawn.
 
 Simulated time lives at ``sim.now``; entropy comes from
 ``sim.rng.stream(name)``.
@@ -53,6 +58,40 @@ def _is_seeded_random_ctor(node, parents):
             and bool(call.args or call.keywords))
 
 
+def _is_rng_factory(node, aliases):
+    """``<anything>.rng`` or a local name bound to one."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "rng"
+    return isinstance(node, ast.Name) and node.id in aliases
+
+
+def _stored_streams(func_def):
+    """Assignments in *func_def* that park a named stream on ``self``."""
+    factories, streams = set(), set()
+
+    def is_stream(node):
+        if isinstance(node, ast.Name):
+            return node.id in streams
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "stream"
+                and _is_rng_factory(node.func.value, factories))
+
+    assignments = sorted(
+        (node for node in ast.walk(func_def) if isinstance(node, ast.Assign)),
+        key=lambda node: (node.lineno, node.col_offset))
+    for node in assignments:
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                if _is_rng_factory(node.value, factories):
+                    factories.add(target.id)
+                elif is_stream(node.value):
+                    streams.add(target.id)
+            elif (isinstance(target, ast.Attribute)
+                  and astutil.is_self(target.value) and is_stream(node.value)):
+                yield node, target.attr
+
+
 def _build_parents(tree):
     parents = {}
     for node in ast.walk(tree):
@@ -73,6 +112,7 @@ class Det01:
 
     def check(self, module):
         parents = _build_parents(module.tree)
+        stored = set()      # a nested def is walked with its parent too
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Attribute):
                 yield from self._check_attribute(module, node, parents)
@@ -80,6 +120,17 @@ class Det01:
                 yield from self._check_import_from(module, node)
             elif isinstance(node, ast.Call):
                 yield from self._check_sort_key(module, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for assignment, attr in _stored_streams(node):
+                    if assignment in stored:
+                        continue
+                    stored.add(assignment)
+                    yield module.finding(
+                        self, assignment,
+                        f"random stream stored on self.{attr}: a stream "
+                        "held across a world restore is not journaled",
+                        hint="keep the stream's name and call "
+                             "sim.rng.stream(name) where the draw happens")
 
     def _check_attribute(self, module, node, parents):
         root = node.value

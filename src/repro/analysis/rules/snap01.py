@@ -24,6 +24,30 @@ from repro.analysis.core import register
 EXEMPT_ATTR = "_SNAPSHOT_EXEMPT"
 
 
+def mro_in_module(class_def, classes, _seen=None):
+    """*class_def* plus any base classes defined in the same module."""
+    seen = _seen if _seen is not None else set()
+    if class_def.name in seen:
+        return []
+    seen.add(class_def.name)
+    order = [class_def]
+    for base in class_def.bases:
+        base_def = classes.get(getattr(base, "id", None))
+        if base_def is not None:
+            order.extend(mro_in_module(base_def, classes, seen))
+    return order
+
+
+def exemptions(class_def, classes):
+    """The ``_SNAPSHOT_EXEMPT`` names *class_def* declares or inherits."""
+    exempt = set()
+    for base in mro_in_module(class_def, classes):
+        for name, strings in astutil.class_string_tuples(base).items():
+            if name == EXEMPT_ATTR:
+                exempt.update(strings)
+    return exempt
+
+
 @register
 class Snap01:
     rule_id = "SNAP01"
@@ -47,7 +71,7 @@ class Snap01:
             captured |= astutil.string_constants(snapshot, restore)
             captured |= self._expanded_tuples(class_def, classes, snapshot,
                                               restore)
-            exempt = self._exemptions(class_def, classes)
+            exempt = exemptions(class_def, classes)
             for attr, line in sorted(assigned.items(), key=lambda kv: kv[1]):
                 if attr in captured or attr in exempt:
                     continue
@@ -59,7 +83,7 @@ class Snap01:
     def _expanded_tuples(self, class_def, classes, snapshot, restore):
         """Strings from class-level tuples a checkpoint method references."""
         constants = {}
-        for base in self._mro_in_module(class_def, classes):
+        for base in mro_in_module(class_def, classes):
             for name, strings in astutil.class_string_tuples(base).items():
                 constants.setdefault(name, strings)
         referenced = (astutil.self_attr_names(snapshot, restore)
@@ -68,24 +92,3 @@ class Snap01:
         for name in referenced:
             expanded.update(constants.get(name, ()))
         return expanded
-
-    def _exemptions(self, class_def, classes):
-        exempt = set()
-        for base in self._mro_in_module(class_def, classes):
-            for name, strings in astutil.class_string_tuples(base).items():
-                if name == EXEMPT_ATTR:
-                    exempt.update(strings)
-        return exempt
-
-    def _mro_in_module(self, class_def, classes, _seen=None):
-        """*class_def* plus any base classes defined in the same module."""
-        seen = _seen if _seen is not None else set()
-        if class_def.name in seen:
-            return []
-        seen.add(class_def.name)
-        order = [class_def]
-        for base in class_def.bases:
-            base_def = classes.get(getattr(base, "id", None))
-            if base_def is not None:
-                order.extend(self._mro_in_module(base_def, classes, seen))
-        return order

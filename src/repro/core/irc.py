@@ -55,7 +55,7 @@ class IrcEngine:
         self.flow_bytes_estimate = flow_bytes_estimate
         self.utilisation_cap = utilisation_cap
         self.measurement_rounds = 0
-        self._rng = sim.rng.stream(rng_name or f"irc-{site.name}")
+        self._rng_name = rng_name or f"irc-{site.name}"
         self.estimates = []
         for b in range(len(site.xtrs)):
             base = self._path_delay_estimate(b)
@@ -91,8 +91,10 @@ class IrcEngine:
         """One measurement round: refresh delay EWMAs and load snapshots."""
         self.measurement_rounds += 1
         alpha = self.ewma_alpha
+        # Fetched where it is drawn: the hand-out is what journals the stream.
+        rng = self.sim.rng.stream(self._rng_name)
         for b, estimate in enumerate(self.estimates):
-            sample = self._path_delay_estimate(b) + self._rng.uniform(0, self.jitter)
+            sample = self._path_delay_estimate(b) + rng.uniform(0, self.jitter)
             estimate.delay_ewma = (1 - alpha) * estimate.delay_ewma + alpha * sample
             links = self.site.access_links[b]
             estimate.bytes_in = links["downlink"].stats.tx_bytes
@@ -158,12 +160,13 @@ class IrcEngine:
         """Per-locator view for reporting: (delay_ewma, bytes_in, bytes_out)."""
         return [(est.delay_ewma, est.bytes_in, est.bytes_out) for est in self.estimates]
 
-    #: Construction-time config plus the seeded RNG stream (restored through
-    #: the simulator's RandomStreams checkpoint) and the periodic tick handle
-    #: (armed/next-fire state is engine state, captured by the simulator).
+    #: Construction-time config (the RNG stream is fetched by name where it
+    #: is drawn and restored by the simulator's RandomStreams) and the
+    #: periodic tick handle (armed/next-fire state is engine state, captured
+    #: by the simulator).
     _SNAPSHOT_EXEMPT = ("sim", "site", "topology", "policy", "period",
                         "ewma_alpha", "jitter", "flow_bytes_estimate",
-                        "utilisation_cap", "_rng", "_task")
+                        "utilisation_cap", "_rng_name", "_task")
 
     def snapshot_state(self):
         """Round counter and per-provider estimates for world reuse.

@@ -18,12 +18,13 @@ from repro.dns.message import DNS_PORT, DnsMessage, FLAG_RD, make_query, make_re
 from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
 from repro.net.host import RequestTimeout
 from repro.sim.events import Event
+from repro.sim.state import Journaled
 
 MAX_REFERRALS = 16
 MAX_CNAME_CHASES = 4
 
 
-class RecursiveResolver:
+class RecursiveResolver(Journaled):
     """Iterative resolver with referral and answer caches."""
 
     def __init__(self, sim, node, root_hints, authoritative_zone=None,
@@ -80,6 +81,8 @@ class RecursiveResolver:
         self._reply_to(packet, reply)
 
     def _serve_recursive(self, query, packet):
+        if self._journal is not None:
+            self._touch()
         self.recursive_queries += 1
         for listener in self.query_listeners:
             listener(client=packet.ip.src, qname=query.question.qname, time=self.sim.now)
@@ -133,7 +136,8 @@ class RecursiveResolver:
     # ------------------------------------------------------------------ #
 
     def _next_ident(self):
-        self._ident = (self._ident + 1) % 65536 or 1
+        # resolve() touched the journal before any walk draws an ident.
+        self._ident = (self._ident + 1) % 65536 or 1  # repro: allow=SNAP03
         return self._ident
 
     def _cached_servers(self, qname):
@@ -163,6 +167,9 @@ class RecursiveResolver:
         for ``negative_ttl``.  The message's ``answers``/``rcode`` reflect
         the outcome; SERVFAIL is used for loops and timeouts.
         """
+        # Counters, ident, caches and the in-flight table all move below.
+        if self._journal is not None:
+            self._touch()
 
         def _coalesced():
             # Wait for the walk already in flight and reuse its outcome.

@@ -157,20 +157,24 @@ class Scenario:
     #: The world's one fluid pump (every fluid flow of a workload joins
     #: it); checkpointed idle, emptied on restore.
     fluid_pump: FluidPump = field(init=False)
-    #: Post-build component checkpoint (set by repro.experiments.worldbuild;
-    #: None when the world cannot be reused).
+    #: The world's first-touch :class:`~repro.sim.state.Journal` (armed by
+    #: repro.experiments.worldbuild; None on a world built bare, which
+    #: cannot be reset).
     world_checkpoint: object = None
 
     def __post_init__(self):
         self.fluid_pump = FluidPump(self.sim)
 
     def __getstate__(self):
-        # The link table is derived wiring (like ``Node._local_values``):
-        # a deserialized world walks its own topology on first use, and
-        # blobs do not carry it.
-        state = self.__dict__.copy()
-        state.pop("links", None)
-        return state
+        # Interfaces pickle without their link (the one edge that made
+        # pickle's recursion as deep as the topology is wide), so the blob
+        # carries the link table and __setstate__ re-attaches each link.
+        return {**self.__dict__, "links": self.links}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for link in self.links:
+            link.src_interface.link = link
 
     @property
     def name(self):
@@ -304,43 +308,57 @@ class Scenario:
         }
 
     def stateful_components(self):
-        """Every object holding run-mutable state, for world checkpointing.
+        """Every object holding run-mutable state: the checkpoint inventory.
 
-        The worldbuild layer snapshots each yielded component right after
-        the build and restores them before a reuse; anything a workload run
-        can mutate must be reachable from here (see
-        :mod:`repro.experiments.worldbuild`).  Per-host stub resolvers are
-        not components: they are created lazily per run and dropped on
-        restore (:attr:`stubs` is cleared).
+        Anything a workload run can mutate must be reachable from here:
+        ``snapshot_state()`` over this inventory *is* the world's state,
+        which is what the restore-completeness tests compare, eagerly,
+        against what the journal put back.  The worldbuild layer itself
+        never walks it after arming: the random streams journal
+        themselves, :meth:`singleton_components` are captured once and
+        always restored, :meth:`journaled_components` on first touch.
+        Per-host stub resolvers are not components: they are created
+        lazily per run and dropped on restore (:attr:`stubs` is cleared).
+        """
+        yield self.sim.rng
+        yield from self.singleton_components()
+        yield from self.journaled_components()
+
+    def singleton_components(self):
+        """The components a world has one (or a handful) of.
+
+        Most runs move every one of them, so they are captured when the
+        journal is armed and restored on every reset — no first-touch
+        bookkeeping on the engine's or the tracer's hot paths.
         """
         sim = self.sim
         yield sim
-        yield sim.rng
         yield sim.trace
         yield self.flow_ids
         yield self.fluid_pump
-        yield from self.topology.all_nodes()
-        yield from self.links
-        for stack in self.tcp_stacks.values():
-            yield stack
-        for sink in self.udp_sinks.values():
-            yield sink
-        yield from self.iter_xtrs()
         dns = self.dns
         yield dns.root_server
         yield dns.tld_server
-        for server in dns.level_servers:
-            yield server
-        for resolver in dns.resolvers.values():
-            yield resolver
+        yield from dns.level_servers
         if self.control_plane is not None:
             # Covers its PCEs, IRC engines, RLOC probers, registry and miss
-            # policy.  The IRC measurement and probe *timers* are periodic
-            # tasks living in engine state, checkpointed with the simulator.
+            # policy — per-site members restored through this one entry.
+            # The IRC measurement and probe *timers* are periodic tasks
+            # living in engine state, checkpointed with the simulator.
             yield self.control_plane
         if self.mapping_system is not None:
             yield self.mapping_system
             yield self.miss_policy
+
+    def journaled_components(self):
+        """The components a world has thousands of, few of which a run
+        touches: each a :class:`~repro.sim.state.Journaled`."""
+        yield from self.topology.all_nodes()
+        yield from self.links
+        yield from self.tcp_stacks.values()
+        yield from self.udp_sinks.values()
+        yield from self.iter_xtrs()
+        yield from self.dns.resolvers.values()
 
 
 def _make_miss_policy(sim, config):

@@ -140,7 +140,8 @@ class _Arrivals:
         rng = streams.stream(workload.rng_name)
         self.scenario = scenario
         self.workload = workload
-        self.rng = rng
+        # Lives one run: made after the restore, dropped with the queue.
+        self.rng = rng  # repro: allow=DET01
         self.zipf = ZipfSampler(num_sites - 1, s=workload.zipf_s, rng=rng)
         self.shaper = build_shaper(workload, rng=rng)
         #: Second reader of the stream, positioned before the arrival draws

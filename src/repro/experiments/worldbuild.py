@@ -8,20 +8,26 @@ few hundred flows.  Cells that share a
 site count, seed, ...) build *identical* worlds and differ only in the
 workload they run — so the world can be built once and recycled.
 
-The mechanism is checkpoint/restore rather than rebuild:
+The mechanism is checkpoint/restore rather than rebuild, and the
+checkpoint follows the cell, not the world:
 
 - :func:`build_world` builds a scenario (through the memoized
   :class:`~repro.net.routing.RoutingPlan` route build), settles any
-  deployment-time events, and captures a checkpoint of every stateful
-  component (``Scenario.stateful_components``).
-- :func:`restore_world` puts all of them back — simulator clock, RNG
-  stream states, FIB dynamic entries, map-caches, DNS caches, counters,
-  link stats — so a restored world is byte-for-byte the world the build
-  produced.  Determinism tests diff fresh-build vs reused-world summaries.
-  State a run never touched is skipped by version stamp (``Fib.version``,
-  the ``Node`` wiring version, ``LinkStats.bytes_offered``); the "World
-  lifecycle cost" contract in ``docs/contracts.md`` has the rule for new
-  mutators.
+  deployment-time events, and *arms* the world's first-touch journal
+  (:class:`~repro.sim.state.Journal`): the dozen singleton components are
+  captured there and then; every link, node, xTR, stack, sink and site
+  resolver is only flagged, and stores its own pristine state the first
+  time a run is about to change it.
+- :func:`restore_world` puts back the singletons, the random streams a
+  run drew from and the components on the journal's dirty list — clock,
+  FIB dynamic entries, map-caches, DNS caches, counters, link stats — so a
+  restored world is byte-for-byte the world the build produced, at a cost
+  that grows with what the cell touched.  Determinism tests diff
+  fresh-build vs reused-world summaries, and the restore-completeness
+  tests compare every component of the inventory
+  (``Scenario.stateful_components``) against an eager capture of their
+  own.  The "World lifecycle cost" contract in ``docs/contracts.md`` has
+  the touch-before-write rule for new mutators.
 
 Builds and (de)serialization run with the cyclic collector paused
 (:func:`_gc_paused`): each is one burst of reachable allocations, handed
@@ -52,7 +58,11 @@ from the cheapest source that can:
   blob when the store has a ``directory``.
 
 A settled world is *serializable*: the whole object graph (engine,
-topology, control plane, checkpoint) is plain picklable data.
+topology, control plane, journal) is plain picklable data, at a pickle
+depth that does not grow with the topology (interfaces pickle without
+their link; ``Scenario`` carries the link table and re-attaches them).  A
+clean world is its own pristine state, so its blob holds no component
+checkpoint beyond the singletons'.
 :func:`serialize_world` wraps the pickle in a versioned envelope (magic +
 :data:`SNAPSHOT_SCHEMA` + world key + CRC); the store keeps blobs in
 memory and, under ``directory``, as content-addressed files that outlive
@@ -85,6 +95,7 @@ from contextlib import contextmanager
 from dataclasses import astuple
 
 from repro.experiments.scenario import build_scenario
+from repro.sim.state import Journal
 
 
 def world_key(config):
@@ -98,14 +109,15 @@ def world_key(config):
 
 
 def build_world(config):
-    """Build the world for *config* and checkpoint it.
+    """Build the world for *config* and arm its journal.
 
     The world is settled first (the foreground queue is drained of finite
     deployment-time events, e.g. NERD's initial database push — armed
-    periodic tasks do not count as pending work) so the checkpoint captures
+    periodic tasks do not count as pending work) so the checkpoint is of
     a quiescent world; the workload then starts from the same instant on
-    fresh builds and reuses alike.  The checkpoint is attached as
-    ``scenario.world_checkpoint``.
+    fresh builds and reuses alike.  The journal is attached as
+    ``scenario.world_checkpoint``: the state at this instant is what
+    every later :func:`restore_world` returns to.
 
     Runs with the cyclic collector paused (see :func:`_gc_paused`): a
     build only ever adds reachable objects, so every collection it would
@@ -118,22 +130,22 @@ def build_world(config):
     with _gc_paused():
         scenario = build_scenario(config)
         scenario.sim.run()  # settle: drain finite deployment-time events
-        scenario.world_checkpoint = capture_world(scenario)
+        scenario.sim.rng.checkpoint()
+        scenario.world_checkpoint = Journal(scenario.singleton_components(),
+                                            scenario.journaled_components())
     return scenario
 
 
-def capture_world(scenario):
-    """Checkpoint every stateful component of *scenario*."""
-    return [(component, component.snapshot_state())
-            for component in scenario.stateful_components()]
-
-
 def restore_world(scenario):
-    """Reset *scenario* to its post-build checkpoint, ready for a new run."""
+    """Reset *scenario* to its post-build checkpoint, ready for a new run.
+
+    Visits the singletons, the streams handed out and the journal's dirty
+    list — nothing sized by the world.
+    """
     if scenario.world_checkpoint is None:
         raise ValueError("scenario has no world checkpoint")
-    for component, state in scenario.world_checkpoint:
-        component.restore_state(state)
+    scenario.sim.rng.rollback()
+    scenario.world_checkpoint.rollback()
     scenario.stubs.clear()
 
 
@@ -148,12 +160,12 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: world key (:class:`~repro.experiments.scenario.ScenarioConfig`'s field
 #: tuple), the settled engine (clock, sequence counters, RNG stream
 #: states, tracer, the timestamp heap and its per-timestamp buckets with
-#: armed periodic-task timers riding them) and every component's
-#: ``snapshot_state()`` tuple.  Bump it whenever any of those changes
-#: shape; a mismatched blob is rebuilt, never restored.  The "Versions"
-#: paragraph of ``docs/contracts.md`` says when to bump this and when the
-#: sweep artifact ``SCHEMA``.
-SNAPSHOT_SCHEMA = 10
+#: armed periodic-task timers riding them), every component's pickled
+#: attributes and ``snapshot_state()`` tuple, and the journal.  Bump it
+#: whenever any of those changes shape; a mismatched blob is rebuilt,
+#: never restored.  The "Versions" paragraph of ``docs/contracts.md`` says
+#: when to bump this and when the sweep artifact ``SCHEMA``.
+SNAPSHOT_SCHEMA = 11
 
 
 @contextmanager
@@ -226,8 +238,11 @@ def serialize_world(scenario):
 
     The blob is a versioned envelope: magic, schema version, the full
     world key, a CRC of the payload, and the payload pickle of the whole
-    scenario graph (checkpoint included, so a deserialized world restores
-    through the normal machinery).
+    scenario graph (journal included, so a deserialized world restores
+    through the normal machinery).  The journal pickles the singletons'
+    states and the pristine state of what is dirty right now: nothing
+    more for a clean world, and a world serialized dirty still
+    deserializes to the pristine one.
     """
     if scenario.world_checkpoint is None:
         raise ValueError("scenario has no world checkpoint; serialize only "

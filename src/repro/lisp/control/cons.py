@@ -20,6 +20,11 @@ from repro.net.addresses import IPv4Address
 from repro.sim import EXPIRED
 
 
+#: CDRs are numbered by integer offset from here: every tree level starts
+#: on a fresh /24, ten addresses in.
+_CDR_BLOCK = int(IPv4Address("203.0.114.0"))
+
+
 @dataclass
 class _ConsEnvelope:
     """A Map-Request or Map-Reply travelling the CONS tree."""
@@ -94,13 +99,14 @@ class ConsMappingSystem(MappingSystem):
             self._tree_by_address[car.address] = car
             level.append(car)
         depth = 0
+        block = _CDR_BLOCK
         num_providers = len(self.topology.providers)
         while len(level) > 1:
             depth += 1
             next_level = []
             for start in range(0, len(level), self.branching):
                 group = level[start:start + self.branching]
-                address = IPv4Address(f"203.0.{113 + depth}.{10 + len(next_level)}")
+                address = IPv4Address(block + 10 + len(next_level))
                 host = self.topology.attach_infra_host(
                     self._cdr_count % num_providers, f"cdr-d{depth}-{len(next_level)}",
                     address)
@@ -112,6 +118,11 @@ class ConsMappingSystem(MappingSystem):
                     cdr.children.append(child)
                 self._tree_by_address[address] = cdr
                 next_level.append(cdr)
+            # The next level starts on the /24 after this one's last CDR:
+            # 203.0.{113+depth}.{10+i} while a level has at most 246 CDRs
+            # (984 sites at the default branching), and a level wider
+            # than that simply runs on into the following /24s.
+            block += -(-(10 + len(next_level)) // 256) * 256
             level = next_level
         self.tree_depth = depth
         self.topology.install_global_routes()

@@ -26,10 +26,14 @@ class MapCache:
     after their record TTL (overridable), and expiry is detected lazily.
     """
 
-    def __init__(self, sim, name="map-cache", ttl_override=None):
+    def __init__(self, sim, name="map-cache", ttl_override=None, owner=None):
         self.sim = sim
         self.name = name
         self.ttl_override = ttl_override
+        #: The journaled component this cache is part of (its xTR),
+        #: touched before every mutation — counting a lookup and lazily
+        #: expiring an entry included.
+        self._owner = owner
         self._fib = Fib()
         self.hits = 0
         self.misses = 0
@@ -43,6 +47,9 @@ class MapCache:
         override, then the record's own TTL.  ``float('inf')`` makes the
         entry permanent (NERD's pushed database uses this).
         """
+        owner = self._owner
+        if owner is not None and owner._journal is not None:
+            owner._touch()
         if ttl is None:
             ttl = self.ttl_override if self.ttl_override is not None else mapping.ttl
         slot = _CacheSlot(mapping, self.sim.now + ttl, self.sim.now, origin)
@@ -52,6 +59,9 @@ class MapCache:
 
     def lookup(self, eid):
         """The live mapping covering *eid*, or None (counts hits/misses)."""
+        owner = self._owner
+        if owner is not None and owner._journal is not None:
+            owner._touch()
         slot = self._live_slot(eid)
         if slot is None:
             self.misses += 1
@@ -70,6 +80,9 @@ class MapCache:
             return None
         slot = entry.interface
         if slot.expires <= self.sim.now:
+            owner = self._owner
+            if owner is not None and owner._journal is not None:
+                owner._touch()
             self._fib.remove(entry.prefix)
             self.expirations += 1
             return None
@@ -90,7 +103,7 @@ class MapCache:
         return self.hits / total if total else 0.0
 
     #: Construction-time config (owning sim, trace label, TTL policy).
-    _SNAPSHOT_EXEMPT = ("sim", "name", "ttl_override")
+    _SNAPSHOT_EXEMPT = ("sim", "name", "ttl_override", "_owner")
 
     def snapshot_state(self):
         return (self._fib.snapshot_state(), self.hits, self.misses,

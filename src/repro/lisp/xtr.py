@@ -18,6 +18,7 @@ from repro.lisp.headers import decapsulate, encapsulate
 from repro.lisp.map_cache import MapCache
 from repro.lisp.policies import mark_fate
 from repro.net.addresses import IPv4Prefix
+from repro.sim.state import Journaled
 
 from repro.lisp import EID_SPACE, LISP_DATA_PORT
 
@@ -25,7 +26,7 @@ from repro.lisp import EID_SPACE, LISP_DATA_PORT
 GLEANING_TTL = 60.0
 
 
-class TunnelRouter:
+class TunnelRouter(Journaled):
     """xTR service bound to a border-router node."""
 
     def __init__(self, sim, node, site, miss_policy, mapping_system=None,
@@ -41,7 +42,7 @@ class TunnelRouter:
         #: locators are skipped at encapsulation time (failover).
         self.rloc_liveness = None
         self.map_cache = MapCache(sim, name=f"{node.name}-map-cache",
-                                  ttl_override=cache_ttl_override)
+                                  ttl_override=cache_ttl_override, owner=self)
         self.decap_listeners = []
         self.encapsulated = 0
         self.decapsulated = 0
@@ -86,6 +87,8 @@ class TunnelRouter:
         self._maybe_resolve(eid)
 
     def encapsulate_and_send(self, packet, mapping):
+        if self._journal is not None:
+            self._touch()
         rloc_entry = mapping.best_rloc(liveness=self.rloc_liveness)
         if rloc_entry is None:
             self.no_rloc_drops += 1
@@ -122,6 +125,8 @@ class TunnelRouter:
         key = self._resolution_key(eid)
         if key in self._pending:
             return
+        if self._journal is not None:
+            self._touch()
         self._pending[key] = True
         self.resolutions_started += 1
 
@@ -158,6 +163,8 @@ class TunnelRouter:
             inner, outer_ip, _lisp = decapsulate(packet)
         except ValueError:
             return
+        if self._journal is not None:
+            self._touch()
         self.decapsulated += 1
         destination = inner.ip.dst
         if not self.site.eid_prefix.contains(destination):

@@ -53,15 +53,19 @@ class Fib:
     'if0'
     """
 
-    def __init__(self):
+    def __init__(self, owner=None):
+        #: The journaled component this table is part of (a node's FIB
+        #: knows its node), touched before every mutation so a route
+        #: inserted from outside the node is still undone by a restore.
+        self._owner = owner
         #: prefix length -> {network value: entry}; no empty tables.
         self._tables = {}
         #: ``(mask, table)`` of every populated length, longest first: the
         #: order :meth:`lookup` probes in.  Rebuilt when a length appears
         #: or its last route goes.
         self._probes = ()
-        #: Bumped on every mutation; lets checkpoint restores skip tables
-        #: that were never touched (provider FIBs during a workload run).
+        #: Bumped on every mutation; lets the restore of a dirty owner
+        #: skip a table that never changed (a provider a packet crossed).
         self.version = 0
         #: ``address value -> entry`` (None for a miss) of every destination
         #: looked up since the last mutation.  Created on first lookup and
@@ -80,6 +84,9 @@ class Fib:
 
     def insert(self, entry):
         """Insert *entry*, replacing any existing entry for the same prefix."""
+        owner = self._owner
+        if owner is not None and owner._journal is not None:
+            owner._touch()
         prefix = entry.prefix
         table = self._tables.get(prefix._length)
         if table is None:
@@ -102,8 +109,12 @@ class Fib:
         """
         prefix = IPv4Prefix(prefix)
         table = self._tables.get(prefix._length)
-        entry = table.pop(prefix._network, None) if table is not None else None
+        entry = table.get(prefix._network) if table is not None else None
         if entry is not None:
+            owner = self._owner
+            if owner is not None and owner._journal is not None:
+                owner._touch()
+            del table[prefix._network]
             if not table:
                 del self._tables[prefix._length]
                 self._reorder()
@@ -143,10 +154,16 @@ class Fib:
                        for entry in table.values()), key=_prefix_order)
 
     def clear(self):
+        owner = self._owner
+        if owner is not None and owner._journal is not None:
+            owner._touch()
         self._tables = {}
         self._probes = ()
         self.version += 1
         self._memo = None
+
+    #: Construction-time wiring: whose state this table is part of.
+    _SNAPSHOT_EXEMPT = ("_owner",)
 
     def snapshot_state(self):
         """Checkpoint: the mutation version plus the full entry list."""

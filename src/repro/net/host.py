@@ -89,6 +89,8 @@ class Host(Node):
 
     @address.setter
     def address(self, value):
+        if self._journal is not None:
+            self._touch()
         self._address = IPv4Address(value)
         self.add_address(self._address)
 
@@ -96,6 +98,8 @@ class Host(Node):
 
     def ephemeral_port(self):
         """Allocate the next ephemeral port (wraps within the IANA range)."""
+        if self._journal is not None:
+            self._touch()
         port = self._next_ephemeral
         self._next_ephemeral += 1
         if self._next_ephemeral > 65535:

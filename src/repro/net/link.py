@@ -43,6 +43,8 @@ fluid-chunk contract.
 
 from collections import defaultdict, deque
 
+from repro.sim.state import Journaled
+
 
 def _empty_window():
     """Fresh utilization-window cell (module-level so worlds stay picklable)."""
@@ -256,18 +258,6 @@ class LinkStats:
                 {index: (busy, volume)
                  for index, (busy, volume) in self.windows.items()})
 
-    def untouched_since(self, state):
-        """True when no ledger moved since *state* was captured.
-
-        ``bytes_offered`` (seventh in the checkpoint tuple) is the stamp:
-        every packet and fluid chunk increments it before any other ledger
-        (the fluid pump's per-flow account writes follow its own
-        ``post_fluid`` call), so a new ledger write must come after one too.
-        ``Scenario.byte_accounting`` reads the same stamp against zero and
-        skips the link's ledgers altogether.
-        """
-        return self.bytes_offered == state[6]
-
     def restore_state(self, state):
         (self.tx_packets, self.tx_bytes, self.fluid_bytes, self.drops,
          self.max_queue, self.busy_time, self.bytes_offered,
@@ -281,7 +271,7 @@ class LinkStats:
                                     for index, (busy, volume) in windows.items()})
 
 
-class Link:
+class Link(Journaled):
     """A simplex link from ``src_interface`` to ``dst_interface``.
 
     Parameters
@@ -316,10 +306,21 @@ class Link:
         self.stats = LinkStats(window_width=util_window)
         self._queue = deque()
         self._busy = False
-        self.up = True
+        self._up = True
 
     def __str__(self):
         return self.name
+
+    @property
+    def up(self):
+        """False while the link is failed: everything offered is dropped."""
+        return self._up
+
+    @up.setter
+    def up(self, value):
+        if self._journal is not None:
+            self._touch()
+        self._up = value
 
     def send(self, packet):
         """Accept *packet* for transmission; returns False on a drop.
@@ -329,6 +330,8 @@ class Link:
         rate-less link, through the queue and the serialisation-done
         callback on a rated one.
         """
+        if self._journal is not None:
+            self._touch()
         size = packet.size_bytes
         # Flow id and probe live on the innermost packet, so LISP
         # encapsulation is transparent to the per-flow ledgers.
@@ -339,7 +342,7 @@ class Link:
         stats.bytes_offered += size
         if flow_id is not None:
             stats.flows[flow_id].offered += size
-        if not self.up:
+        if not self._up:
             self._drop(size, flow_id)
             self.sim.trace.record(self.sim.now, self.name, "link.drop", reason="down",
                                   uid=packet.uid)
@@ -376,7 +379,7 @@ class Link:
 
     def _transmit(self, packet, size, flow_id, probe):
         # Rated links only: send() delivers straight from a rate-less one.
-        self._busy = True
+        self._busy = True  # repro: allow=SNAP03  (send() touched)
         tx_time = size * 8.0 / self.rate_bps
         stats = self.stats
         stats.busy_time += tx_time
@@ -389,12 +392,12 @@ class Link:
         # Propagation starts once the last bit is on the wire.
         self.sim.call_in(self.delay, self._deliver, packet, size, flow_id, probe)
         if self._queue:
-            self._transmit(*self._queue.popleft())
+            self._transmit(*self._queue.popleft())  # repro: allow=SNAP03  (send() touched)
         else:
             self._busy = False
 
     def _deliver(self, packet, size, flow_id, probe):
-        if not self.up:
+        if not self._up:
             self._drop(size, flow_id)
             return
         stats = self.stats
@@ -423,9 +426,11 @@ class Link:
         path group's bytes in one call with ``flow_id=None`` and splits
         the result over the group's per-flow accounts itself.
         """
+        if self._journal is not None:
+            self._touch()
         stats = self.stats
         stats.bytes_offered += size
-        if not self.up:
+        if not self._up:
             delivered = 0
         elif self.rate_bps is None:
             # Infinite rate: grant everything, book volume only (inlined
@@ -451,13 +456,12 @@ class Link:
                         "rate_bps", "queue_capacity", "name")
 
     def snapshot_state(self):
-        return (self.up, self._busy, self.stats.snapshot_state())
+        return (self._up, self._busy, self.stats.snapshot_state())
 
     def restore_state(self, state):
-        self.up, self._busy, stats_state = state
+        self._up, self._busy, stats_state = state
         self._queue.clear()
-        if not self.stats.untouched_since(stats_state):
-            self.stats.restore_state(stats_state)
+        self.stats.restore_state(stats_state)
 
 
 def connect(sim, iface_a, iface_b, delay=0.001, rate_bps=None, queue_capacity=1000,

@@ -11,7 +11,7 @@ from repro.net.addresses import IPv4Address
 from repro.net.errors import NoRouteError, PortInUseError
 from repro.net.fib import Fib
 from repro.net.packet import PROTO_UDP, udp_packet
-from repro.sim.state import restore_attrs, snapshot_attrs
+from repro.sim.state import Journaled, restore_attrs, snapshot_attrs
 
 
 class Interface:
@@ -28,6 +28,17 @@ class Interface:
     def attach_link(self, link):
         self.link = link
 
+    def __getstate__(self):
+        # The link is left out: pickle would otherwise recurse link ->
+        # interface -> node -> link along the topology and outrun the
+        # stack on a few hundred sites.  Derived wiring, re-attached from
+        # the world's link table (``Scenario.__setstate__``).
+        return (self.node, self.name, self.address)
+
+    def __setstate__(self, state):
+        self.node, self.name, self.address = state
+        self.link = None
+
     @property
     def peer(self):
         """The interface at the other end of the attached link."""
@@ -37,14 +48,14 @@ class Interface:
         return self.name
 
 
-class Node:
+class Node(Journaled):
     """A network element with interfaces, a FIB, and protocol handlers."""
 
     def __init__(self, sim, name):
         self.sim = sim
         self.name = name
         self.interfaces = {}
-        self.fib = Fib()
+        self.fib = Fib(owner=self)
         self.extra_addresses = set()
         #: Integer values of :meth:`addresses` — what :meth:`is_local`
         #: tests, once per received packet.  Kept in step by
@@ -54,9 +65,10 @@ class Node:
         self._proto_handlers = {}
         self._udp_ports = {}
         self.forward_taps = []
-        #: Bumped by every registration method below; lets checkpoint
-        #: restores reset only the counters of a node whose addresses,
-        #: services, handlers and taps a run never touched.
+        #: Bumped by every registration method below; lets the restore of
+        #: a dirty node reset only its counters when its addresses,
+        #: services, handlers and taps never moved (the usual case: a
+        #: node a packet merely crossed).
         self._wiring_version = 0
         self.rx_packets = 0
         self.tx_packets = 0
@@ -84,6 +96,8 @@ class Node:
 
     def add_address(self, address):
         """Register an additional local address (e.g. a loopback/service IP)."""
+        if self._journal is not None:
+            self._touch()
         address = IPv4Address(address)
         self.extra_addresses.add(address)
         self._local_values.add(address._value)
@@ -115,12 +129,16 @@ class Node:
 
     def register_service(self, name, service):
         """Attach a named service object for later lookup."""
+        if self._journal is not None:
+            self._touch()
         self.services[name] = service
         self._wiring_version += 1
         return service
 
     def register_protocol(self, proto, handler):
         """Handle locally-delivered packets of IP protocol *proto*."""
+        if self._journal is not None:
+            self._touch()
         self._proto_handlers[proto] = handler
         self._wiring_version += 1
 
@@ -131,10 +149,14 @@ class Node:
         """
         if port in self._udp_ports:
             raise PortInUseError(f"{self.name} UDP port {port} already bound")
+        if self._journal is not None:
+            self._touch()
         self._udp_ports[port] = handler
         self._wiring_version += 1
 
     def unbind_udp(self, port):
+        if self._journal is not None:
+            self._touch()
         self._udp_ports.pop(port, None)
         self._wiring_version += 1
 
@@ -145,6 +167,8 @@ class Node:
         This is how the PCE observes DNS traffic transiting through it
         without being the packet's IP destination (Steps 2-6 of Fig. 1).
         """
+        if self._journal is not None:
+            self._touch()
         self.forward_taps.append(tap)
         self._wiring_version += 1
 
@@ -154,6 +178,8 @@ class Node:
 
     def receive(self, packet, interface=None):
         """Entry point for packets arriving from a link (or injected)."""
+        if self._journal is not None:
+            self._touch()
         self.rx_packets += 1
         ip = packet.ip
         if ip is None:
@@ -177,6 +203,8 @@ class Node:
         if handler is not None:
             handler(packet, self)
             return
+        if self._journal is not None:
+            self._touch()
         self.dropped_packets += 1
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.name, "node.unclaimed",
@@ -184,6 +212,8 @@ class Node:
 
     def forward(self, packet, interface=None):
         """Base nodes do not forward; see :class:`~repro.net.router.Router`."""
+        if self._journal is not None:
+            self._touch()
         self.dropped_packets += 1
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.name, "node.no-forward",
@@ -198,6 +228,8 @@ class Node:
 
         Returns True if the packet was accepted by a link.
         """
+        if self._journal is not None:
+            self._touch()
         ip = packet.ip
         if ip is None:
             raise ValueError("packet has no IP header")
@@ -229,7 +261,7 @@ class Node:
 
     #: What the registration methods mutate, stamped by ``_wiring_version``:
     #: restored only when the stamp moved since the checkpoint.  A new
-    #: mutator of any of these must bump the stamp.
+    #: mutator of any of these must bump the stamp (after its ``_touch()``).
     _wiring_attrs = ("extra_addresses", "services", "_proto_handlers",
                      "_udp_ports", "forward_taps")
 

@@ -13,6 +13,7 @@ class Router(Node):
     """
 
     def forward(self, packet, interface=None):
+        # Reached through Node.receive, which touched the journal.
         ip = packet.ip
         if ip.ttl <= 1:
             self.dropped_packets += 1

@@ -20,6 +20,7 @@ from typing import Optional
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, TCP_ACK, TCP_SYN, tcp_packet, udp_packet
 from repro.sim import EXPIRED
+from repro.sim.state import Journaled
 
 #: Classic initial TCP retransmission timeout (RFC 1122 era: 1 second was
 #: common in 2008-vintage stacks; RFC 6298 later said 1 s as well).
@@ -106,7 +107,7 @@ class FlowRecord:
         return self.packets_sent - self.packets_delivered
 
 
-class TcpStack:
+class TcpStack(Journaled):
     """Per-host TCP service: listeners answer SYNs, clients track connects."""
 
     def __init__(self, sim, host):
@@ -121,12 +122,16 @@ class TcpStack:
 
     def listen(self, port):
         """Accept connections on *port* (responder role)."""
+        if self._journal is not None:
+            self._touch()
         self._listeners[port] = True
 
     def _on_segment(self, packet, _node):
         header = packet.tcp
         if header is None:
             return
+        if self._journal is not None:
+            self._touch()
         self.segments_received += 1
         if header.is_syn and header.dport in self._listeners:
             reply = tcp_packet(packet.ip.dst, packet.ip.src, header.dport, header.sport,
@@ -143,6 +148,8 @@ class TcpStack:
 
     def connect(self, destination, dport, rto=DEFAULT_RTO, max_retries=5):
         """Process: three-way handshake; returns (elapsed, syn_retries) or None."""
+        if self._journal is not None:
+            self._touch()
         sim = self.sim
         sport = self.host.ephemeral_port()
 
@@ -179,7 +186,7 @@ class TcpStack:
         self._pending.clear()
 
 
-class UdpSink:
+class UdpSink(Journaled):
     """Counts datagrams per flow id on one UDP port.
 
     Fluid flows deliver almost all of their bytes without datagrams:
@@ -201,6 +208,8 @@ class UdpSink:
         host.bind_udp(port, self._on_datagram)
 
     def _on_datagram(self, packet, _node):
+        if self._journal is not None:
+            self._touch()
         self.received += 1
         self.bytes += packet.size_bytes
         self.arrival_times.append(self.sim.now)
@@ -215,6 +224,8 @@ class UdpSink:
 
     def credit_fluid(self, flow_id, size):
         """Book *size* fluid wire bytes arriving for *flow_id*."""
+        if self._journal is not None:
+            self._touch()
         self.bytes += size
         self.fluid_bytes += size
         self.fluid_by_flow[flow_id] += size

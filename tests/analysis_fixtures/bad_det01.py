@@ -12,3 +12,15 @@ GENERATOR = random.Random()
 
 def worst_order(items):
     return sorted(items, key=id)
+
+
+class KeepsItsStream:
+    def __init__(self, sim, site):
+        self.noise = sim.rng.stream("noise")
+        streams = sim.rng
+        jitter = streams.stream(f"jitter-{site}")
+        self.jitter = jitter
+        self.name = f"jitter-{site}"
+
+    def draw(self, sim):
+        return sim.rng.stream(self.name).random()

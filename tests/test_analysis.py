@@ -48,6 +48,26 @@ def test_snap02_flags_written_key_never_read():
     assert "never reads" in finding.message
 
 
+def test_snap03_flags_writes_that_precede_the_touch():
+    findings = findings_for("bad_snap03.py", rules=["SNAP03"])
+    # Nothing in TouchesFirst (lines 4-33): touch, guarded touch, pragma,
+    # exempt attribute and restore_state all pass.
+    assert locations(findings) == [
+        ("SNAP03", 44),   # count += 1, then _touch()
+        ("SNAP03", 48),   # seen.append, never touched
+        ("SNAP03", 52),   # table[key] = ..., never touched
+        ("SNAP03", 55),   # del table[key], never touched
+    ]
+    assert "ForgetsToTouch.bump writes self.count before" in findings[0].message
+    assert "ForgetsToTouch.remember writes self.seen without" in findings[1].message
+    assert "allow=SNAP03" in findings[0].hint
+
+
+def test_snap03_ignores_classes_that_never_touch():
+    # SNAP01's fixture writes to self all over and is not journaled.
+    assert findings_for("bad_snap01.py", rules=["SNAP03"]) == []
+
+
 def test_det01_flags_every_entropy_source():
     findings = findings_for("bad_det01.py")
     assert locations(findings) == [
@@ -56,11 +76,16 @@ def test_det01_flags_every_entropy_source():
         ("DET01", 9),    # uuid.uuid4()
         ("DET01", 10),   # argless random.Random() — OS-seeded
         ("DET01", 14),   # sorted(..., key=id)
+        ("DET01", 19),   # self.noise = sim.rng.stream(...)
+        ("DET01", 22),   # ... and through two locals; fetching to draw is fine
     ]
     messages = [finding.message for finding in findings]
     assert "random.random" in messages[0]
     assert "time.time" in messages[1]
     assert "id() used as a sort key" in messages[4]
+    assert "random stream stored on self.noise" in messages[5]
+    assert "self.jitter" in messages[6]
+    assert "where the draw happens" in findings[6].hint
 
 
 def test_det02_flags_set_order_leaks():
@@ -160,7 +185,7 @@ def test_cli_missing_path_is_usage_error(capsys):
 def test_cli_list_rules(capsys):
     assert analyze_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SNAP01", "SNAP02", "DET01", "DET02", "PER01"):
+    for rule_id in ("SNAP01", "SNAP02", "SNAP03", "DET01", "DET02", "PER01"):
         assert rule_id in out
 
 

@@ -1,5 +1,12 @@
 """Tests for the baseline mapping systems: ALT, CONS, NERD."""
 
+import gc
+
+import pytest
+
+from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.workload import WorkloadConfig, run_workload
+from repro.experiments.worldbuild import build_world
 from repro.lisp.control import (
     AltMappingSystem,
     ConsMappingSystem,
@@ -151,6 +158,41 @@ def test_cons_state_is_tree_degree():
     entries = system.state_entries_per_router()
     # Interior CDRs hold children + parent; far less than total sites.
     assert all(count <= 3 for name, count in entries.items() if name.startswith("cdr"))
+
+
+def _cdr_addresses(system):
+    return {node.name: address
+            for address, node in system._tree_by_address.items()
+            if node.site is None}
+
+
+def test_cons_cdr_addresses_are_the_ones_small_trees_always_had():
+    _sim, _topology, system, _policy, _xtrs = make_world("cons", num_sites=6,
+                                                         branching=2)
+    assert _cdr_addresses(system) == {
+        f"cdr-d{depth}-{index}": IPv4Address(f"203.0.{113 + depth}.{10 + index}")
+        for depth, width in ((1, 3), (2, 2), (3, 1))
+        for index in range(width)}
+
+
+@pytest.mark.parametrize("num_sites", (985, 2000))
+def test_cons_tree_level_wider_than_a_slash_24_builds(num_sites):
+    """More than 246 CDRs on one level used to format 203.0.114.256."""
+    world = build_world(ScenarioConfig(control_plane="cons", topology="tiered",
+                                       num_sites=num_sites, tracing=False))
+    addresses = _cdr_addresses(world.mapping_system)
+    assert len(set(addresses.values())) == len(addresses) > num_sites // 4
+    # The first 246 of a level keep the old numbering; the rest run on.
+    assert addresses["cdr-d1-245"] == IPv4Address("203.0.114.255")
+    assert addresses["cdr-d1-246"] == IPv4Address("203.0.115.0")
+    assert addresses["cdr-d2-0"] > max(
+        address for name, address in addresses.items()
+        if name.startswith("cdr-d1-"))
+    records = run_workload(world, WorkloadConfig(num_flows=5))
+    assert not any(record.failed for record in records)
+    assert world.mapping_system.stats.resolution_failures == 0
+    del world
+    gc.collect()    # a bare-built world is its builder's to collect
 
 
 # --------------------------------------------------------------------------- #

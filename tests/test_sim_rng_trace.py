@@ -40,6 +40,32 @@ def test_clone_reads_ahead_without_advancing_the_stream():
     assert [stream.expovariate(3.0) for _ in range(1000)] == ahead
 
 
+def test_rollback_resets_handed_out_streams_and_only_those():
+    streams = RandomStreams(5)
+    used = streams.stream("used")
+    idle = streams.stream("idle")
+    used.random()
+    streams.checkpoint()
+    pristine = streams.snapshot_state()
+
+    draws = [streams.stream("used").random() for _ in range(3)]
+    late = streams.stream("late").random()      # created since the checkpoint
+    assert set(streams._handed_out) == {"used", "late"}
+    idle_state = idle.getstate()
+    idle.setstate(RandomStreams(6).stream("idle").getstate())  # behind its back
+
+    streams.rollback()
+    assert streams._handed_out == {}
+    assert streams.names() == ["idle", "used"]      # "late" is re-derived
+    assert streams.stream("used") is used
+    assert [used.random() for _ in range(3)] == draws
+    assert streams.stream("late").random() == late
+    # A stream nobody was handed is not visited: the hand-out is the journal.
+    assert idle.getstate() != idle_state
+    streams.rollback()
+    assert streams.snapshot_state()["used"] == pristine["used"]
+
+
 def test_fork_produces_independent_universe():
     base = RandomStreams(9)
     fork_a = base.fork("rep1")

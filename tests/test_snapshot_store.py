@@ -7,6 +7,7 @@ from must be invisible in the results: fresh-built, reset-in-place and
 blob-restored worlds produce byte-identical sweep digests.
 """
 
+import gc
 import json
 import os
 import pickle
@@ -18,7 +19,7 @@ from test_sweep import cell_sim_events
 
 from repro.cli import main
 
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.experiments.sweep import (SweepGrid, distinct_world_configs,
                                      expand_grid, payload_digest,
                                      prebuild_worlds, run_cell, run_sweep)
@@ -28,6 +29,8 @@ from repro.experiments.worldbuild import (SNAPSHOT_MAGIC, SnapshotError,
                                           build_world, deserialize_world,
                                           serialize_world,
                                           snapshot_fingerprint, world_key)
+from repro.experiments.workload import WorkloadConfig, run_workload
+from repro.net.topogen import TopologySpec
 
 CONFIG = ScenarioConfig(control_plane="pce", num_sites=3, seed=5,
                         tracing=False)
@@ -403,20 +406,76 @@ def test_blob_is_pure_bytes_and_worlds_are_independent():
 
 
 # --------------------------------------------------------------------- #
-# Worlds too deep to pickle fail with a message, not a traceback
+# Deep worlds travel as blobs
+# --------------------------------------------------------------------- #
+#
+# Pickle used to recurse link -> interface -> node -> link along the
+# topology and ran out of stack on tiered worlds of 263+ sites.
+# Interfaces now pickle without their link and the scenario re-attaches
+# them from its link table, so the depth no longer follows the topology.
+
+#: The twelve-IX layout of SNIPPETS.md snippet 1: a four-member clique,
+#: eight tier-1 and twenty-four tier-2 transits.
+TWELVE_IX = TopologySpec(family="tiered", num_sites=1000, num_ixps=12,
+                         tier0=4, tier1=8, tier2=24)
+
+
+@pytest.mark.parametrize("topology,sites", (("tiered", 300), ("caida", 500)))
+def test_deep_worlds_round_trip_record_for_record(topology, sites):
+    config = ScenarioConfig(control_plane="pce", topology=topology,
+                            num_sites=sites, seed=1, tracing=False)
+    world = build_world(config)
+    twin = deserialize_world(serialize_world(world), config)
+    # The links the interfaces pickled without are back, each on its own
+    # sending interface, in the order the original walks them.
+    assert [link.name for link in twin.iter_links()] == \
+        [link.name for link in world.iter_links()]
+    assert all(link.src_interface.link is link for link in twin.iter_links())
+    flows = WorkloadConfig(num_flows=10)
+    assert run_workload(twin, flows) == run_workload(world, flows)
+    assert twin.sim.processed_events == world.sim.processed_events
+    del world, twin
+    gc.collect()    # bare-built worlds are their builder's to collect
+
+
+def test_thousand_site_twelve_ix_world_serializes():
+    config = ScenarioConfig(control_plane="pce", topology=TWELVE_IX, seed=1,
+                            tracing=False)
+    world = build_world(config)
+    assert len(world.topology.sites) == 1000
+    blob = serialize_world(world)
+    assert worldbuild.validate_blob(blob, config)["key"] == world_key(config)
+    del world
+    gc.collect()
+
+
+# --------------------------------------------------------------------- #
+# A world pickle cannot carry fails with a message, not a traceback
 # --------------------------------------------------------------------- #
 
-#: Smallest default tiered world whose pickle outruns the interpreter's
-#: recursion limit (262 sites still serializes under a bare interpreter).  Flattening link pickling
-#: so such worlds *do* serialize is a later change; this pins the error.
-DEEP_SITES = 263
+#: Any size will do: the recursion limit is reached by the fixture below,
+#: no longer by a world this suite can afford to build.
+DEEP_SITES = 6
 
 DEEP_GRID = SweepGrid(name="deep", control_planes=("pce", "alt"),
                       topologies=("tiered",), site_counts=(DEEP_SITES,),
                       seeds=(1,), zipf_values=(1.0,), num_flows=2)
 
 
-def test_deep_world_serialization_raises_snapshot_error():
+@pytest.fixture
+def shallow_stack(monkeypatch):
+    """Pickling a world runs out of stack (fork workers inherit the patch)."""
+    dumps = pickle.dumps
+
+    def out_of_stack(obj, *args, **kwargs):
+        if isinstance(obj, Scenario):
+            raise RecursionError("maximum recursion depth exceeded")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(worldbuild.pickle, "dumps", out_of_stack)
+
+
+def test_deep_world_serialization_raises_snapshot_error(shallow_stack):
     config = ScenarioConfig(control_plane="pce", topology="tiered",
                             num_sites=DEEP_SITES, seed=1, tracing=False)
     world = build_world(config)
@@ -435,14 +494,15 @@ def test_snapshot_error_survives_pickling():
     assert clone.reason == error.reason
 
 
-def test_prebuild_pool_surfaces_deep_world_message(tmp_path):
+def test_prebuild_pool_surfaces_deep_world_message(tmp_path, shallow_stack):
     store = SnapshotStore(str(tmp_path))
     with pytest.raises(SnapshotError, match=r"^invalid world snapshot "
                        r"\(world graph too deep to pickle\): tiered world"):
         prebuild_worlds(store, expand_grid(DEEP_GRID), workers=2, live=False)
 
 
-def test_cli_sweep_reports_deep_world_without_traceback(tmp_path, capsys):
+def test_cli_sweep_reports_deep_world_without_traceback(tmp_path, capsys,
+                                                        shallow_stack):
     code = main(["sweep", "--preset", "smoke", "--control-planes", "pce",
                  "--topologies", "tiered", "--sites", str(DEEP_SITES),
                  "--seeds", "1", "--flows", "2",

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import pickle
 import weakref
 from dataclasses import replace
 
@@ -12,10 +13,13 @@ from repro.experiments.sweep import (SweepGrid, _apply_failures, _build_blob,
                                      expand_grid, iter_jsonl, payload_digest,
                                      run_cell, run_sweep)
 from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.experiments.worldbuild import (SnapshotError, SnapshotStore,
-                                          build_world, deserialize_world,
-                                          restore_world, serialize_world,
-                                          world_key)
+from repro.experiments.worldbuild import (SNAPSHOT_MAGIC, SnapshotError,
+                                          SnapshotStore, build_world,
+                                          deserialize_world, restore_world,
+                                          serialize_world, world_key)
+from repro.lisp.mappings import MappingRecord, RlocEntry
+from repro.net.addresses import IPv4Prefix
+from repro.net.fib import FibEntry
 from repro.net.packet import udp_packet
 from repro.net.routing import (HierarchicalRoutingPlan, TierLayout,
                                build_adjacency, install_mesh_routes,
@@ -557,23 +561,51 @@ def test_topology_axis_sweep_digest_matches_across_workers():
 
 
 # --------------------------------------------------------------------- #
-# Restore completeness: the safety net under the version-stamp skips
+# Restore completeness: the safety net under the first-touch journal
 # --------------------------------------------------------------------- #
 #
-# restore_world skips state whose stamp did not move (Fib.version, the
-# Node wiring version, LinkStats.bytes_offered).  A mutator that forgets
-# its stamp would leave one run's state in the next; this oracle compares
-# every component against its checkpoint after a run and a restore.
+# restore_world puts back the singletons and the journal's dirty list and
+# visits nothing else, so a mutator that forgets its _touch() would leave
+# one run's state in the next.  The oracle is independent of the journal:
+# an eager snapshot_state() of the whole inventory, taken by the test
+# right after the build, that every component is compared against after a
+# run (what moved must be on the dirty list) and after the restore
+# (nothing may differ).
 
-def _dirty_components(scenario):
-    return [component for component, state in scenario.world_checkpoint
+def _build_with_oracle(config):
+    scenario = build_world(config)
+    return scenario, [(component, component.snapshot_state())
+                      for component in scenario.stateful_components()]
+
+
+def _dirty_components(oracle):
+    return [component for component, state in oracle
             if component.snapshot_state() != state]
 
 
-def _lifecycle_cell(control_plane, topology, pacing, **grid_kwargs):
+def _unjournaled(scenario, oracle):
+    """Components that moved but that a restore would not visit."""
+    journal = scenario.world_checkpoint
+    rng = scenario.sim.rng
+    visited = {id(component) for component in journal.dirty}
+    visited.update(id(component) for component, _state in journal.singletons)
+    visited.add(id(rng))    # journals itself, stream by stream: see below
+    missed = [component for component, state in oracle
+              if id(component) not in visited
+              and component.snapshot_state() != state]
+    pristine_streams = dict(oracle)[rng]
+    missed.extend(
+        f"stream {name}" for name, state in rng.snapshot_state().items()
+        if state != pristine_streams.get(name)
+        and name not in rng._handed_out)
+    return missed
+
+
+def _lifecycle_cell(control_plane, topology, pacing, sites=6, flows=10,
+                    **grid_kwargs):
     grid = SweepGrid(control_planes=(control_plane,), topologies=(topology,),
-                     site_counts=(6,), seeds=(17,), size_dists=("pareto",),
-                     pacings=(pacing,), num_flows=10, arrival_rate=10.0,
+                     site_counts=(sites,), seeds=(17,), size_dists=("pareto",),
+                     pacings=(pacing,), num_flows=flows, arrival_rate=10.0,
                      packets_per_flow=5,
                      scenario_overrides={"access_rate_bps": 10_000_000.0},
                      workload_overrides={"pace_rate_bps": 2_000_000.0,
@@ -583,10 +615,13 @@ def _lifecycle_cell(control_plane, topology, pacing, **grid_kwargs):
     return expand_grid(grid)[0]
 
 
-def _run_cell_on(scenario, cell):
-    assert _dirty_components(scenario) == []
+def _run_cell_on(scenario, oracle, cell):
+    assert _dirty_components(oracle) == []
     _apply_failures(scenario, cell.failure)
     run_workload(scenario, cell.workload)
+    # Whatever moved is somewhere a restore will look: a missing _touch()
+    # fails here, not three cells later.
+    assert _unjournaled(scenario, oracle) == []
 
 
 @pytest.mark.parametrize("pacing", ("constant", "shaped", "fluid"))
@@ -595,28 +630,29 @@ def _run_cell_on(scenario, cell):
 def test_restore_returns_every_component_to_its_checkpoint(
         control_plane, topology, pacing):
     cell = _lifecycle_cell(control_plane, topology, pacing)
-    scenario = build_world(cell.scenario)
-    _run_cell_on(scenario, cell)
-    dirtied = _dirty_components(scenario)
-    # The run really moved stamped state of every kind ...
+    scenario, oracle = _build_with_oracle(cell.scenario)
+    _run_cell_on(scenario, oracle, cell)
+    dirtied = _dirty_components(oracle)
+    # The run really moved journaled state of every kind ...
     kinds = {type(component).__name__ for component in dirtied}
     assert {"Link", "Router", "Host"} <= kinds, kinds
-    assert len(dirtied) > len(scenario.world_checkpoint) // 4
+    assert len(dirtied) > len(oracle) // 4
     # ... and the restore leaves nothing of it.
     restore_world(scenario)
-    assert _dirty_components(scenario) == []
+    assert _dirty_components(oracle) == []
+    assert scenario.world_checkpoint.dirty == []
 
 
 def test_restore_is_complete_after_links_fail_and_come_back():
     cell = _lifecycle_cell("pce", "flat", "shaped", fail_fractions=(1.0,),
                            fail_at=0.3, repair_at=0.8)
-    scenario = build_world(cell.scenario)
-    _run_cell_on(scenario, cell)
+    scenario, oracle = _build_with_oracle(cell.scenario)
+    _run_cell_on(scenario, oracle, cell)
     assert sum(link.stats.drops for link in scenario.iter_links()) > 0
     assert all(link.up for link in scenario.iter_links())   # repaired
-    assert _dirty_components(scenario)
+    assert _dirty_components(oracle)
     restore_world(scenario)
-    assert _dirty_components(scenario) == []
+    assert _dirty_components(oracle) == []
 
 
 def test_flows_cut_off_inside_the_pump_leave_nothing_behind():
@@ -629,7 +665,7 @@ def test_flows_cut_off_inside_the_pump_leave_nothing_behind():
     """
     cell = _lifecycle_cell("pce", "flat", "fluid")
     workload = replace(cell.workload, packets_per_flow=400, grace_period=0.5)
-    scenario = build_world(cell.scenario)
+    scenario, oracle = _build_with_oracle(cell.scenario)
     blob = serialize_world(scenario)
     expected = run_workload(scenario, workload)
     stranded = [record for record in expected
@@ -644,14 +680,19 @@ def test_flows_cut_off_inside_the_pump_leave_nothing_behind():
     restore_world(scenario)
     assert scenario.fluid_pump._lanes == {}
     assert scenario.sim.pending_foreground == 0
-    assert _dirty_components(scenario) == []
+    assert _dirty_components(oracle) == []
     assert run_workload(scenario, workload) == expected
 
     deserialized = deserialize_world(blob, cell.scenario)
-    assert _dirty_components(deserialized) == []
+    twin_oracle = [(component, component.snapshot_state())
+                   for component in deserialized.stateful_components()]
+    assert len(twin_oracle) == len(oracle)
     assert run_workload(deserialized, workload) == expected
+    assert _unjournaled(deserialized, twin_oracle) == []
     assert scenario.byte_accounting()["conserved"]
     assert deserialized.byte_accounting()["conserved"]
+    restore_world(deserialized)
+    assert _dirty_components(twin_oracle) == []
 
 
 def _ignore(_packet, _node):
@@ -668,6 +709,10 @@ def _packet_for(link):
                       4000, 4001, payload_bytes=100, meta={"flow_id": 7})
 
 
+def _fail(link):
+    link.up = False
+
+
 def _send_while_down(link):
     link.up = False
     link.send(_packet_for(link))
@@ -678,43 +723,192 @@ def _fluid_while_down(link):
     link.post_fluid(5000, 7, 0.1)
 
 
-#: Every mutator of version-stamped state, alone.  Real runs mask a
-#: forgotten stamp (sockets bind *and* unbind, packets cross a link both
-#: up and down), so each entry point is also driven by itself.
-_NODE_MUTATORS = {
-    "add_address": lambda node: node.add_address("203.0.113.9"),
-    "register_service": lambda node: node.register_service("extra", object()),
-    "register_protocol": lambda node: node.register_protocol(253, _ignore),
-    "bind_udp": lambda node: node.bind_udp(4242, _ignore),
-    "unbind_udp": lambda node: node.unbind_udp(_bound_port(node)),
-    "add_forward_tap": lambda node: node.add_forward_tap(_ignore),
+def _insert_route(node):
+    node.fib.insert(FibEntry(IPv4Prefix("198.51.100.0/24"),
+                             next(iter(node.interfaces.values()))))
+
+
+def _install_mapping(xtr):
+    xtr.install_mapping(MappingRecord(IPv4Prefix("100.99.0.0/16"),
+                                      (RlocEntry(xtr.rloc),), ttl=30.0))
+
+
+#: Every mutator of journaled state, alone.  Real runs mask a forgotten
+#: _touch() (sockets bind *and* unbind, a packet that crosses a link also
+#: crosses the nodes at its ends), so each entry point is also driven by
+#: itself: (which component of the world, what to do to it).
+_FIRST = {
+    "node": lambda scenario: next(
+        node for node in scenario.topology.all_nodes() if node._udp_ports),
+    "link": lambda scenario: next(scenario.iter_links()),
+    "xtr": lambda scenario: next(scenario.iter_xtrs()),
+    "sink": lambda scenario: next(iter(scenario.udp_sinks.values())),
+    "stack": lambda scenario: next(iter(scenario.tcp_stacks.values())),
+    "resolver": lambda scenario: next(iter(scenario.dns.resolvers.values())),
 }
-_LINK_MUTATORS = {
-    "send": lambda link: link.send(_packet_for(link)),
-    "send_while_down": _send_while_down,
-    "post_fluid": lambda link: link.post_fluid(5000, 7, 0.1),
-    "post_fluid_while_down": _fluid_while_down,
+_MUTATORS = {
+    "add_address": ("node", lambda node: node.add_address("203.0.113.9")),
+    "register_service": (
+        "node", lambda node: node.register_service("extra", object())),
+    "register_protocol": (
+        "node", lambda node: node.register_protocol(253, _ignore)),
+    "bind_udp": ("node", lambda node: node.bind_udp(4242, _ignore)),
+    "unbind_udp": ("node", lambda node: node.unbind_udp(_bound_port(node))),
+    "add_forward_tap": ("node", lambda node: node.add_forward_tap(_ignore)),
+    "fib_insert_from_outside": ("node", _insert_route),
+    "fib_remove_from_outside": (
+        "node", lambda node: node.fib.remove(node.fib.entries()[0].prefix)),
+    "send": ("link", lambda link: link.send(_packet_for(link))),
+    "up_setter": ("link", _fail),
+    "send_while_down": ("link", _send_while_down),
+    "post_fluid": ("link", lambda link: link.post_fluid(5000, 7, 0.1)),
+    "post_fluid_while_down": ("link", _fluid_while_down),
+    "map_cache_install": ("xtr", _install_mapping),
+    "map_cache_lookup": (
+        "xtr", lambda xtr: xtr.map_cache.lookup("100.99.1.1")),
+    "credit_fluid": ("sink", lambda sink: sink.credit_fluid(7, 5000)),
+    "tcp_listen": ("stack", lambda stack: stack.listen(8080)),
+    "resolver_cache_fill": (
+        "resolver", lambda resolver: resolver.resolve("nowhere.invalid.")),
 }
 
 
-@pytest.mark.parametrize("name", [*_NODE_MUTATORS, *_LINK_MUTATORS])
+@pytest.mark.parametrize("name", _MUTATORS)
 def test_each_stamped_mutator_alone_is_undone_by_restore(name):
-    scenario = build_world(ScenarioConfig(control_plane="pce", num_sites=3,
-                                          seed=5, tracing=False))
-    if name in _NODE_MUTATORS:
-        target = next(component for component, _ in scenario.world_checkpoint
-                      if getattr(component, "_udp_ports", None))
-        _NODE_MUTATORS[name](target)
-    else:
-        target = next(scenario.iter_links())
-        _LINK_MUTATORS[name](target)
+    scenario, oracle = _build_with_oracle(ScenarioConfig(
+        control_plane="pce", num_sites=3, seed=5, tracing=False))
+    kind, mutate = _MUTATORS[name]
+    target = _FIRST[kind](scenario)
+    mutate(target)
     # Mid-send the engine holds foreground events and cannot be compared;
     # the mutated component itself can.
-    assert target.snapshot_state() != next(
-        state for component, state in scenario.world_checkpoint
-        if component is target)
+    assert target.snapshot_state() != dict(oracle)[target]
+    assert target in scenario.world_checkpoint.dirty
+    if name == "resolver_cache_fill":
+        scenario.sim.run()      # the walk fails, and caches the failure
+        assert len(target.negative_cache) == 1
     restore_world(scenario)
-    assert _dirty_components(scenario) == []
+    assert _dirty_components(oracle) == []
+
+
+@pytest.mark.parametrize("kind", ("Link", "Node", "UdpSink", "TunnelRouter"))
+def test_a_mutator_that_forgets_to_touch_is_caught(kind, monkeypatch):
+    """The hand-made mutant: one class's _touch() does nothing."""
+    from repro.lisp.xtr import TunnelRouter
+    from repro.net.link import Link
+    from repro.net.node import Node
+    from repro.traffic.flows import UdpSink
+    mutant = {"Link": Link, "Node": Node, "UdpSink": UdpSink,
+              "TunnelRouter": TunnelRouter}[kind]
+    cell = _lifecycle_cell("alt", "flat", "constant")
+    scenario, oracle = _build_with_oracle(cell.scenario)
+    monkeypatch.setattr(mutant, "_touch", lambda self: None)
+    run_workload(scenario, cell.workload)
+    missed = _unjournaled(scenario, oracle)
+    assert missed and all(isinstance(component, mutant)
+                          for component in missed)
+    restore_world(scenario)
+    assert set(_dirty_components(oracle)) == set(missed)
+
+
+def _count_restores(monkeypatch, classes):
+    counts = dict.fromkeys(classes, 0)
+
+    def counting(cls):
+        restore = cls.restore_state
+
+        def restore_state(self, state):
+            counts[cls] += 1
+            restore(self, state)
+        return restore_state
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "restore_state", counting(cls))
+    return counts
+
+
+@pytest.mark.parametrize("topology", ("flat", "tiered"))
+def test_restore_cost_follows_the_cell_not_the_world(topology, monkeypatch):
+    """The same 30-flow cell on a 60- and a 240-site world: the inventory
+    grows 4x, what a restore visits by less than 2x."""
+    from repro.net.link import Link
+    from repro.net.node import Node
+    sizes = {}
+    for sites in (60, 240):
+        cell = _lifecycle_cell("pce", topology, "constant", sites=sites,
+                               flows=30)
+        scenario = build_world(replace(cell.scenario, tracing=False))
+        journal = scenario.world_checkpoint
+        assert journal.dirty == [] and journal.pristine == {}
+        run_workload(scenario, cell.workload)
+        dirty = list(journal.dirty)
+        counts = _count_restores(monkeypatch, (Link, Node))
+        restore_world(scenario)
+        monkeypatch.undo()
+        # Restored: the dirty list's links and nodes, and no other.
+        assert counts[Link] == sum(isinstance(c, Link) for c in dirty)
+        assert counts[Node] == sum(isinstance(c, Node) for c in dirty)
+        assert journal.dirty == []
+        sizes[sites] = (sum(1 for _ in scenario.stateful_components()),
+                        len(dirty), len(journal.singletons))
+    (small_world, small_dirty, small_singletons) = sizes[60]
+    (big_world, big_dirty, big_singletons) = sizes[240]
+    assert big_world > 3.5 * small_world
+    assert small_dirty < big_dirty < 2 * small_dirty
+    assert big_singletons == small_singletons < 12
+
+
+def test_a_second_run_captures_nothing_the_first_already_did():
+    cell = _lifecycle_cell("pce", "flat", "shaped")
+    scenario = build_world(cell.scenario)
+    journal = scenario.world_checkpoint
+    expected = run_workload(scenario, cell.workload)
+    first = dict(journal.pristine)
+    assert set(first) == set(journal.dirty)
+    restore_world(scenario)
+    assert journal.dirty == [] and set(journal.pristine) == set(first)
+    assert run_workload(scenario, cell.workload) == expected
+    # Same cell, same touches: every pristine state is the object the
+    # first run stored, and there is no new one.
+    assert set(journal.pristine) == set(first)
+    assert all(journal.pristine[component] is state
+               for component, state in first.items())
+
+
+def _payload_of(blob):
+    return pickle.loads(blob[len(SNAPSHOT_MAGIC):])["payload"]
+
+
+def test_blobs_carry_pristine_state_for_dirty_components_only():
+    cell = _lifecycle_cell("pce", "flat", "shaped")
+    scenario = build_world(cell.scenario)
+    expected = run_workload(scenario, cell.workload)
+    scenario.sim.run()          # settle what the deadline cut off
+    dirty = len(scenario.world_checkpoint.dirty)
+    assert dirty and scenario.sim.rng._handed_out
+    dirty_blob = serialize_world(scenario)
+    restore_world(scenario)
+    clean_blob = serialize_world(scenario)
+
+    # A clean world is its own pristine state: nothing beyond the
+    # singletons travels, although this world object holds pristine states
+    # from the run above.
+    assert len(scenario.world_checkpoint.pristine) == dirty
+    raw = pickle.loads(_payload_of(clean_blob))
+    assert raw.world_checkpoint.pristine == {}
+    assert raw.world_checkpoint.dirty == []
+    assert raw.sim.rng._handed_out == {}
+    assert len(clean_blob) < len(dirty_blob)
+
+    # A world serialized dirty carries exactly its dirty list's, and
+    # still deserializes to the pristine world.
+    raw = pickle.loads(_payload_of(dirty_blob))
+    assert len(raw.world_checkpoint.pristine) == dirty
+    assert set(raw.world_checkpoint.pristine) == set(raw.world_checkpoint.dirty)
+    for blob in (clean_blob, dirty_blob):
+        twin = deserialize_world(blob, cell.scenario)
+        assert twin.world_checkpoint.dirty == []
+        assert run_workload(twin, cell.workload) == expected
 
 
 # --------------------------------------------------------------------- #

@@ -255,9 +255,10 @@ class Scenario:
 
         Links are construction-time wiring (interfaces are attached while
         the topology is built and never afterwards), so the topology is
-        walked once per world, on first use; :meth:`iter_links`,
-        :meth:`stateful_components` and :meth:`byte_accounting` share the
-        result.  Node by node, interface by interface, first-seen order.
+        walked once per world, on first use, and the table travels in the
+        world's pickle; :meth:`iter_links`, the checkpoint inventory and
+        :meth:`byte_accounting` share the result.  Node by node, interface
+        by interface, first-seen order.
         """
         table = {}
         for node in self.topology.all_nodes():
@@ -279,7 +280,7 @@ class Scenario:
         ``drained=True`` bytes still in flight count as violations too.
 
         A link whose ``stats.bytes_offered`` is zero is skipped: that is
-        the stamp every ledger write follows (see "Version stamps" in
+        the stamp every ledger write follows (see "Sub-stamps" in
         ``docs/contracts.md``), so none of its ledgers, per-flow accounts
         or ``fluid_bytes`` has moved — it adds nothing and cannot breach
         conservation, drained or not.  The cost follows the links a run

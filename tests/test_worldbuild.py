@@ -18,8 +18,11 @@ from repro.experiments.worldbuild import (SNAPSHOT_MAGIC, SnapshotError,
                                           deserialize_world, restore_world,
                                           serialize_world, world_key)
 from repro.lisp.mappings import MappingRecord, RlocEntry
+from repro.lisp.xtr import TunnelRouter
 from repro.net.addresses import IPv4Prefix
 from repro.net.fib import FibEntry
+from repro.net.link import Link
+from repro.net.node import Node
 from repro.net.packet import udp_packet
 from repro.net.routing import (HierarchicalRoutingPlan, TierLayout,
                                build_adjacency, install_mesh_routes,
@@ -27,6 +30,7 @@ from repro.net.routing import (HierarchicalRoutingPlan, TierLayout,
 from repro.net.topogen import TopologySpec, build
 from repro.net.topology import provider_prefix_for
 from repro.sim import Simulator
+from repro.traffic.flows import UdpSink
 
 
 def _fib_snapshot(router):
@@ -572,10 +576,14 @@ def test_topology_axis_sweep_digest_matches_across_workers():
 # run (what moved must be on the dirty list) and after the restore
 # (nothing may differ).
 
+def _oracle(scenario):
+    return [(component, component.snapshot_state())
+            for component in scenario.stateful_components()]
+
+
 def _build_with_oracle(config):
     scenario = build_world(config)
-    return scenario, [(component, component.snapshot_state())
-                      for component in scenario.stateful_components()]
+    return scenario, _oracle(scenario)
 
 
 def _dirty_components(oracle):
@@ -684,8 +692,7 @@ def test_flows_cut_off_inside_the_pump_leave_nothing_behind():
     assert run_workload(scenario, workload) == expected
 
     deserialized = deserialize_world(blob, cell.scenario)
-    twin_oracle = [(component, component.snapshot_state())
-                   for component in deserialized.stateful_components()]
+    twin_oracle = _oracle(deserialized)
     assert len(twin_oracle) == len(oracle)
     assert run_workload(deserialized, workload) == expected
     assert _unjournaled(deserialized, twin_oracle) == []
@@ -794,10 +801,6 @@ def test_each_stamped_mutator_alone_is_undone_by_restore(name):
 @pytest.mark.parametrize("kind", ("Link", "Node", "UdpSink", "TunnelRouter"))
 def test_a_mutator_that_forgets_to_touch_is_caught(kind, monkeypatch):
     """The hand-made mutant: one class's _touch() does nothing."""
-    from repro.lisp.xtr import TunnelRouter
-    from repro.net.link import Link
-    from repro.net.node import Node
-    from repro.traffic.flows import UdpSink
     mutant = {"Link": Link, "Node": Node, "UdpSink": UdpSink,
               "TunnelRouter": TunnelRouter}[kind]
     cell = _lifecycle_cell("alt", "flat", "constant")
@@ -831,8 +834,6 @@ def _count_restores(monkeypatch, classes):
 def test_restore_cost_follows_the_cell_not_the_world(topology, monkeypatch):
     """The same 30-flow cell on a 60- and a 240-site world: the inventory
     grows 4x, what a restore visits by less than 2x."""
-    from repro.net.link import Link
-    from repro.net.node import Node
     sizes = {}
     for sites in (60, 240):
         cell = _lifecycle_cell("pce", topology, "constant", sites=sites,

@@ -159,13 +159,14 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: The one version of everything a blob pickles: the envelope layout, the
 #: world key (:class:`~repro.experiments.scenario.ScenarioConfig`'s field
 #: tuple), the settled engine (clock, sequence counters, RNG stream
-#: states, tracer, the timestamp heap and its per-timestamp buckets with
-#: armed periodic-task timers riding them), every component's pickled
-#: attributes and ``snapshot_state()`` tuple, and the journal.  Bump it
-#: whenever any of those changes shape; a mismatched blob is rebuilt,
-#: never restored.  The "Versions" paragraph of ``docs/contracts.md`` says
-#: when to bump this and when the sweep artifact ``SCHEMA``.
-SNAPSHOT_SCHEMA = 11
+#: states, tracer, the entry heap of ``(when, sequence, callback, args)``
+#: tuples with armed periodic-task timers riding it), every component's
+#: pickled attributes and ``snapshot_state()`` tuple, and the journal.
+#: Bump it whenever any of those changes shape; a mismatched blob is
+#: rebuilt, never restored.  The "Versions" paragraph of
+#: ``docs/contracts.md`` says when to bump this and when the sweep
+#: artifact ``SCHEMA``.
+SNAPSHOT_SCHEMA = 12
 
 
 @contextmanager

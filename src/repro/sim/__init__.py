@@ -7,9 +7,9 @@ checkpointable periodic tasks (:class:`~repro.sim.periodic.PeriodicTask`),
 named and reproducible random streams (:class:`~repro.sim.rng.RandomStreams`),
 and a structured event tracer (:class:`~repro.sim.trace.Tracer`).
 
-The kernel is intentionally small and fully synchronous: a single priority
-queue orders events by (time, priority, sequence), so two runs with the same
-seed produce byte-identical traces.
+The kernel is intentionally small and fully synchronous: a single heap
+orders events by (time, sequence), so two runs with the same seed produce
+byte-identical traces.
 """
 
 from repro.sim.engine import Simulator

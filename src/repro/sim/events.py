@@ -133,14 +133,14 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay, carrying an optional value.
 
-    Timeouts are the most-constructed objects in a packet-level run, so an
-    unnamed one only formats its ``Timeout(d)`` label when ``repr`` asks.
+    What a process yields to sleep.  An unnamed one only formats its
+    ``Timeout(d)`` label when ``repr`` asks.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim, delay, value=None, name=None):
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, which compares false
             raise ValueError(f"negative timeout delay: {delay}")
         Event.__init__(self, sim, name)
         self.delay = delay
@@ -150,45 +150,3 @@ class Timeout(Event):
 
     def _default_label(self):
         return f"Timeout({self.delay})"
-
-
-class ScheduledCall(Timeout):
-    """The timeout behind :meth:`Simulator.call_in`: fires ``callback(*args)``.
-
-    The call rides in two slots instead of a closure on ``callbacks``; it
-    runs first, then any callbacks registered afterwards (a process
-    yielding the event), exactly as when the call was the first entry of
-    the callback list.
-
-    One is built per link hop and per deadline — the only object
-    allocated per event on the packet path — so the constructor sets every
-    inherited slot itself instead of chaining through :class:`Timeout` and
-    :class:`Event`.  With *when* (:meth:`Simulator.call_at`) the call is
-    queued at that absolute time and *delay* is only its label.
-    """
-
-    __slots__ = ("_callback", "_args")
-
-    def __init__(self, sim, delay, callback, args, when=None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        self.sim = sim
-        self.name = None
-        self.callbacks = []
-        self._value = None
-        self._exception = None
-        self._triggered = True
-        self._processed = False
-        self.delay = delay
-        self._callback = callback
-        self._args = args
-        if when is None:
-            sim._schedule(self, delay)
-        else:
-            sim._schedule_at(self, when)
-
-    def _run_callbacks(self):
-        self._processed = True
-        self._callback(*self._args)
-        if self.callbacks:
-            Event._run_callbacks(self)

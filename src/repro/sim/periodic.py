@@ -12,7 +12,7 @@ generator form has two structural problems for world reuse:
 A periodic task instead keeps all of its timing state in plain attributes
 (``armed``, ``next_fire``, ``ticks``) and registers itself with the owning
 :class:`~repro.sim.engine.Simulator`.  Its fires travel through the same
-time/priority/sequence-ordered heap as ordinary events — so interleaving
+(time, sequence)-ordered heap as ordinary events — so interleaving
 with normal work is deterministic — but they are tagged *background*: the
 engine's drain loop (``run()`` with no ``until``) does not treat an armed
 task as pending work, and its checkpoint captures and re-arms task timers
@@ -29,11 +29,13 @@ to cancel the rearm.
 
 
 class PeriodicFire:
-    """Heap entry for one scheduled tick of a :class:`PeriodicTask`.
+    """One scheduled tick of a :class:`PeriodicTask`.
 
-    Entries are invalidated (not removed) when their task re-arms or
-    stops: each arm bumps the task's epoch, and a popped entry whose epoch
-    no longer matches is silently discarded by the engine.
+    It rides in the callback slot of a queue entry ``(when, sequence,
+    PeriodicFire, ())``, where the engine recognises it by type.  Entries
+    are invalidated (not removed) when their task re-arms or stops: each
+    arm bumps the task's epoch, and a popped entry whose epoch no longer
+    matches is silently discarded by the engine.
     """
 
     __slots__ = ("task", "epoch")
@@ -72,7 +74,7 @@ class PeriodicTask:
                  "next_fire", "_epoch", "_entry_sequence")
 
     def __init__(self, sim, callback, period, name=None):
-        if period <= 0:
+        if not period > 0:  # also refuses NaN, which compares false
             raise ValueError(f"periodic task period must be positive, got {period}")
         self.sim = sim
         self.callback = callback
@@ -98,7 +100,7 @@ class PeriodicTask:
         if self.armed:
             return self
         when = self.sim.now + self.period if first_fire is None else first_fire
-        if when < self.sim.now:
+        if not when >= self.sim.now:
             raise ValueError(
                 f"first fire {when} is in the past (now={self.sim.now})")
         self._arm(when)

@@ -27,9 +27,8 @@ from repro.net.errors import NoRouteError
 from repro.net.fib import Fib, FibEntry
 from repro.net.host import Host
 from repro.net.packet import IPv4Header, Packet, UDPHeader, udp_packet
-from repro.sim.engine import PRIORITY_URGENT, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.errors import EmptySchedule
-from repro.sim.events import Event
 
 # --------------------------------------------------------------------- #
 # Fib lookup memo vs brute-force longest-prefix match
@@ -305,16 +304,16 @@ def test_v6_stamped_blob_is_rejected_and_rebuilt(tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# Engine dispatch loop vs a plain (time, priority, sequence) heap
+# Engine dispatch loop vs a plain (time, sequence) heap
 # --------------------------------------------------------------------- #
 
 
 class _HeapOracle:
-    """The textbook event queue the bucketed engine must be equal to.
+    """The textbook event queue the engine must be equal to.
 
-    One ``(time, priority, sequence, ...)`` tuple heap; periodic tasks
-    re-arm before their callback runs and stale ticks are discarded at pop
-    time without advancing the clock or the count.
+    One ``(time, sequence, ...)`` tuple heap; periodic tasks re-arm before
+    their callback runs and stale ticks are discarded at pop time without
+    advancing the clock or the count.
     """
 
     def __init__(self):
@@ -326,17 +325,17 @@ class _HeapOracle:
         self.epochs = {}          # task label -> (armed, epoch, period)
         self.log = []
 
-    def schedule(self, label, delay, urgent=False):
+    def schedule(self, label, delay):
         self.sequence += 1
         self.foreground += 1
-        heapq.heappush(self.heap, (self.now + delay, 0 if urgent else 1,
-                                   self.sequence, "event", label, None))
+        heapq.heappush(self.heap, (self.now + delay, self.sequence, "event",
+                                   label, None))
 
     def arm(self, label, period, when):
         _armed, epoch, _period = self.epochs.get(label, (False, 0, period))
         self.epochs[label] = (True, epoch + 1, period)
         self.sequence += 1
-        heapq.heappush(self.heap, (when, 1, self.sequence, "tick", label,
+        heapq.heappush(self.heap, (when, self.sequence, "tick", label,
                                    epoch + 1))
 
     def stop(self, label):
@@ -345,7 +344,7 @@ class _HeapOracle:
 
     def _pop_live(self, until):
         while self.heap:
-            when, _priority, _sequence, kind, label, epoch = self.heap[0]
+            when, _sequence, kind, label, epoch = self.heap[0]
             if when > until:
                 return None
             heapq.heappop(self.heap)
@@ -383,7 +382,7 @@ class _HeapOracle:
     def apply(self, action):
         kind = action[0]
         if kind == "schedule":
-            self.schedule(action[1], action[2], urgent=action[3])
+            self.schedule(action[1], action[2])
         elif kind == "stop":
             if action[1] in self.epochs:
                 self.stop(action[1])
@@ -407,17 +406,21 @@ class _EngineUnderTest:
         for action in self.script.get(label, ()):
             self.apply(action)
 
-    def schedule(self, label, delay, urgent=False):
-        if urgent:
-            event = Event(self.sim, name=label)
-            event.callbacks.append(lambda _event: self.fired(label))
-            event._triggered = True
-            self.sim._schedule(event, delay, PRIORITY_URGENT)
-        elif int(label[1:]) % 2:
-            self.sim.call_in(delay, self.fired, label)
-        else:
-            self.sim.timeout(delay).callbacks.append(
+    def schedule(self, label, delay):
+        """Queue *label* through one of the four foreground entry points."""
+        sim = self.sim
+        route = int(label[1:]) % 4
+        if route == 0:
+            sim.timeout(delay).callbacks.append(
                 lambda _event: self.fired(label))
+        elif route == 1:
+            sim.call_in(delay, self.fired, label)
+        elif route == 2:
+            sim.call_at(sim.now + delay, self.fired, label)
+        else:
+            event = sim.event(name=label)
+            event.callbacks.append(lambda _event: self.fired(label))
+            event.succeed(delay=delay)
 
     def arm(self, label, period):
         task = self.sim.periodic(lambda: self.fired(label), period, name=label)
@@ -427,7 +430,7 @@ class _EngineUnderTest:
     def apply(self, action):
         kind = action[0]
         if kind == "schedule":
-            self.schedule(action[1], action[2], urgent=action[3])
+            self.schedule(action[1], action[2])
         elif kind == "stop":
             if action[1] in self.tasks:
                 self.tasks[action[1]].stop()
@@ -437,29 +440,31 @@ class _EngineUnderTest:
                 task.start()
 
 
-def _random_schedule(rng):
-    """(initial actions, script) — the script maps a fired label to actions.
+#: Delays on a small grid: many entries share a timestamp, zero-delay
+#: children land on the instant being processed, ticks collide with events.
+_SPREAD_DELAYS = (0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.5)
+#: Three delays and periods that are multiples of 0.5: *most* events share
+#: their timestamp with several others and with the ticks, so nearly every
+#: pop is decided by the sequence half of the key.
+_COLLIDING_DELAYS = (0.0, 0.5, 1.0)
+_COLLIDING_PERIODS = (0.5, 1.0)
 
-    Delays come from a small grid so that many entries share a timestamp,
-    zero-delay children land in the bucket being drained, and periodic
-    ticks collide with ordinary events.
-    """
-    delays = (0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.5)
-    periods = {f"tick{index}": rng.choice((0.5, 0.75, 1.0)) for index in range(3)}
+
+def _random_schedule(rng, delays, period_choices):
+    """(initial actions, script) — the script maps a fired label to actions."""
+    periods = {f"tick{index}": rng.choice(period_choices) for index in range(3)}
     labels = [f"e{index}" for index in range(60)]
     initial = [("arm", label, period) for label, period in periods.items()]
     script = {}
-    spawned = set()
     for label in labels[:25]:
-        initial.append(("schedule", label, rng.choice(delays) + rng.choice(delays),
-                        rng.random() < 0.15))
-        spawned.add(label)
+        initial.append(("schedule", label,
+                        rng.choice(delays) + rng.choice(delays)))
     # Only events spawn events (a tick that did would never let run() end).
     parents = labels[:25]
     for label in labels[25:]:
         parent = rng.choice(parents)
         script.setdefault(parent, []).append(
-            ("schedule", label, rng.choice(delays), rng.random() < 0.25))
+            ("schedule", label, rng.choice(delays)))
         parents.append(label)
     for _ in range(6):
         parent = rng.choice(parents)
@@ -469,9 +474,9 @@ def _random_schedule(rng):
     return initial, script
 
 
-def _build_pair(seed):
+def _build_pair(seed, delays=_SPREAD_DELAYS, periods=(0.5, 0.75, 1.0)):
     rng = random.Random(seed)
-    initial, script = _random_schedule(rng)
+    initial, script = _random_schedule(rng, delays, periods)
     oracle = _HeapOracle()
     engine = _EngineUnderTest(script)
     for action in initial:
@@ -491,9 +496,7 @@ def _assert_in_step(oracle, engine):
     assert engine.sim.now == oracle.now
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_engine_run_matches_heap_oracle(seed):
-    oracle, engine, script = _build_pair(seed)
+def _drive_run(oracle, engine, script):
     while oracle.foreground:
         assert oracle.step(script)
     assert engine.sim.run() == oracle.now
@@ -501,9 +504,7 @@ def test_engine_run_matches_heap_oracle(seed):
     assert len(oracle.log) >= 60          # every event fired, plus ticks
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_engine_run_until_matches_heap_oracle(seed):
-    oracle, engine, script = _build_pair(seed)
+def _drive_run_until(oracle, engine, script):
     for until in (0.0, 0.25, 0.9, 1.0, 2.5, 2.5, 7.0):
         while oracle.step(script, until=until):
             pass
@@ -514,9 +515,7 @@ def test_engine_run_until_matches_heap_oracle(seed):
         engine.sim.run(until=1.0)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_engine_repeated_step_matches_heap_oracle(seed):
-    oracle, engine, script = _build_pair(seed)
+def _drive_steps(oracle, engine, script):
     for _ in range(400):
         assert engine.sim.peek() == oracle.peek()
         if not oracle.step(script):   # every task stopped, every event fired
@@ -525,6 +524,95 @@ def test_engine_repeated_step_matches_heap_oracle(seed):
             break
         engine.sim.step()
         _assert_in_step(oracle, engine)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_run_matches_heap_oracle(seed):
+    _drive_run(*_build_pair(seed))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_run_until_matches_heap_oracle(seed):
+    _drive_run_until(*_build_pair(seed))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_repeated_step_matches_heap_oracle(seed):
+    _drive_steps(*_build_pair(seed))
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("drive", (_drive_run, _drive_run_until, _drive_steps))
+def test_engine_matches_heap_oracle_when_most_events_collide(drive, seed):
+    oracle, engine, script = _build_pair(seed, _COLLIDING_DELAYS,
+                                         _COLLIDING_PERIODS)
+    drive(oracle, engine, script)
+    # The premise: on average three or more events per timestamp they use.
+    events = [when for when, label in oracle.log if label.startswith("e")]
+    assert len(set(events)) * 3 <= len(events)
+
+
+def test_same_time_entries_run_after_those_queued_and_before_anything_later():
+    sim = Simulator(seed=0, tracing=False)
+    order = []
+
+    def parent(tag):
+        order.append(tag)
+        # Four ways onto the instant being processed, and one past it.
+        sim.call_in(0.0, order.append, f"{tag}.call_in")
+        sim.call_at(sim.now, order.append, f"{tag}.call_at")
+        sim.timeout(0.0).callbacks.append(
+            lambda _event: order.append(f"{tag}.timeout"))
+        sim.event().succeed().callbacks.append(
+            lambda _event: order.append(f"{tag}.event"))
+        sim.call_in(1e-9, order.append, f"{tag}.later")
+
+    sim.call_in(1.0, parent, "a")
+    sim.call_in(1.0, parent, "b")
+    sim.call_in(1.0, order.append, "c")
+    sim.call_in(1.0 + 1e-12, order.append, "next")
+    sim.run()
+    children = [f"{tag}.{how}" for tag in "ab"
+                for how in ("call_in", "call_at", "timeout", "event")]
+    assert order == ["a", "b", "c", *children, "next", "a.later", "b.later"]
+    assert sim.processed_events == 14 and sim.pending_foreground == 0
+
+
+def test_tick_stop_and_restart_on_a_timestamp_shared_with_calls():
+    sim = Simulator(seed=0, tracing=False)
+    order = []
+    task = sim.periodic(lambda: order.append(("tick", sim.now)), 1.0)
+
+    def stop():
+        order.append(("stop", sim.now))
+        task.stop()
+
+    def restart(first_fire):
+        order.append(("restart", sim.now))
+        task.start(first_fire=first_fire)
+
+    sim.call_in(1.0, order.append, "before-arm")
+    task.start()                        # first tick at 1.0, between the two
+    sim.call_in(1.0, order.append, "after-arm")
+    sim.call_in(2.0, stop)              # queued before the 1.0 tick re-arms
+    sim.call_in(2.0, order.append, "beside-the-stale-tick")
+    sim.call_in(3.0, restart, 3.0)      # re-arms onto the instant it runs in
+    sim.call_in(3.0, order.append, "queued-before-the-restart")
+    sim.call_in(4.0, stop)              # queued before the 3.0 tick re-arms
+    sim.call_in(5.0, order.append, "end")
+    sim.run()
+    assert order == [
+        "before-arm", ("tick", 1.0), "after-arm",
+        ("stop", 2.0), "beside-the-stale-tick",
+        ("restart", 3.0), "queued-before-the-restart", ("tick", 3.0),
+        ("stop", 4.0),
+        "end",
+    ]
+    # Both stops ran ahead of the tick that shared their instant, and the
+    # two stale ticks were popped without moving a counter.
+    assert task.ticks == 2 and not task.armed
+    assert sim.processed_events == len(order)
+    assert sim.peek() == float("inf") and sim._queue == []
 
 
 def test_step_on_only_stale_ticks_raises_without_moving_the_clock():
@@ -546,7 +634,7 @@ def test_run_reentered_from_a_callback_drains_once():
         order.append("outer")
         sim.call_in(0.0, order.append, "same-time")
         sim.call_in(1.0, order.append, "later")
-        sim.run()                      # drains everything, including this bucket
+        sim.run()                      # drains everything, this instant too
         order.append("outer-done")
 
     sim.call_in(0.5, outer)

@@ -1,11 +1,14 @@
 """Tests for the simulation engine: event ordering, clock, run/step semantics."""
 
+import gc
 import random
 
 import pytest
 
-from repro.sim import EXPIRED, Simulator
+from repro.sim import EXPIRED, Event, SimulationError, Simulator
 from repro.sim.errors import EmptySchedule, EventAlreadyTriggered
+
+NAN = float("nan")
 
 
 def test_clock_starts_at_zero():
@@ -147,30 +150,103 @@ def test_timeout_label_is_built_on_demand():
     assert timeout.name is None
     assert repr(timeout) == "<Timeout(0.5) triggered at t=0.000000>"
     assert repr(sim.timeout(0.5, name="deadline")).startswith("<deadline ")
-    call = sim.call_in(0.5, lambda: None)
-    assert repr(call) == "<Timeout(0.5) triggered at t=0.000000>"
     sim.run()
-    assert repr(call) == "<Timeout(0.5) processed at t=0.500000>"
+    assert repr(timeout) == "<Timeout(0.5) processed at t=0.500000>"
 
 
-def test_call_in_event_takes_callbacks_and_can_be_yielded():
+def test_scheduled_calls_return_nothing_and_a_timeout_beside_one_runs_after_it():
     sim = Simulator()
     order = []
-    call = sim.call_in(2.0, order.append, "call")
-    call.callbacks.append(lambda event: order.append(("callback", event is call)))
+    assert sim.call_in(2.0, order.append, "call_in") is None
+    assert sim.call_at(2.0, order.append, "call_at") is None
 
     def waiter():
-        value = yield call
+        value = yield sim.timeout(2.0, value="slept")
         order.append(("resumed", value, sim.now))
 
     sim.process(waiter())
     sim.run()
-    # The scheduled call runs first, then callbacks in registration order.
-    assert order == ["call", ("callback", True), ("resumed", None, 2.0)]
-    assert call.processed and call.ok
+    # Queued first, the calls ran first; the process resumed after them.
+    assert order == ["call_in", "call_at", ("resumed", "slept", 2.0)]
 
     with pytest.raises(ValueError):
         sim.call_in(-1.0, order.append, "never")
+
+    def sleeps_on_a_call():
+        yield sim.call_in(1.0, order.append, "ran anyway")
+
+    process = sim.process(sleeps_on_a_call())
+    sim.run()
+    # There is nothing to wait on: the yielded ``None`` fails the process.
+    assert isinstance(process.exception, SimulationError)
+    assert "non-event None" in str(process.exception)
+    assert order[-1] == "ran anyway"
+
+
+def test_a_pending_call_is_two_tracked_objects_and_no_event():
+    """What the scale cells rest on, pinned without a clock: the entry
+    tuple and its argument tuple are all a pending call keeps alive."""
+    sim = Simulator(tracing=False)
+    pending = 10_000
+
+    def callback(*_args):
+        raise AssertionError("never run")
+
+    def census():
+        tracked = gc.get_objects()
+        return len(tracked), sum(isinstance(obj, Event) for obj in tracked)
+
+    gc.collect()
+    gc.disable()
+    try:
+        objects_before, events_before = census()
+        for index in range(pending):
+            sim.call_in(1.0 + index, callback, index, sim)
+        objects_after, events_after = census()
+    finally:
+        gc.enable()
+    assert sim.pending_foreground == pending
+    assert objects_after - objects_before <= 2 * pending
+    assert events_after == events_before
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda sim: sim.call_in(NAN, lambda: None),
+    lambda sim: sim.call_at(NAN, lambda: None),
+    lambda sim: sim.timeout(NAN),
+    lambda sim: sim.periodic(lambda: None, 1.0).start(first_fire=NAN),
+    lambda sim: sim.periodic(lambda: None, NAN),
+    lambda sim: sim.event().expire_in(NAN),
+], ids=["call_in", "call_at", "timeout", "periodic-first-fire",
+        "periodic-period", "expire_in"])
+def test_nan_is_refused_at_every_way_into_the_queue(schedule):
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        schedule(sim)
+    assert sim._queue == [] and sim.pending_foreground == 0
+    assert sim.peek() == float("inf")
+    assert sim.now == 0.0 and sim.run() == 0.0
+
+
+def test_run_until_nan_is_refused_and_runs_nothing():
+    sim = Simulator()
+    hits = []
+    sim.call_in(1.0, hits.append, "ran")
+    with pytest.raises(ValueError, match="in the past"):
+        sim.run(until=NAN)
+    assert sim.now == 0.0 and hits == [] and sim.pending_foreground == 1
+
+
+def test_infinity_is_still_a_legal_time():
+    sim = Simulator()
+    hits = []
+    sim.call_in(float("inf"), hits.append, "call_in")
+    sim.call_at(float("inf"), hits.append, "call_at")
+    sim.timeout(float("inf")).callbacks.append(
+        lambda _event: hits.append("timeout"))
+    sim.call_in(1.0, hits.append, "finite")
+    assert sim.run(until=float("inf")) == float("inf")
+    assert hits == ["finite", "call_in", "call_at", "timeout"]
 
 
 def test_peek_reports_next_event_time():

@@ -243,6 +243,69 @@ def test_prober_and_irc_state_round_trip_through_restore():
     assert (prober_states(), irc_states(), task_states()) == baseline
 
 
+def _armed_ticks(sim):
+    """The (when, sequence) key of every live tick riding *sim*'s queue."""
+    return sorted((when, sequence) for when, sequence, fire, _args in sim._queue
+                  if fire.live)
+
+
+def _drive_shared_timestamps(scenario):
+    """A tick and a foreground call on one instant, twice; what ran when.
+
+    First the task is armed before the call is queued (tick, then call);
+    then it is re-armed mid-run onto an instant a call already holds (call,
+    then tick).  Every other armed task keeps probing alongside.
+    """
+    sim = scenario.sim
+    task = next(task for task in sim.periodic_tasks if task.armed)
+    log = []
+
+    def mark(tag):
+        log.append((tag, sim.now, task.ticks, sim.processed_events))
+
+    def rearm(when):
+        task.stop()
+        task.start(first_fire=when)
+
+    first = task.next_fire
+    second = first + 0.4 * task.period
+    sim.call_at(first, mark, "armed-before-the-call")
+    sim.call_at(second, mark, "call-before-the-rearm")
+    sim.call_at(first + 0.2 * task.period, rearm, second)
+    ticks_before = task.ticks
+    sim.run(until=second)
+    assert [entry[2] - ticks_before for entry in log] == [1, 1]
+    assert task.ticks == ticks_before + 2      # ... and then the tick ran
+    sim.run()
+    return log, sim.now, sim.processed_events, \
+        [other.snapshot_state() for other in sim.periodic_tasks]
+
+
+def test_a_tick_tied_with_a_call_breaks_the_same_way_fresh_restored_and_thawed():
+    config = ScenarioConfig(control_plane="pce", num_sites=3, seed=13,
+                            enable_probing=True, start_irc=True,
+                            probe_period=0.3, probe_timeout=0.15,
+                            tracing=False)
+    scenario = build_world(config)
+    sim = scenario.sim
+    checkpointed = sorted((task.next_fire, task._entry_sequence)
+                          for task in sim.periodic_tasks if task.armed)
+    assert len(checkpointed) > 1 and _armed_ticks(sim) == checkpointed
+    blob = serialize_world(scenario)
+    fresh = _drive_shared_timestamps(scenario)
+
+    restore_world(scenario)
+    # Exactly the armed tasks' ticks, keyed as the fresh build keyed them.
+    assert sorted(entry[:2] for entry in sim._queue) == checkpointed \
+        == _armed_ticks(sim)
+    assert sim.pending_foreground == 0
+    assert _drive_shared_timestamps(scenario) == fresh
+
+    thawed = deserialize_world(blob, config)
+    assert _armed_ticks(thawed.sim) == checkpointed
+    assert _drive_shared_timestamps(thawed) == fresh
+
+
 def _shaped_cell():
     """A shaped-preset-style cell: rated access links, heavy tails, pacing."""
     grid = SweepGrid(control_planes=("pce",), site_counts=(4,), seeds=(31,),

@@ -125,7 +125,7 @@ def _collect_pragmas(source):
     return allowed
 
 
-def parse_module(path, display_path=None):
+def parse_module(path):
     """Parse *path* into a :class:`ModuleInfo`, or None on syntax errors.
 
     Unparseable files are a job for the interpreter/linter, not the
@@ -137,7 +137,7 @@ def parse_module(path, display_path=None):
         tree = ast.parse(source, filename=str(path))
     except SyntaxError:
         return None
-    return ModuleInfo(path=str(display_path or path), source=source, tree=tree,
+    return ModuleInfo(path=str(path), source=source, tree=tree,
                       allowed=_collect_pragmas(source))
 
 

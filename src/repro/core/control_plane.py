@@ -40,10 +40,9 @@ class PceControlPlane:
 
     def __init__(self, sim, topology, dns_system, irc_policy="balance",
                  precompute=True, computation_delay=0.0005, mapping_ttl=60.0,
-                 push_mode="all", refresh_on_cached_answers=True,
-                 miss_policy=None, start_irc=True, irc_period=0.5,
-                 enable_probing=False, probe_period=0.5, probe_timeout=None,
-                 include_backup_rlocs=None):
+                 push_mode="all", miss_policy=None, start_irc=True,
+                 irc_period=0.5, enable_probing=False, probe_period=0.5,
+                 probe_timeout=None):
         if push_mode not in ("all", "one"):
             raise ValueError(f"push_mode must be 'all' or 'one', got {push_mode!r}")
         self.sim = sim
@@ -53,8 +52,6 @@ class PceControlPlane:
         self.mapping_ttl = mapping_ttl
         self.registry = MappingRegistry()
         self.miss_policy = miss_policy if miss_policy is not None else DropPolicy(sim)
-        if include_backup_rlocs is None:
-            include_backup_rlocs = enable_probing  # backups only help if probed
         if probe_timeout is None:
             # Keep the historical 0.3s timeout whenever it is valid; only
             # scale down for faster probing (RlocProber requires
@@ -83,9 +80,7 @@ class PceControlPlane:
             resolver = dns_system.resolver_for(site)
             pce = Pce(sim, site, topology, resolver, self.registry, irc,
                       control_plane=self, precompute=precompute,
-                      computation_delay=computation_delay,
-                      refresh_on_cached_answers=refresh_on_cached_answers,
-                      include_backup_rlocs=include_backup_rlocs)
+                      computation_delay=computation_delay)
             self.pces[site.index] = pce
             site.pce_node.bind_udp(PORT_REVERSE, self._make_pce_reverse_handler(pce))
             routers = []

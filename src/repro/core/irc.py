@@ -23,6 +23,11 @@ and adds no latency at interception time — that is precisely the paper's
 line-rate claim, which experiment E6 checks against an on-demand variant.
 """
 
+#: Weight of the newest delay sample in a provider's EWMA.
+EWMA_ALPHA = 0.3
+#: Upper bound (seconds) of the uniform noise on each delay sample.
+JITTER = 0.002
+
 
 class ProviderEstimate:
     """Per-provider rolling state."""
@@ -43,19 +48,16 @@ class IrcEngine:
     """One site's IRC engine (shared by its PCE and TE logic)."""
 
     def __init__(self, sim, site, topology, policy="balance", period=0.5,
-                 ewma_alpha=0.3, jitter=0.002, flow_bytes_estimate=50_000,
-                 costs=None, utilisation_cap=0.8, rng_name=None):
+                 flow_bytes_estimate=50_000, costs=None, utilisation_cap=0.8):
         self.sim = sim
         self.site = site
         self.topology = topology
         self.policy = policy
         self.period = period
-        self.ewma_alpha = ewma_alpha
-        self.jitter = jitter
         self.flow_bytes_estimate = flow_bytes_estimate
         self.utilisation_cap = utilisation_cap
         self.measurement_rounds = 0
-        self._rng_name = rng_name or f"irc-{site.name}"
+        self._rng_name = f"irc-{site.name}"
         self.estimates = []
         for b in range(len(site.xtrs)):
             base = self._path_delay_estimate(b)
@@ -90,12 +92,12 @@ class IrcEngine:
     def measure_once(self):
         """One measurement round: refresh delay EWMAs and load snapshots."""
         self.measurement_rounds += 1
-        alpha = self.ewma_alpha
         # Fetched where it is drawn: the hand-out is what journals the stream.
         rng = self.sim.rng.stream(self._rng_name)
         for b, estimate in enumerate(self.estimates):
-            sample = self._path_delay_estimate(b) + rng.uniform(0, self.jitter)
-            estimate.delay_ewma = (1 - alpha) * estimate.delay_ewma + alpha * sample
+            sample = self._path_delay_estimate(b) + rng.uniform(0, JITTER)
+            estimate.delay_ewma = ((1 - EWMA_ALPHA) * estimate.delay_ewma
+                                   + EWMA_ALPHA * sample)
             links = self.site.access_links[b]
             estimate.bytes_in = links["downlink"].stats.tx_bytes
             estimate.bytes_out = links["uplink"].stats.tx_bytes
@@ -165,8 +167,8 @@ class IrcEngine:
     #: periodic tick handle (armed/next-fire state is engine state, captured
     #: by the simulator).
     _SNAPSHOT_EXEMPT = ("sim", "site", "topology", "policy", "period",
-                        "ewma_alpha", "jitter", "flow_bytes_estimate",
-                        "utilisation_cap", "_rng_name", "_task")
+                        "flow_bytes_estimate", "utilisation_cap", "_rng_name",
+                        "_task")
 
     def snapshot_state(self):
         """Round counter and per-provider estimates for world reuse.

@@ -72,8 +72,7 @@ class Pce:
     """A site's PCE: DNS-path interception plus mapping distribution."""
 
     def __init__(self, sim, site, topology, resolver, registry, irc,
-                 control_plane, precompute=True, computation_delay=0.0005,
-                 refresh_on_cached_answers=True, include_backup_rlocs=False):
+                 control_plane, precompute=True, computation_delay=0.0005):
         self.sim = sim
         self.site = site
         self.topology = topology
@@ -83,10 +82,6 @@ class Pce:
         self.control_plane = control_plane
         self.precompute = precompute
         self.computation_delay = computation_delay
-        self.refresh_on_cached_answers = refresh_on_cached_answers
-        #: Carry the site's other locators as demoted backups in Step-6
-        #: mappings, enabling ITR-side failover (pairs with RLOC probing).
-        self.include_backup_rlocs = include_backup_rlocs
         #: Suppress refresh pushes this soon after a push (push in flight).
         self.push_guard = 0.05
         self.node = site.pce_node
@@ -201,12 +196,17 @@ class Pce:
         return True
 
     def _current_local_mapping(self):
-        """Our site's mapping narrowed to the IRC-chosen inbound locator."""
+        """Our site's mapping narrowed to the IRC-chosen inbound locator.
+
+        With RLOC probing on, the site's other locators ride along as
+        demoted backups, so a probing ITR can fail over to them; without
+        probing nothing would ever steer traffic onto a backup.
+        """
         base = self.registry.lookup_prefix(self.site.eid_prefix)
         if base is None:
             return None
         chosen = self.site.rloc_of(self.irc.select_ingress())
-        if self.include_backup_rlocs:
+        if self.control_plane.enable_probing:
             return base.with_preferred_rloc(chosen)
         return base.with_chosen_rloc(chosen)
 
@@ -276,8 +276,6 @@ class Pce:
         mapping (the port-P message only travels on real resolutions).  The
         PCE database makes the refresh purely site-local.
         """
-        if not self.refresh_on_cached_answers:
-            return
         for address in message.answer_addresses():
             if not EID_SPACE.contains(address) or self.site.eid_prefix.contains(address):
                 continue
@@ -320,9 +318,7 @@ class Pce:
     #: (registry, irc, control_plane, resolver) checkpoint themselves.
     _SNAPSHOT_EXEMPT = ("sim", "site", "topology", "resolver", "registry",
                         "irc", "control_plane", "precompute",
-                        "computation_delay", "refresh_on_cached_answers",
-                        "include_backup_rlocs", "push_guard", "node",
-                        "address")
+                        "computation_delay", "push_guard", "node", "address")
 
     def snapshot_state(self):
         return (self.stats.snapshot_state(), dict(self.pending_ingress),

@@ -11,9 +11,10 @@ class TtlCache:
 
     Contract notes:
 
-    - ``put`` with ``ttl <= 0`` REJECTS the entry: any existing entry for
-      the key is invalidated, ``rejected_puts`` is incremented and a
-      ``cache.put-rejected`` trace event is recorded.  It returns False.
+    - ``put`` with a TTL that is not ``> 0`` (zero, negative or NaN)
+      REJECTS the entry: any existing entry for the key is invalidated,
+      ``rejected_puts`` is incremented and a ``cache.put-rejected`` trace
+      event is recorded.  It returns False.  An infinite TTL never expires.
     - ``max_entries``, when given, bounds the number of stored entries;
       once full (after compacting the expired), the entry closest to expiry
       is evicted (counted in ``evictions``).
@@ -42,11 +43,11 @@ class TtlCache:
 
         Returns True if the entry is stored and survived any capacity
         eviction (a full cache evicts the entry closest to expiry, which can
-        be the one just inserted).  Non-positive TTLs are rejected (see
-        class docstring): nothing is stored, any stale entry for *key* is
-        dropped, and False is returned.
+        be the one just inserted).  Non-positive and NaN TTLs are rejected
+        (see class docstring): nothing is stored, any stale entry for *key*
+        is dropped, and False is returned.
         """
-        if ttl <= 0:
+        if not ttl > 0:  # NaN compares false both ways: it lands here too
             self._entries.pop(key, None)
             self.rejected_puts += 1
             self.sim.trace.record(self.sim.now, self.name, "cache.put-rejected",

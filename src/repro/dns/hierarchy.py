@@ -49,8 +49,7 @@ class DnsSystem:
 
 
 
-def install_dns(topology, host_ttl=60.0, extra_levels=0, processing_delay=0.0002,
-                use_cache=True):
+def install_dns(topology, host_ttl=60.0, extra_levels=0, use_cache=True):
     """Create root/TLD/intermediate servers and per-site resolvers.
 
     Re-installs global routes to cover the new infrastructure hosts.
@@ -90,16 +89,13 @@ def install_dns(topology, host_ttl=60.0, extra_levels=0, processing_delay=0.0002
     # Attach shared servers to providers (round-robin).
     root_host = topology.attach_infra_host(0, "root-dns", ROOT_ADDRESS)
     tld_host = topology.attach_infra_host(1 % num_providers, "tld-dns", TLD_ADDRESS)
-    root_server = AuthoritativeServer(sim, root_host, root_zone,
-                                      processing_delay=processing_delay)
-    tld_server = AuthoritativeServer(sim, tld_host, tld_zone,
-                                     processing_delay=processing_delay)
+    root_server = AuthoritativeServer(sim, root_host, root_zone)
+    tld_server = AuthoritativeServer(sim, tld_host, tld_zone)
     level_servers = []
     for index, (_origin, address, level_zone) in enumerate(level_zones):
         host = topology.attach_infra_host((2 + index) % num_providers,
                                           f"lvl{index}-dns", address)
-        level_servers.append(AuthoritativeServer(sim, host, level_zone,
-                                                 processing_delay=processing_delay))
+        level_servers.append(AuthoritativeServer(sim, host, level_zone))
 
     # Per-site zones and resolvers.
     system = DnsSystem(topology=topology, root_server=root_server,
@@ -112,7 +108,6 @@ def install_dns(topology, host_ttl=60.0, extra_levels=0, processing_delay=0.0002
             zone.add_a(f"host{i}.{site_domain}", host.address, ttl=host_ttl)
         resolver = RecursiveResolver(sim, site.dns_node, root_hints=[ROOT_ADDRESS],
                                      authoritative_zone=zone,
-                                     processing_delay=processing_delay,
                                      use_cache=use_cache)
         system.resolvers[site.index] = resolver
 

@@ -16,29 +16,27 @@ from functools import partial
 from repro.dns.cache import TtlCache
 from repro.dns.message import DNS_PORT, DnsMessage, FLAG_RD, make_query, make_reply
 from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
+from repro.dns.server import PROCESSING_DELAY
 from repro.net.host import RequestTimeout
 from repro.sim.events import Event
 from repro.sim.state import Journaled
 
 MAX_REFERRALS = 16
 MAX_CNAME_CHASES = 4
+#: Seconds an NXDOMAIN outcome stays in the negative cache.
+NEGATIVE_TTL = 5.0
 
 
 class RecursiveResolver(Journaled):
     """Iterative resolver with referral and answer caches."""
 
     def __init__(self, sim, node, root_hints, authoritative_zone=None,
-                 processing_delay=0.0002, use_cache=True, max_record_ttl=None,
-                 coalesce=True, negative_ttl=5.0):
+                 use_cache=True):
         self.sim = sim
         self.node = node
         self.root_hints = list(root_hints)
         self.zone = authoritative_zone
-        self.processing_delay = processing_delay
         self.use_cache = use_cache
-        self.max_record_ttl = max_record_ttl
-        self.coalesce = coalesce
-        self.negative_ttl = negative_ttl
         self.answer_cache = TtlCache(sim, name=f"{node.name}-dns-answers")
         self.negative_cache = TtlCache(sim, name=f"{node.name}-dns-negative")
         self.referral_cache = TtlCache(sim, name=f"{node.name}-dns-referrals")
@@ -97,10 +95,7 @@ class RecursiveResolver(Journaled):
         self._send_reply(packet, reply)
 
     def _reply_to(self, packet, reply):
-        if self.processing_delay > 0:
-            self.sim.call_in(self.processing_delay, self._send_reply, packet, reply)
-        else:
-            self._send_reply(packet, reply)
+        self.sim.call_in(PROCESSING_DELAY, self._send_reply, packet, reply)
 
     def _send_reply(self, packet, reply):
         self.node.send_udp(src=packet.ip.dst, dst=packet.ip.src, sport=DNS_PORT,
@@ -108,9 +103,7 @@ class RecursiveResolver(Journaled):
 
     #: Construction-time config; root hints and the zone are immutable data,
     #: the node and sim checkpoint themselves.
-    _SNAPSHOT_EXEMPT = ("sim", "node", "root_hints", "zone",
-                        "processing_delay", "use_cache", "max_record_ttl",
-                        "coalesce", "negative_ttl")
+    _SNAPSHOT_EXEMPT = ("sim", "node", "root_hints", "zone", "use_cache")
 
     def snapshot_state(self):
         return {
@@ -151,11 +144,6 @@ class RecursiveResolver(Journaled):
                     return list(servers)
         return list(self.root_hints)
 
-    def _record_ttl(self, record):
-        if self.max_record_ttl is None:
-            return record.ttl
-        return min(record.ttl, self.max_record_ttl)
-
     def resolve(self, qname, qtype=TYPE_A, _depth=0):
         """Iteratively resolve; returns an event carrying the final DnsMessage.
 
@@ -164,7 +152,7 @@ class RecursiveResolver(Journaled):
         else is a process.  Follows CNAME chains across zones (bounded by
         MAX_CNAME_CHASES).  Identical concurrent resolutions are coalesced
         onto one in-flight walk; NXDOMAIN outcomes are negatively cached
-        for ``negative_ttl``.  The message's ``answers``/``rcode`` reflect
+        for :data:`NEGATIVE_TTL`.  The message's ``answers``/``rcode`` reflect
         the outcome; SERVFAIL is used for loops and timeouts.
         """
         # Counters, ident, caches and the in-flight table all move below.
@@ -183,8 +171,7 @@ class RecursiveResolver(Journaled):
                 negative = self.negative_cache.get((qname, qtype))
                 if negative is not None:
                     return DnsMessage(ident=0, flags=0).with_rcode(negative)
-            if self.processing_delay > 0:
-                yield self.sim.timeout(self.processing_delay)
+            yield self.sim.timeout(PROCESSING_DELAY)
             servers = self._cached_servers(qname)
             failure_rcode = RCODE_SERVFAIL
             for _step in range(MAX_REFERRALS):
@@ -222,7 +209,7 @@ class RecursiveResolver(Journaled):
                         if not chased.answers:
                             return reply.with_rcode(chased.rcode)
                     if self.use_cache:
-                        ttl = min(self._record_ttl(r) for r in reply.answers)
+                        ttl = min(r.ttl for r in reply.answers)
                         self.answer_cache.put((qname, qtype), list(reply.answers), ttl)
                     return reply
                 referral = reply.referral_servers()
@@ -231,18 +218,17 @@ class RecursiveResolver(Journaled):
                     break
                 if self.use_cache and reply.authorities:
                     child = reply.authorities[0].name
-                    ttl = min(self._record_ttl(r) for r in reply.authorities)
+                    ttl = min(r.ttl for r in reply.authorities)
                     self.referral_cache.put(("ns", child), list(glue), ttl)
                 servers = glue
-            if self.use_cache and failure_rcode == RCODE_NXDOMAIN \
-                    and self.negative_ttl > 0:
+            if self.use_cache and failure_rcode == RCODE_NXDOMAIN:
                 self.negative_cache.put((qname, qtype), RCODE_NXDOMAIN,
-                                        self.negative_ttl)
+                                        NEGATIVE_TTL)
             empty = DnsMessage(ident=0, flags=0)
             return empty.with_rcode(failure_rcode)
 
         key = (qname, qtype)
-        if self.coalesce and _depth == 0 and key in self._in_flight:
+        if _depth == 0 and key in self._in_flight:
             return self.sim.process(_coalesced(),
                                     name=f"{self.node.name}-coalesce-{qname}")
         if self.use_cache:
@@ -253,7 +239,7 @@ class RecursiveResolver(Journaled):
                 return self.sim.event().succeed(synthetic)
         process = self.sim.process(_resolve(),
                                    name=f"{self.node.name}-resolve-{qname}")
-        if self.coalesce and _depth == 0:
+        if _depth == 0:
             self._in_flight[key] = process
             process.callbacks.append(lambda _event: self._in_flight.pop(key, None))
         return process

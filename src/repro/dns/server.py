@@ -8,15 +8,18 @@ subclassing it, so the same node could also host a PCE or other roles
 from repro.dns.message import DNS_PORT, DnsMessage, make_reply
 from repro.dns.records import RCODE_NXDOMAIN
 
+#: Seconds a DNS server (authoritative or recursive) spends on a query
+#: before its answer or its first upstream query leaves.
+PROCESSING_DELAY = 0.0002
+
 
 class AuthoritativeServer:
     """Answers queries for one zone: answer, referral, or NXDOMAIN."""
 
-    def __init__(self, sim, node, zone, processing_delay=0.0002):
+    def __init__(self, sim, node, zone):
         self.sim = sim
         self.node = node
         self.zone = zone
-        self.processing_delay = processing_delay
         self.queries_served = 0
         node.bind_udp(DNS_PORT, self._on_datagram)
         node.register_service("dns-auth", self)
@@ -36,14 +39,11 @@ class AuthoritativeServer:
             self.node.send_udp(src=packet.ip.dst, dst=client, sport=DNS_PORT,
                                dport=client_port, payload=reply)
 
-        if self.processing_delay > 0:
-            self.sim.call_in(self.processing_delay, respond)
-        else:
-            respond()
+        self.sim.call_in(PROCESSING_DELAY, respond)
 
     #: Construction-time wiring: the zone is immutable data, the node and
     #: sim are independently checkpointed.
-    _SNAPSHOT_EXEMPT = ("sim", "node", "zone", "processing_delay")
+    _SNAPSHOT_EXEMPT = ("sim", "node", "zone")
 
     def snapshot_state(self):
         return self.queries_served

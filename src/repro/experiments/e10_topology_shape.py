@@ -48,7 +48,9 @@ class E10Row:
 HEADERS = ("system", "topology", "sites", "providers", "ixps", "hier",
            "flows", "failed", "mesh_delay", "hit_ratio", "ctl_msgs", "bytes")
 
-DEFAULT_FAMILIES = ("flat", "tiered", "caida")
+#: The families compared: every generated one (fig1 is the flat mesh at
+#: two sites).
+FAMILIES = ("flat", "tiered", "caida")
 DEFAULT_SYSTEMS = ("pce", "alt")
 
 
@@ -67,11 +69,10 @@ def _mesh_delay_mean(topology):
     return total / count if count else 0.0
 
 
-def run_e10(num_sites=12, num_flows=30, seed=71, families=DEFAULT_FAMILIES,
-            systems=DEFAULT_SYSTEMS):
+def run_e10(num_sites=12, num_flows=30, seed=71, systems=DEFAULT_SYSTEMS):
     rows = []
     for system in systems:
-        for family in families:
+        for family in FAMILIES:
             config = ScenarioConfig(control_plane=system, topology=family,
                                     num_sites=num_sites, seed=seed,
                                     miss_policy="queue", tracing=False)

@@ -35,16 +35,19 @@ HEADERS = ("system", "sites", "flows", "ctl_msgs", "ctl_bytes", "bytes/flow",
 
 DEFAULT_SYSTEMS = ("pce", "alt", "cons", "nerd")
 
+#: Flows per site: the workload grows with the world, so per-flow cost is
+#: comparable across sizes.
+FLOWS_PER_SITE = 4
 
-def run_e5(site_counts=(4, 8, 16), flows_per_site=4, seed=61,
-           systems=DEFAULT_SYSTEMS):
+
+def run_e5(site_counts=(4, 8, 16), seed=61, systems=DEFAULT_SYSTEMS):
     rows = []
     for system in systems:
         for num_sites in site_counts:
             config = ScenarioConfig(control_plane=system, num_sites=num_sites,
                                     seed=seed, miss_policy="queue")
             scenario = build_scenario(config)
-            num_flows = flows_per_site * num_sites
+            num_flows = FLOWS_PER_SITE * num_sites
             workload = WorkloadConfig(num_flows=num_flows, arrival_rate=20.0,
                                       packets_per_flow=3)
             records = run_workload(scenario, workload)

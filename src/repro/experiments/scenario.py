@@ -65,7 +65,6 @@ class ScenarioConfig:
     precompute: bool = True
     computation_delay: float = 0.0005
     start_irc: bool = False
-    refresh_on_cached_answers: bool = True
     enable_probing: bool = False
     probe_period: float = 0.5
     #: Must stay below probe_period: overlapping probe rounds would keep
@@ -74,9 +73,9 @@ class ScenarioConfig:
     #: historical 0.3s timeout at the default 0.5s period and scales down
     #: safely for faster probing.
     probe_timeout: float = None
-    # Topology delay ranges (seconds)
+    #: Delay range (seconds) of the provider mesh's links; the other delay
+    #: ranges are the topology generator's constants.
     wan_delay_range: tuple = (0.010, 0.040)
-    access_delay_range: tuple = (0.001, 0.005)
     #: Transmission rate of the site access links in bits/second; ``None``
     #: keeps them infinite (zero serialisation delay) as the paper's
     #: latency formulas assume.  Shaped-traffic scenarios set a finite rate
@@ -98,12 +97,25 @@ class ScenarioConfig:
             self.providers_per_site = spec.providers_per_site
             self.hosts_per_site = spec.hosts_per_site
             self.wan_delay_range = spec.wan_delay_range
-            self.access_delay_range = spec.access_delay_range
             self.access_rate_bps = spec.access_rate_bps
         elif self.topology not in FAMILIES:
             raise ValueError(f"unknown topology family {self.topology!r}")
         check_sizing(self.topology_spec())
         check_ttl("dns_host_ttl", self.dns_host_ttl)
+        # Lifetimes must be > 0, which NaN is not either: a bad grid then
+        # fails at expansion with the field named, not inside a worker.
+        lifetimes = {"mapping_ttl": self.mapping_ttl,
+                     "probe_period": self.probe_period}
+        if self.cache_ttl_override is not None:
+            lifetimes["cache_ttl_override"] = self.cache_ttl_override
+        for name, value in lifetimes.items():
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        if self.probe_timeout is not None \
+                and not 0 < self.probe_timeout < self.probe_period:
+            raise ValueError(
+                f"probe_timeout must lie in (0, probe_period="
+                f"{self.probe_period!r}), got {self.probe_timeout!r}")
 
     @property
     def topology_family(self):
@@ -124,7 +136,6 @@ class ScenarioConfig:
             providers_per_site=self.providers_per_site,
             hosts_per_site=self.hosts_per_site,
             wan_delay_range=self.wan_delay_range,
-            access_delay_range=self.access_delay_range,
             access_rate_bps=self.access_rate_bps,
             eids_globally_routable=eids_globally_routable)
         if base.family != "fig1":
@@ -390,7 +401,6 @@ def build_scenario(config):
             sim, topology, dns, irc_policy=config.irc_policy,
             precompute=config.precompute, computation_delay=config.computation_delay,
             mapping_ttl=config.mapping_ttl, push_mode=config.push_mode,
-            refresh_on_cached_answers=config.refresh_on_cached_answers,
             start_irc=config.start_irc, enable_probing=config.enable_probing,
             probe_period=config.probe_period,
             probe_timeout=config.probe_timeout)

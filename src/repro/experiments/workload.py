@@ -27,6 +27,9 @@ from repro.experiments.scenario import FLOW_TCP_PORT, FLOW_UDP_PORT
 from repro.traffic.flows import FlowRecord, send_flow
 from repro.traffic.popularity import FlowShaper, FlowSizeSampler, ZipfSampler
 
+#: The random stream a workload draws arrivals, sites, hosts and sizes from.
+WORKLOAD_STREAM = "workload"
+
 
 @dataclass
 class WorkloadConfig:
@@ -36,7 +39,6 @@ class WorkloadConfig:
     mode: str = "udp"               # "udp" | "tcp"
     packets_per_flow: int = 5
     payload_bytes: int = 1000
-    packet_spacing: float = 0.001
     #: In TCP mode, follow a successful handshake with the sized data
     #: burst (False keeps the handshake-only behaviour of E3).
     tcp_data_burst: bool = False
@@ -45,19 +47,15 @@ class WorkloadConfig:
     #: default draws nothing from the RNG, so constant-size workloads are
     #: byte-identical to the pre-size-distribution behaviour.
     size_dist: str = "constant"
-    size_alpha: float = 1.4         # bounded-Pareto tail exponent
-    size_sigma: float = 1.0         # lognormal shape
-    size_max_factor: float = 50.0   # cap relative to the distribution scale
     #: Pacing mode ("constant"|"shaped"|"fluid").  ``constant`` sends every
-    #: flow's packets ``packet_spacing`` apart (the historical sender,
-    #: event-level identical); ``shaped`` bursts mice back-to-back and paces
-    #: elephants at ``pace_rate_bps``; ``fluid`` additionally advances bulk
-    #: flows as byte chunks with no per-packet events.
+    #: flow's packets 1 ms apart (the historical sender, event-level
+    #: identical); ``shaped`` bursts mice back-to-back and paces elephants
+    #: at ``pace_rate_bps``; ``fluid`` additionally advances bulk flows as
+    #: byte chunks with no per-packet events.
     pacing: str = "constant"
     pace_rate_bps: float = 2_000_000.0
     #: Flows above this many packets are elephants (None: 2x the size mean).
     elephant_threshold: Optional[float] = None
-    burst_spacing: float = 0.0      # mouse inter-packet gap (0 = one burst)
     #: Fluid pacing only: flows above this many packets go fluid (None:
     #: the elephant threshold — every elephant advances as chunks).
     fluid_threshold: Optional[float] = None
@@ -66,21 +64,15 @@ class WorkloadConfig:
     source_site: Optional[int] = None   # None = uniformly random
     dest_site: Optional[int] = None     # None = Zipf over the other sites
     grace_period: float = 8.0       # settle time after the last arrival
-    rng_name: str = "workload"
 
 
 def build_shaper(workload, rng=None):
     """The :class:`FlowShaper` a workload's data phases draw plans from."""
     sizes = FlowSizeSampler(dist=workload.size_dist,
-                            mean=workload.packets_per_flow,
-                            alpha=workload.size_alpha,
-                            sigma=workload.size_sigma,
-                            max_factor=workload.size_max_factor, rng=rng)
+                            mean=workload.packets_per_flow, rng=rng)
     return FlowShaper(sizes, workload.payload_bytes, pacing=workload.pacing,
-                      spacing=workload.packet_spacing,
                       pace_rate_bps=workload.pace_rate_bps,
                       elephant_threshold=workload.elephant_threshold,
-                      burst_spacing=workload.burst_spacing,
                       fluid_threshold=workload.fluid_threshold,
                       chunk_interval=workload.fluid_chunk_interval)
 
@@ -137,7 +129,7 @@ class _Arrivals:
         if num_sites < 2:
             raise ValueError("workload needs at least two sites")
         streams = scenario.sim.rng
-        rng = streams.stream(workload.rng_name)
+        rng = streams.stream(WORKLOAD_STREAM)
         self.scenario = scenario
         self.workload = workload
         # Lives one run: made after the restore, dropped with the queue.
@@ -146,7 +138,7 @@ class _Arrivals:
         self.shaper = build_shaper(workload, rng=rng)
         #: Second reader of the stream, positioned before the arrival draws
         #: that are burnt on the stream itself right here.
-        self.replay = streams.clone(workload.rng_name)
+        self.replay = streams.clone(WORKLOAD_STREAM)
         self.last_arrival = 0.0
         for _ in range(workload.num_flows):
             self.last_arrival += rng.expovariate(workload.arrival_rate)

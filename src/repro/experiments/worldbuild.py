@@ -64,9 +64,10 @@ their link; ``Scenario`` carries the link table and re-attaches them).  A
 clean world is its own pristine state, so its blob holds no component
 checkpoint beyond the singletons'.
 :func:`serialize_world` wraps the pickle in a versioned envelope (magic +
-:data:`SNAPSHOT_SCHEMA` + world key + CRC); the store keeps blobs in
-memory and, under ``directory``, as content-addressed files that outlive
-the process and are the only thing spawn-platform workers can share.
+:data:`SNAPSHOT_SCHEMA` + world key + CRC); the store keeps blobs under
+its ``directory``, as content-addressed files that outlive the process and
+are the only thing spawn-platform workers can share, or in memory when it
+has none.
 
 Residency: worlds ``world_for`` materialises on demand are bounded by
 :data:`ON_DEMAND_WORLDS` — only the most recent is kept, which is all a
@@ -166,7 +167,7 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: rebuilt, never restored.  The "Versions" paragraph of
 #: ``docs/contracts.md`` says when to bump this and when the sweep
 #: artifact ``SCHEMA``.
-SNAPSHOT_SCHEMA = 12
+SNAPSHOT_SCHEMA = 13
 
 
 @contextmanager
@@ -366,13 +367,13 @@ class SnapshotStore:
     copy-on-write memory.  :meth:`world_for` keeps the worlds it had to
     materialise itself, the :data:`ON_DEMAND_WORLDS` most recent of them.
 
-    *Blobs* are the serialized tier: immutable pickled envelopes kept in
-    memory and, when *directory* is given, as content-addressed files
+    *Blobs* are the serialized tier: immutable pickled envelopes.  With a
+    *directory* they live only there, as content-addressed files
     ``<fingerprint>.world`` that outlive the process — repeated sweeps
     pointed at the same ``--snapshot-dir`` skip building entirely, and
     spawn-platform workers (which cannot inherit parent memory) read them
-    from disk.  Disk blobs are validated on first touch; invalid ones are
-    unlinked and rebuilt.
+    from disk — and each read validates the file; invalid ones are unlinked
+    and rebuilt.  Without one they are kept in memory.
     """
 
     def __init__(self, directory=None):
@@ -381,10 +382,9 @@ class SnapshotStore:
         #: Outcome of the most recent :meth:`world_for` call
         #: ("hit" | "restore" | "miss"), for per-cell reporting.
         self.last_outcome = None
-        #: fingerprint -> *validated* envelope dict.  Envelopes are cached
-        #: instead of raw blobs so a restore never re-validates or
-        #: re-unpickles the envelope (and never holds two copies of the
-        #: multi-MB payload bytes).
+        #: fingerprint -> envelope dict, for a store without a directory.
+        #: Envelopes are kept instead of raw blobs so a restore never
+        #: re-unpickles the envelope.
         self._envelopes = {}
         #: fingerprint -> live world pinned by ``ensure(live=True)``.
         self._pinned = {}
@@ -408,17 +408,16 @@ class SnapshotStore:
     def _envelope_for(self, config):
         """The validated envelope for *config*, or None.
 
-        Validation (magic, schema, key, CRC) runs once per read from
-        disk: a cached envelope is returned as-is.  Invalid blobs are
-        discarded (and unlinked on disk).
+        A directory's file is read and validated (magic, schema, key, CRC)
+        on every call and not kept: the caller holds the multi-MB payload
+        only while it uses it.  Invalid blobs are discarded (and unlinked).
         """
         fingerprint = snapshot_fingerprint(config)
-        envelope = self._envelopes.get(fingerprint)
-        if envelope is not None:
-            self.stats.hits += 1
-            return envelope
         if self.directory is None:
-            return None
+            envelope = self._envelopes.get(fingerprint)
+            if envelope is not None:
+                self.stats.hits += 1
+            return envelope
         try:
             with open(self._path(fingerprint), "rb") as handle:
                 blob = handle.read()
@@ -429,7 +428,6 @@ class SnapshotStore:
         except SnapshotError:
             self._discard(fingerprint)
             return None
-        self._envelopes[fingerprint] = envelope
         self.stats.hits += 1
         return envelope
 
@@ -438,13 +436,14 @@ class SnapshotStore:
         return self._envelope_for(config) is not None
 
     def _store_blob(self, fingerprint, blob):
-        """Cache *blob*'s envelope and persist it when a directory is set.
+        """Write *blob* to the directory, or keep its envelope in memory.
 
         The blob was serialized by this process, so parsing the envelope
         is a header unpickle, not a validation round.
         """
-        self._envelopes[fingerprint] = pickle.loads(blob[len(SNAPSHOT_MAGIC):])
-        if self.directory is not None:
+        if self.directory is None:
+            self._envelopes[fingerprint] = pickle.loads(blob[len(SNAPSHOT_MAGIC):])
+        else:
             path = self._path(fingerprint)
             handle = tempfile.NamedTemporaryFile(
                 dir=self.directory, prefix=".tmp-", delete=False)
@@ -509,7 +508,6 @@ class SnapshotStore:
             if outcome == "miss" and self.directory is not None:
                 self._store_blob(fingerprint, serialize_world(scenario))
             self._recent[fingerprint] = scenario
-            self._trim_envelope(fingerprint)
         self.last_outcome = outcome
         return scenario, outcome
 
@@ -536,26 +534,13 @@ class SnapshotStore:
             self._pinned[fingerprint] = scenario
         if envelope is None and (self.directory is not None or not live):
             self._store_blob(fingerprint, serialize_world(scenario))
-        self._trim_envelope(fingerprint)
         if outcome == "build" and not live:
             del scenario
             gc.collect()  # worlds are cycles; see world_for
         return outcome
 
-    def _trim_envelope(self, fingerprint):
-        """Drop a cached envelope that is redundant with a live world.
-
-        With both a live world and an on-disk blob for *fingerprint*,
-        this process resets the live world and later ones re-read the
-        disk — keeping the multi-MB payload bytes cached too would
-        roughly double memory per world for nothing.
-        """
-        if (self.directory is not None
-                and self._live_world(fingerprint) is not None):
-            self._envelopes.pop(fingerprint, None)
-
     def release_worlds(self):
-        """Drop every held live world and cached envelope.
+        """Drop every held live world and in-memory envelope.
 
         Stats and on-disk blobs survive; memory does not.  The sweep
         calls this once its run phase ends — pinned worlds (and multi-MB

@@ -22,6 +22,14 @@ from repro.net.addresses import IPv4Address
 from repro.net.fib import Fib, FibEntry
 from repro.sim import EXPIRED
 
+#: Seconds an ALT router spends on a Map-Request or data envelope before
+#: forwarding or answering it.
+HOP_PROCESSING_DELAY = 0.0005
+#: Seconds an ITR waits for a Map-Reply before it re-sends the request.
+REQUEST_TIMEOUT = 1.0
+#: Overlay hops after which a request or data envelope is dropped.
+MAX_OVERLAY_HOPS = 64
+
 
 class _AltDataEnvelope:
     """A data packet carried over the ALT overlay (CpDataPolicy)."""
@@ -43,14 +51,9 @@ class AltMappingSystem(MappingSystem):
     name = "alt"
     _state_attrs = ("_pending",)
 
-    def __init__(self, sim, chord_stride=None, hop_processing_delay=0.0005,
-                 request_timeout=1.0, retries=1, max_overlay_hops=64):
+    def __init__(self, sim, retries=1):
         super().__init__(sim)
-        self.chord_stride = chord_stride
-        self.hop_processing_delay = hop_processing_delay
-        self.request_timeout = request_timeout
         self.retries = retries
-        self.max_overlay_hops = max_overlay_hops
         self.sites = []
         self._pending = {}
         self._alt_nodes = {}      # site index -> alt node (xtr0's Node)
@@ -81,9 +84,7 @@ class AltMappingSystem(MappingSystem):
             self._alt_nodes[site.index] = site.xtrs[0]
             self._alt_address[site.index] = site.xtr_control_address(0)
             self._site_of_node[site.xtrs[0].name] = site
-        stride = self.chord_stride
-        if stride is None:
-            stride = max(2, int(n ** 0.5))
+        stride = max(2, int(n ** 0.5))
         adjacency = {site.index: set() for site in order}
         for position, site in enumerate(order):
             successor = order[(position + 1) % n]
@@ -145,7 +146,7 @@ class AltMappingSystem(MappingSystem):
                 xtr.node.send_udp(src=xtr.rloc, dst=entry_address,
                                   sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
                                   payload=request, meta={"alt_hops": 0})
-                mapping = yield waiter.expire_in(self.request_timeout)
+                mapping = yield waiter.expire_in(REQUEST_TIMEOUT)
                 if mapping is not EXPIRED:
                     self.stats.record_resolution(self.sim.now - started, ok=True)
                     return mapping
@@ -182,7 +183,7 @@ class AltMappingSystem(MappingSystem):
                               sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
                               payload=reply)
 
-            self.sim.call_in(self.hop_processing_delay, answer)
+            self.sim.call_in(HOP_PROCESSING_DELAY, answer)
             return
         self._forward_over_overlay(packet, request.eid, node, request,
                                    message_type="map-request-hop")
@@ -192,7 +193,7 @@ class AltMappingSystem(MappingSystem):
         if site is not None and site.eid_prefix.contains(envelope.eid):
             xtr = self._xtr_of_node.get(node.name)
             if xtr is not None:
-                self.sim.call_in(self.hop_processing_delay,
+                self.sim.call_in(HOP_PROCESSING_DELAY,
                                  xtr.deliver_into_site, envelope.inner)
             return
         self._forward_over_overlay(packet, envelope.eid, node, envelope,
@@ -200,7 +201,7 @@ class AltMappingSystem(MappingSystem):
 
     def _forward_over_overlay(self, packet, eid, node, payload, message_type):
         hops = packet.meta.get("alt_hops", 0)
-        if hops >= self.max_overlay_hops:
+        if hops >= MAX_OVERLAY_HOPS:
             return
         rib = self._rib.get(node.name)
         entry = rib.lookup(eid, default=None) if rib is not None else None
@@ -214,7 +215,7 @@ class AltMappingSystem(MappingSystem):
                           sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
                           payload=payload, meta={"alt_hops": hops + 1})
 
-        self.sim.call_in(self.hop_processing_delay, forward)
+        self.sim.call_in(HOP_PROCESSING_DELAY, forward)
 
     # -- CP data carriage -------------------------------------------------- #
 

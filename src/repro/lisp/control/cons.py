@@ -24,6 +24,11 @@ from repro.sim import EXPIRED
 #: on a fresh /24, ten addresses in.
 _CDR_BLOCK = int(IPv4Address("203.0.114.0"))
 
+#: Seconds a CAR or CDR spends on an envelope before sending it on.
+HOP_PROCESSING_DELAY = 0.0005
+#: Seconds an ITR waits for a Map-Reply before it re-sends the request.
+REQUEST_TIMEOUT = 2.0
+
 
 @dataclass
 class _ConsEnvelope:
@@ -60,13 +65,10 @@ class ConsMappingSystem(MappingSystem):
     name = "cons"
     _state_attrs = ("_pending",)
 
-    def __init__(self, sim, topology, branching=4, hop_processing_delay=0.0005,
-                 request_timeout=2.0, retries=1):
+    def __init__(self, sim, topology, branching=4, retries=1):
         super().__init__(sim)
         self.topology = topology
         self.branching = max(2, branching)
-        self.hop_processing_delay = hop_processing_delay
-        self.request_timeout = request_timeout
         self.retries = retries
         self.sites = []
         self._pending = {}
@@ -159,7 +161,7 @@ class ConsMappingSystem(MappingSystem):
                 xtr.node.send_udp(src=xtr.rloc, dst=car.address,
                                   sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
                                   payload=envelope)
-                mapping = yield waiter.expire_in(self.request_timeout)
+                mapping = yield waiter.expire_in(REQUEST_TIMEOUT)
                 if mapping is not EXPIRED:
                     self.stats.record_resolution(self.sim.now - started, ok=True)
                     return mapping
@@ -206,7 +208,7 @@ class ConsMappingSystem(MappingSystem):
         forward = _ConsEnvelope(kind="request", request=envelope.request,
                                 path=[*envelope.path, me.address])
         self.stats.count("map-request-hop", forward.size_bytes)
-        self.sim.call_in(self.hop_processing_delay, node.send_udp,
+        self.sim.call_in(HOP_PROCESSING_DELAY, node.send_udp,
                          me.address, target.address, LISP_CONTROL_PORT,
                          LISP_CONTROL_PORT, forward)
 
@@ -227,12 +229,12 @@ class ConsMappingSystem(MappingSystem):
             # Final hop: deliver a plain MapReply to the waiting ITR.
             reply = MapReply(nonce=envelope.request.nonce, mapping=envelope.mapping)
             self.stats.count("map-reply", reply.size_bytes)
-            self.sim.call_in(self.hop_processing_delay, node.send_udp,
+            self.sim.call_in(HOP_PROCESSING_DELAY, node.send_udp,
                              own_address, next_address, LISP_CONTROL_PORT,
                              LISP_CONTROL_PORT, reply)
             return
         self.stats.count("map-reply-hop", remaining.size_bytes)
-        self.sim.call_in(self.hop_processing_delay, node.send_udp,
+        self.sim.call_in(HOP_PROCESSING_DELAY, node.send_udp,
                          own_address, next_address, LISP_CONTROL_PORT,
                          LISP_CONTROL_PORT, remaining)
 

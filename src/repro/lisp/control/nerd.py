@@ -16,6 +16,8 @@ NERD_PORT = 4346
 #: Fixed overhead of a database push message (header + signature).
 NERD_HEADER_BYTES = 64
 AUTHORITY_ADDRESS = IPv4Address("203.0.113.10")
+#: The provider router the database authority attaches to.
+AUTHORITY_PROVIDER = 0
 
 
 @dataclass
@@ -36,13 +38,13 @@ class NerdMappingSystem(MappingSystem):
     name = "nerd"
     _state_attrs = ("version", "pushes_sent", "_installed_versions")
 
-    def __init__(self, sim, topology, authority_provider=0):
+    def __init__(self, sim, topology):
         super().__init__(sim)
         self.topology = topology
         self.version = 0
         self.pushes_sent = 0
         self.authority = topology.attach_infra_host(
-            authority_provider, "nerd-authority", AUTHORITY_ADDRESS)
+            AUTHORITY_PROVIDER, "nerd-authority", AUTHORITY_ADDRESS)
         topology.install_global_routes()
         self._installed_versions = {}
 

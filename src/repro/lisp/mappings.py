@@ -99,14 +99,15 @@ class MappingRecord:
         return f"{self.eid_prefix} -> [{locators}] ttl={self.ttl}{src}"
 
 
-def site_mapping(site, ttl=60.0, primary=0):
+def site_mapping(site, ttl=60.0):
     """The authoritative mapping a site registers for its EID prefix.
 
-    All of the site's RLOCs are included; the *primary* one gets the best
-    priority, matching the static preferences a non-PCE site would publish.
+    All of the site's RLOCs are included; the first one (its primary) gets
+    the best priority, matching the static preferences a non-PCE site
+    would publish.
     """
     rlocs = []
     for b in range(len(site.xtrs)):
-        priority = 1 if b == primary else 2
+        priority = 1 if b == 0 else 2
         rlocs.append(RlocEntry(site.rloc_of(b), priority=priority, weight=50))
     return MappingRecord(site.eid_prefix, tuple(rlocs), ttl=ttl)

@@ -3,7 +3,7 @@
 An ITR cannot tell from its map-cache whether a locator is still usable:
 the destination site's access link may have failed.  The prober sends
 periodic echo probes to every remote locator present in the map-cache and
-tracks replies.  After ``fail_threshold`` consecutive losses a locator is
+tracks replies.  After :data:`FAIL_THRESHOLD` consecutive losses a locator is
 declared down — the ITR's :attr:`~repro.lisp.xtr.TunnelRouter.rloc_liveness`
 predicate then steers traffic to a backup locator in the mapping.  Probing
 continues while a locator is down, so recovery is detected automatically.
@@ -22,6 +22,9 @@ from repro.sim import EXPIRED
 #: Dedicated UDP port for RLOC echo probes (4342 belongs to Map-Request).
 PROBE_PORT = 4347
 
+#: Consecutive unanswered probes after which a locator is declared down.
+FAIL_THRESHOLD = 2
+
 
 @dataclass
 class RlocProbe:
@@ -38,7 +41,7 @@ class RlocProbe:
 class RlocProber:
     """Probes every remote locator cached by one tunnel router."""
 
-    def __init__(self, sim, xtr, period=0.5, timeout=0.3, fail_threshold=2):
+    def __init__(self, sim, xtr, period=0.5, timeout=0.3):
         if timeout >= period:
             # Overlapping rounds would make a full drain (sim.run() with no
             # until) self-sustaining: each tick's probe deadlines are
@@ -51,7 +54,6 @@ class RlocProber:
         self.xtr = xtr
         self.period = period
         self.timeout = timeout
-        self.fail_threshold = fail_threshold
         self.down = set()
         self.probes_sent = 0
         self.replies_received = 0
@@ -125,7 +127,7 @@ class RlocProber:
         address = IPv4Address(address)
         misses = self._consecutive_misses.get(address, 0) + 1
         self._consecutive_misses[address] = misses
-        if misses >= self.fail_threshold and address not in self.down:
+        if misses >= FAIL_THRESHOLD and address not in self.down:
             self.down.add(address)
             self.transitions.append((self.sim.now, address, "down"))
             self.sim.trace.record(self.sim.now, self.xtr.node.name, "probe.rloc-down",
@@ -155,8 +157,7 @@ class RlocProber:
     #: owning sim/xtr, probe timing knobs, and the periodic tick handle
     #: (its armed/next-fire state is engine state, captured by the
     #: simulator's own checkpoint).
-    _SNAPSHOT_EXEMPT = ("sim", "xtr", "period", "timeout", "fail_threshold",
-                        "_task")
+    _SNAPSHOT_EXEMPT = ("sim", "xtr", "period", "timeout", "_task")
 
     def snapshot_state(self):
         """Liveness verdicts, miss counters, nonce and transition listeners.

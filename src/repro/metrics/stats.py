@@ -37,14 +37,18 @@ def stdev(values):
     return math.sqrt(sum((v - centre) ** 2 for v in values) / (len(values) - 1))
 
 
-def confidence_interval(values, z=1.96):
-    """(low, high) normal-approximation CI of the mean."""
+#: Standard-normal quantile of a two-sided 95% interval.
+Z_95 = 1.96
+
+
+def confidence_interval(values):
+    """(low, high) normal-approximation 95% CI of the mean."""
     if not values:
         raise ValueError("confidence interval of empty sequence")
     centre = mean(values)
     if len(values) < 2:
         return (centre, centre)
-    margin = z * stdev(values) / math.sqrt(len(values))
+    margin = Z_95 * stdev(values) / math.sqrt(len(values))
     return (centre - margin, centre + margin)
 
 

@@ -287,13 +287,10 @@ class Link(Journaled):
     queue_capacity:
         Maximum packets waiting behind the one being serialised (rated
         links only; a rate-less link never queues).
-    util_window:
-        Width (simulated seconds) of the utilization windows busy time and
-        offered bytes are bucketed into.
     """
 
     def __init__(self, sim, src_interface, dst_interface, delay=0.001, rate_bps=None,
-                 queue_capacity=1000, name=None, util_window=1.0):
+                 queue_capacity=1000, name=None):
         if delay < 0:
             raise ValueError(f"negative link delay {delay}")
         self.sim = sim
@@ -303,7 +300,7 @@ class Link(Journaled):
         self.rate_bps = rate_bps
         self.queue_capacity = queue_capacity
         self.name = name or f"{src_interface}->{dst_interface}"
-        self.stats = LinkStats(window_width=util_window)
+        self.stats = LinkStats()
         self._queue = deque()
         self._busy = False
         self._up = True
@@ -409,7 +406,7 @@ class Link(Journaled):
             # this hop's wire size (tunnel headers included), so the pump
             # can post subsequent chunks to the same links at that size.
             probe["links"].append((self, size))
-        self.dst_interface.node.receive(packet, self.dst_interface)
+        self.dst_interface.node.receive(packet)
 
     def post_fluid(self, size, flow_id, duration):
         """Advance *size* fluid bytes across this link over *duration* seconds.
@@ -464,18 +461,17 @@ class Link(Journaled):
         self.stats.restore_state(stats_state)
 
 
-def connect(sim, iface_a, iface_b, delay=0.001, rate_bps=None, queue_capacity=1000,
-            util_window=1.0):
+def connect(sim, iface_a, iface_b, delay=0.001, rate_bps=None, queue_capacity=1000):
     """Create a full-duplex connection (two simplex links) between interfaces.
 
     Returns the (a->b, b->a) link pair and attaches each link to the sending
     interface.
     """
     forward = Link(sim, iface_a, iface_b, delay=delay, rate_bps=rate_bps,
-                   queue_capacity=queue_capacity, util_window=util_window,
+                   queue_capacity=queue_capacity,
                    name=f"{iface_a.name}->{iface_b.name}")
     backward = Link(sim, iface_b, iface_a, delay=delay, rate_bps=rate_bps,
-                    queue_capacity=queue_capacity, util_window=util_window,
+                    queue_capacity=queue_capacity,
                     name=f"{iface_b.name}->{iface_a.name}")
     iface_a.attach_link(forward)
     iface_b.attach_link(backward)

@@ -176,7 +176,7 @@ class Node(Journaled):
     # Receive path
     # ------------------------------------------------------------------ #
 
-    def receive(self, packet, interface=None):
+    def receive(self, packet):
         """Entry point for packets arriving from a link (or injected)."""
         if self._journal is not None:
             self._touch()
@@ -188,7 +188,7 @@ class Node(Journaled):
         if self.is_local(ip.dst):
             self.deliver_local(packet)
         else:
-            self.forward(packet, interface)
+            self.forward(packet)
 
     def deliver_local(self, packet):
         """Dispatch a packet addressed to this node."""
@@ -210,7 +210,7 @@ class Node(Journaled):
             self.sim.trace.record(self.sim.now, self.name, "node.unclaimed",
                                   proto=ip.proto, dst=str(ip.dst), uid=packet.uid)
 
-    def forward(self, packet, interface=None):
+    def forward(self, packet):
         """Base nodes do not forward; see :class:`~repro.net.router.Router`."""
         if self._journal is not None:
             self._touch()

@@ -12,7 +12,7 @@ class Router(Node):
     interception uses this), then performs an LPM lookup and transmits.
     """
 
-    def forward(self, packet, interface=None):
+    def forward(self, packet):
         # Reached through Node.receive, which touched the journal.
         ip = packet.ip
         if ip.ttl <= 1:

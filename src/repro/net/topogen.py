@@ -55,6 +55,16 @@ MAX_PROVIDERS = 245
 #: IX routers take one /32 each out of this block (never globally routed).
 IX_PREFIX = IPv4Prefix("9.0.0.0/8")
 
+#: Providers peering at each IX (clipped to the transit population).
+IX_DEGREE = 4
+#: Link delay ranges in seconds beside the spec's core ``wan_delay_range``:
+#: transit uplinks, provider<->IX legs, site access links.
+TRANSIT_DELAY_RANGE = (0.004, 0.015)
+IX_DELAY_RANGE = (0.001, 0.004)
+ACCESS_DELAY_RANGE = (0.001, 0.005)
+#: The random stream every topology draws its delays and choices from.
+TOPOLOGY_STREAM = "topology"
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -78,8 +88,6 @@ class TopologySpec:
     tier2: int = 0
     #: Internet exchanges; 0 derives from the transit population.
     num_ixps: int = 0
-    #: Providers peering at each IX (clipped to the transit population).
-    ix_degree: int = 4
     #: Fraction of stub sites homed *at an IX*: all their providers are
     #: drawn from a single exchange's membership.
     ix_site_fraction: float = 0.25
@@ -87,25 +95,20 @@ class TopologySpec:
     #: attraction).  ``None`` picks the family default: 0.0 for ``tiered``
     #: (uniform), 1.2 for ``caida``.
     stub_attach_bias: Optional[float] = None
-    #: Link delay ranges in seconds: core clique, transit uplinks,
-    #: provider<->IX legs, site access links.
+    #: Delay range in seconds of the core clique's links (the flat mesh's
+    #: links on ``flat``/``fig1``).
     wan_delay_range: tuple = (0.010, 0.040)
-    transit_delay_range: tuple = (0.004, 0.015)
-    ix_delay_range: tuple = (0.001, 0.004)
-    access_delay_range: tuple = (0.001, 0.005)
     access_rate_bps: Optional[float] = None
     eids_globally_routable: bool = False
     #: ``flat``/``fig1`` only: per-site provider-id tuples overriding the
     #: default rotation.
     provider_assignment: Optional[tuple] = None
-    rng_stream: str = "topology"
 
     def __post_init__(self):
         # Normalize sequence fields so specs coming from old list-passing
         # call sites stay hashable (world keys, memo dicts).
-        for name in ("wan_delay_range", "transit_delay_range",
-                     "ix_delay_range", "access_delay_range"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "wan_delay_range",
+                           tuple(self.wan_delay_range))
         if self.provider_assignment is not None:
             object.__setattr__(self, "provider_assignment", tuple(
                 tuple(site) for site in self.provider_assignment))
@@ -167,7 +170,7 @@ def build(sim, spec):
 # --------------------------------------------------------------------------- #
 
 def _build_flat(sim, spec):
-    rng = sim.rng.stream(spec.rng_stream)
+    rng = sim.rng.stream(TOPOLOGY_STREAM)
 
     providers = []
     provider_prefixes = []
@@ -193,7 +196,7 @@ def _build_flat(sim, spec):
         assigned = (spec.provider_assignment[s]
                     if spec.provider_assignment is not None else None)
         site = _build_site(sim, topology, s, spec.providers_per_site,
-                           spec.hosts_per_site, spec.access_delay_range, rng,
+                           spec.hosts_per_site, rng,
                            assigned_providers=assigned,
                            access_rate_bps=spec.access_rate_bps)
         topology.sites.append(site)
@@ -250,7 +253,7 @@ def _weighted_sample(rng, population, weights, k):
 
 def _build_tiered(sim, spec):
     t0, t1, t2 = _tier_sizes(spec)
-    rng = sim.rng.stream(spec.rng_stream)
+    rng = sim.rng.stream(TOPOLOGY_STREAM)
     bias = spec.effective_bias()
     num_providers = t0 + t1 + t2
     tiers = (tuple(range(t0)), tuple(range(t0, t0 + t1)),
@@ -285,7 +288,7 @@ def _build_tiered(sim, spec):
             parents = _weighted_sample(rng, parent_ids, parent_weights, fanout)
             records = []
             for parent_id in parents:
-                delay = rng.uniform(*spec.transit_delay_range)
+                delay = rng.uniform(*TRANSIT_DELAY_RANGE)
                 up_iface = providers[pid].add_interface(f"to-prov{parent_id}")
                 down_iface = providers[parent_id].add_interface(f"to-prov{pid}")
                 connect(sim, down_iface, up_iface, delay=delay)
@@ -298,7 +301,7 @@ def _build_tiered(sim, spec):
     transit_ids = list(tiers[1]) + list(tiers[2])
     transit_weights = _rank_weights(len(transit_ids), bias)
     num_ixps = spec.num_ixps or max(1, len(transit_ids) // 8)
-    ix_degree = max(2, min(spec.ix_degree, len(transit_ids)))
+    ix_degree = max(2, min(IX_DEGREE, len(transit_ids)))
     ix_routers = []
     ixps = []
     for i in range(num_ixps):
@@ -308,7 +311,7 @@ def _build_tiered(sim, spec):
                                       ix_degree)
         members = []
         for pid in member_ids:
-            delay = rng.uniform(*spec.ix_delay_range)
+            delay = rng.uniform(*IX_DELAY_RANGE)
             provider_iface = providers[pid].add_interface(f"to-ix{i}")
             ix_iface = ix_router.add_interface(f"to-prov{pid}")
             connect(sim, provider_iface, ix_iface, delay=delay)
@@ -348,7 +351,7 @@ def _build_tiered(sim, spec):
                                   [weight_of[pid] for pid in candidates],
                                   spec.providers_per_site)
         site = _build_site(sim, topology, s, spec.providers_per_site,
-                           spec.hosts_per_site, spec.access_delay_range, rng,
+                           spec.hosts_per_site, rng,
                            assigned_providers=chosen,
                            access_rate_bps=spec.access_rate_bps)
         topology.sites.append(site)
@@ -361,9 +364,8 @@ def _build_tiered(sim, spec):
 # Site construction (shared by every family)
 # --------------------------------------------------------------------------- #
 
-def _build_site(sim, topology, s, providers_per_site, hosts_per_site,
-                access_delay_range, rng, assigned_providers=None,
-                access_rate_bps=None):
+def _build_site(sim, topology, s, providers_per_site, hosts_per_site, rng,
+                assigned_providers=None, access_rate_bps=None):
     name = f"site{s}"
     eid_prefix = eid_prefix_for(s)
     infra_prefix = infra_prefix_for(s)
@@ -438,7 +440,7 @@ def _build_site(sim, topology, s, providers_per_site, hosts_per_site,
         connect(sim, hub_xtr_iface, xtr_hub_iface, delay=XTR_HUB_DELAY)
 
         provider = topology.providers[p]
-        access_delay = rng.uniform(*access_delay_range)
+        access_delay = rng.uniform(*ACCESS_DELAY_RANGE)
         xtr_up_iface = xtr.add_interface("up", address=rloc)
         provider_iface = provider.add_interface(f"to-{name}-xtr{b}")
         downlink, uplink = connect(sim, provider_iface, xtr_up_iface, delay=access_delay,

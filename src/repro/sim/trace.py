@@ -83,7 +83,6 @@ class Tracer:
     def __iter__(self):
         return iter(self.records)
 
-    def dump(self, limit=None):
+    def dump(self):
         """Human-readable multi-line rendering (for examples and debugging)."""
-        rows = self.records if limit is None else self.records[:limit]
-        return "\n".join(str(record) for record in rows)
+        return "\n".join(str(record) for record in self.records)

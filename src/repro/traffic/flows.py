@@ -146,7 +146,7 @@ class TcpStack(Journaled):
         # Anything else is data (or a bare ACK); count its payload.
         self.data_bytes_received += packet.size_bytes
 
-    def connect(self, destination, dport, rto=DEFAULT_RTO, max_retries=5):
+    def connect(self, destination, dport, max_retries=5):
         """Process: three-way handshake; returns (elapsed, syn_retries) or None."""
         if self._journal is not None:
             self._touch()
@@ -161,7 +161,7 @@ class TcpStack(Journaled):
                 waiter = sim.event()
                 self._pending[sport] = waiter
                 self.host.send(syn)
-                outcome = yield waiter.expire_in(rto * (2 ** attempt))
+                outcome = yield waiter.expire_in(DEFAULT_RTO * (2 ** attempt))
                 if outcome is not EXPIRED:
                     self._pending.pop(sport, None)
                     ack = tcp_packet(self.host.address, destination, sport, dport,

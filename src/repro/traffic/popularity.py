@@ -46,6 +46,18 @@ class ZipfSampler:
 #: Supported flow-size distributions.
 SIZE_DISTRIBUTIONS = ("constant", "pareto", "lognormal")
 
+#: Tail exponent of ``pareto`` flow sizes.
+PARETO_ALPHA = 1.4
+#: Shape of ``lognormal`` flow sizes.
+LOGNORMAL_SIGMA = 1.0
+#: Size cap relative to the distribution scale.
+MAX_FACTOR = 50.0
+_PARETO_SPAN = 1.0 - MAX_FACTOR ** (-PARETO_ALPHA)
+#: Mean of Pareto(PARETO_ALPHA) truncated to [1, MAX_FACTOR].
+_PARETO_MEAN = (PARETO_ALPHA / _PARETO_SPAN
+                * (1.0 - MAX_FACTOR ** (1.0 - PARETO_ALPHA))
+                / (PARETO_ALPHA - 1.0))
+
 
 class FlowSizeSampler:
     """Flow sizes (in packets) around a target mean: constant or heavy-tailed.
@@ -59,42 +71,23 @@ class FlowSizeSampler:
     - ``constant``: every flow is exactly ``mean`` packets.  Never draws
       from the RNG, so enabling the sampler with the default distribution
       is byte-identical to not having one.
-    - ``pareto``: bounded Pareto(``alpha``) on ``[1, max_factor]``,
-      rescaled so the distribution mean equals ``mean``.
-    - ``lognormal``: lognormal with E[X] = ``mean`` and shape ``sigma``,
-      truncated to ``[1, mean * max_factor]``.
+    - ``pareto``: bounded Pareto(:data:`PARETO_ALPHA`) on
+      ``[1, MAX_FACTOR]``, rescaled so the distribution mean equals
+      ``mean``.
+    - ``lognormal``: lognormal with E[X] = ``mean`` and shape
+      :data:`LOGNORMAL_SIGMA`, truncated to ``[1, mean * MAX_FACTOR]``.
     """
 
-    def __init__(self, dist="constant", mean=5, alpha=1.4, sigma=1.0,
-                 max_factor=50.0, rng=None):
+    def __init__(self, dist="constant", mean=5, rng=None):
         if dist not in SIZE_DISTRIBUTIONS:
             raise ValueError(f"unknown size distribution {dist!r}")
         if mean < 1:
             raise ValueError("mean flow size must be >= 1 packet")
-        if dist == "pareto" and alpha <= 0:
-            raise ValueError("Pareto alpha must be positive")
-        if max_factor < 1:
-            raise ValueError("max_factor must be >= 1")
         self.dist = dist
         self.mean = float(mean)
-        self.alpha = float(alpha)
-        self.sigma = float(sigma)
-        self.max_factor = float(max_factor)
         self._rng = rng
-        if dist == "pareto":
-            self._pareto_span = 1.0 - self.max_factor ** (-self.alpha)
-            self._pareto_mean = self._bounded_pareto_mean(
-                self.alpha, self.max_factor)
-        elif dist == "lognormal":
-            self._mu = math.log(self.mean) - self.sigma ** 2 / 2.0
-
-    @staticmethod
-    def _bounded_pareto_mean(alpha, high):
-        """Mean of Pareto(alpha) truncated to [1, high]."""
-        if alpha == 1.0:
-            return math.log(high) / (1.0 - 1.0 / high)
-        norm = alpha / (1.0 - high ** (-alpha))
-        return norm * (1.0 - high ** (1.0 - alpha)) / (alpha - 1.0)
+        if dist == "lognormal":
+            self._mu = math.log(self.mean) - LOGNORMAL_SIGMA ** 2 / 2.0
 
     def sample(self, rng=None):
         """Draw one flow size in packets (>= 1)."""
@@ -105,11 +98,11 @@ class FlowSizeSampler:
             raise ValueError("no RNG supplied")
         if self.dist == "pareto":
             uniform = generator.random()
-            raw = (1.0 - uniform * self._pareto_span) ** (-1.0 / self.alpha)
-            scaled = raw * self.mean / self._pareto_mean
+            raw = (1.0 - uniform * _PARETO_SPAN) ** (-1.0 / PARETO_ALPHA)
+            scaled = raw * self.mean / _PARETO_MEAN
         else:
-            scaled = generator.lognormvariate(self._mu, self.sigma)
-            scaled = min(scaled, self.mean * self.max_factor)
+            scaled = generator.lognormvariate(self._mu, LOGNORMAL_SIGMA)
+            scaled = min(scaled, self.mean * MAX_FACTOR)
         return max(1, round(scaled))
 
 
@@ -162,8 +155,8 @@ class FlowShaper:
     spacing for every flow — so enabling the shaper with the default mode
     is byte-identical to not having one.  ``shaped`` pacing makes the
     heavy tail temporal: flows at or below ``elephant_threshold`` packets
-    are mice and burst back-to-back (``burst_spacing``, default 0.0 —
-    their bytes hit the first link in one instant), larger flows are
+    are mice and burst back-to-back (spacing 0.0 — their bytes hit the
+    first link in one instant), larger flows are
     elephants and space packets so the flow's wire bytes leave at
     ``pace_rate_bps`` (inter-packet gap = wire bytes per packet * 8 /
     rate).
@@ -184,16 +177,15 @@ class FlowShaper:
 
     def __init__(self, sizes, payload_bytes, pacing="constant", spacing=0.001,
                  pace_rate_bps=2_000_000.0, elephant_threshold=None,
-                 burst_spacing=0.0, overhead_bytes=28,
-                 fluid_threshold=None, chunk_interval=0.25):
+                 overhead_bytes=28, fluid_threshold=None, chunk_interval=0.25):
         if pacing not in PACING_MODES:
             raise ValueError(f"unknown pacing mode {pacing!r}")
         if payload_bytes < 1:
             raise ValueError("payload_bytes must be >= 1")
         if pace_rate_bps <= 0:
             raise ValueError("pace_rate_bps must be positive")
-        if burst_spacing < 0 or spacing < 0:
-            raise ValueError("packet spacings must be >= 0")
+        if spacing < 0:
+            raise ValueError("packet spacing must be >= 0")
         if chunk_interval <= 0:
             raise ValueError("chunk_interval must be positive")
         self.sizes = sizes
@@ -211,7 +203,6 @@ class FlowShaper:
         if fluid_threshold < 1:
             raise ValueError("fluid_threshold must be >= 1 packet")
         self.fluid_threshold = fluid_threshold
-        self.burst_spacing = float(burst_spacing)
         self.overhead_bytes = int(overhead_bytes)
         self.chunk_interval = float(chunk_interval)
 
@@ -249,4 +240,4 @@ class FlowShaper:
             return FlowPlan(packets=packets, payload_bytes=self.payload_bytes,
                             spacing=self.pace_spacing, kind="elephant")
         return FlowPlan(packets=packets, payload_bytes=self.payload_bytes,
-                        spacing=self.burst_spacing, kind="mouse")
+                        spacing=0.0, kind="mouse")

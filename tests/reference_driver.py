@@ -4,7 +4,8 @@ Until PR 21 every flow of a workload was a :class:`~repro.sim.process.Process`
 created at t=0 that ran four more processes (the stub's ``_lookup``, the
 resolver's ``handle`` and ``_resolve``, ``_send``/``_send_fluid``).  The
 bodies below are those generators, verbatim apart from the names they are
-reached by, so ``tests/test_workload_oracle.py`` can run the same world
+reached by and the resolver options that have since become constants, so
+``tests/test_workload_oracle.py`` can run the same world
 under both drivers and demand equal flow records, link ledgers, sinks and
 resolver counters.  Nothing in ``src/`` imports this module.
 """
@@ -14,9 +15,10 @@ from collections import defaultdict
 
 from repro.dns.message import DNS_PORT, DnsMessage, make_query, make_reply
 from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
-from repro.dns.resolver import MAX_CNAME_CHASES, MAX_REFERRALS
+from repro.dns.resolver import MAX_CNAME_CHASES, MAX_REFERRALS, NEGATIVE_TTL
+from repro.dns.server import PROCESSING_DELAY
 from repro.experiments.scenario import FLOW_TCP_PORT, FLOW_UDP_PORT
-from repro.experiments.workload import build_shaper
+from repro.experiments.workload import WORKLOAD_STREAM, build_shaper
 from repro.net.host import RequestTimeout
 from repro.net.packet import udp_packet
 from repro.traffic.flows import FLUID_PROBE_RETRIES, FlowRecord, FluidPump
@@ -151,8 +153,7 @@ def _resolve(self, qname, qtype=TYPE_A, _depth=0):
             negative = self.negative_cache.get((qname, qtype))
             if negative is not None:
                 return DnsMessage(ident=0, flags=0).with_rcode(negative)
-        if self.processing_delay > 0:
-            yield self.sim.timeout(self.processing_delay)
+        yield self.sim.timeout(PROCESSING_DELAY)
         servers = self._cached_servers(qname)
         failure_rcode = RCODE_SERVFAIL
         for _step in range(MAX_REFERRALS):
@@ -190,7 +191,7 @@ def _resolve(self, qname, qtype=TYPE_A, _depth=0):
                     if not chased.answers:
                         return reply.with_rcode(chased.rcode)
                 if self.use_cache:
-                    ttl = min(self._record_ttl(r) for r in reply.answers)
+                    ttl = min(r.ttl for r in reply.answers)
                     self.answer_cache.put((qname, qtype), list(reply.answers), ttl)
                 return reply
             referral = reply.referral_servers()
@@ -199,23 +200,22 @@ def _resolve(self, qname, qtype=TYPE_A, _depth=0):
                 break
             if self.use_cache and reply.authorities:
                 child = reply.authorities[0].name
-                ttl = min(self._record_ttl(r) for r in reply.authorities)
+                ttl = min(r.ttl for r in reply.authorities)
                 self.referral_cache.put(("ns", child), list(glue), ttl)
             servers = glue
-        if self.use_cache and failure_rcode == RCODE_NXDOMAIN \
-                and self.negative_ttl > 0:
+        if self.use_cache and failure_rcode == RCODE_NXDOMAIN:
             self.negative_cache.put((qname, qtype), RCODE_NXDOMAIN,
-                                    self.negative_ttl)
+                                    NEGATIVE_TTL)
         empty = DnsMessage(ident=0, flags=0)
         return empty.with_rcode(failure_rcode)
 
     key = (qname, qtype)
-    if self.coalesce and _depth == 0 and key in self._in_flight:
+    if _depth == 0 and key in self._in_flight:
         return self.sim.process(_coalesced(),
                                 name=f"{self.node.name}-coalesce-{qname}")
     process = self.sim.process(_resolve(),
                                name=f"{self.node.name}-resolve-{qname}")
-    if self.coalesce and _depth == 0:
+    if _depth == 0:
         self._in_flight[key] = process
         process.callbacks.append(lambda _event: self._in_flight.pop(key, None))
     return process
@@ -233,7 +233,7 @@ def reference_run_workload(scenario, workload):
     install_reference_resolvers(scenario)
     sim = scenario.sim
     topology = scenario.topology
-    rng = sim.rng.stream(workload.rng_name)
+    rng = sim.rng.stream(WORKLOAD_STREAM)
     num_sites = len(topology.sites)
     if num_sites < 2:
         raise ValueError("workload needs at least two sites")

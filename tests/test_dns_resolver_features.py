@@ -1,15 +1,15 @@
 """Tests for resolver query coalescing and negative caching."""
 
 from repro.dns.hierarchy import install_dns
-from repro.dns.resolver import StubResolver
+from repro.dns.resolver import NEGATIVE_TTL, StubResolver
 from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
-def make_world(seed=91, use_cache=True, **dns_kwargs):
+def make_world(seed=91, use_cache=True):
     sim = Simulator(seed=seed)
     topology = build(sim, TopologySpec(num_sites=3, num_providers=4))
-    dns = install_dns(topology, use_cache=use_cache, **dns_kwargs)
+    dns = install_dns(topology, use_cache=use_cache)
     return sim, topology, dns
 
 
@@ -43,20 +43,6 @@ def test_different_names_not_coalesced():
         assert proc.value[0] is not None
 
 
-def test_coalescing_disabled():
-    sim, topology, dns = make_world()
-    site = topology.sites[0]
-    resolver = dns.resolvers[site.index]
-    resolver.coalesce = False
-    qname = dns.host_name(topology.sites[1], 0)
-    stubs = [StubResolver(sim, host, site.dns_address) for host in site.hosts]
-    for stub in stubs:
-        stub.lookup(qname)
-    sim.run()
-    assert resolver.coalesced_queries == 0
-    assert resolver.upstream_queries == 6  # two full walks
-
-
 def test_nxdomain_negatively_cached():
     sim, topology, dns = make_world()
     site = topology.sites[0]
@@ -77,13 +63,12 @@ def test_negative_cache_expires():
     sim, topology, dns = make_world()
     site = topology.sites[0]
     resolver = dns.resolvers[site.index]
-    resolver.negative_ttl = 1.0
     stub = StubResolver(sim, site.hosts[0], site.dns_address)
     missing = f"nosuch.{dns.site_domain(topology.sites[1])}"
     stub.lookup(missing)
     sim.run()
     upstream = resolver.upstream_queries
-    sim.run(until=sim.now + 5.0)
+    sim.run(until=sim.now + NEGATIVE_TTL)
     stub.lookup(missing)
     sim.run()
     assert resolver.upstream_queries > upstream  # re-walked after expiry

@@ -1,0 +1,132 @@
+"""Every option of ``src/repro`` has a setter.
+
+An option is a parameter with a default of a public callable (a public
+function, or ``__init__`` or a public method of a public class) or a
+field of one of :data:`CONFIGS`.  Something in ``src/``, ``examples/``,
+``benchmarks/`` or ``tests/`` must pass it a value: by keyword (matched by
+name, whatever the callee), as the string key of a dict literal, or by
+position where the callee's name is defined once.  A same-name
+pass-through (``x=x``, ``x=config.x``) passes nothing.  An option nothing
+sets runs at its default everywhere: it is a constant, and goes.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: The config dataclasses whose every field is an option.
+CONFIGS = ("ScenarioConfig", "WorkloadConfig", "SweepGrid", "TopologySpec")
+
+#: Options set where the matcher cannot see it, as ``callee.option``, each
+#: with the reason.
+KEPT = {
+    **{f"FlowAccount.{name}": "restore rebuilds every account from its "
+                              "stored tuple, FlowAccount(*counts)"
+       for name in ("offered", "delivered")},
+    **{f"{plan}.fingerprint": "the topology passes the fingerprint it has "
+                              "just computed, a local of the same name"
+       for plan in ("RoutingPlan", "HierarchicalRoutingPlan")},
+    "lookup.qtype": "servers pass the question's qtype by position, and "
+                    "several methods are named lookup",
+    "resolve.qtype": "the CNAME chase passes its qtype by position, and "
+                     "several methods are named resolve",
+    "make_query.qtype": "the resolver passes the qtype it resolves, a "
+                        "parameter of the same name",
+    "main.argv": "tests call both CLIs' main by position, and two "
+                 "functions are named main",
+}
+
+
+def _trees(*tops):
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield ast.parse(path.read_text())
+
+
+def _signature(function, method):
+    """Positional parameters (after ``self``) and defaulted ones."""
+    args = function.args
+    names = [arg.arg for arg in args.posonlyargs + args.args]
+    defaulted = names[len(names) - len(args.defaults):]
+    defaulted += [arg.arg for arg, default
+                  in zip(args.kwonlyargs, args.kw_defaults, strict=True)
+                  if default is not None]
+    return names[1:] if method else names, defaulted
+
+
+def _options():
+    """``{(callee, option)}`` and ``{callee: [positional parameters]}``."""
+    options, positions = set(), {}
+
+    def add(callee, params, defaulted):
+        positions.setdefault(callee, []).append(params)
+        options.update((callee, name) for name in defaulted
+                       if not name.startswith("_"))
+
+    for tree in _trees("src/repro"):
+        for node in tree.body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                add(node.name, *_signature(node, method=False))
+            elif isinstance(node, ast.ClassDef):
+                if node.name in CONFIGS:
+                    fields = [item.target.id for item in node.body
+                              if isinstance(item, ast.AnnAssign)]
+                    add(node.name, fields, fields)
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    method = not any(getattr(decorator, "id", None)
+                                     == "staticmethod"
+                                     for decorator in item.decorator_list)
+                    if item.name == "__init__":
+                        add(node.name, *_signature(item, method))
+                    elif not item.name.startswith("_"):
+                        add(item.name, *_signature(item, method))
+    return options, positions
+
+
+def _passes_through(name, value):
+    return (isinstance(value, ast.Name) and value.id == name
+            or isinstance(value, ast.Attribute) and value.attr == name)
+
+
+def _setters(positions):
+    """Option names passed by keyword or dict key, and the
+    ``(callee, option)`` pairs passed by position."""
+    names, pairs = set(), set()
+    for tree in _trees("src", "examples", "benchmarks", "tests"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                names.update(key.value for key, value
+                             in zip(node.keys, node.values, strict=True)
+                             if isinstance(key, ast.Constant)
+                             and isinstance(key.value, str)
+                             and not _passes_through(key.value, value))
+            if not isinstance(node, ast.Call):
+                continue
+            names.update(keyword.arg for keyword in node.keywords
+                         if keyword.arg is not None
+                         and not _passes_through(keyword.arg, keyword.value))
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            signatures = positions.get(callee, ())
+            if len(signatures) != 1:
+                continue
+            for param, value in zip(signatures[0], node.args, strict=False):
+                if isinstance(value, ast.Starred):
+                    break
+                if not _passes_through(param, value):
+                    pairs.add((callee, param))
+    return names, pairs
+
+
+def test_every_option_has_a_setter():
+    options, positions = _options()
+    names, pairs = _setters(positions)
+    unset = {f"{callee}.{option}" for callee, option in options
+             if option not in names and (callee, option) not in pairs}
+    assert sorted(unset - set(KEPT)) == []
+    assert sorted(set(KEPT) - unset) == [], "stale KEPT entries"
+    assert all(reason.strip() for reason in KEPT.values())

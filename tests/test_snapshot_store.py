@@ -270,6 +270,7 @@ def test_prebuild_worlds_blob_pool_path(tmp_path):
     prebuild_worlds(store, cells, workers=2, live=False)
     assert store.stats.builds == 2
     assert len(list((tmp_path / "worlds").glob("*.world"))) == 2
+    assert len(store) == 0  # blobs live on disk only: the parent holds none
     world, outcome = store.world_for(cells[0].scenario)
     assert outcome == "restore" and world.config == cells[0].scenario
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
+from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.sweep import (CSV_COLUMNS, PRESETS, SCHEMA,
                                      AggregateFold, CsvStreamWriter,
                                      SweepGrid, expand_grid, iter_jsonl,
@@ -73,6 +74,24 @@ def test_expand_grid_rejects_oversized_topology(fields, named,
         expand_grid(SweepGrid(**fields))
     with pytest.raises(ValueError, match=named):
         run_sweep(SweepGrid(**fields), workers=2)
+
+
+@pytest.mark.parametrize("field, value, named", (
+    ("mapping_ttl", -1.0, "mapping_ttl must be > 0, got -1.0"),
+    ("mapping_ttl", float("nan"), "mapping_ttl must be > 0, got nan"),
+    ("cache_ttl_override", 0.0, "cache_ttl_override must be > 0, got 0.0"),
+    ("probe_period", float("nan"), "probe_period must be > 0, got nan"),
+    ("probe_timeout", 0.5, r"probe_timeout must lie in \(0, probe_period"),
+    ("probe_timeout", 0.0, r"probe_timeout must lie in \(0, probe_period"),
+))
+def test_bad_lifetimes_fail_at_the_config(field, value, named,
+                                          no_world_builds):
+    """A lifetime that is not > 0 (NaN neither) is rejected where the config
+    is made, field named — so a grid carrying it fails at expansion."""
+    with pytest.raises(ValueError, match=named):
+        ScenarioConfig(**{field: value})
+    with pytest.raises(ValueError, match=named):
+        expand_grid(SweepGrid(scenario_overrides={field: value}))
 
 
 def test_expand_grid_cells_trace_disabled():

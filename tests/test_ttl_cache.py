@@ -1,4 +1,10 @@
-"""Regression tests for TtlCache: rejection contract, compaction, bounds."""
+"""Regression tests for TtlCache: rejection contract, compaction, bounds,
+and a seeded differential oracle against a plain dict."""
+
+import math
+import random
+
+import pytest
 
 from repro.dns.cache import TtlCache
 from repro.sim import Simulator
@@ -19,6 +25,20 @@ def test_put_rejects_non_positive_ttl():
     events = sim.trace.of_kind("cache.put-rejected")
     assert len(events) == 2
     assert events[0].detail["key"] == "k"
+
+
+def test_nan_ttl_is_rejected_and_inf_never_expires():
+    sim, cache = make_cache()
+    assert cache.put("k", "old", 10) is True
+    # NaN is neither <= 0 nor expired at any time: it must be rejected.
+    assert cache.put("k", "v", math.nan) is False
+    assert cache.rejected_puts == 1 and cache.insertions == 1
+    assert [event.detail["key"] for event
+            in sim.trace.of_kind("cache.put-rejected")] == ["k"]
+    assert cache.put("forever", "v", math.inf) is True
+    sim.now = 1e9
+    assert cache.get("k") is None   # the stale entry went with the rejection
+    assert cache.get("forever") == "v"
 
 
 def test_put_rejection_drops_stale_entry():
@@ -93,3 +113,110 @@ def test_put_reports_false_when_new_entry_is_the_victim():
     assert cache.peek("short") is None
     assert cache.peek("long") == 1
     assert cache.evictions == 1
+
+
+# --------------------------------------------------------------------- #
+# TtlCache vs a plain dict, under seeded scripts
+# --------------------------------------------------------------------- #
+
+#: Every kind of TTL a caller can hand over: rejected (-1, 0, NaN), short,
+#: long and never expiring.
+_TTLS = (-1, 0, math.nan, 0.5, 1, 2, math.inf)
+_KEYS = "abcde"
+
+
+class _ReferenceCache:
+    """The contract of :class:`TtlCache`, written out over one dict.
+
+    ``entries`` maps key -> (expires, value) in insertion order; a dead
+    entry stays until a read finds it or a compaction sweeps it.  No
+    automatic compaction: the scripts stay far below its threshold.
+    """
+
+    def __init__(self, max_entries):
+        self.max_entries = max_entries
+        self.entries = {}
+        self.hits = self.misses = self.expirations = 0
+        self.insertions = self.rejected_puts = self.evictions = 0
+
+    def counters(self):
+        return (self.hits, self.misses, self.expirations, self.insertions,
+                self.rejected_puts, self.evictions)
+
+    def put(self, now, key, value, ttl):
+        if not (ttl > 0):
+            self.entries.pop(key, None)
+            self.rejected_puts += 1
+            return False
+        self.entries[key] = (now + ttl, value)
+        self.insertions += 1
+        if self.max_entries is None or len(self.entries) <= self.max_entries:
+            return True
+        self.compact(now)
+        while len(self.entries) > self.max_entries:
+            soonest = min(expires for expires, _value in self.entries.values())
+            victim = next(k for k, (expires, _value) in self.entries.items()
+                          if expires == soonest)
+            del self.entries[victim]
+            self.evictions += 1
+        return key in self.entries
+
+    def get(self, now, key):
+        if key not in self.entries:
+            self.misses += 1
+            return None
+        expires, value = self.entries[key]
+        if now >= expires:
+            del self.entries[key]
+            self.expirations += 1
+            self.misses += 1
+            return None
+        self.hits += 1
+        return value
+
+    def peek(self, now, key):
+        expires, value = self.entries.get(key, (-math.inf, None))
+        return value if now < expires else None
+
+    def compact(self, now):
+        dead = [key for key, (expires, _value) in self.entries.items()
+                if now >= expires]
+        for key in dead:
+            del self.entries[key]
+        self.expirations += len(dead)
+        return len(dead)
+
+
+def _counters(cache):
+    return (cache.hits, cache.misses, cache.expirations, cache.insertions,
+            cache.rejected_puts, cache.evictions)
+
+
+@pytest.mark.parametrize("max_entries", (None, 3))
+@pytest.mark.parametrize("seed", range(12))
+def test_ttl_cache_matches_a_reference_dict(seed, max_entries):
+    rng = random.Random(seed)
+    sim, cache = make_cache(max_entries=max_entries)
+    reference = _ReferenceCache(max_entries)
+    for step in range(400):
+        key = rng.choice(_KEYS)
+        action = rng.choice(("put", "put", "put", "get", "get", "peek",
+                             "compact", "len", "advance"))
+        if action == "put":
+            ttl = rng.choice(_TTLS)
+            assert cache.put(key, step, ttl) \
+                == reference.put(sim.now, key, step, ttl), (step, ttl)
+        elif action == "get":
+            assert cache.get(key) == reference.get(sim.now, key), step
+        elif action == "peek":
+            assert cache.peek(key) == reference.peek(sim.now, key), step
+        elif action == "compact":
+            assert cache.compact() == reference.compact(sim.now), step
+        elif action == "len":
+            reference.compact(sim.now)
+            assert len(cache) == len(reference.entries), step
+        else:
+            sim.now += rng.choice((0.25, 0.5, 1.0, 3.0))
+        assert _counters(cache) == reference.counters(), (step, action)
+    assert len(sim.trace.of_kind("cache.put-rejected")) \
+        == reference.rejected_puts

@@ -132,18 +132,3 @@ def dotted_root(node):
         return node.id
     return None
 
-
-def is_truthy_constant(node):
-    return isinstance(node, ast.Constant) and bool(node.value)
-
-
-def contains_yield(node):
-    """True when *node*'s body yields without descending into nested defs."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(child, (ast.Yield, ast.YieldFrom)):
-            return True
-        if contains_yield(child):
-            return True
-    return False

@@ -13,7 +13,7 @@ The rule flags iteration over *statically recognisable* set expressions —
 one of those — when the results feed ordered work:
 
 - a ``for`` loop whose body calls a scheduling, digest or aggregation
-  sink (``call_in``, ``timeout``, ``process``, ``send``, ``update``,
+  sink (``call_in``, ``timeout``, ``send``, ``update``,
   ``append`` ...);
 - materialisation into an ordered container: ``list(s)``, ``tuple(s)``, a
   list comprehension, ``"".join(s)`` or ``*s`` unpacking.
@@ -31,7 +31,7 @@ from repro.analysis.core import register
 #: Calls inside a loop body that make iteration order observable.
 _ORDER_SINKS = {
     # event scheduling
-    "call_in", "call_at", "timeout", "process", "periodic", "schedule",
+    "call_in", "call_at", "timeout", "periodic", "schedule",
     "start", "succeed", "send", "send_udp", "request",
     # digests / serialisation
     "update", "record", "write", "dumps", "encode",

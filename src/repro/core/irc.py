@@ -6,7 +6,7 @@ inherently the same used today by IRC techniques" (Step 1), and PCE_D's
 "mapping selection is made by an online IRC engine running in background,
 so the mapping is always known aforehand" (Step 6).
 
-This engine runs a background measurement process per site: each period it
+This engine runs a background periodic measurement per site: each period it
 refreshes an EWMA estimate of every provider's path delay (access delay +
 measured WAN component + jitter) and snapshots the access links' byte
 counters.  Selection policies:
@@ -74,10 +74,10 @@ class IrcEngine:
         """Measure immediately, then re-measure every period (idempotent).
 
         The measurement rounds ride a checkpointable
-        :class:`~repro.sim.periodic.PeriodicTask` rather than a perpetual
-        generator loop, so a world with a running IRC engine can still be
-        settled, snapshotted and restored (the engine checkpoint re-arms
-        the tick).
+        :class:`~repro.sim.periodic.PeriodicTask` rather than a callback
+        that re-schedules itself forever, so a world with a running IRC
+        engine can still be settled, snapshotted and restored (the engine
+        checkpoint re-arms the tick).
         """
         if self._task.armed:
             return

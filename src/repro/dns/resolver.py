@@ -17,7 +17,6 @@ from repro.dns.cache import TtlCache
 from repro.dns.message import DNS_PORT, DnsMessage, FLAG_RD, make_query, make_reply
 from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
 from repro.dns.server import PROCESSING_DELAY
-from repro.net.host import RequestTimeout
 from repro.sim.events import Event
 from repro.sim.state import Journaled
 
@@ -148,101 +147,144 @@ class RecursiveResolver(Journaled):
         """Iteratively resolve; returns an event carrying the final DnsMessage.
 
         A live answer-cache entry is the whole resolution: the event comes
-        back already succeeded (one engine event, no process).  Anything
-        else is a process.  Follows CNAME chains across zones (bounded by
-        MAX_CNAME_CHASES).  Identical concurrent resolutions are coalesced
-        onto one in-flight walk; NXDOMAIN outcomes are negatively cached
-        for :data:`NEGATIVE_TTL`.  The message's ``answers``/``rcode`` reflect
-        the outcome; SERVFAIL is used for loops and timeouts.
+        back already succeeded (one engine event).  A query identical to a
+        walk in flight is coalesced onto it: its event succeeds with a copy
+        of the walk's outcome, one engine event after it.  Anything else
+        starts a :class:`_Walk`.  Follows CNAME chains across zones
+        (bounded by MAX_CNAME_CHASES); NXDOMAIN outcomes are negatively
+        cached for :data:`NEGATIVE_TTL`.  The message's ``answers``/``rcode``
+        reflect the outcome; SERVFAIL is used for loops and timeouts.
         """
         # Counters, ident, caches and the in-flight table all move below.
         if self._journal is not None:
             self._touch()
-
-        def _coalesced():
-            # Wait for the walk already in flight and reuse its outcome.
-            self.coalesced_queries += 1
-            leader = self._in_flight[(qname, qtype)]
-            result = yield leader
-            return result.copy()
-
-        def _resolve():
-            if self.use_cache:
-                negative = self.negative_cache.get((qname, qtype))
-                if negative is not None:
-                    return DnsMessage(ident=0, flags=0).with_rcode(negative)
-            yield self.sim.timeout(PROCESSING_DELAY)
-            servers = self._cached_servers(qname)
-            failure_rcode = RCODE_SERVFAIL
-            for _step in range(MAX_REFERRALS):
-                if not servers:
-                    break
-                server = servers[0]
-                query = make_query(self._next_ident(), qname, qtype)
-                socket = self.node.open_udp()
-                self.upstream_queries += 1
-                try:
-                    packet = yield socket.request(server, DNS_PORT, payload=query)
-                except RequestTimeout:
-                    servers = servers[1:]
-                    continue
-                finally:
-                    socket.close()
-                reply = packet.payload
-                if not isinstance(reply, DnsMessage):
-                    servers = servers[1:]
-                    continue
-                if reply.rcode == RCODE_NXDOMAIN:
-                    failure_rcode = RCODE_NXDOMAIN
-                    break
-                if reply.answers:
-                    wanted = [r for r in reply.answers if r.rtype == qtype]
-                    cnames = [r for r in reply.answers if r.rtype == TYPE_CNAME]
-                    if not wanted and cnames and qtype == TYPE_A \
-                            and _depth < MAX_CNAME_CHASES:
-                        # Cross-zone alias: restart at the canonical name and
-                        # splice the chain into the final answer.
-                        target = cnames[-1].data
-                        chased = yield self.resolve(target, qtype, _depth + 1)
-                        reply = reply.copy()  # a sent message is immutable
-                        reply.answers.extend(chased.answers)
-                        if not chased.answers:
-                            return reply.with_rcode(chased.rcode)
-                    if self.use_cache:
-                        ttl = min(r.ttl for r in reply.answers)
-                        self.answer_cache.put((qname, qtype), list(reply.answers), ttl)
-                    return reply
-                referral = reply.referral_servers()
-                glue = [address for _name, address in referral if address is not None]
-                if not glue:
-                    break
-                if self.use_cache and reply.authorities:
-                    child = reply.authorities[0].name
-                    ttl = min(r.ttl for r in reply.authorities)
-                    self.referral_cache.put(("ns", child), list(glue), ttl)
-                servers = glue
-            if self.use_cache and failure_rcode == RCODE_NXDOMAIN:
-                self.negative_cache.put((qname, qtype), RCODE_NXDOMAIN,
-                                        NEGATIVE_TTL)
-            empty = DnsMessage(ident=0, flags=0)
-            return empty.with_rcode(failure_rcode)
-
         key = (qname, qtype)
         if _depth == 0 and key in self._in_flight:
-            return self.sim.process(_coalesced(),
-                                    name=f"{self.node.name}-coalesce-{qname}")
+            # The leader leaves the table in its first callback, so a
+            # leader still in it has not run its callbacks: ours will.
+            self.coalesced_queries += 1
+            follower = self.sim.event()
+            self._in_flight[key].callbacks.append(
+                lambda leader: follower.succeed(leader.value.copy()))
+            return follower
         if self.use_cache:
             # The query's one answer-cache read (the counters see one).
             cached = self.answer_cache.get(key)
             if cached is not None:
                 synthetic = DnsMessage(ident=0, flags=0, answers=list(cached))
                 return self.sim.event().succeed(synthetic)
-        process = self.sim.process(_resolve(),
-                                   name=f"{self.node.name}-resolve-{qname}")
+        walk = _Walk(self, qname, qtype, _depth)
         if _depth == 0:
-            self._in_flight[key] = process
-            process.callbacks.append(lambda _event: self._in_flight.pop(key, None))
-        return process
+            self._in_flight[key] = walk
+            walk.callbacks.append(lambda _event: self._in_flight.pop(key, None))
+        return walk
+
+
+class _Walk(Event):
+    """One iterative resolution in flight, referral by referral.
+
+    Each step sends one query from a fresh socket and continues in the
+    request's callback: a timeout or a non-DNS reply moves on to the next
+    server, a referral to the servers it names (caching them), an answer
+    ends the walk (a cross-zone CNAME first waits for a nested resolve of
+    its target).  Succeeds with the final DnsMessage.
+    """
+
+    __slots__ = ("resolver", "qname", "qtype", "depth", "servers",
+                 "steps_left", "socket")
+
+    def __init__(self, resolver, qname, qtype, depth):
+        Event.__init__(self, resolver.sim)
+        self.resolver = resolver
+        self.qname = qname
+        self.qtype = qtype
+        self.depth = depth
+        self.servers = None
+        self.steps_left = MAX_REFERRALS
+        self.socket = None
+        if resolver.use_cache:
+            negative = resolver.negative_cache.get((qname, qtype))
+            if negative is not None:
+                self.succeed(DnsMessage(ident=0, flags=0).with_rcode(negative))
+                return
+        self.sim.call_in(PROCESSING_DELAY, self._begin)
+
+    def _begin(self):
+        self.servers = self.resolver._cached_servers(self.qname)
+        self._query()
+
+    def _query(self):
+        if not self.steps_left or not self.servers:
+            self._fail(RCODE_SERVFAIL)
+            return
+        self.steps_left -= 1
+        resolver = self.resolver
+        query = make_query(resolver._next_ident(), self.qname, self.qtype)
+        self.socket = resolver.node.open_udp()
+        resolver.upstream_queries += 1
+        request = self.socket.request(self.servers[0], DNS_PORT, payload=query)
+        request.callbacks.append(self._answered)
+
+    def _answered(self, request):
+        self.socket.close()
+        reply = request.value.payload if request.ok else None
+        if not isinstance(reply, DnsMessage):  # timed out, or not DNS
+            self.servers = self.servers[1:]
+            self._query()
+            return
+        if reply.rcode == RCODE_NXDOMAIN:
+            self._fail(RCODE_NXDOMAIN)
+            return
+        qtype = self.qtype
+        if reply.answers:
+            wanted = [r for r in reply.answers if r.rtype == qtype]
+            cnames = [r for r in reply.answers if r.rtype == TYPE_CNAME]
+            if not wanted and cnames and qtype == TYPE_A \
+                    and self.depth < MAX_CNAME_CHASES:
+                # Cross-zone alias: restart at the canonical name and
+                # splice the chain into the final answer.
+                chase = self.resolver.resolve(cnames[-1].data, qtype,
+                                              self.depth + 1)
+                chase.callbacks.append(partial(self._chased, reply))
+                return
+            self._answer(reply)
+            return
+        referral = reply.referral_servers()
+        glue = [address for _name, address in referral if address is not None]
+        if not glue:
+            self._fail(RCODE_SERVFAIL)
+            return
+        resolver = self.resolver
+        if resolver.use_cache and reply.authorities:
+            child = reply.authorities[0].name
+            ttl = min(r.ttl for r in reply.authorities)
+            resolver.referral_cache.put(("ns", child), list(glue), ttl)
+        self.servers = glue
+        self._query()
+
+    def _chased(self, reply, chase):
+        chased = chase.value
+        reply = reply.copy()  # a sent message is immutable
+        reply.answers.extend(chased.answers)
+        if not chased.answers:
+            self.succeed(reply.with_rcode(chased.rcode))
+            return
+        self._answer(reply)
+
+    def _answer(self, reply):
+        resolver = self.resolver
+        if resolver.use_cache:
+            ttl = min(r.ttl for r in reply.answers)
+            resolver.answer_cache.put((self.qname, self.qtype),
+                                      list(reply.answers), ttl)
+        self.succeed(reply)
+
+    def _fail(self, rcode):
+        resolver = self.resolver
+        if resolver.use_cache and rcode == RCODE_NXDOMAIN:
+            resolver.negative_cache.put((self.qname, self.qtype), RCODE_NXDOMAIN,
+                                        NEGATIVE_TTL)
+        self.succeed(DnsMessage(ident=0, flags=0).with_rcode(rcode))
 
 
 class StubResolver:
@@ -258,7 +300,7 @@ class StubResolver:
         """Resolve *qname*; returns an event for (address_or_None, elapsed).
 
         The query leaves inside this call and the event is completed from
-        a callback on the socket's request: no process.
+        a callback on the socket's request.
         """
         self.lookups += 1
         query = make_query(ident=self.lookups % 65536, qname=qname,

@@ -77,17 +77,17 @@ def _run_variant(label, overrides, seed):
     stub = scenario.stub_for(source, site_s)
     state = {"sent": 0}
 
-    def sender():
-        address, _elapsed = yield stub.lookup(scenario.host_name(site_d, 0))
-        while sim.now < FLOW_END:
+    def send(address):
+        if sim.now < FLOW_END:
             source.send(udp_packet(source.address, address, 5000, FLOW_UDP_PORT,
                                    payload_bytes=800,
                                    meta={"sent_at": sim.now}))
             state["sent"] += 1
-            yield sim.timeout(PACKET_INTERVAL)
+            sim.call_in(PACKET_INTERVAL, send, address)
 
+    stub.lookup(scenario.host_name(site_d, 0)).callbacks.append(
+        lambda lookup: send(lookup.value[0]))
     # Fail and repair the destination's primary access link (both directions).
-    sim.process(sender())
     schedule_access_failure(sim, site_d, 0, FAIL_AT, REPAIR_AT)
     sim.run(until=FLOW_END + 2.0)
 

@@ -32,14 +32,14 @@ def run_fig1_walkthrough(seed=7):
     qname = scenario.host_name(site_d, 0)
     timeline = {}
 
-    def flow():
-        address, _elapsed = yield stub.lookup(qname)
+    def resolved(lookup):
+        address, _elapsed = lookup.value
         timeline["dns_done"] = sim.now
         timeline["address"] = address
         source.send(udp_packet(source.address, address, 5000, FLOW_UDP_PORT,
                                payload_bytes=1000))
 
-    sim.process(flow())
+    stub.lookup(qname).callbacks.append(resolved)
     sim.run(until=5.0)
 
     dns_s_address = str(site_s.dns_address)

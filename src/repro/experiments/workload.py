@@ -194,8 +194,8 @@ class _Flow:
     """One flow between its arrival and its data phase.
 
     Its waits are callbacks on the events it waits for anyway — the stub's
-    lookup, the TCP handshake (a retry loop, and a process) — and once the
-    sender has the flow nothing here is referenced any more.
+    lookup, the TCP handshake — and once the sender has the flow nothing
+    here is referenced any more.
     """
 
     __slots__ = ("arrivals", "record", "host")

@@ -33,10 +33,10 @@ Builds and (de)serialization run with the cyclic collector paused
 (:func:`_gc_paused`): each is one burst of reachable allocations, handed
 to the collector's oldest generation when the call returns.
 
-Periodic background processes (RLOC probing, a started IRC measurement
-loop) are no obstacle to any of this: they run as engine-owned
+Periodic background work (RLOC probing, a started IRC measurement
+loop) is no obstacle to any of this: it runs as engine-owned
 :class:`~repro.sim.periodic.PeriodicTask` objects whose timers are plain
-engine state, not pending generator frames.  Settling drains *foreground*
+engine state, not pending queue entries.  Settling drains *foreground*
 work only — an armed periodic tick is not pending work — and the
 simulator's checkpoint captures each task's armed flag, next-fire time and
 tick counter, **re-arming the timers on restore** so a restored probing

@@ -15,12 +15,12 @@ from overlay stretch, which is what makes ALT the paper's slowest baseline.
 """
 
 from collections import deque
+from functools import partial
 
-from repro.lisp.control.base import MappingSystem
-from repro.lisp.headers import LISP_CONTROL_PORT, MapReply, MapRequest, next_nonce
+from repro.lisp.control.base import MappingSystem, _MapRequestLoop
+from repro.lisp.headers import LISP_CONTROL_PORT, MapReply, MapRequest
 from repro.net.addresses import IPv4Address
 from repro.net.fib import Fib, FibEntry
-from repro.sim import EXPIRED
 
 #: Seconds an ALT router spends on a Map-Request or data envelope before
 #: forwarding or answering it.
@@ -132,29 +132,18 @@ class AltMappingSystem(MappingSystem):
     # -- resolution ------------------------------------------------------ #
 
     def resolve(self, xtr, eid):
-        def _resolve():
-            started = self.sim.now
-            for _attempt in range(self.retries + 1):
-                nonce = next_nonce()
-                waiter = self.sim.event(name=f"alt-nonce-{nonce}")
-                self._pending[nonce] = waiter
-                request = MapRequest(nonce=nonce, eid=eid, itr_rloc=xtr.rloc)
-                self.stats.count("map-request", request.size_bytes)
-                entry_address = self._alt_address.get(xtr.site.index)
-                if entry_address is None:
-                    break
-                xtr.node.send_udp(src=xtr.rloc, dst=entry_address,
-                                  sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
-                                  payload=request, meta={"alt_hops": 0})
-                mapping = yield waiter.expire_in(REQUEST_TIMEOUT)
-                if mapping is not EXPIRED:
-                    self.stats.record_resolution(self.sim.now - started, ok=True)
-                    return mapping
-                self._pending.pop(nonce, None)
-            self.stats.record_resolution(self.sim.now - started, ok=False)
-            return None
+        entry_address = self._alt_address.get(xtr.site.index)
+        if entry_address is None:
+            return super().resolve(xtr, eid)
+        return _MapRequestLoop(self, partial(self._send_request, xtr, eid, entry_address),
+                               REQUEST_TIMEOUT, self.retries + 1)
 
-        return self.sim.process(_resolve(), name=f"alt-resolve-{eid}")
+    def _send_request(self, xtr, eid, entry_address, nonce):
+        request = MapRequest(nonce=nonce, eid=eid, itr_rloc=xtr.rloc)
+        self.stats.count("map-request", request.size_bytes)
+        xtr.node.send_udp(src=xtr.rloc, dst=entry_address,
+                          sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
+                          payload=request, meta={"alt_hops": 0})
 
     # -- control-plane packet handling ------------------------------------ #
 

@@ -2,8 +2,10 @@
 
 from collections import defaultdict
 
+from repro.lisp.headers import next_nonce
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.fib import Fib, FibEntry
+from repro.sim import EXPIRED, Event
 from repro.sim.state import state_copy
 
 
@@ -116,9 +118,16 @@ class MappingSystem:
         return self.registry.covering_prefix(eid)
 
     def resolve(self, xtr, eid):
-        """Process returning the mapping for *eid* (or None).  Subclasses
-        must override."""
-        raise NotImplementedError
+        """An event that succeeds with the mapping for *eid*, or None.
+
+        The calling xTR appends its callback right away, so the event must
+        not have been processed yet: a fresh one, succeeded or pending.
+        This base has no request path — NERD's case: the database lacks
+        the EID — so it records a failed resolution and answers None at
+        once.  Systems that ask over the network override it.
+        """
+        self.stats.record_resolution(0.0, ok=False)
+        return self.sim.event().succeed(None)
 
     def carry_data(self, xtr, packet, eid):
         """Ship a data packet over the control plane (CpDataPolicy).
@@ -159,3 +168,46 @@ class MappingSystem:
         self.registry.restore_state(state["registry"])
         for name, value in state["extra"].items():
             setattr(self, name, state_copy(value))
+
+
+class _MapRequestLoop(Event):
+    """An ITR's Map-Request, re-sent until answered (ALT and CONS).
+
+    Each attempt registers a fresh nonce in *system*'s ``_pending`` table,
+    hands it to ``send(nonce)`` and waits *timeout* for the system's reply
+    handler to pop the nonce and succeed its waiter.  Succeeds with the
+    mapping, or with None once *attempts* deadlines passed unanswered;
+    either outcome is recorded in the system's stats with its latency.
+    """
+
+    __slots__ = ("system", "send", "timeout", "attempts", "started", "nonce")
+
+    def __init__(self, system, send, timeout, attempts):
+        Event.__init__(self, system.sim)
+        self.system = system
+        self.send = send
+        self.timeout = timeout
+        self.attempts = attempts
+        self.started = system.sim.now
+        self.nonce = None
+        self._attempt()
+
+    def _attempt(self):
+        self.attempts -= 1
+        self.nonce = nonce = next_nonce()
+        waiter = self.system._pending[nonce] = Event(self.sim)
+        self.send(nonce)
+        waiter.expire_in(self.timeout).callbacks.append(self._outcome)
+
+    def _outcome(self, waiter):
+        system = self.system
+        if waiter.value is not EXPIRED:
+            system.stats.record_resolution(self.sim.now - self.started, ok=True)
+            self.succeed(waiter.value)
+            return
+        system._pending.pop(self.nonce, None)
+        if self.attempts:
+            self._attempt()
+            return
+        system.stats.record_resolution(self.sim.now - self.started, ok=False)
+        self.succeed(None)

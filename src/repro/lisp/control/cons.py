@@ -13,11 +13,11 @@ the simulated WAN.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.lisp.control.base import MappingSystem
-from repro.lisp.headers import LISP_CONTROL_PORT, MapReply, MapRequest, next_nonce
+from repro.lisp.control.base import MappingSystem, _MapRequestLoop
+from repro.lisp.headers import LISP_CONTROL_PORT, MapReply, MapRequest
 from repro.net.addresses import IPv4Address
-from repro.sim import EXPIRED
 
 
 #: CDRs are numbered by integer offset from here: every tree level starts
@@ -144,32 +144,19 @@ class ConsMappingSystem(MappingSystem):
     # -- resolution ----------------------------------------------------------- #
 
     def resolve(self, xtr, eid):
-        def _resolve():
-            started = self.sim.now
-            car = self._car_of_site.get(xtr.site.index)
-            if car is None:
-                self.stats.record_resolution(0.0, ok=False)
-                return None
-            for _attempt in range(self.retries + 1):
-                nonce = next_nonce()
-                waiter = self.sim.event(name=f"cons-nonce-{nonce}")
-                self._pending[nonce] = waiter
-                request = MapRequest(nonce=nonce, eid=eid, itr_rloc=xtr.rloc)
-                envelope = _ConsEnvelope(kind="request", request=request,
-                                         path=[xtr.rloc])
-                self.stats.count("map-request", envelope.size_bytes)
-                xtr.node.send_udp(src=xtr.rloc, dst=car.address,
-                                  sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
-                                  payload=envelope)
-                mapping = yield waiter.expire_in(REQUEST_TIMEOUT)
-                if mapping is not EXPIRED:
-                    self.stats.record_resolution(self.sim.now - started, ok=True)
-                    return mapping
-                self._pending.pop(nonce, None)
-            self.stats.record_resolution(self.sim.now - started, ok=False)
-            return None
+        car = self._car_of_site.get(xtr.site.index)
+        if car is None:
+            return super().resolve(xtr, eid)
+        return _MapRequestLoop(self, partial(self._send_request, xtr, eid, car.address),
+                               REQUEST_TIMEOUT, self.retries + 1)
 
-        return self.sim.process(_resolve(), name=f"cons-resolve-{eid}")
+    def _send_request(self, xtr, eid, car_address, nonce):
+        request = MapRequest(nonce=nonce, eid=eid, itr_rloc=xtr.rloc)
+        envelope = _ConsEnvelope(kind="request", request=request, path=[xtr.rloc])
+        self.stats.count("map-request", envelope.size_bytes)
+        xtr.node.send_udp(src=xtr.rloc, dst=car_address,
+                          sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
+                          payload=envelope)
 
     # -- overlay message handling ----------------------------------------------- #
 

@@ -33,7 +33,11 @@ class _DatabasePush:
 
 
 class NerdMappingSystem(MappingSystem):
-    """Central authority pushing the mapping database to every xTR."""
+    """Central authority pushing the mapping database to every xTR.
+
+    There is no request path: a miss means the database lacks the EID, so
+    :meth:`MappingSystem.resolve` answers None at once.
+    """
 
     name = "nerd"
     _state_attrs = ("version", "pushes_sent", "_installed_versions")
@@ -77,16 +81,6 @@ class NerdMappingSystem(MappingSystem):
                 continue  # own site: no tunnel needed
             xtr.install_mapping(mapping, origin="nerd-db", ttl=float("inf"))
         self._installed_versions[node.name] = message.version
-
-    def resolve(self, xtr, eid):
-        """NERD has no request path: a miss means the database lacks the EID."""
-
-        def _resolve():
-            self.stats.record_resolution(0.0, ok=False)
-            return None
-            yield  # pragma: no cover - makes this a generator
-
-        return self.sim.process(_resolve(), name=f"nerd-resolve-{eid}")
 
     def state_entries_per_router(self):
         # Every xTR holds the full database (minus its own prefix).

@@ -15,6 +15,7 @@ with and without it.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.net.addresses import IPv4Address
 from repro.sim import EXPIRED
@@ -94,19 +95,21 @@ class RlocProber:
 
     def _tick(self):
         for address in self.targets():
-            self.sim.process(self._probe_once(address))
+            self._probe(address)
 
-    def _probe_once(self, address):
+    def _probe(self, address):
+        """Send one echo probe and judge *address* when it is answered or expires."""
         self._nonce += 1
         nonce = self._nonce
-        waiter = self.sim.event(name=f"probe-{nonce}")
-        self._pending[nonce] = waiter
-        probe = RlocProbe(nonce=nonce)
+        waiter = self._pending[nonce] = self.sim.event()
         self.probes_sent += 1
-        self.xtr.node.send_udp(src=self.xtr.rloc, dst=address,
-                               sport=PROBE_PORT, dport=PROBE_PORT, payload=probe)
-        outcome = yield waiter.expire_in(self.timeout)
-        if outcome is not EXPIRED:
+        self.xtr.node.send_udp(src=self.xtr.rloc, dst=address, sport=PROBE_PORT,
+                               dport=PROBE_PORT, payload=RlocProbe(nonce=nonce))
+        waiter.expire_in(self.timeout).callbacks.append(
+            partial(self._probed, address, nonce))
+
+    def _probed(self, address, nonce, waiter):
+        if waiter.value is not EXPIRED:
             self._mark_alive(address)
         else:
             self._pending.pop(nonce, None)

@@ -14,6 +14,8 @@ flag — the PCE control plane's Step "first data packet reaches the ETR"
 hooks in there.
 """
 
+from functools import partial
+
 from repro.lisp.headers import decapsulate, encapsulate
 from repro.lisp.map_cache import MapCache
 from repro.lisp.policies import mark_fate
@@ -129,21 +131,29 @@ class TunnelRouter(Journaled):
             self._touch()
         self._pending[key] = True
         self.resolutions_started += 1
+        self.mapping_system.resolve(self, eid).callbacks.append(
+            partial(self._resolved, key, eid))
 
-        def run():
-            mapping = yield self.mapping_system.resolve(self, eid)
-            self._pending.pop(key, None)
-            if mapping is None:
-                self.resolutions_failed += 1
-                return
-            self.map_cache.install(mapping, origin="resolved")
-            if self.sim.trace.enabled:
-                self.sim.trace.record(self.sim.now, self.node.name,
-                                      "itr.mapping-resolved", eid=str(eid),
-                                      prefix=str(mapping.eid_prefix))
-            self.miss_policy.on_resolved(self, eid, mapping)
+    def _resolved(self, key, eid, resolution):
+        """Install what the mapping system answered; re-raise what it raised.
 
-        self.sim.process(run(), name=f"{self.node.name}-resolve-{eid}")
+        Either way the site prefix is free for the next miss to resolve.
+        """
+        # _maybe_resolve touched the journal before this resolution started.
+        self._pending.pop(key, None)  # repro: allow=SNAP03
+        if not resolution.ok:
+            self.resolutions_failed += 1
+            raise resolution.exception
+        mapping = resolution.value
+        if mapping is None:
+            self.resolutions_failed += 1
+            return
+        self.map_cache.install(mapping, origin="resolved")
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.node.name,
+                                  "itr.mapping-resolved", eid=str(eid),
+                                  prefix=str(mapping.eid_prefix))
+        self.miss_policy.on_resolved(self, eid, mapping)
 
     def install_mapping(self, mapping, origin="pushed", ttl=None):
         """Install a mapping delivered by push (PCE Step 7b, NERD database)."""

@@ -2,7 +2,8 @@
 
 Hosts expose a tiny socket-like API: :meth:`Host.open_udp` returns a
 :class:`UdpSocket` whose :meth:`~UdpSocket.request` method implements the
-send-and-await-reply pattern used by DNS lookups, with timeout and retry.
+send-and-await-reply pattern used by DNS lookups, with timeout and retry:
+an event the caller hangs a callback on.
 """
 
 from repro.net.addresses import IPv4Address
@@ -47,9 +48,9 @@ class UdpSocket:
 
         The event succeeds with the reply packet.  Every *timeout* without
         one the same payload object is sent again, up to *retries* extra
-        times; then the event fails with :class:`RequestTimeout`, raised
-        inside the process that yielded it.  A late reply to an earlier
-        attempt satisfies the request like any other.
+        times; then the event fails with :class:`RequestTimeout`, which a
+        waiter's callback sees as ``not request.ok``.  A late reply to an
+        earlier attempt satisfies the request like any other.
         """
         done = self.host.sim.event()
         self._waiters[done] = (dst, dport, payload, payload_bytes, timeout)

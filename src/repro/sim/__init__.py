@@ -2,8 +2,8 @@
 
 This package provides the simulation substrate used by every other layer of
 the reproduction: a deterministic event queue (:class:`~repro.sim.engine.Simulator`),
-generator-based processes (:class:`~repro.sim.process.Process`), engine-owned
-checkpointable periodic tasks (:class:`~repro.sim.periodic.PeriodicTask`),
+one-shot events that waiters hang callbacks on (:class:`~repro.sim.events.Event`),
+engine-owned checkpointable periodic tasks (:class:`~repro.sim.periodic.PeriodicTask`),
 named and reproducible random streams (:class:`~repro.sim.rng.RandomStreams`),
 and a structured event tracer (:class:`~repro.sim.trace.Tracer`).
 
@@ -16,7 +16,6 @@ from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.events import EXPIRED, Event, Timeout
 from repro.sim.periodic import PeriodicTask
-from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -24,7 +23,6 @@ __all__ = [
     "EXPIRED",
     "Event",
     "PeriodicTask",
-    "Process",
     "RandomStreams",
     "SimulationError",
     "Simulator",

@@ -5,7 +5,6 @@ from heapq import heappop, heappush
 from repro.sim.errors import EmptySchedule
 from repro.sim.events import Event, Timeout
 from repro.sim.periodic import PeriodicFire, PeriodicTask
-from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 
@@ -26,8 +25,8 @@ class Simulator:
     save a sift for few of them.
 
     The queue holds two kinds of entries: *foreground* events (scheduled
-    calls, timeouts, process resumptions — finite work the simulation must
-    complete) and *background* ticks of registered
+    calls, timeouts, triggered events' callbacks — finite work the
+    simulation must complete) and *background* ticks of registered
     :class:`~repro.sim.periodic.PeriodicTask` objects, which ride in the
     callback slot as a :class:`~repro.sim.periodic.PeriodicFire`.  Both
     share one queue so their interleaving is deterministic, but only
@@ -35,7 +34,7 @@ class Simulator:
     drains foreground events (firing any background ticks that fall before
     them in time) and stops when no foreground work remains, even while
     periodic tasks stay armed.  That is what makes worlds with perpetual
-    periodic processes settle-able and therefore checkpointable.
+    periodic work settle-able and therefore checkpointable.
 
     Parameters
     ----------
@@ -69,10 +68,6 @@ class Simulator:
         """An event firing *delay* time units from now."""
         return Timeout(self, delay, value=value, name=name)
 
-    def process(self, generator, name=None):
-        """Start *generator* as a :class:`Process` (begins at the current time)."""
-        return Process(self, generator, name=name)
-
     def periodic(self, callback, period, name=None):
         """Register a :class:`PeriodicTask` running *callback* every *period*.
 
@@ -84,8 +79,9 @@ class Simulator:
     def call_in(self, delay, callback, *args):
         """Run ``callback(*args)`` after *delay* time units; returns ``None``.
 
-        Nothing waits on a scheduled call: a process that wants to sleep
-        yields :meth:`timeout`.
+        Nothing waits on a scheduled call: it *is* the sleep, and what runs
+        after it is *callback*.  Work that others wait on is an
+        :class:`Event` they append callbacks to.
         """
         if not delay >= 0:  # also refuses NaN, which compares false
             raise ValueError(f"negative timeout delay: {delay}")
@@ -111,7 +107,11 @@ class Simulator:
     # ------------------------------------------------------------------ #
 
     def _schedule(self, event, delay=0.0):
-        """Queue *event*'s callbacks to run *delay* from now (foreground)."""
+        """Queue *event*'s callbacks to run *delay* from now (foreground).
+
+        *delay* is a :class:`Timeout`'s, validated there; a triggered
+        event's callbacks run at the current instant.
+        """
         self._sequence = sequence = self._sequence + 1
         self._foreground += 1
         heappush(self._queue,
@@ -233,7 +233,8 @@ class Simulator:
         picklable data: clock, sequence counters, RNG stream states,
         tracer, and armed periodic-task timers riding the queue as
         ``(when, sequence, PeriodicFire, ())`` entries.  Pending
-        foreground entries hold live bound methods and generator frames,
+        foreground entries hold live bound methods and the in-flight
+        objects they close over (packets, requests, waiters' callbacks),
         which are not — so only a settled simulator may be serialized into
         a world-snapshot blob.  Changing that serialized shape (the entry
         tuple, checkpoint tuple, periodic-task state) means bumping
@@ -244,7 +245,7 @@ class Simulator:
     def snapshot_state(self):
         """Checkpoint the clock, counters and periodic-task timers.
 
-        Pending foreground events hold live generators and cannot be
+        Pending foreground events hold live callbacks and cannot be
         replayed, so the foreground queue must be drained first (the
         worldbuild layer settles the simulation before capturing).  Armed
         periodic tasks are fine: their timer state is plain data, captured

@@ -1,13 +1,17 @@
-"""Events: the unit of coordination between simulated processes.
+"""Events: the one way simulated work waits on other simulated work.
 
 An :class:`Event` is a one-shot synchronisation point.  It starts *pending*,
 is *triggered* exactly once (either :meth:`Event.succeed` or
 :meth:`Event.fail`), and is then *processed* by the simulator, which runs all
-registered callbacks at the event's scheduled time.
+registered callbacks, in the order they were appended, one engine event
+after the trigger.
 
-Processes (see :mod:`repro.sim.process`) yield events; the kernel resumes the
-process when the event fires, sending the event's value into the generator
-(or throwing the failure exception).
+Waiting is ``event.callbacks.append(fn)``: ``fn(event)`` reads
+``event.ok`` and ``event.value``.  A callback must be appended before the
+event is processed — later ones are never run — so a wait hangs on an
+event its caller has just made or knows to be pending (see "Waiting" in
+``docs/contracts.md``).  Sleeping is :meth:`Simulator.call_in
+<repro.sim.engine.Simulator.call_in>`, not an event.
 """
 
 from repro.sim.errors import EventAlreadyTriggered
@@ -86,35 +90,43 @@ class Event:
         """The failure exception, or ``None`` if the event succeeded."""
         return self._exception
 
-    def succeed(self, value=None, delay=0.0):
-        """Trigger the event successfully, scheduling callbacks after *delay*."""
+    def succeed(self, value=None):
+        """Trigger the event successfully; its callbacks run next at this instant.
+
+        A later success is ``sim.call_in(delay, event.succeed)``.
+        """
         if self._triggered:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._triggered = True
         self._value = value
-        self.sim._schedule(self, delay)
+        self.sim._schedule(self)
         return self
 
-    def fail(self, exception, delay=0.0):
-        """Trigger the event as failed with *exception*."""
+    def fail(self, exception):
+        """Trigger the event as failed with *exception*.
+
+        Its callbacks see ``ok`` false and the exception as ``value``; a
+        waiter that cannot handle it raises it, out of ``sim.run()``.
+        """
         if self._triggered:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() requires an exception, got {exception!r}")
         self._triggered = True
         self._exception = exception
-        self.sim._schedule(self, delay)
+        self.sim._schedule(self)
         return self
 
     def expire_in(self, delay):
         """Succeed with :data:`EXPIRED` after *delay* unless triggered first.
 
-        The one-shot request/reply wait: ``outcome = yield
-        waiter.expire_in(timeout)`` resumes with the reply the moment it is
-        triggered, or with ``EXPIRED`` at exactly ``now + delay``.  The
-        deadline is one pending foreground call; when the reply won it
-        still fires, into nothing.  A reply and the deadline on one
-        timestamp resolve in queue insertion order.  Returns the event.
+        The one-shot request/reply wait:
+        ``waiter.expire_in(timeout).callbacks.append(fn)`` runs ``fn`` with
+        the reply the moment it is triggered, or with ``EXPIRED`` as the
+        value at exactly ``now + delay``.  The deadline is one pending
+        foreground call; when the reply won it still fires, into nothing.
+        A reply and the deadline on one timestamp resolve in queue
+        insertion order.  Returns the event.
         """
         self.sim.call_in(delay, self._expire)
         return self
@@ -133,8 +145,9 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay, carrying an optional value.
 
-    What a process yields to sleep.  An unnamed one only formats its
-    ``Timeout(d)`` label when ``repr`` asks.
+    A sleep several waiters can share; a sleep with one continuation is
+    :meth:`~repro.sim.engine.Simulator.call_in`.  An unnamed one only
+    formats its ``Timeout(d)`` label when ``repr`` asks.
     """
 
     __slots__ = ("delay",)

@@ -1,12 +1,12 @@
 """Engine-owned periodic tasks: checkpointable recurring callbacks.
 
-A :class:`PeriodicTask` is the declarative replacement for the
-``while True: work(); yield sim.timeout(period)`` generator idiom.  The
-generator form has two structural problems for world reuse:
+A :class:`PeriodicTask` is how recurring work is written: a callback that
+re-schedules itself with ``call_in`` forever has two structural problems
+for world reuse:
 
-- a perpetual loop keeps the event queue non-empty forever, so a world
+- it keeps a foreground entry in the event queue forever, so a world
   running one can never be "settled" and checkpointed;
-- the loop's position lives in an opaque generator frame, which cannot be
+- its phase lives only in that pending entry, which cannot be
   snapshotted or restored.
 
 A periodic task instead keeps all of its timing state in plain attributes

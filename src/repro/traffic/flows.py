@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, TCP_ACK, TCP_SYN, tcp_packet, udp_packet
-from repro.sim import EXPIRED
+from repro.sim import EXPIRED, Event
 from repro.sim.state import Journaled
 
 #: Classic initial TCP retransmission timeout (RFC 1122 era: 1 second was
@@ -147,31 +147,11 @@ class TcpStack(Journaled):
         self.data_bytes_received += packet.size_bytes
 
     def connect(self, destination, dport, max_retries=5):
-        """Process: three-way handshake; returns (elapsed, syn_retries) or None."""
+        """Three-way handshake: an event for (elapsed, syn_retries) or None."""
         if self._journal is not None:
             self._touch()
-        sim = self.sim
-        sport = self.host.ephemeral_port()
-
-        def _connect():
-            started = sim.now
-            for attempt in range(max_retries + 1):
-                syn = tcp_packet(self.host.address, destination, sport, dport,
-                                 flags=TCP_SYN, seq=attempt)
-                waiter = sim.event()
-                self._pending[sport] = waiter
-                self.host.send(syn)
-                outcome = yield waiter.expire_in(DEFAULT_RTO * (2 ** attempt))
-                if outcome is not EXPIRED:
-                    self._pending.pop(sport, None)
-                    ack = tcp_packet(self.host.address, destination, sport, dport,
-                                     flags=TCP_ACK, seq=attempt + 1, ack=1)
-                    self.host.send(ack)
-                    return sim.now - started, attempt
-                self._pending.pop(sport, None)
-            return None
-
-        return sim.process(_connect(), name=f"{self.host.name}-connect")
+        return _Handshake(self, destination, self.host.ephemeral_port(), dport,
+                          max_retries)
 
     #: Owning sim and host are independently checkpointed.
     _SNAPSHOT_EXEMPT = ("sim", "host")
@@ -184,6 +164,53 @@ class TcpStack(Journaled):
         self.segments_received, self.data_bytes_received, listeners = state
         self._listeners = dict(listeners)
         self._pending.clear()
+
+
+class _Handshake(Event):
+    """A connect in flight: one SYN per attempt, the RTO doubling each time.
+
+    Succeeds with ``(elapsed, syn_retries)`` once a SYN+ACK arrives (and
+    the ACK is sent), or with None after ``max_retries + 1`` unanswered
+    SYNs.  The stack's ``_pending`` maps the source port to the current
+    attempt's waiter, which the SYN+ACK handler succeeds.
+    """
+
+    __slots__ = ("stack", "destination", "sport", "dport", "max_retries",
+                 "attempt", "started")
+
+    def __init__(self, stack, destination, sport, dport, max_retries):
+        Event.__init__(self, stack.sim)
+        self.stack = stack
+        self.destination = destination
+        self.sport = sport
+        self.dport = dport
+        self.max_retries = max_retries
+        self.attempt = 0
+        self.started = stack.sim.now
+        self._syn()
+
+    def _syn(self):
+        stack, attempt = self.stack, self.attempt
+        syn = tcp_packet(stack.host.address, self.destination, self.sport,
+                         self.dport, flags=TCP_SYN, seq=attempt)
+        waiter = stack._pending[self.sport] = Event(self.sim)
+        stack.host.send(syn)
+        waiter.expire_in(DEFAULT_RTO * (2 ** attempt)).callbacks.append(
+            self._outcome)
+
+    def _outcome(self, waiter):
+        stack, attempt = self.stack, self.attempt
+        stack._pending.pop(self.sport, None)
+        if waiter.value is not EXPIRED:
+            stack.host.send(tcp_packet(stack.host.address, self.destination,
+                                       self.sport, self.dport, flags=TCP_ACK,
+                                       seq=attempt + 1, ack=1))
+            self.succeed((self.sim.now - self.started, attempt))
+        elif attempt < self.max_retries:
+            self.attempt += 1
+            self._syn()
+        else:
+            self.succeed(None)
 
 
 class UdpSink(Journaled):
@@ -252,8 +279,7 @@ def send_flow(sim, host, destination, port, record, plan, pump=None):
 
     Returns the event that fires when the sender is done.  The first
     packet leaves inside this call; the rest ride ``call_in`` callbacks,
-    so a sender is a small object owned by its next pending event, not a
-    process.
+    so a sender is a small object owned by its next pending event.
 
     The plan's byte budget and pacing kind are written onto *record*
     (``bytes_budget``, ``flow_kind``) and every handed-off datagram

@@ -3,7 +3,7 @@
 
 def schedule_all(sim, hosts):
     for host in set(hosts):
-        sim.process(host)
+        sim.call_in(0.0, host.start)
 
 
 def digest_names(names):

@@ -1,4 +1,12 @@
-"""Generator-based simulated processes.
+"""Generator-based simulated processes, kept as the kernel of reference code.
+
+Until the simulator's waits all became callbacks on events, ``src/`` ran
+its pull paths (the xTR miss, ALT/CONS/NERD resolution, the resolver's
+walk, RLOC probes, the TCP handshake, the scripted senders) as generators
+under this kernel.  ``tests/reference_driver.py`` keeps those generators
+as the oracle the callback code is compared against, and tests that
+script a scenario step by step still write it as a process.  Nothing in
+``src/`` imports this module.
 
 A process is a Python generator that yields :class:`~repro.sim.events.Event`
 objects.  Each yield suspends the process until the event fires; the event's
@@ -11,8 +19,11 @@ can wait on each other::
         return "done"
 
     def supervisor(sim):
-        result = yield sim.process(worker(sim))
+        result = yield Process(sim, worker(sim))
         assert result == "done"
+
+Starting one costs a zero-delay bootstrap event, and finishing one a
+completion event, on top of whatever it waits for.
 """
 
 from repro.sim.errors import SimulationError

@@ -1,27 +1,46 @@
-"""The generator-per-flow workload driver, kept as a reference implementation.
+"""Retired generator code, kept as the reference the callback code must equal.
 
-Until PR 21 every flow of a workload was a :class:`~repro.sim.process.Process`
-created at t=0 that ran four more processes (the stub's ``_lookup``, the
-resolver's ``handle`` and ``_resolve``, ``_send``/``_send_fluid``).  The
-bodies below are those generators, verbatim apart from the names they are
-reached by and the resolver options that have since become constants, so
-``tests/test_workload_oracle.py`` can run the same world
-under both drivers and demand equal flow records, link ledgers, sinks and
-resolver counters.  Nothing in ``src/`` imports this module.
+The simulator used to run much of its waiting as generator processes
+(``tests/process_kernel.py`` is their kernel, moved out of ``src/``).
+Two generations of them are kept here, each verbatim apart from the names
+it is reached by, the options that have since become constants, and
+``Process(sim, ...)`` for ``sim.process(...)``:
+
+- the generator-per-flow workload driver: every flow a process created at
+  t=0 that ran four more (the stub's ``_lookup``, the resolver's
+  ``handle`` and walk, ``_send``/``_send_fluid``);
+- the pull path the flows reach: the xTR's map-cache miss, ALT, CONS and
+  NERD resolution, the RLOC prober's probe rounds, the TCP handshake, the
+  resolver's miss walk and coalesced followers, and the scripted senders
+  of the Fig. 1 walkthrough and E9.
+
+``tests/test_workload_oracle.py`` runs the same world under the callback
+code and under these (:func:`install_reference_pull_path` puts them on one
+world) and demands equal flow records, link ledgers, sinks, resolver, xTR
+and prober state and control-plane stats.  Nothing in ``src/`` imports
+this module.
 """
 
 import types
 from collections import defaultdict
 
+from process_kernel import Process
+
 from repro.dns.message import DNS_PORT, DnsMessage, make_query, make_reply
 from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
 from repro.dns.resolver import MAX_CNAME_CHASES, MAX_REFERRALS, NEGATIVE_TTL
 from repro.dns.server import PROCESSING_DELAY
+from repro.experiments.e9_failover import FLOW_END, PACKET_INTERVAL
 from repro.experiments.scenario import FLOW_TCP_PORT, FLOW_UDP_PORT
 from repro.experiments.workload import WORKLOAD_STREAM, build_shaper
+from repro.lisp.control import alt, cons
+from repro.lisp.control.cons import _ConsEnvelope
+from repro.lisp.headers import LISP_CONTROL_PORT, MapRequest, next_nonce
+from repro.lisp.probing import PROBE_PORT, RlocProbe
 from repro.net.host import RequestTimeout
-from repro.net.packet import udp_packet
-from repro.traffic.flows import FLUID_PROBE_RETRIES, FlowRecord, FluidPump
+from repro.net.packet import TCP_ACK, TCP_SYN, tcp_packet, udp_packet
+from repro.sim import EXPIRED
+from repro.traffic.flows import DEFAULT_RTO, FLUID_PROBE_RETRIES, FlowRecord, FluidPump
 from repro.traffic.popularity import ZipfSampler
 
 
@@ -50,7 +69,7 @@ def reference_lookup(stub, qname, timeout=5.0, retries=1):
         result = addresses[0] if addresses else None
         return result, self.sim.now - started
 
-    return self.sim.process(_lookup(), name=f"{self.host.name}-lookup-{qname}")
+    return Process(self.sim, _lookup(), name=f"{self.host.name}-lookup-{qname}")
 
 
 def reference_send_flow(sim, host, destination, port, record, plan, pump=None):
@@ -75,7 +94,7 @@ def reference_send_flow(sim, host, destination, port, record, plan, pump=None):
                 yield sim.timeout(plan.spacing)
         record.finished_at = sim.now
 
-    return sim.process(_send(), name=f"{host.name}-burst-{record.flow_id}")
+    return Process(sim, _send(), name=f"{host.name}-burst-{record.flow_id}")
 
 
 def _send_fluid(sim, host, destination, port, record, plan, pump):
@@ -117,7 +136,7 @@ def _send_fluid(sim, host, destination, port, record, plan, pump):
             record.failed = True
         record.finished_at = sim.now
 
-    return sim.process(_send(), name=f"{host.name}-fluid-{record.flow_id}")
+    return Process(sim, _send(), name=f"{host.name}-fluid-{record.flow_id}")
 
 
 def _serve_recursive(self, query, packet):
@@ -131,11 +150,23 @@ def _serve_recursive(self, query, packet):
                            rcode=resolution.rcode, recursion_available=True)
         self._send_reply(packet, reply)
 
-    self.sim.process(handle(), name=f"{self.node.name}-recurse")
+    Process(self.sim, handle(), name=f"{self.node.name}-recurse")
 
 
 def _resolve(self, qname, qtype=TYPE_A, _depth=0):
-    """Process: iteratively resolve and return the final DnsMessage."""
+    """Iteratively resolve; returns an event carrying the final DnsMessage.
+
+    A live answer-cache entry is the whole resolution: the event comes
+    back already succeeded (one engine event, no process).  Anything
+    else is a process.  Follows CNAME chains across zones (bounded by
+    MAX_CNAME_CHASES).  Identical concurrent resolutions are coalesced
+    onto one in-flight walk; NXDOMAIN outcomes are negatively cached
+    for :data:`NEGATIVE_TTL`.  The message's ``answers``/``rcode`` reflect
+    the outcome; SERVFAIL is used for loops and timeouts.
+    """
+    # Counters, ident, caches and the in-flight table all move below.
+    if self._journal is not None:
+        self._touch()
 
     def _coalesced():
         # Wait for the walk already in flight and reuse its outcome.
@@ -146,10 +177,6 @@ def _resolve(self, qname, qtype=TYPE_A, _depth=0):
 
     def _resolve():
         if self.use_cache:
-            cached = self.answer_cache.get((qname, qtype))
-            if cached is not None:
-                synthetic = DnsMessage(ident=0, flags=0, answers=list(cached))
-                return synthetic
             negative = self.negative_cache.get((qname, qtype))
             if negative is not None:
                 return DnsMessage(ident=0, flags=0).with_rcode(negative)
@@ -211,10 +238,16 @@ def _resolve(self, qname, qtype=TYPE_A, _depth=0):
 
     key = (qname, qtype)
     if _depth == 0 and key in self._in_flight:
-        return self.sim.process(_coalesced(),
-                                name=f"{self.node.name}-coalesce-{qname}")
-    process = self.sim.process(_resolve(),
-                               name=f"{self.node.name}-resolve-{qname}")
+        return Process(self.sim, _coalesced(),
+                       name=f"{self.node.name}-coalesce-{qname}")
+    if self.use_cache:
+        # The query's one answer-cache read (the counters see one).
+        cached = self.answer_cache.get(key)
+        if cached is not None:
+            synthetic = DnsMessage(ident=0, flags=0, answers=list(cached))
+            return self.sim.event().succeed(synthetic)
+    process = Process(self.sim, _resolve(),
+                      name=f"{self.node.name}-resolve-{qname}")
     if _depth == 0:
         self._in_flight[key] = process
         process.callbacks.append(lambda _event: self._in_flight.pop(key, None))
@@ -228,9 +261,210 @@ def install_reference_resolvers(scenario):
         resolver.resolve = types.MethodType(_resolve, resolver)
 
 
+def _maybe_resolve(self, eid):
+    if self.mapping_system is None:
+        return
+    key = self._resolution_key(eid)
+    if key in self._pending:
+        return
+    if self._journal is not None:
+        self._touch()
+    self._pending[key] = True
+    self.resolutions_started += 1
+
+    def run():
+        mapping = yield self.mapping_system.resolve(self, eid)
+        self._pending.pop(key, None)
+        if mapping is None:
+            self.resolutions_failed += 1
+            return
+        self.map_cache.install(mapping, origin="resolved")
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.node.name,
+                                  "itr.mapping-resolved", eid=str(eid),
+                                  prefix=str(mapping.eid_prefix))
+        self.miss_policy.on_resolved(self, eid, mapping)
+
+    Process(self.sim, run(), name=f"{self.node.name}-resolve-{eid}")
+
+
+def _alt_resolve(self, xtr, eid):
+    def _resolve():
+        started = self.sim.now
+        for _attempt in range(self.retries + 1):
+            nonce = next_nonce()
+            waiter = self.sim.event(name=f"alt-nonce-{nonce}")
+            self._pending[nonce] = waiter
+            request = MapRequest(nonce=nonce, eid=eid, itr_rloc=xtr.rloc)
+            self.stats.count("map-request", request.size_bytes)
+            entry_address = self._alt_address.get(xtr.site.index)
+            if entry_address is None:
+                break
+            xtr.node.send_udp(src=xtr.rloc, dst=entry_address,
+                              sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
+                              payload=request, meta={"alt_hops": 0})
+            mapping = yield waiter.expire_in(alt.REQUEST_TIMEOUT)
+            if mapping is not EXPIRED:
+                self.stats.record_resolution(self.sim.now - started, ok=True)
+                return mapping
+            self._pending.pop(nonce, None)
+        self.stats.record_resolution(self.sim.now - started, ok=False)
+        return None
+
+    return Process(self.sim, _resolve(), name=f"alt-resolve-{eid}")
+
+
+def _cons_resolve(self, xtr, eid):
+    def _resolve():
+        started = self.sim.now
+        car = self._car_of_site.get(xtr.site.index)
+        if car is None:
+            self.stats.record_resolution(0.0, ok=False)
+            return None
+        for _attempt in range(self.retries + 1):
+            nonce = next_nonce()
+            waiter = self.sim.event(name=f"cons-nonce-{nonce}")
+            self._pending[nonce] = waiter
+            request = MapRequest(nonce=nonce, eid=eid, itr_rloc=xtr.rloc)
+            envelope = _ConsEnvelope(kind="request", request=request,
+                                     path=[xtr.rloc])
+            self.stats.count("map-request", envelope.size_bytes)
+            xtr.node.send_udp(src=xtr.rloc, dst=car.address,
+                              sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
+                              payload=envelope)
+            mapping = yield waiter.expire_in(cons.REQUEST_TIMEOUT)
+            if mapping is not EXPIRED:
+                self.stats.record_resolution(self.sim.now - started, ok=True)
+                return mapping
+            self._pending.pop(nonce, None)
+        self.stats.record_resolution(self.sim.now - started, ok=False)
+        return None
+
+    return Process(self.sim, _resolve(), name=f"cons-resolve-{eid}")
+
+
+def _nerd_resolve(self, xtr, eid):
+    """NERD has no request path: a miss means the database lacks the EID."""
+
+    def _resolve():
+        self.stats.record_resolution(0.0, ok=False)
+        return None
+        yield  # pragma: no cover - makes this a generator
+
+    return Process(self.sim, _resolve(), name=f"nerd-resolve-{eid}")
+
+
+def _tick(self):
+    for address in self.targets():
+        Process(self.sim, self._probe_once(address))
+
+
+def _probe_once(self, address):
+    self._nonce += 1
+    nonce = self._nonce
+    waiter = self.sim.event(name=f"probe-{nonce}")
+    self._pending[nonce] = waiter
+    probe = RlocProbe(nonce=nonce)
+    self.probes_sent += 1
+    self.xtr.node.send_udp(src=self.xtr.rloc, dst=address,
+                           sport=PROBE_PORT, dport=PROBE_PORT, payload=probe)
+    outcome = yield waiter.expire_in(self.timeout)
+    if outcome is not EXPIRED:
+        self._mark_alive(address)
+    else:
+        self._pending.pop(nonce, None)
+        self._mark_missed(address)
+
+
+def _connect(self, destination, dport, max_retries=5):
+    """Process: three-way handshake; returns (elapsed, syn_retries) or None."""
+    if self._journal is not None:
+        self._touch()
+    sim = self.sim
+    sport = self.host.ephemeral_port()
+
+    def _connect():
+        started = sim.now
+        for attempt in range(max_retries + 1):
+            syn = tcp_packet(self.host.address, destination, sport, dport,
+                             flags=TCP_SYN, seq=attempt)
+            waiter = sim.event()
+            self._pending[sport] = waiter
+            self.host.send(syn)
+            outcome = yield waiter.expire_in(DEFAULT_RTO * (2 ** attempt))
+            if outcome is not EXPIRED:
+                self._pending.pop(sport, None)
+                ack = tcp_packet(self.host.address, destination, sport, dport,
+                                 flags=TCP_ACK, seq=attempt + 1, ack=1)
+                self.host.send(ack)
+                return sim.now - started, attempt
+            self._pending.pop(sport, None)
+        return None
+
+    return Process(sim, _connect(), name=f"{self.host.name}-connect")
+
+
+_MAPPING_SYSTEMS = {"alt": _alt_resolve, "cons": _cons_resolve,
+                    "nerd": _nerd_resolve}
+
+
+def install_reference_pull_path(scenario):
+    """Give *scenario* the process-per-wait xTR, mapping system, probers,
+    TCP stacks and site resolvers."""
+    install_reference_resolvers(scenario)
+    for xtr in scenario.iter_xtrs():
+        xtr._maybe_resolve = types.MethodType(_maybe_resolve, xtr)
+    system = scenario.mapping_system
+    if system is not None:
+        system.resolve = types.MethodType(_MAPPING_SYSTEMS[system.name], system)
+    for stack in scenario.tcp_stacks.values():
+        stack.connect = types.MethodType(_connect, stack)
+    if scenario.control_plane is not None:
+        for prober in scenario.control_plane.probers.values():
+            prober._probe_once = types.MethodType(_probe_once, prober)
+            prober._task.callback = types.MethodType(_tick, prober)
+
+
+def start_fig1_flow(scenario, timeline):
+    """The Fig. 1 walkthrough's one flow, as a process (``run_fig1_walkthrough``)."""
+    sim = scenario.sim
+    site_s, site_d = scenario.topology.sites
+    source = site_s.hosts[0]
+    stub = scenario.stub_for(source, site_s)
+    qname = scenario.host_name(site_d, 0)
+
+    def flow():
+        address, _elapsed = yield stub.lookup(qname)
+        timeline["dns_done"] = sim.now
+        timeline["address"] = address
+        source.send(udp_packet(source.address, address, 5000, FLOW_UDP_PORT,
+                               payload_bytes=1000))
+
+    Process(sim, flow())
+
+
+def start_e9_sender(scenario, state):
+    """E9's constant-rate sender, as a process (``e9_failover._run_variant``)."""
+    sim = scenario.sim
+    site_s, site_d = scenario.topology.sites
+    source = site_s.hosts[0]
+    stub = scenario.stub_for(source, site_s)
+
+    def sender():
+        address, _elapsed = yield stub.lookup(scenario.host_name(site_d, 0))
+        while sim.now < FLOW_END:
+            source.send(udp_packet(source.address, address, 5000, FLOW_UDP_PORT,
+                                   payload_bytes=800,
+                                   meta={"sent_at": sim.now}))
+            state["sent"] += 1
+            yield sim.timeout(PACKET_INTERVAL)
+
+    Process(sim, sender())
+
+
 def reference_run_workload(scenario, workload):
     """Run *workload* to completion; returns the list of FlowRecords."""
-    install_reference_resolvers(scenario)
+    install_reference_pull_path(scenario)
     sim = scenario.sim
     topology = scenario.topology
     rng = sim.rng.stream(WORKLOAD_STREAM)
@@ -301,7 +535,7 @@ def reference_run_workload(scenario, workload):
     for _ in range(workload.num_flows):
         arrival_time += rng.expovariate(workload.arrival_rate)
         last_arrival = arrival_time
-        sim.process(flow(arrival_time), name=f"flow@{arrival_time:.3f}")
+        Process(sim, flow(arrival_time), name=f"flow@{arrival_time:.3f}")
 
     sim.run(until=sim.now + last_arrival + workload.grace_period)
 

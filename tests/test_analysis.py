@@ -91,18 +91,12 @@ def test_det01_flags_every_entropy_source():
 def test_det02_flags_set_order_leaks():
     findings = findings_for("bad_det02.py")
     assert locations(findings) == [
-        ("DET02", 5),    # for host in set(hosts): sim.process(...)
+        ("DET02", 5),    # for host in set(hosts): sim.call_in(...)
         ("DET02", 10),   # ",".join({...})
         ("DET02", 15),   # list(set-bound local)
     ]
-    assert "'process(...)'" in findings[0].message
+    assert "'call_in(...)'" in findings[0].message
     assert "sorted" in findings[0].hint
-
-
-def test_per01_flags_perpetual_generator_loop():
-    findings = findings_for("bad_per01.py")
-    assert locations(findings) == [("PER01", 5)]
-    assert "sim.periodic" in findings[0].hint
 
 
 # --------------------------------------------------------------------- #
@@ -149,9 +143,9 @@ def test_cli_exit_zero_on_clean_tree(capsys):
 
 
 def test_cli_exit_one_with_precise_locations(capsys):
-    assert analyze_main([str(FIXTURES / "bad_per01.py")]) == 1
+    assert analyze_main([str(FIXTURES / "bad_snap02.py")]) == 1
     out = capsys.readouterr().out
-    assert "bad_per01.py:5: PER01" in out
+    assert "bad_snap02.py:10: SNAP02" in out
     assert "1 finding" in out
 
 
@@ -185,8 +179,9 @@ def test_cli_missing_path_is_usage_error(capsys):
 def test_cli_list_rules(capsys):
     assert analyze_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SNAP01", "SNAP02", "SNAP03", "DET01", "DET02", "PER01"):
+    for rule_id in ("SNAP01", "SNAP02", "SNAP03", "DET01", "DET02"):
         assert rule_id in out
+    assert "PER01" not in out
 
 
 def test_repro_cli_dispatches_analyze(capsys):

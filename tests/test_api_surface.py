@@ -16,8 +16,7 @@ _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: Names kept on purpose, each with the reason nothing calls it.
 KEPT = {
     **{rule: "registered by its @register decorator; the registry calls it"
-       for rule in ("Det01", "Det02", "Per01", "Snap01", "Snap02",
-                    "Snap03")},
+       for rule in ("Det01", "Det02", "Snap01", "Snap02", "Snap03")},
     "pending_foreground": "how tests see that a world has settled (the "
                           "serializable check itself reads the counter)",
     "periodic_tasks": "the checkpoint inventory tests walk the armed tasks",

@@ -1,6 +1,7 @@
 """Integration tests for the PCE-based control plane (the paper's §2)."""
 
 import pytest
+from process_kernel import Process
 
 from repro.core.control_plane import deploy_pce_control_plane
 from repro.dns.hierarchy import install_dns
@@ -41,7 +42,7 @@ def start_flow(sim, topology, dns, src_site=0, dst_site=1, host=0, port=7000,
             yield sim.timeout(first_packet_delay)
         source.send(udp_packet(source.address, address, 5000, port))
 
-    sim.process(flow())
+    Process(sim, flow())
     return outcome, sink
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from process_kernel import Process
 
 from repro.core.messages import EncapsulatedDnsReply
 from repro.dns.hierarchy import ROOT_ADDRESS
@@ -329,7 +330,7 @@ def test_every_sent_message_equals_its_wire_form(control_plane, monkeypatch):
             found.append(address)
         return found
 
-    process = scenario.sim.process(lookups())
+    process = Process(scenario.sim, lookups())
     scenario.sim.run(until=20.0)
     assert process.value == [sites[1].hosts[0].address, sites[2].hosts[0].address,
                              sites[2].hosts[1].address, None]

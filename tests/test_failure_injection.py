@@ -4,6 +4,8 @@ The substrate must degrade gracefully — flows fail cleanly (marked failed,
 no exceptions, no stuck processes), and recover when the fault heals.
 """
 
+from process_kernel import Process
+
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
 from repro.experiments.scenario import FLOW_UDP_PORT
 from repro.net.packet import udp_packet
@@ -113,7 +115,7 @@ def test_total_partition_between_sites_loses_data_not_control():
         state["address"] = address
         source.send(udp_packet(source.address, address, 5000, FLOW_UDP_PORT))
 
-    sim.process(flow())
+    Process(sim, flow())
     sim.run(until=2.0)
     sink = scenario.sink_for(site_d.index, 0)
     assert sink.received == 1

@@ -325,10 +325,13 @@ class _HeapOracle:
         self.epochs = {}          # task label -> (armed, epoch, period)
         self.log = []
 
-    def schedule(self, label, delay):
+    def schedule(self, label, delay, kind=None):
+        """Queue *label*; the engine's route 3 reaches it in two hops."""
+        if kind is None:
+            kind = "trigger" if int(label[1:]) % 4 == 3 else "event"
         self.sequence += 1
         self.foreground += 1
-        heapq.heappush(self.heap, (self.now + delay, self.sequence, "event",
+        heapq.heappush(self.heap, (self.now + delay, self.sequence, kind,
                                    label, None))
 
     def arm(self, label, period, when):
@@ -369,6 +372,10 @@ class _HeapOracle:
         when, kind, label = entry
         self.now = when
         self.processed += 1
+        if kind == "trigger":
+            self.foreground -= 1
+            self.schedule(label, 0.0, "event")
+            return True
         self.log.append((when, label))
         if kind == "tick":
             _armed, _epoch, period = self.epochs[label]
@@ -418,9 +425,10 @@ class _EngineUnderTest:
         elif route == 2:
             sim.call_at(sim.now + delay, self.fired, label)
         else:
+            # A later trigger: the call, then the event's own hop.
             event = sim.event(name=label)
             event.callbacks.append(lambda _event: self.fired(label))
-            event.succeed(delay=delay)
+            sim.call_in(delay, event.succeed)
 
     def arm(self, label, period):
         task = self.sim.periodic(lambda: self.fired(label), period, name=label)

@@ -1,10 +1,12 @@
 """Tests for the baseline mapping systems: ALT, CONS, NERD."""
 
 import gc
+import types
 
 import pytest
 
-from repro.experiments.scenario import ScenarioConfig
+import repro
+from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.experiments.workload import WorkloadConfig, run_workload
 from repro.experiments.worldbuild import build_world
 from repro.lisp.control import (
@@ -193,6 +195,33 @@ def test_cons_tree_level_wider_than_a_slash_24_builds(num_sites):
     assert world.mapping_system.stats.resolution_failures == 0
     del world
     gc.collect()    # a bare-built world is its builder's to collect
+
+
+@pytest.mark.parametrize("plane", ["cons", "alt"])
+def test_no_generator_of_the_simulator_is_alive_mid_run(plane):
+    """Every wait is a callback on an event: with Map-Requests, DNS walks
+    and handshakes in flight, no generator of ``src/repro`` is suspended."""
+    scenario = build_scenario(ScenarioConfig(
+        control_plane=plane, num_sites=4, seed=37, mapping_ttl=1.0,
+        dns_host_ttl=1.0, tracing=False))
+    package = tuple(repro.__path__)     # a namespace package: no __file__
+    censuses = []
+
+    def census():
+        in_flight = sum(len(xtr._pending) for xtr in scenario.iter_xtrs())
+        suspended = [obj.gi_code.co_qualname for obj in gc.get_objects()
+                     if isinstance(obj, types.GeneratorType)
+                     and obj.gi_code.co_filename.startswith(package)]
+        censuses.append((in_flight, suspended))
+
+    sim = scenario.sim
+    for offset in (0.5, 1.0, 1.5, 2.0, 2.5):
+        sim.call_at(sim.now + offset, census)
+    run_workload(scenario, WorkloadConfig(num_flows=60, arrival_rate=25.0,
+                                          mode="tcp", tcp_data_burst=True,
+                                          zipf_s=0.0))
+    assert any(in_flight for in_flight, _suspended in censuses), censuses
+    assert [suspended for _in_flight, suspended in censuses] == [[]] * 5
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,7 @@
 """Tests for RLOC probing, failover and recovery."""
 
 import pytest
+from process_kernel import Process
 
 from repro.experiments.scenario import FLOW_UDP_PORT, ScenarioConfig, build_scenario
 from repro.lisp.mappings import MappingRecord, RlocEntry
@@ -27,7 +28,7 @@ def start_flow(scenario):
         address, _ = yield stub.lookup(scenario.host_name(site_d, 0))
         source.send(udp_packet(source.address, address, 5000, FLOW_UDP_PORT))
 
-    sim.process(flow())
+    Process(sim, flow())
     sim.run(until=2.0)
     return site_s, site_d, source
 
@@ -155,7 +156,7 @@ def test_first_tick_fires_one_period_after_start():
                           tuple(RlocEntry(rloc) for rloc in site_d.rlocs())),
             origin="test")
 
-    sim.process(fill())
+    Process(sim, fill())
     sim.run(until=0.45)
     assert prober.probes_sent == 0         # nothing fired before t + period
     sim.run(until=0.55)

@@ -1,5 +1,7 @@
 """Integration tests: xTR forwarding over the topology with miss policies."""
 
+import pytest
+
 from repro.lisp.control.base import MappingSystem
 from repro.lisp.deploy import deploy_lisp
 from repro.lisp.policies import CpDataPolicy, DropPolicy, QueuePolicy
@@ -19,21 +21,33 @@ class InstantMappingSystem(MappingSystem):
         self.delay = delay
 
     def resolve(self, xtr, eid):
-        def _resolve():
-            yield self.sim.timeout(self.delay)
-            started = self.sim.now
-            mapping = self.registry.lookup(eid)
-            self.stats.record_resolution(self.sim.now - started, ok=mapping is not None)
-            return mapping
+        resolution = self.sim.event()
 
-        return self.sim.process(_resolve())
+        def answer():
+            mapping = self.registry.lookup(eid)
+            self.stats.record_resolution(0.0, ok=mapping is not None)
+            resolution.succeed(mapping)
+
+        self.sim.call_in(self.delay, answer)
+        return resolution
+
+
+class CrashingMappingSystem(InstantMappingSystem):
+    """Its resolutions fail with an exception (not a None) after *delay*."""
+
+    def resolve(self, xtr, eid):
+        resolution = self.sim.event()
+        self.sim.call_in(self.delay, resolution.fail,
+                         RuntimeError(f"mapping system crashed on {eid}"))
+        return resolution
 
 
 def make_lisp_world(miss_policy_cls=DropPolicy, resolve_delay=0.02, seed=21,
-                    num_sites=2, gleaning=True, **policy_kwargs):
+                    num_sites=2, gleaning=True, system_cls=InstantMappingSystem,
+                    **policy_kwargs):
     sim = Simulator(seed=seed)
     topology = build(sim, TopologySpec(num_sites=num_sites, num_providers=4))
-    system = InstantMappingSystem(sim, delay=resolve_delay)
+    system = system_cls(sim, delay=resolve_delay)
     policy = miss_policy_cls(sim, **policy_kwargs)
     xtrs = deploy_lisp(sim, topology, system, policy, gleaning=gleaning)
     return sim, topology, system, policy, xtrs
@@ -68,6 +82,27 @@ def test_subsequent_packet_encapsulated_after_resolution():
     itr = xtrs[0][0]
     assert itr.map_cache.hits == 1
     assert itr.encapsulated == 1
+
+
+def test_a_failed_resolution_raises_out_of_run_and_frees_its_site_prefix():
+    """An exception from the mapping system is the run's, not swallowed:
+    each packet's miss starts a resolution of its own, and none of them
+    leaves the site prefix marked in flight."""
+    sim, topology, system, policy, xtrs = make_lisp_world(
+        DropPolicy, resolve_delay=0.01, system_cls=CrashingMappingSystem)
+    src = topology.sites[0].hosts[0]
+    dst = topology.sites[1].hosts[0]
+    for when in (0.0, 1.0, 2.0):
+        sim.call_in(when, lambda: src.send(udp_packet(src.address, dst.address, 1, 7000)))
+    itr = xtrs[0][0]
+    for failures in (1, 2, 3):
+        with pytest.raises(RuntimeError, match="mapping system crashed"):
+            sim.run()
+        assert failures - 1 + 0.01 < sim.now < failures - 1 + 0.02
+        assert itr.resolutions_started == itr.resolutions_failed == failures
+        assert not itr._pending
+    sim.run()
+    assert sim.pending_foreground == 0 and policy.stats.dropped == 3
 
 
 def test_queue_policy_holds_then_flushes():

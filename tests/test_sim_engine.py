@@ -4,6 +4,7 @@ import gc
 import random
 
 import pytest
+from process_kernel import Process
 
 from repro.sim import EXPIRED, Event, SimulationError, Simulator
 from repro.sim.errors import EmptySchedule, EventAlreadyTriggered
@@ -164,7 +165,7 @@ def test_scheduled_calls_return_nothing_and_a_timeout_beside_one_runs_after_it()
         value = yield sim.timeout(2.0, value="slept")
         order.append(("resumed", value, sim.now))
 
-    sim.process(waiter())
+    Process(sim, waiter())
     sim.run()
     # Queued first, the calls ran first; the process resumed after them.
     assert order == ["call_in", "call_at", ("resumed", "slept", 2.0)]
@@ -175,7 +176,7 @@ def test_scheduled_calls_return_nothing_and_a_timeout_beside_one_runs_after_it()
     def sleeps_on_a_call():
         yield sim.call_in(1.0, order.append, "ran anyway")
 
-    process = sim.process(sleeps_on_a_call())
+    process = Process(sim, sleeps_on_a_call())
     sim.run()
     # There is nothing to wait on: the yielded ``None`` fails the process.
     assert isinstance(process.exception, SimulationError)
@@ -228,6 +229,17 @@ def test_nan_is_refused_at_every_way_into_the_queue(schedule):
     assert sim.now == 0.0 and sim.run() == 0.0
 
 
+def test_a_trigger_takes_no_delay():
+    """A later trigger is ``call_in(delay, event.succeed)``, whose delay is
+    checked; ``succeed``/``fail`` have none to smuggle a NaN past it."""
+    sim = Simulator()
+    with pytest.raises(TypeError):
+        sim.event().succeed(delay=NAN)
+    with pytest.raises(TypeError):
+        sim.event().fail(RuntimeError("late"), delay=NAN)
+    assert sim._queue == [] and sim.pending_foreground == 0
+
+
 def test_run_until_nan_is_refused_and_runs_nothing():
     sim = Simulator()
     hits = []
@@ -272,7 +284,7 @@ def test_expiring_event_yields_the_sentinel_at_exactly_the_deadline():
         outcome = yield sim.event().expire_in(2.5)
         resumed.append((sim.now, outcome))
 
-    sim.process(waiter())
+    Process(sim, waiter())
     sim.run()
     assert resumed == [(2.5, EXPIRED)]
     assert repr(EXPIRED) == "EXPIRED"
@@ -289,7 +301,7 @@ def test_expiring_event_reply_first_wins_and_the_expiry_is_a_noop():
         outcome = yield event
         resumed.append((sim.now, outcome))
 
-    sim.process(waiter())
+    Process(sim, waiter())
     # ``None`` is a legitimate reply, which is why expiry has a sentinel.
     sim.call_in(0.5, event.succeed, None)
     sim.run(until=1.0)

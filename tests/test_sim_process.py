@@ -1,6 +1,7 @@
 """Tests for generator-based processes."""
 
 import pytest
+from process_kernel import Process
 
 from repro.sim import Simulator
 from repro.sim.errors import SimulationError
@@ -13,7 +14,7 @@ def test_process_runs_and_returns_value():
         yield sim.timeout(2.0)
         return "done"
 
-    proc = sim.process(worker())
+    proc = Process(sim, worker())
     sim.run()
     assert proc.processed and proc.ok
     assert proc.value == "done"
@@ -28,7 +29,7 @@ def test_process_receives_timeout_value():
         value = yield sim.timeout(1.0, value="payload")
         seen.append(value)
 
-    sim.process(worker())
+    Process(sim, worker())
     sim.run()
     assert seen == ["payload"]
 
@@ -41,10 +42,10 @@ def test_process_waits_on_another_process():
         return 42
 
     def parent():
-        result = yield sim.process(child())
+        result = yield Process(sim, child())
         return result * 2
 
-    proc = sim.process(parent())
+    proc = Process(sim, parent())
     sim.run()
     assert proc.value == 84
 
@@ -56,14 +57,14 @@ def test_process_waiting_on_already_finished_process():
         yield sim.timeout(1.0)
         return "early"
 
-    child_proc = sim.process(child())
+    child_proc = Process(sim, child())
 
     def parent():
         yield sim.timeout(5.0)
         result = yield child_proc  # already processed by now
         return result
 
-    parent_proc = sim.process(parent())
+    parent_proc = Process(sim, parent())
     sim.run()
     assert parent_proc.value == "early"
     assert sim.now == 5.0
@@ -81,7 +82,7 @@ def test_process_sees_event_failure_as_exception():
         except RuntimeError as exc:
             outcome.append(str(exc))
 
-    sim.process(worker())
+    Process(sim, worker())
     sim.run()
     assert outcome == ["kaput"]
 
@@ -92,7 +93,7 @@ def test_yielding_non_event_fails_process():
     def worker():
         yield "not an event"
 
-    proc = sim.process(worker())
+    proc = Process(sim, worker())
     sim.run()
     assert proc.processed and not proc.ok
     assert isinstance(proc.exception, SimulationError)
@@ -105,7 +106,7 @@ def test_yielding_foreign_event_fails_process():
     def worker():
         yield other.timeout(1.0)
 
-    proc = sim.process(worker())
+    proc = Process(sim, worker())
     sim.run()
     assert not proc.ok
     assert isinstance(proc.exception, SimulationError)
@@ -121,7 +122,7 @@ def test_many_processes_make_progress():
         finished.append(index)
 
     for index in range(100):
-        sim.process(worker(index))
+        Process(sim, worker(index))
     sim.run()
     assert sorted(finished) == list(range(100))
 
@@ -137,12 +138,12 @@ def test_uncaught_exception_fails_process_and_propagates_to_waiter():
 
     def supervisor():
         try:
-            yield sim.process(crasher())
+            yield Process(sim, crasher())
         except RuntimeError as exc:
             caught.append(str(exc))
 
-    crash_proc = sim.process(crasher())
-    sim.process(supervisor())
+    crash_proc = Process(sim, crasher())
+    Process(sim, supervisor())
     sim.run()
     assert caught == ["boom"]
     assert crash_proc.processed and not crash_proc.ok
@@ -153,4 +154,4 @@ def test_uncaught_exception_fails_process_and_propagates_to_waiter():
 def test_process_requires_generator():
     sim = Simulator()
     with pytest.raises(TypeError):
-        sim.process(lambda: None)
+        Process(sim, lambda: None)

@@ -1,31 +1,86 @@
-"""The callback workload driver against the generator-per-flow one.
+"""The callback code against the generator processes it replaced.
 
 ``reference_driver`` keeps the driver that ran every flow as a process
-created at t=0 (and the stub, resolver and sender processes under it).
-Each test here builds the same world twice, runs one workload through
-``run_workload`` and one through the reference, and demands that nothing a
-simulation can observe differs: flow records, every link's ledgers, every
-sink, the resolvers' caches and counters.  Only the engine's event count may.
+created at t=0 (and the stub, resolver and sender processes under it), and
+the pull path as it was before the process kernel left ``src/``: the xTR's
+miss, ALT/CONS/NERD resolution, RLOC probe rounds, the TCP handshake and
+the resolver's walk.  Each test here builds the same world twice, runs one
+workload through ``run_workload`` and the callback code, and one through
+the reference with the retired generators installed, and demands that
+nothing a simulation can observe differs: flow records, every link's
+ledgers, every sink, every node's bound UDP ports, the resolvers' caches
+and counters, every xTR's counters, map-cache and in-flight table, the
+control plane's stats and every prober's verdicts.  Only the engine's
+event count may.
 
 Mutants of the new driver that were checked by hand to fail this file:
 arrival gaps drawn lazily from the workload stream itself (sites and sizes
 shift), ``call_in(when - now)`` instead of ``call_at(when)`` for arrivals
 (``started_at`` an ulp off), a second ``answer_cache.get`` per query
-(hit/miss counters), and fluid probe retries off by one (``packets_sent``
-of the flows that give up).
+(hit/miss counters), fluid probe retries off by one (``packets_sent``
+of the flows that give up), a Map-Request loop that leaves an expired
+nonce pending or gives up one attempt early, an RTO that grows linearly,
+a probe that never marks its locator alive or keeps an expired nonce, an
+xTR that leaves its site prefix in flight, a resolver walk that never
+closes its socket, and an E9 sender one nanosecond slow.
 """
 
 import itertools
 
 import pytest
-from reference_driver import reference_run_workload
+from reference_driver import (
+    install_reference_pull_path,
+    reference_run_workload,
+    start_e9_sender,
+    start_fig1_flow,
+)
 
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
+from repro.experiments import e9_failover
+from repro.experiments.e9_failover import (
+    FAIL_AT,
+    FLOW_END,
+    REPAIR_AT,
+    schedule_access_failure,
+)
+from repro.experiments.fig1 import run_fig1_walkthrough
 from repro.experiments.scenario import CONTROL_PLANES
 
 PACINGS = ("constant", "shaped", "fluid")
 TRANSPORTS = ("udp", "tcp", "tcp+burst")
 CELLS = list(itertools.product(CONTROL_PLANES, PACINGS, TRANSPORTS))
+
+
+def pull_path_state(scenario):
+    """The xTRs', the control plane's and the probers' side of a run."""
+    xtrs = {}
+    for xtr in scenario.iter_xtrs():
+        state = xtr.snapshot_state()
+        xtrs[xtr.node.name] = (
+            state["counters"], state["map_cache"][1:], sorted(state["seen"]),
+            [(str(prefix), repr(mapping))
+             for prefix, mapping in xtr.map_cache.entries()],
+            sorted(str(key) for key in xtr._pending))
+    system = scenario.mapping_system
+    if system is not None:
+        control = (system.stats.snapshot_state(),
+                   len(getattr(system, "_pending", ())))
+    else:
+        control = scenario.control_overhead()
+    policy = scenario.miss_policy
+    probers = {}
+    if scenario.control_plane is not None:
+        for name, prober in scenario.control_plane.probers.items():
+            probers[name] = (
+                sorted(prober.down), sorted(prober._consecutive_misses.items()),
+                prober._nonce, prober.probes_sent, prober.replies_received,
+                prober.transitions, sorted(prober._pending))
+    return {
+        "xtrs": xtrs,
+        "control": control,
+        "miss_policy": None if policy is None else policy.stats.snapshot_state(),
+        "probers": probers,
+    }
 
 
 def observable_state(scenario, records):
@@ -44,7 +99,11 @@ def observable_state(scenario, records):
                   for key, sink in scenario.udp_sinks.items()},
         "resolvers": resolvers,
         "stubs": {name: stub.lookups for name, stub in scenario.stubs.items()},
+        # Sockets a wait left open, whatever its outcome.
+        "udp_ports": {node.name: sorted(node._udp_ports)
+                      for node in scenario.topology.all_nodes()},
         "next_flow_id": scenario.flow_ids.snapshot_state(),
+        **pull_path_state(scenario),
     }
 
 
@@ -166,3 +225,95 @@ def test_drivers_agree_when_the_resolver_is_unreachable():
         assert record.failed and record.destination is None
         assert record.packets_sent == 0
     assert any(not r.failed for r in records)
+
+
+@pytest.mark.parametrize("pacing,transport", [
+    ("constant", "udp"), ("shaped", "tcp+burst"), ("fluid", "udp")])
+def test_drivers_agree_with_probing_through_a_link_down_window(pacing, transport):
+    """Probe rounds while the destination's primary locator is down: the
+    probers mark it down, traffic fails over, and it comes back up."""
+    def outage(scenario):
+        now = scenario.sim.now
+        schedule_access_failure(scenario.sim, scenario.topology.sites[1], 0,
+                                now + 1.0, now + 2.5)
+
+    config = ScenarioConfig(control_plane="pce", num_sites=3, seed=9401,
+                            irc_policy="primary", enable_probing=True,
+                            probe_period=0.3, tracing=False)
+    workload = cell_workload(pacing, transport, num_flows=30, arrival_rate=8.0,
+                             dest_site=1, grace_period=6.0)
+    (new, records), (reference, _) = run_both(config, workload, outage)
+    assert_equal_states(new, reference)
+    transitions = [kind for state in new["probers"].values()
+                   for _when, _rloc, kind in state[5]]
+    assert "down" in transitions and "up" in transitions
+    assert any(not record.failed for record in records)
+
+
+@pytest.mark.parametrize("plane", ["alt", "cons"])
+def test_drivers_agree_when_map_requests_go_unanswered(plane):
+    """Map-Requests into a cut-off site expire, are re-sent, and give up."""
+    def outage(scenario):
+        now = scenario.sim.now
+        site = scenario.topology.sites[1]
+        for locator in range(len(site.access_links)):
+            schedule_access_failure(scenario.sim, site, locator, now + 1.5, now + 9.0)
+
+    # Half-second map-cache entries: ITRs keep asking through the outage.
+    config = ScenarioConfig(control_plane=plane, num_sites=3, seed=9501,
+                            cache_ttl_override=0.5, tracing=False)
+    workload = cell_workload("constant", "tcp", num_flows=40, arrival_rate=10.0,
+                             dest_site=1, grace_period=10.0)
+    (new, _records), (reference, _) = run_both(config, workload, outage)
+    assert_equal_states(new, reference)
+    stats = new["control"][0]
+    resolutions, failures = stats[3], stats[4]
+    assert 0 < failures < resolutions
+    assert stats[2]["map-request"] > resolutions    # some were re-sent
+
+
+def trace_of(scenario):
+    """The run's trace without packet uids, which a process-wide counter
+    hands out (the twin's packets are numbered after the first world's)."""
+    return [(record.time, record.source, record.kind,
+             {key: value for key, value in record.detail.items() if key != "uid"})
+            for record in scenario.sim.trace.records]
+
+
+def test_fig1_flow_agrees_with_its_generator():
+    result = run_fig1_walkthrough()
+    twin = build_scenario(result["scenario"].config)
+    install_reference_pull_path(twin)
+    timeline = {}
+    start_fig1_flow(twin, timeline)
+    twin.sim.run(until=5.0)
+    assert result["records"]["dns_done"] == timeline["dns_done"]
+    assert trace_of(result["scenario"]) == trace_of(twin)
+    kinds = {kind for _time, _source, kind, _detail in trace_of(twin)}
+    assert {"pce.step7b-push", "itr.encap", "etr.decap"} <= kinds
+
+
+@pytest.mark.parametrize("label,overrides", [
+    ("pce+probing", {"enable_probing": True, "probe_period": 0.4}),
+    ("pce-static", {"enable_probing": False})])
+def test_e9_sender_agrees_with_its_generator(monkeypatch, label, overrides):
+    built = []
+
+    def build(config):
+        built.append(build_scenario(config))
+        return built[-1]
+
+    monkeypatch.setattr(e9_failover, "build_scenario", build)
+    row = e9_failover._run_variant(label, overrides, seed=29)
+    (scenario,) = built
+    twin = build_scenario(scenario.config)
+    install_reference_pull_path(twin)
+    state = {"sent": 0}
+    start_e9_sender(twin, state)
+    schedule_access_failure(twin.sim, twin.topology.sites[1], 0, FAIL_AT, REPAIR_AT)
+    twin.sim.run(until=FLOW_END + 2.0)
+    assert state["sent"] == row.packets_sent
+    assert scenario.sink_for(1, 0).arrival_times == twin.sink_for(1, 0).arrival_times
+    assert pull_path_state(scenario) == pull_path_state(twin)
+    assert trace_of(scenario) == trace_of(twin)
+    assert bool(pull_path_state(twin)["probers"]) == (label == "pce+probing")

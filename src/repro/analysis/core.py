@@ -157,8 +157,8 @@ def iter_python_files(paths):
             yield path
 
 
-def analyze_paths(paths, rules=None):
-    """Run *rules* (default: every registered rule) over *paths*.
+def analyze_paths(paths, rules):
+    """Run *rules* (None: every registered rule) over *paths*.
 
     Returns a list of :class:`Finding` objects sorted by (path, line,
     rule); pragma-suppressed findings are dropped.

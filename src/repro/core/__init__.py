@@ -33,12 +33,11 @@ from repro.core.messages import (
     ReverseMappingAnnounce,
 )
 from repro.core.pce import Pce
-from repro.core.te import LinkLoadMonitor, plan_rebalance
+from repro.core.te import plan_rebalance
 
 __all__ = [
     "EncapsulatedDnsReply",
     "IrcEngine",
-    "LinkLoadMonitor",
     "MappingPush",
     "Pce",
     "PceControlPlane",

@@ -13,11 +13,12 @@
   the local PCE database.
 
 It also owns the egress routing table (hub per-destination routes) so the
-TE re-homing of :mod:`repro.core.te` can be applied, and implements the
-push-to-all vs push-to-one ablation via ``push_mode``.
+TE re-homing of :mod:`repro.core.te` can be applied: every push reaches
+every ITR of the site (Step 7b's push-to-all), so a re-homed flow always
+finds its mapping in place.
 """
 
-from repro.core.irc import IrcEngine
+from repro.core.irc import FLOW_BYTES_ESTIMATE, IrcEngine
 from repro.core.messages import (
     PORT_MAPPING_PUSH,
     PORT_REVERSE,
@@ -25,7 +26,7 @@ from repro.core.messages import (
     ReverseMappingAnnounce,
 )
 from repro.core.pce import Pce
-from repro.core.te import LinkLoadMonitor, plan_rebalance
+from repro.core.te import plan_rebalance
 from repro.lisp import EID_SPACE
 from repro.lisp.control.base import MappingRegistry
 from repro.lisp.mappings import MappingRecord, RlocEntry, site_mapping
@@ -38,17 +39,13 @@ from repro.net.fib import FibEntry
 class PceControlPlane:
     """All per-deployment state of the PCE control plane."""
 
-    def __init__(self, sim, topology, dns_system, irc_policy="balance",
-                 precompute=True, computation_delay=0.0005, mapping_ttl=60.0,
-                 push_mode="all", miss_policy=None, start_irc=True,
-                 irc_period=0.5, enable_probing=False, probe_period=0.5,
+    def __init__(self, sim, topology, dns_system, computation_delay,
+                 irc_policy="balance", precompute=True, mapping_ttl=60.0,
+                 miss_policy=None, enable_probing=False, probe_period=0.5,
                  probe_timeout=None):
-        if push_mode not in ("all", "one"):
-            raise ValueError(f"push_mode must be 'all' or 'one', got {push_mode!r}")
         self.sim = sim
         self.topology = topology
         self.dns_system = dns_system
-        self.push_mode = push_mode
         self.mapping_ttl = mapping_ttl
         self.registry = MappingRegistry()
         self.miss_policy = miss_policy if miss_policy is not None else DropPolicy(sim)
@@ -65,17 +62,13 @@ class PceControlPlane:
         self.egress_assignments = {}   # site index -> {prefix: itr index}
         self.reverse_announcements = 0
         self.te_moves_applied = 0
-        self._pending_egress_choice = {}
 
         for site in topology.sites:
             self.registry.register(site_mapping(site, ttl=mapping_ttl))
 
         for site in topology.sites:
-            irc = IrcEngine(sim, site, topology, policy=irc_policy, period=irc_period)
-            if start_irc:
-                irc.start()
-            else:
-                irc.measure_once()
+            irc = IrcEngine(sim, site, topology, policy=irc_policy)
+            irc.measure_once()
             self.ircs[site.index] = irc
             resolver = dns_system.resolver_for(site)
             pce = Pce(sim, site, topology, resolver, self.registry, irc,
@@ -105,18 +98,8 @@ class PceControlPlane:
     # Push distribution
     # ------------------------------------------------------------------ #
 
-    def push_targets(self, site):
-        """Which ITR indices receive a mapping push (the ablation knob)."""
-        if self.push_mode == "all":
-            return list(range(len(site.xtrs)))
-        chosen = self.ircs[site.index].select_egress()
-        self._pending_egress_choice[site.index] = chosen
-        return [chosen]
-
     def set_egress_route(self, site, prefix, egress_index):
         """Point the hub's route for *prefix* at the chosen egress ITR."""
-        if self.push_mode == "one":
-            egress_index = self._pending_egress_choice.pop(site.index, egress_index)
         hub_iface = site.hub_links[egress_index]["hub_iface"]
         site.hub.fib.insert(FibEntry(IPv4Prefix(prefix), hub_iface))
         self.egress_assignments[site.index][IPv4Prefix(prefix)] = egress_index
@@ -155,15 +138,9 @@ class PceControlPlane:
     # ------------------------------------------------------------------ #
 
     def itr_has_live_mapping(self, site, eid):
-        """True if every push target currently holds a mapping for *eid*."""
-        routers = self.xtrs_by_site[site.index]
-        if self.push_mode == "one":
-            assignment = self.egress_assignments[site.index]
-            for prefix, index in assignment.items():
-                if prefix.contains(eid):
-                    return routers[index].map_cache.peek(eid) is not None
-            return False
-        return all(router.map_cache.peek(eid) is not None for router in routers)
+        """True if every ITR of *site* currently holds a mapping for *eid*."""
+        return all(router.map_cache.peek(eid) is not None
+                   for router in self.xtrs_by_site[site.index])
 
     def mapping_available_time(self, site, prefix):
         """Time of the latest Step-7b push covering *prefix* at *site*."""
@@ -178,20 +155,14 @@ class PceControlPlane:
     # TE re-homing (uses repro.core.te)
     # ------------------------------------------------------------------ #
 
-    def uplink_monitor(self, site):
-        return LinkLoadMonitor([links["uplink"] for links in site.access_links])
-
-    def rebalance_site_egress(self, site, loads=None, flow_bytes_estimate=50_000,
-                              tolerance=1.2):
-        """Plan and apply egress re-homing for *site*; returns the moves."""
+    def rebalance_site_egress(self, site, loads):
+        """Plan and apply egress re-homing for *site* under per-ITR *loads*
+        (bytes); returns the moves."""
         assignment = self.egress_assignments[site.index]
-        if loads is None:
-            monitor = self.uplink_monitor(site)
-            loads = monitor.window_bytes()
         flows_by_itr = {}
         for prefix, index in assignment.items():
-            flows_by_itr.setdefault(index, []).append((prefix, flow_bytes_estimate))
-        moves = plan_rebalance(loads, flows_by_itr, tolerance=tolerance)
+            flows_by_itr.setdefault(index, []).append((prefix, FLOW_BYTES_ESTIMATE))
+        moves = plan_rebalance(loads, flows_by_itr)
         for move in moves:
             self.set_egress_route(site, move.destination_prefix, move.to_itr)
             self.te_moves_applied += 1
@@ -223,15 +194,14 @@ class PceControlPlane:
     #: Deploy-time wiring and config, immutable after __init__.  The xTRs in
     #: ``xtrs_by_site`` are independently checkpointed components; only the
     #: site->router table itself lives here, and it never changes.
-    _SNAPSHOT_EXEMPT = ("sim", "topology", "dns_system", "push_mode",
-                        "mapping_ttl", "enable_probing", "xtrs_by_site")
+    _SNAPSHOT_EXEMPT = ("sim", "topology", "dns_system", "mapping_ttl",
+                        "enable_probing", "xtrs_by_site")
 
     def snapshot_state(self):
         return {
             "counters": (self.reverse_announcements, self.te_moves_applied),
             "egress": {index: dict(assignment)
                        for index, assignment in self.egress_assignments.items()},
-            "pending_egress": dict(self._pending_egress_choice),
             "registry": self.registry.snapshot_state(),
             "miss_policy": self.miss_policy.snapshot_state(),
             "pces": {index: pce.snapshot_state()
@@ -246,7 +216,6 @@ class PceControlPlane:
         self.reverse_announcements, self.te_moves_applied = state["counters"]
         self.egress_assignments = {index: dict(assignment)
                                    for index, assignment in state["egress"].items()}
-        self._pending_egress_choice = dict(state["pending_egress"])
         self.registry.restore_state(state["registry"])
         self.miss_policy.restore_state(state["miss_policy"])
         for index, pce_state in state["pces"].items():

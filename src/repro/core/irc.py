@@ -6,15 +6,14 @@ inherently the same used today by IRC techniques" (Step 1), and PCE_D's
 "mapping selection is made by an online IRC engine running in background,
 so the mapping is always known aforehand" (Step 6).
 
-This engine runs a background periodic measurement per site: each period it
-refreshes an EWMA estimate of every provider's path delay (access delay +
-measured WAN component + jitter) and snapshots the access links' byte
-counters.  Selection policies:
+The engine keeps, per site, an EWMA estimate of every provider's path
+delay (access delay + measured WAN component + jitter) and a snapshot of
+the access links' byte counters; each measurement round refreshes both,
+and the control plane takes one at deployment.  Selection policies:
 
 - ``latency``  — lowest estimated delay;
 - ``balance``  — least-loaded access link (bytes observed + bytes pledged
   to recent assignments), i.e. classic IRC load spreading;
-- ``cost``     — cheapest provider whose load is under a utilisation cap;
 - ``primary``  — always locator 0 (degenerates to the static behaviour of
   a non-PCE site; used as a control in experiments).
 
@@ -27,67 +26,40 @@ line-rate claim, which experiment E6 checks against an on-demand variant.
 EWMA_ALPHA = 0.3
 #: Upper bound (seconds) of the uniform noise on each delay sample.
 JITTER = 0.002
+#: Bytes pledged to a locator per assigned flow (and decayed per round),
+#: and what TE re-homing assumes each homed flow weighs.
+FLOW_BYTES_ESTIMATE = 50_000
 
 
 class ProviderEstimate:
     """Per-provider rolling state."""
 
-    __slots__ = ("delay_ewma", "bytes_in", "bytes_out", "pledged_in", "pledged_out",
-                 "cost_per_byte")
+    __slots__ = ("delay_ewma", "bytes_in", "bytes_out", "pledged_in", "pledged_out")
 
-    def __init__(self, delay_ewma, cost_per_byte=1.0):
+    def __init__(self, delay_ewma):
         self.delay_ewma = delay_ewma
         self.bytes_in = 0
         self.bytes_out = 0
         self.pledged_in = 0
         self.pledged_out = 0
-        self.cost_per_byte = cost_per_byte
 
 
 class IrcEngine:
     """One site's IRC engine (shared by its PCE and TE logic)."""
 
-    def __init__(self, sim, site, topology, policy="balance", period=0.5,
-                 flow_bytes_estimate=50_000, costs=None, utilisation_cap=0.8):
+    def __init__(self, sim, site, topology, policy="balance"):
         self.sim = sim
         self.site = site
         self.topology = topology
         self.policy = policy
-        self.period = period
-        self.flow_bytes_estimate = flow_bytes_estimate
-        self.utilisation_cap = utilisation_cap
         self.measurement_rounds = 0
         self._rng_name = f"irc-{site.name}"
-        self.estimates = []
-        for b in range(len(site.xtrs)):
-            base = self._path_delay_estimate(b)
-            cost = costs[b] if costs is not None else 1.0
-            self.estimates.append(ProviderEstimate(base, cost_per_byte=cost))
-        self._task = sim.periodic(self.measure_once, period,
-                                  name=f"irc-{site.name}")
+        self.estimates = [ProviderEstimate(self._path_delay_estimate(b))
+                          for b in range(len(site.xtrs))]
 
     # ------------------------------------------------------------------ #
-    # Background measurement (the "online engine running in background")
+    # Measurement
     # ------------------------------------------------------------------ #
-
-    def start(self):
-        """Measure immediately, then re-measure every period (idempotent).
-
-        The measurement rounds ride a checkpointable
-        :class:`~repro.sim.periodic.PeriodicTask` rather than a callback
-        that re-schedules itself forever, so a world with a running IRC
-        engine can still be settled, snapshotted and restored (the engine
-        checkpoint re-arms the tick).
-        """
-        if self._task.armed:
-            return
-        self.measure_once()
-        self._task.start()
-
-    @property
-    def running(self):
-        """True while the periodic measurement tick is armed."""
-        return self._task.armed
 
     def measure_once(self):
         """One measurement round: refresh delay EWMAs and load snapshots."""
@@ -102,8 +74,8 @@ class IrcEngine:
             estimate.bytes_in = links["downlink"].stats.tx_bytes
             estimate.bytes_out = links["uplink"].stats.tx_bytes
             # Pledges decay once real counters catch up.
-            estimate.pledged_in = max(0, estimate.pledged_in - self.flow_bytes_estimate)
-            estimate.pledged_out = max(0, estimate.pledged_out - self.flow_bytes_estimate)
+            estimate.pledged_in = max(0, estimate.pledged_in - FLOW_BYTES_ESTIMATE)
+            estimate.pledged_out = max(0, estimate.pledged_out - FLOW_BYTES_ESTIMATE)
 
     def _path_delay_estimate(self, b):
         """Access delay plus this provider's mean WAN distance."""
@@ -126,13 +98,13 @@ class IrcEngine:
     def select_ingress(self):
         """Locator index for *inbound* traffic (the reverse mapping of Step 1)."""
         index = self._select(direction="in")
-        self.estimates[index].pledged_in += self.flow_bytes_estimate
+        self.estimates[index].pledged_in += FLOW_BYTES_ESTIMATE
         return index
 
     def select_egress(self):
         """Locator index for *outbound* traffic (local TE, Step 7b)."""
         index = self._select(direction="out")
-        self.estimates[index].pledged_out += self.flow_bytes_estimate
+        self.estimates[index].pledged_out += FLOW_BYTES_ESTIMATE
         return index
 
     def _load(self, estimate, direction):
@@ -148,14 +120,6 @@ class IrcEngine:
             return min(candidates, key=lambda b: (self.estimates[b].delay_ewma, b))
         if self.policy == "balance":
             return min(candidates, key=lambda b: (self._load(self.estimates[b], direction), b))
-        if self.policy == "cost":
-            loads = [self._load(est, direction) for est in self.estimates]
-            total = sum(loads) or 1
-            affordable = [b for b in candidates
-                          if loads[b] / total <= self.utilisation_cap]
-            pool = affordable or list(candidates)
-            return min(pool, key=lambda b: (self.estimates[b].cost_per_byte,
-                                            self._load(self.estimates[b], direction), b))
         raise ValueError(f"unknown IRC policy {self.policy!r}")
 
     def snapshot(self):
@@ -163,19 +127,11 @@ class IrcEngine:
         return [(est.delay_ewma, est.bytes_in, est.bytes_out) for est in self.estimates]
 
     #: Construction-time config (the RNG stream is fetched by name where it
-    #: is drawn and restored by the simulator's RandomStreams) and the
-    #: periodic tick handle (armed/next-fire state is engine state, captured
-    #: by the simulator).
-    _SNAPSHOT_EXEMPT = ("sim", "site", "topology", "policy", "period",
-                        "flow_bytes_estimate", "utilisation_cap", "_rng_name",
-                        "_task")
+    #: is drawn and restored by the simulator's RandomStreams).
+    _SNAPSHOT_EXEMPT = ("sim", "site", "topology", "policy", "_rng_name")
 
     def snapshot_state(self):
-        """Round counter and per-provider estimates for world reuse.
-
-        Whether the measurement tick is armed (and when it next fires) is
-        engine state, captured by the simulator's own checkpoint.
-        """
+        """Round counter and per-provider estimates for world reuse."""
         return (self.measurement_rounds,
                 [(est.delay_ewma, est.bytes_in, est.bytes_out,
                   est.pledged_in, est.pledged_out) for est in self.estimates])

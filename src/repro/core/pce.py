@@ -72,7 +72,7 @@ class Pce:
     """A site's PCE: DNS-path interception plus mapping distribution."""
 
     def __init__(self, sim, site, topology, resolver, registry, irc,
-                 control_plane, precompute=True, computation_delay=0.0005):
+                 control_plane, computation_delay, precompute=True):
         self.sim = sim
         self.site = site
         self.topology = topology
@@ -247,7 +247,7 @@ class Pce:
         """
         push = MappingPush(source_eid=source_eid or self.site.eid_prefix.network,
                            mapping=mapping, pce_address=self.address)
-        targets = self.control_plane.push_targets(self.site)
+        targets = range(len(self.site.xtrs))     # push to all (Step 7b)
         egress_index = self.irc.select_egress()
         for b in targets:
             self.stats.push_messages += 1

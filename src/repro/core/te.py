@@ -1,4 +1,4 @@
-"""Traffic-engineering helpers: load monitoring and egress re-homing.
+"""Traffic-engineering helpers: egress re-homing.
 
 The paper's Step 7b rationale: "The advantage of pushing the mapping to all
 ITRs is that PCE_S can carry out local TE actions, and move part of its
@@ -8,35 +8,16 @@ relevant ITRs after the TE optimization."
 :func:`plan_rebalance` produces that optimisation: given per-ITR loads and
 the per-destination flows currently homed on each ITR, it greedily moves
 flows from the most- to the least-loaded ITR until the imbalance falls
-under a tolerance.  :meth:`PceControlPlane.apply_rebalance` then rewrites
-hub routes — safe under push-to-all, lossy under push-to-one (the re-homing
-tests in ``tests/test_core_pce.py`` pin exactly that difference).
+under :data:`TOLERANCE`.
+:meth:`PceControlPlane.rebalance_site_egress` then rewrites hub routes —
+safe because every ITR already holds the mapping (push-to-all; the
+re-homing test in ``tests/test_core_pce.py`` pins it).
 """
 
 from dataclasses import dataclass
 
-
-class LinkLoadMonitor:
-    """Windowed byte counters over a set of links."""
-
-    def __init__(self, links):
-        self.links = list(links)
-        self._window_start_bytes = [link.stats.tx_bytes for link in self.links]
-
-    def window_bytes(self):
-        """Bytes transmitted per link since the window started."""
-        return [link.stats.tx_bytes - start
-                for link, start in zip(self.links, self._window_start_bytes,
-                                       strict=True)]
-
-    def imbalance(self):
-        """max/mean of the window byte counts (1.0 = perfectly balanced)."""
-        counts = self.window_bytes()
-        total = sum(counts)
-        if total == 0:
-            return 1.0
-        mean = total / len(counts)
-        return max(counts) / mean
+#: Re-homing stops once ``max(load) / mean(load)`` is at most this.
+TOLERANCE = 1.2
 
 
 @dataclass(frozen=True)
@@ -49,7 +30,7 @@ class FlowMove:
     bytes_estimate: int
 
 
-def plan_rebalance(loads, flows_by_itr, tolerance=1.2):
+def plan_rebalance(loads, flows_by_itr):
     """Greedy egress re-homing plan.
 
     Parameters
@@ -59,8 +40,6 @@ def plan_rebalance(loads, flows_by_itr, tolerance=1.2):
     flows_by_itr:
         ``{itr_index: [(destination_prefix, bytes_estimate), ...]}`` —
         the flows currently homed on each ITR, heaviest first or not.
-    tolerance:
-        Stop when ``max(load)/mean(load)`` drops to this value.
 
     Returns a list of :class:`FlowMove`.
     """
@@ -77,7 +56,7 @@ def plan_rebalance(loads, flows_by_itr, tolerance=1.2):
         mean = total / len(loads)
         heaviest = max(range(len(loads)), key=lambda i: loads[i])
         lightest = min(range(len(loads)), key=lambda i: loads[i])
-        if loads[heaviest] / mean <= tolerance or heaviest == lightest:
+        if loads[heaviest] / mean <= TOLERANCE or heaviest == lightest:
             break
         candidates = flows.get(heaviest)
         if not candidates:

@@ -15,9 +15,6 @@ class TtlCache:
       REJECTS the entry: any existing entry for the key is invalidated,
       ``rejected_puts`` is incremented and a ``cache.put-rejected`` trace
       event is recorded.  It returns False.  An infinite TTL never expires.
-    - ``max_entries``, when given, bounds the number of stored entries;
-      once full (after compacting the expired), the entry closest to expiry
-      is evicted (counted in ``evictions``).
     - ``len(cache)`` is exact: it compacts first, so dead entries are both
       freed and never counted.
     """
@@ -25,10 +22,9 @@ class TtlCache:
     #: Entry count at which the first automatic compaction triggers.
     COMPACT_THRESHOLD = 256
 
-    def __init__(self, sim, name="cache", max_entries=None):
+    def __init__(self, sim, name="cache"):
         self.sim = sim
         self.name = name
-        self.max_entries = max_entries
         self._entries = {}
         self._next_compact = self.COMPACT_THRESHOLD
         self.hits = 0
@@ -36,16 +32,13 @@ class TtlCache:
         self.expirations = 0
         self.insertions = 0
         self.rejected_puts = 0
-        self.evictions = 0
 
     def put(self, key, value, ttl):
         """Store *value* for *ttl* seconds of simulated time.
 
-        Returns True if the entry is stored and survived any capacity
-        eviction (a full cache evicts the entry closest to expiry, which can
-        be the one just inserted).  Non-positive and NaN TTLs are rejected
-        (see class docstring): nothing is stored, any stale entry for *key*
-        is dropped, and False is returned.
+        Returns True once the entry is stored.  Non-positive and NaN TTLs
+        are rejected (see class docstring): nothing is stored, any stale
+        entry for *key* is dropped, and False is returned.
         """
         if not ttl > 0:  # NaN compares false both ways: it lands here too
             self._entries.pop(key, None)
@@ -60,13 +53,6 @@ class TtlCache:
             # Back off so compaction stays amortized O(1) per insertion.
             self._next_compact = max(self.COMPACT_THRESHOLD,
                                      2 * len(self._entries))
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            self.compact()
-            while len(self._entries) > self.max_entries:
-                victim = min(self._entries, key=lambda k: self._entries[k][0])
-                del self._entries[victim]
-                self.evictions += 1
-            return key in self._entries
         return True
 
     def get(self, key):
@@ -116,16 +102,15 @@ class TtlCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    #: Construction-time config (owning sim, trace label, capacity bound).
-    _SNAPSHOT_EXEMPT = ("sim", "name", "max_entries")
+    #: Construction-time config (owning sim, trace label).
+    _SNAPSHOT_EXEMPT = ("sim", "name")
 
     def snapshot_state(self):
         return (dict(self._entries), self._next_compact, self.hits,
                 self.misses, self.expirations, self.insertions,
-                self.rejected_puts, self.evictions)
+                self.rejected_puts)
 
     def restore_state(self, state):
         (entries, self._next_compact, self.hits, self.misses,
-         self.expirations, self.insertions, self.rejected_puts,
-         self.evictions) = state
+         self.expirations, self.insertions, self.rejected_puts) = state
         self._entries = dict(entries)

@@ -24,6 +24,8 @@ MAX_REFERRALS = 16
 MAX_CNAME_CHASES = 4
 #: Seconds an NXDOMAIN outcome stays in the negative cache.
 NEGATIVE_TTL = 5.0
+#: Times a stub re-sends an unanswered query to its site resolver.
+LOOKUP_RETRIES = 1
 
 
 class RecursiveResolver(Journaled):
@@ -296,7 +298,7 @@ class StubResolver:
         self.resolver_address = resolver_address
         self.lookups = 0
 
-    def lookup(self, qname, timeout=5.0, retries=1):
+    def lookup(self, qname, timeout=5.0):
         """Resolve *qname*; returns an event for (address_or_None, elapsed).
 
         The query leaves inside this call and the event is completed from
@@ -308,7 +310,7 @@ class StubResolver:
         lookup = _Lookup(self.sim, self.host.open_udp())
         request = lookup.socket.request(self.resolver_address, DNS_PORT,
                                         payload=query, timeout=timeout,
-                                        retries=retries)
+                                        retries=LOOKUP_RETRIES)
         request.callbacks.append(lookup._answered)
         return lookup
 

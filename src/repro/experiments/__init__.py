@@ -1,8 +1,10 @@
-"""Experiment drivers: one module per paper artefact (see DESIGN.md §4).
+"""Experiment drivers: one module per paper artefact.
 
-Each driver exposes a ``run(...)`` function returning plain dict/list
-results, consumed both by ``repro run`` / ``repro report`` and by the
-runnable examples under ``examples/``.
+:data:`repro.experiments.report.EXPERIMENTS` is the index: each row names
+a driver module and its runner, whose docstring (and the module's) says
+what it measures and the shape its ``check_shape`` expects.  Runners return
+rows, consumed both by ``repro run`` / ``repro report`` and by the runnable
+examples under ``examples/``.
 """
 
 from repro.experiments.scenario import Scenario, ScenarioConfig, build_scenario

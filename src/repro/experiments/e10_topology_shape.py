@@ -51,7 +51,8 @@ HEADERS = ("system", "topology", "sites", "providers", "ixps", "hier",
 #: The families compared: every generated one (fig1 is the flat mesh at
 #: two sites).
 FAMILIES = ("flat", "tiered", "caida")
-DEFAULT_SYSTEMS = ("pce", "alt")
+#: The control planes E10 compares on each family.
+SYSTEMS = ("pce", "alt")
 
 
 def _mesh_delay_mean(topology):
@@ -69,9 +70,9 @@ def _mesh_delay_mean(topology):
     return total / count if count else 0.0
 
 
-def run_e10(num_sites=12, num_flows=30, seed=71, systems=DEFAULT_SYSTEMS):
+def run_e10(num_sites=12, num_flows=30, seed=71):
     rows = []
-    for system in systems:
+    for system in SYSTEMS:
         for family in FAMILIES:
             config = ScenarioConfig(control_plane=system, topology=family,
                                     num_sites=num_sites, seed=seed,

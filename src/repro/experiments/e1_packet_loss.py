@@ -14,7 +14,7 @@ from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.experiments.workload import WorkloadConfig, classify_first_packet, run_workload
 
 #: The systems E1 compares, as (label, scenario overrides).
-DEFAULT_VARIANTS = (
+VARIANTS = (
     ("pce", dict(control_plane="pce")),
     ("alt+drop", dict(control_plane="alt", miss_policy="drop")),
     ("alt+queue", dict(control_plane="alt", miss_policy="queue")),
@@ -49,10 +49,10 @@ HEADERS = ("system", "cache_ttl", "flows", "hit_ratio", "sent_now", "dropped",
 
 
 def run_e1(num_sites=8, num_flows=40, cache_ttls=(2.0, 60.0), seed=11,
-           variants=DEFAULT_VARIANTS, arrival_rate=10.0, zipf_s=1.0):
+           arrival_rate=10.0, zipf_s=1.0):
     """Run the sweep; returns a list of :class:`E1Row`."""
     rows = []
-    for label, overrides in variants:
+    for label, overrides in VARIANTS:
         for cache_ttl in cache_ttls:
             config = ScenarioConfig(num_sites=num_sites, seed=seed,
                                     cache_ttl_override=cache_ttl,

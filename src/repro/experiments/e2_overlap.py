@@ -38,12 +38,16 @@ class E2Row:
 HEADERS = ("system", "dns_depth", "flows", "t_dns_mean", "t_extra_mean",
            "t_extra_p95", "overlap")
 
+#: The control planes E2 compares.
+SYSTEMS = ("pce", "alt", "cons")
+#: Extra DNS-hierarchy levels below the TLD each system is measured at.
+DEPTHS = (0, 2)
 
-def run_e2(num_sites=6, num_flows=25, depths=(0, 2), seed=23,
-           systems=("pce", "alt", "cons")):
+
+def run_e2(num_sites=6, num_flows=25, seed=23):
     rows = []
-    for system in systems:
-        for depth in depths:
+    for system in SYSTEMS:
+        for depth in DEPTHS:
             config = ScenarioConfig(control_plane=system, num_sites=num_sites,
                                     seed=seed, dns_extra_levels=depth,
                                     dns_use_cache=False, miss_policy="queue")

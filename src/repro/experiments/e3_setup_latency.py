@@ -10,13 +10,14 @@ sting of weakness W1.  With the queue policy it equals the resolution
 latency.  NERD matches plain IP (nothing to resolve) at the cost E5 shows.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.experiments.workload import WorkloadConfig, run_workload
 from repro.metrics.stats import summarize
 
-DEFAULT_VARIANTS = (
+#: The systems E3 compares, as (label, scenario overrides).
+VARIANTS = (
     ("plain", dict(control_plane="plain")),
     ("pce", dict(control_plane="pce")),
     ("nerd", dict(control_plane="nerd")),
@@ -46,16 +47,16 @@ HEADERS = ("system", "flows", "t_dns", "t_setup", "t_setup_p95", "syn_retx",
            "t_total")
 
 
-def run_e3(num_sites=6, num_flows=30, seed=37, variants=DEFAULT_VARIANTS):
+def run_e3(num_sites=6, num_flows=30, seed=37):
     rows = []
-    for label, overrides in variants:
+    for label, overrides in VARIANTS:
         # Cold caches: every flow pays the full DNS walk and, on the
         # reactive systems, a fresh mapping resolution.
         config = ScenarioConfig(num_sites=num_sites, seed=seed,
                                 dns_use_cache=False, cache_ttl_override=0.5,
                                 **overrides)
         if overrides.get("control_plane") in ("plain", "pce", "nerd"):
-            config = config.variant(cache_ttl_override=None)
+            config = replace(config, cache_ttl_override=None)
         scenario = build_scenario(config)
         workload = WorkloadConfig(num_flows=num_flows, arrival_rate=2.0, mode="tcp",
                                   grace_period=15.0)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.experiments.workload import WorkloadConfig, run_workload
 
-DEFAULT_VARIANTS = (
+#: The systems E4 compares, as (label, scenario overrides).
+VARIANTS = (
     ("pce+balance", dict(control_plane="pce", irc_policy="balance")),
     ("pce+primary", dict(control_plane="pce", irc_policy="primary")),
     ("alt-static", dict(control_plane="alt", miss_policy="queue")),
@@ -34,6 +35,10 @@ DEFAULT_VARIANTS = (
 #: Access-link rate used so utilization is observable (10 Mbit/s: a 1200-byte
 #: packet serialises in ~1 ms, comparable to the access propagation delays).
 DEFAULT_ACCESS_RATE_BPS = 10_000_000.0
+#: The multihomed site every flow targets.
+DEST_SITE = 0
+#: Shaped pacing: mice burst, elephants pace, so utilization is real.
+PACING = "shaped"
 
 
 @dataclass
@@ -68,22 +73,20 @@ def _imbalance(shares):
     return max(positive) / mean
 
 
-def run_e4(num_sites=5, providers_per_site=2, num_flows=40, seed=53,
-           variants=DEFAULT_VARIANTS, dest_site=0, source_site=1,
-           pacing="shaped", access_rate_bps=DEFAULT_ACCESS_RATE_BPS):
+def run_e4(num_sites=5, num_flows=40, seed=53, source_site=1,
+           access_rate_bps=DEFAULT_ACCESS_RATE_BPS):
     rows = []
-    for label, overrides in variants:
+    for label, overrides in VARIANTS:
         config = ScenarioConfig(num_sites=num_sites, seed=seed,
-                                providers_per_site=providers_per_site,
                                 access_rate_bps=access_rate_bps,
                                 **overrides)
         scenario = build_scenario(config)
         workload = WorkloadConfig(num_flows=num_flows, arrival_rate=10.0,
-                                  dest_site=dest_site, packets_per_flow=8,
-                                  payload_bytes=1200, pacing=pacing,
+                                  dest_site=DEST_SITE, packets_per_flow=8,
+                                  payload_bytes=1200, pacing=PACING,
                                   elephant_threshold=5)
         records = run_workload(scenario, workload)
-        destination = scenario.topology.sites[dest_site]
+        destination = scenario.topology.sites[DEST_SITE]
         source = scenario.topology.sites[source_site]
         inbound = scenario.access_flow_byte_shares(destination, direction="in")
         outbound = scenario.access_flow_byte_shares(source, direction="out")

@@ -1,6 +1,6 @@
 """E5 — control-plane cost: messages, bytes and per-router state vs scale.
 
-Expected shape (DESIGN.md §4): NERD's state grows with the total number of
+Expected shape (what :func:`check_shape` holds it to): NERD's state grows with the total number of
 EID prefixes on *every* router and its push bytes dominate; ALT/CONS hold
 modest overlay state but pay per-resolution message chains; the PCE control
 plane's messages scale with flow arrivals (one port-P message plus one push
@@ -33,16 +33,17 @@ class E5Row:
 HEADERS = ("system", "sites", "flows", "ctl_msgs", "ctl_bytes", "bytes/flow",
            "max_state", "total_state")
 
-DEFAULT_SYSTEMS = ("pce", "alt", "cons", "nerd")
+#: The control planes E5 compares.
+SYSTEMS = ("pce", "alt", "cons", "nerd")
 
 #: Flows per site: the workload grows with the world, so per-flow cost is
 #: comparable across sizes.
 FLOWS_PER_SITE = 4
 
 
-def run_e5(site_counts=(4, 8, 16), seed=61, systems=DEFAULT_SYSTEMS):
+def run_e5(site_counts=(4, 8, 16), seed=61):
     rows = []
-    for system in systems:
+    for system in SYSTEMS:
         for num_sites in site_counts:
             config = ScenarioConfig(control_plane=system, num_sites=num_sites,
                                     seed=seed, miss_policy="queue")

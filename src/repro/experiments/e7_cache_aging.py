@@ -32,11 +32,14 @@ class E7Row:
 HEADERS = ("system", "cache_ttl", "zipf_s", "flows", "hit_ratio",
            "first_pkt_drops", "pkts_lost")
 
+#: The control planes E7 compares: a reactive cache against the PCE push.
+SYSTEMS = ("alt", "pce")
+
 
 def run_e7(num_sites=8, num_flows=50, ttls=(1.0, 10.0, 120.0), zipf_values=(0.0, 1.2),
-           seed=83, systems=("alt", "pce")):
+           seed=83):
     rows = []
-    for system in systems:
+    for system in SYSTEMS:
         for ttl in ttls:
             for zipf_s in zipf_values:
                 config = ScenarioConfig(control_plane=system, num_sites=num_sites,
@@ -70,8 +73,8 @@ def check_shape(rows):
         elif row.packets_lost > max(1, row.flows // 20):
             # Sub-second mapping TTLs can expire *mid-burst*; the PCE design
             # has no reactive fallback, so a stray packet can be lost until
-            # the next DNS-driven push.  Documented limitation (EXPERIMENTS.md);
-            # anything beyond ~2% signals a real regression.
+            # the next DNS-driven push.  A limitation of the design, not a
+            # bug; anything beyond ~2% signals a real regression.
             failures.append(
                 f"pce lost {row.packets_lost} packets at sub-second ttl "
                 f"{row.cache_ttl} (beyond the mid-burst-expiry allowance)")

@@ -31,19 +31,18 @@ class E8Row:
 
 HEADERS = ("variant", "samples", "completion_mean", "completion_p95")
 
-
-def run_e8(num_sites=4, providers_per_site=3, num_flows=20, seed=97):
-    rows = []
-    rows.append(_pce_reverse_completion(num_sites, providers_per_site,
-                                        num_flows, seed))
-    rows.append(_two_way_pull_baseline(num_sites, providers_per_site,
-                                       num_flows, seed))
-    return rows
+#: Locators per site: each reverse multicast reaches two sibling ETRs.
+PROVIDERS_PER_SITE = 3
 
 
-def _pce_reverse_completion(num_sites, providers_per_site, num_flows, seed):
+def run_e8(num_sites=4, num_flows=20, seed=97):
+    return [_pce_reverse_completion(num_sites, num_flows, seed),
+            _two_way_pull_baseline(num_sites, num_flows, seed)]
+
+
+def _pce_reverse_completion(num_sites, num_flows, seed):
     config = ScenarioConfig(control_plane="pce", num_sites=num_sites,
-                            providers_per_site=providers_per_site, seed=seed)
+                            providers_per_site=PROVIDERS_PER_SITE, seed=seed)
     scenario = build_scenario(config)
     workload = WorkloadConfig(num_flows=num_flows, arrival_rate=3.0,
                               packets_per_flow=1)
@@ -53,7 +52,7 @@ def _pce_reverse_completion(num_sites, providers_per_site, num_flows, seed):
     installs = [r for r in sim.trace.of_kind("itr.mapping-installed")
                 if r.detail.get("origin") == "reverse-multicast"]
     completions = []
-    expected_siblings = providers_per_site - 1
+    expected_siblings = PROVIDERS_PER_SITE - 1
     for event in multicasts:
         prefix = event.detail["prefix"]
         arrivals = sorted(r.time for r in installs
@@ -65,10 +64,10 @@ def _pce_reverse_completion(num_sites, providers_per_site, num_flows, seed):
                  completion_mean=stats["mean"], completion_p95=stats["p95"])
 
 
-def _two_way_pull_baseline(num_sites, providers_per_site, num_flows, seed):
+def _two_way_pull_baseline(num_sites, num_flows, seed):
     """What the avoided alternative costs: a full ALT pull from the D side."""
     config = ScenarioConfig(control_plane="alt", num_sites=num_sites,
-                            providers_per_site=providers_per_site, seed=seed,
+                            providers_per_site=PROVIDERS_PER_SITE, seed=seed,
                             miss_policy="queue", gleaning=False)
     scenario = build_scenario(config)
     workload = WorkloadConfig(num_flows=num_flows, arrival_rate=3.0,

@@ -3,8 +3,9 @@
 :data:`EXPERIMENTS` is the one list of what can be regenerated: ``repro
 list`` prints it, ``repro run`` runs one row of it, and
 :func:`generate_report` (``python -m repro report [-o FILE]``) runs every
-row into a single markdown artefact (the source of EXPERIMENTS.md's
-reference run).  Each experiment's ``check_shape`` verdict is part of it.
+row into a single markdown artefact.  Each experiment's ``check_shape``
+verdict is part of it; the runner modules' docstrings say what each table
+measures.
 """
 
 import importlib

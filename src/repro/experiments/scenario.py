@@ -10,7 +10,7 @@
   the baseline of the paper's first latency formula.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -51,7 +51,6 @@ class ScenarioConfig:
     tracing: bool = True
     # Reactive-baseline knobs
     miss_policy: str = "drop"
-    queue_depth: int = 8
     gleaning: bool = True
     cache_ttl_override: float = None
     # Mapping / DNS lifetimes
@@ -61,10 +60,8 @@ class ScenarioConfig:
     dns_extra_levels: int = 0
     # PCE knobs
     irc_policy: str = "balance"
-    push_mode: str = "all"
     precompute: bool = True
     computation_delay: float = 0.0005
-    start_irc: bool = False
     enable_probing: bool = False
     probe_period: float = 0.5
     #: Must stay below probe_period: overlapping probe rounds would keep
@@ -73,32 +70,17 @@ class ScenarioConfig:
     #: historical 0.3s timeout at the default 0.5s period and scales down
     #: safely for faster probing.
     probe_timeout: float = None
-    #: Delay range (seconds) of the provider mesh's links; the other delay
-    #: ranges are the topology generator's constants.
-    wan_delay_range: tuple = (0.010, 0.040)
     #: Transmission rate of the site access links in bits/second; ``None``
     #: keeps them infinite (zero serialisation delay) as the paper's
     #: latency formulas assume.  Shaped-traffic scenarios set a finite rate
     #: so link busy time — and therefore utilization — is real.
     access_rate_bps: Optional[float] = None
-    #: Topology family name (``"fig1"``/``"flat"``/``"tiered"``/``"caida"``)
-    #: or a full :class:`~repro.net.topogen.TopologySpec`.  A family name
-    #: keeps the loose sizing fields above authoritative; a spec is itself
-    #: authoritative and the loose fields are mirrored from it (``variant``
-    #: calls changing sizes on a spec-carrying config should replace the
-    #: spec, not the mirrors).
-    topology: object = "flat"
+    #: Topology family name (``"fig1"``/``"flat"``/``"tiered"``/``"caida"``);
+    #: the sizing fields above shape it (see :meth:`topology_spec`).
+    topology: str = "flat"
 
     def __post_init__(self):
-        if isinstance(self.topology, TopologySpec):
-            spec = self.topology
-            self.num_sites = spec.num_sites
-            self.num_providers = spec.num_providers
-            self.providers_per_site = spec.providers_per_site
-            self.hosts_per_site = spec.hosts_per_site
-            self.wan_delay_range = spec.wan_delay_range
-            self.access_rate_bps = spec.access_rate_bps
-        elif self.topology not in FAMILIES:
+        if self.topology not in FAMILIES:
             raise ValueError(f"unknown topology family {self.topology!r}")
         check_sizing(self.topology_spec())
         check_ttl("dns_host_ttl", self.dns_host_ttl)
@@ -117,34 +99,18 @@ class ScenarioConfig:
                 f"probe_timeout must lie in (0, probe_period="
                 f"{self.probe_period!r}), got {self.probe_timeout!r}")
 
-    @property
-    def topology_family(self):
-        return (self.topology.family if isinstance(self.topology, TopologySpec)
-                else self.topology)
-
     def topology_spec(self, eids_globally_routable=False):
         """The :class:`~repro.net.topogen.TopologySpec` this config builds.
 
-        Family-name configs map their loose sizing fields onto the spec;
-        spec-carrying configs pass the spec through.  ``num_sites`` is left
-        to the ``fig1`` family's fixed Fig. 1 cast.
+        The family plus the sizing fields (the ``fig1`` family builds its
+        fixed two-site Fig. 1 cast whatever ``num_sites`` says).
         """
-        base = (self.topology if isinstance(self.topology, TopologySpec)
-                else TopologySpec(family=self.topology))
-        overrides = dict(
-            num_providers=self.num_providers,
-            providers_per_site=self.providers_per_site,
-            hosts_per_site=self.hosts_per_site,
-            wan_delay_range=self.wan_delay_range,
-            access_rate_bps=self.access_rate_bps,
-            eids_globally_routable=eids_globally_routable)
-        if base.family != "fig1":
-            overrides["num_sites"] = self.num_sites
-        return replace(base, **overrides)
-
-    def variant(self, **overrides):
-        """A copy with fields overridden (for sweeps)."""
-        return replace(self, **overrides)
+        return TopologySpec(family=self.topology, num_sites=self.num_sites,
+                            num_providers=self.num_providers,
+                            providers_per_site=self.providers_per_site,
+                            hosts_per_site=self.hosts_per_site,
+                            access_rate_bps=self.access_rate_bps,
+                            eids_globally_routable=eids_globally_routable)
 
 
 @dataclass
@@ -355,8 +321,8 @@ class Scenario:
         if self.control_plane is not None:
             # Covers its PCEs, IRC engines, RLOC probers, registry and miss
             # policy — per-site members restored through this one entry.
-            # The IRC measurement and probe *timers* are periodic tasks
-            # living in engine state, checkpointed with the simulator.
+            # The probe *timers* are periodic tasks living in engine
+            # state, checkpointed with the simulator.
             yield self.control_plane
         if self.mapping_system is not None:
             yield self.mapping_system
@@ -377,7 +343,7 @@ def _make_miss_policy(sim, config):
     if config.miss_policy == "drop":
         return DropPolicy(sim)
     if config.miss_policy == "queue":
-        return QueuePolicy(sim, max_queue=config.queue_depth)
+        return QueuePolicy(sim)
     if config.miss_policy == "cp-data":
         return CpDataPolicy(sim)
     raise ValueError(f"unknown miss policy {config.miss_policy!r}")
@@ -400,8 +366,7 @@ def build_scenario(config):
         scenario.control_plane = deploy_pce_control_plane(
             sim, topology, dns, irc_policy=config.irc_policy,
             precompute=config.precompute, computation_delay=config.computation_delay,
-            mapping_ttl=config.mapping_ttl, push_mode=config.push_mode,
-            start_irc=config.start_irc, enable_probing=config.enable_probing,
+            mapping_ttl=config.mapping_ttl, enable_probing=config.enable_probing,
             probe_period=config.probe_period,
             probe_timeout=config.probe_timeout)
         scenario.miss_policy = scenario.control_plane.miss_policy

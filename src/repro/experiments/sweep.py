@@ -177,10 +177,10 @@ class Axis:
     flag: str              # ``repro sweep`` flag overriding that field ...
     type: type             # ... and its element type
     config: str            # SweepCell config the value lands in ...
-    kwarg: str = None      # ... as this keyword (default: key)
-    #: Config attribute results report back (default: kwarg); read from
-    #: the config because overrides may shadow the axis value.
-    attr: str = None
+    #: ... as this keyword (default: key), the config attribute results
+    #: report back: read from the config, because overrides may shadow the
+    #: axis value.
+    kwarg: str = None
     fragment: str = "{}"   # cell-id fragment ...
     unmarked: object = None    # ... left out of the id at this value
     valid: object = None   # validity predicate ...
@@ -191,7 +191,6 @@ class Axis:
 
     def __post_init__(self):
         object.__setattr__(self, "kwarg", self.kwarg or self.key)
-        object.__setattr__(self, "attr", self.attr or self.kwarg)
 
 
 #: The replication axis: aggregates fold over it instead of grouping by
@@ -204,7 +203,7 @@ AXES = (
          "scenario", valid=CONTROL_PLANES.__contains__,
          error="unknown control plane {!r}", label="system"),
     Axis("topology", "topologies", "--topologies", str, "scenario",
-         attr="topology_family", unmarked="flat",
+         unmarked="flat",
          valid=FAMILIES.__contains__, error="unknown topology family {!r}",
          label="topo",
          help="topology families (fig1/flat/tiered/caida; "
@@ -486,7 +485,7 @@ def run_cell(cell, store=None):
     return {
         "index": cell.index,
         "cell_id": cell.cell_id,
-        **{axis.key: getattr(getattr(cell, axis.config), axis.attr)
+        **{axis.key: getattr(getattr(cell, axis.config), axis.kwarg)
            for axis in AXES},
         "mode": cell.workload.mode,
         "metrics": {metric.key: metric.collect(finished)

@@ -65,11 +65,27 @@ class WorkloadConfig:
     dest_site: Optional[int] = None     # None = Zipf over the other sites
     grace_period: float = 8.0       # settle time after the last arrival
 
+    def __post_init__(self):
+        # NaN passes no bound either: a bad grid then fails at expansion
+        # with the field named, not inside a worker's cell.
+        for name, value in (("arrival_rate", self.arrival_rate),
+                            ("pace_rate_bps", self.pace_rate_bps),
+                            ("fluid_chunk_interval", self.fluid_chunk_interval)):
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        for name, value, floor in (("num_flows", self.num_flows, 0),
+                                   ("packets_per_flow", self.packets_per_flow, 1),
+                                   ("payload_bytes", self.payload_bytes, 1),
+                                   ("grace_period", self.grace_period, 0),
+                                   ("zipf_s", self.zipf_s, 0)):
+            if not value >= floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value!r}")
 
-def build_shaper(workload, rng=None):
+
+def build_shaper(workload, rng):
     """The :class:`FlowShaper` a workload's data phases draw plans from."""
-    sizes = FlowSizeSampler(dist=workload.size_dist,
-                            mean=workload.packets_per_flow, rng=rng)
+    sizes = FlowSizeSampler(rng, dist=workload.size_dist,
+                            mean=workload.packets_per_flow)
     return FlowShaper(sizes, workload.payload_bytes, pacing=workload.pacing,
                       pace_rate_bps=workload.pace_rate_bps,
                       elephant_threshold=workload.elephant_threshold,
@@ -134,8 +150,8 @@ class _Arrivals:
         self.workload = workload
         # Lives one run: made after the restore, dropped with the queue.
         self.rng = rng  # repro: allow=DET01
-        self.zipf = ZipfSampler(num_sites - 1, s=workload.zipf_s, rng=rng)
-        self.shaper = build_shaper(workload, rng=rng)
+        self.zipf = ZipfSampler(num_sites - 1, rng, s=workload.zipf_s)
+        self.shaper = build_shaper(workload, rng)
         #: Second reader of the stream, positioned before the arrival draws
         #: that are burnt on the stream itself right here.
         self.replay = streams.clone(WORKLOAD_STREAM)

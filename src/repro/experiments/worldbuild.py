@@ -33,8 +33,7 @@ Builds and (de)serialization run with the cyclic collector paused
 (:func:`_gc_paused`): each is one burst of reachable allocations, handed
 to the collector's oldest generation when the call returns.
 
-Periodic background work (RLOC probing, a started IRC measurement
-loop) is no obstacle to any of this: it runs as engine-owned
+Periodic background work (RLOC probing) is no obstacle to any of this: it runs as engine-owned
 :class:`~repro.sim.periodic.PeriodicTask` objects whose timers are plain
 engine state, not pending queue entries.  Settling drains *foreground*
 work only — an armed periodic tick is not pending work — and the
@@ -167,7 +166,7 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: rebuilt, never restored.  The "Versions" paragraph of
 #: ``docs/contracts.md`` says when to bump this and when the sweep
 #: artifact ``SCHEMA``.
-SNAPSHOT_SCHEMA = 13
+SNAPSHOT_SCHEMA = 14
 
 
 @contextmanager
@@ -258,10 +257,10 @@ def serialize_world(scenario):
     except RecursionError as error:
         # Routes still chain node -> next hop -> node, so the depth is
         # small (about 420 frames at 1 000 tiered sites) but not constant.
-        spec = scenario.config.topology_spec()
         raise SnapshotError(
             "world graph too deep to pickle",
-            f"{spec.family} world of {spec.num_sites} sites") from error
+            f"{scenario.config.topology} world of "
+            f"{len(scenario.topology.sites)} sites") from error
     envelope = {
         "schema": SNAPSHOT_SCHEMA,
         "key": world_key(scenario.config),

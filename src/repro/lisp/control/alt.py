@@ -51,9 +51,8 @@ class AltMappingSystem(MappingSystem):
     name = "alt"
     _state_attrs = ("_pending",)
 
-    def __init__(self, sim, retries=1):
+    def __init__(self, sim):
         super().__init__(sim)
-        self.retries = retries
         self.sites = []
         self._pending = {}
         self._alt_nodes = {}      # site index -> alt node (xtr0's Node)
@@ -136,7 +135,7 @@ class AltMappingSystem(MappingSystem):
         if entry_address is None:
             return super().resolve(xtr, eid)
         return _MapRequestLoop(self, partial(self._send_request, xtr, eid, entry_address),
-                               REQUEST_TIMEOUT, self.retries + 1)
+                               REQUEST_TIMEOUT)
 
     def _send_request(self, xtr, eid, entry_address, nonce):
         request = MapRequest(nonce=nonce, eid=eid, itr_rloc=xtr.rloc)

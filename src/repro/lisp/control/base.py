@@ -8,6 +8,9 @@ from repro.net.fib import Fib, FibEntry
 from repro.sim import EXPIRED, Event
 from repro.sim.state import state_copy
 
+#: Times an ITR re-sends an unanswered Map-Request (ALT and CONS).
+MAP_REQUEST_RETRIES = 1
+
 
 class ControlStats:
     """Message/byte/state accounting shared by all mapping systems."""
@@ -176,18 +179,19 @@ class _MapRequestLoop(Event):
     Each attempt registers a fresh nonce in *system*'s ``_pending`` table,
     hands it to ``send(nonce)`` and waits *timeout* for the system's reply
     handler to pop the nonce and succeed its waiter.  Succeeds with the
-    mapping, or with None once *attempts* deadlines passed unanswered;
-    either outcome is recorded in the system's stats with its latency.
+    mapping, or with None once ``MAP_REQUEST_RETRIES + 1`` deadlines passed
+    unanswered; either outcome is recorded in the system's stats with its
+    latency.
     """
 
     __slots__ = ("system", "send", "timeout", "attempts", "started", "nonce")
 
-    def __init__(self, system, send, timeout, attempts):
+    def __init__(self, system, send, timeout):
         Event.__init__(self, system.sim)
         self.system = system
         self.send = send
         self.timeout = timeout
-        self.attempts = attempts
+        self.attempts = 1 + MAP_REQUEST_RETRIES
         self.started = system.sim.now
         self.nonce = None
         self._attempt()

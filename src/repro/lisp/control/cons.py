@@ -28,6 +28,8 @@ _CDR_BLOCK = int(IPv4Address("203.0.114.0"))
 HOP_PROCESSING_DELAY = 0.0005
 #: Seconds an ITR waits for a Map-Reply before it re-sends the request.
 REQUEST_TIMEOUT = 2.0
+#: Children per CDR: each tree level groups this many nodes of the one below.
+BRANCHING = 4
 
 
 @dataclass
@@ -65,11 +67,9 @@ class ConsMappingSystem(MappingSystem):
     name = "cons"
     _state_attrs = ("_pending",)
 
-    def __init__(self, sim, topology, branching=4, retries=1):
+    def __init__(self, sim, topology):
         super().__init__(sim)
         self.topology = topology
-        self.branching = max(2, branching)
-        self.retries = retries
         self.sites = []
         self._pending = {}
         self._tree_by_address = {}
@@ -106,8 +106,8 @@ class ConsMappingSystem(MappingSystem):
         while len(level) > 1:
             depth += 1
             next_level = []
-            for start in range(0, len(level), self.branching):
-                group = level[start:start + self.branching]
+            for start in range(0, len(level), BRANCHING):
+                group = level[start:start + BRANCHING]
                 address = IPv4Address(block + 10 + len(next_level))
                 host = self.topology.attach_infra_host(
                     self._cdr_count % num_providers, f"cdr-d{depth}-{len(next_level)}",
@@ -122,7 +122,7 @@ class ConsMappingSystem(MappingSystem):
                 next_level.append(cdr)
             # The next level starts on the /24 after this one's last CDR:
             # 203.0.{113+depth}.{10+i} while a level has at most 246 CDRs
-            # (984 sites at the default branching), and a level wider
+            # (984 sites at BRANCHING 4), and a level wider
             # than that simply runs on into the following /24s.
             block += -(-(10 + len(next_level)) // 256) * 256
             level = next_level
@@ -148,7 +148,7 @@ class ConsMappingSystem(MappingSystem):
         if car is None:
             return super().resolve(xtr, eid)
         return _MapRequestLoop(self, partial(self._send_request, xtr, eid, car.address),
-                               REQUEST_TIMEOUT, self.retries + 1)
+                               REQUEST_TIMEOUT)
 
     def _send_request(self, xtr, eid, car_address, nonce):
         request = MapRequest(nonce=nonce, eid=eid, itr_rloc=xtr.rloc)

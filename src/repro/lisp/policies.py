@@ -13,6 +13,9 @@ Each policy records per-packet fates so experiment E1 can report drops,
 queue delays and CP-carried bytes.
 """
 
+#: Packets :class:`QueuePolicy` buffers per (ITR, EID) before dropping.
+MAX_QUEUE = 8
+
 
 class MissPolicyStats:
     __slots__ = ("dropped", "queued", "flushed", "queue_overflow", "cp_carried",
@@ -66,22 +69,22 @@ class DropPolicy:
 
 
 class QueuePolicy:
-    """Buffer packets per-EID until the mapping resolves (bounded)."""
+    """Buffer packets per-EID until the mapping resolves (bounded by
+    :data:`MAX_QUEUE`)."""
 
     name = "queue"
 
-    #: The owning sim checkpoints itself; the queue bound is config.
-    _SNAPSHOT_EXEMPT = ("sim", "max_queue")
+    #: The owning sim checkpoints itself.
+    _SNAPSHOT_EXEMPT = ("sim",)
 
-    def __init__(self, sim, max_queue=8):
+    def __init__(self, sim):
         self.sim = sim
-        self.max_queue = max_queue
         self.stats = MissPolicyStats()
         self._buffers = {}
 
     def on_miss(self, xtr, packet, eid):
         buffer = self._buffers.setdefault((xtr.node.name, int(eid)), [])
-        if len(buffer) >= self.max_queue:
+        if len(buffer) >= MAX_QUEUE:
             self.stats.queue_overflow += 1
             self.stats.dropped += 1
             mark_fate(packet, "dropped-queue-overflow")

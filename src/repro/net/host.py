@@ -107,8 +107,6 @@ class Host(Node):
             self._next_ephemeral = 49152
         return port
 
-    def open_udp(self, port=None):
-        """Open a UDP socket (ephemeral port when *port* is None)."""
-        if port is None:
-            port = self.ephemeral_port()
-        return UdpSocket(self, port)
+    def open_udp(self):
+        """Open a UDP socket on the next ephemeral port."""
+        return UdpSocket(self, self.ephemeral_port())

@@ -3,7 +3,7 @@
 A :class:`Link` is simplex; :func:`connect` wires two interfaces with a pair
 of opposite simplex links (full duplex).  On a rated link, transmission of a
 packet occupies the link for ``size * 8 / rate`` seconds; packets arriving
-while the transmitter is busy queue up to ``queue_capacity`` packets, beyond
+while the transmitter is busy queue up to :data:`QUEUE_CAPACITY` packets, beyond
 which they are tail-dropped, and propagation delay is added after
 serialisation — two engine events per hop.  A rate-less link
 (``rate_bps=None``) never serialises, so it has no transmitter to be busy,
@@ -45,6 +45,12 @@ from collections import defaultdict, deque
 
 from repro.sim.state import Journaled
 
+#: Packets a rated link queues behind the one being serialised; the next
+#: is tail-dropped.
+QUEUE_CAPACITY = 1000
+#: Width in simulated seconds of the utilization windows every link buckets
+#: its transmitter busy time and offered bytes into.
+WINDOW_WIDTH = 1.0
 
 def _empty_window():
     """Fresh utilization-window cell (module-level so worlds stay picklable)."""
@@ -77,16 +83,16 @@ class FlowAccount:
 class LinkStats:
     """Counters accumulated by a link over its lifetime.
 
-    ``window_width`` buckets transmitter busy time and offered bytes into
-    fixed simulated-time windows (index ``int(now / window_width)``), kept
-    sparse in :attr:`windows` as ``index -> [busy_seconds, bytes]``.
+    Transmitter busy time and offered bytes are bucketed into fixed
+    simulated-time windows (index ``int(now / WINDOW_WIDTH)``), kept sparse
+    in :attr:`windows` as ``index -> [busy_seconds, bytes]``.
     """
 
     __slots__ = ("tx_packets", "tx_bytes", "fluid_bytes", "drops", "max_queue",
                  "busy_time", "bytes_offered", "bytes_delivered",
-                 "bytes_dropped", "flows", "window_width", "windows")
+                 "bytes_dropped", "flows", "windows")
 
-    def __init__(self, window_width=1.0):
+    def __init__(self):
         self.tx_packets = 0
         self.tx_bytes = 0
         #: Subset of ``tx_bytes`` that crossed the link as fluid chunks.
@@ -99,7 +105,6 @@ class LinkStats:
         self.bytes_dropped = 0
         #: flow id -> :class:`FlowAccount` (packets carrying a flow id only).
         self.flows = defaultdict(FlowAccount)
-        self.window_width = window_width
         #: window index -> [busy_seconds, bytes_offered_to_transmitter].
         self.windows = defaultdict(_empty_window)
 
@@ -131,7 +136,7 @@ class LinkStats:
         transmission spans; the packet's bytes land in the window where
         serialisation started.
         """
-        width = self.window_width
+        width = WINDOW_WIDTH
         windows = self.windows
         index = int(start / width)
         windows[index][1] += size
@@ -169,7 +174,7 @@ class LinkStats:
         matching their zero serialisation time on the packet path.
         """
         windows = self.windows
-        width = self.window_width
+        width = WINDOW_WIDTH
         if rate_bps is None:
             windows[int(start / width)][1] += size
             self.tx_bytes += size
@@ -211,7 +216,7 @@ class LinkStats:
         is offered-to-transmitter volume, a load signal that works with or
         without a configured rate.
         """
-        width = self.window_width
+        width = WINDOW_WIDTH
         return [(index * width, min(1.0, busy / width), volume)
                 for index, (busy, volume) in sorted(self.windows.items())]
 
@@ -220,7 +225,7 @@ class LinkStats:
         if not self.windows:
             return 0.0
         return min(1.0, max(busy for busy, _volume in self.windows.values())
-                   / self.window_width)
+                   / WINDOW_WIDTH)
 
     def conservation_violations(self, drained=False):
         """Per-flow (and total) byte-conservation breaches on this link.
@@ -254,15 +259,13 @@ class LinkStats:
                 self.bytes_delivered, self.bytes_dropped,
                 {flow_id: account.as_tuple()
                  for flow_id, account in self.flows.items()},
-                self.window_width,
                 {index: (busy, volume)
                  for index, (busy, volume) in self.windows.items()})
 
     def restore_state(self, state):
         (self.tx_packets, self.tx_bytes, self.fluid_bytes, self.drops,
          self.max_queue, self.busy_time, self.bytes_offered,
-         self.bytes_delivered, self.bytes_dropped, flows,
-         self.window_width, windows) = state
+         self.bytes_delivered, self.bytes_dropped, flows, windows) = state
         self.flows = defaultdict(FlowAccount,
                                  {flow_id: FlowAccount(*counts)
                                   for flow_id, counts in flows.items()})
@@ -284,13 +287,11 @@ class Link(Journaled):
         Transmission rate in bits/second; ``None`` means infinite (zero
         serialisation delay), which most control-plane experiments use so
         that latency is dominated by propagation as in the paper's formulas.
-    queue_capacity:
-        Maximum packets waiting behind the one being serialised (rated
-        links only; a rate-less link never queues).
+        Only a rated link queues (up to :data:`QUEUE_CAPACITY` packets).
     """
 
     def __init__(self, sim, src_interface, dst_interface, delay=0.001, rate_bps=None,
-                 queue_capacity=1000, name=None):
+                 name=None):
         if delay < 0:
             raise ValueError(f"negative link delay {delay}")
         self.sim = sim
@@ -298,7 +299,6 @@ class Link(Journaled):
         self.dst_interface = dst_interface
         self.delay = delay
         self.rate_bps = rate_bps
-        self.queue_capacity = queue_capacity
         self.name = name or f"{src_interface}->{dst_interface}"
         self.stats = LinkStats()
         self._queue = deque()
@@ -350,14 +350,14 @@ class Link(Journaled):
             # propagation start now.
             stats.tx_packets += 1
             stats.tx_bytes += size
-            stats.windows[int(self.sim.now / stats.window_width)][1] += size
+            stats.windows[int(self.sim.now / WINDOW_WIDTH)][1] += size
             self.sim.call_in(self.delay, self._deliver, packet, size, flow_id, probe)
             return True
         if not self._busy:
             self._transmit(packet, size, flow_id, probe)
             return True
         queue = self._queue
-        if len(queue) >= self.queue_capacity:
+        if len(queue) >= QUEUE_CAPACITY:
             self._drop(size, flow_id)
             self.sim.trace.record(self.sim.now, self.name, "link.drop", reason="queue-full",
                                   uid=packet.uid)
@@ -433,7 +433,7 @@ class Link(Journaled):
             # Infinite rate: grant everything, book volume only (inlined
             # from book_fluid — this is the megaflow hot path).
             delivered = size
-            stats.windows[int(self.sim.now / stats.window_width)][1] += size
+            stats.windows[int(self.sim.now / WINDOW_WIDTH)][1] += size
             stats.tx_bytes += size
             stats.fluid_bytes += size
         else:
@@ -450,7 +450,7 @@ class Link(Journaled):
 
     #: Construction-time topology and configuration, immutable after wiring.
     _SNAPSHOT_EXEMPT = ("sim", "src_interface", "dst_interface", "delay",
-                        "rate_bps", "queue_capacity", "name")
+                        "rate_bps", "name")
 
     def snapshot_state(self):
         return (self._up, self._busy, self.stats.snapshot_state())
@@ -461,17 +461,15 @@ class Link(Journaled):
         self.stats.restore_state(stats_state)
 
 
-def connect(sim, iface_a, iface_b, delay=0.001, rate_bps=None, queue_capacity=1000):
+def connect(sim, iface_a, iface_b, delay=0.001, rate_bps=None):
     """Create a full-duplex connection (two simplex links) between interfaces.
 
     Returns the (a->b, b->a) link pair and attaches each link to the sending
     interface.
     """
     forward = Link(sim, iface_a, iface_b, delay=delay, rate_bps=rate_bps,
-                   queue_capacity=queue_capacity,
                    name=f"{iface_a.name}->{iface_b.name}")
     backward = Link(sim, iface_b, iface_a, delay=delay, rate_bps=rate_bps,
-                    queue_capacity=queue_capacity,
                     name=f"{iface_b.name}->{iface_a.name}")
     iface_a.attach_link(forward)
     iface_b.attach_link(backward)

@@ -32,7 +32,7 @@ routed — nothing addresses packets *to* an exchange).  Site EID and
 infrastructure prefixes are unchanged (see :mod:`repro.net.topology`).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.net.addresses import IPv4Prefix
@@ -57,8 +57,15 @@ IX_PREFIX = IPv4Prefix("9.0.0.0/8")
 
 #: Providers peering at each IX (clipped to the transit population).
 IX_DEGREE = 4
-#: Link delay ranges in seconds beside the spec's core ``wan_delay_range``:
-#: transit uplinks, provider<->IX legs, site access links.
+#: Fraction of stub sites homed *at an IX*: all their providers are drawn
+#: from a single exchange's membership.
+IX_SITE_FRACTION = 0.25
+#: Power-law exponent skewing provider popularity (customer and IX-seat
+#: attraction) under ``caida``; ``tiered`` attaches uniformly.
+CAIDA_ATTACH_BIAS = 1.2
+#: Link delay ranges in seconds: the core clique (the whole mesh on
+#: ``flat``/``fig1``), transit uplinks, provider<->IX legs, site access links.
+WAN_DELAY_RANGE = (0.010, 0.040)
 TRANSIT_DELAY_RANGE = (0.004, 0.015)
 IX_DELAY_RANGE = (0.001, 0.004)
 ACCESS_DELAY_RANGE = (0.001, 0.005)
@@ -70,34 +77,19 @@ TOPOLOGY_STREAM = "topology"
 class TopologySpec:
     """Everything that defines a topology, declaratively.
 
-    Specs are frozen, hashable and ``astuple``-friendly, so they can ride
-    inside ``ScenarioConfig`` world keys.  Fields irrelevant to a family
-    are ignored (e.g. ``tier0`` for ``"flat"``, ``num_providers`` for
-    ``"tiered"``/``"caida"``, where tier sizes rule).
+    Specs are frozen; ``ScenarioConfig.topology_spec`` derives one from a
+    config's family name and sizing fields.  Fields irrelevant to a family
+    are ignored (e.g. ``num_providers`` for ``"tiered"``/``"caida"``,
+    whose tier sizes derive from the site count).
     """
 
     family: str = "flat"
     num_sites: int = 2
-    #: Mesh size for ``flat``/``fig1``; tiered families derive their own.
+    #: Mesh size for ``flat``/``fig1``; tiered families derive their own
+    #: tiers, and with them their IX count, from ``num_sites``.
     num_providers: int = 4
     providers_per_site: int = 2
     hosts_per_site: int = 2
-    #: Tier sizes for ``tiered``/``caida``; 0 derives from ``num_sites``.
-    tier0: int = 0
-    tier1: int = 0
-    tier2: int = 0
-    #: Internet exchanges; 0 derives from the transit population.
-    num_ixps: int = 0
-    #: Fraction of stub sites homed *at an IX*: all their providers are
-    #: drawn from a single exchange's membership.
-    ix_site_fraction: float = 0.25
-    #: Power-law exponent skewing provider popularity (customer and IX-seat
-    #: attraction).  ``None`` picks the family default: 0.0 for ``tiered``
-    #: (uniform), 1.2 for ``caida``.
-    stub_attach_bias: Optional[float] = None
-    #: Delay range in seconds of the core clique's links (the flat mesh's
-    #: links on ``flat``/``fig1``).
-    wan_delay_range: tuple = (0.010, 0.040)
     access_rate_bps: Optional[float] = None
     eids_globally_routable: bool = False
     #: ``flat``/``fig1`` only: per-site provider-id tuples overriding the
@@ -105,20 +97,11 @@ class TopologySpec:
     provider_assignment: Optional[tuple] = None
 
     def __post_init__(self):
-        # Normalize sequence fields so specs coming from old list-passing
-        # call sites stay hashable (world keys, memo dicts).
-        object.__setattr__(self, "wan_delay_range",
-                           tuple(self.wan_delay_range))
-        if self.provider_assignment is not None:
-            object.__setattr__(self, "provider_assignment", tuple(
-                tuple(site) for site in self.provider_assignment))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown topology family {self.family!r}")
 
     def effective_bias(self):
-        if self.stub_attach_bias is not None:
-            return self.stub_attach_bias
-        return 1.2 if self.family == "caida" else 0.0
+        return CAIDA_ATTACH_BIAS if self.family == "caida" else 0.0
 
 
 def check_sizing(spec):
@@ -138,11 +121,7 @@ def check_sizing(spec):
                 f"providers_per_site {spec.providers_per_site} exceeds "
                 f"num_providers {spec.num_providers}")
         return
-    t0, t1, t2 = _tier_sizes(spec)
-    if t0 + t1 + t2 > MAX_PROVIDERS:
-        raise ValueError(
-            f"tier sizes {t0}+{t1}+{t2} exceed the {MAX_PROVIDERS}-provider "
-            "address plan (provider /8s start at 10.0.0.0/8)")
+    _t0, t1, t2 = _tier_sizes(spec)
     if spec.providers_per_site > t1 + t2:
         raise ValueError(
             f"providers_per_site {spec.providers_per_site} exceeds the "
@@ -181,7 +160,7 @@ def _build_flat(sim, spec):
         provider_prefixes.append(provider_prefix_for(p))
     for a in range(spec.num_providers):
         for b in range(a + 1, spec.num_providers):
-            delay = rng.uniform(*spec.wan_delay_range)
+            delay = rng.uniform(*WAN_DELAY_RANGE)
             iface_a = providers[a].add_interface(f"to-prov{b}")
             iface_b = providers[b].add_interface(f"to-prov{a}")
             connect(sim, iface_a, iface_b, delay=delay)
@@ -210,17 +189,17 @@ def _build_flat(sim, spec):
 # --------------------------------------------------------------------------- #
 
 def _tier_sizes(spec):
-    """Tier populations: explicit spec values, else derived from num_sites.
+    """Tier populations, derived from num_sites.
 
-    The derivation keeps the transit population within the /8 address-plan
-    cap while growing each tier sublinearly in the site count (CAIDA-style:
-    a small dense core, a modest tier-1, a broad tier-2 edge); explicit
-    sizes are held to the cap by :func:`check_sizing`.
+    Each tier grows sublinearly in the site count (CAIDA-style: a small
+    dense core, a modest tier-1, a broad tier-2 edge) up to its cap, so
+    the transit population never passes 8 + 24 + 160 = 192, inside the
+    /8 address plan's 245.
     """
     n = max(1, spec.num_sites)
-    t0 = spec.tier0 or min(8, max(2, round(n ** 0.25)))
-    t1 = spec.tier1 or min(24, max(3, round(n ** 0.5 / 2) + 1))
-    t2 = spec.tier2 or min(160, max(4, spec.providers_per_site, round(n / 25)))
+    t0 = min(8, max(2, round(n ** 0.25)))
+    t1 = min(24, max(3, round(n ** 0.5 / 2) + 1))
+    t2 = min(160, max(4, spec.providers_per_site, round(n / 25)))
     return t0, t1, t2
 
 
@@ -272,7 +251,7 @@ def _build_tiered(sim, spec):
         for b in tiers[0]:
             if b <= a:
                 continue
-            delay = rng.uniform(*spec.wan_delay_range)
+            delay = rng.uniform(*WAN_DELAY_RANGE)
             iface_a = providers[a].add_interface(f"to-prov{b}")
             iface_b = providers[b].add_interface(f"to-prov{a}")
             connect(sim, iface_a, iface_b, delay=delay)
@@ -300,7 +279,7 @@ def _build_tiered(sim, spec):
     # Internet exchanges: neutral routers where transit providers peer.
     transit_ids = list(tiers[1]) + list(tiers[2])
     transit_weights = _rank_weights(len(transit_ids), bias)
-    num_ixps = spec.num_ixps or max(1, len(transit_ids) // 8)
+    num_ixps = max(1, len(transit_ids) // 8)
     ix_degree = max(2, min(IX_DEGREE, len(transit_ids)))
     ix_routers = []
     ixps = []
@@ -340,7 +319,7 @@ def _build_tiered(sim, spec):
                      if len([m for m in ix.members if m.provider_id in weight_of])
                      >= spec.providers_per_site]
     for s in range(spec.num_sites):
-        ix_homed = (eligible_ixps and rng.random() < spec.ix_site_fraction)
+        ix_homed = (eligible_ixps and rng.random() < IX_SITE_FRACTION)
         if ix_homed:
             ix = eligible_ixps[rng.randrange(len(eligible_ixps))]
             candidates = [m.provider_id for m in ix.members

@@ -91,19 +91,13 @@ class PeriodicTask:
         state = f"armed@{self.next_fire:.6f}" if self.armed else "stopped"
         return f"<PeriodicTask {self.name} {state} period={self.period}>"
 
-    def start(self, first_fire=None):
+    def start(self):
         """Arm the task; idempotent while armed.
 
-        The first tick fires at ``now + period`` unless *first_fire* gives
-        an explicit absolute time (>= now).  Returns the task.
+        The first tick fires at ``now + period``.  Returns the task.
         """
-        if self.armed:
-            return self
-        when = self.sim.now + self.period if first_fire is None else first_fire
-        if not when >= self.sim.now:
-            raise ValueError(
-                f"first fire {when} is in the past (now={self.sim.now})")
-        self._arm(when)
+        if not self.armed:
+            self._arm(self.sim.now + self.period)
         return self
 
     def stop(self):

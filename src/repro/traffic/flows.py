@@ -21,10 +21,15 @@ from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, TCP_ACK, TCP_SYN, tcp_packet, udp_packet
 from repro.sim import EXPIRED, Event
 from repro.sim.state import Journaled
+from repro.traffic.popularity import HEADER_BYTES
 
 #: Classic initial TCP retransmission timeout (RFC 1122 era: 1 second was
 #: common in 2008-vintage stacks; RFC 6298 later said 1 s as well).
 DEFAULT_RTO = 1.0
+#: SYNs a connect re-sends before giving up (the RTO doubles each time).
+MAX_SYN_RETRIES = 5
+#: The first flow id of every world.
+FIRST_FLOW_ID = 1
 
 #: Extra path-discovery packets a fluid sender may spend (beyond the first)
 #: before declaring the flow failed, and again whenever a whole chunk is
@@ -45,8 +50,8 @@ class FlowIdAllocator:
 
     __slots__ = ("_next",)
 
-    def __init__(self, start=1):
-        self._next = start
+    def __init__(self):
+        self._next = FIRST_FLOW_ID
 
     def allocate(self):
         flow_id = self._next
@@ -146,12 +151,11 @@ class TcpStack(Journaled):
         # Anything else is data (or a bare ACK); count its payload.
         self.data_bytes_received += packet.size_bytes
 
-    def connect(self, destination, dport, max_retries=5):
+    def connect(self, destination, dport):
         """Three-way handshake: an event for (elapsed, syn_retries) or None."""
         if self._journal is not None:
             self._touch()
-        return _Handshake(self, destination, self.host.ephemeral_port(), dport,
-                          max_retries)
+        return _Handshake(self, destination, self.host.ephemeral_port(), dport)
 
     #: Owning sim and host are independently checkpointed.
     _SNAPSHOT_EXEMPT = ("sim", "host")
@@ -170,21 +174,20 @@ class _Handshake(Event):
     """A connect in flight: one SYN per attempt, the RTO doubling each time.
 
     Succeeds with ``(elapsed, syn_retries)`` once a SYN+ACK arrives (and
-    the ACK is sent), or with None after ``max_retries + 1`` unanswered
-    SYNs.  The stack's ``_pending`` maps the source port to the current
+    the ACK is sent), or with None after ``MAX_SYN_RETRIES + 1``
+    unanswered SYNs.  The stack's ``_pending`` maps the source port to the current
     attempt's waiter, which the SYN+ACK handler succeeds.
     """
 
-    __slots__ = ("stack", "destination", "sport", "dport", "max_retries",
-                 "attempt", "started")
+    __slots__ = ("stack", "destination", "sport", "dport", "attempt",
+                 "started")
 
-    def __init__(self, stack, destination, sport, dport, max_retries):
+    def __init__(self, stack, destination, sport, dport):
         Event.__init__(self, stack.sim)
         self.stack = stack
         self.destination = destination
         self.sport = sport
         self.dport = dport
-        self.max_retries = max_retries
         self.attempt = 0
         self.started = stack.sim.now
         self._syn()
@@ -206,7 +209,7 @@ class _Handshake(Event):
                                        self.sport, self.dport, flags=TCP_ACK,
                                        seq=attempt + 1, ack=1))
             self.succeed((self.sim.now - self.started, attempt))
-        elif attempt < self.max_retries:
+        elif attempt < MAX_SYN_RETRIES:
             self.attempt += 1
             self._syn()
         else:
@@ -582,7 +585,7 @@ class FluidPump:
             now = self.sim.now
             first_tick = math.ceil(now / interval) * interval
             self.sim.call_in(max(first_tick - now, 0.0), self._tick, interval)
-        key = (plan.payload_bytes + plan.overhead_bytes, hops, sink)
+        key = (plan.payload_bytes + HEADER_BYTES, hops, sink)
         group = lane.get(key)
         if group is None:
             group = lane[key] = _PathGroup(*key)

@@ -4,6 +4,8 @@ import bisect
 import math
 from dataclasses import dataclass
 
+from repro.net.packet import IPV4_HEADER_BYTES, UDP_HEADER_BYTES
+
 
 class ZipfSampler:
     """Zipf(s) sampler over ``n`` items (rank 1 most popular).
@@ -12,7 +14,7 @@ class ZipfSampler:
     destinations keep caches warm while the tail always misses.
     """
 
-    def __init__(self, n, s=1.0, rng=None):
+    def __init__(self, n, rng, s=1.0):
         if n < 1:
             raise ValueError("ZipfSampler needs n >= 1")
         if s < 0:
@@ -35,12 +37,9 @@ class ZipfSampler:
             return self._cumulative[0]
         return self._cumulative[rank] - self._cumulative[rank - 1]
 
-    def sample(self, rng=None):
+    def sample(self):
         """Draw an item index in [0, n)."""
-        generator = rng or self._rng
-        if generator is None:
-            raise ValueError("no RNG supplied")
-        return bisect.bisect_left(self._cumulative, generator.random())
+        return bisect.bisect_left(self._cumulative, self._rng.random())
 
 
 #: Supported flow-size distributions.
@@ -78,7 +77,7 @@ class FlowSizeSampler:
       :data:`LOGNORMAL_SIGMA`, truncated to ``[1, mean * MAX_FACTOR]``.
     """
 
-    def __init__(self, dist="constant", mean=5, rng=None):
+    def __init__(self, rng, dist="constant", mean=5):
         if dist not in SIZE_DISTRIBUTIONS:
             raise ValueError(f"unknown size distribution {dist!r}")
         if mean < 1:
@@ -89,22 +88,23 @@ class FlowSizeSampler:
         if dist == "lognormal":
             self._mu = math.log(self.mean) - LOGNORMAL_SIGMA ** 2 / 2.0
 
-    def sample(self, rng=None):
+    def sample(self):
         """Draw one flow size in packets (>= 1)."""
         if self.dist == "constant":
             return max(1, round(self.mean))
-        generator = rng or self._rng
-        if generator is None:
-            raise ValueError("no RNG supplied")
         if self.dist == "pareto":
-            uniform = generator.random()
+            uniform = self._rng.random()
             raw = (1.0 - uniform * _PARETO_SPAN) ** (-1.0 / PARETO_ALPHA)
             scaled = raw * self.mean / _PARETO_MEAN
         else:
-            scaled = generator.lognormvariate(self._mu, LOGNORMAL_SIGMA)
+            scaled = self._rng.lognormvariate(self._mu, LOGNORMAL_SIGMA)
             scaled = min(scaled, self.mean * MAX_FACTOR)
         return max(1, round(scaled))
 
+
+#: Header bytes a flow packet carries on top of its payload un-encapsulated
+#: (IPv4 + UDP): the per-packet tax in pacing gaps and fluid chunk sizes.
+HEADER_BYTES = IPV4_HEADER_BYTES + UDP_HEADER_BYTES
 
 #: Supported pacing modes: ``constant`` keeps the historical fixed
 #: inter-packet spacing for every flow; ``shaped`` sends mice as
@@ -127,9 +127,10 @@ class FlowPlan:
     A fluid plan advances ``chunk_packets`` packets' worth of wire bytes
     every ``chunk_interval`` seconds — the chunking of the shaper's pace
     rate, posted by the world's :class:`~repro.traffic.flows.FluidPump` on
-    multiples of the interval.  A packet weighs ``payload_bytes +
-    overhead_bytes`` un-encapsulated; tunnelled hops add what the flow's
-    probe measured there.  All three fields are 0 on packet-level plans.
+    multiples of the interval.  A packet weighs ``payload_bytes`` plus
+    :data:`HEADER_BYTES` un-encapsulated; tunnelled hops add what the
+    flow's probe measured there.  Both chunk fields are 0 on packet-level
+    plans.
     """
 
     packets: int
@@ -138,7 +139,6 @@ class FlowPlan:
     kind: str
     chunk_interval: float = 0.0
     chunk_packets: int = 0
-    overhead_bytes: int = 0
 
     @property
     def byte_budget(self):
@@ -161,9 +161,9 @@ class FlowShaper:
     ``pace_rate_bps`` (inter-packet gap = wire bytes per packet * 8 /
     rate).
 
-    ``overhead_bytes`` is the per-packet header tax added to
-    ``payload_bytes`` when converting the target bit rate into a gap (28
-    for IPv4+UDP).  ``elephant_threshold`` defaults to twice the sampler's
+    :data:`HEADER_BYTES` is the per-packet header tax added to
+    ``payload_bytes`` when converting the target bit rate into a gap.
+    ``elephant_threshold`` defaults to twice the sampler's
     mean, so constant-size workloads never contain elephants and the
     threshold scales with the size axis.
 
@@ -175,9 +175,9 @@ class FlowShaper:
     packet-level and event-exact.
     """
 
-    def __init__(self, sizes, payload_bytes, pacing="constant", spacing=0.001,
+    def __init__(self, sizes, payload_bytes, pacing, spacing=0.001,
                  pace_rate_bps=2_000_000.0, elephant_threshold=None,
-                 overhead_bytes=28, fluid_threshold=None, chunk_interval=0.25):
+                 fluid_threshold=None, chunk_interval=0.25):
         if pacing not in PACING_MODES:
             raise ValueError(f"unknown pacing mode {pacing!r}")
         if payload_bytes < 1:
@@ -203,30 +203,29 @@ class FlowShaper:
         if fluid_threshold < 1:
             raise ValueError("fluid_threshold must be >= 1 packet")
         self.fluid_threshold = fluid_threshold
-        self.overhead_bytes = int(overhead_bytes)
         self.chunk_interval = float(chunk_interval)
 
     @property
     def pace_spacing(self):
         """The elephant inter-packet gap (seconds) at the target rate."""
-        wire_bytes = self.payload_bytes + self.overhead_bytes
+        wire_bytes = self.payload_bytes + HEADER_BYTES
         return wire_bytes * 8.0 / self.pace_rate_bps
 
     @property
     def chunk_packets(self):
         """Packets' worth of bytes per fluid chunk at the pace rate."""
-        wire_bytes = self.payload_bytes + self.overhead_bytes
+        wire_bytes = self.payload_bytes + HEADER_BYTES
         return max(1, round(self.pace_rate_bps * self.chunk_interval
                             / (8.0 * wire_bytes)))
 
-    def plan(self, rng=None):
+    def plan(self):
         """Draw one flow: a size from the sampler, shaped into a plan.
 
         Consumes exactly the RNG draws the size sampler does (none in
         ``constant`` size mode), so swapping pacing modes never shifts the
         random stream other flows see.
         """
-        packets = self.sizes.sample(rng)
+        packets = self.sizes.sample()
         if self.pacing == "constant":
             return FlowPlan(packets=packets, payload_bytes=self.payload_bytes,
                             spacing=self.spacing, kind="constant")
@@ -234,8 +233,7 @@ class FlowShaper:
             return FlowPlan(packets=packets, payload_bytes=self.payload_bytes,
                             spacing=self.pace_spacing, kind="fluid",
                             chunk_interval=self.chunk_interval,
-                            chunk_packets=self.chunk_packets,
-                            overhead_bytes=self.overhead_bytes)
+                            chunk_packets=self.chunk_packets)
         if packets > self.elephant_threshold:
             return FlowPlan(packets=packets, payload_bytes=self.payload_bytes,
                             spacing=self.pace_spacing, kind="elephant")

@@ -28,23 +28,26 @@ from process_kernel import Process
 
 from repro.dns.message import DNS_PORT, DnsMessage, make_query, make_reply
 from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
-from repro.dns.resolver import MAX_CNAME_CHASES, MAX_REFERRALS, NEGATIVE_TTL
+from repro.dns.resolver import (LOOKUP_RETRIES, MAX_CNAME_CHASES, MAX_REFERRALS,
+                                NEGATIVE_TTL)
 from repro.dns.server import PROCESSING_DELAY
 from repro.experiments.e9_failover import FLOW_END, PACKET_INTERVAL
 from repro.experiments.scenario import FLOW_TCP_PORT, FLOW_UDP_PORT
 from repro.experiments.workload import WORKLOAD_STREAM, build_shaper
 from repro.lisp.control import alt, cons
+from repro.lisp.control.base import MAP_REQUEST_RETRIES
 from repro.lisp.control.cons import _ConsEnvelope
 from repro.lisp.headers import LISP_CONTROL_PORT, MapRequest, next_nonce
 from repro.lisp.probing import PROBE_PORT, RlocProbe
 from repro.net.host import RequestTimeout
 from repro.net.packet import TCP_ACK, TCP_SYN, tcp_packet, udp_packet
 from repro.sim import EXPIRED
-from repro.traffic.flows import DEFAULT_RTO, FLUID_PROBE_RETRIES, FlowRecord, FluidPump
+from repro.traffic.flows import (DEFAULT_RTO, FLUID_PROBE_RETRIES, MAX_SYN_RETRIES,
+                                 FlowRecord, FluidPump)
 from repro.traffic.popularity import ZipfSampler
 
 
-def reference_lookup(stub, qname, timeout=5.0, retries=1):
+def reference_lookup(stub, qname, timeout=5.0):
     """Process: resolve *qname*; returns (address_or_None, elapsed)."""
     self = stub
 
@@ -57,7 +60,8 @@ def reference_lookup(stub, qname, timeout=5.0, retries=1):
         try:
             packet = yield socket.request(self.resolver_address, DNS_PORT,
                                           payload=query,
-                                          timeout=timeout, retries=retries)
+                                          timeout=timeout,
+                                          retries=LOOKUP_RETRIES)
         except RequestTimeout:
             return None, self.sim.now - started
         finally:
@@ -291,7 +295,7 @@ def _maybe_resolve(self, eid):
 def _alt_resolve(self, xtr, eid):
     def _resolve():
         started = self.sim.now
-        for _attempt in range(self.retries + 1):
+        for _attempt in range(MAP_REQUEST_RETRIES + 1):
             nonce = next_nonce()
             waiter = self.sim.event(name=f"alt-nonce-{nonce}")
             self._pending[nonce] = waiter
@@ -321,7 +325,7 @@ def _cons_resolve(self, xtr, eid):
         if car is None:
             self.stats.record_resolution(0.0, ok=False)
             return None
-        for _attempt in range(self.retries + 1):
+        for _attempt in range(MAP_REQUEST_RETRIES + 1):
             nonce = next_nonce()
             waiter = self.sim.event(name=f"cons-nonce-{nonce}")
             self._pending[nonce] = waiter
@@ -376,7 +380,7 @@ def _probe_once(self, address):
         self._mark_missed(address)
 
 
-def _connect(self, destination, dport, max_retries=5):
+def _connect(self, destination, dport):
     """Process: three-way handshake; returns (elapsed, syn_retries) or None."""
     if self._journal is not None:
         self._touch()
@@ -385,7 +389,7 @@ def _connect(self, destination, dport, max_retries=5):
 
     def _connect():
         started = sim.now
-        for attempt in range(max_retries + 1):
+        for attempt in range(MAX_SYN_RETRIES + 1):
             syn = tcp_packet(self.host.address, destination, sport, dport,
                              flags=TCP_SYN, seq=attempt)
             waiter = sim.event()
@@ -471,8 +475,8 @@ def reference_run_workload(scenario, workload):
     num_sites = len(topology.sites)
     if num_sites < 2:
         raise ValueError("workload needs at least two sites")
-    zipf = ZipfSampler(num_sites - 1, s=workload.zipf_s, rng=rng)
-    shaper = build_shaper(workload, rng=rng)
+    zipf = ZipfSampler(num_sites - 1, rng, s=workload.zipf_s)
+    shaper = build_shaper(workload, rng)
     records = []
 
     def pick_sites():

@@ -130,7 +130,7 @@ def test_unknown_rule_id_raises():
 # --------------------------------------------------------------------- #
 
 def test_shipped_tree_has_zero_findings():
-    assert analyze_paths([str(SRC_TREE)]) == []
+    assert analyze_paths([str(SRC_TREE)], None) == []
 
 
 # --------------------------------------------------------------------- #

@@ -32,13 +32,6 @@ def test_unknown_miss_policy_rejected():
         build_scenario(ScenarioConfig(control_plane="alt", miss_policy="bogus"))
 
 
-def test_config_variant_copies():
-    base = ScenarioConfig(num_sites=4)
-    changed = base.variant(num_sites=8, control_plane="alt")
-    assert base.num_sites == 4
-    assert changed.num_sites == 8 and changed.control_plane == "alt"
-
-
 @pytest.mark.parametrize("control_plane,expect_loss", [
     ("pce", False), ("nerd", False), ("plain", False), ("alt", True),
 ])
@@ -153,22 +146,19 @@ def test_flow_cut_off_before_dns_completes_is_failed():
 def test_e4_reports_link_utilization_from_byte_accounting():
     from repro.experiments import e4_te_flexibility as e4
 
-    rows = e4.run_e4(num_sites=4, num_flows=16, seed=53,
-                     variants=(("pce+balance",
-                                dict(control_plane="pce",
-                                     irc_policy="balance")),))
-    (row,) = rows
-    assert row.inbound_peak_util > 0.0
-    assert sum(row.inbound_shares) == pytest.approx(1.0)
+    rated = e4.run_e4(num_sites=4, num_flows=16, seed=53)
     # Unrated links can't accumulate busy time: utilization collapses to 0
     # while the byte shares (from per-flow accounting) survive.
-    (unrated,) = e4.run_e4(num_sites=4, num_flows=16, seed=53,
-                           access_rate_bps=None,
-                           variants=(("pce+balance",
-                                      dict(control_plane="pce",
-                                           irc_policy="balance")),))
-    assert unrated.inbound_peak_util == 0.0
-    assert sum(unrated.inbound_shares) == pytest.approx(1.0)
+    unrated = e4.run_e4(num_sites=4, num_flows=16, seed=53,
+                        access_rate_bps=None)
+    assert [row.system for row in rated] == [row.system for row in unrated] \
+        == [label for label, _overrides in e4.VARIANTS]
+    for row in rated:
+        assert row.inbound_peak_util > 0.0
+        assert sum(row.inbound_shares) == pytest.approx(1.0)
+    for row in unrated:
+        assert row.inbound_peak_util == 0.0
+        assert sum(row.inbound_shares) == pytest.approx(1.0)
 
 
 def test_access_byte_shares_sum_to_one_under_traffic():
@@ -185,7 +175,7 @@ def test_small_driver_runs_e2_and_e8():
     from repro.experiments import e2_overlap as e2
     from repro.experiments import e8_reverse_mapping as e8
 
-    rows = e2.run_e2(num_sites=4, num_flows=8, depths=(0,), systems=("pce", "alt"))
+    rows = e2.run_e2(num_sites=4, num_flows=8)
     assert e2.check_shape(rows) == [] or all("deeper" in f for f in e2.check_shape(rows))
-    rows = e8.run_e8(num_sites=3, providers_per_site=2, num_flows=8)
+    rows = e8.run_e8(num_sites=3, num_flows=8)
     assert e8.check_shape(rows) == []

@@ -8,6 +8,7 @@ from process_kernel import Process
 
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
 from repro.experiments.scenario import FLOW_UDP_PORT
+from repro.lisp.policies import MAX_QUEUE
 from repro.net.packet import udp_packet
 
 
@@ -33,7 +34,7 @@ def start_lookup(scenario, src_site=0, dst_site=1):
     host = site.hosts[0]
     stub = scenario.stub_for(host, site)
     return stub.lookup(scenario.host_name(scenario.topology.sites[dst_site], 0),
-                       timeout=1.0, retries=1)
+                       timeout=1.0)
 
 
 def test_dead_root_server_fails_lookup_cleanly():
@@ -134,7 +135,7 @@ def test_queue_policy_timeout_drops_buffered_packets_eventually():
     """If resolution never completes (dead overlay), queued packets do not
     leak: the buffer stays bounded and the flow simply loses them."""
     config = ScenarioConfig(control_plane="alt", num_sites=3, seed=71,
-                            miss_policy="queue", queue_depth=4)
+                            miss_policy="queue")
     scenario = build_scenario(config)
     sim = scenario.sim
     # Kill the destination site's overlay entry point (xtr0 carries ALT).
@@ -142,10 +143,10 @@ def test_queue_policy_timeout_drops_buffered_packets_eventually():
     cut_node_links(site_d.xtrs[0], up=False)
     src = scenario.topology.sites[0].hosts[0]
     dst = site_d.hosts[0]
-    for _ in range(10):
+    for _ in range(MAX_QUEUE + 6):
         src.send(udp_packet(src.address, dst.address, 5000, FLOW_UDP_PORT))
     sim.run(until=20.0)
     stats = scenario.miss_policy.stats
-    assert stats.queued <= 4
-    assert stats.queue_overflow == 10 - stats.queued
+    assert stats.queued <= MAX_QUEUE
+    assert stats.queue_overflow == MAX_QUEUE + 6 - stats.queued
     assert scenario.mapping_system.stats.resolution_failures >= 1

@@ -595,24 +595,24 @@ def test_tick_stop_and_restart_on_a_timestamp_shared_with_calls():
         order.append(("stop", sim.now))
         task.stop()
 
-    def restart(first_fire):
+    def restart():
         order.append(("restart", sim.now))
-        task.start(first_fire=first_fire)
+        task.start()
 
     sim.call_in(1.0, order.append, "before-arm")
     task.start()                        # first tick at 1.0, between the two
     sim.call_in(1.0, order.append, "after-arm")
     sim.call_in(2.0, stop)              # queued before the 1.0 tick re-arms
     sim.call_in(2.0, order.append, "beside-the-stale-tick")
-    sim.call_in(3.0, restart, 3.0)      # re-arms onto the instant it runs in
+    sim.call_in(2.0, restart)           # re-arms beside its own stale tick
     sim.call_in(3.0, order.append, "queued-before-the-restart")
     sim.call_in(4.0, stop)              # queued before the 3.0 tick re-arms
     sim.call_in(5.0, order.append, "end")
     sim.run()
     assert order == [
         "before-arm", ("tick", 1.0), "after-arm",
-        ("stop", 2.0), "beside-the-stale-tick",
-        ("restart", 3.0), "queued-before-the-restart", ("tick", 3.0),
+        ("stop", 2.0), "beside-the-stale-tick", ("restart", 2.0),
+        "queued-before-the-restart", ("tick", 3.0),
         ("stop", 4.0),
         "end",
     ]

@@ -10,6 +10,8 @@ stated tolerance.  The seeded property test over random flow sets lives
 in ``tests/test_fluid_pump.py``.
 """
 
+import random
+
 import pytest
 
 from repro.experiments import (ScenarioConfig, WorkloadConfig, build_scenario,
@@ -44,7 +46,7 @@ def linked_hosts(sim, delay=0.01):
 # --------------------------------------------------------------------- #
 
 def test_flow_shaper_fluid_plans_bulk_flows():
-    sizes = FlowSizeSampler(dist="constant", mean=100)
+    sizes = FlowSizeSampler(random.Random(0), dist="constant", mean=100)
     shaper = FlowShaper(sizes, payload_bytes=1000, pacing="fluid",
                         pace_rate_bps=2_000_000.0, fluid_threshold=10,
                         chunk_interval=0.25)
@@ -52,13 +54,12 @@ def test_flow_shaper_fluid_plans_bulk_flows():
     assert plan.kind == "fluid"
     assert plan.packets == 100
     assert plan.chunk_interval == 0.25
-    assert plan.overhead_bytes == 28
     # 0.25 s of 2 Mbit/s is 62500 bytes = ~60.8 wire packets.
     assert plan.chunk_packets == round(2_000_000.0 * 0.25 / (8 * WIRE))
 
 
 def test_flow_shaper_fluid_small_flows_stay_packet_level():
-    sizes = FlowSizeSampler(dist="constant", mean=4)
+    sizes = FlowSizeSampler(random.Random(0), dist="constant", mean=4)
     shaper = FlowShaper(sizes, payload_bytes=1000, pacing="fluid",
                         fluid_threshold=10)
     plan = shaper.plan()
@@ -67,11 +68,13 @@ def test_flow_shaper_fluid_small_flows_stay_packet_level():
 
 
 def test_flow_shaper_fluid_validation():
-    sizes = FlowSizeSampler(dist="constant", mean=5)
+    sizes = FlowSizeSampler(random.Random(0), dist="constant", mean=5)
     with pytest.raises(ValueError):
-        FlowShaper(sizes, payload_bytes=1000, chunk_interval=0.0)
+        FlowShaper(sizes, payload_bytes=1000, pacing="fluid",
+                   chunk_interval=0.0)
     with pytest.raises(ValueError):
-        FlowShaper(sizes, payload_bytes=1000, fluid_threshold=0)
+        FlowShaper(sizes, payload_bytes=1000, pacing="fluid",
+                   fluid_threshold=0)
 
 
 # --------------------------------------------------------------------- #
@@ -87,7 +90,7 @@ def test_book_fluid_infinite_rate_grants_everything():
 
 
 def test_book_fluid_accrues_busy_time_like_serialisation():
-    stats = LinkStats(window_width=1.0)
+    stats = LinkStats()
     granted = stats.book_fluid(0.0, 0.5, 50_000, 1_000_000.0)
     assert granted == 50_000
     # 50 kB at 1 Mbit/s is 0.4 s of transmitter time.
@@ -98,20 +101,20 @@ def test_book_fluid_accrues_busy_time_like_serialisation():
 def test_book_fluid_clips_to_chunk_dwell_time():
     # The chunk overlaps the window for only 0.1 s: it cannot claim more
     # transmitter seconds than its own interval, even in an empty window.
-    stats = LinkStats(window_width=1.0)
+    stats = LinkStats()
     granted = stats.book_fluid(0.0, 0.1, 50_000, 1_000_000.0)
     assert granted == 12_500  # 0.1 s at 1 Mbit/s
 
 
 def test_book_fluid_saturated_window_grants_nothing():
-    stats = LinkStats(window_width=1.0)
+    stats = LinkStats()
     stats.account_transmission(0.0, 1.0, 125_000)  # packets filled window 0
     granted = stats.book_fluid(0.2, 0.5, 10_000, 1_000_000.0)
     assert granted == 0
 
 
 def test_book_fluid_shares_capacity_with_packets():
-    stats = LinkStats(window_width=1.0)
+    stats = LinkStats()
     stats.account_transmission(0.0, 0.6, 75_000)  # packets took 0.6 s
     granted = stats.book_fluid(0.0, 1.0, 100_000, 1_000_000.0)
     # Only 0.4 s of transmitter time remains in window 0.
@@ -121,7 +124,7 @@ def test_book_fluid_shares_capacity_with_packets():
 
 
 def test_book_fluid_spans_multiple_windows():
-    stats = LinkStats(window_width=1.0)
+    stats = LinkStats()
     granted = stats.book_fluid(0.5, 2.0, 250_000, 1_000_000.0)
     assert granted == 250_000  # 2.0 s at 1 Mbit/s
     series = stats.utilization_series()
@@ -172,7 +175,7 @@ def test_post_fluid_down_link_drops_everything():
 def _fluid_plan(packets=100, chunk_packets=60, interval=0.25):
     return FlowPlan(packets=packets, payload_bytes=1000, spacing=0.004,
                     kind="fluid", chunk_interval=interval,
-                    chunk_packets=chunk_packets, overhead_bytes=28)
+                    chunk_packets=chunk_packets)
 
 
 def test_fluid_sender_spends_budget_exactly():

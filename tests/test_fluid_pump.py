@@ -32,7 +32,7 @@ PORT = 9000
 def fluid_plan(packets, chunk_packets=40):
     return FlowPlan(packets=packets, payload_bytes=PAYLOAD, spacing=0.004,
                     kind="fluid", chunk_interval=INTERVAL,
-                    chunk_packets=chunk_packets, overhead_bytes=28)
+                    chunk_packets=chunk_packets)
 
 
 class Dumbbell:
@@ -282,7 +282,7 @@ def test_pump_runs_one_lane_per_chunk_interval():
     for record, interval in ((slow, 0.5), (fast, 0.125)):
         plan = FlowPlan(packets=81, payload_bytes=PAYLOAD, spacing=0.004,
                         kind="fluid", chunk_interval=interval,
-                        chunk_packets=40, overhead_bytes=28)
+                        chunk_packets=40)
         send_flow(sim, net.sources[0], net.sinks[0].address, PORT, record,
                   plan, net.pump)
     sim.run()

@@ -13,7 +13,7 @@ from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, ru
 from repro.experiments.sweep import PRESETS, _apply_failures, expand_grid
 from repro.experiments.worldbuild import build_world
 from repro.net.host import Host
-from repro.net.link import LinkStats, connect
+from repro.net.link import QUEUE_CAPACITY, LinkStats, connect
 from repro.net.packet import udp_packet
 from repro.sim import Simulator
 
@@ -240,13 +240,12 @@ def test_byte_accounting_equals_a_brute_force_sum_over_every_link(kind):
     assert accounting == _brute_force_accounting(scenario, drained=False)
 
 
-def _idle_link(rate_bps=None, queue_capacity=1000):
+def _idle_link(rate_bps=None):
     sim = Simulator()
     a = Host(sim, "a", address="10.0.0.1")
     b = Host(sim, "b", address="10.0.0.2")
     forward, _backward = connect(sim, a.add_interface("eth0"),
-                                 b.add_interface("eth0"), rate_bps=rate_bps,
-                                 queue_capacity=queue_capacity)
+                                 b.add_interface("eth0"), rate_bps=rate_bps)
     return forward
 
 
@@ -269,8 +268,10 @@ def _send_while_down():
 
 
 def _send_queue_full():
-    link = _idle_link(rate_bps=8_000, queue_capacity=0)
-    assert link.send(_flow_packet()) and not link.send(_flow_packet())
+    link = _idle_link(rate_bps=8_000)
+    for _ in range(1 + QUEUE_CAPACITY):     # one serialising, the rest queued
+        assert link.send(_flow_packet())
+    assert not link.send(_flow_packet())
     assert link.stats.drops == 1
     return [link]
 
@@ -299,7 +300,7 @@ def test_a_link_any_ledger_moved_on_has_bytes_offered(ledger_writer):
     whose ``LinkStats`` differs from a fresh one has a nonzero stamp."""
     moved = [link.stats for link in ledger_writer()
              if link.stats.snapshot_state()
-             != LinkStats(link.stats.window_width).snapshot_state()]
+             != LinkStats().snapshot_state()]
     assert moved
     assert all(stats.bytes_offered != 0 for stats in moved)
 

@@ -15,6 +15,7 @@ from repro.lisp.control import (
     MappingRegistry,
     NerdMappingSystem,
 )
+from repro.lisp.control import cons
 from repro.lisp.deploy import deploy_lisp
 from repro.lisp.mappings import MappingRecord, RlocEntry
 from repro.lisp.policies import CpDataPolicy, DropPolicy, QueuePolicy
@@ -24,16 +25,15 @@ from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
-def make_world(system_name, num_sites=4, miss_policy_cls=QueuePolicy, seed=31,
-               **system_kwargs):
+def make_world(system_name, num_sites=4, miss_policy_cls=QueuePolicy, seed=31):
     sim = Simulator(seed=seed)
     topology = build(sim, TopologySpec(num_sites=num_sites, num_providers=4))
     if system_name == "alt":
-        system = AltMappingSystem(sim, **system_kwargs)
+        system = AltMappingSystem(sim)
     elif system_name == "cons":
-        system = ConsMappingSystem(sim, topology, **system_kwargs)
+        system = ConsMappingSystem(sim, topology)
     elif system_name == "nerd":
-        system = NerdMappingSystem(sim, topology, **system_kwargs)
+        system = NerdMappingSystem(sim, topology)
     else:
         raise ValueError(system_name)
     policy = miss_policy_cls(sim)
@@ -130,7 +130,7 @@ def test_alt_second_flow_uses_cache():
 # --------------------------------------------------------------------------- #
 
 def test_cons_resolves_and_delivers():
-    sim, topology, system, policy, xtrs = make_world("cons", num_sites=6, branching=2)
+    sim, topology, system, policy, xtrs = make_world("cons", num_sites=6)
     sink = send_flow_packet(sim, topology, src_site=0, dst_site=5)
     assert len(sink) == 1
     assert system.stats.resolution_failures == 0
@@ -138,7 +138,7 @@ def test_cons_resolves_and_delivers():
 
 
 def test_cons_reply_retraces_tree():
-    sim, topology, system, policy, xtrs = make_world("cons", num_sites=6, branching=2)
+    sim, topology, system, policy, xtrs = make_world("cons", num_sites=6)
     send_flow_packet(sim, topology, src_site=0, dst_site=5)
     # Request hops and reply hops are both counted: replies stay in-overlay.
     assert system.stats.by_type["map-request-hop"] >= 2
@@ -147,19 +147,20 @@ def test_cons_reply_retraces_tree():
 
 
 def test_cons_sibling_resolution_stays_low_in_tree():
-    sim, topology, system, policy, xtrs = make_world("cons", num_sites=8, branching=2)
+    sim, topology, system, policy, xtrs = make_world("cons", num_sites=8)
     send_flow_packet(sim, topology, src_site=0, dst_site=1)  # siblings
     sibling_msgs = system.stats.messages
-    sim2, topo2, system2, policy2, _ = make_world("cons", num_sites=8, branching=2)
+    sim2, topo2, system2, policy2, _ = make_world("cons", num_sites=8)
     send_flow_packet(sim2, topo2, src_site=0, dst_site=7)  # across the root
     assert system2.stats.messages > sibling_msgs
 
 
 def test_cons_state_is_tree_degree():
-    _sim, _topology, system, _policy, _xtrs = make_world("cons", num_sites=8, branching=2)
+    _sim, _topology, system, _policy, _xtrs = make_world("cons", num_sites=16)
     entries = system.state_entries_per_router()
     # Interior CDRs hold children + parent; far less than total sites.
-    assert all(count <= 3 for name, count in entries.items() if name.startswith("cdr"))
+    cdrs = [count for name, count in entries.items() if name.startswith("cdr")]
+    assert cdrs and all(count <= cons.BRANCHING + 1 < 16 for count in cdrs)
 
 
 def _cdr_addresses(system):
@@ -169,11 +170,11 @@ def _cdr_addresses(system):
 
 
 def test_cons_cdr_addresses_are_the_ones_small_trees_always_had():
-    _sim, _topology, system, _policy, _xtrs = make_world("cons", num_sites=6,
-                                                         branching=2)
+    _sim, _topology, system, _policy, _xtrs = make_world("cons", num_sites=20)
+    # Twenty CARs under CDRs of four children: 5, 2 and 1 per level.
     assert _cdr_addresses(system) == {
         f"cdr-d{depth}-{index}": IPv4Address(f"203.0.{113 + depth}.{10 + index}")
-        for depth, width in ((1, 3), (2, 2), (3, 1))
+        for depth, width in ((1, 5), (2, 2), (3, 1))
         for index in range(width)}
 
 

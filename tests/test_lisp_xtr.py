@@ -4,7 +4,7 @@ import pytest
 
 from repro.lisp.control.base import MappingSystem
 from repro.lisp.deploy import deploy_lisp
-from repro.lisp.policies import CpDataPolicy, DropPolicy, QueuePolicy
+from repro.lisp.policies import MAX_QUEUE, CpDataPolicy, DropPolicy, QueuePolicy
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
 from repro.net.topogen import TopologySpec, build
@@ -43,12 +43,11 @@ class CrashingMappingSystem(InstantMappingSystem):
 
 
 def make_lisp_world(miss_policy_cls=DropPolicy, resolve_delay=0.02, seed=21,
-                    num_sites=2, gleaning=True, system_cls=InstantMappingSystem,
-                    **policy_kwargs):
+                    num_sites=2, gleaning=True, system_cls=InstantMappingSystem):
     sim = Simulator(seed=seed)
     topology = build(sim, TopologySpec(num_sites=num_sites, num_providers=4))
     system = system_cls(sim, delay=resolve_delay)
-    policy = miss_policy_cls(sim, **policy_kwargs)
+    policy = miss_policy_cls(sim)
     xtrs = deploy_lisp(sim, topology, system, policy, gleaning=gleaning)
     return sim, topology, system, policy, xtrs
 
@@ -106,8 +105,7 @@ def test_a_failed_resolution_raises_out_of_run_and_frees_its_site_prefix():
 
 
 def test_queue_policy_holds_then_flushes():
-    sim, topology, system, policy, xtrs = make_lisp_world(QueuePolicy, resolve_delay=0.05,
-                                                          max_queue=8)
+    sim, topology, system, policy, xtrs = make_lisp_world(QueuePolicy, resolve_delay=0.05)
     src = topology.sites[0].hosts[0]
     dst = topology.sites[1].hosts[0]
     sink = deliveries(sim, dst)
@@ -122,15 +120,14 @@ def test_queue_policy_holds_then_flushes():
 
 
 def test_queue_policy_overflow_drops():
-    sim, topology, system, policy, xtrs = make_lisp_world(QueuePolicy, resolve_delay=0.05,
-                                                          max_queue=2)
+    sim, topology, system, policy, xtrs = make_lisp_world(QueuePolicy, resolve_delay=0.05)
     src = topology.sites[0].hosts[0]
     dst = topology.sites[1].hosts[0]
     sink = deliveries(sim, dst)
-    for _ in range(5):
+    for _ in range(MAX_QUEUE + 3):
         src.send(udp_packet(src.address, dst.address, 1, 7000))
     sim.run()
-    assert len(sink) == 2
+    assert len(sink) == MAX_QUEUE
     assert policy.stats.queue_overflow == 3
 
 

@@ -5,19 +5,19 @@ from process_kernel import Process
 
 from repro.net.errors import PortInUseError
 from repro.net.host import Host, RequestTimeout
-from repro.net.link import Link, connect
+from repro.net import link as link_module
+from repro.net.link import WINDOW_WIDTH, Link, connect
 from repro.net.packet import udp_packet
 from repro.net.router import Router
 from repro.sim import Simulator
 
 
-def two_hosts(sim, delay=0.01, rate_bps=None, queue_capacity=1000):
+def two_hosts(sim, delay=0.01, rate_bps=None):
     a = Host(sim, "a", address="10.0.0.1")
     b = Host(sim, "b", address="10.0.0.2")
     iface_a = a.add_interface("eth0")
     iface_b = b.add_interface("eth0")
-    connect(sim, iface_a, iface_b, delay=delay, rate_bps=rate_bps,
-            queue_capacity=queue_capacity)
+    connect(sim, iface_a, iface_b, delay=delay, rate_bps=rate_bps)
     a.fib.add("0.0.0.0/0", iface_a)
     b.fib.add("0.0.0.0/0", iface_b)
     return a, b
@@ -56,9 +56,15 @@ def test_queueing_back_to_back_packets():
     assert arrivals == [pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.3)]
 
 
-def test_tail_drop_when_queue_full():
+@pytest.fixture
+def one_packet_queue(monkeypatch):
+    """Rated links queue one packet behind the one being serialised."""
+    monkeypatch.setattr(link_module, "QUEUE_CAPACITY", 1)
+
+
+def test_tail_drop_when_queue_full(one_packet_queue):
     sim = Simulator()
-    a, b = two_hosts(sim, delay=0.0, rate_bps=8_000, queue_capacity=1)
+    a, b = two_hosts(sim, delay=0.0, rate_bps=8_000)
     arrivals = []
     b.bind_udp(7, lambda packet, node: arrivals.append(sim.now))
     accepted = [a.send(udp_packet(a.address, b.address, 1, 7, payload_bytes=72))
@@ -73,10 +79,10 @@ def test_tail_drop_when_queue_full():
 
 def test_rateless_link_never_queues_or_tail_drops():
     """Infinite rate means no transmitter to wait behind: one instant's burst
-    beyond ``queue_capacity`` is delivered whole, one engine event per packet
+    beyond ``QUEUE_CAPACITY`` is delivered whole, one engine event per packet
     (a burst of 1 500 used to deliver 1 001 and tail-drop 499)."""
     sim = Simulator()
-    a, b = two_hosts(sim, delay=0.01)  # rate_bps=None, queue_capacity=1000
+    a, b = two_hosts(sim, delay=0.01)  # rate_bps=None
     arrivals = []
     b.bind_udp(7, lambda packet, node: arrivals.append(sim.now))
     link = a.interfaces["eth0"].link
@@ -98,7 +104,7 @@ def test_rated_link_queues_and_tail_drops_a_burst():
     """The same burst on a rated link: serialisation, FIFO queue, tail drop,
     and two engine events (serialised, propagated) per accepted packet."""
     sim = Simulator()
-    a, b = two_hosts(sim, delay=0.01, rate_bps=8_000_000, queue_capacity=1000)
+    a, b = two_hosts(sim, delay=0.01, rate_bps=8_000_000)
     arrivals = []
     b.bind_udp(7, lambda packet, node: arrivals.append(sim.now))
     link = a.interfaces["eth0"].link
@@ -146,9 +152,9 @@ def _flow_packet(a, b, flow_id, payload=72):
                       meta={"flow_id": flow_id})
 
 
-def test_per_flow_byte_accounting_conserves():
+def test_per_flow_byte_accounting_conserves(one_packet_queue):
     sim = Simulator()
-    a, b = two_hosts(sim, delay=0.0, rate_bps=8_000, queue_capacity=1)
+    a, b = two_hosts(sim, delay=0.0, rate_bps=8_000)
     b.bind_udp(7, lambda packet, node: None)
     for _ in range(5):
         a.send(_flow_packet(a, b, flow_id=1))
@@ -220,7 +226,7 @@ def test_utilization_windows_split_busy_time():
     a, b = two_hosts(sim, delay=0.0, rate_bps=8_000)
     b.bind_udp(7, lambda packet, node: None)
     link = a.interfaces["eth0"].link
-    assert link.stats.window_width == 1.0
+    assert WINDOW_WIDTH == 1.0
     # One packet in window 0, then two back-to-back starting at t=1.95:
     # the second transmission spans the window-1/window-2 boundary.
     a.send(_flow_packet(a, b, flow_id=1))
@@ -240,10 +246,10 @@ def test_utilization_windows_split_busy_time():
     assert link.stats.busy_time == pytest.approx(0.3)
 
 
-def test_link_stats_snapshot_round_trip():
+def test_link_stats_snapshot_round_trip(one_packet_queue):
     """Every stats field — busy time, windows, per-flow accounts — restores."""
     sim = Simulator()
-    a, b = two_hosts(sim, delay=0.0, rate_bps=8_000, queue_capacity=1)
+    a, b = two_hosts(sim, delay=0.0, rate_bps=8_000)
     b.bind_udp(7, lambda packet, node: None)
     link = a.interfaces["eth0"].link
     for _ in range(4):                       # includes a tail drop

@@ -1,13 +1,19 @@
-"""Every option of ``src/repro`` has a setter.
+"""Every option of ``src/repro`` has a setter outside the tests.
 
 An option is a parameter with a default of a public callable (a public
 function, or ``__init__`` or a public method of a public class) or a
-field of one of :data:`CONFIGS`.  Something in ``src/``, ``examples/``,
-``benchmarks/`` or ``tests/`` must pass it a value: by keyword (matched by
-name, whatever the callee), as the string key of a dict literal, or by
-position where the callee's name is defined once.  A same-name
-pass-through (``x=x``, ``x=config.x``) passes nothing.  An option nothing
-sets runs at its default everywhere: it is a constant, and goes.
+field of one of :data:`CONFIGS`.  Something in ``src/``, ``examples/`` or
+``benchmarks/`` must pass it a value: by keyword (matched by name,
+whatever the callee), as the string key of a dict literal, or by position
+where the callee's name is defined once.  A same-name pass-through
+(``x=x``, ``x=config.x``) passes nothing, and the tests do not count: a
+value only a test varies is one no run of the simulator ever varies.  An
+option nothing sets runs at its default everywhere: it is a constant, and
+goes; one every caller passes loses its default instead.
+
+:data:`KEPT` holds the exceptions, each for one of three reasons: the
+matcher cannot see a setter outside the tests; the option is a test
+oracle's switch; or only a digested :class:`SweepGrid` field forwards it.
 """
 
 import ast
@@ -35,6 +41,14 @@ KEPT = {
                         "parameter of the same name",
     "main.argv": "tests call both CLIs' main by position, and two "
                  "functions are named main",
+    "WorkloadConfig.size_dist": "the size_dist sweep axis sets it through "
+                                "kwargs[axis.config][axis.kwarg]",
+    **{f"{callee}.drained": "test oracle: drained=True counts bytes still "
+                            "in flight as conservation violations"
+       for callee in ("byte_accounting", "conservation_violations")},
+    **{f"{config}.hosts_per_site": "only the digested SweepGrid field "
+                                   "forwards it"
+       for config in ("SweepGrid", "ScenarioConfig", "TopologySpec")},
 }
 
 
@@ -97,7 +111,7 @@ def _setters(positions):
     """Option names passed by keyword or dict key, and the
     ``(callee, option)`` pairs passed by position."""
     names, pairs = set(), set()
-    for tree in _trees("src", "examples", "benchmarks", "tests"):
+    for tree in _trees("src", "examples", "benchmarks"):
         for node in ast.walk(tree):
             if isinstance(node, ast.Dict):
                 names.update(key.value for key, value

@@ -47,12 +47,12 @@ def best_of(func, rounds=3):
 WORLDS = {
     "pce-120": ScenarioConfig(control_plane="pce", num_sites=120,
                               num_providers=8, tracing=False),
-    # The failover preset's shape: periodic probe and IRC tasks are
-    # engine-owned and re-armed on restore, so these worlds cache too.
+    # The failover preset's shape: periodic probe tasks are engine-owned
+    # and re-armed on restore, so these worlds cache too.
     "probing-irc-60": ScenarioConfig(control_plane="pce", num_sites=60,
                                      num_providers=8, enable_probing=True,
                                      probe_period=0.3, probe_timeout=0.15,
-                                     start_irc=True, tracing=False),
+                                     tracing=False),
 }
 
 

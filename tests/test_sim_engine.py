@@ -215,11 +215,9 @@ def test_a_pending_call_is_two_tracked_objects_and_no_event():
     lambda sim: sim.call_in(NAN, lambda: None),
     lambda sim: sim.call_at(NAN, lambda: None),
     lambda sim: sim.timeout(NAN),
-    lambda sim: sim.periodic(lambda: None, 1.0).start(first_fire=NAN),
     lambda sim: sim.periodic(lambda: None, NAN),
     lambda sim: sim.event().expire_in(NAN),
-], ids=["call_in", "call_at", "timeout", "periodic-first-fire",
-        "periodic-period", "expire_in"])
+], ids=["call_in", "call_at", "timeout", "periodic-period", "expire_in"])
 def test_nan_is_refused_at_every_way_into_the_queue(schedule):
     sim = Simulator()
     with pytest.raises(ValueError):

@@ -19,14 +19,8 @@ def test_first_tick_fires_one_period_after_start():
     sim.run(until=2.0)
     assert hits == [0.5, 1.0, 1.5, 2.0]
     assert task.ticks == 4
-
-
-def test_explicit_first_fire():
-    sim = Simulator()
-    task, hits = make_counter(sim, period=1.0)
-    task.start(first_fire=0.25)
-    sim.run(until=2.5)
-    assert hits == [0.25, 1.25, 2.25]
+    with pytest.raises(ValueError):
+        sim.periodic(lambda: None, 0.0)
 
 
 def test_start_is_idempotent_and_stop_disarms():
@@ -105,17 +99,6 @@ def test_ticks_count_as_processed_events():
     task.start()
     sim.run(until=3.0)
     assert sim.processed_events == 3
-
-
-def test_invalid_period_and_past_first_fire_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.periodic(lambda: None, 0.0)
-    task = sim.periodic(lambda: None, 1.0)
-    sim.call_in(2.0, lambda: None)
-    sim.run()
-    with pytest.raises(ValueError):
-        task.start(first_fire=1.0)
 
 
 def test_snapshot_requires_drained_foreground_only():

@@ -13,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from test_sweep import cell_sim_events
@@ -30,7 +31,6 @@ from repro.experiments.worldbuild import (SNAPSHOT_MAGIC, SnapshotError,
                                           serialize_world,
                                           snapshot_fingerprint, world_key)
 from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.net.topogen import TopologySpec
 
 CONFIG = ScenarioConfig(control_plane="pce", num_sites=3, seed=5,
                         tracing=False)
@@ -143,7 +143,7 @@ def test_schema_version_bump_invalidates_blobs(tmp_path, monkeypatch):
 def test_world_key_collision_forces_rebuild(tmp_path):
     """A blob filed under another config's fingerprint must not restore:
     the envelope carries the full world key and the mismatch is caught."""
-    other = CONFIG.variant(seed=99)
+    other = replace(CONFIG, seed=99)
     blob = serialize_world(build_world(CONFIG))
     _blob_path(tmp_path, other).write_bytes(blob)
 
@@ -181,7 +181,7 @@ def test_restore_falls_back_to_build_in_builder(tmp_path):
 def test_fingerprint_covers_key_and_versions(monkeypatch):
     base = snapshot_fingerprint(CONFIG)
     assert snapshot_fingerprint(CONFIG) == base
-    assert snapshot_fingerprint(CONFIG.variant(seed=6)) != base
+    assert snapshot_fingerprint(replace(CONFIG, seed=6)) != base
     monkeypatch.setattr(worldbuild, "SNAPSHOT_SCHEMA",
                         worldbuild.SNAPSHOT_SCHEMA + 1)
     assert snapshot_fingerprint(CONFIG) != base
@@ -193,7 +193,7 @@ def test_memory_store_one_build_many_restores():
     assert store.ensure(CONFIG) == "hit"
     first, outcome = store.world_for(CONFIG)
     assert outcome == "restore"
-    store.world_for(CONFIG.variant(seed=6))  # lets the first world go...
+    store.world_for(replace(CONFIG, seed=6))  # lets the first world go...
     second, outcome = store.world_for(CONFIG)
     assert outcome == "restore"  # ...so its blob is deserialized again
     assert first is not second  # every restore is an independent world
@@ -397,7 +397,7 @@ def test_blob_is_pure_bytes_and_worlds_are_independent():
     from repro.experiments.workload import WorkloadConfig, run_workload
     run_workload(first, WorkloadConfig(num_flows=6, arrival_rate=10.0))
     assert first.sim.now > checkpoint_now
-    store.world_for(CONFIG.variant(seed=6))  # the store lets `first` go
+    store.world_for(replace(CONFIG, seed=6))  # the store lets `first` go
     second, outcome = store.world_for(CONFIG)
     assert outcome == "restore" and second is not first
     assert second.sim.now == checkpoint_now
@@ -415,10 +415,6 @@ def test_blob_is_pure_bytes_and_worlds_are_independent():
 # Interfaces now pickle without their link and the scenario re-attaches
 # them from its link table, so the depth no longer follows the topology.
 
-#: The twelve-IX layout of SNIPPETS.md snippet 1: a four-member clique,
-#: eight tier-1 and twenty-four tier-2 transits.
-TWELVE_IX = TopologySpec(family="tiered", num_sites=1000, num_ixps=12,
-                         tier0=4, tier1=8, tier2=24)
 
 
 @pytest.mark.parametrize("topology,sites", (("tiered", 300), ("caida", 500)))
@@ -440,8 +436,11 @@ def test_deep_worlds_round_trip_record_for_record(topology, sites):
 
 
 def test_thousand_site_twelve_ix_world_serializes():
-    config = ScenarioConfig(control_plane="pce", topology=TWELVE_IX, seed=1,
-                            tracing=False)
+    """A 1 000-site tiered world serializes: the pickle's depth does not
+    follow the topology, whatever its layout (hand-built twelve-IX layouts
+    belong to the routing oracle's ``TierLayout``; this one is derived)."""
+    config = ScenarioConfig(control_plane="pce", topology="tiered",
+                            num_sites=1000, seed=1, tracing=False)
     world = build_world(config)
     assert len(world.topology.sites) == 1000
     blob = serialize_world(world)

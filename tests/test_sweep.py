@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.workload import WorkloadConfig
 from repro.experiments.sweep import (CSV_COLUMNS, PRESETS, SCHEMA,
                                      AggregateFold, CsvStreamWriter,
                                      SweepGrid, expand_grid, iter_jsonl,
@@ -57,15 +58,10 @@ def test_expand_grid_rejects_unknown_control_plane():
     (dict(num_providers=300), "num_providers 300 exceeds 245"),
     (dict(scenario_overrides={"providers_per_site": 9}),
      "providers_per_site 9 exceeds num_providers 4"),
-    (dict(topologies=("tiered",), scenario_overrides={
-        "topology": TopologySpec(family="tiered", tier0=90, tier1=90,
-                                 tier2=90)}),
-     r"tier sizes 90\+90\+90 exceed the 245-provider"),
     (dict(topologies=("caida",),
           scenario_overrides={"providers_per_site": 200}),
      "providers_per_site 200 exceeds the transit population"),
-), ids=("num_providers", "providers_per_site", "tier_sizes",
-        "transit_population"))
+), ids=("num_providers", "providers_per_site", "transit_population"))
 def test_expand_grid_rejects_oversized_topology(fields, named,
                                                 no_world_builds):
     """Sizes the address plan cannot hold fail at the grid, field named —
@@ -92,6 +88,47 @@ def test_bad_lifetimes_fail_at_the_config(field, value, named,
         ScenarioConfig(**{field: value})
     with pytest.raises(ValueError, match=named):
         expand_grid(SweepGrid(scenario_overrides={field: value}))
+
+
+@pytest.mark.parametrize("field, value, named", (
+    ("num_flows", -1, "num_flows must be >= 0, got -1"),
+    ("arrival_rate", 0.0, "arrival_rate must be > 0, got 0.0"),
+    ("arrival_rate", float("nan"), "arrival_rate must be > 0, got nan"),
+    ("packets_per_flow", 0, "packets_per_flow must be >= 1, got 0"),
+    ("payload_bytes", 0, "payload_bytes must be >= 1, got 0"),
+    ("grace_period", -1.0, "grace_period must be >= 0, got -1.0"),
+    ("zipf_s", -0.5, "zipf_s must be >= 0, got -0.5"),
+    ("fluid_chunk_interval", 0.0, "fluid_chunk_interval must be > 0, got 0.0"),
+    ("pace_rate_bps", 0.0, "pace_rate_bps must be > 0, got 0.0"),
+))
+def test_bad_workloads_fail_at_the_config(field, value, named,
+                                          no_world_builds):
+    """A workload field out of range (NaN included) is rejected where the
+    config is made, field named — not as about 190 flows from a negative
+    count, or a ZeroDivisionError inside a worker's cell."""
+    with pytest.raises(ValueError, match=named):
+        WorkloadConfig(**{field: value})
+    with pytest.raises(ValueError, match=named):
+        expand_grid(SweepGrid(workload_overrides={field: value}))
+
+
+def test_cli_sweep_rejects_a_negative_flow_count(tmp_path, capsys, monkeypatch,
+                                                 no_world_builds):
+    monkeypatch.chdir(tmp_path)  # the default jsonl path lands in the CWD
+    assert main(["sweep", "--preset", "smoke", "--flows", "-1"]) == 1
+    out = capsys.readouterr().out
+    assert out == "sweep error: num_flows must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_topology_spec_is_not_a_scenario_topology(no_world_builds):
+    """``ScenarioConfig.topology`` is a family name: the sizing fields shape
+    it, and a hand-built layout is no config's business."""
+    with pytest.raises(ValueError, match="unknown topology family"):
+        ScenarioConfig(topology=TopologySpec(family="tiered"))
+    with pytest.raises(ValueError, match="unknown topology family"):
+        expand_grid(SweepGrid(scenario_overrides={
+            "topology": TopologySpec(family="tiered")}))
 
 
 def test_expand_grid_cells_trace_disabled():

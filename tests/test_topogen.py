@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.routing import HierarchicalRoutingPlan, RoutingPlan
+from repro.net import topogen
 from repro.net.topogen import IX_PREFIX, MAX_PROVIDERS, TopologySpec, build
 from repro.sim import Simulator
 
@@ -34,19 +35,9 @@ def test_spec_rejects_unknown_family():
         TopologySpec(family="ring")
 
 
-def test_spec_normalizes_sequences_and_stays_hashable():
-    spec = TopologySpec(wan_delay_range=[0.01, 0.02],
-                        provider_assignment=[[0, 1], [2, 3]])
-    assert spec.wan_delay_range == (0.01, 0.02)
-    assert spec.provider_assignment == ((0, 1), (2, 3))
-    assert hash(spec)  # frozen spec rides inside memo dicts / world keys
-
-
 def test_spec_family_defaults_for_attach_bias():
     assert TopologySpec(family="tiered").effective_bias() == 0.0
     assert TopologySpec(family="caida").effective_bias() == 1.2
-    assert TopologySpec(family="caida",
-                        stub_attach_bias=0.5).effective_bias() == 0.5
 
 
 def test_flat_family_has_no_tier_structure():
@@ -123,8 +114,9 @@ def test_stub_sites_multihome_to_the_edge():
         assert set(site.provider_ids) <= transit  # never homed on the core
 
 
-def test_ix_homed_sites_pick_providers_from_one_exchange():
-    topology = _tiered(num_sites=40, ix_site_fraction=1.0)
+def test_ix_homed_sites_pick_providers_from_one_exchange(monkeypatch):
+    monkeypatch.setattr(topogen, "IX_SITE_FRACTION", 1.0)
+    topology = _tiered(num_sites=40)
     memberships = [{m.provider_id for m in ixp.members}
                    for ixp in topology.tier_layout.ixps]
     for site in topology.sites:
@@ -133,11 +125,14 @@ def test_ix_homed_sites_pick_providers_from_one_exchange():
             f"{site.name} providers {site.provider_ids} span exchanges"
 
 
-def test_explicit_tier_sizes_and_provider_cap():
-    topology = _tiered(tier0=2, tier1=3, tier2=5)
-    assert tuple(len(t) for t in topology.tier_layout.tiers) == (2, 3, 5)
-    with pytest.raises(ValueError, match=f"{MAX_PROVIDERS}-provider"):
-        _tiered(tier0=100, tier1=100, tier2=100)
+@pytest.mark.parametrize("num_sites, tiers", (
+    (10, (2, 3, 4)), (1000, (6, 17, 40)), (10 ** 6, (8, 24, 160))))
+def test_tier_sizes_derive_from_the_site_count(num_sites, tiers):
+    spec = TopologySpec(family="tiered", num_sites=num_sites,
+                        providers_per_site=2)
+    assert topogen._tier_sizes(spec) == tiers
+    # Even the largest tiers leave the address plan room to spare.
+    assert sum(tiers) <= 8 + 24 + 160 < MAX_PROVIDERS
 
 
 # --------------------------------------------------------------------- #

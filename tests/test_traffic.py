@@ -13,33 +13,33 @@ from repro.net.host import Host
 from repro.net.link import connect
 from repro.net.packet import udp_packet
 from repro.sim import Simulator
-from repro.traffic.flows import (DEFAULT_RTO, FlowRecord, TcpStack, UdpSink,
-                                 send_flow)
+from repro.traffic.flows import (DEFAULT_RTO, MAX_SYN_RETRIES, FlowRecord,
+                                 TcpStack, UdpSink, send_flow)
 from repro.traffic.popularity import (FlowPlan, FlowShaper, FlowSizeSampler,
                                       ZipfSampler)
 
 
 def test_zipf_probabilities_sum_to_one():
-    sampler = ZipfSampler(10, s=1.0)
+    sampler = ZipfSampler(10, random.Random(0), s=1.0)
     total = sum(sampler.probability(rank) for rank in range(10))
     assert total == pytest.approx(1.0)
 
 
 def test_zipf_rank_ordering():
-    sampler = ZipfSampler(10, s=1.2)
+    sampler = ZipfSampler(10, random.Random(0), s=1.2)
     probs = [sampler.probability(rank) for rank in range(10)]
     assert probs == sorted(probs, reverse=True)
 
 
 def test_zipf_zero_skew_is_uniform():
-    sampler = ZipfSampler(4, s=0.0)
+    sampler = ZipfSampler(4, random.Random(0), s=0.0)
     for rank in range(4):
         assert sampler.probability(rank) == pytest.approx(0.25)
 
 
 def test_zipf_samples_match_skew():
     rng = random.Random(1)
-    sampler = ZipfSampler(20, s=1.5, rng=rng)
+    sampler = ZipfSampler(20, rng, s=1.5)
     draws = [sampler.sample() for _ in range(4000)]
     top = sum(1 for d in draws if d == 0) / len(draws)
     assert top > 0.3  # rank 1 dominates at s=1.5
@@ -47,19 +47,18 @@ def test_zipf_samples_match_skew():
 
 
 def test_zipf_validation():
+    rng = random.Random(0)
     with pytest.raises(ValueError):
-        ZipfSampler(0)
+        ZipfSampler(0, rng)
     with pytest.raises(ValueError):
-        ZipfSampler(5, s=-1)
-    with pytest.raises(ValueError):
-        ZipfSampler(5).sample()  # no RNG anywhere
+        ZipfSampler(5, rng, s=-1)
 
 
 @given(st.integers(min_value=1, max_value=50),
        st.floats(min_value=0.0, max_value=3.0),
        st.integers(min_value=0, max_value=2**31))
 def test_zipf_samples_in_range(n, s, seed):
-    sampler = ZipfSampler(n, s=s, rng=random.Random(seed))
+    sampler = ZipfSampler(n, random.Random(seed), s=s)
     for _ in range(20):
         assert 0 <= sampler.sample() < n
 
@@ -103,23 +102,32 @@ def test_tcp_handshake_retransmits_on_loss():
     assert elapsed == pytest.approx(DEFAULT_RTO + 0.1)
 
 
+#: When a connect nobody answers gives up: every RTO, doubling, in turn.
+GIVE_UP_AT = sum(DEFAULT_RTO * 2 ** attempt
+                 for attempt in range(MAX_SYN_RETRIES + 1))
+
+
 def test_tcp_handshake_gives_up():
     sim = Simulator()
     a, b = linked_hosts(sim)
     TcpStack(sim, b).listen(80)
-    a.interfaces["eth0"].link.up = False
-    proc = TcpStack(sim, a).connect(b.address, 80, max_retries=1)
+    link = a.interfaces["eth0"].link
+    link.up = False
+    proc = TcpStack(sim, a).connect(b.address, 80)
     sim.run()
     assert proc.value is None
+    assert sim.now == pytest.approx(GIVE_UP_AT)
+    assert link.stats.drops == MAX_SYN_RETRIES + 1
 
 
 def test_tcp_no_listener_times_out():
     sim = Simulator()
     a, b = linked_hosts(sim)
     TcpStack(sim, b)  # stack exists but port 80 not listening
-    proc = TcpStack(sim, a).connect(b.address, 80, max_retries=0)
+    proc = TcpStack(sim, a).connect(b.address, 80)
     sim.run()
     assert proc.value is None
+    assert sim.now == pytest.approx(GIVE_UP_AT)
 
 
 def test_udp_sink_counts_by_flow():
@@ -159,7 +167,7 @@ def test_flow_record_packets_lost():
 
 
 def test_flow_shaper_constant_mode_matches_legacy_sender():
-    sizes = FlowSizeSampler(dist="constant", mean=5)
+    sizes = FlowSizeSampler(random.Random(0), dist="constant", mean=5)
     shaper = FlowShaper(sizes, payload_bytes=1000, pacing="constant",
                         spacing=0.002)
     plan = shaper.plan()
@@ -169,7 +177,7 @@ def test_flow_shaper_constant_mode_matches_legacy_sender():
 
 
 def test_flow_shaper_classifies_mice_and_elephants():
-    sizes = FlowSizeSampler(dist="pareto", mean=5, rng=random.Random(7))
+    sizes = FlowSizeSampler(random.Random(7), dist="pareto", mean=5)
     shaper = FlowShaper(sizes, payload_bytes=1000, pacing="shaped",
                         pace_rate_bps=2_000_000.0)
     assert shaper.elephant_threshold == 10.0  # 2x the mean by default
@@ -188,15 +196,16 @@ def test_flow_shaper_classifies_mice_and_elephants():
 
 
 def test_flow_shaper_validation():
-    sizes = FlowSizeSampler(dist="constant", mean=5)
+    sizes = FlowSizeSampler(random.Random(0), dist="constant", mean=5)
     with pytest.raises(ValueError):
         FlowShaper(sizes, payload_bytes=1000, pacing="bogus")
     with pytest.raises(ValueError):
-        FlowShaper(sizes, payload_bytes=0)
+        FlowShaper(sizes, payload_bytes=0, pacing="shaped")
     with pytest.raises(ValueError):
-        FlowShaper(sizes, payload_bytes=1000, pace_rate_bps=0)
+        FlowShaper(sizes, payload_bytes=1000, pacing="shaped", pace_rate_bps=0)
     with pytest.raises(ValueError):
-        FlowShaper(sizes, payload_bytes=1000, elephant_threshold=0)
+        FlowShaper(sizes, payload_bytes=1000, pacing="shaped",
+                   elephant_threshold=0)
 
 
 def test_send_flow_mouse_bursts_back_to_back():

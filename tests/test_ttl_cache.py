@@ -1,5 +1,5 @@
-"""Regression tests for TtlCache: rejection contract, compaction, bounds,
-and a seeded differential oracle against a plain dict."""
+"""Regression tests for TtlCache: rejection contract, compaction, and a
+seeded differential oracle against a plain dict."""
 
 import math
 import random
@@ -10,9 +10,9 @@ from repro.dns.cache import TtlCache
 from repro.sim import Simulator
 
 
-def make_cache(**kwargs):
+def make_cache():
     sim = Simulator(seed=3)
-    return sim, TtlCache(sim, name="test-cache", **kwargs)
+    return sim, TtlCache(sim, name="test-cache")
 
 
 def test_put_rejects_non_positive_ttl():
@@ -71,29 +71,6 @@ def test_compaction_bounds_memory_under_churn():
     assert len(cache._entries) < 2 * TtlCache.COMPACT_THRESHOLD
 
 
-def test_max_entries_evicts_earliest_expiry():
-    sim, cache = make_cache(max_entries=3)
-    cache.put("a", 1, ttl=10)
-    cache.put("b", 2, ttl=5)
-    cache.put("c", 3, ttl=20)
-    cache.put("d", 4, ttl=15)
-    assert cache.evictions == 1
-    assert cache.peek("b") is None     # closest to expiry went first
-    assert {key for key in ("a", "c", "d") if cache.peek(key) is not None} \
-        == {"a", "c", "d"}
-
-
-def test_max_entries_prefers_compacting_expired():
-    sim, cache = make_cache(max_entries=2)
-    cache.put("old", 1, ttl=1)
-    sim.now = 2.0
-    cache.put("x", 2, ttl=10)
-    cache.put("y", 3, ttl=10)
-    # "old" was already dead, so room was made by compaction, not eviction.
-    assert cache.evictions == 0
-    assert cache.peek("x") == 2 and cache.peek("y") == 3
-
-
 def test_hit_miss_counters_unchanged():
     sim, cache = make_cache()
     cache.put("k", "v", ttl=5)
@@ -105,16 +82,6 @@ def test_hit_miss_counters_unchanged():
     assert cache.hit_ratio == 1 / 3
 
 
-def test_put_reports_false_when_new_entry_is_the_victim():
-    sim, cache = make_cache(max_entries=1)
-    assert cache.put("long", 1, ttl=100) is True
-    # The new short-TTL entry is itself closest to expiry, so it loses.
-    assert cache.put("short", 2, ttl=1) is False
-    assert cache.peek("short") is None
-    assert cache.peek("long") == 1
-    assert cache.evictions == 1
-
-
 # --------------------------------------------------------------------- #
 # TtlCache vs a plain dict, under seeded scripts
 # --------------------------------------------------------------------- #
@@ -122,26 +89,28 @@ def test_put_reports_false_when_new_entry_is_the_victim():
 #: Every kind of TTL a caller can hand over: rejected (-1, 0, NaN), short,
 #: long and never expiring.
 _TTLS = (-1, 0, math.nan, 0.5, 1, 2, math.inf)
-_KEYS = "abcde"
+_KEYS = "abcdefgh"
 
 
 class _ReferenceCache:
     """The contract of :class:`TtlCache`, written out over one dict.
 
     ``entries`` maps key -> (expires, value) in insertion order; a dead
-    entry stays until a read finds it or a compaction sweeps it.  No
-    automatic compaction: the scripts stay far below its threshold.
+    entry stays until a read finds it or a compaction sweeps it.  An
+    insertion that brings the dict to *threshold* entries compacts it, and
+    the next automatic compaction waits for twice what survived (never
+    less than *threshold*).
     """
 
-    def __init__(self, max_entries):
-        self.max_entries = max_entries
+    def __init__(self, threshold):
+        self.threshold = self.next_compact = threshold
         self.entries = {}
         self.hits = self.misses = self.expirations = 0
-        self.insertions = self.rejected_puts = self.evictions = 0
+        self.insertions = self.rejected_puts = 0
 
     def counters(self):
         return (self.hits, self.misses, self.expirations, self.insertions,
-                self.rejected_puts, self.evictions)
+                self.rejected_puts)
 
     def put(self, now, key, value, ttl):
         if not (ttl > 0):
@@ -150,16 +119,10 @@ class _ReferenceCache:
             return False
         self.entries[key] = (now + ttl, value)
         self.insertions += 1
-        if self.max_entries is None or len(self.entries) <= self.max_entries:
-            return True
-        self.compact(now)
-        while len(self.entries) > self.max_entries:
-            soonest = min(expires for expires, _value in self.entries.values())
-            victim = next(k for k, (expires, _value) in self.entries.items()
-                          if expires == soonest)
-            del self.entries[victim]
-            self.evictions += 1
-        return key in self.entries
+        if len(self.entries) >= self.next_compact:
+            self.compact(now)
+            self.next_compact = max(self.threshold, 2 * len(self.entries))
+        return True
 
     def get(self, now, key):
         if key not in self.entries:
@@ -189,15 +152,20 @@ class _ReferenceCache:
 
 def _counters(cache):
     return (cache.hits, cache.misses, cache.expirations, cache.insertions,
-            cache.rejected_puts, cache.evictions)
+            cache.rejected_puts)
 
 
-@pytest.mark.parametrize("max_entries", (None, 3))
+@pytest.mark.parametrize("compact_threshold", (None, 3))
 @pytest.mark.parametrize("seed", range(12))
-def test_ttl_cache_matches_a_reference_dict(seed, max_entries):
+def test_ttl_cache_matches_a_reference_dict(seed, compact_threshold,
+                                            monkeypatch):
+    """None keeps the shipped threshold, which eight keys never reach; 3
+    makes nearly every insertion weigh an automatic compaction."""
+    if compact_threshold is not None:
+        monkeypatch.setattr(TtlCache, "COMPACT_THRESHOLD", compact_threshold)
     rng = random.Random(seed)
-    sim, cache = make_cache(max_entries=max_entries)
-    reference = _ReferenceCache(max_entries)
+    sim, cache = make_cache()
+    reference = _ReferenceCache(TtlCache.COMPACT_THRESHOLD)
     for step in range(400):
         key = rng.choice(_KEYS)
         action = rng.choice(("put", "put", "put", "get", "get", "peek",
@@ -218,5 +186,7 @@ def test_ttl_cache_matches_a_reference_dict(seed, max_entries):
         else:
             sim.now += rng.choice((0.25, 0.5, 1.0, 3.0))
         assert _counters(cache) == reference.counters(), (step, action)
+        # Dead entries linger exactly as long: compaction bounds memory.
+        assert len(cache._entries) == len(reference.entries), (step, action)
     assert len(sim.trace.of_kind("cache.put-rejected")) \
         == reference.rejected_puts

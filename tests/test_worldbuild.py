@@ -168,9 +168,10 @@ def test_restore_world_resets_clock_and_caches():
 
 
 def test_probing_worlds_hit_the_cache():
-    """Probing/IRC worlds are checkpointable like any other."""
+    """Probing worlds (armed periodic tasks) are checkpointable like any
+    other."""
     config = ScenarioConfig(control_plane="pce", num_sites=3, seed=2,
-                            enable_probing=True, start_irc=True, tracing=False)
+                            enable_probing=True, tracing=False)
     store = SnapshotStore()
     first, first_outcome = store.world_for(config)
     second, second_outcome = store.world_for(config)
@@ -211,9 +212,8 @@ def test_failover_cell_fresh_vs_restored_byte_identical():
 def test_prober_and_irc_state_round_trip_through_restore():
     """Down sets, miss counters, nonces and EWMAs all reset on restore."""
     config = ScenarioConfig(control_plane="pce", num_sites=3, seed=13,
-                            enable_probing=True, start_irc=True,
-                            probe_period=0.3, probe_timeout=0.15,
-                            tracing=False)
+                            enable_probing=True, probe_period=0.3,
+                            probe_timeout=0.15, tracing=False)
     scenario = build_world(config)
 
     def prober_states():
@@ -263,15 +263,16 @@ def _drive_shared_timestamps(scenario):
     def mark(tag):
         log.append((tag, sim.now, task.ticks, sim.processed_events))
 
-    def rearm(when):
+    def rearm():
         task.stop()
-        task.start(first_fire=when)
+        task.start()
 
     first = task.next_fire
-    second = first + 0.4 * task.period
+    rearm_at = first + 0.4 * task.period
+    second = rearm_at + task.period     # where start() puts the next tick
     sim.call_at(first, mark, "armed-before-the-call")
     sim.call_at(second, mark, "call-before-the-rearm")
-    sim.call_at(first + 0.2 * task.period, rearm, second)
+    sim.call_at(rearm_at, rearm)
     ticks_before = task.ticks
     sim.run(until=second)
     assert [entry[2] - ticks_before for entry in log] == [1, 1]
@@ -283,9 +284,8 @@ def _drive_shared_timestamps(scenario):
 
 def test_a_tick_tied_with_a_call_breaks_the_same_way_fresh_restored_and_thawed():
     config = ScenarioConfig(control_plane="pce", num_sites=3, seed=13,
-                            enable_probing=True, start_irc=True,
-                            probe_period=0.3, probe_timeout=0.15,
-                            tracing=False)
+                            enable_probing=True, probe_period=0.3,
+                            probe_timeout=0.15, tracing=False)
     scenario = build_world(config)
     sim = scenario.sim
     checkpointed = sorted((task.next_fire, task._entry_sequence)
@@ -355,7 +355,7 @@ def test_world_key_distinguishes_configs():
     base = ScenarioConfig(control_plane="pce", num_sites=4, seed=1)
     assert world_key(base) == world_key(ScenarioConfig(
         control_plane="pce", num_sites=4, seed=1))
-    assert world_key(base) != world_key(base.variant(mapping_ttl=30.0))
+    assert world_key(base) != world_key(replace(base, mapping_ttl=30.0))
 
 
 def test_on_demand_worlds_keep_only_the_most_recent():
@@ -366,7 +366,7 @@ def test_on_demand_worlds_keep_only_the_most_recent():
     cycles and dies by refcount alone, whatever happens to the rest.
     """
     a = ScenarioConfig(control_plane="plain", num_sites=2, seed=1, tracing=False)
-    b = a.variant(seed=2)
+    b = replace(a, seed=2)
     store = SnapshotStore()
     on_demand = weakref.ref(store.world_for(a)[0].sim)
     assert store.world_for(b)[1] == "miss"

@@ -207,6 +207,7 @@ class Scenario:
         deeply encapsulated) participates — control-plane chatter no
         longer skews the TE balance figures the way raw ``tx_bytes`` does.
         """
+        self.fluid_pump.settle()
         key = "downlink" if direction == "in" else "uplink"
         counts = [sum(account.delivered
                       for account in links[key].stats.flows.values())
@@ -261,8 +262,10 @@ class Scenario:
         ``docs/contracts.md``), so none of its ledgers, per-flow accounts
         or ``fluid_bytes`` has moved — it adds nothing and cannot breach
         conservation, drained or not.  The cost follows the links a run
-        touched, not the world.
+        touched, not the world.  Flows still in the fluid pump are settled
+        first, so their per-flow accounts are exact too.
         """
+        self.fluid_pump.settle()
         offered = delivered = dropped = fluid = 0
         violations = []
         for link in self.links:

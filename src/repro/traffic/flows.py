@@ -220,9 +220,11 @@ class UdpSink(Journaled):
     """Counts datagrams per flow id on one UDP port.
 
     Fluid flows deliver almost all of their bytes without datagrams:
-    :meth:`credit_fluid` books a chunk's surviving wire bytes (``bytes``,
-    ``fluid_bytes``, ``fluid_by_flow``) when it reaches the destination,
-    while ``received``/``by_flow`` keep counting real packets only.
+    :meth:`credit_fluid` books a tick's surviving wire bytes (``bytes``,
+    ``fluid_bytes``) when they reach the destination, and
+    :meth:`credit_fluid_flow` attributes them to flows (``fluid_by_flow``)
+    when the pump settles, while ``received``/``by_flow`` keep counting
+    real packets only.
     """
 
     def __init__(self, sim, host, port):
@@ -252,12 +254,17 @@ class UdpSink(Journaled):
             # Complete the fluid sender's path discovery.
             probe["sink"] = self
 
-    def credit_fluid(self, flow_id, size):
-        """Book *size* fluid wire bytes arriving for *flow_id*."""
+    def credit_fluid(self, size):
+        """Book *size* fluid wire bytes arriving, whichever flows sent them."""
         if self._journal is not None:
             self._touch()
         self.bytes += size
         self.fluid_bytes += size
+
+    def credit_fluid_flow(self, flow_id, size):
+        """Attribute *size* of the credited fluid bytes to *flow_id*."""
+        if self._journal is not None:
+            self._touch()
         self.fluid_by_flow[flow_id] += size
 
     #: Construction-time wiring: sim and host checkpoint themselves, the
@@ -455,55 +462,89 @@ def _split_pro_rata(offers, granted, total):
     return shares
 
 
-class _PumpedFlow:
-    """One flow's place in the pump: what is left and whom to wake."""
+def _book_full_grant(flow_id, packets, hops):
+    """Write *packets* that every one of *hops* granted in full into each
+    hop's account for *flow_id*: ``packets x`` the hop's size, offered and
+    delivered."""
+    for link, size in hops:
+        account = link.stats.flows[flow_id]
+        account.offered += packets * size
+        account.delivered += packets * size
 
-    __slots__ = ("record", "payload", "chunk", "remaining", "done")
+
+class _PumpedFlow:
+    """One flow's place in the pump: what is left and whom to wake.
+
+    ``pending`` counts the packets of its full-grant ticks that its
+    per-flow accounts do not show yet (see :meth:`_PathGroup.settle`).
+    """
+
+    __slots__ = ("record", "payload", "chunk", "remaining", "pending", "done")
 
     def __init__(self, record, plan, remaining, done):
         self.record = record
         self.payload = plan.payload_bytes
         self.chunk = plan.chunk_packets
         self.remaining = remaining
+        self.pending = 0
         self.done = done
 
 
 class _PathGroup:
     """Every pumped flow that shares one hop list, wire size and sink."""
 
-    __slots__ = ("wire", "hops", "sink", "flows")
+    __slots__ = ("hops", "sink", "last_size", "flows")
 
     def __init__(self, wire, hops, sink):
-        self.wire = wire
         self.hops = hops
         self.sink = sink
+        #: Wire size of a packet as it reaches the sink (*wire*, the
+        #: un-encapsulated size, when the sink is on the sender's host).
+        self.last_size = hops[-1][1] if hops else wire
         self.flows = []
 
     def advance(self, interval):
         """Post one chunk per flow: one booking per hop for the whole group.
 
         Each flow offers ``packets x wire size`` of the hop (tunnel
-        headers included where the probe saw them); what a hop grants is
-        split pro rata and the survivors carry to the next hop in
-        proportion.  The per-flow accounts are written after the hop's
-        one ``post_fluid`` moved ``bytes_offered``, never before.
+        headers included where the probe saw them).  While every hop
+        grants the whole booking, a flow's bytes on each hop are exactly
+        ``packets x that hop's size``, so the tick only adds the flow's
+        packets to its ``pending`` count and credits the sink's totals
+        once: its cost does not grow with the path.  From the first hop
+        that grants less, the tick goes per flow: it writes the full-grant
+        hops before it into the per-flow accounts, splits each grant pro
+        rata and carries the survivors to the next hop in proportion.
+        Per-flow accounts are written only on hops the group's
+        ``post_fluid`` has moved ``bytes_offered`` on.
         """
         flows = self.flows
         counts = [flow.chunk if flow.chunk < flow.remaining
                   else flow.remaining for flow in flows]
-        ids = [flow.record.flow_id for flow in flows]
-        carried = [count * self.wire for count in counts]
-        carried_size = self.wire
-        for link, size in self.hops:
-            if size == carried_size:
-                offers = carried
+        packets = sum(counts)
+        hops = self.hops
+        carried = None      # per-flow bytes, from the first hop that lost any
+        for index, (link, size) in enumerate(hops):
+            if carried is None:
+                total = packets * size
             else:
-                offers = [bytes_ * size // carried_size for bytes_ in carried]
-            total = sum(offers)
-            if not total:
-                carried = offers
-                break   # nothing survives to here: never post a zero chunk
+                if size == carried_size:
+                    offers = carried
+                else:
+                    offers = [bytes_ * size // carried_size
+                              for bytes_ in carried]
+                total = sum(offers)
+                if not total:
+                    carried = offers
+                    break   # nothing survives to here: never post a zero chunk
             granted = link.post_fluid(total, None, interval)
+            if carried is None:
+                if granted == total:
+                    continue
+                ids = [flow.record.flow_id for flow in flows]
+                for flow_id, count in zip(ids, counts, strict=True):
+                    _book_full_grant(flow_id, count, hops[:index])
+                offers = [count * size for count in counts]
             ledger = link.stats.flows
             if granted == total:
                 carried = offers
@@ -522,6 +563,12 @@ class _PathGroup:
             carried_size = size
 
         sink = self.sink
+        full_grant = carried is None
+        if full_grant:
+            sink.credit_fluid(packets * self.last_size)
+            carried = counts        # every flow's chunk arrived
+        elif arrived_total := sum(carried):
+            sink.credit_fluid(arrived_total)
         someone_left = False
         for flow, count, arrived in zip(flows, counts, carried,
                                         strict=True):
@@ -529,16 +576,34 @@ class _PathGroup:
             record.bytes_sent += count * flow.payload
             record.chunks_sent += 1
             flow.remaining -= count
-            if arrived:
-                sink.credit_fluid(record.flow_id, arrived)
-            if not flow.remaining:
-                flow.done.succeed(True)
-                someone_left = True
-            elif not arrived:
-                flow.done.succeed(False)
+            if full_grant:
+                flow.pending += count
+            elif arrived:
+                sink.credit_fluid_flow(record.flow_id, arrived)
+            if not flow.remaining or not arrived:
+                # Leaving: done (True) or its whole chunk died (False).
+                self.settle(flow)
+                flow.done.succeed(not flow.remaining)
                 someone_left = True
         if someone_left:
             self.flows = [flow for flow in flows if not flow.done.triggered]
+
+    def settle(self, flow):
+        """Write *flow*'s pending packets into its per-flow accounts.
+
+        Each hop's account gets ``pending x that hop's size`` offered and
+        delivered, and the sink's ``fluid_by_flow`` ``pending x`` the last
+        hop's size: what every full-grant tick since the last settle would
+        have written.  Every hop was booked by those ticks, so the write
+        follows the group's own ``post_fluid`` on it.
+        """
+        pending = flow.pending
+        if not pending:
+            return
+        flow.pending = 0
+        flow_id = flow.record.flow_id
+        _book_full_grant(flow_id, pending, self.hops)
+        self.sink.credit_fluid_flow(flow_id, pending * self.last_size)
 
 
 class FluidPump:
@@ -550,16 +615,20 @@ class FluidPump:
     or after the join that armed it, then one every interval; each tick
     posts one chunk for every active flow, booking each link once per
     *path group* (flows sharing hop list, wire size and sink) with the
-    group's summed bytes — see :meth:`_PathGroup.advance`.  Ledgers, flow
-    records and sink credits are exact after every tick; nothing is
-    settled lazily.
+    group's summed bytes — see :meth:`_PathGroup.advance`.  Link totals,
+    windows, busy time, sink totals and flow records are exact after
+    every tick.  The per-flow breakdown (each hop's ``FlowAccount`` and
+    the sink's ``fluid_by_flow``) of a flow still in the pump may lag by
+    its full-grant ticks: it is settled when the flow leaves, and for
+    every active flow by :meth:`settle`, which readers call first.
 
     Because the tick is a foreground event, ``sim.run()`` with no
     ``until`` drains active fluid flows like any other pending work, and
     an idle pump (no flows, nothing armed) leaves a world settled.  That
     is also its whole checkpoint: only an idle pump can be captured, and
     a restore empties it — the armed tick dies with the engine queue the
-    simulator's own restore clears.
+    simulator's own restore clears, and the flows' pending counts with
+    the lanes.
     """
 
     def __init__(self, sim):
@@ -608,6 +677,13 @@ class FluidPump:
                              interval, self._tick, interval)
         else:
             del self._lanes[interval]
+
+    def settle(self):
+        """Bring the per-flow accounts of every active flow up to date."""
+        for lane in self._lanes.values():
+            for group in lane.values():
+                for flow in group.flows:
+                    group.settle(flow)
 
     #: The owning sim checkpoints itself (and with it the armed ticks).
     _SNAPSHOT_EXEMPT = ("sim",)

@@ -1,12 +1,17 @@
-"""The fluid pump: grouped bookings, pro-rata loss, exact ledgers per tick.
+"""The fluid pump: grouped bookings, pro-rata loss, ledgers settled late.
 
 ``FluidPump`` advances every fluid flow of a world in one engine event per
 chunk interval, booking each link once per path group and splitting what
-the link grants between the group's flows.  The unit tests pin the
-grouping, the split and the pump's life cycle; the seeded property test
-drives random flow sets over a shared rated bottleneck with links going
-down and up, and checks after every tick that the grouped bookings and the
-per-flow accounts still tell one story.
+the link grants between the group's flows.  A tick where every hop grants
+the whole booking only counts each flow's packets; the per-flow accounts
+catch up when the flow leaves the pump or a reader calls ``settle()``.
+The unit tests pin the grouping, the split, the settling and the pump's
+life cycle; the seeded property test drives random flow sets over a shared
+rated bottleneck with links going down and up, and checks after every tick
+that the grouped bookings are exact and lag the per-flow accounts by
+exactly the unsettled packets, that after ``settle()`` the two tell one
+story, and that a twin run settled only by flows leaving ends with the
+same per-flow ledgers as the run settled every tick.
 """
 
 import random
@@ -16,7 +21,7 @@ import pytest
 from repro.net.addresses import IPv4Prefix
 from repro.net.fib import FibEntry
 from repro.net.host import Host
-from repro.net.link import connect
+from repro.net.link import FlowAccount, connect
 from repro.net.router import Router
 from repro.sim import Simulator
 from repro.traffic.flows import (FlowRecord, FluidPump, UdpSink,
@@ -310,15 +315,51 @@ def _check_ledgers(net, records):
         last_hop = net.last_hop(index).stats
         assert sink.fluid_bytes == last_hop.fluid_bytes
         for flow_id, account in last_hop.flows.items():
-            assert account.delivered == (sink.by_flow[flow_id] * WIRE
-                                         + sink.fluid_by_flow[flow_id])
+            assert account.delivered == (sink.by_flow.get(flow_id, 0) * WIRE
+                                         + sink.fluid_by_flow.get(flow_id, 0))
     for record in records:
         assert record.bytes_sent <= record.bytes_budget
         assert record.bytes_sent % PAYLOAD == 0
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_random_flow_sets_keep_every_ledger_exact_after_every_tick(seed):
+def _check_unsettled(net, records):
+    """What holds between settles: totals exact, per-flow lag exactly pending.
+
+    Every link's per-flow accounts trail its totals by the pending packets
+    of the active flows that cross it (``pending x`` the hop's size, offered
+    and delivered alike, never dropped), and each sink's per-flow fluid
+    bytes trail its total by ``pending x`` the last hop's size.
+    """
+    lag = {}
+    sink_lag = {}
+    for lane in net.pump._lanes.values():
+        for group in lane.values():
+            for flow in group.flows:
+                for link, size in group.hops:
+                    lag[link] = lag.get(link, 0) + flow.pending * size
+                sink_lag[group.sink] = (sink_lag.get(group.sink, 0)
+                                        + flow.pending * group.last_size)
+    for link in net.links():
+        stats = link.stats
+        accounts = list(stats.flows.values())
+        assert sum(a.offered for a in accounts) + lag.get(link, 0) \
+            == stats.bytes_offered
+        assert sum(a.delivered for a in accounts) + lag.get(link, 0) \
+            == stats.bytes_delivered
+        assert sum(a.dropped for a in accounts) == stats.bytes_dropped
+        assert stats.conservation_violations() == []
+    for index, sink in enumerate(net.udp_sinks):
+        assert sink.fluid_bytes == net.last_hop(index).stats.fluid_bytes
+        assert sum(sink.fluid_by_flow.values()) + sink_lag.get(sink, 0) \
+            == sink.fluid_bytes
+    for record in records:
+        assert record.bytes_sent <= record.bytes_budget
+        assert record.bytes_sent % PAYLOAD == 0
+
+
+def _random_run(seed):
+    """A seeded random flow set on a dumbbell with links failing: the net,
+    the flow records, and the two identical records of the fairness pair."""
     rng = random.Random(seed)
     sim = Simulator(seed=seed)
     net = Dumbbell(sim, sources=3, sinks=2,
@@ -339,18 +380,36 @@ def test_random_flow_sets_keep_every_ledger_exact_after_every_tick(seed):
         down = rng.uniform(0.2, 3.0)
         sim.call_in(down, setattr, link, "up", False)
         sim.call_in(down + rng.uniform(0.1, 1.0), setattr, link, "up", True)
+    return net, records, twins
 
-    twin_accounts = [net.bottleneck.stats.flows[r.flow_id] for r in twins]
+
+def _per_flow_ledgers(net):
+    """Every link's per-flow accounts in key order, and each sink's."""
+    return ([[(flow_id, account.as_tuple())
+              for flow_id, account in link.stats.flows.items()]
+             for link in net.links()],
+            [dict(sink.fluid_by_flow) for sink in net.udp_sinks])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_flow_sets_keep_every_ledger_exact_after_every_tick(seed):
+    net, records, twins = _random_run(seed)
+    sim = net.sim
     ticks = 0
     while sim.pending_foreground:
         ticks += 1
         assert ticks < 400, "flows never drained"
         # Just past each grid point: the tick there has run.
         sim.run(until=ticks * INTERVAL + 1e-6)
+        _check_unsettled(net, records + twins)
+        net.pump.settle()
         _check_ledgers(net, records + twins)
-        assert abs(twin_accounts[0].delivered
-                   - twin_accounts[1].delivered) <= ticks
-        assert abs(twin_accounts[0].dropped - twin_accounts[1].dropped) <= ticks
+        # Read without creating: key order is part of what the late twin
+        # run below must reproduce.
+        pair = [net.bottleneck.stats.flows.get(r.flow_id, FlowAccount())
+                for r in twins]
+        assert abs(pair[0].delivered - pair[1].delivered) <= ticks
+        assert abs(pair[0].dropped - pair[1].dropped) <= ticks
 
     assert net.pump.snapshot_state() == ()
     for record in records + twins:
@@ -358,3 +417,11 @@ def test_random_flow_sets_keep_every_ledger_exact_after_every_tick(seed):
         assert record.failed == (record.bytes_sent < record.bytes_budget)
     for link in net.links():
         assert link.stats.conservation_violations(drained=True) == []
+
+    # The same seed settled only by flows leaving the pump: writing late
+    # lands every byte where writing every tick did.
+    late, late_records, late_twins = _random_run(seed)
+    late.sim.run()
+    assert late.pump._lanes == {}
+    assert _per_flow_ledgers(late) == _per_flow_ledgers(net)
+    assert late_records + late_twins == records + twins

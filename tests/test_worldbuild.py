@@ -30,7 +30,7 @@ from repro.net.routing import (HierarchicalRoutingPlan, TierLayout,
 from repro.net.topogen import TopologySpec, build
 from repro.net.topology import provider_prefix_for
 from repro.sim import Simulator
-from repro.traffic.flows import UdpSink
+from repro.traffic.flows import FluidPump, UdpSink
 
 
 def _fib_snapshot(router):
@@ -726,19 +726,78 @@ def test_restore_is_complete_after_links_fail_and_come_back():
     assert _dirty_components(oracle) == []
 
 
-def test_flows_cut_off_inside_the_pump_leave_nothing_behind():
+def _tally_unflowed_bytes(monkeypatch):
+    """Per link, ``[offered, delivered]`` bytes of packets with no flow id.
+
+    Control-plane packets carry no flow id, so a link's per-flow accounts
+    add up to its totals less exactly these.
+    """
+    tally = {}
+    send, deliver = Link.send, Link._deliver
+
+    def spy_send(link, packet):
+        if packet.innermost().meta.get("flow_id") is None:
+            tally.setdefault(link, [0, 0])[0] += packet.size_bytes
+        return send(link, packet)
+
+    def spy_deliver(link, packet, size, flow_id, probe):
+        if flow_id is None and link.up:
+            tally.setdefault(link, [0, 0])[1] += size
+        deliver(link, packet, size, flow_id, probe)
+
+    monkeypatch.setattr(Link, "send", spy_send)
+    monkeypatch.setattr(Link, "_deliver", spy_deliver)
+    return tally
+
+
+def _check_exact_on_leaving(monkeypatch):
+    """Check each pumped flow's accounts from inside its own ``done``
+    callback, with no settle; returns the list of flows checked."""
+    checked = []
+    join = FluidPump.join
+
+    def spy_join(pump, record, plan, remaining, hops, sink):
+        done = join(pump, record, plan, remaining, hops, sink)
+
+        def check(_done):
+            flow_id = record.flow_id
+            # Every packet the flow handed its host, probes and chunks
+            # alike, was offered to the host's uplink at the first wire size.
+            first, first_size = hops[0]
+            assert first.stats.flows[flow_id].offered \
+                == record.bytes_sent // plan.payload_bytes * first_size
+            # Whatever the last hop delivered, the sink counted.
+            last, last_size = hops[-1]
+            assert last.stats.flows[flow_id].delivered \
+                == (sink.by_flow.get(flow_id, 0) * last_size
+                    + sink.fluid_by_flow.get(flow_id, 0))
+            checked.append(flow_id)
+
+        done.callbacks.append(check)    # ahead of the sender's own
+        return done
+
+    monkeypatch.setattr(FluidPump, "join", spy_join)
+    return checked
+
+
+def test_flows_cut_off_inside_the_pump_leave_nothing_behind(monkeypatch):
     """A deadline that strands fluid flows mid-pump, then the next run.
 
     The pump still holds the stranded flows and its armed tick when the
-    workload returns; a restore must empty and disarm it, and the same
+    workload returns; ``byte_accounting`` must settle their per-flow
+    accounts, a restore must empty and disarm the pump, and the same
     workload must then replay record for record — on the restored world
-    and on one deserialized from the blob of the pristine build.
+    and on one deserialized from the blob of the pristine build.  A flow
+    that leaves the pump has exact accounts without any settle.
     """
     cell = _lifecycle_cell("pce", "flat", "fluid")
     workload = replace(cell.workload, packets_per_flow=400, grace_period=0.5)
     scenario, oracle = _build_with_oracle(cell.scenario)
     blob = serialize_world(scenario)
+    unflowed = _tally_unflowed_bytes(monkeypatch)
+    left = _check_exact_on_leaving(monkeypatch)
     expected = run_workload(scenario, workload)
+    assert left
     stranded = [record for record in expected
                 if record.flow_kind == "fluid" and record.chunks_sent
                 and record.finished_at is None]
@@ -747,6 +806,19 @@ def test_flows_cut_off_inside_the_pump_leave_nothing_behind():
                for lane in scenario.fluid_pump._lanes.values()
                for group in lane.values()) == len(stranded)
     assert scenario.sim.pending_foreground > 0    # the next tick, armed
+
+    # The stranded flows' accounts lag offered and delivered alike, which
+    # "conserved" cannot see; the per-flow sums can.
+    assert scenario.byte_accounting()["conserved"]
+    touched = [link for link in scenario.links if link.stats.bytes_offered]
+    assert touched
+    for link in touched:
+        stats = link.stats
+        offered, delivered = unflowed.get(link, (0, 0))
+        assert sum(a.offered for a in stats.flows.values()) + offered \
+            == stats.bytes_offered, link.name
+        assert sum(a.delivered for a in stats.flows.values()) + delivered \
+            == stats.bytes_delivered, link.name
 
     restore_world(scenario)
     assert scenario.fluid_pump._lanes == {}
@@ -836,7 +908,8 @@ _MUTATORS = {
     "map_cache_install": ("xtr", _install_mapping),
     "map_cache_lookup": (
         "xtr", lambda xtr: xtr.map_cache.lookup("100.99.1.1")),
-    "credit_fluid": ("sink", lambda sink: sink.credit_fluid(7, 5000)),
+    "credit_fluid": ("sink", lambda sink: sink.credit_fluid(5000)),
+    "credit_fluid_flow": ("sink", lambda sink: sink.credit_fluid_flow(7, 5000)),
     "tcp_listen": ("stack", lambda stack: stack.listen(8080)),
     "resolver_cache_fill": (
         "resolver", lambda resolver: resolver.resolve("nowhere.invalid.")),

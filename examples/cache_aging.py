@@ -15,21 +15,21 @@ from repro.metrics import format_table
 
 
 def main():
-    rows = e7.run_e7(num_sites=8, num_flows=40, ttls=(1.0, 10.0, 120.0),
-                     zipf_values=(0.0, 1.2))
-    print(format_table(e7.HEADERS, [row.as_tuple() for row in rows],
+    rows = e7.run_e7(num_sites=8, num_flows=40)
+    print(format_table(e7.HEADERS, [e7.as_tuple(row) for row in rows],
                        title="E7: map-cache hit ratio and packet loss vs TTL "
                              "and Zipf skew"))
     failures = e7.check_shape(rows)
     print(f"shape check: {'ok' if not failures else failures}")
     print()
-    alt = [row for row in rows if row.system == "alt"]
-    worst = max(alt, key=lambda row: row.packets_lost)
-    best = min(alt, key=lambda row: row.packets_lost)
-    print(f"reactive LISP: between {best.packets_lost} and {worst.packets_lost} "
-          f"packets lost depending on TTL/skew; hit ratio "
-          f"{best.hit_ratio:.0%} at best")
-    pce_lost = sum(row.packets_lost for row in rows if row.system == "pce")
+    alt = [row for row in rows if row["control_plane"] == "alt"]
+    worst = max(alt, key=lambda row: row["packets_lost"])
+    best = min(alt, key=lambda row: row["packets_lost"])
+    print(f"reactive LISP: between {best['packets_lost']} and "
+          f"{worst['packets_lost']} packets lost depending on TTL/skew; hit "
+          f"ratio {best['cache_hit_ratio_mean']:.0%} at best")
+    pce_lost = sum(row["packets_lost"] for row in rows
+                   if row["control_plane"] == "pce")
     print(f"PCE control plane: {pce_lost} packets lost across the whole sweep")
 
 

@@ -19,7 +19,7 @@ from repro.metrics import format_table
 def main():
     print("running E1 (first-packet fate)...")
     rows = e1.run_e1(num_sites=6, num_flows=30, cache_ttls=(60.0,))
-    print(format_table(e1.HEADERS, [row.as_tuple() for row in rows],
+    print(format_table(e1.HEADERS, [e1.as_tuple(row) for row in rows],
                        title="E1: fate of each flow's first data packet"))
     failures = e1.check_shape(rows)
     print(f"shape check: {'ok' if not failures else failures}")
@@ -27,19 +27,18 @@ def main():
 
     print("running E3 (connection-setup latency)...")
     rows = e3.run_e3(num_sites=6, num_flows=25)
-    print(format_table(e3.HEADERS, [row.as_tuple() for row in rows],
+    print(format_table(e3.HEADERS, [e3.as_tuple(row) for row in rows],
                        title="E3: TCP setup latency (seconds)"))
     failures = e3.check_shape(rows)
     print(f"shape check: {'ok' if not failures else failures}")
     print()
-    by_system = {row.system: row for row in rows}
-    plain, pce = by_system["plain"], by_system["pce"]
-    alt = by_system["alt+drop"]
-    print(f"plain IP total wait : {plain.total_mean * 1000:8.1f} ms")
-    print(f"PCE-based CP        : {pce.total_mean * 1000:8.1f} ms "
-          f"({pce.total_mean / plain.total_mean:.2f}x plain)")
-    print(f"LISP+ALT, drop miss : {alt.total_mean * 1000:8.1f} ms "
-          f"({alt.total_mean / plain.total_mean:.1f}x plain — SYNs lost to "
+    total = {row["system"]: row["total_mean"] for row in rows}
+    plain, pce, alt = total["plain"], total["pce"], total["alt+drop"]
+    print(f"plain IP total wait : {plain * 1000:8.1f} ms")
+    print(f"PCE-based CP        : {pce * 1000:8.1f} ms "
+          f"({pce / plain:.2f}x plain)")
+    print(f"LISP+ALT, drop miss : {alt * 1000:8.1f} ms "
+          f"({alt / plain:.1f}x plain — SYNs lost to "
           f"cache misses cost full retransmission timeouts)")
 
 

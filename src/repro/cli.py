@@ -6,10 +6,12 @@ Usage::
     python -m repro run fig1
     python -m repro run e1 --num-sites 8 --flows 40
     python -m repro run e3 --seed 5
-    python -m repro run all            # every experiment, small sizes
+    python -m repro run all            # every experiment
 
 Each experiment prints the regenerated table plus its shape-check verdict
 (the same checks ``repro report`` runs, whose default output is pinned).
+Without ``--seed``/``--num-sites``/``--flows`` an experiment runs at its
+own seed and sizes, so it prints its section of the report.
 
 Parameter sweeps (``repro sweep``)
 ----------------------------------
@@ -97,9 +99,10 @@ def build_parser():
     sub.add_parser("list", help="list available experiments")
     run = sub.add_parser("run", help="run an experiment")
     run.add_argument("experiment", choices=[*sorted(EXPERIMENTS), "all"])
-    run.add_argument("--seed", type=int, default=11)
-    run.add_argument("--num-sites", type=int, default=8)
-    run.add_argument("--flows", type=int, default=30)
+    # Left out, each keeps the experiment's own value: the report's.
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--num-sites", type=int, default=None)
+    run.add_argument("--flows", type=int, default=None)
     report = sub.add_parser("report", help="regenerate the full report")
     report.add_argument("-o", "--output", default=None,
                         help="write markdown to this file (default: stdout)")

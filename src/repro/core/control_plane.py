@@ -181,11 +181,17 @@ class PceControlPlane:
     def total_push_bytes(self):
         return sum(pce.stats.push_bytes for pce in self.pces.values())
 
+    def total_envelopes(self):
+        """Step-6 replies the PCEs encapsulated."""
+        return sum(pce.stats.replies_encapsulated for pce in self.pces.values())
+
+    def total_envelope_bytes(self):
+        return sum(pce.stats.envelope_bytes for pce in self.pces.values())
+
     def total_control_messages(self):
         pushes = self.total_push_messages()
-        encaps = sum(pce.stats.replies_encapsulated for pce in self.pces.values())
         reverses = self.reverse_announcements * 2  # siblings + PCE copy lower bound
-        return pushes + encaps + reverses
+        return pushes + self.total_envelopes() + reverses
 
     # ------------------------------------------------------------------ #
     # World-reuse checkpointing

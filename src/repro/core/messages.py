@@ -11,6 +11,8 @@ PORT_PCE = 4343
 PORT_MAPPING_PUSH = 4344
 #: ETR -> sibling-ETRs / PCE reverse-mapping multicast (closing paragraph).
 PORT_REVERSE = 4345
+#: Bookkeeping a Step-6 envelope adds besides its mapping record.
+ENVELOPE_HEADER_BYTES = 12
 
 
 @dataclass
@@ -37,8 +39,8 @@ class EncapsulatedDnsReply:
 
     @property
     def size_bytes(self):
-        # Inner reply + mapping record + 12B of envelope bookkeeping.
-        return self.dns_reply.size_bytes + self.mapping.size_bytes + 12
+        return (self.dns_reply.size_bytes + self.mapping.size_bytes
+                + ENVELOPE_HEADER_BYTES)
 
 
 @dataclass

@@ -22,6 +22,7 @@ ETR rev  :meth:`Pce.learn_reverse_mapping` via the control plane's ETR hook
 """
 
 from repro.core.messages import (
+    ENVELOPE_HEADER_BYTES,
     PORT_MAPPING_PUSH,
     PORT_PCE,
     EncapsulatedDnsReply,
@@ -45,6 +46,8 @@ class PceStats:
         self.push_bytes = 0
         self.refresh_pushes = 0
         self.reverse_mappings_learned = 0
+        #: What the Step-6 envelopes added to the replies they carried.
+        self.envelope_bytes = 0
         #: (time, source_eid, prefix) for every Step-7b push.
         self.push_timeline = []
         #: (time, qname, client) for every Step-1 IPC notification.
@@ -54,7 +57,7 @@ class PceStats:
                       "ipc_notifications", "replies_encapsulated",
                       "port_p_received", "mappings_pushed", "push_messages",
                       "push_bytes", "refresh_pushes",
-                      "reverse_mappings_learned")
+                      "reverse_mappings_learned", "envelope_bytes")
 
     def snapshot_state(self):
         counters = tuple(getattr(self, name) for name in self._counter_attrs)
@@ -168,9 +171,10 @@ class Pce:
     # ------------------------------------------------------------------ #
 
     def _intercept_authoritative_reply(self, packet, message):
-        mapping = self._current_local_mapping()
-        if mapping is None:
+        registered = self.registry.lookup_prefix(self.site.eid_prefix)
+        if registered is None:
             return False  # cannot select a locator: let the reply through untouched
+        mapping = self._narrowed(registered)
         envelope = EncapsulatedDnsReply(
             dns_reply=message,
             mapping=mapping,
@@ -181,6 +185,11 @@ class Pce:
             original_dport=packet.udp.dport,
         )
         self.stats.replies_encapsulated += 1
+        # Booked at the site's registered record, the figure E6 has always
+        # reported; the wire carries the narrowed record, one locator
+        # smaller without probing (see the seed item in ROADMAP.md).
+        self.stats.envelope_bytes += (registered.size_bytes
+                                      + ENVELOPE_HEADER_BYTES)
         self.sim.trace.record(self.sim.now, self.node.name, "pce.step6-encap",
                               qname=message.qname, dst=str(packet.ip.dst),
                               rloc=str(mapping.rlocs[0].address))
@@ -195,16 +204,14 @@ class Pce:
             self.sim.call_in(self.computation_delay, emit)
         return True
 
-    def _current_local_mapping(self):
-        """Our site's mapping narrowed to the IRC-chosen inbound locator.
+    def _narrowed(self, base):
+        """Our site's mapping *base* narrowed to the IRC-chosen inbound
+        locator.
 
         With RLOC probing on, the site's other locators ride along as
         demoted backups, so a probing ITR can fail over to them; without
         probing nothing would ever steer traffic onto a backup.
         """
-        base = self.registry.lookup_prefix(self.site.eid_prefix)
-        if base is None:
-            return None
         chosen = self.site.rloc_of(self.irc.select_ingress())
         if self.control_plane.enable_probing:
             return base.with_preferred_rloc(chosen)

@@ -6,88 +6,74 @@ destinations mean recurring misses, and with the default drop policy every
 miss costs fresh initial packets.  The PCE control plane pushes a mapping
 per flow start (or refreshes from the PCE database on cached DNS answers),
 so its loss stays zero across the whole sweep.
+
+Each TTL is one sweep grid over :data:`SYSTEMS` x :data:`ZIPF_VALUES`; a
+row is one of its aggregates, labelled with its ``cache_ttl``.
 """
 
-from dataclasses import dataclass
-
-from repro.experiments.scenario import ScenarioConfig, build_scenario
-from repro.experiments.workload import WorkloadConfig, run_workload
-
-
-@dataclass
-class E7Row:
-    system: str
-    cache_ttl: float
-    zipf_s: float
-    flows: int
-    hit_ratio: float
-    first_packet_drops: int
-    packets_lost: int
-
-    def as_tuple(self):
-        return (self.system, self.cache_ttl, self.zipf_s, self.flows,
-                round(self.hit_ratio, 3), self.first_packet_drops, self.packets_lost)
-
+from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.metrics import rounded
 
 HEADERS = ("system", "cache_ttl", "zipf_s", "flows", "hit_ratio",
            "first_pkt_drops", "pkts_lost")
 
 #: The control planes E7 compares: a reactive cache against the PCE push.
 SYSTEMS = ("alt", "pce")
+#: The map-cache (and mapping) TTLs, and the destination Zipf skews.
+TTLS = (1.0, 10.0, 120.0)
+ZIPF_VALUES = (0.0, 1.2)
 
 
-def run_e7(num_sites=8, num_flows=50, ttls=(1.0, 10.0, 120.0), zipf_values=(0.0, 1.2),
-           seed=83):
+def run_e7(num_sites=8, num_flows=50, seed=83):
     rows = []
-    for system in SYSTEMS:
-        for ttl in ttls:
-            for zipf_s in zipf_values:
-                config = ScenarioConfig(control_plane=system, num_sites=num_sites,
-                                        seed=seed, miss_policy="drop",
-                                        cache_ttl_override=ttl, mapping_ttl=ttl)
-                scenario = build_scenario(config)
-                workload = WorkloadConfig(num_flows=num_flows, arrival_rate=5.0,
-                                          zipf_s=zipf_s, packets_per_flow=3)
-                records = run_workload(scenario, workload)
-                rows.append(_measure(system, ttl, zipf_s, scenario, records))
+    for ttl in TTLS:
+        grid = SweepGrid(control_planes=SYSTEMS, site_counts=(num_sites,),
+                         seeds=(seed,), zipf_values=ZIPF_VALUES,
+                         num_flows=num_flows, arrival_rate=5.0,
+                         mapping_ttl=ttl,
+                         scenario_overrides={"miss_policy": "drop",
+                                             "cache_ttl_override": ttl})
+        rows += [{**row, "cache_ttl": ttl}
+                 for row in run_sweep(grid, include_cells=False)["aggregates"]]
+    rows.sort(key=lambda row: (SYSTEMS.index(row["control_plane"]),
+                               row["cache_ttl"], row["zipf_s"]))
     return rows
 
 
-def _measure(system, ttl, zipf_s, scenario, records):
-    hits, total = scenario.map_cache_lookups()
-    drops = scenario.miss_policy.stats.dropped if scenario.miss_policy else 0
-    return E7Row(system=system, cache_ttl=ttl, zipf_s=zipf_s, flows=len(records),
-                 hit_ratio=hits / total if total else 1.0,
-                 first_packet_drops=drops,
-                 packets_lost=sum(r.packets_lost for r in records if not r.failed))
+def as_tuple(row):
+    return (row["control_plane"], row["cache_ttl"], row["zipf_s"],
+            row["flows"], rounded(row["cache_hit_ratio_mean"], 3),
+            row["first_packet_drops"], row["packets_lost"])
 
 
 def check_shape(rows):
     failures = []
     for row in rows:
-        if row.system != "pce":
+        if row["control_plane"] != "pce":
             continue
-        if row.cache_ttl >= 2.0 and row.packets_lost != 0:
-            failures.append(
-                f"pce lost {row.packets_lost} packets at ttl={row.cache_ttl}")
-        elif row.packets_lost > max(1, row.flows // 20):
+        lost, ttl = row["packets_lost"], row["cache_ttl"]
+        if ttl >= 2.0 and lost != 0:
+            failures.append(f"pce lost {lost} packets at ttl={ttl}")
+        elif lost > max(1, row["flows"] // 20):
             # Sub-second mapping TTLs can expire *mid-burst*; the PCE design
             # has no reactive fallback, so a stray packet can be lost until
             # the next DNS-driven push.  A limitation of the design, not a
             # bug; anything beyond ~2% signals a real regression.
             failures.append(
-                f"pce lost {row.packets_lost} packets at sub-second ttl "
-                f"{row.cache_ttl} (beyond the mid-burst-expiry allowance)")
-    alt = [row for row in rows if row.system == "alt"]
-    by_key = {(row.zipf_s, row.cache_ttl): row for row in alt}
-    zipfs = sorted({row.zipf_s for row in alt})
-    ttls = sorted({row.cache_ttl for row in alt})
+                f"pce lost {lost} packets at sub-second ttl "
+                f"{ttl} (beyond the mid-burst-expiry allowance)")
+    alt = [row for row in rows if row["control_plane"] == "alt"]
+    by_key = {(row["zipf_s"], row["cache_ttl"]): row for row in alt}
+    zipfs = sorted({row["zipf_s"] for row in alt})
+    ttls = sorted({row["cache_ttl"] for row in alt})
     if len(ttls) >= 2:
         for z in zipfs:
             short, long_ = by_key[(z, ttls[0])], by_key[(z, ttls[-1])]
-            if not short.hit_ratio <= long_.hit_ratio:
+            if not (short["cache_hit_ratio_mean"] or 0.0) \
+                    <= (long_["cache_hit_ratio_mean"] or 0.0):
                 failures.append(
                     f"alt hit ratio did not improve with TTL at zipf={z}")
-            if not short.packets_lost >= long_.packets_lost:
-                failures.append(f"alt loss did not worsen with short TTL at zipf={z}")
+            if not short["packets_lost"] >= long_["packets_lost"]:
+                failures.append(
+                    f"alt loss did not worsen with short TTL at zipf={z}")
     return failures

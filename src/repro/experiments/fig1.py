@@ -20,7 +20,7 @@ STEP_KINDS = [
 ]
 
 
-def run_fig1_walkthrough(seed=7):
+def run_fig1_walkthrough(seed=11):
     """Run the walkthrough; returns {steps, checks, records}."""
     config = ScenarioConfig(control_plane="pce", topology="fig1", seed=seed)
     scenario = build_scenario(config)

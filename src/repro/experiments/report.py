@@ -30,11 +30,13 @@ class Experiment:
 
 
 def _sized(site_cap=None):
-    """Runner keywords for the experiments ``--num-sites``/``--flows`` size."""
+    """Runner keywords from the ``--num-sites``/``--flows`` flags given; a
+    flag left out keeps the runner's own size."""
     def kwargs(args):
-        sites = args.num_sites if site_cap is None else min(args.num_sites,
-                                                            site_cap)
-        return dict(num_sites=sites, num_flows=args.flows)
+        sizes = {"num_sites": args.num_sites, "num_flows": args.flows}
+        if site_cap is not None and args.num_sites is not None:
+            sizes["num_sites"] = min(args.num_sites, site_cap)
+        return {key: value for key, value in sizes.items() if value is not None}
     return kwargs
 
 
@@ -56,7 +58,7 @@ EXPERIMENTS = {experiment.id: experiment for experiment in (
                "control-plane overhead and state vs scale"),
     Experiment("e6", "e6_pce_overhead", "run_e6",
                "Step 6 — PCE interception overhead / line-rate claim",
-               lambda args: dict(num_flows=args.flows)),
+               _sized()),
     Experiment("e7", "e7_cache_aging", "run_e7", "§1 — map-cache aging",
                _sized()),
     Experiment("e8", "e8_reverse_mapping", "run_e8",
@@ -85,7 +87,10 @@ def run_experiment(experiment, seed=None, **kwargs):
                 for label, when, what in outcome["steps"]]
         return (format_table(("step", "time", "what happens"), rows),
                 outcome["checks"])
-    return (format_table(module.HEADERS, [row.as_tuple() for row in outcome]),
+    # The sweep-grid experiments format their aggregate rows with a module
+    # function; the scripted ones' rows format themselves.
+    as_tuple = getattr(module, "as_tuple", lambda row: row.as_tuple())
+    return (format_table(module.HEADERS, [as_tuple(row) for row in outcome]),
             module.check_shape(outcome))
 
 
@@ -93,7 +98,7 @@ def generate_report(seed=None, out=None):
     """Run every experiment; returns (markdown_text, all_shapes_ok).
 
     An explicit *seed* reaches every runner; without one each experiment
-    keeps its own default seed (and the Fig. 1 walkthrough runs with 11).
+    keeps its own default seed, as ``repro run`` does.
     """
     buffer = io.StringIO()
     all_ok = True
@@ -103,8 +108,7 @@ def generate_report(seed=None, out=None):
                  "EXPERIMENTS.md for interpretation.\n")
     for experiment in EXPERIMENTS.values():
         if experiment.id == "fig1":
-            table, checks = run_experiment(
-                experiment, 11 if seed is None else seed)
+            table, checks = run_experiment(experiment, seed)
             buffer.write(f"\n## F1 — {experiment.description}\n\n```\n{table}"
                          "\n```\n\nChecks: ")
             buffer.write(", ".join(f"{name}={'ok' if ok else 'FAILED'}"

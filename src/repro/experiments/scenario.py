@@ -21,6 +21,7 @@ from repro.dns.resolver import StubResolver
 from repro.lisp.control import AltMappingSystem, ConsMappingSystem, NerdMappingSystem
 from repro.lisp.deploy import deploy_lisp
 from repro.lisp.policies import CpDataPolicy, DropPolicy, QueuePolicy
+from repro.net.routing import HierarchicalRoutingPlan
 from repro.net.topogen import (FAMILIES, TopologySpec,
                                build as build_from_spec, check_sizing)
 from repro.sim import Simulator
@@ -198,6 +199,43 @@ class Scenario:
             return (self.control_plane.total_control_messages(),
                     self.control_plane.total_push_bytes())
         return 0, 0
+
+    def control_state(self):
+        """Durable control-plane state entries, one count per router.
+
+        Counts what a router must *hold to operate the control plane* —
+        overlay RIBs (ALT), tree pointers (CONS), the pushed database
+        (NERD), a PCE's mapping database — deliberately excluding
+        transient demand-driven map-cache entries, which every system
+        accrues at the same per-flow rate.  Empty in a ``plain`` world.
+        """
+        if self.control_plane is not None:
+            return [len(pce.mapping_db)
+                    for pce in self.control_plane.pces.values()]
+        if self.mapping_system is not None:
+            return list(self.mapping_system.state_entries_per_router().values())
+        return []
+
+    @cached_property
+    def fabric(self):
+        """The transit fabric's shape: provider and IX counts, whether
+        routing is hierarchical, and the mean pairwise provider delay
+        through the routing plan (seconds; 0.0 without a routed pair).
+
+        World constants, computed once per world on first use, like
+        :attr:`links`.
+        """
+        topology = self.topology
+        plan = topology.routing_plan()
+        providers = topology.providers
+        delays = [delay for index, source in enumerate(providers)
+                  for destination in providers[index + 1:]
+                  if (delay := plan.delay(source, destination)) is not None]
+        return {"providers": len(providers),
+                "ixps": len(topology.ix_routers),
+                "hierarchical_routing": isinstance(plan,
+                                                   HierarchicalRoutingPlan),
+                "mesh_delay_mean": sum(delays) / len(delays) if delays else 0.0}
 
     def access_flow_byte_shares(self, site, direction="in"):
         """Per-provider share of flow-accounted *delivered* bytes (E4).

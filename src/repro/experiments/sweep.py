@@ -1,7 +1,8 @@
 """Parameter sweeps: declarative scenario grids fanned out over processes.
 
-The experiment modules (E1-E9) each run a handful of hand-picked worlds.
-This module is the scaling counterpart: a :class:`SweepGrid` lists the
+The loop-shaped paper experiments (E1, E3, E5, E6, E7, E10) run here
+too: each declares its variants as :class:`SweepGrid` objects and reads
+the aggregates.  A :class:`SweepGrid` lists the
 values of every sweep axis, :func:`expand_grid` turns it into concrete
 :class:`SweepCell` objects — one
 :class:`~repro.experiments.scenario.ScenarioConfig` /
@@ -96,7 +97,7 @@ from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
 #: consumer of the artifacts would have to change (see "Sweep artifacts"
 #: in ``docs/contracts.md``); what is pickled into world blobs is
 #: versioned separately (``SNAPSHOT_SCHEMA``, see "Versions" there).
-SCHEMA = "repro.sweep/v7"
+SCHEMA = "repro.sweep/v8"
 
 
 @dataclass(frozen=True)
@@ -305,8 +306,12 @@ class FinishedCell:
     world: object
     records: list
     completed: list        # the records of flows that did not fail
+    #: The completed flows past set-up: all of them in UDP mode, those
+    #: whose handshake finished in TCP mode.
+    set_up: list
     xtrs: list
     control: tuple         # the world's control_overhead(): (messages, bytes)
+    control_state: list    # the world's control_state(): entries per router
     #: World-wide link byte accounting: conservation is checked per link
     #: and per flow (in-flight bytes at the workload deadline are legal; a
     #: negative residue anywhere is not).  The one walk over the world's
@@ -326,7 +331,7 @@ class Metric:
     columns: tuple = None
     fold: str = None       # a _FOLDS name: how a group's cells combine ...
     aggregate: str = None  # ... under this aggregate key (default: key)
-    digits: int = None     # rounds a ``mean``
+    digits: int = None     # rounds a ``mean`` (None: left exact)
 
     def __post_init__(self):
         if self.columns is None:
@@ -361,14 +366,42 @@ def _cache_hit_ratio(cell):
     return round(hits / lookups, 6) if lookups else None
 
 
+def _samples(records, attr):
+    """The *attr* values measured over *records* (None: not measured)."""
+    return [value for record in records
+            if (value := getattr(record, attr)) is not None]
+
+
 def _latency(records, attr):
     """Rounded summary of the latencies measured, None when there are none."""
-    samples = [getattr(record, attr) for record in records
-               if getattr(record, attr) is not None]
+    samples = _samples(records, attr)
     if not samples:
         return None
     return {key: (round(value, 9) if isinstance(value, float) else value)
             for key, value in summarize(samples).items()}
+
+
+def _mean(values):
+    """Mean of *values*, None when there are none."""
+    return sum(values) / len(values) if values else None
+
+
+def _queue_delay_mean(cell):
+    """Mean wait of the packets an ITR queued for a mapping."""
+    policy = cell.world.miss_policy
+    return _mean(policy.stats.queue_delays) if policy is not None else None
+
+
+def _pce_total(method):
+    """Collector of a PCE control plane total (0 in a world without one)."""
+    def collect(cell):
+        plane = cell.world.control_plane
+        return 0 if plane is None else getattr(plane, method)()
+    return collect
+
+
+def _fabric(key):
+    return lambda cell: cell.world.fabric[key]
 
 
 def _access_util_peak(cell):
@@ -386,14 +419,14 @@ def _access_util_peak(cell):
 METRICS = (
     Metric("flows", lambda cell: len(cell.records), fold="sum"),
     Metric("flows_failed",
-           lambda cell: len(cell.records) - len(cell.completed)),
+           lambda cell: len(cell.records) - len(cell.completed), fold="sum"),
     Metric("packets_sent", _per("records", "packets_sent")),
     Metric("packets_delivered", _per("records", "packets_delivered")),
     Metric("packets_lost", _per("completed", "packets_lost"), fold="sum"),
     Metric("first_packet_fates",
            lambda cell: dict(sorted(Counter(
                map(classify_first_packet, cell.records)).items())),
-           columns=()),
+           columns=(), fold="tally"),
     Metric("first_packet_drops",
            lambda cell: cell.world.total_first_packet_drops(), fold="sum"),
     Metric("cache_hit_ratio", _cache_hit_ratio, fold="mean",
@@ -414,7 +447,7 @@ METRICS = (
            columns=("setup_p50", "setup_p95"), fold="mean",
            aggregate="setup_p95_mean", digits=9),
     Metric("control_messages", lambda cell: cell.control[0], fold="sum"),
-    Metric("control_bytes", lambda cell: cell.control[1]),
+    Metric("control_bytes", lambda cell: cell.control[1], fold="sum"),
     Metric("bytes_offered", _accounted("bytes_offered"), fold="sum"),
     Metric("bytes_delivered", _accounted("bytes_delivered"), fold="sum"),
     Metric("bytes_dropped", _accounted("bytes_dropped"), fold="sum"),
@@ -433,6 +466,28 @@ METRICS = (
            columns=()),
     Metric("sim_end_time", lambda cell: round(cell.world.sim.now, 9),
            columns=()),
+    # Appended in v8: what the paper experiments' tables read.
+    Metric("flows_set_up", lambda cell: len(cell.set_up), fold="sum"),
+    Metric("dns_mean", lambda cell: _mean(_samples(cell.set_up, "dns_elapsed")),
+           fold="mean"),
+    Metric("setup_mean",
+           lambda cell: _mean(_samples(cell.set_up, "setup_elapsed")),
+           fold="mean"),
+    Metric("syn_retransmissions", _per("set_up", "syn_retransmissions"),
+           fold="sum"),
+    Metric("queue_delay_mean", _queue_delay_mean, fold="mean"),
+    Metric("control_state_max",
+           lambda cell: max(cell.control_state, default=0), fold="max"),
+    Metric("control_state_total", lambda cell: sum(cell.control_state),
+           fold="sum"),
+    Metric("envelopes", _pce_total("total_envelopes"), fold="sum"),
+    Metric("envelope_bytes", _pce_total("total_envelope_bytes"), fold="sum"),
+    # World constants, computed once per world (Scenario.fabric).
+    Metric("providers", _fabric("providers"), fold="max"),
+    Metric("ixps", _fabric("ixps"), fold="max"),
+    Metric("hierarchical_routing", _fabric("hierarchical_routing"),
+           fold="all"),
+    Metric("mesh_delay_mean", _fabric("mesh_delay_mean"), fold="mean"),
 )
 
 
@@ -477,10 +532,14 @@ def run_cell(cell, store=None):
     world, _outcome = store.world_for(cell.scenario)
     _apply_failures(world, cell.failure)
     records = run_workload(world, cell.workload)
+    completed = [record for record in records if not record.failed]
+    tcp = cell.workload.mode == "tcp"
     finished = FinishedCell(
-        world=world, records=records,
-        completed=[record for record in records if not record.failed],
+        world=world, records=records, completed=completed,
+        set_up=[record for record in completed
+                if not tcp or record.established_at is not None],
         xtrs=list(world.iter_xtrs()), control=world.control_overhead(),
+        control_state=world.control_state(),
         accounting=world.byte_accounting())
     return {
         "index": cell.index,
@@ -636,6 +695,8 @@ _FOLDS = {
     "max": (lambda: None, lambda peak, value:
             value if peak is None else max(peak, value)),
     "mean": (list, _keep),
+    # Per-key sums of a count dict (first_packet_fates).
+    "tally": (Counter, lambda tally, counts: tally + Counter(counts)),
 }
 
 _FOLDED = tuple(metric for metric in METRICS if metric.fold)
@@ -691,8 +752,11 @@ class AggregateFold:
                 folded = state[metric.aggregate]
                 if metric.fold == "mean":
                     # fsum is exact, so shuffling the cells can't move it.
-                    folded = (round(math.fsum(folded) / len(folded),
-                                    metric.digits) if folded else None)
+                    folded = math.fsum(folded) / len(folded) if folded else None
+                    if folded is not None and metric.digits is not None:
+                        folded = round(folded, metric.digits)
+                elif metric.fold == "tally":
+                    folded = dict(sorted(folded.items()))
                 aggregate[metric.aggregate] = folded
             aggregates.append(aggregate)
         return aggregates

@@ -1,7 +1,14 @@
 """Plain-text table rendering for benchmark and example output."""
 
 
+def rounded(value, digits):
+    """*value* rounded, or None: nothing measured, which tables print as -."""
+    return None if value is None else round(value, digits)
+
+
 def _format_cell(value):
+    if value is None:
+        return "-"
     if isinstance(value, float):
         if value == 0:
             return "0"

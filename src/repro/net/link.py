@@ -62,10 +62,10 @@ class FlowAccount:
 
     __slots__ = ("offered", "delivered", "dropped")
 
-    def __init__(self, offered=0, delivered=0, dropped=0):
-        self.offered = offered
-        self.delivered = delivered
-        self.dropped = dropped
+    def __init__(self):
+        self.offered = 0
+        self.delivered = 0
+        self.dropped = 0
 
     @property
     def in_flight(self):
@@ -266,9 +266,10 @@ class LinkStats:
         (self.tx_packets, self.tx_bytes, self.fluid_bytes, self.drops,
          self.max_queue, self.busy_time, self.bytes_offered,
          self.bytes_delivered, self.bytes_dropped, flows, windows) = state
-        self.flows = defaultdict(FlowAccount,
-                                 {flow_id: FlowAccount(*counts)
-                                  for flow_id, counts in flows.items()})
+        self.flows = defaultdict(FlowAccount)
+        for flow_id, counts in flows.items():
+            account = self.flows[flow_id]
+            account.offered, account.delivered, account.dropped = counts
         self.windows = defaultdict(_empty_window,
                                    {index: [busy, volume]
                                     for index, (busy, volume) in windows.items()})

@@ -8,6 +8,10 @@ from repro.cli import EXPERIMENTS, build_parser, main
 
 
 REPORT_SHA256 = "e8e303cfa4f0a4f2d70e108d215a40471079c58aa6619bb4b28497b12dd35f6b"
+#: ``repro report --seed 12``: a seed no runner was tuned on, where E1's
+#: claim fails (one PCE first packet dropped at a 2 s mapping TTL).
+SEED_12_REPORT_SHA256 = \
+    "f0f74601c27cce33c8b2c1f0f895308ad7476cb92738f0dee16706cf7e6b52ee"
 
 
 def test_list_shows_all_experiments(capsys):
@@ -55,6 +59,28 @@ def test_report_writes_file(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256
 
 
+def test_seed_12_report_is_pinned_with_its_failures(tmp_path):
+    out = tmp_path / "report.md"
+    assert main(["report", "-o", str(out), "--seed", "12"]) == 1
+    text = out.read_text()
+    assert text.count("Shape-check FAILURES:") == 1
+    assert "- pce dropped 1 first packets (ttl=2.0)\n" in text
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == SEED_12_REPORT_SHA256
+
+
+def test_run_prints_the_report_section(capsys, monkeypatch):
+    """``repro run e7`` without flags prints the report's E7 table."""
+    from repro.experiments import report
+
+    monkeypatch.setattr(report, "EXPERIMENTS", {"e7": EXPERIMENTS["e7"]})
+    text, _ok = report.generate_report()
+    block = text.split("```\n")[1]
+    assert main(["run", "e7"]) == 0
+    out = capsys.readouterr().out
+    assert out.split("\n", 1)[1].startswith(block + "\n")
+
+
 def test_report_seed_reaches_every_runner(tmp_path, monkeypatch):
     """``report --seed N`` seeds the E-runners too, not just Fig. 1."""
     from repro.experiments import e8_reverse_mapping, report
@@ -80,10 +106,11 @@ def test_unknown_experiment_rejected():
 
 
 def test_parser_defaults():
+    # None: each experiment keeps its own seed and sizes, the report's.
     args = build_parser().parse_args(["run", "e1"])
-    assert args.seed == 11
-    assert args.num_sites == 8
-    assert args.flows == 30
+    assert args.seed is None
+    assert args.num_sites is None
+    assert args.flows is None
 
 
 def test_sweep_rejects_an_oversized_topology_before_building(

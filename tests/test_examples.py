@@ -1,5 +1,6 @@
-"""Smoke tests: every example script runs to completion and exits 0."""
+"""Every example script runs to completion, exits 0 and prints its bytes."""
 
+import hashlib
 import pathlib
 import subprocess
 import sys
@@ -9,17 +10,36 @@ import pytest
 EXAMPLES = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "examples").glob("*.py"))
 
+#: sha256 of each example's stdout.  The examples are deterministic, so a
+#: refactor under them must leave every one of these alone.
+STDOUT_SHA256 = {
+    "cache_aging.py":
+        "dbef33cc94962266319ce70641bc2c109e0d58571a35071e849d8adcfd94cd21",
+    "mapping_system_comparison.py":
+        "89a05d376709d792d730ba034dd90ee620567da04db88daf4718c853b8ee3532",
+    "quickstart.py":
+        "3264f9b7480d43db7cfd4a779b4557f4b3507fb73a4d3a068bcafe2a44df3e49",
+    "shaped_sweep.py":
+        "e186ed180febf3c87f5cccc36e5855f05eed856b99137c4716b6de4c31023477",
+    "sweep_grid.py":
+        "9df4f92d40225831995e854f179dfa857f3223322d22082abf3bae2097cdcc8e",
+    "te_multihoming.py":
+        "fd39a33fe61785fd533a06827d9d351a700f9266f0b38707884b4216e16401e7",
+}
+
 
 def test_examples_exist():
     names = {path.name for path in EXAMPLES}
     assert "quickstart.py" in names
-    assert len(EXAMPLES) >= 3
+    assert names == set(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.name)
 def test_example_runs(script):
     result = subprocess.run([sys.executable, str(script)], capture_output=True,
-                            text=True, timeout=300)
+                            timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip(), "example produced no output"
-    assert "FAILED" not in result.stdout
+    assert b"FAILED" not in result.stdout
+    assert hashlib.sha256(result.stdout).hexdigest() \
+        == STDOUT_SHA256[script.name], result.stdout.decode()

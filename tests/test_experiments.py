@@ -170,8 +170,8 @@ def test_access_byte_shares_sum_to_one_under_traffic():
 
 
 def test_small_driver_runs_e2_and_e8():
-    """The remaining drivers are exercised end-to-end by the benchmarks; a
-    small smoke here keeps the module importable and shape-checked fast."""
+    """Two of the scripted drivers at small sizes, shape-checked fast (the
+    default report pins every driver's table at full size)."""
     from repro.experiments import e2_overlap as e2
     from repro.experiments import e8_reverse_mapping as e8
 

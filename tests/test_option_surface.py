@@ -27,9 +27,6 @@ CONFIGS = ("ScenarioConfig", "WorkloadConfig", "SweepGrid", "TopologySpec")
 #: Options set where the matcher cannot see it, as ``callee.option``, each
 #: with the reason.
 KEPT = {
-    **{f"FlowAccount.{name}": "restore rebuilds every account from its "
-                              "stored tuple, FlowAccount(*counts)"
-       for name in ("offered", "delivered")},
     **{f"{plan}.fingerprint": "the topology passes the fingerprint it has "
                               "just computed, a local of the same name"
        for plan in ("RoutingPlan", "HierarchicalRoutingPlan")},

@@ -189,7 +189,7 @@ def test_sweep_artifacts(tmp_path):
     payload = run_sweep(TINY, workers=1, json_path=str(json_path),
                         csv_path=str(csv_path))
     on_disk = json.loads(json_path.read_text())
-    assert on_disk["schema"] == SCHEMA == "repro.sweep/v7"
+    assert on_disk["schema"] == SCHEMA == "repro.sweep/v8"
     assert on_disk["num_cells"] == len(payload["cells"]) == 4
     assert payload_digest(on_disk) == payload_digest(payload)
     with open(csv_path) as handle:

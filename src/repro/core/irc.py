@@ -81,11 +81,12 @@ class IrcEngine:
         """Access delay plus this provider's mean WAN distance."""
         access = self.site.access_delays[b]
         provider = self.topology.providers[self.site.provider_ids[b]]
+        plan = self.topology.routing_plan
         mesh_delays = []
         for other in self.topology.providers:
             if other is provider:
                 continue
-            delay = self.topology.provider_mesh_delay(provider, other)
+            delay = plan.delay(provider, other)
             if delay is not None:
                 mesh_delays.append(delay)
         wan = sum(mesh_delays) / len(mesh_delays) if mesh_delays else 0.0

@@ -21,7 +21,6 @@ from repro.dns.resolver import StubResolver
 from repro.lisp.control import AltMappingSystem, ConsMappingSystem, NerdMappingSystem
 from repro.lisp.deploy import deploy_lisp
 from repro.lisp.policies import CpDataPolicy, DropPolicy, QueuePolicy
-from repro.net.routing import HierarchicalRoutingPlan
 from repro.net.topogen import (FAMILIES, TopologySpec,
                                build as build_from_spec, check_sizing)
 from repro.sim import Simulator
@@ -226,15 +225,14 @@ class Scenario:
         :attr:`links`.
         """
         topology = self.topology
-        plan = topology.routing_plan()
+        plan = topology.routing_plan
         providers = topology.providers
         delays = [delay for index, source in enumerate(providers)
                   for destination in providers[index + 1:]
                   if (delay := plan.delay(source, destination)) is not None]
         return {"providers": len(providers),
                 "ixps": len(topology.ix_routers),
-                "hierarchical_routing": isinstance(plan,
-                                                   HierarchicalRoutingPlan),
+                "hierarchical_routing": len(topology.tier_layout.tiers) > 1,
                 "mesh_delay_mean": sum(delays) / len(delays) if delays else 0.0}
 
     def access_flow_byte_shares(self, site, direction="in"):

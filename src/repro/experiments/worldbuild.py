@@ -11,8 +11,8 @@ workload they run — so the world can be built once and recycled.
 The mechanism is checkpoint/restore rather than rebuild, and the
 checkpoint follows the cell, not the world:
 
-- :func:`build_world` builds a scenario (through the memoized
-  :class:`~repro.net.routing.RoutingPlan` route build), settles any
+- :func:`build_world` builds a scenario (its routes installed by the
+  topology's one :class:`~repro.net.routing.RoutingPlan`), settles any
   deployment-time events, and *arms* the world's first-touch journal
   (:class:`~repro.sim.state.Journal`): the dozen singleton components are
   captured there and then; every link, node, xTR, stack, sink and site
@@ -166,7 +166,7 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: rebuilt, never restored.  The "Versions" paragraph of
 #: ``docs/contracts.md`` says when to bump this and when the sweep
 #: artifact ``SCHEMA``.
-SNAPSHOT_SCHEMA = 15
+SNAPSHOT_SCHEMA = 16
 
 
 @contextmanager

@@ -1,32 +1,28 @@
-"""Route computation for the provider core.
+"""Route computation for the transit fabric.
 
-The global routing domain consists of the provider routers, connected in a
-random-delay full mesh (built in :mod:`repro.net.topology`).  Site prefixes
-(infrastructure and, optionally, EID space) are *attached* to a home
-provider; this module computes shortest paths over the mesh and installs,
-in every provider router's FIB:
+Every topology family describes its provider fabric as one
+:class:`TierLayout` (drawn in :mod:`repro.net.topogen`): provider ids per
+tier, tier 0 being the default-free core clique, the transit uplinks from
+each lower tier to the one above, and the internet exchanges where transit
+providers peer.  The flat and Fig. 1 worlds are its single-tier case:
+every provider in tier 0, no uplinks, no exchanges.
+
+Site prefixes (infrastructure and, optionally, EID space) are *attached*
+to a home provider; :class:`RoutingPlan` installs, in the fabric's FIBs:
 
 - each provider's own /8 locator block,
 - every attachment's prefix, pointing toward the home provider and, at the
   home provider itself, out of the access interface.
 
-The heavy lifting lives in :class:`RoutingPlan`: per-provider shortest-path
-tables computed **once** per mesh, memoized against a topology fingerprint,
-and reused both for incremental attachment installs (insert routes for new
-prefixes without re-running Dijkstra) and for O(1) pairwise delay queries
-(:meth:`RoutingPlan.delay`), which the IRC engine hits per site pair during
-every topology build.
-
-Tiered internets (see :mod:`repro.net.topogen`) do not run all-pairs
-Dijkstra at all: :class:`HierarchicalRoutingPlan` keeps shortest-path
-tables only for the tier-0 clique (the default-free core), gives every
-lower-tier provider a default route up its cheapest transit chain, and
-aggregates at tier boundaries — a stub's locator /32s collapse into its
-transit provider's /8 aggregate above the boundary, so per-attachment
-install cost is O(chain depth + |core|) instead of O(|providers|).  Both
-plan classes share the fingerprint / ``install`` / ``delay`` contracts, so
-``Topology.install_global_routes`` and ``provider_mesh_delay`` work
-unchanged on either.
+The plan is built once, with the topology, from shortest-path tables over
+the core only: every lower-tier provider gets a default route up its
+cheapest transit chain, and prefixes aggregate at tier boundaries — a
+stub's locator /32s collapse into its transit provider's /8 aggregate
+above the boundary, so per-attachment install cost is O(chain depth +
+|core|) instead of O(|providers|).  Nothing changes a fabric link after
+the build (attaching a host adds an access link), so the tables serve
+every later incremental install and every :meth:`RoutingPlan.delay`
+query, which the IRC engine makes per provider pair during a build.
 
 Intra-site routing is installed explicitly by the topology builder — sites
 are stubs and must never transit traffic, which a blind shortest-path
@@ -87,143 +83,37 @@ def build_adjacency(routers):
     return adjacency
 
 
-def mesh_fingerprint(routers):
-    """A hashable digest of the mesh topology among *routers*.
-
-    Two fingerprints are equal iff the routers, their mesh links and the
-    link delays are identical — the exact conditions under which a
-    :class:`RoutingPlan`'s shortest-path tables stay valid.  Access links
-    toward sites and infrastructure hosts do not participate (their peers
-    are not mesh members), so attaching new sites never invalidates a plan.
-    """
-    adjacency = build_adjacency(routers)
-    return tuple(
-        (router.name,
-         tuple(sorted((peer.name, delay, iface.name)
-                      for peer, delay, iface in edges)))
-        for router, edges in adjacency.items())
-
-
-class RoutingPlan:
-    """Shortest-path tables over the provider mesh, computed once.
-
-    The plan runs one Dijkstra per provider at construction and answers
-    every later question from the tables:
-
-    - :meth:`install` inserts FIB routes for a batch of attachments without
-      recomputing anything, which is what makes attachment installs
-      incremental (the old ``install_mesh_routes`` re-ran the all-pairs
-      computation for every batch);
-    - :meth:`delay` / :meth:`next_hop` are O(1) dict lookups.
-
-    ``fingerprint`` captures the mesh the tables were computed over;
-    holders (see :meth:`~repro.net.topology.Topology.routing_plan`) compare
-    it against :func:`mesh_fingerprint` to decide whether a cached plan is
-    still valid.
-    """
-
-    def __init__(self, providers, fingerprint=None):
-        self.providers = list(providers)
-        self.fingerprint = (fingerprint if fingerprint is not None
-                            else mesh_fingerprint(self.providers))
-        adjacency = build_adjacency(self.providers)
-        self._next_hops = {router: shortest_path_next_hops(adjacency, router)
-                           for router in self.providers}
-
-    def next_hop(self, router, owner):
-        """``(first_hop_iface, total_delay)`` from *router* toward *owner*.
-
-        None when *owner* is unreachable (or is *router* itself).
-        """
-        return self._next_hops[router].get(owner)
-
-    def delay(self, source, destination):
-        """Shortest-path delay between two mesh routers (None if unreachable)."""
-        if source is destination:
-            return 0.0
-        entry = self._next_hops[source].get(destination)
-        return entry[1] if entry is not None else None
-
-    def install(self, owned_prefixes):
-        """Install FIB routes for *owned_prefixes* using the cached tables.
-
-        ``owned_prefixes`` is ``[(prefix, owner_router, local_iface_or_None)]``
-        with the same semantics as :func:`install_mesh_routes`.  Re-installing
-        a prefix replaces the previous entry, so calls are idempotent.
-        """
-        for prefix, owner, local_iface in owned_prefixes:
-            hops_to_owner = self._next_hops
-            for router in self.providers:
-                if router is owner:
-                    if local_iface is not None:
-                        router.fib.insert(FibEntry(prefix, local_iface))
-                    continue
-                hop = hops_to_owner[router].get(owner)
-                if hop is None:
-                    continue
-                iface, distance = hop
-                router.fib.insert(FibEntry(prefix, iface, next_hop=owner,
-                                           metric=distance))
-
-
-@dataclass(frozen=True)
-class TransitUplink:
-    """One customer->provider link in a tiered internet.
-
-    ``up_iface`` sits on the customer router, ``down_iface`` on the parent;
-    both ends of the same physical link (see ``topogen``).
-    """
-
-    parent_id: int
-    delay: float
-    up_iface: object
-    down_iface: object
-
-
-@dataclass(frozen=True)
-class IxMember:
-    """One provider's presence at an internet exchange."""
-
-    provider_id: int
-    provider_iface: object   # on the provider, toward the IX router
-    ix_iface: object         # on the IX router, toward the provider
-    delay: float             # one-way provider<->IX link delay
-
-
-@dataclass(frozen=True)
-class IxPoint:
-    """An internet-exchange router and the providers peering across it."""
-
-    index: int
-    router: object
-    members: tuple
-
-
 @dataclass
 class TierLayout:
-    """The transit structure of a tiered internet, consumed by the plan.
+    """The transit fabric of a world, as drawn: ids and delays, no nodes.
 
-    ``tiers`` lists provider ids per tier, tier 0 (the default-free clique)
-    first.  ``uplinks`` maps each non-core provider id to its candidate
-    :class:`TransitUplink` records; ``aggregates`` maps provider ids to the
-    /8 locator block each provider announces upward on behalf of its
-    customer cone.
+    - ``tiers``: provider ids per tier, tier 0 (the default-free core)
+      first;
+    - ``core_links``: ``(a, b, delay)`` for each link between core
+      providers, in the order they are built;
+    - ``uplinks``: each non-core provider id -> its candidate
+      ``(parent_id, delay)`` transit links to the tier above;
+    - ``ixps``: per internet exchange, its members' ``(provider_id,
+      delay)`` legs to the exchange router.
+
+    ``topogen`` materialises a layout into routers and links, naming every
+    fabric interface ``to-<peer node>``.
     """
 
     tiers: tuple
+    core_links: tuple
     uplinks: dict = field(default_factory=dict)
     ixps: tuple = ()
-    aggregates: dict = field(default_factory=dict)
 
 
-class HierarchicalRoutingPlan:
-    """Tiered routing: core tables + default-up chains + aggregation.
+class RoutingPlan:
+    """The routes of a materialised :class:`TierLayout`: core tables,
+    default-up chains and aggregation at tier boundaries.
 
-    Drop-in alternative to :class:`RoutingPlan` for topologies carrying a
-    :class:`TierLayout`.  Construction computes:
+    Construction computes:
 
-    - all-pairs shortest paths restricted to the **tier-0 clique** (the
-      default-free core) — never over the full provider set;
+    - all-pairs shortest paths restricted to the **tier-0 core** — never
+      over the full provider set;
     - for every lower-tier provider, the cheapest uplink toward the core
       (ties broken by parent name), yielding a memoized *transit chain*
       ``provider -> parent -> ... -> core gateway``;
@@ -243,28 +133,23 @@ class HierarchicalRoutingPlan:
     descent routes at each ancestor, then spread across the core, whose
     members as the default-free zone carry every such prefix.
 
-    With a single tier (every provider in tier 0, no uplinks, no IXPs) the
-    installed FIBs and the :meth:`delay` answers are identical to the flat
-    :class:`RoutingPlan` — the equivalence the worldbuild tests pin down.
+    With a single tier (every provider in the core, no uplinks, no IXs)
+    this is the all-pairs shortest-path plan over the clique: the FIBs and
+    :meth:`delay` answers equal those of the flat reference plan the tests
+    keep.
     """
 
-    def __init__(self, providers, layout, fingerprint=None):
-        self.providers = list(providers)
-        self.layout = layout
-        members = self.providers + [ix.router for ix in layout.ixps]
-        self.fingerprint = (fingerprint if fingerprint is not None
-                            else mesh_fingerprint(members))
-
-        self._core = [self.providers[pid] for pid in layout.tiers[0]]
+    def __init__(self, topology):
+        providers = topology.providers
+        layout = topology.tier_layout
+        self._core = [providers[pid] for pid in layout.tiers[0]]
         adjacency = build_adjacency(self._core)
         self._core_hops = {router: shortest_path_next_hops(adjacency, router)
                            for router in self._core}
-        self._tier_of = {}
-        for tier, ids in enumerate(layout.tiers):
-            for pid in ids:
-                self._tier_of[self.providers[pid]] = tier
-        self._aggregate = {self.providers[pid]: prefix
-                           for pid, prefix in layout.aggregates.items()}
+        self._tier_of = {providers[pid]: tier
+                         for tier, ids in enumerate(layout.tiers)
+                         for pid in ids}
+        self._aggregate = dict(zip(providers, topology.provider_prefixes))
 
         # Best uplink per non-core provider, resolved top tier down so each
         # parent's chain exists before its customers pick among parents.
@@ -272,34 +157,34 @@ class HierarchicalRoutingPlan:
         self._chain = {router: ((router, 0.0),) for router in self._core}
         for tier in range(1, len(layout.tiers)):
             for pid in layout.tiers[tier]:
-                router = self.providers[pid]
+                router = providers[pid]
                 best = None
-                for uplink in layout.uplinks.get(pid, ()):
-                    parent = self.providers[uplink.parent_id]
+                for parent_id, delay in layout.uplinks.get(pid, ()):
+                    parent = providers[parent_id]
                     chain = self._chain.get(parent)
                     if chain is None:
                         continue
-                    key = (uplink.delay + chain[-1][1], parent.name)
+                    key = (delay + chain[-1][1], parent.name)
                     if best is None or key < best[0]:
-                        best = (key, uplink, parent)
+                        best = (key, parent, delay)
                 if best is None:
                     raise ValueError(
                         f"provider {router.name} has no uplink to the core")
-                _, uplink, parent = best
-                self._up[router] = (parent, uplink.up_iface,
-                                    uplink.down_iface, uplink.delay)
+                _, parent, delay = best
+                self._up[router] = (
+                    parent, router.interfaces[f"to-{parent.name}"],
+                    parent.interfaces[f"to-{router.name}"], delay)
                 self._chain[router] = ((router, 0.0),) + tuple(
-                    (node, dist + uplink.delay)
-                    for node, dist in self._chain[parent])
+                    (node, dist + delay) for node, dist in self._chain[parent])
 
         # Customer cones over the best-parent tree, leaves first.
-        children = {router: [] for router in self.providers}
+        children = {router: [] for router in providers}
         for child, (parent, _up, _down, _delay) in self._up.items():
             children[parent].append(child)
         self._cone = {}
         for tier in range(len(layout.tiers) - 1, -1, -1):
             for pid in layout.tiers[tier]:
-                router = self.providers[pid]
+                router = providers[pid]
                 prefixes = [self._aggregate[router]]
                 for child in children[router]:
                     prefixes.extend(self._cone[child])
@@ -307,80 +192,63 @@ class HierarchicalRoutingPlan:
 
         # IX shortcut table for delay(): router -> ((peer, through_delay), ...)
         ix_peers = {}
-        for ix in layout.ixps:
-            for member in ix.members:
-                router = self.providers[member.provider_id]
-                for other in ix.members:
-                    if other is member:
-                        continue
-                    peer = self.providers[other.provider_id]
-                    ix_peers.setdefault(router, []).append(
-                        (peer, member.delay + other.delay))
+        for members in layout.ixps:
+            for pid, delay in members:
+                for other_pid, other_delay in members:
+                    if other_pid != pid:
+                        ix_peers.setdefault(providers[pid], []).append(
+                            (providers[other_pid], delay + other_delay))
         self._ix_peers = {router: tuple(peers)
                           for router, peers in ix_peers.items()}
 
-        self._install_static_routes()
+        self._install_static_routes(providers, topology.ix_routers,
+                                    layout.ixps)
 
-    def _install_static_routes(self):
+    def _install_static_routes(self, providers, ix_routers, ixps):
         # IX peering routes first: where a peer also sits in the owner's
         # transit chain, the later descent/default installs win.
-        for ix in self.layout.ixps:
-            for member in ix.members:
-                provider = self.providers[member.provider_id]
+        for ix_router, members in zip(ix_routers, ixps):
+            for pid, delay in members:
+                provider = providers[pid]
+                ix_iface = ix_router.interfaces[f"to-{provider.name}"]
                 for prefix in self._cone[provider]:
-                    ix.router.fib.insert(FibEntry(
-                        prefix, member.ix_iface, next_hop=provider,
-                        metric=member.delay))
-            for member in ix.members:
-                provider = self.providers[member.provider_id]
+                    ix_router.fib.insert(FibEntry(
+                        prefix, ix_iface, next_hop=provider, metric=delay))
+            for pid, delay in members:
+                provider = providers[pid]
+                provider_iface = provider.interfaces[f"to-{ix_router.name}"]
                 own_cone = set(self._cone[provider])
-                for other in ix.members:
-                    if other is member:
+                for other_pid, other_delay in members:
+                    if other_pid == pid:
                         continue
-                    peer = self.providers[other.provider_id]
-                    through = member.delay + other.delay
+                    peer = providers[other_pid]
                     for prefix in self._cone[peer]:
                         if prefix in own_cone:
                             continue  # never route own customers via a peer
                         provider.fib.insert(FibEntry(
-                            prefix, member.provider_iface, next_hop=peer,
-                            metric=through))
+                            prefix, provider_iface, next_hop=peer,
+                            metric=delay + other_delay))
         for router, (parent, up_iface, _down, delay) in self._up.items():
             router.fib.insert(FibEntry(DEFAULT_PREFIX, up_iface,
                                        next_hop=parent, metric=delay))
 
-    def next_hop(self, router, owner):
-        """``(first_hop_iface, delay_estimate)`` from *router* toward *owner*."""
-        if router is owner:
-            return None
-        chain = self._chain[owner]
-        for i in range(1, len(chain)):
-            ancestor, dist = chain[i]
-            if ancestor is router:
-                child = chain[i - 1][0]
-                return (self._up[child][2], dist)
-        total = self.delay(router, owner)
-        if total is None:
-            return None
-        up = self._up.get(router)
-        if up is not None:
-            return (up[1], total)
-        hop = self._core_hops[router].get(chain[-1][0])
-        if hop is None:
-            return None
-        return (hop[0], total)
-
     def delay(self, source, destination):
-        """Route-following delay estimate between two mesh providers.
+        """Route-following delay estimate between two fabric providers.
 
         Minimum over the meeting points the installed routes can use: the
         first common ancestor of the two transit chains, any IX shortcut
         between chain members, and the cross-core path between the two
-        gateways.  For a single-tier layout this degenerates to the flat
-        plan's shortest-path answer.  O(chain depth) per query.
+        gateways.  Between two core providers without IX seats that is
+        the core table's shortest path, looked up directly (every pair of
+        a single-tier world).  O(chain depth) per query otherwise.
         """
         if source is destination:
             return 0.0
+        core_hops = self._core_hops.get(source)
+        if core_hops is not None and source not in self._ix_peers:
+            entry = core_hops.get(destination)
+            if entry is not None:
+                return entry[1]
         chain_b = self._chain[destination]
         dist_b = {router: dist for router, dist in chain_b}
         best = None
@@ -409,19 +277,22 @@ class HierarchicalRoutingPlan:
     def install(self, owned_prefixes):
         """Install FIB routes for attachments, aggregating at tier boundaries.
 
-        Same signature and idempotence as :meth:`RoutingPlan.install`.
-        Prefixes covered by the owner's /8 aggregate collapse into it above
-        the owner; everything else is installed along the owner's transit
-        chain and across the core.
+        ``owned_prefixes`` is ``[(prefix, owner_router, local_iface_or_None)]``:
+        the owner routes *prefix* out of *local_iface* (if any), every
+        other router toward the owner.  Prefixes covered by the owner's /8
+        aggregate collapse into it above a non-core owner; everything else
+        is installed along the owner's transit chain and across the core.
+        Re-installing a prefix replaces the previous entry, so calls are
+        idempotent.
         """
         for prefix, owner, local_iface in owned_prefixes:
             if local_iface is not None:
                 owner.fib.insert(FibEntry(prefix, local_iface))
-            if owner not in self._tier_of:
+            tier = self._tier_of.get(owner)
+            if tier is None:
                 raise ValueError(f"{owner.name} is not a transit provider")
-            aggregate = self._aggregate.get(owner)
-            if (owner not in self._core and aggregate is not None
-                    and prefix != aggregate and aggregate.contains(prefix)):
+            aggregate = self._aggregate[owner]
+            if tier and prefix != aggregate and aggregate.contains(prefix):
                 continue  # collapsed into the aggregate above the owner
             chain = self._chain[owner]
             for i in range(1, len(chain)):
@@ -440,15 +311,3 @@ class HierarchicalRoutingPlan:
                 iface, distance = hop
                 router.fib.insert(FibEntry(prefix, iface, next_hop=owner,
                                            metric=distance + gateway_dist))
-
-
-def install_mesh_routes(providers, owned_prefixes):
-    """Install routes among provider routers (from-scratch computation).
-
-    Kept as the reference implementation: builds a fresh
-    :class:`RoutingPlan` and installs every attachment through it.  Callers
-    on the hot path should hold a plan and use :meth:`RoutingPlan.install`
-    incrementally instead.
-    """
-    RoutingPlan(providers).install(owned_prefixes)
-

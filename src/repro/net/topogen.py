@@ -7,18 +7,26 @@ module generalizes construction behind one declarative entry point::
     spec = TopologySpec(family="tiered", num_sites=1000)
     topology = build(sim, spec)
 
+Each family *draws* its transit fabric as a
+:class:`~repro.net.routing.TierLayout`, and each site's providers and
+access delays, from the ``topology`` random stream; one private
+materialiser then turns any drawn layout into routers and links, in the
+same order whatever the family.
+
 Families
 --------
-- ``"flat"``  — the historical full provider mesh (all-pairs clique).
-- ``"fig1"``  — the exact Fig. 1 scenario: two sites, providers A/B and X/Y.
+- ``"flat"``  — the historical full provider mesh: a single-tier layout,
+  every provider in the core clique, no uplinks, no IXs.
+- ``"fig1"``  — the exact Fig. 1 scenario on the same single tier: two
+  sites, providers A/B and X/Y (:data:`FIG1_HOMES`).
 - ``"tiered"`` — a tiered internet: a tier-0 full-mesh clique (the
   default-free core), tier-1 and tier-2 transit ASes multihomed to parents
   in the tier above, internet-exchange routers where transit providers
   peer, and stub sites multihomed to tier-2 (or, when homed at an IX, to
   providers that peer there).  Routing is hierarchical
-  (:class:`~repro.net.routing.HierarchicalRoutingPlan`): no all-pairs
-  Dijkstra over the provider set, so worldbuild stays sub-quadratic at
-  thousands of sites.
+  (:class:`~repro.net.routing.RoutingPlan`): no all-pairs Dijkstra over
+  the provider set, so worldbuild stays sub-quadratic at thousands of
+  sites.
 - ``"caida"`` — the tiered generator with a CAIDA-like skew preset:
   provider degree follows a power law (low-numbered providers in each tier
   act as megaproviders attracting most customers and IX seats).
@@ -32,7 +40,7 @@ routed — nothing addresses packets *to* an exchange).  Site EID and
 infrastructure prefixes are unchanged (see :mod:`repro.net.topology`).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.addresses import IPv4Prefix
@@ -40,8 +48,7 @@ from repro.net.fib import FibEntry
 from repro.net.host import Host
 from repro.net.link import connect
 from repro.net.router import Router
-from repro.net.routing import (DEFAULT_PREFIX, IxMember, IxPoint, TierLayout,
-                               TransitUplink)
+from repro.net.routing import DEFAULT_PREFIX, TierLayout
 from repro.net.topology import (DNS_PCE_DELAY, HOST_HUB_DELAY, PCE_HUB_DELAY,
                                 XTR_HUB_DELAY, Site, Topology, eid_prefix_for,
                                 infra_prefix_for, provider_prefix_for,
@@ -51,6 +58,8 @@ FAMILIES = ("fig1", "flat", "tiered", "caida")
 
 #: Provider ``p`` owns ``(10+p).0.0.0/8``; ``10 + p`` must stay <= 255.
 MAX_PROVIDERS = 245
+#: The Fig. 1 cast's provider ids: site S on A/B, site D on X/Y.
+FIG1_HOMES = ((0, 1), (2, 3))
 
 #: IX routers take one /32 each out of this block (never globally routed).
 IX_PREFIX = IPv4Prefix("9.0.0.0/8")
@@ -92,9 +101,6 @@ class TopologySpec:
     hosts_per_site: int = 2
     access_rate_bps: Optional[float] = None
     eids_globally_routable: bool = False
-    #: ``flat``/``fig1`` only: per-site provider-id tuples overriding the
-    #: default rotation.
-    provider_assignment: Optional[tuple] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -120,6 +126,15 @@ def check_sizing(spec):
             raise ValueError(
                 f"providers_per_site {spec.providers_per_site} exceeds "
                 f"num_providers {spec.num_providers}")
+        if spec.family == "fig1":
+            cast = 1 + max(map(max, FIG1_HOMES))
+            if spec.num_providers < cast:
+                raise ValueError(f"num_providers {spec.num_providers} is "
+                                 f"below fig1's {cast}")
+            if spec.providers_per_site != len(FIG1_HOMES[0]):
+                raise ValueError(
+                    f"providers_per_site {spec.providers_per_site} is not "
+                    f"fig1's {len(FIG1_HOMES[0])}")
         return
     _t0, t1, t2 = _tier_sizes(spec)
     if spec.providers_per_site > t1 + t2:
@@ -131,57 +146,52 @@ def check_sizing(spec):
 def build(sim, spec):
     """Build the world described by *spec* (the single topology entry point)."""
     check_sizing(spec)
-    if spec.family == "fig1":
-        fig1 = replace(spec, num_sites=2,
-                       provider_assignment=(spec.provider_assignment
-                                            or ((0, 1), (2, 3))))
-        topology = _build_flat(sim, fig1)
-        topology.site_s = topology.sites[0]
-        topology.site_d = topology.sites[1]
-        return topology
-    if spec.family == "flat":
-        return _build_flat(sim, spec)
-    return _build_tiered(sim, spec)
-
-
-# --------------------------------------------------------------------------- #
-# Flat family (the historical full mesh)
-# --------------------------------------------------------------------------- #
-
-def _build_flat(sim, spec):
     rng = sim.rng.stream(TOPOLOGY_STREAM)
+    draw = _draw_mesh if spec.family in ("fig1", "flat") else _draw_tiered
+    layout, homes = draw(spec, rng)
+    return _materialise(sim, spec, layout, homes)
 
-    providers = []
-    provider_prefixes = []
-    for p in range(spec.num_providers):
-        router = Router(sim, f"prov{p}")
-        router.add_address(provider_prefix_for(p).address_at(1))
-        providers.append(router)
-        provider_prefixes.append(provider_prefix_for(p))
-    for a in range(spec.num_providers):
-        for b in range(a + 1, spec.num_providers):
-            delay = rng.uniform(*WAN_DELAY_RANGE)
-            iface_a = providers[a].add_interface(f"to-prov{b}")
-            iface_b = providers[b].add_interface(f"to-prov{a}")
-            connect(sim, iface_a, iface_b, delay=delay)
 
-    topology = Topology(sim=sim, providers=providers,
-                        provider_prefixes=provider_prefixes, sites=[],
-                        eids_globally_routable=spec.eids_globally_routable)
-    for p, router in enumerate(providers):
-        topology.attachments.append((provider_prefixes[p], router, None))
+def _draw_homes(rng, provider_ids):
+    """One site's homes: each provider id with its access-link delay."""
+    return tuple((pid, rng.uniform(*ACCESS_DELAY_RANGE))
+                 for pid in provider_ids)
 
-    for s in range(spec.num_sites):
-        assigned = (spec.provider_assignment[s]
-                    if spec.provider_assignment is not None else None)
-        site = _build_site(sim, topology, s, spec.providers_per_site,
-                           spec.hosts_per_site, rng,
-                           assigned_providers=assigned,
-                           access_rate_bps=spec.access_rate_bps)
-        topology.sites.append(site)
 
-    topology.install_global_routes()
-    return topology
+# --------------------------------------------------------------------------- #
+# Single-tier families: the flat mesh and Fig. 1
+# --------------------------------------------------------------------------- #
+
+def _draw_mesh(spec, rng):
+    n = spec.num_providers
+    core_links = tuple((a, b, rng.uniform(*WAN_DELAY_RANGE))
+                       for a in range(n) for b in range(a + 1, n))
+    layout = TierLayout(tiers=(tuple(range(n)),), core_links=core_links)
+    if spec.family == "fig1":
+        assignments = FIG1_HOMES
+    else:
+        assignments = [_rotation(s, n, spec.providers_per_site)
+                       for s in range(spec.num_sites)]
+    return layout, [_draw_homes(rng, chosen) for chosen in assignments]
+
+
+def _rotation(s, num_providers, providers_per_site):
+    """Site *s*'s providers: a deterministic but varied rotation through
+    the mesh.  When gcd(stride, num_providers) > 1 the rotation only visits
+    a subgroup, so the candidate order is completed with the remaining
+    providers instead of cycling forever."""
+    first = s % num_providers
+    stride = 1 + (s // num_providers) % max(1, num_providers - 1)
+    order = []
+    p = first
+    for _ in range(num_providers):
+        if p not in order:
+            order.append(p)
+        p = (p + stride) % num_providers
+    for p in range(num_providers):
+        if p not in order:
+            order.append(p)
+    return order[:providers_per_site]
 
 
 # --------------------------------------------------------------------------- #
@@ -230,31 +240,16 @@ def _weighted_sample(rng, population, weights, k):
     return chosen
 
 
-def _build_tiered(sim, spec):
+def _draw_tiered(spec, rng):
     t0, t1, t2 = _tier_sizes(spec)
-    rng = sim.rng.stream(TOPOLOGY_STREAM)
     bias = spec.effective_bias()
     num_providers = t0 + t1 + t2
     tiers = (tuple(range(t0)), tuple(range(t0, t0 + t1)),
              tuple(range(t0 + t1, num_providers)))
 
-    providers = []
-    provider_prefixes = []
-    for p in range(num_providers):
-        router = Router(sim, f"prov{p}")
-        router.add_address(provider_prefix_for(p).address_at(1))
-        providers.append(router)
-        provider_prefixes.append(provider_prefix_for(p))
-
     # Tier-0 clique: the default-free core, long-haul delays.
-    for a in tiers[0]:
-        for b in tiers[0]:
-            if b <= a:
-                continue
-            delay = rng.uniform(*WAN_DELAY_RANGE)
-            iface_a = providers[a].add_interface(f"to-prov{b}")
-            iface_b = providers[b].add_interface(f"to-prov{a}")
-            connect(sim, iface_a, iface_b, delay=delay)
+    core_links = tuple((a, b, rng.uniform(*WAN_DELAY_RANGE))
+                       for a in tiers[0] for b in tiers[0] if b > a)
 
     # Transit uplinks: every T1/T2 AS multihomes to 1-2 parents above it,
     # megaprovider-weighted under the caida preset.
@@ -265,76 +260,87 @@ def _build_tiered(sim, spec):
         for pid in tiers[tier]:
             fanout = min(len(parent_ids), 1 + (1 if rng.random() < 0.5 else 0))
             parents = _weighted_sample(rng, parent_ids, parent_weights, fanout)
-            records = []
-            for parent_id in parents:
-                delay = rng.uniform(*TRANSIT_DELAY_RANGE)
-                up_iface = providers[pid].add_interface(f"to-prov{parent_id}")
-                down_iface = providers[parent_id].add_interface(f"to-prov{pid}")
-                connect(sim, down_iface, up_iface, delay=delay)
-                records.append(TransitUplink(parent_id=parent_id, delay=delay,
-                                             up_iface=up_iface,
-                                             down_iface=down_iface))
-            uplinks[pid] = tuple(records)
+            uplinks[pid] = tuple((parent_id, rng.uniform(*TRANSIT_DELAY_RANGE))
+                                 for parent_id in parents)
 
     # Internet exchanges: neutral routers where transit providers peer.
     transit_ids = list(tiers[1]) + list(tiers[2])
     transit_weights = _rank_weights(len(transit_ids), bias)
-    num_ixps = max(1, len(transit_ids) // 8)
     ix_degree = max(2, min(IX_DEGREE, len(transit_ids)))
-    ix_routers = []
     ixps = []
-    for i in range(num_ixps):
-        ix_router = Router(sim, f"ix{i}")
-        ix_router.add_address(IX_PREFIX.address_at(i * 256 + 1))
+    for _ in range(max(1, len(transit_ids) // 8)):
         member_ids = _weighted_sample(rng, transit_ids, transit_weights,
                                       ix_degree)
-        members = []
-        for pid in member_ids:
-            delay = rng.uniform(*IX_DELAY_RANGE)
-            provider_iface = providers[pid].add_interface(f"to-ix{i}")
-            ix_iface = ix_router.add_interface(f"to-prov{pid}")
-            connect(sim, provider_iface, ix_iface, delay=delay)
-            members.append(IxMember(provider_id=pid,
-                                    provider_iface=provider_iface,
-                                    ix_iface=ix_iface, delay=delay))
-        ix_routers.append(ix_router)
-        ixps.append(IxPoint(index=i, router=ix_router, members=tuple(members)))
-
-    layout = TierLayout(tiers=tiers, uplinks=uplinks, ixps=tuple(ixps),
-                        aggregates={p: provider_prefixes[p]
-                                    for p in range(num_providers)})
-    topology = Topology(sim=sim, providers=providers,
-                        provider_prefixes=provider_prefixes, sites=[],
-                        eids_globally_routable=spec.eids_globally_routable,
-                        tier_layout=layout, ix_routers=ix_routers)
-    for p, router in enumerate(providers):
-        topology.attachments.append((provider_prefixes[p], router, None))
+        ixps.append(tuple((pid, rng.uniform(*IX_DELAY_RANGE))
+                          for pid in member_ids))
 
     # Stub sites home to the tier-2 edge (tier-1 joins the pool only when
     # the edge is too small), or to a single IX's membership when IX-homed.
     pool = list(tiers[2]) if t2 >= spec.providers_per_site else transit_ids
-    pool_weights = _rank_weights(len(pool), bias)
-    weight_of = dict(zip(pool, pool_weights))
-    eligible_ixps = [ix for ix in ixps
-                     if len([m for m in ix.members if m.provider_id in weight_of])
+    weight_of = dict(zip(pool, _rank_weights(len(pool), bias)))
+    eligible_ixps = [members for members in ixps
+                     if sum(pid in weight_of for pid, _delay in members)
                      >= spec.providers_per_site]
-    for s in range(spec.num_sites):
-        ix_homed = (eligible_ixps and rng.random() < IX_SITE_FRACTION)
-        if ix_homed:
-            ix = eligible_ixps[rng.randrange(len(eligible_ixps))]
-            candidates = [m.provider_id for m in ix.members
-                          if m.provider_id in weight_of]
+    homes = []
+    for _ in range(spec.num_sites):
+        if eligible_ixps and rng.random() < IX_SITE_FRACTION:
+            members = eligible_ixps[rng.randrange(len(eligible_ixps))]
+            candidates = [pid for pid, _delay in members if pid in weight_of]
         else:
             candidates = pool
         chosen = _weighted_sample(rng, candidates,
                                   [weight_of[pid] for pid in candidates],
                                   spec.providers_per_site)
-        site = _build_site(sim, topology, s, spec.providers_per_site,
-                           spec.hosts_per_site, rng,
-                           assigned_providers=chosen,
-                           access_rate_bps=spec.access_rate_bps)
-        topology.sites.append(site)
+        homes.append(_draw_homes(rng, chosen))
+    layout = TierLayout(tiers=tiers, core_links=core_links, uplinks=uplinks,
+                        ixps=tuple(ixps))
+    return layout, homes
 
+
+# --------------------------------------------------------------------------- #
+# The materialiser (shared by every family)
+# --------------------------------------------------------------------------- #
+
+def _materialise(sim, spec, layout, homes):
+    """Routers and links for a drawn *layout*, then one site per *homes*
+    entry; every fabric interface is named ``to-<peer node>``."""
+    num_providers = sum(len(tier) for tier in layout.tiers)
+    providers = []
+    provider_prefixes = []
+    for p in range(num_providers):
+        router = Router(sim, f"prov{p}")
+        router.add_address(provider_prefix_for(p).address_at(1))
+        providers.append(router)
+        provider_prefixes.append(provider_prefix_for(p))
+    for a, b, delay in layout.core_links:
+        iface_a = providers[a].add_interface(f"to-prov{b}")
+        iface_b = providers[b].add_interface(f"to-prov{a}")
+        connect(sim, iface_a, iface_b, delay=delay)
+    for pid, records in layout.uplinks.items():
+        for parent_id, delay in records:
+            up_iface = providers[pid].add_interface(f"to-prov{parent_id}")
+            down_iface = providers[parent_id].add_interface(f"to-prov{pid}")
+            connect(sim, down_iface, up_iface, delay=delay)
+    ix_routers = []
+    for i, members in enumerate(layout.ixps):
+        ix_router = Router(sim, f"ix{i}")
+        ix_router.add_address(IX_PREFIX.address_at(i * 256 + 1))
+        for pid, delay in members:
+            provider_iface = providers[pid].add_interface(f"to-ix{i}")
+            ix_iface = ix_router.add_interface(f"to-prov{pid}")
+            connect(sim, provider_iface, ix_iface, delay=delay)
+        ix_routers.append(ix_router)
+
+    topology = Topology(sim=sim, providers=providers,
+                        provider_prefixes=provider_prefixes, sites=[],
+                        tier_layout=layout, ix_routers=ix_routers,
+                        eids_globally_routable=spec.eids_globally_routable)
+    for p, router in enumerate(providers):
+        topology.attachments.append((provider_prefixes[p], router, None))
+    for s, site_homes in enumerate(homes):
+        topology.sites.append(_build_site(sim, topology, s, site_homes,
+                                          spec.hosts_per_site,
+                                          spec.access_rate_bps))
     topology.install_global_routes()
     return topology
 
@@ -343,12 +349,11 @@ def _build_tiered(sim, spec):
 # Site construction (shared by every family)
 # --------------------------------------------------------------------------- #
 
-def _build_site(sim, topology, s, providers_per_site, hosts_per_site, rng,
-                assigned_providers=None, access_rate_bps=None):
+def _build_site(sim, topology, s, homes, hosts_per_site, access_rate_bps):
+    """Stub site *s*, one xTR per ``(provider_id, access_delay)`` home."""
     name = f"site{s}"
     eid_prefix = eid_prefix_for(s)
     infra_prefix = infra_prefix_for(s)
-    num_providers = len(topology.providers)
 
     hub = Router(sim, f"{name}-hub")
     hub.add_address(eid_prefix.address_at(1))
@@ -359,26 +364,7 @@ def _build_site(sim, topology, s, providers_per_site, hosts_per_site, rng,
     site = Site(index=s, name=name, eid_prefix=eid_prefix, infra_prefix=infra_prefix,
                 hub=hub, dns_node=dns_node, pce_node=pce_node)
 
-    if assigned_providers is not None:
-        chosen = list(assigned_providers)
-    else:
-        # Deterministic but varied provider assignment: rotate through the
-        # mesh.  When gcd(stride, num_providers) > 1 the rotation only visits
-        # a subgroup, so complete the candidate order with the remaining
-        # providers instead of cycling forever.
-        first = s % num_providers
-        stride = 1 + (s // num_providers) % max(1, num_providers - 1)
-        order = []
-        p = first
-        for _ in range(num_providers):
-            if p not in order:
-                order.append(p)
-            p = (p + stride) % num_providers
-        for p in range(num_providers):
-            if p not in order:
-                order.append(p)
-        chosen = order[:providers_per_site]
-    site.provider_ids = chosen
+    site.provider_ids = [pid for pid, _delay in homes]
 
     # Hosts on the hub.
     for i in range(hosts_per_site):
@@ -405,7 +391,7 @@ def _build_site(sim, topology, s, providers_per_site, hosts_per_site, rng,
     hub.fib.insert(FibEntry(IPv4Prefix(int(site.pce_address), 32), hub_pce_iface))
 
     # xTRs: one per provider.
-    for b, p in enumerate(site.provider_ids):
+    for b, (p, access_delay) in enumerate(homes):
         xtr = Router(sim, f"{name}-xtr{b}")
         rloc = rloc_for(p, s, b)
         xtr.add_address(rloc)
@@ -419,7 +405,6 @@ def _build_site(sim, topology, s, providers_per_site, hosts_per_site, rng,
         connect(sim, hub_xtr_iface, xtr_hub_iface, delay=XTR_HUB_DELAY)
 
         provider = topology.providers[p]
-        access_delay = rng.uniform(*ACCESS_DELAY_RANGE)
         xtr_up_iface = xtr.add_interface("up", address=rloc)
         provider_iface = provider.add_interface(f"to-{name}-xtr{b}")
         downlink, uplink = connect(sim, provider_iface, xtr_up_iface, delay=access_delay,

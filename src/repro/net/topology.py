@@ -1,9 +1,12 @@
-"""Multi-AS topology builder.
+"""The built world: the transit fabric, stub sites and their address plan.
 
-Builds the world the paper's Fig. 1 sketches: stub sites ("AS_S", "AS_D")
-multihomed to providers ("Provider A/B" for the source site, "X/Y" for the
-destination site), with the provider routers forming the "Internet" in the
-middle of the figure.
+A :class:`Topology` is what :mod:`repro.net.topogen` materialises — in the
+Fig. 1 case, stub sites ("AS_S", "AS_D") multihomed to providers
+("Provider A/B" for the source site, "X/Y" for the destination site), with
+the provider routers forming the "Internet" in the middle of the figure;
+in general, the provider fabric a :class:`~repro.net.routing.TierLayout`
+describes, routed by the one :class:`~repro.net.routing.RoutingPlan` the
+topology builds with it.
 
 Per-site wiring (all point-to-point links)::
 
@@ -38,8 +41,7 @@ from repro.net.fib import FibEntry
 from repro.net.host import Host
 from repro.net.link import connect
 from repro.net.router import Router
-from repro.net.routing import (DEFAULT_PREFIX, HierarchicalRoutingPlan,
-                               RoutingPlan, mesh_fingerprint)
+from repro.net.routing import DEFAULT_PREFIX, RoutingPlan
 
 # Intra-site link delays (seconds). Small against WAN delays, as in a campus.
 HOST_HUB_DELAY = 0.0001
@@ -99,23 +101,25 @@ class Topology:
     providers: list
     provider_prefixes: list
     sites: list
+    #: The transit fabric's :class:`~repro.net.routing.TierLayout` (one
+    #: tier on ``flat``/``fig1``).
+    tier_layout: object = field(repr=False)
     infra_hosts: dict = field(default_factory=dict)
     attachments: list = field(default_factory=list)
     eids_globally_routable: bool = False
-    #: :class:`~repro.net.routing.TierLayout` for tiered internets (see
-    #: :mod:`repro.net.topogen`); None keeps the flat all-pairs mesh.
-    tier_layout: object = field(default=None, repr=False)
     #: Internet-exchange routers (tiered families only).
     ix_routers: list = field(default_factory=list)
-    #: Memoized routing plan — flat :class:`~repro.net.routing.RoutingPlan`
-    #: or :class:`~repro.net.routing.HierarchicalRoutingPlan`, depending on
-    #: ``tier_layout`` (see :meth:`routing_plan`).
-    _plan: object = field(default=None, repr=False)
+    #: The fabric's :class:`~repro.net.routing.RoutingPlan`, built with the
+    #: topology: nothing changes a fabric link afterwards.
+    routing_plan: object = field(init=False, repr=False)
     #: How many ``attachments`` entries have already been installed.
     _routes_installed: int = field(default=0, repr=False)
     #: Lazily built ``(num_sites, eid_index, rloc_index, irregular)`` site
     #: lookup tables (see :meth:`_site_lookup`).
     _site_index: object = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.routing_plan = RoutingPlan(self)
 
     def all_nodes(self):
         nodes = list(self.providers)
@@ -128,10 +132,6 @@ class Topology:
             nodes.extend(site.xtrs)
         nodes.extend(self.infra_hosts.values())
         return nodes
-
-    def mesh_routers(self):
-        """The global routing mesh: providers plus IX routers."""
-        return list(self.providers) + list(self.ix_routers)
 
     def _site_lookup(self):
         """Site lookup tables, rebuilt whenever the site count changes.
@@ -174,39 +174,6 @@ class Topology:
         _count, _by_eid, by_rloc, _irregular = self._site_lookup()
         return by_rloc.get(IPv4Address(rloc))
 
-    def routing_plan(self):
-        """The global routing plan, memoized against the mesh fingerprint.
-
-        As long as the mesh routers (providers plus IXs) and their mesh
-        links are unchanged — site/infrastructure attachments don't count —
-        the same tables serve every install and delay query for this
-        topology.  Topologies carrying a ``tier_layout`` get a
-        :class:`~repro.net.routing.HierarchicalRoutingPlan` (core-only
-        tables, aggregation at tier boundaries); flat ones keep the
-        all-pairs :class:`~repro.net.routing.RoutingPlan`.
-        """
-        fingerprint = mesh_fingerprint(self.mesh_routers())
-        if self._plan is None or self._plan.fingerprint != fingerprint:
-            if self.tier_layout is not None:
-                self._plan = HierarchicalRoutingPlan(
-                    self.providers, self.tier_layout, fingerprint=fingerprint)
-            else:
-                self._plan = RoutingPlan(self.providers, fingerprint=fingerprint)
-            self._routes_installed = 0  # new tables: (re)install everything
-        return self._plan
-
-    def provider_mesh_delay(self, provider_a, provider_b):
-        """Shortest-path delay between two provider routers (O(1) from the plan).
-
-        Trusts the memoized plan without re-fingerprinting the mesh — this
-        is the hot query (the IRC engine asks per provider pair, per site,
-        per measurement round).  Route *installs* revalidate the
-        fingerprint, and mesh links never change between installs outside
-        of tests.
-        """
-        plan = self._plan if self._plan is not None else self.routing_plan()
-        return plan.delay(provider_a, provider_b)
-
     def attach_infra_host(self, provider_id, name, address):
         """Attach a shared infrastructure host (e.g. root/TLD DNS) to a provider.
 
@@ -225,18 +192,16 @@ class Topology:
         return host
 
     def install_global_routes(self):
-        """Install provider-mesh routes for attachments added since last call.
+        """Install fabric routes for attachments added since last call.
 
-        Incremental: the memoized :meth:`routing_plan` tables are reused and
-        only the not-yet-installed tail of ``attachments`` is inserted, so
-        attaching infrastructure hosts after the initial build (DNS roots,
-        CONS CDRs, the NERD authority) costs O(new attachments x providers)
-        instead of a full all-pairs recomputation.
+        Incremental: only the not-yet-installed tail of ``attachments``
+        goes through :attr:`routing_plan`, so attaching infrastructure
+        hosts after the initial build (DNS roots, CONS CDRs, the NERD
+        authority) costs O(new attachments x core) and recomputes nothing.
         """
-        plan = self.routing_plan()
         pending = self.attachments[self._routes_installed:]
         if pending:
-            plan.install(pending)
+            self.routing_plan.install(pending)
         self._routes_installed = len(self.attachments)
 
 

@@ -143,15 +143,17 @@ def test_infra_host_attachment_reachable():
 def test_fig1_topology_layout():
     sim = Simulator(seed=3)
     topology = build(sim, TopologySpec(family="fig1"))
-    assert topology.site_s.provider_ids == [0, 1]
-    assert topology.site_d.provider_ids == [2, 3]
-    assert topology.site_of_eid(topology.site_s.hosts[0].address) is topology.site_s
-    assert topology.site_of_rloc(topology.site_d.rloc_of(1)) is topology.site_d
+    site_s, site_d = topology.sites
+    assert site_s.provider_ids == [0, 1]
+    assert site_d.provider_ids == [2, 3]
+    assert topology.site_of_eid(site_s.hosts[0].address) is site_s
+    assert topology.site_of_rloc(site_d.rloc_of(1)) is site_d
 
 
 def test_provider_mesh_delay_positive(world):
     _sim, topology = world
-    delay = topology.provider_mesh_delay(topology.providers[0], topology.providers[1])
+    delay = topology.routing_plan.delay(topology.providers[0],
+                                        topology.providers[1])
     assert 0.005 < delay < 0.1
 
 

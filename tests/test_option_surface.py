@@ -27,9 +27,6 @@ CONFIGS = ("ScenarioConfig", "WorkloadConfig", "SweepGrid", "TopologySpec")
 #: Options set where the matcher cannot see it, as ``callee.option``, each
 #: with the reason.
 KEPT = {
-    **{f"{plan}.fingerprint": "the topology passes the fingerprint it has "
-                              "just computed, a local of the same name"
-       for plan in ("RoutingPlan", "HierarchicalRoutingPlan")},
     "lookup.qtype": "servers pass the question's qtype by position, and "
                     "several methods are named lookup",
     "resolve.qtype": "the CNAME chase passes its qtype by position, and "

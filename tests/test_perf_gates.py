@@ -105,7 +105,7 @@ def test_fluid_beats_packet_elephants():
 
 
 def test_tiered_build_scales_near_linearly():
-    """1k -> 4k stub sites: the point of ``HierarchicalRoutingPlan`` is that
+    """1k -> 4k stub sites: the point of the tiered ``RoutingPlan`` is that
     this costs nowhere near an all-pairs Dijkstra over the provider mesh."""
     def build_tiered(sites):
         sim = Simulator(seed=11, tracing=False)

@@ -61,7 +61,13 @@ def test_expand_grid_rejects_unknown_control_plane():
     (dict(topologies=("caida",),
           scenario_overrides={"providers_per_site": 200}),
      "providers_per_site 200 exceeds the transit population"),
-), ids=("num_providers", "providers_per_site", "transit_population"))
+    (dict(topologies=("fig1",), num_providers=3),
+     "num_providers 3 is below fig1's 4"),
+    (dict(topologies=("fig1",),
+          scenario_overrides={"providers_per_site": 3}),
+     "providers_per_site 3 is not fig1's 2"),
+), ids=("num_providers", "providers_per_site", "transit_population",
+        "fig1_num_providers", "fig1_providers_per_site"))
 def test_expand_grid_rejects_oversized_topology(fields, named,
                                                 no_world_builds):
     """Sizes the address plan cannot hold fail at the grid, field named —

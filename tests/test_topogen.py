@@ -1,9 +1,10 @@
 """Tests for topology families: TopologySpec, tiered generation, addressing."""
 
+import hashlib
+
 import pytest
 
 from repro.net.addresses import IPv4Address, IPv4Prefix
-from repro.net.routing import HierarchicalRoutingPlan, RoutingPlan
 from repro.net import topogen
 from repro.net.topogen import IX_PREFIX, MAX_PROVIDERS, TopologySpec, build
 from repro.sim import Simulator
@@ -43,9 +44,11 @@ def test_spec_family_defaults_for_attach_bias():
 def test_flat_family_has_no_tier_structure():
     sim = Simulator(seed=3, tracing=False)
     topology = build(sim, TopologySpec(family="flat", num_sites=3))
-    assert topology.tier_layout is None
+    layout = topology.tier_layout
+    assert layout.tiers == (tuple(range(len(topology.providers))),)
+    assert layout.uplinks == {}
+    assert layout.ixps == ()
     assert topology.ix_routers == []
-    assert isinstance(topology.routing_plan(), RoutingPlan)
 
 
 # --------------------------------------------------------------------- #
@@ -80,11 +83,13 @@ def test_every_transit_provider_multihomes_upward():
         for pid in layout.tiers[tier_index]:
             uplinks = layout.uplinks[pid]
             assert 1 <= len(uplinks) <= 2
-            for uplink in uplinks:
-                assert uplink.parent_id in parent_tier
-                assert uplink.up_iface.node is topology.providers[pid]
-                assert (uplink.down_iface.node
-                        is topology.providers[uplink.parent_id])
+            router = topology.providers[pid]
+            for parent_id, delay in uplinks:
+                assert parent_id in parent_tier
+                parent = topology.providers[parent_id]
+                link = router.interfaces[f"to-{parent.name}"].link
+                assert link.dst_interface.node is parent
+                assert link.delay == delay
 
 
 def test_ix_routers_connect_transit_members():
@@ -93,15 +98,16 @@ def test_ix_routers_connect_transit_members():
     transit = set(layout.tiers[1]) | set(layout.tiers[2])
     assert len(layout.ixps) >= 1
     assert len(topology.ix_routers) == len(layout.ixps)
-    for ixp in layout.ixps:
-        assert len(ixp.members) >= 2
-        member_ids = [m.provider_id for m in ixp.members]
+    for ix_router, members in zip(topology.ix_routers, layout.ixps):
+        assert len(members) >= 2
+        member_ids = [pid for pid, _delay in members]
         assert len(set(member_ids)) == len(member_ids)
-        for member in ixp.members:
-            assert member.provider_id in transit
-            assert member.ix_iface.node is ixp.router
-            assert (member.provider_iface.node
-                    is topology.providers[member.provider_id])
+        for pid, delay in members:
+            assert pid in transit
+            provider = topology.providers[pid]
+            link = provider.interfaces[f"to-{ix_router.name}"].link
+            assert link.dst_interface.node is ix_router
+            assert link.delay == delay
 
 
 def test_stub_sites_multihome_to_the_edge():
@@ -117,8 +123,8 @@ def test_stub_sites_multihome_to_the_edge():
 def test_ix_homed_sites_pick_providers_from_one_exchange(monkeypatch):
     monkeypatch.setattr(topogen, "IX_SITE_FRACTION", 1.0)
     topology = _tiered(num_sites=40)
-    memberships = [{m.provider_id for m in ixp.members}
-                   for ixp in topology.tier_layout.ixps]
+    memberships = [{pid for pid, _delay in members}
+                   for members in topology.tier_layout.ixps]
     for site in topology.sites:
         assert any(set(site.provider_ids) <= members
                    for members in memberships), \
@@ -155,15 +161,14 @@ def test_address_plan_extension():
 
 def test_tiered_routing_is_hierarchical_and_complete():
     topology = _tiered()
-    plan = topology.routing_plan()
-    assert isinstance(plan, HierarchicalRoutingPlan)
+    plan = topology.routing_plan
+    assert len(topology.tier_layout.tiers) == 3
     for a in topology.providers:
         for b in topology.providers:
             delay = plan.delay(a, b)
             assert delay is not None, f"{a.name} cannot reach {b.name}"
             assert (delay == 0.0) == (a is b)
-    assert topology.provider_mesh_delay(topology.providers[0],
-                                        topology.providers[-1]) > 0.0
+    assert plan.delay(topology.providers[0], topology.providers[-1]) > 0.0
 
 
 def test_site_index_lookups():
@@ -177,12 +182,10 @@ def test_site_index_lookups():
 
 
 def test_incremental_install_on_tiered_world():
-    """attach_infra_host + install delta keeps the memoized plan."""
+    """attach_infra_host + install delta routes the new host."""
     topology = _tiered()
-    plan = topology.routing_plan()
     topology.attach_infra_host(0, "extra", "203.0.200.9")
     topology.install_global_routes()
-    assert topology.routing_plan() is plan  # attachments don't touch the mesh
     host = topology.infra_hosts["extra"]
     prefix = IPv4Prefix(int(host.address), 32)
     # Every core router carries the /32 (the default-free zone holds all
@@ -197,11 +200,49 @@ def test_incremental_install_on_tiered_world():
 # Determinism and the caida skew
 # --------------------------------------------------------------------- #
 
+def _world_hash(topology):
+    """sha256 over every node in ``all_nodes()`` order: its name, its
+    interfaces in order with each link's delay and peer, its FIB."""
+    lines = []
+    for node in topology.all_nodes():
+        lines.append(node.name)
+        for iface in node.interfaces.values():
+            link = iface.link
+            lines.append(f"  {iface.name} {link.delay!r} "
+                         f"{link.dst_interface.name}")
+        for entry in node.fib.entries():
+            lines.append(f"  {entry.prefix} {entry.interface.name} "
+                         f"{getattr(entry.next_hop, 'name', None)} "
+                         f"{entry.metric!r}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+#: Each family's seed-23 world, node for node, link for link and route for
+#: route: the draw on the ``topology`` stream, the order nodes and
+#: interfaces are made in and the installed FIBs are all pinned.
+WORLD_PINS = (
+    ("fig1", 2,
+     "86ded625acb922c653c3e29afdb503cf9d45db41d712510ef6ddbcaa4fd99f25"),
+    ("flat", 6,
+     "74092235d84346b49bba118fb475065530e1a80e5d06102ce90c34625342ac2f"),
+    ("tiered", 6,
+     "f75dbc00fbcc461468445e355d9ca5492b7412fe41a9b68ba021c9972f9df1df"),
+    ("tiered", 40,
+     "cf4c8e8bb91cf09edf80ba4a15aa32f866f9fcdb1f7831e3bfd32447f60a679d"),
+    ("caida", 40,
+     "0f03e83313e21ca086f26de9f532ceebf5588bc5a6ec885ffd2cacb04d6e570f"),
+)
+
+
 def test_tiered_build_is_deterministic():
     assert (_world_snapshot(_tiered(seed=23))
             == _world_snapshot(_tiered(seed=23)))
     assert (_world_snapshot(_tiered(seed=23))
             != _world_snapshot(_tiered(seed=24)))
+    for family, num_sites, digest in WORLD_PINS:
+        sim = Simulator(seed=23, tracing=False)
+        topology = build(sim, TopologySpec(family=family, num_sites=num_sites))
+        assert _world_hash(topology) == digest, (family, num_sites)
 
 
 def test_caida_skews_stub_attachment():

@@ -24,13 +24,13 @@ from repro.net.fib import FibEntry
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.packet import udp_packet
-from repro.net.routing import (HierarchicalRoutingPlan, TierLayout,
-                               build_adjacency, install_mesh_routes,
-                               mesh_fingerprint, shortest_path_next_hops)
+from repro.net.routing import (RoutingPlan, build_adjacency,
+                               shortest_path_next_hops)
 from repro.net.topogen import TopologySpec, build
-from repro.net.topology import provider_prefix_for
 from repro.sim import Simulator
 from repro.traffic.flows import FluidPump, UdpSink
+
+from flat_routing import FlatRoutingPlan, install_mesh_routes
 
 
 def _fib_snapshot(router):
@@ -60,26 +60,6 @@ def test_incremental_install_matches_from_scratch():
     assert incremental == from_scratch
 
 
-def test_routing_plan_is_memoized():
-    sim = Simulator(seed=5, tracing=False)
-    topology = build(sim, TopologySpec(num_sites=3, num_providers=4))
-    plan = topology.routing_plan()
-    topology.attach_infra_host(0, "late-host", "203.0.200.10")
-    topology.install_global_routes()
-    # Attachments don't touch the mesh: same tables serve the new install.
-    assert topology.routing_plan() is plan
-
-
-def test_mesh_change_invalidates_plan():
-    sim = Simulator(seed=5, tracing=False)
-    topology = build(sim, TopologySpec(num_sites=2, num_providers=4))
-    plan = topology.routing_plan()
-    a, b = topology.providers[0], topology.providers[1]
-    a.interfaces["to-prov1"].link.delay *= 2  # mesh edge changed
-    assert mesh_fingerprint(topology.providers) != plan.fingerprint
-    assert topology.routing_plan() is not plan
-
-
 def path_delay(adjacency, source, destination):
     """Shortest-path delay by one full Dijkstra from *source* per call: the
     oracle for the plan's precomputed tables."""
@@ -92,7 +72,7 @@ def path_delay(adjacency, source, destination):
 def test_plan_delay_matches_dijkstra():
     sim = Simulator(seed=9, tracing=False)
     topology = build(sim, TopologySpec(num_sites=2, num_providers=6))
-    plan = topology.routing_plan()
+    plan = topology.routing_plan
     adjacency = build_adjacency(topology.providers)
     for source in topology.providers:
         for destination in topology.providers:
@@ -104,7 +84,7 @@ def test_plan_install_is_idempotent():
     sim = Simulator(seed=3, tracing=False)
     topology = build(sim, TopologySpec(num_sites=3, num_providers=4))
     before = [_fib_snapshot(p) for p in topology.providers]
-    topology.routing_plan().install(topology.attachments)
+    topology.routing_plan.install(topology.attachments)
     assert [_fib_snapshot(p) for p in topology.providers] == before
 
 
@@ -551,31 +531,28 @@ def test_failure_cells_reuse_cleanly():
 # --------------------------------------------------------------------- #
 
 def test_single_tier_hierarchical_plan_equals_flat_plan():
-    """One tier, no uplinks, no IXPs: the hierarchical plan degenerates to
-    the flat all-pairs plan — identical FIBs (iface, next hop, metric)
-    and identical delay() answers."""
-    sim = Simulator(seed=17, tracing=False)
-    topology = build(sim, TopologySpec(num_sites=5, num_providers=6))
-    topology.attach_infra_host(1, "root-dns", "203.0.113.5")
-    topology.install_global_routes()  # flat RoutingPlan did this install
-    flat_plan = topology.routing_plan()
-    flat_fibs = [_fib_snapshot(p) for p in topology.providers]
-
-    layout = TierLayout(
-        tiers=(tuple(range(len(topology.providers))),),
-        uplinks={}, ixps=(),
-        aggregates={p: provider_prefix_for(p)
-                    for p in range(len(topology.providers))})
-    hier_plan = HierarchicalRoutingPlan(topology.providers, layout)
-    for provider in topology.providers:
-        provider.fib.clear()
-    hier_plan.install(topology.attachments)
-
-    assert [_fib_snapshot(p) for p in topology.providers] == flat_fibs
-    for a in topology.providers:
-        for b in topology.providers:
-            assert hier_plan.delay(a, b) == flat_plan.delay(a, b)
-    assert hier_plan.fingerprint == flat_plan.fingerprint
+    """One tier, no uplinks, no IXs: the plan of a flat or Fig. 1 world is
+    the flat all-pairs reference plan — identical FIBs (iface, next hop,
+    metric), installed incrementally as the DNS hierarchy and the NERD or
+    CONS infrastructure attach, and identical delay() answers."""
+    for family in ("flat", "fig1"):
+        for control_plane in ("nerd", "cons"):
+            config = ScenarioConfig(control_plane=control_plane,
+                                    topology=family, num_sites=5,
+                                    num_providers=6, seed=17, tracing=False)
+            topology = build_world(config).topology
+            assert len(topology.tier_layout.tiers) == 1
+            assert len(topology.infra_hosts) > 2  # DNS and the mapping system
+            built = [_fib_snapshot(p) for p in topology.providers]
+            reference = FlatRoutingPlan(topology.providers)
+            for provider in topology.providers:
+                provider.fib.clear()
+            reference.install(topology.attachments)
+            assert [_fib_snapshot(p) for p in topology.providers] == built
+            plan = topology.routing_plan
+            for a in topology.providers:
+                for b in topology.providers:
+                    assert plan.delay(a, b) == reference.delay(a, b)
 
 
 def _tiered_cell(control_plane="pce"):
@@ -607,24 +584,26 @@ def test_restored_tiered_world_keeps_hierarchical_routing():
     run_workload(scenario, WorkloadConfig(num_flows=6, arrival_rate=10.0))
     restore_world(scenario)
     restored = scenario.topology
-    assert isinstance(restored.routing_plan(), HierarchicalRoutingPlan)
-    assert restored.tier_layout is not None
+    assert isinstance(restored.routing_plan, RoutingPlan)
+    assert len(restored.tier_layout.tiers) == 3
     assert restored.ix_routers
 
 
 def test_topology_axis_sweep_digest_matches_across_workers():
     """The schema-v6 topology axis stays deterministic under fan-out."""
-    grid = SweepGrid(control_planes=("pce",), topologies=("flat", "tiered"),
+    families = ("fig1", "flat", "tiered", "caida")
+    grid = SweepGrid(control_planes=("pce",), topologies=families,
                      site_counts=(4,), seeds=(7,), num_flows=8,
                      arrival_rate=10.0)
     fanned = run_sweep(grid, workers=2)
     serial = run_sweep(grid, workers=1)
     assert payload_digest(serial) == payload_digest(fanned)
     cell_ids = [cell["cell_id"] for cell in serial["cells"]]
-    assert cell_ids == ["pce-sites4-zipf1-seed7",
-                        "pce-tiered-sites4-zipf1-seed7"]
-    by_topology = {cell["topology"]: cell for cell in serial["cells"]}
-    assert set(by_topology) == {"flat", "tiered"}
+    assert cell_ids == ["pce-fig1-sites4-zipf1-seed7",
+                        "pce-sites4-zipf1-seed7",
+                        "pce-tiered-sites4-zipf1-seed7",
+                        "pce-caida-sites4-zipf1-seed7"]
+    assert [cell["topology"] for cell in serial["cells"]] == list(families)
 
 
 # --------------------------------------------------------------------- #

@@ -29,6 +29,8 @@ JITTER = 0.002
 #: Bytes pledged to a locator per assigned flow (and decayed per round),
 #: and what TE re-homing assumes each homed flow weighs.
 FLOW_BYTES_ESTIMATE = 50_000
+#: The selection policies :meth:`IrcEngine._select` knows.
+POLICIES = ("latency", "balance", "primary")
 
 
 class ProviderEstimate:
@@ -79,18 +81,10 @@ class IrcEngine:
 
     def _path_delay_estimate(self, b):
         """Access delay plus this provider's mean WAN distance."""
-        access = self.site.access_delays[b]
-        provider = self.topology.providers[self.site.provider_ids[b]]
-        plan = self.topology.routing_plan
-        mesh_delays = []
-        for other in self.topology.providers:
-            if other is provider:
-                continue
-            delay = plan.delay(provider, other)
-            if delay is not None:
-                mesh_delays.append(delay)
-        wan = sum(mesh_delays) / len(mesh_delays) if mesh_delays else 0.0
-        return access + wan
+        topology = self.topology
+        provider = topology.providers[self.site.provider_ids[b]]
+        return (self.site.access_delays[b]
+                + topology.routing_plan.mean_wan_delay(provider))
 
     # ------------------------------------------------------------------ #
     # Selection
@@ -121,7 +115,8 @@ class IrcEngine:
             return min(candidates, key=lambda b: (self.estimates[b].delay_ewma, b))
         if self.policy == "balance":
             return min(candidates, key=lambda b: (self._load(self.estimates[b], direction), b))
-        raise ValueError(f"unknown IRC policy {self.policy!r}")
+        raise ValueError(f"unknown IRC policy {self.policy!r}, "
+                         f"expected one of {POLICIES}")
 
     def snapshot(self):
         """Per-locator view for reporting: (delay_ewma, bytes_in, bytes_out)."""

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Optional
 
 from repro.core.control_plane import deploy_pce_control_plane
+from repro.core.irc import POLICIES as IRC_POLICIES
 from repro.dns.hierarchy import install_dns
 from repro.dns.records import check_ttl
 from repro.dns.resolver import StubResolver
@@ -32,7 +33,10 @@ FLOW_TCP_PORT = 80
 FLOW_UDP_PORT = 9000
 
 CONTROL_PLANES = ("pce", "alt", "cons", "nerd", "plain")
-MISS_POLICIES = ("drop", "queue", "cp-data")
+#: ``miss_policy`` name -> the ITR's miss policy class.
+_MISS_POLICIES = {"drop": DropPolicy, "queue": QueuePolicy,
+                  "cp-data": CpDataPolicy}
+MISS_POLICIES = tuple(_MISS_POLICIES)
 
 
 @dataclass
@@ -82,6 +86,13 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.topology not in FAMILIES:
             raise ValueError(f"unknown topology family {self.topology!r}")
+        for name, known in (("control_plane", CONTROL_PLANES),
+                            ("miss_policy", MISS_POLICIES),
+                            ("irc_policy", IRC_POLICIES)):
+            value = getattr(self, name)
+            if value not in known:
+                raise ValueError(f"unknown {name} {value!r}, "
+                                 f"expected one of {known}")
         check_sizing(self.topology_spec())
         check_ttl("dns_host_ttl", self.dns_host_ttl)
         # Lifetimes must be > 0, which NaN is not either: a bad grid then
@@ -378,20 +389,8 @@ class Scenario:
         yield from self.dns.resolvers.values()
 
 
-def _make_miss_policy(sim, config):
-    if config.miss_policy == "drop":
-        return DropPolicy(sim)
-    if config.miss_policy == "queue":
-        return QueuePolicy(sim)
-    if config.miss_policy == "cp-data":
-        return CpDataPolicy(sim)
-    raise ValueError(f"unknown miss policy {config.miss_policy!r}")
-
-
 def build_scenario(config):
     """Build the world described by *config* and return a :class:`Scenario`."""
-    if config.control_plane not in CONTROL_PLANES:
-        raise ValueError(f"unknown control plane {config.control_plane!r}")
     sim = Simulator(seed=config.seed, tracing=config.tracing)
     spec = config.topology_spec(
         eids_globally_routable=(config.control_plane == "plain"))
@@ -417,7 +416,7 @@ def build_scenario(config):
             system = ConsMappingSystem(sim, topology)
         else:
             system = NerdMappingSystem(sim, topology)
-        policy = _make_miss_policy(sim, config)
+        policy = _MISS_POLICIES[config.miss_policy](sim)
         scenario.mapping_system = system
         scenario.miss_policy = policy
         scenario.xtrs_by_site = deploy_lisp(

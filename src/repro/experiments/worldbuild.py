@@ -166,7 +166,7 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: rebuilt, never restored.  The "Versions" paragraph of
 #: ``docs/contracts.md`` says when to bump this and when the sweep
 #: artifact ``SCHEMA``.
-SNAPSHOT_SCHEMA = 16
+SNAPSHOT_SCHEMA = 17
 
 
 @contextmanager

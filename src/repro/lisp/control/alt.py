@@ -2,9 +2,14 @@
 
 Each site's first border router (xtr0) doubles as its ALT router.  ALT
 routers form a ring with chord shortcuts; every site's EID prefix is
-announced into the overlay, and each ALT router holds a next-hop table
-toward every prefix (hop-count shortest paths, like BGP over the GRE mesh
-the ALT draft describes).
+announced into the overlay, and each ALT router has a next hop toward
+every prefix (hop-count shortest paths, like BGP over the GRE mesh the ALT
+draft describes).  The system does not materialise those routes per
+router: it keeps the overlay adjacency and one table from EID prefix to
+origin site, and computes the hop-count tree toward an origin the first
+time a message is forwarded toward it.  A world of n sites holds n prefix
+entries instead of n² routes; the per-router route counts E5 reports come
+from the overlay's connected components.
 
 A Map-Request from an ITR enters the overlay at its own site's ALT router
 and is forwarded *as real UDP packets* across the WAN until it reaches the
@@ -57,10 +62,15 @@ class AltMappingSystem(MappingSystem):
         self._pending = {}
         self._alt_nodes = {}      # site index -> alt node (xtr0's Node)
         self._alt_address = {}    # site index -> control address of alt node
-        self._rib = {}            # node name -> Fib of prefix -> next-hop address
+        self._adjacency = {}      # site index -> sorted neighbour indices
+        self._origins = Fib()     # EID prefix -> origin site index
         self._site_of_node = {}   # node name -> site
         self._xtr_of_node = {}    # node name -> TunnelRouter
-        self.overlay_edges = []
+        #: origin site index -> {site index: next-hop control address}, the
+        #: hop-count tree toward that origin's prefix.  A derived cache,
+        #: filled on the first forward toward each origin; never snapshot
+        #: state (the overlay does not change after :meth:`finalize`).
+        self._toward = {}
 
     # -- wiring ---------------------------------------------------------- #
 
@@ -74,7 +84,7 @@ class AltMappingSystem(MappingSystem):
         xtr.node.bind_udp(LISP_CONTROL_PORT, self._on_control)
 
     def finalize(self):
-        """Build the overlay ring + chords and compute per-prefix next hops."""
+        """Build the overlay ring + chords and the prefix -> origin table."""
         order = sorted(self.sites, key=lambda site: site.index)
         n = len(order)
         if n == 0:
@@ -95,33 +105,38 @@ class AltMappingSystem(MappingSystem):
                 if chord.index != site.index:
                     adjacency[site.index].add(chord.index)
                     adjacency[chord.index].add(site.index)
-        self.overlay_edges = sorted(
-            {tuple(sorted((a, b))) for a, neighbours in adjacency.items()
-             for b in neighbours})
+        self._adjacency = {index: tuple(sorted(neighbours))
+                           for index, neighbours in adjacency.items()}
+        for site in order:
+            self._origins.insert(FibEntry(site.eid_prefix, site.index))
 
-        # Hop-count shortest paths from every node toward every origin site.
-        ribs = {site.index: self._rib.setdefault(
-            self._alt_nodes[site.index].name, Fib()) for site in order}
-        for origin in order:
-            parents = self._bfs_parents(adjacency, origin.index)
-            prefix = origin.eid_prefix
-            for index, rib in ribs.items():
-                next_index = parents.get(index)
-                if next_index is not None:
-                    rib.insert(FibEntry(prefix, self._alt_address[next_index]))
+    def _next_hop(self, index, eid):
+        """Control address the ALT router of site *index* forwards a
+        message for *eid* to (None: no overlay route)."""
+        entry = self._origins.lookup(eid, default=None)
+        if entry is None:
+            return None
+        origin = entry.interface
+        toward = self._toward.get(origin)
+        if toward is None:
+            address = self._alt_address
+            toward = self._toward[origin] = {
+                node: address[parent]
+                for node, parent in self._bfs_parents(origin).items()}
+        return toward.get(index)
 
-    @staticmethod
-    def _bfs_parents(adjacency, origin):
+    def _bfs_parents(self, origin):
         """BFS tree rooted at *origin*: {node: its parent}.
 
         Forwarding from a node toward the origin goes to its parent.
         """
+        adjacency = self._adjacency
         toward = {}
         visited = {origin}
         frontier = deque([origin])
         while frontier:
             current = frontier.popleft()
-            for neighbour in sorted(adjacency[current]):
+            for neighbour in adjacency[current]:
                 if neighbour not in visited:
                     visited.add(neighbour)
                     toward[neighbour] = current
@@ -173,7 +188,7 @@ class AltMappingSystem(MappingSystem):
 
             self.sim.call_in(HOP_PROCESSING_DELAY, answer)
             return
-        self._forward_over_overlay(packet, request.eid, node, request,
+        self._forward_over_overlay(packet, request.eid, node, site, request,
                                    message_type="map-request-hop")
 
     def _forward_or_deliver_data(self, packet, envelope, node):
@@ -184,18 +199,19 @@ class AltMappingSystem(MappingSystem):
                 self.sim.call_in(HOP_PROCESSING_DELAY,
                                  xtr.deliver_into_site, envelope.inner)
             return
-        self._forward_over_overlay(packet, envelope.eid, node, envelope,
+        self._forward_over_overlay(packet, envelope.eid, node, site, envelope,
                                    message_type="cp-data-hop")
 
-    def _forward_over_overlay(self, packet, eid, node, payload, message_type):
+    def _forward_over_overlay(self, packet, eid, node, site, payload,
+                              message_type):
         hops = packet.meta.get("alt_hops", 0)
         if hops >= MAX_OVERLAY_HOPS:
             return
-        rib = self._rib.get(node.name)
-        entry = rib.lookup(eid, default=None) if rib is not None else None
-        if entry is None:
+        if site is None:  # not an ALT router
             return
-        next_address = entry.interface
+        next_address = self._next_hop(site.index, eid)
+        if next_address is None:
+            return
         self.stats.count(message_type, payload.size_bytes)
 
         def forward():
@@ -221,4 +237,15 @@ class AltMappingSystem(MappingSystem):
     # -- reporting ---------------------------------------------------------- #
 
     def state_entries_per_router(self):
-        return {name: len(rib) for name, rib in self._rib.items()}
+        """Each ALT router's route count, by router name: the origins it
+        reaches (every other member of its overlay component)."""
+        adjacency = self._adjacency
+        component_size = {}
+        for start in adjacency:
+            if start in component_size:
+                continue
+            members = [start, *self._bfs_parents(start)]
+            for index in members:
+                component_size[index] = len(members)
+        return {self._alt_nodes[index].name: component_size[index] - 1
+                for index in adjacency}

@@ -302,7 +302,8 @@ class Link(Journaled):
         self.rate_bps = rate_bps
         self.name = name or f"{src_interface}->{dst_interface}"
         self.stats = LinkStats()
-        self._queue = deque()
+        # A rate-less link never queues, so only a rated one has a queue.
+        self._queue = deque() if rate_bps is not None else None
         self._busy = False
         self._up = True
 
@@ -458,7 +459,8 @@ class Link(Journaled):
 
     def restore_state(self, state):
         self._up, self._busy, stats_state = state
-        self._queue.clear()
+        if self._queue:
+            self._queue.clear()
         self.stats.restore_state(stats_state)
 
 

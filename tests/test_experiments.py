@@ -23,13 +23,13 @@ def test_build_scenario_each_control_plane(control_plane):
 
 
 def test_unknown_control_plane_rejected():
-    with pytest.raises(ValueError):
-        build_scenario(ScenarioConfig(control_plane="bogus"))
+    with pytest.raises(ValueError, match="control_plane 'bogus'"):
+        ScenarioConfig(control_plane="bogus")
 
 
 def test_unknown_miss_policy_rejected():
-    with pytest.raises(ValueError):
-        build_scenario(ScenarioConfig(control_plane="alt", miss_policy="bogus"))
+    with pytest.raises(ValueError, match="miss_policy 'bogus'"):
+        ScenarioConfig(control_plane="alt", miss_policy="bogus")
 
 
 @pytest.mark.parametrize("control_plane,expect_loss", [

@@ -92,9 +92,9 @@ def test_alt_overlay_is_connected():
         for dst in range(6):
             if src == dst:
                 continue
-            rib = system._rib[topology.sites[src].xtrs[0].name]
-            prefix = topology.sites[dst].eid_prefix
-            assert rib.lookup(prefix.network, default=None) is not None, \
+            router = topology.sites[src].index
+            eid = topology.sites[dst].eid_prefix.network
+            assert system._next_hop(router, eid) is not None, \
                 f"site{src} has no ALT route to site{dst}"
 
 

@@ -49,7 +49,11 @@ def test_expand_grid_rejects_unknown_control_plane():
                         (dict(site_counts=(3, 4, 3)), "'site_counts' repeats"),
                         (dict(seeds=(1, 1)), "'seeds' repeats"),
                         (dict(scenario_overrides={"dns_host_ttl": 0.5}),
-                         "dns_host_ttl .* got 0.5")):
+                         "dns_host_ttl .* got 0.5"),
+                        (dict(scenario_overrides={"miss_policy": "bogus"}),
+                         "miss_policy 'bogus'"),
+                        (dict(scenario_overrides={"irc_policy": "bogus"}),
+                         "irc_policy 'bogus'")):
         with pytest.raises(ValueError, match=named):
             expand_grid(SweepGrid(**axes))
 

@@ -3,21 +3,12 @@
 
 Declares a small grid — two control planes x two site counts x two seeds,
 Zipf-skewed destinations — runs every cell and prints the seed-averaged
-aggregates.  Each distinct world is pre-built exactly once into a shared
-snapshot store; workers restore from it instead of building their own
-copies.  The same machinery scales to the built-in "scale" preset: 24
-cells, four control planes, up to 120 sites.
-
-The second half demos a persistent store: pointed at a ``snapshot_dir``
-(CLI: ``python -m repro sweep --snapshot-dir ~/.cache/repro-worlds``),
-built worlds are serialized into content-addressed blob files, and a
-repeated run of the same grid performs **zero** world builds while
-producing a byte-identical aggregate digest.
+aggregates.  Each distinct world is built once and reset in place for
+every further cell that runs on it.  The same machinery scales to the
+built-in "scale" preset: 24 cells, four control planes, up to 120 sites.
 
 Run:  python examples/sweep_grid.py
 """
-
-import tempfile
 
 from repro.experiments.sweep import SweepGrid, payload_digest, run_sweep
 from repro.metrics import format_table
@@ -51,21 +42,7 @@ def main():
     print()
     print(f"  [{'ok' if same else 'MISMATCH'}] workers=2 and workers=1 "
           "produce identical aggregates")
-
-    # Persistent snapshot store (the CLI's --snapshot-dir): the first run
-    # serializes every distinct world, the rerun restores all of them —
-    # zero builds — and the digest doesn't move a byte.
-    with tempfile.TemporaryDirectory() as snapshot_dir:
-        cold = run_sweep(grid, workers=2, snapshot_dir=snapshot_dir)
-        warm = run_sweep(grid, workers=2, snapshot_dir=snapshot_dir)
-    zero_builds = warm["world_cache"]["builds"] == 0
-    stable = payload_digest(warm) == payload_digest(payload)
-    print(f"  [{'ok' if zero_builds else 'MISMATCH'}] snapshot-dir rerun "
-          f"built {warm['world_cache']['builds']} worlds "
-          f"(first run built {cold['world_cache']['builds']})")
-    print(f"  [{'ok' if stable else 'MISMATCH'}] snapshot-restored worlds "
-          "reproduce the aggregates byte for byte")
-    return 0 if same and zero_builds and stable else 1
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

@@ -18,12 +18,12 @@ Parameter sweeps (``repro sweep``)
 
 ``sweep`` expands a declarative grid (one axis per row of
 :data:`repro.experiments.sweep.AXES`)
-into scenario/workload cells and runs them against one world cache, the
-run's snapshot store: each distinct world is built exactly once and reset
-in place for every further cell (``--workers N`` pre-builds the worlds,
-then fans the cells out across a persistent worker pool that inherits or
-deserializes them; ``--snapshot-dir`` persists the serialized worlds, so a
-rerun builds nothing).  Per-cell results stream to a JSONL artifact, and
+into scenario/workload cells and runs them against one world cache of
+live worlds: each distinct world is built once and reset in place for
+every further cell (``--workers N`` fans the cells out across a
+persistent worker pool that inherits the parent's pre-built worlds where
+processes fork, and builds each world once per worker elsewhere).
+Per-cell results stream to a JSONL artifact, and
 aggregated JSON/CSV artifacts are written at the end — every output path
 is checked before the first world is built::
 
@@ -34,8 +34,6 @@ is checked before the first world is built::
     python -m repro sweep --preset shaped       # size-aware traffic shaping
     python -m repro sweep --preset baselines --sites 4 16 --seeds 1 2 3 \\
         --size-dists constant pareto --pacings constant shaped
-    python -m repro sweep --preset scale --workers 4 \\
-        --snapshot-dir ~/.cache/repro-worlds    # rerun: zero world builds
 
 Static analysis (``repro analyze``)
 -----------------------------------
@@ -52,15 +50,14 @@ Presets live in :data:`repro.experiments.sweep.PRESETS`; one flag per
 ``AXES`` row (plus ``GRID_FLAGS``) overrides the chosen preset's axes.
 Aggregates are
 deterministic: the same grid and seeds produce byte-identical JSON for any
-``--workers`` value (the ``world cache:`` and ``snapshot store`` lines
-report hits/restores/builds separately).  For
+``--workers`` value (the ``world cache:`` line reports hits and builds,
+which depend on it).  For
 giant grids, ``--no-json`` keeps the run memory-flat: aggregation and CSV
 writing fold over the JSONL stream and the per-cell list is never held in
 memory.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -128,11 +125,6 @@ def build_parser():
     sweep.add_argument("--jsonl", default=None,
                        help="stream per-cell results here (default: derived "
                             "from --json, else sweep-<preset>.cells.jsonl)")
-    sweep.add_argument("--snapshot-dir", default=None,
-                       help="persistent world-snapshot store: built worlds "
-                            "are serialized here (content-addressed by world "
-                            "key + schema version) and repeated sweeps "
-                            "restore instead of rebuilding")
     for axis in AXES:
         sweep.add_argument(axis.flag, nargs="+", type=axis.type, default=None,
                            help=axis.help)
@@ -176,9 +168,7 @@ def _run_sweep_command(args):
         payload = run_sweep(
             grid, workers=max(1, args.workers), json_path=args.json,
             csv_path=args.csv, jsonl_path=jsonl_path,
-            include_cells=not args.no_json,
-            snapshot_dir=(None if args.snapshot_dir is None
-                          else os.path.expanduser(args.snapshot_dir)))
+            include_cells=not args.no_json)
     except ValueError as error:
         print(f"sweep error: {error}")
         return 1
@@ -197,15 +187,8 @@ def _run_sweep_command(args):
                         "setup_p95", "bytes", "util"), rows,
                        title=f"sweep '{grid.name}': {payload['num_cells']} cells"))
     cache = payload["world_cache"]
-    print(f"world cache: {cache['hits']} hits / {cache['restores']} restores "
-          f"/ {cache['builds']} builds "
+    print(f"world cache: {cache['hits']} hits / {cache['builds']} builds "
           f"({cache['misses']} misses)")
-    store = cache["store"]
-    kind = "persistent" if store["persistent"] else "transient"
-    print(f"snapshot store ({kind}): {store['builds']} built / "
-          f"{store['blob_hits']} blob hits / "
-          f"{store['invalidated']} invalidated, "
-          f"{store['worlds']} worlds held")
     for path, label in ((args.json, "json"), (args.csv, "csv"),
                         (jsonl_path, "jsonl")):
         if path is not None:

@@ -235,9 +235,8 @@ class PceControlPlane:
 class EtrReverseHook:
     """ETR decapsulation hook: first data packet -> reverse-mapping multicast.
 
-    A callable class rather than a closure so built worlds stay picklable
-    (snapshot blobs serialize the whole object graph, and xTRs hold these in
-    ``decap_listeners``).
+    A picklable callable class rather than a closure; xTRs hold these in
+    ``decap_listeners``.
     """
 
     __slots__ = ("control_plane", "site", "xtr")

@@ -153,17 +153,6 @@ class Scenario:
     def __post_init__(self):
         self.fluid_pump = FluidPump(self.sim)
 
-    def __getstate__(self):
-        # Interfaces pickle without their link (the one edge that made
-        # pickle's recursion as deep as the topology is wide), so the blob
-        # carries the link table and __setstate__ re-attaches each link.
-        return {**self.__dict__, "links": self.links}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        for link in self.links:
-            link.src_interface.link = link
-
     @property
     def name(self):
         return self.config.control_plane
@@ -280,8 +269,8 @@ class Scenario:
 
         Links are construction-time wiring (interfaces are attached while
         the topology is built and never afterwards), so the topology is
-        walked once per world, on first use, and the table travels in the
-        world's pickle; :meth:`iter_links`, the checkpoint inventory and
+        walked once per world, on first use; :meth:`iter_links`, the
+        checkpoint inventory and
         :meth:`byte_accounting` share the result.  Node by node, interface
         by interface, first-seen order.
         """

@@ -14,23 +14,18 @@ Which axes and metrics exist is defined once, in the :data:`AXES` and
 them (see "Sweep artifacts" in ``docs/contracts.md``).
 
 Worlds come from one cache, a
-:class:`~repro.experiments.worldbuild.SnapshotStore` that every run owns
-(memory-only unless ``snapshot_dir`` names a directory), through one call:
-``store.world_for(config)`` inside :func:`run_cell` resets a live world
-in place (``hit``), deserializes a stored blob (``restore``) or builds
+:class:`~repro.experiments.worldbuild.SnapshotStore` of live worlds that
+every run owns, through one call: ``store.world_for(config)`` inside
+:func:`run_cell` resets a held world in place (``hit``) or builds it
 (``miss``).  Cells are visited world by world, so a serial run builds
 each world when its first cell comes up and holds one at a time.  Fan-out
-runs first pre-build every distinct world *exactly once* into the store
-(:func:`prebuild_worlds`), then dispatch cells to workers individually —
-any worker serves any cell: on ``fork`` platforms the parent builds
-serially with the cyclic GC paused (measured cheaper per world than the
-build-pool + serialize + deserialize round trip, though a grid with many
-distinct worlds pays it unparallelized) and every worker inherits the
-pinned live worlds; elsewhere a short-lived build pool serializes blobs
-into a directory and workers deserialize them.  A persistent
-``snapshot_dir`` carries blobs across invocations, so a repeated sweep
-performs zero builds.  The per-cell outcome tally and the store's
-counters surface in the sweep outcome under ``world_cache``.
+runs dispatch cells to workers individually — any worker serves any
+cell.  On ``fork`` platforms the parent first builds every distinct
+world *exactly once* and pins it (:func:`prebuild_worlds`, serially, with
+the cyclic GC paused) and every worker inherits the pinned worlds;
+elsewhere each worker builds a world on its first cell of it, so a world
+is built at most once per worker that serves it.  The per-cell outcome
+tally surfaces in the sweep outcome under ``world_cache``.
 
 Cell results stream to a JSONL artifact as they complete (one JSON object
 per line, in completion order, each tagged with its world-cache outcome)
@@ -68,7 +63,6 @@ or from the command line: ``python -m repro sweep --preset scale --workers 4``.
 """
 
 import csv
-import gc
 import heapq
 import itertools
 import json
@@ -76,7 +70,6 @@ import math
 import multiprocessing
 import operator
 import os
-import shutil
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -85,8 +78,7 @@ from repro.experiments.e9_failover import schedule_access_failure
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.workload import (WorkloadConfig, classify_first_packet,
                                         peak_concurrent_flows, run_workload)
-from repro.experiments.worldbuild import (SnapshotStore, build_world,
-                                          serialize_world, world_key)
+from repro.experiments.worldbuild import SnapshotStore, world_key
 from repro.metrics.stats import summarize
 from repro.net.topogen import FAMILIES
 from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
@@ -95,8 +87,8 @@ from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
 #: — grid description, aggregate group key and folds, per-cell rows and
 #: their ``metrics`` keys — and of the CSV columns.  Bump it when a
 #: consumer of the artifacts would have to change (see "Sweep artifacts"
-#: in ``docs/contracts.md``); what is pickled into world blobs is
-#: versioned separately (``SNAPSHOT_SCHEMA``, see "Versions" there).
+#: in ``docs/contracts.md``); world blobs are versioned separately
+#: (``SNAPSHOT_SCHEMA``, see "Versions" there).
 SCHEMA = "repro.sweep/v8"
 
 
@@ -520,8 +512,8 @@ def run_cell(cell, store=None):
 
     The world is whatever
     :meth:`~repro.experiments.worldbuild.SnapshotStore.world_for` serves —
-    reset in place, deserialized or built (``store.last_outcome`` says
-    which); without a *store* a throwaway one builds it.  Returns a
+    reset in place or built (``store.last_outcome`` says which); without
+    a *store* a throwaway one builds it.  Returns a
     JSON-ready dict — the value of every :data:`AXES` row the cell ran
     with and every :data:`METRICS` row's collection; everything in it is
     derived from the simulation alone (no wall-clock values, no cache
@@ -553,7 +545,7 @@ def run_cell(cell, store=None):
 
 
 # --------------------------------------------------------------------- #
-# Fan-out: one store in the parent, inherited or reopened by each worker
+# Fan-out: one store in the parent, inherited or started anew by each worker
 # --------------------------------------------------------------------- #
 
 def distinct_world_configs(cells):
@@ -581,65 +573,29 @@ def order_cells_by_world(cells):
     return [cell for group in grouped.values() for cell in group]
 
 
-def _build_blob(config):
-    """Build-stage worker entry point: one world built and serialized.
+def prebuild_worlds(store, cells):
+    """Pin every distinct world of *cells* in *store* before they fan out.
 
-    The world is dropped here, so it is collected here (a world is one
-    reference cycle): a pool worker would otherwise hold every world it
-    has built until an automatic full pass happened by.
+    The build stage of a ``fork`` fan-out run: each world is built exactly
+    once, in this process, and every worker inherits it and resets it in
+    place instead of building (serial runs skip this stage: ``world_for``
+    builds on demand).
     """
-    blob = serialize_world(build_world(config))
-    gc.collect()
-    return blob
-
-
-def prebuild_worlds(store, cells, workers=1, live=False):
-    """Guarantee *store* holds every distinct world before cells fan out.
-
-    The build stage of a fan-out run — each world is built exactly once,
-    and run workers afterwards get it from the store instead of building
-    (serial runs skip this stage: ``world_for`` builds on demand).  With
-    ``live=True`` (fork platforms) worlds are pinned live in the store —
-    workers inherit the built graphs and reset them in place — while a
-    store ``directory`` still gets its persistent blobs (warm directories
-    hydrate the live worlds instead of rebuilding).  Without it (spawn
-    fan-out, where workers cannot inherit parent memory), missing worlds
-    are built in parallel across a short-lived build pool when *workers*
-    allows and serialized into blobs; worlds already stored are validated
-    and trusted without a rebuild.
-    """
-    if live:
-        for config in distinct_world_configs(cells):
-            store.ensure(config, live=True)
-        return
-    missing = [config for config in distinct_world_configs(cells)
-               if not store.has_snapshot(config)]
-    if workers > 1 and len(missing) > 1:
-        context = multiprocessing.get_context()
-        processes = min(workers, len(missing))
-        with context.Pool(processes=processes) as pool:
-            # imap (not map): blobs stream back one at a time, so peak
-            # parent memory is one in-flight blob, not the whole grid's.
-            for config, blob in zip(missing,
-                                    pool.imap(_build_blob, missing,
-                                              chunksize=1), strict=True):
-                store.put_built(config, blob)
-    else:
-        for config in missing:
-            store.ensure(config)
+    for config in distinct_world_configs(cells):
+        store.ensure(config)
 
 
 #: The store this process's pool cells draw worlds from.  The parent sets
 #: it around pool creation, so ``fork`` workers inherit the store itself —
 #: pinned live worlds and all; spawn workers re-import this module, find
-#: None, and open the store's directory instead.
+#: None, and start an empty store that builds on first touch.
 _WORKER_STORE = None
 
 
-def _init_worker(snapshot_dir):
+def _init_worker():
     global _WORKER_STORE
     if _WORKER_STORE is None:
-        _WORKER_STORE = SnapshotStore(snapshot_dir)
+        _WORKER_STORE = SnapshotStore()
 
 
 def _run_single_cell(cell):
@@ -655,8 +611,8 @@ def _iter_completed(cells, workers, store):
 
     Cells are taken world by world.  ``workers<=1`` runs them inline
     against *store*; otherwise they are dispatched individually to a
-    persistent pool — any worker can serve any world from its copy of
-    (fork) or a fresh store over (spawn) the parent's *store*.
+    persistent pool — any worker can serve any world, from its copy of
+    the parent's *store* (fork) or from a store of its own (spawn).
     Completion order is arbitrary under fan-out — consumers must not rely
     on it (the aggregation path reorders by cell index).
     """
@@ -670,8 +626,7 @@ def _iter_completed(cells, workers, store):
     _WORKER_STORE = store
     try:
         with context.Pool(processes=min(workers, len(cells)),
-                          initializer=_init_worker,
-                          initargs=(store.directory,)) as pool:
+                          initializer=_init_worker) as pool:
             yield from pool.imap_unordered(_run_single_cell, cells,
                                            chunksize=1)
     finally:
@@ -792,13 +747,12 @@ def iter_jsonl(path):
             yield entry
 
 
-def _check_outputs(artifact_paths, snapshot_dir):
+def _check_outputs(artifact_paths):
     """Reject unwritable outputs before any world is built.
 
     Raises ``ValueError`` for an artifact path whose directory does not
-    exist and for a *snapshot_dir* that exists but is not a directory —
-    the failures that would otherwise surface as an ``OSError`` only after
-    the whole sweep has run.
+    exist — the failure that would otherwise surface as an ``OSError``
+    only after the whole sweep has run.
     """
     for label, path in artifact_paths.items():
         if path is None:
@@ -807,30 +761,21 @@ def _check_outputs(artifact_paths, snapshot_dir):
         if not os.path.isdir(directory):
             raise ValueError(f"cannot write {label} artifact {path!r}: "
                              f"no such directory {directory!r}")
-    if (snapshot_dir is not None and os.path.exists(snapshot_dir)
-            and not os.path.isdir(snapshot_dir)):
-        raise ValueError(f"snapshot directory {snapshot_dir!r} exists and "
-                         "is not a directory")
 
 
 def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
-              include_cells=True, snapshot_dir=None):
+              include_cells=True):
     """Expand *grid*, run every cell, aggregate, and write artifacts.
 
     Every run owns one :class:`~repro.experiments.worldbuild.SnapshotStore`
     and every cell gets its world from it.  Serial runs build on demand,
-    one resident world at a time.  Fan-out runs (``workers>1``) first
-    pre-build every distinct world exactly once into the store (serially
-    in the parent on ``fork`` platforms, via a short-lived build pool
-    elsewhere — see :func:`prebuild_worlds`), then dispatch cells
-    individually; the store then holds one world (or blob) per distinct
-    world key for the duration of the run phase, so parent memory scales
-    with the number of distinct worlds, not with cells; it is released
-    before aggregation.  *snapshot_dir* persists the blobs: a second sweep
-    pointed at the same directory performs zero builds.  On platforms
-    whose multiprocessing start method is not ``fork``, a temporary
-    directory stands in for fan-out when *snapshot_dir* is not given
-    (workers cannot inherit parent memory there).
+    one resident world at a time.  Fan-out runs (``workers>1``) dispatch
+    cells individually.  On ``fork`` platforms the parent first builds and
+    pins every distinct world exactly once (:func:`prebuild_worlds`), so
+    parent memory holds one world per distinct world key for the run
+    phase, not one per cell; it is released before aggregation.  Where
+    workers cannot inherit parent memory, each builds the worlds of the
+    cells it is handed, one resident at a time.
 
     Cell results stream to *jsonl_path* as they complete (a temporary file
     is used — and removed — when no path is given) while aggregation and
@@ -849,34 +794,25 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
     :func:`payload_digest`).
 
     Raises ``ValueError`` — before anything is built — for an artifact
-    path in a missing directory or a *snapshot_dir* that is a file.
+    path in a missing directory.
     """
     if json_path is not None and not include_cells:
         raise ValueError("json_path requires include_cells=True "
                          "(the JSON payload embeds the per-cell results)")
-    _check_outputs({"json": json_path, "csv": csv_path, "jsonl": jsonl_path},
-                   snapshot_dir)
+    _check_outputs({"json": json_path, "csv": csv_path, "jsonl": jsonl_path})
     cells = expand_grid(grid)
-    outcomes = {"hit": 0, "restore": 0, "miss": 0}
-    store_dir = snapshot_dir
-    temp_store_dir = None
+    outcomes = {"hit": 0, "miss": 0}
     stream_path = None
     fold = AggregateFold()
     csv_writer = None
     try:
-        fork = multiprocessing.get_start_method() == "fork"
-        if store_dir is None and workers > 1 and not fork:
-            store_dir = temp_store_dir = tempfile.mkdtemp(
-                prefix="repro-worlds-")
-        store = SnapshotStore(store_dir)
-        if workers > 1:
-            # Fork workers inherit this process's memory, so pre-build
-            # *live*: every worker resets the parent's worlds in place —
-            # the cheapest restore there is — while a snapshot_dir still
-            # gets its persistent blobs.  Spawn fan-out is blob-only
-            # (workers must deserialize from disk).
-            prebuild_worlds(store, cells, workers=workers, live=fork)
-        prebuilt = store.stats.builds
+        store = SnapshotStore()
+        if workers > 1 and multiprocessing.get_start_method() == "fork":
+            # Fork workers inherit this process's memory: every worker
+            # resets the parent's worlds in place, the cheapest restore
+            # there is.
+            prebuild_worlds(store, cells)
+        prebuilt = store.builds
         if jsonl_path is None:
             handle = tempfile.NamedTemporaryFile(
                 mode="w", suffix=".cells.jsonl", prefix="repro-sweep-",
@@ -906,20 +842,11 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
         # Tallied from per-cell outcomes (workers mutate their own copies
         # of the store, invisible here): a ``miss`` is a world built where
         # the cell ran, so ``builds`` — every world built anywhere — adds
-        # the pre-build stage's.  The nested ``store`` dict carries the
-        # parent-observable store totals.
+        # the pre-build stage's.
         world_cache = {
             "builds": prebuilt + outcomes["miss"],
             "hits": outcomes["hit"],
-            "misses": outcomes["restore"] + outcomes["miss"],
-            "restores": outcomes["restore"],
-            "store": {
-                "builds": store.stats.builds,
-                "blob_hits": store.stats.hits,
-                "invalidated": store.stats.invalidated,
-                "worlds": len(store),
-                "persistent": snapshot_dir is not None,
-            },
+            "misses": outcomes["miss"],
         }
         # The run phase is over: nothing asks this store for a world
         # again, so drop its worlds before aggregation materialises the
@@ -944,8 +871,6 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
             csv_writer.close()
         if jsonl_path is None and stream_path is not None:
             os.unlink(stream_path)
-        if temp_store_dir is not None:
-            shutil.rmtree(temp_store_dir, ignore_errors=True)
     if json_path is not None:
         write_json(payload, json_path)
     return payload

@@ -28,17 +28,6 @@ class Interface:
     def attach_link(self, link):
         self.link = link
 
-    def __getstate__(self):
-        # The link is left out: pickle would otherwise recurse link ->
-        # interface -> node -> link along the topology and outrun the
-        # stack on a few hundred sites.  Derived wiring, re-attached from
-        # the world's link table (``Scenario.__setstate__``).
-        return (self.node, self.name, self.address)
-
-    def __setstate__(self, state):
-        self.node, self.name, self.address = state
-        self.link = None
-
     @property
     def peer(self):
         """The interface at the other end of the attached link."""

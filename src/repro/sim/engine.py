@@ -227,18 +227,17 @@ class Simulator:
 
     @property
     def serializable(self):
-        """True when the engine meets the blob-serialization contract.
+        """True when the engine is settled: no pending foreground events.
 
-        A settled simulator (no pending foreground events) is plain
-        picklable data: clock, sequence counters, RNG stream states,
-        tracer, and armed periodic-task timers riding the queue as
-        ``(when, sequence, PeriodicFire, ())`` entries.  Pending
+        What is left on the queue of a settled simulator is armed
+        periodic-task timers, ``(when, sequence, PeriodicFire, ())``
+        entries that its checkpoint captures and re-arms.  Pending
         foreground entries hold live bound methods and the in-flight
         objects they close over (packets, requests, waiters' callbacks),
-        which are not — so only a settled simulator may be serialized into
-        a world-snapshot blob.  Changing that serialized shape (the entry
-        tuple, checkpoint tuple, periodic-task state) means bumping
-        :data:`repro.experiments.worldbuild.SNAPSHOT_SCHEMA`.
+        which no checkpoint can replay — so only a world whose engine is
+        settled stands for its config, and only such a world may be
+        serialized into a world-snapshot blob
+        (:func:`repro.experiments.worldbuild.serialize_world`).
         """
         return self._foreground == 0
 

@@ -114,11 +114,3 @@ class Journal:
             component.restore_state(pristine[component])
             component._journal = self
         self.dirty.clear()
-
-    def __getstate__(self):
-        # A clean component is its own pristine state, so a blob carries
-        # pristine states for the dirty list only — none for a clean world.
-        state = self.__dict__.copy()
-        state["pristine"] = {component: self.pristine[component]
-                             for component in self.dirty}
-        return state

@@ -22,7 +22,7 @@ STDOUT_SHA256 = {
     "shaped_sweep.py":
         "e186ed180febf3c87f5cccc36e5855f05eed856b99137c4716b6de4c31023477",
     "sweep_grid.py":
-        "9df4f92d40225831995e854f179dfa857f3223322d22082abf3bae2097cdcc8e",
+        "c168b43ea9a348fe93bd03d73de669cfd44d7136c8bdfeaaeb4312ce736bbaf2",
     "te_multihoming.py":
         "fd39a33fe61785fd533a06827d9d351a700f9266f0b38707884b4216e16401e7",
 }

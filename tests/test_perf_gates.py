@@ -63,7 +63,7 @@ def test_restore_beats_build(config):
     store = SnapshotStore()
     store.world_for(config)  # the miss: build + checkpoint
     restore_s = best_of(lambda: store.world_for(config))
-    assert store.last_outcome == "hit" and store.stats.builds == 1
+    assert store.last_outcome == "hit" and store.builds == 1
 
     speedup = build_s / restore_s
     print(f"\n  build {build_s:.3f}s, restore {restore_s:.4f}s -> {speedup:.1f}x")

@@ -397,22 +397,6 @@ def test_cli_sweep_no_json(tmp_path, capsys):
     assert "--no-json" in capsys.readouterr().out
 
 
-def test_cli_sweep_snapshot_dir(tmp_path, capsys):
-    """--snapshot-dir persists blobs; the rerun builds nothing and says so."""
-    args = ["sweep", "--preset", "smoke", "--workers", "2",
-            "--sites", "3", "--seeds", "1", "--flows", "6",
-            "--no-json", "--jsonl", str(tmp_path / "cells.jsonl"),
-            "--snapshot-dir", str(tmp_path / "worlds")]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "snapshot store (persistent)" in out
-    assert "2 built" in out
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "0 built" in out
-    assert "2 blob hits" in out
-
-
 @pytest.mark.parametrize("flag", ("--json", "--csv", "--jsonl"))
 def test_cli_sweep_rejects_artifact_in_missing_directory(
         flag, tmp_path, capsys, monkeypatch, no_world_builds):
@@ -426,15 +410,21 @@ def test_cli_sweep_rejects_artifact_in_missing_directory(
     assert list(tmp_path.iterdir()) == []  # nothing half-written either
 
 
-def test_cli_sweep_rejects_snapshot_dir_that_is_a_file(tmp_path, capsys):
+def test_cli_sweep_rejects_snapshot_dir_that_is_a_file(tmp_path, capsys,
+                                                       no_world_builds):
+    """Worlds are not stored between runs, so ``--snapshot-dir`` is an
+    unknown option — a file or a directory alike — refused before any
+    world is built."""
     not_a_directory = tmp_path / "worlds"
     not_a_directory.write_text("in the way")
-    code = main(["sweep", "--preset", "smoke",
-                 "--jsonl", str(tmp_path / "cells.jsonl"),
-                 "--snapshot-dir", str(not_a_directory)])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert out.startswith("sweep error: ") and "not a directory" in out
+    for target in (not_a_directory, tmp_path):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--preset", "smoke",
+                  "--jsonl", str(tmp_path / "cells.jsonl"),
+                  "--snapshot-dir", str(target)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --snapshot-dir" in err
     assert not (tmp_path / "cells.jsonl").exists()
 
 

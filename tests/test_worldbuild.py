@@ -2,18 +2,17 @@
 
 import gc
 import json
-import pickle
 import weakref
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
-from repro.experiments.sweep import (SweepGrid, _apply_failures, _build_blob,
+from repro.experiments.sweep import (SweepGrid, _apply_failures,
                                      expand_grid, iter_jsonl, payload_digest,
                                      run_cell, run_sweep)
 from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.experiments.worldbuild import (SNAPSHOT_MAGIC, SnapshotError,
+from repro.experiments.worldbuild import (SnapshotError,
                                           SnapshotStore, build_world,
                                           deserialize_world, restore_world,
                                           serialize_world, world_key)
@@ -339,7 +338,7 @@ def test_world_key_distinguishes_configs():
 
 
 def test_on_demand_worlds_keep_only_the_most_recent():
-    """Residency: world_for lets the previous world go, ensure(live) pins.
+    """Residency: world_for lets the previous world go, ensure pins.
 
     The weakrefs watch the world's simulator, which every component points
     at; the ``Scenario`` object on top sits outside the world's reference
@@ -356,7 +355,7 @@ def test_on_demand_worlds_keep_only_the_most_recent():
     assert store.world_for(a)[1] == "miss"  # it really was let go: rebuilt
 
     store = SnapshotStore()
-    store.ensure(a, live=True)
+    store.ensure(a)
     pinned = weakref.ref(store.world_for(a)[0].sim)
     store.world_for(b)
     gc.collect()
@@ -372,19 +371,30 @@ def _live_simulators():
     return sum(isinstance(tracked, Simulator) for tracked in gc.get_objects())
 
 
-@pytest.mark.parametrize("build_and_drop", (
-    _build_blob, lambda config: SnapshotStore().ensure(config)),
-    ids=("build_blob", "ensure"))
+def _pin_and_release(store, config):
+    store.ensure(config)
+    store.release_worlds()
+
+
+def _build_and_evict(store, config):
+    store.world_for(config)
+    store.world_for(replace(config, seed=config.seed + 1))
+
+
+@pytest.mark.parametrize("build_and_drop",
+                         (_pin_and_release, _build_and_evict),
+                         ids=("ensure", "world_for"))
 def test_whoever_drops_a_world_collects_it(build_and_drop):
-    """The two paths that build a world only to serialize it free it
-    themselves: a finished world sits in the oldest generation, where no
-    young pass finds it, and a build-pool worker would hold one per call."""
+    """The store's two paths that let a world go free it themselves: a
+    finished world sits in the oldest generation, where no young pass
+    finds it, so dropping it without a full collection keeps it."""
     config = ScenarioConfig(control_plane="plain", num_sites=2, seed=1,
                             tracing=False)
+    store = SnapshotStore()
     gc.collect()
     before = _live_simulators()
-    build_and_drop(config)
-    assert _live_simulators() == before
+    build_and_drop(store, config)
+    assert _live_simulators() == before + len(store)
 
 
 # --------------------------------------------------------------------- #
@@ -406,13 +416,8 @@ def test_sweep_reuses_worlds_and_streams_jsonl(tmp_path):
     assert serial["world_cache"]["hits"] == 6
     assert serial["world_cache"]["builds"] == 2
     # Fanned: the pre-build stage builds each world exactly once into the
-    # store; workers never build, they reset the inherited live worlds
-    # (fork) or deserialize blobs on first touch and reset after (spawn).
-    fanned_cache = fanned["world_cache"]
-    assert fanned_cache["builds"] == 2
-    assert fanned_cache["store"]["builds"] == 2
-    assert fanned_cache["restores"] == fanned_cache["misses"]
-    assert fanned_cache["hits"] + fanned_cache["restores"] == 8
+    # store; workers never build, they reset the inherited live worlds.
+    assert fanned["world_cache"] == {"builds": 2, "hits": 8, "misses": 0}
     # The stream carries every cell plus its world-cache outcome...
     lines = [json.loads(line) for line in
              jsonl_path.read_text().strip().splitlines()]
@@ -424,7 +429,7 @@ def test_sweep_reuses_worlds_and_streams_jsonl(tmp_path):
 
 def test_ungrouped_dispatch_keeps_workers_busy():
     """One world key + many workload cells fans out cell-by-cell (digest
-    equality preserved: every worker restores the same world blob)."""
+    equality preserved: every worker resets the same inherited world)."""
     from repro.experiments.sweep import order_cells_by_world
 
     grid = SweepGrid(control_planes=("alt",), site_counts=(3,), seeds=(1,),
@@ -435,9 +440,8 @@ def test_ungrouped_dispatch_keeps_workers_busy():
         == [cell.index for cell in cells]  # single world: order unchanged
     fanned = run_sweep(grid, workers=4)
     assert payload_digest(fanned) == payload_digest(run_sweep(grid, workers=1))
-    # One build (the store's), every worker restore served from its blob.
-    assert fanned["world_cache"]["builds"] == 1
-    assert fanned["world_cache"]["store"]["builds"] == 1
+    # One build (the parent's), every cell a reset of the inherited world.
+    assert fanned["world_cache"] == {"builds": 1, "hits": 4, "misses": 0}
 
 
 def test_serial_ordering_groups_same_world_cells():
@@ -564,7 +568,7 @@ def _tiered_cell(control_plane="pce"):
 
 def test_tiered_cell_fresh_vs_restored_byte_identical():
     """A tiered world survives snapshot/restore with nothing lost: the
-    layout, hierarchical plan, and IX routers all pickle, and a cell run
+    layout, hierarchical plan, and IX routers come back, and a cell run
     on the restored world matches the fresh run byte-for-byte."""
     cell = _tiered_cell()
     fresh = run_cell(cell)
@@ -989,42 +993,6 @@ def test_a_second_run_captures_nothing_the_first_already_did():
     assert set(journal.pristine) == set(first)
     assert all(journal.pristine[component] is state
                for component, state in first.items())
-
-
-def _payload_of(blob):
-    return pickle.loads(blob[len(SNAPSHOT_MAGIC):])["payload"]
-
-
-def test_blobs_carry_pristine_state_for_dirty_components_only():
-    cell = _lifecycle_cell("pce", "flat", "shaped")
-    scenario = build_world(cell.scenario)
-    expected = run_workload(scenario, cell.workload)
-    scenario.sim.run()          # settle what the deadline cut off
-    dirty = len(scenario.world_checkpoint.dirty)
-    assert dirty and scenario.sim.rng._handed_out
-    dirty_blob = serialize_world(scenario)
-    restore_world(scenario)
-    clean_blob = serialize_world(scenario)
-
-    # A clean world is its own pristine state: nothing beyond the
-    # singletons travels, although this world object holds pristine states
-    # from the run above.
-    assert len(scenario.world_checkpoint.pristine) == dirty
-    raw = pickle.loads(_payload_of(clean_blob))
-    assert raw.world_checkpoint.pristine == {}
-    assert raw.world_checkpoint.dirty == []
-    assert raw.sim.rng._handed_out == {}
-    assert len(clean_blob) < len(dirty_blob)
-
-    # A world serialized dirty carries exactly its dirty list's, and
-    # still deserializes to the pristine world.
-    raw = pickle.loads(_payload_of(dirty_blob))
-    assert len(raw.world_checkpoint.pristine) == dirty
-    assert set(raw.world_checkpoint.pristine) == set(raw.world_checkpoint.dirty)
-    for blob in (clean_blob, dirty_blob):
-        twin = deserialize_world(blob, cell.scenario)
-        assert twin.world_checkpoint.dirty == []
-        assert run_workload(twin, cell.workload) == expected
 
 
 # --------------------------------------------------------------------- #

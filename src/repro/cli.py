@@ -18,11 +18,11 @@ Parameter sweeps (``repro sweep``)
 
 ``sweep`` expands a declarative grid (one axis per row of
 :data:`repro.experiments.sweep.AXES`)
-into scenario/workload cells and runs them against one world cache of
-live worlds: each distinct world is built once and reset in place for
-every further cell (``--workers N`` fans the cells out across a
-persistent worker pool that inherits the parent's pre-built worlds where
-processes fork, and builds each world once per worker elsewhere).
+into scenario/workload cells and runs them world by world: each world is
+built when its first cell comes up and reset in place for every further
+cell (``--workers N`` hands runs of same-world cells to a worker pool
+whose workers build the worlds they run; with at least as many worlds as
+workers, each is built once).
 Per-cell results stream to a JSONL artifact, and
 aggregated JSON/CSV artifacts are written at the end — every output path
 is checked before the first world is built::
@@ -187,8 +187,7 @@ def _run_sweep_command(args):
                         "setup_p95", "bytes", "util"), rows,
                        title=f"sweep '{grid.name}': {payload['num_cells']} cells"))
     cache = payload["world_cache"]
-    print(f"world cache: {cache['hits']} hits / {cache['builds']} builds "
-          f"({cache['misses']} misses)")
+    print(f"world cache: {cache['hits']} hits / {cache['builds']} builds")
     for path, label in ((args.json, "json"), (args.csv, "csv"),
                         (jsonl_path, "jsonl")):
         if path is not None:

@@ -21,7 +21,7 @@ def type_name(rtype):
 
 
 def normalise_name(name):
-    """Lower-case and ensure a trailing dot (fully-qualified form)."""
+    """Lower-cased, with a trailing dot (fully-qualified form)."""
     name = name.lower()
     if not name.endswith("."):
         name += "."

@@ -13,19 +13,18 @@ Which axes and metrics exist is defined once, in the :data:`AXES` and
 :data:`METRICS` tables; everything else that names one is derived from
 them (see "Sweep artifacts" in ``docs/contracts.md``).
 
-Worlds come from one cache, a
-:class:`~repro.experiments.worldbuild.SnapshotStore` of live worlds that
-every run owns, through one call: ``store.world_for(config)`` inside
-:func:`run_cell` resets a held world in place (``hit``) or builds it
-(``miss``).  Cells are visited world by world, so a serial run builds
-each world when its first cell comes up and holds one at a time.  Fan-out
-runs dispatch cells to workers individually — any worker serves any
-cell.  On ``fork`` platforms the parent first builds every distinct
-world *exactly once* and pins it (:func:`prebuild_worlds`, serially, with
-the cyclic GC paused) and every worker inherits the pinned worlds;
-elsewhere each worker builds a world on its first cell of it, so a world
-is built at most once per worker that serves it.  The per-cell outcome
-tally surfaces in the sweep outcome under ``world_cache``.
+Worlds come from a :class:`~repro.experiments.worldbuild.SnapshotStore`,
+which holds one live world, through one call: ``store.world_for(config)``
+inside :func:`run_cell` resets the held world in place (``hit``) or
+builds it (``miss``).  Cells are visited world by world, so a serial run
+builds each world when its first cell comes up.  Fan-out has one path,
+whatever the start method: the parent builds nothing and hands a worker
+pool :func:`world_chunks` — runs of same-world cells, each world split
+into at most ``ceil(workers / distinct worlds)`` of them — and every
+worker starts an empty store and builds the world of a chunk it does not
+already hold.  With at least as many worlds as workers, each world is
+built exactly once, wherever it runs.  The per-cell outcome tally
+surfaces in the sweep outcome under ``world_cache``.
 
 Cell results stream to a JSONL artifact as they complete (one JSON object
 per line, in completion order, each tagged with its world-cache outcome)
@@ -545,92 +544,84 @@ def run_cell(cell, store=None):
 
 
 # --------------------------------------------------------------------- #
-# Fan-out: one store in the parent, inherited or started anew by each worker
+# Fan-out: world-aligned chunks, each worker with a store of its own
 # --------------------------------------------------------------------- #
 
-def distinct_world_configs(cells):
-    """The distinct scenario configs among *cells*, first-appearance order."""
-    seen = set()
-    configs = []
+def _world_runs(cells):
+    """*cells* grouped by world: one list per world, first-appearance order."""
+    grouped = {}
     for cell in cells:
-        key = world_key(cell.scenario)
-        if key not in seen:
-            seen.add(key)
-            configs.append(cell.scenario)
-    return configs
+        grouped.setdefault(world_key(cell.scenario), []).append(cell)
+    return list(grouped.values())
 
 
 def order_cells_by_world(cells):
     """Cells reordered so same-world cells are adjacent.
 
-    A store keeps only the most recent on-demand world live, so visiting
-    cells world by world is what makes every cell after a world's first a
-    hit; worlds appear in first-appearance order.
+    A store holds only its most recent world, so visiting cells world by
+    world is what makes every cell after a world's first a hit; worlds
+    appear in first-appearance order.
     """
-    grouped = {}
-    for cell in cells:
-        grouped.setdefault(world_key(cell.scenario), []).append(cell)
-    return [cell for group in grouped.values() for cell in group]
+    return [cell for run in _world_runs(cells) for cell in run]
 
 
-def prebuild_worlds(store, cells):
-    """Pin every distinct world of *cells* in *store* before they fan out.
+def world_chunks(cells, workers):
+    """*cells* as the runs of same-world cells a pool of *workers* takes.
 
-    The build stage of a ``fork`` fan-out run: each world is built exactly
-    once, in this process, and every worker inherits it and resets it in
-    place instead of building (serial runs skip this stage: ``world_for``
-    builds on demand).
+    Each world's cells (:func:`order_cells_by_world` order) are split
+    into at most ``ceil(workers / distinct worlds)`` chunks of near-equal
+    length: a grid with at least as many worlds as workers sends each
+    world whole, so each is built exactly once wherever it runs, and a
+    grid with fewer worlds splits them so every worker has cells to run.
     """
-    for config in distinct_world_configs(cells):
-        store.ensure(config)
+    runs = _world_runs(cells)
+    parts = -(-workers // len(runs))
+    chunks = []
+    for run in runs:
+        size = -(-len(run) // parts)
+        chunks.extend(run[start:start + size]
+                      for start in range(0, len(run), size))
+    return chunks
 
 
-#: The store this process's pool cells draw worlds from.  The parent sets
-#: it around pool creation, so ``fork`` workers inherit the store itself —
-#: pinned live worlds and all; spawn workers re-import this module, find
-#: None, and start an empty store that builds on first touch.
+#: This worker's store; :func:`_init_worker` starts it empty, so a worker
+#: builds the world of each chunk it is handed unless it holds it already.
 _WORKER_STORE = None
 
 
 def _init_worker():
     global _WORKER_STORE
-    if _WORKER_STORE is None:
-        _WORKER_STORE = SnapshotStore()
+    _WORKER_STORE = SnapshotStore()
 
 
-def _run_single_cell(cell):
-    """Worker entry point: one cell, any world (no affinity grouping).
+def _run_chunk(cells):
+    """Worker entry point: a run of same-world cells, in order.
 
-    Returns ``(result, world_cache_outcome)``.
+    Returns ``[(result, world_cache_outcome), ...]``.
     """
-    return run_cell(cell, _WORKER_STORE), _WORKER_STORE.last_outcome
+    return [(run_cell(cell, _WORKER_STORE), _WORKER_STORE.last_outcome)
+            for cell in cells]
 
 
 def _iter_completed(cells, workers, store):
     """Yield ``(result, outcome)`` per cell as cells complete.
 
-    Cells are taken world by world.  ``workers<=1`` runs them inline
-    against *store*; otherwise they are dispatched individually to a
-    persistent pool — any worker can serve any world, from its copy of
-    the parent's *store* (fork) or from a store of its own (spawn).
-    Completion order is arbitrary under fan-out — consumers must not rely
-    on it (the aggregation path reorders by cell index).
+    ``workers<=1`` runs the cells world by world, inline, against
+    *store*; otherwise :func:`world_chunks` go to a pool of at most one
+    worker per chunk, each worker building into a store of its own (fork
+    and spawn alike: nothing is built here).  Completion order is
+    arbitrary under fan-out — consumers must not rely on it (the
+    aggregation path reorders by cell index).
     """
-    cells = order_cells_by_world(cells)
     if workers <= 1 or len(cells) <= 1:
-        for cell in cells:
+        for cell in order_cells_by_world(cells):
             yield run_cell(cell, store), store.last_outcome
         return
-    global _WORKER_STORE
-    context = multiprocessing.get_context()
-    _WORKER_STORE = store
-    try:
-        with context.Pool(processes=min(workers, len(cells)),
-                          initializer=_init_worker) as pool:
-            yield from pool.imap_unordered(_run_single_cell, cells,
-                                           chunksize=1)
-    finally:
-        _WORKER_STORE = None
+    chunks = world_chunks(cells, workers)
+    with multiprocessing.Pool(processes=min(workers, len(chunks)),
+                              initializer=_init_worker) as pool:
+        for completed in pool.imap_unordered(_run_chunk, chunks):
+            yield from completed
 
 
 # --------------------------------------------------------------------- #
@@ -750,13 +741,16 @@ def iter_jsonl(path):
 def _check_outputs(artifact_paths):
     """Reject unwritable outputs before any world is built.
 
-    Raises ``ValueError`` for an artifact path whose directory does not
-    exist — the failure that would otherwise surface as an ``OSError``
-    only after the whole sweep has run.
+    Raises ``ValueError`` for an artifact path that is a directory or
+    whose directory does not exist — failures that would otherwise
+    surface as an ``OSError`` only after the whole sweep has run.
     """
     for label, path in artifact_paths.items():
         if path is None:
             continue
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {label} artifact {path!r}: "
+                             f"it is a directory")
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise ValueError(f"cannot write {label} artifact {path!r}: "
@@ -767,15 +761,14 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
               include_cells=True):
     """Expand *grid*, run every cell, aggregate, and write artifacts.
 
-    Every run owns one :class:`~repro.experiments.worldbuild.SnapshotStore`
-    and every cell gets its world from it.  Serial runs build on demand,
-    one resident world at a time.  Fan-out runs (``workers>1``) dispatch
-    cells individually.  On ``fork`` platforms the parent first builds and
-    pins every distinct world exactly once (:func:`prebuild_worlds`), so
-    parent memory holds one world per distinct world key for the run
-    phase, not one per cell; it is released before aggregation.  Where
-    workers cannot inherit parent memory, each builds the worlds of the
-    cells it is handed, one resident at a time.
+    Every cell gets its world from a
+    :class:`~repro.experiments.worldbuild.SnapshotStore` holding one
+    resident world.  Serial runs use the run's own store, visiting the
+    cells world by world.  Fan-out runs (``workers>1``) hand
+    :func:`world_chunks` — runs of same-world cells — to worker processes
+    that each start an empty store and build the world of a chunk they do
+    not hold; the parent builds nothing.  With at least as many distinct
+    worlds as workers, each world is built exactly once.
 
     Cell results stream to *jsonl_path* as they complete (a temporary file
     is used — and removed — when no path is given) while aggregation and
@@ -794,7 +787,7 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
     :func:`payload_digest`).
 
     Raises ``ValueError`` — before anything is built — for an artifact
-    path in a missing directory.
+    path that is a directory or lies in a missing one.
     """
     if json_path is not None and not include_cells:
         raise ValueError("json_path requires include_cells=True "
@@ -807,12 +800,6 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
     csv_writer = None
     try:
         store = SnapshotStore()
-        if workers > 1 and multiprocessing.get_start_method() == "fork":
-            # Fork workers inherit this process's memory: every worker
-            # resets the parent's worlds in place, the cheapest restore
-            # there is.
-            prebuild_worlds(store, cells)
-        prebuilt = store.builds
         if jsonl_path is None:
             handle = tempfile.NamedTemporaryFile(
                 mode="w", suffix=".cells.jsonl", prefix="repro-sweep-",
@@ -839,19 +826,11 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
                 fold.add(result)
                 if csv_writer is not None:
                     csv_writer.add(result)
-        # Tallied from per-cell outcomes (workers mutate their own copies
-        # of the store, invisible here): a ``miss`` is a world built where
-        # the cell ran, so ``builds`` — every world built anywhere — adds
-        # the pre-build stage's.
-        world_cache = {
-            "builds": prebuilt + outcomes["miss"],
-            "hits": outcomes["hit"],
-            "misses": outcomes["miss"],
-        }
+        # Tallied from per-cell outcomes (workers own their stores,
+        # invisible here): a ``miss`` is a world built where the cell ran.
+        world_cache = {"builds": outcomes["miss"], "hits": outcomes["hit"]}
         # The run phase is over: nothing asks this store for a world
-        # again, so drop its worlds before aggregation materialises the
-        # payload (parent memory then scales with aggregate groups, not
-        # with distinct worlds).
+        # again, so drop it before aggregation materialises the payload.
         store.release_worlds()
         payload = {
             "schema": SCHEMA,

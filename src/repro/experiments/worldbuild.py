@@ -60,20 +60,20 @@ The one world cache
 
 :class:`SnapshotStore` is the only cache of worlds, and
 :meth:`SnapshotStore.world_for` the only way a cell gets one.  It holds
-live worlds only:
+one live world, the most recent it built:
 
 - ``"hit"`` — the store holds the world live; it is reset in place
   (:func:`restore_world`, milliseconds);
-- ``"miss"`` — it does not; the world is built and kept live.
+- ``"miss"`` — it does not; the held world is let go and the asked-for
+  one is built and held instead.
 
-Residency: worlds ``world_for`` builds on demand are bounded by
-:data:`ON_DEMAND_WORLDS` — only the most recent is kept, which is all a
-run that visits its cells world by world can use.  Worlds pinned with
-:meth:`SnapshotStore.ensure` (the sweep's fork fan-out: one build in the
-parent, inherited by every worker) stay until
-:meth:`SnapshotStore.release_worlds`.  Whoever drops a world collects it:
-a world is one reference cycle sitting in the collector's oldest
-generation, so each path here that lets one go calls ``gc.collect()``.
+One slot is all a store's owner can use: the sweep hands every store its
+cells world by world (a serial run its whole ordered grid, a worker its
+runs of same-world cells), so no store asks for an older world again.
+Whoever drops a world collects it: a world is one reference cycle
+sitting in the collector's oldest generation, so both paths here that
+let one go (:meth:`SnapshotStore.world_for` on a miss,
+:meth:`SnapshotStore.release_worlds`) call ``gc.collect()``.
 """
 
 import gc
@@ -265,25 +265,12 @@ def deserialize_world(blob, config):
     return build_world(config)
 
 
-#: How many worlds :meth:`SnapshotStore.world_for` builds on demand stay
-#: live.  One: a run that visits its cells world by world (the sweep
-#: orders them so) never asks for an older world again, and measured with
-#: more slots the builds, hits and digests are identical while peak RSS
-#: only rises.
-ON_DEMAND_WORLDS = 1
-
-
 class SnapshotStore:
-    """The world cache: live worlds, by world key.
+    """The world cache: one live world and its world key.
 
-    Serving a held world is an in-place checkpoint reset
-    (:func:`restore_world`, milliseconds).  Worlds come in two
-    residencies.  :meth:`ensure` *pins* a world until
-    :meth:`release_worlds` — the fork fan-out tier: one build in the
-    parent, inherited by every worker as copy-on-write memory.
-    :meth:`world_for` keeps the worlds it had to build itself, the
-    :data:`ON_DEMAND_WORLDS` most recent of them.  ``builds`` counts the
-    worlds this store built.
+    Serving the held world is an in-place checkpoint reset
+    (:func:`restore_world`, milliseconds); any other world replaces it.
+    ``builds`` counts the worlds this store built.
     """
 
     def __init__(self):
@@ -291,70 +278,40 @@ class SnapshotStore:
         #: Outcome of the most recent :meth:`world_for` call ("hit" |
         #: "miss"), for per-cell reporting.
         self.last_outcome = None
-        #: world key -> live world pinned by :meth:`ensure`.
-        self._pinned = {}
-        #: world key -> live world ``world_for`` built, oldest first, at
-        #: most ON_DEMAND_WORLDS of them.
-        self._recent = {}
-
-    def __len__(self):
-        return len(self._pinned.keys() | self._recent.keys())
-
-    def _live_world(self, key):
-        scenario = self._pinned.get(key)
-        return self._recent.get(key) if scenario is None else scenario
-
-    def _build(self, config):
-        self.builds += 1
-        return build_world(config)
+        #: ``(world key, live world)`` of the world last served, or None.
+        self._slot = None
 
     def world_for(self, config):
         """The pristine world for *config* and where it came from.
 
         The store's one read path.  Returns ``(scenario, outcome)``:
-        ``"hit"`` resets a live world in place; ``"miss"`` builds one.  A
-        built world stays live as the most recent on-demand world (see
-        :data:`ON_DEMAND_WORLDS`); the previous one is let go — collected,
-        not just dereferenced — *before* its successor is built, so one
-        on-demand world is resident at a time.
+        ``"hit"`` resets the held world in place; ``"miss"`` builds one
+        and holds it.  The previous world is let go — collected, not just
+        dereferenced — *before* its successor is built, so one world is
+        resident at a time.
         """
         key = world_key(config)
-        scenario = self._live_world(key)
-        if scenario is not None:
+        if self._slot is not None and self._slot[0] == key:
+            scenario = self._slot[1]
             restore_world(scenario)
             outcome = "hit"
         else:
-            while len(self._recent) >= ON_DEMAND_WORLDS:
-                del self._recent[next(iter(self._recent))]
-                # A world is one reference cycle, so dropping the last
-                # reference frees nothing, and its successor is built with
-                # the collector paused: collect now or hold two worlds.
-                gc.collect()
-            scenario = self._recent[key] = self._build(config)
+            self.release_worlds()
+            self.builds += 1
+            scenario = build_world(config)
+            self._slot = (key, scenario)
             outcome = "miss"
         self.last_outcome = outcome
         return scenario, outcome
 
-    def ensure(self, config):
-        """Pin *config*'s world live, building it unless the store holds it.
-
-        The pre-build stage of a fork fan-out run.
-        """
-        key = world_key(config)
-        scenario = self._live_world(key)
-        if scenario is None:
-            scenario = self._build(config)
-        self._pinned[key] = scenario
-
     def release_worlds(self):
-        """Drop every held live world.
+        """Drop the held world, if any, and collect it.
 
-        The sweep calls this once its run phase ends — pinned worlds are
-        held one per distinct world key with no eviction while workers may
-        still ask for them, so releasing promptly is the memory bound.
+        A world is one reference cycle, so dropping the last reference
+        frees nothing, and a successor is built with the collector
+        paused: collect now or hold two worlds.  The sweep also calls
+        this once its run phase ends, before aggregation.
         """
-        held = bool(self._pinned or self._recent)
-        self._pinned.clear()
-        self._recent.clear()
-        if held:
-            gc.collect()  # worlds are cycles; see world_for
+        if self._slot is not None:
+            self._slot = None
+            gc.collect()

@@ -111,13 +111,19 @@ class TopologySpec:
 
 
 def check_sizing(spec):
-    """Raise ``ValueError`` naming the field *spec* oversizes.
+    """Raise ``ValueError`` naming the field *spec* over- or undersizes.
 
     The one statement of what the address plan and the multihoming degree
-    allow: :func:`build` calls it, and so does ``ScenarioConfig`` at
-    construction, so a sweep grid fails at expansion with the field named
-    instead of inside a worker.
+    allow, and of the least a world needs (two sites, each with a host
+    and a provider home): :func:`build` calls it, and so does
+    ``ScenarioConfig`` at construction, so a sweep grid fails at expansion
+    with the field named instead of inside a worker.
     """
+    for name, least in (("num_sites", 2), ("num_providers", 1),
+                        ("providers_per_site", 1), ("hosts_per_site", 1)):
+        value = getattr(spec, name)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if spec.family in ("fig1", "flat"):
         if spec.num_providers > MAX_PROVIDERS:
             raise ValueError(f"num_providers {spec.num_providers} exceeds "

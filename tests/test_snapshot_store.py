@@ -23,9 +23,8 @@ from test_sweep import cell_sim_events
 
 from repro.experiments import worldbuild
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
-from repro.experiments.sweep import (SweepGrid, distinct_world_configs,
-                                     expand_grid, payload_digest,
-                                     prebuild_worlds, run_sweep)
+from repro.experiments.sweep import (SweepGrid, expand_grid, payload_digest,
+                                     run_sweep, world_chunks)
 from repro.experiments.workload import WorkloadConfig, run_workload
 from repro.experiments.worldbuild import (SNAPSHOT_MAGIC, SnapshotError,
                                           SnapshotStore, build_world,
@@ -223,20 +222,19 @@ def test_every_blob_is_under_a_kilobyte(family, sites, plane):
 # --------------------------------------------------------------------- #
 
 def test_memory_store_one_build_many_restores():
-    """A pinned world is built once and every later ask resets it in place."""
+    """The held world is built once and every later ask resets it in place."""
     store = SnapshotStore()
-    store.ensure(CONFIG)
-    store.ensure(CONFIG)
-    assert store.builds == 1
     first, outcome = store.world_for(CONFIG)
-    assert outcome == "hit"
-    store.world_for(replace(CONFIG, seed=6))  # an on-demand world...
-    second, outcome = store.world_for(CONFIG)
-    assert outcome == "hit" and second is first  # ...does not evict a pin
-    assert store.builds == 2
-    assert len(store) == 2
+    assert outcome == "miss"
+    for _ in range(3):
+        again, outcome = store.world_for(CONFIG)
+        assert outcome == "hit" and again is first
+    assert store.builds == 1
+    del first, again
     store.release_worlds()
-    assert len(store) == 0
+    assert store.world_for(CONFIG)[1] == "miss"  # released: built anew
+    assert store.builds == 2
+    store.release_worlds()
 
 
 def test_world_for_outcome_table():
@@ -260,22 +258,30 @@ def test_world_cache_stats_counts_restores():
     """run_sweep's per-cell outcome tally: every cell after a world's
     first is a hit, an in-place restore; the first is a miss, a build."""
     cache = run_sweep(GRID, workers=1)["world_cache"]
-    assert cache == {"builds": 2, "hits": 2, "misses": 2}
+    assert cache == {"builds": 2, "hits": 2}
 
 
-def test_prebuild_worlds_builds_each_distinct_world_once():
+def test_world_chunks_split_worlds_by_worker_share():
+    """Each world's cells go out as at most ceil(workers / worlds) runs of
+    same-world cells, near-equal in length; at least as many worlds as
+    workers sends every world whole."""
     cells = expand_grid(GRID)
-    configs = distinct_world_configs(cells)
-    assert len(configs) == 2  # one per control plane; zipf is workload-only
-    assert len({world_key(c) for c in configs}) == 2
-    store = SnapshotStore()
-    prebuild_worlds(store, cells)
-    assert store.builds == 2 and len(store) == 2
-    prebuild_worlds(store, cells)  # idempotent: every world already pinned
-    assert store.builds == 2
-    for config in configs:
-        assert store.world_for(config)[1] == "hit"
-    store.release_worlds()
+    # One world per control plane; zipf is workload-only.
+    assert len({world_key(c.scenario) for c in cells}) == 2
+
+    def shape(chunks):
+        assert sorted(c.index for chunk in chunks for c in chunk) \
+            == [c.index for c in cells]
+        for chunk in chunks:
+            assert len({world_key(c.scenario) for c in chunk}) == 1
+        return [len(chunk) for chunk in chunks]
+
+    assert shape(world_chunks(cells, 2)) == [2, 2]   # 2 worlds, 2 workers
+    assert shape(world_chunks(cells, 3)) == [1, 1, 1, 1]  # ceil(3/2) = 2
+    assert shape(world_chunks(cells, 8)) == [1, 1, 1, 1]  # no empty chunk
+    one_world = expand_grid(replace(GRID, control_planes=("pce",),
+                                    zipf_values=(0.0, 0.5, 1.0, 1.5, 2.0)))
+    assert [len(chunk) for chunk in world_chunks(one_world, 2)] == [3, 2]
 
 
 # --------------------------------------------------------------------- #
@@ -284,19 +290,35 @@ def test_prebuild_worlds_builds_each_distinct_world_once():
 
 def test_fanned_sweep_builds_each_world_once_and_matches_serial():
     serial = run_sweep(GRID, workers=1)
-    fanned = run_sweep(GRID, workers=4)
+    fanned = run_sweep(GRID, workers=2)
     assert payload_digest(serial) == payload_digest(fanned)
     assert cell_sim_events(serial) == cell_sim_events(fanned)
-    cache = fanned["world_cache"]
-    assert cache["builds"] == 2   # exactly one per distinct key, pre-built
-    assert cache["misses"] == 0   # and no worker-side builds
-    assert cache["hits"] == 4
+    # As many worlds as workers: each world goes out as one chunk, built
+    # once by the worker that runs it, its second cell a reset.
+    assert fanned["world_cache"] == {"builds": 2, "hits": 2}
 
 
-_SPAWN_SWEEP = """
+def test_fan_out_builds_nothing_in_the_parent(monkeypatch):
+    """Workers build every world a fan-out run uses; the parent none."""
+    parent = os.getpid()
+    parent_builds = []
+    build_world_in = worldbuild.build_world
+
+    def counting_build(config):
+        if os.getpid() == parent:
+            parent_builds.append(config)
+        return build_world_in(config)
+
+    monkeypatch.setattr(worldbuild, "build_world", counting_build)
+    fanned = run_sweep(GRID, workers=2)
+    assert parent_builds == []
+    assert fanned["world_cache"]["builds"] == 2
+
+
+_FAN_OUT_SWEEP = """
 import json, multiprocessing
 from repro.experiments.sweep import SweepGrid, payload_digest, run_sweep
-multiprocessing.set_start_method("spawn")
+multiprocessing.set_start_method({method!r})
 GRID = {grid!r}
 serial = run_sweep(GRID, workers=1)
 fanned = run_sweep(GRID, workers=2)
@@ -307,23 +329,39 @@ print(json.dumps({{"same": payload_digest(serial) == payload_digest(fanned),
 """
 
 
+def _fan_out_report(method, grid):
+    """Serial and 2-worker runs of *grid* in a fresh interpreter that
+    starts its workers with *method*."""
+    done = subprocess.run(
+        [sys.executable, "-c", _FAN_OUT_SWEEP.format(method=method, grid=grid)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    return json.loads(done.stdout)
+
+
 def test_spawn_fan_out_matches_serial():
     """No fork inheritance: each worker builds the worlds of the cells it
     is handed — same digest and event counts as a serial run."""
-    done = subprocess.run(
-        [sys.executable, "-c", _SPAWN_SWEEP.format(grid=GRID)],
-        capture_output=True, text=True, timeout=120, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    report = json.loads(done.stdout)
+    report = _fan_out_report("spawn", GRID)
     assert report["same"] is True
     # Worlds built in a worker pop exactly the events the parent's do.
     assert report["events"][0] == report["events"][1]
     assert all(count > 0 for count in report["events"][0])
-    cache = report["cache"]
-    distinct = len(distinct_world_configs(expand_grid(GRID)))
-    # At most once per world per worker: cells arrive world by world.
-    assert distinct <= cache["builds"] == cache["misses"] <= 2 * distinct
-    assert cache["hits"] + cache["misses"] == 4
+    assert report["cache"] == {"builds": 2, "hits": 2}
+
+
+@pytest.mark.parametrize("method", ("fork", "spawn"))
+def test_fan_out_builds_each_world_once_under_either_start_method(method):
+    """More worlds than workers: each world is one chunk, built once by
+    whichever worker takes it, and the start method changes nothing."""
+    grid = replace(GRID, control_planes=("pce", "alt", "nerd"))
+    cells = expand_grid(grid)
+    worlds = len({world_key(cell.scenario) for cell in cells})
+    assert worlds == 3 and len(cells) == 6
+    report = _fan_out_report(method, grid)
+    assert report["same"] is True
+    assert report["events"][0] == report["events"][1]
+    assert report["cache"] == {"builds": worlds, "hits": len(cells) - worlds}
 
 
 def test_probing_failover_worlds_snapshot_cleanly():

@@ -70,16 +70,37 @@ def test_expand_grid_rejects_unknown_control_plane():
     (dict(topologies=("fig1",),
           scenario_overrides={"providers_per_site": 3}),
      "providers_per_site 3 is not fig1's 2"),
+    (dict(site_counts=(1,)), "num_sites must be >= 2, got 1"),
+    (dict(topologies=("tiered",), site_counts=(1,)),
+     "num_sites must be >= 2, got 1"),
+    (dict(site_counts=(-1,)), "num_sites must be >= 2, got -1"),
+    (dict(num_providers=0), "num_providers must be >= 1, got 0"),
+    (dict(scenario_overrides={"providers_per_site": 0}),
+     "providers_per_site must be >= 1, got 0"),
+    (dict(topologies=("tiered",), scenario_overrides={"hosts_per_site": 0}),
+     "hosts_per_site must be >= 1, got 0"),
 ), ids=("num_providers", "providers_per_site", "transit_population",
-        "fig1_num_providers", "fig1_providers_per_site"))
+        "fig1_num_providers", "fig1_providers_per_site", "one_site",
+        "tiered_one_site", "negative_sites", "no_providers", "no_provider_homes",
+        "tiered_no_hosts"))
 def test_expand_grid_rejects_oversized_topology(fields, named,
                                                 no_world_builds):
-    """Sizes the address plan cannot hold fail at the grid, field named —
-    not as a ``ValueError`` out of ``build_world`` inside a worker."""
+    """Sizes the address plan cannot hold, or that leave nothing to build,
+    fail at the grid, field named — not as an error out of
+    ``build_world`` inside a worker."""
     with pytest.raises(ValueError, match=named):
         expand_grid(SweepGrid(**fields))
     with pytest.raises(ValueError, match=named):
         run_sweep(SweepGrid(**fields), workers=2)
+
+
+def test_cli_sweep_rejects_a_single_site_before_building(
+        tmp_path, capsys, monkeypatch, no_world_builds):
+    monkeypatch.chdir(tmp_path)  # the default jsonl path lands in the CWD
+    assert main(["sweep", "--sites", "1", "--workers", "2"]) == 1
+    assert capsys.readouterr().out \
+        == "sweep error: num_sites must be >= 2, got 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("field, value, named", (
@@ -410,6 +431,22 @@ def test_cli_sweep_rejects_artifact_in_missing_directory(
     assert list(tmp_path.iterdir()) == []  # nothing half-written either
 
 
+@pytest.mark.parametrize("flag", ("--json", "--csv", "--jsonl"))
+def test_cli_sweep_rejects_artifact_path_that_is_a_directory(
+        flag, tmp_path, capsys, monkeypatch, no_world_builds):
+    """An artifact path naming an existing directory fails before any world
+    is built, not as an ``IsADirectoryError`` after the whole sweep."""
+    monkeypatch.chdir(tmp_path)  # the default jsonl path lands in the CWD
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert main(["sweep", "--preset", "smoke", flag, str(taken)]) == 1
+    out = capsys.readouterr().out
+    assert out == (f"sweep error: cannot write {flag[2:]} artifact "
+                   f"{str(taken)!r}: it is a directory\n")
+    assert list(tmp_path.iterdir()) == [taken]  # nothing written either
+    assert list(taken.iterdir()) == []
+
+
 def test_cli_sweep_rejects_snapshot_dir_that_is_a_file(tmp_path, capsys,
                                                        no_world_builds):
     """Worlds are not stored between runs, so ``--snapshot-dir`` is an
@@ -468,8 +505,9 @@ def test_shaped_preset_shapes_traffic():
         == {"constant", "shaped", "fluid"}
     assert all(cell.scenario.access_rate_bps == 10_000_000.0 for cell in cells)
     # Pacing triples share worlds, cutting the distinct world count 3x.
-    from repro.experiments.sweep import distinct_world_configs
-    assert len(distinct_world_configs(cells)) == len(cells) // 3
+    from repro.experiments.worldbuild import world_key
+    assert len({world_key(cell.scenario) for cell in cells}) \
+        == len(cells) // 3
 
 
 def test_cell_metrics_carry_byte_accounting():

@@ -338,7 +338,8 @@ def test_world_key_distinguishes_configs():
 
 
 def test_on_demand_worlds_keep_only_the_most_recent():
-    """Residency: world_for lets the previous world go, ensure pins.
+    """Residency: world_for lets the previous world go; release_worlds
+    lets the last one go.
 
     The weakrefs watch the world's simulator, which every component points
     at; the ``Scenario`` object on top sits outside the world's reference
@@ -351,28 +352,20 @@ def test_on_demand_worlds_keep_only_the_most_recent():
     assert store.world_for(b)[1] == "miss"
     # No collection here: a world is a reference cycle, and the store must
     # have freed it by the time its successor exists.
-    assert on_demand() is None and len(store) == 1
+    assert on_demand() is None
     assert store.world_for(a)[1] == "miss"  # it really was let go: rebuilt
-
-    store = SnapshotStore()
-    store.ensure(a)
-    pinned = weakref.ref(store.world_for(a)[0].sim)
-    store.world_for(b)
-    gc.collect()
-    assert pinned() is not None
-    world, outcome = store.world_for(a)
-    assert (world.sim, outcome) == (pinned(), "hit")
-    del world
+    held = weakref.ref(store.world_for(a)[0].sim)
+    assert held() is not None and store.last_outcome == "hit"
     store.release_worlds()
-    assert pinned() is None
+    assert held() is None
 
 
 def _live_simulators():
     return sum(isinstance(tracked, Simulator) for tracked in gc.get_objects())
 
 
-def _pin_and_release(store, config):
-    store.ensure(config)
+def _build_and_release(store, config):
+    store.world_for(config)
     store.release_worlds()
 
 
@@ -381,10 +374,10 @@ def _build_and_evict(store, config):
     store.world_for(replace(config, seed=config.seed + 1))
 
 
-@pytest.mark.parametrize("build_and_drop",
-                         (_pin_and_release, _build_and_evict),
-                         ids=("ensure", "world_for"))
-def test_whoever_drops_a_world_collects_it(build_and_drop):
+@pytest.mark.parametrize("build_and_drop, held",
+                         ((_build_and_release, 0), (_build_and_evict, 1)),
+                         ids=("release_worlds", "world_for"))
+def test_whoever_drops_a_world_collects_it(build_and_drop, held):
     """The store's two paths that let a world go free it themselves: a
     finished world sits in the oldest generation, where no young pass
     finds it, so dropping it without a full collection keeps it."""
@@ -394,7 +387,7 @@ def test_whoever_drops_a_world_collects_it(build_and_drop):
     gc.collect()
     before = _live_simulators()
     build_and_drop(store, config)
-    assert _live_simulators() == before + len(store)
+    assert _live_simulators() == before + held
 
 
 # --------------------------------------------------------------------- #
@@ -415,9 +408,9 @@ def test_sweep_reuses_worlds_and_streams_jsonl(tmp_path):
     # Serial: 2 worlds (one per control plane), 4 cells each -> 6 hits.
     assert serial["world_cache"]["hits"] == 6
     assert serial["world_cache"]["builds"] == 2
-    # Fanned: the pre-build stage builds each world exactly once into the
-    # store; workers never build, they reset the inherited live worlds.
-    assert fanned["world_cache"] == {"builds": 2, "hits": 8, "misses": 0}
+    # Fanned: two worlds for two workers, so each world goes out whole as
+    # one chunk and is built once, by the worker that runs it.
+    assert fanned["world_cache"] == {"builds": 2, "hits": 6}
     # The stream carries every cell plus its world-cache outcome...
     lines = [json.loads(line) for line in
              jsonl_path.read_text().strip().splitlines()]
@@ -428,9 +421,10 @@ def test_sweep_reuses_worlds_and_streams_jsonl(tmp_path):
 
 
 def test_ungrouped_dispatch_keeps_workers_busy():
-    """One world key + many workload cells fans out cell-by-cell (digest
-    equality preserved: every worker resets the same inherited world)."""
-    from repro.experiments.sweep import order_cells_by_world
+    """One world key + many workload cells still fans out: the world's
+    cells split into one chunk per worker (digest equality preserved:
+    every worker builds the same world)."""
+    from repro.experiments.sweep import order_cells_by_world, world_chunks
 
     grid = SweepGrid(control_planes=("alt",), site_counts=(3,), seeds=(1,),
                      zipf_values=(0.0, 0.5, 1.0, 1.5), num_flows=8,
@@ -438,10 +432,16 @@ def test_ungrouped_dispatch_keeps_workers_busy():
     cells = expand_grid(grid)
     assert [cell.index for cell in order_cells_by_world(cells)] \
         == [cell.index for cell in cells]  # single world: order unchanged
-    fanned = run_sweep(grid, workers=4)
+    chunks = world_chunks(cells, 2)
+    assert [[cell.index for cell in chunk] for chunk in chunks] \
+        == [[0, 1], [2, 3]]
+    fanned = run_sweep(grid, workers=2)
     assert payload_digest(fanned) == payload_digest(run_sweep(grid, workers=1))
-    # One build (the parent's), every cell a reset of the inherited world.
-    assert fanned["world_cache"] == {"builds": 1, "hits": 4, "misses": 0}
+    # One build per chunk at most (a worker that takes both chunks builds
+    # once), every other cell a reset of its worker's world.
+    cache = fanned["world_cache"]
+    assert 1 <= cache["builds"] <= len(chunks)
+    assert cache["builds"] + cache["hits"] == len(cells)
 
 
 def test_serial_ordering_groups_same_world_cells():

@@ -56,6 +56,7 @@ def run_e2(num_sites=6, num_flows=25, seed=23):
                                       packets_per_flow=2)
             records = run_workload(scenario, workload)
             rows.append(_measure(system, depth, scenario, records))
+            scenario.teardown()
     return rows
 
 

@@ -92,6 +92,7 @@ def run_e4(num_sites=5, num_flows=40, seed=53, source_site=1,
         outbound = scenario.access_flow_byte_shares(source, direction="out")
         in_util = scenario.access_link_utilization(destination, direction="in")
         out_util = scenario.access_link_utilization(source, direction="out")
+        scenario.teardown()
         rows.append(E4Row(system=label, flows=len(records),
                           inbound_shares=tuple(inbound),
                           inbound_imbalance=_imbalance(inbound),

@@ -59,6 +59,7 @@ def _pce_reverse_completion(num_sites, num_flows, seed):
                           if r.detail.get("prefix") == prefix and r.time >= event.time)
         if len(arrivals) >= expected_siblings:
             completions.append(arrivals[expected_siblings - 1] - event.time)
+    scenario.teardown()
     stats = summarize(completions)
     return E8Row(variant="pce-reverse-multicast", samples=len(completions),
                  completion_mean=stats["mean"], completion_p95=stats["p95"])
@@ -74,6 +75,7 @@ def _two_way_pull_baseline(num_sites, num_flows, seed):
                               packets_per_flow=1)
     run_workload(scenario, workload)
     latencies = scenario.mapping_system.stats.resolution_latencies
+    scenario.teardown()
     stats = summarize(latencies)
     return E8Row(variant="two-way-pull(alt)", samples=len(latencies),
                  completion_mean=stats["mean"], completion_p95=stats["p95"])

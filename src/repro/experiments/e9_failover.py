@@ -76,22 +76,14 @@ def _run_variant(label, overrides, seed):
     sink = scenario.sink_for(site_d.index, 0)
     stub = scenario.stub_for(source, site_s)
     state = {"sent": 0}
-
-    def send(address):
-        if sim.now < FLOW_END:
-            source.send(udp_packet(source.address, address, 5000, FLOW_UDP_PORT,
-                                   payload_bytes=800,
-                                   meta={"sent_at": sim.now}))
-            state["sent"] += 1
-            sim.call_in(PACKET_INTERVAL, send, address)
-
     stub.lookup(scenario.host_name(site_d, 0)).callbacks.append(
-        lambda lookup: send(lookup.value[0]))
+        lambda lookup: _send(sim, source, lookup.value[0], state))
     # Fail and repair the destination's primary access link (both directions).
     schedule_access_failure(sim, site_d, 0, FAIL_AT, REPAIR_AT)
     sim.run(until=FLOW_END + 2.0)
 
     arrivals = sink.arrival_times
+    scenario.teardown()
     lost = state["sent"] - len(arrivals)
     # Blackhole: the longest gap in arrivals that contains the failure time.
     blackhole = 0.0
@@ -107,6 +99,19 @@ def _run_variant(label, overrides, seed):
     recovered = blackhole < (REPAIR_AT - FAIL_AT) * 0.9
     return E9Row(variant=label, packets_sent=state["sent"], packets_lost=lost,
                  blackhole_seconds=blackhole, recovered_before_repair=recovered)
+
+
+def _send(sim, source, address, state):
+    """One packet of the flow, then the next one a packet interval later.
+
+    A module function, not a closure: a closure that schedules itself
+    refers to itself, a reference cycle the world's teardown cannot see.
+    """
+    if sim.now < FLOW_END:
+        source.send(udp_packet(source.address, address, 5000, FLOW_UDP_PORT,
+                               payload_bytes=800, meta={"sent_at": sim.now}))
+        state["sent"] += 1
+        sim.call_in(PACKET_INTERVAL, _send, sim, source, address, state)
 
 
 def check_shape(rows):

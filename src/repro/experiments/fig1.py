@@ -21,7 +21,10 @@ STEP_KINDS = [
 
 
 def run_fig1_walkthrough(seed=11):
-    """Run the walkthrough; returns {steps, checks, records}."""
+    """Run the walkthrough; returns {steps, checks, records}.
+
+    The world is torn down before this returns.
+    """
     config = ScenarioConfig(control_plane="pce", topology="fig1", seed=seed)
     scenario = build_scenario(config)
     sim = scenario.sim
@@ -87,8 +90,8 @@ def run_fig1_walkthrough(seed=11):
         "reverse_multicast": reverse[0].time if reverse else None,
         "delivery": sink.arrival_times[0] if sink.arrival_times else None,
     }
-    return {"steps": steps, "checks": checks, "records": records,
-            "scenario": scenario}
+    scenario.teardown()
+    return {"steps": steps, "checks": checks, "records": records}
 
 
 def _monotonic(times):

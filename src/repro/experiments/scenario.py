@@ -377,6 +377,33 @@ class Scenario:
         yield from self.iter_xtrs()
         yield from self.dns.resolvers.values()
 
+    def teardown(self):
+        """Break the world's reference cycles, so it dies by reference count.
+
+        A world is one web of cycles (nodes, interfaces and links point at
+        each other and at the engine), which only a full collection would
+        otherwise free.  Clearing the attributes of every inventory
+        component, of the engine's periodic tasks (an RLOC prober and its
+        tick refer to each other) and of the roots leaves no cycle
+        standing.  The world is unusable afterwards; whoever drops a world
+        it built tears it down.
+        """
+        doomed = [*self.stateful_components(), *self.sim.periodic_tasks,
+                  self.topology, self.dns, self]
+        for obj in doomed:
+            _clear_attributes(obj)
+
+
+def _clear_attributes(obj):
+    """Drop every attribute *obj* holds, instance dict and slots alike."""
+    attributes = getattr(obj, "__dict__", None)
+    if attributes is not None:
+        attributes.clear()
+    for klass in type(obj).__mro__:
+        for name in klass.__dict__.get("__slots__", ()):
+            if hasattr(obj, name):
+                object.__delattr__(obj, name)
+
 
 def build_scenario(config):
     """Build the world described by *config* and return a :class:`Scenario`."""

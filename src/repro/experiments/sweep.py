@@ -24,7 +24,10 @@ into at most ``ceil(workers / distinct worlds)`` of them — and every
 worker starts an empty store and builds the world of a chunk it does not
 already hold.  With at least as many worlds as workers, each world is
 built exactly once, wherever it runs.  The per-cell outcome tally
-surfaces in the sweep outcome under ``world_cache``.
+surfaces in the sweep outcome under ``world_cache``.  Each cell runs with
+the cyclic collector paused, and a store tears down every world it lets
+go, so worlds die by reference count and a sweep makes no full collection
+(see "World lifecycle cost" in ``docs/contracts.md``).
 
 Cell results stream to a JSONL artifact as they complete (one JSON object
 per line, in completion order, each tagged with its world-cache outcome)
@@ -77,7 +80,7 @@ from repro.experiments.e9_failover import schedule_access_failure
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.workload import (WorkloadConfig, classify_first_packet,
                                         peak_concurrent_flows, run_workload)
-from repro.experiments.worldbuild import SnapshotStore, world_key
+from repro.experiments.worldbuild import SnapshotStore, gc_paused, world_key
 from repro.metrics.stats import summarize
 from repro.net.topogen import FAMILIES
 from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
@@ -512,35 +515,47 @@ def run_cell(cell, store=None):
     The world is whatever
     :meth:`~repro.experiments.worldbuild.SnapshotStore.world_for` serves —
     reset in place or built (``store.last_outcome`` says which); without
-    a *store* a throwaway one builds it.  Returns a
+    a *store* a throwaway one builds it and is released before this
+    returns.  Returns a
     JSON-ready dict — the value of every :data:`AXES` row the cell ran
     with and every :data:`METRICS` row's collection; everything in it is
     derived from the simulation alone (no wall-clock values, no cache
     outcomes), keeping sweep artifacts reproducible.
+
+    The whole cell — build or restore, workload, metric collection —
+    runs with the cyclic collector paused
+    (:func:`~repro.experiments.worldbuild.gc_paused`): a cell makes no
+    cyclic garbage, so every pass it would trigger walks live objects and
+    frees nothing.
     """
     if store is None:
         store = SnapshotStore()
-    world, _outcome = store.world_for(cell.scenario)
-    _apply_failures(world, cell.failure)
-    records = run_workload(world, cell.workload)
-    completed = [record for record in records if not record.failed]
-    tcp = cell.workload.mode == "tcp"
-    finished = FinishedCell(
-        world=world, records=records, completed=completed,
-        set_up=[record for record in completed
-                if not tcp or record.established_at is not None],
-        xtrs=list(world.iter_xtrs()), control=world.control_overhead(),
-        control_state=world.control_state(),
-        accounting=world.byte_accounting())
-    return {
-        "index": cell.index,
-        "cell_id": cell.cell_id,
-        **{axis.key: getattr(getattr(cell, axis.config), axis.kwarg)
-           for axis in AXES},
-        "mode": cell.workload.mode,
-        "metrics": {metric.key: metric.collect(finished)
-                    for metric in METRICS},
-    }
+        try:
+            return run_cell(cell, store)
+        finally:
+            store.release_worlds()
+    with gc_paused():
+        world, _outcome = store.world_for(cell.scenario)
+        _apply_failures(world, cell.failure)
+        records = run_workload(world, cell.workload)
+        completed = [record for record in records if not record.failed]
+        tcp = cell.workload.mode == "tcp"
+        finished = FinishedCell(
+            world=world, records=records, completed=completed,
+            set_up=[record for record in completed
+                    if not tcp or record.established_at is not None],
+            xtrs=list(world.iter_xtrs()), control=world.control_overhead(),
+            control_state=world.control_state(),
+            accounting=world.byte_accounting())
+        return {
+            "index": cell.index,
+            "cell_id": cell.cell_id,
+            **{axis.key: getattr(getattr(cell, axis.config), axis.kwarg)
+               for axis in AXES},
+            "mode": cell.workload.mode,
+            "metrics": {metric.key: metric.collect(finished)
+                        for metric in METRICS},
+        }
 
 
 # --------------------------------------------------------------------- #

@@ -29,9 +29,11 @@ checkpoint follows the cell, not the world:
   own.  The "World lifecycle cost" contract in ``docs/contracts.md`` has
   the touch-before-write rule for new mutators.
 
-Builds run with the cyclic collector paused (:func:`_gc_paused`): each is
+Builds run with the cyclic collector paused (:func:`gc_paused`): each is
 one burst of reachable allocations, handed to the collector's oldest
-generation when the call returns.
+generation when the call returns.  A sweep cell runs whole inside one
+such pause (:func:`~repro.experiments.sweep.run_cell`), its build
+included.
 
 Periodic background work (RLOC probing) is no obstacle to any of this: it runs as engine-owned
 :class:`~repro.sim.periodic.PeriodicTask` objects whose timers are plain
@@ -70,10 +72,14 @@ one live world, the most recent it built:
 One slot is all a store's owner can use: the sweep hands every store its
 cells world by world (a serial run its whole ordered grid, a worker its
 runs of same-world cells), so no store asks for an older world again.
-Whoever drops a world collects it: a world is one reference cycle
-sitting in the collector's oldest generation, so both paths here that
-let one go (:meth:`SnapshotStore.world_for` on a miss,
-:meth:`SnapshotStore.release_worlds`) call ``gc.collect()``.
+Whoever drops a world tears it down: a world is one web of reference
+cycles, so both paths here that let one go
+(:meth:`SnapshotStore.world_for` on a miss,
+:meth:`SnapshotStore.release_worlds`) call
+:meth:`~repro.experiments.scenario.Scenario.teardown`, and the world dies
+by reference count, without a collection.  A world a store serves is
+borrowed: it is torn down at that store's next miss or
+:meth:`~SnapshotStore.release_worlds`.
 """
 
 import gc
@@ -107,15 +113,17 @@ def build_world(config):
     ``scenario.world_checkpoint``: the state at this instant is what
     every later :func:`restore_world` returns to.
 
-    Runs with the cyclic collector paused (see :func:`_gc_paused`): a
+    Runs with the cyclic collector paused (see :func:`gc_paused`): a
     build only ever adds reachable objects, so every collection it would
     trigger re-walks the growing world and frees nothing.  The finished
     world is promoted to the collector's oldest generation, out of sight
     of the young passes the cells that run on it trigger.  A world is one
-    reference cycle: a caller that builds one bare and drops it owns the
-    ``gc.collect()`` that frees it (the store's paths call their own).
+    web of reference cycles: a caller that builds one bare and drops it
+    owns its :meth:`~repro.experiments.scenario.Scenario.teardown` (the
+    store's paths call their own); dropped without one, it stays resident
+    until a full collection happens by.
     """
-    with _gc_paused():
+    with gc_paused():
         scenario = build_scenario(config)
         scenario.sim.run()  # settle: drain finite deployment-time events
         scenario.sim.rng.checkpoint()
@@ -155,23 +163,25 @@ SNAPSHOT_SCHEMA = 18
 
 
 @contextmanager
-def _gc_paused():
+def gc_paused():
     """Pause the cyclic GC for the block, leaving it as it was found.
 
     Building a world allocates hundreds of thousands of objects in one
-    burst; every collection in the middle scans the whole growing graph
-    for garbage that cannot exist yet, so collection is paused for the
-    duration, which takes the generation-2 passes out of builds.
+    burst, and a sweep cell's run makes no cyclic garbage either; every
+    collection in the middle scans the growing graph for garbage that
+    cannot exist, so collection is paused for the duration, which takes
+    the collector's passes out of builds and cells.
 
     A block that ends normally leaves a settled world behind: long-lived by
     construction, yet young to the collector, whose next passes would walk
     it twice more just to promote it.  ``gc.freeze(); gc.unfreeze()`` splices
     it into the oldest generation instead — two O(1) list merges that leave
-    nothing frozen, so a promoted world is ordinary generation-2 data that a
-    later ``gc.collect()`` reclaims (whoever drops a world calls one; see
-    "World lifecycle cost" in ``docs/contracts.md``).  The splice is skipped
+    nothing frozen, so a promoted world is ordinary generation-2 data, and
+    what frees it is its teardown, not a pass (see "World lifecycle cost"
+    in ``docs/contracts.md``).  The splice is skipped
     when the block raised (a half-built world is young garbage), when the
-    collector was disabled on entry, and when anything was frozen on entry
+    collector was disabled on entry — so a build nested in a cell's pause
+    leaves the splice to the cell's — and when anything was frozen on entry
     (unfreezing a heap the caller froze is not ours to do; CPython 3.12's
     collector parks immortal objects there by itself, so on 3.12 the count
     is never zero and worlds stay young, as before).  Thresholds are never
@@ -286,9 +296,11 @@ class SnapshotStore:
 
         The store's one read path.  Returns ``(scenario, outcome)``:
         ``"hit"`` resets the held world in place; ``"miss"`` builds one
-        and holds it.  The previous world is let go — collected, not just
+        and holds it.  The previous world is let go — torn down, not just
         dereferenced — *before* its successor is built, so one world is
-        resident at a time.
+        resident at a time.  The world returned is borrowed: it is torn
+        down at this store's next miss or :meth:`release_worlds`, so a
+        caller reads it before asking this store for another.
         """
         key = world_key(config)
         if self._slot is not None and self._slot[0] == key:
@@ -305,13 +317,15 @@ class SnapshotStore:
         return scenario, outcome
 
     def release_worlds(self):
-        """Drop the held world, if any, and collect it.
+        """Tear the held world down, if any, and let it go.
 
-        A world is one reference cycle, so dropping the last reference
-        frees nothing, and a successor is built with the collector
-        paused: collect now or hold two worlds.  The sweep also calls
-        this once its run phase ends, before aggregation.
+        A world is one web of reference cycles, so dropping the last
+        reference frees nothing; :meth:`Scenario.teardown
+        <repro.experiments.scenario.Scenario.teardown>` breaks them and
+        the world dies by reference count right here.  The sweep also
+        calls this once its run phase ends, before aggregation.
         """
         if self._slot is not None:
+            _key, scenario = self._slot
             self._slot = None
-            gc.collect()
+            scenario.teardown()

@@ -50,13 +50,21 @@ class _ConsEnvelope:
 
 
 class _TreeNode:
-    __slots__ = ("name", "address", "node", "parent", "children", "site")
+    """One CAR or CDR of the tree.
+
+    A node names its parent by address, not by reference: parent and
+    children pointing at each other would be a reference cycle outside
+    every component a world is torn down through.
+    """
+
+    __slots__ = ("name", "address", "node", "parent_address", "children",
+                 "site")
 
     def __init__(self, name, address, node, site=None):
         self.name = name
         self.address = address
         self.node = node
-        self.parent = None
+        self.parent_address = None
         self.children = []
         self.site = site
 
@@ -116,7 +124,7 @@ class ConsMappingSystem(MappingSystem):
                 host.bind_udp(LISP_CONTROL_PORT, self._on_control)
                 cdr = _TreeNode(name=host.name, address=address, node=host)
                 for child in group:
-                    child.parent = cdr
+                    child.parent_address = address
                     cdr.children.append(child)
                 self._tree_by_address[address] = cdr
                 next_level.append(cdr)
@@ -187,16 +195,16 @@ class ConsMappingSystem(MappingSystem):
             self._send_back(node, me.address, reply)
             return
         if self._covers(me, eid):
-            target = self._child_covering(me, eid)
+            target = self._child_covering(me, eid).address
         else:
-            target = me.parent
+            target = me.parent_address
         if target is None:
             return
         forward = _ConsEnvelope(kind="request", request=envelope.request,
                                 path=[*envelope.path, me.address])
         self.stats.count("map-request-hop", forward.size_bytes)
         self.sim.call_in(HOP_PROCESSING_DELAY, node.send_udp,
-                         me.address, target.address, LISP_CONTROL_PORT,
+                         me.address, target, LISP_CONTROL_PORT,
                          LISP_CONTROL_PORT, forward)
 
     def _handle_reply(self, packet, envelope, node):
@@ -230,9 +238,9 @@ class ConsMappingSystem(MappingSystem):
     def state_entries_per_router(self):
         entries = {}
         for tree_node in self._tree_by_address.values():
+            up = tree_node.parent_address is not None
             if tree_node.site is not None:
-                entries[tree_node.node.name] = 1 + (1 if tree_node.parent else 0)
+                entries[tree_node.node.name] = 1 + up
             else:
-                entries[tree_node.node.name] = len(tree_node.children) + \
-                    (1 if tree_node.parent else 0)
+                entries[tree_node.node.name] = len(tree_node.children) + up
         return entries

@@ -14,7 +14,7 @@ def _collector_state():
 def collector_left_as_found():
     """Fail the test that leaks process-global collector state.
 
-    ``worldbuild._gc_paused`` disables the collector and splices heaps with
+    ``worldbuild.gc_paused`` disables the collector and splices heaps with
     ``gc.freeze()``/``gc.unfreeze()``; whatever path runs it — or anything
     else that touches the collector — must hand back the enabled flag, the
     thresholds and the freeze count it found.  Autouse fixtures are set up

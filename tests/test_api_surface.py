@@ -19,7 +19,6 @@ KEPT = {
        for rule in ("Det01", "Det02", "Snap01", "Snap02", "Snap03")},
     "pending_foreground": "how tests see that a world has settled (the "
                           "serializable check itself reads the counter)",
-    "periodic_tasks": "the checkpoint inventory tests walk the armed tasks",
     "confidence_interval": "what the seed-robustness item folds "
                            "check_shape over seeds with (ROADMAP)",
     "probability": "ZipfSampler's analytic pmf: what the tests hold its "

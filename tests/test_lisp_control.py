@@ -194,8 +194,7 @@ def test_cons_tree_level_wider_than_a_slash_24_builds(num_sites):
     records = run_workload(world, WorkloadConfig(num_flows=5))
     assert not any(record.failed for record in records)
     assert world.mapping_system.stats.resolution_failures == 0
-    del world
-    gc.collect()    # a bare-built world is its builder's to collect
+    world.teardown()    # a bare-built world is its builder's to tear down
 
 
 @pytest.mark.parametrize("plane", ["cons", "alt"])

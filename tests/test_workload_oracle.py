@@ -36,7 +36,7 @@ from reference_driver import (
 )
 
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
-from repro.experiments import e9_failover
+from repro.experiments import e9_failover, fig1
 from repro.experiments.e9_failover import (
     FAIL_AT,
     FLOW_END,
@@ -44,7 +44,7 @@ from repro.experiments.e9_failover import (
     schedule_access_failure,
 )
 from repro.experiments.fig1 import run_fig1_walkthrough
-from repro.experiments.scenario import CONTROL_PLANES
+from repro.experiments.scenario import CONTROL_PLANES, Scenario
 
 PACINGS = ("constant", "shaped", "fluid")
 TRANSPORTS = ("udp", "tcp", "tcp+burst")
@@ -280,15 +280,31 @@ def trace_of(scenario):
             for record in scenario.sim.trace.records]
 
 
-def test_fig1_flow_agrees_with_its_generator():
+def keep_worlds(monkeypatch, module):
+    """The worlds *module*'s runner builds, kept past the runner's
+    teardown so the test can read them after it returns."""
+    built = []
+
+    def build(config):
+        built.append(build_scenario(config))
+        return built[-1]
+
+    monkeypatch.setattr(module, "build_scenario", build)
+    monkeypatch.setattr(Scenario, "teardown", lambda _scenario: None)
+    return built
+
+
+def test_fig1_flow_agrees_with_its_generator(monkeypatch):
+    built = keep_worlds(monkeypatch, fig1)
     result = run_fig1_walkthrough()
-    twin = build_scenario(result["scenario"].config)
+    (scenario,) = built
+    twin = build_scenario(scenario.config)
     install_reference_pull_path(twin)
     timeline = {}
     start_fig1_flow(twin, timeline)
     twin.sim.run(until=5.0)
     assert result["records"]["dns_done"] == timeline["dns_done"]
-    assert trace_of(result["scenario"]) == trace_of(twin)
+    assert trace_of(scenario) == trace_of(twin)
     kinds = {kind for _time, _source, kind, _detail in trace_of(twin)}
     assert {"pce.step7b-push", "itr.encap", "etr.decap"} <= kinds
 
@@ -297,13 +313,7 @@ def test_fig1_flow_agrees_with_its_generator():
     ("pce+probing", {"enable_probing": True, "probe_period": 0.4}),
     ("pce-static", {"enable_probing": False})])
 def test_e9_sender_agrees_with_its_generator(monkeypatch, label, overrides):
-    built = []
-
-    def build(config):
-        built.append(build_scenario(config))
-        return built[-1]
-
-    monkeypatch.setattr(e9_failover, "build_scenario", build)
+    built = keep_worlds(monkeypatch, e9_failover)
     row = e9_failover._run_variant(label, overrides, seed=29)
     (scenario,) = built
     twin = build_scenario(scenario.config)

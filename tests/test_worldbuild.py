@@ -8,7 +8,12 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
-from repro.experiments.sweep import (SweepGrid, _apply_failures,
+from repro.experiments.e2_overlap import run_e2
+from repro.experiments.e4_te_flexibility import run_e4
+from repro.experiments.e8_reverse_mapping import run_e8
+from repro.experiments.e9_failover import run_e9
+from repro.experiments.fig1 import run_fig1_walkthrough
+from repro.experiments.sweep import (PRESETS, SweepGrid, _apply_failures,
                                      expand_grid, iter_jsonl, payload_digest,
                                      run_cell, run_sweep)
 from repro.experiments.workload import WorkloadConfig, run_workload
@@ -364,30 +369,107 @@ def _live_simulators():
     return sum(isinstance(tracked, Simulator) for tracked in gc.get_objects())
 
 
-def _build_and_release(store, config):
-    store.world_for(config)
+#: Every control plane on every topology family, with UDP, TCP and fluid
+#: workloads, plus the ``failover`` preset's cells (RLOC probing, link
+#: failures, and a second world that evicts the first).
+TEARDOWN_MATRIX = {
+    **{f"{plane}-{family}-{kind}": expand_grid(SweepGrid(
+        control_planes=(plane,), topologies=(family,), site_counts=(6,),
+        num_flows=12, arrival_rate=10.0,
+        mode="tcp" if kind == "tcp" else "udp",
+        pacings=("fluid",) if kind == "fluid" else ("constant",),
+        size_dists=("pareto",) if kind == "fluid" else ("constant",)))
+       for plane in CONTROL_PLANES
+       for family in ("fig1", "flat", "tiered", "caida")
+       for kind in ("udp", "tcp", "fluid")},
+    "failover": expand_grid(replace(PRESETS["failover"], seeds=(21,),
+                                    num_flows=12)),
+}
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector disabled for the test, with no garbage left
+    over from earlier ones; explicit ``gc.collect()`` calls still run."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    try:
+        yield
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+def _cyclic_garbage():
+    """Type names of what a full pass finds unreachable, kept for a look."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+    finally:
+        gc.set_debug(0)
+    found = sorted({type(obj).__name__ for obj in gc.garbage})
+    gc.garbage.clear()
+    gc.collect()
+    return found
+
+
+def _run_twice(cells, store):
+    """Each cell (a miss, or a hit after a cell of its world), then the
+    first one again (a hit, or a miss that evicts the last world)."""
+    for cell in (*cells, cells[0]):
+        yield run_cell(cell, store)
+
+
+@pytest.mark.parametrize("name", sorted(TEARDOWN_MATRIX))
+def test_released_worlds_leave_no_cyclic_garbage(name, collector_off):
+    """Whoever drops a world tears it down, and a torn-down world dies by
+    reference count: with the collector off throughout, nothing is left
+    for a full pass to find, and no simulator outlives the store's hold."""
+    store = SnapshotStore()
+    before = _live_simulators()
+    for _result in _run_twice(TEARDOWN_MATRIX[name], store):
+        assert _live_simulators() == before + 1
+    store.release_worlds()
+    assert _cyclic_garbage() == []
+    assert _live_simulators() == before
+
+
+@pytest.mark.parametrize("name", sorted(TEARDOWN_MATRIX))
+def test_a_cell_run_makes_no_cyclic_garbage(name, collector_off):
+    """What makes pausing the collector for a whole cell safe: a build,
+    a restore, a workload and its metric collection free nothing a pass
+    could find."""
+    store = SnapshotStore()
+    for _result in _run_twice(TEARDOWN_MATRIX[name], store):
+        assert gc.collect() == 0
     store.release_worlds()
 
 
-def _build_and_evict(store, config):
-    store.world_for(config)
-    store.world_for(replace(config, seed=config.seed + 1))
-
-
-@pytest.mark.parametrize("build_and_drop, held",
-                         ((_build_and_release, 0), (_build_and_evict, 1)),
-                         ids=("release_worlds", "world_for"))
-def test_whoever_drops_a_world_collects_it(build_and_drop, held):
-    """The store's two paths that let a world go free it themselves: a
-    finished world sits in the oldest generation, where no young pass
-    finds it, so dropping it without a full collection keeps it."""
-    config = ScenarioConfig(control_plane="plain", num_sites=2, seed=1,
-                            tracing=False)
-    store = SnapshotStore()
-    gc.collect()
+def test_a_storeless_cell_releases_its_throwaway_world(collector_off):
     before = _live_simulators()
-    build_and_drop(store, config)
-    assert _live_simulators() == before + held
+    result = run_cell(TEARDOWN_MATRIX["pce-flat-udp"][0])
+    assert result["metrics"]["flows"] == 12
+    assert _live_simulators() == before
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("runner", (
+    run_fig1_walkthrough,
+    lambda: run_e2(num_sites=3, num_flows=6),
+    lambda: run_e4(num_flows=8),
+    lambda: run_e8(num_flows=6),
+    run_e9,
+), ids=("fig1", "e2", "e4", "e8", "e9"))
+def test_scripted_runners_tear_their_worlds_down(runner, collector_off):
+    """The experiments that build with ``build_scenario`` rather than
+    through a store leave no world behind for a pass to free."""
+    before = _live_simulators()
+    runner()
+    assert _live_simulators() == before
+    assert _cyclic_garbage() == []
 
 
 # --------------------------------------------------------------------- #
@@ -1090,6 +1172,21 @@ def test_finished_worlds_are_promoted_past_the_young_generations(collector):
     twin = deserialize_world(serialize_world(world), config)
     _assert_promoted_unless_skipped(twin, collector, frozen)
     assert gc.get_freeze_count() == frozen  # spliced, nothing left frozen
+
+
+def test_a_cell_splices_the_world_it_built_when_it_ends(collector):
+    """``run_cell``'s pause is the one that splices: the build nested in
+    it finds the collector off and leaves its world young, and the cell's
+    pause hands it to the oldest generation when the cell is done."""
+    cell = TEARDOWN_MATRIX["pce-flat-udp"][0]
+    store = SnapshotStore()
+    frozen = gc.get_freeze_count()
+    run_cell(cell, store)
+    world, outcome = store.world_for(cell.scenario)
+    assert outcome == "hit"
+    _assert_promoted_unless_skipped(world, collector, frozen)
+    assert gc.get_freeze_count() == frozen
+    store.release_worlds()
 
 
 def test_a_heap_the_caller_froze_stays_frozen():

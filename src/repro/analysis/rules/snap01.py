@@ -14,7 +14,8 @@ snapshots, ``state["attr"]`` reads), or membership in a class-level tuple
 of strings referenced by a checkpoint method (the ``snapshot_attrs(self,
 self._state_attrs)`` idiom).  Genuinely immutable construction-time
 attributes — the owning sim, wiring, config knobs — are declared once in
-a ``_SNAPSHOT_EXEMPT`` class attribute instead.
+a ``_SNAPSHOT_EXEMPT`` class attribute instead, and what a mixin base
+owns (:data:`MIXIN_ATTRS`) is exempt wherever that base is inherited.
 """
 
 from repro.analysis import astutil
@@ -22,6 +23,11 @@ from repro.analysis.core import register
 
 #: Class attribute naming the deliberate exemptions.
 EXEMPT_ATTR = "_SNAPSHOT_EXEMPT"
+
+#: Attributes a mixin owns, by the mixin's class name: a subclass that
+#: sets one in ``__init__`` (a slotted ``Journaled`` must) is covered by the
+#: mixin's contract, not by its own checkpoint.
+MIXIN_ATTRS = {"Journaled": ("_journal",)}
 
 
 def mro_in_module(class_def, classes, _seen=None):
@@ -45,6 +51,8 @@ def exemptions(class_def, classes):
         for name, strings in astutil.class_string_tuples(base).items():
             if name == EXEMPT_ATTR:
                 exempt.update(strings)
+        for mixin in base.bases:
+            exempt.update(MIXIN_ATTRS.get(getattr(mixin, "id", None), ()))
     return exempt
 
 

@@ -35,6 +35,10 @@ def _prefix_order(entry):
     return (prefix._network, prefix._length)
 
 
+def _probe_length(probe):
+    return probe[2]
+
+
 class Fib:
     """Longest-prefix-match table.
 
@@ -42,7 +46,8 @@ class Fib:
     lookup masks the address to each populated length, longest first, and
     stops at the first hit.  Real tables hold a handful of distinct lengths
     (four in a flat world's 5,234 routes), so a miss costs a few dict probes
-    and a table costs one dict per length — nothing per bit of prefix.
+    and a table costs one dict per length — nothing per bit of prefix — and
+    an insert or remove finds its length's dict by scanning those few.
 
     >>> fib = Fib()
     >>> fib.insert(FibEntry(IPv4Prefix('10.0.0.0/8'), 'if0'))
@@ -53,16 +58,17 @@ class Fib:
     'if0'
     """
 
+    __slots__ = ("_owner", "_probes", "version", "_memo")
+
     def __init__(self, owner=None):
         #: The journaled component this table is part of (a node's FIB
         #: knows its node), touched before every mutation so a route
         #: inserted from outside the node is still undone by a restore.
         self._owner = owner
-        #: prefix length -> {network value: entry}; no empty tables.
-        self._tables = {}
-        #: ``(mask, table)`` of every populated length, longest first: the
-        #: order :meth:`lookup` probes in.  Rebuilt when a length appears
-        #: or its last route goes.
+        #: ``(mask, {network value: entry}, length)`` of every populated
+        #: length, longest first: the order :meth:`lookup` probes in, and
+        #: the table's only index.  Rebuilt when a length appears or its
+        #: last route goes; no empty tables.
         self._probes = ()
         #: Bumped on every mutation; lets the restore of a dirty owner
         #: skip a table that never changed (a provider a packet crossed).
@@ -75,12 +81,14 @@ class Fib:
         self._memo = None
 
     def __len__(self):
-        return sum(map(len, self._tables.values()))
+        return sum(len(table) for _mask, table, _length in self._probes)
 
-    def _reorder(self):
-        self._probes = tuple(
-            (IPv4Prefix._mask_for(length), table)
-            for length, table in sorted(self._tables.items(), reverse=True))
+    def _table(self, length):
+        """The populated table of prefix *length*, or None."""
+        for _mask, table, probed in self._probes:
+            if probed == length:
+                return table
+        return None
 
     def insert(self, entry):
         """Insert *entry*, replacing any existing entry for the same prefix."""
@@ -88,10 +96,13 @@ class Fib:
         if owner is not None and owner._journal is not None:
             owner._touch()
         prefix = entry.prefix
-        table = self._tables.get(prefix._length)
+        length = prefix._length
+        table = self._table(length)
         if table is None:
-            table = self._tables[prefix._length] = {}
-            self._reorder()
+            table = {}
+            self._probes = tuple(sorted(
+                (*self._probes, (IPv4Prefix._mask_for(length), table, length)),
+                key=_probe_length, reverse=True))
         table[prefix._network] = entry
         self.version += 1
         self._memo = None
@@ -108,7 +119,7 @@ class Fib:
         probing dead lengths.
         """
         prefix = IPv4Prefix(prefix)
-        table = self._tables.get(prefix._length)
+        table = self._table(prefix._length)
         entry = table.get(prefix._network) if table is not None else None
         if entry is not None:
             owner = self._owner
@@ -116,8 +127,8 @@ class Fib:
                 owner._touch()
             del table[prefix._network]
             if not table:
-                del self._tables[prefix._length]
-                self._reorder()
+                self._probes = tuple(probe for probe in self._probes
+                                     if probe[1] is not table)
             self.version += 1
             self._memo = None
         return entry
@@ -137,7 +148,7 @@ class Fib:
             best = memo[value]
         except KeyError:
             best = None
-            for mask, table in self._probes:
+            for mask, table, _length in self._probes:
                 best = table.get(value & mask)
                 if best is not None:
                     break
@@ -150,14 +161,13 @@ class Fib:
 
     def entries(self):
         """All entries, in ``(network, length)`` order."""
-        return sorted((entry for table in self._tables.values()
+        return sorted((entry for _mask, table, _length in self._probes
                        for entry in table.values()), key=_prefix_order)
 
     def clear(self):
         owner = self._owner
         if owner is not None and owner._journal is not None:
             owner._touch()
-        self._tables = {}
         self._probes = ()
         self.version += 1
         self._memo = None
@@ -175,7 +185,6 @@ class Fib:
         self._memo = None
         if self.version == version:
             return
-        self._tables = {}
         self._probes = ()
         for entry in entries:
             self.insert(entry)

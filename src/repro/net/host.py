@@ -76,6 +76,8 @@ class UdpSocket:
 class Host(Node):
     """An end host with a single address and simple socket API."""
 
+    __slots__ = ("_address", "_next_ephemeral")
+
     def __init__(self, sim, name, address=None):
         super().__init__(sim, name)
         self._address = IPv4Address(address) if address is not None else None

@@ -30,6 +30,10 @@ read.  Transmitter busy time and offered bytes are also bucketed into
 fixed-width utilization windows (:meth:`LinkStats.utilization_series`), the
 per-link load signal behind E4's utilization report.
 
+A world holds many links and a run crosses few of them, so a link starts on
+the shared, read-only :data:`IDLE_STATS` and gets a ledger of its own from
+the first byte offered to it.
+
 Fluid chunks
 ------------
 
@@ -42,6 +46,7 @@ fluid-chunk contract.
 """
 
 from collections import defaultdict, deque
+from types import MappingProxyType
 
 from repro.sim.state import Journaled
 
@@ -275,6 +280,21 @@ class LinkStats:
                                     for index, (busy, volume) in windows.items()})
 
 
+def _idle_stats():
+    stats = LinkStats()
+    stats.flows = stats.windows = MappingProxyType({})
+    return stats
+
+
+#: The ledger of every link nothing has crossed since the world was built
+#: or last restored: all zeros, with read-only empty ``flows`` and
+#: ``windows``.  Shared by every idle link of every world; the two stamp
+#: writers, :meth:`Link.send` and :meth:`Link.post_fluid`, swap in a link's
+#: own :class:`LinkStats` before their first write, so nothing ever writes
+#: here.
+IDLE_STATS = _idle_stats()
+
+
 class Link(Journaled):
     """A simplex link from ``src_interface`` to ``dst_interface``.
 
@@ -289,10 +309,14 @@ class Link(Journaled):
         serialisation delay), which most control-plane experiments use so
         that latency is dominated by propagation as in the paper's formulas.
         Only a rated link queues (up to :data:`QUEUE_CAPACITY` packets).
+
+    ``stats`` is :data:`IDLE_STATS` until the first byte is offered.
     """
 
-    def __init__(self, sim, src_interface, dst_interface, delay=0.001, rate_bps=None,
-                 name=None):
+    __slots__ = ("sim", "src_interface", "dst_interface", "delay", "rate_bps",
+                 "stats", "_queue", "_busy", "_up", "_journal")
+
+    def __init__(self, sim, src_interface, dst_interface, delay=0.001, rate_bps=None):
         if delay < 0:
             raise ValueError(f"negative link delay {delay}")
         self.sim = sim
@@ -300,12 +324,17 @@ class Link(Journaled):
         self.dst_interface = dst_interface
         self.delay = delay
         self.rate_bps = rate_bps
-        self.name = name or f"{src_interface}->{dst_interface}"
-        self.stats = LinkStats()
+        self.stats = IDLE_STATS
         # A rate-less link never queues, so only a rated one has a queue.
         self._queue = deque() if rate_bps is not None else None
         self._busy = False
         self._up = True
+        self._journal = None
+
+    @property
+    def name(self):
+        """``<src interface>-><dst interface>``: drop traces and errors."""
+        return f"{self.src_interface}->{self.dst_interface}"
 
     def __str__(self):
         return self.name
@@ -338,6 +367,8 @@ class Link(Journaled):
         flow_id = meta.get("flow_id")
         probe = meta.get("fluid_probe")
         stats = self.stats
+        if stats is IDLE_STATS:
+            stats = self.stats = LinkStats()
         stats.bytes_offered += size
         if flow_id is not None:
             stats.flows[flow_id].offered += size
@@ -428,6 +459,8 @@ class Link(Journaled):
         if self._journal is not None:
             self._touch()
         stats = self.stats
+        if stats is IDLE_STATS:
+            stats = self.stats = LinkStats()
         stats.bytes_offered += size
         if not self._up:
             delivered = 0
@@ -452,16 +485,24 @@ class Link(Journaled):
 
     #: Construction-time topology and configuration, immutable after wiring.
     _SNAPSHOT_EXEMPT = ("sim", "src_interface", "dst_interface", "delay",
-                        "rate_bps", "name")
+                        "rate_bps")
 
     def snapshot_state(self):
-        return (self._up, self._busy, self.stats.snapshot_state())
+        """``(up, busy, ledger)``; the ledger of an idle link is None."""
+        stats = self.stats
+        return (self._up, self._busy,
+                None if stats is IDLE_STATS else stats.snapshot_state())
 
     def restore_state(self, state):
         self._up, self._busy, stats_state = state
         if self._queue:
             self._queue.clear()
-        self.stats.restore_state(stats_state)
+        if stats_state is None:
+            self.stats = IDLE_STATS
+        else:
+            if self.stats is IDLE_STATS:
+                self.stats = LinkStats()
+            self.stats.restore_state(stats_state)
 
 
 def connect(sim, iface_a, iface_b, delay=0.001, rate_bps=None):
@@ -470,10 +511,8 @@ def connect(sim, iface_a, iface_b, delay=0.001, rate_bps=None):
     Returns the (a->b, b->a) link pair and attaches each link to the sending
     interface.
     """
-    forward = Link(sim, iface_a, iface_b, delay=delay, rate_bps=rate_bps,
-                   name=f"{iface_a.name}->{iface_b.name}")
-    backward = Link(sim, iface_b, iface_a, delay=delay, rate_bps=rate_bps,
-                    name=f"{iface_b.name}->{iface_a.name}")
+    forward = Link(sim, iface_a, iface_b, delay=delay, rate_bps=rate_bps)
+    backward = Link(sim, iface_b, iface_a, delay=delay, rate_bps=rate_bps)
     iface_a.attach_link(forward)
     iface_b.attach_link(backward)
     return forward, backward

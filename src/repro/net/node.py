@@ -7,6 +7,8 @@ subclassing it, so one physical node can host several roles, exactly like
 the paper's co-located DNS + PCE.
 """
 
+from types import MappingProxyType
+
 from repro.net.addresses import IPv4Address
 from repro.net.errors import NoRouteError, PortInUseError
 from repro.net.fib import Fib
@@ -14,16 +16,29 @@ from repro.net.packet import PROTO_UDP, udp_packet
 from repro.sim.state import Journaled, restore_attrs, snapshot_attrs
 
 
+#: What a node's ``services``, ``_proto_handlers`` and ``_udp_ports`` are
+#: until their first registration: most nodes register nothing.
+_NOTHING = MappingProxyType({})
+
+
 class Interface:
-    """A network attachment point on a node."""
+    """A network attachment point on a node.
 
-    __slots__ = ("node", "name", "address", "link")
+    ``key`` is the interface's key in ``node.interfaces``; :attr:`name`
+    qualifies it with the node's name.
+    """
 
-    def __init__(self, node, name, address=None):
+    __slots__ = ("node", "key", "address", "link")
+
+    def __init__(self, node, key, address=None):
         self.node = node
-        self.name = f"{node.name}.{name}"
+        self.key = key
         self.address = IPv4Address(address) if address is not None else None
         self.link = None
+
+    @property
+    def name(self):
+        return f"{self.node.name}.{self.key}"
 
     def attach_link(self, link):
         self.link = link
@@ -38,22 +53,33 @@ class Interface:
 
 
 class Node(Journaled):
-    """A network element with interfaces, a FIB, and protocol handlers."""
+    """A network element with interfaces, a FIB, and protocol handlers.
+
+    A node holds one to three addresses and most register no service,
+    handler or tap, so the address collections and ``forward_taps`` are
+    tuples and the three registries share one read-only empty mapping
+    until their first registration.
+    """
+
+    __slots__ = ("sim", "name", "interfaces", "fib", "extra_addresses",
+                 "_local_values", "services", "_proto_handlers", "_udp_ports",
+                 "forward_taps", "_wiring_version", "rx_packets", "tx_packets",
+                 "dropped_packets", "_journal")
 
     def __init__(self, sim, name):
         self.sim = sim
         self.name = name
         self.interfaces = {}
         self.fib = Fib(owner=self)
-        self.extra_addresses = set()
+        self.extra_addresses = ()
         #: Integer values of :meth:`addresses` — what :meth:`is_local`
         #: tests, once per received packet.  Kept in step by
         #: add_interface/add_address and rebuilt by restore_state.
-        self._local_values = set()
-        self.services = {}
-        self._proto_handlers = {}
-        self._udp_ports = {}
-        self.forward_taps = []
+        self._local_values = ()
+        self.services = _NOTHING
+        self._proto_handlers = _NOTHING
+        self._udp_ports = _NOTHING
+        self.forward_taps = ()
         #: Bumped by every registration method below; lets the restore of
         #: a dirty node reset only its counters when its addresses,
         #: services, handlers and taps never moved (the usual case: a
@@ -62,6 +88,7 @@ class Node(Journaled):
         self.rx_packets = 0
         self.tx_packets = 0
         self.dropped_packets = 0
+        self._journal = None
 
     def __str__(self):
         return self.name
@@ -80,16 +107,21 @@ class Node(Journaled):
         interface = Interface(self, name, address)
         self.interfaces[name] = interface
         if interface.address is not None:
-            self._local_values.add(interface.address._value)
+            self._add_local_value(interface.address._value)
         return interface
+
+    def _add_local_value(self, value):
+        if value not in self._local_values:
+            self._local_values += (value,)
 
     def add_address(self, address):
         """Register an additional local address (e.g. a loopback/service IP)."""
         if self._journal is not None:
             self._touch()
         address = IPv4Address(address)
-        self.extra_addresses.add(address)
-        self._local_values.add(address._value)
+        if address not in self.extra_addresses:
+            self.extra_addresses += (address,)
+        self._add_local_value(address._value)
         self._wiring_version += 1
 
     def addresses(self):
@@ -120,6 +152,8 @@ class Node(Journaled):
         """Attach a named service object for later lookup."""
         if self._journal is not None:
             self._touch()
+        if self.services is _NOTHING:
+            self.services = {}
         self.services[name] = service
         self._wiring_version += 1
         return service
@@ -128,6 +162,8 @@ class Node(Journaled):
         """Handle locally-delivered packets of IP protocol *proto*."""
         if self._journal is not None:
             self._touch()
+        if self._proto_handlers is _NOTHING:
+            self._proto_handlers = {}
         self._proto_handlers[proto] = handler
         self._wiring_version += 1
 
@@ -140,13 +176,16 @@ class Node(Journaled):
             raise PortInUseError(f"{self.name} UDP port {port} already bound")
         if self._journal is not None:
             self._touch()
+        if self._udp_ports is _NOTHING:
+            self._udp_ports = {}
         self._udp_ports[port] = handler
         self._wiring_version += 1
 
     def unbind_udp(self, port):
         if self._journal is not None:
             self._touch()
-        self._udp_ports.pop(port, None)
+        if self._udp_ports is not _NOTHING:
+            self._udp_ports.pop(port, None)
         self._wiring_version += 1
 
     def add_forward_tap(self, tap):
@@ -158,7 +197,7 @@ class Node(Journaled):
         """
         if self._journal is not None:
             self._touch()
-        self.forward_taps.append(tap)
+        self.forward_taps += (tap,)
         self._wiring_version += 1
 
     # ------------------------------------------------------------------ #
@@ -274,7 +313,8 @@ class Node(Journaled):
             setattr(self, name, value)
         if self._wiring_version != state["wiring_version"]:
             restore_attrs(self, state["wiring"])
-            self._local_values = {address._value for address in self.addresses()}
+            self._local_values = tuple(sorted(address._value
+                                              for address in self.addresses()))
             self._wiring_version = state["wiring_version"]
 
     def send_udp(self, src, dst, sport, dport, payload=None, payload_bytes=0, meta=None):

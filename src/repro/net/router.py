@@ -12,6 +12,8 @@ class Router(Node):
     interception uses this), then performs an LPM lookup and transmits.
     """
 
+    __slots__ = ()
+
     def forward(self, packet):
         # Reached through Node.receive, which touched the journal.
         ip = packet.ip

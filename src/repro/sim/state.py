@@ -75,7 +75,13 @@ class Journaled:
     armed and clean, ``None`` once it is dirty — and on every component of
     a world nobody armed (a bare ``build_scenario``, a hand-wired test
     topology), where :meth:`_touch` does nothing.
+
+    The mixin has no slots of its own, so a slotted component names
+    ``_journal`` in its ``__slots__`` and sets it to None in ``__init__``;
+    any other component reads the class default below until armed.
     """
+
+    __slots__ = ()
 
     _journal = None
 

@@ -40,6 +40,12 @@ def test_snap01_flags_uncaptured_init_attribute():
     assert "_SNAPSHOT_EXEMPT" in finding.hint
 
 
+def test_snap01_leaves_the_journal_slot_to_the_mixin():
+    findings = findings_for("snap01_journal_slot.py", rules=["SNAP01"])
+    assert locations(findings) == [("SNAP01", 26)]
+    assert "OwnJournal" in findings[0].message
+
+
 def test_snap02_flags_written_key_never_read():
     findings = findings_for("bad_snap02.py")
     assert locations(findings) == [("SNAP02", 10)]

@@ -205,7 +205,9 @@ def test_fib_length_leaves_the_probe_order_with_its_last_route():
         assert fib.remove(prefix) is table.pop((prefix.network.value, prefix.length))
 
     def probed_lengths():
-        return [bin(mask).count("1") for mask, _table in fib._probes]
+        lengths = [bin(mask).count("1") for mask, _table, _length in fib._probes]
+        assert lengths == [length for _mask, _table, length in fib._probes]
+        return lengths
 
     def check():
         for text in ("10.1.2.3", "10.1.9.9", "10.2.0.1", "11.0.0.1"):

@@ -21,7 +21,7 @@ import pytest
 from repro.net.addresses import IPv4Prefix
 from repro.net.fib import FibEntry
 from repro.net.host import Host
-from repro.net.link import FlowAccount, connect
+from repro.net.link import FlowAccount, Link, connect
 from repro.net.router import Router
 from repro.sim import Simulator
 from repro.traffic.flows import (FlowRecord, FluidPump, UdpSink,
@@ -90,17 +90,22 @@ class Dumbbell:
         return record
 
 
-def count_calls(link):
-    """Wrap *link*.post_fluid; returns the list its calls are logged to."""
-    calls = []
-    post_fluid = link.post_fluid
+def count_calls(monkeypatch, link):
+    """Log *link*'s post_fluid calls; returns the list they are logged to.
 
-    def spy(size, flow_id, duration):
-        delivered = post_fluid(size, flow_id, duration)
-        calls.append((link.sim.now, size, flow_id, delivered))
+    Links are slotted, so the spy wraps the class's method and keeps the
+    calls made on *link*; spies on several links chain.
+    """
+    calls = []
+    post_fluid = Link.post_fluid
+
+    def spy(self, size, flow_id, duration):
+        delivered = post_fluid(self, size, flow_id, duration)
+        if self is link:
+            calls.append((link.sim.now, size, flow_id, delivered))
         return delivered
 
-    link.post_fluid = spy
+    monkeypatch.setattr(Link, "post_fluid", spy)
     return calls
 
 
@@ -140,10 +145,10 @@ def test_split_pro_rata_properties_hold_on_random_inputs():
 # One booking per link per path group
 # --------------------------------------------------------------------- #
 
-def test_flows_sharing_a_path_share_one_booking_per_link():
+def test_flows_sharing_a_path_share_one_booking_per_link(monkeypatch):
     sim = Simulator()
     net = Dumbbell(sim)
-    calls = count_calls(net.bottleneck)
+    calls = count_calls(monkeypatch, net.bottleneck)
     first = net.start(1, source=0, sink=0, packets=101)
     second = net.start(2, source=0, sink=0, packets=61)
     other = net.start(3, source=1, sink=0, packets=41)   # another path
@@ -169,11 +174,11 @@ def test_flows_sharing_a_path_share_one_booking_per_link():
     assert [r.finished_at for r in (first, second, other)] == [0.75, 0.5, 0.25]
 
 
-def test_pump_without_one_is_private_to_the_flow():
+def test_pump_without_one_is_private_to_the_flow(monkeypatch):
     """``send_flow`` with no pump still works: each flow brings its own."""
     sim = Simulator()
     net = Dumbbell(sim)
-    calls = count_calls(net.bottleneck)
+    calls = count_calls(monkeypatch, net.bottleneck)
     records = []
     for flow_id in (1, 2):
         record = FlowRecord(flow_id=flow_id, source=net.sources[0].address)
@@ -193,12 +198,13 @@ def test_saturated_link_splits_the_grant_pro_rata():
     net = Dumbbell(sim, bottleneck_bps=1_000_040.0)
     a = net.start(1, source=0, sink=0, packets=201)
     b = net.start(2, source=0, sink=0, packets=201)
-    account_a = net.bottleneck.stats.flows[1]
-    account_b = net.bottleneck.stats.flows[2]
     ticks = 0
     while sim.pending_foreground:
         sim.run(until=sim.now + INTERVAL)
         ticks += 1
+        # An idle link has no accounts: read them once traffic started.
+        account_a = net.bottleneck.stats.flows[1]
+        account_b = net.bottleneck.stats.flows[2]
         assert account_a.offered == account_b.offered
         assert 0 <= account_a.delivered - account_b.delivered <= ticks
     # The odd byte went to the earlier flow every saturated tick.
@@ -209,11 +215,11 @@ def test_saturated_link_splits_the_grant_pro_rata():
     assert net.bottleneck.stats.conservation_violations(drained=True) == []
 
 
-def test_pump_never_posts_an_empty_chunk_past_a_dead_hop():
+def test_pump_never_posts_an_empty_chunk_past_a_dead_hop(monkeypatch):
     sim = Simulator()
     net = Dumbbell(sim)
     record = net.start(1, source=0, sink=0, packets=201)
-    last_hop_calls = count_calls(net.last_hop(0))
+    last_hop_calls = count_calls(monkeypatch, net.last_hop(0))
     sim.call_in(0.3, setattr, net.bottleneck, "up", False)
     sim.run()
     # Tick 1 (0.25) crossed; tick 2 (0.5) died on the bottleneck and
@@ -226,7 +232,7 @@ def test_pump_never_posts_an_empty_chunk_past_a_dead_hop():
     assert record.packets_sent == 3
 
 
-def test_answered_reprobe_costs_the_flow_no_extra_interval():
+def test_answered_reprobe_costs_the_flow_no_extra_interval(monkeypatch):
     """A flow that re-probes from inside a tick makes the next tick.
 
     Its chunk dies at tick k, its probe leaves in the same instant and is
@@ -237,8 +243,8 @@ def test_answered_reprobe_costs_the_flow_no_extra_interval():
     sim = Simulator()
     net = Dumbbell(sim)
     access = net.sources[0].interfaces["eth0"].link
-    calls = count_calls(access)
-    mate_calls = count_calls(net.sources[1].interfaces["eth0"].link)
+    calls = count_calls(monkeypatch, access)
+    mate_calls = count_calls(monkeypatch, net.sources[1].interfaces["eth0"].link)
     flow = net.start(1, source=0, sink=0, packets=161)
     mate = net.start(2, source=1, sink=0, packets=241)   # keeps the lane armed
     # Down across tick 2 only: the chunk at 0.5 dies on the first hop,
@@ -278,10 +284,10 @@ def test_pump_arms_on_first_join_and_disarms_when_empty():
     assert sim.processed_events == events
 
 
-def test_pump_runs_one_lane_per_chunk_interval():
+def test_pump_runs_one_lane_per_chunk_interval(monkeypatch):
     sim = Simulator()
     net = Dumbbell(sim)
-    calls = count_calls(net.bottleneck)
+    calls = count_calls(monkeypatch, net.bottleneck)
     slow = FlowRecord(flow_id=1, source=net.sources[0].address)
     fast = FlowRecord(flow_id=2, source=net.sources[0].address)
     for record, interval in ((slow, 0.5), (fast, 0.125)):

@@ -176,8 +176,9 @@ def test_install_expire_churn_is_constant_memory():
         assert len(fib) == resident
         assert fib.entries() == settled
         # ... and the churned prefixes left no table or probe behind.
-        assert sum(map(len, fib._tables.values())) == resident
-        assert len(fib._probes) == len(fib._tables) == (1 if resident else 0)
+        tables = [table for _mask, table, _length in fib._probes]
+        assert sum(map(len, tables)) == resident and all(tables)
+        assert len(tables) == (1 if resident else 0)
 
 
 @given(st.lists(st.tuples(addresses, st.integers(min_value=0, max_value=32)),
@@ -192,6 +193,6 @@ def test_remove_all_returns_to_root_only(route_specs):
     for prefix in prefixes:
         assert fib.remove(prefix) is not None
     assert len(fib) == 0 and fib.entries() == []
-    assert fib._tables == {} and fib._probes == ()
+    assert fib._probes == ()
     for prefix in prefixes:
         assert fib.lookup(prefix.network, default=None) is None

@@ -185,11 +185,9 @@ class Pce:
             original_dport=packet.udp.dport,
         )
         self.stats.replies_encapsulated += 1
-        # Booked at the site's registered record, the figure E6 has always
-        # reported; the wire carries the narrowed record, one locator
-        # smaller without probing (see the seed item in ROADMAP.md).
-        self.stats.envelope_bytes += (registered.size_bytes
-                                      + ENVELOPE_HEADER_BYTES)
+        # What the envelope adds on the wire: the narrowed record (one
+        # locator without probing) and the envelope's own header.
+        self.stats.envelope_bytes += mapping.size_bytes + ENVELOPE_HEADER_BYTES
         self.sim.trace.record(self.sim.now, self.node.name, "pce.step6-encap",
                               qname=message.qname, dst=str(packet.ip.dst),
                               rloc=str(mapping.rlocs[0].address))

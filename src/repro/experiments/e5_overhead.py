@@ -25,10 +25,6 @@ SITE_COUNTS = (4, 8, 16)
 #: comparable across sizes.
 FLOWS_PER_SITE = 4
 
-#: Bytes charged per Step-6 envelope on top of the PCE pushes: a flat
-#: figure (the envelope is 48 B at two locators; see ROADMAP's seed item).
-ENVELOPE_CHARGE = 64
-
 
 def run_e5(seed=61):
     rows = []
@@ -44,7 +40,9 @@ def run_e5(seed=61):
 
 
 def _control_bytes(row):
-    return row["control_bytes"] + ENVELOPE_CHARGE * row["envelopes"]
+    """Control bytes plus what the PCEs' Step-6 envelopes added to the
+    DNS replies they carried (0 for the other systems)."""
+    return row["control_bytes"] + row["envelope_bytes"]
 
 
 def _bytes_per_flow(row):

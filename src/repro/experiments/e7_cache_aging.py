@@ -51,17 +51,12 @@ def check_shape(rows):
     for row in rows:
         if row["control_plane"] != "pce":
             continue
+        # Every flow start pushes (or refreshes) the covering mapping, so
+        # no TTL may cost the PCE a packet: an expired more-specific entry
+        # learned by reverse mapping falls back to the pushed prefix.
         lost, ttl = row["packets_lost"], row["cache_ttl"]
-        if ttl >= 2.0 and lost != 0:
+        if lost != 0:
             failures.append(f"pce lost {lost} packets at ttl={ttl}")
-        elif lost > max(1, row["flows"] // 20):
-            # Sub-second mapping TTLs can expire *mid-burst*; the PCE design
-            # has no reactive fallback, so a stray packet can be lost until
-            # the next DNS-driven push.  A limitation of the design, not a
-            # bug; anything beyond ~2% signals a real regression.
-            failures.append(
-                f"pce lost {lost} packets at sub-second ttl "
-                f"{ttl} (beyond the mid-burst-expiry allowance)")
     alt = [row for row in rows if row["control_plane"] == "alt"]
     by_key = {(row["zipf_s"], row["cache_ttl"]): row for row in alt}
     zipfs = sorted({row["zipf_s"] for row in alt})

@@ -104,8 +104,8 @@ def generate_report(seed=None, out=None):
     all_ok = True
     buffer.write("# Reproduction report\n\n")
     buffer.write("Regenerated by `python -m repro report`.  One section per "
-                 "paper artefact; see DESIGN.md §4 for the index and "
-                 "EXPERIMENTS.md for interpretation.\n")
+                 "paper artefact; `python -m repro list` indexes them and "
+                 "each experiment module's docstring states its claim.\n")
     for experiment in EXPERIMENTS.values():
         if experiment.id == "fig1":
             table, checks = run_experiment(experiment, seed)

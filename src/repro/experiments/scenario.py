@@ -10,6 +10,7 @@
   the baseline of the paper's first latency formula.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -233,7 +234,8 @@ class Scenario:
         return {"providers": len(providers),
                 "ixps": len(topology.ix_routers),
                 "hierarchical_routing": len(topology.tier_layout.tiers) > 1,
-                "mesh_delay_mean": sum(delays) / len(delays) if delays else 0.0}
+                "mesh_delay_mean": (math.fsum(delays) / len(delays)
+                                    if delays else 0.0)}
 
     def access_flow_byte_shares(self, site, direction="in"):
         """Per-provider share of flow-accounted *delivered* bytes (E4).

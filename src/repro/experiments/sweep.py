@@ -376,8 +376,13 @@ def _latency(records, attr):
 
 
 def _mean(values):
-    """Mean of *values*, None when there are none."""
-    return sum(values) / len(values) if values else None
+    """Mean of *values*, None when there are none.
+
+    ``math.fsum``, exactly rounded: the built-in ``sum`` over floats is
+    compensated from CPython 3.12 on, so its last bits depend on the
+    interpreter, and these means reach the digests.
+    """
+    return math.fsum(values) / len(values) if values else None
 
 
 def _queue_delay_mean(cell):

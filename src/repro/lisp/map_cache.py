@@ -75,18 +75,25 @@ class MapCache:
         return slot.mapping if slot is not None else None
 
     def _live_slot(self, eid):
-        entry = self._fib.lookup(IPv4Address(eid), default=None)
-        if entry is None:
-            return None
-        slot = entry.interface
-        if slot.expires <= self.sim.now:
+        """The longest *live* prefix's slot covering *eid*, or None.
+
+        An expired entry is removed (and counted) on the way: a more
+        specific one that aged out must not hide a covering one that is
+        still live, so the lookup goes on until a live entry or a miss.
+        """
+        address = IPv4Address(eid)
+        while True:
+            entry = self._fib.lookup(address, default=None)
+            if entry is None:
+                return None
+            slot = entry.interface
+            if slot.expires > self.sim.now:
+                return slot
             owner = self._owner
             if owner is not None and owner._journal is not None:
                 owner._touch()
             self._fib.remove(entry.prefix)
             self.expirations += 1
-            return None
-        return slot
 
     def entries(self):
         """Live (prefix, mapping) pairs."""

@@ -32,6 +32,7 @@ computation over the full node set would allow.
 """
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from repro.net.addresses import IPv4Prefix
@@ -282,7 +283,9 @@ class RoutingPlan:
 
     def mean_wan_delay(self, provider):
         """Mean :meth:`delay` from *provider* to every other provider it
-        reaches (0.0 when it reaches none), summed in provider order.
+        reaches (0.0 when it reaches none), summed exactly (``math.fsum``:
+        the mean feeds every IRC engine, so it must not depend on the
+        interpreter's ``sum``).
         """
         mean = self._wan_means.get(provider)
         if mean is None:
@@ -294,7 +297,7 @@ class RoutingPlan:
                 if delay is not None:
                     delays.append(delay)
             mean = self._wan_means[provider] = (
-                sum(delays) / len(delays) if delays else 0.0)
+                math.fsum(delays) / len(delays) if delays else 0.0)
         return mean
 
     def install(self, owned_prefixes):

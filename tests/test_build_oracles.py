@@ -7,6 +7,7 @@ construction as a reference and asserts the shortcut answers exactly what
 it answered, plus count guards (no timing) that the work stays gone.
 """
 
+import math
 from collections import deque
 
 import pytest
@@ -137,7 +138,7 @@ def _reference_path_delay(engine, b):
         delay = plan.delay(provider, other)
         if delay is not None:
             mesh_delays.append(delay)
-    wan = sum(mesh_delays) / len(mesh_delays) if mesh_delays else 0.0
+    wan = math.fsum(mesh_delays) / len(mesh_delays) if mesh_delays else 0.0
     return access + wan
 
 

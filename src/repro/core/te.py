@@ -14,6 +14,7 @@ safe because every ITR already holds the mapping (push-to-all; the
 re-homing test in ``tests/test_core_pce.py`` pins it).
 """
 
+import math
 from dataclasses import dataclass
 
 #: Re-homing stops once ``max(load) / mean(load)`` is at most this.
@@ -50,7 +51,7 @@ def plan_rebalance(loads, flows_by_itr):
     if len(loads) < 2:
         return moves
     for _round in range(256):
-        total = sum(loads)
+        total = math.fsum(loads)
         if total == 0:
             break
         mean = total / len(loads)

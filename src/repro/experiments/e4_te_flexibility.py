@@ -19,6 +19,7 @@ across the site's providers.  An ablation re-runs PCE with the ``primary``
 IRC policy, which degenerates to the static baseline.
 """
 
+import math
 from dataclasses import dataclass
 
 from repro.experiments.scenario import ScenarioConfig, build_scenario
@@ -67,9 +68,10 @@ HEADERS = ("system", "flows", "in_shares", "in_imbalance", "in_util",
 
 def _imbalance(shares):
     positive = [s for s in shares]
-    if not positive or sum(positive) == 0:
+    total = math.fsum(positive)
+    if not positive or total == 0:
         return 1.0
-    mean = sum(positive) / len(positive)
+    mean = total / len(positive)
     return max(positive) / mean
 
 

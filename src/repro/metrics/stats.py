@@ -26,7 +26,7 @@ def percentile(values, q):
 def mean(values):
     if not values:
         raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def stdev(values):
@@ -34,7 +34,8 @@ def stdev(values):
     if len(values) < 2:
         return 0.0
     centre = mean(values)
-    return math.sqrt(sum((v - centre) ** 2 for v in values) / (len(values) - 1))
+    return math.sqrt(math.fsum((v - centre) ** 2 for v in values)
+                     / (len(values) - 1))
 
 
 #: Standard-normal quantile of a two-sided 95% interval.

@@ -40,6 +40,7 @@ routed — nothing addresses packets *to* an exchange).  Site EID and
 infrastructure prefixes are unchanged (see :mod:`repro.net.topology`).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -232,7 +233,7 @@ def _weighted_sample(rng, population, weights, k):
     pool_weights = list(weights)
     chosen = []
     for _ in range(min(k, len(pool))):
-        total = sum(pool_weights)
+        total = math.fsum(pool_weights)
         pick = rng.random() * total
         cumulative = 0.0
         index = len(pool) - 1

@@ -452,7 +452,7 @@ def _split_pro_rata(offers, granted, total):
     equal offers differ by at most one byte.
     """
     shares = [offer * granted // total for offer in offers]
-    left = granted - sum(shares)
+    left = granted - sum(shares)  # repro: allow=DET03  (bytes: ints)
     if left:
         by_remainder = sorted(
             range(len(offers)),
@@ -521,7 +521,7 @@ class _PathGroup:
         flows = self.flows
         counts = [flow.chunk if flow.chunk < flow.remaining
                   else flow.remaining for flow in flows]
-        packets = sum(counts)
+        packets = sum(counts)  # repro: allow=DET03  (packets: ints)
         hops = self.hops
         carried = None      # per-flow bytes, from the first hop that lost any
         for index, (link, size) in enumerate(hops):
@@ -533,7 +533,7 @@ class _PathGroup:
                 else:
                     offers = [bytes_ * size // carried_size
                               for bytes_ in carried]
-                total = sum(offers)
+                total = sum(offers)  # repro: allow=DET03  (bytes: ints)
                 if not total:
                     carried = offers
                     break   # nothing survives to here: never post a zero chunk
@@ -567,7 +567,7 @@ class _PathGroup:
         if full_grant:
             sink.credit_fluid(packets * self.last_size)
             carried = counts        # every flow's chunk arrived
-        elif arrived_total := sum(carried):
+        elif arrived_total := sum(carried):  # repro: allow=DET03  (bytes: ints)
             sink.credit_fluid(arrived_total)
         someone_left = False
         for flow, count, arrived in zip(flows, counts, carried,

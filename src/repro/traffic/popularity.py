@@ -23,7 +23,7 @@ class ZipfSampler:
         self.s = s
         self._rng = rng
         weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
-        total = sum(weights)
+        total = math.fsum(weights)
         self._cumulative = []
         running = 0.0
         for weight in weights:

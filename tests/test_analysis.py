@@ -105,6 +105,16 @@ def test_det02_flags_set_order_leaks():
     assert "sorted" in findings[0].hint
 
 
+def test_det03_flags_sums_not_shown_to_be_ints():
+    findings = findings_for("bad_det03.py")
+    assert locations(findings) == [
+        ("DET03", 7),    # sum(values) / len(values)
+        ("DET03", 12),   # sum of squared deviations
+    ]
+    assert "math.fsum" in findings[0].hint
+    # Lines 17-21 are ints by construction; line 22 carries the pragma.
+
+
 # --------------------------------------------------------------------- #
 # Suppression and sanctioned idioms
 # --------------------------------------------------------------------- #
@@ -185,7 +195,7 @@ def test_cli_missing_path_is_usage_error(capsys):
 def test_cli_list_rules(capsys):
     assert analyze_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SNAP01", "SNAP02", "SNAP03", "DET01", "DET02"):
+    for rule_id in ("SNAP01", "SNAP02", "SNAP03", "DET01", "DET02", "DET03"):
         assert rule_id in out
     assert "PER01" not in out
 

@@ -16,7 +16,7 @@ _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: Names kept on purpose, each with the reason nothing calls it.
 KEPT = {
     **{rule: "registered by its @register decorator; the registry calls it"
-       for rule in ("Det01", "Det02", "Snap01", "Snap02", "Snap03")},
+       for rule in ("Det01", "Det02", "Det03", "Snap01", "Snap02", "Snap03")},
     "pending_foreground": "how tests see that a world has settled (the "
                           "serializable check itself reads the counter)",
     "confidence_interval": "what the seed-robustness item folds "

@@ -281,6 +281,34 @@ def test_link_stats_snapshot_round_trip(one_packet_queue):
     assert link.snapshot_state() != checkpoint
 
 
+def test_idle_links_share_one_ledger_that_nothing_writes(one_packet_queue):
+    """A link reads the shared all-zero ledger until a byte is offered to
+    it; its checkpoint says so with None, and a restore hands it back."""
+    sim = Simulator()
+    a, b = two_hosts(sim, delay=0.0, rate_bps=8_000)
+    b.bind_udp(7, lambda packet, node: None)
+    link = a.interfaces["eth0"].link
+    back = b.interfaces["eth0"].link
+    pristine = link.snapshot_state()
+    assert link.stats is back.stats is link_module.IDLE_STATS
+    assert pristine == (True, False, None)
+    for _ in range(4):                       # queues and tail-drops
+        a.send(_flow_packet(a, b, flow_id=5))
+    link.post_fluid(500, 6, 0.5)
+    link.up = False
+    a.send(_flow_packet(a, b, flow_id=5))   # a down-link drop
+    sim.run()
+    assert link.stats is not link_module.IDLE_STATS
+    assert link.stats.drops and link.stats.flows[6].offered == 500
+    assert back.stats is link_module.IDLE_STATS
+    assert link_module.IDLE_STATS.snapshot_state() \
+        == link_module.LinkStats().snapshot_state()
+    link.restore_state(pristine)
+    assert link.stats is link_module.IDLE_STATS and link.up is True
+    with pytest.raises(TypeError):
+        link_module.IDLE_STATS.flows[1] = link_module.FlowAccount()
+
+
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):

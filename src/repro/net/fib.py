@@ -35,10 +35,6 @@ def _prefix_order(entry):
     return (prefix._network, prefix._length)
 
 
-def _probe_length(probe):
-    return probe[2]
-
-
 class Fib:
     """Longest-prefix-match table.
 
@@ -99,10 +95,12 @@ class Fib:
         length = prefix._length
         table = self._table(length)
         if table is None:
+            # A longer prefix has the larger mask and no two lengths share
+            # one, so the probes sort by their first item alone.
             table = {}
             self._probes = tuple(sorted(
                 (*self._probes, (IPv4Prefix._mask_for(length), table, length)),
-                key=_probe_length, reverse=True))
+                reverse=True))
         table[prefix._network] = entry
         self.version += 1
         self._memo = None

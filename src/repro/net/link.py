@@ -374,7 +374,8 @@ class Link(Journaled):
             stats.flows[flow_id].offered += size
         if not self._up:
             self._drop(size, flow_id)
-            self.sim.trace.record(self.sim.now, self.name, "link.drop", reason="down",
+            # The link itself as source: its name is derived only if traced.
+            self.sim.trace.record(self.sim.now, self, "link.drop", reason="down",
                                   uid=packet.uid)
             return False
         if self.rate_bps is None:
@@ -392,7 +393,7 @@ class Link(Journaled):
         queue = self._queue
         if len(queue) >= QUEUE_CAPACITY:
             self._drop(size, flow_id)
-            self.sim.trace.record(self.sim.now, self.name, "link.drop", reason="queue-full",
+            self.sim.trace.record(self.sim.now, self, "link.drop", reason="queue-full",
                                   uid=packet.uid)
             return False
         queue.append((packet, size, flow_id, probe))

@@ -9,45 +9,27 @@ bits everywhere.
 Integer sums (counters, byte counts) are the common case and are exact on
 any interpreter, so the rule flags a ``sum(...)`` only when it cannot show
 its terms to be integers.  It can for a comprehension or generator whose
-element is an integer literal, a ``len(...)`` or ``int(...)`` call, a
-comparison or a membership test (a bool), and for ``map(len, ...)``.
-Everything else that is an integer sum says so with a pragma::
+element is a ``len(...)`` call or a comparison (a bool).  Everything else
+that is an integer sum says so with a pragma::
 
     total = sum(counts)  # repro: allow=DET03  (packet counts: ints)
 """
 
 import ast
 
-from repro.analysis import astutil
 from repro.analysis.core import register
-
-#: Calls that always return an int.
-_INT_CALLS = {"len", "int"}
 
 _COMPREHENSIONS = (ast.GeneratorExp, ast.ListComp, ast.SetComp)
 
 
-def _is_int_term(node):
-    """True when *node* is an expression that always yields an int."""
-    if isinstance(node, ast.Constant):
-        return type(node.value) in (int, bool)
-    if isinstance(node, ast.Compare):
-        return True
-    if isinstance(node, ast.Call):
-        return isinstance(node.func, ast.Name) and node.func.id in _INT_CALLS
-    return False
-
-
 def _int_terms(arg):
     """True when the iterable *arg* provably yields only ints."""
-    if isinstance(arg, _COMPREHENSIONS):
-        return _is_int_term(arg.elt)
-    if isinstance(arg, (ast.List, ast.Tuple, ast.Set)):
-        return all(_is_int_term(element) for element in arg.elts)
-    if isinstance(arg, ast.Call) and astutil.call_name(arg) == "map" \
-            and arg.args and isinstance(arg.args[0], ast.Name):
-        return arg.args[0].id in _INT_CALLS
-    return False
+    if not isinstance(arg, _COMPREHENSIONS):
+        return False
+    term = arg.elt
+    return isinstance(term, ast.Compare) or (
+        isinstance(term, ast.Call) and isinstance(term.func, ast.Name)
+        and term.func.id == "len")
 
 
 @register

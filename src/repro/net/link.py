@@ -280,19 +280,14 @@ class LinkStats:
                                     for index, (busy, volume) in windows.items()})
 
 
-def _idle_stats():
-    stats = LinkStats()
-    stats.flows = stats.windows = MappingProxyType({})
-    return stats
-
-
 #: The ledger of every link nothing has crossed since the world was built
 #: or last restored: all zeros, with read-only empty ``flows`` and
 #: ``windows``.  Shared by every idle link of every world; the two stamp
 #: writers, :meth:`Link.send` and :meth:`Link.post_fluid`, swap in a link's
 #: own :class:`LinkStats` before their first write, so nothing ever writes
 #: here.
-IDLE_STATS = _idle_stats()
+IDLE_STATS = LinkStats()
+IDLE_STATS.flows = IDLE_STATS.windows = MappingProxyType({})
 
 
 class Link(Journaled):

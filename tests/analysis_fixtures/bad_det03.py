@@ -15,9 +15,6 @@ def spread(values):
 def counts(tables, flags, items):
     """Sums the rule can show to be ints, and one a pragma vouches for."""
     lengths = sum(len(table) for table in tables)
-    mapped = sum(map(len, tables))
-    ones = sum(1 for _item in items)
     hits = sum(flag in items for flag in flags)
-    literal = sum([1, 2, 3])
     vouched = sum(item.count for item in items)  # repro: allow=DET03
-    return lengths + mapped + ones + hits + literal + vouched
+    return lengths + hits + vouched

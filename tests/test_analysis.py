@@ -112,7 +112,7 @@ def test_det03_flags_sums_not_shown_to_be_ints():
         ("DET03", 12),   # sum of squared deviations
     ]
     assert "math.fsum" in findings[0].hint
-    # Lines 17-21 are ints by construction; line 22 carries the pragma.
+    # Lines 17-18 are ints by construction; line 19 carries the pragma.
 
 
 # --------------------------------------------------------------------- #

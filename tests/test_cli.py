@@ -8,9 +8,9 @@ from repro.cli import EXPERIMENTS, build_parser, main
 
 
 REPORT_SHA256 = "feaadee6014c09d0e79618fb98b4406d610349f0f9d6f706c81be7fca2e184c4"
-#: ``repro report --seed 12``: a seed no runner was tuned on.  E1's claim
-#: failed here (one PCE first packet dropped at a 2 s mapping TTL) while an
-#: expired /32 in the map-cache hid the live pushed /24 covering it.
+#: ``repro report --seed 12``: a seed no runner was tuned on.  At E1's 2 s
+#: TTL a PCE xTR's reverse-mapped /32 expires under the live /24 a PCE
+#: pushed, and the first packet must still find the /24.
 SEED_12_REPORT_SHA256 = \
     "6047f598e830d4ba69f410364dd8d2d2e6fa81b28b69988860b54fffb92326f2"
 

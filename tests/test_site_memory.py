@@ -8,9 +8,9 @@ and the bounds hold on both CI Pythons (3.11 and 3.12).
 
 Measured at 200 sites, after a warm-up build, on CPython 3.11.7 (3.12.1):
 flat ``pce`` 34 625 (34 213) bytes per site, tiered ``alt`` 26 828
-(26 446).  Each bound is about 10% above the larger figure.  Before idle
-links shared one ledger and nodes, links and FIBs dropped their empty
-containers, the same worlds cost 47 830 and 41 165 bytes per site.
+(26 446).  Each bound is about 10% above the larger figure, and well
+below what a world costs when every link carries its own empty ledger and
+every node its empty containers (47 830 and 41 165 bytes per site).
 """
 
 import tracemalloc

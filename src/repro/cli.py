@@ -23,9 +23,9 @@ built when its first cell comes up and reset in place for every further
 cell (``--workers N`` hands runs of same-world cells to a worker pool
 whose workers build the worlds they run; with at least as many worlds as
 workers, each is built once).
-Per-cell results stream to a JSONL artifact, and
-aggregated JSON/CSV artifacts are written at the end — every output path
-is checked before the first world is built::
+Per-cell results are appended to a JSONL artifact as they complete, and
+the aggregated JSON/CSV artifacts are written at the end — every output
+path is checked before the first world is built::
 
     python -m repro sweep                       # "smoke" preset, 1 worker
     python -m repro sweep --preset scale --workers 4 \\
@@ -49,12 +49,9 @@ finding — the CI gate behind docs/contracts.md::
 Presets live in :data:`repro.experiments.sweep.PRESETS`; one flag per
 ``AXES`` row (plus ``GRID_FLAGS``) overrides the chosen preset's axes.
 Aggregates are
-deterministic: the same grid and seeds produce byte-identical JSON for any
-``--workers`` value (the ``world cache:`` line reports hits and builds,
-which depend on it).  For
-giant grids, ``--no-json`` keeps the run memory-flat: aggregation and CSV
-writing fold over the JSONL stream and the per-cell list is never held in
-memory.
+deterministic: the same grid and seeds produce byte-identical JSON and CSV
+for any ``--workers`` value (the ``world cache:`` line reports hits and
+builds, which depend on it).
 """
 
 import argparse
@@ -117,10 +114,6 @@ def build_parser():
     sweep.add_argument("--workers", type=int, default=1,
                        help="worker processes for cell fan-out")
     sweep.add_argument("--json", default=None, help="write full payload here")
-    sweep.add_argument("--no-json", action="store_true",
-                       help="never materialise the per-cell result list "
-                            "(memory-flat mode for giant grids: aggregates "
-                            "and CSV fold over the JSONL stream)")
     sweep.add_argument("--csv", default=None, help="write per-cell CSV here")
     sweep.add_argument("--jsonl", default=None,
                        help="stream per-cell results here (default: derived "
@@ -150,11 +143,7 @@ def _run_sweep_command(args):
         print(f"unknown preset {args.preset!r}; available: "
               f"{', '.join(sorted(PRESETS))}")
         return 1
-    grid = PRESETS[args.preset]
-    if args.no_json and args.json is not None:
-        print("sweep error: --no-json cannot be combined with --json")
-        return 1
-    grid = replace(grid, **_grid_overrides(args))
+    grid = replace(PRESETS[args.preset], **_grid_overrides(args))
 
     jsonl_path = args.jsonl
     if jsonl_path is None:
@@ -167,8 +156,7 @@ def _run_sweep_command(args):
     try:
         payload = run_sweep(
             grid, workers=max(1, args.workers), json_path=args.json,
-            csv_path=args.csv, jsonl_path=jsonl_path,
-            include_cells=not args.no_json)
+            csv_path=args.csv, jsonl_path=jsonl_path)
     except ValueError as error:
         print(f"sweep error: {error}")
         return 1

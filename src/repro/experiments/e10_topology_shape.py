@@ -37,7 +37,7 @@ def run_e10(num_sites=12, num_flows=30, seed=71):
                      site_counts=(num_sites,), seeds=(seed,),
                      num_flows=num_flows, arrival_rate=15.0,
                      scenario_overrides={"miss_policy": "queue"})
-    rows = run_sweep(grid, include_cells=False)["aggregates"]
+    rows = run_sweep(grid)["aggregates"]
     rows.sort(key=lambda row: (SYSTEMS.index(row["control_plane"]),
                                FAMILIES.index(row["topology"])))
     return rows

@@ -44,7 +44,7 @@ def run_e1(num_sites=8, num_flows=40, cache_ttls=(2.0, 60.0), seed=11):
                 scenario_overrides={**overrides,
                                     "cache_ttl_override": cache_ttl},
                 workload_overrides={"zipf_s": ZIPF_S})
-            (row,) = run_sweep(grid, include_cells=False)["aggregates"]
+            (row,) = run_sweep(grid)["aggregates"]
             rows.append({**row, "system": label, "cache_ttl": cache_ttl})
     return rows
 

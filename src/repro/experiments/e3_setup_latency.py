@@ -47,7 +47,7 @@ def run_e3(num_sites=6, num_flows=30, seed=37):
             seeds=(seed,), num_flows=num_flows, arrival_rate=2.0, mode="tcp",
             scenario_overrides={"dns_use_cache": False, **overrides},
             workload_overrides={"grace_period": 15.0})
-        (row,) = run_sweep(grid, include_cells=False)["aggregates"]
+        (row,) = run_sweep(grid)["aggregates"]
         setup = row["setup_mean"]
         rows.append({**row, "system": label, "total_mean":
                      None if setup is None else row["dns_mean"] + setup})

@@ -33,7 +33,7 @@ def run_e5(seed=61):
                          seeds=(seed,), num_flows=FLOWS_PER_SITE * num_sites,
                          arrival_rate=20.0,
                          scenario_overrides={"miss_policy": "queue"})
-        rows += run_sweep(grid, include_cells=False)["aggregates"]
+        rows += run_sweep(grid)["aggregates"]
     # System by system; the sort is stable, so sizes stay ascending.
     rows.sort(key=lambda row: SYSTEMS.index(row["control_plane"]))
     return rows

@@ -42,7 +42,7 @@ def run_e6(num_sites=4, num_flows=25, seed=71):
             seeds=(seed,), num_flows=num_flows, arrival_rate=4.0,
             packets_per_flow=1,
             scenario_overrides={"dns_use_cache": False, **overrides})
-        (row,) = run_sweep(grid, include_cells=False)["aggregates"]
+        (row,) = run_sweep(grid)["aggregates"]
         rows.append({**row, "variant": label})
     return rows
 

@@ -34,7 +34,7 @@ def run_e7(num_sites=8, num_flows=50, seed=83):
                          scenario_overrides={"miss_policy": "drop",
                                              "cache_ttl_override": ttl})
         rows += [{**row, "cache_ttl": ttl}
-                 for row in run_sweep(grid, include_cells=False)["aggregates"]]
+                 for row in run_sweep(grid)["aggregates"]]
     rows.sort(key=lambda row: (SYSTEMS.index(row["control_plane"]),
                                row["cache_ttl"], row["zipf_s"]))
     return rows

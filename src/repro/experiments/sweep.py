@@ -13,32 +13,25 @@ Which axes and metrics exist is defined once, in the :data:`AXES` and
 :data:`METRICS` tables; everything else that names one is derived from
 them (see "Sweep artifacts" in ``docs/contracts.md``).
 
-Worlds come from a :class:`~repro.experiments.worldbuild.SnapshotStore`,
-which holds one live world, through one call: ``store.world_for(config)``
-inside :func:`run_cell` resets the held world in place (``hit``) or
-builds it (``miss``).  Cells are visited world by world, so a serial run
-builds each world when its first cell comes up.  Fan-out has one path,
-whatever the start method: the parent builds nothing and hands a worker
-pool :func:`world_chunks` — runs of same-world cells, each world split
-into at most ``ceil(workers / distinct worlds)`` of them — and every
-worker starts an empty store and builds the world of a chunk it does not
-already hold.  With at least as many worlds as workers, each world is
-built exactly once, wherever it runs.  The per-cell outcome tally
-surfaces in the sweep outcome under ``world_cache``.  Each cell runs with
-the cyclic collector paused, and a store tears down every world it lets
-go, so worlds die by reference count and a sweep makes no full collection
-(see "World lifecycle cost" in ``docs/contracts.md``).
+A sweep is a list of world runs.  :func:`world_chunks` cuts the grid into
+runs of same-world cells, and :func:`run_world` runs one: its first cell
+builds the world, every later cell resets it in place
+(:func:`~repro.experiments.worldbuild.restore_world`), and the world is
+torn down when the run ends, so it dies by reference count.  Each cell
+runs with the cyclic collector paused, so a sweep makes no full collection
+(see "World lifecycle cost" in ``docs/contracts.md``).  A serial run takes
+one chunk per world; fan-out hands the chunks to a worker pool, fork and
+spawn alike, and the parent builds nothing.  Each world is split into at
+most ``ceil(workers / distinct worlds)`` chunks, so with at least as many
+worlds as workers each world is built exactly once.  The ``world_cache``
+summary counts one build per chunk.
 
-Cell results stream to a JSONL artifact as they complete (one JSON object
-per line, in completion order, each tagged with its world-cache outcome)
-instead of accumulating a single in-memory payload; aggregation is an
-incremental, order-independent fold over the live stream
-(:class:`AggregateFold`) and CSV writing streams row-by-row
-(:class:`CsvStreamWriter`), so >10k-cell grids aggregate holding only
-per-group scalars and per-seed samples — never the per-cell result
-payloads — while aggregates and artifacts stay byte-identical for
-``workers=1`` vs ``workers=N``.  ``include_cells=False`` (CLI
-``--no-json``) skips materialising the per-cell list entirely.
+:func:`run_sweep` keeps every result in a list and, when asked, appends
+each to a JSONL artifact as it completes (one JSON object per line, in
+completion order, each tagged with its world-cache outcome).  At the end
+it sorts the list by cell index, folds it with :func:`aggregate` and
+writes the CSV and JSON from the sorted list, so the artifacts are
+byte-identical for ``workers=1`` and ``workers=N``.
 
 Determinism: each cell's world is either freshly built or restored to the
 post-build checkpoint, so a cell's metrics depend only on its configs —
@@ -65,14 +58,12 @@ or from the command line: ``python -m repro sweep --preset scale --workers 4``.
 """
 
 import csv
-import heapq
 import itertools
 import json
 import math
 import multiprocessing
 import operator
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
@@ -80,7 +71,8 @@ from repro.experiments.e9_failover import schedule_access_failure
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.workload import (WorkloadConfig, classify_first_packet,
                                         peak_concurrent_flows, run_workload)
-from repro.experiments.worldbuild import SnapshotStore, gc_paused, world_key
+from repro.experiments.worldbuild import (build_world, gc_paused,
+                                           restore_world, world_key)
 from repro.metrics.stats import summarize
 from repro.net.topogen import FAMILIES
 from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
@@ -516,222 +508,163 @@ def _apply_failures(scenario, failure):
                                 sim.now + failure.repair_at)
 
 
-def run_cell(cell, store=None):
-    """Get the cell's world from *store*, run its workload, and measure it.
+def run_cell(world, cell):
+    """Run *cell*'s workload on *world*, a pristine world of its config,
+    and measure it.
 
-    The world is whatever
-    :meth:`~repro.experiments.worldbuild.SnapshotStore.world_for` serves —
-    reset in place or built (``store.last_outcome`` says which); without
-    a *store* a throwaway one builds it and is released before this
-    returns.  Returns a
-    JSON-ready dict — the value of every :data:`AXES` row the cell ran
-    with and every :data:`METRICS` row's collection; everything in it is
-    derived from the simulation alone (no wall-clock values, no cache
-    outcomes), keeping sweep artifacts reproducible.
+    Returns a JSON-ready dict — the value of every :data:`AXES` row the
+    cell ran with and every :data:`METRICS` row's collection; everything
+    in it is derived from the simulation alone (no wall-clock values, no
+    cache outcomes), keeping sweep artifacts reproducible.
+    """
+    _apply_failures(world, cell.failure)
+    records = run_workload(world, cell.workload)
+    completed = [record for record in records if not record.failed]
+    tcp = cell.workload.mode == "tcp"
+    finished = FinishedCell(
+        world=world, records=records, completed=completed,
+        set_up=[record for record in completed
+                if not tcp or record.established_at is not None],
+        xtrs=list(world.iter_xtrs()), control=world.control_overhead(),
+        control_state=world.control_state(),
+        accounting=world.byte_accounting())
+    return {
+        "index": cell.index,
+        "cell_id": cell.cell_id,
+        **{axis.key: getattr(getattr(cell, axis.config), axis.kwarg)
+           for axis in AXES},
+        "mode": cell.workload.mode,
+        "metrics": {metric.key: metric.collect(finished)
+                    for metric in METRICS},
+    }
 
-    The whole cell — build or restore, workload, metric collection —
-    runs with the cyclic collector paused
+
+def run_world(cells):
+    """Run *cells*, which share a world, in order; their results in a list.
+
+    The first cell builds the world and each later one resets it in place;
+    the world is torn down when the run ends, however it ends, and dies
+    by reference count.  Each cell — its build or restore, workload and
+    metric collection — runs with the cyclic collector paused
     (:func:`~repro.experiments.worldbuild.gc_paused`): a cell makes no
     cyclic garbage, so every pass it would trigger walks live objects and
-    frees nothing.
+    frees nothing.  This is both the serial path and the pool's task.
     """
-    if store is None:
-        store = SnapshotStore()
-        try:
-            return run_cell(cell, store)
-        finally:
-            store.release_worlds()
-    with gc_paused():
-        world, _outcome = store.world_for(cell.scenario)
-        _apply_failures(world, cell.failure)
-        records = run_workload(world, cell.workload)
-        completed = [record for record in records if not record.failed]
-        tcp = cell.workload.mode == "tcp"
-        finished = FinishedCell(
-            world=world, records=records, completed=completed,
-            set_up=[record for record in completed
-                    if not tcp or record.established_at is not None],
-            xtrs=list(world.iter_xtrs()), control=world.control_overhead(),
-            control_state=world.control_state(),
-            accounting=world.byte_accounting())
-        return {
-            "index": cell.index,
-            "cell_id": cell.cell_id,
-            **{axis.key: getattr(getattr(cell, axis.config), axis.kwarg)
-               for axis in AXES},
-            "mode": cell.workload.mode,
-            "metrics": {metric.key: metric.collect(finished)
-                        for metric in METRICS},
-        }
+    world = None
+    results = []
+    try:
+        for cell in cells:
+            with gc_paused():
+                if world is None:
+                    world = build_world(cell.scenario)
+                else:
+                    restore_world(world)
+                results.append(run_cell(world, cell))
+    finally:
+        if world is not None:
+            world.teardown()
+    return results
 
 
 # --------------------------------------------------------------------- #
-# Fan-out: world-aligned chunks, each worker with a store of its own
+# Fan-out: world-aligned chunks
 # --------------------------------------------------------------------- #
-
-def _world_runs(cells):
-    """*cells* grouped by world: one list per world, first-appearance order."""
-    grouped = {}
-    for cell in cells:
-        grouped.setdefault(world_key(cell.scenario), []).append(cell)
-    return list(grouped.values())
-
-
-def order_cells_by_world(cells):
-    """Cells reordered so same-world cells are adjacent.
-
-    A store holds only its most recent world, so visiting cells world by
-    world is what makes every cell after a world's first a hit; worlds
-    appear in first-appearance order.
-    """
-    return [cell for run in _world_runs(cells) for cell in run]
-
 
 def world_chunks(cells, workers):
     """*cells* as the runs of same-world cells a pool of *workers* takes.
 
-    Each world's cells (:func:`order_cells_by_world` order) are split
-    into at most ``ceil(workers / distinct worlds)`` chunks of near-equal
-    length: a grid with at least as many worlds as workers sends each
-    world whole, so each is built exactly once wherever it runs, and a
-    grid with fewer worlds splits them so every worker has cells to run.
+    Cells are grouped by world, worlds in first-appearance order, and each
+    world's cells are split into at most ``ceil(workers / distinct
+    worlds)`` chunks of near-equal length: one worker gets one chunk per
+    world, a grid with at least as many worlds as workers sends each world
+    whole, so each is built exactly once wherever it runs, and a grid with
+    fewer worlds splits them so every worker has cells to run.
     """
-    runs = _world_runs(cells)
+    runs = {}
+    for cell in cells:
+        runs.setdefault(world_key(cell.scenario), []).append(cell)
     parts = -(-workers // len(runs))
     chunks = []
-    for run in runs:
+    for run in runs.values():
         size = -(-len(run) // parts)
         chunks.extend(run[start:start + size]
                       for start in range(0, len(run), size))
     return chunks
 
 
-#: This worker's store; :func:`_init_worker` starts it empty, so a worker
-#: builds the world of each chunk it is handed unless it holds it already.
-_WORKER_STORE = None
+def _completed_runs(cells, workers):
+    """Yield each chunk's results as the chunk completes.
 
-
-def _init_worker():
-    global _WORKER_STORE
-    _WORKER_STORE = SnapshotStore()
-
-
-def _run_chunk(cells):
-    """Worker entry point: a run of same-world cells, in order.
-
-    Returns ``[(result, world_cache_outcome), ...]``.
+    ``workers<=1`` runs one chunk per world, inline; otherwise the
+    :func:`world_chunks` go to a pool of at most one worker per chunk,
+    each chunk's world built in the worker that runs it (fork and spawn
+    alike: nothing is built here).  Completion order is arbitrary under
+    fan-out; :func:`run_sweep` sorts by cell index.
     """
-    return [(run_cell(cell, _WORKER_STORE), _WORKER_STORE.last_outcome)
-            for cell in cells]
-
-
-def _iter_completed(cells, workers, store):
-    """Yield ``(result, outcome)`` per cell as cells complete.
-
-    ``workers<=1`` runs the cells world by world, inline, against
-    *store*; otherwise :func:`world_chunks` go to a pool of at most one
-    worker per chunk, each worker building into a store of its own (fork
-    and spawn alike: nothing is built here).  Completion order is
-    arbitrary under fan-out — consumers must not rely on it (the
-    aggregation path reorders by cell index).
-    """
-    if workers <= 1 or len(cells) <= 1:
-        for cell in order_cells_by_world(cells):
-            yield run_cell(cell, store), store.last_outcome
+    chunks = world_chunks(cells, max(1, workers))
+    if workers <= 1 or len(chunks) <= 1:
+        yield from map(run_world, chunks)
         return
-    chunks = world_chunks(cells, workers)
-    with multiprocessing.Pool(processes=min(workers, len(chunks)),
-                              initializer=_init_worker) as pool:
-        for completed in pool.imap_unordered(_run_chunk, chunks):
-            yield from completed
+    with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
+        yield from pool.imap_unordered(run_world, chunks)
 
 
 # --------------------------------------------------------------------- #
 # Aggregation
 # --------------------------------------------------------------------- #
 
-def _keep(samples, value):
-    samples.append(value)  # an exactly-rounded mean needs every sample
-    return samples
+def _tally(counts):
+    """Per-key sums of count dicts (first_packet_fates), keys sorted."""
+    tally = Counter()
+    for count in counts:
+        tally.update(count)
+    return dict(sorted(tally.items()))
 
 
-#: The order-independent folds, as ``name: (initial state, step)``; None
-#: samples (a ratio or latency nothing measured) never reach a step.
+#: How a group's samples combine, by :attr:`Metric.fold` name; None
+#: samples (a ratio or latency nothing measured) are left out first.
 _FOLDS = {
-    "sum": (int, operator.add),
-    "all": (lambda: True, operator.and_),
-    "max": (lambda: None, lambda peak, value:
-            value if peak is None else max(peak, value)),
-    "mean": (list, _keep),
-    # Per-key sums of a count dict (first_packet_fates).
-    "tally": (Counter, lambda tally, counts: tally + Counter(counts)),
+    "sum": lambda samples: sum(samples),  # repro: allow=DET03  (counters: ints)
+    "all": all,
+    "max": lambda samples: max(samples, default=None),
+    "mean": _mean,
+    "tally": _tally,
 }
 
 _FOLDED = tuple(metric for metric in METRICS if metric.fold)
 
 
-class AggregateFold:
-    """Incremental seed-averaging fold, one :meth:`add` per cell result.
+def aggregate(results):
+    """Seed-averaged aggregates of cell *results*, sorted by group key.
 
     Cells group by every axis but the seed (:data:`GROUP_AXES`); each
-    :data:`METRICS` row with a ``fold`` contributes one aggregate.
-    Per-group state is a handful of integer sums, the seed list, and the
-    per-seed float samples the exact means need — so peak memory scales
-    with the number of aggregate groups times the seeds axis, never with
-    the per-cell result payloads (metrics dicts, fate maps, latency
-    summaries), which are released as soon as :meth:`add` returns.
-
-    Float means are computed with :func:`math.fsum` (exactly-rounded), so
-    the output is independent of insertion order — folding a
-    completion-order stream yields byte-identical aggregates to folding an
-    index-sorted list, which is what keeps ``--workers 1`` vs ``N``
-    digests equal.
+    :data:`METRICS` row with a ``fold`` contributes one aggregate.  Float
+    means are :func:`math.fsum` sums (exactly rounded), so the aggregates
+    do not depend on the order of *results*.
     """
-
-    def __init__(self):
-        self._groups = {}
-
-    def add(self, result):
-        key = tuple(result[axis.key] for axis in GROUP_AXES)
-        state = self._groups.get(key)
-        if state is None:
-            state = self._groups[key] = {
-                _SEED.field: [],
-                **{metric.aggregate: _FOLDS[metric.fold][0]()
-                   for metric in _FOLDED}}
-        state[_SEED.field].append(result[_SEED.key])
-        metrics = result["metrics"]
+    groups = {}
+    for result in results:
+        groups.setdefault(tuple(result[axis.key] for axis in GROUP_AXES),
+                          []).append(result)
+    aggregates = []
+    for key in sorted(groups):
+        group = groups[key]
+        folded = dict(zip((axis.key for axis in GROUP_AXES), key, strict=True))
+        folded["cells"] = len(group)
+        folded[_SEED.field] = sorted(result[_SEED.key] for result in group)
         for metric in _FOLDED:
-            sample = metric.parts(metrics[metric.key])[-1]
-            if sample is not None:
-                state[metric.aggregate] = _FOLDS[metric.fold][1](
-                    state[metric.aggregate], sample)
-
-    def finish(self):
-        """The aggregates, sorted by group key."""
-        aggregates = []
-        for key in sorted(self._groups):
-            state = self._groups[key]
-            aggregate = dict(zip((axis.key for axis in GROUP_AXES), key,
-                                 strict=True))
-            aggregate["cells"] = len(state[_SEED.field])
-            aggregate[_SEED.field] = sorted(state[_SEED.field])
-            for metric in _FOLDED:
-                folded = state[metric.aggregate]
-                if metric.fold == "mean":
-                    # fsum is exact, so shuffling the cells can't move it.
-                    folded = math.fsum(folded) / len(folded) if folded else None
-                    if folded is not None and metric.digits is not None:
-                        folded = round(folded, metric.digits)
-                elif metric.fold == "tally":
-                    folded = dict(sorted(folded.items()))
-                aggregate[metric.aggregate] = folded
-            aggregates.append(aggregate)
-        return aggregates
+            samples = [sample for result in group if (sample := metric.parts(
+                result["metrics"][metric.key])[-1]) is not None]
+            value = _FOLDS[metric.fold](samples)
+            if value is not None and metric.digits is not None:
+                value = round(value, metric.digits)
+            folded[metric.aggregate] = value
+        aggregates.append(folded)
+    return aggregates
 
 
 # --------------------------------------------------------------------- #
-# Streaming artifact + sweep driver
+# Artifacts + sweep driver
 # --------------------------------------------------------------------- #
 
 def iter_jsonl(path):
@@ -739,10 +672,7 @@ def iter_jsonl(path):
 
     The per-line ``world`` tag (cache outcome, scheduling-dependent) is
     stripped so the yielded results are exactly what the deterministic
-    payload carries.  This is the memory-flat access path for re-reading
-    an artifact after the fact: :class:`AggregateFold` and
-    :class:`CsvStreamWriter` take its results one at a time, so the full
-    cell list is never materialised.
+    payload carries.
 
     A final line without its newline is what a killed run leaves behind
     (each result is written, terminated and flushed as one step): it is
@@ -779,99 +709,54 @@ def _check_outputs(artifact_paths):
                              f"no such directory {directory!r}")
 
 
-def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
-              include_cells=True):
+def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
     """Expand *grid*, run every cell, aggregate, and write artifacts.
 
-    Every cell gets its world from a
-    :class:`~repro.experiments.worldbuild.SnapshotStore` holding one
-    resident world.  Serial runs use the run's own store, visiting the
-    cells world by world.  Fan-out runs (``workers>1``) hand
-    :func:`world_chunks` — runs of same-world cells — to worker processes
-    that each start an empty store and build the world of a chunk they do
-    not hold; the parent builds nothing.  With at least as many distinct
-    worlds as workers, each world is built exactly once.
-
-    Cell results stream to *jsonl_path* as they complete (a temporary file
-    is used — and removed — when no path is given) while aggregation and
-    CSV writing fold over the same live stream in one pass:
-    :class:`AggregateFold` is order-independent and
-    :class:`CsvStreamWriter` reorders by index with a small heap, so
-    neither depends on completion order or worker count — and neither
-    holds the full cell list.
-
-    With ``include_cells=True`` (the default) the returned payload also
-    carries the index-sorted per-cell results (one JSONL read-back), which
-    is what lands in ``json_path``.  ``include_cells=False`` (the CLI's
-    ``--no-json``) keeps the whole run memory-flat for giant grids: the
-    payload then carries only the grid, aggregates and the
-    scheduling-dependent ``world_cache`` summary (excluded from
-    :func:`payload_digest`).
+    The cells run as :func:`world_chunks`, each through :func:`run_world`:
+    inline with ``workers<=1``, else on a pool of worker processes, and
+    the parent builds nothing.  Each result is kept and, with
+    *jsonl_path*, written to the JSONL as it completes, tagged with its
+    world-cache outcome (``miss`` for the cell that built its chunk's
+    world, ``hit`` for the rest).  The returned payload carries the grid,
+    the :func:`aggregate` of the index-sorted results, the results
+    themselves and the scheduling-dependent ``world_cache`` summary
+    (excluded from :func:`payload_digest`); it is what lands in
+    *json_path*, and the CSV is written from the same sorted list.
 
     Raises ``ValueError`` — before anything is built — for an artifact
     path that is a directory or lies in a missing one.
     """
-    if json_path is not None and not include_cells:
-        raise ValueError("json_path requires include_cells=True "
-                         "(the JSON payload embeds the per-cell results)")
     _check_outputs({"json": json_path, "csv": csv_path, "jsonl": jsonl_path})
     cells = expand_grid(grid)
-    outcomes = {"hit": 0, "miss": 0}
-    stream_path = None
-    fold = AggregateFold()
-    csv_writer = None
+    results = []
+    builds = 0
+    handle = None if jsonl_path is None else open(jsonl_path, "w")
     try:
-        store = SnapshotStore()
-        if jsonl_path is None:
-            handle = tempfile.NamedTemporaryFile(
-                mode="w", suffix=".cells.jsonl", prefix="repro-sweep-",
-                delete=False)
-            stream_path = handle.name
-        else:
-            handle = open(jsonl_path, "w")
-            stream_path = jsonl_path
-        # Aggregation and CSV writing fold over the live results inside
-        # the completion loop — the JSONL artifact is write-only here (the
-        # fold is order-independent and the CSV writer reorders by index
-        # itself), so the memory-flat path never re-parses what it just
-        # serialised.
-        with handle:
-            if csv_path is not None:
-                csv_writer = CsvStreamWriter(csv_path)
-            for result, outcome in _iter_completed(cells, workers, store):
-                line = dict(result)
-                line["world"] = outcome
-                handle.write(json.dumps(line, sort_keys=True))
-                handle.write("\n")
-                handle.flush()
-                outcomes[outcome] += 1
-                fold.add(result)
-                if csv_writer is not None:
-                    csv_writer.add(result)
-        # Tallied from per-cell outcomes (workers own their stores,
-        # invisible here): a ``miss`` is a world built where the cell ran.
-        world_cache = {"builds": outcomes["miss"], "hits": outcomes["hit"]}
-        # The run phase is over: nothing asks this store for a world
-        # again, so drop it before aggregation materialises the payload.
-        store.release_worlds()
-        payload = {
-            "schema": SCHEMA,
-            "grid": grid.describe(),
-            "num_cells": sum(outcomes.values()),  # repro: allow=DET03  (cells: ints)
-            "aggregates": fold.finish(),
-            "world_cache": world_cache,
-        }
-        if include_cells:
-            # The payload embeds the per-cell results: the one read-back,
-            # index-sorted (JSON round-trips numbers exactly, so this list
-            # matches the live results byte-for-byte).
-            payload["cells"] = sorted(iter_jsonl(stream_path),
-                                      key=lambda r: r["index"])
+        for run in _completed_runs(cells, workers):
+            results.extend(run)
+            builds += 1
+            if handle is not None:
+                for position, result in enumerate(run):
+                    line = {**result, "world": "hit" if position else "miss"}
+                    handle.write(json.dumps(line, sort_keys=True) + "\n")
+                    handle.flush()
     finally:
-        if csv_writer is not None:
-            csv_writer.close()
-        if jsonl_path is None and stream_path is not None:
-            os.unlink(stream_path)
+        if handle is not None:
+            handle.close()
+    results.sort(key=operator.itemgetter("index"))
+    payload = {
+        "schema": SCHEMA,
+        "grid": grid.describe(),
+        "num_cells": len(results),
+        "aggregates": aggregate(results),
+        "world_cache": {"builds": builds, "hits": len(results) - builds},
+        "cells": results,
+    }
+    if csv_path is not None:
+        with open(csv_path, "w", newline="") as csv_handle:
+            writer = csv.writer(csv_handle)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(map(_csv_row, results))
     if json_path is not None:
         write_json(payload, json_path)
     return payload
@@ -939,47 +824,6 @@ def _csv_row(cell):
     for metric in METRICS:
         row += metric.parts(metrics[metric.key])[:len(metric.columns)]
     return row
-
-
-class CsvStreamWriter:
-    """Per-cell CSV writer fed one result at a time, rows index-sorted.
-
-    Rows are flattened and written as results arrive; out-of-order
-    completions wait in a heap keyed on cell index and are flushed the
-    moment the next expected index shows up, so the artifact is
-    deterministic regardless of completion order.  An index-ordered feed
-    (serial runs, the payload's sorted cells) writes with O(1) buffering;
-    a fanned-out feed buffers the completion *skew* of flattened rows —
-    typically a few world-groups' worth, though a worst-case schedule
-    (the group holding index 0 finishing last) can buffer most rows.
-    Either way only the ~30-column flattened rows are held, never the
-    full per-cell result payloads.
-    """
-
-    def __init__(self, path):
-        self._handle = open(path, "w", newline="")
-        self._writer = csv.writer(self._handle)
-        self._writer.writerow(CSV_COLUMNS)
-        self._pending = []
-        self._next_index = 0
-
-    def add(self, cell):
-        heapq.heappush(self._pending, (cell["index"], _csv_row(cell)))
-        while self._pending and self._pending[0][0] == self._next_index:
-            self._writer.writerow(heapq.heappop(self._pending)[1])
-            self._next_index += 1
-
-    def close(self):
-        # Index gaps (a partial stream) flush in sorted order at the end.
-        while self._pending:
-            self._writer.writerow(heapq.heappop(self._pending)[1])
-        self._handle.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
 
 # --------------------------------------------------------------------- #

@@ -32,8 +32,8 @@ checkpoint follows the cell, not the world:
 Builds run with the cyclic collector paused (:func:`gc_paused`): each is
 one burst of reachable allocations, handed to the collector's oldest
 generation when the call returns.  A sweep cell runs whole inside one
-such pause (:func:`~repro.experiments.sweep.run_cell`), its build
-included.
+such pause (:func:`~repro.experiments.sweep.run_world`), its build or
+restore included.
 
 Periodic background work (RLOC probing) is no obstacle to any of this: it runs as engine-owned
 :class:`~repro.sim.periodic.PeriodicTask` objects whose timers are plain
@@ -57,29 +57,15 @@ and builds that config's world.  Nothing is unpickled, so a blob from
 anywhere can at worst fail validation, and a blob always yields what a
 fresh build yields under the code that reads it.
 
-The one world cache
--------------------
+A world's lifetime
+------------------
 
-:class:`SnapshotStore` is the only cache of worlds, and
-:meth:`SnapshotStore.world_for` the only way a cell gets one.  It holds
-one live world, the most recent it built:
-
-- ``"hit"`` — the store holds the world live; it is reset in place
-  (:func:`restore_world`, milliseconds);
-- ``"miss"`` — it does not; the held world is let go and the asked-for
-  one is built and held instead.
-
-One slot is all a store's owner can use: the sweep hands every store its
-cells world by world (a serial run its whole ordered grid, a worker its
-runs of same-world cells), so no store asks for an older world again.
-Whoever drops a world tears it down: a world is one web of reference
-cycles, so both paths here that let one go
-(:meth:`SnapshotStore.world_for` on a miss,
-:meth:`SnapshotStore.release_worlds`) call
-:meth:`~repro.experiments.scenario.Scenario.teardown`, and the world dies
-by reference count, without a collection.  A world a store serves is
-borrowed: it is torn down at that store's next miss or
-:meth:`~SnapshotStore.release_worlds`.
+:func:`~repro.experiments.sweep.run_world` is the one place a sweep holds
+a world: its first cell builds it, each later cell restores it, and the
+world is torn down in the run's ``finally``.  A world is one web of
+reference cycles, so
+:meth:`~repro.experiments.scenario.Scenario.teardown` breaks them and the
+world dies by reference count, without a collection.
 """
 
 import gc
@@ -119,9 +105,9 @@ def build_world(config):
     world is promoted to the collector's oldest generation, out of sight
     of the young passes the cells that run on it trigger.  A world is one
     web of reference cycles: a caller that builds one bare and drops it
-    owns its :meth:`~repro.experiments.scenario.Scenario.teardown` (the
-    store's paths call their own); dropped without one, it stays resident
-    until a full collection happens by.
+    owns its :meth:`~repro.experiments.scenario.Scenario.teardown`
+    (:func:`~repro.experiments.sweep.run_world` calls its own); dropped
+    without one, it stays resident until a full collection happens by.
     """
     with gc_paused():
         scenario = build_scenario(config)
@@ -273,59 +259,3 @@ def deserialize_world(blob, config):
     if _crc(schema, key) != crc:
         raise SnapshotError("envelope CRC mismatch")
     return build_world(config)
-
-
-class SnapshotStore:
-    """The world cache: one live world and its world key.
-
-    Serving the held world is an in-place checkpoint reset
-    (:func:`restore_world`, milliseconds); any other world replaces it.
-    ``builds`` counts the worlds this store built.
-    """
-
-    def __init__(self):
-        self.builds = 0
-        #: Outcome of the most recent :meth:`world_for` call ("hit" |
-        #: "miss"), for per-cell reporting.
-        self.last_outcome = None
-        #: ``(world key, live world)`` of the world last served, or None.
-        self._slot = None
-
-    def world_for(self, config):
-        """The pristine world for *config* and where it came from.
-
-        The store's one read path.  Returns ``(scenario, outcome)``:
-        ``"hit"`` resets the held world in place; ``"miss"`` builds one
-        and holds it.  The previous world is let go — torn down, not just
-        dereferenced — *before* its successor is built, so one world is
-        resident at a time.  The world returned is borrowed: it is torn
-        down at this store's next miss or :meth:`release_worlds`, so a
-        caller reads it before asking this store for another.
-        """
-        key = world_key(config)
-        if self._slot is not None and self._slot[0] == key:
-            scenario = self._slot[1]
-            restore_world(scenario)
-            outcome = "hit"
-        else:
-            self.release_worlds()
-            self.builds += 1
-            scenario = build_world(config)
-            self._slot = (key, scenario)
-            outcome = "miss"
-        self.last_outcome = outcome
-        return scenario, outcome
-
-    def release_worlds(self):
-        """Tear the held world down, if any, and let it go.
-
-        A world is one web of reference cycles, so dropping the last
-        reference frees nothing; :meth:`Scenario.teardown
-        <repro.experiments.scenario.Scenario.teardown>` breaks them and
-        the world dies by reference count right here.  The sweep also
-        calls this once its run phase ends, before aggregation.
-        """
-        if self._slot is not None:
-            _key, scenario = self._slot
-            self._slot = None
-            scenario.teardown()

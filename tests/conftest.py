@@ -33,8 +33,9 @@ def collector_left_as_found():
 def no_world_builds(monkeypatch):
     """Fail the test if anything builds a world: what a rejected sweep must
     not have done by the time it is rejected."""
-    from repro.experiments import worldbuild
+    from repro.experiments import sweep, worldbuild
 
     def no_builds(_config):
         raise AssertionError("a world was built before the input was rejected")
-    monkeypatch.setattr(worldbuild, "build_world", no_builds)
+    for module in (sweep, worldbuild):
+        monkeypatch.setattr(module, "build_world", no_builds)

@@ -25,6 +25,9 @@ KEPT = {
                    "cumulative table and its draws to",
     "add_cname": "the only way a zone comes to hold a CNAME; the resolver's "
                  "alias chase is tested through it",
+    "iter_jsonl": "reads a sweep's JSONL artifact back, cut-off last line "
+                  "skipped: what `repro sweep --resume` will read (ROADMAP "
+                  "item 4)",
 }
 
 

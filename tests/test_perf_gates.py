@@ -14,7 +14,7 @@ import pytest
 
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.experiments.worldbuild import SnapshotStore, build_world
+from repro.experiments.worldbuild import build_world, restore_world
 from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
@@ -60,10 +60,9 @@ WORLDS = {
 def test_restore_beats_build(config):
     build_s = best_of(lambda: build_world(config))
 
-    store = SnapshotStore()
-    store.world_for(config)  # the miss: build + checkpoint
-    restore_s = best_of(lambda: store.world_for(config))
-    assert store.last_outcome == "hit" and store.builds == 1
+    world = build_world(config)  # build + checkpoint, off the clock
+    restore_s = best_of(lambda: restore_world(world))
+    world.teardown()
 
     speedup = build_s / restore_s
     print(f"\n  build {build_s:.3f}s, restore {restore_s:.4f}s -> {speedup:.1f}x")
@@ -76,24 +75,25 @@ def test_fluid_beats_packet_elephants():
     send 200 per-packet event chains each, fluid flows a probe plus chunks."""
     config = ScenarioConfig(control_plane="pce", num_sites=60, num_providers=8,
                             access_rate_bps=10_000_000.0, tracing=False)
-    store = SnapshotStore()
+    world = build_world(config)  # off the clock: both sides time restore + run
 
     def run(pacing):
-        scenario, _ = store.world_for(config)
-        records = run_workload(scenario, WorkloadConfig(
+        restore_world(world)
+        records = run_workload(world, WorkloadConfig(
             num_flows=120, arrival_rate=60.0, zipf_s=1.2, size_dist="constant",
             packets_per_flow=200, payload_bytes=1200, pacing=pacing,
             pace_rate_bps=2_000_000.0, elephant_threshold=10.0,
             fluid_threshold=10.0, grace_period=10.0))
         return [record for record in records if not record.failed]
 
-    run("fluid")  # build the world off the clock: both sides time restore + run
+    run("fluid")  # warm up off the clock
     elapsed, kinds = {}, {}
     for pacing in ("shaped", "fluid"):
         started = time.perf_counter()
         completed = run(pacing)
         elapsed[pacing] = time.perf_counter() - started
         kinds[pacing] = {record.flow_kind for record in completed}
+    world.teardown()
     # The ratio compares what it says it does.
     assert kinds == {"shaped": {"elephant"}, "fluid": {"fluid"}}
 

@@ -1,4 +1,4 @@
-"""Tests for world blobs and the world cache (SnapshotStore).
+"""Tests for world blobs and world reuse in a sweep (``run_world``).
 
 A blob names the world's config and nothing else: ``deserialize_world``
 validates the envelope against the config it is handed and builds that
@@ -21,15 +21,15 @@ from dataclasses import replace
 import pytest
 from test_sweep import cell_sim_events
 
-from repro.experiments import worldbuild
+from repro.experiments import sweep, worldbuild
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.sweep import (SweepGrid, expand_grid, payload_digest,
-                                     run_sweep, world_chunks)
+                                     run_sweep, run_world, world_chunks)
 from repro.experiments.workload import WorkloadConfig, run_workload
 from repro.experiments.worldbuild import (SNAPSHOT_MAGIC, SnapshotError,
-                                          SnapshotStore, build_world,
-                                          deserialize_world, restore_world,
-                                          serialize_world, world_key)
+                                          build_world, deserialize_world,
+                                          restore_world, serialize_world,
+                                          world_key)
 
 CONFIG = ScenarioConfig(control_plane="pce", num_sites=3, seed=5,
                         tracing=False)
@@ -218,40 +218,34 @@ def test_every_blob_is_under_a_kilobyte(family, sites, plane):
 
 
 # --------------------------------------------------------------------- #
-# Store bookkeeping
+# World runs: one build, then restores
 # --------------------------------------------------------------------- #
 
-def test_memory_store_one_build_many_restores():
-    """The held world is built once and every later ask resets it in place."""
-    store = SnapshotStore()
-    first, outcome = store.world_for(CONFIG)
-    assert outcome == "miss"
-    for _ in range(3):
-        again, outcome = store.world_for(CONFIG)
-        assert outcome == "hit" and again is first
-    assert store.builds == 1
-    del first, again
-    store.release_worlds()
-    assert store.world_for(CONFIG)[1] == "miss"  # released: built anew
-    assert store.builds == 2
-    store.release_worlds()
+def test_memory_store_one_build_many_restores(monkeypatch):
+    """A world run builds its world once and resets that same world in
+    place, back to the checkpoint instant, for every later cell."""
+    builds = []
+    seen = []
+    build, run_cell = sweep.build_world, sweep.run_cell
 
+    def counting_build(config):
+        builds.append(build(config))
+        return builds[-1]
 
-def test_world_for_outcome_table():
-    """Live -> hit (same object, reset); not live -> miss (built)."""
-    store = SnapshotStore()
-    built, outcome = store.world_for(CONFIG)
-    assert outcome == "miss" and store.last_outcome == "miss"
-    checkpoint_now = built.sim.now
-    run_workload(built, WorkloadConfig(num_flows=4, arrival_rate=10.0))
-    assert built.sim.now > checkpoint_now
-    assert store.world_for(CONFIG) == (built, "hit")
-    assert built.sim.now == checkpoint_now  # reset in place
-    assert store.last_outcome == "hit"
-    assert store.world_for(replace(CONFIG, seed=6))[1] == "miss"
-    rebuilt, outcome = store.world_for(CONFIG)  # the on-demand slot moved on
-    assert outcome == "miss" and rebuilt is not built
-    assert store.builds == 3
+    def watched(world, cell):
+        seen.append((world, world.sim.now))
+        return run_cell(world, cell)
+
+    monkeypatch.setattr(sweep, "build_world", counting_build)
+    monkeypatch.setattr(sweep, "run_cell", watched)
+    cells = expand_grid(replace(GRID, control_planes=("pce",),
+                                zipf_values=(0.0, 0.5, 1.0, 1.5)))
+    results = run_world(cells)
+    assert [result["index"] for result in results] \
+        == [cell.index for cell in cells]
+    assert len(builds) == 1
+    assert [world for world, _now in seen] == builds * len(cells)
+    assert len({now for _world, now in seen}) == 1  # reset in place
 
 
 def test_world_cache_stats_counts_restores():
@@ -302,14 +296,14 @@ def test_fan_out_builds_nothing_in_the_parent(monkeypatch):
     """Workers build every world a fan-out run uses; the parent none."""
     parent = os.getpid()
     parent_builds = []
-    build_world_in = worldbuild.build_world
+    build_world_in = sweep.build_world
 
     def counting_build(config):
         if os.getpid() == parent:
             parent_builds.append(config)
         return build_world_in(config)
 
-    monkeypatch.setattr(worldbuild, "build_world", counting_build)
+    monkeypatch.setattr(sweep, "build_world", counting_build)
     fanned = run_sweep(GRID, workers=2)
     assert parent_builds == []
     assert fanned["world_cache"]["builds"] == 2

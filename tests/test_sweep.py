@@ -1,13 +1,11 @@
 """Tests for the parameter-sweep engine: expansion, determinism, artifacts."""
 
 import csv
-import gc
 import copy
 import hashlib
 import json
 import os
 import random
-import weakref
 from dataclasses import replace
 
 import pytest
@@ -16,10 +14,9 @@ from repro.cli import main
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.workload import WorkloadConfig
 from repro.experiments.sweep import (CSV_COLUMNS, PRESETS, SCHEMA,
-                                     AggregateFold, CsvStreamWriter,
-                                     SweepGrid, expand_grid, iter_jsonl,
-                                     payload_digest, run_cell, run_sweep,
-                                     write_json)
+                                     SweepGrid, aggregate, expand_grid,
+                                     iter_jsonl, payload_digest, run_sweep,
+                                     run_world, write_json)
 from repro.net.topogen import TopologySpec
 
 TINY = SweepGrid(name="tiny", control_planes=("pce", "alt"), site_counts=(3,),
@@ -167,9 +164,15 @@ def test_expand_grid_cells_trace_disabled():
         assert cell.scenario.tracing is False
 
 
+def run_one(cell):
+    """*cell*'s result on a world built for it alone (and torn down)."""
+    (result,) = run_world([cell])
+    return result
+
+
 def test_run_cell_produces_metrics():
     cell = expand_grid(TINY)[0]
-    result = run_cell(cell)
+    result = run_one(cell)
     assert result["cell_id"] == cell.cell_id
     assert result["metrics"]["flows"] == 8
     assert result["metrics"]["packets_sent"] > 0
@@ -279,7 +282,7 @@ def test_large_cell_runs():
     grid = SweepGrid(control_planes=("alt",), site_counts=(110,), seeds=(5,),
                      zipf_values=(1.2,), num_flows=20, arrival_rate=40.0,
                      num_providers=8)
-    result = run_cell(expand_grid(grid)[0])
+    result = run_one(expand_grid(grid)[0])
     assert result["num_sites"] == 110
     assert result["metrics"]["flows"] == 20
     assert result["metrics"]["resolutions_started"] > 0
@@ -310,80 +313,40 @@ def test_cli_sweep_rejects_repeated_axis_value(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # rejected before anything ran
 
 
-def _fold(results):
-    fold = AggregateFold()
-    for result in results:
-        fold.add(result)
-    return fold.finish()
-
-
 def test_aggregate_cells_sorted_and_stable():
     payload = run_sweep(TINY, workers=1)
     reordered = list(reversed(payload["cells"]))
-    assert _fold(reordered) == payload["aggregates"]
-
-
-class _TrackedResult(dict):
-    """Weakref-able result dict, to prove the fold releases each cell."""
-
-
-def test_aggregation_never_holds_the_full_cell_list():
-    """AggregateFold folds a one-shot stream; no cell outlives its turn."""
-    payload = run_sweep(TINY, workers=1)
-    refs = []
-
-    def stream():
-        for cell in payload["cells"]:
-            tracked = _TrackedResult(json.loads(json.dumps(cell)))
-            refs.append(weakref.ref(tracked))
-            yield tracked
-
-    aggregates = _fold(stream())
-    assert aggregates == payload["aggregates"]
-    gc.collect()
-    alive = [ref for ref in refs if ref() is not None]
-    assert alive == [], f"fold retained {len(alive)} cell results"
+    assert aggregate(reordered) == payload["aggregates"]
 
 
 def test_aggregation_is_completion_order_independent():
-    """Any permutation of the stream folds to byte-identical aggregates."""
+    """Any permutation of the results aggregates to byte-identical output."""
     payload = run_sweep(TINY, workers=1)
     shuffled = list(payload["cells"])
     random.Random(5).shuffle(shuffled)
-    assert json.dumps(_fold(iter(shuffled)), sort_keys=True) \
+    assert json.dumps(aggregate(shuffled), sort_keys=True) \
         == json.dumps(payload["aggregates"], sort_keys=True)
 
 
-def test_write_csv_stream_reorders_by_index(tmp_path):
-    payload = run_sweep(TINY, workers=1)
-    sorted_path = tmp_path / "sorted.csv"
-    shuffled_path = tmp_path / "shuffled.csv"
-    shuffled = list(payload["cells"])
-    random.Random(9).shuffle(shuffled)
-    for cells, path in ((payload["cells"], sorted_path),
-                        (shuffled, shuffled_path)):
-        with CsvStreamWriter(str(path)) as writer:
-            for cell in cells:
-                writer.add(cell)
-    assert shuffled_path.read_bytes() == sorted_path.read_bytes()
-    with open(sorted_path) as handle:
+def test_fanned_out_csv_bytes_equal_serial(tmp_path):
+    """Rows are written from the index-sorted results, so the CSV does not
+    depend on the order cells complete in: two workers, bytes of one."""
+    grid = replace(TINY, seeds=(1, 2, 3))
+    paths = {workers: tmp_path / f"w{workers}.csv" for workers in (1, 2)}
+    for workers, path in paths.items():
+        run_sweep(grid, workers=workers, csv_path=str(path))
+    assert paths[2].read_bytes() == paths[1].read_bytes()
+    with open(paths[1]) as handle:
         indexes = [int(row["index"]) for row in csv.DictReader(handle)]
-    assert indexes == sorted(indexes)
+    assert indexes == list(range(len(expand_grid(grid))))
 
 
-def test_run_sweep_without_cells_payload(tmp_path):
-    """include_cells=False: memory-flat payload, same aggregates, CSV intact."""
-    csv_path = tmp_path / "flat.csv"
-    flat = run_sweep(TINY, workers=1, include_cells=False,
-                     csv_path=str(csv_path))
-    full = run_sweep(TINY, workers=1)
-    assert "cells" not in flat
-    assert flat["num_cells"] == full["num_cells"]
-    assert flat["aggregates"] == full["aggregates"]
-    with open(csv_path) as handle:
-        assert len(list(csv.DictReader(handle))) == full["num_cells"]
-    with pytest.raises(ValueError):
-        run_sweep(TINY, workers=1, include_cells=False, json_path="x.json")
+def test_payload_cells_equal_their_json_round_trip():
+    """The payload's results are the live ones, not a read-back: they
+    hold nothing JSON would change (a tuple, a non-string key)."""
+    for name in ("smoke", "failover", "shaped"):
+        payload = run_sweep(shrunk_preset(name), workers=1)
+        assert json.loads(json.dumps(payload)) == payload
 
 
 def test_probing_sweep_hits_world_cache():
@@ -401,21 +364,6 @@ def test_probing_sweep_hits_world_cache():
     fanned = run_sweep(grid, workers=2)
     assert payload_digest(payload) == payload_digest(fanned)
     assert cell_sim_events(payload) == cell_sim_events(fanned)
-
-
-def test_cli_sweep_no_json(tmp_path, capsys):
-    csv_path = tmp_path / "cells.csv"
-    code = main(["sweep", "--preset", "smoke", "--workers", "1",
-                 "--sites", "3", "--seeds", "1", "--flows", "6",
-                 "--no-json", "--csv", str(csv_path),
-                 "--jsonl", str(tmp_path / "cells.jsonl")])
-    assert code == 0
-    assert "sweep 'smoke'" in capsys.readouterr().out
-    with open(csv_path) as handle:
-        assert len(list(csv.DictReader(handle))) == 2
-    assert main(["sweep", "--preset", "smoke", "--no-json",
-                 "--json", str(tmp_path / "x.json")]) == 1
-    assert "--no-json" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ("--json", "--csv", "--jsonl"))
@@ -516,7 +464,7 @@ def test_cell_metrics_carry_byte_accounting():
         pacings=("shaped",), size_dists=("pareto",), num_flows=10,
         arrival_rate=10.0, packets_per_flow=4,
         scenario_overrides={"access_rate_bps": 5_000_000.0}))[0]
-    result = run_cell(cell)
+    result = run_one(cell)
     metrics = result["metrics"]
     assert metrics["bytes_offered"] > 0
     assert metrics["bytes_offered"] == metrics["bytes_delivered"] \

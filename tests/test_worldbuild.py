@@ -2,7 +2,6 @@
 
 import gc
 import json
-import weakref
 from dataclasses import replace
 
 import pytest
@@ -13,12 +12,12 @@ from repro.experiments.e4_te_flexibility import run_e4
 from repro.experiments.e8_reverse_mapping import run_e8
 from repro.experiments.e9_failover import run_e9
 from repro.experiments.fig1 import run_fig1_walkthrough
+from repro.experiments import sweep
 from repro.experiments.sweep import (PRESETS, SweepGrid, _apply_failures,
                                      expand_grid, iter_jsonl, payload_digest,
-                                     run_cell, run_sweep)
+                                     run_sweep, run_world, world_chunks)
 from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.experiments.worldbuild import (SnapshotError,
-                                          SnapshotStore, build_world,
+from repro.experiments.worldbuild import (SnapshotError, build_world,
                                           deserialize_world, restore_world,
                                           serialize_world, world_key)
 from repro.lisp.mappings import MappingRecord, RlocEntry
@@ -35,6 +34,7 @@ from repro.sim import Simulator
 from repro.traffic.flows import FluidPump, UdpSink
 
 from flat_routing import FlatRoutingPlan, install_mesh_routes
+from test_sweep import run_one
 
 
 def _fib_snapshot(router):
@@ -107,12 +107,8 @@ def _cell_for(control_plane, **workload_kwargs):
 def test_reused_world_summary_byte_identical(control_plane):
     """A cell on a cache-reused world == the same cell on a fresh world."""
     cell = _cell_for(control_plane)
-    fresh = run_cell(cell)  # fresh build, throwaway store
-    store = SnapshotStore()
-    first = run_cell(cell, store)
-    assert store.last_outcome == "miss"
-    reused = run_cell(cell, store)
-    assert store.last_outcome == "hit"
+    fresh = run_one(cell)  # a world built for this cell alone
+    first, reused = run_world([cell, cell])  # built, then reset in place
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
     assert json.dumps(fresh, sort_keys=True) == json.dumps(reused, sort_keys=True)
 
@@ -121,14 +117,13 @@ def test_reuse_across_different_workloads():
     """One world serves cells that differ only in workload."""
     config = ScenarioConfig(control_plane="pce", num_sites=4, seed=3,
                             tracing=False)
-    store = SnapshotStore()
     heavy = WorkloadConfig(num_flows=12, arrival_rate=10.0, zipf_s=1.4,
                            size_dist="pareto")
     light = WorkloadConfig(num_flows=6, arrival_rate=5.0, zipf_s=0.0)
     baseline = run_workload(build_world(config), light)
-    run_workload(store.world_for(config)[0], heavy)
-    world, outcome = store.world_for(config)
-    assert outcome == "hit"
+    world = build_world(config)
+    run_workload(world, heavy)
+    restore_world(world)
     records = run_workload(world, light)
     assert [r.packets_sent for r in records] == \
         [r.packets_sent for r in baseline]
@@ -151,25 +146,37 @@ def test_restore_world_resets_clock_and_caches():
     assert scenario.stubs == {}
 
 
-def test_probing_worlds_hit_the_cache():
+@pytest.fixture
+def worlds_built(monkeypatch):
+    """The worlds the sweep builds, in order (each a real build)."""
+    built = []
+    build = sweep.build_world
+
+    def recording_build(config):
+        built.append(build(config))
+        return built[-1]
+    monkeypatch.setattr(sweep, "build_world", recording_build)
+    return built
+
+
+def test_probing_worlds_hit_the_cache(worlds_built):
     """Probing worlds (armed periodic tasks) are checkpointable like any
-    other."""
-    config = ScenarioConfig(control_plane="pce", num_sites=3, seed=2,
-                            enable_probing=True, tracing=False)
-    store = SnapshotStore()
-    first, first_outcome = store.world_for(config)
-    second, second_outcome = store.world_for(config)
-    assert first is second
-    assert first.world_checkpoint is not None
-    assert (first_outcome, second_outcome) == ("miss", "hit")
+    other: a run of two of their cells builds once and restores once."""
+    cell = _failover_cell(fail_fractions=(0.0,))
+    assert cell.scenario.enable_probing
+    first, second = run_world([cell, cell])
+    assert len(worlds_built) == 1
+    assert json.dumps(first, sort_keys=True) \
+        == json.dumps(second, sort_keys=True)
 
 
 def _failover_cell(**grid_kwargs):
     grid_kwargs.setdefault("scenario_overrides",
                            {"enable_probing": True, "probe_period": 0.3,
                             "probe_timeout": 0.15})
+    grid_kwargs.setdefault("fail_fractions", (1.0,))
     grid = SweepGrid(control_planes=("pce",), site_counts=(3,), seeds=(13,),
-                     fail_fractions=(1.0,), fail_at=0.3, repair_at=2.0,
+                     fail_at=0.3, repair_at=2.0,
                      num_flows=12, arrival_rate=10.0, packets_per_flow=5,
                      **grid_kwargs)
     return expand_grid(grid)[0]
@@ -183,12 +190,8 @@ def test_failover_cell_fresh_vs_restored_byte_identical():
     failover summaries must not differ by a single byte.
     """
     cell = _failover_cell()
-    fresh = run_cell(cell)
-    store = SnapshotStore()
-    first = run_cell(cell, store)
-    assert store.last_outcome == "miss"
-    reused = run_cell(cell, store)
-    assert store.last_outcome == "hit"
+    fresh = run_one(cell)
+    first, reused = run_world([cell, cell])
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
     assert json.dumps(fresh, sort_keys=True) == json.dumps(reused, sort_keys=True)
 
@@ -309,12 +312,8 @@ def test_shaped_cell_fresh_vs_restored_byte_identical():
     restore exactly, or the reused world's byte metrics drift.
     """
     cell = _shaped_cell()
-    fresh = run_cell(cell)
-    store = SnapshotStore()
-    first = run_cell(cell, store)
-    assert store.last_outcome == "miss"
-    reused = run_cell(cell, store)
-    assert store.last_outcome == "hit"
+    fresh = run_one(cell)
+    first, reused = run_world([cell, cell])
     assert fresh["metrics"]["bytes_conserved"] is True
     assert fresh["metrics"]["access_util_peak"] > 0.0
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
@@ -340,29 +339,6 @@ def test_world_key_distinguishes_configs():
     assert world_key(base) == world_key(ScenarioConfig(
         control_plane="pce", num_sites=4, seed=1))
     assert world_key(base) != world_key(replace(base, mapping_ttl=30.0))
-
-
-def test_on_demand_worlds_keep_only_the_most_recent():
-    """Residency: world_for lets the previous world go; release_worlds
-    lets the last one go.
-
-    The weakrefs watch the world's simulator, which every component points
-    at; the ``Scenario`` object on top sits outside the world's reference
-    cycles and dies by refcount alone, whatever happens to the rest.
-    """
-    a = ScenarioConfig(control_plane="plain", num_sites=2, seed=1, tracing=False)
-    b = replace(a, seed=2)
-    store = SnapshotStore()
-    on_demand = weakref.ref(store.world_for(a)[0].sim)
-    assert store.world_for(b)[1] == "miss"
-    # No collection here: a world is a reference cycle, and the store must
-    # have freed it by the time its successor exists.
-    assert on_demand() is None
-    assert store.world_for(a)[1] == "miss"  # it really was let go: rebuilt
-    held = weakref.ref(store.world_for(a)[0].sim)
-    assert held() is not None and store.last_outcome == "hit"
-    store.release_worlds()
-    assert held() is None
 
 
 def _live_simulators():
@@ -416,44 +392,81 @@ def _cyclic_garbage():
     return found
 
 
-def _run_twice(cells, store):
-    """Each cell (a miss, or a hit after a cell of its world), then the
-    first one again (a hit, or a miss that evicts the last world)."""
-    for cell in (*cells, cells[0]):
-        yield run_cell(cell, store)
+def _after_each_cell(monkeypatch, check):
+    """Call *check* inside every cell's pause, once its result is in."""
+    run_cell = sweep.run_cell
+
+    def checked(world, cell):
+        result = run_cell(world, cell)
+        check()
+        return result
+    monkeypatch.setattr(sweep, "run_cell", checked)
+
+
+def _run_twice(cells):
+    """One world run per world: its cells (a build, then resets), then its
+    first cell again (one more reset)."""
+    for chunk in world_chunks(cells, 1):
+        yield run_world([*chunk, chunk[0]])
 
 
 @pytest.mark.parametrize("name", sorted(TEARDOWN_MATRIX))
-def test_released_worlds_leave_no_cyclic_garbage(name, collector_off):
-    """Whoever drops a world tears it down, and a torn-down world dies by
+def test_released_worlds_leave_no_cyclic_garbage(name, collector_off,
+                                                 monkeypatch):
+    """A world run tears its world down, and a torn-down world dies by
     reference count: with the collector off throughout, nothing is left
-    for a full pass to find, and no simulator outlives the store's hold."""
-    store = SnapshotStore()
+    for a full pass to find, and no simulator outlives the run."""
     before = _live_simulators()
-    for _result in _run_twice(TEARDOWN_MATRIX[name], store):
+
+    def one_world_alive():
         assert _live_simulators() == before + 1
-    store.release_worlds()
+    _after_each_cell(monkeypatch, one_world_alive)
+    for _results in _run_twice(TEARDOWN_MATRIX[name]):
+        assert _live_simulators() == before
     assert _cyclic_garbage() == []
     assert _live_simulators() == before
 
 
 @pytest.mark.parametrize("name", sorted(TEARDOWN_MATRIX))
-def test_a_cell_run_makes_no_cyclic_garbage(name, collector_off):
+def test_a_cell_run_makes_no_cyclic_garbage(name, collector_off, monkeypatch):
     """What makes pausing the collector for a whole cell safe: a build,
     a restore, a workload and its metric collection free nothing a pass
     could find."""
-    store = SnapshotStore()
-    for _result in _run_twice(TEARDOWN_MATRIX[name], store):
+    def nothing_to_collect():
         assert gc.collect() == 0
-    store.release_worlds()
+    _after_each_cell(monkeypatch, nothing_to_collect)
+    for _results in _run_twice(TEARDOWN_MATRIX[name]):
+        assert gc.collect() == 0
 
 
 def test_a_storeless_cell_releases_its_throwaway_world(collector_off):
     before = _live_simulators()
-    result = run_cell(TEARDOWN_MATRIX["pce-flat-udp"][0])
+    result = run_one(TEARDOWN_MATRIX["pce-flat-udp"][0])
     assert result["metrics"]["flows"] == 12
     assert _live_simulators() == before
     assert gc.collect() == 0
+
+
+def test_a_world_run_tears_its_world_down_when_a_cell_raises(collector_off,
+                                                             monkeypatch):
+    """The teardown is the run's ``finally``: a cell that raises still
+    leaves no world behind, and nothing for a pass to free."""
+    cell = TEARDOWN_MATRIX["pce-flat-udp"][0]
+    before = _live_simulators()
+    run_cell = sweep.run_cell
+    ran = []
+
+    def second_cell_raises(world, cell):
+        if ran:
+            raise RuntimeError("cell failed")
+        ran.append(cell)
+        return run_cell(world, cell)
+    monkeypatch.setattr(sweep, "run_cell", second_cell_raises)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_world([cell, cell, cell])
+    assert len(ran) == 1
+    assert _live_simulators() == before
+    assert _cyclic_garbage() == []
 
 
 @pytest.mark.parametrize("runner", (
@@ -465,7 +478,7 @@ def test_a_storeless_cell_releases_its_throwaway_world(collector_off):
 ), ids=("fig1", "e2", "e4", "e8", "e9"))
 def test_scripted_runners_tear_their_worlds_down(runner, collector_off):
     """The experiments that build with ``build_scenario`` rather than
-    through a store leave no world behind for a pass to free."""
+    through a world run leave no world behind for a pass to free."""
     before = _live_simulators()
     runner()
     assert _live_simulators() == before
@@ -506,37 +519,32 @@ def test_ungrouped_dispatch_keeps_workers_busy():
     """One world key + many workload cells still fans out: the world's
     cells split into one chunk per worker (digest equality preserved:
     every worker builds the same world)."""
-    from repro.experiments.sweep import order_cells_by_world, world_chunks
-
     grid = SweepGrid(control_planes=("alt",), site_counts=(3,), seeds=(1,),
                      zipf_values=(0.0, 0.5, 1.0, 1.5), num_flows=8,
                      arrival_rate=10.0)
     cells = expand_grid(grid)
-    assert [cell.index for cell in order_cells_by_world(cells)] \
-        == [cell.index for cell in cells]  # single world: order unchanged
+    assert world_chunks(cells, 1) == [cells]  # single world: order unchanged
     chunks = world_chunks(cells, 2)
     assert [[cell.index for cell in chunk] for chunk in chunks] \
         == [[0, 1], [2, 3]]
     fanned = run_sweep(grid, workers=2)
     assert payload_digest(fanned) == payload_digest(run_sweep(grid, workers=1))
-    # One build per chunk at most (a worker that takes both chunks builds
-    # once), every other cell a reset of its worker's world.
-    cache = fanned["world_cache"]
-    assert 1 <= cache["builds"] <= len(chunks)
-    assert cache["builds"] + cache["hits"] == len(cells)
+    # One build per chunk, every other cell a reset of its chunk's world.
+    assert fanned["world_cache"] == {"builds": len(chunks),
+                                     "hits": len(cells) - len(chunks)}
 
 
 def test_serial_ordering_groups_same_world_cells():
-    """Serial runs keep same-world cells adjacent, so the one resident
-    on-demand world serves all of its cells even though the seeds axis
-    interleaves the worlds."""
-    from repro.experiments.sweep import order_cells_by_world
-
+    """Serial runs keep same-world cells adjacent — one chunk per world —
+    so one world run serves all of a world's cells even though the seeds
+    axis interleaves the worlds."""
     grid = SweepGrid(control_planes=("alt",), site_counts=(3,),
                      seeds=(1, 2, 3), zipf_values=(0.0, 1.0), num_flows=6,
                      arrival_rate=10.0)
     cells = expand_grid(grid)
-    ordered = order_cells_by_world(cells)
+    chunks = world_chunks(cells, 1)
+    assert len(chunks) == 3  # one per seed
+    ordered = [cell for chunk in chunks for cell in chunk]
     assert sorted(c.index for c in ordered) == [c.index for c in cells]
     seen = []
     for cell in ordered:
@@ -570,7 +578,7 @@ def test_heavy_tailed_sizes_change_the_workload():
     grid = SweepGrid(control_planes=("alt",), site_counts=(3,), seeds=(4,),
                      size_dists=("constant", "pareto"), num_flows=12,
                      arrival_rate=10.0, packets_per_flow=4)
-    constant, pareto = [run_cell(cell) for cell in expand_grid(grid)]
+    constant, pareto = [run_one(cell) for cell in expand_grid(grid)]
     assert constant["metrics"]["packets_sent"] == 12 * 4
     assert pareto["metrics"]["packets_sent"] != constant["metrics"]["packets_sent"]
 
@@ -581,7 +589,7 @@ def test_tcp_data_burst_makes_size_axis_real():
                      size_dists=("constant", "pareto"), num_flows=12,
                      arrival_rate=10.0, packets_per_flow=4, mode="tcp",
                      workload_overrides={"tcp_data_burst": True})
-    constant, pareto = [run_cell(cell) for cell in expand_grid(grid)]
+    constant, pareto = [run_one(cell) for cell in expand_grid(grid)]
     assert constant["metrics"]["packets_sent"] == 12 * 4
     assert pareto["metrics"]["packets_sent"] != constant["metrics"]["packets_sent"]
     assert constant["metrics"]["setup_latency"] is not None
@@ -591,7 +599,7 @@ def test_failure_axis_loses_packets():
     grid = SweepGrid(control_planes=("alt",), site_counts=(4,), seeds=(6,),
                      fail_fractions=(0.0, 1.0), fail_at=0.2, repair_at=2.5,
                      num_flows=20, arrival_rate=20.0, packets_per_flow=4)
-    intact, failed = [run_cell(cell) for cell in expand_grid(grid)]
+    intact, failed = [run_one(cell) for cell in expand_grid(grid)]
     assert failed["fail_fraction"] == 1.0
     assert "fail1" in failed["cell_id"]
     assert failed["metrics"]["packets_lost"] > intact["metrics"]["packets_lost"]
@@ -603,11 +611,8 @@ def test_failure_cells_reuse_cleanly():
                      fail_fractions=(0.0, 1.0), fail_at=0.2, repair_at=1.5,
                      num_flows=10, arrival_rate=10.0)
     intact_cell, failed_cell = expand_grid(grid)
-    baseline = run_cell(intact_cell)
-    store = SnapshotStore()
-    run_cell(failed_cell, store)
-    after_failure = run_cell(intact_cell, store)
-    assert store.last_outcome == "hit"
+    baseline = run_one(intact_cell)
+    _failed, after_failure = run_world([failed_cell, intact_cell])
     assert json.dumps(after_failure, sort_keys=True) \
         == json.dumps(baseline, sort_keys=True)
 
@@ -653,12 +658,8 @@ def test_tiered_cell_fresh_vs_restored_byte_identical():
     layout, hierarchical plan, and IX routers come back, and a cell run
     on the restored world matches the fresh run byte-for-byte."""
     cell = _tiered_cell()
-    fresh = run_cell(cell)
-    store = SnapshotStore()
-    first = run_cell(cell, store)
-    assert store.last_outcome == "miss"
-    reused = run_cell(cell, store)
-    assert store.last_outcome == "hit"
+    fresh = run_one(cell)
+    first, reused = run_world([cell, cell])
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
     assert json.dumps(fresh, sort_keys=True) == json.dumps(reused, sort_keys=True)
 
@@ -1174,19 +1175,26 @@ def test_finished_worlds_are_promoted_past_the_young_generations(collector):
     assert gc.get_freeze_count() == frozen  # spliced, nothing left frozen
 
 
-def test_a_cell_splices_the_world_it_built_when_it_ends(collector):
-    """``run_cell``'s pause is the one that splices: the build nested in
-    it finds the collector off and leaves its world young, and the cell's
-    pause hands it to the oldest generation when the cell is done."""
+def test_a_cell_splices_the_world_it_built_when_it_ends(collector,
+                                                       monkeypatch):
+    """The cell's pause is the one that splices: the build nested in it
+    finds the collector off and leaves its world young, and the cell's
+    pause hands it to the oldest generation when the cell is done — as
+    the run's next cell finds it."""
     cell = TEARDOWN_MATRIX["pce-flat-udp"][0]
-    store = SnapshotStore()
     frozen = gc.get_freeze_count()
-    run_cell(cell, store)
-    world, outcome = store.world_for(cell.scenario)
-    assert outcome == "hit"
-    _assert_promoted_unless_skipped(world, collector, frozen)
+    run_cell = sweep.run_cell
+    seen = []
+
+    def watched(world, cell):
+        if seen:  # the first cell's pause has ended
+            _assert_promoted_unless_skipped(world, collector, frozen)
+        seen.append(cell)
+        return run_cell(world, cell)
+    monkeypatch.setattr(sweep, "run_cell", watched)
+    run_world([cell, cell])
+    assert len(seen) == 2
     assert gc.get_freeze_count() == frozen
-    store.release_worlds()
 
 
 def test_a_heap_the_caller_froze_stays_frozen():

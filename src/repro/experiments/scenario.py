@@ -71,9 +71,10 @@ class ScenarioConfig:
     probe_period: float = 0.5
     #: Must stay below probe_period: overlapping probe rounds would keep
     #: foreground work alive across ticks and a full drain would never end.
-    #: None derives ``min(0.3, 0.6 * probe_period)``, which preserves the
-    #: historical 0.3s timeout at the default 0.5s period and scales down
-    #: safely for faster probing.
+    #: None derives 0.3 s when ``probe_period`` exceeds 0.3 s and
+    #: ``0.6 * probe_period`` otherwise (``PceControlPlane``): the historical
+    #: 0.3 s timeout wherever it fits below the period, scaled down for
+    #: faster probing.
     probe_timeout: float = None
     #: Transmission rate of the site access links in bits/second; ``None``
     #: keeps them infinite (zero serialisation delay) as the paper's

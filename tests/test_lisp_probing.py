@@ -18,6 +18,18 @@ def make_world(enable_probing=True, probe_period=0.2, seed=19,
     return build_scenario(config)
 
 
+@pytest.mark.parametrize("period, timeout", ((0.2, 0.12), (0.4, 0.3),
+                                             (0.5, 0.3)))
+def test_an_unset_probe_timeout_is_derived_from_the_period(period, timeout):
+    """0.3 s whenever the period exceeds it, else 0.6 of the period: at
+    E9's 0.4 s period that is 0.3 s, not ``min(0.3, 0.6 * 0.4)``."""
+    scenario = make_world(probe_period=period, probe_timeout=None)
+    probers = scenario.control_plane.probers.values()
+    assert probers
+    assert [prober.timeout for prober in probers] \
+        == pytest.approx([timeout] * len(probers))
+
+
 def start_flow(scenario):
     sim = scenario.sim
     site_s, site_d = scenario.topology.sites

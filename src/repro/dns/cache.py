@@ -97,11 +97,6 @@ class TtlCache:
         self.compact()
         return len(self._entries)
 
-    @property
-    def hit_ratio(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     #: Construction-time config (owning sim, trace label).
     _SNAPSHOT_EXEMPT = ("sim", "name")
 

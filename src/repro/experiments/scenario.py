@@ -273,8 +273,7 @@ class Scenario:
 
         Links are construction-time wiring (interfaces are attached while
         the topology is built and never afterwards), so the topology is
-        walked once per world, on first use; :meth:`iter_links`, the
-        checkpoint inventory and
+        walked once per world, on first use; the checkpoint inventory and
         :meth:`byte_accounting` share the result.  Node by node, interface
         by interface, first-seen order.
         """
@@ -284,10 +283,6 @@ class Scenario:
                 if iface.link is not None:
                     table[iface.link] = None
         return tuple(table)
-
-    def iter_links(self):
-        """A fresh iterator over :attr:`links`: every link, exactly once."""
-        return iter(self.links)
 
     def byte_accounting(self, drained=False):
         """World-wide link byte totals plus the conservation verdict.

@@ -104,11 +104,6 @@ class MapCache:
     def __len__(self):
         return len(self.entries())
 
-    @property
-    def hit_ratio(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     #: Construction-time config (owning sim, trace label, TTL policy).
     _SNAPSHOT_EXEMPT = ("sim", "name", "ttl_override", "_owner")
 

@@ -196,10 +196,6 @@ class IPv4Prefix:
                  else IPv4Address(address))._value
         return value & self._mask_for(self._length) == self._network
 
-    def overlaps(self, other):
-        """True if the two prefixes share any address."""
-        return self.contains(other) or other.contains(self)
-
     def address_at(self, offset):
         """The address *offset* positions into the prefix (bounds-checked)."""
         if not 0 <= offset < self.num_addresses:

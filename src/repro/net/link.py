@@ -213,18 +213,6 @@ class LinkStats:
             index += 1
         return size - remaining
 
-    def utilization_series(self):
-        """Sorted ``(window_start, busy_fraction, bytes)`` tuples.
-
-        ``busy_fraction`` is per-window transmitter utilization (0.0 on
-        infinite-rate links, whose serialisation time is zero); ``bytes``
-        is offered-to-transmitter volume, a load signal that works with or
-        without a configured rate.
-        """
-        width = WINDOW_WIDTH
-        return [(index * width, min(1.0, busy / width), volume)
-                for index, (busy, volume) in sorted(self.windows.items())]
-
     def peak_utilization(self):
         """The busiest window's utilization (0.0 when nothing transmitted)."""
         if not self.windows:

@@ -136,8 +136,8 @@ class Topology:
     def _site_lookup(self):
         """Site lookup tables, rebuilt whenever the site count changes.
 
-        ``site_of_eid`` / ``site_of_rloc`` are per-packet-ish queries (glean
-        checks, trace attribution, experiment bookkeeping); a linear scan
+        ``site_of_eid`` is a per-packet-ish query (glean checks, trace
+        attribution, experiment bookkeeping); a linear scan
         over 5k+ sites on each call would dominate large worlds.  EID
         lookups key on the containing /24 (the address-plan shape of every
         generated site); sites with other prefix lengths land in the
@@ -146,22 +146,19 @@ class Topology:
         cached = self._site_index
         if cached is None or cached[0] != len(self.sites):
             by_eid = {}
-            by_rloc = {}
             irregular = []
             for site in self.sites:
                 by_eid[site.eid_prefix] = site
                 if site.eid_prefix.length != 24:
                     irregular.append(site)
-                for xtr in site.xtrs:
-                    by_rloc[IPv4Address(xtr.services["rloc"])] = site
-            cached = (len(self.sites), by_eid, by_rloc, tuple(irregular))
+            cached = (len(self.sites), by_eid, tuple(irregular))
             self._site_index = cached
         return cached
 
     def site_of_eid(self, eid):
         """The site whose EID prefix contains *eid* (None if none)."""
         eid = IPv4Address(eid)
-        _count, by_eid, _by_rloc, irregular = self._site_lookup()
+        _count, by_eid, irregular = self._site_lookup()
         site = by_eid.get(IPv4Prefix.containing(eid, 24))
         if site is not None and site.eid_prefix.contains(eid):
             return site
@@ -169,10 +166,6 @@ class Topology:
             if site.eid_prefix.contains(eid):
                 return site
         return None
-
-    def site_of_rloc(self, rloc):
-        _count, _by_eid, by_rloc, _irregular = self._site_lookup()
-        return by_rloc.get(IPv4Address(rloc))
 
     def attach_infra_host(self, provider_id, name, address):
         """Attach a shared infrastructure host (e.g. root/TLD DNS) to a provider.

@@ -56,15 +56,6 @@ class RandomStreams:
         twin.setstate(self.stream(name).getstate())
         return twin
 
-    def fork(self, name):
-        """Return a new :class:`RandomStreams` whose master seed derives from *name*.
-
-        Useful for giving each replication of an experiment its own universe
-        of streams.
-        """
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode("utf-8")).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
     def names(self):
         """Names of the streams created so far (for diagnostics)."""
         return sorted(self._streams)

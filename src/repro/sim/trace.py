@@ -23,23 +23,17 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` objects, with optional category filters.
+    """Collects :class:`TraceRecord` objects.
 
-    By default everything is recorded.  Call :meth:`enable_only` to restrict
-    recording to a set of ``kind`` prefixes (cheap substring-free check), or
-    :meth:`disable` to drop everything — a disabled tracer's :meth:`record`
-    is a single attribute check, which is what lets large parameter sweeps
-    run the data path without paying for per-packet record allocation.
+    By default everything is recorded.  Call :meth:`disable` to drop
+    everything — a disabled tracer's :meth:`record` is a single attribute
+    check, which is what lets large parameter sweeps run the data path
+    without paying for per-packet record allocation.
     """
 
     def __init__(self, enabled=True):
         self.enabled = enabled
         self.records = []
-        self._enabled_prefixes = None
-
-    def enable_only(self, *prefixes):
-        """Record only kinds starting with one of *prefixes* (None = all)."""
-        self._enabled_prefixes = tuple(prefixes) if prefixes else None
 
     def disable(self):
         """Drop all subsequent records (cheapest possible ``record``)."""
@@ -49,10 +43,8 @@ class Tracer:
         self.enabled = True
 
     def record(self, time, source, kind, **detail):
-        """Record an occurrence; returns the record (or None if filtered)."""
+        """Record an occurrence; returns the record (None when disabled)."""
         if not self.enabled:
-            return None
-        if self._enabled_prefixes is not None and not kind.startswith(self._enabled_prefixes):
             return None
         entry = TraceRecord(time=time, source=str(source), kind=kind, detail=detail)
         self.records.append(entry)
@@ -63,18 +55,14 @@ class Tracer:
         wanted = set(kinds)
         return [record for record in self.records if record.kind in wanted]
 
-    def between(self, start, end):
-        """All records with start <= time <= end."""
-        return [record for record in self.records if start <= record.time <= end]
-
     def clear(self):
         self.records.clear()
 
     def snapshot_state(self):
-        return (len(self.records), self.enabled, self._enabled_prefixes)
+        return (len(self.records), self.enabled)
 
     def restore_state(self, state):
-        length, self.enabled, self._enabled_prefixes = state
+        length, self.enabled = state
         del self.records[length:]
 
     def __len__(self):
@@ -82,7 +70,3 @@ class Tracer:
 
     def __iter__(self):
         return iter(self.records)
-
-    def dump(self):
-        """Human-readable multi-line rendering (for examples and debugging)."""
-        return "\n".join(str(record) for record in self.records)

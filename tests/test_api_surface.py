@@ -1,14 +1,24 @@
 """Every public name of ``src/repro`` has a caller.
 
-A ``def``/``class`` name that does not start with ``_`` must appear in at
-least one line of ``src/``, ``examples/`` or ``benchmarks/`` that is not
-its own definition, an import or an ``__all__`` re-export.  What only the
-tests call is either a reference that lives in the tests, or dead.
+A ``def``/``class`` name that does not start with ``_`` must be referenced
+by code in ``src/``, ``examples/`` or ``benchmarks/`` (their ``test_*.py``
+files left out):
+
+- a ``Name`` read (an import alias counts as the name it imports);
+- an ``Attribute``, unless it is taken from a module imported from outside
+  ``repro`` (``json.dump`` is not ``Tracer.dump``);
+- a string constant that spells it as the argument of a call, and so
+  names a callable looked up by name (the ``EXPERIMENTS`` runner strings,
+  ``_pce_total("total_envelope_bytes")``).
+
+Comments, docstrings, imports, ``__all__`` entries, table headers and a
+definition's references to itself from inside its own body are not uses.
+What only the tests call is either a reference that lives in the tests, or
+dead.
 """
 
 import ast
 import pathlib
-import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -25,37 +35,115 @@ KEPT = {
                    "cumulative table and its draws to",
     "add_cname": "the only way a zone comes to hold a CNAME; the resolver's "
                  "alias chase is tested through it",
+    "step": "runs the engine one event at a time: the fast-path oracle "
+            "drives it step by step against run() (_drive_steps)",
+    "processed": "an event's public lifecycle read beside `triggered`; the "
+                 "test process kernel checks it before it resumes a waiter",
+    "stop": "the only way to disarm a periodic task: a world's probing runs "
+            "for its lifetime, and the periodic-task tests and engine oracle "
+            "stop tasks mid-run",
     "iter_jsonl": "reads a sweep's JSONL artifact back, cut-off last line "
                   "skipped: what `repro sweep --resume` will read (ROADMAP "
                   "item 4)",
 }
 
 
-def _sources(*tops):
+def _trees(*tops):
+    """The syntax trees of the modules under *tops*, test files left out."""
     for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
-            source = path.read_text()
-            yield source, ast.parse(source)
+            if not path.name.startswith("test_"):
+                yield ast.parse(path.read_text())
 
 
-def test_every_public_name_has_a_caller():
-    defined = {node.name for _source, tree in _sources("src/repro")
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        getattr(target, "id", None) == "__all__" for target in node.targets)
+
+
+def _references(tree):
+    """The names the code of module *tree* refers to (see the module
+    docstring for what counts)."""
+    aliases = {}
+    foreign = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            aliases.update((alias.asname, alias.name) for alias in node.names
+                           if alias.asname)
+        elif isinstance(node, ast.Import):
+            foreign.update((alias.asname or alias.name).split(".")[0]
+                           for alias in node.names
+                           if not alias.name.startswith("repro"))
+
+    def named(node, enclosing):
+        if _is_all(node):
+            return
+        if isinstance(node, _DEFINITIONS):
+            enclosing = (*enclosing, node.name)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found = [node.id, aliases.get(node.id)]
+        elif isinstance(node, ast.Attribute) and \
+                getattr(node.value, "id", None) not in foreign:
+            found = [node.attr]
+        elif isinstance(node, ast.Call):
+            found = [argument.value for argument in (
+                *node.args, *(keyword.value for keyword in node.keywords))
+                if isinstance(argument, ast.Constant)
+                and isinstance(argument.value, str)
+                and argument.value.isidentifier()]
+        else:
+            found = []
+        yield from (name for name in found
+                    if name is not None and name not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            yield from named(child, enclosing)
+
+    return named(tree, ())
+
+
+def uncalled_public_names():
+    """The public ``src/repro`` definitions that nothing outside the tests
+    references."""
+    defined = {node.name for tree in _trees("src/repro")
                for node in ast.walk(tree)
                if isinstance(node, _DEFINITIONS)
                and not node.name.startswith("_")}
-    used = set()
-    for source, tree in _sources("src", "examples", "benchmarks"):
-        skipped = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) or (
-                    isinstance(node, ast.Assign)
-                    and getattr(node.targets[0], "id", None) == "__all__"):
-                skipped.update(range(node.lineno, node.end_lineno + 1))
-        for number, line in enumerate(source.splitlines(), 1):
-            if number not in skipped:
-                line = re.sub(r"^\s*(async\s+)?(def|class)\s+\w+", "", line)
-                used.update(re.findall(r"\w+", line))
-    uncalled = defined - used
+    used = {name for tree in _trees("src", "examples", "benchmarks")
+            for name in _references(tree)}
+    return defined - used
+
+
+def test_every_public_name_has_a_caller():
+    uncalled = uncalled_public_names()
     assert sorted(uncalled - set(KEPT)) == []
     assert sorted(set(KEPT) - uncalled) == [], "stale KEPT entries"
     assert all(reason.strip() for reason in KEPT.values())
+
+
+def test_a_word_in_a_comment_or_docstring_is_not_a_use():
+    source = '''
+import json
+from somewhere import imported as renamed
+
+
+def kept():
+    """Calls documented_only() -- in prose."""
+    # documented_only() again, in a comment
+    json.dump(renamed, HEADERS)
+    return recursive
+
+
+def recursive():
+    return recursive()
+
+__all__ = ["exported_only"]
+HEADERS = ("header_only", "by_name")
+handler = getattr(object, "by_name")
+'''
+    names = list(_references(ast.parse(source)))
+    for absent in ("documented_only", "exported_only", "header_only", "dump",
+                   "handler"):
+        assert absent not in names, absent
+    assert {"by_name", "getattr", "object", "imported", "renamed"} <= set(names)
+    # recursive's own call does not count, kept's reference does
+    assert names.count("recursive") == 1

@@ -27,6 +27,8 @@ from repro.traffic.flows import (FlowIdAllocator, FlowRecord, UdpSink,
                                  send_flow)
 from repro.traffic.popularity import FlowPlan, FlowShaper, FlowSizeSampler
 
+from test_net_link_node import utilization_series
+
 WIRE = 1028  # 1000B payload + 28B IPv4+UDP headers
 
 
@@ -127,7 +129,7 @@ def test_book_fluid_spans_multiple_windows():
     stats = LinkStats()
     granted = stats.book_fluid(0.5, 2.0, 250_000, 1_000_000.0)
     assert granted == 250_000  # 2.0 s at 1 Mbit/s
-    series = stats.utilization_series()
+    series = utilization_series(stats)
     assert [start for start, _busy, _vol in series] == [0.0, 1.0, 2.0]
 
 
@@ -332,9 +334,9 @@ def test_fluid_matches_packet_sender_within_tolerance():
 
     # Per-link delivered bytes agree within the stated tolerance.
     shaped_total = sum(link.stats.bytes_delivered
-                       for link in shaped.iter_links())
+                       for link in shaped.links)
     fluid_total = sum(link.stats.bytes_delivered
-                      for link in fluid.iter_links())
+                      for link in fluid.links)
     assert fluid_total == pytest.approx(shaped_total, rel=EQUIV_TOLERANCE)
 
     # Per-flow delivered byte shares agree too (packets count wire bytes).
@@ -386,7 +388,7 @@ def test_fluid_matches_packets_byte_for_byte_on_lossless_paths(
         return ({record.flow_kind for record in records},
                 {link.name: {flow_id: account.as_tuple() for flow_id, account
                              in link.stats.flows.items()}
-                 for link in scenario.iter_links() if link.stats.flows})
+                 for link in scenario.links if link.stats.flows})
 
     packet_kinds, as_packets = accounts("shaped")
     fluid_kinds, as_fluid = accounts("fluid")

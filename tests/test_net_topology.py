@@ -13,6 +13,15 @@ from repro.net.topology import (
 )
 from repro.sim import Simulator
 
+from test_net_addresses import overlaps
+
+
+def site_of_rloc(topology, rloc):
+    """The site one of whose xTRs holds *rloc* (None if none does)."""
+    rloc = IPv4Address(rloc)
+    return next((site for site in topology.sites
+                 if rloc in map(IPv4Address, site.rlocs())), None)
+
 
 @pytest.fixture
 def world():
@@ -27,7 +36,7 @@ def test_address_plan_is_disjoint():
                 eid_prefix_for(1), infra_prefix_for(1), provider_prefix_for(1)]
     for i, a in enumerate(prefixes):
         for b in prefixes[i + 1:]:
-            assert not a.overlaps(b), f"{a} overlaps {b}"
+            assert not overlaps(a, b), f"{a} overlaps {b}"
 
 
 def test_rlocs_unique_across_sites_and_xtrs():
@@ -147,7 +156,7 @@ def test_fig1_topology_layout():
     assert site_s.provider_ids == [0, 1]
     assert site_d.provider_ids == [2, 3]
     assert topology.site_of_eid(site_s.hosts[0].address) is site_s
-    assert topology.site_of_rloc(site_d.rloc_of(1)) is site_d
+    assert site_of_rloc(topology, site_d.rloc_of(1)) is site_d
 
 
 def test_provider_mesh_delay_positive(world):

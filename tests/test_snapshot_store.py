@@ -410,8 +410,8 @@ def test_deep_worlds_round_trip_record_for_record(topology, sites):
                             num_sites=sites, seed=1, tracing=False)
     world = build_world(config)
     twin = deserialize_world(serialize_world(world), config)
-    assert [link.name for link in twin.iter_links()] == \
-        [link.name for link in world.iter_links()]
+    assert [link.name for link in twin.links] == \
+        [link.name for link in world.links]
     assert run_workload(twin, FLOWS) == run_workload(world, FLOWS)
     assert twin.sim.processed_events == world.sim.processed_events
     del world, twin

@@ -9,6 +9,8 @@ from repro.net import topogen
 from repro.net.topogen import IX_PREFIX, MAX_PROVIDERS, TopologySpec, build
 from repro.sim import Simulator
 
+from test_net_topology import site_of_rloc
+
 
 def _fib_snapshot(router):
     return [(str(entry.prefix), entry.interface.name,
@@ -176,9 +178,9 @@ def test_site_index_lookups():
     for site in topology.sites:
         assert topology.site_of_eid(site.eid_prefix.address_at(10)) is site
         for rloc in site.rlocs():
-            assert topology.site_of_rloc(rloc) is site
+            assert site_of_rloc(topology, rloc) is site
     assert topology.site_of_eid(IPv4Address("8.8.8.8")) is None
-    assert topology.site_of_rloc(IPv4Address("8.8.8.8")) is None
+    assert site_of_rloc(topology, IPv4Address("8.8.8.8")) is None
 
 
 def test_incremental_install_on_tiered_world():

@@ -79,7 +79,6 @@ def test_hit_miss_counters_unchanged():
     sim.now = 6.0
     assert cache.get("k") is None
     assert (cache.hits, cache.misses, cache.expirations) == (1, 2, 1)
-    assert cache.hit_ratio == 1 / 3
 
 
 # --------------------------------------------------------------------- #

@@ -325,10 +325,10 @@ def test_shaped_world_restore_resets_byte_accounting():
     cell = _shaped_cell()
     scenario = build_world(cell.scenario)
     run_workload(scenario, cell.workload)
-    dirtied = [link for link in scenario.iter_links() if link.stats.flows]
+    dirtied = [link for link in scenario.links if link.stats.flows]
     assert dirtied, "workload left no per-flow accounting to reset"
     restore_world(scenario)
-    for link in scenario.iter_links():
+    for link in scenario.links:
         stats = link.stats
         assert stats.flows == {} and stats.windows == {}
         assert stats.bytes_offered == 0 and stats.busy_time == 0.0
@@ -785,8 +785,8 @@ def test_restore_is_complete_after_links_fail_and_come_back():
                            fail_at=0.3, repair_at=0.8)
     scenario, oracle = _build_with_oracle(cell.scenario)
     _run_cell_on(scenario, oracle, cell)
-    assert sum(link.stats.drops for link in scenario.iter_links()) > 0
-    assert all(link.up for link in scenario.iter_links())   # repaired
+    assert sum(link.stats.drops for link in scenario.links) > 0
+    assert all(link.up for link in scenario.links)   # repaired
     assert _dirty_components(oracle)
     restore_world(scenario)
     assert _dirty_components(oracle) == []
@@ -948,7 +948,7 @@ def _install_mapping(xtr):
 _FIRST = {
     "node": lambda scenario: next(
         node for node in scenario.topology.all_nodes() if node._udp_ports),
-    "link": lambda scenario: next(scenario.iter_links()),
+    "link": lambda scenario: scenario.links[0],
     "xtr": lambda scenario: next(scenario.iter_xtrs()),
     "sink": lambda scenario: next(iter(scenario.udp_sinks.values())),
     "stack": lambda scenario: next(iter(scenario.tcp_stacks.values())),
@@ -1144,7 +1144,7 @@ def test_failed_build_leaves_the_collector_as_found(collector):
 
 def _world_samples(world):
     """A simulator, a link and a FIB entry: one of each bulk kind."""
-    return (world.sim, next(world.iter_links()),
+    return (world.sim, world.links[0],
             next(iter(world.topology.providers[0].fib.entries())))
 
 

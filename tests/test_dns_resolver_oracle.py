@@ -14,8 +14,7 @@ three.
 
 from unittest import mock
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dns.hierarchy import ROOT_ADDRESS, TLD_ADDRESS, install_dns
@@ -158,7 +157,26 @@ def _asking(resolver_node):
     return asked, mock.patch.object(UdpSocket, "request", recording)
 
 
-def _check(extra_levels, use_cache, host_ttl, aliases, queries):
+queries = st.lists(st.tuples(st.integers(0, 63), st.sampled_from(GAPS)),
+                   min_size=1, max_size=14)
+aliases = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63),
+                             st.sampled_from(TTLS)), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(extra_levels=st.integers(0, 3), use_cache=st.booleans(),
+       host_ttl=st.sampled_from(TTLS), aliases=aliases, queries=queries)
+# Two hosts of one site and a missing name beside them: the first walk
+# starts at the root, the later ones at the site's own server.
+@example(extra_levels=3, use_cache=True, host_ttl=70.0, aliases=[],
+         queries=[(2, 20.0), (3, 20.0), (6, 20.0)])
+# alias1 (site0) -> alias0 (site2) -> site1's host1: two chases, each zone
+# asked once, a repeat answered from the cache, then one past its TTL.
+@example(extra_levels=1, use_cache=True, host_ttl=70.0,
+         aliases=[(2, 3, 50.0), (0, 11, 30.0)],
+         queries=[(12, 20.0), (12, 20.0), (12, 40.0)])
+def test_resolver_matches_the_zone_walk(extra_levels, use_cache, host_ttl,
+                                        aliases, queries):
     sim, topology, dns, zones, names = _dns_world(extra_levels, use_cache,
                                                   host_ttl, aliases)
     resolver = dns.resolver_for(topology.sites[0])
@@ -183,30 +201,3 @@ def _check(extra_levels, use_cache, host_ttl, aliases, queries):
             assert asked == expected_asked, qname
             asked.clear()
 
-
-queries = st.lists(st.tuples(st.integers(0, 63), st.sampled_from(GAPS)),
-                   min_size=1, max_size=14)
-aliases = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63),
-                             st.sampled_from(TTLS)), max_size=6)
-
-
-@settings(max_examples=80, deadline=None)
-@given(extra_levels=st.integers(0, 3), use_cache=st.booleans(),
-       host_ttl=st.sampled_from(TTLS), aliases=aliases, queries=queries)
-def test_resolver_matches_the_zone_walk(extra_levels, use_cache, host_ttl,
-                                        aliases, queries):
-    _check(extra_levels, use_cache, host_ttl, aliases, queries)
-
-
-@pytest.mark.parametrize("extra_levels", (0, 3))
-def test_a_cached_referral_serves_the_names_below_it(extra_levels):
-    """Two hosts of one site, then a missing name beside them: the first
-    walk starts at the root, the later ones at the site's own server."""
-    _check(extra_levels, True, 70.0, (), [(2, 20.0), (3, 20.0), (6, 20.0)])
-
-
-def test_the_walk_answers_a_cross_zone_alias_chain():
-    """site0 -> site2 -> site1's host1: two chases, every zone on the way
-    asked once, and a repeat answered from the cache."""
-    aliases = [(2, 3, 50.0), (0, 11, 30.0)]  # alias0 in site2, alias1 in site0
-    _check(1, True, 70.0, aliases, [(12, 20.0), (12, 20.0), (12, 40.0)])

@@ -16,7 +16,13 @@ self._state_attrs)`` idiom).  Genuinely immutable construction-time
 attributes — the owning sim, wiring, config knobs — are declared once in
 a ``_SNAPSHOT_EXEMPT`` class attribute instead, and what a mixin base
 owns (:data:`MIXIN_ATTRS`) is exempt wherever that base is inherited.
+
+An exemption must name something: a ``_SNAPSHOT_EXEMPT`` entry that no
+``__init__`` of the class or of its bases in the same module assigns is
+reported too, so deleting an attribute cannot leave its exemption behind.
 """
+
+import ast
 
 from repro.analysis import astutil
 from repro.analysis.core import register
@@ -68,6 +74,7 @@ class Snap01:
     def check(self, module):
         classes = {cls.name: cls for cls in astutil.iter_class_defs(module.tree)}
         for class_def in classes.values():
+            yield from self._stale_exemptions(module, class_def, classes)
             methods = astutil.class_methods(class_def)
             snapshot = methods.get("snapshot_state")
             init = methods.get("__init__")
@@ -87,6 +94,27 @@ class Snap01:
                     self, line,
                     f"{class_def.name}.__init__ assigns self.{attr} but "
                     f"snapshot_state/restore_state never captures it")
+
+    def _stale_exemptions(self, module, class_def, classes):
+        """Own ``_SNAPSHOT_EXEMPT`` entries no in-module ``__init__`` sets."""
+        exempt = next((node for node in class_def.body
+                       if isinstance(node, ast.Assign)
+                       and any(getattr(target, "id", None) == EXEMPT_ATTR
+                               for target in node.targets)), None)
+        if exempt is None:
+            return
+        assigned = set()
+        for base in mro_in_module(class_def, classes):
+            init = astutil.class_methods(base).get("__init__")
+            if init is not None:
+                assigned.update(astutil.self_attr_stores(init))
+        for name in astutil.constant_string_seq(exempt.value) or ():
+            if name not in assigned:
+                yield module.finding(
+                    self, exempt,
+                    f"{class_def.name}.{EXEMPT_ATTR} names {name!r}, which "
+                    f"no __init__ of the class assigns",
+                    hint=f"delete the stale entry from {EXEMPT_ATTR}")
 
     def _expanded_tuples(self, class_def, classes, snapshot, restore):
         """Strings from class-level tuples a checkpoint method references."""

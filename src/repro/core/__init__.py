@@ -19,10 +19,10 @@ the data path of — its DNS server.  The PCE:
   chosen ETR, which multicasts the reverse mapping to its sibling ETRs
   and updates the PCE database (§2, closing paragraph).
 
-Public entry point: :func:`repro.core.control_plane.deploy_pce_control_plane`.
+Public entry point: :class:`repro.core.control_plane.PceControlPlane`.
 """
 
-from repro.core.control_plane import PceControlPlane, deploy_pce_control_plane
+from repro.core.control_plane import PceControlPlane
 from repro.core.irc import IrcEngine
 from repro.core.messages import (
     PORT_MAPPING_PUSH,
@@ -45,6 +45,5 @@ __all__ = [
     "PORT_PCE",
     "PORT_REVERSE",
     "ReverseMappingAnnounce",
-    "deploy_pce_control_plane",
     "plan_rebalance",
 ]

@@ -1,6 +1,6 @@
 """Deployment and site-level glue for the PCE-based control plane.
 
-:func:`deploy_pce_control_plane` wires, for every site in a topology:
+:class:`PceControlPlane` wires, for every site in a topology:
 
 - a :class:`~repro.core.irc.IrcEngine` (background measurement),
 - a :class:`~repro.core.pce.Pce` on the PCE node,
@@ -45,7 +45,6 @@ class PceControlPlane:
                  probe_timeout=None):
         self.sim = sim
         self.topology = topology
-        self.dns_system = dns_system
         self.mapping_ttl = mapping_ttl
         self.registry = MappingRegistry()
         self.miss_policy = miss_policy if miss_policy is not None else DropPolicy(sim)
@@ -61,7 +60,6 @@ class PceControlPlane:
         self.xtrs_by_site = {}
         self.egress_assignments = {}   # site index -> {prefix: itr index}
         self.reverse_announcements = 0
-        self.te_moves_applied = 0
 
         for site in topology.sites:
             self.registry.register(site_mapping(site, ttl=mapping_ttl))
@@ -75,12 +73,12 @@ class PceControlPlane:
                       control_plane=self, precompute=precompute,
                       computation_delay=computation_delay)
             self.pces[site.index] = pce
-            site.pce_node.bind_udp(PORT_REVERSE, self._make_pce_reverse_handler(pce))
+            site.pce_node.bind_udp(PORT_REVERSE, PceReverseHandler(pce))
             routers = []
             for node in site.xtrs:
                 xtr = TunnelRouter(sim, node, site, miss_policy=self.miss_policy,
                                    mapping_system=None, gleaning=False)
-                xtr.decap_listeners.append(self._make_etr_hook(site, xtr))
+                xtr.decap_listeners.append(EtrReverseHook(self, site, xtr))
                 node.bind_udp(PORT_MAPPING_PUSH, self._on_mapping_push)
                 node.bind_udp(PORT_REVERSE, self._on_reverse_announce)
                 if enable_probing:
@@ -116,13 +114,6 @@ class PceControlPlane:
     # ------------------------------------------------------------------ #
     # ETR reverse-mapping multicast
     # ------------------------------------------------------------------ #
-
-    def _make_etr_hook(self, site, xtr):
-        return EtrReverseHook(self, site, xtr)
-
-    @staticmethod
-    def _make_pce_reverse_handler(pce):
-        return PceReverseHandler(pce)
 
     def _on_reverse_announce(self, packet, node):
         message = packet.payload
@@ -165,7 +156,6 @@ class PceControlPlane:
         moves = plan_rebalance(loads, flows_by_itr)
         for move in moves:
             self.set_egress_route(site, move.destination_prefix, move.to_itr)
-            self.te_moves_applied += 1
             self.sim.trace.record(self.sim.now, site.hub.name, "te.rehome",
                                   prefix=str(move.destination_prefix),
                                   frm=move.from_itr, to=move.to_itr)
@@ -206,12 +196,12 @@ class PceControlPlane:
     #: Deploy-time wiring and config, immutable after __init__.  The xTRs in
     #: ``xtrs_by_site`` are independently checkpointed components; only the
     #: site->router table itself lives here, and it never changes.
-    _SNAPSHOT_EXEMPT = ("sim", "topology", "dns_system", "mapping_ttl",
-                        "enable_probing", "xtrs_by_site")
+    _SNAPSHOT_EXEMPT = ("sim", "topology", "mapping_ttl", "enable_probing",
+                        "xtrs_by_site")
 
     def snapshot_state(self):
         return {
-            "counters": (self.reverse_announcements, self.te_moves_applied),
+            "reverse_announcements": self.reverse_announcements,
             "egress": {index: dict(assignment)
                        for index, assignment in self.egress_assignments.items()},
             "registry": self.registry.snapshot_state(),
@@ -225,7 +215,7 @@ class PceControlPlane:
         }
 
     def restore_state(self, state):
-        self.reverse_announcements, self.te_moves_applied = state["counters"]
+        self.reverse_announcements = state["reverse_announcements"]
         self.egress_assignments = {index: dict(assignment)
                                    for index, assignment in state["egress"].items()}
         self.registry.restore_state(state["registry"])
@@ -241,8 +231,7 @@ class PceControlPlane:
 class EtrReverseHook:
     """ETR decapsulation hook: first data packet -> reverse-mapping multicast.
 
-    A picklable callable class rather than a closure; xTRs hold these in
-    ``decap_listeners``.
+    xTRs hold these in ``decap_listeners``.
     """
 
     __slots__ = ("control_plane", "site", "xtr")
@@ -285,7 +274,7 @@ class EtrReverseHook:
 
 
 class PceReverseHandler:
-    """UDP handler feeding reverse-mapping announces into a PCE (picklable)."""
+    """UDP handler feeding reverse-mapping announces into a PCE."""
 
     __slots__ = ("pce",)
 
@@ -297,7 +286,3 @@ class PceReverseHandler:
         if isinstance(message, ReverseMappingAnnounce):
             self.pce.learn_reverse_mapping(message.mapping)
 
-
-def deploy_pce_control_plane(sim, topology, dns_system, **kwargs):
-    """Convenience constructor mirroring :func:`repro.lisp.deploy.deploy_lisp`."""
-    return PceControlPlane(sim, topology, dns_system, **kwargs)

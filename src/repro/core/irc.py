@@ -54,7 +54,6 @@ class IrcEngine:
         self.site = site
         self.topology = topology
         self.policy = policy
-        self.measurement_rounds = 0
         self._rng_name = f"irc-{site.name}"
         self.estimates = [ProviderEstimate(self._path_delay_estimate(b))
                           for b in range(len(site.xtrs))]
@@ -65,7 +64,6 @@ class IrcEngine:
 
     def measure_once(self):
         """One measurement round: refresh delay EWMAs and load snapshots."""
-        self.measurement_rounds += 1
         # Fetched where it is drawn: the hand-out is what journals the stream.
         rng = self.sim.rng.stream(self._rng_name)
         for b, estimate in enumerate(self.estimates):
@@ -118,22 +116,16 @@ class IrcEngine:
         raise ValueError(f"unknown IRC policy {self.policy!r}, "
                          f"expected one of {POLICIES}")
 
-    def snapshot(self):
-        """Per-locator view for reporting: (delay_ewma, bytes_in, bytes_out)."""
-        return [(est.delay_ewma, est.bytes_in, est.bytes_out) for est in self.estimates]
-
     #: Construction-time config (the RNG stream is fetched by name where it
     #: is drawn and restored by the simulator's RandomStreams).
     _SNAPSHOT_EXEMPT = ("sim", "site", "topology", "policy", "_rng_name")
 
     def snapshot_state(self):
-        """Round counter and per-provider estimates for world reuse."""
-        return (self.measurement_rounds,
-                [(est.delay_ewma, est.bytes_in, est.bytes_out,
-                  est.pledged_in, est.pledged_out) for est in self.estimates])
+        """Per-provider estimates for world reuse."""
+        return [(est.delay_ewma, est.bytes_in, est.bytes_out,
+                 est.pledged_in, est.pledged_out) for est in self.estimates]
 
     def restore_state(self, state):
-        self.measurement_rounds, estimates = state
-        for est, values in zip(self.estimates, estimates, strict=True):
+        for est, values in zip(self.estimates, state, strict=True):
             (est.delay_ewma, est.bytes_in, est.bytes_out,
              est.pledged_in, est.pledged_out) = values

@@ -33,42 +33,26 @@ from repro.lisp import EID_SPACE
 
 
 class PceStats:
-    """Per-PCE counters and the timelines experiments consume."""
+    """Per-PCE counters and the push timeline experiments consume."""
 
     def __init__(self):
-        self.queries_observed = 0
-        self.replies_observed = 0
-        self.ipc_notifications = 0
         self.replies_encapsulated = 0
-        self.port_p_received = 0
-        self.mappings_pushed = 0
         self.push_messages = 0
         self.push_bytes = 0
-        self.refresh_pushes = 0
-        self.reverse_mappings_learned = 0
         #: What the Step-6 envelopes added to the replies they carried.
         self.envelope_bytes = 0
         #: (time, source_eid, prefix) for every Step-7b push.
         self.push_timeline = []
-        #: (time, qname, client) for every Step-1 IPC notification.
-        self.ipc_timeline = []
-
-    _counter_attrs = ("queries_observed", "replies_observed",
-                      "ipc_notifications", "replies_encapsulated",
-                      "port_p_received", "mappings_pushed", "push_messages",
-                      "push_bytes", "refresh_pushes",
-                      "reverse_mappings_learned", "envelope_bytes")
 
     def snapshot_state(self):
-        counters = tuple(getattr(self, name) for name in self._counter_attrs)
-        return (counters, list(self.push_timeline), list(self.ipc_timeline))
+        return (self.replies_encapsulated, self.push_messages,
+                self.push_bytes, self.envelope_bytes,
+                list(self.push_timeline))
 
     def restore_state(self, state):
-        counters, push_timeline, ipc_timeline = state
-        for name, value in zip(self._counter_attrs, counters, strict=True):
-            setattr(self, name, value)
+        (self.replies_encapsulated, self.push_messages, self.push_bytes,
+         self.envelope_bytes, push_timeline) = state
         self.push_timeline = list(push_timeline)
-        self.ipc_timeline = list(ipc_timeline)
 
 
 class Pce:
@@ -94,8 +78,6 @@ class Pce:
         self.pending_ingress = {}
         #: Mappings learned from port-P messages (the PCE database).
         self.mapping_db = {}
-        #: Remote PCE addresses learned from port-P messages.
-        self.peer_pces = {}
         self.node.add_forward_tap(self._tap)
         resolver.query_listeners.append(self.on_local_query)
         self.node.register_service("pce", self)
@@ -109,8 +91,6 @@ class Pce:
 
     def on_local_query(self, client, qname, time):
         """A local host asked the resolver for *qname*: precompute ingress."""
-        self.stats.ipc_notifications += 1
-        self.stats.ipc_timeline.append((time, qname, client))
         ingress_index = self.irc.select_ingress()
         self.pending_ingress[qname] = (client, ingress_index, time)
         self.sim.trace.record(time, self.node.name, "pce.step1-ipc",
@@ -137,11 +117,9 @@ class Pce:
         if not isinstance(message, DnsMessage):
             return False
         if message.is_query:
-            self.stats.queries_observed += 1
             self.sim.trace.record(self.sim.now, self.node.name, "pce.observe-query",
                                   qname=message.qname, dst=str(packet.ip.dst))
             return False
-        self.stats.replies_observed += 1
         if self._is_local_authoritative_answer(packet, message):
             return self._intercept_authoritative_reply(packet, message)
         if self._is_reply_to_local_host(packet, message):
@@ -221,16 +199,14 @@ class Pce:
 
     def _handle_port_p(self, packet):
         envelope = packet.payload
-        self.stats.port_p_received += 1
         # 7a: re-emit the original DNS reply toward our resolver, unchanged.
         self.sim.trace.record(self.sim.now, self.node.name, "pce.step7a-forward",
                               dst=str(envelope.original_dst))
         self.node.send_udp(src=envelope.original_src, dst=envelope.original_dst,
                            sport=envelope.original_sport, dport=envelope.original_dport,
                            payload=envelope.dns_reply)
-        # 7b: learn the peer PCE, complete the tuple, push to all ITRs.
+        # 7b: complete the tuple and push it to all ITRs.
         mapping = envelope.mapping
-        self.peer_pces[mapping.eid_prefix] = envelope.pce_address
         self.mapping_db[mapping.eid_prefix] = mapping
         source_eid, ingress_index = self._match_step1_decision(envelope.dns_reply.qname)
         annotated = mapping.with_source_rloc(self.site.rloc_of(ingress_index))
@@ -261,9 +237,6 @@ class Pce:
                                dst=self.site.xtr_control_address(b),
                                sport=PORT_MAPPING_PUSH, dport=PORT_MAPPING_PUSH,
                                payload=push)
-        self.stats.mappings_pushed += 1
-        if refresh:
-            self.stats.refresh_pushes += 1
         self.stats.push_timeline.append((self.sim.now,
                                          push.source_eid, mapping.eid_prefix))
         self.control_plane.set_egress_route(self.site, mapping.eid_prefix, egress_index)
@@ -310,7 +283,6 @@ class Pce:
 
     def learn_reverse_mapping(self, mapping):
         """ETR multicast reached the PCE database (closing paragraph, (iii))."""
-        self.stats.reverse_mappings_learned += 1
         self.mapping_db[mapping.eid_prefix] = mapping
         self.sim.trace.record(self.sim.now, self.node.name, "pce.reverse-learned",
                               prefix=str(mapping.eid_prefix))
@@ -327,11 +299,10 @@ class Pce:
 
     def snapshot_state(self):
         return (self.stats.snapshot_state(), dict(self.pending_ingress),
-                dict(self.mapping_db), dict(self.peer_pces))
+                dict(self.mapping_db))
 
     def restore_state(self, state):
-        stats_state, pending, mapping_db, peer_pces = state
+        stats_state, pending, mapping_db = state
         self.stats.restore_state(stats_state)
         self.pending_ingress = dict(pending)
         self.mapping_db = dict(mapping_db)
-        self.peer_pces = dict(peer_pces)

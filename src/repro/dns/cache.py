@@ -12,9 +12,8 @@ class TtlCache:
     Contract notes:
 
     - ``put`` with a TTL that is not ``> 0`` (zero, negative or NaN)
-      REJECTS the entry: any existing entry for the key is invalidated,
-      ``rejected_puts`` is incremented and a ``cache.put-rejected`` trace
-      event is recorded.  It returns False.  An infinite TTL never expires.
+      REJECTS the entry: any existing entry for the key is invalidated
+      and a ``cache.put-rejected`` trace event is recorded.  It returns False.  An infinite TTL never expires.
     - ``len(cache)`` is exact: it compacts first, so dead entries are both
       freed and never counted.
     """
@@ -29,9 +28,6 @@ class TtlCache:
         self._next_compact = self.COMPACT_THRESHOLD
         self.hits = 0
         self.misses = 0
-        self.expirations = 0
-        self.insertions = 0
-        self.rejected_puts = 0
 
     def put(self, key, value, ttl):
         """Store *value* for *ttl* seconds of simulated time.
@@ -42,12 +38,10 @@ class TtlCache:
         """
         if not ttl > 0:  # NaN compares false both ways: it lands here too
             self._entries.pop(key, None)
-            self.rejected_puts += 1
             self.sim.trace.record(self.sim.now, self.name, "cache.put-rejected",
                                   key=str(key), ttl=ttl)
             return False
         self._entries[key] = (self.sim.now + ttl, value)
-        self.insertions += 1
         if len(self._entries) >= self._next_compact:
             self.compact()
             # Back off so compaction stays amortized O(1) per insertion.
@@ -64,7 +58,6 @@ class TtlCache:
         expires, value = entry
         if expires <= self.sim.now:
             del self._entries[key]
-            self.expirations += 1
             self.misses += 1
             return None
         self.hits += 1
@@ -87,7 +80,6 @@ class TtlCache:
                 if expires <= now]
         for key in dead:
             del self._entries[key]
-        self.expirations += len(dead)
         return len(dead)
 
     def clear(self):
@@ -102,10 +94,8 @@ class TtlCache:
 
     def snapshot_state(self):
         return (dict(self._entries), self._next_compact, self.hits,
-                self.misses, self.expirations, self.insertions,
-                self.rejected_puts)
+                self.misses)
 
     def restore_state(self, state):
-        (entries, self._next_compact, self.hits, self.misses,
-         self.expirations, self.insertions, self.rejected_puts) = state
+        entries, self._next_compact, self.hits, self.misses = state
         self._entries = dict(entries)

@@ -42,9 +42,6 @@ class RecursiveResolver(Journaled):
         self.negative_cache = TtlCache(sim, name=f"{node.name}-dns-negative")
         self.referral_cache = TtlCache(sim, name=f"{node.name}-dns-referrals")
         self.query_listeners = []
-        self.recursive_queries = 0
-        self.upstream_queries = 0
-        self.coalesced_queries = 0
         self._in_flight = {}
         self._ident = 1
         node.bind_udp(DNS_PORT, self._on_datagram)
@@ -80,9 +77,6 @@ class RecursiveResolver(Journaled):
         self._reply_to(packet, reply)
 
     def _serve_recursive(self, query, packet):
-        if self._journal is not None:
-            self._touch()
-        self.recursive_queries += 1
         for listener in self.query_listeners:
             listener(client=packet.ip.src, qname=query.question.qname, time=self.sim.now)
 
@@ -112,8 +106,7 @@ class RecursiveResolver(Journaled):
             "negative": self.negative_cache.snapshot_state(),
             "referral": self.referral_cache.snapshot_state(),
             "listeners": list(self.query_listeners),
-            "counters": (self.recursive_queries, self.upstream_queries,
-                         self.coalesced_queries, self._ident),
+            "ident": self._ident,
         }
 
     def restore_state(self, state):
@@ -121,8 +114,7 @@ class RecursiveResolver(Journaled):
         self.negative_cache.restore_state(state["negative"])
         self.referral_cache.restore_state(state["referral"])
         self.query_listeners = list(state["listeners"])
-        (self.recursive_queries, self.upstream_queries,
-         self.coalesced_queries, self._ident) = state["counters"]
+        self._ident = state["ident"]
         self._in_flight.clear()
 
     # ------------------------------------------------------------------ #
@@ -157,14 +149,13 @@ class RecursiveResolver(Journaled):
         cached for :data:`NEGATIVE_TTL`.  The message's ``answers``/``rcode``
         reflect the outcome; SERVFAIL is used for loops and timeouts.
         """
-        # Counters, ident, caches and the in-flight table all move below.
+        # Ident, caches and the in-flight table all move below.
         if self._journal is not None:
             self._touch()
         key = (qname, qtype)
         if _depth == 0 and key in self._in_flight:
             # The leader leaves the table in its first callback, so a
             # leader still in it has not run its callbacks: ours will.
-            self.coalesced_queries += 1
             follower = self.sim.event()
             self._in_flight[key].callbacks.append(
                 lambda leader: follower.succeed(leader.value.copy()))
@@ -223,7 +214,6 @@ class _Walk(Event):
         resolver = self.resolver
         query = make_query(resolver._next_ident(), self.qname, self.qtype)
         self.socket = resolver.node.open_udp()
-        resolver.upstream_queries += 1
         request = self.socket.request(self.servers[0], DNS_PORT, payload=query)
         request.callbacks.append(self._answered)
 

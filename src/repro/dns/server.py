@@ -20,7 +20,6 @@ class AuthoritativeServer:
         self.sim = sim
         self.node = node
         self.zone = zone
-        self.queries_served = 0
         node.bind_udp(DNS_PORT, self._on_datagram)
         node.register_service("dns-auth", self)
 
@@ -30,7 +29,6 @@ class AuthoritativeServer:
             return
         if not query.is_query or query.question is None:
             return
-        self.queries_served += 1
         reply = self.answer(query)
         client = packet.ip.src
         client_port = packet.udp.sport
@@ -40,16 +38,6 @@ class AuthoritativeServer:
                                dport=client_port, payload=reply)
 
         self.sim.call_in(PROCESSING_DELAY, respond)
-
-    #: Construction-time wiring: the zone is immutable data, the node and
-    #: sim are independently checkpointed.
-    _SNAPSHOT_EXEMPT = ("sim", "node", "zone")
-
-    def snapshot_state(self):
-        return self.queries_served
-
-    def restore_state(self, state):
-        self.queries_served = state
 
     def answer(self, query):
         """Build the authoritative reply for *query* (pure function of zone)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from repro.core.control_plane import deploy_pce_control_plane
+from repro.core.control_plane import PceControlPlane
 from repro.core.irc import POLICIES as IRC_POLICIES
 from repro.dns.hierarchy import install_dns
 from repro.dns.records import check_ttl
@@ -352,10 +352,6 @@ class Scenario:
         yield sim.trace
         yield self.flow_ids
         yield self.fluid_pump
-        dns = self.dns
-        yield dns.root_server
-        yield dns.tld_server
-        yield from dns.level_servers
         if self.control_plane is not None:
             # Covers its PCEs, IRC engines, RLOC probers, registry and miss
             # policy — per-site members restored through this one entry.
@@ -416,7 +412,7 @@ def build_scenario(config):
     scenario = Scenario(config=config, sim=sim, topology=topology, dns=dns)
 
     if config.control_plane == "pce":
-        scenario.control_plane = deploy_pce_control_plane(
+        scenario.control_plane = PceControlPlane(
             sim, topology, dns, irc_policy=config.irc_policy,
             precompute=config.precompute, computation_delay=config.computation_delay,
             mapping_ttl=config.mapping_ttl, enable_probing=config.enable_probing,

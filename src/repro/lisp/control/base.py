@@ -19,8 +19,8 @@ class ControlStats:
         self.messages = 0
         self.bytes = 0
         self.by_type = defaultdict(int)
-        self.resolutions = 0
-        self.resolution_failures = 0
+        #: Seconds each answered resolution took; the xTRs count the
+        #: resolutions started and failed.
         self.resolution_latencies = []
 
     def count(self, message_type, size_bytes):
@@ -28,21 +28,12 @@ class ControlStats:
         self.bytes += size_bytes
         self.by_type[message_type] += 1
 
-    def record_resolution(self, latency, ok=True):
-        self.resolutions += 1
-        if ok:
-            self.resolution_latencies.append(latency)
-        else:
-            self.resolution_failures += 1
-
     def snapshot_state(self):
         return (self.messages, self.bytes, state_copy(self.by_type),
-                self.resolutions, self.resolution_failures,
                 list(self.resolution_latencies))
 
     def restore_state(self, state):
-        (self.messages, self.bytes, by_type, self.resolutions,
-         self.resolution_failures, latencies) = state
+        self.messages, self.bytes, by_type, latencies = state
         self.by_type = state_copy(by_type)
         self.resolution_latencies = list(latencies)
 
@@ -126,10 +117,9 @@ class MappingSystem:
         The calling xTR appends its callback right away, so the event must
         not have been processed yet: a fresh one, succeeded or pending.
         This base has no request path — NERD's case: the database lacks
-        the EID — so it records a failed resolution and answers None at
-        once.  Systems that ask over the network override it.
+        the EID — so it answers None at once.  Systems that ask over the
+        network override it.
         """
-        self.stats.record_resolution(0.0, ok=False)
         return self.sim.event().succeed(None)
 
     def carry_data(self, xtr, packet, eid):
@@ -206,12 +196,11 @@ class _MapRequestLoop(Event):
     def _outcome(self, waiter):
         system = self.system
         if waiter.value is not EXPIRED:
-            system.stats.record_resolution(self.sim.now - self.started, ok=True)
+            system.stats.resolution_latencies.append(self.sim.now - self.started)
             self.succeed(waiter.value)
             return
         system._pending.pop(self.nonce, None)
         if self.attempts:
             self._attempt()
             return
-        system.stats.record_resolution(self.sim.now - self.started, ok=False)
         self.succeed(None)

@@ -84,7 +84,6 @@ class ConsMappingSystem(MappingSystem):
         self._car_of_site = {}
         self._xtr_of_node = {}
         self._cdr_count = 0
-        self.tree_depth = 0
 
     def register_site(self, site, mapping):
         super().register_site(site, mapping)
@@ -134,7 +133,6 @@ class ConsMappingSystem(MappingSystem):
             # than that simply runs on into the following /24s.
             block += -(-(10 + len(next_level)) // 256) * 256
             level = next_level
-        self.tree_depth = depth
         self.topology.install_global_routes()
 
     def _covers(self, tree_node, eid):

@@ -41,17 +41,15 @@ class NerdMappingSystem(MappingSystem):
     """
 
     name = "nerd"
-    _state_attrs = ("version", "pushes_sent", "_installed_versions")
+    _state_attrs = ("version",)
 
     def __init__(self, sim, topology):
         super().__init__(sim)
         self.topology = topology
         self.version = 0
-        self.pushes_sent = 0
         self.authority = topology.attach_infra_host(
             AUTHORITY_PROVIDER, "nerd-authority", AUTHORITY_ADDRESS)
         topology.install_global_routes()
-        self._installed_versions = {}
 
     def attach_xtr(self, xtr):
         super().attach_xtr(xtr)
@@ -64,7 +62,6 @@ class NerdMappingSystem(MappingSystem):
                                 mappings=tuple(self.registry.all_mappings()))
         for xtr in self.xtrs:
             self.stats.count("db-push-full", message.size_bytes)
-            self.pushes_sent += 1
             self.authority.send_udp(src=AUTHORITY_ADDRESS,
                                     dst=xtr.site.xtr_control_address(
                                         xtr.site.xtrs.index(xtr.node)),
@@ -81,7 +78,6 @@ class NerdMappingSystem(MappingSystem):
             if mapping.eid_prefix == xtr.site.eid_prefix:
                 continue  # own site: no tunnel needed
             xtr.install_mapping(mapping, origin="nerd-db", ttl=float("inf"))
-        self._installed_versions[node.name] = message.version
 
     def state_entries_per_router(self):
         # Every xTR holds the full database (minus its own prefix).

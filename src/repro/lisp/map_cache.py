@@ -10,13 +10,11 @@ from repro.net.fib import Fib, FibEntry
 
 
 class _CacheSlot:
-    __slots__ = ("mapping", "expires", "installed_at", "origin")
+    __slots__ = ("mapping", "expires")
 
-    def __init__(self, mapping, expires, installed_at, origin):
+    def __init__(self, mapping, expires):
         self.mapping = mapping
         self.expires = expires
-        self.installed_at = installed_at
-        self.origin = origin
 
 
 class MapCache:
@@ -38,9 +36,8 @@ class MapCache:
         self.hits = 0
         self.misses = 0
         self.expirations = 0
-        self.installs = 0
 
-    def install(self, mapping, origin="resolved", ttl=None):
+    def install(self, mapping, ttl=None):
         """Insert/refresh *mapping*; returns the effective TTL used.
 
         TTL precedence: explicit *ttl* argument, then the cache-wide
@@ -52,9 +49,8 @@ class MapCache:
             owner._touch()
         if ttl is None:
             ttl = self.ttl_override if self.ttl_override is not None else mapping.ttl
-        slot = _CacheSlot(mapping, self.sim.now + ttl, self.sim.now, origin)
+        slot = _CacheSlot(mapping, self.sim.now + ttl)
         self._fib.insert(FibEntry(mapping.eid_prefix, slot))
-        self.installs += 1
         return ttl
 
     def lookup(self, eid):
@@ -109,8 +105,8 @@ class MapCache:
 
     def snapshot_state(self):
         return (self._fib.snapshot_state(), self.hits, self.misses,
-                self.expirations, self.installs)
+                self.expirations)
 
     def restore_state(self, state):
-        fib_state, self.hits, self.misses, self.expirations, self.installs = state
+        fib_state, self.hits, self.misses, self.expirations = state
         self._fib.restore_state(fib_state)

@@ -9,8 +9,8 @@ These are the behaviours the paper's §1 criticises:
   plane to transport data": ship the packet along the mapping-resolution
   path, with its extra latency, so it is not lost but loads the CP.
 
-Each policy records per-packet fates so experiment E1 can report drops,
-queue delays and CP-carried bytes.
+Each policy marks per-packet fates so experiment E1 can report drops,
+queue delays and CP-carried packets.
 """
 
 #: Packets :class:`QueuePolicy` buffers per (ITR, EID) before dropping.
@@ -18,32 +18,22 @@ MAX_QUEUE = 8
 
 
 class MissPolicyStats:
-    __slots__ = ("dropped", "queued", "flushed", "queue_overflow", "cp_carried",
-                 "cp_bytes", "queue_delays")
+    __slots__ = ("dropped", "queue_delays")
 
     def __init__(self):
         self.dropped = 0
-        self.queued = 0
-        self.flushed = 0
-        self.queue_overflow = 0
-        self.cp_carried = 0
-        self.cp_bytes = 0
         self.queue_delays = []
 
     def snapshot_state(self):
-        return (self.dropped, self.queued, self.flushed, self.queue_overflow,
-                self.cp_carried, self.cp_bytes, list(self.queue_delays))
+        return (self.dropped, list(self.queue_delays))
 
     def restore_state(self, state):
-        (self.dropped, self.queued, self.flushed, self.queue_overflow,
-         self.cp_carried, self.cp_bytes, delays) = state
+        self.dropped, delays = state
         self.queue_delays = list(delays)
 
 
-class DropPolicy:
-    """Drop packets that miss the cache (draft default)."""
-
-    name = "drop"
+class MissPolicy:
+    """What the policies share: the sim, their stats and its checkpoint."""
 
     #: The owning sim checkpoints itself.
     _SNAPSHOT_EXEMPT = ("sim",)
@@ -51,12 +41,6 @@ class DropPolicy:
     def __init__(self, sim):
         self.sim = sim
         self.stats = MissPolicyStats()
-
-    def on_miss(self, xtr, packet, eid):
-        self.stats.dropped += 1
-        mark_fate(packet, "dropped-at-itr")
-        self.sim.trace.record(self.sim.now, xtr.node.name, "itr.miss-drop",
-                              eid=str(eid), uid=packet.uid)
 
     def on_resolved(self, xtr, eid, mapping):
         """Nothing buffered, nothing to do."""
@@ -68,29 +52,35 @@ class DropPolicy:
         self.stats.restore_state(state)
 
 
-class QueuePolicy:
+class DropPolicy(MissPolicy):
+    """Drop packets that miss the cache (draft default)."""
+
+    name = "drop"
+
+    def on_miss(self, xtr, packet, eid):
+        self.stats.dropped += 1
+        mark_fate(packet, "dropped-at-itr")
+        self.sim.trace.record(self.sim.now, xtr.node.name, "itr.miss-drop",
+                              eid=str(eid), uid=packet.uid)
+
+
+class QueuePolicy(MissPolicy):
     """Buffer packets per-EID until the mapping resolves (bounded by
     :data:`MAX_QUEUE`)."""
 
     name = "queue"
 
-    #: The owning sim checkpoints itself.
-    _SNAPSHOT_EXEMPT = ("sim",)
-
     def __init__(self, sim):
-        self.sim = sim
-        self.stats = MissPolicyStats()
+        super().__init__(sim)
         self._buffers = {}
 
     def on_miss(self, xtr, packet, eid):
         buffer = self._buffers.setdefault((xtr.node.name, int(eid)), [])
         if len(buffer) >= MAX_QUEUE:
-            self.stats.queue_overflow += 1
             self.stats.dropped += 1
             mark_fate(packet, "dropped-queue-overflow")
             return
         buffer.append((self.sim.now, packet))
-        self.stats.queued += 1
         mark_fate(packet, "queued-at-itr")
 
     def on_resolved(self, xtr, eid, mapping):
@@ -100,20 +90,16 @@ class QueuePolicy:
                     if key[0] == xtr.node.name and mapping.eid_prefix.contains(key[1])]
         for key in matching:
             for queued_at, packet in self._buffers.pop(key):
-                self.stats.flushed += 1
                 self.stats.queue_delays.append(self.sim.now - queued_at)
                 mark_fate(packet, "flushed-after-queue")
                 xtr.encapsulate_and_send(packet, mapping)
 
-    def snapshot_state(self):
-        return self.stats.snapshot_state()
-
     def restore_state(self, state):
-        self.stats.restore_state(state)
+        super().restore_state(state)
         self._buffers.clear()
 
 
-class CpDataPolicy:
+class CpDataPolicy(MissPolicy):
     """Carry missing-mapping packets over the control plane.
 
     The packet is handed to the mapping system's data-forwarding path,
@@ -123,32 +109,14 @@ class CpDataPolicy:
 
     name = "cp-data"
 
-    #: The owning sim checkpoints itself.
-    _SNAPSHOT_EXEMPT = ("sim",)
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.stats = MissPolicyStats()
-
     def on_miss(self, xtr, packet, eid):
         carried = xtr.mapping_system is not None and \
             xtr.mapping_system.carry_data(xtr, packet, eid)
         if carried:
-            self.stats.cp_carried += 1
-            self.stats.cp_bytes += packet.size_bytes
             mark_fate(packet, "carried-over-cp")
         else:
             self.stats.dropped += 1
             mark_fate(packet, "dropped-at-itr")
-
-    def on_resolved(self, xtr, eid, mapping):
-        """Packets already forwarded over the CP; nothing buffered."""
-
-    def snapshot_state(self):
-        return self.stats.snapshot_state()
-
-    def restore_state(self, state):
-        self.stats.restore_state(state)
 
 
 def mark_fate(packet, fate):

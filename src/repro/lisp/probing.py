@@ -56,11 +56,6 @@ class RlocProber:
         self.period = period
         self.timeout = timeout
         self.down = set()
-        self.probes_sent = 0
-        self.replies_received = 0
-        self.transitions = []           # (time, rloc, "down"|"up")
-        self.on_down = []
-        self.on_up = []
         self._consecutive_misses = {}
         self._pending = {}
         self._nonce = 0
@@ -102,7 +97,6 @@ class RlocProber:
         self._nonce += 1
         nonce = self._nonce
         waiter = self._pending[nonce] = self.sim.event()
-        self.probes_sent += 1
         self.xtr.node.send_udp(src=self.xtr.rloc, dst=address, sport=PROBE_PORT,
                                dport=PROBE_PORT, payload=RlocProbe(nonce=nonce))
         waiter.expire_in(self.timeout).callbacks.append(
@@ -120,11 +114,8 @@ class RlocProber:
         self._consecutive_misses[address] = 0
         if address in self.down:
             self.down.discard(address)
-            self.transitions.append((self.sim.now, address, "up"))
             self.sim.trace.record(self.sim.now, self.xtr.node.name, "probe.rloc-up",
                                   rloc=str(address))
-            for callback in self.on_up:
-                callback(address)
 
     def _mark_missed(self, address):
         address = IPv4Address(address)
@@ -132,11 +123,8 @@ class RlocProber:
         self._consecutive_misses[address] = misses
         if misses >= FAIL_THRESHOLD and address not in self.down:
             self.down.add(address)
-            self.transitions.append((self.sim.now, address, "down"))
             self.sim.trace.record(self.sim.now, self.xtr.node.name, "probe.rloc-down",
                                   rloc=str(address))
-            for callback in self.on_down:
-                callback(address)
 
     def _on_probe(self, packet, node):
         message = packet.payload
@@ -145,7 +133,6 @@ class RlocProber:
         if message.is_reply:
             waiter = self._pending.pop(message.nonce, None)
             if waiter is not None and not waiter.triggered:
-                self.replies_received += 1
                 waiter.succeed(packet.ip.src)
             return
         reply = RlocProbe(nonce=message.nonce, is_reply=True)
@@ -163,7 +150,7 @@ class RlocProber:
     _SNAPSHOT_EXEMPT = ("sim", "xtr", "period", "timeout", "_task")
 
     def snapshot_state(self):
-        """Liveness verdicts, miss counters, nonce and transition listeners.
+        """Liveness verdicts, miss counters and the nonce.
 
         The periodic tick itself (armed / next-fire time) is engine state,
         captured by the simulator's own checkpoint.  In-flight probes hold
@@ -175,18 +162,10 @@ class RlocProber:
                 f"cannot checkpoint prober {self.xtr.node.name} with "
                 f"{len(self._pending)} in-flight probes")
         return (frozenset(self.down), dict(self._consecutive_misses),
-                self._nonce, self.probes_sent, self.replies_received,
-                tuple(self.transitions), list(self.on_down), list(self.on_up))
+                self._nonce)
 
     def restore_state(self, state):
-        (down, misses, nonce, sent, received, transitions,
-         on_down, on_up) = state
+        down, misses, self._nonce = state
         self.down = set(down)
         self._consecutive_misses = dict(misses)
-        self._nonce = nonce
-        self.probes_sent = sent
-        self.replies_received = received
-        self.transitions = list(transitions)
-        self.on_down = list(on_down)
-        self.on_up = list(on_up)
         self._pending = {}

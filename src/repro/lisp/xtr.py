@@ -49,7 +49,6 @@ class TunnelRouter(Journaled):
         self.encapsulated = 0
         self.decapsulated = 0
         self.no_rloc_drops = 0
-        self.misdelivered = 0
         self.resolutions_started = 0
         self.resolutions_failed = 0
         self._pending = {}
@@ -148,7 +147,7 @@ class TunnelRouter(Journaled):
         if mapping is None:
             self.resolutions_failed += 1
             return
-        self.map_cache.install(mapping, origin="resolved")
+        self.map_cache.install(mapping)
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.node.name,
                                   "itr.mapping-resolved", eid=str(eid),
@@ -157,7 +156,7 @@ class TunnelRouter(Journaled):
 
     def install_mapping(self, mapping, origin="pushed", ttl=None):
         """Install a mapping delivered by push (PCE Step 7b, NERD database)."""
-        self.map_cache.install(mapping, origin=origin, ttl=ttl)
+        self.map_cache.install(mapping, ttl=ttl)
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.node.name,
                                   "itr.mapping-installed",
@@ -178,7 +177,6 @@ class TunnelRouter(Journaled):
         self.decapsulated += 1
         destination = inner.ip.dst
         if not self.site.eid_prefix.contains(destination):
-            self.misdelivered += 1
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.node.name,
                                       "etr.misdelivered", dst=str(destination),
@@ -194,7 +192,7 @@ class TunnelRouter(Journaled):
         if self.gleaning and EID_SPACE.contains(inner_source) \
                 and self.map_cache.peek(inner_source) is None:
             gleaned = _gleaned_mapping(inner_source, outer_ip.src)
-            self.map_cache.install(gleaned, origin="gleaned", ttl=GLEANING_TTL)
+            self.map_cache.install(gleaned, ttl=GLEANING_TTL)
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.node.name, "etr.gleaned",
                                       eid=str(inner_source), rloc=str(outer_ip.src))
@@ -224,8 +222,8 @@ class TunnelRouter(Journaled):
         return {
             "map_cache": self.map_cache.snapshot_state(),
             "counters": (self.encapsulated, self.decapsulated,
-                         self.no_rloc_drops, self.misdelivered,
-                         self.resolutions_started, self.resolutions_failed),
+                         self.no_rloc_drops, self.resolutions_started,
+                         self.resolutions_failed),
             "seen": set(self._seen_inner_sources),
             "listeners": list(self.decap_listeners),
             "rloc_liveness": self.rloc_liveness,
@@ -234,8 +232,7 @@ class TunnelRouter(Journaled):
     def restore_state(self, state):
         self.map_cache.restore_state(state["map_cache"])
         (self.encapsulated, self.decapsulated, self.no_rloc_drops,
-         self.misdelivered, self.resolutions_started,
-         self.resolutions_failed) = state["counters"]
+         self.resolutions_started, self.resolutions_failed) = state["counters"]
         self._seen_inner_sources = set(state["seen"])
         self.decap_listeners = list(state["listeners"])
         self.rloc_liveness = state["rloc_liveness"]

@@ -155,11 +155,6 @@ class IPv4Prefix:
         return self._length
 
     @property
-    def mask(self):
-        """The netmask as a 32-bit integer."""
-        return self._mask_for(self._length)
-
-    @property
     def num_addresses(self):
         """Number of addresses covered."""
         return 1 << (32 - self._length)

@@ -90,14 +90,6 @@ class Host(Node):
         """The host's primary address."""
         return self._address if self._address is not None else self.primary_address()
 
-    @address.setter
-    def address(self, value):
-        if self._journal is not None:
-            self._touch()
-        self._address = IPv4Address(value)
-        self.add_address(self._address)
-
-    _counter_attrs = (*Node._counter_attrs, "_next_ephemeral")
 
     def ephemeral_port(self):
         """Allocate the next ephemeral port (wraps within the IANA range)."""
@@ -112,3 +104,13 @@ class Host(Node):
     def open_udp(self):
         """Open a UDP socket on the next ephemeral port."""
         return UdpSocket(self, self.ephemeral_port())
+
+    #: Set once at construction (its address is among the node's wiring).
+    _SNAPSHOT_EXEMPT = ("_address",)
+
+    def snapshot_state(self):
+        return (super().snapshot_state(), self._next_ephemeral)
+
+    def restore_state(self, state):
+        node_state, self._next_ephemeral = state
+        super().restore_state(node_state)

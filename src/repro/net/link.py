@@ -27,8 +27,8 @@ packet, so LISP encapsulation is transparent) are additionally accounted
 per flow in :attr:`LinkStats.flows`, which is what the sweep's
 byte-conservation columns and the TE experiments' data-plane load shares
 read.  Transmitter busy time and offered bytes are also bucketed into
-fixed-width utilization windows (:meth:`LinkStats.utilization_series`), the
-per-link load signal behind E4's utilization report.
+fixed-width utilization windows (:attr:`LinkStats.windows`), the per-link
+load signal behind E4's utilization report and the IRC's byte counts.
 
 A world holds many links and a run crosses few of them, so a link starts on
 the shared, read-only :data:`IDLE_STATS` and gets a ledger of its own from
@@ -58,7 +58,7 @@ QUEUE_CAPACITY = 1000
 WINDOW_WIDTH = 1.0
 
 def _empty_window():
-    """Fresh utilization-window cell (module-level so worlds stay picklable)."""
+    """Fresh utilization-window cell: ``[busy_seconds, bytes]``."""
     return [0.0, 0]
 
 
@@ -90,21 +90,16 @@ class LinkStats:
 
     Transmitter busy time and offered bytes are bucketed into fixed
     simulated-time windows (index ``int(now / WINDOW_WIDTH)``), kept sparse
-    in :attr:`windows` as ``index -> [busy_seconds, bytes]``.
+    in :attr:`windows` as ``index -> [busy_seconds, bytes]``: the link's
+    busy time and transmitted bytes are the windows' sums.
     """
 
-    __slots__ = ("tx_packets", "tx_bytes", "fluid_bytes", "drops", "max_queue",
-                 "busy_time", "bytes_offered", "bytes_delivered",
+    __slots__ = ("fluid_bytes", "bytes_offered", "bytes_delivered",
                  "bytes_dropped", "flows", "windows")
 
     def __init__(self):
-        self.tx_packets = 0
-        self.tx_bytes = 0
-        #: Subset of ``tx_bytes`` that crossed the link as fluid chunks.
+        #: Subset of :attr:`tx_bytes` that crossed the link as fluid chunks.
         self.fluid_bytes = 0
-        self.drops = 0
-        self.max_queue = 0
-        self.busy_time = 0.0
         self.bytes_offered = 0
         self.bytes_delivered = 0
         self.bytes_dropped = 0
@@ -123,11 +118,11 @@ class LinkStats:
         """
         return self.bytes_offered - self.bytes_delivered - self.bytes_dropped
 
-    def utilization(self, elapsed):
-        """Fraction of *elapsed* time the transmitter was busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
+    @property
+    def tx_bytes(self):
+        """Bytes the transmitter sent, packets and fluid chunks alike."""
+        return sum(volume  # repro: allow=DET03  (byte counts: ints)
+                   for _busy, volume in self.windows.values())
 
     # ------------------------------------------------------------------ #
     # Byte accounting (the offered/delivered/dropped ledgers are updated
@@ -166,7 +161,7 @@ class LinkStats:
         seconds already booked by packets and earlier fluid chunks).  The
         grant is clipped to the chunk's own dwell time in the window, so a
         chunk can never claim transmitter seconds outside its interval.
-        Granted bytes accrue busy time, window volume, ``tx_bytes`` and
+        Granted bytes accrue window busy time and volume and
         ``fluid_bytes`` exactly as packet serialisation would; the
         shortfall is returned to the caller to record as dropped.
 
@@ -182,7 +177,6 @@ class LinkStats:
         width = WINDOW_WIDTH
         if rate_bps is None:
             windows[int(start / width)][1] += size
-            self.tx_bytes += size
             self.fluid_bytes += size
             return size
         byte_time = 8.0 / rate_bps
@@ -205,8 +199,6 @@ class LinkStats:
                     busy = grant * byte_time
                     window[0] += busy
                     window[1] += grant
-                    self.busy_time += busy
-                    self.tx_bytes += grant
                     self.fluid_bytes += grant
                     remaining -= grant
             position = boundary
@@ -247,8 +239,7 @@ class LinkStats:
     # ------------------------------------------------------------------ #
 
     def snapshot_state(self):
-        return (self.tx_packets, self.tx_bytes, self.fluid_bytes, self.drops,
-                self.max_queue, self.busy_time, self.bytes_offered,
+        return (self.fluid_bytes, self.bytes_offered,
                 self.bytes_delivered, self.bytes_dropped,
                 {flow_id: account.as_tuple()
                  for flow_id, account in self.flows.items()},
@@ -256,9 +247,8 @@ class LinkStats:
                  for index, (busy, volume) in self.windows.items()})
 
     def restore_state(self, state):
-        (self.tx_packets, self.tx_bytes, self.fluid_bytes, self.drops,
-         self.max_queue, self.busy_time, self.bytes_offered,
-         self.bytes_delivered, self.bytes_dropped, flows, windows) = state
+        (self.fluid_bytes, self.bytes_offered, self.bytes_delivered,
+         self.bytes_dropped, flows, windows) = state
         self.flows = defaultdict(FlowAccount)
         for flow_id, counts in flows.items():
             account = self.flows[flow_id]
@@ -365,8 +355,6 @@ class Link(Journaled):
             # Zero serialisation time: nothing to wait behind, so book the
             # transmission (volume only, no busy seconds) and let
             # propagation start now.
-            stats.tx_packets += 1
-            stats.tx_bytes += size
             stats.windows[int(self.sim.now / WINDOW_WIDTH)][1] += size
             self.sim.call_in(self.delay, self._deliver, packet, size, flow_id, probe)
             return True
@@ -380,13 +368,10 @@ class Link(Journaled):
                                   uid=packet.uid)
             return False
         queue.append((packet, size, flow_id, probe))
-        if len(queue) > stats.max_queue:
-            stats.max_queue = len(queue)
         return True
 
     def _drop(self, size, flow_id):
         stats = self.stats
-        stats.drops += 1
         stats.bytes_dropped += size
         if flow_id is not None:
             stats.flows[flow_id].dropped += size
@@ -395,11 +380,7 @@ class Link(Journaled):
         # Rated links only: send() delivers straight from a rate-less one.
         self._busy = True  # repro: allow=SNAP03  (send() touched)
         tx_time = size * 8.0 / self.rate_bps
-        stats = self.stats
-        stats.busy_time += tx_time
-        stats.tx_packets += 1
-        stats.tx_bytes += size
-        stats.account_transmission(self.sim.now, tx_time, size)
+        self.stats.account_transmission(self.sim.now, tx_time, size)
         self.sim.call_in(tx_time, self._transmission_done, packet, size, flow_id, probe)
 
     def _transmission_done(self, packet, size, flow_id, probe):
@@ -453,7 +434,6 @@ class Link(Journaled):
             # from book_fluid — this is the megaflow hot path).
             delivered = size
             stats.windows[int(self.sim.now / WINDOW_WIDTH)][1] += size
-            stats.tx_bytes += size
             stats.fluid_bytes += size
         else:
             delivered = stats.book_fluid(self.sim.now, duration, size,

@@ -43,11 +43,6 @@ class Interface:
     def attach_link(self, link):
         self.link = link
 
-    @property
-    def peer(self):
-        """The interface at the other end of the attached link."""
-        return self.link.dst_interface if self.link is not None else None
-
     def __str__(self):
         return self.name
 
@@ -63,8 +58,7 @@ class Node(Journaled):
 
     __slots__ = ("sim", "name", "interfaces", "fib", "extra_addresses",
                  "_local_values", "services", "_proto_handlers", "_udp_ports",
-                 "forward_taps", "_wiring_version", "rx_packets", "tx_packets",
-                 "dropped_packets", "_journal")
+                 "forward_taps", "_journal")
 
     def __init__(self, sim, name):
         self.sim = sim
@@ -80,14 +74,6 @@ class Node(Journaled):
         self._proto_handlers = _NOTHING
         self._udp_ports = _NOTHING
         self.forward_taps = ()
-        #: Bumped by every registration method below; lets the restore of
-        #: a dirty node reset only its counters when its addresses,
-        #: services, handlers and taps never moved (the usual case: a
-        #: node a packet merely crossed).
-        self._wiring_version = 0
-        self.rx_packets = 0
-        self.tx_packets = 0
-        self.dropped_packets = 0
         self._journal = None
 
     def __str__(self):
@@ -122,7 +108,6 @@ class Node(Journaled):
         if address not in self.extra_addresses:
             self.extra_addresses += (address,)
         self._add_local_value(address._value)
-        self._wiring_version += 1
 
     def addresses(self):
         """All addresses considered local to this node."""
@@ -155,7 +140,6 @@ class Node(Journaled):
         if self.services is _NOTHING:
             self.services = {}
         self.services[name] = service
-        self._wiring_version += 1
         return service
 
     def register_protocol(self, proto, handler):
@@ -165,7 +149,6 @@ class Node(Journaled):
         if self._proto_handlers is _NOTHING:
             self._proto_handlers = {}
         self._proto_handlers[proto] = handler
-        self._wiring_version += 1
 
     def bind_udp(self, port, handler):
         """Handle locally-delivered UDP datagrams to *port*.
@@ -179,14 +162,12 @@ class Node(Journaled):
         if self._udp_ports is _NOTHING:
             self._udp_ports = {}
         self._udp_ports[port] = handler
-        self._wiring_version += 1
 
     def unbind_udp(self, port):
         if self._journal is not None:
             self._touch()
         if self._udp_ports is not _NOTHING:
             self._udp_ports.pop(port, None)
-        self._wiring_version += 1
 
     def add_forward_tap(self, tap):
         """Register *tap(packet, node) -> bool* run on forwarded packets.
@@ -198,20 +179,19 @@ class Node(Journaled):
         if self._journal is not None:
             self._touch()
         self.forward_taps += (tap,)
-        self._wiring_version += 1
 
     # ------------------------------------------------------------------ #
     # Receive path
     # ------------------------------------------------------------------ #
 
     def receive(self, packet):
-        """Entry point for packets arriving from a link (or injected)."""
-        if self._journal is not None:
-            self._touch()
-        self.rx_packets += 1
+        """Entry point for packets arriving from a link (or injected).
+
+        Receiving, delivering and forwarding change nothing a checkpoint
+        holds, so a packet crossing a node leaves it clean.
+        """
         ip = packet.ip
         if ip is None:
-            self.dropped_packets += 1
             return
         if self.is_local(ip.dst):
             self.deliver_local(packet)
@@ -231,18 +211,12 @@ class Node(Journaled):
         if handler is not None:
             handler(packet, self)
             return
-        if self._journal is not None:
-            self._touch()
-        self.dropped_packets += 1
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.name, "node.unclaimed",
                                   proto=ip.proto, dst=str(ip.dst), uid=packet.uid)
 
     def forward(self, packet):
         """Base nodes do not forward; see :class:`~repro.net.router.Router`."""
-        if self._journal is not None:
-            self._touch()
-        self.dropped_packets += 1
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.name, "node.no-forward",
                                   dst=str(packet.ip.dst), uid=packet.uid)
@@ -256,8 +230,6 @@ class Node(Journaled):
 
         Returns True if the packet was accepted by a link.
         """
-        if self._journal is not None:
-            self._touch()
         ip = packet.ip
         if ip is None:
             raise ValueError("packet has no IP header")
@@ -268,28 +240,20 @@ class Node(Journaled):
         try:
             entry = self.fib.lookup(ip.dst)
         except NoRouteError:
-            self.dropped_packets += 1
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.name, "node.no-route",
                                       dst=str(ip.dst), uid=packet.uid)
             return False
         interface = entry.interface
         if interface is None or interface.link is None:
-            self.dropped_packets += 1
             return False
-        self.tx_packets += 1
         return interface.link.send(packet)
 
     # ------------------------------------------------------------------ #
     # World-reuse checkpointing
     # ------------------------------------------------------------------ #
 
-    #: Plain numbers any run moves; always restored (subclasses extend).
-    _counter_attrs = ("rx_packets", "tx_packets", "dropped_packets")
-
-    #: What the registration methods mutate, stamped by ``_wiring_version``:
-    #: restored only when the stamp moved since the checkpoint.  A new
-    #: mutator of any of these must bump the stamp (after its ``_touch()``).
+    #: What the registration methods mutate.
     _wiring_attrs = ("extra_addresses", "services", "_proto_handlers",
                      "_udp_ports", "forward_taps")
 
@@ -301,21 +265,13 @@ class Node(Journaled):
 
     def snapshot_state(self):
         return {"fib": self.fib.snapshot_state(),
-                "counters": tuple(getattr(self, name)
-                                  for name in self._counter_attrs),
-                "wiring_version": self._wiring_version,
                 "wiring": snapshot_attrs(self, self._wiring_attrs)}
 
     def restore_state(self, state):
         self.fib.restore_state(state["fib"])
-        for name, value in zip(self._counter_attrs, state["counters"],
-                               strict=True):
-            setattr(self, name, value)
-        if self._wiring_version != state["wiring_version"]:
-            restore_attrs(self, state["wiring"])
-            self._local_values = tuple(sorted(address._value
-                                              for address in self.addresses()))
-            self._wiring_version = state["wiring_version"]
+        restore_attrs(self, state["wiring"])
+        self._local_values = tuple(sorted(address._value
+                                          for address in self.addresses()))
 
     def send_udp(self, src, dst, sport, dport, payload=None, payload_bytes=0, meta=None):
         """Build and send a UDP datagram from this node."""

@@ -15,10 +15,8 @@ class Router(Node):
     __slots__ = ()
 
     def forward(self, packet):
-        # Reached through Node.receive, which touched the journal.
         ip = packet.ip
         if ip.ttl <= 1:
-            self.dropped_packets += 1
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.name, "router.ttl-expired",
                                       dst=str(ip.dst), uid=packet.uid)
@@ -30,13 +28,10 @@ class Router(Node):
         try:
             entry = self.fib.lookup(ip.dst)
         except NoRouteError:
-            self.dropped_packets += 1
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.name, "router.no-route",
                                       dst=str(ip.dst), uid=packet.uid)
             return
         if entry.interface is None or entry.interface.link is None:
-            self.dropped_packets += 1
             return
-        self.tx_packets += 1
         entry.interface.link.send(packet)

@@ -10,7 +10,7 @@ for world reuse:
   snapshotted or restored.
 
 A periodic task instead keeps all of its timing state in plain attributes
-(``armed``, ``next_fire``, ``ticks``) and registers itself with the owning
+(``armed``, ``next_fire``) and registers itself with the owning
 :class:`~repro.sim.engine.Simulator`.  Its fires travel through the same
 (time, sequence)-ordered heap as ordinary events — so interleaving
 with normal work is deterministic — but they are tagged *background*: the
@@ -70,8 +70,8 @@ class PeriodicTask:
         Label for diagnostics and ``repr``.
     """
 
-    __slots__ = ("sim", "callback", "period", "name", "ticks", "armed",
-                 "next_fire", "_epoch", "_entry_sequence")
+    __slots__ = ("sim", "callback", "period", "name", "armed", "next_fire",
+                 "_epoch", "_entry_sequence")
 
     def __init__(self, sim, callback, period, name=None):
         if not period > 0:  # also refuses NaN, which compares false
@@ -80,7 +80,6 @@ class PeriodicTask:
         self.callback = callback
         self.period = period
         self.name = name or getattr(callback, "__name__", "periodic")
-        self.ticks = 0
         self.armed = False
         self.next_fire = None
         self._epoch = 0
@@ -114,7 +113,6 @@ class PeriodicTask:
 
     def _fire(self):
         """One tick: re-arm first (so the callback may stop()), then run."""
-        self.ticks += 1
         self.armed = False
         self._arm(self.next_fire + self.period)
         self.callback()
@@ -127,16 +125,16 @@ class PeriodicTask:
     _SNAPSHOT_EXEMPT = ("sim", "callback", "period", "name")
 
     def snapshot_state(self):
-        """Timer state: (armed, next_fire, ticks, heap-entry sequence).
+        """Timer state: (armed, next_fire, heap-entry sequence).
 
         The sequence number of the pending heap entry is captured so a
         restore can rebuild an entry that sorts *identically* to the one a
         fresh build produced — same-time ties then break the same way in
         fresh and restored worlds.
         """
-        return (self.armed, self.next_fire, self.ticks, self._entry_sequence)
+        return (self.armed, self.next_fire, self._entry_sequence)
 
     def restore_state(self, state):
         """Restore timer fields; the engine re-pushes the heap entry."""
-        self.armed, self.next_fire, self.ticks, self._entry_sequence = state
+        self.armed, self.next_fire, self._entry_sequence = state
         self._epoch += 1

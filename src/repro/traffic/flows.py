@@ -120,8 +120,6 @@ class TcpStack(Journaled):
         self.host = host
         self._listeners = {}
         self._pending = {}
-        self.segments_received = 0
-        self.data_bytes_received = 0
         host.register_protocol(PROTO_TCP, self._on_segment)
         host.register_service("tcp", self)
 
@@ -135,9 +133,6 @@ class TcpStack(Journaled):
         header = packet.tcp
         if header is None:
             return
-        if self._journal is not None:
-            self._touch()
-        self.segments_received += 1
         if header.is_syn and header.dport in self._listeners:
             reply = tcp_packet(packet.ip.dst, packet.ip.src, header.dport, header.sport,
                                flags=TCP_SYN | TCP_ACK, seq=0, ack=header.seq + 1)
@@ -147,9 +142,7 @@ class TcpStack(Journaled):
             waiter = self._pending.get(header.dport)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(packet)
-            return
-        # Anything else is data (or a bare ACK); count its payload.
-        self.data_bytes_received += packet.size_bytes
+        # Anything else is data (or a bare ACK): nothing to answer.
 
     def connect(self, destination, dport):
         """Three-way handshake: an event for (elapsed, syn_retries) or None."""
@@ -161,12 +154,10 @@ class TcpStack(Journaled):
     _SNAPSHOT_EXEMPT = ("sim", "host")
 
     def snapshot_state(self):
-        return (self.segments_received, self.data_bytes_received,
-                dict(self._listeners))
+        return dict(self._listeners)
 
     def restore_state(self, state):
-        self.segments_received, self.data_bytes_received, listeners = state
-        self._listeners = dict(listeners)
+        self._listeners = dict(state)
         self._pending.clear()
 
 

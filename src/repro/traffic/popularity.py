@@ -19,8 +19,6 @@ class ZipfSampler:
             raise ValueError("ZipfSampler needs n >= 1")
         if s < 0:
             raise ValueError("Zipf exponent must be non-negative")
-        self.n = n
-        self.s = s
         self._rng = rng
         weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
         total = math.fsum(weights)

@@ -39,3 +39,29 @@ def no_world_builds(monkeypatch):
         raise AssertionError("a world was built before the input was rejected")
     for module in (sweep, worldbuild):
         monkeypatch.setattr(module, "build_world", no_builds)
+
+
+@pytest.fixture
+def dns_queries(monkeypatch):
+    """``(sending node, destination)`` of every DNS query a socket sends
+    with :meth:`UdpSocket.request`, in order: one per step of a resolver's
+    walk and per stub lookup (a request's timed-out re-sends are not new
+    requests)."""
+    from repro.dns.message import DnsMessage
+    from repro.net.host import UdpSocket
+
+    sent = []
+    request = UdpSocket.request
+
+    def recording(socket, dst, dport, payload=None, **kwargs):
+        if isinstance(payload, DnsMessage):
+            sent.append((socket.host, dst))
+        return request(socket, dst, dport, payload=payload, **kwargs)
+
+    monkeypatch.setattr(UdpSocket, "request", recording)
+    return sent
+
+
+def sent_by(queries, node):
+    """How many of *queries* (the ``dns_queries`` fixture) *node* sent."""
+    return sum(sender is node for sender, _dst in queries)

@@ -144,7 +144,6 @@ def _send_fluid(sim, host, destination, port, record, plan, pump):
 
 
 def _serve_recursive(self, query, packet):
-    self.recursive_queries += 1
     for listener in self.query_listeners:
         listener(client=packet.ip.src, qname=query.question.qname, time=self.sim.now)
 
@@ -168,13 +167,12 @@ def _resolve(self, qname, qtype=TYPE_A, _depth=0):
     for :data:`NEGATIVE_TTL`.  The message's ``answers``/``rcode`` reflect
     the outcome; SERVFAIL is used for loops and timeouts.
     """
-    # Counters, ident, caches and the in-flight table all move below.
+    # Ident, caches and the in-flight table all move below.
     if self._journal is not None:
         self._touch()
 
     def _coalesced():
         # Wait for the walk already in flight and reuse its outcome.
-        self.coalesced_queries += 1
         leader = self._in_flight[(qname, qtype)]
         result = yield leader
         return result.copy()
@@ -193,7 +191,6 @@ def _resolve(self, qname, qtype=TYPE_A, _depth=0):
             server = servers[0]
             query = make_query(self._next_ident(), qname, qtype)
             socket = self.node.open_udp()
-            self.upstream_queries += 1
             try:
                 packet = yield socket.request(server, DNS_PORT, payload=query)
             except RequestTimeout:
@@ -282,7 +279,7 @@ def _maybe_resolve(self, eid):
         if mapping is None:
             self.resolutions_failed += 1
             return
-        self.map_cache.install(mapping, origin="resolved")
+        self.map_cache.install(mapping)
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.node.name,
                                   "itr.mapping-resolved", eid=str(eid),
@@ -309,10 +306,9 @@ def _alt_resolve(self, xtr, eid):
                               payload=request, meta={"alt_hops": 0})
             mapping = yield waiter.expire_in(alt.REQUEST_TIMEOUT)
             if mapping is not EXPIRED:
-                self.stats.record_resolution(self.sim.now - started, ok=True)
+                self.stats.resolution_latencies.append(self.sim.now - started)
                 return mapping
             self._pending.pop(nonce, None)
-        self.stats.record_resolution(self.sim.now - started, ok=False)
         return None
 
     return Process(self.sim, _resolve(), name=f"alt-resolve-{eid}")
@@ -323,7 +319,6 @@ def _cons_resolve(self, xtr, eid):
         started = self.sim.now
         car = self._car_of_site.get(xtr.site.index)
         if car is None:
-            self.stats.record_resolution(0.0, ok=False)
             return None
         for _attempt in range(MAP_REQUEST_RETRIES + 1):
             nonce = next_nonce()
@@ -338,10 +333,9 @@ def _cons_resolve(self, xtr, eid):
                               payload=envelope)
             mapping = yield waiter.expire_in(cons.REQUEST_TIMEOUT)
             if mapping is not EXPIRED:
-                self.stats.record_resolution(self.sim.now - started, ok=True)
+                self.stats.resolution_latencies.append(self.sim.now - started)
                 return mapping
             self._pending.pop(nonce, None)
-        self.stats.record_resolution(self.sim.now - started, ok=False)
         return None
 
     return Process(self.sim, _resolve(), name=f"cons-resolve-{eid}")
@@ -351,7 +345,6 @@ def _nerd_resolve(self, xtr, eid):
     """NERD has no request path: a miss means the database lacks the EID."""
 
     def _resolve():
-        self.stats.record_resolution(0.0, ok=False)
         return None
         yield  # pragma: no cover - makes this a generator
 
@@ -369,7 +362,6 @@ def _probe_once(self, address):
     waiter = self.sim.event(name=f"probe-{nonce}")
     self._pending[nonce] = waiter
     probe = RlocProbe(nonce=nonce)
-    self.probes_sent += 1
     self.xtr.node.send_udp(src=self.xtr.rloc, dst=address,
                            sport=PROBE_PORT, dport=PROBE_PORT, payload=probe)
     outcome = yield waiter.expire_in(self.timeout)

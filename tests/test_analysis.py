@@ -46,6 +46,17 @@ def test_snap01_leaves_the_journal_slot_to_the_mixin():
     assert "OwnJournal" in findings[0].message
 
 
+def test_snap01_flags_an_exemption_no_init_assigns():
+    findings = findings_for("stale_snap01_exempt.py", rules=["SNAP01"])
+    assert locations(findings) == [("SNAP01", 12)]
+    (finding,) = findings
+    assert "Deployment._SNAPSHOT_EXEMPT" in finding.message
+    assert "'dns_system'" in finding.message
+    # "sim" is the in-module base's and "topology" the class's own: both
+    # name an attribute, so neither is reported.
+    assert "'sim'" not in finding.message
+
+
 def test_snap02_flags_written_key_never_read():
     findings = findings_for("bad_snap02.py")
     assert locations(findings) == [("SNAP02", 10)]

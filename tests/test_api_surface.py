@@ -11,8 +11,10 @@ files left out):
   names a callable looked up by name (the ``EXPERIMENTS`` runner strings,
   ``_pce_total("total_envelope_bytes")``).
 
-Comments, docstrings, imports, ``__all__`` entries, table headers and a
-definition's references to itself from inside its own body are not uses.
+Comments, docstrings, imports, ``__all__`` entries, table headers, a
+definition's references to itself from inside its own body and a name
+read inside a function that binds a local variable of that name (``mask``
+in ``for mask, table in probes``) are not uses.
 What only the tests call is either a reference that lives in the tests, or
 dead.
 """
@@ -22,6 +24,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 #: Names kept on purpose, each with the reason nothing calls it.
 KEPT = {
@@ -61,6 +64,19 @@ def _is_all(node):
         getattr(target, "id", None) == "__all__" for target in node.targets)
 
 
+def _locals(function):
+    """The names *function* binds: its parameters and every name stored
+    in its body (nested functions and comprehensions included)."""
+    arguments = function.args
+    bound = {argument.arg for argument in (
+        *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+        arguments.vararg, arguments.kwarg) if argument is not None}
+    bound.update(node.id for node in ast.walk(function)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store))
+    return bound
+
+
 def _references(tree):
     """The names the code of module *tree* refers to (see the module
     docstring for what counts)."""
@@ -75,13 +91,16 @@ def _references(tree):
                            for alias in node.names
                            if not alias.name.startswith("repro"))
 
-    def named(node, enclosing):
+    def named(node, enclosing, local):
         if _is_all(node):
             return
         if isinstance(node, _DEFINITIONS):
             enclosing = (*enclosing, node.name)
+        if isinstance(node, _FUNCTIONS):
+            local = local | _locals(node)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found = [node.id, aliases.get(node.id)]
+            found = [] if node.id in local else [node.id,
+                                                 aliases.get(node.id)]
         elif isinstance(node, ast.Attribute) and \
                 getattr(node.value, "id", None) not in foreign:
             found = [node.attr]
@@ -96,9 +115,9 @@ def _references(tree):
         yield from (name for name in found
                     if name is not None and name not in enclosing)
         for child in ast.iter_child_nodes(node):
-            yield from named(child, enclosing)
+            yield from named(child, enclosing, local)
 
-    return named(tree, ())
+    return named(tree, (), frozenset())
 
 
 def uncalled_public_names():

@@ -80,14 +80,14 @@ def test_egress_and_ingress_tracked_separately(world):
     assert any(e.pledged_out > 0 for e in irc.estimates)
 
 
-def test_snapshot_shape(world):
+def test_estimates_shape(world):
     sim, topology = world
     irc = make_irc(sim, topology)
     irc.measure_once()
-    snapshot = irc.snapshot()
-    assert len(snapshot) == 3
-    for delay, bytes_in, bytes_out in snapshot:
-        assert delay > 0 and bytes_in == 0 and bytes_out == 0
+    assert len(irc.estimates) == 3
+    for estimate in irc.estimates:
+        assert estimate.delay_ewma > 0
+        assert estimate.bytes_in == 0 and estimate.bytes_out == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 import pytest
 from process_kernel import Process
 
-from repro.core.control_plane import deploy_pce_control_plane
+from repro.core.control_plane import PceControlPlane
 from repro.dns.hierarchy import install_dns
 from repro.dns.resolver import StubResolver
 from repro.net.addresses import IPv4Address
@@ -17,9 +17,8 @@ def make_world(seed=41, irc_policy="balance", family="fig1", num_sites=2,
     sim = Simulator(seed=seed)
     topology = build(sim, TopologySpec(family=family, num_sites=num_sites))
     dns = install_dns(topology)
-    cp = deploy_pce_control_plane(sim, topology, dns, irc_policy=irc_policy,
-                                  computation_delay=computation_delay,
-                                  **cp_kwargs)
+    cp = PceControlPlane(sim, topology, dns, irc_policy=irc_policy,
+                         computation_delay=computation_delay, **cp_kwargs)
     return sim, topology, dns, cp
 
 
@@ -56,7 +55,7 @@ def test_flow_first_packet_delivered_without_drop():
     assert outcome["dns_address"] == topology.sites[1].hosts[0].address
     assert len(sink) == 1
     assert cp.miss_policy.stats.dropped == 0
-    assert cp.miss_policy.stats.queued == 0
+    assert sim.trace.of_kind("itr.cache-miss") == []   # nothing to queue
 
 
 def test_mapping_installed_before_dns_completes():
@@ -103,9 +102,13 @@ def test_pce_observes_iterative_queries():
     sim, topology, dns, cp = make_world()
     start_flow(sim, topology, dns)
     sim.run(until=5.0)
-    pce_s = cp.pces[0]
-    assert pce_s.stats.queries_observed >= 3  # root, TLD, authoritative
-    assert pce_s.stats.ipc_notifications == 1
+    pce_s = cp.pces[0].node.name
+
+    def seen(kind):
+        return [r for r in sim.trace.of_kind(kind) if r.source == pce_s]
+
+    assert len(seen("pce.observe-query")) >= 3  # root, TLD, authoritative
+    assert len(seen("pce.step1-ipc")) == 1
 
 
 def test_two_one_way_tunnels():
@@ -136,8 +139,9 @@ def test_reverse_mapping_multicast_to_all_etrs():
         reverse = xtr.map_cache.peek(source_eid)
         assert reverse is not None, f"{xtr.node.name} missing reverse mapping"
         assert reverse.eid_prefix.length == 32
-    pce_d = cp.pces[site_d.index]
-    assert pce_d.stats.reverse_mappings_learned == 1
+    pce_d = cp.pces[site_d.index].node.name
+    learned = sim.trace.of_kind("pce.reverse-learned")
+    assert [record.source for record in learned] == [pce_d]
 
 
 def test_reverse_traffic_flows_without_resolution():
@@ -185,8 +189,9 @@ def test_dns_cache_hit_triggers_refresh_push():
     sim.run(until=12.0)
     assert len(sink2) == 1
     assert cp.miss_policy.stats.dropped == 0
-    pce_s = cp.pces[0]
-    assert pce_s.stats.refresh_pushes >= 1
+    pce_s = cp.pces[0].node.name
+    assert any(record.source == pce_s and record.detail["refresh"]
+               for record in sim.trace.of_kind("pce.step7b-push"))
 
 
 def test_te_rebalance_moves_flows_and_keeps_traffic_flowing():
@@ -205,7 +210,9 @@ def test_te_rebalance_moves_flows_and_keeps_traffic_flowing():
     moves = cp.rebalance_site_egress(site, loads=loads)
     if all(index == 0 for index in assignment.values()):
         pytest.skip("balance policy already spread flows; nothing to move")
-    assert cp.te_moves_applied == len(moves)
+    assert len(sim.trace.of_kind("te.rehome")) == len(moves)
+    for move in moves:
+        assert assignment[move.destination_prefix] == move.to_itr
 
 
 def test_rehomed_flow_survives_in_push_to_all_mode():

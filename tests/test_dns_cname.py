@@ -1,6 +1,7 @@
 """Tests for CNAME records: zone chasing and resolver chain-following."""
 
 import pytest
+from conftest import sent_by
 
 from repro.dns.hierarchy import install_dns
 from repro.dns.records import RCODE_NOERROR, TYPE_A, TYPE_CNAME
@@ -103,13 +104,13 @@ def test_cross_zone_alias_loop_gives_no_address(dns_world):
     assert address is None
 
 
-def test_alias_answer_cached(dns_world):
+def test_alias_answer_cached(dns_world, dns_queries):
     sim, topology, dns = dns_world
     alias = add_alias(dns, topology.sites[1], "www", 1)
     lookup(sim, topology, dns, alias)
     resolver = dns.resolvers[0]
-    upstream = resolver.upstream_queries
+    upstream = sent_by(dns_queries, resolver.node)
     address, elapsed = lookup(sim, topology, dns, alias)
     assert address == topology.sites[1].hosts[1].address
-    assert resolver.upstream_queries == upstream  # served from cache
+    assert sent_by(dns_queries, resolver.node) == upstream  # from cache
     assert elapsed < 0.005

@@ -1,5 +1,7 @@
 """Integration tests: iterative DNS resolution across the simulated WAN."""
 
+from conftest import sent_by
+
 from repro.dns.hierarchy import install_dns
 from repro.dns.resolver import StubResolver
 from repro.net.topogen import TopologySpec, build
@@ -53,46 +55,46 @@ def test_nxdomain_for_missing_host():
     assert address is None
 
 
-def test_cache_makes_second_lookup_local():
+def test_cache_makes_second_lookup_local(dns_queries):
     sim, topology, dns = make_world()
     _address, cold = run_lookup(sim, topology, dns)
     resolver = dns.resolver_for(topology.sites[0])
-    upstream_before = resolver.upstream_queries
+    upstream_before = sent_by(dns_queries, resolver.node)
     _address, warm = run_lookup(sim, topology, dns)
     assert warm < cold / 5  # answered from cache: local RTT only
-    assert resolver.upstream_queries == upstream_before
+    assert sent_by(dns_queries, resolver.node) == upstream_before
 
 
-def test_cache_expiry_forces_rewalk():
+def test_cache_expiry_forces_rewalk(dns_queries):
     sim, topology, dns = make_world(use_cache=True)
     run_lookup(sim, topology, dns)
     resolver = dns.resolver_for(topology.sites[0])
-    upstream_before = resolver.upstream_queries
+    upstream_before = sent_by(dns_queries, resolver.node)
     sim.run(until=sim.now + 10000.0)  # beyond every TTL
     run_lookup(sim, topology, dns)
-    assert resolver.upstream_queries > upstream_before
+    assert sent_by(dns_queries, resolver.node) > upstream_before
 
 
-def test_no_cache_mode_always_walks():
+def test_no_cache_mode_always_walks(dns_queries):
     sim, topology, dns = make_world(use_cache=False)
     resolver = dns.resolver_for(topology.sites[0])
     run_lookup(sim, topology, dns)
-    first = resolver.upstream_queries
+    first = sent_by(dns_queries, resolver.node)
     run_lookup(sim, topology, dns)
-    assert resolver.upstream_queries == 2 * first
+    assert sent_by(dns_queries, resolver.node) == 2 * first
 
 
-def test_extra_levels_lengthen_resolution():
+def test_extra_levels_lengthen_resolution(dns_queries):
     sim0, topo0, dns0 = make_world(use_cache=False, seed=13)
     _addr, shallow = run_lookup(sim0, topo0, dns0)
     sim2, topo2, dns2 = make_world(extra_levels=2, use_cache=False, seed=13)
     _addr, deep = run_lookup(sim2, topo2, dns2)
     assert deep > shallow
     resolver = dns2.resolver_for(topo2.sites[0])
-    assert resolver.upstream_queries == 5  # root, tld, lvl0, lvl1, site
+    assert sent_by(dns_queries, resolver.node) == 5  # root, tld, lvl0, lvl1, site
 
 
-def test_resolution_within_own_site_is_authoritative():
+def test_resolution_within_own_site_is_authoritative(dns_queries):
     sim, topology, dns = make_world()
     site = topology.sites[0]
     stub = StubResolver(sim, site.hosts[0], site.dns_address)
@@ -101,7 +103,7 @@ def test_resolution_within_own_site_is_authoritative():
     address, elapsed = proc.value
     assert address == site.hosts[1].address
     assert elapsed < 0.005  # no WAN hop
-    assert dns.resolver_for(site).upstream_queries == 0
+    assert sent_by(dns_queries, dns.resolver_for(site).node) == 0
 
 
 def test_many_sites_resolution_matrix():
@@ -131,8 +133,9 @@ def test_query_listener_fires_like_ipc():
                      dns.host_name(topology.sites[1], 0))]
 
 
-def test_tld_and_root_serve_queries():
+def test_tld_and_root_serve_queries(dns_queries):
     sim, topology, dns = make_world(use_cache=False)
     run_lookup(sim, topology, dns)
-    assert dns.root_server.queries_served == 1
-    assert dns.tld_server.queries_served == 1
+    asked = [dst for _sender, dst in dns_queries]
+    for server in (dns.root_server, dns.tld_server):
+        assert asked.count(server.node.address) == 1

@@ -1,5 +1,7 @@
 """Tests for resolver query coalescing and negative caching."""
 
+from conftest import sent_by
+
 from repro.dns.hierarchy import install_dns
 from repro.dns.resolver import NEGATIVE_TTL, StubResolver
 from repro.net.topogen import TopologySpec, build
@@ -13,7 +15,7 @@ def make_world(seed=91, use_cache=True):
     return sim, topology, dns
 
 
-def test_concurrent_identical_queries_coalesce():
+def test_concurrent_identical_queries_coalesce(dns_queries):
     sim, topology, dns = make_world()
     site = topology.sites[0]
     qname = dns.host_name(topology.sites[1], 0)
@@ -25,9 +27,10 @@ def test_concurrent_identical_queries_coalesce():
     for proc in procs:
         address, _elapsed = proc.value
         assert address == topology.sites[1].hosts[0].address
-    # ...from a single iterative walk.
-    assert resolver.coalesced_queries == 1
-    assert resolver.upstream_queries == 3  # root, TLD, authoritative — once
+    # ...from a single iterative walk: one query missed the answer cache
+    # and walked, the other rode that walk without a cache read of its own.
+    assert (resolver.answer_cache.hits, resolver.answer_cache.misses) == (0, 1)
+    assert sent_by(dns_queries, resolver.node) == 3  # root, TLD, authoritative
 
 
 def test_different_names_not_coalesced():
@@ -38,12 +41,12 @@ def test_different_names_not_coalesced():
              stub.lookup(dns.host_name(topology.sites[2], 0))]
     sim.run()
     resolver = dns.resolvers[site.index]
-    assert resolver.coalesced_queries == 0
+    assert resolver.answer_cache.misses == 2    # each name walked its own
     for proc in procs:
         assert proc.value[0] is not None
 
 
-def test_nxdomain_negatively_cached():
+def test_nxdomain_negatively_cached(dns_queries):
     sim, topology, dns = make_world()
     site = topology.sites[0]
     stub = StubResolver(sim, site.hosts[0], site.dns_address)
@@ -52,14 +55,14 @@ def test_nxdomain_negatively_cached():
     sim.run()
     assert first.value[0] is None
     resolver = dns.resolvers[site.index]
-    upstream = resolver.upstream_queries
+    upstream = sent_by(dns_queries, resolver.node)
     second = stub.lookup(missing)
     sim.run()
     assert second.value[0] is None
-    assert resolver.upstream_queries == upstream  # served from negative cache
+    assert sent_by(dns_queries, resolver.node) == upstream  # negative cache
 
 
-def test_negative_cache_expires():
+def test_negative_cache_expires(dns_queries):
     sim, topology, dns = make_world()
     site = topology.sites[0]
     resolver = dns.resolvers[site.index]
@@ -67,14 +70,14 @@ def test_negative_cache_expires():
     missing = f"nosuch.{dns.site_domain(topology.sites[1])}"
     stub.lookup(missing)
     sim.run()
-    upstream = resolver.upstream_queries
+    upstream = sent_by(dns_queries, resolver.node)
     sim.run(until=sim.now + NEGATIVE_TTL)
     stub.lookup(missing)
     sim.run()
-    assert resolver.upstream_queries > upstream  # re-walked after expiry
+    assert sent_by(dns_queries, resolver.node) > upstream  # re-walked
 
 
-def test_negative_caching_requires_cache_enabled():
+def test_negative_caching_requires_cache_enabled(dns_queries):
     sim, topology, dns = make_world(use_cache=False)
     site = topology.sites[0]
     stub = StubResolver(sim, site.hosts[0], site.dns_address)
@@ -82,7 +85,7 @@ def test_negative_caching_requires_cache_enabled():
     stub.lookup(missing)
     sim.run()
     resolver = dns.resolvers[site.index]
-    upstream = resolver.upstream_queries
+    upstream = sent_by(dns_queries, resolver.node)
     stub.lookup(missing)
     sim.run()
-    assert resolver.upstream_queries == 2 * upstream
+    assert sent_by(dns_queries, resolver.node) == 2 * upstream

@@ -127,8 +127,10 @@ def test_total_partition_between_sites_loses_data_not_control():
     source.send(udp_packet(source.address, state["address"], 5000, FLOW_UDP_PORT))
     sim.run(until=4.0)
     assert sink.received == 1  # second packet lost in the dead access links
-    drops = sum(links["downlink"].stats.drops for links in site_d.access_links)
-    assert drops == 1
+    downlinks = {links["downlink"].name for links in site_d.access_links}
+    drops = [record for record in sim.trace.of_kind("link.drop")
+             if record.source in downlinks]
+    assert len(drops) == 1
 
 
 def test_queue_policy_timeout_drops_buffered_packets_eventually():
@@ -143,10 +145,14 @@ def test_queue_policy_timeout_drops_buffered_packets_eventually():
     cut_node_links(site_d.xtrs[0], up=False)
     src = scenario.topology.sites[0].hosts[0]
     dst = site_d.hosts[0]
-    for _ in range(MAX_QUEUE + 6):
-        src.send(udp_packet(src.address, dst.address, 5000, FLOW_UDP_PORT))
+    packets = [udp_packet(src.address, dst.address, 5000, FLOW_UDP_PORT)
+               for _ in range(MAX_QUEUE + 6)]
+    for packet in packets:
+        src.send(packet)
     sim.run(until=20.0)
-    stats = scenario.miss_policy.stats
-    assert stats.queued <= MAX_QUEUE
-    assert stats.queue_overflow == MAX_QUEUE + 6 - stats.queued
-    assert scenario.mapping_system.stats.resolution_failures >= 1
+    fates = [packet.meta["fates"] for packet in packets]
+    queued = sum("queued-at-itr" in fate for fate in fates)
+    assert queued <= MAX_QUEUE
+    assert sum("dropped-queue-overflow" in fate for fate in fates) \
+        == MAX_QUEUE + 6 - queued
+    assert sum(xtr.resolutions_failed for xtr in scenario.iter_xtrs()) >= 1

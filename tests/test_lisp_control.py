@@ -42,6 +42,13 @@ def make_world(system_name, num_sites=4, miss_policy_cls=QueuePolicy, seed=31):
     return sim, topology, system, policy, xtrs
 
 
+def resolutions(xtrs):
+    """``(started, failed)`` resolutions summed over the xTRs of *xtrs*."""
+    routers = [xtr for site_xtrs in xtrs.values() for xtr in site_xtrs]
+    return (sum(xtr.resolutions_started for xtr in routers),
+            sum(xtr.resolutions_failed for xtr in routers))
+
+
 def send_flow_packet(sim, topology, src_site=0, dst_site=1, port=7000):
     src = topology.sites[src_site].hosts[0]
     dst = topology.sites[dst_site].hosts[0]
@@ -71,8 +78,7 @@ def test_alt_resolves_and_delivers():
     sim, topology, system, policy, xtrs = make_world("alt")
     sink = send_flow_packet(sim, topology)
     assert len(sink) == 1
-    assert system.stats.resolutions == 1
-    assert system.stats.resolution_failures == 0
+    assert resolutions(xtrs) == (1, 0)
     assert len(system.stats.resolution_latencies) == 1
 
 
@@ -111,7 +117,6 @@ def test_alt_carries_data_over_cp():
     sink = send_flow_packet(sim, topology)
     # The first packet is not lost: it rides the ALT overlay.
     assert len(sink) == 1
-    assert policy.stats.cp_carried == 1
     assert policy.stats.dropped == 0
     assert system.stats.by_type["cp-data"] == 1
 
@@ -119,10 +124,10 @@ def test_alt_carries_data_over_cp():
 def test_alt_second_flow_uses_cache():
     sim, topology, system, policy, xtrs = make_world("alt")
     send_flow_packet(sim, topology)
-    resolutions = system.stats.resolutions
+    before = resolutions(xtrs)
     sink = send_flow_packet(sim, topology)
     assert len(sink) == 1
-    assert system.stats.resolutions == resolutions  # cache hit, no new walk
+    assert resolutions(xtrs) == before  # cache hit, no new walk
 
 
 # --------------------------------------------------------------------------- #
@@ -133,8 +138,12 @@ def test_cons_resolves_and_delivers():
     sim, topology, system, policy, xtrs = make_world("cons", num_sites=6)
     sink = send_flow_packet(sim, topology, src_site=0, dst_site=5)
     assert len(sink) == 1
-    assert system.stats.resolution_failures == 0
-    assert system.tree_depth >= 2
+    assert resolutions(xtrs)[1] == 0
+
+    def depth(node):
+        return 0 if node.parent_address is None \
+            else 1 + depth(system._tree_by_address[node.parent_address])
+    assert max(map(depth, system._tree_by_address.values())) >= 2
 
 
 def test_cons_reply_retraces_tree():
@@ -193,7 +202,7 @@ def test_cons_tree_level_wider_than_a_slash_24_builds(num_sites):
         if name.startswith("cdr-d1-"))
     records = run_workload(world, WorkloadConfig(num_flows=5))
     assert not any(record.failed for record in records)
-    assert world.mapping_system.stats.resolution_failures == 0
+    assert sum(xtr.resolutions_failed for xtr in world.iter_xtrs()) == 0
     world.teardown()    # a bare-built world is its builder's to tear down
 
 
@@ -250,7 +259,8 @@ def test_nerd_push_cost_scales_with_sites_and_xtrs():
     _s4, _t4, system4, _p4, _x4 = make_world("nerd", num_sites=4)
     _s8, _t8, system8, _p8, _x8 = make_world("nerd", num_sites=8)
     assert system8.stats.bytes > system4.stats.bytes
-    assert system8.pushes_sent == 16  # one full push per xTR (8 sites x 2)
+    # One full push per xTR (8 sites x 2).
+    assert system8.stats.by_type["db-push-full"] == 16
 
 
 def test_nerd_mappings_never_age_out():

@@ -70,8 +70,8 @@ def test_tier0_is_a_full_clique():
     topology = _tiered()
     core = [topology.providers[pid] for pid in topology.tier_layout.tiers[0]]
     for a in core:
-        peers = {iface.peer.node
-                 for iface in a.interfaces.values() if iface.peer is not None}
+        peers = {iface.link.dst_interface.node
+                 for iface in a.interfaces.values() if iface.link is not None}
         for b in core:
             if b is not a:
                 assert b in peers, f"{a.name} not adjacent to {b.name}"

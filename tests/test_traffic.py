@@ -117,7 +117,8 @@ def test_tcp_handshake_gives_up():
     sim.run()
     assert proc.value is None
     assert sim.now == pytest.approx(GIVE_UP_AT)
-    assert link.stats.drops == MAX_SYN_RETRIES + 1
+    assert len(sim.trace.of_kind("link.drop")) == MAX_SYN_RETRIES + 1
+    assert link.stats.bytes_dropped == link.stats.bytes_offered
 
 
 def test_tcp_no_listener_times_out():

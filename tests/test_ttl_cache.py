@@ -19,8 +19,7 @@ def test_put_rejects_non_positive_ttl():
     sim, cache = make_cache()
     assert cache.put("k", "v", 0) is False
     assert cache.put("k", "v", -5) is False
-    assert cache.rejected_puts == 2
-    assert cache.insertions == 0
+    assert cache._entries == {}
     assert cache.get("k") is None
     events = sim.trace.of_kind("cache.put-rejected")
     assert len(events) == 2
@@ -32,7 +31,7 @@ def test_nan_ttl_is_rejected_and_inf_never_expires():
     assert cache.put("k", "old", 10) is True
     # NaN is neither <= 0 nor expired at any time: it must be rejected.
     assert cache.put("k", "v", math.nan) is False
-    assert cache.rejected_puts == 1 and cache.insertions == 1
+    assert cache._entries == {}
     assert [event.detail["key"] for event
             in sim.trace.of_kind("cache.put-rejected")] == ["k"]
     assert cache.put("forever", "v", math.inf) is True
@@ -59,7 +58,7 @@ def test_len_is_exact_and_frees_dead_entries():
     assert len(cache._entries) == 10  # dead but not yet swept
     assert len(cache) == 0             # len compacts...
     assert len(cache._entries) == 0   # ...and frees
-    assert cache.expirations == 10
+    assert cache.compact() == 0        # nothing left to sweep
 
 
 def test_compaction_bounds_memory_under_churn():
@@ -77,8 +76,9 @@ def test_hit_miss_counters_unchanged():
     assert cache.get("k") == "v"
     assert cache.get("missing") is None
     sim.now = 6.0
-    assert cache.get("k") is None
-    assert (cache.hits, cache.misses, cache.expirations) == (1, 2, 1)
+    assert cache.get("k") is None      # expired: a miss, and freed
+    assert (cache.hits, cache.misses) == (1, 2)
+    assert cache._entries == {}
 
 
 # --------------------------------------------------------------------- #
@@ -104,12 +104,10 @@ class _ReferenceCache:
     def __init__(self, threshold):
         self.threshold = self.next_compact = threshold
         self.entries = {}
-        self.hits = self.misses = self.expirations = 0
-        self.insertions = self.rejected_puts = 0
+        self.hits = self.misses = self.rejected_puts = 0
 
     def counters(self):
-        return (self.hits, self.misses, self.expirations, self.insertions,
-                self.rejected_puts)
+        return (self.hits, self.misses)
 
     def put(self, now, key, value, ttl):
         if not (ttl > 0):
@@ -117,7 +115,6 @@ class _ReferenceCache:
             self.rejected_puts += 1
             return False
         self.entries[key] = (now + ttl, value)
-        self.insertions += 1
         if len(self.entries) >= self.next_compact:
             self.compact(now)
             self.next_compact = max(self.threshold, 2 * len(self.entries))
@@ -130,7 +127,6 @@ class _ReferenceCache:
         expires, value = self.entries[key]
         if now >= expires:
             del self.entries[key]
-            self.expirations += 1
             self.misses += 1
             return None
         self.hits += 1
@@ -145,13 +141,11 @@ class _ReferenceCache:
                 if now >= expires]
         for key in dead:
             del self.entries[key]
-        self.expirations += len(dead)
         return len(dead)
 
 
 def _counters(cache):
-    return (cache.hits, cache.misses, cache.expirations, cache.insertions,
-            cache.rejected_puts)
+    return (cache.hits, cache.misses)
 
 
 @pytest.mark.parametrize("compact_threshold", (None, 3))

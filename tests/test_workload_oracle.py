@@ -73,8 +73,7 @@ def pull_path_state(scenario):
         for name, prober in scenario.control_plane.probers.items():
             probers[name] = (
                 sorted(prober.down), sorted(prober._consecutive_misses.items()),
-                prober._nonce, prober.probes_sent, prober.replies_received,
-                prober.transitions, sorted(prober._pending))
+                prober._nonce, sorted(prober._pending))
     return {
         "xtrs": xtrs,
         "control": control,
@@ -103,6 +102,7 @@ def observable_state(scenario, records):
         "udp_ports": {node.name: sorted(node._udp_ports)
                       for node in scenario.topology.all_nodes()},
         "next_flow_id": scenario.flow_ids.snapshot_state(),
+        "trace": trace_of(scenario),
         **pull_path_state(scenario),
     }
 
@@ -239,14 +239,13 @@ def test_drivers_agree_with_probing_through_a_link_down_window(pacing, transport
 
     config = ScenarioConfig(control_plane="pce", num_sites=3, seed=9401,
                             irc_policy="primary", enable_probing=True,
-                            probe_period=0.3, tracing=False)
+                            probe_period=0.3)
     workload = cell_workload(pacing, transport, num_flows=30, arrival_rate=8.0,
                              dest_site=1, grace_period=6.0)
     (new, records), (reference, _) = run_both(config, workload, outage)
     assert_equal_states(new, reference)
-    transitions = [kind for state in new["probers"].values()
-                   for _when, _rloc, kind in state[5]]
-    assert "down" in transitions and "up" in transitions
+    kinds = {kind for _time, _source, kind, _detail in new["trace"]}
+    assert {"probe.rloc-down", "probe.rloc-up"} <= kinds
     assert any(not record.failed for record in records)
 
 
@@ -266,10 +265,12 @@ def test_drivers_agree_when_map_requests_go_unanswered(plane):
                              dest_site=1, grace_period=10.0)
     (new, _records), (reference, _) = run_both(config, workload, outage)
     assert_equal_states(new, reference)
-    stats = new["control"][0]
-    resolutions, failures = stats[3], stats[4]
+    counters = [state[0] for state in new["xtrs"].values()]
+    resolutions = sum(started for *_, started, _failed in counters)
+    failures = sum(failed for *_, failed in counters)
     assert 0 < failures < resolutions
-    assert stats[2]["map-request"] > resolutions    # some were re-sent
+    by_type = new["control"][0][2]
+    assert by_type["map-request"] > resolutions    # some were re-sent
 
 
 def trace_of(scenario):

@@ -8,6 +8,8 @@ and a cached DNS answer is one engine event at the resolver.
 import gc
 import weakref
 
+from conftest import sent_by
+
 from repro.dns.resolver import StubResolver
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
 from repro.traffic.flows import FlowIdAllocator
@@ -59,7 +61,8 @@ def test_a_dropped_world_dies_without_the_collector():
         gc.collect()    # the world's own cycles (nodes, interfaces, links)
 
 
-def test_cached_answer_is_one_event_and_a_miss_walk_still_coalesces():
+def test_cached_answer_is_one_event_and_a_miss_walk_still_coalesces(
+        dns_queries):
     scenario = build_scenario(ScenarioConfig(control_plane="plain", num_sites=3,
                                              seed=9403, tracing=False))
     sim = scenario.sim
@@ -81,10 +84,10 @@ def test_cached_answer_is_one_event_and_a_miss_walk_still_coalesces():
     cold = [stub.lookup(qname) for stub in stubs]
     sim.run()
     assert all(lookup.value[0] is not None for lookup in cold)
-    assert resolver.coalesced_queries == 1
-    assert resolver.upstream_queries == 3      # root, TLD, authoritative: once
+    # One query missed the cache and walked; the other rode the walk.
     cache = resolver.answer_cache
     assert (cache.hits, cache.misses) == (0, 1)
+    assert sent_by(dns_queries, resolver.node) == 3  # root, TLD, authoritative
 
     # Warm: from the query's arrival to the reply's departure, one event.
     del marks[:]
@@ -94,4 +97,4 @@ def test_cached_answer_is_one_event_and_a_miss_walk_still_coalesces():
     arrived, replied = marks
     assert replied - arrived == 1
     assert (cache.hits, cache.misses) == (1, 1)
-    assert resolver.coalesced_queries == 1 and resolver.upstream_queries == 3
+    assert sent_by(dns_queries, resolver.node) == 3

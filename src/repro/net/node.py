@@ -187,8 +187,8 @@ class Node(Journaled):
     def receive(self, packet):
         """Entry point for packets arriving from a link (or injected).
 
-        Receiving, delivering and forwarding change nothing a checkpoint
-        holds, so a packet crossing a node leaves it clean.
+        Receiving, delivering and forwarding change nothing the node
+        checkpoints, so a packet crossing a node leaves it clean.
         """
         ip = packet.ip
         if ip is None:

@@ -13,7 +13,8 @@ class TtlCache:
 
     - ``put`` with a TTL that is not ``> 0`` (zero, negative or NaN)
       REJECTS the entry: any existing entry for the key is invalidated
-      and a ``cache.put-rejected`` trace event is recorded.  It returns False.  An infinite TTL never expires.
+      and a ``cache.put-rejected`` trace event is recorded.  It returns
+      False.  An infinite TTL never expires.
     - ``len(cache)`` is exact: it compacts first, so dead entries are both
       freed and never counted.
     """

@@ -142,7 +142,6 @@ class TcpStack(Journaled):
             waiter = self._pending.get(header.dport)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(packet)
-        # Anything else is data (or a bare ACK): nothing to answer.
 
     def connect(self, destination, dport):
         """Three-way handshake: an event for (elapsed, syn_retries) or None."""
@@ -212,10 +211,9 @@ class UdpSink(Journaled):
 
     Fluid flows deliver almost all of their bytes without datagrams:
     :meth:`credit_fluid` books a tick's surviving wire bytes (``bytes``,
-    ``fluid_bytes``) when they reach the destination, and
-    :meth:`credit_fluid_flow` attributes them to flows (``fluid_by_flow``)
-    when the pump settles, while ``received``/``by_flow`` keep counting
-    real packets only.
+    ``fluid_bytes``) when they reach the destination, while
+    ``received``/``by_flow`` keep counting real packets only.  A flow's
+    fluid bytes are in its last hop's per-flow link ledger.
     """
 
     def __init__(self, sim, host, port):
@@ -226,7 +224,6 @@ class UdpSink(Journaled):
         self.bytes = 0
         self.fluid_bytes = 0
         self.by_flow = defaultdict(int)
-        self.fluid_by_flow = defaultdict(int)
         self.arrival_times = []
         host.bind_udp(port, self._on_datagram)
 
@@ -252,26 +249,17 @@ class UdpSink(Journaled):
         self.bytes += size
         self.fluid_bytes += size
 
-    def credit_fluid_flow(self, flow_id, size):
-        """Attribute *size* of the credited fluid bytes to *flow_id*."""
-        if self._journal is not None:
-            self._touch()
-        self.fluid_by_flow[flow_id] += size
-
     #: Construction-time wiring: sim and host checkpoint themselves, the
     #: bound port never changes.
     _SNAPSHOT_EXEMPT = ("sim", "host", "port")
 
     def snapshot_state(self):
         return (self.received, self.bytes, self.fluid_bytes,
-                dict(self.by_flow), dict(self.fluid_by_flow),
-                list(self.arrival_times))
+                dict(self.by_flow), list(self.arrival_times))
 
     def restore_state(self, state):
-        (self.received, self.bytes, self.fluid_bytes,
-         by_flow, fluid_by_flow, arrivals) = state
+        self.received, self.bytes, self.fluid_bytes, by_flow, arrivals = state
         self.by_flow = defaultdict(int, by_flow)
-        self.fluid_by_flow = defaultdict(int, fluid_by_flow)
         self.arrival_times = list(arrivals)
 
 
@@ -569,8 +557,6 @@ class _PathGroup:
             flow.remaining -= count
             if full_grant:
                 flow.pending += count
-            elif arrived:
-                sink.credit_fluid_flow(record.flow_id, arrived)
             if not flow.remaining or not arrived:
                 # Leaving: done (True) or its whole chunk died (False).
                 self.settle(flow)
@@ -583,8 +569,7 @@ class _PathGroup:
         """Write *flow*'s pending packets into its per-flow accounts.
 
         Each hop's account gets ``pending x that hop's size`` offered and
-        delivered, and the sink's ``fluid_by_flow`` ``pending x`` the last
-        hop's size: what every full-grant tick since the last settle would
+        delivered: what every full-grant tick since the last settle would
         have written.  Every hop was booked by those ticks, so the write
         follows the group's own ``post_fluid`` on it.
         """
@@ -592,9 +577,7 @@ class _PathGroup:
         if not pending:
             return
         flow.pending = 0
-        flow_id = flow.record.flow_id
-        _book_full_grant(flow_id, pending, self.hops)
-        self.sink.credit_fluid_flow(flow_id, pending * self.last_size)
+        _book_full_grant(flow.record.flow_id, pending, self.hops)
 
 
 class FluidPump:
@@ -608,9 +591,8 @@ class FluidPump:
     *path group* (flows sharing hop list, wire size and sink) with the
     group's summed bytes — see :meth:`_PathGroup.advance`.  Link totals,
     windows, busy time, sink totals and flow records are exact after
-    every tick.  The per-flow breakdown (each hop's ``FlowAccount`` and
-    the sink's ``fluid_by_flow``) of a flow still in the pump may lag by
-    its full-grant ticks: it is settled when the flow leaves, and for
+    every tick.  The per-flow breakdown (each hop's ``FlowAccount``) of a
+    flow still in the pump may lag by its full-grant ticks: it is settled when the flow leaves, and for
     every active flow by :meth:`settle`, which readers call first.
 
     Because the tick is a foreground event, ``sim.run()`` with no

@@ -194,9 +194,11 @@ def test_fluid_sender_spends_budget_exactly():
     # the last 39 at tick 2.
     assert record.finished_at == 0.5
     assert not record.failed
-    # The sink saw the probe as a packet and the chunks as fluid bytes.
+    # The sink saw the probe as a packet and the chunks as fluid bytes;
+    # the link's ledger holds both for the flow.
     assert sink.by_flow[60] == 1
-    assert sink.fluid_by_flow[60] == 99 * WIRE
+    assert sink.fluid_bytes == 99 * WIRE
+    assert a.interfaces["eth0"].link.stats.flows[60].delivered == 100 * WIRE
     link = a.interfaces["eth0"].link
     assert link.stats.conservation_violations(drained=True) == []
 
@@ -291,7 +293,9 @@ def test_fluid_sender_reprobes_after_path_failure():
     assert record.packets_sent >= 2  # initial probe + at least one re-probe
     assert link.stats.bytes_dropped > 0  # the chunk that died
     assert link.stats.conservation_violations(drained=True) == []
-    assert sink.fluid_by_flow[62] > 0
+    assert sink.fluid_bytes > 0
+    assert link.stats.flows[62].delivered \
+        == sink.by_flow[62] * WIRE + sink.fluid_bytes
 
 
 # --------------------------------------------------------------------- #
@@ -337,15 +341,16 @@ def test_fluid_matches_packet_sender_within_tolerance():
                       for link in fluid.links)
     assert fluid_total == pytest.approx(shaped_total, rel=EQUIV_TOLERANCE)
 
-    # Per-flow delivered byte shares agree too (packets count wire bytes).
+    # Per-flow delivered byte shares agree too: what each flow's last hop,
+    # the link into its sink's host, delivered.
     def delivered_by_flow(scenario):
-        wire = 1200 + 28
+        scenario.fluid_pump.settle()
+        hosts = {sink.host for sink in scenario.udp_sinks.values()}
         totals = {}
-        for sink in scenario.udp_sinks.values():
-            for flow_id, count in sink.by_flow.items():
-                totals[flow_id] = totals.get(flow_id, 0) + count * wire
-            for flow_id, size in sink.fluid_by_flow.items():
-                totals[flow_id] = totals.get(flow_id, 0) + size
+        for link in scenario.links:
+            if link.dst_interface.node in hosts:
+                for flow_id, account in link.stats.flows.items():
+                    totals[flow_id] = totals.get(flow_id, 0) + account.delivered
         return totals
 
     shaped_flows = delivered_by_flow(shaped)

@@ -35,11 +35,6 @@ KEPT = {
                             "(request hops, reply hops, CP-carried data): "
                             "test_lisp_control.py reads the split, and the "
                             "mapping systems trace no message",
-    "UdpSink.fluid_by_flow": "the fluid pump's per-flow settlement at the "
-                             "sink: test_fluid_pump.py and test_fluid.py "
-                             "hold each flow's sink bytes to its sender "
-                             "and link ledgers; no other record splits a "
-                             "pumped tick's bytes by flow at the receiver",
 }
 
 #: Methods whose ``self.<name>`` loads are construction or checkpointing.

@@ -155,14 +155,22 @@ def kept():
 def recursive():
     return recursive()
 
+
+def binds_locally(items):
+    for shadowed in items:
+        print(shadowed)
+    return kept
+
 __all__ = ["exported_only"]
 HEADERS = ("header_only", "by_name")
 handler = getattr(object, "by_name")
 '''
     names = list(_references(ast.parse(source)))
     for absent in ("documented_only", "exported_only", "header_only", "dump",
-                   "handler"):
+                   "handler", "shadowed", "items"):
         assert absent not in names, absent
     assert {"by_name", "getattr", "object", "imported", "renamed"} <= set(names)
-    # recursive's own call does not count, kept's reference does
+    # recursive's own call does not count, kept's reference does; a local
+    # of the reading function is not the module-level name
     assert names.count("recursive") == 1
+    assert "kept" in names

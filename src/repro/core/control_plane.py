@@ -30,7 +30,6 @@ from repro.core.te import plan_rebalance
 from repro.lisp import EID_SPACE
 from repro.lisp.control.base import MappingRegistry
 from repro.lisp.mappings import MappingRecord, RlocEntry, site_mapping
-from repro.lisp.policies import DropPolicy
 from repro.lisp.xtr import TunnelRouter
 from repro.net.addresses import IPv4Prefix
 from repro.net.fib import FibEntry
@@ -40,14 +39,14 @@ class PceControlPlane:
     """All per-deployment state of the PCE control plane."""
 
     def __init__(self, sim, topology, dns_system, computation_delay,
-                 irc_policy="balance", precompute=True, mapping_ttl=60.0,
-                 miss_policy=None, enable_probing=False, probe_period=0.5,
+                 miss_policy, irc_policy="balance", precompute=True,
+                 mapping_ttl=60.0, enable_probing=False, probe_period=0.5,
                  probe_timeout=None):
         self.sim = sim
         self.topology = topology
         self.mapping_ttl = mapping_ttl
         self.registry = MappingRegistry()
-        self.miss_policy = miss_policy if miss_policy is not None else DropPolicy(sim)
+        self.miss_policy = miss_policy
         if probe_timeout is None:
             # Keep the historical 0.3s timeout whenever it is valid; only
             # scale down for faster probing (RlocProber requires

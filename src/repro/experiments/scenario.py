@@ -415,7 +415,9 @@ def build_scenario(config):
         scenario.control_plane = PceControlPlane(
             sim, topology, dns, irc_policy=config.irc_policy,
             precompute=config.precompute, computation_delay=config.computation_delay,
-            mapping_ttl=config.mapping_ttl, enable_probing=config.enable_probing,
+            mapping_ttl=config.mapping_ttl,
+            miss_policy=_MISS_POLICIES[config.miss_policy](sim),
+            enable_probing=config.enable_probing,
             probe_period=config.probe_period,
             probe_timeout=config.probe_timeout)
         scenario.miss_policy = scenario.control_plane.miss_policy

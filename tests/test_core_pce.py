@@ -6,6 +6,7 @@ from process_kernel import Process
 from repro.core.control_plane import PceControlPlane
 from repro.dns.hierarchy import install_dns
 from repro.dns.resolver import StubResolver
+from repro.lisp.policies import DropPolicy
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
 from repro.net.topogen import TopologySpec, build
@@ -18,7 +19,8 @@ def make_world(seed=41, irc_policy="balance", family="fig1", num_sites=2,
     topology = build(sim, TopologySpec(family=family, num_sites=num_sites))
     dns = install_dns(topology)
     cp = PceControlPlane(sim, topology, dns, irc_policy=irc_policy,
-                         computation_delay=computation_delay, **cp_kwargs)
+                         computation_delay=computation_delay,
+                         miss_policy=DropPolicy(sim), **cp_kwargs)
     return sim, topology, dns, cp
 
 

@@ -82,6 +82,30 @@ def test_workload_source_site_pinning():
         assert source.eid_prefix.contains(record.source)
 
 
+@pytest.mark.parametrize("miss_policy, fates", (
+    ("queue", ["queued-then-sent", "stuck-in-queue"]),
+    ("drop", ["dropped", "dropped"]),
+))
+def test_a_pce_world_runs_the_miss_policy_its_config_names(miss_policy, fates):
+    """A pce ITR that misses applies ``config.miss_policy``.
+
+    The push leads a flow's first packet to the ITR by one intra-site hop,
+    so a mapping TTL below that lead makes every first packet miss.  Both
+    flows go from site 1 to site 0: under ``queue`` the second flow's push
+    flushes the first flow's packet, and nothing flushes the second's.
+    """
+    config = ScenarioConfig(control_plane="pce", num_sites=2,
+                            hosts_per_site=1, mapping_ttl=1e-4,
+                            miss_policy=miss_policy)
+    scenario = build_scenario(config)
+    records = run_workload(scenario, WorkloadConfig(
+        num_flows=2, arrival_rate=2.0, packets_per_flow=1, source_site=1,
+        dest_site=0))
+    assert [classify_first_packet(record) for record in records] == fates
+    assert all(xtr.miss_policy is scenario.miss_policy
+               for xtr in scenario.iter_xtrs())
+
+
 def test_workload_deterministic_per_seed():
     def run_once():
         config = ScenarioConfig(control_plane="alt", num_sites=4, seed=77,

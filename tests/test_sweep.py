@@ -3,6 +3,7 @@
 import csv
 import copy
 import hashlib
+import io
 import json
 import os
 import random
@@ -498,8 +499,34 @@ def shrunk_preset(name):
                    else min(grid.num_flows, 12))
 
 
+def v9_pair(payload, csv_bytes):
+    """What a v9 run of the same simulation must produce, from v8 artifacts.
+
+    Scaffolding for the one re-pin: the grid gains its default
+    ``variants``, every cell and aggregate the default ``variant`` key, the
+    CSV a ``variant`` column after ``fail_fraction``, and the schema tag is
+    rewritten.
+    """
+    payload = copy.deepcopy(payload)
+    payload["schema"] = "repro.sweep/v9"
+    payload["grid"]["variants"] = [["default", {}]]
+    for row in payload["cells"] + payload["aggregates"]:
+        row["variant"] = "default"
+    rows = list(csv.reader(io.StringIO(csv_bytes.decode(), newline="")))
+    at = rows[0].index("fail_fraction") + 1
+    rows[0].insert(at, "variant")
+    for row in rows[1:]:
+        row.insert(at, "default")
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return {"payload": hashlib.sha256(
+                payload_digest(payload).encode()).hexdigest(),
+            "csv": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
 def preset_digests(name, workdir):
-    """sha256 of one preset's :func:`payload_digest` and of its CSV bytes.
+    """sha256 of one preset's :func:`payload_digest` and of its CSV bytes —
+    plus the ``v9`` pair the schema bump has to land on.
 
     Both pin behaviour only — ``sim_events``, what the engine spent, is in
     neither — so an engine change leaves the golden file alone (its event
@@ -511,7 +538,8 @@ def preset_digests(name, workdir):
         csv_bytes = handle.read()
     return {"payload": hashlib.sha256(
                 payload_digest(payload).encode()).hexdigest(),
-            "csv": hashlib.sha256(csv_bytes).hexdigest()}
+            "csv": hashlib.sha256(csv_bytes).hexdigest(),
+            "v9": v9_pair(payload, csv_bytes)}
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

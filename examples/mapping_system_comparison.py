@@ -32,7 +32,7 @@ def main():
     failures = e3.check_shape(rows)
     print(f"shape check: {'ok' if not failures else failures}")
     print()
-    total = {row["system"]: row["total_mean"] for row in rows}
+    total = {row["variant"]: row["total_mean"] for row in rows}
     plain, pce, alt = total["plain"], total["pce"], total["alt+drop"]
     print(f"plain IP total wait : {plain * 1000:8.1f} ms")
     print(f"PCE-based CP        : {pce * 1000:8.1f} ms "

@@ -16,16 +16,12 @@ own seed and sizes, so it prints its section of the report.
 Parameter sweeps (``repro sweep``)
 ----------------------------------
 
-``sweep`` expands a declarative grid (one axis per row of
-:data:`repro.experiments.sweep.AXES`)
-into scenario/workload cells and runs them world by world: each world is
-built when its first cell comes up and reset in place for every further
-cell (``--workers N`` hands runs of same-world cells to a worker pool
-whose workers build the worlds they run; with at least as many worlds as
-workers, each is built once).
-Per-cell results are appended to a JSONL artifact as they complete, and
-the aggregated JSON/CSV artifacts are written at the end — every output
-path is checked before the first world is built::
+``sweep`` expands a preset grid (:data:`repro.experiments.sweep.PRESETS`)
+into scenario/workload cells and runs them world by world (see
+:mod:`repro.experiments.sweep`).  One flag per ``AXES`` row but
+``variant``, whose bundles of overrides no flag spells, plus
+``GRID_FLAGS``, overrides the preset's values.  Every output path is
+checked before the first world is built::
 
     python -m repro sweep                       # "smoke" preset, 1 worker
     python -m repro sweep --preset scale --workers 4 \\
@@ -34,6 +30,10 @@ path is checked before the first world is built::
     python -m repro sweep --preset shaped       # size-aware traffic shaping
     python -m repro sweep --preset baselines --sites 4 16 --seeds 1 2 3 \\
         --size-dists constant pareto --pacings constant shaped
+
+Aggregates are deterministic: the same grid and seeds produce
+byte-identical JSON and CSV for any ``--workers`` value (the ``world
+cache:`` line reports hits and builds, which depend on it).
 
 Static analysis (``repro analyze``)
 -----------------------------------
@@ -45,13 +45,6 @@ finding — the CI gate behind docs/contracts.md::
     python -m repro analyze                     # src/repro, all rules
     python -m repro analyze src/repro --rules SNAP01,DET01
     python -m repro analyze --list-rules
-
-Presets live in :data:`repro.experiments.sweep.PRESETS`; one flag per
-``AXES`` row (plus ``GRID_FLAGS``) overrides the chosen preset's axes.
-Aggregates are
-deterministic: the same grid and seeds produce byte-identical JSON and CSV
-for any ``--workers`` value (the ``world cache:`` line reports hits and
-builds, which depend on it).
 """
 
 import argparse
@@ -119,8 +112,9 @@ def build_parser():
                        help="stream per-cell results here (default: derived "
                             "from --json, else sweep-<preset>.cells.jsonl)")
     for axis in AXES:
-        sweep.add_argument(axis.flag, nargs="+", type=axis.type, default=None,
-                           help=axis.help)
+        if axis.flag is not None:
+            sweep.add_argument(axis.flag, nargs="+", type=axis.type,
+                               default=None, help=axis.help)
     for flag, _field, kwargs in GRID_FLAGS:
         sweep.add_argument(flag, default=None, **kwargs)
     return parser
@@ -131,8 +125,8 @@ def _grid_overrides(args):
     def given(flag):  # by argparse's own flag -> attribute rule
         return getattr(args, flag.lstrip("-").replace("-", "_"))
 
-    overrides = {axis.field: tuple(given(axis.flag))
-                 for axis in AXES if given(axis.flag) is not None}
+    overrides = {axis.field: tuple(given(axis.flag)) for axis in AXES
+                 if axis.flag is not None and given(axis.flag) is not None}
     overrides.update((field, given(flag)) for flag, field, _kwargs in GRID_FLAGS
                      if given(flag) is not None)
     return overrides

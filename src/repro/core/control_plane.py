@@ -254,7 +254,7 @@ class EtrReverseHook:
         xtr.install_mapping(reverse, origin="reverse-local",
                             ttl=control_plane.mapping_ttl)
         # (iii) ...then multicast to sibling ETRs and the PCE database.
-        announce = ReverseMappingAnnounce(mapping=reverse, origin_etr=xtr.rloc)
+        announce = ReverseMappingAnnounce(mapping=reverse)
         control_plane.reverse_announcements += 1
         source = site.xtr_control_address(site.xtrs.index(xtr.node))
         for b, sibling in enumerate(site.xtrs):

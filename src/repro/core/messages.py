@@ -26,16 +26,10 @@ class EncapsulatedDnsReply:
 
     dns_reply: DnsMessage
     mapping: object
-    pce_address: IPv4Address
     original_src: IPv4Address
     original_sport: int
     original_dst: IPv4Address
     original_dport: int
-
-    def __post_init__(self):
-        self.pce_address = IPv4Address(self.pce_address)
-        self.original_src = IPv4Address(self.original_src)
-        self.original_dst = IPv4Address(self.original_dst)
 
     @property
     def size_bytes(self):
@@ -53,11 +47,6 @@ class MappingPush:
 
     source_eid: IPv4Address
     mapping: object
-    pce_address: IPv4Address
-
-    def __post_init__(self):
-        self.source_eid = IPv4Address(self.source_eid)
-        self.pce_address = IPv4Address(self.pce_address)
 
     @property
     def size_bytes(self):
@@ -69,10 +58,6 @@ class ReverseMappingAnnounce:
     """ETR multicast: the (E_S -> RLOC_S) mapping gleaned from packet one."""
 
     mapping: object
-    origin_etr: IPv4Address
-
-    def __post_init__(self):
-        self.origin_etr = IPv4Address(self.origin_etr)
 
     @property
     def size_bytes(self):

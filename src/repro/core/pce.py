@@ -156,7 +156,6 @@ class Pce:
         envelope = EncapsulatedDnsReply(
             dns_reply=message,
             mapping=mapping,
-            pce_address=self.address,
             original_src=packet.ip.src,
             original_sport=packet.udp.sport,
             original_dst=packet.ip.dst,
@@ -227,7 +226,7 @@ class Pce:
         egress ITR — the "local TE actions" the push-to-all design enables.
         """
         push = MappingPush(source_eid=source_eid or self.site.eid_prefix.network,
-                           mapping=mapping, pce_address=self.address)
+                           mapping=mapping)
         targets = range(len(self.site.xtrs))     # push to all (Step 7b)
         egress_index = self.irc.select_egress()
         for b in targets:

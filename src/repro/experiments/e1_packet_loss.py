@@ -6,21 +6,22 @@ dropped at the ITR, queued then flushed, or carried over the control plane.
 The PCE row must show zero drops and zero queueing at any cache hit ratio;
 the reactive baselines degrade as their caches miss.
 
-Each variant at each cache TTL is a one-cell sweep grid; a row is its
-aggregate, labelled with the variant (``system``) and the ``cache_ttl``.
+One grid runs every variant at every cache TTL, one bundle each; a row
+is a bundle's aggregate, labelled with its variant (``system``) and
+``cache_ttl``.
 """
 
 from repro.experiments.sweep import SweepGrid, run_sweep
 from repro.metrics import rounded
 
-#: The systems E1 compares, as (label, control plane, scenario overrides).
+#: The systems E1 compares, as (label, scenario overrides).
 VARIANTS = (
-    ("pce", "pce", {}),
-    ("alt+drop", "alt", {"miss_policy": "drop"}),
-    ("alt+queue", "alt", {"miss_policy": "queue"}),
-    ("alt+cp-data", "alt", {"miss_policy": "cp-data"}),
-    ("cons+drop", "cons", {"miss_policy": "drop"}),
-    ("nerd", "nerd", {"miss_policy": "drop"}),
+    ("pce", {"control_plane": "pce"}),
+    ("alt+drop", {"control_plane": "alt", "miss_policy": "drop"}),
+    ("alt+queue", {"control_plane": "alt", "miss_policy": "queue"}),
+    ("alt+cp-data", {"control_plane": "alt", "miss_policy": "cp-data"}),
+    ("cons+drop", {"control_plane": "cons", "miss_policy": "drop"}),
+    ("nerd", {"control_plane": "nerd", "miss_policy": "drop"}),
 )
 
 #: Flow arrivals per second (Poisson), and the destination Zipf skew.
@@ -33,20 +34,19 @@ HEADERS = ("system", "cache_ttl", "flows", "hit_ratio", "sent_now", "dropped",
 
 def run_e1(num_sites=8, num_flows=40, cache_ttls=(2.0, 60.0), seed=11):
     """One row per variant and cache TTL (the mapping TTL too)."""
-    rows = []
-    for label, control_plane, overrides in VARIANTS:
-        for cache_ttl in cache_ttls:
-            grid = SweepGrid(
-                control_planes=(control_plane,), site_counts=(num_sites,),
-                seeds=(seed,), num_flows=num_flows,
-                arrival_rate=ARRIVAL_RATE, packets_per_flow=5,
-                mapping_ttl=cache_ttl,
-                scenario_overrides={**overrides,
-                                    "cache_ttl_override": cache_ttl},
-                workload_overrides={"zipf_s": ZIPF_S})
-            (row,) = run_sweep(grid)["aggregates"]
-            rows.append({**row, "system": label, "cache_ttl": cache_ttl})
-    return rows
+    # Bundle name -> (system, cache TTL), in row order.
+    labels = {f"{label}@{ttl!r}": (label, ttl)
+              for label, _overrides in VARIANTS for ttl in cache_ttls}
+    overrides = dict(VARIANTS)
+    grid = SweepGrid(
+        control_planes=("pce",), site_counts=(num_sites,), seeds=(seed,),
+        num_flows=num_flows, arrival_rate=ARRIVAL_RATE, packets_per_flow=5,
+        variants=tuple((name, {**overrides[label], "mapping_ttl": ttl})
+                       for name, (label, ttl) in labels.items()),
+        workload_overrides={"zipf_s": ZIPF_S})
+    by_variant = {row["variant"]: row for row in run_sweep(grid)["aggregates"]}
+    return [{**by_variant[name], "system": label, "cache_ttl": ttl}
+            for name, (label, ttl) in labels.items()]
 
 
 def _fates(row):

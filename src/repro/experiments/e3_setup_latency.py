@@ -9,28 +9,29 @@ timeout — far larger than the resolution itself, which is the practical
 sting of weakness W1.  With the queue policy it equals the resolution
 latency.  NERD matches plain IP (nothing to resolve) at the cost E5 shows.
 
-Each variant is a one-cell sweep grid; a row is its aggregate over the
-flows whose handshake finished, labelled ``system``, plus ``total_mean``:
-DNS plus setup, what the user waits.
+One grid runs every variant, one bundle each; a row is a bundle's
+aggregate over the flows whose handshake finished, labelled with its
+``variant`` (the system), plus ``total_mean``: DNS plus setup, what the
+user waits.
 """
 
 from repro.experiments.sweep import SweepGrid, run_sweep
 from repro.metrics import rounded
 
-#: The reactive systems' map-cache TTL: short, so caches stay cold.
+#: The reactive systems' mapping TTL: short, so caches stay cold.
 COLD_CACHE_TTL = 0.5
 
-#: The systems E3 compares, as (label, control plane, scenario overrides).
+#: The systems E3 compares, as (label, scenario overrides).
 VARIANTS = (
-    ("plain", "plain", {}),
-    ("pce", "pce", {}),
-    ("nerd", "nerd", {}),
-    ("alt+drop", "alt", {"miss_policy": "drop",
-                         "cache_ttl_override": COLD_CACHE_TTL}),
-    ("alt+queue", "alt", {"miss_policy": "queue",
-                          "cache_ttl_override": COLD_CACHE_TTL}),
-    ("cons+queue", "cons", {"miss_policy": "queue",
-                            "cache_ttl_override": COLD_CACHE_TTL}),
+    ("plain", {"control_plane": "plain"}),
+    ("pce", {"control_plane": "pce"}),
+    ("nerd", {"control_plane": "nerd"}),
+    ("alt+drop", {"control_plane": "alt", "miss_policy": "drop",
+                  "mapping_ttl": COLD_CACHE_TTL}),
+    ("alt+queue", {"control_plane": "alt", "miss_policy": "queue",
+                   "mapping_ttl": COLD_CACHE_TTL}),
+    ("cons+queue", {"control_plane": "cons", "miss_policy": "queue",
+                    "mapping_ttl": COLD_CACHE_TTL}),
 )
 
 HEADERS = ("system", "flows", "t_dns", "t_setup", "t_setup_p95", "syn_retx",
@@ -38,25 +39,24 @@ HEADERS = ("system", "flows", "t_dns", "t_setup", "t_setup_p95", "syn_retx",
 
 
 def run_e3(num_sites=6, num_flows=30, seed=37):
-    rows = []
-    for label, control_plane, overrides in VARIANTS:
-        # Cold caches: every flow pays the full DNS walk and, on the
-        # reactive systems, a fresh mapping resolution.
-        grid = SweepGrid(
-            control_planes=(control_plane,), site_counts=(num_sites,),
-            seeds=(seed,), num_flows=num_flows, arrival_rate=2.0, mode="tcp",
-            scenario_overrides={"dns_use_cache": False, **overrides},
-            workload_overrides={"grace_period": 15.0})
-        (row,) = run_sweep(grid)["aggregates"]
+    # Cold caches: every flow pays the full DNS walk and, on the reactive
+    # systems, a fresh mapping resolution.
+    grid = SweepGrid(
+        control_planes=("pce",), site_counts=(num_sites,), seeds=(seed,),
+        num_flows=num_flows, arrival_rate=2.0, mode="tcp", variants=VARIANTS,
+        scenario_overrides={"dns_use_cache": False},
+        workload_overrides={"grace_period": 15.0})
+    by_variant = {row["variant"]: row for row in run_sweep(grid)["aggregates"]}
+    rows = [by_variant[label] for label, _overrides in VARIANTS]
+    for row in rows:
         setup = row["setup_mean"]
-        rows.append({**row, "system": label, "total_mean":
-                     None if setup is None else row["dns_mean"] + setup})
+        row["total_mean"] = None if setup is None else row["dns_mean"] + setup
     return rows
 
 
 def as_tuple(row):
     flows = row["flows_set_up"]
-    return (row["system"], flows, rounded(row["dns_mean"], 5),
+    return (row["variant"], flows, rounded(row["dns_mean"], 5),
             rounded(row["setup_mean"], 5), rounded(row["setup_p95_mean"], 5),
             round(row["syn_retransmissions"] / flows if flows else 0.0, 3),
             rounded(row["total_mean"], 5))
@@ -67,9 +67,9 @@ def check_shape(rows):
     by_system = {}
     for row in rows:
         if row["flows_set_up"]:
-            by_system[row["system"]] = row
+            by_system[row["variant"]] = row
         else:
-            failures.append(f"{row['system']}: no connection was set up")
+            failures.append(f"{row['variant']}: no connection was set up")
     plain = by_system.get("plain")
     pce = by_system.get("pce")
     alt_drop = by_system.get("alt+drop")

@@ -11,8 +11,8 @@ line rate":
    IRC engine?  The ablation adds the computation delay to every lookup.
 
 Also reports the byte overhead of the port-P envelope versus the raw reply,
-as the PCEs count it.  Each variant is a one-cell sweep grid; a row is its
-aggregate, labelled ``variant``.
+as the PCEs count it.  One grid runs every variant, one bundle each; a
+row is a bundle's aggregate, labelled with its ``variant``.
 """
 
 from repro.experiments.sweep import SweepGrid, run_sweep
@@ -25,26 +25,22 @@ COMPUTATION_DELAY = 0.02
 HEADERS = ("variant", "flows", "t_dns_mean", "t_dns_p95", "envelope_bytes")
 
 
-#: The variants E6 compares, as (label, control plane, scenario overrides).
+#: The variants E6 compares, as (label, scenario overrides).
 VARIANTS = (
-    ("plain-dns", "plain", {}),
-    ("pce-precomputed", "pce", {"precompute": True}),
-    ("pce-on-demand", "pce", {"precompute": False,
-                              "computation_delay": COMPUTATION_DELAY}),
+    ("plain-dns", {"control_plane": "plain"}),
+    ("pce-precomputed", {"control_plane": "pce", "precompute": True}),
+    ("pce-on-demand", {"control_plane": "pce", "precompute": False,
+                       "computation_delay": COMPUTATION_DELAY}),
 )
 
 
 def run_e6(num_sites=4, num_flows=25, seed=71):
-    rows = []
-    for label, control_plane, overrides in VARIANTS:
-        grid = SweepGrid(
-            control_planes=(control_plane,), site_counts=(num_sites,),
-            seeds=(seed,), num_flows=num_flows, arrival_rate=4.0,
-            packets_per_flow=1,
-            scenario_overrides={"dns_use_cache": False, **overrides})
-        (row,) = run_sweep(grid)["aggregates"]
-        rows.append({**row, "variant": label})
-    return rows
+    grid = SweepGrid(
+        control_planes=("pce",), site_counts=(num_sites,), seeds=(seed,),
+        num_flows=num_flows, arrival_rate=4.0, packets_per_flow=1,
+        variants=VARIANTS, scenario_overrides={"dns_use_cache": False})
+    by_variant = {row["variant"]: row for row in run_sweep(grid)["aggregates"]}
+    return [by_variant[label] for label, _overrides in VARIANTS]
 
 
 def _envelope_bytes(row):

@@ -7,8 +7,9 @@ miss costs fresh initial packets.  The PCE control plane pushes a mapping
 per flow start (or refreshes from the PCE database on cached DNS answers),
 so its loss stays zero across the whole sweep.
 
-Each TTL is one sweep grid over :data:`SYSTEMS` x :data:`ZIPF_VALUES`; a
-row is one of its aggregates, labelled with its ``cache_ttl``.
+One grid runs :data:`SYSTEMS` x :data:`ZIPF_VALUES` x one bundle per
+TTL; a row is one of its aggregates, labelled with its bundle's
+``cache_ttl``.
 """
 
 from repro.experiments.sweep import SweepGrid, run_sweep
@@ -25,16 +26,15 @@ ZIPF_VALUES = (0.0, 1.2)
 
 
 def run_e7(num_sites=8, num_flows=50, seed=83):
-    rows = []
-    for ttl in TTLS:
-        grid = SweepGrid(control_planes=SYSTEMS, site_counts=(num_sites,),
-                         seeds=(seed,), zipf_values=ZIPF_VALUES,
-                         num_flows=num_flows, arrival_rate=5.0,
-                         mapping_ttl=ttl,
-                         scenario_overrides={"miss_policy": "drop",
-                                             "cache_ttl_override": ttl})
-        rows += [{**row, "cache_ttl": ttl}
-                 for row in run_sweep(grid)["aggregates"]]
+    ttls = {f"ttl{ttl!r}": ttl for ttl in TTLS}
+    grid = SweepGrid(control_planes=SYSTEMS, site_counts=(num_sites,),
+                     seeds=(seed,), zipf_values=ZIPF_VALUES,
+                     num_flows=num_flows, arrival_rate=5.0,
+                     variants=tuple((name, {"mapping_ttl": ttl})
+                                    for name, ttl in ttls.items()),
+                     scenario_overrides={"miss_policy": "drop"})
+    rows = [{**row, "cache_ttl": ttls[row["variant"]]}
+            for row in run_sweep(grid)["aggregates"]]
     rows.sort(key=lambda row: (SYSTEMS.index(row["control_plane"]),
                                row["cache_ttl"], row["zipf_s"]))
     return rows

@@ -57,7 +57,6 @@ class ScenarioConfig:
     # Reactive-baseline knobs
     miss_policy: str = "drop"
     gleaning: bool = True
-    cache_ttl_override: float = None
     # Mapping / DNS lifetimes
     mapping_ttl: float = 60.0
     dns_host_ttl: float = 60.0
@@ -99,11 +98,8 @@ class ScenarioConfig:
         check_ttl("dns_host_ttl", self.dns_host_ttl)
         # Lifetimes must be > 0, which NaN is not either: a bad grid then
         # fails at expansion with the field named, not inside a worker.
-        lifetimes = {"mapping_ttl": self.mapping_ttl,
-                     "probe_period": self.probe_period}
-        if self.cache_ttl_override is not None:
-            lifetimes["cache_ttl_override"] = self.cache_ttl_override
-        for name, value in lifetimes.items():
+        for name in ("mapping_ttl", "probe_period"):
+            value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value!r}")
         if self.probe_timeout is not None \
@@ -434,7 +430,6 @@ def build_scenario(config):
         scenario.miss_policy = policy
         scenario.xtrs_by_site = deploy_lisp(
             sim, topology, system, policy, gleaning=config.gleaning,
-            cache_ttl_override=config.cache_ttl_override,
             mapping_ttl=config.mapping_ttl)
         sim.run()  # let deployment-time pushes (NERD) settle
 

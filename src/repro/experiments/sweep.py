@@ -1,13 +1,14 @@
 """Parameter sweeps: declarative scenario grids fanned out over processes.
 
 The loop-shaped paper experiments (E1, E3, E5, E6, E7, E10) run here
-too: each declares its variants as :class:`SweepGrid` objects and reads
-the aggregates.  A :class:`SweepGrid` lists the
-values of every sweep axis, :func:`expand_grid` turns it into concrete
-:class:`SweepCell` objects — one
-:class:`~repro.experiments.scenario.ScenarioConfig` /
-:class:`~repro.experiments.workload.WorkloadConfig` pair per cell — and
-:func:`run_sweep` fans the cells out across worker processes.
+too and read the aggregates; E1, E3, E6 and E7 run one grid each, the
+systems they compare named bundles on the ``variant`` axis.  A
+:class:`SweepGrid` lists the values of every sweep axis, and
+:func:`expand_grid` turns it into concrete :class:`SweepCell` objects —
+one :class:`~repro.experiments.scenario.ScenarioConfig` /
+:class:`~repro.experiments.workload.WorkloadConfig` pair per cell: axis
+values, then overrides, then the variant's bundle — and :func:`run_sweep`
+fans the cells out across worker processes.
 
 Which axes and metrics exist is defined once, in the :data:`AXES` and
 :data:`METRICS` tables; everything else that names one is derived from
@@ -83,7 +84,7 @@ from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
 #: consumer of the artifacts would have to change (see "Sweep artifacts"
 #: in ``docs/contracts.md``); world blobs are versioned separately
 #: (``SNAPSHOT_SCHEMA``, see "Versions" there).
-SCHEMA = "repro.sweep/v8"
+SCHEMA = "repro.sweep/v9"
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ class SweepGrid:
     it at ``repair_at`` (simulated seconds after the workload starts).
     ``scenario_overrides`` and ``workload_overrides`` apply to every cell
     (any :class:`ScenarioConfig` / :class:`WorkloadConfig` field) and win
-    over axis values.
+    over axis values; ``variants``, ``(name, {ScenarioConfig field:
+    value})`` bundles, is an axis whose bundle wins over both.
     """
 
     name: str = "sweep"
@@ -110,6 +112,7 @@ class SweepGrid:
     size_dists: tuple = ("constant",)
     pacings: tuple = ("constant",)
     fail_fractions: tuple = (0.0,)
+    variants: tuple = (("default", {}),)
     fail_at: float = 1.0
     repair_at: float = 3.0
     num_providers: int = 4
@@ -124,11 +127,15 @@ class SweepGrid:
 
     def describe(self):
         """JSON-ready description of the grid (stable field order)."""
-        description = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            description[spec.name] = list(value) if isinstance(value, tuple) else value
-        return description
+        return {spec.name: _listed(getattr(self, spec.name))
+                for spec in fields(self)}
+
+
+def _listed(value):
+    """*value* with its tuples as lists, as JSON gives it back."""
+    if isinstance(value, tuple):
+        return [_listed(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,7 @@ class SweepCell:
 
     index: int
     cell_id: str
+    variant: str           # the name of the bundle its scenario applied
     scenario: ScenarioConfig
     workload: WorkloadConfig
     failure: FailureConfig
@@ -161,9 +169,9 @@ class Axis:
 
     key: str               # in cell results, CSV columns, aggregate groups
     field: str             # SweepGrid field listing the values
-    flag: str              # ``repro sweep`` flag overriding that field ...
+    flag: str              # ``repro sweep`` flag (or None) for that field ...
     type: type             # ... and its element type
-    config: str            # SweepCell config the value lands in ...
+    config: str            # SweepCell config the value lands in (or None) ...
     #: ... as this keyword (default: key), the config attribute results
     #: report back: read from the config, because overrides may shadow the
     #: axis value.
@@ -183,6 +191,11 @@ class Axis:
 #: The replication axis: aggregates fold over it instead of grouping by
 #: it, and it varies fastest in the grid.
 _SEED = Axis("seed", "seeds", "--seeds", int, "scenario", fragment="seed{}")
+
+#: The variant axis: its values name the grid's bundles, and a cell keeps
+#: its own (:attr:`SweepCell.variant`).
+_VARIANT = Axis("variant", "variants", None, str, None, unmarked="default",
+                label="variant")
 
 #: Every sweep axis, in result/CSV column order.
 AXES = (
@@ -220,6 +233,7 @@ AXES = (
          valid=lambda fraction: 0.0 <= fraction <= 1.0,
          error="fail fraction {!r} outside [0, 1]", label="fail",
          show="{:g}", help="fractions of sites whose primary RLOC fails"),
+    _VARIANT,
 )
 
 #: The axes that identify one aggregate group: every axis but the seed.
@@ -231,14 +245,21 @@ GRID_FLAGS = (("--flows", "num_flows", {"type": int}),
               ("--mode", "mode", {"choices": ("udp", "tcp")}))
 
 
+#: What a variant bundle may set.
+_SCENARIO_FIELDS = frozenset(spec.name for spec in fields(ScenarioConfig))
+
+
 def expand_grid(grid):
     """The grid's cells, in deterministic axis-nesting order.
 
     Raises ``ValueError`` naming the grid field for an axis that is empty
-    or repeats a value, and for a value its axis does not accept.
+    or repeats a value, and for a value its axis does not accept; and the
+    field a variant bundle sets when no :class:`ScenarioConfig` has it or
+    an axis sweeps it (its cells would fold together as seeds).
     """
-    for axis in AXES:
-        values = getattr(grid, axis.field)
+    axis_values = {axis: getattr(grid, axis.field) for axis in AXES}
+    axis_values[_VARIANT] = tuple(name for name, _bundle in grid.variants)
+    for axis, values in axis_values.items():
         if not values:
             raise ValueError(f"grid field {axis.field!r} is empty")
         if len(set(values)) != len(values):
@@ -247,10 +268,20 @@ def expand_grid(grid):
         for value in values:
             if axis.valid is not None and not axis.valid(value):
                 raise ValueError(axis.error.format(value))
+    swept = {axis.kwarg: axis.field for axis, values in axis_values.items()
+             if axis.config == "scenario" and len(values) > 1}
+    for name, bundle in grid.variants:
+        for key in bundle:
+            if key not in _SCENARIO_FIELDS:
+                raise ValueError(f"variant {name!r} sets {key!r}, which is "
+                                 f"not a ScenarioConfig field")
+            if key in swept:
+                raise ValueError(f"variant {name!r} sets {key!r}, which grid "
+                                 f"field {swept[key]!r} sweeps")
     nesting = (*GROUP_AXES, _SEED)
     return [_make_cell(grid, index, tuple(zip(nesting, values, strict=True)))
             for index, values in enumerate(itertools.product(
-                *(getattr(grid, axis.field) for axis in nesting)))]
+                *(axis_values[axis] for axis in nesting)))]
 
 
 def _make_cell(grid, index, values):
@@ -265,14 +296,17 @@ def _make_cell(grid, index, values):
         "failure": dict(fail_at=grid.fail_at, repair_at=grid.repair_at),
     }
     for axis, value in values:
-        kwargs[axis.config][axis.kwarg] = value
-    # Overrides win over axis-derived values (so a grid can e.g. force
-    # miss_policy or hosts_per_site per cell).
+        if axis is _VARIANT:
+            variant = value
+        else:
+            kwargs[axis.config][axis.kwarg] = value
+    # Overrides win over axis values, and a variant's bundle over both.
     kwargs["scenario"].update(grid.scenario_overrides)
     kwargs["workload"].update(grid.workload_overrides)
+    kwargs["scenario"].update(dict(grid.variants)[variant])
     cell_id = "-".join(axis.fragment.format(value)
                        for axis, value in values if value != axis.unmarked)
-    return SweepCell(index=index, cell_id=cell_id,
+    return SweepCell(index=index, cell_id=cell_id, variant=variant,
                      scenario=ScenarioConfig(**kwargs["scenario"]),
                      workload=WorkloadConfig(**kwargs["workload"]),
                      failure=FailureConfig(**kwargs["failure"]))
@@ -531,7 +565,8 @@ def run_cell(world, cell):
     return {
         "index": cell.index,
         "cell_id": cell.cell_id,
-        **{axis.key: getattr(getattr(cell, axis.config), axis.kwarg)
+        **{axis.key: getattr(cell if axis.config is None
+                             else getattr(cell, axis.config), axis.kwarg)
            for axis in AXES},
         "mode": cell.workload.mode,
         "metrics": {metric.key: metric.collect(finished)

@@ -145,7 +145,7 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: build under the current code.  The "Versions" paragraph of
 #: ``docs/contracts.md`` says when to bump this and when the sweep
 #: artifact ``SCHEMA``.
-SNAPSHOT_SCHEMA = 18
+SNAPSHOT_SCHEMA = 19
 
 
 @contextmanager

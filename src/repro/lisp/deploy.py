@@ -5,7 +5,7 @@ from repro.lisp.xtr import TunnelRouter
 
 
 def deploy_lisp(sim, topology, mapping_system, miss_policy, gleaning=True,
-                cache_ttl_override=None, mapping_ttl=60.0):
+                mapping_ttl=60.0):
     """Instantiate a :class:`TunnelRouter` on every border router.
 
     Registers each site's authoritative mapping with *mapping_system*, then
@@ -23,8 +23,7 @@ def deploy_lisp(sim, topology, mapping_system, miss_policy, gleaning=True,
         for node in site.xtrs:
             routers.append(TunnelRouter(sim, node, site, miss_policy=miss_policy,
                                         mapping_system=mapping_system,
-                                        gleaning=gleaning,
-                                        cache_ttl_override=cache_ttl_override))
+                                        gleaning=gleaning))
         xtrs_by_site[site.index] = routers
     mapping_system.finalize()
     return xtrs_by_site

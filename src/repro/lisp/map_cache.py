@@ -21,13 +21,12 @@ class MapCache:
     """EID-prefix keyed cache of :class:`~repro.lisp.mappings.MappingRecord`.
 
     Lookup is longest-prefix match, as an ITR's would be; entries expire
-    after their record TTL (overridable), and expiry is detected lazily.
+    after their TTL, and expiry is detected lazily.
     """
 
-    def __init__(self, sim, name="map-cache", ttl_override=None, owner=None):
+    def __init__(self, sim, name="map-cache", owner=None):
         self.sim = sim
         self.name = name
-        self.ttl_override = ttl_override
         #: The journaled component this cache is part of (its xTR),
         #: touched before every mutation — counting a lookup and lazily
         #: expiring an entry included.
@@ -38,20 +37,16 @@ class MapCache:
         self.expirations = 0
 
     def install(self, mapping, ttl=None):
-        """Insert/refresh *mapping*; returns the effective TTL used.
-
-        TTL precedence: explicit *ttl* argument, then the cache-wide
-        override, then the record's own TTL.  ``float('inf')`` makes the
-        entry permanent (NERD's pushed database uses this).
-        """
+        """Insert/refresh *mapping* for *ttl* seconds (default: the
+        record's own TTL); ``float('inf')`` makes the entry permanent
+        (NERD's pushed database uses this)."""
         owner = self._owner
         if owner is not None and owner._journal is not None:
             owner._touch()
         if ttl is None:
-            ttl = self.ttl_override if self.ttl_override is not None else mapping.ttl
+            ttl = mapping.ttl
         slot = _CacheSlot(mapping, self.sim.now + ttl)
         self._fib.insert(FibEntry(mapping.eid_prefix, slot))
-        return ttl
 
     def lookup(self, eid):
         """The live mapping covering *eid*, or None (counts hits/misses)."""
@@ -100,8 +95,8 @@ class MapCache:
     def __len__(self):
         return len(self.entries())
 
-    #: Construction-time config (owning sim, trace label, TTL policy).
-    _SNAPSHOT_EXEMPT = ("sim", "name", "ttl_override", "_owner")
+    #: Construction-time config (owning sim, trace label, owner).
+    _SNAPSHOT_EXEMPT = ("sim", "name", "_owner")
 
     def snapshot_state(self):
         return (self._fib.snapshot_state(), self.hits, self.misses,

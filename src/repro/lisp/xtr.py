@@ -32,7 +32,7 @@ class TunnelRouter(Journaled):
     """xTR service bound to a border-router node."""
 
     def __init__(self, sim, node, site, miss_policy, mapping_system=None,
-                 gleaning=True, cache_ttl_override=None):
+                 gleaning=True):
         self.sim = sim
         self.node = node
         self.site = site
@@ -44,7 +44,7 @@ class TunnelRouter(Journaled):
         #: locators are skipped at encapsulation time (failover).
         self.rloc_liveness = None
         self.map_cache = MapCache(sim, name=f"{node.name}-map-cache",
-                                  ttl_override=cache_ttl_override, owner=self)
+                                  owner=self)
         self.decap_listeners = []
         self.encapsulated = 0
         self.decapsulated = 0

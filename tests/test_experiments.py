@@ -1,9 +1,12 @@
 """Tests for the experiment layer: scenarios, workloads, and small driver runs."""
 
+import importlib
+
 import pytest
 
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
 from repro.experiments.scenario import CONTROL_PLANES
+from repro.experiments.sweep import run_sweep
 from repro.experiments.workload import classify_first_packet
 
 
@@ -203,3 +206,22 @@ def test_small_driver_runs_e2_and_e8():
     assert e2.check_shape(rows) == [] or all("deeper" in f for f in e2.check_shape(rows))
     rows = e8.run_e8(num_sites=3, num_flows=8)
     assert e8.check_shape(rows) == []
+
+
+@pytest.mark.parametrize("module, runner", (
+    ("e1_packet_loss", "run_e1"), ("e3_setup_latency", "run_e3"),
+    ("e6_pce_overhead", "run_e6"), ("e7_cache_aging", "run_e7"),
+))
+def test_variant_experiments_run_one_grid(module, runner, monkeypatch):
+    """E1, E3, E6 and E7 run all their variants as one grid: one
+    ``run_sweep`` call, each of its aggregates one row."""
+    module = importlib.import_module(f"repro.experiments.{module}")
+    payloads = []
+
+    def spy(grid, **kwargs):
+        payloads.append(run_sweep(grid, **kwargs))
+        return payloads[-1]
+    monkeypatch.setattr(module, "run_sweep", spy)
+    rows = getattr(module, runner)(num_sites=3, num_flows=4)
+    assert len(payloads) == 1
+    assert len(rows) == len(payloads[0]["aggregates"]) > 1

@@ -120,10 +120,12 @@ def test_map_cache_ttl_expiry():
     assert cache.expirations == 1
 
 
-def test_map_cache_ttl_override():
+def test_map_cache_explicit_ttl_wins_over_the_record():
     sim = Simulator()
-    cache = MapCache(sim, ttl_override=5.0)
-    cache.install(mapping(ttl=1000.0))
+    cache = MapCache(sim)
+    cache.install(mapping(ttl=1000.0), ttl=5.0)
+    sim.run(until=4.0)
+    assert cache.lookup("100.0.1.10") is not None
     sim.run(until=6.0)
     assert cache.lookup("100.0.1.10") is None
 

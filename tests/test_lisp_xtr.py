@@ -41,12 +41,14 @@ class CrashingMappingSystem(InstantMappingSystem):
 
 
 def make_lisp_world(miss_policy_cls=DropPolicy, resolve_delay=0.02, seed=21,
-                    num_sites=2, gleaning=True, system_cls=InstantMappingSystem):
+                    num_sites=2, gleaning=True, system_cls=InstantMappingSystem,
+                    mapping_ttl=60.0):
     sim = Simulator(seed=seed)
     topology = build(sim, TopologySpec(num_sites=num_sites, num_providers=4))
     system = system_cls(sim, delay=resolve_delay)
     policy = miss_policy_cls(sim)
-    xtrs = deploy_lisp(sim, topology, system, policy, gleaning=gleaning)
+    xtrs = deploy_lisp(sim, topology, system, policy, gleaning=gleaning,
+                       mapping_ttl=mapping_ttl)
     return sim, topology, system, policy, xtrs
 
 
@@ -228,10 +230,10 @@ def test_one_resolution_per_prefix():
     assert itr.resolutions_started == 1  # both EIDs share the /24
 
 
-def test_cache_ttl_override_expires_entries():
-    sim, topology, system, policy, xtrs = make_lisp_world(DropPolicy, resolve_delay=0.01)
+def test_short_ttl_mappings_expire_from_the_cache():
+    sim, topology, system, policy, xtrs = make_lisp_world(
+        DropPolicy, resolve_delay=0.01, mapping_ttl=0.5)
     itr = xtrs[0][0]
-    itr.map_cache.ttl_override = 0.5
     src = topology.sites[0].hosts[0]
     dst = topology.sites[1].hosts[0]
     deliveries(sim, dst)  # delivery handler registers by side effect

@@ -104,7 +104,7 @@ def test_map_cache_answers_the_longest_live_prefix(ops):
         if kind == "install":
             _kind, prefix, ttl = op
             mapping = _mapping(prefix, serial)
-            assert cache.install(mapping, ttl=ttl) == ttl
+            cache.install(mapping, ttl=ttl)
             reference.install(sim.now, mapping, ttl)
         elif kind == "lookup":
             assert cache.lookup(op[1]) is reference.lookup(sim.now, op[1]), op

@@ -3,7 +3,6 @@
 import csv
 import copy
 import hashlib
-import io
 import json
 import os
 import random
@@ -77,15 +76,26 @@ def test_expand_grid_rejects_unknown_control_plane():
      "providers_per_site must be >= 1, got 0"),
     (dict(topologies=("tiered",), scenario_overrides={"hosts_per_site": 0}),
      "hosts_per_site must be >= 1, got 0"),
+    (dict(variants=()), "grid field 'variants' is empty"),
+    (dict(variants=(("a", {}), ("a", {"seed": 2}))),
+     "grid field 'variants' repeats a value"),
+    (dict(variants=(("a", {"zipf_s": 1.0}),)),
+     "variant 'a' sets 'zipf_s', which is not a ScenarioConfig field"),
+    (dict(variants=(("alt", {"control_plane": "alt"}),)),
+     "variant 'alt' sets 'control_plane', which grid field 'control_planes' "
+     "sweeps"),
 ), ids=("num_providers", "providers_per_site", "transit_population",
         "fig1_num_providers", "fig1_providers_per_site", "one_site",
         "tiered_one_site", "negative_sites", "no_providers", "no_provider_homes",
-        "tiered_no_hosts"))
+        "tiered_no_hosts", "no_variants", "repeated_variant",
+        "unknown_variant_field", "swept_variant_field"))
 def test_expand_grid_rejects_oversized_topology(fields, named,
                                                 no_world_builds):
     """Sizes the address plan cannot hold, or that leave nothing to build,
     fail at the grid, field named — not as an error out of
-    ``build_world`` inside a worker."""
+    ``build_world`` inside a worker.  So do variant bundles that are
+    missing, share a name, set what no ScenarioConfig has, or set a field
+    an axis sweeps (its cells would fold together as seeds)."""
     with pytest.raises(ValueError, match=named):
         expand_grid(SweepGrid(**fields))
     with pytest.raises(ValueError, match=named):
@@ -104,7 +114,6 @@ def test_cli_sweep_rejects_a_single_site_before_building(
 @pytest.mark.parametrize("field, value, named", (
     ("mapping_ttl", -1.0, "mapping_ttl must be > 0, got -1.0"),
     ("mapping_ttl", float("nan"), "mapping_ttl must be > 0, got nan"),
-    ("cache_ttl_override", 0.0, "cache_ttl_override must be > 0, got 0.0"),
     ("probe_period", float("nan"), "probe_period must be > 0, got nan"),
     ("probe_timeout", 0.5, r"probe_timeout must lie in \(0, probe_period"),
     ("probe_timeout", 0.0, r"probe_timeout must lie in \(0, probe_period"),
@@ -224,7 +233,7 @@ def test_sweep_artifacts(tmp_path):
     payload = run_sweep(TINY, workers=1, json_path=str(json_path),
                         csv_path=str(csv_path))
     on_disk = json.loads(json_path.read_text())
-    assert on_disk["schema"] == SCHEMA == "repro.sweep/v8"
+    assert on_disk["schema"] == SCHEMA == "repro.sweep/v9"
     assert on_disk["num_cells"] == len(payload["cells"]) == 4
     assert payload_digest(on_disk) == payload_digest(payload)
     with open(csv_path) as handle:
@@ -499,34 +508,8 @@ def shrunk_preset(name):
                    else min(grid.num_flows, 12))
 
 
-def v9_pair(payload, csv_bytes):
-    """What a v9 run of the same simulation must produce, from v8 artifacts.
-
-    Scaffolding for the one re-pin: the grid gains its default
-    ``variants``, every cell and aggregate the default ``variant`` key, the
-    CSV a ``variant`` column after ``fail_fraction``, and the schema tag is
-    rewritten.
-    """
-    payload = copy.deepcopy(payload)
-    payload["schema"] = "repro.sweep/v9"
-    payload["grid"]["variants"] = [["default", {}]]
-    for row in payload["cells"] + payload["aggregates"]:
-        row["variant"] = "default"
-    rows = list(csv.reader(io.StringIO(csv_bytes.decode(), newline="")))
-    at = rows[0].index("fail_fraction") + 1
-    rows[0].insert(at, "variant")
-    for row in rows[1:]:
-        row.insert(at, "default")
-    out = io.StringIO(newline="")
-    csv.writer(out).writerows(rows)
-    return {"payload": hashlib.sha256(
-                payload_digest(payload).encode()).hexdigest(),
-            "csv": hashlib.sha256(out.getvalue().encode()).hexdigest()}
-
-
 def preset_digests(name, workdir):
-    """sha256 of one preset's :func:`payload_digest` and of its CSV bytes —
-    plus the ``v9`` pair the schema bump has to land on.
+    """sha256 of one preset's :func:`payload_digest` and of its CSV bytes.
 
     Both pin behaviour only — ``sim_events``, what the engine spent, is in
     neither — so an engine change leaves the golden file alone (its event
@@ -538,8 +521,7 @@ def preset_digests(name, workdir):
         csv_bytes = handle.read()
     return {"payload": hashlib.sha256(
                 payload_digest(payload).encode()).hexdigest(),
-            "csv": hashlib.sha256(csv_bytes).hexdigest(),
-            "v9": v9_pair(payload, csv_bytes)}
+            "csv": hashlib.sha256(csv_bytes).hexdigest()}
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -260,7 +260,7 @@ def test_drivers_agree_when_map_requests_go_unanswered(plane):
 
     # Half-second map-cache entries: ITRs keep asking through the outage.
     config = ScenarioConfig(control_plane=plane, num_sites=3, seed=9501,
-                            cache_ttl_override=0.5, tracing=False)
+                            mapping_ttl=0.5, tracing=False)
     workload = cell_workload("constant", "tcp", num_flows=40, arrival_rate=10.0,
                              dest_site=1, grace_period=10.0)
     (new, _records), (reference, _) = run_both(config, workload, outage)

@@ -155,9 +155,10 @@ class PceControlPlane:
         moves = plan_rebalance(loads, flows_by_itr)
         for move in moves:
             self.set_egress_route(site, move.destination_prefix, move.to_itr)
-            self.sim.trace.record(self.sim.now, site.hub.name, "te.rehome",
-                                  prefix=str(move.destination_prefix),
-                                  frm=move.from_itr, to=move.to_itr)
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, site.hub.name, "te.rehome",
+                                      prefix=str(move.destination_prefix),
+                                      frm=move.from_itr, to=move.to_itr)
         return moves
 
     # ------------------------------------------------------------------ #
@@ -267,9 +268,10 @@ class EtrReverseHook:
                           sport=PORT_REVERSE, dport=PORT_REVERSE,
                           payload=announce)
         sim = control_plane.sim
-        sim.trace.record(sim.now, xtr.node.name, "etr.reverse-multicast",
-                         prefix=str(reverse.eid_prefix),
-                         rloc=str(outer_ip.src))
+        if sim.trace.enabled:
+            sim.trace.record(sim.now, xtr.node.name, "etr.reverse-multicast",
+                             prefix=str(reverse.eid_prefix),
+                             rloc=str(outer_ip.src))
 
 
 class PceReverseHandler:

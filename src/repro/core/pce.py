@@ -93,9 +93,11 @@ class Pce:
         """A local host asked the resolver for *qname*: precompute ingress."""
         ingress_index = self.irc.select_ingress()
         self.pending_ingress[qname] = (client, ingress_index, time)
-        self.sim.trace.record(time, self.node.name, "pce.step1-ipc",
-                              qname=qname, client=str(client),
-                              ingress_rloc=str(self.site.rloc_of(ingress_index)))
+        if self.sim.trace.enabled:
+            self.sim.trace.record(
+                time, self.node.name, "pce.step1-ipc", qname=qname,
+                client=str(client),
+                ingress_rloc=str(self.site.rloc_of(ingress_index)))
 
     # ------------------------------------------------------------------ #
     # The forward tap: everything crossing the DNS path
@@ -116,19 +118,23 @@ class Pce:
         message = packet.payload
         if not isinstance(message, DnsMessage):
             return False
+        trace = self.sim.trace
         if message.is_query:
-            self.sim.trace.record(self.sim.now, self.node.name, "pce.observe-query",
-                                  qname=message.qname, dst=str(packet.ip.dst))
+            if trace.enabled:
+                trace.record(self.sim.now, self.node.name, "pce.observe-query",
+                             qname=message.qname, dst=str(packet.ip.dst))
             return False
         if self._is_local_authoritative_answer(packet, message):
             return self._intercept_authoritative_reply(packet, message)
         if self._is_reply_to_local_host(packet, message):
-            self.sim.trace.record(self.sim.now, self.node.name, "pce.step8-dns-reply",
-                                  qname=message.qname, client=str(packet.ip.dst))
+            if trace.enabled:
+                trace.record(self.sim.now, self.node.name, "pce.step8-dns-reply",
+                             qname=message.qname, client=str(packet.ip.dst))
             self._maybe_refresh_mapping(message)
             return False
-        self.sim.trace.record(self.sim.now, self.node.name, "pce.observe-reply",
-                              qname=message.qname, src=str(packet.ip.src))
+        if trace.enabled:
+            trace.record(self.sim.now, self.node.name, "pce.observe-reply",
+                         qname=message.qname, src=str(packet.ip.src))
         return False
 
     def _is_local_authoritative_answer(self, packet, message):
@@ -165,9 +171,10 @@ class Pce:
         # What the envelope adds on the wire: the narrowed record (one
         # locator without probing) and the envelope's own header.
         self.stats.envelope_bytes += mapping.size_bytes + ENVELOPE_HEADER_BYTES
-        self.sim.trace.record(self.sim.now, self.node.name, "pce.step6-encap",
-                              qname=message.qname, dst=str(packet.ip.dst),
-                              rloc=str(mapping.rlocs[0].address))
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.node.name, "pce.step6-encap",
+                                  qname=message.qname, dst=str(packet.ip.dst),
+                                  rloc=str(mapping.rlocs[0].address))
 
         def emit():
             self.node.send_udp(src=self.address, dst=envelope.original_dst,
@@ -199,8 +206,9 @@ class Pce:
     def _handle_port_p(self, packet):
         envelope = packet.payload
         # 7a: re-emit the original DNS reply toward our resolver, unchanged.
-        self.sim.trace.record(self.sim.now, self.node.name, "pce.step7a-forward",
-                              dst=str(envelope.original_dst))
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.node.name, "pce.step7a-forward",
+                                  dst=str(envelope.original_dst))
         self.node.send_udp(src=envelope.original_src, dst=envelope.original_dst,
                            sport=envelope.original_sport, dport=envelope.original_dport,
                            payload=envelope.dns_reply)
@@ -239,12 +247,13 @@ class Pce:
         self.stats.push_timeline.append((self.sim.now,
                                          push.source_eid, mapping.eid_prefix))
         self.control_plane.set_egress_route(self.site, mapping.eid_prefix, egress_index)
-        self.sim.trace.record(self.sim.now, self.node.name, "pce.step7b-push",
-                              prefix=str(mapping.eid_prefix),
-                              src_rloc=str(mapping.source_rloc),
-                              dst_rloc=str(mapping.rlocs[0].address),
-                              targets=len(targets), egress=egress_index,
-                              refresh=refresh)
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.node.name, "pce.step7b-push",
+                                  prefix=str(mapping.eid_prefix),
+                                  src_rloc=str(mapping.source_rloc),
+                                  dst_rloc=str(mapping.rlocs[0].address),
+                                  targets=len(targets), egress=egress_index,
+                                  refresh=refresh)
 
     def _maybe_refresh_mapping(self, message):
         """Re-push a known mapping when the resolver answers from cache.
@@ -283,8 +292,10 @@ class Pce:
     def learn_reverse_mapping(self, mapping):
         """ETR multicast reached the PCE database (closing paragraph, (iii))."""
         self.mapping_db[mapping.eid_prefix] = mapping
-        self.sim.trace.record(self.sim.now, self.node.name, "pce.reverse-learned",
-                              prefix=str(mapping.eid_prefix))
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.node.name,
+                                  "pce.reverse-learned",
+                                  prefix=str(mapping.eid_prefix))
 
     # ------------------------------------------------------------------ #
     # World-reuse checkpointing

@@ -40,12 +40,14 @@ FLOW_END = 12.0
 PACKET_INTERVAL = 0.05
 
 
-def schedule_access_failure(sim, site, locator_index, fail_at, repair_at):
+def schedule_access_failure(queue, site, locator_index, fail_at, repair_at):
     """Fail, then repair, both directions of one of *site*'s access links.
 
     The reusable core of this experiment's failure injection: the sweep
     engine schedules the same fail/repair pair when a cell carries a
-    ``fail_fraction`` (RLOC failure as a sweep axis).
+    ``fail_fraction`` (RLOC failure as a sweep axis).  Both calls go
+    through ``queue.call_at``: the simulator, or a
+    :class:`~repro.sim.engine.Reservation` of it.
     """
     links = site.access_links[locator_index]
 
@@ -53,8 +55,8 @@ def schedule_access_failure(sim, site, locator_index, fail_at, repair_at):
         links["uplink"].up = up
         links["downlink"].up = up
 
-    sim.call_at(fail_at, set_link, False)
-    sim.call_at(repair_at, set_link, True)
+    queue.call_at(fail_at, set_link, False)
+    queue.call_at(repair_at, set_link, True)
 
 
 def run_e9(seed=29, probe_period=0.4):

@@ -15,14 +15,18 @@ Which axes and metrics exist is defined once, in the :data:`AXES` and
 them (see "Sweep artifacts" in ``docs/contracts.md``).
 
 A sweep is a list of world runs.  :func:`world_chunks` cuts the grid into
-runs of same-world cells, and :func:`run_world` runs one: its first cell
-builds the world, every later cell resets it in place
+runs of same-world cells, and :func:`run_world` runs one as *families*,
+the cells that differ only in their failure fraction: its first family
+builds the world, every later one resets it in place
 (:func:`~repro.experiments.worldbuild.restore_world`), and the world is
-torn down when the run ends, so it dies by reference count.  Each cell
-runs with the cyclic collector paused, so a sweep makes no full collection
-(see "World lifecycle cost" in ``docs/contracts.md``).  A serial run takes
-one chunk per world; fan-out hands the chunks to a worker pool, fork and
-spawn alike, and the parent builds nothing.  Each world is split into at
+torn down when the run ends, so it dies by reference count.  A family
+runs its workload once up to ``fail_at`` and forks one child there per
+further cell, one child at a time, each finishing its cell as if run
+alone (see "Branching runs" in ``docs/contracts.md``).  Each family runs
+with the cyclic collector paused, so a sweep makes no full collection
+(see "World lifecycle cost" there).  A serial run takes one chunk per
+world; fan-out hands the chunks to a worker pool, fork and spawn alike,
+and the parent builds nothing.  Each world's families are split into at
 most ``ceil(workers / distinct worlds)`` chunks, so with at least as many
 worlds as workers each world is built exactly once.  The ``world_cache``
 summary counts one build per chunk.
@@ -36,7 +40,8 @@ byte-identical for ``workers=1`` and ``workers=N``.
 
 Determinism: each cell's world is either freshly built or restored to the
 post-build checkpoint, so a cell's metrics depend only on its configs —
-never on which cells ran before it in the same worker.  Nothing
+never on which cells ran before it in the same worker, nor on whether it
+branched off a family's run.  Nothing
 wall-clock-dependent or scheduling-dependent is written into the JSON/CSV
 artifacts (the per-cell world-cache outcome lives only in the JSONL lines
 and the non-digested ``world_cache`` summary).  :func:`payload_digest`
@@ -65,13 +70,17 @@ import math
 import multiprocessing
 import operator
 import os
+import pickle
+import sys
+import threading
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 from repro.experiments.e9_failover import schedule_access_failure
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.workload import (WorkloadConfig, classify_first_packet,
-                                        peak_concurrent_flows, run_workload)
+                                        finish_workload, peak_concurrent_flows,
+                                        start_workload)
 from repro.experiments.worldbuild import (build_world, gc_paused,
                                            restore_world, world_key)
 from repro.metrics.stats import summarize
@@ -522,37 +531,60 @@ METRICS = (
 # Per-cell execution
 # --------------------------------------------------------------------- #
 
-def _apply_failures(scenario, failure):
+def _failed_count(scenario, failure):
+    """How many sites *failure* takes down in *scenario* (0: none)."""
+    if failure.fraction <= 0.0:
+        return 0
+    sites = len(scenario.topology.sites)
+    return min(sites, max(1, round(failure.fraction * sites)))
+
+
+def _apply_failures(scenario, failure, start, queue):
     """Schedule the cell's RLOC failures (E9 machinery as a sweep axis).
 
-    Site choice draws from the dedicated ``failover`` RNG stream, so it is
-    a pure function of the scenario seed — independent of the workload
-    stream and of world reuse (restores drop the stream, and it re-derives
-    identically).
+    Sites fail at ``start + fail_at`` and are repaired at ``start +
+    repair_at``, *start* being the instant the cell's workload started,
+    and are queued through *queue*: the simulator, or the
+    :class:`~repro.sim.engine.Reservation` the cell's family took when it
+    started, so the entries sort as if queued then.  Site choice draws
+    from the dedicated ``failover`` RNG stream, so it is a pure function
+    of the scenario seed — independent of the workload stream, of when it
+    is drawn and of world reuse (restores drop the stream, and it
+    re-derives identically).
     """
-    if failure.fraction <= 0.0:
+    count = _failed_count(scenario, failure)
+    if not count:
         return
-    sim = scenario.sim
     sites = scenario.topology.sites
-    count = min(len(sites), max(1, round(failure.fraction * len(sites))))
-    rng = sim.rng.stream("failover")
+    rng = scenario.sim.rng.stream("failover")
     for index in sorted(rng.sample(range(len(sites)), count)):
-        schedule_access_failure(sim, sites[index], 0,
-                                sim.now + failure.fail_at,
-                                sim.now + failure.repair_at)
+        schedule_access_failure(queue, sites[index], 0,
+                                start + failure.fail_at,
+                                start + failure.repair_at)
 
 
-def run_cell(world, cell):
-    """Run *cell*'s workload on *world*, a pristine world of its config,
-    and measure it.
+@dataclass(frozen=True)
+class _Prefix:
+    """What a family's cells share at its branch point."""
 
-    Returns a JSON-ready dict — the value of every :data:`AXES` row the
-    cell ran with and every :data:`METRICS` row's collection; everything
-    in it is derived from the simulation alone (no wall-clock values, no
-    cache outcomes), keeping sweep artifacts reproducible.
+    start: float           # the instant the workload started
+    keys: object           # the Reservation the failures are queued under
+    records: list          # the workload's flow records so far
+    end: float             # the instant the workload ends
+
+
+def run_cell(world, cell, prefix):
+    """Finish *cell* on *world*, which has run its family's *prefix*, and
+    measure it.
+
+    Queues the cell's failures, runs the workload to its end and returns
+    a JSON-ready dict — the value of every :data:`AXES` row the cell ran
+    with and every :data:`METRICS` row's collection; everything in it is
+    derived from the simulation alone (no wall-clock values, no cache
+    outcomes), keeping sweep artifacts reproducible.
     """
-    _apply_failures(world, cell.failure)
-    records = run_workload(world, cell.workload)
+    _apply_failures(world, cell.failure, prefix.start, prefix.keys)
+    records = finish_workload(world, prefix.records, prefix.end)
     completed = [record for record in records if not record.failed]
     tcp = cell.workload.mode == "tcp"
     finished = FinishedCell(
@@ -574,27 +606,134 @@ def run_cell(world, cell):
     }
 
 
-def run_world(cells):
-    """Run *cells*, which share a world, in order; their results in a list.
+def _family_key(cell):
+    """What the cells of one family share: everything but the fraction."""
+    return (world_key(cell.scenario), astuple(cell.workload),
+            cell.failure.fail_at, cell.failure.repair_at)
 
-    The first cell builds the world and each later one resets it in place;
-    the world is torn down when the run ends, however it ends, and dies
-    by reference count.  Each cell — its build or restore, workload and
-    metric collection — runs with the cyclic collector paused
+
+def _families(cells):
+    """The positions in *cells* of each family, in first-appearance order.
+
+    Families of one when this process cannot fork cleanly: no
+    ``os.fork``, another thread alive (a child holds only the forking
+    thread, and whatever lock another held stays held), or a profiler
+    installed (it would never see the children's calls).
+    """
+    monitoring = getattr(sys, "monitoring", None)
+    alone = (not hasattr(os, "fork") or threading.active_count() > 1
+             or sys.getprofile() is not None
+             or (monitoring is not None
+                 and monitoring.get_tool(monitoring.PROFILER_ID) is not None))
+    groups = {}
+    for position, cell in enumerate(cells):
+        groups.setdefault(position if alone else _family_key(cell),
+                          []).append(position)
+    return list(groups.values())
+
+
+def _run_family(world, family):
+    """Run the cells of *family* on *world*, pristine; results in order.
+
+    The workload starts once and runs strictly before the branch point,
+    the cells' ``fail_at`` capped at the workload's end; each cell but the
+    first then finishes in a child forked there (:func:`_branched`), one
+    child at a time, and the first finishes here.  A branched cell is the
+    cell run alone, byte for byte (see "Branching runs" in
+    ``docs/contracts.md``).
+    """
+    sim = world.sim
+    first = family[0]
+    start = sim.now
+    failed = max(_failed_count(world, cell.failure) for cell in family)
+    keys = sim.reserve(2 * failed)
+    records, end = start_workload(world, first.workload)
+    sim.run_before(min(start + first.failure.fail_at, end))
+    prefix = _Prefix(start, keys, records, end)
+    branched = [_branched(world, cell, prefix) for cell in family[1:]]
+    return [run_cell(world, first, prefix), *branched]
+
+
+def _branched(world, cell, prefix):
+    """:func:`run_cell` of *cell* in a forked child; its result.
+
+    The child pickles its result, or its exception's type and traceback,
+    into a pipe and leaves with ``os._exit``.  The parent reads the pipe
+    to its end before it reaps the child, and raises, naming the cell,
+    for a child that raised or died.
+    """
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:
+        # The child never returns: nothing of the parent's call stack (its
+        # ``finally`` blocks, the world's teardown) may run here twice.
+        code = 1
+        try:
+            os.close(reader)
+            try:
+                reply = (True, run_cell(world, cell, prefix))
+            except Exception as error:
+                # Imported where it is needed: at the top of the module it
+                # cost reuse_sweep about 1 MB of peak RSS (allocator
+                # layout), five times its own size.
+                import traceback
+                reply = (False, (type(error).__name__, traceback.format_exc()))
+            with open(writer, "wb") as pipe:
+                pickle.dump(reply, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(writer)
+    try:
+        with open(reader, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _pid, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"cell {cell.cell_id!r} (index {cell.index}) died "
+                           f"in its branch with exit status {code}")
+    ok, value = pickle.loads(data)
+    if not ok:
+        name, trace = value
+        raise RuntimeError(f"cell {cell.cell_id!r} (index {cell.index}) "
+                           f"raised {name} in its branch:\n{trace}")
+    return value
+
+
+def run_world(cells):
+    """Run *cells*, which share a world, in families; results in cell order.
+
+    A family is the cells that share their workload and failure instants
+    and differ only in the failure fraction (:func:`_run_family`): it
+    runs the workload once up to its branch point and forks the rest off
+    there.  The first family builds the world and each later one resets
+    it in place; the world is torn down when the run ends, however it
+    ends, and dies by reference count.  Each family — its build or
+    restore, its run and every metric collection in this process — runs
+    with the cyclic collector paused
     (:func:`~repro.experiments.worldbuild.gc_paused`): a cell makes no
     cyclic garbage, so every pass it would trigger walks live objects and
     frees nothing.  This is both the serial path and the pool's task.
     """
     world = None
-    results = []
+    results = [None] * len(cells)
     try:
-        for cell in cells:
+        for family in _families(cells):
+            members = [cells[position] for position in family]
             with gc_paused():
                 if world is None:
-                    world = build_world(cell.scenario)
+                    world = build_world(members[0].scenario)
                 else:
                     restore_world(world)
-                results.append(run_cell(world, cell))
+                for position, result in zip(
+                        family, _run_family(world, members), strict=True):
+                    results[position] = result
     finally:
         if world is not None:
             world.teardown()
@@ -609,11 +748,13 @@ def world_chunks(cells, workers):
     """*cells* as the runs of same-world cells a pool of *workers* takes.
 
     Cells are grouped by world, worlds in first-appearance order, and each
-    world's cells are split into at most ``ceil(workers / distinct
-    worlds)`` chunks of near-equal length: one worker gets one chunk per
-    world, a grid with at least as many worlds as workers sends each world
-    whole, so each is built exactly once wherever it runs, and a grid with
-    fewer worlds splits them so every worker has cells to run.
+    world's families (:func:`run_world`) are split into at most
+    ``ceil(workers / distinct worlds)`` chunks of near-equal length, each
+    chunk in grid order: one worker gets one chunk per world, a grid with
+    at least as many worlds as workers sends each world whole, so each is
+    built exactly once wherever it runs, and a grid with fewer worlds
+    splits them so every worker has cells to run.  A family is never
+    split.
     """
     runs = {}
     for cell in cells:
@@ -621,9 +762,11 @@ def world_chunks(cells, workers):
     parts = -(-workers // len(runs))
     chunks = []
     for run in runs.values():
-        size = -(-len(run) // parts)
-        chunks.extend(run[start:start + size]
-                      for start in range(0, len(run), size))
+        families = list(dict.fromkeys(map(_family_key, run)))
+        size = -(-len(families) // parts)
+        for start in range(0, len(families), size):
+            taken = set(families[start:start + size])
+            chunks.append([cell for cell in run if _family_key(cell) in taken])
     return chunks
 
 
@@ -634,14 +777,25 @@ def _completed_runs(cells, workers):
     :func:`world_chunks` go to a pool of at most one worker per chunk,
     each chunk's world built in the worker that runs it (fork and spawn
     alike: nothing is built here).  Completion order is arbitrary under
-    fan-out; :func:`run_sweep` sorts by cell index.
+    fan-out; :func:`run_sweep` sorts by cell index.  A worker that dies
+    breaks the pool, and the sweep raises ``BrokenProcessPool`` instead
+    of waiting for it.
     """
     chunks = world_chunks(cells, max(1, workers))
     if workers <= 1 or len(chunks) <= 1:
         yield from map(run_world, chunks)
         return
-    with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
-        yield from pool.imap_unordered(run_world, chunks)
+    # Imported here: a serial sweep does not load the pool's modules
+    # (about 1 MB resident).
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+                               mp_context=multiprocessing.get_context())
+    try:
+        runs = [pool.submit(run_world, chunk) for chunk in chunks]
+        for run in as_completed(runs):
+            yield run.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # --------------------------------------------------------------------- #

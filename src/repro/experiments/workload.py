@@ -103,14 +103,30 @@ def run_workload(scenario, workload):
     themselves are replayed from a clone of the stream taken before the
     first draw, one flow at a time, so nothing per flow exists before the
     flow is due.
+
+    It is :func:`start_workload` then :func:`finish_workload`; a sweep
+    family calls the two itself and runs its shared prefix in between.
+    """
+    return finish_workload(scenario, *start_workload(scenario, workload))
+
+
+def start_workload(scenario, workload):
+    """Queue *workload*'s first arrival on *scenario*; nothing runs yet.
+
+    Returns ``(records, end)``: the list each flow's record joins when it
+    arrives, and the instant the workload ends (its last arrival plus the
+    grace period).  The arrival source is owned by its pending engine
+    event and by nothing else from here on.
     """
     arrivals = _Arrivals(scenario, workload)
-    records, last_arrival = arrivals.records, arrivals.last_arrival
     arrivals.schedule_next()
-    del arrivals    # from here on its pending event is its only owner
+    return (arrivals.records,
+            scenario.sim.now + arrivals.last_arrival + workload.grace_period)
 
-    sim = scenario.sim
-    sim.run(until=sim.now + last_arrival + workload.grace_period)
+
+def finish_workload(scenario, records, end):
+    """Run *scenario* to *end* and complete *records*; returns them."""
+    scenario.sim.run(until=end)
 
     # Attribute deliveries back to flows via the sinks.
     delivered_by_flow = defaultdict(int)

@@ -1,6 +1,7 @@
 """The simulation engine: a deterministic time-ordered event queue."""
 
 from heapq import heappop, heappush
+from math import nextafter
 
 from repro.sim.errors import EmptySchedule
 from repro.sim.events import Event, Timeout
@@ -101,6 +102,18 @@ class Simulator:
         self._sequence = sequence = self._sequence + 1
         self._foreground += 1
         heappush(self._queue, (when, sequence, callback, args))
+
+    def reserve(self, count):
+        """Set aside the next *count* insertion keys; returns a :class:`Reservation`.
+
+        What the reservation queues later sorts as if it had been queued
+        now: after everything already queued for its instant and before
+        everything queued after this call.  Every later key shifts up by
+        *count*, which moves no entry's order.
+        """
+        first = self._sequence + 1
+        self._sequence += count
+        return Reservation(self, first, count)
 
     # ------------------------------------------------------------------ #
     # Scheduling and the main loop
@@ -212,6 +225,17 @@ class Simulator:
         self.now = until
         return self.now
 
+    def run_before(self, when):
+        """Process every entry queued for an instant strictly before *when*.
+
+        Unlike ``run(until=...)`` this leaves the clock at the last entry
+        processed rather than moving it on, so what happens next is what
+        would have happened in one uninterrupted run: a sweep family runs
+        its shared prefix this way up to its branch point (see "Branching
+        runs" in ``docs/contracts.md``).
+        """
+        self._dispatch(nextafter(when, -_FOREVER), -1, False)
+
     @property
     def processed_events(self):
         """Number of events and periodic ticks processed so far (diagnostic)."""
@@ -278,3 +302,29 @@ class Simulator:
             (task.next_fire, task._entry_sequence,
              PeriodicFire(task, task._epoch), ())
             for task in self._periodic if task.armed)
+
+
+class Reservation:
+    """Insertion keys :meth:`Simulator.reserve` set aside, handed out in order.
+
+    :meth:`call_at` is :meth:`Simulator.call_at` under the next key held,
+    so a caller that takes a simulator to schedule on (``call_at`` is all
+    it uses) can be handed a reservation instead.
+    """
+
+    __slots__ = ("sim", "_keys")
+
+    def __init__(self, sim, first, count):
+        self.sim = sim
+        self._keys = iter(range(first, first + count))
+
+    def call_at(self, when, callback, *args):
+        """Run ``callback(*args)`` at *when* (>= now) under the next key held."""
+        sim = self.sim
+        if not when >= sim.now:
+            raise ValueError(f"call_at({when}) is in the past (now={sim.now})")
+        sequence = next(self._keys, None)
+        if sequence is None:
+            raise RuntimeError("every reserved insertion key is used")
+        sim._foreground += 1
+        heappush(sim._queue, (when, sequence, callback, args))

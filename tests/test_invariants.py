@@ -164,7 +164,7 @@ def test_byte_conservation_across_presets(preset):
     """
     for cell in _preset_cells(preset):
         scenario = build_world(cell.scenario)
-        _apply_failures(scenario, cell.failure)
+        _apply_failures(scenario, cell.failure, scenario.sim.now, scenario.sim)
         records = run_workload(scenario, cell.workload)
         _assert_bytes_conserved(scenario, drained=False)
         scenario.sim.run()  # drain in-flight deliveries and DNS retries
@@ -213,7 +213,7 @@ def _finished_cell(kind):
         cell = next(cell for cell in _preset_cells("shaped")
                     if cell.workload.pacing == kind)
     scenario = build_world(cell.scenario)
-    _apply_failures(scenario, cell.failure)
+    _apply_failures(scenario, cell.failure, scenario.sim.now, scenario.sim)
     run_workload(scenario, cell.workload)
     return scenario
 

@@ -62,6 +62,38 @@ def test_run_until_processes_events_at_boundary():
     assert hits == ["at-4"]
 
 
+def test_run_before_stops_short_of_its_instant_and_leaves_the_clock():
+    sim = Simulator()
+    hits = []
+    for when in (1.0, 2.5, 3.0, 4.0):
+        sim.call_at(when, hits.append, when)
+    sim.run_before(3.0)
+    assert hits == [1.0, 2.5] and sim.now == 2.5
+    sim.run_before(0.5)  # nothing queued that early: a no-op
+    assert sim.now == 2.5
+    sim.run(until=3.5)
+    assert hits == [1.0, 2.5, 3.0] and sim.now == 3.5
+
+
+def test_a_reservation_queues_as_if_when_it_was_taken():
+    """Reserved keys sort after what was queued before the reservation and
+    before what was queued after it, however late they are used."""
+    sim = Simulator()
+    order = []
+    sim.call_at(2.0, order.append, "before")
+    keys = sim.reserve(2)
+    sim.call_at(2.0, order.append, "after")
+    sim.run_before(2.0)
+    keys.call_at(2.0, order.append, "reserved-1")
+    keys.call_at(2.0, order.append, "reserved-2")
+    with pytest.raises(RuntimeError):
+        keys.call_at(2.0, order.append, "one too many")
+    with pytest.raises(ValueError):
+        sim.reserve(1).call_at(-1.0, order.append, "in the past")
+    sim.run()
+    assert order == ["before", "reserved-1", "reserved-2", "after"]
+
+
 def test_run_until_in_past_raises():
     sim = Simulator()
     sim.call_in(1.0, lambda: None)

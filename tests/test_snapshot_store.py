@@ -226,18 +226,18 @@ def test_memory_store_one_build_many_restores(monkeypatch):
     place, back to the checkpoint instant, for every later cell."""
     builds = []
     seen = []
-    build, run_cell = sweep.build_world, sweep.run_cell
+    build, start_workload = sweep.build_world, sweep.start_workload
 
     def counting_build(config):
         builds.append(build(config))
         return builds[-1]
 
-    def watched(world, cell):
+    def watched(world, workload):  # where each cell's run starts
         seen.append((world, world.sim.now))
-        return run_cell(world, cell)
+        return start_workload(world, workload)
 
     monkeypatch.setattr(sweep, "build_world", counting_build)
-    monkeypatch.setattr(sweep, "run_cell", watched)
+    monkeypatch.setattr(sweep, "start_workload", watched)
     cells = expand_grid(replace(GRID, control_planes=("pce",),
                                 zipf_values=(0.0, 0.5, 1.0, 1.5)))
     results = run_world(cells)

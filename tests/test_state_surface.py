@@ -6,13 +6,15 @@ method) must be read by code in ``src/``, ``examples/`` or ``benchmarks/``
 test matches definitions:
 
 - an ``Attribute`` load of that name, except ``self.<name>`` inside an
-  ``__init__`` or ``snapshot_state`` (building an object and checkpointing
-  it are not uses) and a load that only writes through the attribute: the
-  base of an assigned or augmented subscript or attribute
+  ``__init__``, ``__post_init__`` or ``snapshot_state`` (building an
+  object — a dataclass field's own conversion included — and
+  checkpointing it are not uses) and a load that only writes through
+  the attribute: the base of an assigned or augmented subscript or
+  attribute
   (``self.by_type[kind] += 1``, ``stats.flows[flow].offered += size``) or
   the receiver of a mutating call whose result is dropped
   (``self.timeline.append(entry)``);
-- a string argument of a call outside those two methods that spells the
+- a string argument of a call outside those three methods that spells the
   name, alone or as a part of a dotted path (``getattr(stats, "push_bytes")``,
   ``_per("xtrs", "map_cache.expirations")``).
 
@@ -38,7 +40,7 @@ KEPT = {
 }
 
 #: Methods whose ``self.<name>`` loads are construction or checkpointing.
-_CHECKPOINT = ("__init__", "snapshot_state")
+_CHECKPOINT = ("__init__", "__post_init__", "snapshot_state")
 #: Container methods that change their receiver and return nothing read.
 _MUTATORS = ("append", "appendleft", "extend", "add", "update", "clear",
              "discard")
@@ -149,14 +151,23 @@ class Counter:
 def consume(counter):
     return (counter.derived, getattr(counter, "by_name"),
             ledger("xtrs", "map_cache.dotted"))
+
+
+@dataclass
+class Field:
+    converted: str
+
+    def __post_init__(self):
+        self.converted = IPv4Address(self.converted)
 '''
     tree = ast.parse(source)
     assert stored_attributes(tree) == {
         "Counter.count", "Counter.by_kind", "Counter.log", "Counter.size",
-        "Counter.derived"}
+        "Counter.derived", "Field.converted"}
     names = set(read_names(tree))
+    # a field's own conversion in __post_init__ is construction
     for absent in ("count", "by_kind", "size", "stats", "flows", "offered",
-                   "tuple_only", "checkpointed"):
+                   "tuple_only", "checkpointed", "converted"):
         assert absent not in names, absent
     # pop's result is used; getattr's and a dotted path's strings are reads
     assert {"log", "derived", "by_name", "map_cache",

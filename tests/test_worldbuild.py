@@ -219,7 +219,8 @@ def test_prober_and_irc_state_round_trip_through_restore():
     baseline = (prober_states(), irc_states(), task_states())
 
     # Dirty this world: run a failing workload so probers mark RLOCs down.
-    _apply_failures(scenario, _failover_cell().failure)
+    _apply_failures(scenario, _failover_cell().failure,
+                    scenario.sim.now, scenario.sim)
     run_workload(scenario, WorkloadConfig(num_flows=12, arrival_rate=10.0,
                                           packets_per_flow=5))
     assert any(p._nonce > 0
@@ -402,11 +403,12 @@ def _cyclic_garbage():
 
 
 def _after_each_cell(monkeypatch, check):
-    """Call *check* inside every cell's pause, once its result is in."""
+    """Call *check* inside every cell's pause, once its result is in (in
+    the forked child, for a cell that branched off its family's run)."""
     run_cell = sweep.run_cell
 
-    def checked(world, cell):
-        result = run_cell(world, cell)
+    def checked(*args):
+        result = run_cell(*args)
         check()
         return result
     monkeypatch.setattr(sweep, "run_cell", checked)
@@ -461,18 +463,21 @@ def test_a_world_run_tears_its_world_down_when_a_cell_raises(collector_off,
     """The teardown is the run's ``finally``: a cell that raises still
     leaves no world behind, and nothing for a pass to free."""
     cell = TEARDOWN_MATRIX["pce-flat-udp"][0]
+    # Three families (their workloads differ), so each cell runs here.
+    cells = [replace(cell, workload=replace(cell.workload, num_flows=flows))
+             for flows in (12, 11, 10)]
     before = _live_simulators()
     run_cell = sweep.run_cell
     ran = []
 
-    def second_cell_raises(world, cell):
+    def second_cell_raises(world, cell, prefix):
         if ran:
             raise RuntimeError("cell failed")
         ran.append(cell)
-        return run_cell(world, cell)
+        return run_cell(world, cell, prefix)
     monkeypatch.setattr(sweep, "run_cell", second_cell_raises)
     with pytest.raises(RuntimeError, match="cell failed"):
-        run_world([cell, cell, cell])
+        run_world(cells)
     assert len(ran) == 1
     assert _live_simulators() == before
     assert _cyclic_garbage() == []
@@ -763,7 +768,7 @@ def _lifecycle_cell(control_plane, topology, pacing, sites=6, flows=10,
 
 def _run_cell_on(scenario, oracle, cell):
     assert _dirty_components(oracle) == []
-    _apply_failures(scenario, cell.failure)
+    _apply_failures(scenario, cell.failure, scenario.sim.now, scenario.sim)
     run_workload(scenario, cell.workload)
     # Whatever moved is somewhere a restore will look: a missing _touch()
     # fails here, not three cells later.
@@ -1225,17 +1230,19 @@ def test_a_cell_splices_the_world_it_built_when_it_ends(collector,
     pause hands it to the oldest generation when the cell is done — as
     the run's next cell finds it."""
     cell = TEARDOWN_MATRIX["pce-flat-udp"][0]
+    # Two families (their workloads differ), so both cells run here.
+    other = replace(cell, workload=replace(cell.workload, num_flows=10))
     frozen = gc.get_freeze_count()
     run_cell = sweep.run_cell
     seen = []
 
-    def watched(world, cell):
+    def watched(world, cell, prefix):
         if seen:  # the first cell's pause has ended
             _assert_promoted_unless_skipped(world, collector, frozen)
         seen.append(cell)
-        return run_cell(world, cell)
+        return run_cell(world, cell, prefix)
     monkeypatch.setattr(sweep, "run_cell", watched)
-    run_world([cell, cell])
+    run_world([cell, other])
     assert len(seen) == 2
     assert gc.get_freeze_count() == frozen
 

@@ -375,12 +375,15 @@ class Scenario:
         each other and at the engine), which only a full collection would
         otherwise free.  Clearing the attributes of every inventory
         component, of the engine's periodic tasks (an RLOC prober and its
-        tick refer to each other) and of the roots leaves no cycle
-        standing.  The world is unusable afterwards; whoever drops a world
-        it built tears it down.
+        tick refer to each other), of the events its queue still holds
+        (work a run left in flight waits on them: a resolver walk on its
+        socket's request, whose callback is the walk's own) and of the
+        roots leaves no cycle standing.  The world is unusable afterwards;
+        whoever drops a world it built tears it down.
         """
-        doomed = [*self.stateful_components(), *self.sim.periodic_tasks,
-                  self.topology, self.dns, self]
+        sim = self.sim
+        doomed = [*self.stateful_components(), *sim.periodic_tasks,
+                  *sim.queued_events(), self.topology, self.dns, self]
         for obj in doomed:
             _clear_attributes(obj)
 

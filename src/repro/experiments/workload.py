@@ -125,8 +125,13 @@ def start_workload(scenario, workload):
 
 
 def finish_workload(scenario, records, end):
-    """Run *scenario* to *end* and complete *records*; returns them."""
+    """Run *scenario* to *end* and complete *records*; returns them.
+
+    Flows the deadline strands in the fluid pump are settled, so their
+    records show every chunk the pump sent for them.
+    """
     scenario.sim.run(until=end)
+    scenario.fluid_pump.settle()
 
     # Attribute deliveries back to flows via the sinks.
     delivered_by_flow = defaultdict(int)

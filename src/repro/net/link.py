@@ -417,9 +417,14 @@ class Link(Journaled):
         windows cannot grant, and everything offered while the link is
         down, is recorded as dropped.  Returns the bytes delivered.
 
-        The world's :class:`~repro.traffic.flows.FluidPump` books a whole
-        path group's bytes in one call with ``flow_id=None`` and splits
-        the result over the group's per-flow accounts itself.
+        The world's :class:`~repro.traffic.flows.FluidPump` books with
+        ``flow_id=None`` and writes the per-flow accounts itself.  On a
+        rate-less, up link it makes one call per tick with every
+        full-grant path group's bytes summed: the grant is everything and
+        the window is the tick's, so the sum writes what one call per
+        group did.  A group with a rated or down hop calls once per hop
+        for the group, in formation order, since there the order decides
+        the grant.
         """
         if self._journal is not None:
             self._touch()

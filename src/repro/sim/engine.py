@@ -140,6 +140,17 @@ class Simulator:
                  (when, sequence, PeriodicFire(task, task._epoch), ()))
         return sequence
 
+    def queued_events(self):
+        """Every :class:`Event` the queue holds, as an entry's callback
+        owner or argument (in heap order, duplicates included)."""
+        for _when, _sequence, callback, args in self._queue:
+            owner = getattr(callback, "__self__", None)
+            if isinstance(owner, Event):
+                yield owner
+            for arg in args:
+                if isinstance(arg, Event):
+                    yield arg
+
     @property
     def periodic_tasks(self):
         """Registered periodic tasks, in registration order."""

@@ -454,25 +454,47 @@ def _book_full_grant(flow_id, packets, hops):
 class _PumpedFlow:
     """One flow's place in the pump: what is left and whom to wake.
 
-    ``pending`` counts the packets of its full-grant ticks that its
-    per-flow accounts do not show yet (see :meth:`_PathGroup.settle`).
+    Counted lazily: ``remaining``, ``pending`` and the record's
+    ``bytes_sent``/``chunks_sent`` are as of its group's tick ``written``.
+    Every later tick of the group granted it in full (a short grant
+    writes every flow), so the flow sent one chunk on each, and tick
+    ``last`` sends what is left of its budget (see
+    :meth:`_PathGroup.catch_up`).  ``pending`` counts the packets of
+    full-grant ticks up to ``written`` that its per-flow accounts do not
+    show yet (see :meth:`_PathGroup.settle`).
     """
 
-    __slots__ = ("record", "payload", "chunk", "remaining", "pending", "done")
+    __slots__ = ("record", "payload", "chunk", "remaining", "pending", "done",
+                 "written", "last")
 
-    def __init__(self, record, plan, remaining, done):
+    def __init__(self, record, plan, remaining, done, tick):
         self.record = record
         self.payload = plan.payload_bytes
         self.chunk = plan.chunk_packets
         self.remaining = remaining
         self.pending = 0
         self.done = done
+        self.written = tick
+        self.last = tick - (-remaining // self.chunk)
+
+    def sent_by(self, tick):
+        """Packets sent on the full-grant ticks after ``written`` up to *tick*."""
+        sent = (tick - self.written) * self.chunk
+        return sent if sent < self.remaining else self.remaining
 
 
 class _PathGroup:
-    """Every pumped flow that shares one hop list, wire size and sink."""
+    """Every pumped flow that shares one hop list, wire size and sink.
 
-    __slots__ = ("hops", "sink", "last_size", "flows")
+    Flows are counted, not visited: ``packets`` is the sum of the active
+    flows' chunks and ``ends`` maps a tick to the flows whose budget runs
+    out on it (in join order), so a tick that grants the group in full
+    knows its packets from the flows that leave on it and writes nothing
+    for the others (see :class:`_PumpedFlow`).
+    """
+
+    __slots__ = ("hops", "sink", "last_size", "rateless", "flows", "packets",
+                 "tick", "ends")
 
     def __init__(self, wire, hops, sink):
         self.hops = hops
@@ -480,50 +502,70 @@ class _PathGroup:
         #: Wire size of a packet as it reaches the sink (*wire*, the
         #: un-encapsulated size, when the sink is on the sender's host).
         self.last_size = hops[-1][1] if hops else wire
-        self.flows = []
+        #: Every hop rate-less: the group is granted in full while all are up.
+        self.rateless = all(link.rate_bps is None for link, _size in hops)
+        #: The active flows in join order (a dict, so one leaves in O(1)).
+        self.flows = {}
+        self.packets = 0
+        #: Ticks this group has advanced.
+        self.tick = 0
+        self.ends = {}
 
-    def advance(self, interval):
-        """Post one chunk per flow: one booking per hop for the whole group.
+    def add(self, record, plan, remaining, done):
+        """Count a flow in from the next tick on."""
+        flow = _PumpedFlow(record, plan, remaining, done, self.tick)
+        self.flows[flow] = None
+        self.packets += flow.chunk
+        self.ends.setdefault(flow.last, []).append(flow)
+
+    def start(self):
+        """Count one more tick: its packets and the flows whose budget it spends."""
+        tick = self.tick = self.tick + 1
+        ending = self.ends.pop(tick, ())
+        packets = self.packets
+        for flow in ending:     # each sends its chunk short by this much
+            packets -= (tick - flow.written) * flow.chunk - flow.remaining
+        return packets, ending
+
+    def advance(self, packets, ending, interval):
+        """Book this tick's *packets* hop by hop, once per hop for the group.
 
         Each flow offers ``packets x wire size`` of the hop (tunnel
         headers included where the probe saw them).  While every hop
-        grants the whole booking, a flow's bytes on each hop are exactly
-        ``packets x that hop's size``, so the tick only adds the flow's
-        packets to its ``pending`` count and credits the sink's totals
-        once: its cost does not grow with the path.  From the first hop
-        that grants less, the tick goes per flow: it writes the full-grant
-        hops before it into the per-flow accounts, splits each grant pro
-        rata and carries the survivors to the next hop in proportion.
-        Per-flow accounts are written only on hops the group's
-        ``post_fluid`` has moved ``bytes_offered`` on.
+        grants the whole booking the tick stays counted: the sink is
+        credited once and only the flows in *ending* are written, as they
+        leave.  From the first hop that grants less, the tick goes per
+        flow: it catches every flow up to the tick before, writes the
+        full-grant hops before that hop into the per-flow accounts, splits
+        each grant pro rata and carries the survivors to the next hop in
+        proportion.  Per-flow accounts are written only on hops the
+        group's ``post_fluid`` has moved ``bytes_offered`` on.
         """
-        flows = self.flows
+        hops = self.hops
+        for index, (link, size) in enumerate(hops):
+            total = packets * size
+            granted = link.post_fluid(total, None, interval)
+            if granted != total:
+                self._split(index, granted, total, interval)
+                return
+        self.sink.credit_fluid(packets * self.last_size)
+        self.leave(ending)
+
+    def _split(self, index, granted, total, interval):
+        """The rest of a tick that hop *index* granted *granted* of *total*."""
+        tick = self.tick
+        flows = list(self.flows)
+        for flow in flows:
+            self.catch_up(flow, tick - 1)
         counts = [flow.chunk if flow.chunk < flow.remaining
                   else flow.remaining for flow in flows]
-        packets = sum(counts)  # repro: allow=DET03  (packets: ints)
+        ids = [flow.record.flow_id for flow in flows]
         hops = self.hops
-        carried = None      # per-flow bytes, from the first hop that lost any
-        for index, (link, size) in enumerate(hops):
-            if carried is None:
-                total = packets * size
-            else:
-                if size == carried_size:
-                    offers = carried
-                else:
-                    offers = [bytes_ * size // carried_size
-                              for bytes_ in carried]
-                total = sum(offers)  # repro: allow=DET03  (bytes: ints)
-                if not total:
-                    carried = offers
-                    break   # nothing survives to here: never post a zero chunk
-            granted = link.post_fluid(total, None, interval)
-            if carried is None:
-                if granted == total:
-                    continue
-                ids = [flow.record.flow_id for flow in flows]
-                for flow_id, count in zip(ids, counts, strict=True):
-                    _book_full_grant(flow_id, count, hops[:index])
-                offers = [count * size for count in counts]
+        for flow_id, count in zip(ids, counts, strict=True):
+            _book_full_grant(flow_id, count, hops[:index])
+        link, size = hops[index]
+        offers = [count * size for count in counts]
+        while True:
             ledger = link.stats.flows
             if granted == total:
                 carried = offers
@@ -539,45 +581,80 @@ class _PathGroup:
                     account.offered += offer
                     account.delivered += share
                     account.dropped += offer - share
+            index += 1
+            if index == len(hops):
+                break
             carried_size = size
+            link, size = hops[index]
+            offers = (carried if size == carried_size
+                      else [bytes_ * size // carried_size for bytes_ in carried])
+            total = sum(offers)  # repro: allow=DET03  (bytes: ints)
+            if not total:
+                carried = offers
+                break   # nothing survives to here: never post a zero chunk
+            granted = link.post_fluid(total, None, interval)
 
-        sink = self.sink
-        full_grant = carried is None
-        if full_grant:
-            sink.credit_fluid(packets * self.last_size)
-            carried = counts        # every flow's chunk arrived
-        elif arrived_total := sum(carried):  # repro: allow=DET03  (bytes: ints)
-            sink.credit_fluid(arrived_total)
-        someone_left = False
-        for flow, count, arrived in zip(flows, counts, carried,
-                                        strict=True):
+        if arrived_total := sum(carried):  # repro: allow=DET03  (bytes: ints)
+            self.sink.credit_fluid(arrived_total)
+        leaving = []
+        for flow, count, arrived in zip(flows, counts, carried, strict=True):
             record = flow.record
             record.bytes_sent += count * flow.payload
             record.chunks_sent += 1
             flow.remaining -= count
-            if full_grant:
-                flow.pending += count
+            flow.written = tick
             if not flow.remaining or not arrived:
                 # Leaving: done (True) or its whole chunk died (False).
-                self.settle(flow)
-                flow.done.succeed(not flow.remaining)
-                someone_left = True
-        if someone_left:
-            self.flows = [flow for flow in flows if not flow.done.triggered]
+                leaving.append(flow)
+        self.leave(leaving)
+
+    def leave(self, flows):
+        """Take *flows* out in join order: settle each, then wake it."""
+        for flow in flows:
+            self.settle(flow)
+            del self.flows[flow]
+            self.packets -= flow.chunk
+            if flow.remaining:      # left early: it ends no tick any more
+                ending = self.ends[flow.last]
+                ending.remove(flow)
+                if not ending:
+                    del self.ends[flow.last]
+            flow.done.succeed(not flow.remaining)
+
+    def catch_up(self, flow, tick):
+        """Write *flow* and its record up to *tick*.
+
+        Every tick after ``flow.written`` up to *tick* granted the group
+        in full, so each sent one chunk of the flow (its budget's last
+        packets on tick ``flow.last``) and added it to ``pending``.
+        """
+        ticks = tick - flow.written
+        if ticks:
+            sent = flow.sent_by(tick)
+            flow.written = tick
+            flow.remaining -= sent
+            flow.pending += sent
+            record = flow.record
+            record.bytes_sent += sent * flow.payload
+            record.chunks_sent += ticks
+
+    def lag(self, flow):
+        """Packets of *flow* that its per-flow accounts do not show yet."""
+        return flow.pending + flow.sent_by(self.tick)
 
     def settle(self, flow):
-        """Write *flow*'s pending packets into its per-flow accounts.
+        """Write *flow* up to this tick, its per-flow accounts included.
 
-        Each hop's account gets ``pending x that hop's size`` offered and
-        delivered: what every full-grant tick since the last settle would
-        have written.  Every hop was booked by those ticks, so the write
-        follows the group's own ``post_fluid`` on it.
+        Each hop's account gets the flow's :meth:`lag` ``x`` that hop's
+        size, offered and delivered: what every full-grant tick since the
+        last settle would have written.  Every hop was booked by those
+        ticks, so the write follows a ``post_fluid`` on it.
         """
-        pending = flow.pending
-        if not pending:
-            return
-        flow.pending = 0
-        _book_full_grant(flow.record.flow_id, pending, self.hops)
+        packets = self.lag(flow)
+        if packets:
+            self.catch_up(flow, self.tick)
+            flow.pending = 0
+            _book_full_grant(flow.record.flow_id, packets, self.hops)
 
 
 class FluidPump:
@@ -587,21 +664,27 @@ class FluidPump:
     While any flow is active the pump keeps one foreground tick armed per
     chunk interval — the first at the first multiple of the interval at
     or after the join that armed it, then one every interval; each tick
-    posts one chunk for every active flow, booking each link once per
-    *path group* (flows sharing hop list, wire size and sink) with the
-    group's summed bytes — see :meth:`_PathGroup.advance`.  Link totals,
-    windows, busy time, sink totals and flow records are exact after
-    every tick.  The per-flow breakdown (each hop's ``FlowAccount``) of a
-    flow still in the pump may lag by its full-grant ticks: it is settled when the flow leaves, and for
-    every active flow by :meth:`settle`, which readers call first.
+    posts one chunk for every active flow.  Flows that share hop list,
+    wire size and sink form a *path group*, counted rather than visited
+    (see :class:`_PathGroup`).  A group whose hops are all rate-less and
+    up is granted in full, so the tick sums such groups' bytes per link
+    and calls ``post_fluid`` once per link; any other group books each of
+    its hops once, in the order the groups formed (see
+    :meth:`_PathGroup.advance`), because there the order decides the
+    grant.  Link totals, windows, busy time and sink totals are exact
+    after every tick.  A flow still in the pump lags: its record's
+    ``bytes_sent``/``chunks_sent`` and its per-flow breakdown (each hop's
+    ``FlowAccount``) are written when it leaves, when a tick cuts its
+    group short, and for every active flow by :meth:`settle`, which
+    readers call first.
 
     Because the tick is a foreground event, ``sim.run()`` with no
     ``until`` drains active fluid flows like any other pending work, and
     an idle pump (no flows, nothing armed) leaves a world settled.  That
     is also its whole checkpoint: only an idle pump can be captured, and
     a restore empties it — the armed tick dies with the engine queue the
-    simulator's own restore clears, and the flows' pending counts with
-    the lanes.
+    simulator's own restore clears, and the flows' lazy counts with the
+    lanes.
     """
 
     def __init__(self, sim):
@@ -632,13 +715,47 @@ class FluidPump:
         if group is None:
             group = lane[key] = _PathGroup(*key)
         done = self.sim.event()
-        group.flows.append(_PumpedFlow(record, plan, remaining, done))
+        group.add(record, plan, remaining, done)
         return done
 
     def _tick(self, interval):
+        """Advance every group of *interval*'s lane by one chunk.
+
+        Rate-less, up groups are summed per link and per sink, posted once
+        each; then, in formation order, every other group books its hops
+        and the flows that leave are settled and woken.  The sums go first
+        so that a leaver's per-flow writes follow its links' bookings.
+        """
         lane = self._lanes[interval]
-        for key, group in list(lane.items()):
-            group.advance(interval)
+        booked = {}     # link -> bytes of this tick's full-grant groups
+        credits = {}    # sink -> bytes
+        visits = []     # (key, group, packets, ending, summed), lane order
+        for key, group in lane.items():
+            packets, ending = group.start()
+            hops = group.hops
+            if group.rateless:
+                for link, _size in hops:
+                    if not link.up:
+                        break
+                else:
+                    for link, size in hops:
+                        booked[link] = booked.get(link, 0) + packets * size
+                    sink = group.sink
+                    credits[sink] = (credits.get(sink, 0)
+                                     + packets * group.last_size)
+                    if ending:
+                        visits.append((key, group, packets, ending, True))
+                    continue
+            visits.append((key, group, packets, ending, False))
+        for link, size in booked.items():
+            link.post_fluid(size, None, interval)
+        for sink, size in credits.items():
+            sink.credit_fluid(size)
+        for key, group, packets, ending, summed in visits:
+            if summed:
+                group.leave(ending)
+            else:
+                group.advance(packets, ending, interval)
             if not group.flows:
                 del lane[key]
         if lane:
@@ -652,7 +769,7 @@ class FluidPump:
             del self._lanes[interval]
 
     def settle(self):
-        """Bring the per-flow accounts of every active flow up to date."""
+        """Bring every active flow's record and per-flow accounts up to date."""
         for lane in self._lanes.values():
             for group in lane.values():
                 for flow in group.flows:

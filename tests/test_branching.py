@@ -20,6 +20,7 @@ from repro.experiments.sweep import (SweepGrid, _apply_failures, expand_grid,
                                      run_sweep, run_world)
 from repro.experiments.workload import run_workload
 from repro.experiments.worldbuild import build_world
+from repro.traffic.flows import FluidPump
 from test_worldbuild import _live_simulators
 
 FRACTIONS = (0.0, 0.25, 0.5)
@@ -40,8 +41,8 @@ def _grid(plane, pacing, **fields):
                      size_dists=("constant",) if pacing == "constant"
                      else ("pareto",),
                      fail_fractions=FRACTIONS, num_flows=12,
-                     arrival_rate=10.0, packets_per_flow=6,
-                     **{**PLANES[plane], **fields})
+                     arrival_rate=10.0,
+                     **{"packets_per_flow": 6, **PLANES[plane], **fields})
 
 
 @pytest.fixture
@@ -74,29 +75,51 @@ def _alone(result):
 
 def _branched_cells_equal_cells_run_alone(grid, forks):
     """Every cell of *grid*'s one family against its one-fraction grid;
-    the branched cells' engine event counts."""
+    the branched cells' metrics."""
     branched = run_world(expand_grid(grid))
     assert len(forks["pids"]) == len(FRACTIONS) - 1
     for result in branched:
         (alone,) = run_world(expand_grid(
             replace(grid, fail_fractions=(result["fail_fraction"],))))
         assert _alone(result) == _alone(alone), result["cell_id"]
-    return [result["metrics"]["sim_events"] for result in branched]
+    return [result["metrics"] for result in branched]
 
 
 @pytest.mark.parametrize("pacing", ("constant", "shaped", "fluid"))
 @pytest.mark.parametrize("plane", sorted(PLANES))
 def test_a_branched_cell_equals_the_cell_run_alone(plane, pacing, forks):
-    events = _branched_cells_equal_cells_run_alone(_grid(plane, pacing), forks)
-    assert len(set(events)) == len(FRACTIONS)  # the failures did something
+    metrics = _branched_cells_equal_cells_run_alone(_grid(plane, pacing), forks)
+    # The failures did something.
+    assert len({m["sim_events"] for m in metrics}) == len(FRACTIONS)
+
+
+@pytest.mark.parametrize("access_rate_bps", (None, 2e6),
+                         ids=("rateless", "rated"))
+@pytest.mark.parametrize("plane", sorted(PLANES))
+def test_a_branched_bulk_fluid_cell_equals_the_cell_run_alone(
+        plane, access_rate_bps, forks):
+    """Fluid flows of 400 packets on average are in the pump at the branch.
+
+    On rate-less access links the path groups that cross a failed
+    locator's link book per group after ``fail_at``, and the others are
+    summed into one booking per link; on 2 Mb/s access links every group
+    books per group and most ticks are cut short and split pro rata.
+    """
+    grid = _grid(plane, "fluid", packets_per_flow=400,
+                 workload_overrides={"fluid_threshold": 1.0,
+                                     "fluid_chunk_interval": 0.125})
+    grid = replace(grid, scenario_overrides={
+        **grid.scenario_overrides, "access_rate_bps": access_rate_bps})
+    metrics = _branched_cells_equal_cells_run_alone(grid, forks)
+    assert len({m["fluid_bytes"] for m in metrics}) == len(FRACTIONS)
 
 
 def test_a_family_failing_after_the_workload_ends_branches_at_its_end(forks):
     """The branch point is capped at the workload's end: the failures are
     queued and never fire, as in the cell run alone."""
     grid = _grid("pce-probing", "constant", fail_at=100.0, repair_at=101.0)
-    events = _branched_cells_equal_cells_run_alone(grid, forks)
-    assert len(set(events)) == 1
+    metrics = _branched_cells_equal_cells_run_alone(grid, forks)
+    assert len({m["sim_events"] for m in metrics}) == 1
 
 
 def test_failures_fall_at_instants_counted_from_the_cell_start(monkeypatch):
@@ -188,7 +211,26 @@ def test_a_child_that_raises_fails_the_world_run_naming_its_cell(monkeypatch,
                        r"(.|\n)*no such locator"):
         run_world(cells)
     assert len(forks["pids"]) == 1 and not forks["alive"]
-    gc.collect()  # what was in flight at the branch point is garbage now
+    # What was in flight at the branch point died with the world, by
+    # reference count: no collection is needed to free its simulator.
+    assert _live_simulators() == before
+
+
+def test_a_fluid_world_that_raises_mid_pump_dies_by_reference_count(
+        monkeypatch):
+    tick = FluidPump._tick
+
+    def jammed(pump, interval):
+        if pump.sim.now >= 1.0:
+            assert pump._lanes[interval], "no flow in the pump to strand"
+            raise ValueError("pump jammed")
+        tick(pump, interval)
+    monkeypatch.setattr(FluidPump, "_tick", jammed)
+    cells = expand_grid(replace(_grid("alt", "fluid"), fail_fractions=(0.0,)))
+    gc.collect()
+    before = _live_simulators()
+    with pytest.raises(ValueError, match="pump jammed"):
+        run_world(cells)
     assert _live_simulators() == before
 
 

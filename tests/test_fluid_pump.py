@@ -1,14 +1,18 @@
-"""The fluid pump: grouped bookings, pro-rata loss, ledgers settled late.
+"""The fluid pump: per-link bookings, pro-rata loss, flows written late.
 
 ``FluidPump`` advances every fluid flow of a world in one engine event per
-chunk interval, booking each link once per path group and splitting what
-the link grants between the group's flows.  A tick where every hop grants
-the whole booking only counts each flow's packets; the per-flow accounts
-catch up when the flow leaves the pump or a reader calls ``settle()``.
-The unit tests pin the grouping, the split, the settling and the pump's
-life cycle; the seeded property test drives random flow sets over a shared
-rated bottleneck with links going down and up, and checks after every tick
-that the grouped bookings are exact and lag the per-flow accounts by
+chunk interval.  Groups of flows that share a path are counted, not
+visited: a tick that grants a group in full writes nothing per flow, and
+rate-less, up groups are summed into one booking per link.  A group with
+a rated or down hop books each hop itself, in the order the groups
+formed, and splits what a hop grants between its flows.  Records and
+per-flow accounts catch up when a flow leaves, when a tick cuts its group
+short and when a reader calls ``settle()``.  The unit tests pin the
+bookings, the split, the settling and the pump's life cycle.  The seeded
+tests drive random flow sets over a shared bottleneck with links going
+down and up: against the per-group, per-flow reference pump in
+``reference_pump.py``, tick by tick, and on their own, checking that the
+totals are exact after every tick and lag the per-flow accounts by
 exactly the unsettled packets, that after ``settle()`` the two tell one
 story, and that a twin run settled only by flows leaving ends with the
 same per-flow ledgers as the run settled every tick.
@@ -27,6 +31,7 @@ from repro.sim import Simulator
 from repro.traffic.flows import (FlowRecord, FluidPump, UdpSink,
                                  _split_pro_rata, send_flow)
 from repro.traffic.popularity import FlowPlan
+from reference_pump import ReferencePump
 
 PAYLOAD = 1000
 WIRE = PAYLOAD + 28
@@ -43,10 +48,12 @@ def fluid_plan(packets, chunk_packets=40):
 class Dumbbell:
     """``sources - left = right - sinks``: every flow crosses ``left->right``.
 
-    Access links are infinite-rate; the bottleneck's rate is the test's.
+    Access links are infinite-rate; the bottleneck's rate is the test's,
+    and so is the pump (*pump*, called with the simulator).
     """
 
-    def __init__(self, sim, sources=3, sinks=2, bottleneck_bps=None):
+    def __init__(self, sim, sources=3, sinks=2, bottleneck_bps=None,
+                 pump=FluidPump):
         self.sim = sim
         self.left = Router(sim, "left")
         self.right = Router(sim, "right")
@@ -61,7 +68,7 @@ class Dumbbell:
         self.sinks = [self._attach(self.right, f"d{index}", f"10.0.1.{index + 1}")
                       for index in range(sinks)]
         self.udp_sinks = [UdpSink(sim, host, PORT) for host in self.sinks]
-        self.pump = FluidPump(sim)
+        self.pump = pump(sim)
 
     def _attach(self, router, name, address):
         host = Host(self.sim, name, address=address)
@@ -142,28 +149,26 @@ def test_split_pro_rata_properties_hold_on_random_inputs():
 
 
 # --------------------------------------------------------------------- #
-# One booking per link per path group
+# Bookings: one per rate-less link per tick, per group on a rated path
 # --------------------------------------------------------------------- #
 
-def test_flows_sharing_a_path_share_one_booking_per_link(monkeypatch):
+def _shared_path_run(monkeypatch, bottleneck_bps):
+    """Flows 1 and 2 share a path, flow 3 joins them at the bottleneck.
+
+    Returns the bottleneck's and the shared last hop's ``post_fluid``
+    calls after checking what every rate lets through in full: each
+    flow's budget, account, chunks and finish.
+    """
     sim = Simulator()
-    net = Dumbbell(sim)
+    net = Dumbbell(sim, bottleneck_bps=bottleneck_bps)
     calls = count_calls(monkeypatch, net.bottleneck)
+    last_hop_calls = count_calls(monkeypatch, net.last_hop(0))
     first = net.start(1, source=0, sink=0, packets=101)
     second = net.start(2, source=0, sink=0, packets=61)
     other = net.start(3, source=1, sink=0, packets=41)   # another path
     sim.run()
     assert all(r.bytes_sent == r.bytes_budget and not r.failed
                for r in (first, second, other))
-    # Probes leave at 0 and are answered by 0.25 = tick 1.  Flows 1 and 2
-    # form one group: (40+40) and (40+20) packets in one booking each at
-    # ticks 1 and 2, flow 1's last 20 alone at tick 3; flow 3 posts its 40
-    # packets once.  Every booking is anonymous: the per-flow accounts are
-    # the pump's to write.
-    assert calls == [(0.25, 80 * WIRE, None, 80 * WIRE),
-                     (0.25, 40 * WIRE, None, 40 * WIRE),
-                     (0.5, 60 * WIRE, None, 60 * WIRE),
-                     (0.75, 20 * WIRE, None, 20 * WIRE)]
     flows = net.bottleneck.stats.flows
     assert flows[1].as_tuple() == (101 * WIRE, 101 * WIRE, 0)
     assert flows[2].as_tuple() == (61 * WIRE, 61 * WIRE, 0)
@@ -171,6 +176,52 @@ def test_flows_sharing_a_path_share_one_booking_per_link(monkeypatch):
     assert net.udp_sinks[0].fluid_bytes == 200 * WIRE
     assert [r.chunks_sent for r in (first, second, other)] == [3, 2, 1]
     assert [r.finished_at for r in (first, second, other)] == [0.75, 0.5, 0.25]
+    return calls, last_hop_calls
+
+
+def test_flows_sharing_a_path_share_one_booking_per_link(monkeypatch):
+    calls, last_hop_calls = _shared_path_run(monkeypatch, None)
+    # Probes leave at 0 and are answered by 0.25 = tick 1.  Flows 1 and 2
+    # form one group, flow 3 another; every hop is rate-less and up, so
+    # each tick books each link once with both groups' bytes: (40+40) +
+    # 40 packets at tick 1, (40+20) at tick 2, flow 1's last 20 at tick 3.
+    # Every booking is anonymous: the per-flow accounts are the pump's to
+    # write.
+    assert calls == [(0.25, 120 * WIRE, None, 120 * WIRE),
+                     (0.5, 60 * WIRE, None, 60 * WIRE),
+                     (0.75, 20 * WIRE, None, 20 * WIRE)]
+    assert last_hop_calls == calls
+
+
+def test_flows_on_a_rated_path_book_per_group_in_arrival_order(monkeypatch):
+    # A rated bottleneck with room for every chunk: the grant is in full,
+    # but where one could be short the order decides who gets it, so each
+    # group books its hops itself, in the order the groups formed.  The
+    # rate-less last hop they share is booked per group too.
+    calls, last_hop_calls = _shared_path_run(monkeypatch, 100e6)
+    assert calls == [(0.25, 80 * WIRE, None, 80 * WIRE),
+                     (0.25, 40 * WIRE, None, 40 * WIRE),
+                     (0.5, 60 * WIRE, None, 60 * WIRE),
+                     (0.75, 20 * WIRE, None, 20 * WIRE)]
+    assert last_hop_calls == calls
+
+
+def test_a_short_grant_goes_to_the_group_that_formed_last(monkeypatch):
+    sim = Simulator()
+    # A 40-packet chunk takes 0.19 s of the bottleneck's transmitter, and
+    # its 1 s window holds five of them and the two probes: at 0.75 the
+    # group that formed first still gets its chunk in full, the other
+    # what is left of the window.
+    net = Dumbbell(sim, bottleneck_bps=40 * WIRE * 8 / 0.19)
+    calls = count_calls(monkeypatch, net.bottleneck)
+    net.start(1, source=0, sink=0, packets=121)
+    net.start(2, source=1, sink=0, packets=121)
+    sim.run(until=0.8)
+    assert [(when, size, granted == size)
+            for when, size, _id, granted in calls] \
+        == [(0.25, 40 * WIRE, True), (0.25, 40 * WIRE, True),
+            (0.5, 40 * WIRE, True), (0.5, 40 * WIRE, True),
+            (0.75, 40 * WIRE, True), (0.75, 40 * WIRE, False)]
 
 
 def test_pump_without_one_is_private_to_the_flow(monkeypatch):
@@ -331,22 +382,23 @@ def _check_ledgers(net, records):
 
 
 def _check_unsettled(net, records):
-    """What holds between settles: totals exact, per-flow lag exactly pending.
+    """What holds between settles: totals exact, per-flow lag exactly the pump's.
 
-    Every link's per-flow accounts trail its totals by the pending packets
-    of the active flows that cross it (``pending x`` the hop's size, offered
-    and delivered alike, never dropped), and each sink's per-flow fluid
-    bytes trail its total by ``pending x`` the last hop's size.
+    Every link's per-flow accounts trail its totals by the unsettled
+    packets of the active flows that cross it (``lag x`` the hop's size,
+    offered and delivered alike, never dropped), and each sink's per-flow
+    fluid bytes trail its total by ``lag x`` the last hop's size.
     """
     lag = {}
     sink_lag = {}
     for lane in net.pump._lanes.values():
         for group in lane.values():
             for flow in group.flows:
+                packets = group.lag(flow)
                 for link, size in group.hops:
-                    lag[link] = lag.get(link, 0) + flow.pending * size
+                    lag[link] = lag.get(link, 0) + packets * size
                 sink_lag[group.sink] = (sink_lag.get(group.sink, 0)
-                                        + flow.pending * group.last_size)
+                                        + packets * group.last_size)
     for link in net.links():
         stats = link.stats
         accounts = list(stats.flows.values())
@@ -367,13 +419,14 @@ def _check_unsettled(net, records):
         assert record.bytes_sent % PAYLOAD == 0
 
 
-def _random_run(seed):
+def _random_run(seed, pump=FluidPump):
     """A seeded random flow set on a dumbbell with links failing: the net,
     the flow records, and the two identical records of the fairness pair."""
     rng = random.Random(seed)
     sim = Simulator(seed=seed)
     net = Dumbbell(sim, sources=3, sinks=2,
-                   bottleneck_bps=rng.choice((None, 2_000_000.0, 8_000_000.0)))
+                   bottleneck_bps=rng.choice((None, 2_000_000.0, 8_000_000.0)),
+                   pump=pump)
     records = [net.start(flow_id, source=rng.randrange(3),
                          sink=rng.randrange(2),
                          packets=rng.randrange(2, 400),
@@ -434,3 +487,46 @@ def test_random_flow_sets_keep_every_ledger_exact_after_every_tick(seed):
     assert late.pump._lanes == {}
     assert _per_flow_ledgers(late) == _per_flow_ledgers(net)
     assert late_records + late_twins == records + twins
+
+
+def _exact_every_tick(net):
+    """Everything a tick leaves exact: per link its totals and windows (in
+    key order), per sink its totals and packet counts."""
+    links = [(stats.bytes_offered, stats.bytes_delivered, stats.bytes_dropped,
+              stats.fluid_bytes, [(index, list(window)) for index, window
+                                  in stats.windows.items()])
+             for stats in (link.stats for link in net.links())]
+    sinks = [(sink.received, sink.bytes, sink.fluid_bytes, dict(sink.by_flow))
+             for sink in net.udp_sinks]
+    return links, sinks
+
+
+@pytest.mark.parametrize("settle", [True, False], ids=["settled", "lazy"])
+@pytest.mark.parametrize("seed", range(8))
+def test_random_flow_sets_match_the_reference_pump_after_every_tick(seed,
+                                                                    settle):
+    """Tick by tick, the pump leaves what the per-group, per-flow pump does.
+
+    Before any settle: link totals, windows and sink totals.  After one
+    (every tick, or only once drained): every per-flow account in key
+    order and every flow record.  The lazy run leaves flows unwritten for
+    their whole stay, so a tick counted wrong shows in the totals.
+    """
+    net, records, twins = _random_run(seed)
+    ref, ref_records, ref_twins = _random_run(seed, ReferencePump)
+    ticks = 0
+    while net.sim.pending_foreground or ref.sim.pending_foreground:
+        ticks += 1
+        assert ticks < 400, "flows never drained"
+        net.sim.run(until=ticks * INTERVAL + 1e-6)
+        ref.sim.run(until=ticks * INTERVAL + 1e-6)
+        assert _exact_every_tick(net) == _exact_every_tick(ref), ticks
+        if settle:
+            net.pump.settle()
+            ref.pump.settle()
+            assert _per_flow_ledgers(net) == _per_flow_ledgers(ref), ticks
+            assert records + twins == ref_records + ref_twins, ticks
+    assert net.pump._lanes == {}
+    assert _per_flow_ledgers(net) == _per_flow_ledgers(ref)
+    assert records + twins == ref_records + ref_twins
+    assert net.sim.processed_events == ref.sim.processed_events

@@ -12,7 +12,7 @@
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from repro.core.control_plane import PceControlPlane
@@ -393,10 +393,18 @@ def _clear_attributes(obj):
     attributes = getattr(obj, "__dict__", None)
     if attributes is not None:
         attributes.clear()
-    for klass in type(obj).__mro__:
-        for name in klass.__dict__.get("__slots__", ()):
-            if hasattr(obj, name):
-                object.__delattr__(obj, name)
+    for name in _slot_names(type(obj)):
+        try:
+            object.__delattr__(obj, name)
+        except AttributeError:  # never set, or already dropped
+            pass
+
+
+@cache
+def _slot_names(klass):
+    """The slot names *klass* and its bases declare, each once."""
+    return tuple(dict.fromkeys(name for base in klass.__mro__
+                               for name in base.__dict__.get("__slots__", ())))
 
 
 def build_scenario(config):

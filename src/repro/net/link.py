@@ -139,8 +139,12 @@ class LinkStats:
         width = WINDOW_WIDTH
         windows = self.windows
         index = int(start / width)
-        windows[index][1] += size
-        if tx_time <= 0.0:
+        window = windows[index]
+        window[1] += size
+        if tx_time <= (index + 1) * width - start:
+            # Inside one window: the whole of it is the first and only slice.
+            if tx_time > 0.0:
+                window[0] += tx_time
             return
         remaining = tx_time
         position = start
@@ -324,21 +328,13 @@ class Link(Journaled):
         self._up = value
 
     def send(self, packet):
-        """Accept *packet* for transmission; returns False on a drop.
-
-        The packet's size, flow id and fluid probe are read here, once per
-        hop, and travel with it to the scheduled delivery — directly on a
-        rate-less link, through the queue and the serialisation-done
-        callback on a rated one.
-        """
+        """Accept *packet* for transmission; returns False on a drop."""
         if self._journal is not None:
             self._touch()
-        size = packet.size_bytes
-        # Flow id and probe live on the innermost packet, so LISP
-        # encapsulation is transparent to the per-flow ledgers.
-        meta = packet.innermost().meta
-        flow_id = meta.get("flow_id")
-        probe = meta.get("fluid_probe")
+        hop = packet._hop    # set by the packet's first link: read it inline
+        if hop is None:
+            hop = packet.hop_ledger()
+        size, flow_id, _probe = hop
         stats = self.stats
         if stats is IDLE_STATS:
             stats = self.stats = LinkStats()
@@ -356,10 +352,10 @@ class Link(Journaled):
             # transmission (volume only, no busy seconds) and let
             # propagation start now.
             stats.windows[int(self.sim.now / WINDOW_WIDTH)][1] += size
-            self.sim.call_in(self.delay, self._deliver, packet, size, flow_id, probe)
+            self.sim.call_in(self.delay, self._deliver, packet)
             return True
         if not self._busy:
-            self._transmit(packet, size, flow_id, probe)
+            self._transmit(packet, size)
             return True
         queue = self._queue
         if len(queue) >= QUEUE_CAPACITY:
@@ -367,7 +363,7 @@ class Link(Journaled):
             self.sim.trace.record(self.sim.now, self, "link.drop", reason="queue-full",
                                   uid=packet.uid)
             return False
-        queue.append((packet, size, flow_id, probe))
+        queue.append(packet)
         return True
 
     def _drop(self, size, flow_id):
@@ -376,22 +372,24 @@ class Link(Journaled):
         if flow_id is not None:
             stats.flows[flow_id].dropped += size
 
-    def _transmit(self, packet, size, flow_id, probe):
+    def _transmit(self, packet, size):
         # Rated links only: send() delivers straight from a rate-less one.
         self._busy = True  # repro: allow=SNAP03  (send() touched)
         tx_time = size * 8.0 / self.rate_bps
         self.stats.account_transmission(self.sim.now, tx_time, size)
-        self.sim.call_in(tx_time, self._transmission_done, packet, size, flow_id, probe)
+        self.sim.call_in(tx_time, self._transmission_done, packet)
 
-    def _transmission_done(self, packet, size, flow_id, probe):
+    def _transmission_done(self, packet):
         # Propagation starts once the last bit is on the wire.
-        self.sim.call_in(self.delay, self._deliver, packet, size, flow_id, probe)
+        self.sim.call_in(self.delay, self._deliver, packet)
         if self._queue:
-            self._transmit(*self._queue.popleft())  # repro: allow=SNAP03  (send() touched)
+            packet = self._queue.popleft()  # repro: allow=SNAP03  (send() touched)
+            self._transmit(packet, packet._hop[0])
         else:
             self._busy = False
 
-    def _deliver(self, packet, size, flow_id, probe):
+    def _deliver(self, packet):
+        size, flow_id, probe = packet._hop
         if not self._up:
             self._drop(size, flow_id)
             return

@@ -66,9 +66,9 @@ class Node(Journaled):
         self.interfaces = {}
         self.fib = Fib(owner=self)
         self.extra_addresses = ()
-        #: Integer values of :meth:`addresses` — what :meth:`is_local`
-        #: tests, once per received packet.  Kept in step by
-        #: add_interface/add_address and rebuilt by restore_state.
+        #: Integer values of :meth:`addresses` — what :meth:`is_local` and
+        #: ``Router.receive`` test, once per received packet.  Kept in step
+        #: by add_interface/add_address and rebuilt by restore_state.
         self._local_values = ()
         self.services = _NOTHING
         self._proto_handlers = _NOTHING
@@ -187,16 +187,18 @@ class Node(Journaled):
     def receive(self, packet):
         """Entry point for packets arriving from a link (or injected).
 
-        Receiving, delivering and forwarding change nothing the node
-        checkpoints, so a packet crossing a node leaves it clean.
+        A base node forwards nothing.  Receiving and delivering change
+        nothing the node checkpoints, so a packet crossing a node leaves
+        it clean.
         """
         ip = packet.ip
         if ip is None:
             return
         if self.is_local(ip.dst):
             self.deliver_local(packet)
-        else:
-            self.forward(packet)
+        elif self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.name, "node.no-forward",
+                                  dst=str(ip.dst), uid=packet.uid)
 
     def deliver_local(self, packet):
         """Dispatch a packet addressed to this node."""
@@ -214,12 +216,6 @@ class Node(Journaled):
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.name, "node.unclaimed",
                                   proto=ip.proto, dst=str(ip.dst), uid=packet.uid)
-
-    def forward(self, packet):
-        """Base nodes do not forward; see :class:`~repro.net.router.Router`."""
-        if self.sim.trace.enabled:
-            self.sim.trace.record(self.sim.now, self.name, "node.no-forward",
-                                  dst=str(packet.ip.dst), uid=packet.uid)
 
     # ------------------------------------------------------------------ #
     # Send path

@@ -120,8 +120,9 @@ class Packet:
         survives :meth:`copy` so experiments can follow a packet end-to-end.
 
     ``headers`` (the list), ``payload`` and ``payload_bytes`` must not be
-    reassigned or mutated once the packet exists: the on-wire size is
-    computed on first use and kept.
+    reassigned or mutated once the packet exists, nor the innermost
+    packet's flow id and probe once sent: the size and :meth:`hop_ledger`
+    are computed once and kept.
     """
 
     headers: list
@@ -130,6 +131,7 @@ class Packet:
     meta: dict = field(default_factory=dict)
     uid: int = field(default_factory=lambda: next(_packet_ids))
     _size: int = field(default=None, init=False, repr=False, compare=False)
+    _hop: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size_bytes(self):
@@ -141,6 +143,16 @@ class Packet:
                 size += header.size_bytes
             self._size = size
         return size
+
+    def hop_ledger(self):
+        """What a link books: ``(size_bytes, flow_id, fluid_probe)``, the
+        last two from the innermost packet's meta."""
+        hop = self._hop
+        if hop is None:
+            meta = self.innermost().meta
+            hop = self._hop = (self.size_bytes, meta.get("flow_id"),
+                               meta.get("fluid_probe"))
+        return hop
 
     def _payload_size(self):
         payload = self.payload

@@ -2,6 +2,7 @@
 
 from repro.net.errors import NoRouteError
 from repro.net.node import Node
+from repro.net.packet import IPv4Header
 
 
 class Router(Node):
@@ -14,8 +15,15 @@ class Router(Node):
 
     __slots__ = ()
 
-    def forward(self, packet):
-        ip = packet.ip
+    def receive(self, packet):
+        """Deliver *packet* if it is addressed here, else forward it."""
+        headers = packet.headers    # Packet.ip, inline
+        ip = headers[0] if headers and type(headers[0]) is IPv4Header else packet.find(IPv4Header)
+        if ip is None:
+            return
+        if ip.dst._value in self._local_values:
+            self.deliver_local(packet)
+            return
         if ip.ttl <= 1:
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.name, "router.ttl-expired",

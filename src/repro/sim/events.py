@@ -56,9 +56,11 @@ class Event:
         self._processed = False
 
     def __repr__(self):
-        state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
-        label = self.name or self._default_label()
-        return f"<{label} {state} at t={self.sim.now:.6f}>"
+        try:  # teardown clears an event's slots
+            state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
+            return f"<{self.name or self._default_label()} {state}>"
+        except AttributeError:
+            return f"<{type(self).__name__} torn down>"
 
     def _default_label(self):
         return self.__class__.__name__

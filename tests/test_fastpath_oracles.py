@@ -1,9 +1,10 @@
 """Differential oracles for the forwarding fast path.
 
 Each test drives a fast path (the ``Fib`` hash tables and lookup memo, the
-inlined engine dispatch loop, the cached ``Packet.size_bytes``, the ``Node``
-local-address set) and a deliberately naive model side by side over seeded
-random input, and asserts they never disagree.  Stdlib only.
+inlined engine dispatch loop, the cached ``Packet.size_bytes`` and hop
+ledger, the ``Node`` local-address set, the one-frame ``Router.receive``)
+and a deliberately naive model side by side over seeded random input, and
+asserts they never disagree.  Stdlib only.
 """
 
 import copy
@@ -21,11 +22,15 @@ from repro.experiments.worldbuild import (SnapshotError, build_world,
                                           deserialize_world, restore_world,
                                           serialize_world)
 from repro.lisp.headers import decapsulate, encapsulate
+from repro.lisp.policies import mark_fate
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.errors import NoRouteError
 from repro.net.fib import Fib, FibEntry
 from repro.net.host import Host
-from repro.net.packet import IPv4Header, Packet, UDPHeader, udp_packet
+from repro.net.link import WINDOW_WIDTH, LinkStats, connect
+from repro.net.node import Node
+from repro.net.packet import PROTO_UDP, IPv4Header, Packet, UDPHeader, udp_packet
+from repro.net.router import Router
 from repro.sim.engine import Simulator
 from repro.sim.errors import EmptySchedule
 
@@ -717,6 +722,79 @@ def test_cached_size_matches_recomputation_through_encap_copy_decap(seed):
         assert outer.innermost() is packet
 
 
+# --------------------------------------------------------------------- #
+# Cached Packet.hop_ledger vs recomputation
+# --------------------------------------------------------------------- #
+
+
+def _recomputed_hop(packet):
+    """``(size, flow_id, fluid_probe)`` from first principles."""
+    inner = packet
+    while isinstance(inner.payload, Packet):
+        inner = inner.payload
+    return (_recomputed_size(packet), inner.meta.get("flow_id"),
+            inner.meta.get("fluid_probe"))
+
+
+def _assert_hop(packet):
+    expected = _recomputed_hop(packet)
+    hop = packet.hop_ledger()
+    assert hop == expected
+    assert hop[2] is expected[2]          # the probe itself, not a copy
+    assert packet.hop_ledger() is hop     # computed once, then kept
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cached_hop_ledger_matches_recomputation_through_encap_copy_decap(seed):
+    rng = random.Random(seed)
+    sim = Simulator(seed=0, tracing=False)
+    a, b = Node(sim, "a"), Node(sim, "b")
+    link, _back = connect(sim, a.add_interface("eth0"), b.add_interface("eth0"),
+                          rate_bps=rng.choice((None, 1e6)))
+    offered = {}
+    probes = []
+    for _ in range(200):
+        meta = {}
+        if rng.random() < 0.7:
+            meta["flow_id"] = rng.randrange(5)
+        if rng.random() < 0.3:
+            meta["fluid_probe"] = {"links": [], "sink": None}
+        packet = udp_packet("10.0.0.1", "10.1.0.1", 4000, 9000,
+                            payload_bytes=rng.randrange(1500), meta=meta)
+        stack = [packet]
+        for level in range(rng.randrange(4)):
+            # Some layers are offered to a link before they are wrapped.
+            if rng.random() < 0.5:
+                _assert_hop(stack[-1])
+            stack.append(encapsulate(stack[-1], f"1.0.0.{level + 1}",
+                                     f"2.0.0.{level + 1}", nonce=level))
+        outer = stack[-1]
+        _assert_hop(outer)
+        link.send(outer)
+        # Fates may grow once the packet is in flight; the ledger holds.
+        mark_fate(packet, "encapsulated")
+        _assert_hop(outer)
+        size, flow_id, probe = _recomputed_hop(outer)
+        if flow_id is not None:
+            offered[flow_id] = offered.get(flow_id, 0) + size
+        if probe is not None:
+            probes.append((probe, size))
+        clone = outer.copy()
+        if clone.ip is not None:
+            clone.ip.ttl -= 1
+        _assert_hop(clone)
+        unwrapped = clone
+        while unwrapped.inner is not None:
+            unwrapped, _outer_ip, _lisp = decapsulate(unwrapped)
+            _assert_hop(unwrapped)
+        assert unwrapped.hop_ledger()[1:] == packet.hop_ledger()[1:]
+    sim.run()
+    assert {flow_id: account.offered
+            for flow_id, account in link.stats.flows.items()} == offered
+    for probe, size in probes:
+        assert probe["links"] == [(link, size)]
+
+
 def test_packet_ip_fast_path_agrees_with_find():
     plain = udp_packet("10.0.0.1", "10.0.0.2", 1, 2)
     assert plain.ip is plain.headers[0] is plain.find(IPv4Header)
@@ -778,6 +856,154 @@ def test_restored_world_nodes_answer_is_local_like_fresh_ones():
     for node, row in zip(nodes, before, strict=True):
         assert [node.is_local(address) for address in probes] == row
         _assert_local_set_matches(node, probes)
+
+
+def _reference_account(windows, start, tx_time, size):
+    """Utilization-window booking one slice at a time, no shortcut."""
+    index = int(start / WINDOW_WIDTH)
+    windows.setdefault(index, [0.0, 0])[1] += size
+    remaining, position = tx_time, start
+    while remaining > 0.0:
+        boundary = (index + 1) * WINDOW_WIDTH
+        slice_time = min(remaining, boundary - position)
+        windows.setdefault(index, [0.0, 0])[0] += slice_time
+        remaining -= slice_time
+        position = boundary
+        index += 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transmission_windows_match_a_slice_by_slice_reference(seed):
+    rng = random.Random(seed)
+    stats, reference = LinkStats(), {}
+    for _ in range(300):
+        start = rng.choice((rng.uniform(0.0, 4.0), float(rng.randrange(4)),
+                            rng.randrange(4) + 0.75))
+        # Some end exactly on a window boundary, some cross one or more.
+        tx_time = rng.choice((0.0, rng.uniform(0.0, 0.3), rng.uniform(0.0, 2.5),
+                              (int(start / WINDOW_WIDTH) + 1) * WINDOW_WIDTH - start))
+        size = rng.randrange(1, 1500)
+        stats.account_transmission(start, tx_time, size)
+        _reference_account(reference, start, tx_time, size)
+    assert dict(stats.windows) == reference
+
+
+# --------------------------------------------------------------------- #
+# Router.receive vs a naive transit reference
+# --------------------------------------------------------------------- #
+
+
+_ROUTER_LOCALS = (IPv4Address("10.9.0.1"), IPv4Address("10.9.0.2"))
+
+
+def _reference_transit(router, table, consumed, packet):
+    """Where *packet* goes when *router* receives it, from first principles:
+    ``"ignored"``, ``"local"``, ``"tapped"``, ``None`` (dropped) or the
+    egress link; and the trace kind the router records (or None)."""
+    ip = packet.find(IPv4Header)
+    if ip is None:
+        return "ignored", None
+    if ip.dst in router.addresses():
+        return "local", None
+    if ip.ttl <= 1:
+        return None, "router.ttl-expired"
+    if packet.uid in consumed:
+        return "tapped", None
+    entry = _brute_force_lpm(table, ip.dst.value)
+    if entry is None:
+        return None, "router.no-route"
+    if entry.interface is None or entry.interface.link is None:
+        return None, None
+    return entry.interface.link, None
+
+
+def _transit_rig(sim):
+    """A router with two local addresses, three linked egress interfaces
+    (peers are base nodes, one owning an address of the pool) and one
+    dangling interface; returns ``(router, interfaces, seen)``."""
+    router = Router(sim, "r")
+    router.add_interface("lo", _ROUTER_LOCALS[0])
+    router.add_address(_ROUTER_LOCALS[1])
+    interfaces = [None, router.add_interface("dangling")]
+    for index in range(3):
+        peer = Node(sim, f"p{index}")
+        connect(sim, router.add_interface(f"eth{index}"),
+                peer.add_interface("eth0", "10.1.1.1" if index == 0 else None))
+        interfaces.append(router.interfaces[f"eth{index}"])
+    seen = {"local": [], "tapped": []}
+    router.register_protocol(PROTO_UDP,
+                             lambda packet, _node: seen["local"].append(packet.uid))
+    return router, interfaces, seen
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_router_receive_matches_a_naive_reference(seed):
+    rng = random.Random(seed)
+    sim = Simulator(seed=0, tracing=True)
+    router, interfaces, seen = _transit_rig(sim)
+    links = [interface.link for interface in interfaces[2:]]
+    consumed = set()
+
+    def tap(packet, _node):
+        if packet.uid in consumed:
+            seen["tapped"].append(packet.uid)
+            return True
+        return False
+    router.add_forward_tap(tap)
+    table = {}
+    onward = []       # (peer, packet) in the order the router sent them
+    for _ in range(400):
+        action = rng.random()
+        if action < 0.15:
+            prefix = _random_prefix(rng)
+            entry = FibEntry(prefix, rng.choice(interfaces))
+            router.fib.insert(entry)
+            table[(prefix.network.value, prefix.length)] = entry
+            continue
+        if action < 0.25 and table:
+            network, length = rng.choice(sorted(table))
+            router.fib.remove(IPv4Prefix(network, length))
+            del table[(network, length)]
+            continue
+        if rng.random() < 0.05:
+            packet = Packet(headers=[UDPHeader(1, 2)])
+        else:
+            destination = (rng.choice(_ROUTER_LOCALS) if rng.random() < 0.15
+                           else _random_address(rng))
+            packet = udp_packet("10.7.0.1", destination, 1, 2,
+                                ttl=rng.choice((0, 1, 2, 64)))
+        if rng.random() < 0.2:
+            consumed.add(packet.uid)
+        where, kind = _reference_transit(router, table, consumed, packet)
+        ip = packet.find(IPv4Header)
+        ttl = None if ip is None else ip.ttl
+        offered = [link.stats.bytes_offered for link in links]
+        local, tapped, traced = len(seen["local"]), len(seen["tapped"]), len(sim.trace)
+        router.receive(packet)
+        sent = [link for link, before in zip(links, offered, strict=True)
+                if link.stats.bytes_offered != before]
+        assert sent == ([where] if where in links else [])
+        assert seen["local"][local:] == ([packet.uid] if where == "local" else [])
+        assert seen["tapped"][tapped:] == ([packet.uid] if where == "tapped" else [])
+        records = [(record.source, record.kind, record.detail)
+                   for record in sim.trace.records[traced:]]
+        assert records == ([] if kind is None else
+                           [("r", kind, {"dst": str(ip.dst), "uid": packet.uid})])
+        if ip is not None:
+            passed = where not in ("local", "ignored") and kind != "router.ttl-expired"
+            assert ip.ttl == ttl - passed
+        if where in links:
+            onward.append((where.dst_interface.node, packet))
+    # The base-node peers deliver what is theirs and forward nothing.
+    traced = len(sim.trace)
+    sim.run()
+    expected = [(peer.name,
+                 "node.unclaimed" if packet.ip.dst in peer.addresses()
+                 else "node.no-forward", packet.uid)
+                for peer, packet in onward]
+    assert [(record.source, record.kind, record.detail["uid"])
+            for record in sim.trace.records[traced:]] == expected
+    assert any(kind == "node.no-forward" for _peer, kind, _uid in expected)
 
 
 # --------------------------------------------------------------------- #

@@ -181,10 +181,10 @@ def test_timeout_label_is_built_on_demand():
     sim = Simulator()
     timeout = sim.timeout(0.5)
     assert timeout.name is None
-    assert repr(timeout) == "<Timeout(0.5) triggered at t=0.000000>"
+    assert repr(timeout) == "<Timeout(0.5) triggered>"
     assert repr(sim.timeout(0.5, name="deadline")).startswith("<deadline ")
     sim.run()
-    assert repr(timeout) == "<Timeout(0.5) processed at t=0.500000>"
+    assert repr(timeout) == "<Timeout(0.5) processed>"
 
 
 def test_scheduled_calls_return_nothing_and_a_timeout_beside_one_runs_after_it():

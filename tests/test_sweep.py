@@ -2,9 +2,7 @@
 
 import csv
 import copy
-import hashlib
 import json
-import os
 import random
 from dataclasses import replace
 
@@ -18,6 +16,8 @@ from repro.experiments.sweep import (CSV_COLUMNS, PRESETS, SCHEMA,
                                      iter_jsonl, payload_digest, run_sweep,
                                      run_world, write_json)
 from repro.net.topogen import TopologySpec
+
+from cross_version_digests import GOLDEN, preset_digests, shrunk_preset
 
 TINY = SweepGrid(name="tiny", control_planes=("pce", "alt"), site_counts=(3,),
                  seeds=(1, 2), zipf_values=(1.0,), num_flows=8,
@@ -494,34 +494,6 @@ def test_grid_overrides_may_shadow_axis_fields():
     assert cell.scenario.num_sites == 5
     assert cell.scenario.miss_policy == "queue"
     assert cell.workload.num_flows == 3
-
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "sweep_digests.json")
-
-
-def shrunk_preset(name):
-    """Preset *name* cut down to a sub-second grid that keeps every axis."""
-    grid = PRESETS[name]
-    if name == "scale":
-        grid = replace(grid, site_counts=(4, 8))
-    return replace(grid, num_flows=200 if name == "megaflow"
-                   else min(grid.num_flows, 12))
-
-
-def preset_digests(name, workdir):
-    """sha256 of one preset's :func:`payload_digest` and of its CSV bytes.
-
-    Both pin behaviour only — ``sim_events``, what the engine spent, is in
-    neither — so an engine change leaves the golden file alone (its event
-    counts are pinned by ``tests/golden/perf_quick_counts.json``).
-    """
-    csv_path = os.path.join(workdir, f"{name}.csv")
-    payload = run_sweep(shrunk_preset(name), csv_path=csv_path)
-    with open(csv_path, "rb") as handle:
-        csv_bytes = handle.read()
-    return {"payload": hashlib.sha256(
-                payload_digest(payload).encode()).hexdigest(),
-            "csv": hashlib.sha256(csv_bytes).hexdigest()}
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

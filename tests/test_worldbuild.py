@@ -16,7 +16,8 @@ from repro.experiments import sweep
 from repro.experiments.sweep import (PRESETS, SweepGrid, _apply_failures,
                                      expand_grid, iter_jsonl, payload_digest,
                                      run_sweep, run_world, world_chunks)
-from repro.experiments.workload import WorkloadConfig, run_workload
+from repro.experiments.workload import (WorkloadConfig, run_workload,
+                                       start_workload)
 from repro.experiments.worldbuild import (SnapshotError, build_world,
                                           deserialize_world, restore_world,
                                           serialize_world, world_key)
@@ -483,6 +484,23 @@ def test_a_world_run_tears_its_world_down_when_a_cell_raises(collector_off,
     assert _cyclic_garbage() == []
 
 
+def test_events_of_a_world_torn_down_mid_run_still_print():
+    """A traceback or debugger that prints an event of a world torn down
+    mid-run names the event instead of raising: teardown cleared the
+    event's slots and its simulator's attributes."""
+    world = build_world(ScenarioConfig(control_plane="alt", num_sites=4,
+                                       seed=3, tracing=False))
+    start_workload(world, WorkloadConfig(num_flows=6, arrival_rate=50.0))
+    world.sim.run(until=0.12)
+    events = list(world.sim.queued_events())
+    assert events
+    assert all(repr(event).endswith((" pending>", " triggered>", " processed>"))
+               for event in events)
+    world.teardown()
+    for event in events:
+        assert repr(event) == f"<{type(event).__name__} torn down>"
+
+
 @pytest.mark.parametrize("runner", (
     run_fig1_walkthrough,
     lambda: run_e2(num_sites=3, num_flows=6),
@@ -852,10 +870,11 @@ def _tally_unflowed_bytes(monkeypatch):
             tally.setdefault(link, [0, 0])[0] += packet.size_bytes
         return send(link, packet)
 
-    def spy_deliver(link, packet, size, flow_id, probe):
+    def spy_deliver(link, packet):
+        size, flow_id, _probe = packet.hop_ledger()
         if flow_id is None and link.up:
             tally.setdefault(link, [0, 0])[1] += size
-        deliver(link, packet, size, flow_id, probe)
+        deliver(link, packet)
 
     monkeypatch.setattr(Link, "send", spy_send)
     monkeypatch.setattr(Link, "_deliver", spy_deliver)

@@ -38,10 +38,9 @@ from repro.net.fib import FibEntry
 class PceControlPlane:
     """All per-deployment state of the PCE control plane."""
 
-    def __init__(self, sim, topology, dns_system, computation_delay,
-                 miss_policy, irc_policy="balance", precompute=True,
-                 mapping_ttl=60.0, enable_probing=False, probe_period=0.5,
-                 probe_timeout=None):
+    def __init__(self, sim, topology, dns_system, miss_policy, mapping_ttl,
+                 irc_policy, precompute, computation_delay, enable_probing,
+                 probe_period, probe_timeout):
         self.sim = sim
         self.topology = topology
         self.mapping_ttl = mapping_ttl

@@ -27,8 +27,6 @@ class TtlCache:
         self.name = name
         self._entries = {}
         self._next_compact = self.COMPACT_THRESHOLD
-        self.hits = 0
-        self.misses = 0
 
     def put(self, key, value, ttl):
         """Store *value* for *ttl* seconds of simulated time.
@@ -51,26 +49,13 @@ class TtlCache:
         return True
 
     def get(self, key):
-        """Return the live value for *key*, or None (counting hit/miss)."""
+        """Return the live value for *key*, or None."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             return None
         expires, value = entry
         if expires <= self.sim.now:
             del self._entries[key]
-            self.misses += 1
-            return None
-        self.hits += 1
-        return value
-
-    def peek(self, key):
-        """Like :meth:`get` but without touching the counters."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        expires, value = entry
-        if expires <= self.sim.now:
             return None
         return value
 
@@ -83,9 +68,6 @@ class TtlCache:
             del self._entries[key]
         return len(dead)
 
-    def clear(self):
-        self._entries.clear()
-
     def __len__(self):
         self.compact()
         return len(self._entries)
@@ -94,9 +76,8 @@ class TtlCache:
     _SNAPSHOT_EXEMPT = ("sim", "name")
 
     def snapshot_state(self):
-        return (dict(self._entries), self._next_compact, self.hits,
-                self.misses)
+        return dict(self._entries), self._next_compact
 
     def restore_state(self, state):
-        entries, self._next_compact, self.hits, self.misses = state
+        entries, self._next_compact = state
         self._entries = dict(entries)

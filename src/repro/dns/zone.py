@@ -113,9 +113,5 @@ class Zone:
                               is_referral=True)
         return ZoneAnswer(rcode=RCODE_NXDOMAIN)
 
-    def names(self):
-        """All owner names with records (diagnostics)."""
-        return sorted({name for name, _rtype in self._records})
-
     def __str__(self):
         return f"Zone({self.origin} records={len(self._records)} delegations={len(self._delegations)})"

@@ -1,14 +1,5 @@
-"""Scenario construction: one call builds a full world under a chosen CP.
-
-``control_plane`` selects among:
-
-- ``"pce"``   — the paper's PCE-based control plane;
-- ``"alt"``   — LISP+ALT overlay, reactive resolution at ITRs;
-- ``"cons"``  — CONS hierarchy, reactive;
-- ``"nerd"``  — NERD pushed database;
-- ``"plain"`` — no LISP at all: EIDs globally routable (today's Internet),
-  the baseline of the paper's first latency formula.
-"""
+"""Scenario construction: one call builds a full world under the control
+plane ``control_plane`` names (:data:`CONTROL_PLANES`)."""
 
 import math
 from dataclasses import dataclass, field
@@ -33,11 +24,60 @@ FLOW_TCP_PORT = 80
 #: Port every host's UDP sink listens on.
 FLOW_UDP_PORT = 9000
 
-CONTROL_PLANES = ("pce", "alt", "cons", "nerd", "plain")
 #: ``miss_policy`` name -> the ITR's miss policy class.
-_MISS_POLICIES = {"drop": DropPolicy, "queue": QueuePolicy,
-                  "cp-data": CpDataPolicy}
-MISS_POLICIES = tuple(_MISS_POLICIES)
+MISS_POLICIES = {"drop": DropPolicy, "queue": QueuePolicy,
+                 "cp-data": CpDataPolicy}
+
+
+@dataclass(frozen=True)
+class Plane:
+    """A control plane: the config fields it reads beyond the shared ones
+    (which no row names), all :func:`build_scenario` passes it and, with
+    the shared ones, its world's key; and ``deploy(scenario, **reads)``
+    (None: no LISP, EIDs globally routable)."""
+
+    reads: tuple
+    deploy: object = None
+
+
+def _deploy_pce(scenario, **reads):
+    scenario.control_plane = PceControlPlane(
+        scenario.sim, scenario.topology, scenario.dns, **reads)
+    scenario.xtrs_by_site = scenario.control_plane.xtrs_by_site
+
+
+def _reactive(system, **fixed):
+    """The deploy of a plane resolving through ``system(sim, topology)``;
+    *fixed*: the xTR settings it does not read."""
+    def deploy(scenario, **reads):
+        sim, topology = scenario.sim, scenario.topology
+        scenario.mapping_system = system(sim, topology)
+        scenario.xtrs_by_site = deploy_lisp(
+            sim, topology, scenario.mapping_system, **reads, **fixed)
+        sim.run()  # let deployment-time pushes (NERD) settle
+    return deploy
+
+
+#: Every control plane, by its ``control_plane`` name.
+CONTROL_PLANES = {
+    # The paper's PCE-based control plane.
+    "pce": Plane(("miss_policy", "mapping_ttl", "irc_policy", "precompute",
+                  "computation_delay", "enable_probing", "probe_period",
+                  "probe_timeout"), _deploy_pce),
+    # LISP+ALT overlay, reactive resolution at ITRs.
+    "alt": Plane(("miss_policy", "gleaning", "mapping_ttl"),
+                 _reactive(lambda sim, _topology: AltMappingSystem(sim))),
+    # CONS hierarchy, reactive.
+    "cons": Plane(("miss_policy", "gleaning", "mapping_ttl"),
+                  _reactive(ConsMappingSystem)),
+    # NERD's pushed database: every xTR holds every other site's mapping
+    # for good, so an ETR never lacks a source's and has nothing to glean.
+    "nerd": Plane(("miss_policy", "mapping_ttl"),
+                  _reactive(NerdMappingSystem, gleaning=False)),
+    # No LISP at all: EIDs globally routable (today's Internet), the
+    # baseline of the paper's first latency formula.
+    "plain": Plane(()),
+}
 
 
 @dataclass
@@ -54,15 +94,14 @@ class ScenarioConfig:
     #: time win on the per-packet hot path; experiments that read the trace
     #: must keep it on).
     tracing: bool = True
-    # Reactive-baseline knobs
+    # Each row of CONTROL_PLANES names the fields below its plane reads;
+    # no row names the dns_* ones, which every world reads.
     miss_policy: str = "drop"
     gleaning: bool = True
-    # Mapping / DNS lifetimes
     mapping_ttl: float = 60.0
     dns_host_ttl: float = 60.0
     dns_use_cache: bool = True
     dns_extra_levels: int = 0
-    # PCE knobs
     irc_policy: str = "balance"
     precompute: bool = True
     computation_delay: float = 0.0005
@@ -93,15 +132,21 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value not in known:
                 raise ValueError(f"unknown {name} {value!r}, "
-                                 f"expected one of {known}")
+                                 f"expected one of {tuple(known)}")
         check_sizing(self.topology_spec())
         check_ttl("dns_host_ttl", self.dns_host_ttl)
-        # Lifetimes must be > 0, which NaN is not either: a bad grid then
-        # fails at expansion with the field named, not inside a worker.
-        for name in ("mapping_ttl", "probe_period"):
+        # Lifetimes must be > 0, delays and depths >= 0, which NaN is
+        # neither: a bad grid then fails at expansion with the field named,
+        # not inside a worker.
+        for name, bound in (("mapping_ttl", "> 0"), ("probe_period", "> 0"),
+                            ("computation_delay", ">= 0"),
+                            ("dns_extra_levels", ">= 0")):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+            if not (value >= 0 if bound == ">= 0" else value > 0):
+                raise ValueError(f"{name} must be {bound}, got {value!r}")
+        if self.access_rate_bps is not None and not self.access_rate_bps > 0:
+            raise ValueError(f"access_rate_bps must be None or > 0, "
+                             f"got {self.access_rate_bps!r}")
         if self.probe_timeout is not None \
                 and not 0 < self.probe_timeout < self.probe_period:
             raise ValueError(
@@ -150,10 +195,6 @@ class Scenario:
 
     def __post_init__(self):
         self.fluid_pump = FluidPump(self.sim)
-
-    @property
-    def name(self):
-        return self.config.control_plane
 
     def stub_for(self, host, site):
         key = host.name
@@ -409,40 +450,19 @@ def _slot_names(klass):
 
 def build_scenario(config):
     """Build the world described by *config* and return a :class:`Scenario`."""
+    plane = CONTROL_PLANES[config.control_plane]
     sim = Simulator(seed=config.seed, tracing=config.tracing)
-    spec = config.topology_spec(
-        eids_globally_routable=(config.control_plane == "plain"))
+    spec = config.topology_spec(eids_globally_routable=plane.deploy is None)
     topology = build_from_spec(sim, spec)
     dns = install_dns(topology, host_ttl=config.dns_host_ttl,
                       extra_levels=config.dns_extra_levels,
                       use_cache=config.dns_use_cache)
     scenario = Scenario(config=config, sim=sim, topology=topology, dns=dns)
-
-    if config.control_plane == "pce":
-        scenario.control_plane = PceControlPlane(
-            sim, topology, dns, irc_policy=config.irc_policy,
-            precompute=config.precompute, computation_delay=config.computation_delay,
-            mapping_ttl=config.mapping_ttl,
-            miss_policy=_MISS_POLICIES[config.miss_policy](sim),
-            enable_probing=config.enable_probing,
-            probe_period=config.probe_period,
-            probe_timeout=config.probe_timeout)
-        scenario.miss_policy = scenario.control_plane.miss_policy
-        scenario.xtrs_by_site = scenario.control_plane.xtrs_by_site
-    elif config.control_plane != "plain":
-        if config.control_plane == "alt":
-            system = AltMappingSystem(sim)
-        elif config.control_plane == "cons":
-            system = ConsMappingSystem(sim, topology)
-        else:
-            system = NerdMappingSystem(sim, topology)
-        policy = _MISS_POLICIES[config.miss_policy](sim)
-        scenario.mapping_system = system
-        scenario.miss_policy = policy
-        scenario.xtrs_by_site = deploy_lisp(
-            sim, topology, system, policy, gleaning=config.gleaning,
-            mapping_ttl=config.mapping_ttl)
-        sim.run()  # let deployment-time pushes (NERD) settle
+    if plane.deploy is not None:
+        reads = {name: getattr(config, name) for name in plane.reads}
+        scenario.miss_policy = reads["miss_policy"] = \
+            MISS_POLICIES[config.miss_policy](sim)
+        plane.deploy(scenario, **reads)
 
     for site in topology.sites:
         for host_index, host in enumerate(site.hosts):

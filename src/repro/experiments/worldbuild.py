@@ -3,10 +3,10 @@
 Building a sweep cell's world is the expensive part of running it: node and
 link construction, DNS install, control-plane deployment and the provider
 route build all scale with the site count, while the workload itself is a
-few hundred flows.  Cells that share a
-:class:`~repro.experiments.scenario.ScenarioConfig` (same control plane,
-site count, seed, ...) build *identical* worlds and differ only in the
-workload they run — so the world can be built once and recycled.
+few hundred flows.  Cells whose configs agree on every field their
+control plane reads (:func:`world_key`: control plane, site count, seed,
+...) build *identical* worlds and differ only in the workload they run —
+so the world can be built once and recycled.
 
 The mechanism is checkpoint/restore rather than rebuild, and the
 checkpoint follows the cell, not the world:
@@ -72,20 +72,24 @@ import gc
 import json
 import zlib
 from contextlib import contextmanager
-from dataclasses import astuple
 
-from repro.experiments.scenario import build_scenario
+from repro.experiments.scenario import CONTROL_PLANES, build_scenario
 from repro.sim.state import Journal
+
+#: The config fields a row of ``CONTROL_PLANES`` names: not shared.
+_PLANE_FIELDS = {name for plane in CONTROL_PLANES.values()
+                 for name in plane.reads}
 
 
 def world_key(config):
-    """Hashable identity of the world *config* builds.
-
-    Every :class:`ScenarioConfig` field participates: two configs differing
-    in any knob (mapping TTL, miss policy, delay ranges, ...) build
-    different worlds and must not share a cache slot.
+    """Hashable identity of the world *config* builds: in field order, the
+    values of the shared fields and of those its control plane's row of
+    :data:`~repro.experiments.scenario.CONTROL_PLANES` names.  Configs
+    that differ only in fields their plane never reads build one world.
     """
-    return astuple(config)
+    reads = CONTROL_PLANES[config.control_plane].reads
+    return tuple(value for name, value in vars(config).items()
+                 if name in reads or name not in _PLANE_FIELDS)
 
 
 def build_world(config):
@@ -139,13 +143,12 @@ def restore_world(scenario):
 SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 
 #: The version of a blob's envelope (its JSON fields) and of the world
-#: key's shape (:class:`~repro.experiments.scenario.ScenarioConfig`'s
-#: field tuple).  Bump it when either changes; a mismatched blob is
-#: refused.  What the world *is* is not versioned here: a blob yields a
-#: build under the current code.  The "Versions" paragraph of
-#: ``docs/contracts.md`` says when to bump this and when the sweep
-#: artifact ``SCHEMA``.
-SNAPSHOT_SCHEMA = 19
+#: key's shape (:func:`world_key`'s field tuple).  Bump it when either
+#: changes; a mismatched blob is refused.  What the world *is* is not
+#: versioned here: a blob yields a build under the current code.  The
+#: "Versions" paragraph of ``docs/contracts.md`` says when to bump this
+#: and when the sweep artifact ``SCHEMA``.
+SNAPSHOT_SCHEMA = 20
 
 
 @contextmanager

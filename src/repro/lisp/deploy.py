@@ -4,8 +4,8 @@ from repro.lisp.mappings import site_mapping
 from repro.lisp.xtr import TunnelRouter
 
 
-def deploy_lisp(sim, topology, mapping_system, miss_policy, gleaning=True,
-                mapping_ttl=60.0):
+def deploy_lisp(sim, topology, mapping_system, miss_policy, gleaning,
+                mapping_ttl):
     """Instantiate a :class:`TunnelRouter` on every border router.
 
     Registers each site's authoritative mapping with *mapping_system*, then

@@ -31,8 +31,8 @@ GLEANING_TTL = 60.0
 class TunnelRouter(Journaled):
     """xTR service bound to a border-router node."""
 
-    def __init__(self, sim, node, site, miss_policy, mapping_system=None,
-                 gleaning=True):
+    def __init__(self, sim, node, site, miss_policy, mapping_system,
+                 gleaning):
         self.sim = sim
         self.node = node
         self.site = site

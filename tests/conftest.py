@@ -65,3 +65,16 @@ def dns_queries(monkeypatch):
 def sent_by(queries, node):
     """How many of *queries* (the ``dns_queries`` fixture) *node* sent."""
     return sum(sender is node for sender, _dst in queries)
+
+
+def cache_reads(cache):
+    """What each ``get`` on *cache* returns from now on (None: a miss), in
+    order: a list the run fills."""
+    reads = []
+    get = cache.get
+
+    def recording(key):
+        reads.append(get(key))
+        return reads[-1]
+    cache.get = recording
+    return reads

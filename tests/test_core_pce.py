@@ -6,6 +6,7 @@ from process_kernel import Process
 from repro.core.control_plane import PceControlPlane
 from repro.dns.hierarchy import install_dns
 from repro.dns.resolver import StubResolver
+from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.lisp.policies import DropPolicy
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
@@ -13,14 +14,18 @@ from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
-def make_world(seed=41, irc_policy="balance", family="fig1", num_sites=2,
-               computation_delay=0.0005, **cp_kwargs):
+#: The PCE control plane's keywords at ScenarioConfig's defaults.
+PCE_DEFAULTS = {name: getattr(ScenarioConfig(), name)
+                for name in CONTROL_PLANES["pce"].reads}
+
+
+def make_world(seed=41, family="fig1", num_sites=2, **cp_kwargs):
     sim = Simulator(seed=seed)
     topology = build(sim, TopologySpec(family=family, num_sites=num_sites))
     dns = install_dns(topology)
-    cp = PceControlPlane(sim, topology, dns, irc_policy=irc_policy,
-                         computation_delay=computation_delay,
-                         miss_policy=DropPolicy(sim), **cp_kwargs)
+    cp = PceControlPlane(sim, topology, dns,
+                         **{**PCE_DEFAULTS, "miss_policy": DropPolicy(sim),
+                            **cp_kwargs})
     return sim, topology, dns, cp
 
 

@@ -37,7 +37,8 @@ def make_world(system_name, num_sites=4, miss_policy_cls=QueuePolicy, seed=31):
     else:
         raise ValueError(system_name)
     policy = miss_policy_cls(sim)
-    xtrs = deploy_lisp(sim, topology, system, policy)
+    xtrs = deploy_lisp(sim, topology, system, policy, gleaning=True,
+                       mapping_ttl=60.0)
     sim.run()  # let any deployment-time pushes settle
     return sim, topology, system, policy, xtrs
 

@@ -117,11 +117,19 @@ def test_cli_sweep_rejects_a_single_site_before_building(
     ("probe_period", float("nan"), "probe_period must be > 0, got nan"),
     ("probe_timeout", 0.5, r"probe_timeout must lie in \(0, probe_period"),
     ("probe_timeout", 0.0, r"probe_timeout must lie in \(0, probe_period"),
+    ("computation_delay", -1.0, "computation_delay must be >= 0, got -1.0"),
+    ("computation_delay", float("nan"),
+     "computation_delay must be >= 0, got nan"),
+    ("access_rate_bps", 0.0, "access_rate_bps must be None or > 0, got 0.0"),
+    ("access_rate_bps", -5.0,
+     "access_rate_bps must be None or > 0, got -5.0"),
+    ("dns_extra_levels", -1, "dns_extra_levels must be >= 0, got -1"),
 ))
 def test_bad_lifetimes_fail_at_the_config(field, value, named,
                                           no_world_builds):
-    """A lifetime that is not > 0 (NaN neither) is rejected where the config
-    is made, field named — so a grid carrying it fails at expansion."""
+    """A lifetime or rate that is not > 0, or a delay or depth that is not
+    >= 0 (NaN neither), is rejected where the config is made, field named —
+    so a grid carrying it fails at expansion, not inside a cell."""
     with pytest.raises(ValueError, match=named):
         ScenarioConfig(**{field: value})
     with pytest.raises(ValueError, match=named):

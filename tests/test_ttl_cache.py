@@ -45,7 +45,6 @@ def test_put_rejection_drops_stale_entry():
     assert cache.put("k", "old", 10) is True
     # A zero-TTL re-put must not leave the old value reachable.
     assert cache.put("k", "new", 0) is False
-    assert cache.peek("k") is None
     assert cache.get("k") is None
     assert len(cache._entries) == 0
 
@@ -70,14 +69,13 @@ def test_compaction_bounds_memory_under_churn():
     assert len(cache._entries) < 2 * TtlCache.COMPACT_THRESHOLD
 
 
-def test_hit_miss_counters_unchanged():
+def test_an_expired_read_misses_and_frees():
     sim, cache = make_cache()
     cache.put("k", "v", ttl=5)
     assert cache.get("k") == "v"
     assert cache.get("missing") is None
     sim.now = 6.0
     assert cache.get("k") is None      # expired: a miss, and freed
-    assert (cache.hits, cache.misses) == (1, 2)
     assert cache._entries == {}
 
 
@@ -104,10 +102,7 @@ class _ReferenceCache:
     def __init__(self, threshold):
         self.threshold = self.next_compact = threshold
         self.entries = {}
-        self.hits = self.misses = self.rejected_puts = 0
-
-    def counters(self):
-        return (self.hits, self.misses)
+        self.rejected_puts = 0
 
     def put(self, now, key, value, ttl):
         if not (ttl > 0):
@@ -122,19 +117,12 @@ class _ReferenceCache:
 
     def get(self, now, key):
         if key not in self.entries:
-            self.misses += 1
             return None
         expires, value = self.entries[key]
         if now >= expires:
             del self.entries[key]
-            self.misses += 1
             return None
-        self.hits += 1
         return value
-
-    def peek(self, now, key):
-        expires, value = self.entries.get(key, (-math.inf, None))
-        return value if now < expires else None
 
     def compact(self, now):
         dead = [key for key, (expires, _value) in self.entries.items()
@@ -142,10 +130,6 @@ class _ReferenceCache:
         for key in dead:
             del self.entries[key]
         return len(dead)
-
-
-def _counters(cache):
-    return (cache.hits, cache.misses)
 
 
 @pytest.mark.parametrize("compact_threshold", (None, 3))
@@ -161,7 +145,7 @@ def test_ttl_cache_matches_a_reference_dict(seed, compact_threshold,
     reference = _ReferenceCache(TtlCache.COMPACT_THRESHOLD)
     for step in range(400):
         key = rng.choice(_KEYS)
-        action = rng.choice(("put", "put", "put", "get", "get", "peek",
+        action = rng.choice(("put", "put", "put", "get", "get",
                              "compact", "len", "advance"))
         if action == "put":
             ttl = rng.choice(_TTLS)
@@ -169,8 +153,6 @@ def test_ttl_cache_matches_a_reference_dict(seed, compact_threshold,
                 == reference.put(sim.now, key, step, ttl), (step, ttl)
         elif action == "get":
             assert cache.get(key) == reference.get(sim.now, key), step
-        elif action == "peek":
-            assert cache.peek(key) == reference.peek(sim.now, key), step
         elif action == "compact":
             assert cache.compact() == reference.compact(sim.now), step
         elif action == "len":
@@ -178,7 +160,6 @@ def test_ttl_cache_matches_a_reference_dict(seed, compact_threshold,
             assert len(cache) == len(reference.entries), step
         else:
             sim.now += rng.choice((0.25, 0.5, 1.0, 3.0))
-        assert _counters(cache) == reference.counters(), (step, action)
         # Dead entries linger exactly as long: compaction bounds memory.
         assert len(cache._entries) == len(reference.entries), (step, action)
     assert len(sim.trace.of_kind("cache.put-rejected")) \

@@ -547,6 +547,20 @@ def test_sweep_reuses_worlds_and_streams_jsonl(tmp_path):
         == serial["cells"]
 
 
+def test_variants_differing_in_a_field_their_plane_ignores_share_a_world():
+    """ALT reads no ``irc_policy``: its two variants build one world and
+    measure the same."""
+    grid = SweepGrid(control_planes=("alt",), site_counts=(3,), seeds=(1,),
+                     variants=(("balance", {"irc_policy": "balance"}),
+                               ("primary", {"irc_policy": "primary"})),
+                     num_flows=8, arrival_rate=10.0)
+    payload = run_sweep(grid, workers=1)
+    assert payload["world_cache"] == {"builds": 1, "hits": 1}
+    balance, primary = payload["cells"]
+    assert (balance["variant"], primary["variant"]) == ("balance", "primary")
+    assert balance["metrics"] == primary["metrics"]
+
+
 def test_ungrouped_dispatch_keeps_workers_busy():
     """One world key + many workload cells still fans out: the world's
     cells split into one chunk per worker (digest equality preserved:
@@ -1022,6 +1036,12 @@ _FIRST = {
     "stack": lambda scenario: next(iter(scenario.tcp_stacks.values())),
     "resolver": lambda scenario: next(iter(scenario.dns.resolvers.values())),
 }
+def _fill_resolver_cache(resolver):
+    """A walk that fails, and caches the failure."""
+    resolver.resolve("nowhere.invalid.")
+    resolver.sim.run()
+
+
 _MUTATORS = {
     "add_address": ("node", lambda node: node.add_address("203.0.113.9")),
     "register_service": (
@@ -1044,8 +1064,7 @@ _MUTATORS = {
         "xtr", lambda xtr: xtr.map_cache.lookup("100.99.1.1")),
     "credit_fluid": ("sink", lambda sink: sink.credit_fluid(5000)),
     "tcp_listen": ("stack", lambda stack: stack.listen(8080)),
-    "resolver_cache_fill": (
-        "resolver", lambda resolver: resolver.resolve("nowhere.invalid.")),
+    "resolver_cache_fill": ("resolver", _fill_resolver_cache),
 }
 
 
@@ -1061,7 +1080,6 @@ def test_each_stamped_mutator_alone_is_undone_by_restore(name):
     assert target.snapshot_state() != dict(oracle)[target]
     assert target in scenario.world_checkpoint.dirty
     if name == "resolver_cache_fill":
-        scenario.sim.run()      # the walk fails, and caches the failure
         assert len(target.negative_cache) == 1
     restore_world(scenario)
     assert _dirty_components(oracle) == []

@@ -33,7 +33,9 @@ checked before the first world is built::
 
 Aggregates are deterministic: the same grid and seeds produce
 byte-identical JSON and CSV for any ``--workers`` value (the ``world
-cache:`` line reports hits and builds, which depend on it).
+cache:`` line reports hits and builds, which depend on it).  A cell that
+raises is left out of them and named on stderr; the rest run, and the
+command exits 1.
 
 Static analysis (``repro analyze``)
 -----------------------------------
@@ -174,7 +176,11 @@ def _run_sweep_command(args):
                         (jsonl_path, "jsonl")):
         if path is not None:
             print(f"{label} written to {path}")
-    return 0
+    errors = payload.get("errors", ())
+    for error in errors:
+        print(f"cell {error['cell_id']} (index {error['index']}) raised "
+              f"{error['exception']}: {error['message']}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def main(argv=None):

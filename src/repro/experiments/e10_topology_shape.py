@@ -19,7 +19,7 @@ aggregates.  The fabric columns are world constants
 (:attr:`~repro.experiments.scenario.Scenario.fabric`).
 """
 
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import SweepGrid, grid_aggregates
 from repro.metrics import rounded
 
 HEADERS = ("system", "topology", "sites", "providers", "ixps", "hier",
@@ -37,7 +37,7 @@ def run_e10(num_sites=12, num_flows=30, seed=71):
                      site_counts=(num_sites,), seeds=(seed,),
                      num_flows=num_flows, arrival_rate=15.0,
                      scenario_overrides={"miss_policy": "queue"})
-    rows = run_sweep(grid)["aggregates"]
+    rows = grid_aggregates(grid)
     rows.sort(key=lambda row: (SYSTEMS.index(row["control_plane"]),
                                FAMILIES.index(row["topology"])))
     return rows

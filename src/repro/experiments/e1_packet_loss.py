@@ -11,7 +11,7 @@ is a bundle's aggregate, labelled with its variant (``system``) and
 ``cache_ttl``.
 """
 
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import SweepGrid, grid_aggregates
 from repro.metrics import rounded
 
 #: The systems E1 compares, as (label, scenario overrides).
@@ -44,7 +44,7 @@ def run_e1(num_sites=8, num_flows=40, cache_ttls=(2.0, 60.0), seed=11):
         variants=tuple((name, {**overrides[label], "mapping_ttl": ttl})
                        for name, (label, ttl) in labels.items()),
         workload_overrides={"zipf_s": ZIPF_S})
-    by_variant = {row["variant"]: row for row in run_sweep(grid)["aggregates"]}
+    by_variant = {row["variant"]: row for row in grid_aggregates(grid)}
     return [{**by_variant[name], "system": label, "cache_ttl": ttl}
             for name, (label, ttl) in labels.items()]
 

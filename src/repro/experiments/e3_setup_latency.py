@@ -15,7 +15,7 @@ aggregate over the flows whose handshake finished, labelled with its
 user waits.
 """
 
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import SweepGrid, grid_aggregates
 from repro.metrics import rounded
 
 #: The reactive systems' mapping TTL: short, so caches stay cold.
@@ -46,7 +46,7 @@ def run_e3(num_sites=6, num_flows=30, seed=37):
         num_flows=num_flows, arrival_rate=2.0, mode="tcp", variants=VARIANTS,
         scenario_overrides={"dns_use_cache": False},
         workload_overrides={"grace_period": 15.0})
-    by_variant = {row["variant"]: row for row in run_sweep(grid)["aggregates"]}
+    by_variant = {row["variant"]: row for row in grid_aggregates(grid)}
     rows = [by_variant[label] for label, _overrides in VARIANTS]
     for row in rows:
         setup = row["setup_mean"]

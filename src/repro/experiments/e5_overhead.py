@@ -12,7 +12,7 @@ State is the durable control-plane state
 (:meth:`~repro.experiments.scenario.Scenario.control_state`).
 """
 
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import SweepGrid, grid_aggregates
 
 HEADERS = ("system", "sites", "flows", "ctl_msgs", "ctl_bytes", "bytes/flow",
            "max_state", "total_state")
@@ -33,7 +33,7 @@ def run_e5(seed=61):
                          seeds=(seed,), num_flows=FLOWS_PER_SITE * num_sites,
                          arrival_rate=20.0,
                          scenario_overrides={"miss_policy": "queue"})
-        rows += run_sweep(grid)["aggregates"]
+        rows += grid_aggregates(grid)
     # System by system; the sort is stable, so sizes stay ascending.
     rows.sort(key=lambda row: SYSTEMS.index(row["control_plane"]))
     return rows

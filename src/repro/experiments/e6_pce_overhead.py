@@ -15,7 +15,7 @@ as the PCEs count it.  One grid runs every variant, one bundle each; a
 row is a bundle's aggregate, labelled with its ``variant``.
 """
 
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import SweepGrid, grid_aggregates
 from repro.metrics import rounded
 
 #: Seconds the on-demand variant spends computing each mapping (what the
@@ -39,7 +39,7 @@ def run_e6(num_sites=4, num_flows=25, seed=71):
         control_planes=("pce",), site_counts=(num_sites,), seeds=(seed,),
         num_flows=num_flows, arrival_rate=4.0, packets_per_flow=1,
         variants=VARIANTS, scenario_overrides={"dns_use_cache": False})
-    by_variant = {row["variant"]: row for row in run_sweep(grid)["aggregates"]}
+    by_variant = {row["variant"]: row for row in grid_aggregates(grid)}
     return [by_variant[label] for label, _overrides in VARIANTS]
 
 

@@ -12,7 +12,7 @@ TTL; a row is one of its aggregates, labelled with its bundle's
 ``cache_ttl``.
 """
 
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import SweepGrid, grid_aggregates
 from repro.metrics import rounded
 
 HEADERS = ("system", "cache_ttl", "zipf_s", "flows", "hit_ratio",
@@ -34,7 +34,7 @@ def run_e7(num_sites=8, num_flows=50, seed=83):
                                     for name, ttl in ttls.items()),
                      scenario_overrides={"miss_policy": "drop"})
     rows = [{**row, "cache_ttl": ttls[row["variant"]]}
-            for row in run_sweep(grid)["aggregates"]]
+            for row in grid_aggregates(grid)]
     rows.sort(key=lambda row: (SYSTEMS.index(row["control_plane"]),
                                row["cache_ttl"], row["zipf_s"]))
     return rows

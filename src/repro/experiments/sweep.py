@@ -597,13 +597,33 @@ def run_cell(world, cell, prefix):
     return {
         "index": cell.index,
         "cell_id": cell.cell_id,
-        **{axis.key: getattr(cell if axis.config is None
-                             else getattr(cell, axis.config), axis.kwarg)
-           for axis in AXES},
-        "mode": cell.workload.mode,
+        **_config(cell),
         "metrics": {metric.key: metric.collect(finished)
                     for metric in METRICS},
     }
+
+
+def _config(cell):
+    """The value of every :data:`AXES` row *cell* runs with, and its mode."""
+    return {**{axis.key: getattr(cell if axis.config is None
+                                 else getattr(cell, axis.config), axis.kwarg)
+               for axis in AXES},
+            "mode": cell.workload.mode}
+
+
+def _failure(cell, error):
+    """The error record of *cell*, which raised *error* (being handled).
+
+    Imports where needed: at the top of the module ``traceback`` cost
+    reuse_sweep about 1 MB of peak RSS (allocator layout).
+    """
+    import hashlib
+    import traceback
+    trace = traceback.format_exc()
+    return {"index": cell.index, "cell_id": cell.cell_id,
+            "config": _config(cell), "exception": type(error).__name__,
+            "message": str(error),
+            "traceback_sha256": hashlib.sha256(trace.encode()).hexdigest()}
 
 
 def _family_key(cell):
@@ -657,10 +677,11 @@ def _run_family(world, family):
 def _branched(world, cell, prefix):
     """:func:`run_cell` of *cell* in a forked child; its result.
 
-    The child pickles its result, or its exception's type and traceback,
-    into a pipe and leaves with ``os._exit``.  The parent reads the pipe
-    to its end before it reaps the child, and raises, naming the cell,
-    for a child that raised or died.
+    The child pickles its result, or the cell's error record
+    (:func:`_failure`) if it raised, into a pipe and leaves with
+    ``os._exit``: a child that raised fails its cell alone.  The parent
+    reads the pipe to its end before it reaps the child, and raises,
+    naming the cell, for a child that died.
     """
     reader, writer = os.pipe()
     try:
@@ -676,13 +697,9 @@ def _branched(world, cell, prefix):
         try:
             os.close(reader)
             try:
-                reply = (True, run_cell(world, cell, prefix))
+                reply = run_cell(world, cell, prefix)
             except Exception as error:
-                # Imported where it is needed: at the top of the module it
-                # cost reuse_sweep about 1 MB of peak RSS (allocator
-                # layout), five times its own size.
-                import traceback
-                reply = (False, (type(error).__name__, traceback.format_exc()))
+                reply = _failure(cell, error)
             with open(writer, "wb") as pipe:
                 pickle.dump(reply, pipe)
             code = 0
@@ -698,12 +715,7 @@ def _branched(world, cell, prefix):
     if code != 0:
         raise RuntimeError(f"cell {cell.cell_id!r} (index {cell.index}) died "
                            f"in its branch with exit status {code}")
-    ok, value = pickle.loads(data)
-    if not ok:
-        name, trace = value
-        raise RuntimeError(f"cell {cell.cell_id!r} (index {cell.index}) "
-                           f"raised {name} in its branch:\n{trace}")
-    return value
+    return pickle.loads(data)
 
 
 def run_world(cells):
@@ -720,6 +732,10 @@ def run_world(cells):
     (:func:`~repro.experiments.worldbuild.gc_paused`): a cell makes no
     cyclic garbage, so every pass it would trigger walks live objects and
     frees nothing.  This is both the serial path and the pool's task.
+
+    A family that raises fails its cells, not the run: each gets its
+    error record (:func:`_failure`), and the next family builds a fresh
+    world.
     """
     world = None
     results = [None] * len(cells)
@@ -727,13 +743,19 @@ def run_world(cells):
         for family in _families(cells):
             members = [cells[position] for position in family]
             with gc_paused():
-                if world is None:
-                    world = build_world(members[0].scenario)
-                else:
-                    restore_world(world)
-                for position, result in zip(
-                        family, _run_family(world, members), strict=True):
-                    results[position] = result
+                try:
+                    if world is None:
+                        world = build_world(members[0].scenario)
+                    else:
+                        restore_world(world)
+                    outcomes = _run_family(world, members)
+                except Exception as error:
+                    outcomes = [_failure(cell, error) for cell in members]
+                    if world is not None:
+                        world.teardown()
+                        world = None
+                for position, outcome in zip(family, outcomes, strict=True):
+                    results[position] = outcome
     finally:
         if world is not None:
             world.teardown()
@@ -910,7 +932,9 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
     the :func:`aggregate` of the index-sorted results, the results
     themselves and the scheduling-dependent ``world_cache`` summary
     (excluded from :func:`payload_digest`); it is what lands in
-    *json_path*, and the CSV is written from the same sorted list.
+    *json_path*, and the CSV is written from the same sorted list.  A
+    cell that raised is left out; its error record is in ``errors``
+    (undigested, present only then).
 
     Raises ``ValueError`` — before anything is built — for an artifact
     path that is a directory or lies in a missing one.
@@ -918,14 +942,18 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
     _check_outputs({"json": json_path, "csv": csv_path, "jsonl": jsonl_path})
     cells = expand_grid(grid)
     results = []
+    errors = []
     builds = 0
     handle = None if jsonl_path is None else open(jsonl_path, "w")
     try:
         for run in _completed_runs(cells, workers):
-            results.extend(run)
             builds += 1
-            if handle is not None:
-                for position, result in enumerate(run):
+            for position, result in enumerate(run):
+                if "exception" in result:
+                    errors.append(result)
+                    continue
+                results.append(result)
+                if handle is not None:
                     line = {**result, "world": "hit" if position else "miss"}
                     handle.write(json.dumps(line, sort_keys=True) + "\n")
                     handle.flush()
@@ -938,9 +966,11 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
         "grid": grid.describe(),
         "num_cells": len(results),
         "aggregates": aggregate(results),
-        "world_cache": {"builds": builds, "hits": len(results) - builds},
+        "world_cache": {"builds": builds, "hits": len(cells) - builds},
         "cells": results,
     }
+    if errors:
+        payload["errors"] = sorted(errors, key=operator.itemgetter("index"))
     if csv_path is not None:
         with open(csv_path, "w", newline="") as csv_handle:
             writer = csv.writer(csv_handle)
@@ -951,11 +981,22 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
     return payload
 
 
+def grid_aggregates(grid):
+    """The :func:`aggregate` rows of *grid*, run serially; raises, naming
+    them, if any cell raised (the paper experiments read only these)."""
+    payload = run_sweep(grid)
+    errors = payload.get("errors")
+    if errors:
+        raise RuntimeError("sweep cells raised: " + ", ".join(
+            f"{error['cell_id']} ({error['exception']})" for error in errors))
+    return payload["aggregates"]
+
+
 #: Payload keys the digest leaves out, wherever they sit: what a run
 #: cost rather than what it simulated.  ``world_cache`` depends on
 #: scheduling; ``sim_events`` counts engine queue pops, which an engine
-#: change moves without moving the simulation.
-NON_DIGESTED_KEYS = ("world_cache", "sim_events")
+#: change moves without moving the simulation; ``errors`` digests tracebacks.
+NON_DIGESTED_KEYS = ("world_cache", "sim_events", "errors")
 
 
 def _digested(value):

@@ -11,11 +11,15 @@ from dataclasses import dataclass
 from itertools import count
 
 from repro.net.addresses import IPv4Address
-from repro.net.packet import IPv4Header, Packet, PROTO_UDP, UDPHeader
+from repro.net.packet import (IPV4_HEADER_BYTES, PROTO_UDP, UDP_HEADER_BYTES,
+                              IPv4Header, Packet, UDPHeader)
 
 LISP_DATA_PORT = 4341
 LISP_CONTROL_PORT = 4342
 LISP_HEADER_BYTES = 8
+
+#: What the data-plane envelope adds to the packet it wraps.
+_ENVELOPE_BYTES = IPV4_HEADER_BYTES + UDP_HEADER_BYTES + LISP_HEADER_BYTES
 
 _nonces = count(1)
 
@@ -78,17 +82,16 @@ class MapReply:
 
 
 def encapsulate(inner, source_rloc, destination_rloc, nonce=None):
-    """Wrap *inner* in a LISP data-plane envelope."""
-    header = LispHeader(nonce=next_nonce() if nonce is None else nonce)
-    return Packet(
-        headers=[
-            IPv4Header(src=source_rloc, dst=destination_rloc, proto=PROTO_UDP),
-            UDPHeader(sport=LISP_DATA_PORT, dport=LISP_DATA_PORT),
-            header,
-        ],
-        payload=inner,
-        meta=dict(inner.meta),
-    )
+    """Wrap *inner* in a LISP data-plane envelope, sized and ledgered from
+    *inner*'s hop ledger (the outer meta starts empty)."""
+    outer = Packet([IPv4Header(source_rloc, destination_rloc, PROTO_UDP),
+                    UDPHeader(LISP_DATA_PORT, LISP_DATA_PORT),
+                    LispHeader(next(_nonces) if nonce is None else nonce)],
+                   inner)
+    size, flow_id, probe = inner._hop or inner.hop_ledger()
+    size = outer._size = size + _ENVELOPE_BYTES
+    outer._hop = (size, flow_id, probe)
+    return outer
 
 
 def decapsulate(packet):

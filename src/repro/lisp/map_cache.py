@@ -5,7 +5,6 @@ not necessarily be found, either because the mapping has aged out, or simply
 because it was never requested before" (§1).
 """
 
-from repro.net.addresses import IPv4Address
 from repro.net.fib import Fib, FibEntry
 
 
@@ -72,9 +71,8 @@ class MapCache:
         specific one that aged out must not hide a covering one that is
         still live, so the lookup goes on until a live entry or a miss.
         """
-        address = IPv4Address(eid)
         while True:
-            entry = self._fib.lookup(address, default=None)
+            entry = self._fib.lookup(eid, default=None)
             if entry is None:
                 return None
             slot = entry.interface

@@ -41,18 +41,28 @@ class MappingRecord:
         if self.source_rloc is not None:
             object.__setattr__(self, "source_rloc", IPv4Address(self.source_rloc))
 
+    #: ``(liveness version, answer)`` of the last :meth:`best_rloc` call.
+    _best = None
+
     def best_rloc(self, liveness=None):
         """The preferred usable locator: lowest priority, highest weight.
 
         *liveness*, when given, is a predicate (address -> bool) supplied by
         an RLOC prober; locators it reports down are skipped, which is how
         an ITR fails over to a backup locator (draft-08 reachability).
+        Memoised per liveness ``version`` (a predicate without one is not).
         """
+        version = 0 if liveness is None else getattr(liveness, "version", None)
+        best = self._best
+        if best is not None and best[0] == version:
+            return best[1]
         usable = [r for r in self.rlocs if r.reachable
                   and (liveness is None or liveness(r.address))]
-        if not usable:
-            return None
-        return min(usable, key=lambda r: (r.priority, -r.weight, int(r.address)))
+        choice = min(usable, key=lambda r: (r.priority, -r.weight, r.address._value),
+                     default=None)
+        if version is not None:
+            object.__setattr__(self, "_best", (version, choice))
+        return choice
 
     def with_chosen_rloc(self, address):
         """A copy whose locator set is narrowed to *address* only.

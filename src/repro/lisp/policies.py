@@ -60,13 +60,14 @@ class DropPolicy(MissPolicy):
     def on_miss(self, xtr, packet, eid):
         self.stats.dropped += 1
         mark_fate(packet, "dropped-at-itr")
-        self.sim.trace.record(self.sim.now, xtr.node.name, "itr.miss-drop",
-                              eid=str(eid), uid=packet.uid)
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, xtr.node.name, "itr.miss-drop",
+                                  eid=str(eid), uid=packet.uid)
 
 
 class QueuePolicy(MissPolicy):
     """Buffer packets per-EID until the mapping resolves (bounded by
-    :data:`MAX_QUEUE`)."""
+    :data:`MAX_QUEUE`); buffers are kept per xTR node name."""
 
     name = "queue"
 
@@ -75,7 +76,8 @@ class QueuePolicy(MissPolicy):
         self._buffers = {}
 
     def on_miss(self, xtr, packet, eid):
-        buffer = self._buffers.setdefault((xtr.node.name, int(eid)), [])
+        buffers = self._buffers.setdefault(xtr.node.name, {})
+        buffer = buffers.setdefault(eid._value, [])
         if len(buffer) >= MAX_QUEUE:
             self.stats.dropped += 1
             mark_fate(packet, "dropped-queue-overflow")
@@ -86,10 +88,13 @@ class QueuePolicy(MissPolicy):
     def on_resolved(self, xtr, eid, mapping):
         # Flush every buffered EID the new mapping covers (a resolution for
         # one EID serves its whole prefix; pushed mappings pass eid=None).
-        matching = [key for key in self._buffers
-                    if key[0] == xtr.node.name and mapping.eid_prefix.contains(key[1])]
-        for key in matching:
-            for queued_at, packet in self._buffers.pop(key):
+        buffers = self._buffers.get(xtr.node.name)
+        if not buffers:
+            return
+        prefix = mapping.eid_prefix
+        matching = [value for value in buffers if prefix.contains(value)]
+        for value in matching:
+            for queued_at, packet in buffers.pop(value):
                 self.stats.queue_delays.append(self.sim.now - queued_at)
                 mark_fate(packet, "flushed-after-queue")
                 xtr.encapsulate_and_send(packet, mapping)
@@ -122,6 +127,3 @@ class CpDataPolicy(MissPolicy):
 def mark_fate(packet, fate):
     """Annotate the packet's fate for workload-level accounting."""
     packet.meta.setdefault("fates", []).append(fate)
-    sink = packet.meta.get("fate_sink")
-    if sink is not None:
-        sink(packet, fate)

@@ -16,6 +16,7 @@ with and without it.
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 
 from repro.net.addresses import IPv4Address
 from repro.sim import EXPIRED
@@ -25,6 +26,9 @@ PROBE_PORT = 4347
 
 #: Consecutive unanswered probes after which a locator is declared down.
 FAIL_THRESHOLD = 2
+
+#: Liveness versions, unique in the process (0 is "no liveness").
+_versions = count(1)
 
 
 @dataclass
@@ -40,7 +44,9 @@ class RlocProbe:
 
 
 class RlocProber:
-    """Probes every remote locator cached by one tunnel router."""
+    """Probes every remote locator cached by one tunnel router; it is the
+    xTR's ``rloc_liveness`` predicate, its ``version`` new whenever ``down``
+    changes."""
 
     def __init__(self, sim, xtr, period=0.5, timeout=0.3):
         if timeout >= period:
@@ -56,15 +62,16 @@ class RlocProber:
         self.period = period
         self.timeout = timeout
         self.down = set()
+        self.version = next(_versions)
         self._consecutive_misses = {}
         self._pending = {}
         self._nonce = 0
         self._task = sim.periodic(self._tick, period,
                                   name=f"prober-{xtr.node.name}")
         xtr.node.bind_udp(PROBE_PORT, self._on_probe)
-        xtr.rloc_liveness = self.is_up
+        xtr.rloc_liveness = self
 
-    def is_up(self, address):
+    def __call__(self, address):
         return IPv4Address(address) not in self.down
 
     def targets(self):
@@ -114,6 +121,7 @@ class RlocProber:
         self._consecutive_misses[address] = 0
         if address in self.down:
             self.down.discard(address)
+            self.version = next(_versions)
             self.sim.trace.record(self.sim.now, self.xtr.node.name, "probe.rloc-up",
                                   rloc=str(address))
 
@@ -123,6 +131,7 @@ class RlocProber:
         self._consecutive_misses[address] = misses
         if misses >= FAIL_THRESHOLD and address not in self.down:
             self.down.add(address)
+            self.version = next(_versions)
             self.sim.trace.record(self.sim.now, self.xtr.node.name, "probe.rloc-down",
                                   rloc=str(address))
 
@@ -147,7 +156,8 @@ class RlocProber:
     #: owning sim/xtr, probe timing knobs, and the periodic tick handle
     #: (its armed/next-fire state is engine state, captured by the
     #: simulator's own checkpoint).
-    _SNAPSHOT_EXEMPT = ("sim", "xtr", "period", "timeout", "_task")
+    #: ``version`` keys memos only; restore_state takes a new one.
+    _SNAPSHOT_EXEMPT = ("sim", "xtr", "period", "timeout", "_task", "version")
 
     def snapshot_state(self):
         """Liveness verdicts, miss counters and the nonce.
@@ -167,5 +177,6 @@ class RlocProber:
     def restore_state(self, state):
         down, misses, self._nonce = state
         self.down = set(down)
+        self.version = next(_versions)
         self._consecutive_misses = dict(misses)
         self._pending = {}

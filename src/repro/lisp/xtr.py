@@ -27,6 +27,9 @@ from repro.lisp import EID_SPACE, LISP_DATA_PORT
 #: TTL for gleaned reverse mappings (short; refreshed by traffic).
 GLEANING_TTL = 60.0
 
+#: ``EID_SPACE`` as the int pair the per-packet tests compare.
+_EID_NETWORK, _EID_MASK = EID_SPACE._network, EID_SPACE._mask
+
 
 class TunnelRouter(Journaled):
     """xTR service bound to a border-router node."""
@@ -68,9 +71,11 @@ class TunnelRouter(Journaled):
 
     def _itr_tap(self, packet, _node):
         destination = packet.ip.dst
-        if not EID_SPACE.contains(destination):
+        value = destination._value
+        if value & _EID_MASK != _EID_NETWORK:
             return False
-        if self.site.eid_prefix.contains(destination):
+        own = self.site.eid_prefix
+        if value & own._mask == own._network:
             return False  # inbound to our own EIDs: normal intra-site forwarding
         self.handle_outbound(packet, destination)
         return True
@@ -175,27 +180,30 @@ class TunnelRouter(Journaled):
         if self._journal is not None:
             self._touch()
         self.decapsulated += 1
-        destination = inner.ip.dst
-        if not self.site.eid_prefix.contains(destination):
+        inner_ip = inner.ip
+        destination = inner_ip.dst
+        value = destination._value
+        own = self.site.eid_prefix
+        if value & own._mask != own._network:
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.node.name,
                                       "etr.misdelivered", dst=str(destination),
                                       uid=packet.uid)
             return
-        inner_source = inner.ip.src
+        inner_source = inner_ip.src
+        source = inner_source._value
         first_packet = False
-        if EID_SPACE.contains(inner_source):
-            flow_key = (int(inner_source), int(destination))
+        if source & _EID_MASK == _EID_NETWORK:
+            flow_key = (source, value)
             if flow_key not in self._seen_inner_sources:
                 self._seen_inner_sources.add(flow_key)
                 first_packet = True
-        if self.gleaning and EID_SPACE.contains(inner_source) \
-                and self.map_cache.peek(inner_source) is None:
-            gleaned = _gleaned_mapping(inner_source, outer_ip.src)
-            self.map_cache.install(gleaned, ttl=GLEANING_TTL)
-            if self.sim.trace.enabled:
-                self.sim.trace.record(self.sim.now, self.node.name, "etr.gleaned",
-                                      eid=str(inner_source), rloc=str(outer_ip.src))
+            if self.gleaning and self.map_cache.peek(inner_source) is None:
+                gleaned = _gleaned_mapping(inner_source, outer_ip.src)
+                self.map_cache.install(gleaned, ttl=GLEANING_TTL)
+                if self.sim.trace.enabled:
+                    self.sim.trace.record(self.sim.now, self.node.name, "etr.gleaned",
+                                          eid=str(inner_source), rloc=str(outer_ip.src))
         mark_fate(inner, "decapsulated")
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.node.name, "etr.decap",
@@ -243,5 +251,5 @@ def _gleaned_mapping(inner_source, outer_source):
     """A /32 reverse mapping learned from one data packet."""
     from repro.lisp.mappings import MappingRecord, RlocEntry
 
-    return MappingRecord(IPv4Prefix(int(inner_source), 32),
+    return MappingRecord(IPv4Prefix(inner_source._value, 32),
                          (RlocEntry(outer_source),), ttl=GLEANING_TTL)

@@ -12,6 +12,10 @@ from repro.net.errors import AddressError
 
 _MAX32 = (1 << 32) - 1
 
+#: The netmask of each prefix length, 0-32: one int per length, shared by
+#: every prefix of that length.
+_MASKS = tuple((_MAX32 << (32 - length)) & _MAX32 for length in range(33))
+
 
 def _parse_dotted_quad(text):
     parts = text.split(".")
@@ -103,14 +107,16 @@ class IPv4Prefix:
 
     The host bits of the supplied address must be zero; use
     :meth:`containing` to derive the enclosing prefix of an arbitrary
-    address instead.
+    address instead.  The prefix carries its mask (``_mask``), so
+    :meth:`contains` is one AND and one compare.
     """
 
-    __slots__ = ("_network", "_length")
+    __slots__ = ("_network", "_length", "_mask")
 
     def __init__(self, network, length=None):
         if isinstance(network, IPv4Prefix):
-            self._network, self._length = network._network, network._length
+            self._network, self._length, self._mask = \
+                network._network, network._length, network._mask
             return
         if isinstance(network, str) and length is None:
             if "/" not in network:
@@ -126,17 +132,18 @@ class IPv4Prefix:
         if not 0 <= length <= 32:
             raise AddressError(f"prefix length out of range: {length}")
         base = IPv4Address(network).value
-        mask = self._mask_for(length)
+        mask = _MASKS[length]
         if base & ~mask & _MAX32:
             raise AddressError(
                 f"host bits set in prefix {IPv4Address(base)}/{length}"
             )
         self._network = base
         self._length = length
+        self._mask = mask
 
     @staticmethod
     def _mask_for(length):
-        return (_MAX32 << (32 - length)) & _MAX32 if length else 0
+        return _MASKS[length]
 
     @classmethod
     def containing(cls, address, length):
@@ -189,7 +196,7 @@ class IPv4Prefix:
             return address._length >= self._length and self.contains(address.network)
         value = (address if type(address) is IPv4Address
                  else IPv4Address(address))._value
-        return value & self._mask_for(self._length) == self._network
+        return value & self._mask == self._network
 
     def address_at(self, offset):
         """The address *offset* positions into the prefix (bounds-checked)."""

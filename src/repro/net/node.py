@@ -229,7 +229,7 @@ class Node(Journaled):
         ip = packet.ip
         if ip is None:
             raise ValueError("packet has no IP header")
-        if self.is_local(ip.dst):
+        if ip.dst._value in self._local_values:    # is_local, inline
             # Local-to-local delivery without touching the wire.
             self.sim.call_in(0.0, self.deliver_local, packet)
             return True

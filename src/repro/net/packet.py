@@ -14,7 +14,7 @@ reused on every hop; see "Packet immutability & forwarding fast path" in
 ``docs/contracts.md``.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import count
 
 from repro.net.addresses import IPv4Address
@@ -101,7 +101,6 @@ class TCPHeader:
         return f"TCP({self.sport}->{self.dport} {'|'.join(names) or '-'})"
 
 
-@dataclass(slots=True)
 class Packet:
     """A packet in flight.
 
@@ -122,16 +121,24 @@ class Packet:
     ``headers`` (the list), ``payload`` and ``payload_bytes`` must not be
     reassigned or mutated once the packet exists, nor the innermost
     packet's flow id and probe once sent: the size and :meth:`hop_ledger`
-    are computed once and kept.
+    are computed once and kept (:func:`udp_packet`, :func:`tcp_packet` and
+    LISP encapsulation fix both at construction).
     """
 
-    headers: list
-    payload: object = None
-    payload_bytes: int = 0
-    meta: dict = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
-    _size: int = field(default=None, init=False, repr=False, compare=False)
-    _hop: tuple = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("headers", "payload", "payload_bytes", "meta", "uid",
+                 "_size", "_hop")
+
+    def __init__(self, headers, payload=None, payload_bytes=0, meta=None):
+        self.headers = headers
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.meta = {} if meta is None else meta
+        self.uid = next(_packet_ids)
+        self._size = None
+        self._hop = None
+
+    def __repr__(self):
+        return f"Packet(uid={self.uid}, {self})"
 
     @property
     def size_bytes(self):
@@ -149,9 +156,13 @@ class Packet:
         last two from the innermost packet's meta."""
         hop = self._hop
         if hop is None:
-            meta = self.innermost().meta
-            hop = self._hop = (self.size_bytes, meta.get("flow_id"),
-                               meta.get("fluid_probe"))
+            payload = self.payload
+            if isinstance(payload, Packet):
+                _size, flow_id, probe = payload.hop_ledger()
+            else:
+                meta = self.meta
+                flow_id, probe = meta.get("flow_id"), meta.get("fluid_probe")
+            hop = self._hop = (self.size_bytes, flow_id, probe)
         return hop
 
     def _payload_size(self):
@@ -177,6 +188,10 @@ class Packet:
     @property
     def udp(self):
         """The outermost UDP header (or None)."""
+        headers = self.headers
+        if len(headers) > 1 and type(headers[1]) is UDPHeader \
+                and type(headers[0]) is IPv4Header:
+            return headers[1]
         return self.find(UDPHeader)
 
     @property
@@ -196,15 +211,6 @@ class Packet:
         """The encapsulated packet, if the payload is a packet."""
         return self.payload if isinstance(self.payload, Packet) else None
 
-    def innermost(self):
-        """Follow encapsulation down to the innermost packet."""
-        packet = self
-        payload = packet.payload
-        while isinstance(payload, Packet):
-            packet = payload
-            payload = packet.payload
-        return packet
-
     def copy(self):
         """Deep-enough copy: headers and meta copied, payload shared.
 
@@ -219,6 +225,7 @@ class Packet:
             meta=dict(self.meta),
         )
         clone._size = self._size
+        clone._hop = self._hop
         return clone
 
     def __str__(self):
@@ -229,22 +236,24 @@ class Packet:
 
 
 def udp_packet(src, dst, sport, dport, payload=None, payload_bytes=0, ttl=64, meta=None):
-    """Convenience constructor for a UDP datagram."""
-    return Packet(
-        headers=[IPv4Header(src=src, dst=dst, proto=PROTO_UDP, ttl=ttl), UDPHeader(sport, dport)],
-        payload=payload,
-        payload_bytes=payload_bytes,
-        meta=meta or {},
-    )
+    """Convenience constructor for a UDP datagram, sized and ledgered."""
+    packet = Packet([IPv4Header(src, dst, PROTO_UDP, ttl), UDPHeader(sport, dport)],
+                    payload, payload_bytes, meta or None)
+    return _sealed(packet, IPV4_HEADER_BYTES + UDP_HEADER_BYTES)
 
 
 def tcp_packet(src, dst, sport, dport, flags=0, seq=0, ack=0, payload_bytes=0, ttl=64, meta=None):
-    """Convenience constructor for a TCP segment."""
-    return Packet(
-        headers=[
-            IPv4Header(src=src, dst=dst, proto=PROTO_TCP, ttl=ttl),
-            TCPHeader(sport, dport, flags=flags, seq=seq, ack=ack),
-        ],
-        payload_bytes=payload_bytes,
-        meta=meta or {},
-    )
+    """Convenience constructor for a TCP segment, sized and ledgered."""
+    packet = Packet([IPv4Header(src, dst, PROTO_TCP, ttl),
+                     TCPHeader(sport, dport, flags, seq, ack)],
+                    None, payload_bytes, meta or None)
+    return _sealed(packet, IPV4_HEADER_BYTES + TCP_HEADER_BYTES)
+
+
+def _sealed(packet, header_bytes):
+    """*packet* (*header_bytes* of headers, payload not a packet) with its
+    size and hop ledger fixed."""
+    meta = packet.meta
+    size = packet._size = header_bytes + packet._payload_size()
+    packet._hop = (size, meta.get("flow_id"), meta.get("fluid_probe"))
+    return packet

@@ -194,8 +194,7 @@ def test_families_are_cells_that_differ_only_in_their_fraction(forks):
         assert len({cell.workload.zipf_s for cell in chunk}) == 1
 
 
-def test_a_child_that_raises_fails_the_world_run_naming_its_cell(monkeypatch,
-                                                                 forks):
+def test_a_child_that_raises_fails_only_its_cell(monkeypatch, forks):
     run_cell = sweep.run_cell
 
     def branch_raises(world, cell, prefix):
@@ -206,14 +205,20 @@ def test_a_child_that_raises_fails_the_world_run_naming_its_cell(monkeypatch,
     cells = expand_grid(_grid("alt", "constant"))
     gc.collect()
     before = _live_simulators()
-    with pytest.raises(RuntimeError, match=r"'alt-sites6-zipf1-fail0\.25-seed3' "
-                       r"\(index 1\) raised ValueError in its branch:"
-                       r"(.|\n)*no such locator"):
-        run_world(cells)
-    assert len(forks["pids"]) == 1 and not forks["alive"]
-    # What was in flight at the branch point died with the world, by
-    # reference count: no collection is needed to free its simulator.
+    results = run_world(cells)
+    assert len(forks["pids"]) == 2 and not forks["alive"]
+    failed = results[1]
+    assert (failed["index"], failed["cell_id"], failed["exception"],
+            failed["message"]) == (1, "alt-sites6-zipf1-fail0.25-seed3",
+                                   "ValueError", "no such locator")
+    assert failed["config"]["fail_fraction"] == 0.25
+    assert len(failed["traceback_sha256"]) == 64
+    # The world died by reference count: no collection is needed to free
+    # its simulator.
     assert _live_simulators() == before
+    monkeypatch.undo()
+    clean = run_world(cells)
+    assert [results[0], results[2]] == [clean[0], clean[2]]
 
 
 def test_a_fluid_world_that_raises_mid_pump_dies_by_reference_count(
@@ -229,13 +234,14 @@ def test_a_fluid_world_that_raises_mid_pump_dies_by_reference_count(
     cells = expand_grid(replace(_grid("alt", "fluid"), fail_fractions=(0.0,)))
     gc.collect()
     before = _live_simulators()
-    with pytest.raises(ValueError, match="pump jammed"):
-        run_world(cells)
+    [failed] = run_world(cells)
+    assert (failed["exception"], failed["message"]) == ("ValueError",
+                                                        "pump jammed")
     assert _live_simulators() == before
 
 
-def test_a_child_that_dies_fails_the_world_run_naming_its_cell(monkeypatch,
-                                                               forks):
+def test_a_child_that_dies_fails_its_family_naming_its_cell(monkeypatch,
+                                                           forks):
     run_cell = sweep.run_cell
 
     def branch_dies(world, cell, prefix):
@@ -243,9 +249,11 @@ def test_a_child_that_dies_fails_the_world_run_naming_its_cell(monkeypatch,
             os._exit(7)
         return run_cell(world, cell, prefix)
     monkeypatch.setattr(sweep, "run_cell", branch_dies)
-    with pytest.raises(RuntimeError, match=r"'alt-sites6-zipf1-fail0\.5-seed3' "
-                       r"\(index 2\) died in its branch with exit status 7"):
-        run_world(expand_grid(_grid("alt", "constant")))
+    results = run_world(expand_grid(_grid("alt", "constant")))
+    assert [result["exception"] for result in results] == ["RuntimeError"] * 3
+    assert {result["message"] for result in results} == {
+        "cell 'alt-sites6-zipf1-fail0.5-seed3' (index 2) died in its branch "
+        "with exit status 7"}
     assert len(forks["pids"]) == 2 and not forks["alive"]
 
 

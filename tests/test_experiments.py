@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
+from repro.experiments import sweep
 from repro.experiments.scenario import CONTROL_PLANES
 from repro.experiments.sweep import run_sweep
 from repro.experiments.workload import classify_first_packet
@@ -214,14 +215,15 @@ def test_small_driver_runs_e2_and_e8():
 ))
 def test_variant_experiments_run_one_grid(module, runner, monkeypatch):
     """E1, E3, E6 and E7 run all their variants as one grid: one
-    ``run_sweep`` call, each of its aggregates one row."""
+    ``run_sweep`` call (through ``grid_aggregates``), each of its
+    aggregates one row."""
     module = importlib.import_module(f"repro.experiments.{module}")
     payloads = []
 
     def spy(grid, **kwargs):
         payloads.append(run_sweep(grid, **kwargs))
         return payloads[-1]
-    monkeypatch.setattr(module, "run_sweep", spy)
+    monkeypatch.setattr(sweep, "run_sweep", spy)
     rows = getattr(module, runner)(num_sites=3, num_flows=4)
     assert len(payloads) == 1
     assert len(rows) == len(payloads[0]["aggregates"]) > 1

@@ -2,7 +2,9 @@
 
 Each test drives a fast path (the ``Fib`` hash tables and lookup memo, the
 inlined engine dispatch loop, the cached ``Packet.size_bytes`` and hop
-ledger, the ``Node`` local-address set, the one-frame ``Router.receive``)
+ledger and their construction-time values, ``IPv4Prefix``'s own mask, the
+memoised ``MappingRecord.best_rloc``, the ``Node`` local-address set, the
+one-frame ``Router.receive``)
 and a deliberately naive model side by side over seeded random input, and
 asserts they never disagree.  Stdlib only.
 """
@@ -22,14 +24,18 @@ from repro.experiments.worldbuild import (SnapshotError, build_world,
                                           deserialize_world, restore_world,
                                           serialize_world)
 from repro.lisp.headers import decapsulate, encapsulate
+from repro.lisp.map_cache import MapCache
+from repro.lisp.mappings import MappingRecord, RlocEntry
 from repro.lisp.policies import mark_fate
+from repro.lisp.probing import RlocProber
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.errors import NoRouteError
 from repro.net.fib import Fib, FibEntry
 from repro.net.host import Host
 from repro.net.link import WINDOW_WIDTH, LinkStats, connect
 from repro.net.node import Node
-from repro.net.packet import PROTO_UDP, IPv4Header, Packet, UDPHeader, udp_packet
+from repro.net.packet import (PROTO_UDP, TCP_ACK, TCP_SYN, IPv4Header, Packet,
+                              UDPHeader, tcp_packet, udp_packet)
 from repro.net.router import Router
 from repro.sim.engine import Simulator
 from repro.sim.errors import EmptySchedule
@@ -660,6 +666,12 @@ def test_run_reentered_from_a_callback_drains_once():
 # --------------------------------------------------------------------- #
 
 
+def _innermost(packet):
+    while isinstance(packet.payload, Packet):
+        packet = packet.payload
+    return packet
+
+
 def _recomputed_size(packet):
     """On-wire size from first principles, ignoring any cached value."""
     total = sum(header.size_bytes for header in packet.headers)
@@ -718,8 +730,8 @@ def test_cached_size_matches_recomputation_through_encap_copy_decap(seed):
             assert str(outer_ip.dst) == f"2.0.0.{level}"
             assert unwrapped.size_bytes == _recomputed_size(unwrapped)
         assert unwrapped.size_bytes == packet.size_bytes
-        assert unwrapped.innermost() is unwrapped
-        assert outer.innermost() is packet
+        assert unwrapped.inner is None
+        assert _innermost(outer) is packet
 
 
 # --------------------------------------------------------------------- #
@@ -729,9 +741,7 @@ def test_cached_size_matches_recomputation_through_encap_copy_decap(seed):
 
 def _recomputed_hop(packet):
     """``(size, flow_id, fluid_probe)`` from first principles."""
-    inner = packet
-    while isinstance(inner.payload, Packet):
-        inner = inner.payload
+    inner = _innermost(packet)
     return (_recomputed_size(packet), inner.meta.get("flow_id"),
             inner.meta.get("fluid_probe"))
 
@@ -803,6 +813,161 @@ def test_packet_ip_fast_path_agrees_with_find():
     assert shimmed.ip is shimmed.headers[1]
     assert Packet(headers=[UDPHeader(1, 2)]).ip is None
     assert Packet(headers=[]).ip is None
+
+
+# --------------------------------------------------------------------- #
+# Construction-time size and hop ledger vs recomputation
+# --------------------------------------------------------------------- #
+
+
+def _assert_sealed(packet):
+    """*packet* was sized and ledgered when it was built, and rightly."""
+    expected = _recomputed_hop(packet)
+    assert (packet._size, packet._hop) == (expected[0], expected)
+    assert packet._hop[2] is expected[2]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_construction_time_size_and_hop_ledger_match_recomputation(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        meta = {}
+        if rng.random() < 0.7:
+            meta["flow_id"] = rng.randrange(5)
+        if rng.random() < 0.3:
+            meta["fluid_probe"] = {"links": [], "sink": None}
+        if rng.random() < 0.6:
+            payload = rng.choice((None, bytes(rng.randrange(64)),
+                                  _Message(rng.randrange(512)), object()))
+            packet = udp_packet("10.0.0.1", "10.1.0.1", 4000, 9000,
+                                payload=payload,
+                                payload_bytes=rng.randrange(1500), meta=meta)
+        else:
+            packet = tcp_packet("10.0.0.1", "10.1.0.1", 4000, 80,
+                                flags=rng.choice((0, TCP_SYN, TCP_ACK)),
+                                payload_bytes=rng.randrange(1500), meta=meta)
+        _assert_sealed(packet)
+        outer = packet
+        for level in range(rng.randrange(4)):
+            outer = encapsulate(outer, f"1.0.0.{level + 1}",
+                                f"2.0.0.{level + 1}")
+            _assert_sealed(outer)
+            assert outer.meta == {}     # nothing is copied outward
+        clone = outer.copy()
+        _assert_sealed(clone)
+        while clone.inner is not None:
+            clone, _outer_ip, _lisp = decapsulate(clone)
+            _assert_sealed(clone)
+        assert clone.meta == packet.meta and clone.meta is not packet.meta
+
+
+# --------------------------------------------------------------------- #
+# IPv4Prefix.contains (the prefix's own mask) vs the mask of its length
+# --------------------------------------------------------------------- #
+
+
+def test_prefix_contains_matches_its_length_mask_through_pickle_and_copy():
+    rng = random.Random(3)
+    for length in range(33):
+        mask = _mask(length)
+        assert IPv4Prefix._mask_for(length) == mask
+        for _ in range(10):
+            network = rng.getrandbits(32) & mask
+            prefix = IPv4Prefix(network, length)
+            twins = (prefix, pickle.loads(pickle.dumps(prefix)),
+                     copy.copy(prefix), copy.deepcopy(prefix),
+                     IPv4Prefix(prefix), IPv4Prefix(str(prefix)))
+            for twin in twins:
+                assert twin == prefix
+                for _ in range(8):
+                    value = rng.getrandbits(32)
+                    if rng.random() < 0.5:      # inside, whatever the host bits
+                        value = network | (value & ~mask & 0xFFFFFFFF)
+                    expected = value & mask == network
+                    address = IPv4Address(value)
+                    assert twin.contains(address) is expected
+                    assert twin.contains(value) is expected
+                    assert twin.contains(str(address)) is expected
+                    longer = rng.randrange(length, 33)
+                    inner = IPv4Prefix.containing(address, longer)
+                    assert twin.contains(inner) is expected
+
+
+# --------------------------------------------------------------------- #
+# Memoised MappingRecord.best_rloc vs a plain recomputation
+# --------------------------------------------------------------------- #
+
+
+class _ProbedXtr:
+    """What an RLOC prober needs of its tunnel router."""
+
+    def __init__(self, node):
+        self.node = node
+        self.rloc_liveness = None
+
+
+def _reference_best(mapping, down):
+    usable = [r for r in mapping.rlocs if r.reachable and r.address not in down]
+    return min(usable, key=lambda r: (r.priority, -r.weight, int(r.address)),
+               default=None)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_memoised_best_rloc_matches_recomputation(seed):
+    """Two probers flip locators down and up (and are restored to old
+    verdicts) while the cached mapping is replaced or expires: each call,
+    with either prober or none, answers what a recomputation does."""
+    rng = random.Random(seed)
+    sim = Simulator(seed=0, tracing=False)
+    probers = [RlocProber(sim, _ProbedXtr(Node(sim, name))) for name in "ab"]
+    assert all(prober.xtr.rloc_liveness is prober for prober in probers)
+    locators = [IPv4Address(f"11.0.0.{index}") for index in range(1, 6)]
+    cache = MapCache(sim)
+    eid = IPv4Address("100.1.0.9")
+
+    def install():
+        rlocs = tuple(RlocEntry(address, priority=rng.randrange(1, 4),
+                                weight=rng.choice((25, 50, 75)),
+                                reachable=rng.random() < 0.9)
+                      for address in rng.sample(locators, rng.randrange(1, 5)))
+        cache.install(MappingRecord("100.1.0.0/24", rlocs,
+                                    ttl=rng.choice((0.5, 1.0, 5.0))))
+
+    def check(mapping, liveness):
+        down = () if liveness is None else liveness.down
+        assert mapping.best_rloc(liveness) is _reference_best(mapping, down)
+
+    install()
+    verdicts = {prober: [] for prober in probers}
+    for _ in range(400):
+        op = rng.random()
+        prober = rng.choice(probers)
+        mapping = cache.peek(eid)
+        if mapping is not None:
+            check(mapping, prober)          # the memo now holds its answer
+        if op < 0.25:
+            prober._mark_missed(rng.choice(locators))
+        elif op < 0.45:
+            prober._mark_alive(rng.choice(locators))
+        elif op < 0.5:
+            verdicts[prober].append(prober.snapshot_state())
+        elif op < 0.6 and verdicts[prober]:
+            prober.restore_state(rng.choice(verdicts[prober]))
+        elif op < 0.7:
+            install()                                   # replaced
+        elif op < 0.8:
+            sim.run(until=sim.now + rng.choice((0.25, 1.0)))  # may expire
+        mapping = cache.peek(eid)
+        if mapping is None:
+            install()
+            mapping = cache.peek(eid)
+        check(mapping, prober)
+        for liveness in rng.sample((None, *probers), 2):
+            check(mapping, liveness)
+        # A predicate without a version is asked on every call.
+        down = set(rng.sample(locators, 2))
+        assert mapping.best_rloc(lambda address: address not in down) \
+            is _reference_best(mapping, down)
 
 
 # --------------------------------------------------------------------- #

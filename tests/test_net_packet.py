@@ -45,11 +45,10 @@ def test_encapsulation_size_and_innermost():
         payload=inner,
     )
     assert outer.inner is inner
-    assert outer.innermost() is inner
     assert outer.size_bytes == IPV4_HEADER_BYTES + inner.size_bytes
     # The outer IP header is the one seen by forwarding.
     assert outer.ip.dst == IPv4Address("12.1.1.1")
-    assert inner.innermost() is inner
+    assert inner.inner is None
 
 
 def test_copy_isolates_headers_and_meta():

@@ -319,6 +319,72 @@ def test_cli_sweep_command(tmp_path, capsys):
     assert payload["grid"]["num_flows"] == 6
 
 
+#: Two worlds of three families each (the zipf axis is a workload field).
+RAISING = SweepGrid(name="raising", control_planes=("pce", "alt"),
+                    site_counts=(3,), seeds=(1,), zipf_values=(0.0, 1.0, 1.2),
+                    num_flows=6, arrival_rate=10.0)
+
+
+def _raise_in(monkeypatch, cell_id):
+    """Make the cell named *cell_id* raise in ``run_cell``."""
+    from repro.experiments import sweep
+    run_cell = sweep.run_cell
+
+    def raising(world, cell, prefix):
+        if cell.cell_id == cell_id:
+            raise ValueError("forced")
+        return run_cell(world, cell, prefix)
+    monkeypatch.setattr(sweep, "run_cell", raising)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_a_raising_cell_leaves_the_rest_of_the_sweep(workers, tmp_path,
+                                                     monkeypatch):
+    """A cell that raises mid-world fails alone: the world's later families
+    and the other world run, and every other cell's result and JSONL line
+    are the clean run's, byte for byte."""
+    clean = run_sweep(RAISING, jsonl_path=tmp_path / "clean.jsonl")
+    assert "errors" not in clean
+    doomed = clean["cells"][1]
+    _raise_in(monkeypatch, doomed["cell_id"])
+    raised = run_sweep(RAISING, workers=workers,
+                       jsonl_path=tmp_path / "raised.jsonl")
+    [error] = raised["errors"]
+    assert (error["index"], error["cell_id"], error["exception"],
+            error["message"]) == (1, doomed["cell_id"], "ValueError", "forced")
+    assert error["config"] == {key: value for key, value in doomed.items()
+                               if key not in ("index", "cell_id", "metrics")}
+    rest = [cell for cell in clean["cells"] if cell is not doomed]
+    assert json.dumps(raised["cells"]) == json.dumps(rest)
+    assert raised["aggregates"] == aggregate(rest)
+    assert payload_digest(raised) == payload_digest(
+        {**clean, "cells": rest, "num_cells": len(rest),
+         "aggregates": aggregate(rest)})
+
+    def lines(path):
+        return sorted(json.dumps(entry, sort_keys=True)
+                      for entry in iter_jsonl(path))
+    assert lines(tmp_path / "raised.jsonl") == [
+        json.dumps(cell, sort_keys=True) for cell in sorted(
+            rest, key=lambda cell: json.dumps(cell, sort_keys=True))]
+
+
+def test_cli_sweep_exits_nonzero_naming_a_raising_cell(tmp_path, capsys,
+                                                       monkeypatch):
+    _raise_in(monkeypatch, "alt-sites3-zipf1-seed1")
+    json_path = tmp_path / "cli.json"
+    code = main(["sweep", "--preset", "smoke", "--sites", "3", "--seeds", "1",
+                 "--flows", "6", "--json", str(json_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "sweep 'smoke': 1 cells" in captured.out
+    assert captured.err == ("cell alt-sites3-zipf1-seed1 (index 1) raised "
+                            "ValueError: forced\n")
+    payload = json.loads(json_path.read_text())
+    assert [error["cell_id"] for error in payload["errors"]] == [
+        "alt-sites3-zipf1-seed1"]
+
+
 def test_cli_sweep_unknown_preset(capsys):
     assert main(["sweep", "--preset", "nope"]) == 1
     assert "unknown preset" in capsys.readouterr().out

@@ -23,7 +23,7 @@ from repro.net.packet import udp_packet
 
 def load_balance_demo():
     rows = e4.run_e4(num_sites=5, num_flows=40)
-    print(format_table(e4.HEADERS, [row.as_tuple() for row in rows],
+    print(format_table(e4.HEADERS, [e4.as_tuple(row) for row in rows],
                        title="E4: per-provider byte shares at the destination "
                              "site (inbound) and a source site (outbound)"))
     failures = e4.check_shape(rows)

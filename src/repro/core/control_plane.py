@@ -33,6 +33,7 @@ from repro.lisp.mappings import MappingRecord, RlocEntry, site_mapping
 from repro.lisp.xtr import TunnelRouter
 from repro.net.addresses import IPv4Prefix
 from repro.net.fib import FibEntry
+from repro.sim.state import state_copy
 
 
 class PceControlPlane:
@@ -57,7 +58,10 @@ class PceControlPlane:
         self.probers = {}
         self.xtrs_by_site = {}
         self.egress_assignments = {}   # site index -> {prefix: itr index}
-        self.reverse_announcements = 0
+        #: ``(time, site index, prefix)`` of each reverse-mapping multicast,
+        #: and the instants its announces were installed at sibling ETRs.
+        self.reverse_announces = []
+        self.reverse_installs = {}
 
         for site in topology.sites:
             self.registry.register(site_mapping(site, ttl=mapping_ttl))
@@ -121,6 +125,9 @@ class PceControlPlane:
         if xtr is not None:
             xtr.install_mapping(message.mapping, origin="reverse-multicast",
                                 ttl=self.mapping_ttl)
+            self.reverse_installs.setdefault(
+                (xtr.site.index, message.mapping.eid_prefix), []).append(
+                    self.sim.now)
 
     # ------------------------------------------------------------------ #
     # Mapping visibility helpers
@@ -132,13 +139,9 @@ class PceControlPlane:
                    for router in self.xtrs_by_site[site.index])
 
     def mapping_available_time(self, site, prefix):
-        """Time of the latest Step-7b push covering *prefix* at *site*."""
-        prefix = IPv4Prefix(prefix)
-        pce = self.pces[site.index]
-        for when, _source, pushed_prefix in reversed(pce.stats.push_timeline):
-            if pushed_prefix == prefix:
-                return when
-        return None
+        """Time of the latest Step-7b push of *prefix* at *site* (or None)."""
+        times = self.pces[site.index].stats.push_times.get(IPv4Prefix(prefix))
+        return times[-1] if times else None
 
     # ------------------------------------------------------------------ #
     # TE re-homing (uses repro.core.te)
@@ -185,7 +188,7 @@ class PceControlPlane:
 
     def total_control_messages(self):
         pushes = self.total_push_messages()
-        reverses = self.reverse_announcements * 2  # siblings + PCE copy lower bound
+        reverses = len(self.reverse_announces) * 2  # siblings + PCE copy lower bound
         return pushes + self.total_envelopes() + reverses
 
     # ------------------------------------------------------------------ #
@@ -200,7 +203,8 @@ class PceControlPlane:
 
     def snapshot_state(self):
         return {
-            "reverse_announcements": self.reverse_announcements,
+            "reverse": (list(self.reverse_announces),
+                        state_copy(self.reverse_installs)),
             "egress": {index: dict(assignment)
                        for index, assignment in self.egress_assignments.items()},
             "registry": self.registry.snapshot_state(),
@@ -214,7 +218,9 @@ class PceControlPlane:
         }
 
     def restore_state(self, state):
-        self.reverse_announcements = state["reverse_announcements"]
+        announces, installs = state["reverse"]
+        self.reverse_announces = list(announces)
+        self.reverse_installs = state_copy(installs)
         self.egress_assignments = {index: dict(assignment)
                                    for index, assignment in state["egress"].items()}
         self.registry.restore_state(state["registry"])
@@ -255,7 +261,9 @@ class EtrReverseHook:
                             ttl=control_plane.mapping_ttl)
         # (iii) ...then multicast to sibling ETRs and the PCE database.
         announce = ReverseMappingAnnounce(mapping=reverse)
-        control_plane.reverse_announcements += 1
+        sim = control_plane.sim
+        control_plane.reverse_announces.append(
+            (sim.now, site.index, reverse.eid_prefix))
         source = site.xtr_control_address(site.xtrs.index(xtr.node))
         for b, sibling in enumerate(site.xtrs):
             if sibling is xtr.node:
@@ -266,7 +274,6 @@ class EtrReverseHook:
         xtr.node.send_udp(src=source, dst=site.pce_address,
                           sport=PORT_REVERSE, dport=PORT_REVERSE,
                           payload=announce)
-        sim = control_plane.sim
         if sim.trace.enabled:
             sim.trace.record(sim.now, xtr.node.name, "etr.reverse-multicast",
                              prefix=str(reverse.eid_prefix),

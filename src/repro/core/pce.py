@@ -30,10 +30,11 @@ from repro.core.messages import (
 )
 from repro.dns.message import DNS_PORT, DnsMessage
 from repro.lisp import EID_SPACE
+from repro.sim.state import state_copy
 
 
 class PceStats:
-    """Per-PCE counters and the push timeline experiments consume."""
+    """Per-PCE counters and the push timeline."""
 
     def __init__(self):
         self.replies_encapsulated = 0
@@ -41,18 +42,18 @@ class PceStats:
         self.push_bytes = 0
         #: What the Step-6 envelopes added to the replies they carried.
         self.envelope_bytes = 0
-        #: (time, source_eid, prefix) for every Step-7b push.
-        self.push_timeline = []
+        #: The instants of the Step-7b pushes, ascending, by prefix pushed.
+        self.push_times = {}
 
     def snapshot_state(self):
         return (self.replies_encapsulated, self.push_messages,
                 self.push_bytes, self.envelope_bytes,
-                list(self.push_timeline))
+                state_copy(self.push_times))
 
     def restore_state(self, state):
         (self.replies_encapsulated, self.push_messages, self.push_bytes,
-         self.envelope_bytes, push_timeline) = state
-        self.push_timeline = list(push_timeline)
+         self.envelope_bytes, push_times) = state
+        self.push_times = state_copy(push_times)
 
 
 class Pce:
@@ -244,8 +245,8 @@ class Pce:
                                dst=self.site.xtr_control_address(b),
                                sport=PORT_MAPPING_PUSH, dport=PORT_MAPPING_PUSH,
                                payload=push)
-        self.stats.push_timeline.append((self.sim.now,
-                                         push.source_eid, mapping.eid_prefix))
+        self.stats.push_times.setdefault(mapping.eid_prefix, []).append(
+            self.sim.now)
         self.control_plane.set_egress_route(self.site, mapping.eid_prefix, egress_index)
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.node.name, "pce.step7b-push",

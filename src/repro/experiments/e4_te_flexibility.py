@@ -17,13 +17,14 @@ the workload runs with shaped pacing (mice burst, elephants pace), so each
 row also reports real per-link utilization — the peak busy-window fraction
 across the site's providers.  An ablation re-runs PCE with the ``primary``
 IRC policy, which degenerates to the static baseline.
+
+One grid runs every variant, one bundle each; a row is a bundle's
+aggregate, its view the sweep's ``access_te`` metric.
 """
 
 import math
-from dataclasses import dataclass
 
-from repro.experiments.scenario import ScenarioConfig, build_scenario
-from repro.experiments.workload import WorkloadConfig, run_workload
+from repro.experiments.sweep import SweepGrid, grid_aggregates
 
 #: The systems E4 compares, as (label, scenario overrides).
 VARIANTS = (
@@ -41,85 +42,60 @@ DEST_SITE = 0
 #: Shaped pacing: mice burst, elephants pace, so utilization is real.
 PACING = "shaped"
 
-
-@dataclass
-class E4Row:
-    system: str
-    flows: int
-    inbound_shares: tuple
-    inbound_imbalance: float
-    inbound_peak_util: float
-    outbound_shares: tuple
-    outbound_imbalance: float
-    outbound_peak_util: float
-
-    def as_tuple(self):
-        inbound = "/".join(f"{share:.2f}" for share in self.inbound_shares)
-        outbound = "/".join(f"{share:.2f}" for share in self.outbound_shares)
-        return (self.system, self.flows, inbound, round(self.inbound_imbalance, 3),
-                round(self.inbound_peak_util, 3), outbound,
-                round(self.outbound_imbalance, 3),
-                round(self.outbound_peak_util, 3))
-
-
 HEADERS = ("system", "flows", "in_shares", "in_imbalance", "in_util",
            "out_shares", "out_imbalance", "out_util")
 
 
 def _imbalance(shares):
-    positive = [s for s in shares]
-    total = math.fsum(positive)
-    if not positive or total == 0:
-        return 1.0
-    mean = total / len(positive)
-    return max(positive) / mean
+    """Max over mean of *shares* (1.0 when nothing was delivered)."""
+    total = math.fsum(shares)
+    return max(shares) / (total / len(shares)) if total else 1.0
 
 
 def run_e4(num_sites=5, num_flows=40, seed=53, source_site=1,
            access_rate_bps=DEFAULT_ACCESS_RATE_BPS):
-    rows = []
-    for label, overrides in VARIANTS:
-        config = ScenarioConfig(num_sites=num_sites, seed=seed,
-                                access_rate_bps=access_rate_bps,
-                                **overrides)
-        scenario = build_scenario(config)
-        workload = WorkloadConfig(num_flows=num_flows, arrival_rate=10.0,
-                                  dest_site=DEST_SITE, packets_per_flow=8,
-                                  payload_bytes=1200, pacing=PACING,
-                                  elephant_threshold=5)
-        records = run_workload(scenario, workload)
-        destination = scenario.topology.sites[DEST_SITE]
-        source = scenario.topology.sites[source_site]
-        inbound = scenario.access_flow_byte_shares(destination, direction="in")
-        outbound = scenario.access_flow_byte_shares(source, direction="out")
-        in_util = scenario.access_link_utilization(destination, direction="in")
-        out_util = scenario.access_link_utilization(source, direction="out")
-        scenario.teardown()
-        rows.append(E4Row(system=label, flows=len(records),
-                          inbound_shares=tuple(inbound),
-                          inbound_imbalance=_imbalance(inbound),
-                          inbound_peak_util=max(in_util, default=0.0),
-                          outbound_shares=tuple(outbound),
-                          outbound_imbalance=_imbalance(outbound),
-                          outbound_peak_util=max(out_util, default=0.0)))
-    return rows
+    """One row per variant: the TE view (the sweep's ``access_te`` metric)
+    inbound at :data:`DEST_SITE` and outbound at *source_site*."""
+    grid = SweepGrid(
+        control_planes=("pce",), site_counts=(num_sites,), seeds=(seed,),
+        num_flows=num_flows, arrival_rate=10.0, packets_per_flow=8,
+        variants=VARIANTS,
+        scenario_overrides={"access_rate_bps": access_rate_bps},
+        workload_overrides={"dest_site": DEST_SITE, "payload_bytes": 1200,
+                            "pacing": PACING, "elephant_threshold": 5})
+    by_variant = {row["variant"]: row for row in grid_aggregates(grid)}
+    rows = [by_variant[label] for label, _overrides in VARIANTS]
+    return [{**row, "inbound": te["inbound"],
+             "outbound": te["outbound"][source_site]}
+            for row in rows for te in row["access_te"]]
+
+
+def _view(view):
+    """A direction's shares, imbalance and peak utilization, formatted."""
+    return ("/".join(f"{share:.2f}" for share in view["shares"]),
+            round(_imbalance(view["shares"]), 3), round(view["util_peak"], 3))
+
+
+def as_tuple(row):
+    return (row["variant"], row["flows"], *_view(row["inbound"]),
+            *_view(row["outbound"]))
 
 
 def check_shape(rows):
     failures = []
-    by_system = {row.system: row for row in rows}
-    balanced = by_system.get("pce+balance")
-    primary = by_system.get("pce+primary")
-    static = by_system.get("alt-static") or by_system.get("nerd-static")
-    if balanced and balanced.inbound_imbalance > 1.5:
+    inbound = {row["variant"]: row["inbound"] for row in rows}
+    imbalance = {label: _imbalance(view["shares"])
+                 for label, view in inbound.items()}
+    balanced = imbalance.get("pce+balance")
+    primary = imbalance.get("pce+primary")
+    static = imbalance.get("alt-static", imbalance.get("nerd-static"))
+    if balanced is not None and balanced > 1.5:
         failures.append(
-            f"pce+balance inbound imbalance {balanced.inbound_imbalance:.2f} too high")
-    if balanced and primary and \
-            not primary.inbound_imbalance > balanced.inbound_imbalance:
+            f"pce+balance inbound imbalance {balanced:.2f} too high")
+    if None not in (balanced, primary) and not primary > balanced:
         failures.append("primary policy not more imbalanced than balance policy")
-    if balanced and static and \
-            not static.inbound_imbalance > balanced.inbound_imbalance:
+    if None not in (balanced, static) and not static > balanced:
         failures.append("static baseline not more imbalanced than pce+balance")
-    if balanced and balanced.inbound_peak_util <= 0.0:
+    if balanced is not None and inbound["pce+balance"]["util_peak"] <= 0.0:
         failures.append("rated access links saw no measurable utilization")
     return failures

@@ -6,7 +6,7 @@ modest overlay state but pay per-resolution message chains; the PCE control
 plane's messages scale with flow arrivals (one port-P message plus one push
 per ITR) and its state with *active* mappings only.
 
-Each site count is one sweep grid over :data:`SYSTEMS`, its workload
+One grid runs :data:`SYSTEMS` x one bundle per site count, its workload
 growing with the world; a row is one system's aggregate at one size.
 State is the durable control-plane state
 (:meth:`~repro.experiments.scenario.Scenario.control_state`).
@@ -27,13 +27,13 @@ FLOWS_PER_SITE = 4
 
 
 def run_e5(seed=61):
-    rows = []
-    for num_sites in SITE_COUNTS:
-        grid = SweepGrid(control_planes=SYSTEMS, site_counts=(num_sites,),
-                         seeds=(seed,), num_flows=FLOWS_PER_SITE * num_sites,
-                         arrival_rate=20.0,
-                         scenario_overrides={"miss_policy": "queue"})
-        rows += grid_aggregates(grid)
+    grid = SweepGrid(
+        control_planes=SYSTEMS, seeds=(seed,), arrival_rate=20.0,
+        variants=tuple((f"{size}-sites", {"num_sites": size,
+                                          "num_flows": FLOWS_PER_SITE * size})
+                       for size in SITE_COUNTS),
+        scenario_overrides={"miss_policy": "queue"})
+    rows = grid_aggregates(grid)
     # System by system; the sort is stable, so sizes stay ascending.
     rows.sort(key=lambda row: SYSTEMS.index(row["control_plane"]))
     return rows

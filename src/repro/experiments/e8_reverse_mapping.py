@@ -8,90 +8,60 @@ sibling ETR holds the reverse mapping — a few intra-site hops — and compare
 it against what a two-way *pull* resolution would have cost (the latency of
 resolving the source's mapping through ALT from the destination side),
 which is the alternative the paper explicitly avoids.
+
+One grid runs both variants, one bundle each; each row reads its own
+sweep metric (:data:`VARIANTS`).
 """
 
-from dataclasses import dataclass
-
-from repro.experiments.scenario import ScenarioConfig, build_scenario
-from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.metrics.stats import summarize
-
-
-@dataclass
-class E8Row:
-    variant: str
-    samples: int
-    completion_mean: float
-    completion_p95: float
-
-    def as_tuple(self):
-        return (self.variant, self.samples, round(self.completion_mean, 6),
-                round(self.completion_p95, 6))
-
+from repro.experiments.sweep import SweepGrid, grid_aggregates
+from repro.metrics import rounded
 
 HEADERS = ("variant", "samples", "completion_mean", "completion_p95")
 
 #: Locators per site: each reverse multicast reaches two sibling ETRs.
 PROVIDERS_PER_SITE = 3
 
+#: The variants E8 compares, as (label, the metric its row reads, scenario
+#: overrides): the PCE's ETR multicast against what the avoided
+#: alternative costs, a full ALT pull from the destination side.
+VARIANTS = (
+    ("pce-reverse-multicast", "reverse_completion", {"control_plane": "pce"}),
+    ("two-way-pull(alt)", "resolution_latency",
+     {"control_plane": "alt", "miss_policy": "queue", "gleaning": False}),
+)
+
 
 def run_e8(num_sites=4, num_flows=20, seed=97):
-    return [_pce_reverse_completion(num_sites, num_flows, seed),
-            _two_way_pull_baseline(num_sites, num_flows, seed)]
+    grid = SweepGrid(
+        control_planes=("pce",), site_counts=(num_sites,), seeds=(seed,),
+        num_flows=num_flows, arrival_rate=3.0, packets_per_flow=1,
+        variants=tuple((label, overrides)
+                       for label, _metric, overrides in VARIANTS),
+        scenario_overrides={"providers_per_site": PROVIDERS_PER_SITE})
+    by_variant = {row["variant"]: row for row in grid_aggregates(grid)}
+    # A metric nothing measured reads as no samples.
+    return [{**by_variant[label], "completion": by_variant[label][metric][0]
+             or {"count": 0, "mean": None, "p95": None}}
+            for label, metric, _overrides in VARIANTS]
 
 
-def _pce_reverse_completion(num_sites, num_flows, seed):
-    config = ScenarioConfig(control_plane="pce", num_sites=num_sites,
-                            providers_per_site=PROVIDERS_PER_SITE, seed=seed)
-    scenario = build_scenario(config)
-    workload = WorkloadConfig(num_flows=num_flows, arrival_rate=3.0,
-                              packets_per_flow=1)
-    run_workload(scenario, workload)
-    sim = scenario.sim
-    multicasts = sim.trace.of_kind("etr.reverse-multicast")
-    installs = [r for r in sim.trace.of_kind("itr.mapping-installed")
-                if r.detail.get("origin") == "reverse-multicast"]
-    completions = []
-    expected_siblings = PROVIDERS_PER_SITE - 1
-    for event in multicasts:
-        prefix = event.detail["prefix"]
-        arrivals = sorted(r.time for r in installs
-                          if r.detail.get("prefix") == prefix and r.time >= event.time)
-        if len(arrivals) >= expected_siblings:
-            completions.append(arrivals[expected_siblings - 1] - event.time)
-    scenario.teardown()
-    stats = summarize(completions)
-    return E8Row(variant="pce-reverse-multicast", samples=len(completions),
-                 completion_mean=stats["mean"], completion_p95=stats["p95"])
-
-
-def _two_way_pull_baseline(num_sites, num_flows, seed):
-    """What the avoided alternative costs: a full ALT pull from the D side."""
-    config = ScenarioConfig(control_plane="alt", num_sites=num_sites,
-                            providers_per_site=PROVIDERS_PER_SITE, seed=seed,
-                            miss_policy="queue", gleaning=False)
-    scenario = build_scenario(config)
-    workload = WorkloadConfig(num_flows=num_flows, arrival_rate=3.0,
-                              packets_per_flow=1)
-    run_workload(scenario, workload)
-    latencies = scenario.mapping_system.stats.resolution_latencies
-    scenario.teardown()
-    stats = summarize(latencies)
-    return E8Row(variant="two-way-pull(alt)", samples=len(latencies),
-                 completion_mean=stats["mean"], completion_p95=stats["p95"])
+def as_tuple(row):
+    completion = row["completion"]
+    return (row["variant"], completion["count"],
+            rounded(completion["mean"], 6), rounded(completion["p95"], 6))
 
 
 def check_shape(rows):
     failures = []
-    by_variant = {row.variant: row for row in rows}
+    by_variant = {row["variant"]: row["completion"] for row in rows}
     pce = by_variant.get("pce-reverse-multicast")
     pull = by_variant.get("two-way-pull(alt)")
-    if pce is None or pce.samples == 0:
+    if pce is None or pce["count"] == 0:
         failures.append("no reverse-multicast completions observed")
         return failures
-    if pce.completion_mean > 0.005:
+    if pce["mean"] > 0.005:
         failures.append(
-            f"reverse multicast took {pce.completion_mean:.4f}s (expected intra-site)")
-    if pull and pull.samples and not pull.completion_mean > pce.completion_mean * 3:
+            f"reverse multicast took {pce['mean']:.4f}s (expected intra-site)")
+    if pull and pull["count"] and not pull["mean"] > pce["mean"] * 3:
         failures.append("two-way pull not substantially slower than ETR multicast")
     return failures

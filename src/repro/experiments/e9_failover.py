@@ -11,26 +11,13 @@ locator; when the link heals, traffic moves back.
 
 Reported per variant: packets lost during the failure, the blackhole
 duration (last loss minus failure instant), and whether the flow recovered.
+E9 scripts its world rather than run a sweep grid: its one hand-paced
+50 ms stream is no Poisson workload.
 """
 
-from dataclasses import dataclass
-
 from repro.experiments.scenario import FLOW_UDP_PORT, ScenarioConfig, build_scenario
+from repro.experiments.sweep import schedule_access_failure
 from repro.net.packet import udp_packet
-
-
-@dataclass
-class E9Row:
-    variant: str
-    packets_sent: int
-    packets_lost: int
-    blackhole_seconds: float
-    recovered_before_repair: bool
-
-    def as_tuple(self):
-        return (self.variant, self.packets_sent, self.packets_lost,
-                round(self.blackhole_seconds, 3), self.recovered_before_repair)
-
 
 HEADERS = ("variant", "pkts_sent", "pkts_lost", "blackhole_s", "failover")
 
@@ -38,25 +25,6 @@ FAIL_AT = 3.0
 REPAIR_AT = 9.0
 FLOW_END = 12.0
 PACKET_INTERVAL = 0.05
-
-
-def schedule_access_failure(queue, site, locator_index, fail_at, repair_at):
-    """Fail, then repair, both directions of one of *site*'s access links.
-
-    The reusable core of this experiment's failure injection: the sweep
-    engine schedules the same fail/repair pair when a cell carries a
-    ``fail_fraction`` (RLOC failure as a sweep axis).  Both calls go
-    through ``queue.call_at``: the simulator, or a
-    :class:`~repro.sim.engine.Reservation` of it.
-    """
-    links = site.access_links[locator_index]
-
-    def set_link(up):
-        links["uplink"].up = up
-        links["downlink"].up = up
-
-    queue.call_at(fail_at, set_link, False)
-    queue.call_at(repair_at, set_link, True)
 
 
 def run_e9(seed=29, probe_period=0.4):
@@ -72,21 +40,20 @@ def _run_variant(label, overrides, seed):
                             irc_policy="primary", **overrides)
     scenario = build_scenario(config)
     sim = scenario.sim
-    topology = scenario.topology
-    site_s, site_d = topology.sites
+    site_s, site_d = scenario.topology.sites
     source = site_s.hosts[0]
     sink = scenario.sink_for(site_d.index, 0)
     stub = scenario.stub_for(source, site_s)
-    state = {"sent": 0}
+    row = {"variant": label, "packets_sent": 0}
     stub.lookup(scenario.host_name(site_d, 0)).callbacks.append(
-        lambda lookup: _send(sim, source, lookup.value[0], state))
+        lambda lookup: _send(sim, source, lookup.value[0], row))
     # Fail and repair the destination's primary access link (both directions).
     schedule_access_failure(sim, site_d, 0, FAIL_AT, REPAIR_AT)
     sim.run(until=FLOW_END + 2.0)
 
     arrivals = sink.arrival_times
     scenario.teardown()
-    lost = state["sent"] - len(arrivals)
+    row["packets_lost"] = row["packets_sent"] - len(arrivals)
     # Blackhole: the longest gap in arrivals that contains the failure time.
     blackhole = 0.0
     previous = None
@@ -98,12 +65,12 @@ def _run_variant(label, overrides, seed):
     else:
         if previous is not None and previous < FAIL_AT:
             blackhole = REPAIR_AT - FAIL_AT  # never recovered until repair
-    recovered = blackhole < (REPAIR_AT - FAIL_AT) * 0.9
-    return E9Row(variant=label, packets_sent=state["sent"], packets_lost=lost,
-                 blackhole_seconds=blackhole, recovered_before_repair=recovered)
+    row.update(blackhole_seconds=blackhole, recovered_before_repair=(
+        blackhole < (REPAIR_AT - FAIL_AT) * 0.9))
+    return row
 
 
-def _send(sim, source, address, state):
+def _send(sim, source, address, row):
     """One packet of the flow, then the next one a packet interval later.
 
     A module function, not a closure: a closure that schedules itself
@@ -112,26 +79,33 @@ def _send(sim, source, address, state):
     if sim.now < FLOW_END:
         source.send(udp_packet(source.address, address, 5000, FLOW_UDP_PORT,
                                payload_bytes=800, meta={"sent_at": sim.now}))
-        state["sent"] += 1
-        sim.call_in(PACKET_INTERVAL, _send, sim, source, address, state)
+        row["packets_sent"] += 1
+        sim.call_in(PACKET_INTERVAL, _send, sim, source, address, row)
+
+
+def as_tuple(row):
+    return (row["variant"], row["packets_sent"], row["packets_lost"],
+            round(row["blackhole_seconds"], 3),
+            row["recovered_before_repair"])
 
 
 def check_shape(rows):
     failures = []
-    by_variant = {row.variant: row for row in rows}
+    by_variant = {row["variant"]: row for row in rows}
     probing = by_variant.get("pce+probing")
     static = by_variant.get("pce-static")
     if probing is None or static is None:
         return ["missing variants"]
-    if not probing.recovered_before_repair:
+    if not probing["recovered_before_repair"]:
         failures.append("probing variant did not fail over before the repair")
-    if static.recovered_before_repair:
+    if static["recovered_before_repair"]:
         failures.append("static variant recovered without probing (unexpected)")
-    if not probing.packets_lost < static.packets_lost:
+    if not probing["packets_lost"] < static["packets_lost"]:
         failures.append("probing did not reduce packet loss")
-    if not probing.blackhole_seconds < static.blackhole_seconds / 2:
+    if not probing["blackhole_seconds"] < static["blackhole_seconds"] / 2:
         failures.append("probing blackhole not substantially shorter")
     # Detection takes a small number of probe periods, not seconds.
-    if not probing.blackhole_seconds < 2.0:
-        failures.append(f"probing blackhole lasted {probing.blackhole_seconds:.2f}s")
+    if not probing["blackhole_seconds"] < 2.0:
+        failures.append(
+            f"probing blackhole lasted {probing['blackhole_seconds']:.2f}s")
     return failures

@@ -87,10 +87,9 @@ def run_experiment(experiment, seed=None, **kwargs):
                 for label, when, what in outcome["steps"]]
         return (format_table(("step", "time", "what happens"), rows),
                 outcome["checks"])
-    # The sweep-grid experiments format their aggregate rows with a module
-    # function; the scripted ones' rows format themselves.
-    as_tuple = getattr(module, "as_tuple", lambda row: row.as_tuple())
-    return (format_table(module.HEADERS, [as_tuple(row) for row in outcome]),
+    # Every E-experiment's rows are dicts its module formats.
+    return (format_table(module.HEADERS,
+                         [module.as_tuple(row) for row in outcome]),
             module.check_shape(outcome))
 
 

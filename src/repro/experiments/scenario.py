@@ -90,9 +90,8 @@ class ScenarioConfig:
     providers_per_site: int = 2
     hosts_per_site: int = 2
     seed: int = 1
-    #: Disable for large sweeps: the tracer records nothing (big memory and
-    #: time win on the per-packet hot path; experiments that read the trace
-    #: must keep it on).
+    #: Off in sweep cells: the tracer records nothing (a memory and time win
+    #: on the per-packet hot path); Fig. 1 reads the trace.
     tracing: bool = True
     # Each row of CONTROL_PLANES names the fields below its plane reads;
     # no row names the dns_* ones, which every world reads.
@@ -275,34 +274,6 @@ class Scenario:
                 "hierarchical_routing": len(topology.tier_layout.tiers) > 1,
                 "mesh_delay_mean": (math.fsum(delays) / len(delays)
                                     if delays else 0.0)}
-
-    def access_flow_byte_shares(self, site, direction="in"):
-        """Per-provider share of flow-accounted *delivered* bytes (E4).
-
-        Reads the per-flow byte accounting on *site*'s access links, so
-        only data-plane traffic (packets carrying a flow id, however
-        deeply encapsulated) participates — control-plane chatter no
-        longer skews the TE balance figures the way raw ``tx_bytes`` does.
-        """
-        self.fluid_pump.settle()
-        key = "downlink" if direction == "in" else "uplink"
-        counts = [sum(account.delivered  # repro: allow=DET03  (bytes: ints)
-                      for account in links[key].stats.flows.values())
-                  for links in site.access_links]
-        total = sum(counts)  # repro: allow=DET03  (bytes: ints)
-        if total == 0:
-            return [0.0] * len(counts)
-        return [count / total for count in counts]
-
-    def access_link_utilization(self, site, direction="in"):
-        """Per-provider peak window utilization of *site*'s access links.
-
-        Busy-time based, so it is 0.0 unless the scenario gives its access
-        links a finite rate (``ScenarioConfig.access_rate_bps``).
-        """
-        key = "downlink" if direction == "in" else "uplink"
-        return [links[key].stats.peak_utilization()
-                for links in site.access_links]
 
     @cached_property
     def links(self):

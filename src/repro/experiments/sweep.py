@@ -1,8 +1,8 @@
 """Parameter sweeps: declarative scenario grids fanned out over processes.
 
-The loop-shaped paper experiments (E1, E3, E5, E6, E7, E10) run here
-too and read the aggregates; E1, E3, E6 and E7 run one grid each, the
-systems they compare named bundles on the ``variant`` axis.  A
+Every paper experiment but the Fig. 1 walkthrough and E9 (a hand-paced
+stream) runs here as one grid and reads its aggregates; what it compares
+(systems, sizes, depths) are named bundles on the ``variant`` axis.  A
 :class:`SweepGrid` lists the values of every sweep axis, and
 :func:`expand_grid` turns it into concrete :class:`SweepCell` objects —
 one :class:`~repro.experiments.scenario.ScenarioConfig` /
@@ -50,8 +50,9 @@ cost — rides in its ``metrics`` but is in no CSV column, no aggregate and
 no digest, so an engine change moves no golden file.
 
 Sweep cells run with tracing disabled (``ScenarioConfig.tracing=False``):
-metrics come from counters and flow records, and skipping per-packet trace
-allocation is what makes the >=100-site cells cheap.
+metrics come from counters, flow records and component state, never a
+trace, and skipping per-packet trace allocation is what makes the
+>=100-site cells cheap.
 
 Usage::
 
@@ -73,17 +74,17 @@ import os
 import pickle
 import sys
 import threading
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import astuple, dataclass, field, fields
 
-from repro.experiments.e9_failover import schedule_access_failure
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.workload import (WorkloadConfig, classify_first_packet,
                                         finish_workload, peak_concurrent_flows,
                                         start_workload)
 from repro.experiments.worldbuild import (build_world, gc_paused,
                                            restore_world, world_key)
-from repro.metrics.stats import summarize
+from repro.metrics.stats import percentile, summarize
 from repro.net.topogen import FAMILIES
 from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
 
@@ -93,7 +94,7 @@ from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
 #: consumer of the artifacts would have to change (see "Sweep artifacts"
 #: in ``docs/contracts.md``); world blobs are versioned separately
 #: (``SNAPSHOT_SCHEMA``, see "Versions" there).
-SCHEMA = "repro.sweep/v9"
+SCHEMA = "repro.sweep/v10"
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,9 @@ class SweepGrid:
     it at ``repair_at`` (simulated seconds after the workload starts).
     ``scenario_overrides`` and ``workload_overrides`` apply to every cell
     (any :class:`ScenarioConfig` / :class:`WorkloadConfig` field) and win
-    over axis values; ``variants``, ``(name, {ScenarioConfig field:
-    value})`` bundles, is an axis whose bundle wins over both.
+    over axis values; ``variants``, ``(name, {ScenarioConfig or
+    WorkloadConfig field: value})`` bundles, is an axis whose bundle wins
+    over both.  The paper experiments E1-E8 and E10 are one grid each.
     """
 
     name: str = "sweep"
@@ -254,8 +256,11 @@ GRID_FLAGS = (("--flows", "num_flows", {"type": int}),
               ("--mode", "mode", {"choices": ("udp", "tcp")}))
 
 
-#: What a variant bundle may set.
-_SCENARIO_FIELDS = frozenset(spec.name for spec in fields(ScenarioConfig))
+#: What a variant bundle may set: each field, by the config it lands in.
+_BUNDLE_FIELDS = {spec.name: config
+                  for config, klass in (("scenario", ScenarioConfig),
+                                        ("workload", WorkloadConfig))
+                  for spec in fields(klass)}
 
 
 def expand_grid(grid):
@@ -263,8 +268,9 @@ def expand_grid(grid):
 
     Raises ``ValueError`` naming the grid field for an axis that is empty
     or repeats a value, and for a value its axis does not accept; and the
-    field a variant bundle sets when no :class:`ScenarioConfig` has it or
-    an axis sweeps it (its cells would fold together as seeds).
+    field a variant bundle sets when neither :class:`ScenarioConfig` nor
+    :class:`WorkloadConfig` has it or an axis sweeps it (its cells would
+    fold together as seeds).
     """
     axis_values = {axis: getattr(grid, axis.field) for axis in AXES}
     axis_values[_VARIANT] = tuple(name for name, _bundle in grid.variants)
@@ -278,12 +284,12 @@ def expand_grid(grid):
             if axis.valid is not None and not axis.valid(value):
                 raise ValueError(axis.error.format(value))
     swept = {axis.kwarg: axis.field for axis, values in axis_values.items()
-             if axis.config == "scenario" and len(values) > 1}
+             if axis.config in ("scenario", "workload") and len(values) > 1}
     for name, bundle in grid.variants:
         for key in bundle:
-            if key not in _SCENARIO_FIELDS:
-                raise ValueError(f"variant {name!r} sets {key!r}, which is "
-                                 f"not a ScenarioConfig field")
+            if key not in _BUNDLE_FIELDS:
+                raise ValueError(f"variant {name!r} sets {key!r}, which "
+                                 f"neither config has")
             if key in swept:
                 raise ValueError(f"variant {name!r} sets {key!r}, which grid "
                                  f"field {swept[key]!r} sweeps")
@@ -312,7 +318,8 @@ def _make_cell(grid, index, values):
     # Overrides win over axis values, and a variant's bundle over both.
     kwargs["scenario"].update(grid.scenario_overrides)
     kwargs["workload"].update(grid.workload_overrides)
-    kwargs["scenario"].update(dict(grid.variants)[variant])
+    for key, value in dict(grid.variants)[variant].items():
+        kwargs[_BUNDLE_FIELDS[key]][key] = value
     cell_id = "-".join(axis.fragment.format(value)
                        for axis, value in values if value != axis.unmarked)
     return SweepCell(index=index, cell_id=cell_id, variant=variant,
@@ -333,6 +340,7 @@ class FinishedCell:
     """
 
     world: object
+    workload: WorkloadConfig
     records: list
     completed: list        # the records of flows that did not fail
     #: The completed flows past set-up: all of them in UDP mode, those
@@ -440,14 +448,123 @@ def _fabric(key):
 
 
 def _access_util_peak(cell):
-    """Peak busy-window fraction over every site's access links."""
-    world = cell.world
-    return round(max(
-        (utilization
-         for site in world.topology.sites
-         for direction in ("in", "out")
-         for utilization in world.access_link_utilization(site, direction)),
-        default=0.0), 6)
+    """Peak busy-window fraction over every site's access links (0.0
+    unless ``ScenarioConfig.access_rate_bps`` gives them a rate)."""
+    return round(max((link.stats.peak_utilization()
+                      for site in cell.world.topology.sites
+                      for pair in site.access_links for link in pair.values()),
+                     default=0.0), 6)
+
+
+def _spread(samples):
+    """Count, mean and p95 of *samples* (None when there are none)."""
+    return {"count": len(samples), "mean": _mean(samples),
+            "p95": percentile(samples, 95)} if samples else None
+
+
+def _first_at(times, since):
+    """The first of ascending *times* at or after *since* (None: none)."""
+    first = bisect_left(times, since)
+    return times[first] if first < len(times) else None
+
+
+def _mapping_wait(cell):
+    """E2's wait (claim C2): from each flow's DNS answer until a mapping of
+    its destination was usable at its source site (0.0 if it came first).
+
+    Usable, in a PCE world, from the first Step-7b push there, from the
+    flow's start on, of a prefix covering the destination; elsewhere from
+    the destination's first resolution at any xTR from the DNS answer on.
+    A :func:`_spread` of the waits, plus ``dns_mean`` of the same flows and
+    ``overlap``, the share of them that waited at most 1 us; None when no
+    flow's mapping was resolved after it started.
+    """
+    plane = cell.world.control_plane
+    index = {}
+    if plane is None:
+        for xtr in cell.xtrs:
+            for when, eid in xtr.mappings_resolved:
+                index.setdefault(eid, []).append(when)
+        for times in index.values():
+            times.sort()
+    else:   # keyed by the prefixes' int pairs: a flow's join makes no object
+        index = {(site, prefix._mask, prefix._network): times
+                 for site, pce in plane.pces.items()
+                 for prefix, times in pce.stats.push_times.items()}
+        masks = sorted({mask for _site, mask, _network in index})
+        site_of = {}    # a source address -> its site index
+    dns, waits = [], []
+    for record in cell.records:
+        if record.failed or record.dns_elapsed is None:
+            continue
+        if plane is None:
+            ready = _first_at(index.get(record.destination, ()),
+                              record.dns_done_at)
+        else:
+            source, value = record.source.value, record.destination.value
+            if source not in site_of:
+                site_of[source] = cell.world.topology.site_of_eid(source).index
+            found = [_first_at(index.get((site_of[source], mask, value & mask),
+                                         ()), record.started_at)
+                     for mask in masks]
+            ready = min((when for when in found if when is not None),
+                        default=None)
+        if ready is not None:
+            dns.append(record.dns_elapsed)
+            waits.append(max(0.0, ready - record.dns_done_at))
+    summary = _spread(waits)
+    if summary is not None:
+        summary.update(dns_mean=_mean(dns), overlap=sum(
+            wait <= 1e-6 for wait in waits) / len(waits))
+    return summary
+
+
+def _reverse_completion(cell):
+    """E8's reverse multicast (closing paragraph): per announce, the time
+    until every sibling ETR of the announcing site had installed it; a
+    :func:`_spread`, None outside a PCE world."""
+    plane = cell.world.control_plane
+    if plane is None:
+        return None
+    completions = []
+    for when, site, prefix in plane.reverse_announces:
+        last = len(plane.xtrs_by_site[site]) - 2    # the last sibling's turn
+        times = plane.reverse_installs.get((site, prefix), ())
+        first = bisect_left(times, when)
+        if last >= 0 and first + last < len(times):
+            completions.append(times[first + last] - when)
+    return _spread(completions)
+
+
+def _resolution_latency(cell):
+    """E8's two-way pull: the mapping system's resolution latencies."""
+    system = cell.world.mapping_system
+    return None if system is None else _spread(
+        system.stats.resolution_latencies)
+
+
+def _access_te(cell):
+    """E4's TE view (claim C3) when every flow aims at one site: per
+    provider, the share of the flow bytes an access link delivered and its
+    peak utilisation, inbound there and outbound at each site; None,
+    walking no site, without a ``dest_site``."""
+    world, dest = cell.world, cell.workload.dest_site
+    if dest is None:
+        return None
+
+    def view(site, key):
+        links = [pair[key] for pair in site.access_links]
+        delivered = [sum(account.delivered  # repro: allow=DET03  (bytes: ints)
+                         for account in link.stats.flows.values())
+                     for link in links]
+        total = sum(delivered)  # repro: allow=DET03  (bytes: ints)
+        return {"shares": [count / total if total else 0.0
+                           for count in delivered],
+                "util_peak": max(link.stats.peak_utilization()
+                                 for link in links)}
+    sites = world.topology.sites
+    return {"inbound": view(sites[dest], "downlink"),
+            "outbound": [view(site, "uplink") for site in sites]}
 
 
 #: Every per-cell metric, in CSV column order.
@@ -524,6 +641,11 @@ METRICS = (
     Metric("hierarchical_routing", _fabric("hierarchical_routing"),
            fold="all"),
     Metric("mesh_delay_mean", _fabric("mesh_delay_mean"), fold="mean"),
+    # Appended in v10: what E2, E4 and E8 read, kept whole per cell.
+    Metric("mapping_wait", _mapping_wait, columns=(), fold="each"),
+    Metric("access_te", _access_te, columns=(), fold="each"),
+    Metric("reverse_completion", _reverse_completion, columns=(), fold="each"),
+    Metric("resolution_latency", _resolution_latency, columns=(), fold="each"),
 )
 
 
@@ -537,6 +659,21 @@ def _failed_count(scenario, failure):
         return 0
     sites = len(scenario.topology.sites)
     return min(sites, max(1, round(failure.fraction * sites)))
+
+
+def schedule_access_failure(queue, site, locator_index, fail_at, repair_at):
+    """Fail, then repair, both directions of *site*'s access link
+    *locator_index*, through ``queue.call_at`` (the simulator, or a
+    :class:`~repro.sim.engine.Reservation` of it): E9's failure, and each
+    failed site's in a cell with a ``fail_fraction``."""
+    links = site.access_links[locator_index]
+
+    def set_link(up):
+        links["uplink"].up = up
+        links["downlink"].up = up
+
+    queue.call_at(fail_at, set_link, False)
+    queue.call_at(repair_at, set_link, True)
 
 
 def _apply_failures(scenario, failure, start, queue):
@@ -588,7 +725,8 @@ def run_cell(world, cell, prefix):
     completed = [record for record in records if not record.failed]
     tcp = cell.workload.mode == "tcp"
     finished = FinishedCell(
-        world=world, records=records, completed=completed,
+        world=world, workload=cell.workload, records=records,
+        completed=completed,
         set_up=[record for record in completed
                 if not tcp or record.established_at is not None],
         xtrs=list(world.iter_xtrs()), control=world.control_overhead(),
@@ -833,13 +971,17 @@ def _tally(counts):
 
 
 #: How a group's samples combine, by :attr:`Metric.fold` name; None
-#: samples (a ratio or latency nothing measured) are left out first.
+#: samples (a ratio or latency nothing measured) are left out first,
+#: except by ``each``, which keeps every cell's value whole, in the order
+#: of the aggregate's ``seeds``: what no sum or mean pools (summaries,
+#: share vectors).
 _FOLDS = {
     "sum": lambda samples: sum(samples),  # repro: allow=DET03  (counters: ints)
     "all": all,
     "max": lambda samples: max(samples, default=None),
     "mean": _mean,
     "tally": _tally,
+    "each": list,
 }
 
 _FOLDED = tuple(metric for metric in METRICS if metric.fold)
@@ -850,8 +992,9 @@ def aggregate(results):
 
     Cells group by every axis but the seed (:data:`GROUP_AXES`); each
     :data:`METRICS` row with a ``fold`` contributes one aggregate.  Float
-    means are :func:`math.fsum` sums (exactly rounded), so the aggregates
-    do not depend on the order of *results*.
+    means are :func:`math.fsum` sums (exactly rounded), and a group's
+    cells are taken in seed order, so the aggregates do not depend on the
+    order of *results*.
     """
     groups = {}
     for result in results:
@@ -859,13 +1002,15 @@ def aggregate(results):
                           []).append(result)
     aggregates = []
     for key in sorted(groups):
-        group = groups[key]
+        group = sorted(groups[key], key=operator.itemgetter(_SEED.key))
         folded = dict(zip((axis.key for axis in GROUP_AXES), key, strict=True))
         folded["cells"] = len(group)
-        folded[_SEED.field] = sorted(result[_SEED.key] for result in group)
+        folded[_SEED.field] = [result[_SEED.key] for result in group]
         for metric in _FOLDED:
-            samples = [sample for result in group if (sample := metric.parts(
-                result["metrics"][metric.key])[-1]) is not None]
+            samples = [metric.parts(result["metrics"][metric.key])[-1]
+                       for result in group]
+            if metric.fold != "each":
+                samples = [sample for sample in samples if sample is not None]
             value = _FOLDS[metric.fold](samples)
             if value is not None and metric.digits is not None:
                 value = round(value, metric.digits)

@@ -49,13 +49,10 @@ class MapRequest:
     nonce: int
     eid: IPv4Address
     itr_rloc: IPv4Address
-    source_eid: IPv4Address = None
 
     def __post_init__(self):
         self.eid = IPv4Address(self.eid)
         self.itr_rloc = IPv4Address(self.itr_rloc)
-        if self.source_eid is not None:
-            self.source_eid = IPv4Address(self.source_eid)
 
     @property
     def size_bytes(self):

@@ -125,5 +125,8 @@ class CpDataPolicy(MissPolicy):
 
 
 def mark_fate(packet, fate):
-    """Annotate the packet's fate for workload-level accounting."""
-    packet.meta.setdefault("fates", []).append(fate)
+    """Append *fate* to the packet's fate list, if it carries one: only a
+    flow's first packet does, the list of its ``FlowRecord``."""
+    fates = packet.meta.get("fates")
+    if fates is not None:
+        fates.append(fate)

@@ -54,6 +54,8 @@ class TunnelRouter(Journaled):
         self.no_rloc_drops = 0
         self.resolutions_started = 0
         self.resolutions_failed = 0
+        #: ``(time, EID)`` of every resolution that installed a mapping.
+        self.mappings_resolved = []
         self._pending = {}
         self._seen_inner_sources = set()
         node.add_forward_tap(self._itr_tap)
@@ -153,6 +155,7 @@ class TunnelRouter(Journaled):
             self.resolutions_failed += 1
             return
         self.map_cache.install(mapping)
+        self.mappings_resolved.append((self.sim.now, eid))
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.node.name,
                                   "itr.mapping-resolved", eid=str(eid),
@@ -233,6 +236,7 @@ class TunnelRouter(Journaled):
                          self.no_rloc_drops, self.resolutions_started,
                          self.resolutions_failed),
             "seen": set(self._seen_inner_sources),
+            "resolved": list(self.mappings_resolved),
             "listeners": list(self.decap_listeners),
             "rloc_liveness": self.rloc_liveness,
         }
@@ -242,6 +246,7 @@ class TunnelRouter(Journaled):
         (self.encapsulated, self.decapsulated, self.no_rloc_drops,
          self.resolutions_started, self.resolutions_failed) = state["counters"]
         self._seen_inner_sources = set(state["seen"])
+        self.mappings_resolved = list(state["resolved"])
         self.decap_listeners = list(state["listeners"])
         self.rloc_liveness = state["rloc_liveness"]
         self._pending.clear()

@@ -6,13 +6,7 @@ import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
 
-
-REPORT_SHA256 = "feaadee6014c09d0e79618fb98b4406d610349f0f9d6f706c81be7fca2e184c4"
-#: ``repro report --seed 12``: a seed no runner was tuned on.  At E1's 2 s
-#: TTL a PCE xTR's reverse-mapped /32 expires under the live /24 a PCE
-#: pushed, and the first packet must still find the /24.
-SEED_12_REPORT_SHA256 = \
-    "6047f598e830d4ba69f410364dd8d2d2e6fa81b28b69988860b54fffb92326f2"
+from cross_version_digests import REPORT_SHA256, SEED_12_REPORT_SHA256
 
 
 def test_list_shows_all_experiments(capsys):

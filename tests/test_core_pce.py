@@ -139,7 +139,7 @@ def test_reverse_mapping_multicast_to_all_etrs():
     sim, topology, dns, cp = make_world()
     outcome, sink = start_flow(sim, topology, dns)
     sim.run(until=5.0)
-    assert cp.reverse_announcements == 1
+    assert len(cp.reverse_announces) == 1
     site_d = topology.sites[1]
     source_eid = topology.sites[0].hosts[0].address
     for xtr in cp.xtrs_by_site[site_d.index]:

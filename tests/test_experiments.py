@@ -1,6 +1,8 @@
 """Tests for the experiment layer: scenarios, workloads, and small driver runs."""
 
 import importlib
+import inspect
+from types import SimpleNamespace
 
 import pytest
 
@@ -150,8 +152,6 @@ def test_flow_cut_off_before_dns_completes_is_failed():
     sums, the E2 overlap measurement) can rely on the flag instead of
     tripping over a None timestamp.
     """
-    from repro.experiments.e2_overlap import _mapping_ready_time
-
     config = ScenarioConfig(control_plane="pce", num_sites=3, seed=41)
     scenario = build_scenario(config)
     records = run_workload(scenario, WorkloadConfig(num_flows=10,
@@ -165,7 +165,10 @@ def test_flow_cut_off_before_dns_completes_is_failed():
         assert record.bytes_budget == 0 and record.flow_kind is None
         # Every downstream consumer of the Optional fields stays happy.
         assert classify_first_packet(record) == "not-sent"
-        assert _mapping_ready_time(scenario, record) is None
+    # E2's wait has nothing to time on them.
+    assert sweep._mapping_wait(SimpleNamespace(
+        world=scenario, records=cut_off,
+        xtrs=list(scenario.iter_xtrs()))) is None
     # The sweep's per-cell sums never touch the None fields either.
     assert sum(r.bytes_sent for r in records) >= 0
     assert sum(1 for r in records if r.failed) >= len(cut_off)
@@ -179,21 +182,24 @@ def test_e4_reports_link_utilization_from_byte_accounting():
     # while the byte shares (from per-flow accounting) survive.
     unrated = e4.run_e4(num_sites=4, num_flows=16, seed=53,
                         access_rate_bps=None)
-    assert [row.system for row in rated] == [row.system for row in unrated] \
+    assert [row["variant"] for row in rated] \
+        == [row["variant"] for row in unrated] \
         == [label for label, _overrides in e4.VARIANTS]
     for row in rated:
-        assert row.inbound_peak_util > 0.0
-        assert sum(row.inbound_shares) == pytest.approx(1.0)
+        assert row["inbound"]["util_peak"] > 0.0
+        assert sum(row["inbound"]["shares"]) == pytest.approx(1.0)
     for row in unrated:
-        assert row.inbound_peak_util == 0.0
-        assert sum(row.inbound_shares) == pytest.approx(1.0)
+        assert row["inbound"]["util_peak"] == 0.0
+        assert sum(row["inbound"]["shares"]) == pytest.approx(1.0)
 
 
 def test_access_byte_shares_sum_to_one_under_traffic():
     config = ScenarioConfig(control_plane="pce", num_sites=3, seed=5)
     scenario = build_scenario(config)
     run_workload(scenario, WorkloadConfig(num_flows=10, dest_site=0))
-    shares = scenario.access_flow_byte_shares(scenario.topology.sites[0], "in")
+    te = sweep._access_te(SimpleNamespace(
+        world=scenario, workload=WorkloadConfig(dest_site=0)))
+    shares = te["inbound"]["shares"]
     assert sum(shares) == pytest.approx(1.0)
 
 
@@ -212,11 +218,13 @@ def test_small_driver_runs_e2_and_e8():
 @pytest.mark.parametrize("module, runner", (
     ("e1_packet_loss", "run_e1"), ("e3_setup_latency", "run_e3"),
     ("e6_pce_overhead", "run_e6"), ("e7_cache_aging", "run_e7"),
+    ("e2_overlap", "run_e2"), ("e4_te_flexibility", "run_e4"),
+    ("e5_overhead", "run_e5"), ("e8_reverse_mapping", "run_e8"),
 ))
 def test_variant_experiments_run_one_grid(module, runner, monkeypatch):
-    """E1, E3, E6 and E7 run all their variants as one grid: one
-    ``run_sweep`` call (through ``grid_aggregates``), each of its
-    aggregates one row."""
+    """E1-E8 but E9 run all their variants as one grid: one ``run_sweep``
+    call (through ``grid_aggregates``), each of its aggregates one row
+    (E5's sizes are bundles too, so it takes no size)."""
     module = importlib.import_module(f"repro.experiments.{module}")
     payloads = []
 
@@ -224,6 +232,9 @@ def test_variant_experiments_run_one_grid(module, runner, monkeypatch):
         payloads.append(run_sweep(grid, **kwargs))
         return payloads[-1]
     monkeypatch.setattr(sweep, "run_sweep", spy)
-    rows = getattr(module, runner)(num_sites=3, num_flows=4)
+    runner = getattr(module, runner)
+    sizes = {"num_sites": 3, "num_flows": 4}
+    rows = runner(**{key: value for key, value in sizes.items()
+                     if key in inspect.signature(runner).parameters})
     assert len(payloads) == 1
     assert len(rows) == len(payloads[0]["aggregates"]) > 1

@@ -145,7 +145,9 @@ def test_queue_policy_timeout_drops_buffered_packets_eventually():
     cut_node_links(site_d.xtrs[0], up=False)
     src = scenario.topology.sites[0].hosts[0]
     dst = site_d.hosts[0]
-    packets = [udp_packet(src.address, dst.address, 5000, FLOW_UDP_PORT)
+    # Each packet carries a fate list, as a flow's first packet does.
+    packets = [udp_packet(src.address, dst.address, 5000, FLOW_UDP_PORT,
+                          meta={"fates": []})
                for _ in range(MAX_QUEUE + 6)]
     for packet in packets:
         src.send(packet)

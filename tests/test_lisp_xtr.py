@@ -109,8 +109,10 @@ def test_queue_policy_holds_then_flushes():
     src = topology.sites[0].hosts[0]
     dst = topology.sites[1].hosts[0]
     sink = deliveries(sim, dst)
+    # Each packet carries a fate list, as a flow's first packet does.
     for i in range(3):
-        sim.call_in(0.001 * i, lambda: src.send(udp_packet(src.address, dst.address, 1, 7000)))
+        sim.call_in(0.001 * i, lambda: src.send(udp_packet(
+            src.address, dst.address, 1, 7000, meta={"fates": []})))
     sim.run()
     assert len(sink) == 3
     for _when, packet in sink:

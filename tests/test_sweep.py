@@ -79,27 +79,45 @@ def test_expand_grid_rejects_unknown_control_plane():
     (dict(variants=()), "grid field 'variants' is empty"),
     (dict(variants=(("a", {}), ("a", {"seed": 2}))),
      "grid field 'variants' repeats a value"),
-    (dict(variants=(("a", {"zipf_s": 1.0}),)),
-     "variant 'a' sets 'zipf_s', which is not a ScenarioConfig field"),
+    (dict(variants=(("a", {"zipf": 1.0}),)),
+     "variant 'a' sets 'zipf', which neither config has"),
     (dict(variants=(("alt", {"control_plane": "alt"}),)),
      "variant 'alt' sets 'control_plane', which grid field 'control_planes' "
      "sweeps"),
+    (dict(zipf_values=(0.0, 1.2), variants=(("flat", {"zipf_s": 0.5}),)),
+     "variant 'flat' sets 'zipf_s', which grid field 'zipf_values' sweeps"),
+    (dict(variants=(("a", {"num_flows": -1}),)),
+     "num_flows must be >= 0, got -1"),
 ), ids=("num_providers", "providers_per_site", "transit_population",
         "fig1_num_providers", "fig1_providers_per_site", "one_site",
         "tiered_one_site", "negative_sites", "no_providers", "no_provider_homes",
         "tiered_no_hosts", "no_variants", "repeated_variant",
-        "unknown_variant_field", "swept_variant_field"))
+        "unknown_variant_field", "swept_variant_field",
+        "swept_variant_workload_field", "bad_variant_workload_field"))
 def test_expand_grid_rejects_oversized_topology(fields, named,
                                                 no_world_builds):
     """Sizes the address plan cannot hold, or that leave nothing to build,
     fail at the grid, field named — not as an error out of
     ``build_world`` inside a worker.  So do variant bundles that are
-    missing, share a name, set what no ScenarioConfig has, or set a field
-    an axis sweeps (its cells would fold together as seeds)."""
+    missing, share a name, set what neither config has, set a field an
+    axis sweeps (its cells would fold together as seeds) or give a
+    workload field a value it refuses."""
     with pytest.raises(ValueError, match=named):
         expand_grid(SweepGrid(**fields))
     with pytest.raises(ValueError, match=named):
         run_sweep(SweepGrid(**fields), workers=2)
+
+
+def test_a_bundle_sets_the_fields_of_either_config():
+    """Each bundle key lands in the one config that has it, over the
+    grid's overrides: E5's sizes are bundles of ``num_sites`` and
+    ``num_flows``."""
+    grid = SweepGrid(control_planes=("pce",), seeds=(1,),
+                     variants=(("small", {"num_sites": 3, "num_flows": 5}),
+                               ("large", {"num_sites": 6, "num_flows": 9})),
+                     workload_overrides={"num_flows": 7})
+    assert [(cell.variant, cell.scenario.num_sites, cell.workload.num_flows)
+            for cell in expand_grid(grid)] == [("small", 3, 5), ("large", 6, 9)]
 
 
 def test_cli_sweep_rejects_a_single_site_before_building(
@@ -241,7 +259,7 @@ def test_sweep_artifacts(tmp_path):
     payload = run_sweep(TINY, workers=1, json_path=str(json_path),
                         csv_path=str(csv_path))
     on_disk = json.loads(json_path.read_text())
-    assert on_disk["schema"] == SCHEMA == "repro.sweep/v9"
+    assert on_disk["schema"] == SCHEMA == "repro.sweep/v10"
     assert on_disk["num_cells"] == len(payload["cells"]) == 4
     assert payload_digest(on_disk) == payload_digest(payload)
     with open(csv_path) as handle:

@@ -37,14 +37,10 @@ from reference_driver import (
 
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
 from repro.experiments import e9_failover, fig1
-from repro.experiments.e9_failover import (
-    FAIL_AT,
-    FLOW_END,
-    REPAIR_AT,
-    schedule_access_failure,
-)
+from repro.experiments.e9_failover import FAIL_AT, FLOW_END, REPAIR_AT
 from repro.experiments.fig1 import run_fig1_walkthrough
 from repro.experiments.scenario import CONTROL_PLANES, Scenario
+from repro.experiments.sweep import schedule_access_failure
 
 PACINGS = ("constant", "shaped", "fluid")
 TRANSPORTS = ("udp", "tcp", "tcp+burst")
@@ -323,7 +319,7 @@ def test_e9_sender_agrees_with_its_generator(monkeypatch, label, overrides):
     start_e9_sender(twin, state)
     schedule_access_failure(twin.sim, twin.topology.sites[1], 0, FAIL_AT, REPAIR_AT)
     twin.sim.run(until=FLOW_END + 2.0)
-    assert state["sent"] == row.packets_sent
+    assert state["sent"] == row["packets_sent"]
     assert scenario.sink_for(1, 0).arrival_times == twin.sink_for(1, 0).arrival_times
     assert pull_path_state(scenario) == pull_path_state(twin)
     assert trace_of(scenario) == trace_of(twin)

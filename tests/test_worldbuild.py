@@ -7,9 +7,6 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
-from repro.experiments.e2_overlap import run_e2
-from repro.experiments.e4_te_flexibility import run_e4
-from repro.experiments.e8_reverse_mapping import run_e8
 from repro.experiments.e9_failover import run_e9
 from repro.experiments.fig1 import run_fig1_walkthrough
 from repro.experiments import sweep
@@ -503,16 +500,12 @@ def test_events_of_a_world_torn_down_mid_run_still_print():
         assert repr(event) == f"<{type(event).__name__} torn down>"
 
 
-@pytest.mark.parametrize("runner", (
-    run_fig1_walkthrough,
-    lambda: run_e2(num_sites=3, num_flows=6),
-    lambda: run_e4(num_flows=8),
-    lambda: run_e8(num_flows=6),
-    run_e9,
-), ids=("fig1", "e2", "e4", "e8", "e9"))
+@pytest.mark.parametrize("runner", (run_fig1_walkthrough, run_e9),
+                         ids=("fig1", "e9"))
 def test_scripted_runners_tear_their_worlds_down(runner, collector_off):
-    """The experiments that build with ``build_scenario`` rather than
-    through a world run leave no world behind for a pass to free."""
+    """The two experiments that build with ``build_scenario`` rather than
+    through a world run (Fig. 1 and E9) leave no world behind for a pass
+    to free."""
     before = _live_simulators()
     runner()
     assert _live_simulators() == before

@@ -45,11 +45,12 @@ class MappingPush:
     with RLOC_S as the outer-source locator — i.e. the two one-way tunnels.
     """
 
-    source_eid: IPv4Address
     mapping: object
 
     @property
     def size_bytes(self):
+        # The 16 bytes still count E_S, which the wire tuple carries though
+        # no receiver reads it.
         return 16 + self.mapping.size_bytes
 
 

@@ -93,7 +93,7 @@ class Pce:
     def on_local_query(self, client, qname, time):
         """A local host asked the resolver for *qname*: precompute ingress."""
         ingress_index = self.irc.select_ingress()
-        self.pending_ingress[qname] = (client, ingress_index, time)
+        self.pending_ingress[qname] = ingress_index
         if self.sim.trace.enabled:
             self.sim.trace.record(
                 time, self.node.name, "pce.step1-ipc", qname=qname,
@@ -216,26 +216,24 @@ class Pce:
         # 7b: complete the tuple and push it to all ITRs.
         mapping = envelope.mapping
         self.mapping_db[mapping.eid_prefix] = mapping
-        source_eid, ingress_index = self._match_step1_decision(envelope.dns_reply.qname)
+        ingress_index = self._match_step1_decision(envelope.dns_reply.qname)
         annotated = mapping.with_source_rloc(self.site.rloc_of(ingress_index))
-        self.push_mapping_to_itrs(annotated, source_eid)
+        self.push_mapping_to_itrs(annotated)
 
     def _match_step1_decision(self, qname):
         """Pair a reply for *qname* with the Step-1 IPC record."""
         if qname is not None and qname in self.pending_ingress:
-            client, ingress_index, _time = self.pending_ingress.pop(qname)
-            return client, ingress_index
+            return self.pending_ingress.pop(qname)
         # No pending record (e.g. a refresh): choose an ingress now.
-        return None, self.irc.select_ingress()
+        return self.irc.select_ingress()
 
-    def push_mapping_to_itrs(self, mapping, source_eid, refresh=False):
+    def push_mapping_to_itrs(self, mapping, refresh=False):
         """Step 7b: install the mapping tuple on the site's ITRs.
 
         Also points the hub's per-destination route at the IRC-chosen
         egress ITR — the "local TE actions" the push-to-all design enables.
         """
-        push = MappingPush(source_eid=source_eid or self.site.eid_prefix.network,
-                           mapping=mapping)
+        push = MappingPush(mapping=mapping)
         targets = range(len(self.site.xtrs))     # push to all (Step 7b)
         egress_index = self.irc.select_egress()
         for b in targets:
@@ -275,10 +273,10 @@ class Pce:
             installed = self.control_plane.itr_has_live_mapping(self.site, address)
             if installed:
                 continue
-            client, ingress_index = self._match_step1_decision(message.qname)
+            ingress_index = self._match_step1_decision(message.qname)
             annotated = self.mapping_db[prefix].with_source_rloc(
                 self.site.rloc_of(ingress_index))
-            self.push_mapping_to_itrs(annotated, client, refresh=True)
+            self.push_mapping_to_itrs(annotated, refresh=True)
 
     def _db_prefix_for(self, address):
         for prefix in self.mapping_db:

@@ -7,7 +7,6 @@ and leaving it out keeps encode/decode obviously correct.
 """
 
 import struct
-from dataclasses import dataclass, field
 
 from repro.dns.records import (TYPE_A, TYPE_CNAME, TYPE_NS, ResourceRecord, name_labels,
                                normalise_name)
@@ -61,6 +60,19 @@ def name_size(name):
     return size
 
 
+def _rr_size(record):
+    # Wire size of *record* (name, 10 fixed bytes, rdata), fixed on first ask.
+    size = name_size(record.name) + _RR_FIXED.size
+    if record.rtype == TYPE_A:
+        size += 4
+    elif record.rtype in (TYPE_NS, TYPE_CNAME):
+        size += name_size(record.data)
+    else:
+        size += len(_opaque_rdata(record.data))
+    object.__setattr__(record, "_size", size)  # a frozen record
+    return size
+
+
 def _opaque_rdata(data):
     """Rdata of a record type the codec does not interpret."""
     if isinstance(data, (bytes, bytearray)):
@@ -86,25 +98,59 @@ def decode_name(data, offset):
     return (".".join(labels) + "." if labels else "."), offset
 
 
-@dataclass(frozen=True)
 class Question:
-    qname: str
-    qtype: int = TYPE_A
+    """A DNS question; immutable once built."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "qname", normalise_name(self.qname))
+    __slots__ = ("qname", "qtype", "_size")
+
+    def __init__(self, qname, qtype):
+        self.qname = normalise_name(qname)
+        self.qtype = qtype
+        self._size = None  # wire size, fixed when first asked
+
+    def __eq__(self, other):
+        if other.__class__ is not Question:
+            return NotImplemented
+        return self.qname == other.qname and self.qtype == other.qtype
+
+    def __hash__(self):
+        return hash((self.qname, self.qtype))
+
+    def __repr__(self):
+        return f"Question(qname={self.qname!r}, qtype={self.qtype!r})"
 
 
-@dataclass
 class DnsMessage:
     """A DNS query or response."""
 
-    ident: int = 0
-    flags: int = 0
-    question: Question = None
-    answers: list = field(default_factory=list)
-    authorities: list = field(default_factory=list)
-    additionals: list = field(default_factory=list)
+    __slots__ = ("ident", "flags", "question", "answers", "authorities",
+                 "additionals")
+
+    def __init__(self, ident=0, flags=0, question=None, answers=None,
+                 authorities=None, additionals=None):
+        self.ident = ident
+        self.flags = flags
+        self.question = question
+        self.answers = [] if answers is None else answers
+        self.authorities = [] if authorities is None else authorities
+        self.additionals = [] if additionals is None else additionals
+
+    def _fields(self):
+        return (self.ident, self.flags, self.question, self.answers,
+                self.authorities, self.additionals)
+
+    def __eq__(self, other):
+        if other.__class__ is not DnsMessage:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"DnsMessage(ident={self.ident!r}, flags={self.flags!r}, "
+                f"question={self.question!r}, answers={self.answers!r}, "
+                f"authorities={self.authorities!r}, "
+                f"additionals={self.additionals!r})")
 
     # -- convenience predicates ---------------------------------------- #
 
@@ -114,7 +160,7 @@ class DnsMessage:
 
     @property
     def is_query(self):
-        return not self.is_reply
+        return not self.flags & FLAG_QR
 
     @property
     def rcode(self):
@@ -216,23 +262,21 @@ class DnsMessage:
     def size_bytes(self):
         """On-wire size; lets DNS messages ride directly as packet payloads.
 
-        ``len(self.encode())`` by arithmetic — the header, the question's
-        name and 4 fixed bytes, and per RR its name, 10 fixed bytes and the
-        rdata — since every packet carrying the message asks once.  The
-        codec stays the definition: tests hold the two equal.
+        ``len(self.encode())`` by arithmetic: the header plus the question's
+        and each record's size, each fixed on first ask.  The codec stays
+        the definition: tests hold the two equal.
         """
         size = _HEADER.size
-        if self.question:
-            size += name_size(self.question.qname) + 4
+        question = self.question
+        if question is not None:
+            qsize = question._size
+            if qsize is None:
+                qsize = question._size = name_size(question.qname) + 4
+            size += qsize
         for section in (self.answers, self.authorities, self.additionals):
             for record in section:
-                size += name_size(record.name) + _RR_FIXED.size
-                if record.rtype == TYPE_A:
-                    size += 4
-                elif record.rtype in (TYPE_NS, TYPE_CNAME):
-                    size += name_size(record.data)
-                else:
-                    size += len(_opaque_rdata(record.data))
+                rsize = record._size
+                size += rsize if rsize is not None else _rr_size(record)
         return size
 
     def copy(self):

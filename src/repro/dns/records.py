@@ -1,6 +1,6 @@
 """Resource records and DNS constants."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.net.addresses import IPv4Address
 
@@ -22,6 +22,9 @@ def type_name(rtype):
 
 def normalise_name(name):
     """Lower-cased, with a trailing dot (fully-qualified form)."""
+    # An ASCII name already in that form is returned as it is.
+    if name[-1:] == "." and name.isascii() and name.islower():
+        return name
     name = name.lower()
     if not name.endswith("."):
         name += "."
@@ -41,14 +44,12 @@ def check_ttl(field, ttl):
 
 def is_subdomain(name, zone_origin):
     """True if *name* is at or below *zone_origin*."""
-    name = normalise_name(name)
-    origin = normalise_name(zone_origin)
-    if origin == ".":
-        return True
-    return name == origin or name.endswith("." + origin)
+    # Both are normalised already (a Question's name, a Zone's origin).
+    return (zone_origin == "." or name == zone_origin
+            or name.endswith("." + zone_origin))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     """One DNS resource record.
 
@@ -60,6 +61,8 @@ class ResourceRecord:
     rtype: int
     ttl: float
     data: object
+    # Wire size: fixed by the codec when first asked (``message._rr_size``).
+    _size: int = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_ttl("ResourceRecord.ttl", self.ttl)

@@ -14,7 +14,8 @@ paper's "PCE_S obtains E_S by IPC with the DNS" (Step 1).
 from functools import partial
 
 from repro.dns.cache import TtlCache
-from repro.dns.message import DNS_PORT, DnsMessage, FLAG_RD, make_query, make_reply
+from repro.dns.message import (DNS_PORT, DnsMessage, FLAG_RD, Question, make_query,
+                               make_reply)
 from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
 from repro.dns.server import PROCESSING_DELAY
 from repro.sim.events import Event
@@ -129,12 +130,13 @@ class RecursiveResolver(Journaled):
     def _cached_servers(self, qname):
         """Deepest cached referral covering *qname*; falls back to roots."""
         if self.use_cache:
-            labels = qname.rstrip(".").split(".")
-            for start in range(len(labels)):
-                suffix = ".".join(labels[start:]) + "."
-                servers = self.referral_cache.get(("ns", suffix))
+            # Each suffix at a label boundary, longest first; not the root.
+            cut = 0
+            while cut < len(qname):
+                servers = self.referral_cache.get(("ns", qname[cut:]))
                 if servers:
                     return list(servers)
+                cut = qname.index(".", cut) + 1
         return list(self.root_hints)
 
     def resolve(self, qname, qtype=TYPE_A, _depth=0):
@@ -183,7 +185,7 @@ class _Walk(Event):
     its target).  Succeeds with the final DnsMessage.
     """
 
-    __slots__ = ("resolver", "qname", "qtype", "depth", "servers",
+    __slots__ = ("resolver", "qname", "qtype", "question", "depth", "servers",
                  "steps_left", "socket")
 
     def __init__(self, resolver, qname, qtype, depth):
@@ -191,6 +193,7 @@ class _Walk(Event):
         self.resolver = resolver
         self.qname = qname
         self.qtype = qtype
+        self.question = None
         self.depth = depth
         self.servers = None
         self.steps_left = MAX_REFERRALS
@@ -203,6 +206,7 @@ class _Walk(Event):
         self.sim.call_in(PROCESSING_DELAY, self._begin)
 
     def _begin(self):
+        self.question = Question(self.qname, self.qtype)  # every step asks it
         self.servers = self.resolver._cached_servers(self.qname)
         self._query()
 
@@ -212,7 +216,7 @@ class _Walk(Event):
             return
         self.steps_left -= 1
         resolver = self.resolver
-        query = make_query(resolver._next_ident(), self.qname, self.qtype)
+        query = DnsMessage(resolver._next_ident(), 0, self.question)
         self.socket = resolver.node.open_udp()
         request = self.socket.request(self.servers[0], DNS_PORT, payload=query)
         request.callbacks.append(self._answered)

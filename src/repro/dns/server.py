@@ -29,15 +29,12 @@ class AuthoritativeServer:
             return
         if not query.is_query or query.question is None:
             return
-        reply = self.answer(query)
-        client = packet.ip.src
-        client_port = packet.udp.sport
+        self.sim.call_in(PROCESSING_DELAY, self._send_reply, packet,
+                         self.answer(query))
 
-        def respond():
-            self.node.send_udp(src=packet.ip.dst, dst=client, sport=DNS_PORT,
-                               dport=client_port, payload=reply)
-
-        self.sim.call_in(PROCESSING_DELAY, respond)
+    def _send_reply(self, packet, reply):
+        self.node.send_udp(src=packet.ip.dst, dst=packet.ip.src, sport=DNS_PORT,
+                           dport=packet.udp.sport, payload=reply)
 
     def answer(self, query):
         """Build the authoritative reply for *query* (pure function of zone)."""

@@ -17,12 +17,14 @@ class ZoneAnswer:
 
     __slots__ = ("rcode", "answers", "authorities", "additionals", "is_referral")
 
+    # The sections may be the zone's own lists: a reader copies them, as
+    # ``make_reply`` does, and never edits them.
     def __init__(self, rcode=RCODE_NOERROR, answers=(), authorities=(), additionals=(),
                  is_referral=False):
         self.rcode = rcode
-        self.answers = list(answers)
-        self.authorities = list(authorities)
-        self.additionals = list(additionals)
+        self.answers = answers
+        self.authorities = authorities
+        self.additionals = additionals
         self.is_referral = is_referral
 
 
@@ -52,10 +54,10 @@ class Zone:
     def delegate(self, child_origin, ns_name, glue_address, ttl=3600.0):
         """Delegate *child_origin* to a nameserver with a glue address."""
         child = normalise_name(child_origin)
-        self._delegations.setdefault(child, []).append(
-            (ResourceRecord(child, TYPE_NS, ttl, ns_name),
-             ResourceRecord(ns_name, TYPE_A, ttl, glue_address))
-        )
+        # child -> (NS records, glue records): a referral's two sections.
+        authorities, additionals = self._delegations.setdefault(child, ([], []))
+        authorities.append(ResourceRecord(child, TYPE_NS, ttl, ns_name))
+        additionals.append(ResourceRecord(ns_name, TYPE_A, ttl, glue_address))
 
     def covers(self, name):
         return is_subdomain(name, self.origin)
@@ -70,7 +72,6 @@ class Zone:
         holds.  A delegation of the zone's own origin is found like any
         other; :meth:`lookup` ignores it.
         """
-        name = normalise_name(name)
         delegations = self._delegations
         cut = 0
         while cut < len(name):
@@ -82,13 +83,14 @@ class Zone:
 
     def lookup(self, qname, qtype=TYPE_A):
         """Authoritative resolution of (*qname*, *qtype*) within this zone."""
-        qname = normalise_name(qname)
+        # Names reach a zone normalised (a Question's), as covers() and
+        # _find_delegation() take them.
         if not self.covers(qname):
             # Out-of-bailiwick question: refuse via NXDOMAIN (simplified).
             return ZoneAnswer(rcode=RCODE_NXDOMAIN)
         exact = self._records.get((qname, qtype))
         if exact:
-            return ZoneAnswer(answers=list(exact))
+            return ZoneAnswer(answers=exact)
         if qtype == TYPE_A:
             # CNAME chase: answer with the alias chain plus, when the target
             # lives in this zone, its address records (RFC 1034 §3.6.2).
@@ -102,13 +104,12 @@ class Zone:
                 name = cname[0].data
                 target_a = self._records.get((name, TYPE_A))
                 if target_a:
-                    return ZoneAnswer(answers=chain + list(target_a))
+                    return ZoneAnswer(answers=chain + target_a)
             if chain:
                 return ZoneAnswer(answers=chain)
         delegation = self._find_delegation(qname)
         if delegation is not None and delegation != self.origin:
-            authorities = [ns for ns, _glue in self._delegations[delegation]]
-            additionals = [glue for _ns, glue in self._delegations[delegation]]
+            authorities, additionals = self._delegations[delegation]
             return ZoneAnswer(authorities=authorities, additionals=additionals,
                               is_referral=True)
         return ZoneAnswer(rcode=RCODE_NXDOMAIN)

@@ -36,8 +36,9 @@ def run_e9(seed=29, probe_period=0.4):
 
 
 def _run_variant(label, overrides, seed):
+    # Untraced: E9 reads its sink and its own counter, never the trace.
     config = ScenarioConfig(control_plane="pce", topology="fig1", seed=seed,
-                            irc_policy="primary", **overrides)
+                            irc_policy="primary", tracing=False, **overrides)
     scenario = build_scenario(config)
     sim = scenario.sim
     site_s, site_d = scenario.topology.sites

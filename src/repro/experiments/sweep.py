@@ -29,7 +29,8 @@ world; fan-out hands the chunks to a worker pool, fork and spawn alike,
 and the parent builds nothing.  Each world's families are split into at
 most ``ceil(workers / distinct worlds)`` chunks, so with at least as many
 worlds as workers each world is built exactly once.  The ``world_cache``
-summary counts one build per chunk.
+summary counts the builds :func:`run_world` reports: one per chunk, plus
+one per rebuild after a raising family.
 
 :func:`run_sweep` keeps every result in a list and, when asked, appends
 each to a JSONL artifact as it completes (one JSON object per line, in
@@ -873,10 +874,12 @@ def run_world(cells):
 
     A family that raises fails its cells, not the run: each gets its
     error record (:func:`_failure`), and the next family builds a fresh
-    world.
+    world.  Returns the results and the positions of the cells whose
+    family built the world (the first, and each rebuild's).
     """
     world = None
     results = [None] * len(cells)
+    built = []
     try:
         for family in _families(cells):
             members = [cells[position] for position in family]
@@ -884,6 +887,7 @@ def run_world(cells):
                 try:
                     if world is None:
                         world = build_world(members[0].scenario)
+                        built.append(family[0])
                     else:
                         restore_world(world)
                     outcomes = _run_family(world, members)
@@ -897,7 +901,7 @@ def run_world(cells):
     finally:
         if world is not None:
             world.teardown()
-    return results
+    return results, built
 
 
 # --------------------------------------------------------------------- #
@@ -931,7 +935,7 @@ def world_chunks(cells, workers):
 
 
 def _completed_runs(cells, workers):
-    """Yield each chunk's results as the chunk completes.
+    """Yield each chunk's :func:`run_world` outcome as the chunk completes.
 
     ``workers<=1`` runs one chunk per world, inline; otherwise the
     :func:`world_chunks` go to a pool of at most one worker per chunk,
@@ -1072,8 +1076,9 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
     inline with ``workers<=1``, else on a pool of worker processes, and
     the parent builds nothing.  Each result is kept and, with
     *jsonl_path*, written to the JSONL as it completes, tagged with its
-    world-cache outcome (``miss`` for the cell that built its chunk's
-    world, ``hit`` for the rest).  The returned payload carries the grid,
+    world-cache outcome (``miss`` for a cell whose family built its
+    world, a rebuild after a raising family included; ``hit`` for the
+    rest).  The returned payload carries the grid,
     the :func:`aggregate` of the index-sorted results, the results
     themselves and the scheduling-dependent ``world_cache`` summary
     (excluded from :func:`payload_digest`); it is what lands in
@@ -1091,15 +1096,16 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
     builds = 0
     handle = None if jsonl_path is None else open(jsonl_path, "w")
     try:
-        for run in _completed_runs(cells, workers):
-            builds += 1
+        for run, built in _completed_runs(cells, workers):
+            builds += len(built)
             for position, result in enumerate(run):
                 if "exception" in result:
                     errors.append(result)
                     continue
                 results.append(result)
                 if handle is not None:
-                    line = {**result, "world": "hit" if position else "miss"}
+                    line = {**result,
+                            "world": "miss" if position in built else "hit"}
                     handle.write(json.dumps(line, sort_keys=True) + "\n")
                     handle.flush()
     finally:

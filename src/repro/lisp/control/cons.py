@@ -18,6 +18,7 @@ from functools import partial
 from repro.lisp.control.base import MappingSystem, _MapRequestLoop
 from repro.lisp.headers import LISP_CONTROL_PORT, MapReply, MapRequest
 from repro.net.addresses import IPv4Address
+from repro.net.fib import Fib, FibEntry
 
 
 #: CDRs are numbered by integer offset from here: every tree level starts
@@ -52,7 +53,7 @@ class _ConsEnvelope:
 class _TreeNode:
     """One CAR or CDR of the tree.
 
-    A node names its parent by address, not by reference: parent and
+    A node names its parent and children by address: parent and
     children pointing at each other would be a reference cycle outside
     every component a world is torn down through.
     """
@@ -81,6 +82,7 @@ class ConsMappingSystem(MappingSystem):
         self.sites = []
         self._pending = {}
         self._tree_by_address = {}
+        self._cars = Fib()  # EID prefix -> its CAR's address
         self._car_of_site = {}
         self._xtr_of_node = {}
         self._cdr_count = 0
@@ -106,6 +108,7 @@ class ConsMappingSystem(MappingSystem):
                             node=site.xtrs[0], site=site)
             self._car_of_site[site.index] = car
             self._tree_by_address[car.address] = car
+            self._cars.insert(FibEntry(site.eid_prefix, car.address))
             level.append(car)
         depth = 0
         block = _CDR_BLOCK
@@ -124,7 +127,7 @@ class ConsMappingSystem(MappingSystem):
                 cdr = _TreeNode(name=host.name, address=address, node=host)
                 for child in group:
                     child.parent_address = address
-                    cdr.children.append(child)
+                    cdr.children.append(child.address)
                 self._tree_by_address[address] = cdr
                 next_level.append(cdr)
             # The next level starts on the /24 after this one's last CDR:
@@ -135,17 +138,18 @@ class ConsMappingSystem(MappingSystem):
             level = next_level
         self.topology.install_global_routes()
 
-    def _covers(self, tree_node, eid):
-        """True if *eid* belongs to a site in this subtree."""
-        if tree_node.site is not None:
-            return tree_node.site.eid_prefix.contains(eid)
-        return any(self._covers(child, eid) for child in tree_node.children)
-
-    def _child_covering(self, tree_node, eid):
-        for child in tree_node.children:
-            if self._covers(child, eid):
-                return child
-        return None
+    def _descent(self, tree_node, eid):
+        """(covers *eid*?, covering child's address)."""
+        # Climbs from the CAR of *eid*'s site toward the root: O(depth).
+        entry = self._cars.lookup(eid, default=None)
+        below = None
+        address = entry.interface if entry is not None else None
+        while address is not None:
+            if address == tree_node.address:
+                return True, below
+            below = address
+            address = self._tree_by_address[address].parent_address
+        return False, None
 
     # -- resolution ----------------------------------------------------------- #
 
@@ -192,10 +196,8 @@ class ConsMappingSystem(MappingSystem):
                                   path=list(envelope.path), mapping=mapping)
             self._send_back(node, me.address, reply)
             return
-        if self._covers(me, eid):
-            target = self._child_covering(me, eid).address
-        else:
-            target = me.parent_address
+        covers, child = self._descent(me, eid)
+        target = child if covers else me.parent_address
         if target is None:
             return
         forward = _ConsEnvelope(kind="request", request=envelope.request,

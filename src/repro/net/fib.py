@@ -71,7 +71,7 @@ class Fib:
         self.version = 0
         #: ``address value -> entry`` (None for a miss) of every destination
         #: looked up since the last mutation.  Created on first lookup and
-        #: dropped by every insert/remove/clear/restore, so tables nobody
+        #: dropped by every insert/remove/restore, so tables nobody
         #: forwards through carry no dict; it holds at most one key per
         #: distinct destination this table was asked about.
         self._memo = None
@@ -161,14 +161,6 @@ class Fib:
         """All entries, in ``(network, length)`` order."""
         return sorted((entry for _mask, table, _length in self._probes
                        for entry in table.values()), key=_prefix_order)
-
-    def clear(self):
-        owner = self._owner
-        if owner is not None and owner._journal is not None:
-            owner._touch()
-        self._probes = ()
-        self.version += 1
-        self._memo = None
 
     #: Construction-time wiring: whose state this table is part of.
     _SNAPSHOT_EXEMPT = ("_owner",)

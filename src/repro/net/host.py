@@ -38,7 +38,8 @@ class UdpSocket:
 
     def send(self, dst, dport, payload=None, payload_bytes=0, meta=None):
         """Fire-and-forget datagram."""
-        packet = udp_packet(self.host.address, IPv4Address(dst), self.port, dport,
+        # The IPv4 header wraps a *dst* that is not yet an IPv4Address.
+        packet = udp_packet(self.host.address, dst, self.port, dport,
                             payload=payload, payload_bytes=payload_bytes, meta=meta)
         self.host.send(packet)
         return packet

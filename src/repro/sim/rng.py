@@ -56,10 +56,6 @@ class RandomStreams:
         twin.setstate(self.stream(name).getstate())
         return twin
 
-    def names(self):
-        """Names of the streams created so far (for diagnostics)."""
-        return sorted(self._streams)
-
     def checkpoint(self):
         """Make the current stream states what :meth:`rollback` returns to.
 

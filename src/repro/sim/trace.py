@@ -55,9 +55,6 @@ class Tracer:
         wanted = set(kinds)
         return [record for record in self.records if record.kind in wanted]
 
-    def clear(self):
-        self.records.clear()
-
     def snapshot_state(self):
         return (len(self.records), self.enabled)
 

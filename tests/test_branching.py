@@ -76,10 +76,10 @@ def _alone(result):
 def _branched_cells_equal_cells_run_alone(grid, forks):
     """Every cell of *grid*'s one family against its one-fraction grid;
     the branched cells' metrics."""
-    branched = run_world(expand_grid(grid))
+    branched, _built = run_world(expand_grid(grid))
     assert len(forks["pids"]) == len(FRACTIONS) - 1
     for result in branched:
-        (alone,) = run_world(expand_grid(
+        (alone,), _built = run_world(expand_grid(
             replace(grid, fail_fractions=(result["fail_fraction"],))))
         assert _alone(result) == _alone(alone), result["cell_id"]
     return [result["metrics"] for result in branched]
@@ -154,7 +154,7 @@ def test_failures_keep_the_queue_keys_of_the_cell_run_unbranched(forks):
                                        "probe_timeout": 0.125},
                    fail_at=1.25, repair_at=3.25)
     cells = expand_grid(grid)
-    branched = run_world(cells)
+    branched, _built = run_world(cells)
     assert len(forks["pids"]) == 1
     for cell, result in zip(cells, branched, strict=True):
         world = build_world(cell.scenario)
@@ -205,7 +205,7 @@ def test_a_child_that_raises_fails_only_its_cell(monkeypatch, forks):
     cells = expand_grid(_grid("alt", "constant"))
     gc.collect()
     before = _live_simulators()
-    results = run_world(cells)
+    results, _built = run_world(cells)
     assert len(forks["pids"]) == 2 and not forks["alive"]
     failed = results[1]
     assert (failed["index"], failed["cell_id"], failed["exception"],
@@ -217,7 +217,7 @@ def test_a_child_that_raises_fails_only_its_cell(monkeypatch, forks):
     # its simulator.
     assert _live_simulators() == before
     monkeypatch.undo()
-    clean = run_world(cells)
+    clean, _built = run_world(cells)
     assert [results[0], results[2]] == [clean[0], clean[2]]
 
 
@@ -234,7 +234,7 @@ def test_a_fluid_world_that_raises_mid_pump_dies_by_reference_count(
     cells = expand_grid(replace(_grid("alt", "fluid"), fail_fractions=(0.0,)))
     gc.collect()
     before = _live_simulators()
-    [failed] = run_world(cells)
+    [failed], _built = run_world(cells)
     assert (failed["exception"], failed["message"]) == ("ValueError",
                                                         "pump jammed")
     assert _live_simulators() == before
@@ -249,7 +249,7 @@ def test_a_child_that_dies_fails_its_family_naming_its_cell(monkeypatch,
             os._exit(7)
         return run_cell(world, cell, prefix)
     monkeypatch.setattr(sweep, "run_cell", branch_dies)
-    results = run_world(expand_grid(_grid("alt", "constant")))
+    results, _built = run_world(expand_grid(_grid("alt", "constant")))
     assert [result["exception"] for result in results] == ["RuntimeError"] * 3
     assert {result["message"] for result in results} == {
         "cell 'alt-sites6-zipf1-fail0.5-seed3' (index 2) died in its branch "
@@ -262,7 +262,7 @@ def test_a_run_with_another_thread_alive_does_not_fork(forks):
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        results = run_world(expand_grid(_grid("alt", "constant")))
+        results, _built = run_world(expand_grid(_grid("alt", "constant")))
     finally:
         release.set()
         other.join()

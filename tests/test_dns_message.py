@@ -96,7 +96,8 @@ def _delegating_zone(origin, children):
 def test_find_delegation_hand_cases(origin, children, name, expected):
     zone = _delegating_zone(origin, children)
     assert _scan_for_delegation(zone, name) == expected
-    assert zone._find_delegation(name) == expected
+    # A zone takes the name normalised, as a Question holds it.
+    assert zone._find_delegation(normalise_name(name)) == expected
 
 
 def test_lookup_ignores_a_delegation_of_the_origin():
@@ -128,7 +129,7 @@ def test_find_delegation_matches_the_linear_scan_on_random_zones(seed):
         if rng.random() < 0.3:
             name = name[:-1]
         expected = _scan_for_delegation(zone, name)
-        assert zone._find_delegation(name) == expected, name
+        assert zone._find_delegation(normalise_name(name)) == expected, name
         found.add(expected)
     assert None in found and len(found) > 20   # hits and misses both
 

@@ -4,7 +4,8 @@ Each test drives a fast path (the ``Fib`` hash tables and lookup memo, the
 inlined engine dispatch loop, the cached ``Packet.size_bytes`` and hop
 ledger and their construction-time values, ``IPv4Prefix``'s own mask, the
 memoised ``MappingRecord.best_rloc``, the ``Node`` local-address set, the
-one-frame ``Router.receive``)
+one-frame ``Router.receive``, the memoised DNS question and record sizes,
+the CoNS tree's climb from a CAR)
 and a deliberately naive model side by side over seeded random input, and
 asserts they never disagree.  Stdlib only.
 """
@@ -17,7 +18,10 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.experiments.scenario import ScenarioConfig
+from repro.core.messages import EncapsulatedDnsReply
+from repro.dns.message import DnsMessage, encode_name
+from repro.dns.records import TYPE_CNAME
+from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.workload import WorkloadConfig, run_workload
 from repro.experiments import worldbuild
 from repro.experiments.worldbuild import (SnapshotError, build_world,
@@ -107,7 +111,8 @@ def test_fib_memo_matches_brute_force_under_churn(seed):
             removed = fib.remove(prefix)
             assert removed is table.pop((prefix.network.value, prefix.length), None)
         elif action < 0.42:
-            fib.clear()
+            for entry in fib.entries():  # empty the table
+                fib.remove(entry.prefix)
             table.clear()
         elif action < 0.45:
             checkpoint = (fib.snapshot_state(), dict(table))
@@ -143,7 +148,8 @@ def test_fib_memoized_miss_is_covered_by_a_later_insert():
     fib.remove("10.2.3.0/24")
     assert fib.lookup(address).interface == "if2"
     state = fib.snapshot_state()
-    fib.clear()
+    for entry in fib.entries():  # empty the table
+        fib.remove(entry.prefix)
     assert fib.lookup(address, default=None) is None
     fib.restore_state(state)
     assert fib.lookup(address).interface == "if2"
@@ -186,7 +192,8 @@ def test_fib_entries_match_a_reference_dict_under_churn(seed):
             fib.remove(prefix)
             table.pop((prefix.network.value, prefix.length), None)
         elif action < 0.88:
-            fib.clear()
+            for entry in fib.entries():  # empty the table
+                fib.remove(entry.prefix)
             table = {}
         elif action < 0.94:
             checkpoint = fib.snapshot_state()
@@ -247,7 +254,8 @@ def test_fib_length_leaves_the_probe_order_with_its_last_route():
     assert fib.lookup("10.1.2.4").interface == "if24c"
     check()
     state = fib.snapshot_state()
-    fib.clear()
+    for entry in fib.entries():  # empty the table
+        fib.remove(entry.prefix)
     assert probed_lengths() == [] and fib.lookup("10.1.2.3", default=None) is None
     fib.restore_state(state)
     assert probed_lengths() == [32, 24, 16, 8]
@@ -1194,3 +1202,107 @@ def test_tracing_on_and_off_runs_are_identical(control_plane):
     assert traced[1:3] == untraced[1:3]
     assert traced[3] > 0 and untraced[3] == 0
     assert all(record["packets_sent"] == 3 for record in traced[0])
+
+
+# --------------------------------------------------------------------- #
+# DNS sizes fixed on first ask vs the codec
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("control_plane", sorted(CONTROL_PLANES))
+def test_memoised_dns_sizes_match_the_codec(control_plane, monkeypatch):
+    """Every DNS message a node sends is sized from its question's and its
+    records' memoised sizes: each equals the codec's bytes, and a record
+    carried by several messages (a coalesced query's copy, a chased
+    answer spliced into a reply) has the one size in all of them."""
+    sent = []
+    real_send = Node.send
+
+    def capture(node, packet):
+        message = packet.payload
+        if isinstance(message, EncapsulatedDnsReply):
+            message = message.dns_reply
+        if isinstance(message, DnsMessage):
+            records = [*message.answers, *message.authorities,
+                       *message.additionals]
+            sent.append((message, message.encode(), message.question._size,
+                         [(record, record._size) for record in records]))
+        return real_send(node, packet)
+
+    copies = []
+    real_copy = DnsMessage.copy
+
+    def counted_copy(message):
+        copies.append(message)
+        return real_copy(message)
+
+    monkeypatch.setattr(Node, "send", capture)
+    monkeypatch.setattr(DnsMessage, "copy", counted_copy)
+    world = build_world(ScenarioConfig(control_plane=control_plane,
+                                       num_sites=3, seed=17,
+                                       dns_extra_levels=2, tracing=False))
+    sites = world.topology.sites
+    dns = world.dns
+    alias = f"mirror.{dns.site_domain(sites[1])}"
+    dns.resolvers[1].zone.add_cname(alias, dns.host_name(sites[2], 0))
+    names = [dns.host_name(sites[1], 0), alias, dns.host_name(sites[2], 1),
+             f"missing.{dns.site_domain(sites[1])}"]
+    # Both hosts of a site ask each name at once: the second query joins
+    # the walk the first one leads.
+    for when, name in enumerate(names):
+        for host in sites[0].hosts[:2]:
+            world.sim.call_in(float(when), world.stub_for(host, sites[0]).lookup,
+                              name)
+    world.sim.run(until=len(names) + 5.0)
+    records = run_workload(world, WorkloadConfig(num_flows=8,
+                                                 arrival_rate=20.0))
+    world.teardown()
+    assert not any(record.failed for record in records)
+    assert len(copies) >= 2  # a follower's copy, and the chased reply's
+    assert any(record.rtype == TYPE_CNAME
+               for _m, _w, _q, carried in sent for record, _size in carried)
+    sizes = {}
+    for message, wire, question_size, carried in sent:
+        assert message.size_bytes == len(wire)
+        assert question_size == len(encode_name(message.question.qname)) + 4
+        for record, size in carried:
+            assert size == len(DnsMessage._encode_rr(record)), str(record)
+            assert sizes.setdefault(id(record), size) == size
+    assert len(sizes) < sum(len(carried) for *_rest, carried in sent)
+
+
+# --------------------------------------------------------------------- #
+# CoNS: the climb from a CAR vs the recursive subtree scan
+# --------------------------------------------------------------------- #
+
+
+def _reference_covers(system, node, eid):
+    """The subtree scan each CoNS hop used to make: True if *eid* belongs
+    to a site under *node*."""
+    if node.site is not None:
+        return node.site.eid_prefix.contains(eid)
+    return any(_reference_covers(system, system._tree_by_address[child], eid)
+               for child in node.children)
+
+
+@pytest.mark.parametrize("num_sites", (60, 200))
+def test_cons_descent_matches_the_recursive_subtree_scan(num_sites):
+    world = build_world(ScenarioConfig(control_plane="cons",
+                                       num_sites=num_sites, num_providers=8,
+                                       tracing=False))
+    system = world.mapping_system
+    sites = world.topology.sites
+    unassigned = IPv4Address("100.200.0.7")
+    assert not any(site.eid_prefix.contains(unassigned) for site in sites)
+    eids = [host.address for site in sites for host in site.hosts]
+    nodes = list(system._tree_by_address.values())
+    assert any(node.name.startswith("cdr-d3-") for node in nodes)
+    for node in nodes:
+        for eid in (*eids, unassigned):
+            child = next((address for address in node.children
+                          if _reference_covers(
+                              system, system._tree_by_address[address], eid)),
+                         None)
+            expected = (_reference_covers(system, node, eid), child)
+            assert system._descent(node, eid) == expected, (node.name, eid)
+    world.teardown()

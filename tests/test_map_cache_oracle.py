@@ -159,7 +159,8 @@ def test_fib_memo_answers_the_longest_present_prefix(ops):
         elif kind == "remove":
             assert fib.remove(op[1]) is routes.pop(op[1], None)
         elif kind == "clear":
-            fib.clear()
+            for entry in fib.entries():  # empty the table
+                fib.remove(entry.prefix)
             routes.clear()
         else:
             covering = [prefix for prefix in routes if prefix.contains(op[1])]

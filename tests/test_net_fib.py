@@ -69,14 +69,6 @@ def test_entries_sorted():
     assert prefixes == ["10.0.0.0/8", "10.1.0.0/16", "11.0.0.0/8"]
 
 
-def test_clear():
-    fib = make_fib(("10.0.0.0/8", "a"))
-    fib.clear()
-    assert len(fib) == 0
-    with pytest.raises(NoRouteError):
-        fib.lookup("10.0.0.1")
-
-
 def test_zero_length_prefix_only():
     fib = make_fib(("0.0.0.0/0", "any"))
     assert fib.lookup("0.0.0.0").interface == "any"

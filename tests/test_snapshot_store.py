@@ -240,10 +240,10 @@ def test_memory_store_one_build_many_restores(monkeypatch):
     monkeypatch.setattr(sweep, "start_workload", watched)
     cells = expand_grid(replace(GRID, control_planes=("pce",),
                                 zipf_values=(0.0, 0.5, 1.0, 1.5)))
-    results = run_world(cells)
+    results, built = run_world(cells)
     assert [result["index"] for result in results] \
         == [cell.index for cell in cells]
-    assert len(builds) == 1
+    assert len(builds) == 1 and built == [0]
     assert [world for world, _now in seen] == builds * len(cells)
     assert len({now for _world, now in seen}) == 1  # reset in place
 

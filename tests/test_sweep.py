@@ -202,7 +202,7 @@ def test_expand_grid_cells_trace_disabled():
 
 def run_one(cell):
     """*cell*'s result on a world built for it alone (and torn down)."""
-    (result,) = run_world([cell])
+    (result,), _built = run_world([cell])
     return result
 
 
@@ -385,6 +385,22 @@ def test_a_raising_cell_leaves_the_rest_of_the_sweep(workers, tmp_path,
     assert lines(tmp_path / "raised.jsonl") == [
         json.dumps(cell, sort_keys=True) for cell in sorted(
             rest, key=lambda cell: json.dumps(cell, sort_keys=True))]
+
+
+def test_a_rebuild_after_a_raising_family_counts_as_a_build(tmp_path,
+                                                           monkeypatch):
+    """The family after a raising one builds its world afresh: the
+    world cache counts that build, and its cell's JSONL line reads
+    ``miss``, not ``hit``."""
+    clean = run_sweep(RAISING, jsonl_path=tmp_path / "clean.jsonl")
+    assert clean["world_cache"] == {"builds": 2, "hits": 4}
+    _raise_in(monkeypatch, clean["cells"][1]["cell_id"])
+    raised = run_sweep(RAISING, jsonl_path=tmp_path / "raised.jsonl")
+    assert raised["world_cache"] == {"builds": 3, "hits": 3}
+    with open(tmp_path / "raised.jsonl") as handle:
+        labels = {entry["index"]: entry["world"]
+                  for entry in map(json.loads, handle)}
+    assert labels == {0: "miss", 2: "miss", 3: "miss", 4: "hit", 5: "hit"}
 
 
 def test_cli_sweep_exits_nonzero_naming_a_raising_cell(tmp_path, capsys,

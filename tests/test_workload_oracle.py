@@ -26,6 +26,7 @@ closes its socket, and an E9 sender one nanosecond slow.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from reference_driver import (
@@ -278,12 +279,13 @@ def trace_of(scenario):
 
 
 def keep_worlds(monkeypatch, module):
-    """The worlds *module*'s runner builds, kept past the runner's
-    teardown so the test can read them after it returns."""
+    """The worlds *module*'s runner builds, traced (whatever the runner
+    asks) and kept past the runner's teardown so the test can read them
+    after it returns."""
     built = []
 
     def build(config):
-        built.append(build_scenario(config))
+        built.append(build_scenario(replace(config, tracing=True)))
         return built[-1]
 
     monkeypatch.setattr(module, "build_scenario", build)

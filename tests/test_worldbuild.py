@@ -57,7 +57,8 @@ def test_incremental_install_matches_from_scratch():
     incremental = [_fib_snapshot(p) for p in topology.providers]
 
     for provider in topology.providers:
-        provider.fib.clear()
+        for entry in provider.fib.entries():  # empty the table
+            provider.fib.remove(entry.prefix)
     install_mesh_routes(topology.providers, topology.attachments)
     from_scratch = [_fib_snapshot(p) for p in topology.providers]
     assert incremental == from_scratch
@@ -107,7 +108,7 @@ def test_reused_world_summary_byte_identical(control_plane):
     """A cell on a cache-reused world == the same cell on a fresh world."""
     cell = _cell_for(control_plane)
     fresh = run_one(cell)  # a world built for this cell alone
-    first, reused = run_world([cell, cell])  # built, then reset in place
+    (first, reused), _built = run_world([cell, cell])  # built, then reset
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
     assert json.dumps(fresh, sort_keys=True) == json.dumps(reused, sort_keys=True)
 
@@ -163,7 +164,7 @@ def test_probing_worlds_hit_the_cache(worlds_built):
     other: a run of two of their cells builds once and restores once."""
     cell = _failover_cell(fail_fractions=(0.0,))
     assert cell.scenario.enable_probing
-    first, second = run_world([cell, cell])
+    (first, second), _built = run_world([cell, cell])
     assert len(worlds_built) == 1
     assert json.dumps(first, sort_keys=True) \
         == json.dumps(second, sort_keys=True)
@@ -190,7 +191,7 @@ def test_failover_cell_fresh_vs_restored_byte_identical():
     """
     cell = _failover_cell()
     fresh = run_one(cell)
-    first, reused = run_world([cell, cell])
+    (first, reused), _built = run_world([cell, cell])
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
     assert json.dumps(fresh, sort_keys=True) == json.dumps(reused, sort_keys=True)
 
@@ -321,7 +322,7 @@ def test_shaped_cell_fresh_vs_restored_byte_identical():
     """
     cell = _shaped_cell()
     fresh = run_one(cell)
-    first, reused = run_world([cell, cell])
+    (first, reused), _built = run_world([cell, cell])
     assert fresh["metrics"]["bytes_conserved"] is True
     assert fresh["metrics"]["access_util_peak"] > 0.0
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
@@ -416,7 +417,7 @@ def _run_twice(cells):
     """One world run per world: its cells (a build, then resets), then its
     first cell again (one more reset)."""
     for chunk in world_chunks(cells, 1):
-        yield run_world([*chunk, chunk[0]])
+        yield run_world([*chunk, chunk[0]])[0]
 
 
 @pytest.mark.parametrize("name", sorted(TEARDOWN_MATRIX))
@@ -475,10 +476,11 @@ def test_a_world_run_tears_its_world_down_when_a_cell_raises(collector_off,
         ran.append(cell)
         return run_cell(world, cell, prefix)
     monkeypatch.setattr(sweep, "run_cell", second_cell_raises)
-    results = run_world(cells)
+    results, built = run_world(cells)
     assert len(ran) == 1
     assert [result.get("exception") for result in results] == [
         None, "RuntimeError", "RuntimeError"]
+    assert built == [0, 2]  # the first family's build, and the rebuild
     assert _live_simulators() == before
     assert _cyclic_garbage() == []
 
@@ -653,7 +655,7 @@ def test_failure_cells_reuse_cleanly():
                      num_flows=10, arrival_rate=10.0)
     intact_cell, failed_cell = expand_grid(grid)
     baseline = run_one(intact_cell)
-    _failed, after_failure = run_world([failed_cell, intact_cell])
+    (_failed, after_failure), _built = run_world([failed_cell, intact_cell])
     assert json.dumps(after_failure, sort_keys=True) \
         == json.dumps(baseline, sort_keys=True)
 
@@ -678,7 +680,8 @@ def test_single_tier_hierarchical_plan_equals_flat_plan():
             built = [_fib_snapshot(p) for p in topology.providers]
             reference = FlatRoutingPlan(topology.providers)
             for provider in topology.providers:
-                provider.fib.clear()
+                for entry in provider.fib.entries():  # empty the table
+                    provider.fib.remove(entry.prefix)
             reference.install(topology.attachments)
             assert [_fib_snapshot(p) for p in topology.providers] == built
             plan = topology.routing_plan
@@ -700,7 +703,7 @@ def test_tiered_cell_fresh_vs_restored_byte_identical():
     on the restored world matches the fresh run byte-for-byte."""
     cell = _tiered_cell()
     fresh = run_one(cell)
-    first, reused = run_world([cell, cell])
+    (first, reused), _built = run_world([cell, cell])
     assert json.dumps(fresh, sort_keys=True) == json.dumps(first, sort_keys=True)
     assert json.dumps(fresh, sort_keys=True) == json.dumps(reused, sort_keys=True)
 

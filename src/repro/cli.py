@@ -37,6 +37,15 @@ cache:`` line reports hits and builds, which depend on it).  A cell that
 raises is left out of them and named on stderr; the rest run, and the
 command exits 1.
 
+A sweep that was cut short resumes from its per-cell JSONL: the same
+command plus ``--resume`` keeps the cells that JSONL holds (a cut-off
+last line is dropped), runs only the rest and writes the JSON, CSV and
+JSONL one uninterrupted run would (the JSONL may be the file resumed
+from).  A line that is not the grid's cell at its index is refused,
+naming the index, before any world is built::
+
+    python -m repro sweep --preset scale --json s.json --resume s.cells.jsonl
+
 Static analysis (``repro analyze``)
 -----------------------------------
 
@@ -113,6 +122,9 @@ def build_parser():
     sweep.add_argument("--jsonl", default=None,
                        help="stream per-cell results here (default: derived "
                             "from --json, else sweep-<preset>.cells.jsonl)")
+    sweep.add_argument("--resume", default=None, metavar="JSONL",
+                       help="keep the cells this earlier run's per-cell JSONL "
+                            "holds and run only the rest")
     for axis in AXES:
         if axis.flag is not None:
             sweep.add_argument(axis.flag, nargs="+", type=axis.type,
@@ -152,7 +164,8 @@ def _run_sweep_command(args):
     try:
         payload = run_sweep(
             grid, workers=max(1, args.workers), json_path=args.json,
-            csv_path=args.csv, jsonl_path=jsonl_path)
+            csv_path=args.csv, jsonl_path=jsonl_path,
+            resume_path=args.resume)
     except ValueError as error:
         print(f"sweep error: {error}")
         return 1
@@ -171,7 +184,10 @@ def _run_sweep_command(args):
                         "setup_p95", "bytes", "util"), rows,
                        title=f"sweep '{grid.name}': {payload['num_cells']} cells"))
     cache = payload["world_cache"]
-    print(f"world cache: {cache['hits']} hits / {cache['builds']} builds")
+    resumed = (f" ({cache['resumed']} cells resumed)" if "resumed" in cache
+               else "")
+    print(f"world cache: {cache['hits']} hits / {cache['builds']} builds"
+          f"{resumed}")
     for path, label in ((args.json, "json"), (args.csv, "csv"),
                         (jsonl_path, "jsonl")):
         if path is not None:

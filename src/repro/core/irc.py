@@ -55,8 +55,10 @@ class IrcEngine:
         self.topology = topology
         self.policy = policy
         self._rng_name = f"irc-{site.name}"
-        self.estimates = [ProviderEstimate(self._path_delay_estimate(b))
-                          for b in range(len(site.xtrs))]
+        #: Each xTR's path delay before jitter: world constants, derived once.
+        self._path_delays = tuple(self._path_delay_estimate(b)
+                                  for b in range(len(site.xtrs)))
+        self.estimates = [ProviderEstimate(delay) for delay in self._path_delays]
 
     # ------------------------------------------------------------------ #
     # Measurement
@@ -67,7 +69,7 @@ class IrcEngine:
         # Fetched where it is drawn: the hand-out is what journals the stream.
         rng = self.sim.rng.stream(self._rng_name)
         for b, estimate in enumerate(self.estimates):
-            sample = self._path_delay_estimate(b) + rng.uniform(0, JITTER)
+            sample = self._path_delays[b] + rng.uniform(0, JITTER)
             estimate.delay_ewma = ((1 - EWMA_ALPHA) * estimate.delay_ewma
                                    + EWMA_ALPHA * sample)
             links = self.site.access_links[b]
@@ -118,7 +120,8 @@ class IrcEngine:
 
     #: Construction-time config (the RNG stream is fetched by name where it
     #: is drawn and restored by the simulator's RandomStreams).
-    _SNAPSHOT_EXEMPT = ("sim", "site", "topology", "policy", "_rng_name")
+    _SNAPSHOT_EXEMPT = ("sim", "site", "topology", "policy", "_rng_name",
+                        "_path_delays")
 
     def snapshot_state(self):
         """Per-provider estimates for world reuse."""

@@ -68,7 +68,8 @@ class ResourceRecord:
         check_ttl("ResourceRecord.ttl", self.ttl)
         object.__setattr__(self, "name", normalise_name(self.name))
         if self.rtype == TYPE_A:
-            object.__setattr__(self, "data", IPv4Address(self.data))
+            if type(self.data) is not IPv4Address:
+                object.__setattr__(self, "data", IPv4Address(self.data))
         elif self.rtype in (TYPE_NS, TYPE_CNAME):
             object.__setattr__(self, "data", normalise_name(str(self.data)))
 

@@ -17,7 +17,7 @@ from repro.dns.cache import TtlCache
 from repro.dns.message import (DNS_PORT, DnsMessage, FLAG_RD, Question, make_query,
                                make_reply)
 from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
-from repro.dns.server import PROCESSING_DELAY
+from repro.dns.server import PROCESSING_DELAY, authoritative_reply
 from repro.sim.events import Event
 from repro.sim.state import Journaled
 
@@ -69,12 +69,7 @@ class RecursiveResolver(Journaled):
         if self.zone is None:
             reply = make_reply(query, rcode=RCODE_SERVFAIL)
         else:
-            result = self.zone.lookup(query.question.qname, query.question.qtype)
-            reply = make_reply(query, answers=result.answers,
-                               authorities=result.authorities,
-                               additionals=result.additionals,
-                               authoritative=not result.is_referral,
-                               rcode=result.rcode)
+            reply = authoritative_reply(self.zone, query)
         self._reply_to(packet, reply)
 
     def _serve_recursive(self, query, packet):

@@ -6,11 +6,20 @@ subclassing it, so the same node could also host a PCE or other roles
 """
 
 from repro.dns.message import DNS_PORT, DnsMessage, make_reply
-from repro.dns.records import RCODE_NXDOMAIN
 
 #: Seconds a DNS server (authoritative or recursive) spends on a query
 #: before its answer or its first upstream query leaves.
 PROCESSING_DELAY = 0.0002
+
+
+def authoritative_reply(zone, query):
+    """The reply *zone* gives *query*: answer, referral or NXDOMAIN (a pure
+    function of the zone; an authoritative server and a resolver serving
+    its own zone both answer with it)."""
+    result = zone.lookup(query.question.qname, query.question.qtype)
+    return make_reply(query, answers=result.answers, authorities=result.authorities,
+                      additionals=result.additionals,
+                      authoritative=not result.is_referral, rcode=result.rcode)
 
 
 class AuthoritativeServer:
@@ -30,17 +39,8 @@ class AuthoritativeServer:
         if not query.is_query or query.question is None:
             return
         self.sim.call_in(PROCESSING_DELAY, self._send_reply, packet,
-                         self.answer(query))
+                         authoritative_reply(self.zone, query))
 
     def _send_reply(self, packet, reply):
         self.node.send_udp(src=packet.ip.dst, dst=packet.ip.src, sport=DNS_PORT,
                            dport=packet.udp.sport, payload=reply)
-
-    def answer(self, query):
-        """Build the authoritative reply for *query* (pure function of zone)."""
-        result = self.zone.lookup(query.question.qname, query.question.qtype)
-        if result.rcode == RCODE_NXDOMAIN:
-            return make_reply(query, authoritative=True, rcode=RCODE_NXDOMAIN)
-        return make_reply(query, answers=result.answers, authorities=result.authorities,
-                          additionals=result.additionals,
-                          authoritative=not result.is_referral)

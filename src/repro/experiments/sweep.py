@@ -1069,7 +1069,35 @@ def _check_outputs(artifact_paths):
                              f"no such directory {directory!r}")
 
 
-def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
+def _resumed(cells, path):
+    """``{index: result}`` of the cells an earlier run of *cells*' grid
+    wrote to the JSONL at *path* (a cut-off last line skipped).
+
+    Raises ``ValueError``, naming the index, for a line that is not the
+    grid's cell at its index: the JSONL of another grid.
+    """
+    if not os.path.isfile(path):
+        raise ValueError(f"cannot resume from {path!r}: no such file")
+    done = {}
+    for result in iter_jsonl(path):
+        index = result.get("index")
+        expected = (cells[index].cell_id if type(index) is int
+                    and 0 <= index < len(cells) else None)
+        if expected is None or result.get("cell_id") != expected:
+            raise ValueError(
+                f"cannot resume from {path!r}: its line for index {index} is "
+                f"cell {result.get('cell_id')!r}, the grid's is {expected!r}")
+        done[index] = result
+    return done
+
+
+def _write_line(handle, result, world):
+    handle.write(json.dumps({**result, "world": world}, sort_keys=True) + "\n")
+    handle.flush()
+
+
+def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
+              resume_path=None):
     """Expand *grid*, run every cell, aggregate, and write artifacts.
 
     The cells run as :func:`world_chunks`, each through :func:`run_world`:
@@ -1086,17 +1114,30 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
     cell that raised is left out; its error record is in ``errors``
     (undigested, present only then).
 
+    *resume_path* names the JSONL of an earlier run of this grid, cut short:
+    its cells are kept (and written first to *jsonl_path*, which may be
+    the same file, tagged ``resumed``), only the rest run, and the
+    artifacts are those of one uninterrupted run (``world_cache`` counts
+    this run's cells, and the resumed ones under ``resumed``).
+
     Raises ``ValueError`` — before anything is built — for an artifact
-    path that is a directory or lies in a missing one.
+    path that is a directory or lies in a missing one, and for a
+    *resume_path* that is missing or holds a line that is not this grid's cell at
+    its index.
     """
     _check_outputs({"json": json_path, "csv": csv_path, "jsonl": jsonl_path})
     cells = expand_grid(grid)
-    results = []
+    done = {} if resume_path is None else _resumed(cells, resume_path)
+    pending = [cell for cell in cells if cell.index not in done]
+    results = list(done.values())
     errors = []
     builds = 0
     handle = None if jsonl_path is None else open(jsonl_path, "w")
     try:
-        for run, built in _completed_runs(cells, workers):
+        if handle is not None:
+            for result in results:
+                _write_line(handle, result, "resumed")
+        for run, built in _completed_runs(pending, workers) if pending else ():
             builds += len(built)
             for position, result in enumerate(run):
                 if "exception" in result:
@@ -1104,10 +1145,8 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
                     continue
                 results.append(result)
                 if handle is not None:
-                    line = {**result,
-                            "world": "miss" if position in built else "hit"}
-                    handle.write(json.dumps(line, sort_keys=True) + "\n")
-                    handle.flush()
+                    _write_line(handle, result,
+                                "miss" if position in built else "hit")
     finally:
         if handle is not None:
             handle.close()
@@ -1117,9 +1156,11 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None):
         "grid": grid.describe(),
         "num_cells": len(results),
         "aggregates": aggregate(results),
-        "world_cache": {"builds": builds, "hits": len(cells) - builds},
+        "world_cache": {"builds": builds, "hits": len(pending) - builds},
         "cells": results,
     }
+    if resume_path is not None:
+        payload["world_cache"]["resumed"] = len(done)
     if errors:
         payload["errors"] = sorted(errors, key=operator.itemgetter("index"))
     if csv_path is not None:

@@ -7,7 +7,7 @@ with the total number of EID prefixes on every router, plus full-database
 churn on updates — the trade-off experiment E5 quantifies.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.lisp.control.base import MappingSystem
 from repro.net.addresses import IPv4Address
@@ -26,11 +26,13 @@ class _DatabasePush:
 
     version: int
     mappings: tuple
+    #: Wire size, fixed when the push is built: every xTR's copy and every
+    #: packet carrying one read it.
+    size_bytes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size_bytes(self):
+    def __post_init__(self):
         sizes = (mapping.size_bytes for mapping in self.mappings)
-        return NERD_HEADER_BYTES + sum(sizes)  # repro: allow=DET03  (bytes: ints)
+        self.size_bytes = NERD_HEADER_BYTES + sum(sizes)  # repro: allow=DET03  (bytes: ints)
 
 
 class NerdMappingSystem(MappingSystem):

@@ -20,7 +20,8 @@ class RlocEntry:
     reachable: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "address", IPv4Address(self.address))
+        if type(self.address) is not IPv4Address:
+            object.__setattr__(self, "address", IPv4Address(self.address))
 
     def __str__(self):
         return f"{self.address} p{self.priority}/w{self.weight}"
@@ -36,8 +37,10 @@ class MappingRecord:
     source_rloc: IPv4Address = None  # PCE CP: outer source to use (two one-way tunnels)
 
     def __post_init__(self):
-        object.__setattr__(self, "eid_prefix", IPv4Prefix(self.eid_prefix))
-        object.__setattr__(self, "rlocs", tuple(self.rlocs))
+        if type(self.eid_prefix) is not IPv4Prefix:
+            object.__setattr__(self, "eid_prefix", IPv4Prefix(self.eid_prefix))
+        if type(self.rlocs) is not tuple:
+            object.__setattr__(self, "rlocs", tuple(self.rlocs))
         if self.source_rloc is not None:
             object.__setattr__(self, "source_rloc", IPv4Address(self.source_rloc))
 

@@ -16,6 +16,8 @@ _MAX32 = (1 << 32) - 1
 #: every prefix of that length.
 _MASKS = tuple((_MAX32 << (32 - length)) & _MAX32 for length in range(33))
 
+_new = object.__new__
+
 
 def _parse_dotted_quad(text):
     parts = text.split(".")
@@ -50,6 +52,13 @@ class IPv4Address:
         else:
             raise AddressError(f"cannot build IPv4Address from {value!r}")
 
+    @staticmethod
+    def _trusted(value):
+        """Unchecked: see "Addresses" in ``docs/contracts.md``."""
+        address = _new(IPv4Address)
+        address._value = value
+        return address
+
     def __int__(self):
         return self._value
 
@@ -78,9 +87,7 @@ class IPv4Address:
         return NotImplemented
 
     def __hash__(self):
-        # The integer's own hash: no tuple per call, and consistent with
-        # ``address == int``.
-        return hash(self._value)
+        return hash(self._value)  # as ``address == int`` needs; no tuple
 
     def __add__(self, offset):
         return IPv4Address(self._value + int(offset))
@@ -134,12 +141,17 @@ class IPv4Prefix:
         base = IPv4Address(network).value
         mask = _MASKS[length]
         if base & ~mask & _MAX32:
-            raise AddressError(
-                f"host bits set in prefix {IPv4Address(base)}/{length}"
-            )
+            raise AddressError(f"host bits set in prefix {IPv4Address(base)}/{length}")
         self._network = base
         self._length = length
         self._mask = mask
+
+    @staticmethod
+    def _trusted(network, length):
+        """Unchecked: see "Addresses" in ``docs/contracts.md``."""
+        prefix = _new(IPv4Prefix)
+        prefix._network, prefix._length, prefix._mask = network, length, _MASKS[length]
+        return prefix
 
     @staticmethod
     def _mask_for(length):
@@ -154,7 +166,7 @@ class IPv4Prefix:
     @property
     def network(self):
         """The network address as :class:`IPv4Address`."""
-        return IPv4Address(self._network)
+        return IPv4Address._trusted(self._network)
 
     @property
     def length(self):
@@ -193,7 +205,8 @@ class IPv4Prefix:
     def contains(self, address):
         """True if *address* (or the whole prefix *address*) lies within self."""
         if isinstance(address, IPv4Prefix):
-            return address._length >= self._length and self.contains(address.network)
+            return (address._length >= self._length
+                    and address._network & self._mask == self._network)
         value = (address if type(address) is IPv4Address
                  else IPv4Address(address))._value
         return value & self._mask == self._network
@@ -202,11 +215,4 @@ class IPv4Prefix:
         """The address *offset* positions into the prefix (bounds-checked)."""
         if not 0 <= offset < self.num_addresses:
             raise AddressError(f"offset {offset} outside {self}")
-        return IPv4Address(self._network + offset)
-
-    def hosts(self, count=None):
-        """Iterate usable host addresses (network address skipped for /<31)."""
-        start = 1 if self._length < 31 else 0
-        limit = self.num_addresses if count is None else min(start + count, self.num_addresses)
-        for offset in range(start, limit):
-            yield IPv4Address(self._network + offset)
+        return IPv4Address._trusted(self._network + offset)

@@ -93,8 +93,10 @@ class Fib:
             owner._touch()
         prefix = entry.prefix
         length = prefix._length
-        table = self._table(length)
-        if table is None:
+        for _mask, table, probed in self._probes:    # _table, inline
+            if probed == length:
+                break
+        else:
             # A longer prefix has the larger mask and no two lengths share
             # one, so the probes sort by their first item alone.
             table = {}

@@ -77,20 +77,15 @@ class UdpSocket:
 class Host(Node):
     """An end host with a single address and simple socket API."""
 
-    __slots__ = ("_address", "_next_ephemeral")
+    __slots__ = ("address", "_next_ephemeral")
 
-    def __init__(self, sim, name, address=None):
+    def __init__(self, sim, name, address):
         super().__init__(sim, name)
-        self._address = IPv4Address(address) if address is not None else None
-        if self._address is not None:
-            self.add_address(self._address)
+        #: The host's one address.
+        self.address = (address if type(address) is IPv4Address
+                        else IPv4Address(address))
+        self.add_address(self.address)
         self._next_ephemeral = 49152
-
-    @property
-    def address(self):
-        """The host's primary address."""
-        return self._address if self._address is not None else self.primary_address()
-
 
     def ephemeral_port(self):
         """Allocate the next ephemeral port (wraps within the IANA range)."""
@@ -107,7 +102,7 @@ class Host(Node):
         return UdpSocket(self, self.ephemeral_port())
 
     #: Set once at construction (its address is among the node's wiring).
-    _SNAPSHOT_EXEMPT = ("_address",)
+    _SNAPSHOT_EXEMPT = ("address",)
 
     def snapshot_state(self):
         return (super().snapshot_state(), self._next_ephemeral)

@@ -33,7 +33,8 @@ class Interface:
     def __init__(self, node, key, address=None):
         self.node = node
         self.key = key
-        self.address = IPv4Address(address) if address is not None else None
+        self.address = (address if address is None or type(address) is IPv4Address
+                        else IPv4Address(address))
         self.link = None
 
     @property
@@ -104,7 +105,8 @@ class Node(Journaled):
         """Register an additional local address (e.g. a loopback/service IP)."""
         if self._journal is not None:
             self._touch()
-        address = IPv4Address(address)
+        if type(address) is not IPv4Address:
+            address = IPv4Address(address)
         if address not in self.extra_addresses:
             self.extra_addresses += (address,)
         self._add_local_value(address._value)
@@ -116,13 +118,6 @@ class Node(Journaled):
             if interface.address is not None:
                 local.add(interface.address)
         return local
-
-    def primary_address(self):
-        """A deterministic 'main' address for this node (lowest local)."""
-        local = self.addresses()
-        if not local:
-            raise NoRouteError(f"{self.name} has no addresses")
-        return min(local)
 
     def is_local(self, address):
         if type(address) is not IPv4Address:

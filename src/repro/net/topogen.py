@@ -59,6 +59,10 @@ FAMILIES = ("fig1", "flat", "tiered", "caida")
 
 #: Provider ``p`` owns ``(10+p).0.0.0/8``; ``10 + p`` must stay <= 255.
 MAX_PROVIDERS = 245
+#: What the site plan holds: infrastructure /24s up to 198.255.255.0/24,
+#: hosts at ``.10+i`` of the EID /24 and xTR control addresses at ``.30+b``.
+SITE_LIMITS = (("num_sites", (256 - 18) * 256), ("hosts_per_site", 256 - 10),
+               ("providers_per_site", 256 - 30))
 #: The Fig. 1 cast's provider ids: site S on A/B, site D on X/Y.
 FIG1_HOMES = ((0, 1), (2, 3))
 
@@ -125,6 +129,9 @@ def check_sizing(spec):
         value = getattr(spec, name)
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    for name, most in SITE_LIMITS:
+        if getattr(spec, name) > most:
+            raise ValueError(f"{name} {getattr(spec, name)} exceeds {most}")
     if spec.family in ("fig1", "flat"):
         if spec.num_providers > MAX_PROVIDERS:
             raise ValueError(f"num_providers {spec.num_providers} exceeds "
@@ -316,9 +323,10 @@ def _materialise(sim, spec, layout, homes):
     provider_prefixes = []
     for p in range(num_providers):
         router = Router(sim, f"prov{p}")
-        router.add_address(provider_prefix_for(p).address_at(1))
+        prefix = provider_prefix_for(p)
+        router.add_address(prefix.address_at(1))
         providers.append(router)
-        provider_prefixes.append(provider_prefix_for(p))
+        provider_prefixes.append(prefix)
     for a, b, delay in layout.core_links:
         iface_a = providers[a].add_interface(f"to-prov{b}")
         iface_b = providers[b].add_interface(f"to-prov{a}")
@@ -357,30 +365,37 @@ def _materialise(sim, spec, layout, homes):
 # --------------------------------------------------------------------------- #
 
 def _build_site(sim, topology, s, homes, hosts_per_site, access_rate_bps):
-    """Stub site *s*, one xTR per ``(provider_id, access_delay)`` home."""
+    """Stub site *s*, one xTR per ``(provider_id, access_delay)`` home;
+    each address and /32 derived once ("Addresses" in docs/contracts.md)."""
     name = f"site{s}"
     eid_prefix = eid_prefix_for(s)
     infra_prefix = infra_prefix_for(s)
+    dns_address = infra_prefix.address_at(10)
+    pce_address = infra_prefix.address_at(20)
+    host_prefix = IPv4Prefix._trusted
 
     hub = Router(sim, f"{name}-hub")
     hub.add_address(eid_prefix.address_at(1))
-    dns_node = Host(sim, f"{name}-dns", address=infra_prefix.address_at(10))
+    dns_node = Host(sim, f"{name}-dns", address=dns_address)
     pce_node = Router(sim, f"{name}-pce")
-    pce_node.add_address(infra_prefix.address_at(20))
+    pce_node.add_address(pce_address)
 
     site = Site(index=s, name=name, eid_prefix=eid_prefix, infra_prefix=infra_prefix,
+                dns_address=dns_address, pce_address=pce_address,
                 hub=hub, dns_node=dns_node, pce_node=pce_node)
 
     site.provider_ids = [pid for pid, _delay in homes]
+    hub_fib = hub.fib
 
     # Hosts on the hub.
     for i in range(hosts_per_site):
-        host = Host(sim, f"{name}-host{i}", address=eid_prefix.address_at(10 + i))
+        address = eid_prefix.address_at(10 + i)
+        host = Host(sim, f"{name}-host{i}", address=address)
         host_iface = host.add_interface("up")
         hub_iface = hub.add_interface(f"to-host{i}")
         connect(sim, hub_iface, host_iface, delay=HOST_HUB_DELAY)
         host.fib.insert(FibEntry(DEFAULT_PREFIX, host_iface))
-        hub.fib.insert(FibEntry(IPv4Prefix(int(host.address), 32), hub_iface))
+        hub_fib.insert(FibEntry(host_prefix(address._value, 32), hub_iface))
         site.hosts.append(host)
 
     # DNS behind PCE: dns -- pce -- hub.
@@ -392,17 +407,19 @@ def _build_site(sim, topology, s, homes, hosts_per_site, access_rate_bps):
     pce_hub_iface = pce_node.add_interface("to-hub")
     hub_pce_iface = hub.add_interface("to-pce")
     connect(sim, hub_pce_iface, pce_hub_iface, delay=PCE_HUB_DELAY)
-    pce_node.fib.insert(FibEntry(IPv4Prefix(int(site.dns_address), 32), pce_dns_iface))
+    dns_host_prefix = host_prefix(dns_address._value, 32)
+    pce_node.fib.insert(FibEntry(dns_host_prefix, pce_dns_iface))
     pce_node.fib.insert(FibEntry(DEFAULT_PREFIX, pce_hub_iface))
-    hub.fib.insert(FibEntry(IPv4Prefix(int(site.dns_address), 32), hub_pce_iface))
-    hub.fib.insert(FibEntry(IPv4Prefix(int(site.pce_address), 32), hub_pce_iface))
+    hub_fib.insert(FibEntry(dns_host_prefix, hub_pce_iface))
+    hub_fib.insert(FibEntry(host_prefix(pce_address._value, 32), hub_pce_iface))
 
     # xTRs: one per provider.
     for b, (p, access_delay) in enumerate(homes):
         xtr = Router(sim, f"{name}-xtr{b}")
         rloc = rloc_for(p, s, b)
+        control_address = infra_prefix.address_at(30 + b)
         xtr.add_address(rloc)
-        xtr.add_address(site.xtr_control_address(b))
+        xtr.add_address(control_address)
         xtr.register_service("rloc", rloc)
         xtr.register_service("site", site)
         xtr.register_service("provider_id", p)
@@ -420,15 +437,15 @@ def _build_site(sim, topology, s, homes, hosts_per_site, access_rate_bps):
         site.hub_links.append({"hub_iface": hub_xtr_iface})
 
         # xTR routing: site prefixes inward, everything else to the provider.
-        xtr.fib.insert(FibEntry(site.eid_prefix, xtr_hub_iface))
-        xtr.fib.insert(FibEntry(site.infra_prefix, xtr_hub_iface))
+        xtr.fib.insert(FibEntry(eid_prefix, xtr_hub_iface))
+        xtr.fib.insert(FibEntry(infra_prefix, xtr_hub_iface))
         xtr.fib.insert(FibEntry(DEFAULT_PREFIX, xtr_up_iface))
 
         # Hub can reach each xTR's control address.
-        hub.fib.insert(FibEntry(IPv4Prefix(int(site.xtr_control_address(b)), 32),
+        hub_fib.insert(FibEntry(host_prefix(control_address._value, 32),
                                 hub_xtr_iface))
         # Provider can deliver to the xTR's RLOC.
-        topology.attachments.append((IPv4Prefix(int(rloc), 32), provider, provider_iface))
+        topology.attachments.append((host_prefix(rloc._value, 32), provider, provider_iface))
 
         site.xtrs.append(xtr)
         site.access_delays.append(access_delay)
@@ -436,10 +453,10 @@ def _build_site(sim, topology, s, homes, hosts_per_site, access_rate_bps):
         if b == 0:
             # Home attachment: the site's infrastructure prefix (and its EID
             # prefix, in plain-IP mode) is reachable via xtr0.
-            topology.attachments.append((site.infra_prefix, provider, provider_iface))
+            topology.attachments.append((infra_prefix, provider, provider_iface))
             if topology.eids_globally_routable:
-                topology.attachments.append((site.eid_prefix, provider, provider_iface))
+                topology.attachments.append((eid_prefix, provider, provider_iface))
 
     # Hub default: out via xtr0 (TE may override per destination later).
-    hub.fib.insert(FibEntry(DEFAULT_PREFIX, hub.interfaces["to-xtr0"]))
+    hub_fib.insert(FibEntry(DEFAULT_PREFIX, hub.interfaces["to-xtr0"]))
     return site

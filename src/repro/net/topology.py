@@ -37,6 +37,7 @@ Address plan
 from dataclasses import dataclass, field
 
 from repro.net.addresses import IPv4Address, IPv4Prefix
+from repro.net.errors import AddressError
 from repro.net.fib import FibEntry
 from repro.net.host import Host
 from repro.net.link import connect
@@ -58,6 +59,10 @@ class Site:
     name: str
     eid_prefix: IPv4Prefix
     infra_prefix: IPv4Prefix
+    #: The site DNS server's address (``.10`` of the infrastructure /24).
+    dns_address: IPv4Address
+    #: The PCE node's address (``.20`` of the infrastructure /24).
+    pce_address: IPv4Address
     hub: Router
     dns_node: Host
     pce_node: Router
@@ -69,14 +74,6 @@ class Site:
     access_links: list = field(default_factory=list)
     #: per-xTR hub-side handles: {"hub_iface": hub's iface to this xTR}
     hub_links: list = field(default_factory=list)
-
-    @property
-    def dns_address(self):
-        return self.infra_prefix.address_at(10)
-
-    @property
-    def pce_address(self):
-        return self.infra_prefix.address_at(20)
 
     def xtr_control_address(self, b):
         """Site-internal control address of xTR *b* (mapping pushes go here)."""
@@ -198,19 +195,31 @@ class Topology:
         self._routes_installed = len(self.attachments)
 
 
+def _plan_value(*octets):
+    """The address of four plan octets; an octet outside 0-255 raises the
+    ``AddressError`` the dotted quad's parse would."""
+    value = 0
+    for octet in octets:
+        if not 0 <= octet <= 255:
+            raise AddressError(
+                f"bad IPv4 address {'.'.join(map(str, octets))!r}")
+        value = value << 8 | octet
+    return value
+
+
 def eid_prefix_for(site_index):
-    return IPv4Prefix(f"100.{site_index >> 8}.{site_index & 255}.0/24")
+    return IPv4Prefix(_plan_value(100, site_index >> 8, site_index & 255, 0), 24)
 
 
 def infra_prefix_for(site_index):
-    return IPv4Prefix(f"198.{18 + (site_index >> 8)}.{site_index & 255}.0/24")
+    return IPv4Prefix(
+        _plan_value(198, 18 + (site_index >> 8), site_index & 255, 0), 24)
 
 
 def provider_prefix_for(provider_id):
-    return IPv4Prefix(f"{10 + provider_id}.0.0.0/8")
+    return IPv4Prefix(_plan_value(10 + provider_id, 0, 0, 0), 8)
 
 
 def rloc_for(provider_id, site_index, xtr_index):
-    return IPv4Address(
-        f"{10 + provider_id}.{1 + (site_index >> 8)}.{site_index & 255}.{xtr_index + 1}"
-    )
+    return IPv4Address(_plan_value(10 + provider_id, 1 + (site_index >> 8),
+                                   site_index & 255, xtr_index + 1))

@@ -45,9 +45,6 @@ KEPT = {
     "stop": "the only way to disarm a periodic task: a world's probing runs "
             "for its lifetime, and the periodic-task tests and engine oracle "
             "stop tasks mid-run",
-    "iter_jsonl": "reads a sweep's JSONL artifact back, cut-off last line "
-                  "skipped: what `repro sweep --resume` will read (ROADMAP "
-                  "item 4)",
 }
 
 

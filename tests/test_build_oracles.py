@@ -15,11 +15,13 @@ from collections import deque
 
 import pytest
 
+from repro.core.irc import EWMA_ALPHA, JITTER
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.experiments.worldbuild import build_world
 from repro.net.fib import Fib, FibEntry
 from repro.net.routing import RoutingPlan
 from repro.net.topogen import FAMILIES
+from repro.sim.rng import RandomStreams
 
 # --------------------------------------------------------------------- #
 # ALT: on-demand next hops vs the all-pairs RIBs
@@ -153,9 +155,14 @@ def test_irc_path_delay_equals_the_per_call_loop(topology):
     ircs = scenario.control_plane.ircs.values()
     assert ircs
     for engine in ircs:
-        for b in range(len(engine.site.xtrs)):
-            assert engine._path_delay_estimate(b) == \
-                _reference_path_delay(engine, b)
+        # The deploy's one measurement round, redrawn from a fresh stream.
+        jitter = RandomStreams(scenario.sim.rng.seed).stream(engine._rng_name)
+        for b, estimate in enumerate(engine.estimates):
+            reference = _reference_path_delay(engine, b)
+            assert engine._path_delay_estimate(b) == reference
+            assert estimate.delay_ewma == (
+                (1 - EWMA_ALPHA) * reference
+                + EWMA_ALPHA * (reference + jitter.uniform(0, JITTER)))
 
 
 # --------------------------------------------------------------------- #
@@ -282,6 +289,26 @@ def test_provider_prefixes_and_rlocs_equal_the_string_parse():
     assert _assert_same_plan(rloc_for, _reference_rloc, cases) > 0
 
 
+def test_the_sizing_limits_are_where_the_plan_runs_out():
+    """``check_sizing``'s site limits are the plan's last addresses: the
+    last allowed site, host and xTR are addressable, one more is not."""
+    from repro.net.errors import AddressError
+    from repro.net.topogen import SITE_LIMITS
+    from repro.net.topology import eid_prefix_for, infra_prefix_for, rloc_for
+    limits = dict(SITE_LIMITS)
+    derive = {
+        "num_sites": lambda count: infra_prefix_for(count - 1),
+        "hosts_per_site": lambda count: eid_prefix_for(0).address_at(9 + count),
+        "providers_per_site": lambda count: (
+            infra_prefix_for(0).address_at(29 + count),
+            rloc_for(0, limits["num_sites"] - 1, count - 1)),
+    }
+    for name, last in limits.items():
+        derive[name](last)
+        with pytest.raises(AddressError):
+            derive[name](last + 1)
+
+
 # --------------------------------------------------------------------- #
 # Structural world fingerprints, pinned in tests/golden
 # --------------------------------------------------------------------- #
@@ -345,7 +372,7 @@ def _node_lines(node):
     lines = [f"node {type(node).__name__} {node.name} "
              f"extra={[str(a) for a in node.extra_addresses]} "
              f"local={list(node._local_values)} "
-             f"primary={getattr(node, '_address', None)}"]
+             f"primary={getattr(node, 'address', None)}"]
     for key, iface in node.interfaces.items():
         link = iface.link
         wire = ("unlinked" if link is None else

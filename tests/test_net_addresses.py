@@ -126,11 +126,6 @@ def test_prefix_address_at_bounds():
         p.address_at(256)
 
 
-def test_prefix_hosts_skips_network_address():
-    hosts = list(IPv4Prefix("10.0.0.0/24").hosts(count=3))
-    assert hosts == [IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3")]
-
-
 def test_default_prefix_contains_everything():
     default = IPv4Prefix("0.0.0.0/0")
     assert default.contains("1.2.3.4")

@@ -142,6 +142,11 @@ def test_cli_sweep_rejects_a_single_site_before_building(
     ("access_rate_bps", -5.0,
      "access_rate_bps must be None or > 0, got -5.0"),
     ("dns_extra_levels", -1, "dns_extra_levels must be >= 0, got -1"),
+    # The address plan's limits: no world of these sizes is ever built.
+    ("num_sites", 70000, "num_sites 70000 exceeds 60928"),
+    ("num_sites", 60929, "num_sites 60929 exceeds 60928"),
+    ("hosts_per_site", 247, "hosts_per_site 247 exceeds 246"),
+    ("providers_per_site", 227, "providers_per_site 227 exceeds 226"),
 ))
 def test_bad_lifetimes_fail_at_the_config(field, value, named,
                                           no_world_builds):
@@ -610,3 +615,88 @@ def test_preset_artifacts_match_golden_digests(name, tmp_path):
     with open(GOLDEN) as handle:
         golden = json.load(handle)
     assert preset_digests(name, str(tmp_path)) == golden[name]
+
+
+def _cut(full_jsonl, path, keep):
+    """Write to *path* the first *keep* lines of *full_jsonl* plus half of
+    the next: what a run killed while writing a line leaves."""
+    lines = full_jsonl.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:keep]) + lines[keep][:len(lines[keep]) // 2])
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("keep", (0, 2, 5))
+def test_a_cut_off_sweep_resumes_to_the_uninterrupted_artifacts(
+        tmp_path, workers, keep):
+    """Resumed from k lines plus half a line, a sweep runs only the cells
+    it lacks and writes the JSON, CSV and JSONL one uninterrupted run
+    does, into the very file it resumed from."""
+    full = run_sweep(RAISING, json_path=tmp_path / "full.json",
+                     csv_path=tmp_path / "full.csv",
+                     jsonl_path=tmp_path / "full.jsonl")
+    resumed_path = tmp_path / "cut.jsonl"
+    _cut(tmp_path / "full.jsonl", resumed_path, keep)
+    resumed = run_sweep(RAISING, workers=workers,
+                        json_path=tmp_path / "resumed.json",
+                        csv_path=tmp_path / "resumed.csv",
+                        jsonl_path=resumed_path, resume_path=resumed_path)
+    assert payload_digest(resumed) == payload_digest(full)
+    assert (tmp_path / "resumed.csv").read_bytes() \
+        == (tmp_path / "full.csv").read_bytes()
+    assert resumed["world_cache"]["resumed"] == keep
+    assert resumed["world_cache"]["hits"] + resumed["world_cache"]["builds"] \
+        == len(full["cells"]) - keep
+
+    def lines(path):
+        return sorted(json.dumps(entry, sort_keys=True)
+                      for entry in iter_jsonl(path))
+    assert lines(resumed_path) == lines(tmp_path / "full.jsonl")
+
+
+def test_a_whole_jsonl_resumes_without_building(tmp_path, request):
+    full = run_sweep(TINY)
+    request.getfixturevalue("no_world_builds")
+    path = tmp_path / "cells.jsonl"
+    path.write_text("".join(json.dumps(cell) + "\n" for cell in full["cells"]))
+    resumed = run_sweep(TINY, resume_path=path)
+    assert payload_digest(resumed) == payload_digest(full)
+    assert resumed["world_cache"] == {"builds": 0, "hits": 0,
+                                      "resumed": len(full["cells"])}
+
+
+@pytest.mark.parametrize("line, named", (
+    ('{"index": 1, "cell_id": "pce-sites3-zipf1-seed1"}',
+     "line for index 1 is cell 'pce-sites3-zipf1-seed1', the grid's is "
+     "'pce-sites3-zipf1-seed2'"),
+    ('{"index": 4, "cell_id": "pce-sites3-zipf1-seed1"}',
+     "line for index 4 is cell 'pce-sites3-zipf1-seed1', the grid's is None"),
+    ('{"cell_id": "pce-sites3-zipf1-seed1"}', "line for index None"),
+))
+def test_resume_refuses_another_grids_line_before_building(
+        tmp_path, line, named, no_world_builds):
+    path = tmp_path / "cells.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=named):
+        run_sweep(TINY, resume_path=path)
+    with pytest.raises(ValueError, match="no such file"):
+        run_sweep(TINY, resume_path=tmp_path / "missing.jsonl")
+
+
+def test_cli_sweep_resumes_a_cut_off_run(tmp_path, capsys):
+    args = ["sweep", "--preset", "smoke", "--seeds", "1", "--flows", "6",
+            "--sites", "3"]
+    assert main([*args, "--json", str(tmp_path / "full.json"),
+                 "--csv", str(tmp_path / "full.csv")]) == 0
+    _cut(tmp_path / "full.cells.jsonl", tmp_path / "cut.cells.jsonl", 1)
+    capsys.readouterr()
+    assert main([*args, "--json", str(tmp_path / "cut.json"),
+                 "--csv", str(tmp_path / "cut.csv"),
+                 "--resume", str(tmp_path / "cut.cells.jsonl")]) == 0
+    out = capsys.readouterr().out
+    assert "world cache: 0 hits / 1 builds (1 cells resumed)" in out
+    assert (tmp_path / "cut.csv").read_bytes() \
+        == (tmp_path / "full.csv").read_bytes()
+    assert payload_digest(json.loads((tmp_path / "cut.json").read_text())) \
+        == payload_digest(json.loads((tmp_path / "full.json").read_text()))
+    assert main([*args, "--resume", str(tmp_path / "cut.json")]) == 1
+    assert capsys.readouterr().out.startswith("sweep error: ")

@@ -847,7 +847,7 @@ def test_a_router_is_journaled_only_when_its_fib_or_wiring_moves():
 
     restore_world(scenario)
     first, last = routers[0], routers[-1]
-    first.send(udp_packet(first.primary_address(), last.primary_address(),
+    first.send(udp_packet(min(first.addresses()), min(last.addresses()),
                           5000, 9))
     scenario.sim.run()
     dirty = scenario.world_checkpoint.dirty

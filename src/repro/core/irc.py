@@ -56,8 +56,7 @@ class IrcEngine:
         self.policy = policy
         self._rng_name = f"irc-{site.name}"
         #: Each xTR's path delay before jitter: world constants, derived once.
-        self._path_delays = tuple(self._path_delay_estimate(b)
-                                  for b in range(len(site.xtrs)))
+        self._path_delays = tuple(map(self._path_delay_estimate, range(len(site.xtrs))))
         self.estimates = [ProviderEstimate(delay) for delay in self._path_delays]
 
     # ------------------------------------------------------------------ #

@@ -26,8 +26,7 @@ class _DatabasePush:
 
     version: int
     mappings: tuple
-    #: Wire size, fixed when the push is built: every xTR's copy and every
-    #: packet carrying one read it.
+    #: Wire size, fixed when the push is built (every packet carrying it reads it).
     size_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

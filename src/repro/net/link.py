@@ -478,8 +478,6 @@ def connect(sim, iface_a, iface_b, delay=0.001, rate_bps=None):
     Returns the (a->b, b->a) link pair and attaches each link to the sending
     interface.
     """
-    forward = Link(sim, iface_a, iface_b, delay=delay, rate_bps=rate_bps)
-    backward = Link(sim, iface_b, iface_a, delay=delay, rate_bps=rate_bps)
-    iface_a.attach_link(forward)
-    iface_b.attach_link(backward)
+    iface_a.link = forward = Link(sim, iface_a, iface_b, delay=delay, rate_bps=rate_bps)
+    iface_b.link = backward = Link(sim, iface_b, iface_a, delay=delay, rate_bps=rate_bps)
     return forward, backward

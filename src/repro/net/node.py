@@ -41,9 +41,6 @@ class Interface:
     def name(self):
         return f"{self.node.name}.{self.key}"
 
-    def attach_link(self, link):
-        self.link = link
-
     def __str__(self):
         return self.name
 

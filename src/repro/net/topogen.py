@@ -59,8 +59,7 @@ FAMILIES = ("fig1", "flat", "tiered", "caida")
 
 #: Provider ``p`` owns ``(10+p).0.0.0/8``; ``10 + p`` must stay <= 255.
 MAX_PROVIDERS = 245
-#: What the site plan holds: infrastructure /24s up to 198.255.255.0/24,
-#: hosts at ``.10+i`` of the EID /24 and xTR control addresses at ``.30+b``.
+#: The site plan's room: infrastructure /24s, hosts ``.10+i``, xTRs ``.30+b``.
 SITE_LIMITS = (("num_sites", (256 - 18) * 256), ("hosts_per_site", 256 - 10),
                ("providers_per_site", 256 - 30))
 #: The Fig. 1 cast's provider ids: site S on A/B, site D on X/Y.
@@ -323,10 +322,9 @@ def _materialise(sim, spec, layout, homes):
     provider_prefixes = []
     for p in range(num_providers):
         router = Router(sim, f"prov{p}")
-        prefix = provider_prefix_for(p)
-        router.add_address(prefix.address_at(1))
+        router.add_address(provider_prefix_for(p).address_at(1))
         providers.append(router)
-        provider_prefixes.append(prefix)
+        provider_prefixes.append(provider_prefix_for(p))
     for a, b, delay in layout.core_links:
         iface_a = providers[a].add_interface(f"to-prov{b}")
         iface_b = providers[b].add_interface(f"to-prov{a}")
@@ -372,7 +370,6 @@ def _build_site(sim, topology, s, homes, hosts_per_site, access_rate_bps):
     infra_prefix = infra_prefix_for(s)
     dns_address = infra_prefix.address_at(10)
     pce_address = infra_prefix.address_at(20)
-    host_prefix = IPv4Prefix._trusted
 
     hub = Router(sim, f"{name}-hub")
     hub.add_address(eid_prefix.address_at(1))
@@ -385,17 +382,15 @@ def _build_site(sim, topology, s, homes, hosts_per_site, access_rate_bps):
                 hub=hub, dns_node=dns_node, pce_node=pce_node)
 
     site.provider_ids = [pid for pid, _delay in homes]
-    hub_fib = hub.fib
 
     # Hosts on the hub.
     for i in range(hosts_per_site):
-        address = eid_prefix.address_at(10 + i)
-        host = Host(sim, f"{name}-host{i}", address=address)
+        host = Host(sim, f"{name}-host{i}", address=eid_prefix.address_at(10 + i))
         host_iface = host.add_interface("up")
         hub_iface = hub.add_interface(f"to-host{i}")
         connect(sim, hub_iface, host_iface, delay=HOST_HUB_DELAY)
         host.fib.insert(FibEntry(DEFAULT_PREFIX, host_iface))
-        hub_fib.insert(FibEntry(host_prefix(address._value, 32), hub_iface))
+        hub.fib.insert(FibEntry(IPv4Prefix._trusted(host.address._value, 32), hub_iface))
         site.hosts.append(host)
 
     # DNS behind PCE: dns -- pce -- hub.
@@ -407,11 +402,11 @@ def _build_site(sim, topology, s, homes, hosts_per_site, access_rate_bps):
     pce_hub_iface = pce_node.add_interface("to-hub")
     hub_pce_iface = hub.add_interface("to-pce")
     connect(sim, hub_pce_iface, pce_hub_iface, delay=PCE_HUB_DELAY)
-    dns_host_prefix = host_prefix(dns_address._value, 32)
+    dns_host_prefix = IPv4Prefix._trusted(dns_address._value, 32)
     pce_node.fib.insert(FibEntry(dns_host_prefix, pce_dns_iface))
     pce_node.fib.insert(FibEntry(DEFAULT_PREFIX, pce_hub_iface))
-    hub_fib.insert(FibEntry(dns_host_prefix, hub_pce_iface))
-    hub_fib.insert(FibEntry(host_prefix(pce_address._value, 32), hub_pce_iface))
+    hub.fib.insert(FibEntry(dns_host_prefix, hub_pce_iface))
+    hub.fib.insert(FibEntry(IPv4Prefix._trusted(pce_address._value, 32), hub_pce_iface))
 
     # xTRs: one per provider.
     for b, (p, access_delay) in enumerate(homes):
@@ -442,10 +437,11 @@ def _build_site(sim, topology, s, homes, hosts_per_site, access_rate_bps):
         xtr.fib.insert(FibEntry(DEFAULT_PREFIX, xtr_up_iface))
 
         # Hub can reach each xTR's control address.
-        hub_fib.insert(FibEntry(host_prefix(control_address._value, 32),
+        hub.fib.insert(FibEntry(IPv4Prefix._trusted(control_address._value, 32),
                                 hub_xtr_iface))
         # Provider can deliver to the xTR's RLOC.
-        topology.attachments.append((host_prefix(rloc._value, 32), provider, provider_iface))
+        topology.attachments.append((IPv4Prefix._trusted(rloc._value, 32), provider,
+                                     provider_iface))
 
         site.xtrs.append(xtr)
         site.access_delays.append(access_delay)
@@ -458,5 +454,5 @@ def _build_site(sim, topology, s, homes, hosts_per_site, access_rate_bps):
                 topology.attachments.append((eid_prefix, provider, provider_iface))
 
     # Hub default: out via xtr0 (TE may override per destination later).
-    hub_fib.insert(FibEntry(DEFAULT_PREFIX, hub.interfaces["to-xtr0"]))
+    hub.fib.insert(FibEntry(DEFAULT_PREFIX, hub.interfaces["to-xtr0"]))
     return site

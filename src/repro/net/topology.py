@@ -59,9 +59,7 @@ class Site:
     name: str
     eid_prefix: IPv4Prefix
     infra_prefix: IPv4Prefix
-    #: The site DNS server's address (``.10`` of the infrastructure /24).
     dns_address: IPv4Address
-    #: The PCE node's address (``.20`` of the infrastructure /24).
     pce_address: IPv4Address
     hub: Router
     dns_node: Host
@@ -111,9 +109,6 @@ class Topology:
     routing_plan: object = field(init=False, repr=False)
     #: How many ``attachments`` entries have already been installed.
     _routes_installed: int = field(default=0, repr=False)
-    #: Lazily built ``(num_sites, eid_index, rloc_index, irregular)`` site
-    #: lookup tables (see :meth:`_site_lookup`).
-    _site_index: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.routing_plan = RoutingPlan(self)
@@ -130,38 +125,13 @@ class Topology:
         nodes.extend(self.infra_hosts.values())
         return nodes
 
-    def _site_lookup(self):
-        """Site lookup tables, rebuilt whenever the site count changes.
-
-        ``site_of_eid`` is a per-packet-ish query (glean checks, trace
-        attribution, experiment bookkeeping); a linear scan
-        over 5k+ sites on each call would dominate large worlds.  EID
-        lookups key on the containing /24 (the address-plan shape of every
-        generated site); sites with other prefix lengths land in the
-        ``irregular`` scan list so hand-built topologies stay correct.
-        """
-        cached = self._site_index
-        if cached is None or cached[0] != len(self.sites):
-            by_eid = {}
-            irregular = []
-            for site in self.sites:
-                by_eid[site.eid_prefix] = site
-                if site.eid_prefix.length != 24:
-                    irregular.append(site)
-            cached = (len(self.sites), by_eid, tuple(irregular))
-            self._site_index = cached
-        return cached
-
     def site_of_eid(self, eid):
-        """The site whose EID prefix contains *eid* (None if none)."""
-        eid = IPv4Address(eid)
-        _count, by_eid, irregular = self._site_lookup()
-        site = by_eid.get(IPv4Prefix.containing(eid, 24))
-        if site is not None and site.eid_prefix.contains(eid):
-            return site
-        for site in irregular:
-            if site.eid_prefix.contains(eid):
-                return site
+        """The site whose EID prefix contains *eid* (None if none): site
+        ``s`` is ``sites[s]`` and owns ``eid_prefix_for(s)``."""
+        value = IPv4Address(eid)._value
+        index = value >> 8 & 0xFFFF
+        if value >> 24 == 100 and index < len(self.sites):
+            return self.sites[index]
         return None
 
     def attach_infra_host(self, provider_id, name, address):
@@ -196,8 +166,7 @@ class Topology:
 
 
 def _plan_value(*octets):
-    """The address of four plan octets; an octet outside 0-255 raises the
-    ``AddressError`` the dotted quad's parse would."""
+    """Four plan octets' address; raises what their dotted quad's parse would."""
     value = 0
     for octet in octets:
         if not 0 <= octet <= 255:
@@ -212,8 +181,7 @@ def eid_prefix_for(site_index):
 
 
 def infra_prefix_for(site_index):
-    return IPv4Prefix(
-        _plan_value(198, 18 + (site_index >> 8), site_index & 255, 0), 24)
+    return IPv4Prefix(_plan_value(198, 18 + (site_index >> 8), site_index & 255, 0), 24)
 
 
 def provider_prefix_for(provider_id):

@@ -38,6 +38,10 @@ KEPT = {
                    "cumulative table and its draws to",
     "add_cname": "the only way a zone comes to hold a CNAME; the resolver's "
                  "alias chase is tested through it",
+    "containing": "the enclosing prefix of an arbitrary address: how the "
+                  "address, FIB and fast-path property tests derive their "
+                  "prefixes (`site_of_eid`, its last caller, reads the site "
+                  "index off the address plan)",
     "step": "runs the engine one event at a time: the fast-path oracle "
             "drives it step by step against run() (_drive_steps)",
     "processed": "an event's public lifecycle read beside `triggered`; the "

@@ -1122,8 +1122,8 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
 
     Raises ``ValueError`` — before anything is built — for an artifact
     path that is a directory or lies in a missing one, and for a
-    *resume_path* that is missing or holds a line that is not this grid's cell at
-    its index.
+    *resume_path* that is missing or holds a line that is not this grid's
+    cell at its index.
     """
     _check_outputs({"json": json_path, "csv": csv_path, "jsonl": jsonl_path})
     cells = expand_grid(grid)

@@ -87,7 +87,9 @@ class IPv4Address:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._value)  # as ``address == int`` needs; no tuple
+        # The integer's own hash: no tuple per call, and consistent with
+        # ``address == int``.
+        return hash(self._value)
 
     def __add__(self, offset):
         return IPv4Address(self._value + int(offset))
@@ -141,7 +143,9 @@ class IPv4Prefix:
         base = IPv4Address(network).value
         mask = _MASKS[length]
         if base & ~mask & _MAX32:
-            raise AddressError(f"host bits set in prefix {IPv4Address(base)}/{length}")
+            raise AddressError(
+                f"host bits set in prefix {IPv4Address(base)}/{length}"
+            )
         self._network = base
         self._length = length
         self._mask = mask

@@ -41,8 +41,10 @@ A sweep that was cut short resumes from its per-cell JSONL: the same
 command plus ``--resume`` keeps the cells that JSONL holds (a cut-off
 last line is dropped), runs only the rest and writes the JSON, CSV and
 JSONL one uninterrupted run would (the JSONL may be the file resumed
-from).  A line that is not the grid's cell at its index is refused,
-naming the index, before any world is built::
+from).  A line that is not the grid's cell at its index, or that a grid
+with other flags wrote (each line carries a digest of its grid, so
+``--flows`` counts as an axis does), is refused, naming the index,
+before any world is built::
 
     python -m repro sweep --preset scale --json s.json --resume s.cells.jsonl
 

@@ -4,8 +4,8 @@ Each site runs a Path Computation Element (PCE) co-located with — and in
 the data path of — its DNS server.  The PCE:
 
 - learns, via IPC with the local resolver, which local host started a
-  lookup (Step 1) and precomputes the site's *ingress* locator for the
-  coming reverse traffic using IRC techniques;
+  lookup (Step 1) and picks the site's *ingress* locator for the coming
+  reverse traffic from its IRC engine's per-locator pledges;
 - transparently observes the iterative DNS exchange (Steps 2-5);
 - acting as the destination-side PCE, intercepts the authoritative reply
   carrying the destination EID and encapsulates it — together with the

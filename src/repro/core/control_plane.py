@@ -2,7 +2,7 @@
 
 :class:`PceControlPlane` wires, for every site in a topology:
 
-- a :class:`~repro.core.irc.IrcEngine` (background measurement),
+- a :class:`~repro.core.irc.IrcEngine` (per-locator pledges),
 - a :class:`~repro.core.pce.Pce` on the PCE node,
 - one :class:`~repro.lisp.xtr.TunnelRouter` per border router, with **no
   reactive mapping system** (mappings arrive only by push) and gleaning
@@ -40,7 +40,7 @@ class PceControlPlane:
     """All per-deployment state of the PCE control plane."""
 
     def __init__(self, sim, topology, dns_system, miss_policy, mapping_ttl,
-                 irc_policy, precompute, computation_delay, enable_probing,
+                 irc_policy, computation_delay, enable_probing,
                  probe_period, probe_timeout):
         self.sim = sim
         self.topology = topology
@@ -67,13 +67,11 @@ class PceControlPlane:
             self.registry.register(site_mapping(site, ttl=mapping_ttl))
 
         for site in topology.sites:
-            irc = IrcEngine(sim, site, topology, policy=irc_policy)
-            irc.measure_once()
+            irc = IrcEngine(len(site.xtrs), policy=irc_policy)
             self.ircs[site.index] = irc
             resolver = dns_system.resolver_for(site)
             pce = Pce(sim, site, topology, resolver, self.registry, irc,
-                      control_plane=self, precompute=precompute,
-                      computation_delay=computation_delay)
+                      control_plane=self, computation_delay=computation_delay)
             self.pces[site.index] = pce
             site.pce_node.bind_udp(PORT_REVERSE, PceReverseHandler(pce))
             routers = []
@@ -128,20 +126,6 @@ class PceControlPlane:
             self.reverse_installs.setdefault(
                 (xtr.site.index, message.mapping.eid_prefix), []).append(
                     self.sim.now)
-
-    # ------------------------------------------------------------------ #
-    # Mapping visibility helpers
-    # ------------------------------------------------------------------ #
-
-    def itr_has_live_mapping(self, site, eid):
-        """True if every ITR of *site* currently holds a mapping for *eid*."""
-        return all(router.map_cache.peek(eid) is not None
-                   for router in self.xtrs_by_site[site.index])
-
-    def mapping_available_time(self, site, prefix):
-        """Time of the latest Step-7b push of *prefix* at *site* (or None)."""
-        times = self.pces[site.index].stats.push_times.get(IPv4Prefix(prefix))
-        return times[-1] if times else None
 
     # ------------------------------------------------------------------ #
     # TE re-homing (uses repro.core.te)

@@ -32,6 +32,9 @@ from repro.dns.message import DNS_PORT, DnsMessage
 from repro.lisp import EID_SPACE
 from repro.sim.state import state_copy
 
+#: Seconds after a push in which no refresh follows it (it is in flight).
+PUSH_GUARD = 0.05
+
 
 class PceStats:
     """Per-PCE counters and the push timeline."""
@@ -60,7 +63,7 @@ class Pce:
     """A site's PCE: DNS-path interception plus mapping distribution."""
 
     def __init__(self, sim, site, topology, resolver, registry, irc,
-                 control_plane, computation_delay, precompute=True):
+                 control_plane, computation_delay):
         self.sim = sim
         self.site = site
         self.topology = topology
@@ -68,10 +71,7 @@ class Pce:
         self.registry = registry
         self.irc = irc
         self.control_plane = control_plane
-        self.precompute = precompute
         self.computation_delay = computation_delay
-        #: Suppress refresh pushes this soon after a push (push in flight).
-        self.push_guard = 0.05
         self.node = site.pce_node
         self.address = site.pce_address
         self.stats = PceStats()
@@ -181,10 +181,10 @@ class Pce:
             self.node.send_udp(src=self.address, dst=envelope.original_dst,
                                sport=PORT_PCE, dport=PORT_PCE, payload=envelope)
 
-        if self.precompute:
-            emit()  # mapping known aforehand: line rate
-        else:
+        if self.computation_delay:
             self.sim.call_in(self.computation_delay, emit)
+        else:
+            emit()  # mapping known aforehand: line rate
         return True
 
     def _narrowed(self, base):
@@ -267,12 +267,12 @@ class Pce:
             prefix = self._db_prefix_for(address)
             if prefix is None:
                 continue
-            last_push = self.control_plane.mapping_available_time(self.site, prefix)
-            if last_push is not None and self.sim.now - last_push < self.push_guard:
+            pushed = self.stats.push_times.get(prefix)
+            if pushed and self.sim.now - pushed[-1] < PUSH_GUARD:
                 continue  # a push is already in flight
-            installed = self.control_plane.itr_has_live_mapping(self.site, address)
-            if installed:
-                continue
+            if all(router.map_cache.peek(address) is not None for router
+                   in self.control_plane.xtrs_by_site[self.site.index]):
+                continue  # every ITR holds a live mapping
             ingress_index = self._match_step1_decision(message.qname)
             annotated = self.mapping_db[prefix].with_source_rloc(
                 self.site.rloc_of(ingress_index))
@@ -303,8 +303,8 @@ class Pce:
     #: Wiring and config fixed at deploy time; the referenced components
     #: (registry, irc, control_plane, resolver) checkpoint themselves.
     _SNAPSHOT_EXEMPT = ("sim", "site", "topology", "resolver", "registry",
-                        "irc", "control_plane", "precompute",
-                        "computation_delay", "push_guard", "node", "address")
+                        "irc", "control_plane", "computation_delay", "node",
+                        "address")
 
     def snapshot_state(self):
         return (self.stats.snapshot_state(), dict(self.pending_ingress),

@@ -16,13 +16,12 @@ from functools import partial
 from repro.dns.cache import TtlCache
 from repro.dns.message import (DNS_PORT, DnsMessage, FLAG_RD, Question, make_query,
                                make_reply)
-from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
+from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A
 from repro.dns.server import PROCESSING_DELAY, authoritative_reply
 from repro.sim.events import Event
 from repro.sim.state import Journaled
 
 MAX_REFERRALS = 16
-MAX_CNAME_CHASES = 4
 #: Seconds an NXDOMAIN outcome stays in the negative cache.
 NEGATIVE_TTL = 5.0
 #: Times a stub re-sends an unanswered query to its site resolver.
@@ -134,23 +133,22 @@ class RecursiveResolver(Journaled):
                 cut = qname.index(".", cut) + 1
         return list(self.root_hints)
 
-    def resolve(self, qname, qtype=TYPE_A, _depth=0):
+    def resolve(self, qname, qtype=TYPE_A):
         """Iteratively resolve; returns an event carrying the final DnsMessage.
 
         A live answer-cache entry is the whole resolution: the event comes
         back already succeeded (one engine event).  A query identical to a
         walk in flight is coalesced onto it: its event succeeds with a copy
         of the walk's outcome, one engine event after it.  Anything else
-        starts a :class:`_Walk`.  Follows CNAME chains across zones
-        (bounded by MAX_CNAME_CHASES); NXDOMAIN outcomes are negatively
-        cached for :data:`NEGATIVE_TTL`.  The message's ``answers``/``rcode``
+        starts a :class:`_Walk`.  NXDOMAIN outcomes are negatively cached
+        for :data:`NEGATIVE_TTL`.  The message's ``answers``/``rcode``
         reflect the outcome; SERVFAIL is used for loops and timeouts.
         """
         # Ident, caches and the in-flight table all move below.
         if self._journal is not None:
             self._touch()
         key = (qname, qtype)
-        if _depth == 0 and key in self._in_flight:
+        if key in self._in_flight:
             # The leader leaves the table in its first callback, so a
             # leader still in it has not run its callbacks: ours will.
             follower = self.sim.event()
@@ -163,10 +161,8 @@ class RecursiveResolver(Journaled):
             if cached is not None:
                 synthetic = DnsMessage(ident=0, flags=0, answers=list(cached))
                 return self.sim.event().succeed(synthetic)
-        walk = _Walk(self, qname, qtype, _depth)
-        if _depth == 0:
-            self._in_flight[key] = walk
-            walk.callbacks.append(lambda _event: self._in_flight.pop(key, None))
+        walk = self._in_flight[key] = _Walk(self, qname, qtype)
+        walk.callbacks.append(lambda _event: self._in_flight.pop(key, None))
         return walk
 
 
@@ -176,20 +172,18 @@ class _Walk(Event):
     Each step sends one query from a fresh socket and continues in the
     request's callback: a timeout or a non-DNS reply moves on to the next
     server, a referral to the servers it names (caching them), an answer
-    ends the walk (a cross-zone CNAME first waits for a nested resolve of
-    its target).  Succeeds with the final DnsMessage.
+    ends the walk.  Succeeds with the final DnsMessage.
     """
 
-    __slots__ = ("resolver", "qname", "qtype", "question", "depth", "servers",
+    __slots__ = ("resolver", "qname", "qtype", "question", "servers",
                  "steps_left", "socket")
 
-    def __init__(self, resolver, qname, qtype, depth):
+    def __init__(self, resolver, qname, qtype):
         Event.__init__(self, resolver.sim)
         self.resolver = resolver
         self.qname = qname
         self.qtype = qtype
         self.question = None
-        self.depth = depth
         self.servers = None
         self.steps_left = MAX_REFERRALS
         self.socket = None
@@ -226,18 +220,7 @@ class _Walk(Event):
         if reply.rcode == RCODE_NXDOMAIN:
             self._fail(RCODE_NXDOMAIN)
             return
-        qtype = self.qtype
         if reply.answers:
-            wanted = [r for r in reply.answers if r.rtype == qtype]
-            cnames = [r for r in reply.answers if r.rtype == TYPE_CNAME]
-            if not wanted and cnames and qtype == TYPE_A \
-                    and self.depth < MAX_CNAME_CHASES:
-                # Cross-zone alias: restart at the canonical name and
-                # splice the chain into the final answer.
-                chase = self.resolver.resolve(cnames[-1].data, qtype,
-                                              self.depth + 1)
-                chase.callbacks.append(partial(self._chased, reply))
-                return
             self._answer(reply)
             return
         referral = reply.referral_servers()
@@ -252,15 +235,6 @@ class _Walk(Event):
             resolver.referral_cache.put(("ns", child), list(glue), ttl)
         self.servers = glue
         self._query()
-
-    def _chased(self, reply, chase):
-        chased = chase.value
-        reply = reply.copy()  # a sent message is immutable
-        reply.answers.extend(chased.answers)
-        if not chased.answers:
-            self.succeed(reply.with_rcode(chased.rcode))
-            return
-        self._answer(reply)
 
     def _answer(self, reply):
         resolver = self.resolver

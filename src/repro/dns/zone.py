@@ -4,7 +4,6 @@ from repro.dns.records import (
     RCODE_NOERROR,
     RCODE_NXDOMAIN,
     TYPE_A,
-    TYPE_CNAME,
     TYPE_NS,
     ResourceRecord,
     is_subdomain,
@@ -47,10 +46,6 @@ class Zone:
     def add_a(self, name, address, ttl=60.0):
         return self.add_record(ResourceRecord(name, TYPE_A, ttl, address))
 
-    def add_cname(self, alias, target, ttl=60.0):
-        """Register *alias* as a CNAME for *target*."""
-        return self.add_record(ResourceRecord(alias, TYPE_CNAME, ttl, target))
-
     def delegate(self, child_origin, ns_name, glue_address, ttl=3600.0):
         """Delegate *child_origin* to a nameserver with a glue address."""
         child = normalise_name(child_origin)
@@ -91,22 +86,6 @@ class Zone:
         exact = self._records.get((qname, qtype))
         if exact:
             return ZoneAnswer(answers=exact)
-        if qtype == TYPE_A:
-            # CNAME chase: answer with the alias chain plus, when the target
-            # lives in this zone, its address records (RFC 1034 §3.6.2).
-            chain = []
-            name = qname
-            for _ in range(8):
-                cname = self._records.get((name, TYPE_CNAME))
-                if not cname:
-                    break
-                chain.extend(cname)
-                name = cname[0].data
-                target_a = self._records.get((name, TYPE_A))
-                if target_a:
-                    return ZoneAnswer(answers=chain + target_a)
-            if chain:
-                return ZoneAnswer(answers=chain)
         delegation = self._find_delegation(qname)
         if delegation is not None and delegation != self.origin:
             authorities, additionals = self._delegations[delegation]

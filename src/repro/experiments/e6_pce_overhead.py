@@ -7,8 +7,8 @@ line rate":
    Compare plain DNS (no interception logic consuming replies) against the
    PCE deployment with precomputed mappings — the difference should be the
    envelope's transit, i.e. negligible.
-2. What if the mapping were computed on demand instead of by the background
-   IRC engine?  The ablation adds the computation delay to every lookup.
+2. What if the mapping were computed on demand, not known aforehand from
+   the IRC engine?  The ablation adds the computation delay to every lookup.
 
 Also reports the byte overhead of the port-P envelope versus the raw reply,
 as the PCEs count it.  One grid runs every variant, one bundle each; a
@@ -28,8 +28,8 @@ HEADERS = ("variant", "flows", "t_dns_mean", "t_dns_p95", "envelope_bytes")
 #: The variants E6 compares, as (label, scenario overrides).
 VARIANTS = (
     ("plain-dns", {"control_plane": "plain"}),
-    ("pce-precomputed", {"control_plane": "pce", "precompute": True}),
-    ("pce-on-demand", {"control_plane": "pce", "precompute": False,
+    ("pce-precomputed", {"control_plane": "pce", "computation_delay": 0.0}),
+    ("pce-on-demand", {"control_plane": "pce",
                        "computation_delay": COMPUTATION_DELAY}),
 )
 

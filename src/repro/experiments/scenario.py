@@ -61,7 +61,7 @@ def _reactive(system, **fixed):
 #: Every control plane, by its ``control_plane`` name.
 CONTROL_PLANES = {
     # The paper's PCE-based control plane.
-    "pce": Plane(("miss_policy", "mapping_ttl", "irc_policy", "precompute",
+    "pce": Plane(("miss_policy", "mapping_ttl", "irc_policy",
                   "computation_delay", "enable_probing", "probe_period",
                   "probe_timeout"), _deploy_pce),
     # LISP+ALT overlay, reactive resolution at ITRs.
@@ -102,8 +102,8 @@ class ScenarioConfig:
     dns_use_cache: bool = True
     dns_extra_levels: int = 0
     irc_policy: str = "balance"
-    precompute: bool = True
-    computation_delay: float = 0.0005
+    #: Seconds a PCE computes each mapping for; 0.0: known aforehand.
+    computation_delay: float = 0.0
     enable_probing: bool = False
     probe_period: float = 0.5
     #: Must stay below probe_period: overlapping probe rounds would keep

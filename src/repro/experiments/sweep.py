@@ -1027,12 +1027,20 @@ def aggregate(results):
 # Artifacts + sweep driver
 # --------------------------------------------------------------------- #
 
-def iter_jsonl(path):
-    """Yield result dicts from a per-cell JSONL artifact, one at a time.
+def _grid_tag(grid):
+    """Short digest of ``grid.describe()``: every JSONL line carries it, so
+    a resume can tell the grid that wrote a line."""
+    import hashlib  # loaded already (repro.sim.rng): no import at startup
+    described = json.dumps(grid.describe(), sort_keys=True)
+    return hashlib.sha256(described.encode()).hexdigest()[:16]
 
-    The per-line ``world`` tag (cache outcome, scheduling-dependent) is
-    stripped so the yielded results are exactly what the deterministic
-    payload carries.
+
+def iter_jsonl(path):
+    """Yield ``(grid tag, result)`` per line of a per-cell JSONL artifact.
+
+    The result is stripped of the line's tags, so it is exactly what the
+    deterministic payload carries: its ``grid`` tag (None if it has none)
+    is yielded beside it, its ``world`` tag (scheduling-dependent) dropped.
 
     A final line without its newline is what a killed run leaves behind
     (each result is written, terminated and flushed as one step): it is
@@ -1047,7 +1055,7 @@ def iter_jsonl(path):
                 continue
             entry = json.loads(line)
             entry.pop("world", None)
-            yield entry
+            yield entry.pop("grid", None), entry
 
 
 def _check_outputs(artifact_paths):
@@ -1069,17 +1077,18 @@ def _check_outputs(artifact_paths):
                              f"no such directory {directory!r}")
 
 
-def _resumed(cells, path):
-    """``{index: result}`` of the cells an earlier run of *cells*' grid
-    wrote to the JSONL at *path* (a cut-off last line skipped).
+def _resumed(cells, tag, path):
+    """``{index: result}`` of the cells an earlier run of *cells*' grid,
+    tagged *tag*, wrote to the JSONL at *path* (a cut-off last line skipped).
 
     Raises ``ValueError``, naming the index, for a line that is not the
-    grid's cell at its index: the JSONL of another grid.
+    grid's cell at its index or lacks the grid's tag: the JSONL of another
+    grid (whose cell ids match when only ``num_flows`` or overrides differ).
     """
     if not os.path.isfile(path):
         raise ValueError(f"cannot resume from {path!r}: no such file")
     done = {}
-    for result in iter_jsonl(path):
+    for line_tag, result in iter_jsonl(path):
         index = result.get("index")
         expected = (cells[index].cell_id if type(index) is int
                     and 0 <= index < len(cells) else None)
@@ -1087,12 +1096,17 @@ def _resumed(cells, path):
             raise ValueError(
                 f"cannot resume from {path!r}: its line for index {index} is "
                 f"cell {result.get('cell_id')!r}, the grid's is {expected!r}")
+        if line_tag != tag:
+            raise ValueError(
+                f"cannot resume from {path!r}: its line for index {index} is "
+                f"from grid {line_tag!r}, this grid is {tag!r}")
         done[index] = result
     return done
 
 
-def _write_line(handle, result, world):
-    handle.write(json.dumps({**result, "world": world}, sort_keys=True) + "\n")
+def _write_line(handle, result, world, tag):
+    handle.write(json.dumps({**result, "world": world, "grid": tag},
+                            sort_keys=True) + "\n")
     handle.flush()
 
 
@@ -1123,11 +1137,12 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
     Raises ``ValueError`` — before anything is built — for an artifact
     path that is a directory or lies in a missing one, and for a
     *resume_path* that is missing or holds a line that is not this grid's
-    cell at its index.
+    cell at its index or was written by another grid.
     """
     _check_outputs({"json": json_path, "csv": csv_path, "jsonl": jsonl_path})
     cells = expand_grid(grid)
-    done = {} if resume_path is None else _resumed(cells, resume_path)
+    tag = _grid_tag(grid)
+    done = {} if resume_path is None else _resumed(cells, tag, resume_path)
     pending = [cell for cell in cells if cell.index not in done]
     results = list(done.values())
     errors = []
@@ -1136,7 +1151,7 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
     try:
         if handle is not None:
             for result in results:
-                _write_line(handle, result, "resumed")
+                _write_line(handle, result, "resumed", tag)
         for run, built in _completed_runs(pending, workers) if pending else ():
             builds += len(built)
             for position, result in enumerate(run):
@@ -1146,7 +1161,7 @@ def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
                 results.append(result)
                 if handle is not None:
                     _write_line(handle, result,
-                                "miss" if position in built else "hit")
+                                "miss" if position in built else "hit", tag)
     finally:
         if handle is not None:
             handle.close()

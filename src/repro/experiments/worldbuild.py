@@ -148,7 +148,7 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: versioned here: a blob yields a build under the current code.  The
 #: "Versions" paragraph of ``docs/contracts.md`` says when to bump this
 #: and when the sweep artifact ``SCHEMA``.
-SNAPSHOT_SCHEMA = 20
+SNAPSHOT_SCHEMA = 21
 
 
 @contextmanager

@@ -28,7 +28,7 @@ per flow in :attr:`LinkStats.flows`, which is what the sweep's
 byte-conservation columns and the TE experiments' data-plane load shares
 read.  Transmitter busy time and offered bytes are also bucketed into
 fixed-width utilization windows (:attr:`LinkStats.windows`), the per-link
-load signal behind E4's utilization report and the IRC's byte counts.
+load signal behind E4's utilization report.
 
 A world holds many links and a run crosses few of them, so a link starts on
 the shared, read-only :data:`IDLE_STATS` and gets a ledger of its own from
@@ -98,7 +98,7 @@ class LinkStats:
                  "bytes_dropped", "flows", "windows")
 
     def __init__(self):
-        #: Subset of :attr:`tx_bytes` that crossed the link as fluid chunks.
+        #: Transmitted bytes that crossed the link as fluid chunks.
         self.fluid_bytes = 0
         self.bytes_offered = 0
         self.bytes_delivered = 0
@@ -117,12 +117,6 @@ class LinkStats:
         the byte-conservation invariant tests look for.
         """
         return self.bytes_offered - self.bytes_delivered - self.bytes_dropped
-
-    @property
-    def tx_bytes(self):
-        """Bytes the transmitter sent, packets and fluid chunks alike."""
-        return sum(volume  # repro: allow=DET03  (byte counts: ints)
-                   for _busy, volume in self.windows.values())
 
     # ------------------------------------------------------------------ #
     # Byte accounting (the offered/delivered/dropped ledgers are updated

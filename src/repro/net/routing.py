@@ -22,9 +22,7 @@ above the boundary, so per-attachment install cost is O(chain depth +
 |core|) instead of O(|providers|).  Nothing changes a fabric link after
 the build (attaching a host adds an access link), so the tables serve
 every later incremental install and every :meth:`RoutingPlan.delay`
-query.  The IRC engine reads each home provider's mean delay to the rest
-of the fabric (:meth:`RoutingPlan.mean_wan_delay`), computed once per
-provider and kept on the plan.
+query.
 
 Intra-site routing is installed explicitly by the topology builder — sites
 are stubs and must never transit traffic, which a blind shortest-path
@@ -32,7 +30,6 @@ computation over the full node set would allow.
 """
 
 import heapq
-import math
 from dataclasses import dataclass, field
 
 from repro.net.addresses import IPv4Prefix
@@ -153,10 +150,6 @@ class RoutingPlan:
                          for tier, ids in enumerate(layout.tiers)
                          for pid in ids}
         self._aggregate = dict(zip(providers, topology.provider_prefixes))
-        self._providers = tuple(providers)
-        #: provider -> :meth:`mean_wan_delay`; a derived cache filled on
-        #: first query (the fabric never changes after construction).
-        self._wan_means = {}
 
         # Best uplink per non-core provider, resolved top tier down so each
         # parent's chain exists before its customers pick among parents.
@@ -280,25 +273,6 @@ class RoutingPlan:
                 if best is None or candidate < best:
                     best = candidate
         return best
-
-    def mean_wan_delay(self, provider):
-        """Mean :meth:`delay` from *provider* to every other provider it
-        reaches (0.0 when it reaches none), summed exactly (``math.fsum``:
-        the mean feeds every IRC engine, so it must not depend on the
-        interpreter's ``sum``).
-        """
-        mean = self._wan_means.get(provider)
-        if mean is None:
-            delays = []
-            for other in self._providers:
-                if other is provider:
-                    continue
-                delay = self.delay(provider, other)
-                if delay is not None:
-                    delays.append(delay)
-            mean = self._wan_means[provider] = (
-                math.fsum(delays) / len(delays) if delays else 0.0)
-        return mean
 
     def install(self, owned_prefixes):
         """Install FIB routes for attachments, aggregating at tier boundaries.

@@ -77,10 +77,6 @@ class Site:
         """Site-internal control address of xTR *b* (mapping pushes go here)."""
         return self.infra_prefix.address_at(30 + b)
 
-    def rlocs(self):
-        """The site's routing locators, one per xTR, in xTR order."""
-        return [xtr.services["rloc"] for xtr in self.xtrs]
-
     def rloc_of(self, b):
         return self.xtrs[b].services["rloc"]
 

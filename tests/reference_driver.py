@@ -27,9 +27,8 @@ from collections import defaultdict
 from process_kernel import Process
 
 from repro.dns.message import DNS_PORT, DnsMessage, make_query, make_reply
-from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A, TYPE_CNAME
-from repro.dns.resolver import (LOOKUP_RETRIES, MAX_CNAME_CHASES, MAX_REFERRALS,
-                                NEGATIVE_TTL)
+from repro.dns.records import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A
+from repro.dns.resolver import LOOKUP_RETRIES, MAX_REFERRALS, NEGATIVE_TTL
 from repro.dns.server import PROCESSING_DELAY
 from repro.experiments.e9_failover import FLOW_END, PACKET_INTERVAL
 from repro.experiments.scenario import FLOW_TCP_PORT, FLOW_UDP_PORT
@@ -156,13 +155,12 @@ def _serve_recursive(self, query, packet):
     Process(self.sim, handle(), name=f"{self.node.name}-recurse")
 
 
-def _resolve(self, qname, qtype=TYPE_A, _depth=0):
+def _resolve(self, qname, qtype=TYPE_A):
     """Iteratively resolve; returns an event carrying the final DnsMessage.
 
     A live answer-cache entry is the whole resolution: the event comes
     back already succeeded (one engine event, no process).  Anything
-    else is a process.  Follows CNAME chains across zones (bounded by
-    MAX_CNAME_CHASES).  Identical concurrent resolutions are coalesced
+    else is a process.  Identical concurrent resolutions are coalesced
     onto one in-flight walk; NXDOMAIN outcomes are negatively cached
     for :data:`NEGATIVE_TTL`.  The message's ``answers``/``rcode`` reflect
     the outcome; SERVFAIL is used for loops and timeouts.
@@ -206,18 +204,6 @@ def _resolve(self, qname, qtype=TYPE_A, _depth=0):
                 failure_rcode = RCODE_NXDOMAIN
                 break
             if reply.answers:
-                wanted = [r for r in reply.answers if r.rtype == qtype]
-                cnames = [r for r in reply.answers if r.rtype == TYPE_CNAME]
-                if not wanted and cnames and qtype == TYPE_A \
-                        and _depth < MAX_CNAME_CHASES:
-                    # Cross-zone alias: restart at the canonical name and
-                    # splice the chain into the final answer.
-                    target = cnames[-1].data
-                    chased = yield self.resolve(target, qtype, _depth + 1)
-                    reply = reply.copy()  # a sent message is immutable
-                    reply.answers.extend(chased.answers)
-                    if not chased.answers:
-                        return reply.with_rcode(chased.rcode)
                 if self.use_cache:
                     ttl = min(r.ttl for r in reply.answers)
                     self.answer_cache.put((qname, qtype), list(reply.answers), ttl)
@@ -238,7 +224,7 @@ def _resolve(self, qname, qtype=TYPE_A, _depth=0):
         return empty.with_rcode(failure_rcode)
 
     key = (qname, qtype)
-    if _depth == 0 and key in self._in_flight:
+    if key in self._in_flight:
         return Process(self.sim, _coalesced(),
                        name=f"{self.node.name}-coalesce-{qname}")
     if self.use_cache:
@@ -249,9 +235,8 @@ def _resolve(self, qname, qtype=TYPE_A, _depth=0):
             return self.sim.event().succeed(synthetic)
     process = Process(self.sim, _resolve(),
                       name=f"{self.node.name}-resolve-{qname}")
-    if _depth == 0:
-        self._in_flight[key] = process
-        process.callbacks.append(lambda _event: self._in_flight.pop(key, None))
+    self._in_flight[key] = process
+    process.callbacks.append(lambda _event: self._in_flight.pop(key, None))
     return process
 
 

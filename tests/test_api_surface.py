@@ -36,8 +36,6 @@ KEPT = {
                            "check_shape over seeds with (ROADMAP)",
     "probability": "ZipfSampler's analytic pmf: what the tests hold its "
                    "cumulative table and its draws to",
-    "add_cname": "the only way a zone comes to hold a CNAME; the resolver's "
-                 "alias chase is tested through it",
     "containing": "the enclosing prefix of an arbitrary address: how the "
                   "address, FIB and fast-path property tests derive their "
                   "prefixes (`site_of_eid`, its last caller, reads the site "

@@ -1,10 +1,9 @@
 """Reference-model oracle for the recursive resolver's referral walk.
 
 A :class:`~repro.dns.resolver.RecursiveResolver` answers a name by asking
-the root, following referrals down to the zone that holds the name,
-chasing cross-zone CNAMEs, and caching answers, NXDOMAINs and referrals
-for their TTLs.  Generated DNS hierarchies (0–3 levels between the TLD
-and the sites, CNAME chains within and across zones, names that do not
+the root, following referrals down to the zone that holds the name, and
+caching answers, NXDOMAINs and referrals for their TTLs.  Generated DNS
+hierarchies (0–3 levels between the TLD and the sites, names that do not
 exist, caching on and off) are queried at generated instants, so cached
 entries live and expire.  For every query, a model that walks the
 :class:`~repro.dns.zone.Zone` objects directly gives the answer records or
@@ -22,23 +21,22 @@ from repro.dns.message import DnsMessage
 from repro.dns.records import (RCODE_NOERROR, RCODE_NXDOMAIN, RCODE_SERVFAIL,
                                TYPE_A)
 from repro.dns import resolver as resolver_module
-from repro.dns.resolver import MAX_CNAME_CHASES, MAX_REFERRALS
+from repro.dns.resolver import MAX_REFERRALS
 from repro.net.addresses import IPv4Address
 from repro.net.host import UdpSocket
 from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
-#: Queries start on a grid of GRID seconds, and every walk, nested chases
-#: included, ends within half of it (the slowest, four uncached cross-zone
-#: chases under three extra levels, takes about 3 s).  An entry cached at
-#: t0 + δ is read at t + ε, both offsets under GRID / 2, and every TTL of a
-#: record and of the negative cache is an odd multiple of GRID / 2, so
-#: the entry is live iff ``t - t0 <= ttl``, whatever the link delays.  The
+#: Queries start on a grid of GRID seconds, and every walk ends within half
+#: of it.  An entry cached at t0 + δ is read at t + ε, both offsets under
+#: GRID / 2, and every TTL of a record and of the negative cache is an odd
+#: multiple of GRID / 2, so the entry is live iff ``t - t0 <= ttl``,
+#: whatever the link delays.  The
 #: delegations' 3600 s is a whole multiple, but no gap sum reaches it
 #: without a 4000 s gap, which outlives it.
 GRID = 20.0
 GAPS = (20.0, 40.0, 60.0, 120.0, 4000.0)
-#: TTLs of host and alias records.
+#: TTLs of host records.
 TTLS = (30.0, 50.0, 70.0)
 #: The negative cache's TTL in these worlds (``resolver.NEGATIVE_TTL``).
 NEGATIVE_TTL = 50.0
@@ -76,7 +74,7 @@ class _ReferenceResolver:
                 return servers
         return [ROOT_ADDRESS]
 
-    def resolve(self, qname, now, asked, depth=0):
+    def resolve(self, qname, now, asked):
         """``(rcode, answer records)``; servers asked appended to *asked*."""
         cached = self._cached(self.answers, qname, now)
         if cached is not None:
@@ -93,13 +91,6 @@ class _ReferenceResolver:
                 return RCODE_NXDOMAIN, []
             if result.answers:
                 answers = list(result.answers)
-                addresses = [r for r in answers if r.rtype == TYPE_A]
-                if not addresses and depth < MAX_CNAME_CHASES:
-                    rcode, chased = self.resolve(answers[-1].data, now, asked,
-                                                 depth + 1)
-                    if not chased:
-                        return rcode, answers  # nothing cached for the alias
-                    answers += chased
                 if self.use_cache:
                     self.answers[qname] = (now, min(r.ttl for r in answers),
                                            answers)
@@ -112,11 +103,9 @@ class _ReferenceResolver:
         return RCODE_SERVFAIL, []
 
 
-def _dns_world(extra_levels, use_cache, host_ttl, aliases):
-    """A 3-site world with its DNS, *aliases* added to the site zones.
+def _dns_world(extra_levels, use_cache, host_ttl):
+    """A 3-site world with its DNS.
 
-    *aliases* are ``(site, target pick, ttl)``: each alias names a host,
-    an earlier alias or a missing name, anywhere in the hierarchy.
     Returns the world, its DNS, the zones by server address and every
     name worth asking for.
     """
@@ -135,14 +124,7 @@ def _dns_world(extra_levels, use_cache, host_ttl, aliases):
     missing = [f"nohost.{dns.site_domain(topology.sites[1])}",
                f"host0.site9.{dns.site_suffix}", "www.other.",
                dns.site_suffix, dns.site_domain(topology.sites[2])]
-    names = hosts + missing
-    for number, (site_index, pick, ttl) in enumerate(aliases):
-        site = topology.sites[site_index]
-        alias = f"alias{number}.{dns.site_domain(site)}"
-        dns.resolver_for(site).zone.add_cname(alias, names[pick % len(names)],
-                                              ttl=ttl)
-        names.append(alias)
-    return sim, topology, dns, zones, names
+    return sim, topology, dns, zones, hosts + missing
 
 
 def _asking(resolver_node):
@@ -159,26 +141,22 @@ def _asking(resolver_node):
 
 queries = st.lists(st.tuples(st.integers(0, 63), st.sampled_from(GAPS)),
                    min_size=1, max_size=14)
-aliases = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63),
-                             st.sampled_from(TTLS)), max_size=6)
 
 
 @settings(max_examples=80, deadline=None)
 @given(extra_levels=st.integers(0, 3), use_cache=st.booleans(),
-       host_ttl=st.sampled_from(TTLS), aliases=aliases, queries=queries)
+       host_ttl=st.sampled_from(TTLS), queries=queries)
 # Two hosts of one site and a missing name beside them: the first walk
 # starts at the root, the later ones at the site's own server.
-@example(extra_levels=3, use_cache=True, host_ttl=70.0, aliases=[],
+@example(extra_levels=3, use_cache=True, host_ttl=70.0,
          queries=[(2, 20.0), (3, 20.0), (6, 20.0)])
-# alias1 (site0) -> alias0 (site2) -> site1's host1: two chases, each zone
-# asked once, a repeat answered from the cache, then one past its TTL.
-@example(extra_levels=1, use_cache=True, host_ttl=70.0,
-         aliases=[(2, 3, 50.0), (0, 11, 30.0)],
-         queries=[(12, 20.0), (12, 20.0), (12, 40.0)])
+# Site1's host1 asked, asked again from the cache, then past its TTL.
+@example(extra_levels=1, use_cache=True, host_ttl=30.0,
+         queries=[(3, 20.0), (3, 20.0), (3, 40.0)])
 def test_resolver_matches_the_zone_walk(extra_levels, use_cache, host_ttl,
-                                        aliases, queries):
+                                        queries):
     sim, topology, dns, zones, names = _dns_world(extra_levels, use_cache,
-                                                  host_ttl, aliases)
+                                                  host_ttl)
     resolver = dns.resolver_for(topology.sites[0])
     model = _ReferenceResolver(zones, use_cache)
     asked, recording = _asking(resolver.node)

@@ -27,7 +27,7 @@ from repro.traffic.flows import (FlowIdAllocator, FlowRecord, UdpSink,
                                  send_flow)
 from repro.traffic.popularity import FlowPlan, FlowShaper, FlowSizeSampler
 
-from test_net_link_node import utilization_series
+from test_net_link_node import tx_bytes, utilization_series
 
 WIRE = 1028  # 1000B payload + 28B IPv4+UDP headers
 
@@ -87,7 +87,7 @@ def test_book_fluid_infinite_rate_grants_everything():
     stats = LinkStats()
     granted = stats.book_fluid(0.0, 0.5, 10_000, None)
     assert granted == 10_000
-    assert stats.fluid_bytes == stats.tx_bytes == 10_000
+    assert stats.fluid_bytes == tx_bytes(stats) == 10_000
     assert stats.windows[0][0] == 0.0   # no transmitter seconds
 
 

@@ -168,14 +168,15 @@ def test_first_tick_fires_one_period_after_start():
         itr = scenario.control_plane.xtrs_by_site[site_s.index][0]
         itr.install_mapping(
             MappingRecord(str(site_d.eid_prefix),
-                          tuple(RlocEntry(rloc) for rloc in site_d.rlocs())),
+                          tuple(RlocEntry(site_d.rloc_of(b))
+                                for b in range(len(site_d.xtrs)))),
             origin="test")
 
     Process(sim, fill())
     sim.run(until=0.45)
     assert prober._nonce == 0              # nothing fired before t + period
     sim.run(until=0.55)
-    assert prober._nonce == len(site_d.rlocs())  # first tick saw the fill
+    assert prober._nonce == len(site_d.xtrs)  # first tick saw the fill
 
 
 def test_prober_snapshot_round_trips_liveness_state():

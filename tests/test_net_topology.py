@@ -20,7 +20,8 @@ def site_of_rloc(topology, rloc):
     """The site one of whose xTRs holds *rloc* (None if none does)."""
     rloc = IPv4Address(rloc)
     return next((site for site in topology.sites
-                 if rloc in map(IPv4Address, site.rlocs())), None)
+                 if any(IPv4Address(site.rloc_of(b)) == rloc
+                        for b in range(len(site.xtrs)))), None)
 
 
 @pytest.fixture

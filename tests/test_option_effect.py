@@ -35,7 +35,7 @@ SHARED = ("control_plane", "num_sites", "num_providers", "providers_per_site",
 #: mapping to every xTR for good, so its ETRs never miss a source and
 #: gleaning could change nothing: NERD does not read it.
 READS = {
-    "pce": ("miss_policy", "mapping_ttl", "irc_policy", "precompute",
+    "pce": ("miss_policy", "mapping_ttl", "irc_policy",
             "computation_delay", "enable_probing", "probe_period",
             "probe_timeout"),
     "alt": ("miss_policy", "gleaning", "mapping_ttl"),
@@ -45,11 +45,9 @@ READS = {
 }
 
 #: The config each plane is perturbed from: the PCE's conditional reads
-#: (``computation_delay`` when it computes on demand, ``probe_*`` when it
-#: probes) need their condition on.
+#: (``probe_*`` when it probes) need their condition on.
 BASES = {plane: ScenarioConfig(control_plane=plane) for plane in READS}
-BASES["pce"] = ScenarioConfig(control_plane="pce", precompute=False,
-                              enable_probing=True)
+BASES["pce"] = ScenarioConfig(control_plane="pce", enable_probing=True)
 
 #: A value unlike the base's for every non-boolean field (booleans flip).
 PERTURBED = {

@@ -14,10 +14,24 @@ goes; one every caller passes loses its default instead.
 :data:`KEPT` holds the exceptions, each for one of three reasons: the
 matcher cannot see a setter outside the tests; the option is a test
 oracle's switch; or only a digested :class:`SweepGrid` field forwards it.
+
+The same holds one level down, for the values of a field validated
+against a closed set (:data:`CLOSED_SETS`): a member nothing outside the
+tests can select is a branch no run takes.
 """
 
 import ast
 import pathlib
+from dataclasses import fields
+
+from repro.core.irc import POLICIES as IRC_POLICIES
+from repro.experiments.scenario import (CONTROL_PLANES, MISS_POLICIES,
+                                        ScenarioConfig)
+from repro.experiments.sweep import AXES
+from repro.experiments.workload import WorkloadConfig
+from repro.net.topogen import FAMILIES
+from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS
+from test_api_surface import _trees as _non_test_trees
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -29,8 +43,8 @@ CONFIGS = ("ScenarioConfig", "WorkloadConfig", "SweepGrid", "TopologySpec")
 KEPT = {
     "lookup.qtype": "servers pass the question's qtype by position, and "
                     "several methods are named lookup",
-    "resolve.qtype": "the CNAME chase passes its qtype by position, and "
-                     "several methods are named resolve",
+    "resolve.qtype": "the recursive server passes the question's qtype "
+                     "by position, and several methods are named resolve",
     "make_query.qtype": "the resolver passes the qtype it resolves, a "
                         "parameter of the same name",
     "main.argv": "tests call both CLIs' main by position, and two "
@@ -138,3 +152,67 @@ def test_every_option_has_a_setter():
     assert sorted(unset - set(KEPT)) == []
     assert sorted(set(KEPT) - unset) == [], "stale KEPT entries"
     assert all(reason.strip() for reason in KEPT.values())
+
+
+#: Every :class:`ScenarioConfig` / :class:`WorkloadConfig` field validated
+#: against a closed set, with the set.
+CLOSED_SETS = {
+    (ScenarioConfig, "control_plane"): CONTROL_PLANES,
+    (ScenarioConfig, "topology"): FAMILIES,
+    (ScenarioConfig, "miss_policy"): MISS_POLICIES,
+    (ScenarioConfig, "irc_policy"): IRC_POLICIES,
+    (WorkloadConfig, "size_dist"): SIZE_DISTRIBUTIONS,
+    (WorkloadConfig, "pacing"): PACING_MODES,
+}
+#: The string fields no closed set validates, each with the reason.
+OPEN_STRINGS = {
+    (WorkloadConfig, "mode"): "a flow is TCP if it says tcp, else UDP",
+}
+
+
+def _literal_choices():
+    """``{field: {string}}`` passed outside the tests as a string literal:
+    by keyword (``irc_policy="primary"``) or as a dict literal's value
+    under the field's name (``{"miss_policy": "queue"}``)."""
+    chosen = {}
+    for tree in _non_test_trees("src", "examples", "benchmarks"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                pairs = [(keyword.arg, keyword.value)
+                         for keyword in node.keywords]
+            elif isinstance(node, ast.Dict):
+                pairs = [(key.value, value) for key, value
+                         in zip(node.keys, node.values, strict=True)
+                         if isinstance(key, ast.Constant)]
+            else:
+                continue
+            for name, value in pairs:
+                if isinstance(value, ast.Constant) \
+                        and isinstance(value.value, str):
+                    chosen.setdefault(name, set()).add(value.value)
+    return chosen
+
+
+def test_every_string_field_is_a_closed_set_or_open():
+    strings = {(config, spec.name)
+               for config in (ScenarioConfig, WorkloadConfig)
+               for spec in fields(config) if spec.type is str}
+    assert strings == set(CLOSED_SETS) | set(OPEN_STRINGS)
+
+
+def test_every_member_of_a_closed_set_can_be_chosen():
+    """Each member is the field's default, set by a literal outside the
+    tests, or taken by the ``repro sweep`` flag of the field's axis."""
+    flagged = {axis.kwarg: axis for axis in AXES
+               if axis.flag is not None and axis.config is not None}
+    chosen = _literal_choices()
+    unchosen = []
+    for (config, name), members in CLOSED_SETS.items():
+        axis = flagged.get(name)
+        unchosen += [f"{config.__name__}.{name}={member!r}"
+                     for member in members
+                     if member != getattr(config(), name)
+                     and member not in chosen.get(name, ())
+                     and not (axis is not None
+                              and (axis.valid is None or axis.valid(member)))]
+    assert unchosen == []

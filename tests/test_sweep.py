@@ -288,8 +288,8 @@ def test_write_json_leaves_the_old_artifact_when_the_dump_fails(tmp_path):
 
 def test_iter_jsonl_skips_the_line_a_killed_run_cut_short(tmp_path):
     path = tmp_path / "cells.jsonl"
-    path.write_text('{"index":0,"world":"miss"}\n{"index":1,"wor')
-    assert list(iter_jsonl(str(path))) == [{"index": 0}]
+    path.write_text('{"grid":"ab","index":0,"world":"miss"}\n{"index":1,"wor')
+    assert list(iter_jsonl(str(path))) == [("ab", {"index": 0})]
     # A terminated line that does not parse is corruption, not a cut.
     path.write_text('{"index":0}\n{"index":1,"wor\n{"index":2}\n')
     with pytest.raises(json.JSONDecodeError):
@@ -386,7 +386,7 @@ def test_a_raising_cell_leaves_the_rest_of_the_sweep(workers, tmp_path,
 
     def lines(path):
         return sorted(json.dumps(entry, sort_keys=True)
-                      for entry in iter_jsonl(path))
+                      for _tag, entry in iter_jsonl(path))
     assert lines(tmp_path / "raised.jsonl") == [
         json.dumps(cell, sort_keys=True) for cell in sorted(
             rest, key=lambda cell: json.dumps(cell, sort_keys=True))]
@@ -649,15 +649,14 @@ def test_a_cut_off_sweep_resumes_to_the_uninterrupted_artifacts(
 
     def lines(path):
         return sorted(json.dumps(entry, sort_keys=True)
-                      for entry in iter_jsonl(path))
+                      for _tag, entry in iter_jsonl(path))
     assert lines(resumed_path) == lines(tmp_path / "full.jsonl")
 
 
 def test_a_whole_jsonl_resumes_without_building(tmp_path, request):
-    full = run_sweep(TINY)
-    request.getfixturevalue("no_world_builds")
     path = tmp_path / "cells.jsonl"
-    path.write_text("".join(json.dumps(cell) + "\n" for cell in full["cells"]))
+    full = run_sweep(TINY, jsonl_path=path)
+    request.getfixturevalue("no_world_builds")
     resumed = run_sweep(TINY, resume_path=path)
     assert payload_digest(resumed) == payload_digest(full)
     assert resumed["world_cache"] == {"builds": 0, "hits": 0,
@@ -680,6 +679,29 @@ def test_resume_refuses_another_grids_line_before_building(
         run_sweep(TINY, resume_path=path)
     with pytest.raises(ValueError, match="no such file"):
         run_sweep(TINY, resume_path=tmp_path / "missing.jsonl")
+
+
+@pytest.mark.parametrize("tagged", (True, False))
+def test_resume_refuses_the_jsonl_of_a_grid_with_other_grid_fields(
+        tmp_path, tagged, request):
+    """An 8-flow grid's JSONL cut to two lines, resumed with 4 flows: the
+    cell ids match (no axis moved), the grid tag does not.  A line with
+    no tag is refused too."""
+    full = tmp_path / "full.jsonl"
+    run_sweep(TINY, jsonl_path=full)
+    request.getfixturevalue("no_world_builds")
+    lines = full.read_text().splitlines(keepends=True)[:2]
+    if not tagged:
+        lines = [json.dumps({key: value for key, value
+                             in json.loads(line).items() if key != "grid"})
+                 + "\n" for line in lines]
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines))
+    fewer = replace(TINY, num_flows=4)
+    assert [cell.cell_id for cell in expand_grid(fewer)] \
+        == [cell.cell_id for cell in expand_grid(TINY)]
+    with pytest.raises(ValueError, match="its line for index 0 is from grid"):
+        run_sweep(fewer if tagged else TINY, resume_path=cut)
 
 
 def test_cli_sweep_resumes_a_cut_off_run(tmp_path, capsys):

@@ -177,8 +177,8 @@ def test_site_index_lookups():
     topology = _tiered(num_sites=12)
     for site in topology.sites:
         assert topology.site_of_eid(site.eid_prefix.address_at(10)) is site
-        for rloc in site.rlocs():
-            assert site_of_rloc(topology, rloc) is site
+        for b in range(len(site.xtrs)):
+            assert site_of_rloc(topology, site.rloc_of(b)) is site
     assert topology.site_of_eid(IPv4Address("8.8.8.8")) is None
     assert site_of_rloc(topology, IPv4Address("8.8.8.8")) is None
 

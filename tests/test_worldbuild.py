@@ -186,7 +186,7 @@ def test_failover_cell_fresh_vs_restored_byte_identical():
     """A probing+failure cell on a reused world == the same cell run fresh.
 
     This is the satellite contract for snapshot/restore of prober state
-    (down set, consecutive misses, nonces) and IRC EWMA estimates: the
+    (down set, consecutive misses, nonces) and IRC pledges: the
     failover summaries must not differ by a single byte.
     """
     cell = _failover_cell()
@@ -197,7 +197,7 @@ def test_failover_cell_fresh_vs_restored_byte_identical():
 
 
 def test_prober_and_irc_state_round_trip_through_restore():
-    """Down sets, miss counters, nonces and EWMAs all reset on restore."""
+    """Down sets, miss counters, nonces and IRC pledges all reset on restore."""
     config = ScenarioConfig(control_plane="pce", num_sites=3, seed=13,
                             enable_probing=True, probe_period=0.3,
                             probe_timeout=0.15, tracing=False)
@@ -540,8 +540,8 @@ def test_sweep_reuses_worlds_and_streams_jsonl(tmp_path):
              jsonl_path.read_text().strip().splitlines()]
     assert {line["world"] for line in lines} == {"hit", "miss"}
     # ...and reading it back (outcome stripped) is exactly the payload.
-    assert sorted(iter_jsonl(str(jsonl_path)), key=lambda r: r["index"]) \
-        == serial["cells"]
+    assert sorted((result for _tag, result in iter_jsonl(str(jsonl_path))),
+                  key=lambda r: r["index"]) == serial["cells"]
 
 
 def test_variants_differing_in_a_field_their_plane_ignores_share_a_world():

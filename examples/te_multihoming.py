@@ -3,9 +3,9 @@
 
 A multihomed destination site receives flows from four other sites.  With
 plain LISP, every inbound packet lands on the statically-preferred locator;
-with the PCE control plane, PCE_D picks the inbound locator per flow with
-its IRC engine, and — independently — each source site spreads its
-*outbound* packets over its own providers (the two one-way tunnels).
+with the PCE control plane, PCE_D's IRC engine picks the inbound locator
+per Step-6 reply (flows reusing the pushed mapping follow it), and each
+source site spreads its *outbound* packets over its providers.
 
 The second half demonstrates the push-to-all-ITRs rationale of Step 7b:
 live flows are re-homed from one egress ITR to another, and nothing drops

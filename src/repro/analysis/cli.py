@@ -4,7 +4,6 @@ Exit status is the contract: 0 when the tree is clean, 1 when any finding
 survives (CI fails the commit), 2 on usage errors.
 """
 
-import argparse
 import json
 import sys
 
@@ -52,15 +51,3 @@ def run(args):
         checked = "all rules" if rules is None else ", ".join(rules)
         print(f"repro analyze: {len(findings)} {noun} ({checked})")
     return 1 if findings else 0
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="repro-analyze",
-        description="AST-based determinism & snapshot contract checkers")
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

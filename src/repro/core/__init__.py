@@ -5,7 +5,7 @@ the data path of — its DNS server.  The PCE:
 
 - learns, via IPC with the local resolver, which local host started a
   lookup (Step 1) and picks the site's *ingress* locator for the coming
-  reverse traffic from its IRC engine's per-locator pledges;
+  reverse traffic from its IRC engine's round robin;
 - transparently observes the iterative DNS exchange (Steps 2-5);
 - acting as the destination-side PCE, intercepts the authoritative reply
   carrying the destination EID and encapsulates it — together with the

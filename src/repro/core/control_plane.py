@@ -2,7 +2,7 @@
 
 :class:`PceControlPlane` wires, for every site in a topology:
 
-- a :class:`~repro.core.irc.IrcEngine` (per-locator pledges),
+- a :class:`~repro.core.irc.IrcEngine` (two selection counters),
 - a :class:`~repro.core.pce.Pce` on the PCE node,
 - one :class:`~repro.lisp.xtr.TunnelRouter` per border router, with **no
   reactive mapping system** (mappings arrive only by push) and gleaning
@@ -12,13 +12,13 @@
   first data packet -> reverse mapping -> multicast to sibling ETRs and
   the local PCE database.
 
-It also owns the egress routing table (hub per-destination routes) so the
-TE re-homing of :mod:`repro.core.te` can be applied: every push reaches
-every ITR of the site (Step 7b's push-to-all), so a re-homed flow always
-finds its mapping in place.
+It also owns the egress routing table (hub per-destination routes) for
+the TE re-homing of :mod:`repro.core.te`: every push reaches every ITR
+of the site (Step 7b's push-to-all), so a re-homed flow always finds its
+mapping in place.
 """
 
-from repro.core.irc import FLOW_BYTES_ESTIMATE, IrcEngine
+from repro.core.irc import IrcEngine
 from repro.core.messages import (
     PORT_MAPPING_PUSH,
     PORT_REVERSE,
@@ -26,7 +26,7 @@ from repro.core.messages import (
     ReverseMappingAnnounce,
 )
 from repro.core.pce import Pce
-from repro.core.te import plan_rebalance
+from repro.core.te import FLOW_BYTES_ESTIMATE, plan_rebalance
 from repro.lisp import EID_SPACE
 from repro.lisp.control.base import MappingRegistry
 from repro.lisp.mappings import MappingRecord, RlocEntry, site_mapping
@@ -70,7 +70,7 @@ class PceControlPlane:
             irc = IrcEngine(len(site.xtrs), policy=irc_policy)
             self.ircs[site.index] = irc
             resolver = dns_system.resolver_for(site)
-            pce = Pce(sim, site, topology, resolver, self.registry, irc,
+            pce = Pce(sim, site, resolver, self.registry, irc,
                       control_plane=self, computation_delay=computation_delay)
             self.pces[site.index] = pce
             site.pce_node.bind_udp(PORT_REVERSE, PceReverseHandler(pce))
@@ -132,8 +132,8 @@ class PceControlPlane:
     # ------------------------------------------------------------------ #
 
     def rebalance_site_egress(self, site, loads):
-        """Plan and apply egress re-homing for *site* under per-ITR *loads*
-        (bytes); returns the moves."""
+        """Re-home *site*'s hub routes under per-ITR *loads* (bytes);
+        returns the moves.  The IRC egress count is left as it was."""
         assignment = self.egress_assignments[site.index]
         flows_by_itr = {}
         for prefix, index in assignment.items():

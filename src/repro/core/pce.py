@@ -62,12 +62,10 @@ class PceStats:
 class Pce:
     """A site's PCE: DNS-path interception plus mapping distribution."""
 
-    def __init__(self, sim, site, topology, resolver, registry, irc,
-                 control_plane, computation_delay):
+    def __init__(self, sim, site, resolver, registry, irc, control_plane,
+                 computation_delay):
         self.sim = sim
         self.site = site
-        self.topology = topology
-        self.resolver = resolver
         self.registry = registry
         self.irc = irc
         self.control_plane = control_plane
@@ -301,10 +299,9 @@ class Pce:
     # ------------------------------------------------------------------ #
 
     #: Wiring and config fixed at deploy time; the referenced components
-    #: (registry, irc, control_plane, resolver) checkpoint themselves.
-    _SNAPSHOT_EXEMPT = ("sim", "site", "topology", "resolver", "registry",
-                        "irc", "control_plane", "computation_delay", "node",
-                        "address")
+    #: (registry, irc, control_plane) checkpoint themselves.
+    _SNAPSHOT_EXEMPT = ("sim", "site", "registry", "irc", "control_plane",
+                        "computation_delay", "node", "address")
 
     def snapshot_state(self):
         return (self.stats.snapshot_state(), dict(self.pending_ingress),

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 #: Re-homing stops once ``max(load) / mean(load)`` is at most this.
 TOLERANCE = 1.2
+#: What TE re-homing assumes each homed flow weighs, in bytes.
+FLOW_BYTES_ESTIMATE = 50_000
 
 
 @dataclass(frozen=True)

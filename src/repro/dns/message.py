@@ -113,9 +113,6 @@ class Question:
             return NotImplemented
         return self.qname == other.qname and self.qtype == other.qtype
 
-    def __hash__(self):
-        return hash((self.qname, self.qtype))
-
     def __repr__(self):
         return f"Question(qname={self.qname!r}, qtype={self.qtype!r})"
 

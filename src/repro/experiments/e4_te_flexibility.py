@@ -2,21 +2,22 @@
 
 All flows target one multihomed site.  In plain LISP the inbound locator is
 whatever static priority the site published (everything lands on one
-provider) and the reverse direction is pinned to the forward ITR.  The PCE
-control plane chooses the inbound locator per flow with its IRC engine, so
-inbound bytes spread across providers — and, independently, the *source*
-site spreads its outbound bytes, demonstrating the two one-way tunnels.
+provider) and the reverse direction is pinned to the forward ITR.  PCE_D's
+IRC engine picks the inbound locator per Step-6 reply, and every flow that
+reuses the pushed mapping follows it, so inbound bytes spread across
+providers — and, independently, the *source* site spreads its outbound
+bytes, showing the two one-way tunnels.
 
 Metrics come from the links' per-flow byte accounting rather than raw
 transmit counters: per-provider shares of *data-plane delivered bytes* on
 the destination site's access links (inbound) and a max/mean imbalance
 figure, plus the same for one source site's uplinks (outbound) — so
-control-plane chatter (mapping pushes, probes, DNS transit) no longer
-leaks into the balance numbers.  The access links carry a finite rate and
-the workload runs with shaped pacing (mice burst, elephants pace), so each
-row also reports real per-link utilization — the peak busy-window fraction
-across the site's providers.  An ablation re-runs PCE with the ``primary``
-IRC policy, which degenerates to the static baseline.
+control-plane chatter (pushes, probes, DNS) stays out of them.  The access
+links carry a finite rate and the workload runs with shaped pacing (mice
+burst, elephants pace), so each row also reports real per-link
+utilization — the peak busy-window fraction across the site's providers.
+An ablation re-runs PCE with the ``primary`` IRC policy, which
+degenerates to the static baseline.
 
 One grid runs every variant, one bundle each; a row is a bundle's
 aggregate, its view the sweep's ``access_te`` metric.

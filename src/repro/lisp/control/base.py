@@ -129,10 +129,6 @@ class MappingSystem:
         """
         return False
 
-    def state_entries_per_router(self):
-        """{node_name: number of control-plane state entries} for E5."""
-        return {}
-
     def finalize(self):
         """Hook run after all sites are registered (overlay builds, pushes)."""
 

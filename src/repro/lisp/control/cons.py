@@ -84,7 +84,6 @@ class ConsMappingSystem(MappingSystem):
         self._tree_by_address = {}
         self._cars = Fib()  # EID prefix -> its CAR's address
         self._car_of_site = {}
-        self._xtr_of_node = {}
         self._cdr_count = 0
 
     def register_site(self, site, mapping):
@@ -93,7 +92,6 @@ class ConsMappingSystem(MappingSystem):
 
     def attach_xtr(self, xtr):
         super().attach_xtr(xtr)
-        self._xtr_of_node[xtr.node.name] = xtr
         xtr.node.bind_udp(LISP_CONTROL_PORT, self._on_control)
 
     # -- tree construction -------------------------------------------------- #

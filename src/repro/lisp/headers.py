@@ -85,7 +85,7 @@ def encapsulate(inner, source_rloc, destination_rloc, nonce=None):
                     UDPHeader(LISP_DATA_PORT, LISP_DATA_PORT),
                     LispHeader(next(_nonces) if nonce is None else nonce)],
                    inner)
-    size, flow_id, probe = inner._hop or inner.hop_ledger()
+    size, flow_id, probe = inner._hop
     size = outer._size = size + _ENVELOPE_BYTES
     outer._hop = (size, flow_id, probe)
     return outer

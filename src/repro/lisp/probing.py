@@ -59,7 +59,6 @@ class RlocProber:
                 f"period ({period}): rounds must not overlap")
         self.sim = sim
         self.xtr = xtr
-        self.period = period
         self.timeout = timeout
         self.down = set()
         self.version = next(_versions)
@@ -157,7 +156,7 @@ class RlocProber:
     #: (its armed/next-fire state is engine state, captured by the
     #: simulator's own checkpoint).
     #: ``version`` keys memos only; restore_state takes a new one.
-    _SNAPSHOT_EXEMPT = ("sim", "xtr", "period", "timeout", "_task", "version")
+    _SNAPSHOT_EXEMPT = ("sim", "xtr", "timeout", "_task", "version")
 
     def snapshot_state(self):
         """Liveness verdicts, miss counters and the nonce.

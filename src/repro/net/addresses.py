@@ -91,9 +91,6 @@ class IPv4Address:
         # ``address == int``.
         return hash(self._value)
 
-    def __add__(self, offset):
-        return IPv4Address(self._value + int(offset))
-
     @property
     def value(self):
         """The 32-bit integer value."""
@@ -110,7 +107,6 @@ class IPv4Address:
         return cls(int.from_bytes(data, "big"))
 
 
-@total_ordering
 class IPv4Prefix:
     """An IPv4 network prefix (address + mask length).
 
@@ -196,11 +192,6 @@ class IPv4Prefix:
                 return self == IPv4Prefix(other)
             except AddressError:
                 return False
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, IPv4Prefix):
-            return (self._network, self._length) < (other._network, other._length)
         return NotImplemented
 
     def __hash__(self):

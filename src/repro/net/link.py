@@ -325,10 +325,7 @@ class Link(Journaled):
         """Accept *packet* for transmission; returns False on a drop."""
         if self._journal is not None:
             self._touch()
-        hop = packet._hop    # set by the packet's first link: read it inline
-        if hop is None:
-            hop = packet.hop_ledger()
-        size, flow_id, _probe = hop
+        size, flow_id, _probe = packet._hop    # sealed at construction
         stats = self.stats
         if stats is IDLE_STATS:
             stats = self.stats = LinkStats()

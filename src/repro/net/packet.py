@@ -14,7 +14,7 @@ reused on every hop; see "Packet immutability & forwarding fast path" in
 ``docs/contracts.md``.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 
 from repro.net.addresses import IPv4Address
@@ -115,14 +115,14 @@ class Packet:
         Explicit payload size; required when the payload object does not
         expose one.
     meta:
-        Free-form annotations (flow id, creation time, hop count...).  Meta
-        survives :meth:`copy` so experiments can follow a packet end-to-end.
+        Free-form annotations (flow id, creation time, hop count...).
 
     ``headers`` (the list), ``payload`` and ``payload_bytes`` must not be
     reassigned or mutated once the packet exists, nor the innermost
-    packet's flow id and probe once sent: the size and :meth:`hop_ledger`
-    are computed once and kept (:func:`udp_packet`, :func:`tcp_packet` and
-    LISP encapsulation fix both at construction).
+    packet's flow id and probe: the size and the hop ledger ``_hop``
+    (``(size_bytes, flow_id, fluid_probe)``, what a link books) are fixed
+    at construction by :func:`udp_packet`, :func:`tcp_packet` and LISP
+    encapsulation, the only constructors of a packet that is sent.
     """
 
     __slots__ = ("headers", "payload", "payload_bytes", "meta", "uid",
@@ -150,20 +150,6 @@ class Packet:
                 size += header.size_bytes
             self._size = size
         return size
-
-    def hop_ledger(self):
-        """What a link books: ``(size_bytes, flow_id, fluid_probe)``, the
-        last two from the innermost packet's meta."""
-        hop = self._hop
-        if hop is None:
-            payload = self.payload
-            if isinstance(payload, Packet):
-                _size, flow_id, probe = payload.hop_ledger()
-            else:
-                meta = self.meta
-                flow_id, probe = meta.get("flow_id"), meta.get("fluid_probe")
-            hop = self._hop = (self.size_bytes, flow_id, probe)
-        return hop
 
     def _payload_size(self):
         payload = self.payload
@@ -210,23 +196,6 @@ class Packet:
     def inner(self):
         """The encapsulated packet, if the payload is a packet."""
         return self.payload if isinstance(self.payload, Packet) else None
-
-    def copy(self):
-        """Deep-enough copy: headers and meta copied, payload shared.
-
-        Header objects are replaced (dataclass ``replace``) so in-flight TTL
-        mutation on one copy never affects another.
-        """
-        cloned_payload = self.payload.copy() if isinstance(self.payload, Packet) else self.payload
-        clone = Packet(
-            headers=[replace(header) for header in self.headers],
-            payload=cloned_payload,
-            payload_bytes=self.payload_bytes,
-            meta=dict(self.meta),
-        )
-        clone._size = self._size
-        clone._hop = self._hop
-        return clone
 
     def __str__(self):
         stack = " / ".join(str(header) for header in self.headers)

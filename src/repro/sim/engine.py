@@ -3,7 +3,6 @@
 from heapq import heappop, heappush
 from math import nextafter
 
-from repro.sim.errors import EmptySchedule
 from repro.sim.events import Event, Timeout
 from repro.sim.periodic import PeriodicFire, PeriodicTask
 from repro.sim.rng import RandomStreams
@@ -42,9 +41,8 @@ class Simulator:
     seed:
         Master seed for :class:`~repro.sim.rng.RandomStreams`.
     tracing:
-        When False the tracer starts disabled (sweep runs skip per-event
-        record allocation entirely); it can be re-enabled via
-        ``sim.trace.enable()``.
+        When False the tracer is disabled (sweep runs skip per-event
+        record allocation entirely).
     """
 
     def __init__(self, seed=0, tracing=True):
@@ -161,30 +159,13 @@ class Simulator:
         """Number of scheduled foreground events (diagnostic)."""
         return self._foreground
 
-    def peek(self):
-        """Time of the next scheduled event, or ``float('inf')`` if none.
-
-        Stale background entries (ticks invalidated by a re-arm or stop)
-        are discarded from the head of the queue as a side effect.
-        """
-        queue = self._queue
-        while queue:
-            when, _sequence, callback, _args = queue[0]
-            if type(callback) is PeriodicFire and not callback.live:
-                heappop(queue)
-                continue
-            return when
-        return _FOREVER
-
-    def _dispatch(self, until, floor, single):
-        """The one dispatch loop behind :meth:`run` and :meth:`step`.
+    def _dispatch(self, until, floor):
+        """The one dispatch loop behind :meth:`run` and :meth:`run_before`.
 
         Processes entries in (time, insertion) order while their time is
-        ``<= until``; returns after one entry when *single*, or as soon as
-        the pending-foreground count equals *floor* (0 drains foreground
-        work; -1 never matches, i.e. keep going to *until*).  Returns True
-        when it stopped for one of those two reasons, False when the
-        schedule ran out or passed *until* first.
+        ``<= until``, returning as soon as the pending-foreground count
+        equals *floor* (0 drains foreground work; -1 never matches, i.e.
+        keep going to *until*).
 
         An entry is popped before it runs, so a callback may schedule onto
         the timestamp being processed (it runs after what is already queued
@@ -203,18 +184,8 @@ class Simulator:
             self.now = when
             self._processed_events += 1
             callback(*args)
-            if single or self._foreground == floor:
-                return True
-        return False
-
-    def step(self):
-        """Process exactly one event or periodic tick, whichever is next.
-
-        Stale background entries are skipped without advancing the clock;
-        raises :class:`EmptySchedule` when nothing (live) is scheduled.
-        """
-        if not self._dispatch(_FOREVER, -1, True):
-            raise EmptySchedule("no events scheduled")
+            if self._foreground == floor:
+                return
 
     def run(self, until=None):
         """Run until foreground work drains, or simulated time exceeds *until*.
@@ -228,11 +199,11 @@ class Simulator:
         """
         if until is None:
             if self._foreground:
-                self._dispatch(_FOREVER, 0, False)
+                self._dispatch(_FOREVER, 0)
             return self.now
         if not until >= self.now:
             raise ValueError(f"run(until={until}) is in the past (now={self.now})")
-        self._dispatch(until, -1, False)
+        self._dispatch(until, -1)
         self.now = until
         return self.now
 
@@ -245,7 +216,7 @@ class Simulator:
         its shared prefix this way up to its branch point (see "Branching
         runs" in ``docs/contracts.md``).
         """
-        self._dispatch(nextafter(when, -_FOREVER), -1, False)
+        self._dispatch(nextafter(when, -_FOREVER), -1)
 
     @property
     def processed_events(self):

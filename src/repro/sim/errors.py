@@ -7,7 +7,3 @@ class SimulationError(Exception):
 
 class EventAlreadyTriggered(SimulationError):
     """An event was succeeded or failed twice."""
-
-
-class EmptySchedule(SimulationError):
-    """``run(until=...)`` was asked to advance but no events remain."""

@@ -83,18 +83,5 @@ class RandomStreams:
     _SNAPSHOT_EXEMPT = ("seed", "_handed_out")
 
     def snapshot_state(self):
-        """Per-stream generator states (for world-reuse checkpointing)."""
+        """Per-stream generator states (restored by :meth:`rollback`)."""
         return {name: stream.getstate() for name, stream in self._streams.items()}
-
-    def restore_state(self, state):
-        """Restore every checkpointed stream; drop streams created since.
-
-        Dropped streams are re-derived deterministically from
-        ``(seed, name)`` on next use, so a restored world draws exactly the
-        same values a freshly built one would.
-        """
-        for name in list(self._streams):
-            if name in state:
-                self._streams[name].setstate(state[name])
-            else:
-                del self._streams[name]

@@ -25,8 +25,8 @@ class TraceRecord:
 class Tracer:
     """Collects :class:`TraceRecord` objects.
 
-    By default everything is recorded.  Call :meth:`disable` to drop
-    everything — a disabled tracer's :meth:`record` is a single attribute
+    By default everything is recorded.  One built with ``enabled=False``
+    drops everything — its :meth:`record` is a single attribute
     check, which is what lets large parameter sweeps run the data path
     without paying for per-packet record allocation.
     """
@@ -34,13 +34,6 @@ class Tracer:
     def __init__(self, enabled=True):
         self.enabled = enabled
         self.records = []
-
-    def disable(self):
-        """Drop all subsequent records (cheapest possible ``record``)."""
-        self.enabled = False
-
-    def enable(self):
-        self.enabled = True
 
     def record(self, time, source, kind, **detail):
         """Record an occurrence; returns the record (None when disabled)."""
@@ -61,9 +54,3 @@ class Tracer:
     def restore_state(self, state):
         length, self.enabled = state
         del self.records[length:]
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)

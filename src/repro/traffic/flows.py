@@ -219,7 +219,6 @@ class UdpSink(Journaled):
     def __init__(self, sim, host, port):
         self.sim = sim
         self.host = host
-        self.port = port
         self.received = 0
         self.bytes = 0
         self.fluid_bytes = 0
@@ -249,9 +248,8 @@ class UdpSink(Journaled):
         self.bytes += size
         self.fluid_bytes += size
 
-    #: Construction-time wiring: sim and host checkpoint themselves, the
-    #: bound port never changes.
-    _SNAPSHOT_EXEMPT = ("sim", "host", "port")
+    #: Construction-time wiring: sim and host checkpoint themselves.
+    _SNAPSHOT_EXEMPT = ("sim", "host")
 
     def snapshot_state(self):
         return (self.received, self.bytes, self.fluid_bytes,

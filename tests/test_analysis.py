@@ -13,10 +13,14 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_paths, load_default_rules
-from repro.analysis.cli import main as analyze_main
+from repro.cli import main as repro_main
 
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
 SRC_TREE = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def analyze_main(argv):
+    return repro_main(["analyze", *argv])
 
 
 def findings_for(name, rules=None):
@@ -212,7 +216,5 @@ def test_cli_list_rules(capsys):
 
 
 def test_repro_cli_dispatches_analyze(capsys):
-    from repro.cli import main as repro_main
-
     assert repro_main(["analyze", str(FIXTURES / "bad_det02.py")]) == 1
     assert "DET02" in capsys.readouterr().out

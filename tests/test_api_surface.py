@@ -40,8 +40,6 @@ KEPT = {
                   "address, FIB and fast-path property tests derive their "
                   "prefixes (`site_of_eid`, its last caller, reads the site "
                   "index off the address plan)",
-    "step": "runs the engine one event at a time: the fast-path oracle "
-            "drives it step by step against run() (_drive_steps)",
     "processed": "an event's public lifecycle read beside `triggered`; the "
                  "test process kernel checks it before it resumes a waiter",
     "stop": "the only way to disarm a periodic task: a world's probing runs "

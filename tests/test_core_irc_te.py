@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.irc import FLOW_BYTES_ESTIMATE, IrcEngine
+from repro.core.irc import IrcEngine
 from repro.core import te
 from repro.core.te import FlowMove, plan_rebalance
 from repro.net.addresses import IPv4Prefix
@@ -13,24 +13,36 @@ def make_irc(policy="balance"):
     return IrcEngine(3, policy=policy)
 
 
-def test_estimates_initialised_per_provider():
+def test_counters_start_at_zero():
     irc = make_irc()
-    assert irc.pledged_in == irc.pledged_out == [0, 0, 0]
+    assert (irc.ingress, irc.egress) == (0, 0)
 
 
 def test_primary_policy_always_zero():
     irc = make_irc(policy="primary")
     assert [irc.select_ingress() for _ in range(5)] == [0] * 5
-    # The control still pledges what it picks.
-    assert irc.pledged_in == [5 * FLOW_BYTES_ESTIMATE, 0, 0]
+    # The control still counts what it picks.
+    assert irc.ingress == 5
 
 
-def test_balance_policy_round_robins_pledges():
-    irc = make_irc(policy="balance")
-    picks = [irc.select_ingress() for _ in range(6)]
-    # With no real traffic, pledges alone spread selections across all
-    # three, ties going to the lowest index.
-    assert picks == [0, 1, 2, 0, 1, 2]
+def _least_pledged(locators, selections):
+    """The picks of the engine that pledged the same bytes to each pick and
+    chose the least pledged locator, ties to the lowest index."""
+    pledged = [0] * locators
+    picks = []
+    for _ in range(selections):
+        index = min(range(locators), key=pledged.__getitem__)
+        pledged[index] += 50_000
+        picks.append(index)
+    return picks
+
+
+@pytest.mark.parametrize("locators", (1, 2, 3, 5))
+def test_balance_policy_round_robins(locators):
+    irc = IrcEngine(locators, policy="balance")
+    picks = [irc.select_ingress() for _ in range(4 * locators + 1)]
+    assert picks == [n % locators for n in range(4 * locators + 1)]
+    assert picks == _least_pledged(locators, len(picks))
 
 
 def test_unknown_policy_raises():
@@ -42,16 +54,16 @@ def test_unknown_policy_raises():
 def test_egress_and_ingress_tracked_separately():
     irc = make_irc(policy="balance")
     irc.select_ingress()
-    assert irc.pledged_in == [FLOW_BYTES_ESTIMATE, 0, 0]
-    assert irc.pledged_out == [0, 0, 0]
+    assert (irc.ingress, irc.egress) == (1, 0)
     assert irc.select_egress() == 0
-    assert irc.pledged_out == [FLOW_BYTES_ESTIMATE, 0, 0]
+    assert (irc.ingress, irc.egress) == (1, 1)
 
 
-def test_pledges_round_trip_through_restore():
+def test_counters_round_trip_through_restore():
     irc = make_irc(policy="balance")
     irc.select_ingress()
     state = irc.snapshot_state()
+    assert state == (1, 0)
     irc.select_ingress()
     irc.select_egress()
     irc.restore_state(state)

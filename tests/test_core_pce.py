@@ -222,6 +222,45 @@ def test_te_rebalance_moves_flows_and_keeps_traffic_flowing():
         assert assignment[move.destination_prefix] == move.to_itr
 
 
+def test_rebalance_leaves_the_egress_sequence_alone():
+    """Re-homing moves hub routes; the next egress pick continues the
+    round robin where the pushes left it."""
+    sim, topology, dns, cp = make_world(num_sites=4, family="flat")
+    for dst in (1, 2, 3):
+        start_flow(sim, topology, dns, dst_site=dst, port=7000 + dst)
+    sim.run(until=5.0)
+    site = topology.sites[0]
+    irc = cp.ircs[site.index]
+    picks = irc.egress
+    assert sorted(cp.egress_assignments[site.index].values()) == \
+        sorted(n % len(site.xtrs) for n in range(picks))
+    moves = cp.rebalance_site_egress(
+        site, loads=[10_000_000] + [0] * (len(site.xtrs) - 1))
+    assert moves
+    assert irc.egress == picks
+    assert irc.select_egress() == picks % len(site.xtrs)
+
+
+def test_steps_1_and_6_and_the_step7_fallback_share_the_inbound_counter():
+    """Every choice of this site's inbound locator draws the next round-robin
+    index, in call order; a Step-7 match of a Step-1 record draws none."""
+    sim, _topology, _dns, cp = make_world()
+    pce, irc = cp.pces[0], cp.ircs[0]
+    site = pce.site
+    locators = len(site.xtrs)
+    registered = cp.registry.lookup_prefix(site.eid_prefix)
+    pce.on_local_query(site.hosts[0].address, "a.example.", sim.now)
+    narrowed = pce._narrowed(registered)                  # Step 6
+    fallback = pce._match_step1_decision("b.example.")    # no Step-1 record
+    matched = pce._match_step1_decision("a.example.")     # Step 1's own
+    pce.on_local_query(site.hosts[0].address, "c.example.", sim.now)
+    assert matched == 0
+    assert narrowed.rlocs[0].address == site.rloc_of(1 % locators)
+    assert fallback == 2 % locators
+    assert pce.pending_ingress == {"c.example.": 3 % locators}
+    assert irc.ingress == 4
+
+
 def test_rehomed_flow_survives_in_push_to_all_mode():
     """The Step-7b rationale: moves are safe because every ITR has the mapping."""
     sim, topology, dns, cp = make_world()

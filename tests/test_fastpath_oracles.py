@@ -41,7 +41,6 @@ from repro.net.packet import (PROTO_UDP, TCP_ACK, TCP_SYN, IPv4Header, Packet,
                               UDPHeader, tcp_packet, udp_packet)
 from repro.net.router import Router
 from repro.sim.engine import Simulator
-from repro.sim.errors import EmptySchedule
 
 # --------------------------------------------------------------------- #
 # Fib lookup memo vs brute-force longest-prefix match
@@ -372,13 +371,6 @@ class _HeapOracle:
             return when, kind, label
         return None
 
-    def peek(self):
-        """Time of the next live entry, without consuming anything."""
-        saved = list(self.heap)
-        entry = self._pop_live(float("inf"))
-        self.heap = saved
-        return float("inf") if entry is None else entry[0]
-
     def step(self, script, until=float("inf")):
         entry = self._pop_live(until)
         if entry is None:
@@ -537,17 +529,6 @@ def _drive_run_until(oracle, engine, script):
         engine.sim.run(until=1.0)
 
 
-def _drive_steps(oracle, engine, script):
-    for _ in range(400):
-        assert engine.sim.peek() == oracle.peek()
-        if not oracle.step(script):   # every task stopped, every event fired
-            with pytest.raises(EmptySchedule):
-                engine.sim.step()
-            break
-        engine.sim.step()
-        _assert_in_step(oracle, engine)
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_engine_run_matches_heap_oracle(seed):
     _drive_run(*_build_pair(seed))
@@ -559,12 +540,7 @@ def test_engine_run_until_matches_heap_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_engine_repeated_step_matches_heap_oracle(seed):
-    _drive_steps(*_build_pair(seed))
-
-
-@pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("drive", (_drive_run, _drive_run_until, _drive_steps))
+@pytest.mark.parametrize("drive", (_drive_run, _drive_run_until))
 def test_engine_matches_heap_oracle_when_most_events_collide(drive, seed):
     oracle, engine, script = _build_pair(seed, _COLLIDING_DELAYS,
                                          _COLLIDING_PERIODS)
@@ -634,18 +610,7 @@ def test_tick_stop_and_restart_on_a_timestamp_shared_with_calls():
     # two stale ticks were popped without running or counting as events.
     assert not task.armed
     assert sim.processed_events == len(order)
-    assert sim.peek() == float("inf") and sim._queue == []
-
-
-def test_step_on_only_stale_ticks_raises_without_moving_the_clock():
-    sim = Simulator(seed=0, tracing=False)
-    task = sim.periodic(lambda: None, 1.0).start()
-    task.stop()
-    with pytest.raises(EmptySchedule):
-        sim.step()
-    assert sim.now == 0.0
-    assert sim.processed_events == 0
-    assert sim.peek() == float("inf")
+    assert sim._queue == []
 
 
 def test_run_reentered_from_a_callback_drains_once():
@@ -699,7 +664,7 @@ class _Message:
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_cached_size_matches_recomputation_through_encap_copy_decap(seed):
+def test_cached_size_matches_recomputation_through_encap_decap(seed):
     rng = random.Random(seed)
     for _ in range(200):
         shape = rng.randrange(4)
@@ -726,12 +691,10 @@ def test_cached_size_matches_recomputation_through_encap_copy_decap(seed):
                                      f"2.0.0.{level + 1}", nonce=level))
         outer = stack[-1]
         assert outer.size_bytes == _recomputed_size(outer)
-        clone = outer.copy()
-        assert clone.size_bytes == outer.size_bytes == _recomputed_size(clone)
-        if clone.ip is not None:
-            clone.ip.ttl -= 1             # header fields may change in flight
-        assert clone.size_bytes == _recomputed_size(clone)
-        unwrapped = clone
+        if outer.ip is not None:
+            outer.ip.ttl -= 1             # header fields may change in flight
+        assert outer.size_bytes == _recomputed_size(outer)
+        unwrapped = outer
         for level in range(depth, 0, -1):
             unwrapped, outer_ip, _lisp = decapsulate(unwrapped)
             assert str(outer_ip.dst) == f"2.0.0.{level}"
@@ -742,7 +705,7 @@ def test_cached_size_matches_recomputation_through_encap_copy_decap(seed):
 
 
 # --------------------------------------------------------------------- #
-# Cached Packet.hop_ledger vs recomputation
+# The hop ledger vs recomputation
 # --------------------------------------------------------------------- #
 
 
@@ -753,16 +716,15 @@ def _recomputed_hop(packet):
             inner.meta.get("fluid_probe"))
 
 
-def _assert_hop(packet):
+def _assert_sealed(packet):
+    """*packet* was sized and ledgered when it was built, and rightly."""
     expected = _recomputed_hop(packet)
-    hop = packet.hop_ledger()
-    assert hop == expected
-    assert hop[2] is expected[2]          # the probe itself, not a copy
-    assert packet.hop_ledger() is hop     # computed once, then kept
+    assert (packet._size, packet._hop) == (expected[0], expected)
+    assert packet._hop[2] is expected[2]  # the probe itself, not a copy
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_cached_hop_ledger_matches_recomputation_through_encap_copy_decap(seed):
+def test_hop_ledger_matches_recomputation_through_encap_send_decap(seed):
     rng = random.Random(seed)
     sim = Simulator(seed=0, tracing=False)
     a, b = Node(sim, "a"), Node(sim, "b")
@@ -782,29 +744,28 @@ def test_cached_hop_ledger_matches_recomputation_through_encap_copy_decap(seed):
         for level in range(rng.randrange(4)):
             # Some layers are offered to a link before they are wrapped.
             if rng.random() < 0.5:
-                _assert_hop(stack[-1])
+                _assert_sealed(stack[-1])
             stack.append(encapsulate(stack[-1], f"1.0.0.{level + 1}",
                                      f"2.0.0.{level + 1}", nonce=level))
         outer = stack[-1]
-        _assert_hop(outer)
+        _assert_sealed(outer)
         link.send(outer)
         # Fates may grow once the packet is in flight; the ledger holds.
         mark_fate(packet, "encapsulated")
-        _assert_hop(outer)
+        _assert_sealed(outer)
         size, flow_id, probe = _recomputed_hop(outer)
         if flow_id is not None:
             offered[flow_id] = offered.get(flow_id, 0) + size
         if probe is not None:
             probes.append((probe, size))
-        clone = outer.copy()
-        if clone.ip is not None:
-            clone.ip.ttl -= 1
-        _assert_hop(clone)
-        unwrapped = clone
+        if outer.ip is not None:
+            outer.ip.ttl -= 1
+        _assert_sealed(outer)
+        unwrapped = outer
         while unwrapped.inner is not None:
             unwrapped, _outer_ip, _lisp = decapsulate(unwrapped)
-            _assert_hop(unwrapped)
-        assert unwrapped.hop_ledger()[1:] == packet.hop_ledger()[1:]
+            _assert_sealed(unwrapped)
+        assert unwrapped._hop[1:] == packet._hop[1:]
     sim.run()
     assert {flow_id: account.offered
             for flow_id, account in link.stats.flows.items()} == offered
@@ -825,13 +786,6 @@ def test_packet_ip_fast_path_agrees_with_find():
 # --------------------------------------------------------------------- #
 # Construction-time size and hop ledger vs recomputation
 # --------------------------------------------------------------------- #
-
-
-def _assert_sealed(packet):
-    """*packet* was sized and ledgered when it was built, and rightly."""
-    expected = _recomputed_hop(packet)
-    assert (packet._size, packet._hop) == (expected[0], expected)
-    assert packet._hop[2] is expected[2]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -860,12 +814,10 @@ def test_construction_time_size_and_hop_ledger_match_recomputation(seed):
                                 f"2.0.0.{level + 1}")
             _assert_sealed(outer)
             assert outer.meta == {}     # nothing is copied outward
-        clone = outer.copy()
-        _assert_sealed(clone)
-        while clone.inner is not None:
-            clone, _outer_ip, _lisp = decapsulate(clone)
-            _assert_sealed(clone)
-        assert clone.meta == packet.meta and clone.meta is not packet.meta
+        while outer.inner is not None:
+            outer, _outer_ip, _lisp = decapsulate(outer)
+            _assert_sealed(outer)
+        assert outer is packet
 
 
 # --------------------------------------------------------------------- #
@@ -1150,7 +1102,7 @@ def test_router_receive_matches_a_naive_reference(seed):
         ip = packet.find(IPv4Header)
         ttl = None if ip is None else ip.ttl
         offered = [link.stats.bytes_offered for link in links]
-        local, tapped, traced = len(seen["local"]), len(seen["tapped"]), len(sim.trace)
+        local, tapped, traced = len(seen["local"]), len(seen["tapped"]), len(sim.trace.records)
         router.receive(packet)
         sent = [link for link, before in zip(links, offered, strict=True)
                 if link.stats.bytes_offered != before]
@@ -1167,7 +1119,7 @@ def test_router_receive_matches_a_naive_reference(seed):
         if where in links:
             onward.append((where.dst_interface.node, packet))
     # The base-node peers deliver what is theirs and forward nothing.
-    traced = len(sim.trace)
+    traced = len(sim.trace.records)
     sim.run()
     expected = [(peer.name,
                  "node.unclaimed" if packet.ip.dst in peer.addresses()
@@ -1195,7 +1147,7 @@ def test_tracing_on_and_off_runs_are_identical(control_plane):
                                                      arrival_rate=20.0))
         outcomes.append(([asdict(record) for record in records],
                          world.sim.processed_events, world.sim.now,
-                         len(world.sim.trace)))
+                         len(world.sim.trace.records)))
     traced, untraced = outcomes
     assert traced[0] == untraced[0]
     assert traced[1:3] == untraced[1:3]

@@ -66,10 +66,6 @@ def test_address_hashable_and_copyable():
     assert {int(a): "route"}[a] == "route"
 
 
-def test_address_arithmetic():
-    assert IPv4Address("10.0.0.1") + 5 == IPv4Address("10.0.0.6")
-
-
 def test_address_bytes_roundtrip():
     a = IPv4Address("192.168.1.42")
     assert IPv4Address.from_bytes(a.to_bytes()) == a

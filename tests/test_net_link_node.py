@@ -227,13 +227,12 @@ def test_down_link_drop_mid_flight_accounted():
 
 
 def test_encapsulated_packets_account_to_inner_flow():
-    from repro.net.packet import Packet, IPv4Header, PROTO_IPIP
+    from repro.lisp.headers import encapsulate
 
     sim = Simulator()
     a, b = two_hosts(sim)
     inner = _flow_packet(a, b, flow_id=77)
-    outer = Packet(headers=[IPv4Header(src=a.address, dst=b.address,
-                                       proto=PROTO_IPIP)], payload=inner)
+    outer = encapsulate(inner, a.address, b.address)
     a.send(outer)
     sim.run()
     stats = a.interfaces["eth0"].link.stats

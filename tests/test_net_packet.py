@@ -51,24 +51,6 @@ def test_encapsulation_size_and_innermost():
     assert inner.inner is None
 
 
-def test_copy_isolates_headers_and_meta():
-    packet = udp_packet("10.0.0.1", "10.0.0.2", 1, 2, payload_bytes=10, meta={"flow": 7})
-    clone = packet.copy()
-    clone.ip.ttl -= 5
-    clone.meta["flow"] = 8
-    assert packet.ip.ttl == 64
-    assert packet.meta["flow"] == 7
-    assert clone.size_bytes == packet.size_bytes
-
-
-def test_copy_clones_nested_packet():
-    inner = udp_packet("100.0.0.10", "100.1.0.10", 1, 2, payload_bytes=10)
-    outer = Packet(headers=[IPv4Header(src="10.0.0.1", dst="11.0.0.1", proto=4)], payload=inner)
-    clone = outer.copy()
-    clone.inner.ip.ttl = 1
-    assert inner.ip.ttl == 64
-
-
 def test_tcp_flags():
     syn = tcp_packet("1.1.1.1", "2.2.2.2", 1000, 80, flags=TCP_SYN)
     synack = tcp_packet("2.2.2.2", "1.1.1.1", 80, 1000, flags=TCP_SYN | TCP_ACK)

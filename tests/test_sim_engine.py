@@ -1,4 +1,4 @@
-"""Tests for the simulation engine: event ordering, clock, run/step semantics."""
+"""Tests for the simulation engine: event ordering, clock, run semantics."""
 
 import gc
 import random
@@ -7,7 +7,7 @@ import pytest
 from process_kernel import Process
 
 from repro.sim import EXPIRED, Event, SimulationError, Simulator
-from repro.sim.errors import EmptySchedule, EventAlreadyTriggered
+from repro.sim.errors import EventAlreadyTriggered
 
 NAN = float("nan")
 
@@ -100,12 +100,6 @@ def test_run_until_in_past_raises():
     sim.run()
     with pytest.raises(ValueError):
         sim.run(until=0.5)
-
-
-def test_step_empty_schedule_raises():
-    sim = Simulator()
-    with pytest.raises(EmptySchedule):
-        sim.step()
 
 
 def test_call_at_absolute_time():
@@ -255,7 +249,6 @@ def test_nan_is_refused_at_every_way_into_the_queue(schedule):
     with pytest.raises(ValueError):
         schedule(sim)
     assert sim._queue == [] and sim.pending_foreground == 0
-    assert sim.peek() == float("inf")
     assert sim.now == 0.0 and sim.run() == 0.0
 
 
@@ -289,13 +282,6 @@ def test_infinity_is_still_a_legal_time():
     sim.call_in(1.0, hits.append, "finite")
     assert sim.run(until=float("inf")) == float("inf")
     assert hits == ["finite", "call_in", "call_at", "timeout"]
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.call_in(3.5, lambda: None)
-    assert sim.peek() == 3.5
 
 
 def test_processed_events_counter():

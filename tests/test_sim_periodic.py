@@ -195,13 +195,3 @@ def test_tick_interleaves_deterministically_with_same_time_event():
     sim.call_in(1.0, order.append, "event")
     sim.run()
     assert order == ["tick", "event"]
-
-
-def test_peek_skips_stale_entries():
-    sim = Simulator()
-    task, _hits = make_counter(sim, period=1.0)
-    task.start()
-    task.stop()
-    assert sim.peek() == float("inf")
-    sim.call_in(4.0, lambda: None)
-    assert sim.peek() == 4.0

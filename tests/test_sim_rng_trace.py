@@ -93,21 +93,21 @@ def test_tracer_records_and_filters():
     tracer.record(1.0, "node-a", "pkt.send", size=100)
     tracer.record(2.0, "node-b", "pkt.recv", size=100)
     tracer.record(3.0, "node-a", "dns.query", qname="example.com")
-    assert len(tracer) == 3
+    assert len(tracer.records) == 3
     assert [r.time for r in tracer.of_kind("pkt.recv")] == [2.0]
-    assert [r.kind for r in tracer if 1.5 <= r.time <= 3.0] \
+    assert [r.kind for r in tracer.records if 1.5 <= r.time <= 3.0] \
         == ["pkt.recv", "dns.query"]
 
 
 def test_tracer_dump():
     tracer = Tracer()
     tracer.record(1.0, "x", "a", k=1)
-    text = "\n".join(map(str, tracer))
+    text = "\n".join(map(str, tracer.records))
     assert "k=1" in text and "a" in text
 
 
 def test_simulator_owns_trace_and_rng():
     sim = Simulator(seed=5)
     sim.trace.record(sim.now, "engine", "boot")
-    assert len(sim.trace) == 1
+    assert len(sim.trace.records) == 1
     assert sim.rng.stream("any") is sim.rng.stream("any")

@@ -5,7 +5,10 @@ method) must be read by code in ``src/``, ``examples/`` or ``benchmarks/``
 (their ``test_*.py`` files left out), matched by name as the public-surface
 test matches definitions:
 
-- an ``Attribute`` load of that name, except ``self.<name>`` inside an
+- an ``Attribute`` load of that name — a ``self.<name>`` load only in the
+  class's own family: the class, its bases and its subclasses, matched by
+  class name (``Pce`` storing ``self.topology`` is not read by another
+  class's ``self.topology``) — except ``self.<name>`` inside an
   ``__init__``, ``__post_init__`` or ``snapshot_state`` (building an
   object — a dataclass field's own conversion included — and
   checkpointing it are not uses) and a load that only writes through
@@ -79,11 +82,43 @@ def _writes_through(node, parents):
     return False
 
 
+def _bases(tree):
+    """``{class name: names of its bases}`` for the classes of *tree*."""
+    return {node.name: {getattr(base, "id", getattr(base, "attr", None))
+                        for base in node.bases}
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def _family(name, bases):
+    """*name*, its ancestors and its descendants, by class name."""
+    children = {}
+    for child, parents in bases.items():
+        for parent in parents:
+            children.setdefault(parent, set()).add(child)
+    family = {name}
+    for edges in (bases, children):
+        pending = [name]
+        while pending:
+            for other in edges.get(pending.pop(), ()):
+                if other not in family:
+                    family.add(other)
+                    pending.append(other)
+    return family
+
+
 def read_names(tree):
-    """The attribute names the code of module *tree* reads (see the module
-    docstring for what counts)."""
+    """``(class, name)`` for each attribute the code of module *tree* reads
+    (see the module docstring for what counts): *class* is the enclosing
+    class of a ``self.<name>`` load, else None."""
     parents = {child: node for node in ast.walk(tree)
                for child in ast.iter_child_nodes(node)}
+
+    def owner(node):
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, ast.ClassDef):
+                return node.name
+        return None
 
     def in_checkpoint(node):
         while node in parents:
@@ -96,26 +131,43 @@ def read_names(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             if _writes_through(node, parents):
                 continue
-            if getattr(node.value, "id", None) == "self" \
-                    and in_checkpoint(node):
+            if getattr(node.value, "id", None) == "self":
+                if not in_checkpoint(node):
+                    yield owner(node), node.attr
                 continue
-            yield node.attr
+            yield None, node.attr
         elif isinstance(node, ast.Call) and not in_checkpoint(node):
             for argument in (*node.args,
                              *(keyword.value for keyword in node.keywords)):
                 if isinstance(argument, ast.Constant) \
                         and isinstance(argument.value, str):
-                    yield from (part for part in argument.value.split(".")
+                    yield from ((None, part)
+                                for part in argument.value.split(".")
                                 if part.isidentifier())
+
+
+def unread_in(stored_trees, reading_trees):
+    """The attributes the classes of *stored_trees* store that the code of
+    *reading_trees* does not read (class families from *stored_trees*)."""
+    stored_trees = list(stored_trees)
+    stored = set().union(*map(stored_attributes, stored_trees))
+    bases = {}
+    for tree in stored_trees:
+        bases.update(_bases(tree))
+    read = {pair for tree in reading_trees for pair in read_names(tree)}
+    return {qualified for qualified in stored
+            if not _is_read(*qualified.split(".", 1), read, bases)}
+
+
+def _is_read(class_name, name, read, bases):
+    return (None, name) in read or any(
+        (member, name) in read for member in _family(class_name, bases))
 
 
 def unread_attributes():
     """The ``src/repro`` attributes that nothing outside the tests reads."""
-    stored = set().union(*map(stored_attributes, _trees("src/repro")))
-    read = {name for tree in _trees("src", "examples", "benchmarks")
-            for name in read_names(tree)}
-    return {qualified for qualified in stored
-            if qualified.split(".", 1)[1] not in read}
+    return unread_in(_trees("src/repro"),
+                     _trees("src", "examples", "benchmarks"))
 
 
 def test_every_stored_attribute_has_a_reader():
@@ -164,7 +216,7 @@ class Field:
     assert stored_attributes(tree) == {
         "Counter.count", "Counter.by_kind", "Counter.log", "Counter.size",
         "Counter.derived", "Field.converted"}
-    names = set(read_names(tree))
+    names = {name for _owner, name in read_names(tree)}
     # a field's own conversion in __post_init__ is construction
     for absent in ("count", "by_kind", "size", "stats", "flows", "offered",
                    "tuple_only", "checkpointed", "converted"):
@@ -172,3 +224,38 @@ class Field:
     # pop's result is used; getattr's and a dotted path's strings are reads
     assert {"log", "derived", "by_name", "map_cache",
             "dotted"} <= names
+
+
+def test_a_self_read_counts_only_in_its_own_class_family():
+    source = '''
+class Base:
+    def total(self):
+        return self.late
+
+class A(Base):
+    def __init__(self):
+        self.x = 1
+        self.y = 0
+        self.late = 0
+        self.other = 0
+
+    def read(self):
+        return self.x
+
+class Sub(A):
+    def read_y(self):
+        return self.y
+
+class B:
+    def __init__(self):
+        self.x = 2
+        self.other = 3
+
+def consume(a):
+    return a.other
+'''
+    tree = ast.parse(source)
+    # A's own read covers A.x, a subclass's A.y and a base's A.late; a read
+    # on another receiver still matches every class by name (B.other).
+    # B's x, read only by A, is stored unread.
+    assert unread_in([tree], [tree]) == {"B.x"}

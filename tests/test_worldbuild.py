@@ -824,6 +824,27 @@ def test_restore_returns_every_component_to_its_checkpoint(
     assert scenario.world_checkpoint.dirty == []
 
 
+def test_restore_drops_the_packets_a_queue_policy_buffered():
+    """An ``alt+queue`` world cut while its ITRs buffer packets for a
+    pending resolution restores to its checkpoint: no buffer survives."""
+    scenario = build_world(ScenarioConfig(control_plane="alt",
+                                          miss_policy="queue", num_sites=4,
+                                          seed=5, tracing=False))
+    policy = scenario.miss_policy
+    pristine = policy.snapshot_state()
+    start_workload(scenario, WorkloadConfig(num_flows=8, arrival_rate=50.0))
+    sim = scenario.sim
+    for _ in range(10_000):
+        if any(policy._buffers.values()):
+            break
+        sim.run(until=sim.now + 0.001)
+    assert any(policy._buffers.values())
+    restore_world(scenario)
+    assert policy._buffers == {}
+    assert policy.snapshot_state() == pristine
+    scenario.teardown()
+
+
 def test_a_router_is_journaled_only_when_its_fib_or_wiring_moves():
     """Forwarding changes nothing a router checkpoints: after a workload
     the dirty routers are exactly those whose FIB or wiring moved, and a
@@ -886,7 +907,7 @@ def _tally_unflowed_bytes(monkeypatch):
         return send(link, packet)
 
     def spy_deliver(link, packet):
-        size, flow_id, _probe = packet.hop_ledger()
+        size, flow_id, _probe = packet._hop
         if flow_id is None and link.up:
             tally.setdefault(link, [0, 0])[1] += size
         deliver(link, packet)

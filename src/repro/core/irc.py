@@ -20,7 +20,7 @@ inbound counter.  A choice is O(1) and adds no latency at interception
 time: the paper's line-rate claim, which E6 checks.
 """
 
-#: The selection policies :meth:`IrcEngine._pick` knows.
+#: The selection policies an :class:`IrcEngine` takes.
 POLICIES = ("balance", "primary")
 
 
@@ -29,34 +29,29 @@ class IrcEngine:
     selections among *locators*, counted by direction."""
 
     def __init__(self, locators, policy):
-        self.policy = policy
-        self.locators = locators
+        if policy not in POLICIES:
+            raise ValueError(f"unknown IRC policy {policy!r}, "
+                             f"expected one of {POLICIES}")
+        #: The locators the round robin cycles through: ``primary`` keeps
+        #: to locator 0.
+        self.span = locators if policy == "balance" else 1
         self.ingress = 0
         self.egress = 0
 
     def select_ingress(self):
         """Locator index for *inbound* traffic (Steps 1 and 6)."""
-        index = self._pick(self.ingress)
+        index = self.ingress % self.span
         self.ingress += 1
         return index
 
     def select_egress(self):
         """Locator index for *outbound* traffic (local TE, Step 7b)."""
-        index = self._pick(self.egress)
+        index = self.egress % self.span
         self.egress += 1
         return index
 
-    def _pick(self, count):
-        """The policy's locator for selection number *count* (from 0)."""
-        if self.policy == "balance":
-            return count % self.locators
-        if self.policy == "primary":
-            return 0
-        raise ValueError(f"unknown IRC policy {self.policy!r}, "
-                         f"expected one of {POLICIES}")
-
     #: Construction-time config.
-    _SNAPSHOT_EXEMPT = ("policy", "locators")
+    _SNAPSHOT_EXEMPT = ("span",)
 
     def snapshot_state(self):
         """Both counters, for world reuse."""

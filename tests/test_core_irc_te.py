@@ -46,9 +46,8 @@ def test_balance_policy_round_robins(locators):
 
 
 def test_unknown_policy_raises():
-    irc = make_irc(policy="bogus")
-    with pytest.raises(ValueError):
-        irc.select_ingress()
+    with pytest.raises(ValueError, match="unknown IRC policy 'bogus'"):
+        make_irc(policy="bogus")
 
 
 def test_egress_and_ingress_tracked_separately():

@@ -10,7 +10,8 @@ built-in "scale" preset: 24 cells, four control planes, up to 120 sites.
 Run:  python examples/sweep_grid.py
 """
 
-from repro.experiments.sweep import SweepGrid, payload_digest, run_sweep
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import payload_digest, run_sweep
 from repro.metrics import format_table
 
 

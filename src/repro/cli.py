@@ -18,10 +18,10 @@ Parameter sweeps (``repro sweep``)
 
 ``sweep`` expands a preset grid (:data:`repro.experiments.sweep.PRESETS`)
 into scenario/workload cells and runs them world by world (see
-:mod:`repro.experiments.sweep`).  One flag per ``AXES`` row but
-``variant``, whose bundles of overrides no flag spells, plus
-``GRID_FLAGS``, overrides the preset's values.  Every output path is
-checked before the first world is built::
+:mod:`repro.experiments.worldrun`).  One flag per ``AXES`` row
+(:mod:`repro.experiments.grid`) but ``variant``, whose bundles of
+overrides no flag spells, plus ``GRID_FLAGS``, overrides the preset's
+values.  Every output path is checked before the first world is built::
 
     python -m repro sweep                       # "smoke" preset, 1 worker
     python -m repro sweep --preset scale --workers 4 \\
@@ -66,8 +66,8 @@ from dataclasses import replace
 
 from repro.experiments.report import (EXPERIMENTS, generate_report,
                                       run_experiment)
-from repro.experiments.sweep import (AXES, GRID_FLAGS, GROUP_AXES, PRESETS,
-                                     run_sweep)
+from repro.experiments.grid import AXES, GRID_FLAGS, GROUP_AXES
+from repro.experiments.sweep import PRESETS, run_sweep
 from repro.metrics import format_table
 
 

@@ -148,34 +148,6 @@ class PceControlPlane:
         return moves
 
     # ------------------------------------------------------------------ #
-    # Aggregate statistics
-    # ------------------------------------------------------------------ #
-
-    def _total(self, counter):
-        """One integer :class:`~repro.core.pce.PceStats` counter, summed over
-        every PCE."""
-        return sum(getattr(pce.stats, counter)  # repro: allow=DET03  (counters: ints)
-                   for pce in self.pces.values())
-
-    def total_push_messages(self):
-        return self._total("push_messages")
-
-    def total_push_bytes(self):
-        return self._total("push_bytes")
-
-    def total_envelopes(self):
-        """Step-6 replies the PCEs encapsulated."""
-        return self._total("replies_encapsulated")
-
-    def total_envelope_bytes(self):
-        return self._total("envelope_bytes")
-
-    def total_control_messages(self):
-        pushes = self.total_push_messages()
-        reverses = len(self.reverse_announces) * 2  # siblings + PCE copy lower bound
-        return pushes + self.total_envelopes() + reverses
-
-    # ------------------------------------------------------------------ #
     # World-reuse checkpointing
     # ------------------------------------------------------------------ #
 

@@ -15,11 +15,12 @@ higher provider-to-provider delay estimates on tiered fabrics (transit
 chains and IX hops) than inside a flat clique.
 
 One sweep grid, :data:`SYSTEMS` x :data:`FAMILIES`; a row is one of its
-aggregates.  The fabric columns are world constants
-(:attr:`~repro.experiments.scenario.Scenario.fabric`).
+aggregates.  The fabric columns are world constants, which
+:data:`~repro.experiments.measure.METRICS` reads off ``Scenario.fabric``.
 """
 
-from repro.experiments.sweep import SweepGrid, grid_aggregates
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import grid_aggregates
 from repro.metrics import rounded
 
 HEADERS = ("system", "topology", "sites", "providers", "ixps", "hier",

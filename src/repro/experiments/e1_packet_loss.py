@@ -11,7 +11,8 @@ is a bundle's aggregate, labelled with its variant (``system``) and
 ``cache_ttl``.
 """
 
-from repro.experiments.sweep import SweepGrid, grid_aggregates
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import grid_aggregates
 from repro.metrics import rounded
 
 #: The systems E1 compares, as (label, scenario overrides).

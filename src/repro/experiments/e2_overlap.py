@@ -16,7 +16,8 @@ its aggregates, its flows those whose mapping was resolved after they
 started (the sweep's ``mapping_wait`` metric).
 """
 
-from repro.experiments.sweep import SweepGrid, grid_aggregates
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import grid_aggregates
 from repro.metrics import rounded
 
 HEADERS = ("system", "dns_depth", "flows", "t_dns_mean", "t_extra_mean",

@@ -15,7 +15,8 @@ aggregate over the flows whose handshake finished, labelled with its
 user waits.
 """
 
-from repro.experiments.sweep import SweepGrid, grid_aggregates
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import grid_aggregates
 from repro.metrics import rounded
 
 #: The reactive systems' mapping TTL: short, so caches stay cold.

@@ -25,7 +25,8 @@ aggregate, its view the sweep's ``access_te`` metric.
 
 import math
 
-from repro.experiments.sweep import SweepGrid, grid_aggregates
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import grid_aggregates
 
 #: The systems E4 compares, as (label, scenario overrides).
 VARIANTS = (

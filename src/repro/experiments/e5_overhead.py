@@ -8,11 +8,12 @@ per ITR) and its state with *active* mappings only.
 
 One grid runs :data:`SYSTEMS` x one bundle per site count, its workload
 growing with the world; a row is one system's aggregate at one size.
-State is the durable control-plane state
-(:meth:`~repro.experiments.scenario.Scenario.control_state`).
+State is the durable control-plane state per router (the
+``control_state_*`` rows of :data:`~repro.experiments.measure.METRICS`).
 """
 
-from repro.experiments.sweep import SweepGrid, grid_aggregates
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import grid_aggregates
 
 HEADERS = ("system", "sites", "flows", "ctl_msgs", "ctl_bytes", "bytes/flow",
            "max_state", "total_state")

@@ -15,7 +15,8 @@ as the PCEs count it.  One grid runs every variant, one bundle each; a
 row is a bundle's aggregate, labelled with its ``variant``.
 """
 
-from repro.experiments.sweep import SweepGrid, grid_aggregates
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import grid_aggregates
 from repro.metrics import rounded
 
 #: Seconds the on-demand variant spends computing each mapping (what the

@@ -12,7 +12,8 @@ TTL; a row is one of its aggregates, labelled with its bundle's
 ``cache_ttl``.
 """
 
-from repro.experiments.sweep import SweepGrid, grid_aggregates
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import grid_aggregates
 from repro.metrics import rounded
 
 HEADERS = ("system", "cache_ttl", "zipf_s", "flows", "hit_ratio",

@@ -13,7 +13,8 @@ One grid runs both variants, one bundle each; each row reads its own
 sweep metric (:data:`VARIANTS`).
 """
 
-from repro.experiments.sweep import SweepGrid, grid_aggregates
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import grid_aggregates
 from repro.metrics import rounded
 
 HEADERS = ("variant", "samples", "completion_mean", "completion_p95")

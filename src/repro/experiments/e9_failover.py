@@ -16,7 +16,7 @@ E9 scripts its world rather than run a sweep grid: its one hand-paced
 """
 
 from repro.experiments.scenario import FLOW_UDP_PORT, ScenarioConfig, build_scenario
-from repro.experiments.sweep import schedule_access_failure
+from repro.experiments.worldrun import schedule_access_failure
 from repro.net.packet import udp_packet
 
 HEADERS = ("variant", "pkts_sent", "pkts_lost", "blackhole_s", "failover")

@@ -78,7 +78,7 @@ def run_fig1_walkthrough(seed=11):
         "mapping_ready_within_dns_window": bool(installs) and
             max(installs) <= timeline.get("dns_done", float("inf")) + 0.001,
         "first_packet_delivered": sink.received == 1,
-        "no_itr_drops": scenario.total_first_packet_drops() == 0,
+        "no_itr_drops": scenario.miss_policy.stats.dropped == 0,
         "reverse_mapping_on_all_etrs": len(reverse_installs) >= len(site_d.xtrs) - 1,
         "step_order_monotonic": _monotonic([t for _l, t, _d in steps if t is not None]),
     }

@@ -207,52 +207,10 @@ class Scenario:
     def sink_for(self, site_index, host_index):
         return self.udp_sinks[(site_index, host_index)]
 
-    def total_first_packet_drops(self):
-        if self.miss_policy is None:
-            return 0
-        return self.miss_policy.stats.dropped
-
     def iter_xtrs(self):
         """Every xTR in the world, site by site."""
         for xtr_list in self.xtrs_by_site.values():
             yield from xtr_list
-
-    def map_cache_lookups(self):
-        """World-wide map-cache ``(hits, lookups)`` over every xTR."""
-        caches = [xtr.map_cache for xtr in self.iter_xtrs()]
-        hits = sum(cache.hits for cache in caches)  # repro: allow=DET03  (ints)
-        misses = sum(cache.misses for cache in caches)  # repro: allow=DET03  (ints)
-        return hits, hits + misses
-
-    def control_overhead(self):
-        """Control-plane ``(messages, bytes)`` spent so far.
-
-        The baseline mapping system's counters, the PCE control plane's
-        push and interception totals, or zeros in a ``plain`` world.
-        """
-        if self.mapping_system is not None:
-            stats = self.mapping_system.stats
-            return stats.messages, stats.bytes
-        if self.control_plane is not None:
-            return (self.control_plane.total_control_messages(),
-                    self.control_plane.total_push_bytes())
-        return 0, 0
-
-    def control_state(self):
-        """Durable control-plane state entries, one count per router.
-
-        Counts what a router must *hold to operate the control plane* —
-        overlay RIBs (ALT), tree pointers (CONS), the pushed database
-        (NERD), a PCE's mapping database — deliberately excluding
-        transient demand-driven map-cache entries, which every system
-        accrues at the same per-flow rate.  Empty in a ``plain`` world.
-        """
-        if self.control_plane is not None:
-            return [len(pce.mapping_db)
-                    for pce in self.control_plane.pces.values()]
-        if self.mapping_system is not None:
-            return list(self.mapping_system.state_entries_per_router().values())
-        return []
 
     @cached_property
     def fabric(self):

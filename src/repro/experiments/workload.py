@@ -204,10 +204,7 @@ class _Arrivals:
         else:
             src = rng.randrange(num_sites)
         offset = self.zipf.sample() + 1
-        dst = (src + offset) % num_sites
-        if dst == src:  # only possible via modular wrap corner cases
-            dst = (src + 1) % num_sites
-        return src, dst
+        return src, (src + offset) % num_sites
 
     def _arrive(self):
         scenario, rng = self.scenario, self.rng
@@ -277,48 +274,3 @@ class _Flow:
                   FLOW_UDP_PORT, self.record, self.arrivals.shaper.plan(),
                   scenario.fluid_pump)
 
-
-def peak_concurrent_flows(records):
-    """Most flows simultaneously in their send phase (megaflow's headline).
-
-    A flow is active from ``started_at`` until ``finished_at``; flows cut
-    off at the workload deadline (``finished_at`` None) count as active to
-    the end.  Ties break ends-before-starts so back-to-back flows don't
-    double count.
-    """
-    marks = []
-    for record in records:
-        marks.append((record.started_at, 1))
-        if record.finished_at is not None:
-            marks.append((record.finished_at, -1))
-    marks.sort()
-    peak = current = 0
-    for _when, delta in marks:
-        current += delta
-        if current > peak:
-            peak = current
-    return peak
-
-
-def classify_first_packet(record):
-    """E1 classification of a flow's first data packet."""
-    fates = record.first_packet_fates
-    if not fates:
-        if record.failed:
-            return "not-sent"
-        # No LISP on the path (plain mode): judge by delivery.
-        if record.packets_sent > 0 and record.packets_delivered >= record.packets_sent:
-            return "sent-immediately"
-        return "unknown"
-    if "dropped-at-itr" in fates or "dropped-queue-overflow" in fates \
-            or "dropped-no-rloc" in fates:
-        return "dropped"
-    if "flushed-after-queue" in fates:
-        return "queued-then-sent"
-    if "carried-over-cp" in fates:
-        return "carried-over-cp"
-    if "encapsulated" in fates or "decapsulated" in fates:
-        return "sent-immediately"
-    if "queued-at-itr" in fates:
-        return "stuck-in-queue"
-    return "unknown"

@@ -32,7 +32,7 @@ checkpoint follows the cell, not the world:
 Builds run with the cyclic collector paused (:func:`gc_paused`): each is
 one burst of reachable allocations, handed to the collector's oldest
 generation when the call returns.  A sweep cell runs whole inside one
-such pause (:func:`~repro.experiments.sweep.run_world`), its build or
+such pause (:func:`~repro.experiments.worldrun.run_world`), its build or
 restore included.
 
 Periodic background work (RLOC probing) is no obstacle to any of this: it runs as engine-owned
@@ -60,7 +60,7 @@ fresh build yields under the code that reads it.
 A world's lifetime
 ------------------
 
-:func:`~repro.experiments.sweep.run_world` is the one place a sweep holds
+:func:`~repro.experiments.worldrun.run_world` is the one place a sweep holds
 a world: its first cell builds it, each later cell restores it, and the
 world is torn down in the run's ``finally``.  A world is one web of
 reference cycles, so
@@ -110,7 +110,7 @@ def build_world(config):
     of the young passes the cells that run on it trigger.  A world is one
     web of reference cycles: a caller that builds one bare and drops it
     owns its :meth:`~repro.experiments.scenario.Scenario.teardown`
-    (:func:`~repro.experiments.sweep.run_world` calls its own); dropped
+    (:func:`~repro.experiments.worldrun.run_world` calls its own); dropped
     without one, it stays resident until a full collection happens by.
     """
     with gc_paused():

@@ -167,16 +167,10 @@ class LinkStats:
         looks full to a chunk once its busy seconds reach the window
         width, regardless of *where* inside the window those seconds fall.
 
-        Returns the number of bytes granted (``<= size``).  Infinite-rate
-        links (``rate_bps`` None) grant everything and book volume only,
-        matching their zero serialisation time on the packet path.
+        Returns the number of bytes granted (``<= size``).
         """
         windows = self.windows
         width = WINDOW_WIDTH
-        if rate_bps is None:
-            windows[int(start / width)][1] += size
-            self.fluid_bytes += size
-            return size
         byte_time = 8.0 / rate_bps
         remaining = size
         position = start
@@ -424,8 +418,8 @@ class Link(Journaled):
         if not self._up:
             delivered = 0
         elif self.rate_bps is None:
-            # Infinite rate: grant everything, book volume only (inlined
-            # from book_fluid — this is the megaflow hot path).
+            # Infinite rate: grant everything, book volume only, as the
+            # packet path spends no serialisation time here.
             delivered = size
             stats.windows[int(self.sim.now / WINDOW_WIDTH)][1] += size
             stats.fluid_bytes += size

@@ -33,11 +33,11 @@ def collector_left_as_found():
 def no_world_builds(monkeypatch):
     """Fail the test if anything builds a world: what a rejected sweep must
     not have done by the time it is rejected."""
-    from repro.experiments import sweep, worldbuild
+    from repro.experiments import worldbuild, worldrun
 
     def no_builds(_config):
         raise AssertionError("a world was built before the input was rejected")
-    for module in (sweep, worldbuild):
+    for module in (worldrun, worldbuild):
         monkeypatch.setattr(module, "build_world", no_builds)
 
 

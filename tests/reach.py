@@ -7,8 +7,8 @@ before ``repro`` is imported, runs every runner of the repository in this
 one process with one worker — ``repro report`` (default and ``--seed
 12``), ``repro run fig1|e1|e9``, ``repro list``, the seven sweep presets
 shrunk as :func:`cross_version_digests.shrunk_preset` shrinks them, a
-``repro sweep --jsonl`` and the ``--resume`` of its cut copy, ``repro
-analyze src/repro``, the six examples, and the perf ledger's five
+``repro sweep --json --csv --jsonl`` and the ``--resume`` of its cut
+copy, ``repro analyze src/repro``, the six examples, and the perf ledger's five
 workloads (full size, seed 1) and layer probes — and records each
 ``src/repro`` code object entered, keyed ``module:qualname``.  A
 profiler makes the sweep run families of one in-process, so a branched
@@ -104,7 +104,8 @@ def run_runners(workdir):
         preset_digests(name, workdir)
     jsonl = os.path.join(workdir, "smoke.cells.jsonl")
     cli("sweep", "--preset", "smoke", "--flows", "6", "--workers", "1",
-        "--jsonl", jsonl)
+        "--json", os.path.join(workdir, "smoke.json"),
+        "--csv", os.path.join(workdir, "smoke.csv"), "--jsonl", jsonl)
     cut = os.path.join(workdir, "cut.cells.jsonl")
     with open(jsonl) as source, open(cut, "w") as target:
         target.writelines(source.readlines()[:2])

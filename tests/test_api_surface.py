@@ -8,8 +8,7 @@ files left out):
 - an ``Attribute``, unless it is taken from a module imported from outside
   ``repro`` (``json.dump`` is not ``Tracer.dump``);
 - a string constant that spells it as the argument of a call, and so
-  names a callable looked up by name (the ``EXPERIMENTS`` runner strings,
-  ``_pce_total("total_envelope_bytes")``).
+  names a callable looked up by name (the ``EXPERIMENTS`` runner strings).
 
 Comments, docstrings, imports, ``__all__`` entries, table headers, a
 definition's references to itself from inside its own body and a name

@@ -2,7 +2,7 @@
 
 Cells of one world that differ only in their failure fraction run the
 workload once up to the branch point, and each cell but the first
-finishes in a child forked there (``sweep._run_family``).  A branched cell
+finishes in a child forked there (``worldrun._run_family``).  A branched cell
 must be the cell run alone, byte for byte, ``sim_events`` included.
 """
 
@@ -15,11 +15,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import sweep
-from repro.experiments.sweep import (SweepGrid, _apply_failures, expand_grid,
-                                     run_sweep, run_world)
+from repro.experiments import sweep, worldrun
+from repro.experiments.grid import SweepGrid, expand_grid
+from repro.experiments.sweep import run_sweep
 from repro.experiments.workload import run_workload
 from repro.experiments.worldbuild import build_world
+from repro.experiments.worldrun import apply_failures, run_world
 from repro.traffic.flows import FluidPump
 from test_worldbuild import _live_simulators
 
@@ -126,8 +127,8 @@ def test_failures_fall_at_instants_counted_from_the_cell_start(monkeypatch):
     """Not from the clock at the branch point, which lags ``fail_at`` by
     however long the last event before it was."""
     starts, instants = [], []
-    start_workload = sweep.start_workload
-    schedule = sweep.schedule_access_failure
+    start_workload = worldrun.start_workload
+    schedule = worldrun.schedule_access_failure
 
     def watched_start(world, workload):
         starts.append(world.sim.now)
@@ -136,8 +137,8 @@ def test_failures_fall_at_instants_counted_from_the_cell_start(monkeypatch):
     def watched_schedule(queue, site, locator, fail_at, repair_at):
         instants.append((fail_at, repair_at))
         return schedule(queue, site, locator, fail_at, repair_at)
-    monkeypatch.setattr(sweep, "start_workload", watched_start)
-    monkeypatch.setattr(sweep, "schedule_access_failure", watched_schedule)
+    monkeypatch.setattr(worldrun, "start_workload", watched_start)
+    monkeypatch.setattr(worldrun, "schedule_access_failure", watched_schedule)
     grid = replace(_grid("alt", "constant"), fail_fractions=(0.5,))
     run_world(expand_grid(grid))
     (start,) = starts
@@ -161,7 +162,7 @@ def test_failures_keep_the_queue_keys_of_the_cell_run_unbranched(forks):
         sim = world.sim
         assert sim.now == 0.0 and 1.25 in {task.next_fire + 4 * task.period
                                            for task in sim.periodic_tasks}
-        _apply_failures(world, cell.failure, sim.now, sim)
+        apply_failures(world, cell.failure, sim.now, sim)
         records = run_workload(world, cell.workload)
         assert result["metrics"]["sim_events"] == sim.processed_events
         assert result["metrics"]["packets_delivered"] == sum(
@@ -187,7 +188,7 @@ def test_families_are_cells_that_differ_only_in_their_fraction(forks):
                    fail_fractions=(0.0,))
     run_world(expand_grid(grid))
     assert forks["pids"] == []
-    chunks = sweep.world_chunks(expand_grid(replace(
+    chunks = worldrun.world_chunks(expand_grid(replace(
         grid, fail_fractions=(0.0, 0.5))), workers=4)
     assert sorted(len(chunk) for chunk in chunks) == [2, 2]
     for chunk in chunks:
@@ -270,7 +271,7 @@ def test_a_run_with_another_thread_alive_does_not_fork(forks):
     assert [result["fail_fraction"] for result in results] == list(FRACTIONS)
 
 
-_run_world = sweep.run_world
+_run_world = worldrun.run_world
 
 
 def _dies_on_alt(cells):
@@ -285,7 +286,7 @@ def test_a_dead_pool_worker_fails_the_sweep_instead_of_hanging(monkeypatch):
     get_context = multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: get_context("fork"))
-    monkeypatch.setattr(sweep, "run_world", _dies_on_alt)
+    monkeypatch.setattr(worldrun, "run_world", _dies_on_alt)
     grid = SweepGrid(control_planes=("pce", "alt"), site_counts=(3,),
                      num_flows=4)
     outcome = {}

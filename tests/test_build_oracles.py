@@ -14,6 +14,7 @@ from collections import deque
 
 import pytest
 
+from repro.experiments.measure import _control, _control_state
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.experiments.worldbuild import build_world
 from repro.net.fib import Fib, FibEntry
@@ -366,8 +367,8 @@ def world_fingerprint(scenario):
     for xtr in scenario.iter_xtrs():
         lines.append(f"map-cache {xtr.node.name} "
                      f"{[str(m) for _p, m in xtr.map_cache.entries()]}")
-    lines.append(f"control {scenario.control_overhead()} "
-                 f"{scenario.control_state()}")
+    lines.append(f"control {_control(scenario)} "
+                 f"{_control_state(scenario)}")
     lines.append(f"sim {sim.now!r} {sim._sequence} {sim.processed_events} "
                  f"{len(sim._queue)}")
     for name, stream in sorted(sim.rng._streams.items()):

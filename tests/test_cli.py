@@ -110,9 +110,10 @@ def test_parser_defaults():
 def test_sweep_rejects_an_oversized_topology_before_building(
         tmp_path, capsys, monkeypatch, no_world_builds):
     from repro.experiments import sweep
+    from repro.experiments.grid import SweepGrid
 
     monkeypatch.setitem(sweep.PRESETS, "oversized",
-                        sweep.SweepGrid(num_providers=300))
+                        SweepGrid(num_providers=300))
     monkeypatch.chdir(tmp_path)  # the default jsonl path lands in the CWD
     assert main(["sweep", "--preset", "oversized", "--workers", "2"]) == 1
     out = capsys.readouterr().out

@@ -17,7 +17,8 @@ from repro.experiments import build_scenario, run_workload
 from repro.experiments import e2_overlap as e2
 from repro.experiments import e8_reverse_mapping as e8
 from repro.experiments import sweep
-from repro.experiments.sweep import expand_grid, run_sweep
+from repro.experiments.grid import expand_grid
+from repro.experiments.sweep import run_sweep
 from repro.metrics import summarize
 
 

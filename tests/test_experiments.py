@@ -7,10 +7,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
-from repro.experiments import sweep
+from repro.experiments import measure, sweep
+from repro.experiments.measure import classify_first_packet
 from repro.experiments.scenario import CONTROL_PLANES
 from repro.experiments.sweep import run_sweep
-from repro.experiments.workload import classify_first_packet
 
 
 @pytest.mark.parametrize("control_plane", CONTROL_PLANES)
@@ -166,7 +166,7 @@ def test_flow_cut_off_before_dns_completes_is_failed():
         # Every downstream consumer of the Optional fields stays happy.
         assert classify_first_packet(record) == "not-sent"
     # E2's wait has nothing to time on them.
-    assert sweep._mapping_wait(SimpleNamespace(
+    assert measure._mapping_wait(SimpleNamespace(
         world=scenario, records=cut_off,
         xtrs=list(scenario.iter_xtrs()))) is None
     # The sweep's per-cell sums never touch the None fields either.
@@ -197,7 +197,7 @@ def test_access_byte_shares_sum_to_one_under_traffic():
     config = ScenarioConfig(control_plane="pce", num_sites=3, seed=5)
     scenario = build_scenario(config)
     run_workload(scenario, WorkloadConfig(num_flows=10, dest_site=0))
-    te = sweep._access_te(SimpleNamespace(
+    te = measure._access_te(SimpleNamespace(
         world=scenario, workload=WorkloadConfig(dest_site=0)))
     shares = te["inbound"]["shares"]
     assert sum(shares) == pytest.approx(1.0)

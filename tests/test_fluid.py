@@ -16,7 +16,7 @@ import pytest
 
 from repro.experiments import (ScenarioConfig, WorkloadConfig, build_scenario,
                                run_workload)
-from repro.experiments.workload import peak_concurrent_flows
+from repro.experiments.measure import peak_concurrent_flows
 from repro.experiments.worldbuild import build_world, restore_world
 from repro.net.addresses import IPv4Prefix
 from repro.net.fib import FibEntry
@@ -84,8 +84,10 @@ def test_flow_shaper_fluid_validation():
 # --------------------------------------------------------------------- #
 
 def test_book_fluid_infinite_rate_grants_everything():
-    stats = LinkStats()
-    granted = stats.book_fluid(0.0, 0.5, 10_000, None)
+    # A rate-less link grants in post_fluid itself, never in book_fluid.
+    _a, _b, link = _rated_link(Simulator(), rate_bps=None)
+    granted = link.post_fluid(10_000, 7, 0.5)
+    stats = link.stats
     assert granted == 10_000
     assert stats.fluid_bytes == tx_bytes(stats) == 10_000
     assert stats.windows[0][0] == 0.0   # no transmitter seconds

@@ -10,8 +10,10 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, run_workload
-from repro.experiments.sweep import PRESETS, _apply_failures, expand_grid
+from repro.experiments.grid import expand_grid
+from repro.experiments.sweep import PRESETS
 from repro.experiments.worldbuild import build_world
+from repro.experiments.worldrun import apply_failures
 from repro.net.host import Host
 from repro.net.link import QUEUE_CAPACITY, LinkStats, connect
 from repro.net.packet import udp_packet
@@ -105,7 +107,7 @@ def test_large_scale_smoke():
     assert all(r.packets_lost == 0 for r in ok)
     # Every site that sourced flows got its mappings pushed to all its ITRs.
     cp = scenario.control_plane
-    assert cp.total_push_messages() >= len(
+    assert sum(pce.stats.push_messages for pce in cp.pces.values()) >= len(
         {r.source for r in ok})  # at least one push per active source host
 
 
@@ -164,7 +166,7 @@ def test_byte_conservation_across_presets(preset):
     """
     for cell in _preset_cells(preset):
         scenario = build_world(cell.scenario)
-        _apply_failures(scenario, cell.failure, scenario.sim.now, scenario.sim)
+        apply_failures(scenario, cell.failure, scenario.sim.now, scenario.sim)
         records = run_workload(scenario, cell.workload)
         _assert_bytes_conserved(scenario, drained=False)
         scenario.sim.run()  # drain in-flight deliveries and DNS retries
@@ -213,7 +215,7 @@ def _finished_cell(kind):
         cell = next(cell for cell in _preset_cells("shaped")
                     if cell.workload.pacing == kind)
     scenario = build_world(cell.scenario)
-    _apply_failures(scenario, cell.failure, scenario.sim.now, scenario.sim)
+    apply_failures(scenario, cell.failure, scenario.sim.now, scenario.sim)
     run_workload(scenario, cell.workload)
     return scenario
 

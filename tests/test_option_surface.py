@@ -27,7 +27,7 @@ from dataclasses import fields
 from repro.core.irc import POLICIES as IRC_POLICIES
 from repro.experiments.scenario import (CONTROL_PLANES, MISS_POLICIES,
                                         ScenarioConfig)
-from repro.experiments.sweep import AXES
+from repro.experiments.grid import AXES
 from repro.experiments.workload import WorkloadConfig
 from repro.net.topogen import FAMILIES
 from repro.traffic.popularity import PACING_MODES, SIZE_DISTRIBUTIONS

@@ -33,4 +33,4 @@ def test_every_reason_is_in_the_closed_set():
 
 def test_only_the_forking_call_is_a_forked_child():
     assert [key for key, reason in _golden().items()
-            if reason == "forked child"] == ["repro.experiments.sweep:_branched"]
+            if reason == "forked child"] == ["repro.experiments.worldrun:_branched"]

@@ -21,15 +21,17 @@ from dataclasses import replace
 import pytest
 from test_sweep import cell_sim_events
 
-from repro.experiments import sweep, worldbuild
+from repro.experiments import worldbuild, worldrun
+from repro.experiments.grid import SweepGrid, expand_grid
+from repro.experiments.measure import _control
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
-from repro.experiments.sweep import (SweepGrid, expand_grid, payload_digest,
-                                     run_sweep, run_world, world_chunks)
+from repro.experiments.sweep import payload_digest, run_sweep
 from repro.experiments.workload import WorkloadConfig, run_workload
 from repro.experiments.worldbuild import (SNAPSHOT_MAGIC, SnapshotError,
                                           build_world, deserialize_world,
                                           restore_world, serialize_world,
                                           world_key)
+from repro.experiments.worldrun import run_world, world_chunks
 
 CONFIG = ScenarioConfig(control_plane="pce", num_sites=3, seed=5,
                         tracing=False)
@@ -72,7 +74,7 @@ def test_restored_world_runs_cells_byte_identically():
     assert run_workload(twin, FLOWS) == run_workload(world, FLOWS)
     assert twin.sim.processed_events == world.sim.processed_events
     assert twin.byte_accounting() == world.byte_accounting()
-    assert twin.control_overhead() == world.control_overhead()
+    assert _control(twin) == _control(world)
 
 
 @pytest.mark.parametrize("family,sites", (("fig1", 4), ("flat", 3),
@@ -226,7 +228,7 @@ def test_memory_store_one_build_many_restores(monkeypatch):
     place, back to the checkpoint instant, for every later cell."""
     builds = []
     seen = []
-    build, start_workload = sweep.build_world, sweep.start_workload
+    build, start_workload = worldrun.build_world, worldrun.start_workload
 
     def counting_build(config):
         builds.append(build(config))
@@ -236,8 +238,8 @@ def test_memory_store_one_build_many_restores(monkeypatch):
         seen.append((world, world.sim.now))
         return start_workload(world, workload)
 
-    monkeypatch.setattr(sweep, "build_world", counting_build)
-    monkeypatch.setattr(sweep, "start_workload", watched)
+    monkeypatch.setattr(worldrun, "build_world", counting_build)
+    monkeypatch.setattr(worldrun, "start_workload", watched)
     cells = expand_grid(replace(GRID, control_planes=("pce",),
                                 zipf_values=(0.0, 0.5, 1.0, 1.5)))
     results, built = run_world(cells)
@@ -296,14 +298,14 @@ def test_fan_out_builds_nothing_in_the_parent(monkeypatch):
     """Workers build every world a fan-out run uses; the parent none."""
     parent = os.getpid()
     parent_builds = []
-    build_world_in = sweep.build_world
+    build_world_in = worldrun.build_world
 
     def counting_build(config):
         if os.getpid() == parent:
             parent_builds.append(config)
         return build_world_in(config)
 
-    monkeypatch.setattr(sweep, "build_world", counting_build)
+    monkeypatch.setattr(worldrun, "build_world", counting_build)
     fanned = run_sweep(GRID, workers=2)
     assert parent_builds == []
     assert fanned["world_cache"]["builds"] == 2
@@ -311,7 +313,8 @@ def test_fan_out_builds_nothing_in_the_parent(monkeypatch):
 
 _FAN_OUT_SWEEP = """
 import json, multiprocessing
-from repro.experiments.sweep import SweepGrid, payload_digest, run_sweep
+from repro.experiments.grid import SweepGrid
+from repro.experiments.sweep import payload_digest, run_sweep
 multiprocessing.set_start_method({method!r})
 GRID = {grid!r}
 serial = run_sweep(GRID, workers=1)

@@ -3,18 +3,22 @@
 import csv
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
+from repro.experiments.artifacts import CSV_COLUMNS, iter_jsonl, write_json
+from repro.experiments.grid import SweepGrid, expand_grid
+from repro.experiments.measure import aggregate
 from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.sweep import PRESETS, SCHEMA, payload_digest, run_sweep
 from repro.experiments.workload import WorkloadConfig
-from repro.experiments.sweep import (CSV_COLUMNS, PRESETS, SCHEMA,
-                                     SweepGrid, aggregate, expand_grid,
-                                     iter_jsonl, payload_digest, run_sweep,
-                                     run_world, write_json)
+from repro.experiments.worldrun import run_world
 from repro.net.topogen import TopologySpec
 
 from cross_version_digests import GOLDEN, preset_digests, shrunk_preset
@@ -406,6 +410,25 @@ def test_a_rebuild_after_a_raising_family_counts_as_a_build(tmp_path,
         labels = {entry["index"]: entry["world"]
                   for entry in map(json.loads, handle)}
     assert labels == {0: "miss", 2: "miss", 3: "miss", 4: "hit", 5: "hit"}
+
+
+def test_a_serial_sweep_loads_neither_traceback_nor_the_pool():
+    """``traceback`` (for an error record) and ``concurrent.futures`` (for
+    fan-out) are imported where used: at module level they cost a serial
+    sweep about 1 MB resident.  Checked in a fresh interpreter, since
+    pytest has loaded both."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys\n"
+            "from cross_version_digests import shrunk_preset\n"
+            "from repro.experiments.sweep import run_sweep\n"
+            "assert not run_sweep(shrunk_preset('smoke')).get('errors')\n"
+            "print(sorted({'traceback', 'concurrent.futures'} & set(sys.modules)))")
+    path = os.pathsep.join((os.path.join(os.path.dirname(tests), "src"), tests))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=False,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_cli_sweep_exits_nonzero_naming_a_raising_cell(tmp_path, capsys,

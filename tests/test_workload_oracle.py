@@ -40,8 +40,9 @@ from repro.experiments import ScenarioConfig, WorkloadConfig, build_scenario, ru
 from repro.experiments import e9_failover, fig1
 from repro.experiments.e9_failover import FAIL_AT, FLOW_END, REPAIR_AT
 from repro.experiments.fig1 import run_fig1_walkthrough
+from repro.experiments.measure import _control
 from repro.experiments.scenario import CONTROL_PLANES, Scenario
-from repro.experiments.sweep import schedule_access_failure
+from repro.experiments.worldrun import schedule_access_failure
 
 PACINGS = ("constant", "shaped", "fluid")
 TRANSPORTS = ("udp", "tcp", "tcp+burst")
@@ -63,7 +64,7 @@ def pull_path_state(scenario):
         control = (system.stats.snapshot_state(),
                    len(getattr(system, "_pending", ())))
     else:
-        control = scenario.control_overhead()
+        control = _control(scenario)
     policy = scenario.miss_policy
     probers = {}
     if scenario.control_plane is not None:

@@ -9,15 +9,16 @@ import pytest
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.e9_failover import run_e9
 from repro.experiments.fig1 import run_fig1_walkthrough
-from repro.experiments import sweep
-from repro.experiments.sweep import (PRESETS, SweepGrid, _apply_failures,
-                                     expand_grid, iter_jsonl, payload_digest,
-                                     run_sweep, run_world, world_chunks)
+from repro.experiments import sweep, worldrun
+from repro.experiments.artifacts import iter_jsonl
+from repro.experiments.grid import SweepGrid, expand_grid
+from repro.experiments.sweep import PRESETS, payload_digest, run_sweep
 from repro.experiments.workload import (WorkloadConfig, run_workload,
                                        start_workload)
 from repro.experiments.worldbuild import (SnapshotError, build_world,
                                           deserialize_world, restore_world,
                                           serialize_world, world_key)
+from repro.experiments.worldrun import apply_failures, run_world, world_chunks
 from repro.lisp.mappings import MappingRecord, RlocEntry
 from repro.lisp.xtr import TunnelRouter
 from repro.net.addresses import IPv4Prefix
@@ -150,12 +151,12 @@ def test_restore_world_resets_clock_and_caches():
 def worlds_built(monkeypatch):
     """The worlds the sweep builds, in order (each a real build)."""
     built = []
-    build = sweep.build_world
+    build = worldrun.build_world
 
     def recording_build(config):
         built.append(build(config))
         return built[-1]
-    monkeypatch.setattr(sweep, "build_world", recording_build)
+    monkeypatch.setattr(worldrun, "build_world", recording_build)
     return built
 
 
@@ -218,7 +219,7 @@ def test_prober_and_irc_state_round_trip_through_restore():
     baseline = (prober_states(), irc_states(), task_states())
 
     # Dirty this world: run a failing workload so probers mark RLOCs down.
-    _apply_failures(scenario, _failover_cell().failure,
+    apply_failures(scenario, _failover_cell().failure,
                     scenario.sim.now, scenario.sim)
     run_workload(scenario, WorkloadConfig(num_flows=12, arrival_rate=10.0,
                                           packets_per_flow=5))
@@ -798,7 +799,7 @@ def _lifecycle_cell(control_plane, topology, pacing, sites=6, flows=10,
 
 def _run_cell_on(scenario, oracle, cell):
     assert _dirty_components(oracle) == []
-    _apply_failures(scenario, cell.failure, scenario.sim.now, scenario.sim)
+    apply_failures(scenario, cell.failure, scenario.sim.now, scenario.sim)
     run_workload(scenario, cell.workload)
     # Whatever moved is somewhere a restore will look: a missing _touch()
     # fails here, not three cells later.

@@ -212,7 +212,8 @@ class _Walk(Event):
 
     def _answered(self, request):
         self.socket.close()
-        reply = request.value.payload if request.ok else None
+        packet = request.value
+        reply = packet.payload if packet is not None else None
         if not isinstance(reply, DnsMessage):  # timed out, or not DNS
             self.servers = self.servers[1:]
             self._query()
@@ -291,8 +292,9 @@ class _Lookup(Event):
     def _answered(self, request):
         self.socket.close()
         address = None
-        if request.ok:  # else RequestTimeout: nobody answered
-            reply = request.value.payload
+        packet = request.value
+        if packet is not None:  # else nobody answered
+            reply = packet.payload
             if isinstance(reply, DnsMessage):
                 addresses = reply.answer_addresses()
                 if addresses:

@@ -118,14 +118,17 @@ def _families(cells):
 
     Families of one when this process cannot fork cleanly: no
     ``os.fork``, another thread alive (a child holds only the forking
-    thread, and whatever lock another held stays held), or a profiler
-    installed (it would never see the children's calls).
+    thread, and whatever lock another held stays held), or a profiler or
+    line tracer installed (``sys.setprofile``, ``sys.settrace`` or a
+    ``sys.monitoring`` tool: it would never see the children's calls).
     """
     monitoring = getattr(sys, "monitoring", None)
     alone = (not hasattr(os, "fork") or threading.active_count() > 1
-             or sys.getprofile() is not None
-             or (monitoring is not None
-                 and monitoring.get_tool(monitoring.PROFILER_ID) is not None))
+             or sys.getprofile() is not None or sys.gettrace() is not None
+             or (monitoring is not None and any(
+                 monitoring.get_tool(tool) is not None
+                 for tool in (monitoring.DEBUGGER_ID, monitoring.COVERAGE_ID,
+                              monitoring.PROFILER_ID))))
     groups = {}
     for position, cell in enumerate(cells):
         groups.setdefault(position if alone else _family_key(cell),

@@ -166,9 +166,9 @@ class AltMappingSystem(MappingSystem):
         if isinstance(payload, MapRequest):
             self._forward_or_answer(packet, payload, node)
         elif isinstance(payload, MapReply):
-            waiter = self._pending.pop(payload.nonce, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(payload.mapping)
+            loop = self._pending.pop(payload.nonce, None)
+            if loop is not None:
+                loop.answer(payload.mapping)
         elif isinstance(payload, _AltDataEnvelope):
             self._forward_or_deliver_data(packet, payload, node)
 

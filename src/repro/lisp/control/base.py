@@ -5,7 +5,7 @@ from collections import defaultdict
 from repro.lisp.headers import next_nonce
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.fib import Fib, FibEntry
-from repro.sim import EXPIRED, Event
+from repro.sim import Event
 from repro.sim.state import state_copy
 
 #: Times an ITR re-sends an unanswered Map-Request (ALT and CONS).
@@ -162,15 +162,17 @@ class MappingSystem:
 class _MapRequestLoop(Event):
     """An ITR's Map-Request, re-sent until answered (ALT and CONS).
 
-    Each attempt registers a fresh nonce in *system*'s ``_pending`` table,
-    hands it to ``send(nonce)`` and waits *timeout* for the system's reply
-    handler to pop the nonce and succeed its waiter.  Succeeds with the
-    mapping, or with None once ``MAP_REQUEST_RETRIES + 1`` deadlines passed
-    unanswered; either outcome is recorded in the system's stats with its
-    latency.
+    Each attempt registers a fresh nonce in *system*'s ``_pending`` table
+    under this loop and hands it to ``send(nonce)``.  The system's
+    Map-Reply handler pops the nonce and calls :meth:`answer`, which
+    records the resolution latency and succeeds with the mapping.  An
+    attempt's deadline, *timeout* later, finds its nonce gone once
+    answered and does nothing; otherwise it takes the nonce out and sends
+    again, or succeeds with None once ``MAP_REQUEST_RETRIES + 1`` attempts
+    went unanswered.
     """
 
-    __slots__ = ("system", "send", "timeout", "attempts", "started", "nonce")
+    __slots__ = ("system", "send", "timeout", "attempts", "started")
 
     def __init__(self, system, send, timeout):
         Event.__init__(self, system.sim)
@@ -179,24 +181,24 @@ class _MapRequestLoop(Event):
         self.timeout = timeout
         self.attempts = 1 + MAP_REQUEST_RETRIES
         self.started = system.sim.now
-        self.nonce = None
         self._attempt()
 
     def _attempt(self):
         self.attempts -= 1
-        self.nonce = nonce = next_nonce()
-        waiter = self.system._pending[nonce] = Event(self.sim)
+        nonce = next_nonce()
+        self.system._pending[nonce] = self
         self.send(nonce)
-        waiter.expire_in(self.timeout).callbacks.append(self._outcome)
+        self.sim.call_in(self.timeout, self._deadline, nonce)
 
-    def _outcome(self, waiter):
-        system = self.system
-        if waiter.value is not EXPIRED:
-            system.stats.resolution_latencies.append(self.sim.now - self.started)
-            self.succeed(waiter.value)
-            return
-        system._pending.pop(self.nonce, None)
+    def answer(self, mapping):
+        """The Map-Reply to the current attempt arrived with *mapping*."""
+        self.system.stats.resolution_latencies.append(self.sim.now - self.started)
+        self.succeed(mapping)
+
+    def _deadline(self, nonce):
+        if self.system._pending.pop(nonce, None) is None:
+            return  # answered: this deadline fires into nothing
         if self.attempts:
             self._attempt()
-            return
-        self.succeed(None)
+        else:
+            self.succeed(None)

@@ -176,9 +176,9 @@ class ConsMappingSystem(MappingSystem):
             else:
                 self._handle_reply(packet, payload, node)
         elif isinstance(payload, MapReply):
-            waiter = self._pending.pop(payload.nonce, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(payload.mapping)
+            loop = self._pending.pop(payload.nonce, None)
+            if loop is not None:
+                loop.answer(payload.mapping)
 
     def _handle_request(self, packet, envelope, node):
         me = self._tree_by_address.get(packet.ip.dst)

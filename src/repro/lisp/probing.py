@@ -15,11 +15,9 @@ with and without it.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import count
 
 from repro.net.addresses import IPv4Address
-from repro.sim import EXPIRED
 
 #: Dedicated UDP port for RLOC echo probes (4342 belongs to Map-Request).
 PROBE_PORT = 4347
@@ -63,6 +61,7 @@ class RlocProber:
         self.down = set()
         self.version = next(_versions)
         self._consecutive_misses = {}
+        #: Unanswered probes: nonce -> the locator probed.
         self._pending = {}
         self._nonce = 0
         self._task = sim.periodic(self._tick, period,
@@ -99,20 +98,17 @@ class RlocProber:
             self._probe(address)
 
     def _probe(self, address):
-        """Send one echo probe and judge *address* when it is answered or expires."""
+        """Send one echo probe; its reply or its deadline judges *address*."""
         self._nonce += 1
         nonce = self._nonce
-        waiter = self._pending[nonce] = self.sim.event()
+        self._pending[nonce] = address
         self.xtr.node.send_udp(src=self.xtr.rloc, dst=address, sport=PROBE_PORT,
                                dport=PROBE_PORT, payload=RlocProbe(nonce=nonce))
-        waiter.expire_in(self.timeout).callbacks.append(
-            partial(self._probed, address, nonce))
+        self.sim.call_in(self.timeout, self._deadline, nonce)
 
-    def _probed(self, address, nonce, waiter):
-        if waiter.value is not EXPIRED:
-            self._mark_alive(address)
-        else:
-            self._pending.pop(nonce, None)
+    def _deadline(self, nonce):
+        address = self._pending.pop(nonce, None)
+        if address is not None:  # else answered: this fires into nothing
             self._mark_missed(address)
 
     def _mark_alive(self, address):
@@ -139,9 +135,9 @@ class RlocProber:
         if not isinstance(message, RlocProbe):
             return
         if message.is_reply:
-            waiter = self._pending.pop(message.nonce, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(packet.ip.src)
+            address = self._pending.pop(message.nonce, None)
+            if address is not None:
+                self._mark_alive(address)
             return
         reply = RlocProbe(nonce=message.nonce, is_reply=True)
         node.send_udp(src=packet.ip.dst, dst=packet.ip.src, sport=PROBE_PORT,
@@ -162,8 +158,8 @@ class RlocProber:
         """Liveness verdicts, miss counters and the nonce.
 
         The periodic tick itself (armed / next-fire time) is engine state,
-        captured by the simulator's own checkpoint.  In-flight probes hold
-        live waiter events that cannot be replayed; the worldbuild layer
+        captured by the simulator's own checkpoint.  In-flight probes have
+        deadlines queued that cannot be replayed; the worldbuild layer
         settles the simulation first, which resolves every pending probe.
         """
         if self._pending:

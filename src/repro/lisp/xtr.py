@@ -141,15 +141,12 @@ class TunnelRouter(Journaled):
             partial(self._resolved, key, eid))
 
     def _resolved(self, key, eid, resolution):
-        """Install what the mapping system answered; re-raise what it raised.
+        """Install what the mapping system answered (``None``: nothing).
 
         Either way the site prefix is free for the next miss to resolve.
         """
         # _maybe_resolve touched the journal before this resolution started.
         self._pending.pop(key, None)  # repro: allow=SNAP03
-        if not resolution.ok:
-            self.resolutions_failed += 1
-            raise resolution.exception
         mapping = resolution.value
         if mapping is None:
             self.resolutions_failed += 1

@@ -3,16 +3,13 @@
 Hosts expose a tiny socket-like API: :meth:`Host.open_udp` returns a
 :class:`UdpSocket` whose :meth:`~UdpSocket.request` method implements the
 send-and-await-reply pattern used by DNS lookups, with timeout and retry:
-an event the caller hangs a callback on.
+an event the caller hangs a callback on, which succeeds with the reply
+packet or, once every attempt went unanswered, with ``None``.
 """
 
 from repro.net.addresses import IPv4Address
 from repro.net.node import Node
 from repro.net.packet import udp_packet
-
-
-class RequestTimeout(Exception):
-    """A :meth:`UdpSocket.request` exceeded its timeout (after retries)."""
 
 
 class UdpSocket:
@@ -49,8 +46,7 @@ class UdpSocket:
 
         The event succeeds with the reply packet.  Every *timeout* without
         one the same payload object is sent again, up to *retries* extra
-        times; then the event fails with :class:`RequestTimeout`, which a
-        waiter's callback sees as ``not request.ok``.  A late reply to an
+        times; then the event succeeds with ``None``.  A late reply to an
         earlier attempt satisfies the request like any other.
         """
         done = self.host.sim.event()
@@ -65,7 +61,7 @@ class UdpSocket:
         dst, dport, payload, payload_bytes, timeout = request
         if sends_left <= 0:
             del self._waiters[done]
-            done.fail(RequestTimeout(f"{self.host.name}:{self.port} -> {dst}:{dport}"))
+            done.succeed(None)
             return
         self.send(dst, dport, payload=payload, payload_bytes=payload_bytes)
         self.host.sim.call_in(timeout, self._attempt, done, sends_left - 1)

@@ -14,13 +14,12 @@ byte-identical traces.
 
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
-from repro.sim.events import EXPIRED, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.periodic import PeriodicTask
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
-    "EXPIRED",
     "Event",
     "PeriodicTask",
     "RandomStreams",

@@ -4,7 +4,7 @@ from heapq import heappop, heappush
 from math import nextafter
 
 from repro.sim.events import Event, Timeout
-from repro.sim.periodic import PeriodicFire, PeriodicTask
+from repro.sim.periodic import PeriodicTask
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 
@@ -27,13 +27,12 @@ class Simulator:
     The queue holds two kinds of entries: *foreground* events (scheduled
     calls, timeouts, triggered events' callbacks — finite work the
     simulation must complete) and *background* ticks of registered
-    :class:`~repro.sim.periodic.PeriodicTask` objects, which ride in the
-    callback slot as a :class:`~repro.sim.periodic.PeriodicFire`.  Both
-    share one queue so their interleaving is deterministic, but only
-    foreground entries count as pending work: ``run()`` with no ``until``
-    drains foreground events (firing any background ticks that fall before
-    them in time) and stops when no foreground work remains, even while
-    periodic tasks stay armed.  That is what makes worlds with perpetual
+    :class:`~repro.sim.periodic.PeriodicTask` objects, each riding in the
+    callback slot itself.  Both share one queue so their interleaving is
+    deterministic, but only foreground entries count as pending work:
+    ``run()`` with no ``until`` drains foreground events (firing any
+    background ticks that fall before them in time) and stops when no
+    foreground work remains, even while periodic tasks stay armed.  That is what makes worlds with perpetual
     periodic work settle-able and therefore checkpointable.
 
     Parameters
@@ -59,13 +58,13 @@ class Simulator:
     # Event construction helpers
     # ------------------------------------------------------------------ #
 
-    def event(self, name=None):
+    def event(self):
         """A fresh pending :class:`Event`."""
-        return Event(self, name=name)
+        return Event(self)
 
-    def timeout(self, delay, value=None, name=None):
+    def timeout(self, delay, value=None):
         """An event firing *delay* time units from now."""
-        return Timeout(self, delay, value=value, name=name)
+        return Timeout(self, delay, value=value)
 
     def periodic(self, callback, period, name=None):
         """Register a :class:`PeriodicTask` running *callback* every *period*.
@@ -134,8 +133,7 @@ class Simulator:
     def _schedule_periodic(self, task, when):
         """Push a background tick entry for *task*; returns its sequence."""
         self._sequence = sequence = self._sequence + 1
-        heappush(self._queue,
-                 (when, sequence, PeriodicFire(task, task._epoch), ()))
+        heappush(self._queue, (when, sequence, task, ()))
         return sequence
 
     def queued_events(self):
@@ -154,11 +152,6 @@ class Simulator:
         """Registered periodic tasks, in registration order."""
         return tuple(self._periodic)
 
-    @property
-    def pending_foreground(self):
-        """Number of scheduled foreground events (diagnostic)."""
-        return self._foreground
-
     def _dispatch(self, until, floor):
         """The one dispatch loop behind :meth:`run` and :meth:`run_before`.
 
@@ -169,17 +162,13 @@ class Simulator:
 
         An entry is popped before it runs, so a callback may schedule onto
         the timestamp being processed (it runs after what is already queued
-        there) or re-enter :meth:`run`.  Stale periodic entries are popped
-        without touching the clock or the event count.
+        there) or re-enter :meth:`run`.  A periodic tick is the task itself,
+        called like any other callback but not counted as foreground work.
         """
         queue = self._queue
         while queue and queue[0][0] <= until:
             when, _sequence, callback, args = heappop(queue)
-            if type(callback) is PeriodicFire:
-                if not callback.live:
-                    continue
-                callback = callback.task._fire
-            else:
+            if type(callback) is not PeriodicTask:
                 self._foreground -= 1
             self.now = when
             self._processed_events += 1
@@ -236,7 +225,7 @@ class Simulator:
         """True when the engine is settled: no pending foreground events.
 
         What is left on the queue of a settled simulator is armed
-        periodic-task timers, ``(when, sequence, PeriodicFire, ())``
+        periodic-task timers, ``(when, sequence, task, ())``
         entries that its checkpoint captures and re-arms.  Pending
         foreground entries hold live bound methods and the in-flight
         objects they close over (packets, requests, waiters' callbacks),
@@ -278,11 +267,10 @@ class Simulator:
                 f"world has {len(self._periodic)}")
         for task, task_state in zip(self._periodic, periodic, strict=True):
             task.restore_state(task_state)
-        # Sequences are unique, so the sort never compares a PeriodicFire;
-        # a sorted list is a heap.
+        # Sequences are unique, so the sort never compares two tasks; a
+        # sorted list is a heap.
         self._queue[:] = sorted(
-            (task.next_fire, task._entry_sequence,
-             PeriodicFire(task, task._epoch), ())
+            (task.next_fire, task._entry_sequence, task, ())
             for task in self._periodic if task.armed)
 
 

@@ -6,4 +6,4 @@ class SimulationError(Exception):
 
 
 class EventAlreadyTriggered(SimulationError):
-    """An event was succeeded or failed twice."""
+    """An event was succeeded twice."""

@@ -13,45 +13,20 @@ A periodic task instead keeps all of its timing state in plain attributes
 (``armed``, ``next_fire``) and registers itself with the owning
 :class:`~repro.sim.engine.Simulator`.  Its fires travel through the same
 (time, sequence)-ordered heap as ordinary events — so interleaving
-with normal work is deterministic — but they are tagged *background*: the
-engine's drain loop (``run()`` with no ``until``) does not treat an armed
-task as pending work, and its checkpoint captures and re-arms task timers
-instead of refusing to snapshot.
+with normal work is deterministic — but they are *background*: the queue
+entry is ``(when, sequence, task, ())``, the engine recognises it by the
+task's type, and its drain loop (``run()`` with no ``until``) does not
+treat an armed task as pending work; its checkpoint captures and re-arms
+task timers instead of refusing to snapshot.
 
 Tasks are created through :meth:`Simulator.periodic` and arm with
 :meth:`PeriodicTask.start`, which schedules the first tick one full period
 after the current time (a tick observes the world as it is *when the tick
-fires*, so there is nothing useful for it to do at arm time).  The callback
-runs with the clock at the fire time; the task re-arms itself one period
-later before invoking the callback, so a callback may call :meth:`stop`
-to cancel the rearm.
+fires*, so there is nothing useful for it to do at arm time).  An armed
+task stays armed for the world's lifetime: each tick re-arms it one period
+later and then runs the callback with the clock at the fire time.  A task
+has exactly one queued tick while armed, so no queued tick is ever stale.
 """
-
-
-class PeriodicFire:
-    """One scheduled tick of a :class:`PeriodicTask`.
-
-    It rides in the callback slot of a queue entry ``(when, sequence,
-    PeriodicFire, ())``, where the engine recognises it by type.  Entries
-    are invalidated (not removed) when their task re-arms or stops: each
-    arm bumps the task's epoch, and a popped entry whose epoch no longer
-    matches is silently discarded by the engine.
-    """
-
-    __slots__ = ("task", "epoch")
-
-    def __init__(self, task, epoch):
-        self.task = task
-        self.epoch = epoch
-
-    @property
-    def live(self):
-        """True when this entry is the task's current scheduled tick."""
-        return self.task.armed and self.epoch == self.task._epoch
-
-    def __repr__(self):
-        state = "live" if self.live else "stale"
-        return f"<PeriodicFire {self.task.name} {state}>"
 
 
 class PeriodicTask:
@@ -71,7 +46,7 @@ class PeriodicTask:
     """
 
     __slots__ = ("sim", "callback", "period", "name", "armed", "next_fire",
-                 "_epoch", "_entry_sequence")
+                 "_entry_sequence")
 
     def __init__(self, sim, callback, period, name=None):
         if not period > 0:  # also refuses NaN, which compares false
@@ -82,12 +57,11 @@ class PeriodicTask:
         self.name = name or getattr(callback, "__name__", "periodic")
         self.armed = False
         self.next_fire = None
-        self._epoch = 0
         self._entry_sequence = None
         sim._register_periodic(self)
 
     def __repr__(self):
-        state = f"armed@{self.next_fire:.6f}" if self.armed else "stopped"
+        state = f"armed@{self.next_fire:.6f}" if self.armed else "disarmed"
         return f"<PeriodicTask {self.name} {state} period={self.period}>"
 
     def start(self):
@@ -99,21 +73,13 @@ class PeriodicTask:
             self._arm(self.sim.now + self.period)
         return self
 
-    def stop(self):
-        """Disarm the task; the pending tick (if any) is invalidated."""
-        self.armed = False
-        self.next_fire = None
-        self._epoch += 1
-
     def _arm(self, when):
         self.armed = True
         self.next_fire = when
-        self._epoch += 1
         self._entry_sequence = self.sim._schedule_periodic(self, when)
 
-    def _fire(self):
-        """One tick: re-arm first (so the callback may stop()), then run."""
-        self.armed = False
+    def __call__(self):
+        """One tick, as the engine runs it: re-arm first, then the callback."""
         self._arm(self.next_fire + self.period)
         self.callback()
 
@@ -137,4 +103,3 @@ class PeriodicTask:
     def restore_state(self, state):
         """Restore timer fields; the engine re-pushes the heap entry."""
         self.armed, self.next_fire, self._entry_sequence = state
-        self._epoch += 1

@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, TCP_ACK, TCP_SYN, tcp_packet, udp_packet
-from repro.sim import EXPIRED, Event
+from repro.sim import Event
 from repro.sim.state import Journaled
 from repro.traffic.popularity import HEADER_BYTES
 
@@ -139,9 +139,10 @@ class TcpStack(Journaled):
             self.host.send(reply)
             return
         if header.is_synack:
-            waiter = self._pending.get(header.dport)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(packet)
+            # connect touched the journal before the handshake registered.
+            handshake = self._pending.pop(header.dport, None)  # repro: allow=SNAP03
+            if handshake is not None:
+                handshake.answer()
 
     def connect(self, destination, dport):
         """Three-way handshake: an event for (elapsed, syn_retries) or None."""
@@ -163,10 +164,12 @@ class TcpStack(Journaled):
 class _Handshake(Event):
     """A connect in flight: one SYN per attempt, the RTO doubling each time.
 
-    Succeeds with ``(elapsed, syn_retries)`` once a SYN+ACK arrives (and
-    the ACK is sent), or with None after ``MAX_SYN_RETRIES + 1``
-    unanswered SYNs.  The stack's ``_pending`` maps the source port to the current
-    attempt's waiter, which the SYN+ACK handler succeeds.
+    The stack's ``_pending`` maps the source port to the handshake while a
+    SYN is unanswered.  The SYN+ACK handler pops it and calls
+    :meth:`answer`, which sends the ACK and succeeds with ``(elapsed,
+    syn_retries)``.  An attempt's deadline finds the handshake answered
+    and does nothing, or sends the next SYN, or after ``MAX_SYN_RETRIES +
+    1`` unanswered SYNs takes the port out and succeeds with None.
     """
 
     __slots__ = ("stack", "destination", "sport", "dport", "attempt",
@@ -180,29 +183,32 @@ class _Handshake(Event):
         self.dport = dport
         self.attempt = 0
         self.started = stack.sim.now
+        stack._pending[sport] = self
         self._syn()
 
     def _syn(self):
         stack, attempt = self.stack, self.attempt
-        syn = tcp_packet(stack.host.address, self.destination, self.sport,
-                         self.dport, flags=TCP_SYN, seq=attempt)
-        waiter = stack._pending[self.sport] = Event(self.sim)
-        stack.host.send(syn)
-        waiter.expire_in(DEFAULT_RTO * (2 ** attempt)).callbacks.append(
-            self._outcome)
+        stack.host.send(tcp_packet(stack.host.address, self.destination,
+                                   self.sport, self.dport, flags=TCP_SYN,
+                                   seq=attempt))
+        self.sim.call_in(DEFAULT_RTO * (2 ** attempt), self._deadline)
 
-    def _outcome(self, waiter):
+    def answer(self):
+        """The SYN+ACK arrived: send the ACK and succeed."""
         stack, attempt = self.stack, self.attempt
-        stack._pending.pop(self.sport, None)
-        if waiter.value is not EXPIRED:
-            stack.host.send(tcp_packet(stack.host.address, self.destination,
-                                       self.sport, self.dport, flags=TCP_ACK,
-                                       seq=attempt + 1, ack=1))
-            self.succeed((self.sim.now - self.started, attempt))
-        elif attempt < MAX_SYN_RETRIES:
+        stack.host.send(tcp_packet(stack.host.address, self.destination,
+                                   self.sport, self.dport, flags=TCP_ACK,
+                                   seq=attempt + 1, ack=1))
+        self.succeed((self.sim.now - self.started, attempt))
+
+    def _deadline(self):
+        if self._triggered:
+            return  # answered: this deadline fires into nothing
+        if self.attempt < MAX_SYN_RETRIES:
             self.attempt += 1
             self._syn()
         else:
+            del self.stack._pending[self.sport]
             self.succeed(None)
 
 

@@ -31,23 +31,47 @@ from repro.sim.events import Event
 
 
 class Process(Event):
-    """An event representing the lifetime of a running generator."""
+    """An event representing the lifetime of a running generator.
 
-    __slots__ = ("generator", "_label")
+    It succeeds with the generator's return value.  A generator that
+    raises, or yields anything but an event of its own simulator, fails
+    the process instead: the process succeeds with the error, keeps it in
+    :attr:`exception`, and a process waiting on it has it thrown in.
+    """
+
+    __slots__ = ("generator", "_label", "exception", "processed")
 
     def __init__(self, sim, generator, name=None):
         if not hasattr(generator, "send"):
             raise TypeError(f"Process requires a generator, got {generator!r}")
-        super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
+        super().__init__(sim)
         self.generator = generator
-        self._label = self.name
+        self._label = name or getattr(generator, "__name__", "process")
+        self.exception = None
+        self.processed = False
         # Bootstrap: resume once at the current time.
-        bootstrap = Event(sim, name=f"{self._label}:start")
+        bootstrap = Event(sim)
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
 
+    def _default_label(self):
+        return self._label
+
+    @property
+    def ok(self):
+        """True once the generator returned (rather than failed)."""
+        return self._triggered and self.exception is None
+
+    def _run_callbacks(self):
+        self.processed = True
+        super()._run_callbacks()
+
+    def _fail(self, exception):
+        self.exception = exception
+        self.succeed(exception)
+
     def _resume(self, event):
-        if not event.ok:
+        if isinstance(event, Process) and event.exception is not None:
             self._step(throw=event.exception)
         else:
             self._step(value=event.value)
@@ -69,21 +93,31 @@ class Process(Event):
             # coroutine behaves.
             self.sim.trace.record(self.sim.now, self._label, "process.failed",
                                   error=repr(exc))
-            self.fail(exc)
+            self._fail(exc)
             return
         if not isinstance(target, Event):
             self.generator.close()
-            self.fail(SimulationError(f"process {self._label} yielded non-event {target!r}"))
+            self._fail(SimulationError(f"process {self._label} yielded non-event {target!r}"))
             return
         if target.sim is not self.sim:
             self.generator.close()
-            self.fail(SimulationError(f"process {self._label} yielded foreign event {target!r}"))
+            self._fail(SimulationError(f"process {self._label} yielded foreign event {target!r}"))
             return
-        if target.processed:
+        if _processed(target):
             # Already fired: resume immediately via a zero-delay event to
             # preserve run-to-completion semantics.
-            poke = Event(self.sim, name=f"{self._label}:poke")
+            poke = Event(self.sim)
             poke.callbacks.append(lambda _event: self._resume(target))
             poke.succeed()
         else:
             target.callbacks.append(self._resume)
+
+
+def _processed(event):
+    """Whether *event*'s callbacks have run, so a callback appended now
+    would never run: a process knows; any other event has run them once
+    it is triggered and no longer queued."""
+    if isinstance(event, Process):
+        return event.processed
+    return event._triggered and not any(
+        queued is event for queued in event.sim.queued_events())

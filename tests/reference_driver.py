@@ -14,6 +14,13 @@ it is reached by, the options that have since become constants, and
   resolver's miss walk and coalesced followers, and the scripted senders
   of the Fig. 1 walkthrough and E9.
 
+Their exchanges wait on an inner reply waiter raced against a deadline,
+as the simulator's exchanges did before each became one event its reply
+handler succeeds: :class:`_Waiter` and :func:`_expire_in` keep that
+waiter here, the Map-Reply and SYN+ACK handlers reach it through
+``answer``, and the probers' port gets the retired reply handler back.
+A request that times out yields ``None``, where it used to raise.
+
 ``tests/test_workload_oracle.py`` runs the same world under the callback
 code and under these (:func:`install_reference_pull_path` puts them on one
 world) and demands equal flow records, link ledgers, sinks, resolver, xTR
@@ -38,12 +45,35 @@ from repro.lisp.control.base import MAP_REQUEST_RETRIES
 from repro.lisp.control.cons import _ConsEnvelope
 from repro.lisp.headers import LISP_CONTROL_PORT, MapRequest, next_nonce
 from repro.lisp.probing import PROBE_PORT, RlocProbe
-from repro.net.host import RequestTimeout
 from repro.net.packet import TCP_ACK, TCP_SYN, tcp_packet, udp_packet
-from repro.sim import EXPIRED
+from repro.sim import Event
 from repro.traffic.flows import (DEFAULT_RTO, FLUID_PROBE_RETRIES, MAX_SYN_RETRIES,
                                  FlowRecord, FluidPump)
 from repro.traffic.popularity import ZipfSampler
+
+#: What an inner waiter yields when its deadline passed unanswered.
+EXPIRED = object()
+
+
+class _Waiter(Event):
+    """One attempt's reply waiter, which a reply handler calls ``answer`` on."""
+
+    __slots__ = ()
+
+    def answer(self, value=None):
+        if not self._triggered:
+            self.succeed(value)
+
+
+def _expire_in(waiter, delay):
+    """*waiter*, succeeded with :data:`EXPIRED` after *delay* unless
+    triggered first; the deadline fires into nothing once it was."""
+    def expire():
+        if not waiter._triggered:
+            waiter.succeed(EXPIRED)
+
+    waiter.sim.call_in(delay, expire)
+    return waiter
 
 
 def reference_lookup(stub, qname, timeout=5.0):
@@ -61,10 +91,10 @@ def reference_lookup(stub, qname, timeout=5.0):
                                           payload=query,
                                           timeout=timeout,
                                           retries=LOOKUP_RETRIES)
-        except RequestTimeout:
-            return None, self.sim.now - started
         finally:
             socket.close()
+        if packet is None:
+            return None, self.sim.now - started
         reply = packet.payload
         if not isinstance(reply, DnsMessage):
             return None, self.sim.now - started
@@ -191,11 +221,11 @@ def _resolve(self, qname, qtype=TYPE_A):
             socket = self.node.open_udp()
             try:
                 packet = yield socket.request(server, DNS_PORT, payload=query)
-            except RequestTimeout:
-                servers = servers[1:]
-                continue
             finally:
                 socket.close()
+            if packet is None:
+                servers = servers[1:]
+                continue
             reply = packet.payload
             if not isinstance(reply, DnsMessage):
                 servers = servers[1:]
@@ -279,7 +309,7 @@ def _alt_resolve(self, xtr, eid):
         started = self.sim.now
         for _attempt in range(MAP_REQUEST_RETRIES + 1):
             nonce = next_nonce()
-            waiter = self.sim.event(name=f"alt-nonce-{nonce}")
+            waiter = _Waiter(self.sim)
             self._pending[nonce] = waiter
             request = MapRequest(nonce=nonce, eid=eid, itr_rloc=xtr.rloc)
             self.stats.count("map-request", request.size_bytes)
@@ -289,7 +319,7 @@ def _alt_resolve(self, xtr, eid):
             xtr.node.send_udp(src=xtr.rloc, dst=entry_address,
                               sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
                               payload=request, meta={"alt_hops": 0})
-            mapping = yield waiter.expire_in(alt.REQUEST_TIMEOUT)
+            mapping = yield _expire_in(waiter, alt.REQUEST_TIMEOUT)
             if mapping is not EXPIRED:
                 self.stats.resolution_latencies.append(self.sim.now - started)
                 return mapping
@@ -307,7 +337,7 @@ def _cons_resolve(self, xtr, eid):
             return None
         for _attempt in range(MAP_REQUEST_RETRIES + 1):
             nonce = next_nonce()
-            waiter = self.sim.event(name=f"cons-nonce-{nonce}")
+            waiter = _Waiter(self.sim)
             self._pending[nonce] = waiter
             request = MapRequest(nonce=nonce, eid=eid, itr_rloc=xtr.rloc)
             envelope = _ConsEnvelope(kind="request", request=request,
@@ -316,7 +346,7 @@ def _cons_resolve(self, xtr, eid):
             xtr.node.send_udp(src=xtr.rloc, dst=car.address,
                               sport=LISP_CONTROL_PORT, dport=LISP_CONTROL_PORT,
                               payload=envelope)
-            mapping = yield waiter.expire_in(cons.REQUEST_TIMEOUT)
+            mapping = yield _expire_in(waiter, cons.REQUEST_TIMEOUT)
             if mapping is not EXPIRED:
                 self.stats.resolution_latencies.append(self.sim.now - started)
                 return mapping
@@ -344,17 +374,31 @@ def _tick(self):
 def _probe_once(self, address):
     self._nonce += 1
     nonce = self._nonce
-    waiter = self.sim.event(name=f"probe-{nonce}")
+    waiter = self.sim.event()
     self._pending[nonce] = waiter
     probe = RlocProbe(nonce=nonce)
     self.xtr.node.send_udp(src=self.xtr.rloc, dst=address,
                            sport=PROBE_PORT, dport=PROBE_PORT, payload=probe)
-    outcome = yield waiter.expire_in(self.timeout)
+    outcome = yield _expire_in(waiter, self.timeout)
     if outcome is not EXPIRED:
         self._mark_alive(address)
     else:
         self._pending.pop(nonce, None)
         self._mark_missed(address)
+
+
+def _on_probe(self, packet, node):
+    message = packet.payload
+    if not isinstance(message, RlocProbe):
+        return
+    if message.is_reply:
+        waiter = self._pending.pop(message.nonce, None)
+        if waiter is not None and not waiter._triggered:
+            waiter.succeed(packet.ip.src)
+        return
+    reply = RlocProbe(nonce=message.nonce, is_reply=True)
+    node.send_udp(src=packet.ip.dst, dst=packet.ip.src, sport=PROBE_PORT,
+                  dport=PROBE_PORT, payload=reply)
 
 
 def _connect(self, destination, dport):
@@ -369,10 +413,10 @@ def _connect(self, destination, dport):
         for attempt in range(MAX_SYN_RETRIES + 1):
             syn = tcp_packet(self.host.address, destination, sport, dport,
                              flags=TCP_SYN, seq=attempt)
-            waiter = sim.event()
+            waiter = _Waiter(sim)
             self._pending[sport] = waiter
             self.host.send(syn)
-            outcome = yield waiter.expire_in(DEFAULT_RTO * (2 ** attempt))
+            outcome = yield _expire_in(waiter, DEFAULT_RTO * (2 ** attempt))
             if outcome is not EXPIRED:
                 self._pending.pop(sport, None)
                 ack = tcp_packet(self.host.address, destination, sport, dport,
@@ -404,6 +448,9 @@ def install_reference_pull_path(scenario):
         for prober in scenario.control_plane.probers.values():
             prober._probe_once = types.MethodType(_probe_once, prober)
             prober._task.callback = types.MethodType(_tick, prober)
+            node = prober.xtr.node
+            node.unbind_udp(PROBE_PORT)
+            node.bind_udp(PROBE_PORT, types.MethodType(_on_probe, prober))
 
 
 def start_fig1_flow(scenario, timeline):

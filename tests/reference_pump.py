@@ -128,7 +128,7 @@ class PathGroup:
                 flow.done.succeed(not flow.remaining)
                 someone_left = True
         if someone_left:
-            self.flows = [flow for flow in flows if not flow.done.triggered]
+            self.flows = [flow for flow in flows if not flow.done._triggered]
 
     def settle(self, flow):
         """Write *flow*'s pending packets into its per-flow accounts.

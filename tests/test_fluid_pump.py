@@ -238,7 +238,7 @@ def test_pump_without_one_is_private_to_the_flow(monkeypatch):
     sim.run()   # no until: the foreground ticks drain with everything else
     assert [size for _when, size, _id, _ok in calls] == [40 * WIRE] * 2
     assert all(r.bytes_sent == r.bytes_budget for r in records)
-    assert sim.pending_foreground == 0
+    assert sim.serializable
 
 
 def test_saturated_link_splits_the_grant_pro_rata():
@@ -249,7 +249,7 @@ def test_saturated_link_splits_the_grant_pro_rata():
     a = net.start(1, source=0, sink=0, packets=201)
     b = net.start(2, source=0, sink=0, packets=201)
     ticks = 0
-    while sim.pending_foreground:
+    while not sim.serializable:
         sim.run(until=sim.now + INTERVAL)
         ticks += 1
         # An idle link has no accounts: read them once traffic started.
@@ -328,7 +328,7 @@ def test_pump_arms_on_first_join_and_disarms_when_empty():
     sim.run()
     assert net.pump._lanes == {}
     assert net.pump.snapshot_state() == ()
-    assert sim.pending_foreground == 0
+    assert sim.serializable
     events = sim.processed_events
     sim.run(until=5.0)                  # nothing left ticking
     assert sim.processed_events == events
@@ -458,7 +458,7 @@ def test_random_flow_sets_keep_every_ledger_exact_after_every_tick(seed):
     net, records, twins = _random_run(seed)
     sim = net.sim
     ticks = 0
-    while sim.pending_foreground:
+    while not sim.serializable:
         ticks += 1
         assert ticks < 400, "flows never drained"
         # Just past each grid point: the tick there has run.
@@ -515,7 +515,7 @@ def test_random_flow_sets_match_the_reference_pump_after_every_tick(seed,
     net, records, twins = _random_run(seed)
     ref, ref_records, ref_twins = _random_run(seed, ReferencePump)
     ticks = 0
-    while net.sim.pending_foreground or ref.sim.pending_foreground:
+    while not (net.sim.serializable and ref.sim.serializable):
         ticks += 1
         assert ticks < 400, "flows never drained"
         net.sim.run(until=ticks * INTERVAL + 1e-6)

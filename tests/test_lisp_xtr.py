@@ -30,14 +30,11 @@ class InstantMappingSystem(MappingSystem):
         return resolution
 
 
-class CrashingMappingSystem(InstantMappingSystem):
-    """Its resolutions fail with an exception (not a None) after *delay*."""
+class CrashingPolicy(DropPolicy):
+    """Raises from the xTR's resolution callback instead of flushing."""
 
-    def resolve(self, xtr, eid):
-        resolution = self.sim.event()
-        self.sim.call_in(self.delay, resolution.fail,
-                         RuntimeError(f"mapping system crashed on {eid}"))
-        return resolution
+    def on_resolved(self, xtr, eid, mapping):
+        raise RuntimeError(f"miss policy crashed on {eid}")
 
 
 def make_lisp_world(miss_policy_cls=DropPolicy, resolve_delay=0.02, seed=21,
@@ -83,25 +80,25 @@ def test_subsequent_packet_encapsulated_after_resolution():
     assert itr.encapsulated == 1
 
 
-def test_a_failed_resolution_raises_out_of_run_and_frees_its_site_prefix():
-    """An exception from the mapping system is the run's, not swallowed:
-    each packet's miss starts a resolution of its own, and none of them
-    leaves the site prefix marked in flight."""
+def test_an_exception_in_a_resolution_callback_ends_the_run_and_frees_its_site_prefix():
+    """An exception raised where the xTR takes its answer is the run's,
+    not swallowed, and the site prefix is no longer marked in flight: the
+    mapping's TTL over, the next miss resolves afresh."""
     sim, topology, system, policy, xtrs = make_lisp_world(
-        DropPolicy, resolve_delay=0.01, system_cls=CrashingMappingSystem)
+        CrashingPolicy, resolve_delay=0.01, mapping_ttl=0.5)
     src = topology.sites[0].hosts[0]
     dst = topology.sites[1].hosts[0]
-    for when in (0.0, 1.0, 2.0):
+    for when in (0.0, 1.0):
         sim.call_in(when, lambda: src.send(udp_packet(src.address, dst.address, 1, 7000)))
     itr = xtrs[0][0]
-    for failures in (1, 2, 3):
-        with pytest.raises(RuntimeError, match="mapping system crashed"):
+    for raised in (1, 2):
+        with pytest.raises(RuntimeError, match="miss policy crashed"):
             sim.run()
-        assert failures - 1 + 0.01 < sim.now < failures - 1 + 0.02
-        assert itr.resolutions_started == itr.resolutions_failed == failures
-        assert not itr._pending
+        assert raised - 1 + 0.01 < sim.now < raised - 1 + 0.02
+        assert itr.resolutions_started == raised
+        assert itr.resolutions_failed == 0 and not itr._pending
     sim.run()
-    assert sim.pending_foreground == 0 and policy.stats.dropped == 3
+    assert sim.serializable and policy.stats.dropped == 2
 
 
 def test_queue_policy_holds_then_flushes():

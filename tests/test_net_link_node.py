@@ -6,7 +6,7 @@ import pytest
 from process_kernel import Process
 
 from repro.net.errors import PortInUseError
-from repro.net.host import Host, RequestTimeout
+from repro.net.host import Host
 from repro.net import link as link_module
 from repro.net.link import WINDOW_WIDTH, Link, connect
 from repro.net.packet import udp_packet
@@ -389,8 +389,8 @@ def test_udp_request_is_one_event_answered_by_the_reply():
     seen = _responder(sim, b)
     socket = a.open_udp()
     done = socket.request(b.address, 7, payload="ping", timeout=2.0)
-    assert not done.triggered
-    assert sim.processed_events == 0 and sim.pending_foreground == 2
+    assert not done._triggered
+    assert sim.processed_events == 0 and sim._foreground == 2
     answered = []
     done.callbacks.append(lambda event: answered.append((sim.now, event.value.payload)))
     sim.run()
@@ -420,7 +420,7 @@ def test_udp_request_resends_the_same_payload_object_on_timeout():
     assert results == [(2.5, ("re", 3))]
 
 
-def test_udp_request_timeout_is_raised_in_the_yielding_process():
+def test_udp_request_timeout_reaches_the_yielding_process_as_none():
     sim = Simulator()
     a, b = two_hosts(sim, delay=0.25)
     seen = _responder(sim, b, answer_after=99)
@@ -429,18 +429,18 @@ def test_udp_request_timeout_is_raised_in_the_yielding_process():
 
     def client():
         try:
-            yield socket.request(b.address, 7, payload="ping", timeout=1.0, retries=2)
-        except RequestTimeout as exc:
-            results.append((sim.now, str(exc)))
+            packet = yield socket.request(b.address, 7, payload="ping",
+                                          timeout=1.0, retries=2)
+            results.append((sim.now, packet))
         finally:
             socket.close()
 
     Process(sim, client())
     sim.run()
     assert seen == ["ping"] * 3  # retries + 1 sends
-    assert results == [(3.0, f"a:{socket.port} -> 10.0.0.2:7")]
+    assert results == [(3.0, None)]
     assert not socket._waiters
-    assert sim.pending_foreground == 0
+    assert sim.serializable
 
 
 def test_udp_request_late_reply_satisfies_the_current_attempt():

@@ -2,11 +2,13 @@
 
 import gc
 import random
+import types
 
 import pytest
 from process_kernel import Process
 
-from repro.sim import EXPIRED, Event, SimulationError, Simulator
+from repro.lisp.control.base import MAP_REQUEST_RETRIES, ControlStats, _MapRequestLoop
+from repro.sim import Event, SimulationError, Simulator
 from repro.sim.errors import EventAlreadyTriggered
 
 NAN = float("nan")
@@ -147,24 +149,6 @@ def test_event_succeed_twice_raises():
         event.succeed(2)
 
 
-def test_event_fail_requires_exception():
-    sim = Simulator()
-    event = sim.event()
-    with pytest.raises(TypeError):
-        event.fail("not an exception")
-
-
-def test_event_fail_carries_exception():
-    sim = Simulator()
-    event = sim.event()
-    boom = RuntimeError("boom")
-    event.fail(boom)
-    sim.run()
-    assert event.processed
-    assert not event.ok
-    assert event.exception is boom
-
-
 def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
@@ -174,11 +158,8 @@ def test_negative_timeout_rejected():
 def test_timeout_label_is_built_on_demand():
     sim = Simulator()
     timeout = sim.timeout(0.5)
-    assert timeout.name is None
     assert repr(timeout) == "<Timeout(0.5) triggered>"
-    assert repr(sim.timeout(0.5, name="deadline")).startswith("<deadline ")
-    sim.run()
-    assert repr(timeout) == "<Timeout(0.5) processed>"
+    assert repr(sim.event()) == "<Event pending>"
 
 
 def test_scheduled_calls_return_nothing_and_a_timeout_beside_one_runs_after_it():
@@ -232,7 +213,7 @@ def test_a_pending_call_is_two_tracked_objects_and_no_event():
         objects_after, events_after = census()
     finally:
         gc.enable()
-    assert sim.pending_foreground == pending
+    assert sim._foreground == pending
     assert objects_after - objects_before <= 2 * pending
     assert events_after == events_before
 
@@ -242,25 +223,22 @@ def test_a_pending_call_is_two_tracked_objects_and_no_event():
     lambda sim: sim.call_at(NAN, lambda: None),
     lambda sim: sim.timeout(NAN),
     lambda sim: sim.periodic(lambda: None, NAN),
-    lambda sim: sim.event().expire_in(NAN),
-], ids=["call_in", "call_at", "timeout", "periodic-period", "expire_in"])
+], ids=["call_in", "call_at", "timeout", "periodic-period"])
 def test_nan_is_refused_at_every_way_into_the_queue(schedule):
     sim = Simulator()
     with pytest.raises(ValueError):
         schedule(sim)
-    assert sim._queue == [] and sim.pending_foreground == 0
+    assert sim._queue == [] and sim.serializable
     assert sim.now == 0.0 and sim.run() == 0.0
 
 
 def test_a_trigger_takes_no_delay():
     """A later trigger is ``call_in(delay, event.succeed)``, whose delay is
-    checked; ``succeed``/``fail`` have none to smuggle a NaN past it."""
+    checked; ``succeed`` has none to smuggle a NaN past it."""
     sim = Simulator()
     with pytest.raises(TypeError):
         sim.event().succeed(delay=NAN)
-    with pytest.raises(TypeError):
-        sim.event().fail(RuntimeError("late"), delay=NAN)
-    assert sim._queue == [] and sim.pending_foreground == 0
+    assert sim._queue == [] and sim.serializable
 
 
 def test_run_until_nan_is_refused_and_runs_nothing():
@@ -269,7 +247,7 @@ def test_run_until_nan_is_refused_and_runs_nothing():
     sim.call_in(1.0, hits.append, "ran")
     with pytest.raises(ValueError, match="in the past"):
         sim.run(until=NAN)
-    assert sim.now == 0.0 and hits == [] and sim.pending_foreground == 1
+    assert sim.now == 0.0 and hits == [] and sim._foreground == 1
 
 
 def test_infinity_is_still_a_legal_time():
@@ -292,72 +270,81 @@ def test_processed_events_counter():
     assert sim.processed_events == 5
 
 
+def _map_request(sim, timeout, sent):
+    """A Map-Request exchange on a system of just the fields it reads; the
+    nonces it sends land in *sent*."""
+    system = types.SimpleNamespace(sim=sim, _pending={}, stats=ControlStats())
+    return system, _MapRequestLoop(system, sent.append, timeout)
+
+
+def _answer(system, nonce, mapping):
+    """What a Map-Reply handler does with the reply to *nonce*."""
+    loop = system._pending.pop(nonce, None)
+    if loop is not None:
+        loop.answer(mapping)
+
+
 def test_expiring_event_yields_the_sentinel_at_exactly_the_deadline():
+    """An exchange nobody answers succeeds with ``None`` on its last
+    attempt's deadline, and no nonce of it stays pending."""
     sim = Simulator()
+    sent = []
+    system, loop = _map_request(sim, 2.5, sent)
     resumed = []
-
-    def waiter():
-        outcome = yield sim.event().expire_in(2.5)
-        resumed.append((sim.now, outcome))
-
-    Process(sim, waiter())
+    loop.callbacks.append(lambda event: resumed.append((sim.now, event.value)))
     sim.run()
-    assert resumed == [(2.5, EXPIRED)]
-    assert repr(EXPIRED) == "EXPIRED"
+    attempts = MAP_REQUEST_RETRIES + 1
+    assert resumed == [(2.5 * attempts, None)]
+    assert len(set(sent)) == attempts and system._pending == {}
     with pytest.raises(ValueError):
-        sim.event().expire_in(-1.0)
+        _map_request(Simulator(), -1.0, [])
 
 
 def test_expiring_event_reply_first_wins_and_the_expiry_is_a_noop():
     sim = Simulator()
-    event = sim.event().expire_in(2.0)
+    sent = []
+    system, loop = _map_request(sim, 2.0, sent)
     resumed = []
-
-    def waiter():
-        outcome = yield event
-        resumed.append((sim.now, outcome))
-
-    Process(sim, waiter())
-    # ``None`` is a legitimate reply, which is why expiry has a sentinel.
-    sim.call_in(0.5, event.succeed, None)
+    loop.callbacks.append(lambda event: resumed.append((sim.now, event.value)))
+    sim.call_in(0.5, lambda: _answer(system, sent[0], "mapping"))
     sim.run(until=1.0)
-    assert resumed == [(0.5, None)]
-    before = sim.processed_events
+    # The reply succeeded the exchange itself: one event for the reply,
+    # one for the waiter's callback.
+    assert resumed == [(0.5, "mapping")] and sim.processed_events == 2
+    assert system.stats.resolution_latencies == [0.5]
     sim.run()
-    assert sim.now == 2.0 and sim.processed_events == before + 1
-    assert resumed == [(0.5, None)] and event.value is None
+    assert sim.now == 2.0 and sim.processed_events == 3
+    assert resumed == [(0.5, "mapping")] and len(sent) == 1
 
 
 def test_expiring_event_same_timestamp_resolves_in_insertion_order():
-    def race(expiry_first):
+    def race(deadline_first):
         sim = Simulator()
-        event = sim.event()
-
-        def reply():
-            if not event.triggered:  # what every reply handler checks
-                event.succeed("reply")
-
-        if expiry_first:
-            event.expire_in(1.0)
-            sim.call_in(1.0, reply)
+        sent = []
+        if deadline_first:
+            system, loop = _map_request(sim, 1.0, sent)
+            sim.call_in(1.0, lambda: _answer(system, sent[0], "reply"))
         else:
-            sim.call_in(1.0, reply)
-            event.expire_in(1.0)
+            sim.call_in(1.0, lambda: _answer(system, sent[0], "reply"))
+            system, loop = _map_request(sim, 1.0, sent)
         sim.run()
-        return event.value
+        return loop.value, len(sent)
 
-    assert race(expiry_first=True) is EXPIRED
-    assert race(expiry_first=False) == "reply"
+    # The deadline went first: the reply found its nonce gone, and the
+    # re-sent request went unanswered.
+    assert race(deadline_first=True) == (None, MAP_REQUEST_RETRIES + 1)
+    assert race(deadline_first=False) == ("reply", 1)
 
 
 def test_pending_expiry_is_foreground_work():
     sim = Simulator()
-    event = sim.event().expire_in(3.0)
-    assert sim.pending_foreground == 1 and not sim.serializable
+    _system, loop = _map_request(sim, 3.0, [])
+    assert sim._foreground == 1 and not sim.serializable
     with pytest.raises(RuntimeError):
         sim.snapshot_state()
-    assert sim.run() == 3.0  # no ``until``: the expiry is drained, not skipped
-    assert event.value is EXPIRED and event.processed
+    # No ``until``: the deadlines are drained, not skipped.
+    assert sim.run() == 3.0 * (MAP_REQUEST_RETRIES + 1)
+    assert loop._triggered and loop.value is None
     assert sim.serializable
 
 

@@ -22,44 +22,16 @@ def test_first_tick_fires_one_period_after_start():
         sim.periodic(lambda: None, 0.0)
 
 
-def test_start_is_idempotent_and_stop_disarms():
+def test_start_is_idempotent():
     sim = Simulator()
     task, hits = make_counter(sim)
     task.start()
     task.start()
-    sim.run(until=1.0)
-    assert hits == [1.0]
-    task.stop()
-    assert not task.armed
-    sim.run(until=5.0)
-    assert hits == [1.0]  # the pending tick was invalidated
-
-
-def test_callback_may_stop_its_own_task():
-    sim = Simulator()
-    fired = []
-
-    def tick():
-        fired.append(sim.now)
-        task.stop()
-
-    task = sim.periodic(tick, 1.0)
+    assert len(sim._queue) == 1      # one tick queued, not two
+    sim.run(until=2.5)
     task.start()
-    sim.run(until=10.0)
-    assert fired == [1.0]
-    assert not task.armed
-
-
-def test_restart_after_stop_rearms_from_now():
-    sim = Simulator()
-    task, hits = make_counter(sim, period=1.0)
-    task.start()
-    sim.run(until=1.5)
-    task.stop()
-    task.start()
-    assert task.next_fire == 2.5
-    sim.run(until=3.0)
-    assert hits == [1.0, 2.5]
+    assert hits == [1.0, 2.0] and task.next_fire == 3.0
+    assert len(sim._queue) == 1
 
 
 def test_armed_task_does_not_keep_drain_alive():
@@ -153,14 +125,15 @@ def test_restore_rearms_after_mid_flight_checkpoint():
 
 
 def test_restore_drops_stopped_tasks_pending_ticks():
+    """A task the checkpoint holds disarmed (not yet started) loses the
+    tick it queued since."""
     sim = Simulator()
     task, hits = make_counter(sim)
+    checkpoint = sim.snapshot_state()
     task.start()
     sim.run(until=1.0)
-    task.stop()
-    checkpoint = sim.snapshot_state()
     sim.restore_state(checkpoint)
-    assert not task.armed
+    assert not task.armed and sim._queue == []
     sim.call_in(3.0, lambda: None)
     sim.run()
     assert hits == [1.0]

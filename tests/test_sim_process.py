@@ -74,9 +74,12 @@ def test_process_sees_event_failure_as_exception():
     sim = Simulator()
     outcome = []
 
+    def crash():
+        yield sim.timeout(1.0)
+        raise RuntimeError("kaput")
+
     def worker():
-        doomed = sim.event()
-        sim.call_in(1.0, lambda: doomed.fail(RuntimeError("kaput")))
+        doomed = Process(sim, crash())
         try:
             yield doomed
         except RuntimeError as exc:

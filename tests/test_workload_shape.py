@@ -26,7 +26,7 @@ class _CountingAllocator(FlowIdAllocator):
         self.pending = []
 
     def allocate(self):
-        self.pending.append(self.sim.pending_foreground)
+        self.pending.append(self.sim._foreground)
         return FlowIdAllocator.allocate(self)
 
 

@@ -30,7 +30,7 @@ from repro.net.router import Router
 from repro.net.routing import (RoutingPlan, build_adjacency,
                                shortest_path_next_hops)
 from repro.net.topogen import TopologySpec, build
-from repro.sim import Simulator
+from repro.sim import PeriodicTask, Simulator
 from repro.traffic.flows import FluidPump, UdpSink
 
 from flat_routing import FlatRoutingPlan, install_mesh_routes
@@ -232,17 +232,18 @@ def test_prober_and_irc_state_round_trip_through_restore():
 
 
 def _armed_ticks(sim):
-    """The (when, sequence) key of every live tick riding *sim*'s queue."""
-    return sorted((when, sequence) for when, sequence, fire, _args in sim._queue
-                  if fire.live)
+    """The (when, sequence) key of every tick riding *sim*'s queue."""
+    return sorted((when, sequence) for when, sequence, callback, _args in sim._queue
+                  if type(callback) is PeriodicTask)
 
 
 def _drive_shared_timestamps(scenario):
     """A tick and a foreground call on one instant, twice; what ran when.
 
     First the task is armed before the call is queued (tick, then call);
-    then it is re-armed mid-run onto an instant a call already holds (call,
-    then tick).  Every other armed task keeps probing alongside.
+    then the tick re-arms onto an instant a call queued before it already
+    holds (call, then tick).  Every other armed task keeps probing
+    alongside.
     """
     sim = scenario.sim
     task = next(task for task in sim.periodic_tasks if task.armed)
@@ -257,16 +258,10 @@ def _drive_shared_timestamps(scenario):
     def mark(tag):
         log.append((tag, sim.now, len(ticks), sim.processed_events))
 
-    def rearm():
-        task.stop()
-        task.start()
-
     first = task.next_fire
-    rearm_at = first + 0.4 * task.period
-    second = rearm_at + task.period     # where start() puts the next tick
+    second = first + task.period        # where the first tick re-arms it
     sim.call_at(first, mark, "armed-before-the-call")
     sim.call_at(second, mark, "call-before-the-rearm")
-    sim.call_at(rearm_at, rearm)
     task.callback = counted
     try:
         sim.run(until=second)
@@ -295,7 +290,7 @@ def test_a_tick_tied_with_a_call_breaks_the_same_way_fresh_restored_and_thawed()
     # Exactly the armed tasks' ticks, keyed as the fresh build keyed them.
     assert sorted(entry[:2] for entry in sim._queue) == checkpointed \
         == _armed_ticks(sim)
-    assert sim.pending_foreground == 0
+    assert sim.serializable
     assert _drive_shared_timestamps(scenario) == fresh
 
     thawed = deserialize_world(blob, config)
@@ -496,7 +491,7 @@ def test_events_of_a_world_torn_down_mid_run_still_print():
     world.sim.run(until=0.12)
     events = list(world.sim.queued_events())
     assert events
-    assert all(repr(event).endswith((" pending>", " triggered>", " processed>"))
+    assert all(repr(event).endswith((" pending>", " triggered>"))
                for event in events)
     world.teardown()
     for event in events:
@@ -976,7 +971,7 @@ def test_flows_cut_off_inside_the_pump_leave_nothing_behind(monkeypatch):
     assert sum(len(group.flows)
                for lane in scenario.fluid_pump._lanes.values()
                for group in lane.values()) == len(stranded)
-    assert scenario.sim.pending_foreground > 0    # the next tick, armed
+    assert not scenario.sim.serializable    # the next tick, armed
 
     # The stranded flows' accounts lag offered and delivered alike, which
     # "conserved" cannot see; the per-flow sums can.
@@ -993,7 +988,7 @@ def test_flows_cut_off_inside_the_pump_leave_nothing_behind(monkeypatch):
 
     restore_world(scenario)
     assert scenario.fluid_pump._lanes == {}
-    assert scenario.sim.pending_foreground == 0
+    assert scenario.sim.serializable
     assert _dirty_components(oracle) == []
     assert run_workload(scenario, workload) == expected
 

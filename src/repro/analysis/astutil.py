@@ -54,41 +54,6 @@ def self_attr_names(*func_defs):
     return names
 
 
-def string_constants(*func_defs):
-    """Every string literal appearing in the given bodies (docstrings too)."""
-    values = set()
-    for func_def in func_defs:
-        if func_def is None:
-            continue
-        for node in ast.walk(func_def):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                values.add(node.value)
-    return values
-
-
-def class_string_tuples(class_def):
-    """name -> tuple of strings, for class-level str-sequence constants.
-
-    Covers the ``_state_attrs = ("a", "b")`` idiom (plain or annotated
-    assignment of a tuple/list/set of string literals).
-    """
-    constants = {}
-    for node in class_def.body:
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            continue
-        strings = constant_string_seq(value)
-        if strings is None:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                constants[target.id] = strings
-    return constants
-
-
 def constant_string_seq(node):
     """The tuple of strings *node* spells, or None if it is anything else."""
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
@@ -100,18 +65,6 @@ def constant_string_seq(node):
             strings.append(element.value)
         return tuple(strings)
     return None
-
-
-def referenced_names(*func_defs):
-    """Every bare Name referenced in the given bodies."""
-    names = set()
-    for func_def in func_defs:
-        if func_def is None:
-            continue
-        for node in ast.walk(func_def):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-    return names
 
 
 def call_name(node):

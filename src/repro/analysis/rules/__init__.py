@@ -6,6 +6,6 @@ drop a module here, import it below, add a fixture module plus a test in
 ``tests/test_analysis.py`` (see docs/contracts.md).
 """
 
-from repro.analysis.rules import det01, det02, det03, snap01, snap02, snap03
+from repro.analysis.rules import det01, det02, det03, snap01, snap03
 
-__all__ = ["snap01", "snap02", "snap03", "det01", "det02", "det03"]
+__all__ = ["snap01", "snap03", "det01", "det02", "det03"]

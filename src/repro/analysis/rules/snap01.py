@@ -1,25 +1,25 @@
-"""SNAP01: ``__init__`` attributes must be captured by the checkpoint.
+"""SNAP01: a hand-written checkpoint must capture every ``__init__`` attribute.
 
 World reuse restores components in place: the worldbuild layer snapshots
 every stateful component right after the build and restores those
-snapshots before each reuse.  An attribute assigned in ``__init__`` but
-invisible to ``snapshot_state``/``restore_state`` carries one run's state
-into the next — the exact bug class that corrupts world-cache digests
-without any test noticing.
+snapshots before each reuse.  Most components inherit the generic
+checkpoint of :class:`repro.sim.state.Checkpointed`, which captures every
+attribute but the exempt ones and so cannot miss one.  A class whose
+restore does more than copy writes its own ``snapshot_state`` /
+``restore_state``; an attribute assigned in its ``__init__`` but invisible
+to both carries one run's state into the next — the exact bug class that
+corrupts world-cache digests without any test noticing.
 
-An attribute counts as *captured* when either checkpoint method mentions
-it: a ``self.<attr>`` access (tuple snapshots, in-place restores such as
-``self._queue.clear()``), the attribute's name as a string literal (dict
-snapshots, ``state["attr"]`` reads), or membership in a class-level tuple
-of strings referenced by a checkpoint method (the ``snapshot_attrs(self,
-self._state_attrs)`` idiom).  Genuinely immutable construction-time
-attributes — the owning sim, wiring, config knobs — are declared once in
-a ``_SNAPSHOT_EXEMPT`` class attribute instead, and what a mixin base
-owns (:data:`MIXIN_ATTRS`) is exempt wherever that base is inherited.
+An attribute counts as *captured* when either checkpoint method of the
+class touches it as ``self.<attr>``.  Genuinely immutable construction-time
+attributes — the owning sim, wiring, config knobs — are declared once in a
+``_SNAPSHOT_EXEMPT`` class attribute instead, and what a mixin base owns
+(:data:`MIXIN_ATTRS`) is exempt wherever that base is inherited.
 
-An exemption must name something: a ``_SNAPSHOT_EXEMPT`` entry that no
-``__init__`` of the class or of its bases in the same module assigns is
-reported too, so deleting an attribute cannot leave its exemption behind.
+An exemption must name something, in every class that lists one (generic
+checkpoints included): a ``_SNAPSHOT_EXEMPT`` entry that no ``__init__`` of
+the class or of its bases in the same module assigns is reported, so
+deleting an attribute cannot leave its exemption behind.
 """
 
 import ast
@@ -50,13 +50,21 @@ def mro_in_module(class_def, classes, _seen=None):
     return order
 
 
+def _own_exemptions(class_def):
+    """The ``_SNAPSHOT_EXEMPT`` assignment in *class_def*'s body, or None."""
+    return next((node for node in class_def.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(target, "id", None) == EXEMPT_ATTR
+                         for target in node.targets)), None)
+
+
 def exemptions(class_def, classes):
     """The ``_SNAPSHOT_EXEMPT`` names *class_def* declares or inherits."""
     exempt = set()
     for base in mro_in_module(class_def, classes):
-        for name, strings in astutil.class_string_tuples(base).items():
-            if name == EXEMPT_ATTR:
-                exempt.update(strings)
+        own = _own_exemptions(base)
+        if own is not None:
+            exempt.update(astutil.constant_string_seq(own.value) or ())
         for mixin in base.bases:
             exempt.update(MIXIN_ATTRS.get(getattr(mixin, "id", None), ()))
     return exempt
@@ -80,12 +88,9 @@ class Snap01:
             init = methods.get("__init__")
             if snapshot is None or init is None:
                 continue
-            restore = methods.get("restore_state")
             assigned = astutil.self_attr_stores(init)
-            captured = astutil.self_attr_names(snapshot, restore)
-            captured |= astutil.string_constants(snapshot, restore)
-            captured |= self._expanded_tuples(class_def, classes, snapshot,
-                                              restore)
+            captured = astutil.self_attr_names(snapshot,
+                                               methods.get("restore_state"))
             exempt = exemptions(class_def, classes)
             for attr, line in sorted(assigned.items(), key=lambda kv: kv[1]):
                 if attr in captured or attr in exempt:
@@ -97,10 +102,7 @@ class Snap01:
 
     def _stale_exemptions(self, module, class_def, classes):
         """Own ``_SNAPSHOT_EXEMPT`` entries no in-module ``__init__`` sets."""
-        exempt = next((node for node in class_def.body
-                       if isinstance(node, ast.Assign)
-                       and any(getattr(target, "id", None) == EXEMPT_ATTR
-                               for target in node.targets)), None)
+        exempt = _own_exemptions(class_def)
         if exempt is None:
             return
         assigned = set()
@@ -115,16 +117,3 @@ class Snap01:
                     f"{class_def.name}.{EXEMPT_ATTR} names {name!r}, which "
                     f"no __init__ of the class assigns",
                     hint=f"delete the stale entry from {EXEMPT_ATTR}")
-
-    def _expanded_tuples(self, class_def, classes, snapshot, restore):
-        """Strings from class-level tuples a checkpoint method references."""
-        constants = {}
-        for base in mro_in_module(class_def, classes):
-            for name, strings in astutil.class_string_tuples(base).items():
-                constants.setdefault(name, strings)
-        referenced = (astutil.self_attr_names(snapshot, restore)
-                      | astutil.referenced_names(snapshot, restore))
-        expanded = set()
-        for name in referenced:
-            expanded.update(constants.get(name, ()))
-        return expanded

@@ -33,10 +33,10 @@ from repro.lisp.mappings import MappingRecord, RlocEntry, site_mapping
 from repro.lisp.xtr import TunnelRouter
 from repro.net.addresses import IPv4Prefix
 from repro.net.fib import FibEntry
-from repro.sim.state import state_copy
+from repro.sim.state import Checkpointed
 
 
-class PceControlPlane:
+class PceControlPlane(Checkpointed):
     """All per-deployment state of the PCE control plane."""
 
     def __init__(self, sim, topology, dns_system, miss_policy, mapping_ttl,
@@ -45,7 +45,7 @@ class PceControlPlane:
         self.sim = sim
         self.topology = topology
         self.mapping_ttl = mapping_ttl
-        self.registry = MappingRegistry()
+        registry = MappingRegistry()
         self.miss_policy = miss_policy
         if probe_timeout is None:
             # Keep the historical 0.3s timeout whenever it is valid; only
@@ -64,13 +64,13 @@ class PceControlPlane:
         self.reverse_installs = {}
 
         for site in topology.sites:
-            self.registry.register(site_mapping(site, ttl=mapping_ttl))
+            registry.register(site_mapping(site, ttl=mapping_ttl))
 
         for site in topology.sites:
             irc = IrcEngine(len(site.xtrs), policy=irc_policy)
             self.ircs[site.index] = irc
             resolver = dns_system.resolver_for(site)
-            pce = Pce(sim, site, resolver, self.registry, irc,
+            pce = Pce(sim, site, resolver, registry, irc,
                       control_plane=self, computation_delay=computation_delay)
             self.pces[site.index] = pce
             site.pce_node.bind_udp(PORT_REVERSE, PceReverseHandler(pce))
@@ -151,42 +151,14 @@ class PceControlPlane:
     # World-reuse checkpointing
     # ------------------------------------------------------------------ #
 
-    #: Deploy-time wiring and config, immutable after __init__.  The xTRs in
-    #: ``xtrs_by_site`` are independently checkpointed components; only the
-    #: site->router table itself lives here, and it never changes.
+    #: Deploy-time wiring and config, immutable after __init__.  The xTRs
+    #: in ``xtrs_by_site`` are journaled components, and the miss policy,
+    #: PCEs, IRC engines and probers singletons of the scenario's own
+    #: inventory; only the tables naming them live here, and they never
+    #: change.
     _SNAPSHOT_EXEMPT = ("sim", "topology", "mapping_ttl", "enable_probing",
+                        "miss_policy", "pces", "ircs", "probers",
                         "xtrs_by_site")
-
-    def snapshot_state(self):
-        return {
-            "reverse": (list(self.reverse_announces),
-                        state_copy(self.reverse_installs)),
-            "egress": {index: dict(assignment)
-                       for index, assignment in self.egress_assignments.items()},
-            "registry": self.registry.snapshot_state(),
-            "miss_policy": self.miss_policy.snapshot_state(),
-            "pces": {index: pce.snapshot_state()
-                     for index, pce in self.pces.items()},
-            "ircs": {index: irc.snapshot_state()
-                     for index, irc in self.ircs.items()},
-            "probers": {name: prober.snapshot_state()
-                        for name, prober in self.probers.items()},
-        }
-
-    def restore_state(self, state):
-        announces, installs = state["reverse"]
-        self.reverse_announces = list(announces)
-        self.reverse_installs = state_copy(installs)
-        self.egress_assignments = {index: dict(assignment)
-                                   for index, assignment in state["egress"].items()}
-        self.registry.restore_state(state["registry"])
-        self.miss_policy.restore_state(state["miss_policy"])
-        for index, pce_state in state["pces"].items():
-            self.pces[index].restore_state(pce_state)
-        for index, irc_state in state["ircs"].items():
-            self.ircs[index].restore_state(irc_state)
-        for name, prober_state in state["probers"].items():
-            self.probers[name].restore_state(prober_state)
 
 
 class EtrReverseHook:

@@ -20,11 +20,13 @@ inbound counter.  A choice is O(1) and adds no latency at interception
 time: the paper's line-rate claim, which E6 checks.
 """
 
+from repro.sim.state import Checkpointed
+
 #: The selection policies an :class:`IrcEngine` takes.
 POLICIES = ("balance", "primary")
 
 
-class IrcEngine:
+class IrcEngine(Checkpointed):
     """One site's IRC engine (shared by its PCE and TE logic): its
     selections among *locators*, counted by direction."""
 
@@ -52,10 +54,3 @@ class IrcEngine:
 
     #: Construction-time config.
     _SNAPSHOT_EXEMPT = ("span",)
-
-    def snapshot_state(self):
-        """Both counters, for world reuse."""
-        return (self.ingress, self.egress)
-
-    def restore_state(self, state):
-        self.ingress, self.egress = state

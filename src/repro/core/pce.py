@@ -30,13 +30,13 @@ from repro.core.messages import (
 )
 from repro.dns.message import DNS_PORT, DnsMessage
 from repro.lisp import EID_SPACE
-from repro.sim.state import state_copy
+from repro.sim.state import Checkpointed
 
 #: Seconds after a push in which no refresh follows it (it is in flight).
 PUSH_GUARD = 0.05
 
 
-class PceStats:
+class PceStats(Checkpointed):
     """Per-PCE counters and the push timeline."""
 
     def __init__(self):
@@ -48,18 +48,8 @@ class PceStats:
         #: The instants of the Step-7b pushes, ascending, by prefix pushed.
         self.push_times = {}
 
-    def snapshot_state(self):
-        return (self.replies_encapsulated, self.push_messages,
-                self.push_bytes, self.envelope_bytes,
-                state_copy(self.push_times))
 
-    def restore_state(self, state):
-        (self.replies_encapsulated, self.push_messages, self.push_bytes,
-         self.envelope_bytes, push_times) = state
-        self.push_times = state_copy(push_times)
-
-
-class Pce:
+class Pce(Checkpointed):
     """A site's PCE: DNS-path interception plus mapping distribution."""
 
     def __init__(self, sim, site, resolver, registry, irc, control_plane,
@@ -298,17 +288,8 @@ class Pce:
     # World-reuse checkpointing
     # ------------------------------------------------------------------ #
 
-    #: Wiring and config fixed at deploy time; the referenced components
-    #: (registry, irc, control_plane) checkpoint themselves.
+    #: Wiring and config fixed at deploy time: the registry every site's
+    #: mapping is registered in before any run, and the IRC engine and
+    #: control plane, which are checkpointed on their own.
     _SNAPSHOT_EXEMPT = ("sim", "site", "registry", "irc", "control_plane",
                         "computation_delay", "node", "address")
-
-    def snapshot_state(self):
-        return (self.stats.snapshot_state(), dict(self.pending_ingress),
-                dict(self.mapping_db))
-
-    def restore_state(self, state):
-        stats_state, pending, mapping_db = state
-        self.stats.restore_state(stats_state)
-        self.pending_ingress = dict(pending)
-        self.mapping_db = dict(mapping_db)

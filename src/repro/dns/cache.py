@@ -1,7 +1,9 @@
 """A TTL-expiring cache used by the resolver (and reusable elsewhere)."""
 
+from repro.sim.state import Checkpointed
 
-class TtlCache:
+
+class TtlCache(Checkpointed):
     """Maps keys to values with per-entry absolute expiry times.
 
     Expiry is evaluated lazily against the simulator clock on access, and a
@@ -37,8 +39,10 @@ class TtlCache:
         """
         if not ttl > 0:  # NaN compares false both ways: it lands here too
             self._entries.pop(key, None)
-            self.sim.trace.record(self.sim.now, self.name, "cache.put-rejected",
-                                  key=str(key), ttl=ttl)
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self.name,
+                                      "cache.put-rejected", key=str(key),
+                                      ttl=ttl)
             return False
         self._entries[key] = (self.sim.now + ttl, value)
         if len(self._entries) >= self._next_compact:
@@ -74,10 +78,3 @@ class TtlCache:
 
     #: Construction-time config (owning sim, trace label).
     _SNAPSHOT_EXEMPT = ("sim", "name")
-
-    def snapshot_state(self):
-        return dict(self._entries), self._next_compact
-
-    def restore_state(self, state):
-        entries, self._next_compact = state
-        self._entries = dict(entries)

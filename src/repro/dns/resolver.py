@@ -95,23 +95,6 @@ class RecursiveResolver(Journaled):
     #: the node and sim checkpoint themselves.
     _SNAPSHOT_EXEMPT = ("sim", "node", "root_hints", "zone", "use_cache")
 
-    def snapshot_state(self):
-        return {
-            "answer": self.answer_cache.snapshot_state(),
-            "negative": self.negative_cache.snapshot_state(),
-            "referral": self.referral_cache.snapshot_state(),
-            "listeners": list(self.query_listeners),
-            "ident": self._ident,
-        }
-
-    def restore_state(self, state):
-        self.answer_cache.restore_state(state["answer"])
-        self.negative_cache.restore_state(state["negative"])
-        self.referral_cache.restore_state(state["referral"])
-        self.query_listeners = list(state["listeners"])
-        self._ident = state["ident"]
-        self._in_flight.clear()
-
     # ------------------------------------------------------------------ #
     # Iterative resolution
     # ------------------------------------------------------------------ #

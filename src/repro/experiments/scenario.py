@@ -3,7 +3,7 @@ plane ``control_plane`` names (:data:`CONTROL_PLANES`)."""
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Optional
 
 from repro.core.control_plane import PceControlPlane
@@ -17,6 +17,7 @@ from repro.lisp.policies import CpDataPolicy, DropPolicy, QueuePolicy
 from repro.net.topogen import (FAMILIES, TopologySpec,
                                build as build_from_spec, check_sizing)
 from repro.sim import Simulator
+from repro.sim.state import slot_names
 from repro.traffic.flows import FlowIdAllocator, FluidPump, TcpStack, UdpSink
 
 #: Port every host's TCP responder listens on.
@@ -292,41 +293,49 @@ class Scenario:
     def stateful_components(self):
         """Every object holding run-mutable state: the checkpoint inventory.
 
-        Anything a workload run can mutate must be reachable from here:
-        ``snapshot_state()`` over this inventory *is* the world's state,
-        which is what the restore-completeness tests compare, eagerly,
-        against what the journal put back.  The worldbuild layer itself
-        never walks it after arming: the random streams journal
-        themselves, :meth:`singleton_components` are captured once and
-        always restored, :meth:`journaled_components` on first touch.
-        Per-host stub resolvers are not components: they are created
-        lazily per run and dropped on restore (:attr:`stubs` is cleared).
+        Anything a workload run can mutate must be reachable from here,
+        each component on its own or as a part of one
+        (:class:`~repro.sim.state.Part`): ``snapshot_state()`` over this
+        inventory *is* the world's state, which is what the
+        restore-completeness tests compare, eagerly, against what the
+        journal put back.  No component here is a part of another.  The
+        worldbuild layer itself never walks it after arming: the random
+        streams journal themselves, :meth:`singleton_components` are
+        captured once and always restored, :meth:`journaled_components` on
+        first touch.  Per-host stub resolvers are not components: they are
+        created lazily per run and dropped on restore (:attr:`stubs` is
+        cleared).
         """
         yield self.sim.rng
         yield from self.singleton_components()
         yield from self.journaled_components()
 
     def singleton_components(self):
-        """The components a world has one (or a handful) of.
+        """The components a world has one of, or one per site.
 
         Most runs move every one of them, so they are captured when the
         journal is armed and restored on every reset — no first-touch
-        bookkeeping on the engine's or the tracer's hot paths.
+        bookkeeping on the engine's or the tracer's hot paths.  The PCE
+        control plane's per-site PCEs, IRC engines and RLOC probers are
+        entries here, beside the control plane (a restore costs O(sites));
+        the probe *timers* are periodic tasks living in engine state,
+        checkpointed with the simulator.
         """
         sim = self.sim
         yield sim
         yield sim.trace
         yield self.flow_ids
         yield self.fluid_pump
-        if self.control_plane is not None:
-            # Covers its PCEs, IRC engines, RLOC probers, registry and miss
-            # policy — per-site members restored through this one entry.
-            # The probe *timers* are periodic tasks living in engine
-            # state, checkpointed with the simulator.
-            yield self.control_plane
+        if self.miss_policy is not None:
+            yield self.miss_policy
+        control_plane = self.control_plane
+        if control_plane is not None:
+            yield control_plane
+            yield from control_plane.pces.values()
+            yield from control_plane.ircs.values()
+            yield from control_plane.probers.values()
         if self.mapping_system is not None:
             yield self.mapping_system
-            yield self.miss_policy
 
     def journaled_components(self):
         """The components a world has thousands of, few of which a run
@@ -363,18 +372,11 @@ def _clear_attributes(obj):
     attributes = getattr(obj, "__dict__", None)
     if attributes is not None:
         attributes.clear()
-    for name in _slot_names(type(obj)):
+    for name in slot_names(type(obj)):
         try:
             object.__delattr__(obj, name)
         except AttributeError:  # never set, or already dropped
             pass
-
-
-@cache
-def _slot_names(klass):
-    """The slot names *klass* and its bases declare, each once."""
-    return tuple(dict.fromkeys(name for base in klass.__mro__
-                               for name in base.__dict__.get("__slots__", ())))
 
 
 def build_scenario(config):

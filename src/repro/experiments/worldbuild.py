@@ -14,10 +14,14 @@ checkpoint follows the cell, not the world:
 - :func:`build_world` builds a scenario (its routes installed by the
   topology's one :class:`~repro.net.routing.RoutingPlan`), settles any
   deployment-time events, and *arms* the world's first-touch journal
-  (:class:`~repro.sim.state.Journal`): the dozen singleton components are
-  captured there and then; every link, node, xTR, stack, sink and site
-  resolver is only flagged, and stores its own pristine state the first
-  time a run is about to change it.
+  (:class:`~repro.sim.state.Journal`): the singleton components — a
+  handful, plus the per-site PCEs, IRC engines and probers of a PCE
+  world — are captured there and then; every link, node, xTR, stack, sink
+  and site resolver is only flagged, and stores its own pristine state
+  the first time a run is about to change it.  Either way a component's
+  checkpoint is every attribute it does not exempt
+  (:class:`~repro.sim.state.Checkpointed`), so a new attribute is run
+  state unless its class says otherwise.
 - :func:`restore_world` puts back the singletons, the random streams a
   run drew from and the components on the journal's dirty list — clock,
   FIB dynamic entries, map-caches, DNS caches, counters, link stats — so a
@@ -40,7 +44,7 @@ Periodic background work (RLOC probing) is no obstacle to any of this: it runs a
 engine state, not pending queue entries.  Settling drains *foreground*
 work only — an armed periodic tick is not pending work — and the
 simulator's checkpoint captures each task's armed flag, next-fire time and
-tick counter, **re-arming the timers on restore** so a restored probing
+heap-entry sequence, **re-arming the timers on restore** so a restored probing
 world starts ticking at exactly the instants the fresh build would have.
 Every config is therefore cacheable.
 

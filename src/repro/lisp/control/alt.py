@@ -54,7 +54,11 @@ class AltMappingSystem(MappingSystem):
     """The ALT overlay mapping system."""
 
     name = "alt"
-    _state_attrs = ("_pending",)
+    #: The overlay, fixed by :meth:`finalize`, and the next-hop trees
+    #: derived from it: no run changes what they say.
+    _SNAPSHOT_EXEMPT = ("sites", "_alt_nodes", "_alt_address", "_adjacency",
+                        "_origins", "_site_of_node", "_xtr_of_node",
+                        "_toward")
 
     def __init__(self, sim):
         super().__init__(sim)
@@ -68,8 +72,8 @@ class AltMappingSystem(MappingSystem):
         self._xtr_of_node = {}    # node name -> TunnelRouter
         #: origin site index -> {site index: next-hop control address}, the
         #: hop-count tree toward that origin's prefix.  A derived cache,
-        #: filled on the first forward toward each origin; never snapshot
-        #: state (the overlay does not change after :meth:`finalize`).
+        #: filled on the first forward toward each origin; exempt from the
+        #: checkpoint (the overlay does not change after :meth:`finalize`).
         self._toward = {}
 
     # -- wiring ---------------------------------------------------------- #

@@ -6,13 +6,13 @@ from repro.lisp.headers import next_nonce
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.fib import Fib, FibEntry
 from repro.sim import Event
-from repro.sim.state import state_copy
+from repro.sim.state import Checkpointed
 
 #: Times an ITR re-sends an unanswered Map-Request (ALT and CONS).
 MAP_REQUEST_RETRIES = 1
 
 
-class ControlStats:
+class ControlStats(Checkpointed):
     """Message/byte/state accounting shared by all mapping systems."""
 
     def __init__(self):
@@ -28,17 +28,8 @@ class ControlStats:
         self.bytes += size_bytes
         self.by_type[message_type] += 1
 
-    def snapshot_state(self):
-        return (self.messages, self.bytes, state_copy(self.by_type),
-                list(self.resolution_latencies))
 
-    def restore_state(self, state):
-        self.messages, self.bytes, by_type, latencies = state
-        self.by_type = state_copy(by_type)
-        self.resolution_latencies = list(latencies)
-
-
-class MappingRegistry:
+class MappingRegistry(Checkpointed):
     """The authoritative EID-to-RLOC database, keyed by EID prefix.
 
     Longest-prefix lookup is served by a :class:`~repro.net.fib.Fib`, so a
@@ -75,16 +66,8 @@ class MappingRegistry:
     def __len__(self):
         return len(self._by_prefix)
 
-    def snapshot_state(self):
-        return (dict(self._by_prefix), self._fib.snapshot_state())
 
-    def restore_state(self, state):
-        by_prefix, fib_state = state
-        self._by_prefix = dict(by_prefix)
-        self._fib.restore_state(fib_state)
-
-
-class MappingSystem:
+class MappingSystem(Checkpointed):
     """Interface all mapping systems implement."""
 
     name = "base"
@@ -136,27 +119,10 @@ class MappingSystem:
     # World-reuse checkpointing
     # ------------------------------------------------------------------ #
 
-    #: Extra mutable attributes subclasses want captured (shallow-copied
-    #: containers; see repro.sim.state.state_copy).
-    _state_attrs = ()
-
-    #: Deploy-time wiring: the sim checkpoints itself, and ``xtrs`` only
-    #: accumulates during topology construction, never during a run.
-    _SNAPSHOT_EXEMPT = ("sim", "xtrs")
-
-    def snapshot_state(self):
-        return {
-            "stats": self.stats.snapshot_state(),
-            "registry": self.registry.snapshot_state(),
-            "extra": {name: state_copy(getattr(self, name))
-                      for name in self._state_attrs},
-        }
-
-    def restore_state(self, state):
-        self.stats.restore_state(state["stats"])
-        self.registry.restore_state(state["registry"])
-        for name, value in state["extra"].items():
-            setattr(self, name, state_copy(value))
+    #: Deploy-time wiring: the sim checkpoints itself, and ``xtrs`` and the
+    #: registry only fill during topology construction (``register_site``),
+    #: never during a run.
+    _SNAPSHOT_EXEMPT = ("sim", "xtrs", "registry")
 
 
 class _MapRequestLoop(Event):

@@ -74,7 +74,9 @@ class ConsMappingSystem(MappingSystem):
     """The CONS tree mapping system."""
 
     name = "cons"
-    _state_attrs = ("_pending",)
+    #: The tree, fixed by :meth:`finalize`: no run changes it.
+    _SNAPSHOT_EXEMPT = ("topology", "sites", "_tree_by_address", "_cars",
+                        "_car_of_site", "_cdr_count")
 
     def __init__(self, sim, topology):
         super().__init__(sim)

@@ -42,7 +42,8 @@ class NerdMappingSystem(MappingSystem):
     """
 
     name = "nerd"
-    _state_attrs = ("version",)
+    #: The authority is a host of the topology, journaled on its own.
+    _SNAPSHOT_EXEMPT = ("topology", "authority")
 
     def __init__(self, sim, topology):
         super().__init__(sim)

@@ -6,6 +6,7 @@ because it was never requested before" (§1).
 """
 
 from repro.net.fib import Fib, FibEntry
+from repro.sim.state import Checkpointed
 
 
 class _CacheSlot:
@@ -16,7 +17,7 @@ class _CacheSlot:
         self.expires = expires
 
 
-class MapCache:
+class MapCache(Checkpointed):
     """EID-prefix keyed cache of :class:`~repro.lisp.mappings.MappingRecord`.
 
     Lookup is longest-prefix match, as an ITR's would be; entries expire
@@ -95,11 +96,3 @@ class MapCache:
 
     #: Construction-time config (owning sim, trace label, owner).
     _SNAPSHOT_EXEMPT = ("sim", "name", "_owner")
-
-    def snapshot_state(self):
-        return (self._fib.snapshot_state(), self.hits, self.misses,
-                self.expirations)
-
-    def restore_state(self, state):
-        fib_state, self.hits, self.misses, self.expirations = state
-        self._fib.restore_state(fib_state)

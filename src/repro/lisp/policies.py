@@ -13,27 +13,22 @@ Each policy marks per-packet fates so experiment E1 can report drops,
 queue delays and CP-carried packets.
 """
 
+from repro.sim.state import Checkpointed
+
 #: Packets :class:`QueuePolicy` buffers per (ITR, EID) before dropping.
 MAX_QUEUE = 8
 
 
-class MissPolicyStats:
+class MissPolicyStats(Checkpointed):
     __slots__ = ("dropped", "queue_delays")
 
     def __init__(self):
         self.dropped = 0
         self.queue_delays = []
 
-    def snapshot_state(self):
-        return (self.dropped, list(self.queue_delays))
 
-    def restore_state(self, state):
-        self.dropped, delays = state
-        self.queue_delays = list(delays)
-
-
-class MissPolicy:
-    """What the policies share: the sim, their stats and its checkpoint."""
+class MissPolicy(Checkpointed):
+    """What the policies share: the sim and their stats."""
 
     #: The owning sim checkpoints itself.
     _SNAPSHOT_EXEMPT = ("sim",)
@@ -44,12 +39,6 @@ class MissPolicy:
 
     def on_resolved(self, xtr, eid, mapping):
         """Nothing buffered, nothing to do."""
-
-    def snapshot_state(self):
-        return self.stats.snapshot_state()
-
-    def restore_state(self, state):
-        self.stats.restore_state(state)
 
 
 class DropPolicy(MissPolicy):
@@ -98,10 +87,6 @@ class QueuePolicy(MissPolicy):
                 self.stats.queue_delays.append(self.sim.now - queued_at)
                 mark_fate(packet, "flushed-after-queue")
                 xtr.encapsulate_and_send(packet, mapping)
-
-    def restore_state(self, state):
-        super().restore_state(state)
-        self._buffers.clear()
 
 
 class CpDataPolicy(MissPolicy):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from repro.net.addresses import IPv4Address
+from repro.sim.state import Checkpointed
 
 #: Dedicated UDP port for RLOC echo probes (4342 belongs to Map-Request).
 PROBE_PORT = 4347
@@ -41,7 +42,7 @@ class RlocProbe:
         return 16
 
 
-class RlocProber:
+class RlocProber(Checkpointed):
     """Probes every remote locator cached by one tunnel router; it is the
     xTR's ``rloc_liveness`` predicate, its ``version`` new whenever ``down``
     changes."""
@@ -117,8 +118,9 @@ class RlocProber:
         if address in self.down:
             self.down.discard(address)
             self.version = next(_versions)
-            self.sim.trace.record(self.sim.now, self.xtr.node.name, "probe.rloc-up",
-                                  rloc=str(address))
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self.xtr.node.name,
+                                      "probe.rloc-up", rloc=str(address))
 
     def _mark_missed(self, address):
         address = IPv4Address(address)
@@ -127,8 +129,9 @@ class RlocProber:
         if misses >= FAIL_THRESHOLD and address not in self.down:
             self.down.add(address)
             self.version = next(_versions)
-            self.sim.trace.record(self.sim.now, self.xtr.node.name, "probe.rloc-down",
-                                  rloc=str(address))
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self.xtr.node.name,
+                                      "probe.rloc-down", rloc=str(address))
 
     def _on_probe(self, packet, node):
         message = packet.payload
@@ -148,30 +151,7 @@ class RlocProber:
     # ------------------------------------------------------------------ #
 
     #: Construction-time wiring and config, immutable after __init__: the
-    #: owning sim/xtr, probe timing knobs, and the periodic tick handle
+    #: owning sim/xtr, the probe timeout, and the periodic tick handle
     #: (its armed/next-fire state is engine state, captured by the
     #: simulator's own checkpoint).
-    #: ``version`` keys memos only; restore_state takes a new one.
-    _SNAPSHOT_EXEMPT = ("sim", "xtr", "timeout", "_task", "version")
-
-    def snapshot_state(self):
-        """Liveness verdicts, miss counters and the nonce.
-
-        The periodic tick itself (armed / next-fire time) is engine state,
-        captured by the simulator's own checkpoint.  In-flight probes have
-        deadlines queued that cannot be replayed; the worldbuild layer
-        settles the simulation first, which resolves every pending probe.
-        """
-        if self._pending:
-            raise RuntimeError(
-                f"cannot checkpoint prober {self.xtr.node.name} with "
-                f"{len(self._pending)} in-flight probes")
-        return (frozenset(self.down), dict(self._consecutive_misses),
-                self._nonce)
-
-    def restore_state(self, state):
-        down, misses, self._nonce = state
-        self.down = set(down)
-        self.version = next(_versions)
-        self._consecutive_misses = dict(misses)
-        self._pending = {}
+    _SNAPSHOT_EXEMPT = ("sim", "xtr", "timeout", "_task")

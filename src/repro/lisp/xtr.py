@@ -221,32 +221,11 @@ class TunnelRouter(Journaled):
     # World-reuse checkpointing
     # ------------------------------------------------------------------ #
 
-    #: Deploy-time wiring, immutable after __init__; the miss policy and
-    #: mapping system are independently checkpointed components.
+    #: Deploy-time wiring, immutable after __init__; the miss policy,
+    #: mapping system and RLOC prober (``rloc_liveness``) are checkpointed
+    #: on their own.
     _SNAPSHOT_EXEMPT = ("sim", "node", "site", "miss_policy",
-                        "mapping_system", "gleaning", "rloc")
-
-    def snapshot_state(self):
-        return {
-            "map_cache": self.map_cache.snapshot_state(),
-            "counters": (self.encapsulated, self.decapsulated,
-                         self.no_rloc_drops, self.resolutions_started,
-                         self.resolutions_failed),
-            "seen": set(self._seen_inner_sources),
-            "resolved": list(self.mappings_resolved),
-            "listeners": list(self.decap_listeners),
-            "rloc_liveness": self.rloc_liveness,
-        }
-
-    def restore_state(self, state):
-        self.map_cache.restore_state(state["map_cache"])
-        (self.encapsulated, self.decapsulated, self.no_rloc_drops,
-         self.resolutions_started, self.resolutions_failed) = state["counters"]
-        self._seen_inner_sources = set(state["seen"])
-        self.mappings_resolved = list(state["resolved"])
-        self.decap_listeners = list(state["listeners"])
-        self.rloc_liveness = state["rloc_liveness"]
-        self._pending.clear()
+                        "mapping_system", "gleaning", "rloc", "rloc_liveness")
 
 
 def _gleaned_mapping(inner_source, outer_source):

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.errors import NoRouteError
+from repro.sim.state import Checkpointed
 
 
 @dataclass(slots=True)
@@ -35,7 +36,7 @@ def _prefix_order(entry):
     return (prefix._network, prefix._length)
 
 
-class Fib:
+class Fib(Checkpointed):
     """Longest-prefix-match table.
 
     One ``{network value: entry}`` dict per populated prefix length; a

@@ -99,10 +99,3 @@ class Host(Node):
 
     #: Set once at construction (its address is among the node's wiring).
     _SNAPSHOT_EXEMPT = ("address",)
-
-    def snapshot_state(self):
-        return (super().snapshot_state(), self._next_ephemeral)
-
-    def restore_state(self, state):
-        node_state, self._next_ephemeral = state
-        super().restore_state(node_state)

@@ -48,7 +48,7 @@ fluid-chunk contract.
 from collections import defaultdict, deque
 from types import MappingProxyType
 
-from repro.sim.state import Journaled
+from repro.sim.state import Checkpointed, Journaled
 
 #: Packets a rated link queues behind the one being serialised; the next
 #: is tail-dropped.
@@ -85,7 +85,7 @@ class FlowAccount:
                 f"delivered={self.delivered}, dropped={self.dropped})")
 
 
-class LinkStats:
+class LinkStats(Checkpointed):
     """Counters accumulated by a link over its lifetime.
 
     Transmitter busy time and offered bytes are bucketed into fixed
@@ -328,9 +328,11 @@ class Link(Journaled):
             stats.flows[flow_id].offered += size
         if not self._up:
             self._drop(size, flow_id)
-            # The link itself as source: its name is derived only if traced.
-            self.sim.trace.record(self.sim.now, self, "link.drop", reason="down",
-                                  uid=packet.uid)
+            if self.sim.trace.enabled:
+                # The link itself as source: its name is derived only if
+                # the record is kept.
+                self.sim.trace.record(self.sim.now, self, "link.drop",
+                                      reason="down", uid=packet.uid)
             return False
         if self.rate_bps is None:
             # Zero serialisation time: nothing to wait behind, so book the
@@ -345,8 +347,9 @@ class Link(Journaled):
         queue = self._queue
         if len(queue) >= QUEUE_CAPACITY:
             self._drop(size, flow_id)
-            self.sim.trace.record(self.sim.now, self, "link.drop", reason="queue-full",
-                                  uid=packet.uid)
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self, "link.drop",
+                                      reason="queue-full", uid=packet.uid)
             return False
         queue.append(packet)
         return True

@@ -6,12 +6,13 @@ from math import nextafter
 from repro.sim.events import Event, Timeout
 from repro.sim.periodic import PeriodicTask
 from repro.sim.rng import RandomStreams
+from repro.sim.state import Checkpointed
 from repro.sim.trace import Tracer
 
 _FOREVER = float("inf")
 
 
-class Simulator:
+class Simulator(Checkpointed):
     """Deterministic discrete-event simulator.
 
     Events are processed in (time, insertion) order — there is no priority

@@ -28,8 +28,10 @@ later and then runs the callback with the clock at the fire time.  A task
 has exactly one queued tick while armed, so no queued tick is ever stale.
 """
 
+from repro.sim.state import Checkpointed
 
-class PeriodicTask:
+
+class PeriodicTask(Checkpointed):
     """A recurring callback whose timer state lives in the engine.
 
     Parameters
@@ -88,18 +90,8 @@ class PeriodicTask:
     # ------------------------------------------------------------------ #
 
     #: Construction-time wiring: owning sim, the callback and its cadence.
+    #: The rest is timer state — armed, next fire time and the sequence of
+    #: the pending heap entry, so a restore rebuilds an entry that sorts
+    #: *identically* to the fresh build's (same-time ties break the same
+    #: way in fresh and restored worlds); the engine re-pushes it.
     _SNAPSHOT_EXEMPT = ("sim", "callback", "period", "name")
-
-    def snapshot_state(self):
-        """Timer state: (armed, next_fire, heap-entry sequence).
-
-        The sequence number of the pending heap entry is captured so a
-        restore can rebuild an entry that sorts *identically* to the one a
-        fresh build produced — same-time ties then break the same way in
-        fresh and restored worlds.
-        """
-        return (self.armed, self.next_fire, self._entry_sequence)
-
-    def restore_state(self, state):
-        """Restore timer fields; the engine re-pushes the heap entry."""
-        self.armed, self.next_fire, self._entry_sequence = state

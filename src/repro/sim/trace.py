@@ -7,6 +7,8 @@ derive metrics that are awkward to maintain as counters.
 
 from dataclasses import dataclass, field
 
+from repro.sim.state import Checkpointed
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -22,7 +24,7 @@ class TraceRecord:
         return f"[{self.time:12.6f}] {self.source:<24} {self.kind:<28} {details}"
 
 
-class Tracer:
+class Tracer(Checkpointed):
     """Collects :class:`TraceRecord` objects.
 
     By default everything is recorded.  One built with ``enabled=False``

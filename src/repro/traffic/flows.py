@@ -20,7 +20,7 @@ from typing import Optional
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, TCP_ACK, TCP_SYN, tcp_packet, udp_packet
 from repro.sim import Event
-from repro.sim.state import Journaled
+from repro.sim.state import Checkpointed, Journaled
 from repro.traffic.popularity import HEADER_BYTES
 
 #: Classic initial TCP retransmission timeout (RFC 1122 era: 1 second was
@@ -37,7 +37,7 @@ FIRST_FLOW_ID = 1
 FLUID_PROBE_RETRIES = 2
 
 
-class FlowIdAllocator:
+class FlowIdAllocator(Checkpointed):
     """Per-world flow-id sequence.
 
     Flow ids used to come from a module-level counter, which made them
@@ -57,12 +57,6 @@ class FlowIdAllocator:
         flow_id = self._next
         self._next += 1
         return flow_id
-
-    def snapshot_state(self):
-        return self._next
-
-    def restore_state(self, state):
-        self._next = state
 
 
 @dataclass(slots=True)
@@ -152,13 +146,6 @@ class TcpStack(Journaled):
 
     #: Owning sim and host are independently checkpointed.
     _SNAPSHOT_EXEMPT = ("sim", "host")
-
-    def snapshot_state(self):
-        return dict(self._listeners)
-
-    def restore_state(self, state):
-        self._listeners = dict(state)
-        self._pending.clear()
 
 
 class _Handshake(Event):
@@ -256,15 +243,6 @@ class UdpSink(Journaled):
 
     #: Construction-time wiring: sim and host checkpoint themselves.
     _SNAPSHOT_EXEMPT = ("sim", "host")
-
-    def snapshot_state(self):
-        return (self.received, self.bytes, self.fluid_bytes,
-                dict(self.by_flow), list(self.arrival_times))
-
-    def restore_state(self, state):
-        self.received, self.bytes, self.fluid_bytes, by_flow, arrivals = state
-        self.by_flow = defaultdict(int, by_flow)
-        self.arrival_times = list(arrivals)
 
 
 def send_flow(sim, host, destination, port, record, plan, pump=None):
@@ -661,7 +639,7 @@ class _PathGroup:
             _book_full_grant(flow.record.flow_id, packets, self.hops)
 
 
-class FluidPump:
+class FluidPump(Checkpointed):
     """Advances every fluid flow of one world, one tick per chunk interval.
 
     A fluid flow that knows its path calls :meth:`join` and sleeps.
@@ -685,8 +663,9 @@ class FluidPump:
     Because the tick is a foreground event, ``sim.run()`` with no
     ``until`` drains active fluid flows like any other pending work, and
     an idle pump (no flows, nothing armed) leaves a world settled.  That
-    is also its whole checkpoint: only an idle pump can be captured, and
-    a restore empties it — the armed tick dies with the engine queue the
+    is also its whole checkpoint: a world is captured settled (the engine
+    refuses otherwise), so the captured lanes are empty, and a restore
+    empties them — the armed tick dies with the engine queue the
     simulator's own restore clears, and the flows' lazy counts with the
     lanes.
     """
@@ -781,13 +760,3 @@ class FluidPump:
 
     #: The owning sim checkpoints itself (and with it the armed ticks).
     _SNAPSHOT_EXEMPT = ("sim",)
-
-    def snapshot_state(self):
-        if self._lanes:
-            raise RuntimeError(
-                f"cannot checkpoint a fluid pump with active flows "
-                f"(intervals {sorted(self._lanes)})")
-        return ()
-
-    def restore_state(self, _state):
-        self._lanes.clear()

@@ -6,7 +6,10 @@ files left out):
 
 - a ``Name`` read (an import alias counts as the name it imports);
 - an ``Attribute``, unless it is taken from a module imported from outside
-  ``repro`` (``json.dump`` is not ``Tracer.dump``);
+  ``repro`` (``json.dump`` is not ``Tracer.dump``); a ``self.<name>`` read
+  counts only for a method of its own class family — the class, its bases
+  and its subclasses, by class name, the rule ``test_state_surface.py``
+  uses (``self.close()`` in one class does not call another's ``close``);
 - a string constant that spells it as the argument of a call, and so
   names a callable looked up by name (the ``EXPERIMENTS`` runner strings).
 
@@ -28,15 +31,16 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 #: Names kept on purpose, each with the reason nothing calls it.
 KEPT = {
     **{rule: "registered by its @register decorator; the registry calls it"
-       for rule in ("Det01", "Det02", "Det03", "Snap01", "Snap02", "Snap03")},
+       for rule in ("Det01", "Det02", "Det03", "Snap01", "Snap03")},
     "confidence_interval": "what the seed-robustness item folds "
                            "check_shape over seeds with (ROADMAP)",
-    "probability": "ZipfSampler's analytic pmf: what the tests hold its "
-                   "cumulative table and its draws to",
-    "containing": "the enclosing prefix of an arbitrary address: how the "
-                  "address, FIB and fast-path property tests derive their "
-                  "prefixes (`site_of_eid`, its last caller, reads the site "
-                  "index off the address plan)",
+    "ZipfSampler.probability": "ZipfSampler's analytic pmf: what the tests "
+                               "hold its cumulative table and its draws to",
+    "IPv4Prefix.containing": "the enclosing prefix of an arbitrary address: "
+                             "how the address, FIB and fast-path property "
+                             "tests derive their prefixes (`site_of_eid`, its "
+                             "last caller, reads the site index off the "
+                             "address plan)",
 }
 
 
@@ -67,8 +71,9 @@ def _locals(function):
 
 
 def _references(tree):
-    """The names the code of module *tree* refers to (see the module
-    docstring for what counts)."""
+    """``(class, name)`` for each name the code of module *tree* refers to
+    (see the module docstring for what counts): *class* is the enclosing
+    class of a ``self.<name>`` read, else None."""
     aliases = {}
     foreign = set()
     for node in ast.walk(tree):
@@ -80,19 +85,22 @@ def _references(tree):
                            for alias in node.names
                            if not alias.name.startswith("repro"))
 
-    def named(node, enclosing, local):
+    def named(node, enclosing, local, owner):
         if _is_all(node):
             return
         if isinstance(node, _DEFINITIONS):
             enclosing = (*enclosing, node.name)
         if isinstance(node, _FUNCTIONS):
             local = local | _locals(node)
+        reader = None
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found = [] if node.id in local else [node.id,
                                                  aliases.get(node.id)]
         elif isinstance(node, ast.Attribute) and \
                 getattr(node.value, "id", None) not in foreign:
             found = [node.attr]
+            if getattr(node.value, "id", None) == "self":
+                reader = owner
         elif isinstance(node, ast.Call):
             found = [argument.value for argument in (
                 *node.args, *(keyword.value for keyword in node.keywords))
@@ -101,24 +109,75 @@ def _references(tree):
                 and argument.value.isidentifier()]
         else:
             found = []
-        yield from (name for name in found
+        yield from ((reader, name) for name in found
                     if name is not None and name not in enclosing)
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
         for child in ast.iter_child_nodes(node):
-            yield from named(child, enclosing, local)
+            yield from named(child, enclosing, local, owner)
 
-    return named(tree, (), frozenset())
+    return named(tree, (), frozenset(), None)
+
+
+def _bases(tree):
+    """``{class name: names of its bases}`` for the classes of *tree*."""
+    return {node.name: {getattr(base, "id", getattr(base, "attr", None))
+                        for base in node.bases}
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def _family(name, bases):
+    """*name*, its ancestors and its descendants, by class name."""
+    children = {}
+    for child, parents in bases.items():
+        for parent in parents:
+            children.setdefault(parent, set()).add(child)
+    family = {name}
+    for edges in (bases, children):
+        pending = [name]
+        while pending:
+            for other in edges.get(pending.pop(), ()):
+                if other not in family:
+                    family.add(other)
+                    pending.append(other)
+    return family
+
+
+def _definitions(tree):
+    """``(class, name)`` for each public definition of module *tree*:
+    *class* is the class whose body holds it, else None."""
+    for node in ast.walk(tree):
+        owner = node.name if isinstance(node, ast.ClassDef) else None
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFINITIONS) \
+                    and not child.name.startswith("_"):
+                yield owner, child.name
+
+
+def uncalled_in(defining_trees, reading_trees):
+    """The public definitions of *defining_trees* that the code of
+    *reading_trees* does not refer to: ``Class.name`` for a method, the
+    bare name for anything else."""
+    defining_trees = list(defining_trees)
+    reading_trees = list(reading_trees)
+    bases = {}
+    for tree in (*defining_trees, *reading_trees):
+        bases.update(_bases(tree))
+    used = {pair for tree in reading_trees for pair in _references(tree)}
+    return {name if owner is None else f"{owner}.{name}"
+            for tree in defining_trees
+            for owner, name in _definitions(tree)
+            if (None, name) not in used
+            and not (owner is not None
+                     and any((member, name) in used
+                             for member in _family(owner, bases)))}
 
 
 def uncalled_public_names():
     """The public ``src/repro`` definitions that nothing outside the tests
     references."""
-    defined = {node.name for tree in _trees("src/repro")
-               for node in ast.walk(tree)
-               if isinstance(node, _DEFINITIONS)
-               and not node.name.startswith("_")}
-    used = {name for tree in _trees("src", "examples", "benchmarks")
-            for name in _references(tree)}
-    return defined - used
+    return uncalled_in(_trees("src/repro"),
+                       _trees("src", "examples", "benchmarks"))
 
 
 def test_every_public_name_has_a_caller():
@@ -154,7 +213,7 @@ __all__ = ["exported_only"]
 HEADERS = ("header_only", "by_name")
 handler = getattr(object, "by_name")
 '''
-    names = list(_references(ast.parse(source)))
+    names = [name for _owner, name in _references(ast.parse(source))]
     for absent in ("documented_only", "exported_only", "header_only", "dump",
                    "handler", "shadowed", "items"):
         assert absent not in names, absent
@@ -163,3 +222,39 @@ handler = getattr(object, "by_name")
     # of the reading function is not the module-level name
     assert names.count("recursive") == 1
     assert "kept" in names
+
+
+def test_a_self_call_counts_only_in_its_own_class_family():
+    source = '''
+class Base:
+    def inherited(self):
+        return 0
+
+class A(Base):
+    def run(self):
+        return self.f() + self.inherited() + self.g()
+
+    def g(self):
+        return 1
+
+class Sub(A):
+    def f(self):
+        return 2
+
+class B:
+    def f(self):
+        return 3
+
+    def g(self):
+        return 4
+
+def consume(b):
+    return b.g()
+
+USED = (Sub, B, consume)
+'''
+    tree = ast.parse(source)
+    # A's self.f() calls its subclass's f and its base's inherited, not
+    # B's f; a call on another receiver still matches every class by name
+    # (B.g).  A.run is called by nothing.
+    assert uncalled_in([tree], [tree]) == {"A.run", "B.f"}

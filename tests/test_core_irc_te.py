@@ -62,7 +62,7 @@ def test_counters_round_trip_through_restore():
     irc = make_irc(policy="balance")
     irc.select_ingress()
     state = irc.snapshot_state()
-    assert state == (1, 0)
+    assert state == {"ingress": 1, "egress": 0}
     irc.select_ingress()
     irc.select_egress()
     irc.restore_state(state)

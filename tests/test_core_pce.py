@@ -251,7 +251,7 @@ def test_steps_1_and_6_and_the_step7_fallback_share_the_inbound_counter():
     pce, irc = cp.pces[0], cp.ircs[0]
     site = pce.site
     locators = len(site.xtrs)
-    registered = cp.registry.lookup_prefix(site.eid_prefix)
+    registered = pce.registry.lookup_prefix(site.eid_prefix)
     pce.on_local_query(site.hosts[0].address, "a.example.", sim.now)
     narrowed = pce._narrowed(registered)                  # Step 6
     fallback = pce._match_step1_decision("b.example.")    # no Step-1 record

@@ -847,12 +847,19 @@ def test_memoised_best_rloc_matches_recomputation(seed):
 
 
 # --------------------------------------------------------------------- #
-# Node.is_local vs addresses()
+# Node.is_local vs its interfaces and extra addresses
 # --------------------------------------------------------------------- #
 
 
+def _addresses(node):
+    """All addresses local to *node*, from first principles."""
+    return {*node.extra_addresses,
+            *(interface.address for interface in node.interfaces.values()
+              if interface.address is not None)}
+
+
 def _assert_local_set_matches(node, probes):
-    local = node.addresses()
+    local = _addresses(node)
     for address in probes:
         expected = IPv4Address(address) in local
         assert node.is_local(address) is expected
@@ -868,18 +875,19 @@ def test_is_local_matches_addresses_through_mutation_and_restore(seed):
     node = Host(sim, "h", address="10.0.0.1")
     probes = [IPv4Address((10 << 24) | rng.randrange(64)) for _ in range(80)]
     _assert_local_set_matches(node, probes)
-    snapshots = []
-    for step in range(40):
+    # Interfaces are wiring: all of them exist before the first checkpoint.
+    for step in range(rng.randrange(8)):
+        node.add_interface(f"eth{step}",
+                           rng.choice(probes) if rng.random() < 0.7 else None)
+        _assert_local_set_matches(node, probes)
+    snapshots = [node.snapshot_state()]
+    for _ in range(40):
         action = rng.random()
-        address = rng.choice(probes)
-        if action < 0.35:
-            node.add_address(address)
-        elif action < 0.60:
-            node.add_interface(f"eth{step}",
-                               address if rng.random() < 0.7 else None)
-        elif action < 0.75:
+        if action < 0.5:
+            node.add_address(rng.choice(probes))
+        elif action < 0.7:
             snapshots.append(node.snapshot_state())
-        elif snapshots:
+        else:
             node.restore_state(rng.choice(snapshots))
         _assert_local_set_matches(node, probes)
 
@@ -890,7 +898,7 @@ def test_restored_world_nodes_answer_is_local_like_fresh_ones():
     world = build_world(config)
     nodes = [host for site in world.topology.sites for host in site.hosts]
     nodes += list(world.topology.providers)
-    probes = sorted({address for node in nodes for address in node.addresses()})
+    probes = sorted({address for node in nodes for address in _addresses(node)})
     before = [[node.is_local(address) for address in probes] for node in nodes]
     run_workload(world, WorkloadConfig(num_flows=4, packets_per_flow=2))
     restore_world(world)
@@ -944,7 +952,7 @@ def _reference_transit(router, table, consumed, packet):
     ip = packet.find(IPv4Header)
     if ip is None:
         return "ignored", None
-    if ip.dst in router.addresses():
+    if ip.dst in _addresses(router):
         return "local", None
     if ip.ttl <= 1:
         return None, "router.ttl-expired"
@@ -1039,7 +1047,7 @@ def test_router_receive_matches_a_naive_reference(seed):
     traced = len(sim.trace.records)
     sim.run()
     expected = [(peer.name,
-                 "node.unclaimed" if packet.ip.dst in peer.addresses()
+                 "node.unclaimed" if packet.ip.dst in _addresses(peer)
                  else "node.no-forward", packet.uid)
                 for peer, packet in onward]
     assert [(record.source, record.kind, record.detail["uid"])

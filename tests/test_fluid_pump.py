@@ -320,14 +320,15 @@ def test_pump_arms_on_first_join_and_disarms_when_empty():
     sim = Simulator()
     net = Dumbbell(sim)
     net.start(1, source=0, sink=0, packets=81)
-    assert net.pump.snapshot_state() == ()
+    assert net.pump.snapshot_state() == {"_lanes": {}}
     sim.run(until=0.3)
     assert list(net.pump._lanes) == [INTERVAL]
-    with pytest.raises(RuntimeError, match="active flows"):
-        net.pump.snapshot_state()
+    # The armed tick is a foreground event: the engine refuses a capture.
+    with pytest.raises(RuntimeError, match="pending foreground events"):
+        sim.snapshot_state()
     sim.run()
     assert net.pump._lanes == {}
-    assert net.pump.snapshot_state() == ()
+    assert net.pump.snapshot_state() == {"_lanes": {}}
     assert sim.serializable
     events = sim.processed_events
     sim.run(until=5.0)                  # nothing left ticking
@@ -473,7 +474,7 @@ def test_random_flow_sets_keep_every_ledger_exact_after_every_tick(seed):
         assert abs(pair[0].delivered - pair[1].delivered) <= ticks
         assert abs(pair[0].dropped - pair[1].dropped) <= ticks
 
-    assert net.pump.snapshot_state() == ()
+    assert net.pump.snapshot_state() == {"_lanes": {}}
     for record in records + twins:
         assert record.finished_at is not None
         assert record.failed == (record.bytes_sent < record.bytes_budget)

@@ -7,6 +7,7 @@ from repro.experiments.scenario import FLOW_UDP_PORT, ScenarioConfig, build_scen
 from repro.lisp.mappings import MappingRecord, RlocEntry
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
+from repro.sim.state import Journal
 
 
 def make_world(enable_probing=True, probe_period=0.2, seed=19,
@@ -135,6 +136,35 @@ def test_recovery_detected_after_repair():
     assert kinds == ["probe.rloc-down", "probe.rloc-up"]
 
 
+def test_an_untraced_world_records_nothing_through_a_locator_failure(
+        monkeypatch):
+    """With tracing off nothing calls the tracer: not the prober marking a
+    locator down and up, not a link dropping into a failed access link."""
+    config = ScenarioConfig(control_plane="pce", topology="fig1", seed=19,
+                            irc_policy="primary", enable_probing=True,
+                            probe_period=0.2, probe_timeout=0.15,
+                            tracing=False)
+    scenario = build_scenario(config)
+
+    def record(*args, **detail):
+        raise AssertionError(f"record{args} on a disabled tracer")
+
+    monkeypatch.setattr(scenario.sim.trace, "record", record)
+    sim = scenario.sim
+    site_s, site_d, _source = start_flow(scenario)
+    links = site_d.access_links[0]
+    links["uplink"].up = False
+    links["downlink"].up = False
+    sim.run(until=sim.now + 3.0)
+    prober = scenario.control_plane.probers[site_s.xtrs[0].name]
+    assert site_d.rloc_of(0) in prober.down
+    assert links["uplink"].stats.bytes_dropped > 0
+    links["uplink"].up = True
+    links["downlink"].up = True
+    sim.run(until=sim.now + 3.0)
+    assert site_d.rloc_of(0) not in prober.down
+
+
 def test_prober_keeps_probing_down_rlocs():
     scenario = make_world(probe_period=0.2)
     sim = scenario.sim
@@ -215,5 +245,7 @@ def test_prober_snapshot_refuses_in_flight_probes():
     if not prober._pending:             # settle landed between rounds
         sim.run(until=prober._task.next_fire)
     assert prober._pending
-    with pytest.raises(RuntimeError):
-        prober.snapshot_state()
+    # Each probe's deadline is a foreground event, so the world checkpoint
+    # that holds the prober refuses at its first entry, the engine.
+    with pytest.raises(RuntimeError, match="pending foreground events"):
+        Journal(scenario.singleton_components(), ())

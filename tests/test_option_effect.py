@@ -23,8 +23,10 @@ import pytest
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.workload import WorkloadConfig, run_workload
 from repro.experiments.worldbuild import build_world, world_key
+from repro.lisp.probing import RlocProber
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
+from repro.sim.state import Part
 
 #: The fields every world reads, whatever its control plane.
 SHARED = ("control_plane", "num_sites", "num_providers", "providers_per_site",
@@ -77,11 +79,13 @@ def _perturbed(config, name):
 
 
 def _plain(value, depth=0):
-    """*value* as lists and strings two worlds can compare: objects by
-    their fields (dataclasses, slotted classes without a repr) or their
+    """*value* as lists and strings two worlds can compare: a part by its
+    state, objects by their fields (dataclasses, slotted classes without a repr) or their
     repr, memory addresses left out."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
+    if type(value) is Part:
+        return _plain(value.state, depth)
     if depth > 8:
         return type(value).__name__
     depth += 1
@@ -102,6 +106,15 @@ def _plain(value, depth=0):
     return re.sub(r" at 0x[0-9a-f]+", "", repr(value))
 
 
+def _state(component):
+    """*component*'s checkpoint, less a prober's liveness version: a memo
+    key unique in the process, so two builds never share one."""
+    state = component.snapshot_state()
+    if isinstance(component, RlocProber):
+        del state["version"]
+    return state
+
+
 def _aftermath(config):
     """What a short run on *config*'s world leaves: every component's
     state and the flow records.
@@ -116,7 +129,7 @@ def _aftermath(config):
         host = world.topology.sites[0].hosts[0]
         host.send(udp_packet(host.address, UNASSIGNED_EID, 5000, 9))
         world.sim.run()
-        return ([_plain(component.snapshot_state())
+        return ([_plain(_state(component))
                  for component in world.stateful_components()],
                 [_plain(astuple(record)) for record in records])
     finally:

@@ -22,7 +22,7 @@ test matches definitions:
   ``_per("xtrs", "map_cache.expirations")``).
 
 Augmented assignments (``self.count += 1``) store, so they are not reads,
-and neither are a class's name tuples (``_state_attrs = ("count",)``):
+and neither are a class's name tuples (``_SNAPSHOT_EXEMPT = ("count",)``):
 they are not call arguments.  State that only the tests read is either a
 property no other reader can observe, kept in :data:`KEPT` with the test
 it serves, or dead: a counter nothing reads still costs every run that
@@ -31,7 +31,7 @@ moves it a write and every checkpoint a copy.
 
 import ast
 
-from test_api_surface import _trees
+from test_api_surface import _bases, _family, _trees
 
 #: ``Class.attribute`` stored and read only by the tests, each with the
 #: test or oracle that reads it and why nothing else shows the property.
@@ -80,30 +80,6 @@ def _writes_through(node, parents):
             return isinstance(call, ast.Call) and call.func is outer \
                 and isinstance(parents.get(call), ast.Expr)
     return False
-
-
-def _bases(tree):
-    """``{class name: names of its bases}`` for the classes of *tree*."""
-    return {node.name: {getattr(base, "id", getattr(base, "attr", None))
-                        for base in node.bases}
-            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-
-
-def _family(name, bases):
-    """*name*, its ancestors and its descendants, by class name."""
-    children = {}
-    for child, parents in bases.items():
-        for parent in parents:
-            children.setdefault(parent, set()).add(child)
-    family = {name}
-    for edges in (bases, children):
-        pending = [name]
-        while pending:
-            for other in edges.get(pending.pop(), ()):
-                if other not in family:
-                    family.add(other)
-                    pending.append(other)
-    return family
 
 
 def read_names(tree):
@@ -180,7 +156,7 @@ def test_every_stored_attribute_has_a_reader():
 def test_writes_checkpoints_and_name_tuples_are_not_reads():
     source = '''
 class Counter:
-    _state_attrs = ("tuple_only",)
+    _SNAPSHOT_EXEMPT = ("tuple_only",)
 
     def __init__(self, size):
         self.count = 0

@@ -152,7 +152,10 @@ def test_address_plan_extension():
     for p, provider in enumerate(topology.providers):
         assert provider.is_local(IPv4Address(f"{10 + p}.0.0.1"))
     for i, ix_router in enumerate(topology.ix_routers):
-        address = min(ix_router.addresses())
+        address = min([*ix_router.extra_addresses,
+                       *(interface.address
+                         for interface in ix_router.interfaces.values()
+                         if interface.address is not None)])
         assert IX_PREFIX.contains(address)
         assert address == IX_PREFIX.address_at(i * 256 + 1)
     # IX addresses are switching-fabric only: nothing routes toward 9/8.

@@ -43,6 +43,12 @@ from repro.experiments.fig1 import run_fig1_walkthrough
 from repro.experiments.measure import _control
 from repro.experiments.scenario import CONTROL_PLANES, Scenario
 from repro.experiments.worldrun import schedule_access_failure
+from repro.sim.state import Part
+
+#: An xTR's counters, and its map-cache's.
+XTR_COUNTERS = ("encapsulated", "decapsulated", "no_rloc_drops",
+                "resolutions_started", "resolutions_failed")
+CACHE_COUNTERS = ("hits", "misses", "expirations")
 
 PACINGS = ("constant", "shaped", "fluid")
 TRANSPORTS = ("udp", "tcp", "tcp+burst")
@@ -54,8 +60,11 @@ def pull_path_state(scenario):
     xtrs = {}
     for xtr in scenario.iter_xtrs():
         state = xtr.snapshot_state()
+        cache = state["map_cache"].state
         xtrs[xtr.node.name] = (
-            state["counters"], state["map_cache"][1:], sorted(state["seen"]),
+            [state[name] for name in XTR_COUNTERS],
+            [cache[name] for name in CACHE_COUNTERS],
+            sorted(state["_seen_inner_sources"]),
             [(str(prefix), repr(mapping))
              for prefix, mapping in xtr.map_cache.entries()],
             sorted(str(key) for key in xtr._pending))
@@ -85,8 +94,13 @@ def observable_state(scenario, records):
     resolvers = {}
     for index, resolver in scenario.dns.resolvers.items():
         state = resolver.snapshot_state()
-        del state["listeners"]      # bound methods of this world's PCEs
-        resolvers[index] = state
+        del state["query_listeners"]  # bound methods of this world's PCEs
+        # The reference driver's walk, installed on the instance.
+        state.pop("_serve_recursive", None)
+        state.pop("resolve", None)
+        # A cache is a part: compare what it holds, not which cache it is.
+        resolvers[index] = {name: value.state if type(value) is Part else value
+                            for name, value in state.items()}
     return {
         "now": scenario.sim.now,
         "records": [repr(record) for record in records],
@@ -267,7 +281,7 @@ def test_drivers_agree_when_map_requests_go_unanswered(plane):
     resolutions = sum(started for *_, started, _failed in counters)
     failures = sum(failed for *_, failed in counters)
     assert 0 < failures < resolutions
-    by_type = new["control"][0][2]
+    by_type = new["control"][0]["by_type"]
     assert by_type["map-request"] > resolutions    # some were re-sent
 
 

@@ -841,6 +841,13 @@ def test_restore_drops_the_packets_a_queue_policy_buffered():
     scenario.teardown()
 
 
+def _first_address(node):
+    """The lowest of *node*'s local addresses."""
+    return min([*node.extra_addresses,
+                *(interface.address for interface in node.interfaces.values()
+                  if interface.address is not None)])
+
+
 def test_a_router_is_journaled_only_when_its_fib_or_wiring_moves():
     """Forwarding changes nothing a router checkpoints: after a workload
     the dirty routers are exactly those whose FIB or wiring moved, and a
@@ -850,12 +857,16 @@ def test_a_router_is_journaled_only_when_its_fib_or_wiring_moves():
     routers = [node for node in scenario.topology.all_nodes()
                if type(node) is Router]
 
-    def moved(router, before):
+    def wiring(router):
+        """What a router checkpoints beside its FIB."""
         state = router.snapshot_state()
-        return (router.fib.version, state["wiring"]) != before[router]
+        del state["fib"]
+        return state
 
-    before = {router: (router.fib.version, router.snapshot_state()["wiring"])
-              for router in routers}
+    def moved(router, before):
+        return (router.fib.version, wiring(router)) != before[router]
+
+    before = {router: (router.fib.version, wiring(router)) for router in routers}
     run_workload(scenario, cell.workload)
     dirty = set(scenario.world_checkpoint.dirty)
     assert {router for router in routers if router in dirty} \
@@ -864,8 +875,7 @@ def test_a_router_is_journaled_only_when_its_fib_or_wiring_moves():
 
     restore_world(scenario)
     first, last = routers[0], routers[-1]
-    first.send(udp_packet(min(first.addresses()), min(last.addresses()),
-                          5000, 9))
+    first.send(udp_packet(_first_address(first), _first_address(last), 5000, 9))
     scenario.sim.run()
     dirty = scenario.world_checkpoint.dirty
     # Two links or more: some router between them forwarded the packet.
@@ -1138,7 +1148,8 @@ def _count_restores(monkeypatch, classes):
 @pytest.mark.parametrize("topology", ("flat", "tiered"))
 def test_restore_cost_follows_the_cell_not_the_world(topology, monkeypatch):
     """The same 30-flow cell on a 60- and a 240-site world: the inventory
-    grows 4x, what a restore visits by less than 2x."""
+    grows 4x, what a restore visits beyond the per-site singletons by less
+    than 2x."""
     sizes = {}
     for sites in (60, 240):
         cell = _lifecycle_cell("pce", topology, "constant", sites=sites,
@@ -1155,12 +1166,17 @@ def test_restore_cost_follows_the_cell_not_the_world(topology, monkeypatch):
         assert counts[Link] == sum(isinstance(c, Link) for c in dirty)
         assert counts[Node] == sum(isinstance(c, Node) for c in dirty)
         assert journal.dirty == []
+        plane = scenario.control_plane
+        per_site = len(plane.pces) + len(plane.ircs) + len(plane.probers)
+        assert per_site >= 2 * sites
         sizes[sites] = (sum(1 for _ in scenario.stateful_components()),
-                        len(dirty), len(journal.singletons))
+                        len(dirty), len(journal.singletons) - per_site)
     (small_world, small_dirty, small_singletons) = sizes[60]
     (big_world, big_dirty, big_singletons) = sizes[240]
     assert big_world > 3.5 * small_world
     assert small_dirty < big_dirty < 2 * small_dirty
+    # Beside the control plane's per-site PCEs, IRC engines and probers
+    # (as many singletons as sites), the same handful.
     assert big_singletons == small_singletons < 12
 
 

@@ -31,7 +31,7 @@ from repro.analysis.core import register
 #: Calls inside a loop body that make iteration order observable.
 _ORDER_SINKS = {
     # event scheduling
-    "call_in", "call_at", "timeout", "periodic", "schedule",
+    "call_in", "call_at", "timeout", "schedule",
     "start", "succeed", "send", "send_udp", "request",
     # digests / serialisation
     "update", "record", "write", "dumps", "encode",

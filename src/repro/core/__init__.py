@@ -5,7 +5,7 @@ the data path of — its DNS server.  The PCE:
 
 - learns, via IPC with the local resolver, which local host started a
   lookup (Step 1) and picks the site's *ingress* locator for the coming
-  reverse traffic from its IRC engine's round robin;
+  reverse traffic from its IRC round robin;
 - transparently observes the iterative DNS exchange (Steps 2-5);
 - acting as the destination-side PCE, intercepts the authoritative reply
   carrying the destination EID and encapsulates it — together with the
@@ -23,7 +23,6 @@ Public entry point: :class:`repro.core.control_plane.PceControlPlane`.
 """
 
 from repro.core.control_plane import PceControlPlane
-from repro.core.irc import IrcEngine
 from repro.core.messages import (
     PORT_MAPPING_PUSH,
     PORT_PCE,
@@ -37,7 +36,6 @@ from repro.core.te import plan_rebalance
 
 __all__ = [
     "EncapsulatedDnsReply",
-    "IrcEngine",
     "MappingPush",
     "Pce",
     "PceControlPlane",

@@ -2,7 +2,6 @@
 
 :class:`PceControlPlane` wires, for every site in a topology:
 
-- a :class:`~repro.core.irc.IrcEngine` (two selection counters),
 - a :class:`~repro.core.pce.Pce` on the PCE node,
 - one :class:`~repro.lisp.xtr.TunnelRouter` per border router, with **no
   reactive mapping system** (mappings arrive only by push) and gleaning
@@ -16,9 +15,20 @@ It also owns the egress routing table (hub per-destination routes) for
 the TE re-homing of :mod:`repro.core.te`: every push reaches every ITR
 of the site (Step 7b's push-to-all), so a re-homed flow always finds its
 mapping in place.
+
+With probing on, each ITR has an :class:`~repro.lisp.probing.RlocProber`
+and the control plane runs their probe rounds: one engine event per round
+on a fixed grid (the deploy instant plus ``probe_period``, accumulated by
+repeated addition), at which every prober probes its targets in
+registration order.  A round re-arms itself first; a round that finds
+nothing to probe anywhere queues no successor, and the next mapping
+installed (a push, a reverse announce, an ETR's own reverse mapping) arms
+the first grid instant after it.  A settled world therefore has nothing
+queued.
 """
 
-from repro.core.irc import IrcEngine
+from itertools import count
+
 from repro.core.messages import (
     PORT_MAPPING_PUSH,
     PORT_REVERSE,
@@ -30,6 +40,7 @@ from repro.core.te import FLOW_BYTES_ESTIMATE, plan_rebalance
 from repro.lisp import EID_SPACE
 from repro.lisp.control.base import MappingRegistry
 from repro.lisp.mappings import MappingRecord, RlocEntry, site_mapping
+from repro.lisp.probing import RlocProber
 from repro.lisp.xtr import TunnelRouter
 from repro.net.addresses import IPv4Prefix
 from repro.net.fib import FibEntry
@@ -49,12 +60,25 @@ class PceControlPlane(Checkpointed):
         self.miss_policy = miss_policy
         if probe_timeout is None:
             # Keep the historical 0.3s timeout whenever it is valid; only
-            # scale down for faster probing (RlocProber requires
-            # timeout < period so probe rounds never overlap).
+            # scale down for faster probing.
             probe_timeout = 0.3 if probe_period > 0.3 else 0.6 * probe_period
+        if probe_timeout >= probe_period:
+            # A round at T judges its probes at T + timeout, which then
+            # falls before the next round (T + period) and never on its
+            # instant: no deadline ties with a round.
+            raise ValueError(
+                f"probe timeout ({probe_timeout}) must be shorter than the "
+                f"probe period ({probe_period}): rounds must not overlap")
         self.enable_probing = enable_probing
+        self.probe_period = probe_period
+        #: The grid instant of the latest probe round queued or run (the
+        #: deploy instant before the first), and whether one is queued.
+        self._round_at = sim.now
+        self._round_armed = False
+        #: The liveness versions this world's probers draw from: never
+        #: rolled back (see "Snapshot completeness" in docs/contracts.md).
+        versions = count(1)
         self.pces = {}
-        self.ircs = {}
         self.probers = {}
         self.xtrs_by_site = {}
         self.egress_assignments = {}   # site index -> {prefix: itr index}
@@ -67,10 +91,8 @@ class PceControlPlane(Checkpointed):
             registry.register(site_mapping(site, ttl=mapping_ttl))
 
         for site in topology.sites:
-            irc = IrcEngine(len(site.xtrs), policy=irc_policy)
-            self.ircs[site.index] = irc
             resolver = dns_system.resolver_for(site)
-            pce = Pce(sim, site, resolver, registry, irc,
+            pce = Pce(sim, site, resolver, registry, irc_policy,
                       control_plane=self, computation_delay=computation_delay)
             self.pces[site.index] = pce
             site.pce_node.bind_udp(PORT_REVERSE, PceReverseHandler(pce))
@@ -82,15 +104,39 @@ class PceControlPlane(Checkpointed):
                 node.bind_udp(PORT_MAPPING_PUSH, self._on_mapping_push)
                 node.bind_udp(PORT_REVERSE, self._on_reverse_announce)
                 if enable_probing:
-                    from repro.lisp.probing import RlocProber
-
-                    prober = RlocProber(sim, xtr, period=probe_period,
-                                        timeout=probe_timeout)
-                    prober.start()
-                    self.probers[node.name] = prober
+                    self.probers[node.name] = RlocProber(
+                        sim, xtr, versions, timeout=probe_timeout)
                 routers.append(xtr)
             self.xtrs_by_site[site.index] = routers
             self.egress_assignments[site.index] = {}
+
+    # ------------------------------------------------------------------ #
+    # RLOC probe rounds
+    # ------------------------------------------------------------------ #
+
+    def _arm_probe_round(self):
+        """Queue a probe round at the first grid instant after now, unless
+        one is queued or nothing probes."""
+        if self._round_armed or not self.probers:
+            return
+        when = self._round_at
+        while when <= self.sim.now:
+            when += self.probe_period
+        self._round_at = when
+        self._round_armed = True
+        self.sim.call_at(when, self._probe_round)
+
+    def _probe_round(self):
+        """Re-arm one period on, then let every prober probe its targets;
+        with no target anywhere, stop (the next install re-arms)."""
+        probers = self.probers.values()
+        if not any(prober.targets() for prober in probers):
+            self._round_armed = False
+            return
+        self._round_at += self.probe_period
+        self.sim.call_at(self._round_at, self._probe_round)
+        for prober in probers:
+            prober.probe_round()
 
     # ------------------------------------------------------------------ #
     # Push distribution
@@ -110,6 +156,7 @@ class PceControlPlane(Checkpointed):
         if xtr is None:
             return
         xtr.install_mapping(message.mapping, origin="pce-push", ttl=self.mapping_ttl)
+        self._arm_probe_round()
 
     # ------------------------------------------------------------------ #
     # ETR reverse-mapping multicast
@@ -126,6 +173,7 @@ class PceControlPlane(Checkpointed):
             self.reverse_installs.setdefault(
                 (xtr.site.index, message.mapping.eid_prefix), []).append(
                     self.sim.now)
+            self._arm_probe_round()
 
     # ------------------------------------------------------------------ #
     # TE re-homing (uses repro.core.te)
@@ -133,7 +181,7 @@ class PceControlPlane(Checkpointed):
 
     def rebalance_site_egress(self, site, loads):
         """Re-home *site*'s hub routes under per-ITR *loads* (bytes);
-        returns the moves.  The IRC egress count is left as it was."""
+        returns the moves.  The PCE's egress count is left as it was."""
         assignment = self.egress_assignments[site.index]
         flows_by_itr = {}
         for prefix, index in assignment.items():
@@ -153,11 +201,10 @@ class PceControlPlane(Checkpointed):
 
     #: Deploy-time wiring and config, immutable after __init__.  The xTRs
     #: in ``xtrs_by_site`` are journaled components, and the miss policy,
-    #: PCEs, IRC engines and probers singletons of the scenario's own
-    #: inventory; only the tables naming them live here, and they never
-    #: change.
+    #: PCEs and probers singletons of the scenario's own inventory; only
+    #: the tables naming them live here, and they never change.
     _SNAPSHOT_EXEMPT = ("sim", "topology", "mapping_ttl", "enable_probing",
-                        "miss_policy", "pces", "ircs", "probers",
+                        "probe_period", "miss_policy", "pces", "probers",
                         "xtrs_by_site")
 
 
@@ -187,6 +234,7 @@ class EtrReverseHook:
         # (ii) install locally so this xTR can carry the reverse flow...
         xtr.install_mapping(reverse, origin="reverse-local",
                             ttl=control_plane.mapping_ttl)
+        control_plane._arm_probe_round()
         # (iii) ...then multicast to sibling ETRs and the PCE database.
         announce = ReverseMappingAnnounce(mapping=reverse)
         sim = control_plane.sim

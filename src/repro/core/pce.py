@@ -19,6 +19,29 @@ Step     Where implemented
 8        observed by the tap as the resolver answers the host (trace only)
 ETR rev  :meth:`Pce.learn_reverse_mapping` via the control plane's ETR hook
 =======  =====================================================================
+
+Intelligent Route Control
+-------------------------
+
+The paper leans on IRC twice: PCE_S "computes the local RLOC to be used for
+the reverse mapping based on TE constraints ... the algorithms used are
+inherently the same used today by IRC techniques" (Step 1), and PCE_D's
+"mapping selection is made by an online IRC engine running in background,
+so the mapping is always known aforehand" (Step 6).
+
+A PCE counts its site's locator selections per direction
+(:meth:`Pce.select_ingress`, :meth:`Pce.select_egress`).  Policies:
+
+- ``balance``  — round robin (selection ``n`` takes ``n % locators``),
+  i.e. classic IRC load spreading;
+- ``primary``  — always locator 0 (the static behaviour of a non-PCE
+  site; a control in experiments).
+
+Step 1 (:meth:`Pce.on_local_query`), Step 6 (:meth:`Pce._narrowed`) and
+the Step-7 fallback (:meth:`Pce._match_step1_decision`) all choose the
+locator inbound traffic uses, so they draw, in call order, from the one
+inbound counter.  A choice is O(1) and adds no latency at interception
+time: the paper's line-rate claim, which E6 checks.
 """
 
 from repro.core.messages import (
@@ -34,6 +57,10 @@ from repro.sim.state import Checkpointed
 
 #: Seconds after a push in which no refresh follows it (it is in flight).
 PUSH_GUARD = 0.05
+
+#: The IRC selection policies a :class:`Pce` takes (``ScenarioConfig``
+#: refuses any other).
+POLICIES = ("balance", "primary")
 
 
 class PceStats(Checkpointed):
@@ -52,12 +79,17 @@ class PceStats(Checkpointed):
 class Pce(Checkpointed):
     """A site's PCE: DNS-path interception plus mapping distribution."""
 
-    def __init__(self, sim, site, resolver, registry, irc, control_plane,
-                 computation_delay):
+    def __init__(self, sim, site, resolver, registry, irc_policy,
+                 control_plane, computation_delay):
         self.sim = sim
         self.site = site
         self.registry = registry
-        self.irc = irc
+        #: The locators the IRC round robin cycles through: ``primary``
+        #: keeps to locator 0.
+        self.span = len(site.xtrs) if irc_policy == "balance" else 1
+        #: IRC selections made so far, by direction.
+        self.ingress_picks = 0
+        self.egress_picks = 0
         self.control_plane = control_plane
         self.computation_delay = computation_delay
         self.node = site.pce_node
@@ -74,13 +106,25 @@ class Pce(Checkpointed):
     def __str__(self):
         return f"PCE({self.site.name})"
 
+    def select_ingress(self):
+        """IRC: locator index for *inbound* traffic (Steps 1 and 6)."""
+        index = self.ingress_picks % self.span
+        self.ingress_picks += 1
+        return index
+
+    def select_egress(self):
+        """IRC: locator index for *outbound* traffic (local TE, Step 7b)."""
+        index = self.egress_picks % self.span
+        self.egress_picks += 1
+        return index
+
     # ------------------------------------------------------------------ #
     # Step 1: IPC with the local DNS server
     # ------------------------------------------------------------------ #
 
     def on_local_query(self, client, qname, time):
         """A local host asked the resolver for *qname*: precompute ingress."""
-        ingress_index = self.irc.select_ingress()
+        ingress_index = self.select_ingress()
         self.pending_ingress[qname] = ingress_index
         if self.sim.trace.enabled:
             self.sim.trace.record(
@@ -183,7 +227,7 @@ class Pce(Checkpointed):
         demoted backups, so a probing ITR can fail over to them; without
         probing nothing would ever steer traffic onto a backup.
         """
-        chosen = self.site.rloc_of(self.irc.select_ingress())
+        chosen = self.site.rloc_of(self.select_ingress())
         if self.control_plane.enable_probing:
             return base.with_preferred_rloc(chosen)
         return base.with_chosen_rloc(chosen)
@@ -213,7 +257,7 @@ class Pce(Checkpointed):
         if qname is not None and qname in self.pending_ingress:
             return self.pending_ingress.pop(qname)
         # No pending record (e.g. a refresh): choose an ingress now.
-        return self.irc.select_ingress()
+        return self.select_ingress()
 
     def push_mapping_to_itrs(self, mapping, refresh=False):
         """Step 7b: install the mapping tuple on the site's ITRs.
@@ -223,7 +267,7 @@ class Pce(Checkpointed):
         """
         push = MappingPush(mapping=mapping)
         targets = range(len(self.site.xtrs))     # push to all (Step 7b)
-        egress_index = self.irc.select_egress()
+        egress_index = self.select_egress()
         for b in targets:
             self.stats.push_messages += 1
             self.stats.push_bytes += push.size_bytes
@@ -289,7 +333,7 @@ class Pce(Checkpointed):
     # ------------------------------------------------------------------ #
 
     #: Wiring and config fixed at deploy time: the registry every site's
-    #: mapping is registered in before any run, and the IRC engine and
-    #: control plane, which are checkpointed on their own.
-    _SNAPSHOT_EXEMPT = ("sim", "site", "registry", "irc", "control_plane",
+    #: mapping is registered in before any run, the IRC span, and the
+    #: control plane, which is checkpointed on its own.
+    _SNAPSHOT_EXEMPT = ("sim", "site", "registry", "span", "control_plane",
                         "computation_delay", "node", "address")

@@ -7,7 +7,7 @@ from functools import cached_property
 from typing import Optional
 
 from repro.core.control_plane import PceControlPlane
-from repro.core.irc import POLICIES as IRC_POLICIES
+from repro.core.pce import POLICIES as IRC_POLICIES
 from repro.dns.hierarchy import install_dns
 from repro.dns.records import check_ttl
 from repro.dns.resolver import StubResolver
@@ -107,9 +107,9 @@ class ScenarioConfig:
     computation_delay: float = 0.0
     enable_probing: bool = False
     probe_period: float = 0.5
-    #: Must stay below probe_period: overlapping probe rounds would keep
-    #: foreground work alive across ticks and a full drain would never end.
-    #: None derives 0.3 s when ``probe_period`` exceeds 0.3 s and
+    #: Must stay below probe_period: a round's deadlines then fall before
+    #: the next round and never on its instant, so no deadline ties with
+    #: a round.  None derives 0.3 s when ``probe_period`` exceeds 0.3 s and
     #: ``0.6 * probe_period`` otherwise (``PceControlPlane``): the historical
     #: 0.3 s timeout wherever it fits below the period, scaled down for
     #: faster probing.
@@ -316,10 +316,9 @@ class Scenario:
         Most runs move every one of them, so they are captured when the
         journal is armed and restored on every reset — no first-touch
         bookkeeping on the engine's or the tracer's hot paths.  The PCE
-        control plane's per-site PCEs, IRC engines and RLOC probers are
-        entries here, beside the control plane (a restore costs O(sites));
-        the probe *timers* are periodic tasks living in engine state,
-        checkpointed with the simulator.
+        control plane's per-site PCEs and RLOC probers are entries here,
+        beside the control plane (a restore costs O(sites)), whose own
+        state holds the probe round's place on its grid.
         """
         sim = self.sim
         yield sim
@@ -332,7 +331,6 @@ class Scenario:
         if control_plane is not None:
             yield control_plane
             yield from control_plane.pces.values()
-            yield from control_plane.ircs.values()
             yield from control_plane.probers.values()
         if self.mapping_system is not None:
             yield self.mapping_system
@@ -353,16 +351,15 @@ class Scenario:
         A world is one web of cycles (nodes, interfaces and links point at
         each other and at the engine), which only a full collection would
         otherwise free.  Clearing the attributes of every inventory
-        component, of the engine's periodic tasks (an RLOC prober and its
-        tick refer to each other), of the events its queue still holds
+        component (a queued probe round is a bound method of the control
+        plane, one of them), of the events the engine's queue still holds
         (work a run left in flight waits on them: a resolver walk on its
         socket's request, whose callback is the walk's own) and of the
         roots leaves no cycle standing.  The world is unusable afterwards;
         whoever drops a world it built tears it down.
         """
-        sim = self.sim
-        doomed = [*self.stateful_components(), *sim.periodic_tasks,
-                  *sim.queued_events(), self.topology, self.dns, self]
+        doomed = [*self.stateful_components(), *self.sim.queued_events(),
+                  self.topology, self.dns, self]
         for obj in doomed:
             _clear_attributes(obj)
 

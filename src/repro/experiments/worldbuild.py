@@ -15,8 +15,8 @@ checkpoint follows the cell, not the world:
   topology's one :class:`~repro.net.routing.RoutingPlan`), settles any
   deployment-time events, and *arms* the world's first-touch journal
   (:class:`~repro.sim.state.Journal`): the singleton components — a
-  handful, plus the per-site PCEs, IRC engines and probers of a PCE
-  world — are captured there and then; every link, node, xTR, stack, sink
+  handful, plus the per-site PCEs and probers of a PCE world — are
+  captured there and then; every link, node, xTR, stack, sink
   and site resolver is only flagged, and stores its own pristine state
   the first time a run is about to change it.  Either way a component's
   checkpoint is every attribute it does not exempt
@@ -39,14 +39,13 @@ generation when the call returns.  A sweep cell runs whole inside one
 such pause (:func:`~repro.experiments.worldrun.run_world`), its build or
 restore included.
 
-Periodic background work (RLOC probing) is no obstacle to any of this: it runs as engine-owned
-:class:`~repro.sim.periodic.PeriodicTask` objects whose timers are plain
-engine state, not pending queue entries.  Settling drains *foreground*
-work only — an armed periodic tick is not pending work — and the
-simulator's checkpoint captures each task's armed flag, next-fire time and
-heap-entry sequence, **re-arming the timers on restore** so a restored probing
-world starts ticking at exactly the instants the fresh build would have.
-Every config is therefore cacheable.
+Recurring work (RLOC probing) is no obstacle to any of this: a probe
+round is an ordinary queued event that the control plane arms when a
+mapping is installed, and a built world has installed none, so a settled
+world has nothing queued.  The round's place on its grid is plain state of
+the control plane, checkpointed with it: a restored probing world probes
+at exactly the instants the fresh build would have.  Every config is
+therefore cacheable.
 
 A blob is the world's recipe
 ----------------------------
@@ -99,10 +98,9 @@ def world_key(config):
 def build_world(config):
     """Build the world for *config* and arm its journal.
 
-    The world is settled first (the foreground queue is drained of finite
-    deployment-time events, e.g. NERD's initial database push — armed
-    periodic tasks do not count as pending work) so the checkpoint is of
-    a quiescent world; the workload then starts from the same instant on
+    The world is settled first (the queue is drained of finite
+    deployment-time events, e.g. NERD's initial database push) so the
+    checkpoint is of a quiescent world; the workload then starts from the same instant on
     fresh builds and reuses alike.  The journal is attached as
     ``scenario.world_checkpoint``: the state at this instant is what
     every later :func:`restore_world` returns to.
@@ -232,8 +230,8 @@ def serialize_world(scenario):
         raise ValueError("scenario has no world checkpoint; serialize only "
                          "worlds produced by build_world")
     if not scenario.sim.serializable:
-        raise ValueError("cannot serialize a world with pending foreground "
-                         "events (settle it first)")
+        raise ValueError("cannot serialize a world with queued events "
+                         "(settle it first)")
     key = _json_key(scenario.config)
     envelope = {"schema": SNAPSHOT_SCHEMA, "key": key,
                 "crc": _crc(SNAPSHOT_SCHEMA, key)}

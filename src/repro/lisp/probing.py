@@ -1,11 +1,13 @@
 """RLOC reachability probing (draft-08 locator reachability).
 
 An ITR cannot tell from its map-cache whether a locator is still usable:
-the destination site's access link may have failed.  The prober sends
-periodic echo probes to every remote locator present in the map-cache and
-tracks replies.  After :data:`FAIL_THRESHOLD` consecutive losses a locator is
-declared down — the ITR's :attr:`~repro.lisp.xtr.TunnelRouter.rloc_liveness`
-predicate then steers traffic to a backup locator in the mapping.  Probing
+the destination site's access link may have failed.  Once per probe round
+(the rounds belong to :class:`~repro.core.control_plane.PceControlPlane`)
+the prober sends an echo probe to every remote locator present in the
+map-cache, and it tracks replies.  After :data:`FAIL_THRESHOLD` consecutive
+losses a locator is declared down — the ITR's
+:attr:`~repro.lisp.xtr.TunnelRouter.rloc_liveness` predicate then steers
+traffic to a backup locator in the mapping.  Probing
 continues while a locator is down, so recovery is detected automatically.
 
 This implements the substrate for the paper's future-work claim that the
@@ -15,7 +17,6 @@ with and without it.
 """
 
 from dataclasses import dataclass
-from itertools import count
 
 from repro.net.addresses import IPv4Address
 from repro.sim.state import Checkpointed
@@ -25,9 +26,6 @@ PROBE_PORT = 4347
 
 #: Consecutive unanswered probes after which a locator is declared down.
 FAIL_THRESHOLD = 2
-
-#: Liveness versions, unique in the process (0 is "no liveness").
-_versions = count(1)
 
 
 @dataclass
@@ -45,28 +43,26 @@ class RlocProbe:
 class RlocProber(Checkpointed):
     """Probes every remote locator cached by one tunnel router; it is the
     xTR's ``rloc_liveness`` predicate, its ``version`` new whenever ``down``
-    changes."""
+    changes.
 
-    def __init__(self, sim, xtr, period=0.5, timeout=0.3):
-        if timeout >= period:
-            # Overlapping rounds would make a full drain (sim.run() with no
-            # until) self-sustaining: each tick's probe deadlines are
-            # foreground work outliving the period, so the next tick always
-            # finds work pending and fires, forever.
-            raise ValueError(
-                f"probe timeout ({timeout}) must be shorter than the probe "
-                f"period ({period}): rounds must not overlap")
+    *versions* is the iterator of liveness versions the prober draws
+    from, shared by every prober of a world (0 is "no liveness").  A probe
+    is judged missed *timeout* after it was sent; the owner of the probe
+    rounds (:class:`~repro.core.control_plane.PceControlPlane`) keeps it
+    below the probe period.
+    """
+
+    def __init__(self, sim, xtr, versions, timeout=0.3):
         self.sim = sim
         self.xtr = xtr
         self.timeout = timeout
+        self._versions = versions
         self.down = set()
-        self.version = next(_versions)
+        self.version = next(versions)
         self._consecutive_misses = {}
         #: Unanswered probes: nonce -> the locator probed.
         self._pending = {}
         self._nonce = 0
-        self._task = sim.periodic(self._tick, period,
-                                  name=f"prober-{xtr.node.name}")
         xtr.node.bind_udp(PROBE_PORT, self._on_probe)
         xtr.rloc_liveness = self
 
@@ -83,18 +79,8 @@ class RlocProber(Checkpointed):
         addresses.update(self.down)
         return sorted(addresses)
 
-    def start(self):
-        """Arm the periodic probe tick (idempotent).
-
-        The first tick fires one full period from now, not immediately: at
-        deploy time the map-cache is empty, so a tick at t=0 would burn a
-        probe round on nothing.  Targets are re-read from the map-cache at
-        every tick, so mappings installed any time before a tick fires are
-        probed by it.
-        """
-        self._task.start()
-
-    def _tick(self):
+    def probe_round(self):
+        """Probe every target once (one round of the control plane's)."""
         for address in self.targets():
             self._probe(address)
 
@@ -117,7 +103,7 @@ class RlocProber(Checkpointed):
         self._consecutive_misses[address] = 0
         if address in self.down:
             self.down.discard(address)
-            self.version = next(_versions)
+            self.version = next(self._versions)
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.xtr.node.name,
                                       "probe.rloc-up", rloc=str(address))
@@ -128,7 +114,7 @@ class RlocProber(Checkpointed):
         self._consecutive_misses[address] = misses
         if misses >= FAIL_THRESHOLD and address not in self.down:
             self.down.add(address)
-            self.version = next(_versions)
+            self.version = next(self._versions)
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.xtr.node.name,
                                       "probe.rloc-down", rloc=str(address))
@@ -151,7 +137,7 @@ class RlocProber(Checkpointed):
     # ------------------------------------------------------------------ #
 
     #: Construction-time wiring and config, immutable after __init__: the
-    #: owning sim/xtr, the probe timeout, and the periodic tick handle
-    #: (its armed/next-fire state is engine state, captured by the
-    #: simulator's own checkpoint).
-    _SNAPSHOT_EXEMPT = ("sim", "xtr", "timeout", "_task")
+    #: owning sim/xtr, the probe timeout, and the world's version counter,
+    #: which never rolls back (a restored prober keeps its pristine
+    #: version, and its next change must draw one no run has used).
+    _SNAPSHOT_EXEMPT = ("sim", "xtr", "timeout", "_versions")

@@ -3,7 +3,6 @@
 This package provides the simulation substrate used by every other layer of
 the reproduction: a deterministic event queue (:class:`~repro.sim.engine.Simulator`),
 one-shot events that waiters hang callbacks on (:class:`~repro.sim.events.Event`),
-engine-owned checkpointable periodic tasks (:class:`~repro.sim.periodic.PeriodicTask`),
 named and reproducible random streams (:class:`~repro.sim.rng.RandomStreams`),
 and a structured event tracer (:class:`~repro.sim.trace.Tracer`).
 
@@ -15,13 +14,11 @@ byte-identical traces.
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event, Timeout
-from repro.sim.periodic import PeriodicTask
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Event",
-    "PeriodicTask",
     "RandomStreams",
     "SimulationError",
     "Simulator",

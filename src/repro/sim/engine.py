@@ -4,7 +4,6 @@ from heapq import heappop, heappush
 from math import nextafter
 
 from repro.sim.events import Event, Timeout
-from repro.sim.periodic import PeriodicTask
 from repro.sim.rng import RandomStreams
 from repro.sim.state import Checkpointed
 from repro.sim.trace import Tracer
@@ -25,16 +24,11 @@ class Simulator(Checkpointed):
     grouping entries by timestamp would cost an allocation per event to
     save a sift for few of them.
 
-    The queue holds two kinds of entries: *foreground* events (scheduled
-    calls, timeouts, triggered events' callbacks — finite work the
-    simulation must complete) and *background* ticks of registered
-    :class:`~repro.sim.periodic.PeriodicTask` objects, each riding in the
-    callback slot itself.  Both share one queue so their interleaving is
-    deterministic, but only foreground entries count as pending work:
-    ``run()`` with no ``until`` drains foreground events (firing any
-    background ticks that fall before them in time) and stops when no
-    foreground work remains, even while periodic tasks stay armed.  That is what makes worlds with perpetual
-    periodic work settle-able and therefore checkpointable.
+    There is one kind of entry.  Recurring work (the PCE control plane's
+    RLOC probe round) is an ordinary entry that queues its successor, and
+    stops doing so when it has nothing left to do.  ``run()`` with no
+    ``until`` drains the queue, and a *settled* simulator — the only kind
+    a checkpoint is taken of — is one whose queue is empty.
 
     Parameters
     ----------
@@ -52,8 +46,6 @@ class Simulator(Checkpointed):
         self._queue = []
         self._sequence = 0
         self._processed_events = 0
-        self._foreground = 0
-        self._periodic = []
 
     # ------------------------------------------------------------------ #
     # Event construction helpers
@@ -67,14 +59,6 @@ class Simulator(Checkpointed):
         """An event firing *delay* time units from now."""
         return Timeout(self, delay, value=value)
 
-    def periodic(self, callback, period, name=None):
-        """Register a :class:`PeriodicTask` running *callback* every *period*.
-
-        The task is created disarmed; call ``.start()`` on the result to
-        schedule its first tick (one full period from then).
-        """
-        return PeriodicTask(self, callback, period, name=name)
-
     def call_in(self, delay, callback, *args):
         """Run ``callback(*args)`` after *delay* time units; returns ``None``.
 
@@ -85,7 +69,6 @@ class Simulator(Checkpointed):
         if not delay >= 0:  # also refuses NaN, which compares false
             raise ValueError(f"negative timeout delay: {delay}")
         self._sequence = sequence = self._sequence + 1
-        self._foreground += 1
         heappush(self._queue, (self.now + delay, sequence, callback, args))
 
     def call_at(self, when, callback, *args):
@@ -98,7 +81,6 @@ class Simulator(Checkpointed):
         if not when >= self.now:
             raise ValueError(f"call_at({when}) is in the past (now={self.now})")
         self._sequence = sequence = self._sequence + 1
-        self._foreground += 1
         heappush(self._queue, (when, sequence, callback, args))
 
     def reserve(self, count):
@@ -118,24 +100,14 @@ class Simulator(Checkpointed):
     # ------------------------------------------------------------------ #
 
     def _schedule(self, event, delay=0.0):
-        """Queue *event*'s callbacks to run *delay* from now (foreground).
+        """Queue *event*'s callbacks to run *delay* from now.
 
         *delay* is a :class:`Timeout`'s, validated there; a triggered
         event's callbacks run at the current instant.
         """
         self._sequence = sequence = self._sequence + 1
-        self._foreground += 1
         heappush(self._queue,
                  (self.now + delay, sequence, event._run_callbacks, ()))
-
-    def _register_periodic(self, task):
-        self._periodic.append(task)
-
-    def _schedule_periodic(self, task, when):
-        """Push a background tick entry for *task*; returns its sequence."""
-        self._sequence = sequence = self._sequence + 1
-        heappush(self._queue, (when, sequence, task, ()))
-        return sequence
 
     def queued_events(self):
         """Every :class:`Event` the queue holds, as an entry's callback
@@ -148,52 +120,34 @@ class Simulator(Checkpointed):
                 if isinstance(arg, Event):
                     yield arg
 
-    @property
-    def periodic_tasks(self):
-        """Registered periodic tasks, in registration order."""
-        return tuple(self._periodic)
-
-    def _dispatch(self, until, floor):
+    def _dispatch(self, until):
         """The one dispatch loop behind :meth:`run` and :meth:`run_before`.
 
         Processes entries in (time, insertion) order while their time is
-        ``<= until``, returning as soon as the pending-foreground count
-        equals *floor* (0 drains foreground work; -1 never matches, i.e.
-        keep going to *until*).
-
-        An entry is popped before it runs, so a callback may schedule onto
-        the timestamp being processed (it runs after what is already queued
-        there) or re-enter :meth:`run`.  A periodic tick is the task itself,
-        called like any other callback but not counted as foreground work.
+        ``<= until``.  An entry is popped before it runs, so a callback may
+        schedule onto the timestamp being processed (it runs after what is
+        already queued there) or re-enter :meth:`run`.
         """
         queue = self._queue
         while queue and queue[0][0] <= until:
             when, _sequence, callback, args = heappop(queue)
-            if type(callback) is not PeriodicTask:
-                self._foreground -= 1
             self.now = when
             self._processed_events += 1
             callback(*args)
-            if self._foreground == floor:
-                return
 
     def run(self, until=None):
-        """Run until foreground work drains, or simulated time exceeds *until*.
+        """Run until the queue drains, or simulated time exceeds *until*.
 
-        With no *until*, events are processed in time order — including
-        ticks of armed periodic tasks that fall before pending events —
-        until no foreground event remains; armed periodic tasks alone do
-        not keep the run alive.  When *until* is given, everything
-        (foreground and periodic) up to and including *until* is processed
-        and the clock is left exactly at *until*.
+        With no *until*, events are processed in time order until none is
+        left.  When *until* is given, everything up to and including
+        *until* is processed and the clock is left exactly at *until*.
         """
         if until is None:
-            if self._foreground:
-                self._dispatch(_FOREVER, 0)
+            self._dispatch(_FOREVER)
             return self.now
         if not until >= self.now:
             raise ValueError(f"run(until={until}) is in the past (now={self.now})")
-        self._dispatch(until, -1)
+        self._dispatch(until)
         self.now = until
         return self.now
 
@@ -206,11 +160,11 @@ class Simulator(Checkpointed):
         its shared prefix this way up to its branch point (see "Branching
         runs" in ``docs/contracts.md``).
         """
-        self._dispatch(nextafter(when, -_FOREVER), -1)
+        self._dispatch(nextafter(when, -_FOREVER))
 
     @property
     def processed_events(self):
-        """Number of events and periodic ticks processed so far (diagnostic)."""
+        """Number of events processed so far (diagnostic)."""
         return self._processed_events
 
     # ------------------------------------------------------------------ #
@@ -223,56 +177,34 @@ class Simulator(Checkpointed):
 
     @property
     def serializable(self):
-        """True when the engine is settled: no pending foreground events.
+        """True when the engine is settled: nothing is queued.
 
-        What is left on the queue of a settled simulator is armed
-        periodic-task timers, ``(when, sequence, task, ())``
-        entries that its checkpoint captures and re-arms.  Pending
-        foreground entries hold live bound methods and the in-flight
-        objects they close over (packets, requests, waiters' callbacks),
-        which no checkpoint can replay — so only a world whose engine is
-        settled stands for its config, and only such a world may be
-        serialized into a world-snapshot blob
+        A queued entry holds a live bound method and the in-flight objects
+        it closes over (packets, requests, waiters' callbacks), which no
+        checkpoint can replay — so only a world whose engine is settled
+        stands for its config, and only such a world may be serialized
+        into a world-snapshot blob
         (:func:`repro.experiments.worldbuild.serialize_world`).
         """
-        return self._foreground == 0
+        return not self._queue
 
     def snapshot_state(self):
-        """Checkpoint the clock, counters and periodic-task timers.
+        """Checkpoint the clock and counters of a settled engine.
 
-        Pending foreground events hold live callbacks and cannot be
-        replayed, so the foreground queue must be drained first (the
-        worldbuild layer settles the simulation before capturing).  Armed
-        periodic tasks are fine: their timer state is plain data, captured
-        here and re-armed on restore.
+        Queued entries cannot be replayed, so the queue must be drained
+        first (the worldbuild layer settles the simulation before
+        capturing).
         """
-        if self._foreground:
+        if self._queue:
             raise RuntimeError(
-                f"cannot checkpoint with {self._foreground} pending foreground events")
-        return (self.now, self._sequence, self._processed_events,
-                tuple(task.snapshot_state() for task in self._periodic))
+                f"cannot checkpoint with {len(self._queue)} queued events")
+        return (self.now, self._sequence, self._processed_events)
 
     def restore_state(self, state):
-        """Restore counters and re-arm every checkpointed periodic task.
-
-        The queue is rebuilt to hold exactly the background tick entries
-        the checkpoint captured — same fire times, each under its
-        checkpointed sequence, so the key that orders a same-time tie is
-        the fresh build's.
-        """
-        self.now, self._sequence, self._processed_events, periodic = state
-        self._foreground = 0
-        if len(periodic) != len(self._periodic):
-            raise RuntimeError(
-                f"checkpoint has {len(periodic)} periodic tasks, "
-                f"world has {len(self._periodic)}")
-        for task, task_state in zip(self._periodic, periodic, strict=True):
-            task.restore_state(task_state)
-        # Sequences are unique, so the sort never compares two tasks; a
-        # sorted list is a heap.
-        self._queue[:] = sorted(
-            (task.next_fire, task._entry_sequence, task, ())
-            for task in self._periodic if task.armed)
+        """Put the clock and counters back and drop whatever a run left
+        queued."""
+        self.now, self._sequence, self._processed_events = state
+        self._queue.clear()
 
 
 class Reservation:
@@ -297,5 +229,4 @@ class Reservation:
         sequence = next(self._keys, None)
         if sequence is None:
             raise RuntimeError("every reserved insertion key is used")
-        sim._foreground += 1
         heappush(sim._queue, (when, sequence, callback, args))

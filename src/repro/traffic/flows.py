@@ -643,8 +643,8 @@ class FluidPump(Checkpointed):
     """Advances every fluid flow of one world, one tick per chunk interval.
 
     A fluid flow that knows its path calls :meth:`join` and sleeps.
-    While any flow is active the pump keeps one foreground tick armed per
-    chunk interval — the first at the first multiple of the interval at
+    While any flow is active the pump keeps one tick queued per chunk
+    interval — the first at the first multiple of the interval at
     or after the join that armed it, then one every interval; each tick
     posts one chunk for every active flow.  Flows that share hop list,
     wire size and sink form a *path group*, counted rather than visited
@@ -660,7 +660,7 @@ class FluidPump(Checkpointed):
     group short, and for every active flow by :meth:`settle`, which
     readers call first.
 
-    Because the tick is a foreground event, ``sim.run()`` with no
+    Because the tick is an ordinary queued event, ``sim.run()`` with no
     ``until`` drains active fluid flows like any other pending work, and
     an idle pump (no flows, nothing armed) leaves a world settled.  That
     is also its whole checkpoint: a world is captured settled (the engine

@@ -447,7 +447,7 @@ def install_reference_pull_path(scenario):
     if scenario.control_plane is not None:
         for prober in scenario.control_plane.probers.values():
             prober._probe_once = types.MethodType(_probe_once, prober)
-            prober._task.callback = types.MethodType(_tick, prober)
+            prober.probe_round = types.MethodType(_tick, prober)
             node = prober.xtr.node
             node.unbind_udp(PROBE_PORT)
             node.bind_udp(PROBE_PORT, types.MethodType(_on_probe, prober))

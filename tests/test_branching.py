@@ -13,6 +13,7 @@ import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from itertools import repeat
 
 import pytest
 
@@ -172,8 +173,10 @@ def test_failures_keep_the_queue_keys_of_the_cell_run_unbranched(forks):
     for cell, result in zip(cells, branched, strict=True):
         world = build_world(cell.scenario)
         sim = world.sim
-        assert sim.now == 0.0 and 1.25 in {task.next_fire + 4 * task.period
-                                           for task in sim.periodic_tasks}
+        # 1.25 is the fifth instant of the probe grid.
+        plane = world.control_plane
+        assert sim.now == 0.0 and not sim._queue
+        assert sum(repeat(plane.probe_period, 5), plane._round_at) == 1.25
         apply_failures(world, cell.failure, sim.now, sim)
         records = run_workload(world, cell.workload)
         assert result["metrics"]["sim_events"] == sim.processed_events

@@ -1,28 +1,32 @@
-"""Unit tests for the IRC engine and the TE re-homing planner."""
+"""Unit tests for the PCE's IRC counters and the TE re-homing planner."""
 
 import pytest
 
-from repro.core.irc import IrcEngine
 from repro.core import te
 from repro.core.te import FlowMove, plan_rebalance
+from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.net.addresses import IPv4Prefix
 
 
-def make_irc(policy="balance"):
-    """The engine of a site with three locators."""
-    return IrcEngine(3, policy=policy)
+def make_pce(policy="balance", locators=3):
+    """The PCE of a site with *locators* locators."""
+    config = ScenarioConfig(control_plane="pce", num_sites=2,
+                            num_providers=max(locators, 2),
+                            providers_per_site=locators, irc_policy=policy,
+                            tracing=False)
+    return build_scenario(config).control_plane.pces[0]
 
 
 def test_counters_start_at_zero():
-    irc = make_irc()
-    assert (irc.ingress, irc.egress) == (0, 0)
+    pce = make_pce()
+    assert (pce.ingress_picks, pce.egress_picks) == (0, 0)
 
 
 def test_primary_policy_always_zero():
-    irc = make_irc(policy="primary")
-    assert [irc.select_ingress() for _ in range(5)] == [0] * 5
+    pce = make_pce(policy="primary")
+    assert [pce.select_ingress() for _ in range(5)] == [0] * 5
     # The control still counts what it picks.
-    assert irc.ingress == 5
+    assert pce.ingress_picks == 5
 
 
 def _least_pledged(locators, selections):
@@ -39,35 +43,35 @@ def _least_pledged(locators, selections):
 
 @pytest.mark.parametrize("locators", (1, 2, 3, 5))
 def test_balance_policy_round_robins(locators):
-    irc = IrcEngine(locators, policy="balance")
-    picks = [irc.select_ingress() for _ in range(4 * locators + 1)]
+    pce = make_pce(locators=locators)
+    picks = [pce.select_ingress() for _ in range(4 * locators + 1)]
     assert picks == [n % locators for n in range(4 * locators + 1)]
     assert picks == _least_pledged(locators, len(picks))
 
 
 def test_unknown_policy_raises():
-    with pytest.raises(ValueError, match="unknown IRC policy 'bogus'"):
-        make_irc(policy="bogus")
+    with pytest.raises(ValueError, match="unknown irc_policy 'bogus'"):
+        make_pce(policy="bogus")
 
 
 def test_egress_and_ingress_tracked_separately():
-    irc = make_irc(policy="balance")
-    irc.select_ingress()
-    assert (irc.ingress, irc.egress) == (1, 0)
-    assert irc.select_egress() == 0
-    assert (irc.ingress, irc.egress) == (1, 1)
+    pce = make_pce(policy="balance")
+    pce.select_ingress()
+    assert (pce.ingress_picks, pce.egress_picks) == (1, 0)
+    assert pce.select_egress() == 0
+    assert (pce.ingress_picks, pce.egress_picks) == (1, 1)
 
 
 def test_counters_round_trip_through_restore():
-    irc = make_irc(policy="balance")
-    irc.select_ingress()
-    state = irc.snapshot_state()
-    assert state == {"ingress": 1, "egress": 0}
-    irc.select_ingress()
-    irc.select_egress()
-    irc.restore_state(state)
-    assert irc.snapshot_state() == state
-    assert irc.select_ingress() == 1
+    pce = make_pce(policy="balance")
+    pce.select_ingress()
+    state = pce.snapshot_state()
+    assert (state["ingress_picks"], state["egress_picks"]) == (1, 0)
+    pce.select_ingress()
+    pce.select_egress()
+    pce.restore_state(state)
+    assert pce.snapshot_state() == state
+    assert pce.select_ingress() == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -233,22 +233,22 @@ def test_rebalance_leaves_the_egress_sequence_alone():
         start_flow(sim, topology, dns, dst_site=dst, port=7000 + dst)
     sim.run(until=5.0)
     site = topology.sites[0]
-    irc = cp.ircs[site.index]
-    picks = irc.egress
+    pce = cp.pces[site.index]
+    picks = pce.egress_picks
     assert sorted(cp.egress_assignments[site.index].values()) == \
         sorted(n % len(site.xtrs) for n in range(picks))
     moves = cp.rebalance_site_egress(
         site, loads=[10_000_000] + [0] * (len(site.xtrs) - 1))
     assert moves
-    assert irc.egress == picks
-    assert irc.select_egress() == picks % len(site.xtrs)
+    assert pce.egress_picks == picks
+    assert pce.select_egress() == picks % len(site.xtrs)
 
 
 def test_steps_1_and_6_and_the_step7_fallback_share_the_inbound_counter():
     """Every choice of this site's inbound locator draws the next round-robin
     index, in call order; a Step-7 match of a Step-1 record draws none."""
     sim, _topology, _dns, cp = make_world()
-    pce, irc = cp.pces[0], cp.ircs[0]
+    pce = cp.pces[0]
     site = pce.site
     locators = len(site.xtrs)
     registered = pce.registry.lookup_prefix(site.eid_prefix)
@@ -261,7 +261,7 @@ def test_steps_1_and_6_and_the_step7_fallback_share_the_inbound_counter():
     assert narrowed.rlocs[0].address == site.rloc_of(1 % locators)
     assert fallback == 2 % locators
     assert pce.pending_ingress == {"c.example.": 3 % locators}
-    assert irc.ingress == 4
+    assert pce.ingress_picks == 4
 
 
 def test_rehomed_flow_survives_in_push_to_all_mode():

@@ -15,6 +15,7 @@ import heapq
 import pickle
 import random
 from dataclasses import asdict
+from itertools import count
 
 import pytest
 
@@ -322,19 +323,14 @@ def test_v6_stamped_blob_is_rejected_and_rebuilt(monkeypatch):
 
 
 class _HeapOracle:
-    """The textbook event queue the engine must be equal to.
-
-    One ``(time, sequence, ...)`` tuple heap; periodic tasks re-arm before
-    their callback runs.
-    """
+    """The textbook event queue the engine must be equal to: one
+    ``(time, sequence, ...)`` tuple heap."""
 
     def __init__(self):
         self.now = 0.0
         self.heap = []
         self.sequence = 0
-        self.foreground = 0
         self.processed = 0
-        self.periods = {}         # task label -> period
         self.log = []
 
     def schedule(self, label, delay, kind=None):
@@ -342,30 +338,19 @@ class _HeapOracle:
         if kind is None:
             kind = "trigger" if int(label[1:]) % 4 == 3 else "event"
         self.sequence += 1
-        self.foreground += 1
         heapq.heappush(self.heap, (self.now + delay, self.sequence, kind,
-                                   label, None))
-
-    def arm(self, label, period, when):
-        self.periods[label] = period
-        self.sequence += 1
-        heapq.heappush(self.heap, (when, self.sequence, "tick", label, None))
+                                   label))
 
     def step(self, script, until=float("inf")):
         if not self.heap or self.heap[0][0] > until:
             return False
-        when, _sequence, kind, label, _ = heapq.heappop(self.heap)
+        when, _sequence, kind, label = heapq.heappop(self.heap)
         self.now = when
         self.processed += 1
         if kind == "trigger":
-            self.foreground -= 1
             self.schedule(label, 0.0, "event")
             return True
         self.log.append((when, label))
-        if kind == "tick":
-            self.arm(label, self.periods[label], when + self.periods[label])
-        else:
-            self.foreground -= 1
         for action in script.get(label, ()):
             self.apply(action)
         return True
@@ -405,34 +390,26 @@ class _EngineUnderTest:
             event.callbacks.append(lambda _event: self.fired(label))
             sim.call_in(delay, event.succeed)
 
-    def arm(self, label, period):
-        self.sim.periodic(lambda: self.fired(label), period, name=label).start()
-
     def apply(self, action):
         assert action[0] == "schedule"
         self.schedule(action[1], action[2])
 
 
-#: Delays on a small grid: many entries share a timestamp, zero-delay
-#: children land on the instant being processed, ticks collide with events.
+#: Delays on a small grid: many entries share a timestamp and zero-delay
+#: children land on the instant being processed.
 _SPREAD_DELAYS = (0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.5)
-#: Three delays and periods that are multiples of 0.5: *most* events share
-#: their timestamp with several others and with the ticks, so nearly every
-#: pop is decided by the sequence half of the key.
+#: Three delays that are multiples of 0.5: *most* events share their
+#: timestamp with several others, so nearly every pop is decided by the
+#: sequence half of the key.
 _COLLIDING_DELAYS = (0.0, 0.5, 1.0)
-_COLLIDING_PERIODS = (0.5, 1.0)
 
 
-def _random_schedule(rng, delays, period_choices):
+def _random_schedule(rng, delays):
     """(initial actions, script) — the script maps a fired label to actions."""
-    periods = {f"tick{index}": rng.choice(period_choices) for index in range(3)}
     labels = [f"e{index}" for index in range(60)]
-    initial = [("arm", label, period) for label, period in periods.items()]
+    initial = [("schedule", label, rng.choice(delays) + rng.choice(delays))
+               for label in labels[:25]]
     script = {}
-    for label in labels[:25]:
-        initial.append(("schedule", label,
-                        rng.choice(delays) + rng.choice(delays)))
-    # Only events spawn events (a tick that did would never let run() end).
     parents = labels[:25]
     for label in labels[25:]:
         parent = rng.choice(parents)
@@ -442,34 +419,30 @@ def _random_schedule(rng, delays, period_choices):
     return initial, script
 
 
-def _build_pair(seed, delays=_SPREAD_DELAYS, periods=(0.5, 0.75, 1.0)):
+def _build_pair(seed, delays=_SPREAD_DELAYS):
     rng = random.Random(seed)
-    initial, script = _random_schedule(rng, delays, periods)
+    initial, script = _random_schedule(rng, delays)
     oracle = _HeapOracle()
     engine = _EngineUnderTest(script)
     for action in initial:
-        if action[0] == "arm":
-            oracle.arm(action[1], action[2], oracle.now + action[2])
-            engine.arm(action[1], action[2])
-        else:
-            oracle.apply(action)
-            engine.apply(action)
+        oracle.apply(action)
+        engine.apply(action)
     return oracle, engine, script
 
 
 def _assert_in_step(oracle, engine):
     assert engine.log == oracle.log
     assert engine.sim.processed_events == oracle.processed
-    assert engine.sim._foreground == oracle.foreground
+    assert len(engine.sim._queue) == len(oracle.heap)
     assert engine.sim.now == oracle.now
 
 
 def _drive_run(oracle, engine, script):
-    while oracle.foreground:
-        assert oracle.step(script)
+    while oracle.step(script):
+        pass
     assert engine.sim.run() == oracle.now
     _assert_in_step(oracle, engine)
-    assert len(oracle.log) >= 60          # every event fired, plus ticks
+    assert len(oracle.log) == 60          # every event fired
 
 
 def _drive_run_until(oracle, engine, script):
@@ -496,11 +469,10 @@ def test_engine_run_until_matches_heap_oracle(seed):
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("drive", (_drive_run, _drive_run_until))
 def test_engine_matches_heap_oracle_when_most_events_collide(drive, seed):
-    oracle, engine, script = _build_pair(seed, _COLLIDING_DELAYS,
-                                         _COLLIDING_PERIODS)
+    oracle, engine, script = _build_pair(seed, _COLLIDING_DELAYS)
     drive(oracle, engine, script)
     # The premise: on average three or more events per timestamp they use.
-    events = [when for when, label in oracle.log if label.startswith("e")]
+    events = [when for when, _label in oracle.log]
     assert len(set(events)) * 3 <= len(events)
 
 
@@ -795,7 +767,9 @@ def test_memoised_best_rloc_matches_recomputation(seed):
     with either prober or none, answers what a recomputation does."""
     rng = random.Random(seed)
     sim = Simulator(seed=0, tracing=False)
-    probers = [RlocProber(sim, _ProbedXtr(Node(sim, name))) for name in "ab"]
+    versions = count(1)
+    probers = [RlocProber(sim, _ProbedXtr(Node(sim, name)), versions)
+               for name in "ab"]
     assert all(prober.xtr.rloc_liveness is prober for prober in probers)
     locators = [IPv4Address(f"11.0.0.{index}") for index in range(1, 6)]
     cache = MapCache(sim)

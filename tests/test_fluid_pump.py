@@ -323,8 +323,8 @@ def test_pump_arms_on_first_join_and_disarms_when_empty():
     assert net.pump.snapshot_state() == {"_lanes": {}}
     sim.run(until=0.3)
     assert list(net.pump._lanes) == [INTERVAL]
-    # The armed tick is a foreground event: the engine refuses a capture.
-    with pytest.raises(RuntimeError, match="pending foreground events"):
+    # The armed tick is a queued event: the engine refuses a capture.
+    with pytest.raises(RuntimeError, match="queued events"):
         sim.snapshot_state()
     sim.run()
     assert net.pump._lanes == {}

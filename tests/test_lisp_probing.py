@@ -1,9 +1,16 @@
 """Tests for RLOC probing, failover and recovery."""
 
+import functools
+
 import pytest
 from process_kernel import Process
 
+from repro.experiments.grid import expand_grid
 from repro.experiments.scenario import FLOW_UDP_PORT, ScenarioConfig, build_scenario
+from repro.experiments.sweep import PRESETS
+from repro.experiments.workload import WorkloadConfig, run_workload
+from repro.experiments.worldbuild import build_world, restore_world
+from repro.experiments.worldrun import apply_failures
 from repro.lisp.mappings import MappingRecord, RlocEntry
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
@@ -178,35 +185,36 @@ def test_prober_keeps_probing_down_rlocs():
 
 
 def test_first_tick_fires_one_period_after_start():
-    """Regression: the first tick must fire at t + period, not t = 0.
+    """Regression: the first round must fire on the grid, at t + period,
+    not at the install.
 
-    At deploy time the map-cache is empty, so a t=0 tick probes nothing.
-    Mappings installed *before the first period elapses* must be picked up
-    by the first tick — targets are re-read from the cache at every tick.
+    At deploy time the map-cache is empty, so nothing is queued.  A mapping
+    pushed *before the first period elapses* arms the round at the first
+    grid instant, which probes it — targets are re-read from the cache at
+    every round.
     """
     scenario = make_world(probe_period=0.5)
     sim = scenario.sim
+    plane = scenario.control_plane
     site_s, site_d = scenario.topology.sites
-    prober = scenario.control_plane.probers[site_s.xtrs[0].name]
+    prober = plane.probers[site_s.xtrs[0].name]
     assert prober.targets() == []          # empty cache at startup
-    assert prober._task.armed
-    assert prober._task.next_fire == pytest.approx(0.5)
+    assert not plane._round_armed and not sim._queue
 
-    # Fill the cache mid-period (t=0.2), well before the first tick.
+    # Push a mapping mid-period (t=0.2), well before the first round.
     def fill():
         yield sim.timeout(0.2)
-        itr = scenario.control_plane.xtrs_by_site[site_s.index][0]
-        itr.install_mapping(
+        plane.pces[site_s.index].push_mapping_to_itrs(
             MappingRecord(str(site_d.eid_prefix),
                           tuple(RlocEntry(site_d.rloc_of(b))
-                                for b in range(len(site_d.xtrs)))),
-            origin="test")
+                                for b in range(len(site_d.xtrs)))))
 
     Process(sim, fill())
     sim.run(until=0.45)
+    assert plane._round_armed and plane._round_at == 0.5
     assert prober._nonce == 0              # nothing fired before t + period
     sim.run(until=0.55)
-    assert prober._nonce == len(site_d.xtrs)  # first tick saw the fill
+    assert prober._nonce == len(site_d.xtrs)  # the first round saw the push
 
 
 def test_prober_snapshot_round_trips_liveness_state():
@@ -218,7 +226,9 @@ def test_prober_snapshot_round_trips_liveness_state():
     links["uplink"].up = False
     links["downlink"].up = False
     sim.run(until=sim.now + 3.0)
-    sim.run()   # settle in-flight probes (foreground drain; ticks stay armed)
+    # Settle in-flight probes: their deadlines all fall before the next
+    # round, which a down locator keeps queueing.
+    sim.run_before(scenario.control_plane._round_at)
     prober = scenario.control_plane.probers[site_s.xtrs[0].name]
     assert prober.down and prober._nonce > 0
 
@@ -240,12 +250,66 @@ def test_prober_snapshot_refuses_in_flight_probes():
     sim = scenario.sim
     site_s, _site_d, _source = start_flow(scenario)
     prober = scenario.control_plane.probers[site_s.xtrs[0].name]
-    # Run to an instant right after a tick: probes are in flight.
+    # Run to an instant right after a round: probes are in flight.
     sim.run(until=sim.now + 0.2)
     if not prober._pending:             # settle landed between rounds
-        sim.run(until=prober._task.next_fire)
+        sim.run(until=scenario.control_plane._round_at)
     assert prober._pending
-    # Each probe's deadline is a foreground event, so the world checkpoint
+    # Each probe's deadline is a queued event, so the world checkpoint
     # that holds the prober refuses at its first entry, the engine.
-    with pytest.raises(RuntimeError, match="pending foreground events"):
+    with pytest.raises(RuntimeError, match="queued events"):
         Journal(scenario.singleton_components(), ())
+
+
+def test_a_built_probing_world_queues_nothing_before_or_after_a_run():
+    """Nothing probes until a mapping is installed: a probing world settles
+    at build with an empty queue, and a restore gives that back."""
+    config = ScenarioConfig(control_plane="pce", num_sites=6, seed=21,
+                            enable_probing=True, probe_period=0.3,
+                            probe_timeout=0.15, tracing=False)
+    world = build_world(config)
+    try:
+        sim = world.sim
+        assert (sim.now, sim._queue) == (0.0, [])
+        run_workload(world, WorkloadConfig(num_flows=10, arrival_rate=10.0,
+                                           packets_per_flow=4))
+        assert world.control_plane._round_armed and sim._queue
+        restore_world(world)
+        assert (sim.now, sim._queue) == (0.0, [])
+        assert not world.control_plane._round_armed
+    finally:
+        world.teardown()
+
+
+def test_failover_probe_rounds_keep_to_the_grid_in_registration_order():
+    """Every probe instant of a ``failover``-preset cell is on the grid the
+    deploy instant and the period accumulate to, and at each one every
+    prober probes once, in registration order."""
+    cell = next(cell for cell in expand_grid(PRESETS["failover"])
+                if cell.scenario.control_plane == "pce"
+                and cell.failure.fraction > 0)
+    world = build_world(cell.scenario)
+    try:
+        sim = world.sim
+        plane = world.control_plane
+        rounds = []
+        for name, prober in plane.probers.items():
+            prober.probe_round = functools.partial(
+                _logged_round, prober.probe_round, rounds, sim, name)
+        apply_failures(world, cell.failure, sim.now, sim)
+        run_workload(world, cell.workload)
+        grid = [0.0]
+        while grid[-1] <= sim.now:
+            grid.append(grid[-1] + plane.probe_period)
+        instants = sorted({when for when, _name in rounds})
+        assert len(instants) > 10 and set(instants) <= set(grid)
+        for when in instants:
+            assert [name for at, name in rounds if at == when] \
+                == list(plane.probers)
+    finally:
+        world.teardown()
+
+
+def _logged_round(probe_round, rounds, sim, name):
+    rounds.append((sim.now, name))
+    probe_round()

@@ -390,7 +390,7 @@ def test_udp_request_is_one_event_answered_by_the_reply():
     socket = a.open_udp()
     done = socket.request(b.address, 7, payload="ping", timeout=2.0)
     assert not done._triggered
-    assert sim.processed_events == 0 and sim._foreground == 2
+    assert sim.processed_events == 0 and len(sim._queue) == 2
     answered = []
     done.callbacks.append(lambda event: answered.append((sim.now, event.value.payload)))
     sim.run()

@@ -7,8 +7,8 @@ of :data:`~repro.experiments.scenario.CONTROL_PLANES` names the
 exactly those.  So:
 
 - perturbing a field a plane reads, on a small world, changes what a short
-  run leaves behind — the components' ``snapshot_state()`` or the flow
-  records;
+  run leaves behind — the instants of the work queued when the workload
+  ends, the components' ``snapshot_state()`` or the flow records;
 - perturbing a field it does not read leaves the world key as it was, so
   such configs share one world.
 """
@@ -23,7 +23,6 @@ import pytest
 from repro.experiments.scenario import CONTROL_PLANES, ScenarioConfig
 from repro.experiments.workload import WorkloadConfig, run_workload
 from repro.experiments.worldbuild import build_world, world_key
-from repro.lisp.probing import RlocProber
 from repro.net.addresses import IPv4Address
 from repro.net.packet import udp_packet
 from repro.sim.state import Part
@@ -106,31 +105,26 @@ def _plain(value, depth=0):
     return re.sub(r" at 0x[0-9a-f]+", "", repr(value))
 
 
-def _state(component):
-    """*component*'s checkpoint, less a prober's liveness version: a memo
-    key unique in the process, so two builds never share one."""
-    state = component.snapshot_state()
-    if isinstance(component, RlocProber):
-        del state["version"]
-    return state
-
-
 def _aftermath(config):
-    """What a short run on *config*'s world leaves: every component's
-    state and the flow records.
+    """What a short run on *config*'s world leaves: the instants of the
+    work queued when the workload ends, every component's state and the
+    flow records.
 
     The workload, then one packet to :data:`UNASSIGNED_EID` (where a NERD
     ITR, whose pushed database holds every site, applies its miss policy),
-    run until nothing is pending.
+    run until nothing is pending.  A probe timeout shows only in the
+    first: every probe of this run is answered, and a probing world drains
+    only once its mappings have expired, long after the last deadline.
     """
     world = build_world(config)
     try:
         records = run_workload(world, WORKLOAD)
+        queued = sorted(entry[0] for entry in world.sim._queue)
         host = world.topology.sites[0].hosts[0]
         host.send(udp_packet(host.address, UNASSIGNED_EID, 5000, 9))
         world.sim.run()
-        return ([_plain(_state(component))
-                 for component in world.stateful_components()],
+        return ([queued, *(_plain(component.snapshot_state())
+                           for component in world.stateful_components())],
                 [_plain(astuple(record)) for record in records])
     finally:
         world.teardown()
@@ -147,6 +141,22 @@ def test_the_table_names_what_each_plane_reads():
     named = {name for reads in READS.values() for name in reads}
     assert tuple(spec.name for spec in fields(ScenarioConfig)
                  if spec.name not in named) == SHARED
+
+
+@pytest.mark.parametrize("plane", READS)
+def test_two_builds_of_one_config_checkpoint_alike(plane):
+    """A built world's checkpoint is a function of its config: two builds
+    in one process agree on every inventory component (a prober's liveness
+    version included, drawn from its world's own counter)."""
+    worlds = [build_world(BASES[plane]) for _ in range(2)]
+    try:
+        first, second = ([_plain(component.snapshot_state())
+                          for component in world.stateful_components()]
+                         for world in worlds)
+        assert first == second
+    finally:
+        for world in worlds:
+            world.teardown()
 
 
 @pytest.mark.parametrize("plane", READS)

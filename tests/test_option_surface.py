@@ -24,7 +24,7 @@ import ast
 import pathlib
 from dataclasses import fields
 
-from repro.core.irc import POLICIES as IRC_POLICIES
+from repro.core.pce import POLICIES as IRC_POLICIES
 from repro.experiments.scenario import (CONTROL_PLANES, MISS_POLICIES,
                                         ScenarioConfig)
 from repro.experiments.grid import AXES

@@ -47,8 +47,8 @@ def best_of(func, rounds=3):
 WORLDS = {
     "pce-120": ScenarioConfig(control_plane="pce", num_sites=120,
                               num_providers=8, tracing=False),
-    # The failover preset's shape: periodic probe tasks are engine-owned
-    # and re-armed on restore, so these worlds cache too.
+    # The failover preset's shape: a probe round is queued only once a
+    # run installs a mapping, so these worlds settle and cache too.
     "probing-irc-60": ScenarioConfig(control_plane="pce", num_sites=60,
                                      num_providers=8, enable_probing=True,
                                      probe_period=0.3, probe_timeout=0.15,

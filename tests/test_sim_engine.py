@@ -213,7 +213,7 @@ def test_a_pending_call_is_two_tracked_objects_and_no_event():
         objects_after, events_after = census()
     finally:
         gc.enable()
-    assert sim._foreground == pending
+    assert len(sim._queue) == pending
     assert objects_after - objects_before <= 2 * pending
     assert events_after == events_before
 
@@ -222,8 +222,7 @@ def test_a_pending_call_is_two_tracked_objects_and_no_event():
     lambda sim: sim.call_in(NAN, lambda: None),
     lambda sim: sim.call_at(NAN, lambda: None),
     lambda sim: sim.timeout(NAN),
-    lambda sim: sim.periodic(lambda: None, NAN),
-], ids=["call_in", "call_at", "timeout", "periodic-period"])
+], ids=["call_in", "call_at", "timeout"])
 def test_nan_is_refused_at_every_way_into_the_queue(schedule):
     sim = Simulator()
     with pytest.raises(ValueError):
@@ -247,7 +246,7 @@ def test_run_until_nan_is_refused_and_runs_nothing():
     sim.call_in(1.0, hits.append, "ran")
     with pytest.raises(ValueError, match="in the past"):
         sim.run(until=NAN)
-    assert sim.now == 0.0 and hits == [] and sim._foreground == 1
+    assert sim.now == 0.0 and hits == [] and len(sim._queue) == 1
 
 
 def test_infinity_is_still_a_legal_time():
@@ -339,13 +338,35 @@ def test_expiring_event_same_timestamp_resolves_in_insertion_order():
 def test_pending_expiry_is_foreground_work():
     sim = Simulator()
     _system, loop = _map_request(sim, 3.0, [])
-    assert sim._foreground == 1 and not sim.serializable
+    assert len(sim._queue) == 1 and not sim.serializable
     with pytest.raises(RuntimeError):
         sim.snapshot_state()
     # No ``until``: the deadlines are drained, not skipped.
     assert sim.run() == 3.0 * (MAP_REQUEST_RETRIES + 1)
     assert loop._triggered and loop.value is None
     assert sim.serializable
+
+
+@pytest.mark.parametrize("queue", [
+    lambda sim: sim.call_in(1.0, lambda: None),
+    lambda sim: sim.call_at(2.0, lambda: None),
+    lambda sim: sim.timeout(0.0),
+    lambda sim: sim.event().succeed(),
+    lambda sim: sim.reserve(1).call_at(0.5, lambda: None),
+], ids=["call_in", "call_at", "timeout", "succeed", "reservation"])
+def test_the_engine_refuses_a_checkpoint_while_anything_is_queued(queue):
+    """Every entry is work in flight; a drained engine checkpoints, and a
+    restore drops whatever a run left queued."""
+    sim = Simulator()
+    state = sim.snapshot_state()
+    queue(sim)
+    assert not sim.serializable
+    with pytest.raises(RuntimeError, match="1 queued events"):
+        sim.snapshot_state()
+    sim.call_in(3.0, lambda: None)
+    sim.restore_state(state)
+    assert sim._queue == [] and sim.serializable
+    assert sim.snapshot_state() == state
 
 
 def test_deterministic_event_interleaving():

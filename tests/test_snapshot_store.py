@@ -104,9 +104,9 @@ def test_serialize_requires_checkpointed_settled_world():
     with pytest.raises(ValueError, match="checkpoint"):
         serialize_world(bare)
     scenario = build_world(CONFIG)
-    scenario.sim.call_in(0.5, lambda: None)  # pending foreground event
+    scenario.sim.call_in(0.5, lambda: None)  # a queued event
     assert not scenario.sim.serializable
-    with pytest.raises(ValueError, match="foreground"):
+    with pytest.raises(ValueError, match="queued events"):
         serialize_world(scenario)
 
 
@@ -362,7 +362,7 @@ def test_fan_out_builds_each_world_once_under_either_start_method(method):
 
 
 def test_probing_failover_worlds_snapshot_cleanly():
-    """The hardest worlds (armed periodic tasks, prober state) give the
+    """The hardest worlds (probe rounds, prober state) give the
     same results fanned out, and round-trip through a blob record for
     record."""
     overrides = {"enable_probing": True, "probe_period": 0.3,

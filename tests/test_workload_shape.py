@@ -26,7 +26,7 @@ class _CountingAllocator(FlowIdAllocator):
         self.pending = []
 
     def allocate(self):
-        self.pending.append(self.sim._foreground)
+        self.pending.append(len(self.sim._queue))
         return FlowIdAllocator.allocate(self)
 
 

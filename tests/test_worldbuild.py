@@ -30,7 +30,7 @@ from repro.net.router import Router
 from repro.net.routing import (RoutingPlan, build_adjacency,
                                shortest_path_next_hops)
 from repro.net.topogen import TopologySpec, build
-from repro.sim import PeriodicTask, Simulator
+from repro.sim import Simulator
 from repro.traffic.flows import FluidPump, UdpSink
 
 from flat_routing import FlatRoutingPlan, install_mesh_routes
@@ -161,8 +161,9 @@ def worlds_built(monkeypatch):
 
 
 def test_probing_worlds_hit_the_cache(worlds_built):
-    """Probing worlds (armed periodic tasks) are checkpointable like any
-    other: a run of two of their cells builds once and restores once."""
+    """Probing worlds (probe rounds armed in the run) are checkpointable
+    like any other: a run of two of their cells builds once and restores
+    once."""
     cell = _failover_cell(fail_fractions=(0.0,))
     assert cell.scenario.enable_probing
     (first, second), _built = run_world([cell, cell])
@@ -210,13 +211,15 @@ def test_prober_and_irc_state_round_trip_through_restore():
                 for name, p in scenario.control_plane.probers.items()}
 
     def irc_states():
-        return {index: irc.snapshot_state()
-                for index, irc in scenario.control_plane.ircs.items()}
+        return {index: (pce.ingress_picks, pce.egress_picks)
+                for index, pce in scenario.control_plane.pces.items()}
 
-    def task_states():
-        return [task.snapshot_state() for task in scenario.sim.periodic_tasks]
+    def round_state():
+        plane = scenario.control_plane
+        return plane._round_at, plane._round_armed, len(scenario.sim._queue)
 
-    baseline = (prober_states(), irc_states(), task_states())
+    baseline = (prober_states(), irc_states(), round_state())
+    assert baseline[2] == (0.0, False, 0)
 
     # Dirty this world: run a failing workload so probers mark RLOCs down.
     apply_failures(scenario, _failover_cell().failure,
@@ -225,53 +228,53 @@ def test_prober_and_irc_state_round_trip_through_restore():
                                           packets_per_flow=5))
     assert any(p._nonce > 0
                for p in scenario.control_plane.probers.values())
-    assert (prober_states(), irc_states(), task_states()) != baseline
+    assert (prober_states(), irc_states(), round_state()) != baseline
 
     restore_world(scenario)
-    assert (prober_states(), irc_states(), task_states()) == baseline
-
-
-def _armed_ticks(sim):
-    """The (when, sequence) key of every tick riding *sim*'s queue."""
-    return sorted((when, sequence) for when, sequence, callback, _args in sim._queue
-                  if type(callback) is PeriodicTask)
+    assert (prober_states(), irc_states(), round_state()) == baseline
 
 
 def _drive_shared_timestamps(scenario):
-    """A tick and a foreground call on one instant, twice; what ran when.
+    """A probe round and a call on one instant, twice; what ran when.
 
-    First the task is armed before the call is queued (tick, then call);
-    then the tick re-arms onto an instant a call queued before it already
-    holds (call, then tick).  Every other armed task keeps probing
-    alongside.
+    A push to site 0's ITRs arms the round; then the round is armed before
+    the first call is queued (round, then call), and re-arms onto an
+    instant a call queued before it already holds (call, then round).
     """
     sim = scenario.sim
-    task = next(task for task in sim.periodic_tasks if task.armed)
+    plane = scenario.control_plane
+    site = scenario.topology.sites[1]
+    plane.pces[0].push_mapping_to_itrs(MappingRecord(
+        str(site.eid_prefix),
+        tuple(RlocEntry(site.rloc_of(b)) for b in range(len(site.xtrs)))))
+    sim.run(until=0.1)
+    assert plane._round_armed
+    prober = next(iter(plane.probers.values()))
     log = []
-    ticks = []
-    callback = task.callback
+    rounds = []
+    probe_round = prober.probe_round
 
     def counted():
-        ticks.append(sim.now)
-        callback()
+        rounds.append(sim.now)
+        probe_round()
 
     def mark(tag):
-        log.append((tag, sim.now, len(ticks), sim.processed_events))
+        log.append((tag, sim.now, len(rounds), sim.processed_events))
 
-    first = task.next_fire
-    second = first + task.period        # where the first tick re-arms it
+    first = plane._round_at
+    second = first + plane.probe_period     # where the first round re-arms
     sim.call_at(first, mark, "armed-before-the-call")
     sim.call_at(second, mark, "call-before-the-rearm")
-    task.callback = counted
+    prober.probe_round = counted
     try:
         sim.run(until=second)
     finally:
-        task.callback = callback
+        del prober.probe_round
     assert [entry[2] for entry in log] == [1, 1]
-    assert ticks == [first, second]     # ... and then the tick ran
-    sim.run()
+    assert rounds == [first, second]        # ... and then the round ran
+    sim.run(until=second + 1.0)
     return log, sim.now, sim.processed_events, \
-        [other.snapshot_state() for other in sim.periodic_tasks]
+        [other._nonce for other in plane.probers.values()]
 
 
 def test_a_tick_tied_with_a_call_breaks_the_same_way_fresh_restored_and_thawed():
@@ -280,21 +283,15 @@ def test_a_tick_tied_with_a_call_breaks_the_same_way_fresh_restored_and_thawed()
                             probe_timeout=0.15, tracing=False)
     scenario = build_world(config)
     sim = scenario.sim
-    checkpointed = sorted((task.next_fire, task._entry_sequence)
-                          for task in sim.periodic_tasks if task.armed)
-    assert len(checkpointed) > 1 and _armed_ticks(sim) == checkpointed
+    assert sim.now == 0.0 and not sim._queue
     blob = serialize_world(scenario)
     fresh = _drive_shared_timestamps(scenario)
 
     restore_world(scenario)
-    # Exactly the armed tasks' ticks, keyed as the fresh build keyed them.
-    assert sorted(entry[:2] for entry in sim._queue) == checkpointed \
-        == _armed_ticks(sim)
-    assert sim.serializable
+    assert sim.now == 0.0 and not sim._queue and sim.serializable
     assert _drive_shared_timestamps(scenario) == fresh
 
     thawed = deserialize_world(blob, config)
-    assert _armed_ticks(thawed.sim) == checkpointed
     assert _drive_shared_timestamps(thawed) == fresh
 
 
@@ -1167,16 +1164,16 @@ def test_restore_cost_follows_the_cell_not_the_world(topology, monkeypatch):
         assert counts[Node] == sum(isinstance(c, Node) for c in dirty)
         assert journal.dirty == []
         plane = scenario.control_plane
-        per_site = len(plane.pces) + len(plane.ircs) + len(plane.probers)
-        assert per_site >= 2 * sites
+        per_site = len(plane.pces) + len(plane.probers)
+        assert per_site >= sites
         sizes[sites] = (sum(1 for _ in scenario.stateful_components()),
                         len(dirty), len(journal.singletons) - per_site)
     (small_world, small_dirty, small_singletons) = sizes[60]
     (big_world, big_dirty, big_singletons) = sizes[240]
     assert big_world > 3.5 * small_world
     assert small_dirty < big_dirty < 2 * small_dirty
-    # Beside the control plane's per-site PCEs, IRC engines and probers
-    # (as many singletons as sites), the same handful.
+    # Beside the control plane's per-site PCEs and probers (as many
+    # singletons as sites), the same handful.
     assert big_singletons == small_singletons < 12
 
 
